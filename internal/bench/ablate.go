@@ -7,6 +7,7 @@ import (
 
 	"wanshuffle/internal/core"
 	"wanshuffle/internal/exec"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/simnet"
 	"wanshuffle/internal/stats"
@@ -122,11 +123,11 @@ func Ablate(opts Options) ([]AblationRow, error) {
 	// 2. Aggregator selection rule.
 	for _, p := range []struct {
 		name   string
-		policy exec.AggregatorPolicy
+		policy plan.AggregatorPolicy
 	}{
-		{"largest input share (Eq. 2)", exec.AggregatorBest},
-		{"random datacenter", exec.AggregatorRandom},
-		{"smallest input share", exec.AggregatorWorst},
+		{"largest input share (Eq. 2)", plan.AggregatorBest},
+		{"random datacenter", plan.AggregatorRandom},
+		{"smallest input share", plan.AggregatorWorst},
 	} {
 		p := p
 		row, err := runVariant(pr, core.SchemeAggShuffle, opts, func(c *exec.Config) { c.AggregatorPolicy = p.policy }, nil)

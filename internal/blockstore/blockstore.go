@@ -7,14 +7,14 @@
 // agreement — last-write-wins by task attempt, exactly-once bucketing of
 // flat outputs on first shard read — are implemented once.
 //
-// Two implementations exist. MemStore holds everything resident, the
-// historical behaviour. SpillStore adds a configurable memory budget:
-// when resident bytes exceed it, the coldest outputs are gob-encoded to
+// One implementation exists, SpillStore. Without a memory budget
+// (NewMemStore) it holds everything resident. With one (NewSpillStore),
+// when resident bytes exceed it the coldest outputs are gob-encoded to
 // per-store temp files and transparently reloaded on their next read, so
 // an aggregator that concentrates a whole job's shuffle input (the
 // paper's Push/Aggregate design) is bounded by disk, not by resident
-// heap. Both feed the same byte Accountant, which observability planes
-// tap for resident/spilled gauges and spill/reload counters.
+// heap. Either way the store feeds a byte Accountant, which observability
+// planes tap for resident/spilled gauges and spill/reload counters.
 package blockstore
 
 import (
@@ -89,9 +89,6 @@ type Store interface {
 
 	// Len reports how many outputs are stored.
 	Len() int
-
-	// DropShuffle discards every output of one shuffle.
-	DropShuffle(shuffle int) error
 
 	// Reset discards every output (between jobs; shuffle IDs are
 	// graph-scoped, so leftovers could collide).

@@ -32,21 +32,23 @@ func modBucket(parts int) BucketFunc {
 	}
 }
 
-// stores builds one of each implementation sharing the test's lifecycle.
-// The spill store's budget is generous enough that nothing spills unless
-// the test overflows it deliberately.
-func stores(t *testing.T, budget int64) map[string]Store {
+// stores builds the store under both of its configurations: no budget
+// (fully resident) and a budget of one record, under which every output
+// but the one in use lives on disk — so each test below also checks that
+// spilling never changes what a caller reads.
+func stores(t *testing.T) map[string]Store {
 	t.Helper()
+	budget := int64(rdd.SizeOfAll(records(1, "a")))
 	spill, err := NewSpillStore(SpillConfig{MemoryBudget: budget, Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = spill.Close() })
-	return map[string]Store{"mem": NewMemStore(nil), "spill": spill}
+	return map[string]Store{"no budget": NewMemStore(nil), "1-record budget": spill}
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	for name, s := range stores(t, 1<<30) {
+	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			key := Key{Shuffle: 7, MapPart: 3}
 			if _, err := s.Get(key); !errors.Is(err, ErrNotFound) {
@@ -69,7 +71,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestLastWriteWinsByAttempt(t *testing.T) {
-	for name, s := range stores(t, 1<<30) {
+	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			key := Key{Shuffle: 1, MapPart: 0}
 			if _, _, err := s.Put(key, Output{Attempt: 2, Records: records(5, "new")}); err != nil {
@@ -101,7 +103,7 @@ func TestLastWriteWinsByAttempt(t *testing.T) {
 }
 
 func TestShardsBucketExactlyOnce(t *testing.T) {
-	for name, s := range stores(t, 1<<30) {
+	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			key := Key{Shuffle: 2, MapPart: 1}
 			recs := records(12, "x")
@@ -148,7 +150,7 @@ func TestShardsBucketExactlyOnce(t *testing.T) {
 }
 
 func TestBucketErrorPropagates(t *testing.T) {
-	for name, s := range stores(t, 1<<30) {
+	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			key := Key{Shuffle: 3, MapPart: 0}
 			if _, _, err := s.Put(key, Output{Records: records(4, "e")}); err != nil {
@@ -167,8 +169,8 @@ func TestBucketErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestDropShuffleAndReset(t *testing.T) {
-	for name, s := range stores(t, 1<<30) {
+func TestReset(t *testing.T) {
+	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			for sh := 0; sh < 2; sh++ {
 				for m := 0; m < 3; m++ {
@@ -177,23 +179,17 @@ func TestDropShuffleAndReset(t *testing.T) {
 					}
 				}
 			}
-			if err := s.DropShuffle(0); err != nil {
-				t.Fatal(err)
-			}
-			if s.Len() != 3 {
-				t.Fatalf("Len after DropShuffle = %d, want 3", s.Len())
-			}
-			if _, err := s.Get(Key{Shuffle: 0, MapPart: 0}); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("dropped shuffle still readable: %v", err)
-			}
-			if _, err := s.Get(Key{Shuffle: 1, MapPart: 0}); err != nil {
-				t.Fatalf("surviving shuffle unreadable: %v", err)
+			if s.Len() != 6 {
+				t.Fatalf("Len = %d, want 6", s.Len())
 			}
 			if err := s.Reset(); err != nil {
 				t.Fatal(err)
 			}
 			if s.Len() != 0 {
 				t.Fatalf("Len after Reset = %d, want 0", s.Len())
+			}
+			if _, err := s.Get(Key{Shuffle: 1, MapPart: 0}); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("output still readable after Reset: %v", err)
 			}
 			st := s.Accountant().Stats()
 			if st.ResidentBytes != 0 || st.ResidentOutputs != 0 || st.SpilledBytes != 0 || st.SpilledOutputs != 0 {
@@ -297,8 +293,8 @@ func TestSpillStoreSpillsAndReloads(t *testing.T) {
 	}
 }
 
-func TestSpillStoreMatchesMemStore(t *testing.T) {
-	// Same operation sequence against both implementations, spilling
+func TestBudgetedStoreMatchesResident(t *testing.T) {
+	// Same operation sequence with and without a budget, spilling
 	// aggressively, must read identically.
 	spill, err := NewSpillStore(SpillConfig{MemoryBudget: 1, Dir: t.TempDir()}, nil)
 	if err != nil {
@@ -330,6 +326,24 @@ func TestSpillStoreMatchesMemStore(t *testing.T) {
 		if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("map %d shards diverge (%v, %v)", m, err1, err2)
 		}
+	}
+}
+
+func TestResidentStoreHasNoSpillDir(t *testing.T) {
+	s := NewMemStore(nil)
+	if s.Dir() != "" {
+		t.Fatalf("store without a budget has spill dir %q", s.Dir())
+	}
+	for m := 0; m < 3; m++ {
+		if _, _, err := s.Put(Key{MapPart: m}, Output{Records: records(64, "r")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Accountant().Stats(); st.SpillEvents != 0 || st.ResidentOutputs != 3 {
+		t.Fatalf("store without a budget spilled: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// SpillConfig configures a SpillStore.
+// SpillConfig configures a budgeted SpillStore.
 type SpillConfig struct {
 	// MemoryBudget is the resident-byte budget. Whenever resident bytes
 	// exceed it, the coldest outputs (least recently stored or read) are
@@ -41,10 +41,11 @@ type spillBlob struct {
 	Shards [][]rdd.Pair
 }
 
-// SpillStore is the budgeted Store: outputs are resident until the memory
-// budget is exceeded, then the coldest ones spill to per-store temp files
-// and reload transparently when read again. Attempt and bucketing
-// semantics are identical to MemStore's; only residency differs.
+// SpillStore is the Store implementation. Outputs are resident until the
+// memory budget is exceeded, then the coldest ones spill to per-store temp
+// files and reload transparently when read again. Without a budget
+// (NewMemStore) nothing ever spills and no spill directory exists: the
+// fully resident store is this store with the budget check switched off.
 type SpillStore struct {
 	mu      sync.Mutex
 	acct    *Accountant
@@ -55,24 +56,34 @@ type SpillStore struct {
 	nfiles  int
 }
 
-// NewSpillStore creates a store spilling into its own subdirectory of
-// cfg.Dir. acct may be nil for a private, unobserved accountant.
+// NewMemStore returns an empty, fully resident store accounting into acct
+// (nil for a private, unobserved accountant).
+func NewMemStore(acct *Accountant) *SpillStore {
+	if acct == nil {
+		acct = NewAccountant(nil)
+	}
+	return &SpillStore{acct: acct, outputs: map[Key]*spillEntry{}}
+}
+
+// NewSpillStore creates a budgeted store spilling into its own
+// subdirectory of cfg.Dir. acct may be nil for a private, unobserved
+// accountant.
 func NewSpillStore(cfg SpillConfig, acct *Accountant) (*SpillStore, error) {
 	if cfg.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("blockstore: memory budget must be positive, got %d", cfg.MemoryBudget)
 	}
-	registerSpillGob()
+	rdd.RegisterGobTypes()
 	dir, err := os.MkdirTemp(cfg.Dir, "wanshuffle-spill-")
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: creating spill dir: %w", err)
 	}
-	if acct == nil {
-		acct = NewAccountant(nil)
-	}
-	return &SpillStore{acct: acct, cfg: cfg, dir: dir, outputs: map[Key]*spillEntry{}}, nil
+	s := NewMemStore(acct)
+	s.cfg, s.dir = cfg, dir
+	return s, nil
 }
 
-// Dir returns the store's spill directory (removed on Close).
+// Dir returns the store's spill directory (removed on Close); empty for a
+// store without a budget.
 func (s *SpillStore) Dir() string { return s.dir }
 
 // touchLocked marks e as most recently used.
@@ -150,19 +161,6 @@ func (s *SpillStore) Len() int {
 	return len(s.outputs)
 }
 
-// DropShuffle implements Store.
-func (s *SpillStore) DropShuffle(shuffle int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for key, e := range s.outputs {
-		if key.Shuffle == shuffle {
-			s.discardLocked(e)
-			delete(s.outputs, key)
-		}
-	}
-	return nil
-}
-
 // Reset implements Store.
 func (s *SpillStore) Reset() error {
 	s.mu.Lock()
@@ -175,10 +173,13 @@ func (s *SpillStore) Reset() error {
 }
 
 // Close implements Store: drops every output and removes the spill
-// directory.
+// directory, if the store has one.
 func (s *SpillStore) Close() error {
 	if err := s.Reset(); err != nil {
 		return err
+	}
+	if s.dir == "" {
+		return nil
 	}
 	return os.RemoveAll(s.dir)
 }
@@ -223,8 +224,11 @@ func (s *SpillStore) ensureResidentLocked(e *spillEntry) error {
 
 // enforceBudgetLocked spills the coldest resident entries (never exclude,
 // the one the caller is actively using) until resident bytes fit the
-// budget or no candidate remains.
+// budget or no candidate remains. A store without a budget never spills.
 func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
+	if s.cfg.MemoryBudget <= 0 {
+		return nil
+	}
 	for s.acct.Stats().ResidentBytes > s.cfg.MemoryBudget {
 		var victim *spillEntry
 		for _, e := range s.outputs {
@@ -273,24 +277,4 @@ func (s *SpillStore) spillLocked(e *spillEntry) error {
 	e.spilled, e.path = true, path
 	s.acct.spill(e.bytes)
 	return nil
-}
-
-// registerSpillGob registers the record value types spill files may
-// carry. The set mirrors the live cluster's wire registration; duplicate
-// registration of identical types is a no-op for gob.
-var spillGobOnce sync.Once
-
-func registerSpillGob() {
-	spillGobOnce.Do(func() {
-		gob.Register("")
-		gob.Register(0)
-		gob.Register(0.0)
-		gob.Register(false)
-		gob.Register([]byte(nil))
-		gob.Register([]rdd.Value{})
-		gob.Register([]string{})
-		gob.Register([]float64{})
-		gob.Register(rdd.Tagged{})
-		gob.Register([2][]rdd.Value{})
-	})
 }

@@ -67,20 +67,11 @@ type Config struct {
 	// paper's m3.large workers (2 vCPUs of 2014-era hardware running
 	// HiBench JVM jobs).
 	ComputeBps float64
-	// DiskBps is the local disk throughput. Default 200 MB/s.
-	DiskBps float64
-	// TaskOverhead is the fixed launch cost per task attempt. Default
-	// 0.15 s.
-	TaskOverhead float64
 	// ComputeNoise is the relative amplitude of per-task compute time
 	// jitter. Default 0.08; set negative to disable.
 	ComputeNoise float64
 	// MaxAttempts bounds task retries. Default 4 (Spark's default).
 	MaxAttempts int
-	// ReducerLocalityFraction is the share of a reducer's input a host
-	// must hold to become a preferred location (Spark's
-	// REDUCER_PREF_LOCS_FRACTION = 0.2).
-	ReducerLocalityFraction float64
 	// ReduceFailureProb injects random first-attempt failures into reduce
 	// tasks with this probability.
 	ReduceFailureProb float64
@@ -95,16 +86,11 @@ type Config struct {
 	// pipelining. Ablation knob; off by default.
 	NoPipelining bool
 	// Speculation enables Spark-style speculative execution: once
-	// SpeculationQuantile of a stage's tasks have finished, stragglers
-	// running longer than SpeculationMultiplier× the median duration get
+	// speculationQuantile of a stage's tasks have finished, stragglers
+	// running longer than speculationMultiplier× the median duration get
 	// a second copy; the first finisher wins. Mitigates the slow-link and
 	// slow-node stragglers of Sec. II-B.
 	Speculation bool
-	// SpeculationQuantile defaults to 0.75 (spark.speculation.quantile).
-	SpeculationQuantile float64
-	// SpeculationMultiplier defaults to 1.5
-	// (spark.speculation.multiplier).
-	SpeculationMultiplier float64
 	// SlowHosts emulates degraded machines: a per-host multiplier on
 	// compute speed (0.2 = 5× slower). The classic straggler source
 	// speculative execution exists for.
@@ -114,8 +100,8 @@ type Config struct {
 	// recomputing the lost map outputs (Spark's FetchFailed path).
 	HostFailures []HostFailure
 	// AggregatorPolicy overrides how automatic transfers choose their
-	// datacenter. Ablation knob; default AggregatorBest.
-	AggregatorPolicy AggregatorPolicy
+	// datacenter. Ablation knob; default plan.AggregatorBest.
+	AggregatorPolicy plan.AggregatorPolicy
 
 	Sched sched.Config
 	Net   simnet.Config
@@ -127,15 +113,26 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// Model constants no caller varies, calibrated together with the Config
+// defaults.
+const (
+	// diskBps is the local disk throughput, 200 MB/s.
+	diskBps float64 = 200e6
+	// taskOverhead is the fixed launch cost per task attempt, in seconds.
+	taskOverhead float64 = 0.15
+	// reducerLocalityFraction is the share of a reducer's input a host
+	// must hold to become a preferred location (Spark's
+	// REDUCER_PREF_LOCS_FRACTION).
+	reducerLocalityFraction float64 = 0.2
+	// speculationQuantile and speculationMultiplier are
+	// spark.speculation.quantile and spark.speculation.multiplier.
+	speculationQuantile   float64 = 0.75
+	speculationMultiplier float64 = 1.5
+)
+
 func (c Config) withDefaults() Config {
 	if c.ComputeBps <= 0 {
 		c.ComputeBps = 40e6
-	}
-	if c.DiskBps <= 0 {
-		c.DiskBps = 200e6
-	}
-	if c.TaskOverhead <= 0 {
-		c.TaskOverhead = 0.15
 	}
 	if c.ComputeNoise == 0 {
 		c.ComputeNoise = 0.08
@@ -144,15 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = plan.DefaultMaxAttempts
-	}
-	if c.ReducerLocalityFraction <= 0 {
-		c.ReducerLocalityFraction = 0.2
-	}
-	if c.SpeculationQuantile <= 0 || c.SpeculationQuantile > 1 {
-		c.SpeculationQuantile = 0.75
-	}
-	if c.SpeculationMultiplier <= 1 {
-		c.SpeculationMultiplier = 1.5
 	}
 	return c
 }
@@ -294,26 +282,6 @@ func (e *Engine) mirrorDelivery(tag string, bytes float64, crossDC bool) {
 		e.crossRem[tag] = r
 	}
 }
-
-// AggregatorPolicy selects the automatic-aggregation rule (ablations of
-// the paper's Sec. III-B analysis). The type and its policies live in the
-// shared planner package so both backends mean the same thing by them.
-type AggregatorPolicy = plan.AggregatorPolicy
-
-// Aggregator policies.
-const (
-	// AggregatorBest picks the DC with the largest input share — the
-	// paper's rule (Eq. 2 optimum).
-	AggregatorBest = plan.AggregatorBest
-	// AggregatorRandom picks a seeded random DC.
-	AggregatorRandom = plan.AggregatorRandom
-	// AggregatorWorst picks the DC with the smallest input share (the
-	// Eq. 2 pessimum), bounding how much the selection rule matters.
-	AggregatorWorst = plan.AggregatorWorst
-	// AggregatorBandwidth picks the DC with the smallest estimated
-	// transfer time over the measured-then-configured link matrix.
-	AggregatorBandwidth = plan.AggregatorBandwidth
-)
 
 // Action selects what Run does with the final RDD.
 type Action int
@@ -711,7 +679,7 @@ func (e *Engine) centralizeInputs(job *jobState, done func()) {
 			e.Net.StartFlow(from, dst, modeled, TagCentralize, func() {
 				// The received blocks are written into the central DC's
 				// HDFS before the job can read them.
-				e.Clock.After(modeled/e.cfg.DiskBps, func() {
+				e.Clock.After(modeled/diskBps, func() {
 					part.Host = dst
 					pending--
 					e.trace(trace.Span{
@@ -744,22 +712,13 @@ func (e *Engine) siteName(h topology.HostID) string {
 // run report's network section from it).
 func (e *Engine) Links() *netobs.Estimator { return e.links }
 
-// LinkBps implements plan.LinkCostProvider over DC indices: the flow-fed
-// EWMA when the pair has been measured, else the topology's configured
-// inter-DC rate. ok=false leaves the pair to the planner's uniform
-// fallback.
-func (e *Engine) LinkBps(src, dst int) (float64, string, bool) {
-	n := e.Topo.NumDCs()
-	if src < 0 || dst < 0 || src >= n || dst >= n || src == dst {
-		return 0, "", false
-	}
-	if est, ok := e.links.Estimate(e.Topo.DCs[src].Name, e.Topo.DCs[dst].Name); ok && est.ThroughputBps > 0 {
-		return est.ThroughputBps, plan.BandwidthMeasured, true
-	}
-	if bps := e.Topo.InterBps(topology.DCID(src), topology.DCID(dst)); bps > 0 {
-		return bps, plan.BandwidthConfigured, true
-	}
-	return 0, "", false
+// LinkCosts returns the planner's link-cost view over DC indices: the
+// flow-fed EWMA when the pair has been measured, else the topology's
+// configured inter-DC rate.
+func (e *Engine) LinkCosts() plan.LinkCostProvider {
+	return plan.MeasuredLinkCosts(e.links, e.Topo.NumDCs(),
+		func(dc int) string { return e.Topo.DCs[dc].Name },
+		func(src, dst int) float64 { return e.Topo.InterBps(topology.DCID(src), topology.DCID(dst)) })
 }
 
 // NetworkStats assembles the current link estimate matrix — measured

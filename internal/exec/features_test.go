@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/dag"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -71,7 +72,7 @@ func buildSkewedReduce(topo *topology.Topology, heavyDC topology.DCID) *rdd.RDD 
 func TestAggregatorPolicies(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	heavy := topology.DCID(3)
-	run := func(policy AggregatorPolicy, seed int64) float64 {
+	run := func(policy plan.AggregatorPolicy, seed int64) float64 {
 		eng := New(topo, seed, Config{AggregatorPolicy: policy, ComputeNoise: -1})
 		res, err := eng.Run(buildSkewedReduce(topo, heavy), ActionSave, RunOptions{})
 		if err != nil {
@@ -79,15 +80,15 @@ func TestAggregatorPolicies(t *testing.T) {
 		}
 		return res.CrossDCBytes
 	}
-	best := run(AggregatorBest, 1)
-	worst := run(AggregatorWorst, 1)
+	best := run(plan.AggregatorBest, 1)
+	worst := run(plan.AggregatorWorst, 1)
 	if best >= worst {
 		t.Fatalf("Eq. 2 rule moved %v bytes, worst-case rule %v; want best < worst", best, worst)
 	}
 	// Random differs across seeds (eventually).
-	r1, diff := run(AggregatorRandom, 1), false
+	r1, diff := run(plan.AggregatorRandom, 1), false
 	for seed := int64(2); seed <= 6; seed++ {
-		if run(AggregatorRandom, seed) != r1 {
+		if run(plan.AggregatorRandom, seed) != r1 {
 			diff = true
 			break
 		}
@@ -99,7 +100,7 @@ func TestAggregatorPolicies(t *testing.T) {
 
 func TestUnknownAggregatorPolicyPanics(t *testing.T) {
 	topo := topology.SixRegionEC2()
-	eng := New(topo, 1, Config{AggregatorPolicy: AggregatorPolicy(42)})
+	eng := New(topo, 1, Config{AggregatorPolicy: plan.AggregatorPolicy(42)})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

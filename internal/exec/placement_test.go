@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/dag"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -49,11 +50,11 @@ func hubTriadJob(topo *topology.Topology) *rdd.RDD {
 }
 
 // TestBandwidthPolicyBeatsByteRuleOnSkewedLinks is the ISSUE's sim-side
-// acceptance test: on the hub triad, AggregatorBandwidth must pick a
-// different (and cheaper) aggregator than AggregatorBest, and the job
+// acceptance test: on the hub triad, plan.AggregatorBandwidth must pick a
+// different (and cheaper) aggregator than plan.AggregatorBest, and the job
 // must finish faster end to end.
 func TestBandwidthPolicyBeatsByteRuleOnSkewedLinks(t *testing.T) {
-	run := func(policy AggregatorPolicy) *Result {
+	run := func(policy plan.AggregatorPolicy) *Result {
 		topo := hubTriad(t)
 		eng := New(topo, 1, Config{AggregatorPolicy: policy})
 		res, err := eng.Run(hubTriadJob(topo), ActionCollect, RunOptions{})
@@ -62,8 +63,8 @@ func TestBandwidthPolicyBeatsByteRuleOnSkewedLinks(t *testing.T) {
 		}
 		return res
 	}
-	best := run(AggregatorBest)
-	bw := run(AggregatorBandwidth)
+	best := run(plan.AggregatorBest)
+	bw := run(plan.AggregatorBandwidth)
 
 	if canon(best.Records) != canon(bw.Records) {
 		t.Fatalf("policies disagree on output:\n best %s\n bw   %s", canon(best.Records), canon(bw.Records))
@@ -100,16 +101,16 @@ func TestBandwidthPolicyBeatsByteRuleOnSkewedLinks(t *testing.T) {
 func TestEngineLinkBps(t *testing.T) {
 	topo := hubTriad(t)
 	eng := New(topo, 1, Config{})
-	if bps, src, ok := eng.LinkBps(0, 2); !ok || src != "configured" || bps != 16e6 {
+	if bps, src, ok := eng.LinkCosts().LinkBps(0, 2); !ok || src != "configured" || bps != 16e6 {
 		t.Fatalf("LinkBps(0,2) = (%v, %q, %v), want configured 16e6", bps, src, ok)
 	}
-	if _, _, ok := eng.LinkBps(1, 1); ok {
+	if _, _, ok := eng.LinkCosts().LinkBps(1, 1); ok {
 		t.Fatal("intra-DC pair reported a WAN rate")
 	}
-	if _, _, ok := eng.LinkBps(-1, 2); ok {
+	if _, _, ok := eng.LinkCosts().LinkBps(-1, 2); ok {
 		t.Fatal("out-of-range src reported a rate")
 	}
-	if _, _, ok := eng.LinkBps(0, 3); ok {
+	if _, _, ok := eng.LinkCosts().LinkBps(0, 3); ok {
 		t.Fatal("out-of-range dst reported a rate")
 	}
 	// A run feeds the link observatory; measured estimates then preempt
@@ -117,7 +118,7 @@ func TestEngineLinkBps(t *testing.T) {
 	if _, err := eng.Run(hubTriadJob(topo), ActionCollect, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if bps, src, ok := eng.LinkBps(2, 0); ok && src != "measured" {
+	if bps, src, ok := eng.LinkCosts().LinkBps(2, 0); ok && src != "measured" {
 		t.Fatalf("post-run LinkBps(2,0) = (%v, %q, %v), want measured once samples exist", bps, src, ok)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wanshuffle/internal/obs"
@@ -72,8 +73,8 @@ func (e *Engine) resumePhase(ss *stageState) int {
 const specCheckInterval = 0.5
 
 // speculationCheck launches backup copies of straggling tasks, Spark
-// semantics: once SpeculationQuantile of the stage finished, any running
-// task older than SpeculationMultiplier× the median finished duration gets
+// semantics: once speculationQuantile of the stage finished, any running
+// task older than speculationMultiplier× the median finished duration gets
 // one speculative copy.
 func (e *Engine) speculationCheck(ss *stageState) {
 	if ss.tasksDone >= ss.st.NumTasks {
@@ -82,13 +83,13 @@ func (e *Engine) speculationCheck(ss *stageState) {
 	defer func() {
 		ss.specTimer = e.Clock.After(specCheckInterval, func() { e.speculationCheck(ss) })
 	}()
-	if float64(len(ss.durations)) < e.cfg.SpeculationQuantile*float64(ss.st.NumTasks) {
+	if float64(len(ss.durations)) < speculationQuantile*float64(ss.st.NumTasks) {
 		return
 	}
 	durs := make([]float64, len(ss.durations))
 	copy(durs, ss.durations)
 	sort.Float64s(durs)
-	threshold := e.cfg.SpeculationMultiplier * durs[len(durs)/2]
+	threshold := speculationMultiplier * durs[len(durs)/2]
 	now := e.Clock.Now()
 	for part := 0; part < ss.st.NumTasks; part++ {
 		if ss.partDone[part] || ss.speculated[part] || !ss.partRun[part] {
@@ -113,12 +114,10 @@ func (e *Engine) claimPartDone(ss *stageState, part int) bool {
 	return true
 }
 
-// resolveAggregator picks the stage's automatic aggregator datacenter:
-// under the default policy the one storing the largest share of the
-// stage's input (Sec. IV-D), under AggregatorBandwidth the one with the
-// smallest estimated transfer time over the engine's link matrix. The
-// decision is recorded on the job for the run report and mirrored into
-// the metrics registry.
+// resolveAggregator picks the stage's automatic aggregator datacenter
+// (Sec. IV-D): it measures the stage's input bytes per DC and hands them
+// to the shared plan.ChooseAggregator. The decision is recorded on the job
+// for the run report and mirrored into the metrics registry.
 func (e *Engine) resolveAggregator(ss *stageState) {
 	auto := false
 	for _, ph := range ss.st.Phases {
@@ -152,29 +151,37 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 			}
 		}
 		for di := range b.Deps {
-			for host, bytes := range e.reg.HostBytes(b.Deps[di].Shuffle.ID) {
-				byDC[e.Topo.DCOf(host)] += bytes
+			hostBytes := e.reg.HostBytes(b.Deps[di].Shuffle.ID)
+			for _, host := range sortedHosts(hostBytes) {
+				byDC[e.Topo.DCOf(host)] += hostBytes[host]
 			}
 		}
 	}
-	var costs []plan.CandidateCost
-	if e.cfg.AggregatorPolicy == AggregatorBandwidth {
-		ss.aggRank, costs = plan.RankBandwidth[topology.DCID](byDC, e)
-	} else {
-		ss.aggRank = plan.Rank[topology.DCID](byDC, e.cfg.AggregatorPolicy, e.aggRNG.Shuffle)
-		costs = plan.EstimateTransferCosts(byDC, e)
+	shuffleID := -1
+	if ss.st.OutSpec != nil {
+		shuffleID = ss.st.OutSpec.ID
 	}
+	var dec obs.PlacementDecision
+	ss.aggRank, dec = plan.ChooseAggregator[topology.DCID](shuffleID, ss.st.ID, byDC,
+		e.cfg.AggregatorPolicy, e.LinkCosts(), e.aggRNG.Shuffle,
+		func(dc int) string { return e.Topo.DCs[dc].Name })
 	ss.aggResolved = true
 	if len(ss.aggRank) > 0 {
-		shuffleID := -1
-		if ss.st.OutSpec != nil {
-			shuffleID = ss.st.OutSpec.ID
-		}
-		dec := plan.NewPlacementDecision(shuffleID, ss.st.ID, int(ss.aggRank[0]), costs,
-			func(i int) string { return e.Topo.DCs[i].Name })
 		ss.job.placements = append(ss.job.placements, dec)
 		plan.RecordPlacement(e.Events.Registry(), e.cfg.AggregatorPolicy.String(), dec)
 	}
+}
+
+// sortedHosts returns the hosts of a per-host byte map in ascending order.
+// Float sums over such a map must not follow Go's randomized map order, or
+// the same seed stops producing the same run.
+func sortedHosts(m map[topology.HostID]float64) []topology.HostID {
+	hosts := make([]topology.HostID, 0, len(m))
+	for h := range m {
+		hosts = append(hosts, h)
+	}
+	slices.Sort(hosts)
+	return hosts
 }
 
 // transferTarget resolves the destination datacenter of one partition's
@@ -295,7 +302,7 @@ func (e *Engine) submitTask(t *taskRun) {
 
 // prefsFor derives preferredLocations for a phase-0 task: hosts of its
 // source and cached partitions, plus hosts holding at least
-// ReducerLocalityFraction of its shuffle input (Spark's reducer locality
+// reducerLocalityFraction of its shuffle input (Spark's reducer locality
 // rule). Hosts are ordered by bytes held.
 func (e *Engine) prefsFor(ss *stageState, part int) []topology.HostID {
 	if e.cfg.PinReducersDC != nil && len(ss.st.Boundaries) > 0 {
@@ -338,12 +345,13 @@ func (e *Engine) locality(ss *stageState, part int) []topology.HostID {
 			for di := range n.node.Deps {
 				spec := n.node.Deps[di].Shuffle
 				hostBytes := e.reg.ReducerHostBytes(spec.ID, part)
+				hosts := sortedHosts(hostBytes)
 				var total float64
-				for _, b := range hostBytes {
-					total += b
+				for _, h := range hosts {
+					total += hostBytes[h]
 				}
-				for h, b := range hostBytes {
-					if total > 0 && b >= e.cfg.ReducerLocalityFraction*total {
+				for _, h := range hosts {
+					if b := hostBytes[h]; total > 0 && b >= reducerLocalityFraction*total {
 						byHost[h] += b
 					}
 				}
@@ -381,7 +389,7 @@ func (e *Engine) runTask(t *taskRun, host topology.HostID, release func()) {
 		release()
 		return
 	}
-	e.Clock.After(e.cfg.TaskOverhead, func() {
+	e.Clock.After(taskOverhead, func() {
 		if t.receiver {
 			e.receiveThenCompute(t, host, release, start)
 			return
@@ -404,7 +412,7 @@ func (e *Engine) receiveThenCompute(t *taskRun, host topology.HostID, release fu
 			SrcSite: e.siteName(from), DstSite: e.siteName(host), Bytes: t.pushBytes,
 			Start: pushStart, End: e.Clock.Now(),
 		})
-		e.Clock.After(t.pushBytes/e.cfg.DiskBps, func() {
+		e.Clock.After(t.pushBytes/diskBps, func() {
 			e.computePhase(t, host, release, start)
 		})
 	})
@@ -522,7 +530,7 @@ func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release fu
 	for _, r := range remotes {
 		e.Net.StartFlow(r.from, host, r.bytes, r.tag, finish)
 	}
-	e.Clock.After(diskBytes/e.cfg.DiskBps, finish)
+	e.Clock.After(diskBytes/diskBps, finish)
 }
 
 // computePhase evaluates the phase's records, models the compute duration,
@@ -712,7 +720,7 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 	if st.OutSpec != nil {
 		e.reg.AddMapOutput(st.OutSpec.ID, t.part, host, out.records, out.modeled)
 		e.recoveryDone(st.OutSpec.ID, t.part)
-		e.Clock.After(out.modeled/e.cfg.DiskBps, func() {
+		e.Clock.After(out.modeled/diskBps, func() {
 			e.taskEvent(obs.PhaseFinished, t, int(e.Topo.DCOf(host)), nil)
 			release()
 			e.taskDone(t.ss)
@@ -734,7 +742,7 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 		job.resultRecords[t.part] = out.records
 		job.resultCounts[t.part] = len(out.records)
 		bytes = 64 // completion ack only; output lands on local storage
-		localWrite = out.modeled / e.cfg.DiskBps
+		localWrite = out.modeled / diskBps
 	default:
 		panic(fmt.Sprintf("exec: unknown action %d", job.action))
 	}

@@ -2,7 +2,6 @@ package livecluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"wanshuffle/internal/dag"
@@ -12,13 +11,6 @@ import (
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
 )
-
-// outMeta records where one map output landed and how big it was.
-type outMeta struct {
-	site  int
-	bytes float64
-	ok    bool
-}
 
 // liveRun implements plan.Backend for one job on the cluster: tasks run as
 // goroutines at their assigned worker, shuffle bytes cross the workers'
@@ -35,11 +27,10 @@ type liveRun struct {
 	// receive spans carry the same stage attribution as the simulator's.
 	shuffleStage map[int]int
 
-	mu sync.Mutex
-	// holders tracks, per shuffle ID, each map output's holder worker and
-	// measured size — the live MapOutputTracker feeding both shuffle reads
-	// and the next shuffle's aggregator selection.
-	holders map[int][]outMeta
+	// MapOutputTracker records each map output's holder worker and
+	// measured size, feeding both shuffle reads and the next shuffle's
+	// aggregator selection.
+	plan.MapOutputTracker
 }
 
 func newLiveRun(c *Cluster, stats *Stats, p *dag.Plan) *liveRun {
@@ -53,7 +44,7 @@ func newLiveRun(c *Cluster, stats *Stats, p *dag.Plan) *liveRun {
 	return &liveRun{
 		c: c, stats: stats, start: start,
 		traceID:      trace.TraceID(fmt.Sprintf("live-%d", start.UnixNano())),
-		shuffleStage: shuffleStage, holders: map[int][]outMeta{},
+		shuffleStage: shuffleStage,
 	}
 }
 
@@ -86,17 +77,7 @@ func (r *liveRun) InputSizes(st *dag.Stage) []float64 {
 			bySite[i%len(r.c.workers)] += rdd.SizeOfAll(src.Input[i].Records)
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, bd := range st.Boundaries {
-		for di := range bd.Deps {
-			for _, om := range r.holders[bd.Deps[di].Shuffle.ID] {
-				if om.ok {
-					bySite[om.site] += om.bytes
-				}
-			}
-		}
-	}
+	r.AddBoundaryBytes(st, bySite)
 	return bySite
 }
 
@@ -158,14 +139,7 @@ func (r *liveRun) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) erro
 			return err
 		}
 	}
-	r.mu.Lock()
-	hs := r.holders[st.OutSpec.ID]
-	if hs == nil {
-		hs = make([]outMeta, st.NumTasks)
-		r.holders[st.OutSpec.ID] = hs
-	}
-	hs[part] = outMeta{site: holder, bytes: rdd.SizeOfAll(prepared), ok: true}
-	r.mu.Unlock()
+	r.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, rdd.SizeOfAll(prepared))
 	return nil
 }
 
@@ -194,23 +168,13 @@ func (r *liveRun) RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, erro
 // the wire (Spark's sampling job at the map barrier).
 func (r *liveRun) Barrier(st *dag.Stage) error {
 	spec := st.OutSpec
-	if !spec.SampleForRange || spec.Partitioner.Ready() {
-		return nil
-	}
-	var sample []string
-	for m := 0; m < st.NumTasks; m++ {
-		om, err := r.holderOf(spec.ID, m)
+	return rdd.PrepareRange(spec, st.NumTasks, func(m, max int) ([]string, error) {
+		holder, err := r.Holder(spec.ID, m)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		keys, err := r.c.sampleKeys(r.c.workers[om.site].addr, spec.ID, m, 1000, r.stats)
-		if err != nil {
-			return err
-		}
-		sample = append(sample, keys...)
-	}
-	spec.Partitioner.(*rdd.RangePartitioner).Prepare(sample)
-	return nil
+		return r.c.sampleKeys(r.c.workers[holder].addr, spec.ID, m, max, r.stats)
+	})
 }
 
 // OnTask implements plan.Backend (obs.Sink): the driver's task lifecycle
@@ -249,24 +213,22 @@ func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 // span after the transfer window.
 func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float64) plan.ShuffleReader {
 	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
-		r.mu.Lock()
-		numMaps := len(r.holders[spec.ID])
-		r.mu.Unlock()
+		numMaps := r.NumMaps(spec.ID)
 		t0 := r.since()
 		fetchID := r.c.ids.Next()
 		var out []rdd.Pair
 		srcBytes := map[int]float64{}
 		for m := 0; m < numMaps; m++ {
-			om, err := r.holderOf(spec.ID, m)
+			holder, err := r.Holder(spec.ID, m)
 			if err != nil {
 				return nil, err
 			}
-			shard, err := r.c.workers[site].fetch(r.c.workers[om.site].addr, spec.ID, m, reduce, r.stats,
+			shard, err := r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
 				spanCtx{trace: r.traceID, parent: fetchID})
 			if err != nil {
 				return nil, err
 			}
-			srcBytes[om.site] += rdd.SizeOfAll(shard)
+			srcBytes[holder] += rdd.SizeOfAll(shard)
 			out = append(out, shard...)
 		}
 		// Attribute the fetch to its dominant source by bytes (ties break
@@ -289,16 +251,6 @@ func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float6
 		}
 		return out, nil
 	}
-}
-
-func (r *liveRun) holderOf(shuffleID, mapPart int) (outMeta, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hs := r.holders[shuffleID]
-	if mapPart >= len(hs) || !hs[mapPart].ok {
-		return outMeta{}, fmt.Errorf("livecluster: no worker holds shuffle %d map %d", shuffleID, mapPart)
-	}
-	return hs[mapPart], nil
 }
 
 func (r *liveRun) since() float64 { return time.Since(r.start).Seconds() }

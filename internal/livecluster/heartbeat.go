@@ -260,6 +260,8 @@ func (c *Cluster) mergeHeartbeat(hb heartbeat, t1 float64) {
 	if hb.Worker >= 0 && hb.Worker < len(c.lastBeat) {
 		c.lastBeat[hb.Worker].Store(time.Now().UnixNano())
 	}
+	c.mergeMu.Lock()
+	defer c.mergeMu.Unlock()
 	run := c.curRun.Load()
 	if run == nil {
 		return

@@ -72,6 +72,44 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 	}
 }
 
+// TestStatsQuiescentAfterRun runs back-to-back jobs under a 1 ms heartbeat
+// and reads every exported Stats field, unsynchronized, the moment Run
+// returns — what any caller does. Under -race this fails if a ticker beat
+// arriving after the end-of-run flush still merges into the returned
+// Stats: the run must be detached before Stats is published.
+func TestStatsQuiescentAfterRun(t *testing.T) {
+	cluster, err := New(Config{Workers: 4, Mode: ModePush, HeartbeatInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for run := 0; run < 40; run++ {
+		_, stats, err := cluster.Run(buildWordCount(6, 3))
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		requests := stats.PushConnections + stats.FetchConnections + stats.SampleRequests
+		if requests == 0 || stats.Dials > requests {
+			t.Fatalf("run %d: %d dials for %d requests", run, stats.Dials, requests)
+		}
+		if total := matrixTotal(stats.TrafficMatrix); total != stats.BytesOverTCP || stats.BytesRaw < total {
+			t.Fatalf("run %d: matrix total %d, BytesOverTCP %d, BytesRaw %d", run, total, stats.BytesOverTCP, stats.BytesRaw)
+		}
+		var byClass int64
+		for _, b := range stats.BytesByClass {
+			byClass += b
+		}
+		if byClass != stats.BytesOverTCP {
+			t.Fatalf("run %d: class split sums to %d, BytesOverTCP %d", run, byClass, stats.BytesOverTCP)
+		}
+		if stats.Mode != ModePush || stats.CompletionSec <= 0 || stats.Retries != 0 ||
+			len(stats.StageSpans) != 2 || len(stats.ShardsByWorker) != 4 || len(stats.AggregatorsByShuffle) != 1 ||
+			stats.Events.CountPhase(obs.PhaseFinished) == 0 {
+			t.Fatalf("run %d: implausible stats %+v", run, stats.StageSpans)
+		}
+	}
+}
+
 // buildSlowJob is a shuffle job whose map tasks each sleep, so a stage
 // reliably outlives a short deadline on a slot-starved cluster.
 func buildSlowJob(parts int, nap time.Duration) *rdd.RDD {

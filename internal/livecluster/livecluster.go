@@ -17,20 +17,19 @@
 //     shard over TCP after the map barrier (stock Spark).
 //   - ModePush: each mapper pushes its prepared output to a receiver on an
 //     aggregator worker as soon as it finishes (transferTo). The
-//     aggregator is chosen per shuffle by shuffle.BestAggregator from
+//     aggregator is chosen per shuffle by plan.ChooseAggregator from
 //     measured map-output sizes unless Config.Aggregators pins it;
 //     reducers then read from the aggregators only.
 //
 // Closures execute in-process (tasks share the lineage graph), while data
 // crosses sockets gob-encoded; record values must therefore be
-// gob-encodable (string, int, float64, bool, []byte and slices thereof are
-// pre-registered). Workers keep their TCP connections to peers open across
-// requests and jobs (Stats.Dials counts the fresh ones).
+// gob-encodable (rdd.RegisterGobTypes lists the pre-registered ones).
+// Workers keep their TCP connections to peers open across requests and
+// jobs (Stats.Dials counts the fresh ones).
 package livecluster
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"log/slog"
 	"net"
@@ -212,6 +211,10 @@ type Cluster struct {
 	// curRun is the job currently executing, so server-side handlers
 	// (push receives) can record spans against its clock.
 	curRun atomic.Pointer[liveRun]
+	// mergeMu is held while a heartbeat merges into curRun's stats and
+	// while RunContext detaches the run, so no beat — however late its
+	// ticker fires — writes to a Stats the caller of Run already holds.
+	mergeMu sync.Mutex
 	// lastStats keeps the most recently completed job's stats reachable
 	// for telemetry endpoints after Run returns.
 	lastStats atomic.Pointer[Stats]
@@ -690,23 +693,13 @@ func (c *Cluster) NetworkStats() *obs.NetworkStats {
 	return netobs.ReportSection(c.links, c.configuredLinks())
 }
 
-// LinkBps implements plan.LinkCostProvider over worker indices: the
-// persistent estimator's measured EWMA when the pair has transfer
-// samples (link capacity outlives any one job, so estimates learned on
-// earlier runs inform later placements), else the shaped topology's
-// configured rate. ok=false — same-DC pairs included — leaves the pair
-// to the planner's uniform fallback.
-func (c *Cluster) LinkBps(src, dst int) (float64, string, bool) {
-	if src < 0 || dst < 0 || src >= len(c.workers) || dst >= len(c.workers) || src == dst {
-		return 0, "", false
-	}
-	if est, ok := c.links.Estimate(c.siteLabel(src), c.siteLabel(dst)); ok && est.ThroughputBps > 0 {
-		return est.ThroughputBps, plan.BandwidthMeasured, true
-	}
-	if bps := c.linkRateBps(src, dst); bps > 0 {
-		return bps, plan.BandwidthConfigured, true
-	}
-	return 0, "", false
+// LinkCosts returns the planner's link-cost view over worker indices: the
+// persistent estimator's measured EWMA when the pair has transfer samples
+// (link capacity outlives any one job, so estimates learned on earlier
+// runs inform later placements), else the shaped topology's configured
+// rate; same-DC pairs fall to the planner's uniform fallback.
+func (c *Cluster) LinkCosts() plan.LinkCostProvider {
+	return plan.MeasuredLinkCosts(c.links, len(c.workers), c.siteLabel, c.linkRateBps)
 }
 
 // clusterNow reads the driver's telemetry clock: seconds since the
@@ -827,12 +820,11 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	}
 	run := newLiveRun(c, stats, job.Plan)
 	c.curRun.Store(run)
-	defer c.curRun.Store(nil)
 	drv := plan.NewDriver(job, run, plan.DriverConfig{
 		Aggregate:   c.cfg.Mode == ModePush,
 		Aggregators: c.cfg.Aggregators,
 		Policy:      c.cfg.AggregatorPolicy,
-		LinkCosts:   c,
+		LinkCosts:   c.LinkCosts(),
 		SiteSlots:   c.cfg.TasksPerWorker,
 		Retry:       plan.Retry{Max: c.cfg.MaxAttempts},
 		Logger:      c.cfg.Logger,
@@ -843,6 +835,11 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	c.flushTelemetry()
 	stats.setCompletion(time.Since(run.start).Seconds(), stats.Events.CountPhase(obs.PhaseRetried))
 	c.lastStats.Store(stats)
+	// Detach the run before stats is handed to the caller: a ticker beat
+	// arriving from here on finds no run and merges nowhere.
+	c.mergeMu.Lock()
+	c.curRun.Store(nil)
+	c.mergeMu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -872,20 +869,3 @@ func (c *Cluster) resetJobState() {
 		w.resetRun()
 	}
 }
-
-func registerGobTypes() {
-	gob.Register("")
-	gob.Register(0)
-	gob.Register(0.0)
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]rdd.Value{})
-	gob.Register([]string{})
-	gob.Register([]float64{})
-	gob.Register(rdd.Tagged{})
-	gob.Register([2][]rdd.Value{})
-}
-
-var gobOnce sync.Once
-
-func ensureGob() { gobOnce.Do(registerGobTypes) }

@@ -157,7 +157,7 @@ type worker struct {
 func (w *worker) localNow() float64 { return time.Since(w.epoch).Seconds() + w.skew }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
-	ensureGob()
+	rdd.RegisterGobTypes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: worker %d listen: %w", id, err)

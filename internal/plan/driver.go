@@ -32,7 +32,7 @@ type Backend interface {
 
 	// InputSizes reports stage st's input bytes per site: leaf input
 	// partitions plus the measured sizes of the map outputs feeding the
-	// stage's shuffle boundaries. It feeds shuffle.BestAggregator.
+	// stage's shuffle boundaries. It feeds ChooseAggregator.
 	InputSizes(st *dag.Stage) []float64
 
 	// RunMapTask computes map partition part of st at site, applies
@@ -91,15 +91,13 @@ type DriverConfig struct {
 	// every shuffle past the first (the analogue of TransferToAuto).
 	Aggregators []int
 	// Policy selects the automatic-aggregation rule when Aggregators is
-	// empty. Zero value is AggregatorBest (Eq. 2).
+	// empty. Zero value is AggregatorBest (Eq. 2). AggregatorRandom is
+	// the simulator's ablation only — the driver carries no seeded RNG.
 	Policy AggregatorPolicy
 	// LinkCosts supplies site-pair bandwidth estimates for
 	// AggregatorBandwidth; other policies use it only to annotate the
 	// decision record. Nil means uniform bandwidth.
 	LinkCosts LinkCostProvider
-	// ShuffleFn permutes the rank for AggregatorRandom (seeded by the
-	// backend); required only for that policy.
-	ShuffleFn func(n int, swap func(i, j int))
 	// Locality places leaf map tasks at the site of their input
 	// partition's host (via SiteOfHost). Leave it off for backends whose
 	// input ships from the driver rather than residing on workers — tasks
@@ -303,32 +301,22 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, st *dag.Stage, part, site, attem
 }
 
 // resolveAggregators picks the stage's aggregator sites: the explicit
-// override when configured, otherwise the head of the policy's rank over
-// Backend.InputSizes — Eq. (2)'s byte rule for AggregatorBest, estimated
-// transfer time over the LinkCosts matrix for AggregatorBandwidth — fed
-// by actual map-output sizes for every shuffle input (Sec. III-B / IV-D).
-// Automatic choices are recorded for the run report and handed to the
-// backend when it implements PlacementObserver.
+// override when configured, otherwise ChooseAggregator over
+// Backend.InputSizes — actual map-output sizes for every shuffle input
+// (Sec. III-B / IV-D). Automatic choices are recorded for the run report
+// and handed to the backend when it implements PlacementObserver.
 func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 	if st.OutSpec == nil || !d.cfg.Aggregate {
 		return nil
 	}
 	agg := d.cfg.Aggregators
 	if len(agg) == 0 {
-		sizes := d.be.InputSizes(st)
-		var rank []int
-		var costs []CandidateCost
-		if d.cfg.Policy == AggregatorBandwidth {
-			rank, costs = RankBandwidth[int](sizes, d.cfg.LinkCosts)
-		} else {
-			rank = Rank[int](sizes, d.cfg.Policy, d.cfg.ShuffleFn)
-			costs = EstimateTransferCosts(sizes, d.cfg.LinkCosts)
-		}
+		rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.be.InputSizes(st),
+			d.cfg.Policy, d.cfg.LinkCosts, nil, nil)
 		if len(rank) == 0 {
 			return nil
 		}
 		agg = []int{rank[0]}
-		dec := NewPlacementDecision(st.OutSpec.ID, st.ID, rank[0], costs, nil)
 		d.mu.Lock()
 		d.placements = append(d.placements, dec)
 		d.mu.Unlock()

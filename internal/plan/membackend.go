@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sync"
 
 	"wanshuffle/internal/blockstore"
 	"wanshuffle/internal/dag"
@@ -10,18 +9,6 @@ import (
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
-
-// outMeta is the placement metadata of one map output: which site holds
-// it and how big it measured. The records themselves live in the
-// backend's block store — the same storage code path the live cluster's
-// workers use, so bucketing caches and attempt idempotency are not
-// reimplemented here.
-type outMeta struct {
-	bytes   float64
-	site    int
-	attempt int
-	done    bool
-}
 
 // MemBackend is the in-memory reference Backend: tasks run inline, shuffle
 // bytes "move" by recording which site holds each map output. It exists to
@@ -34,26 +21,20 @@ type MemBackend struct {
 	// spans).
 	Events *obs.Collector
 
-	// store holds the prepared map outputs; it locks internally. b.mu only
-	// guards the placement metadata and stage spans.
-	store blockstore.Store
+	// MapOutputTracker records which site holds each map output and how
+	// big it measured; the records themselves live in store — the same
+	// storage code path the live cluster's workers use, so bucketing caches
+	// and attempt idempotency are not reimplemented here.
+	MapOutputTracker
 
-	mu    sync.Mutex
-	meta  map[int][]outMeta // shuffle ID -> per-map-part placement
-	spans []StageSpan
+	// store holds the prepared map outputs; it locks internally.
+	store blockstore.Store
 }
 
 // NewMemBackend creates a backend with the given number of sites, storing
 // shuffle blocks fully resident.
 func NewMemBackend(sites int) *MemBackend {
-	return NewMemBackendWithStore(sites, blockstore.NewMemStore(nil))
-}
-
-// NewMemBackendWithStore creates a backend over an explicit block store —
-// e.g. a blockstore.SpillStore, to exercise the driver against spill-prone
-// storage without a network.
-func NewMemBackendWithStore(sites int, store blockstore.Store) *MemBackend {
-	return &MemBackend{Sites: sites, Events: obs.NewCollector(), store: store, meta: map[int][]outMeta{}}
+	return &MemBackend{Sites: sites, Events: obs.NewCollector(), store: blockstore.NewMemStore(nil)}
 }
 
 // Store returns the backend's block store.
@@ -65,25 +46,6 @@ func (b *MemBackend) NumSites() int { return b.Sites }
 // SiteOfHost implements Backend: hosts wrap onto sites round-robin.
 func (b *MemBackend) SiteOfHost(h topology.HostID) int { return int(h) % b.Sites }
 
-// Spans returns the stage spans reported so far.
-func (b *MemBackend) Spans() []StageSpan {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]StageSpan(nil), b.spans...)
-}
-
-// HolderSites returns which site holds each map output of a shuffle.
-func (b *MemBackend) HolderSites(shuffleID int) []int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	outs := b.meta[shuffleID]
-	sites := make([]int, len(outs))
-	for i, o := range outs {
-		sites[i] = o.site
-	}
-	return sites
-}
-
 // InputSizes implements Backend: leaf partition bytes at their home sites
 // plus measured map-output bytes at their holder sites.
 func (b *MemBackend) InputSizes(st *dag.Stage) []float64 {
@@ -93,15 +55,7 @@ func (b *MemBackend) InputSizes(st *dag.Stage) []float64 {
 			bySite[b.SiteOfHost(p.Host)] += rdd.SizeOfAll(p.Records)
 		}
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, bd := range st.Boundaries {
-		for di := range bd.Deps {
-			for _, out := range b.meta[bd.Deps[di].Shuffle.ID] {
-				bySite[out.site] += out.bytes
-			}
-		}
-	}
+	b.AddBoundaryBytes(st, bySite)
 	return bySite
 }
 
@@ -123,20 +77,9 @@ func (b *MemBackend) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) e
 	if err != nil {
 		return err
 	}
-	if !stored {
-		return nil // a newer attempt already landed; keep its output
+	if stored { // else a newer attempt already landed; keep its output
+		b.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, rdd.SizeOfAll(prepared))
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	outs := b.meta[st.OutSpec.ID]
-	if outs == nil {
-		outs = make([]outMeta, st.NumTasks)
-		b.meta[st.OutSpec.ID] = outs
-	}
-	if outs[part].done && outs[part].attempt > attempt {
-		return nil
-	}
-	outs[part] = outMeta{bytes: rdd.SizeOfAll(prepared), site: holder, attempt: attempt, done: true}
 	return nil
 }
 
@@ -149,54 +92,34 @@ func (b *MemBackend) RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, e
 // across the finished map outputs, like the engine's map-stage barrier.
 func (b *MemBackend) Barrier(st *dag.Stage) error {
 	spec := st.OutSpec
-	if !spec.SampleForRange || spec.Partitioner.Ready() {
-		return nil
-	}
-	b.mu.Lock()
-	numMaps := len(b.meta[spec.ID])
-	b.mu.Unlock()
-	var sample []string
-	for part := 0; part < numMaps; part++ {
+	return rdd.PrepareRange(spec, b.NumMaps(spec.ID), func(part, max int) ([]string, error) {
 		recs, err := b.store.Get(blockstore.Key{Shuffle: spec.ID, MapPart: part})
 		if err != nil {
-			return fmt.Errorf("plan: sampling shuffle %d map %d: %w", spec.ID, part, err)
+			return nil, fmt.Errorf("plan: sampling shuffle %d map %d: %w", spec.ID, part, err)
 		}
-		sample = append(sample, rdd.SampleKeys(recs, 1000)...)
-	}
-	spec.Partitioner.(*rdd.RangePartitioner).Prepare(sample)
-	return nil
+		return rdd.SampleKeys(recs, max), nil
+	})
 }
 
 // OnTask implements Backend (obs.Sink).
 func (b *MemBackend) OnTask(ev obs.TaskEvent) { b.Events.OnTask(ev) }
 
 // OnStage implements Backend (obs.Sink).
-func (b *MemBackend) OnStage(span StageSpan) {
-	b.Events.OnStage(span)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.spans = append(b.spans, span)
-}
+func (b *MemBackend) OnStage(span StageSpan) { b.Events.OnStage(span) }
 
 // read gathers one reduce partition's shard from every map output, in map
 // order. The store buckets each output at most once (on its first shard
 // read), so reading R reduce partitions does not re-bucket the output R
 // times — the same exactly-once semantics the live workers rely on.
 func (b *MemBackend) read(spec *rdd.ShuffleSpec, reducePart int) ([]rdd.Pair, error) {
-	b.mu.Lock()
-	outs := append([]outMeta(nil), b.meta[spec.ID]...)
-	b.mu.Unlock()
 	bucket := func(recs []rdd.Pair) ([][]rdd.Pair, error) {
 		return rdd.BucketRecords(spec, recs), nil
 	}
 	var recs []rdd.Pair
-	for part := range outs {
-		if !outs[part].done {
-			return nil, fmt.Errorf("plan: shuffle %d map output %d missing", spec.ID, part)
-		}
+	for part, n := 0, b.NumMaps(spec.ID); part < n; part++ {
 		shards, err := b.store.Shards(blockstore.Key{Shuffle: spec.ID, MapPart: part}, bucket)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("plan: reading shuffle %d map %d: %w", spec.ID, part, err)
 		}
 		if reducePart < 0 || reducePart >= len(shards) {
 			return nil, fmt.Errorf("plan: shuffle %d reduce %d out of range", spec.ID, reducePart)

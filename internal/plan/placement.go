@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
 )
 
@@ -90,6 +91,39 @@ const DefaultUniformBps = 100e6
 // DefaultUniformBps.
 type LinkCostProvider interface {
 	LinkBps(src, dst int) (bps float64, source string, ok bool)
+}
+
+// measuredLinks is the LinkCostProvider both backends hand the planner:
+// integer sites over a netobs.Estimator keyed by site name, falling back
+// to the configured topology's rate.
+type measuredLinks struct {
+	est        *netobs.Estimator
+	sites      int
+	name       func(site int) string
+	configured func(src, dst int) float64
+}
+
+// MeasuredLinkCosts adapts a link estimator to LinkCostProvider over sites
+// 0..sites-1: a pair's measured EWMA when the estimator (keyed by
+// name(site)) has transfer samples for it, else its configured rate when
+// configured reports a positive one. ok=false — out-of-range and self pairs
+// included — leaves the pair to the planner's uniform fallback.
+func MeasuredLinkCosts(est *netobs.Estimator, sites int, name func(site int) string, configured func(src, dst int) float64) LinkCostProvider {
+	return measuredLinks{est: est, sites: sites, name: name, configured: configured}
+}
+
+// LinkBps implements LinkCostProvider.
+func (l measuredLinks) LinkBps(src, dst int) (float64, string, bool) {
+	if src < 0 || dst < 0 || src >= l.sites || dst >= l.sites || src == dst {
+		return 0, "", false
+	}
+	if est, ok := l.est.Estimate(l.name(src), l.name(dst)); ok && est.ThroughputBps > 0 {
+		return est.ThroughputBps, BandwidthMeasured, true
+	}
+	if bps := l.configured(src, dst); bps > 0 {
+		return bps, BandwidthConfigured, true
+	}
+	return 0, "", false
 }
 
 // CandidateCost is one candidate aggregator site's estimated shuffle
@@ -253,6 +287,30 @@ func SpreadTopK[S ~int](rank []S, k, part int) S {
 		k = len(rank)
 	}
 	return rank[part%k]
+}
+
+// ChooseAggregator makes one automatic aggregator choice (Sec. III-B /
+// IV-D) for both execution cores: rank the sites holding bySite input
+// bytes under policy — Eq. (2)'s byte rule, its ablations, or estimated
+// transfer time over links for AggregatorBandwidth — and assemble the
+// decision record around the head of the rank. links only annotates the
+// record under the byte policies; shuffleFn is required only for
+// AggregatorRandom; names (optional) labels sites. An empty bySite yields
+// an empty rank and a zero decision.
+func ChooseAggregator[S ~int](shuffleID, stageID int, bySite []float64, policy AggregatorPolicy,
+	links LinkCostProvider, shuffleFn func(n int, swap func(i, j int)), names func(int) string) ([]S, obs.PlacementDecision) {
+	var rank []S
+	var costs []CandidateCost
+	if policy == AggregatorBandwidth {
+		rank, costs = RankBandwidth[S](bySite, links)
+	} else {
+		rank = Rank[S](bySite, policy, shuffleFn)
+		costs = EstimateTransferCosts(bySite, links)
+	}
+	if len(rank) == 0 {
+		return nil, obs.PlacementDecision{}
+	}
+	return rank, NewPlacementDecision(shuffleID, stageID, int(rank[0]), costs, names)
 }
 
 // NewPlacementDecision assembles the run report's record of one automatic

@@ -7,8 +7,8 @@
 // Two backends consume the planner:
 //
 //   - internal/exec, the simnet-timed discrete-event simulator, uses the
-//     planning and placement primitives (BuildJob, Rank, SpreadTopK, Retry)
-//     inside its event-driven task runtime;
+//     planning and placement primitives (BuildJob, ChooseAggregator,
+//     SpreadTopK, Retry) inside its event-driven task runtime;
 //   - internal/livecluster implements the Backend interface and is driven
 //     stage-by-stage by the Driver, moving every shuffle byte over real
 //     TCP connections.

@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -473,6 +474,56 @@ func TestSampleKeysStride(t *testing.T) {
 	}
 	if got := SampleKeys(nil, 5); got != nil {
 		t.Fatalf("SampleKeys(nil) = %v", got)
+	}
+}
+
+func TestPrepareRange(t *testing.T) {
+	never := func(int, int) ([]string, error) {
+		t.Fatal("sampler called for a partitioner that needs no preparing")
+		return nil, nil
+	}
+	// A spec that does not ask for sampling is left alone.
+	if err := PrepareRange(&ShuffleSpec{Partitioner: NewHashPartitioner(2)}, 3, never); err != nil {
+		t.Fatal(err)
+	}
+	// An already-Ready partitioner keeps its boundaries.
+	ready := NewRangePartitioner(2)
+	ready.Prepare([]string{"a", "m", "z"})
+	if err := PrepareRange(&ShuffleSpec{Partitioner: ready, SampleForRange: true}, 3, never); err != nil {
+		t.Fatal(err)
+	}
+	if got := ready.PartitionFor("b"); got != 0 {
+		t.Fatalf("ready partitioner re-prepared: b -> shard %d", got)
+	}
+
+	// A sampler error propagates and leaves the partitioner unprepared.
+	boom := errors.New("holder unreachable")
+	fresh := NewRangePartitioner(2)
+	spec := &ShuffleSpec{Partitioner: fresh, SampleForRange: true}
+	err := PrepareRange(spec, 3, func(m, _ int) ([]string, error) {
+		if m == 1 {
+			return nil, boom
+		}
+		return []string{"k"}, nil
+	})
+	if !errors.Is(err, boom) || fresh.Ready() {
+		t.Fatalf("err = %v, ready = %v; want the sampler's error and no boundaries", err, fresh.Ready())
+	}
+
+	// Every map output is sampled once, in map order, with one cap.
+	var asked []int
+	err = PrepareRange(spec, 3, func(m, max int) ([]string, error) {
+		if max != rangeSampleKeys {
+			t.Fatalf("sample cap = %d, want %d", max, rangeSampleKeys)
+		}
+		asked = append(asked, m)
+		return []string{fmt.Sprintf("k%d", m)}, nil
+	})
+	if err != nil || !fresh.Ready() || fmt.Sprint(asked) != "[0 1 2]" {
+		t.Fatalf("err = %v, ready = %v, sampled maps %v", err, fresh.Ready(), asked)
+	}
+	if lo, hi := fresh.PartitionFor("k0"), fresh.PartitionFor("k2"); lo != 0 || hi != 1 {
+		t.Fatalf("boundaries not from the sample: k0 -> %d, k2 -> %d", lo, hi)
 	}
 }
 

@@ -64,6 +64,34 @@ func SampleKeys(records []Pair, max int) []string {
 	return keys
 }
 
+// rangeSampleKeys is how many keys each map output contributes to a range
+// partitioner's boundary sample.
+const rangeSampleKeys = 1000
+
+// PrepareRange is the map-stage barrier's sampling step (Spark's
+// sortByKey sampling job): when spec asks for a sampled range partitioner
+// that is not prepared yet, gather up to rangeSampleKeys keys from each of
+// the numMaps map outputs through sample, in map order, and install the
+// boundaries. Every backend's barrier calls it — the sampler is the only
+// part that differs (resident records, a registry, a worker across the
+// wire). A ready partitioner, or a spec that needs none, is left alone
+// and sample is never called.
+func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) ([]string, error)) error {
+	if !spec.SampleForRange || spec.Partitioner.Ready() {
+		return nil
+	}
+	var keys []string
+	for m := 0; m < numMaps; m++ {
+		ks, err := sample(m, rangeSampleKeys)
+		if err != nil {
+			return err
+		}
+		keys = append(keys, ks...)
+	}
+	spec.Partitioner.(*RangePartitioner).Prepare(keys)
+	return nil
+}
+
 func combineByKey(fn CombineFn, records []Pair) []Pair {
 	acc := make(map[string]Value, len(records))
 	for _, p := range records {

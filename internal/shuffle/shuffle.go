@@ -126,9 +126,10 @@ func (r *Registry) Invalidate(shuffleID, mapPart int) {
 	st.regCount--
 }
 
-// Refresh re-shards one re-registered map output after the shuffle was
-// already finalized (post-failure recovery). The partitioner is already
-// prepared, so only this output's buckets are rebuilt.
+// Refresh shards one map output with the prepared partitioner: Finalize
+// runs it over every output, and AddMapOutput re-runs it for an output
+// re-registered after the shuffle was finalized (post-failure recovery),
+// rebuilding only that output's buckets. A no-op before Finalize.
 func (r *Registry) Refresh(shuffleID, mapPart int) {
 	st := r.mustState(shuffleID)
 	if !st.finalized {
@@ -161,17 +162,6 @@ func (r *Registry) Missing(shuffleID int) []int {
 	return out
 }
 
-// Relocate updates the stored host of a map output after a transferTo push
-// delivered it to a receiver, leaving the data itself untouched.
-func (r *Registry) Relocate(shuffleID, mapPart int, host topology.HostID) {
-	st := r.mustState(shuffleID)
-	out := st.outputs[mapPart]
-	if out == nil {
-		panic(fmt.Sprintf("shuffle %d: relocate of unregistered map output %d", shuffleID, mapPart))
-	}
-	out.Host = host
-}
-
 // Complete reports whether every map partition has registered output.
 func (r *Registry) Complete(shuffleID int) bool {
 	st := r.mustState(shuffleID)
@@ -191,28 +181,15 @@ func (r *Registry) Finalize(shuffleID int) {
 	if !r.Complete(shuffleID) {
 		panic(fmt.Sprintf("shuffle %d: finalize before all %d map outputs registered", shuffleID, st.numMaps))
 	}
-	if st.spec.SampleForRange && !st.spec.Partitioner.Ready() {
-		var sample []string
-		for _, out := range st.outputs {
-			sample = append(sample, rdd.SampleKeys(out.Records, 1000)...)
-		}
-		st.spec.Partitioner.(*rdd.RangePartitioner).Prepare(sample)
-	}
-	for _, out := range st.outputs {
-		out.shards = rdd.BucketRecords(st.spec, out.Records)
-		out.shardModeled = make([]float64, len(out.shards))
-		realTotal := rdd.SizeOfAll(out.Records)
-		for i, shard := range out.shards {
-			if realTotal > 0 {
-				out.shardModeled[i] = rdd.SizeOfAll(shard) / realTotal * out.ModeledBytes
-			}
-		}
-	}
+	// The sampler reads resident records and cannot fail.
+	_ = rdd.PrepareRange(st.spec, st.numMaps, func(mapPart, max int) ([]string, error) {
+		return rdd.SampleKeys(st.outputs[mapPart].Records, max), nil
+	})
 	st.finalized = true
+	for mapPart := range st.outputs {
+		r.Refresh(shuffleID, mapPart)
+	}
 }
-
-// Spec returns the shuffle's contract.
-func (r *Registry) Spec(shuffleID int) *rdd.ShuffleSpec { return r.mustState(shuffleID).spec }
 
 // NumMaps returns the shuffle's map-side partition count.
 func (r *Registry) NumMaps(shuffleID int) int { return r.mustState(shuffleID).numMaps }
@@ -286,15 +263,4 @@ func (r *Registry) HostBytes(shuffleID int) map[topology.HostID]float64 {
 		}
 	}
 	return out
-}
-
-// TotalModeledBytes sums the modeled size of all registered map output.
-func (r *Registry) TotalModeledBytes(shuffleID int) float64 {
-	var s float64
-	for _, mo := range r.mustState(shuffleID).outputs {
-		if mo != nil {
-			s += mo.ModeledBytes
-		}
-	}
-	return s
 }

@@ -93,29 +93,6 @@ func TestShardModeledBytesProportional(t *testing.T) {
 	}
 }
 
-func TestRelocateMovesHost(t *testing.T) {
-	reg, _ := newHashShuffle(t, 1, 1)
-	reg.AddMapOutput(1, 0, 2, []rdd.Pair{rdd.KV("a", 1)}, 50)
-	reg.Relocate(1, 0, 7)
-	if got := reg.Output(1, 0).Host; got != topology.HostID(7) {
-		t.Fatalf("host after relocate = %d, want 7", got)
-	}
-	hb := reg.HostBytes(1)
-	if hb[7] != 50 || hb[2] != 0 {
-		t.Fatalf("HostBytes after relocate = %v", hb)
-	}
-}
-
-func TestRelocateUnregisteredPanics(t *testing.T) {
-	reg, _ := newHashShuffle(t, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	reg.Relocate(1, 0, 7)
-}
-
 func TestReducerHostBytes(t *testing.T) {
 	reg := NewRegistry()
 	spec := &rdd.ShuffleSpec{ID: 9, Partitioner: rdd.NewHashPartitioner(1)}
@@ -127,9 +104,6 @@ func TestReducerHostBytes(t *testing.T) {
 	hb := reg.ReducerHostBytes(9, 0)
 	if math.Abs(hb[0]-500) > 1e-9 || math.Abs(hb[5]-200) > 1e-9 {
 		t.Fatalf("ReducerHostBytes = %v", hb)
-	}
-	if got := reg.TotalModeledBytes(9); math.Abs(got-700) > 1e-9 {
-		t.Fatalf("TotalModeledBytes = %v", got)
 	}
 }
 

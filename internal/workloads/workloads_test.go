@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,6 +37,33 @@ func TestAllWorkloadsAllSchemes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSameSeedSameSimRun pins the "same seed ⇒ same sim run" invariant on
+// the case that broke it: WordCount under AggShuffle at seed 5 sits on a
+// rounding edge of the reducer-locality threshold, so summing a reducer's
+// per-host input bytes in Go's map order flipped one reducer's placement
+// (and the JCT from 15.3 s to 17.7 s) in roughly one fresh run out of
+// eight.
+func TestSameSeedSameSimRun(t *testing.T) {
+	w, err := ByName("wordcount")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *exec.Result
+	for i := 0; i < 60; i++ {
+		ctx := core.NewContext(core.Config{Seed: 5, Scheme: core.SchemeAggShuffle})
+		rep, err := ctx.Save(w.Make(ctx, Options{Seed: 5}).Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = rep.Result
+		} else if !reflect.DeepEqual(rep.Result, first) {
+			t.Fatalf("fresh engine %d diverged: JCT %.3f s, %d task attempts; engine 0 had JCT %.3f s, %d attempts",
+				i, rep.JCT, rep.TaskAttempts, first.JCT, first.TaskAttempts)
+		}
 	}
 }
 
