@@ -66,7 +66,7 @@ func BenchmarkBlockStoreResident(b *testing.B) {
 
 // BenchmarkBlockStoreSpill measures the same cycle with the memory budget
 // squeezed so outputs continually spill to disk and reload on read — the
-// gob encode/decode + file I/O cost stacked on top of bucketing.
+// record-codec encode/decode + file I/O cost stacked on top of bucketing.
 func BenchmarkBlockStoreSpill(b *testing.B) {
 	const outputs, records, reduceParts = 8, 4096, 8
 	recs, bucket := blockstoreWorkload(records, reduceParts)

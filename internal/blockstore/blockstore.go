@@ -9,8 +9,9 @@
 //
 // One implementation exists, SpillStore. Without a memory budget
 // (NewMemStore) it holds everything resident. With one (NewSpillStore),
-// when resident bytes exceed it the coldest outputs are gob-encoded to
-// per-store temp files and transparently reloaded on their next read, so
+// when resident bytes exceed it the coldest outputs are written to
+// per-store temp files (in the record codec of internal/rdd) and
+// transparently reloaded on their next read, so
 // an aggregator that concentrates a whole job's shuffle input (the
 // paper's Push/Aggregate design) is bounded by disk, not by resident
 // heap. Either way the store feeds a byte Accountant, which observability

@@ -1,10 +1,12 @@
 package blockstore
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"slices"
 	"sync"
 
 	"wanshuffle/internal/rdd"
@@ -14,7 +16,7 @@ import (
 type SpillConfig struct {
 	// MemoryBudget is the resident-byte budget. Whenever resident bytes
 	// exceed it, the coldest outputs (least recently stored or read) are
-	// gob-encoded to temp files until the store fits again, and reloaded
+	// written to temp files until the store fits again, and reloaded
 	// transparently on their next read. Must be positive.
 	MemoryBudget int64
 	// Dir is where spill files live; each store creates (and removes on
@@ -24,7 +26,7 @@ type SpillConfig struct {
 
 // spillEntry is one stored output, resident or on disk. While resident,
 // exactly one of flat/shards is non-nil; while spilled, both are nil and
-// path names the file holding the gob-encoded blob.
+// path names the file holding the encoded output (encodeOutput).
 type spillEntry struct {
 	attempt int
 	flat    []rdd.Pair
@@ -35,10 +37,85 @@ type spillEntry struct {
 	path    string
 }
 
-// spillBlob is the on-disk encoding of one output.
-type spillBlob struct {
-	Flat   []rdd.Pair
-	Shards [][]rdd.Pair
+// A spill file is one output in the record codec of internal/rdd:
+//
+//	kind      1 byte: spillFlat or spillShards
+//	nShards   uvarint (1 for a flat output)
+//	nShards × { uvarint length, rdd.AppendPairs payload }
+//	crc32c    4 bytes little-endian, over everything before it
+const (
+	spillFlat   byte = 1
+	spillShards byte = 2
+)
+
+var (
+	crcTable = crc32.MakeTable(crc32.Castagnoli)
+	// spillBufs recycles the buffers outputs are encoded in on their way
+	// to disk.
+	spillBufs = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// ErrCorrupt is wrapped by the error a read returns when the output's
+// spill file does not hold what was written: truncated, or failing its
+// checksum. The entry stays in the store (reads of it keep failing) and
+// every other output stays readable.
+var ErrCorrupt = errors.New("blockstore: corrupt spill file")
+
+// encodeOutput appends the spill-file encoding of one output to dst. It
+// fails, before appending anything, on a value the record codec cannot
+// carry (*rdd.UnsupportedValueError).
+func encodeOutput(dst []byte, flat []rdd.Pair, shards [][]rdd.Pair) ([]byte, error) {
+	kind := spillShards
+	if shards == nil {
+		kind, shards = spillFlat, [][]rdd.Pair{flat}
+	}
+	start := len(dst)
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(len(shards)))
+	for _, shard := range shards {
+		dst = binary.AppendUvarint(dst, uint64(rdd.EncodedSize(shard)))
+		var err error
+		if dst, err = rdd.AppendPairs(dst, shard); err != nil {
+			return dst[:start], err
+		}
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
+}
+
+// decodeOutput is encodeOutput's inverse. It takes ownership of buf (the
+// decoded records are cut out of it, see rdd.DecodePairs).
+func decodeOutput(buf []byte) (flat []rdd.Pair, shards [][]rdd.Pair, err error) {
+	if len(buf) < 6 {
+		return nil, nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(buf))
+	}
+	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
+	if crc32.Checksum(body, crcTable) != sum {
+		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	kind, rest := body[0], body[1:]
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n > uint64(len(rest)) || (kind != spillFlat && kind != spillShards) || (kind == spillFlat && n != 1) {
+		return nil, nil, fmt.Errorf("%w: bad header", ErrCorrupt)
+	}
+	rest = rest[w:]
+	shards = make([][]rdd.Pair, n)
+	for i := range shards {
+		size, w := binary.Uvarint(rest)
+		if w <= 0 || size > uint64(len(rest)-w) {
+			return nil, nil, fmt.Errorf("%w: shard %d overruns the file", ErrCorrupt, i)
+		}
+		if shards[i], err = rdd.DecodePairs(rest[w : w+int(size) : w+int(size)]); err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		rest = rest[w+int(size):]
+	}
+	if len(rest) != 0 {
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	}
+	if kind == spillFlat {
+		return shards[0], nil, nil
+	}
+	return nil, shards, nil
 }
 
 // SpillStore is the Store implementation. Outputs are resident until the
@@ -72,7 +149,6 @@ func NewSpillStore(cfg SpillConfig, acct *Accountant) (*SpillStore, error) {
 	if cfg.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("blockstore: memory budget must be positive, got %d", cfg.MemoryBudget)
 	}
-	rdd.RegisterGobTypes()
 	dir, err := os.MkdirTemp(cfg.Dir, "wanshuffle-spill-")
 	if err != nil {
 		return nil, fmt.Errorf("blockstore: creating spill dir: %w", err)
@@ -125,11 +201,7 @@ func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
 	if e.shards == nil {
 		return e.flat, nil
 	}
-	var out []rdd.Pair
-	for _, shard := range e.shards {
-		out = append(out, shard...)
-	}
-	return out, nil
+	return slices.Concat(e.shards...), nil
 }
 
 // Shards implements Store.
@@ -205,18 +277,16 @@ func (s *SpillStore) ensureResidentLocked(e *spillEntry) error {
 	if !e.spilled {
 		return nil
 	}
-	f, err := os.Open(e.path)
+	buf, err := os.ReadFile(e.path)
 	if err != nil {
 		return fmt.Errorf("blockstore: reloading spilled output: %w", err)
 	}
-	var blob spillBlob
-	err = gob.NewDecoder(bufio.NewReader(f)).Decode(&blob)
-	_ = f.Close()
+	flat, shards, err := decodeOutput(buf)
 	if err != nil {
 		return fmt.Errorf("blockstore: decoding spilled output %s: %w", e.path, err)
 	}
 	_ = os.Remove(e.path)
-	e.flat, e.shards = blob.Flat, blob.Shards
+	e.flat, e.shards = flat, shards
 	e.spilled, e.path = false, ""
 	s.acct.reload(e.bytes)
 	return s.enforceBudgetLocked(e)
@@ -250,26 +320,19 @@ func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
 }
 
 // spillLocked writes one resident entry to a fresh file in the store's
-// spill directory and frees its records.
+// spill directory and frees its records. The entry is encoded in full
+// first, so an output that cannot be encoded leaves no file behind.
 func (s *SpillStore) spillLocked(e *spillEntry) error {
-	s.nfiles++
-	path := fmt.Sprintf("%s%cblock-%d.gob", s.dir, os.PathSeparator, s.nfiles)
-	f, err := os.Create(path)
+	buf := spillBufs.Get().(*[]byte)
+	defer spillBufs.Put(buf)
+	data, err := encodeOutput((*buf)[:0], e.flat, e.shards)
+	*buf = data[:0]
 	if err != nil {
-		return fmt.Errorf("blockstore: creating spill file: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	if err := gob.NewEncoder(bw).Encode(&spillBlob{Flat: e.flat, Shards: e.shards}); err != nil {
-		_ = f.Close()
-		_ = os.Remove(path)
 		return fmt.Errorf("blockstore: encoding spill file: %w", err)
 	}
-	if err := bw.Flush(); err == nil {
-		err = f.Close()
-	} else {
-		_ = f.Close()
-	}
-	if err != nil {
+	s.nfiles++
+	path := fmt.Sprintf("%s%cblock-%d", s.dir, os.PathSeparator, s.nfiles)
+	if err := os.WriteFile(path, data, 0o600); err != nil {
 		_ = os.Remove(path)
 		return fmt.Errorf("blockstore: writing spill file: %w", err)
 	}

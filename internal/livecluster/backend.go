@@ -2,6 +2,7 @@ package livecluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"wanshuffle/internal/dag"
@@ -69,12 +70,16 @@ func (r *liveRun) SiteOfHost(h topology.HostID) int { return int(h) % len(r.c.wo
 
 // InputSizes implements plan.Backend: leaf input bytes at the sites their
 // tasks round-robin onto, plus the measured sizes of map outputs feeding
-// the stage's shuffle boundaries, at their holder workers.
+// the stage's shuffle boundaries, at their holder workers. Sizes here and
+// in RunMapTask's RecordMapOutput are rdd.EncodedSize — the bytes the
+// records take on this cluster's wire — so the planner's predicted
+// transfer cost is a prediction about the real sockets, not about the
+// simulator's SizeOf model.
 func (r *liveRun) InputSizes(st *dag.Stage) []float64 {
 	bySite := make([]float64, len(r.c.workers))
 	for _, src := range st.Sources {
 		for i := range src.Input {
-			bySite[i%len(r.c.workers)] += rdd.SizeOfAll(src.Input[i].Records)
+			bySite[i%len(r.c.workers)] += rdd.EncodedSize(src.Input[i].Records)
 		}
 	}
 	r.AddBoundaryBytes(st, bySite)
@@ -139,7 +144,7 @@ func (r *liveRun) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) erro
 			return err
 		}
 	}
-	r.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, rdd.SizeOfAll(prepared))
+	r.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, rdd.EncodedSize(prepared))
 	return nil
 }
 
@@ -216,21 +221,21 @@ func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float6
 		numMaps := r.NumMaps(spec.ID)
 		t0 := r.since()
 		fetchID := r.c.ids.Next()
-		var out []rdd.Pair
+		shards := make([][]rdd.Pair, numMaps)
 		srcBytes := map[int]float64{}
-		for m := 0; m < numMaps; m++ {
+		for m := range shards {
 			holder, err := r.Holder(spec.ID, m)
 			if err != nil {
 				return nil, err
 			}
-			shard, err := r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
+			shards[m], err = r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
 				spanCtx{trace: r.traceID, parent: fetchID})
 			if err != nil {
 				return nil, err
 			}
-			srcBytes[holder] += rdd.SizeOfAll(shard)
-			out = append(out, shard...)
+			srcBytes[holder] += rdd.SizeOfAll(shards[m])
 		}
+		out := slices.Concat(shards...) // one allocation of the gathered size
 		// Attribute the fetch to its dominant source by bytes (ties break
 		// toward the lower worker index, for determinism).
 		src, best := site, -1.0

@@ -1,0 +1,154 @@
+package livecluster
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"wanshuffle/internal/rdd"
+)
+
+// opaque is a record value the planner can size (rdd.Sized) but the record
+// codec cannot carry: it may live in a process, not cross a socket.
+type opaque struct{}
+
+func (opaque) SizeBytes() float64 { return 8 }
+
+// TestUnsupportedValueFailsPushCleanly drives the wire path directly: a
+// push holding a value the codec cannot carry fails with the typed error
+// before the offending chunk is written, the receiver drops the partial
+// assembly, and the pooled connection is neither lost nor replaced.
+func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
+	for _, fanout := range []int{1, 2} {
+		c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 4, PushFanout: fanout}, 3)
+		w0, w1 := c.workers[0], c.workers[1]
+		good := pairs(17)
+		if err := w0.push(w1.addr, 7, 0, 1, good, stats, spanCtx{}); err != nil {
+			t.Fatal(err)
+		}
+		// One connection per parallel stream is all w0 ever needs to w1:
+		// any dial beyond that replaces a connection a failure cost.
+		maxDials := int64(fanout)
+
+		bad := append(pairs(17), rdd.KV("bad-key", opaque{})) // in the last of five chunks
+		err := w0.push(w1.addr, 7, 1, 1, bad, stats, spanCtx{})
+		var unsupported *rdd.UnsupportedValueError
+		if !errors.As(err, &unsupported) {
+			t.Fatalf("fanout %d: push err = %v, want *rdd.UnsupportedValueError", fanout, err)
+		}
+		if unsupported.Key != "bad-key" || !strings.Contains(err.Error(), "livecluster.opaque") {
+			t.Fatalf("fanout %d: error %q does not name the key and Go type", fanout, err)
+		}
+		w1.mu.Lock()
+		_, pending := w1.pending[pushKey{7, 1, 1}]
+		w1.mu.Unlock()
+		if fanout == 1 && pending {
+			t.Fatal("receiver kept the abandoned push's assembly")
+		}
+		if _, err := w1.stored(7, 1); err == nil {
+			t.Fatalf("fanout %d: the abandoned push was installed", fanout)
+		}
+
+		// The same connections carry the next push and the fetches.
+		if err := w0.push(w1.addr, 7, 1, 2, good, stats, spanCtx{}); err != nil {
+			t.Fatalf("fanout %d: push after the failed one: %v", fanout, err)
+		}
+		var out []rdd.Pair
+		for r := 0; r < 3; r++ {
+			shard, err := w0.fetch(w1.addr, 7, 1, r, stats, spanCtx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, shard...)
+		}
+		if canon(out) != canon(good) {
+			t.Fatalf("fanout %d: push after the failed one diverges", fanout)
+		}
+		if stats.Dials > maxDials {
+			t.Fatalf("fanout %d: %d dials after the failed push: it cost a pooled connection", fanout, stats.Dials)
+		}
+		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
+			t.Fatalf("fanout %d: matrix total %d != BytesOverTCP %d", fanout, got, stats.BytesOverTCP)
+		}
+
+		// Fetch side: a locally stored output with such a value fails its
+		// fetch as a remote error naming the type, on a connection that
+		// stays pooled.
+		if err := w1.storeMapOutput(7, 2, 1, bad); err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for r := 0; r < 3; r++ {
+			if _, err := w0.fetch(w1.addr, 7, 2, r, stats, spanCtx{}); err != nil {
+				failed++
+				if !strings.Contains(err.Error(), "livecluster.opaque") {
+					t.Fatalf("fanout %d: fetch error %q does not name the Go type", fanout, err)
+				}
+			}
+		}
+		if failed != 1 {
+			t.Fatalf("fanout %d: %d of 3 shard fetches failed, want the one holding the value", fanout, failed)
+		}
+		if stats.Dials > maxDials {
+			t.Fatalf("fanout %d: %d dials after the failed fetch: it cost a pooled connection", fanout, stats.Dials)
+		}
+	}
+}
+
+// TestUnsupportedValueFailsJobNotCluster runs whole jobs on a two-worker
+// cluster: one whose shuffle carries an unsupported value fails with the
+// typed error (push) or an error naming the type (fetch), and the next job
+// on the same cluster succeeds without dialing a single new connection.
+func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
+	job := func(v func(i int) rdd.Value) *rdd.RDD {
+		g := rdd.NewGraph()
+		parts := make([]rdd.InputPartition, 4)
+		for p := range parts {
+			for i := 0; i < 20; i++ {
+				parts[p].Records = append(parts[p].Records, rdd.KV(fmt.Sprintf("key-%02d", i), v(p*20+i)))
+			}
+			parts[p].ModeledBytes = 1
+		}
+		grouped := g.Input("in", parts).GroupByKey("group", 2)
+		return grouped.Map("count", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, len(p.Value.([]rdd.Value))) })
+	}
+	good := func(i int) rdd.Value { return i }
+	bad := func(i int) rdd.Value {
+		if i == 57 {
+			return opaque{}
+		}
+		return i
+	}
+	for _, mode := range []Mode{ModePush, ModeFetch} {
+		c, err := New(Config{
+			Workers: 2, Mode: mode, Aggregators: []int{1},
+			TasksPerWorker: 1, PushFanout: 1, MaxAttempts: 1, ChunkRecords: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := canon(rdd.CollectLocal(job(good)))
+		if out, _, err := c.Run(job(good)); err != nil || canon(out) != want {
+			t.Fatalf("%v: warm-up job: %v", mode, err)
+		}
+
+		_, _, err = c.Run(job(bad))
+		if err == nil || !strings.Contains(err.Error(), "livecluster.opaque") {
+			t.Fatalf("%v: job with an unsupported value: err = %v, want one naming the Go type", mode, err)
+		}
+		var unsupported *rdd.UnsupportedValueError
+		if mode == ModePush && !errors.As(err, &unsupported) {
+			t.Fatalf("push: err = %v, want *rdd.UnsupportedValueError", err)
+		}
+
+		out, stats, err := c.Run(job(good))
+		if err != nil || canon(out) != want {
+			t.Fatalf("%v: job after the failed one: %v", mode, err)
+		}
+		if stats.Dials != 0 {
+			t.Fatalf("%v: job after the failed one dialed %d connections: the failure cost pooled ones", mode, stats.Dials)
+		}
+		c.Close()
+	}
+}

@@ -22,8 +22,9 @@
 //     reducers then read from the aggregators only.
 //
 // Closures execute in-process (tasks share the lineage graph), while data
-// crosses sockets gob-encoded; record values must therefore be
-// gob-encodable (rdd.RegisterGobTypes lists the pre-registered ones).
+// crosses sockets in the binary record codec of internal/rdd
+// (rdd.AppendPairs); a record value outside that codec's closed set fails
+// its task with an *rdd.UnsupportedValueError naming the type.
 // Workers keep their TCP connections to peers open across requests and
 // jobs (Stats.Dials counts the fresh ones).
 package livecluster

@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"sync"
 
 	"wanshuffle/internal/rdd"
 )
 
 // Chunk framing for the streaming data plane. A push or fetch moves its
 // records as a sequence of bounded-size chunk frames over one (or, for
-// pushes, several parallel) pooled gob connections, ended by a terminal
-// frame. Each chunk optionally carries its records compressed; chunks
-// that would not shrink ship raw, so compression never inflates the wire.
+// pushes, several parallel) pooled connections, ended by a terminal frame.
+// The frames themselves are gob, like every control message; the records
+// inside them are not — each chunk carries them as one byte payload in the
+// record codec of internal/rdd, optionally compressed. Chunks that would
+// not shrink ship raw, so compression never inflates the wire.
 
 // Compression codec names accepted by Config.Compression.
 const (
@@ -37,20 +39,19 @@ func validCodec(name string) (string, bool) {
 	}
 }
 
-// chunk is one frame of a push or fetch stream. Exactly one of Records or
-// Payload carries data: Payload is the gob encoding of the records
-// compressed with Codec, used only when it is smaller than the raw
-// encoding (RawLen). A frame with Last set terminates the stream; on
-// fetch streams it may carry a server-side error.
+// chunk is one frame of a push or fetch stream. Payload holds the frame's
+// records in the record codec (rdd.AppendPairs), compressed with Codec
+// when that made them smaller. A frame with Last set terminates the
+// stream and may carry an error: the holder's on a fetch stream, the
+// sender's on a push stream it had to abandon.
 type chunk struct {
 	// Seq orders the chunk within its logical transfer, so parallel push
 	// streams reassemble deterministically.
 	Seq     int
-	Records []rdd.Pair
 	Payload []byte
 	Codec   string
-	// RawLen is the size of the uncompressed gob encoding when Payload is
-	// used; it feeds the bytes_raw_total accounting.
+	// RawLen is the size of the codec bytes before compression, set on
+	// compressed chunks only; it feeds the bytes_raw_total accounting.
 	RawLen int64
 	Last   bool
 	Err    string
@@ -68,45 +69,50 @@ func (ch *chunk) savings() int64 {
 	return 0
 }
 
-// makeChunk builds one data frame for records, compressing with codec when
-// that shrinks the gob encoding.
-func makeChunk(seq int, records []rdd.Pair, codec string) (*chunk, error) {
-	ch := &chunk{Seq: seq}
-	if codec == CodecNone {
-		ch.Records = records
-		return ch, nil
-	}
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(records); err != nil {
-		return nil, fmt.Errorf("livecluster: encoding chunk %d: %w", seq, err)
-	}
-	comp, err := compress(codec, raw.Bytes())
+// encodeBufs recycles the buffers senders encode chunk payloads in. A
+// buffer is taken per chunk and handed back as soon as the frame is on the
+// connection, so a stream's encoding costs no allocation once warm.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// makeChunk builds one data frame for records, encoding them into *buf
+// (reused from its start) and compressing with codec when that shrinks
+// the encoding. The frame's Payload may alias *buf: it is valid until buf
+// is reused. A value the codec cannot carry is an
+// *rdd.UnsupportedValueError.
+func makeChunk(seq int, records []rdd.Pair, codec string, buf *[]byte) (*chunk, error) {
+	raw, err := rdd.AppendPairs((*buf)[:0], records)
 	if err != nil {
 		return nil, err
 	}
-	if len(comp) >= raw.Len() {
-		// Compression would inflate this chunk (tiny or incompressible
-		// data); ship it raw so bytes_wire_total never exceeds raw.
-		ch.Records = records
+	*buf = raw
+	ch := &chunk{Seq: seq, Payload: raw}
+	if codec == CodecNone {
 		return ch, nil
 	}
-	ch.Payload = comp
-	ch.Codec = codec
-	ch.RawLen = int64(raw.Len())
+	comp, err := compress(codec, raw)
+	if err != nil {
+		return nil, err
+	}
+	// A chunk compression would inflate (tiny or incompressible data)
+	// ships raw, so bytes_wire_total never exceeds raw.
+	if len(comp) < len(raw) {
+		ch.Payload, ch.Codec, ch.RawLen = comp, codec, int64(len(raw))
+	}
 	return ch, nil
 }
 
-// decode returns the chunk's records, decompressing as needed.
+// decode returns the chunk's records, decompressing as needed. The records
+// are cut out of the payload, which the chunk gives up (rdd.DecodePairs).
 func (ch *chunk) decode() ([]rdd.Pair, error) {
-	if ch.Codec == CodecNone {
-		return ch.Records, nil
+	raw := ch.Payload
+	if ch.Codec != CodecNone {
+		var err error
+		if raw, err = decompress(ch.Codec, ch.Payload); err != nil {
+			return nil, err
+		}
 	}
-	raw, err := decompress(ch.Codec, ch.Payload)
+	records, err := rdd.DecodePairs(raw)
 	if err != nil {
-		return nil, err
-	}
-	var records []rdd.Pair
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&records); err != nil {
 		return nil, fmt.Errorf("livecluster: decoding chunk %d: %w", ch.Seq, err)
 	}
 	return records, nil

@@ -34,7 +34,7 @@ func TestChunkRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := pairs(tc.n)
-			ch, err := makeChunk(3, in, tc.codec)
+			ch, err := makeChunk(3, in, tc.codec, new([]byte))
 			if err != nil {
 				t.Fatal(err)
 			}

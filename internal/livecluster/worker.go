@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,9 @@ import (
 )
 
 // Wire protocol: gob-framed streams multiplexed over persistent pooled
-// connections. A client checks a connection out of its pool, runs one
+// connections. gob carries the frames only — requests, responses, chunk
+// headers; records travel inside chunk frames as record-codec bytes
+// (stream.go). A client checks a connection out of its pool, runs one
 // exchange under the configured I/O deadline, and returns it; the server
 // loops decoding requests on each accepted connection until the peer
 // closes it. Three exchange shapes exist:
@@ -157,7 +160,6 @@ type worker struct {
 func (w *worker) localNow() float64 { return time.Since(w.epoch).Seconds() + w.skew }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
-	rdd.RegisterGobTypes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: worker %d listen: %w", id, err)
@@ -339,6 +341,9 @@ func (w *worker) receivePush(dec *gob.Decoder, req *request) (*response, error) 
 			return nil, err
 		}
 		if ch.Last {
+			if ch.Err != "" && chunkErr == nil {
+				chunkErr = errors.New(ch.Err) // the sender gave the push up
+			}
 			break
 		}
 		if chunkErr != nil {
@@ -466,17 +471,22 @@ func (w *worker) finishPushStream(req *request) error {
 	}
 	delete(w.pending, key)
 	out := blockstore.Output{Attempt: req.Attempt}
+	// Every chunk is in hand (got counts distinct in-range seqs), so each
+	// merged slice is allocated once at its final size.
+	parts := make([][]rdd.Pair, a.total)
 	if a.ready {
 		out.Shards = make([][]rdd.Pair, a.nParts)
-		for seq := 0; seq < a.total; seq++ {
-			for r, shard := range a.bucketed[seq] {
-				out.Shards[r] = append(out.Shards[r], shard...)
+		for r := range out.Shards {
+			for seq := range parts {
+				parts[seq] = a.bucketed[seq][r]
 			}
+			out.Shards[r] = slices.Concat(parts...)
 		}
 	} else {
-		for seq := 0; seq < a.total; seq++ {
-			out.Records = append(out.Records, a.flat[seq]...)
+		for seq := range parts {
+			parts[seq] = a.flat[seq]
 		}
+		out.Records = slices.Concat(parts...)
 	}
 	w.mu.Unlock()
 	return w.install(req.ShuffleID, req.MapPart, out)
@@ -527,11 +537,11 @@ func (w *worker) streamFetch(enc *gob.Encoder, req *request) error {
 	}
 	codec := w.cluster.cfg.Compression
 	for seq, part := range splitRecords(records, w.cluster.cfg.ChunkRecords) {
-		ch, err := makeChunk(seq, part, codec)
-		if err != nil {
-			return enc.Encode(&chunk{Last: true, Err: err.Error()})
-		}
-		if err := enc.Encode(ch); err != nil {
+		if _, err := sendChunk(enc, seq, part, codec); err != nil {
+			var local localError
+			if errors.As(err, &local) {
+				return enc.Encode(&chunk{Last: true, Err: err.Error()})
+			}
 			return err
 		}
 	}
@@ -658,15 +668,7 @@ func (w *worker) pushStreams(chunks int) int {
 func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rdd.Pair, stats *Stats, sc spanCtx) error {
 	sink := w.sink(stats)
 	codec := w.cluster.cfg.Compression
-	parts := splitRecords(records, w.cluster.cfg.ChunkRecords)
-	chunks := make([]*chunk, len(parts))
-	for seq, part := range parts {
-		ch, err := makeChunk(seq, part, codec)
-		if err != nil {
-			return fmt.Errorf("livecluster: push %d/%d to %s: %w", shuffleID, mapPart, addr, err)
-		}
-		chunks[seq] = ch
-	}
+	chunks := splitRecords(records, w.cluster.cfg.ChunkRecords)
 	streams := w.pushStreams(len(chunks))
 	dst := w.cluster.siteOfAddr(addr)
 	errs := make([]error, streams)
@@ -684,19 +686,35 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 				}); err != nil {
 					return 0, err
 				}
+				// Each chunk is encoded just before it is written, so at
+				// most one encoded chunk per stream exists at a time.
 				var savings int64
+				last := chunk{Last: true}
+				var abandoned error
 				for seq := s; seq < len(chunks); seq += streams {
-					if err := pc.enc.Encode(chunks[seq]); err != nil {
+					saved, err := sendChunk(pc.enc, seq, chunks[seq], codec)
+					var local localError
+					if errors.As(err, &local) {
+						// The chunk was never written: end the stream in
+						// order, so the receiver drops the assembly and the
+						// connection stays usable.
+						last.Err, abandoned = err.Error(), err
+						break
+					}
+					if err != nil {
 						return 0, err
 					}
-					savings += chunks[seq].savings()
+					savings += saved
 				}
-				if err := pc.enc.Encode(&chunk{Last: true}); err != nil {
+				if err := pc.enc.Encode(&last); err != nil {
 					return 0, err
 				}
 				var resp response
 				if err := pc.dec.Decode(&resp); err != nil {
 					return 0, err
+				}
+				if abandoned != nil {
+					return savings, abandoned
 				}
 				remote[s] = resp.Err
 				return savings, nil
@@ -715,6 +733,23 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 	sink.op(reqPushChunk)
 	w.cluster.counter("push_chunks_total", nil).Add(int64(len(chunks)))
 	return nil
+}
+
+// sendChunk encodes one chunk of records into a pooled buffer, writes the
+// frame and hands the buffer back, returning the chunk's compression
+// savings. A chunk that cannot be encoded is a localError: nothing of it
+// was written.
+func sendChunk(enc *gob.Encoder, seq int, records []rdd.Pair, codec string) (int64, error) {
+	buf := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(buf)
+	ch, err := makeChunk(seq, records, codec, buf)
+	if err != nil {
+		return 0, localError{err}
+	}
+	if err := enc.Encode(ch); err != nil {
+		return 0, err
+	}
+	return ch.savings(), nil
 }
 
 // fetch pulls one (map, reduce) shard from its holder as a chunk stream.
@@ -795,6 +830,15 @@ type remoteError struct{ msg string }
 
 func (e remoteError) Error() string { return e.msg }
 
+// localError is a failure on this side of an exchange that left the stream
+// intact: a chunk that could not be encoded and so was never written. The
+// sender ends the stream in order, the connection stays healthy and
+// pooled, and the error is never retried transparently.
+type localError struct{ err error }
+
+func (e localError) Error() string { return e.err.Error() }
+func (e localError) Unwrap() error { return e.err }
+
 // class maps a request kind to its traffic class in byte accounting,
 // mirroring the simulator's traffic tags where the purposes align.
 func (k requestKind) class() string {
@@ -811,8 +855,8 @@ func (k requestKind) class() string {
 }
 
 // pooledConn is one persistent client connection with its sticky gob
-// codecs (gob streams carry type state, so codecs must live as long as the
-// connection).
+// codecs for the frames (gob streams carry type state, so codecs must live
+// as long as the connection).
 type pooledConn struct {
 	conn *countingConn
 	enc  *gob.Encoder
@@ -901,8 +945,8 @@ func (ps *poolSet) put(addr string, pc *pooledConn) {
 // A connection that came from the pool may have been closed by the peer
 // while idle; if its exchange fails with anything but a timeout, the
 // exchange is retried exactly once on a freshly dialed connection.
-// Connections that error are dropped, not pooled; a remoteError leaves
-// the connection healthy and pooled.
+// Connections that error are dropped, not pooled; a remoteError or a
+// localError leaves the connection healthy and pooled.
 func (ps *poolSet) exchange(addr string, sink flowSink, src, dst int, class string, fn func(*pooledConn) (int64, error)) error {
 	pc, pooled, err := ps.get(addr, sink)
 	if err != nil {
@@ -911,7 +955,8 @@ func (ps *poolSet) exchange(addr string, sink flowSink, src, dst int, class stri
 	savings, wire, sec, err := ps.runExchange(pc, fn)
 	if err != nil {
 		var remote remoteError
-		if errors.As(err, &remote) {
+		var local localError
+		if errors.As(err, &remote) || errors.As(err, &local) {
 			// The peer answered; the wire worked. Account and pool.
 			if sink != nil {
 				sink.flow(src, dst, class, wire, wire+savings)

@@ -1,6 +1,8 @@
 package rdd
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -91,6 +93,58 @@ func FuzzSaltUnsaltRoundtrip(f *testing.F) {
 		got := CollectLocal(round)
 		if len(got) != 1 || got[0].Key != key {
 			t.Fatalf("roundtrip of %q through Salt(%d) = %v", key, n, got)
+		}
+	})
+}
+
+// FuzzDecodePairs feeds the record decoder arbitrary bytes: it must return
+// records or an ErrCorrupt error, never panic, and never allocate more than
+// a small multiple of its input — a huge length prefix is checked against
+// the bytes left, not handed to make. What decodes must encode back to a
+// payload that decodes to the same records. The committed corpus
+// (testdata/fuzz/FuzzDecodePairs) holds a payload with every tag, its
+// truncations, and oversized length prefixes.
+func FuzzDecodePairs(f *testing.F) {
+	valid, err := AppendPairs(nil, everyTag())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// DecodePairs owns its argument; the fuzzer owns data.
+		buf := append([]byte(nil), data...)
+		var recs []Pair
+		var err error
+		allocated := allocatedBytes(func() { recs, err = DecodePairs(buf) })
+		// A record is 32 bytes of Pair for at least 2 of input and a nested
+		// value at most 24 bytes of box per byte; 64x leaves room for both
+		// plus the error and the runtime's own bookkeeping.
+		if limit := uint64(64*len(data) + 16<<10); allocated > limit {
+			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), allocated, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		again, err := AppendPairs(nil, recs)
+		if err != nil {
+			t.Fatalf("decoded records do not encode: %v", err)
+		}
+		if got := EncodedSize(recs); got != float64(len(again)) {
+			t.Fatalf("EncodedSize %v, encoded %d bytes", got, len(again))
+		}
+		// again is canonical (minimal varints, no trailing bytes), so a
+		// faithful round trip reproduces it byte for byte.
+		back, err := DecodePairs(bytes.Clone(again))
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if twice, err := AppendPairs(nil, back); err != nil || !bytes.Equal(twice, again) {
+			t.Fatalf("re-encoded payload decodes to different records (%v)", err)
 		}
 	})
 }

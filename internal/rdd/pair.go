@@ -9,36 +9,11 @@
 // placement is constrained to an aggregator datacenter.
 package rdd
 
-import (
-	"encoding/gob"
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Value is the payload of a record. Workloads use strings, numbers, slices
 // of Values, or small structs; SizeOf must understand every type stored.
 type Value = any
-
-var gobOnce sync.Once
-
-// RegisterGobTypes registers with encoding/gob the Value types records may
-// carry inside an interface, for every place records are gob-encoded (the
-// live cluster's wire, the block store's spill files). Other value types
-// must be registered by the workload that introduces them.
-func RegisterGobTypes() {
-	gobOnce.Do(func() {
-		gob.Register("")
-		gob.Register(0)
-		gob.Register(0.0)
-		gob.Register(false)
-		gob.Register([]byte(nil))
-		gob.Register([]Value{})
-		gob.Register([]string{})
-		gob.Register([]float64{})
-		gob.Register(Tagged{})
-		gob.Register([2][]Value{})
-	})
-}
 
 // Pair is a key-value record, the unit of data flowing between
 // transformations (as in Spark's pair RDDs).

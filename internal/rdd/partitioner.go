@@ -3,6 +3,7 @@ package rdd
 import (
 	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 // Partitioner maps record keys to reduce partitions, determining how a
@@ -85,7 +86,9 @@ func (p *RangePartitioner) Prepare(sample []string) {
 		if len(keys) == 0 {
 			break
 		}
-		p.boundaries = append(p.boundaries, keys[idx])
+		// Cloned: a sampled key may be a substring of a decoded chunk
+		// (DecodePairs), and boundaries outlive every chunk of the job.
+		p.boundaries = append(p.boundaries, strings.Clone(keys[idx]))
 	}
 	p.ready = true
 }

@@ -358,9 +358,9 @@ func (r *RDD) AggregateByKey(name string, numParts int, fn CombineFn) *RDD {
 	}, nil)
 }
 
-// Tagged wraps cogroup inputs with their side. Exported (with exported
-// fields) so live backends can move cogroup map output across the wire
-// with encoding/gob.
+// Tagged wraps cogroup inputs with their side. It is one of the value
+// types the record codec (codec.go) carries, so cogroup map output crosses
+// the live cluster's wire like any other record.
 type Tagged struct {
 	Side int
 	V    Value

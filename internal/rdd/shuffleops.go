@@ -1,6 +1,9 @@
 package rdd
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // The helpers below implement the record-level semantics of a shuffle.
 // They are shared between the simulated engine (internal/exec) and the
@@ -15,7 +18,9 @@ func MapSidePrepare(spec *ShuffleSpec, records []Pair) []Pair {
 	if !spec.MapSideCombine || spec.Combine == nil {
 		return records
 	}
-	return combineByKey(spec.Combine, records)
+	out := combineByKey(spec.Combine, records)
+	sortByKeyStable(out)
+	return out
 }
 
 // BucketRecords shards records into the spec's reduce partitions. The
@@ -92,6 +97,8 @@ func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) 
 	return nil
 }
 
+// combineByKey and groupByKey return one record per key in map order;
+// their callers sort.
 func combineByKey(fn CombineFn, records []Pair) []Pair {
 	acc := make(map[string]Value, len(records))
 	for _, p := range records {
@@ -105,7 +112,6 @@ func combineByKey(fn CombineFn, records []Pair) []Pair {
 	for k, v := range acc {
 		out = append(out, Pair{Key: k, Value: v})
 	}
-	sortByKeyStable(out)
 	return out
 }
 
@@ -118,10 +124,9 @@ func groupByKey(records []Pair) []Pair {
 	for k, vs := range acc {
 		out = append(out, Pair{Key: k, Value: vs})
 	}
-	sortByKeyStable(out)
 	return out
 }
 
 func sortByKeyStable(records []Pair) {
-	sort.SliceStable(records, func(i, j int) bool { return records[i].Key < records[j].Key })
+	slices.SortStableFunc(records, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
 }
