@@ -109,6 +109,7 @@ func (r *liveRun) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) erro
 		return fmt.Errorf("livecluster: worker %d died during map task %s/t%d", site, st.Name(), part)
 	}
 	prepared := rdd.MapSidePrepare(st.OutSpec, recs)
+	preparedBytes := rdd.SizeOfAll(prepared)
 	// The compute span runs from the last shuffle read (t0 for leaf
 	// stages) until the output is ready; the push is its own span, so the
 	// timeline separates M and P the way the simulator's does. The map
@@ -117,7 +118,7 @@ func (r *liveRun) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) erro
 	r.span(trace.Span{
 		Kind: trace.KindMap, ID: taskID, Host: topology.HostID(site),
 		Stage: st.ID, Part: part, Shuffle: st.OutSpec.ID,
-		Bytes: rdd.SizeOfAll(prepared), Records: len(prepared),
+		Bytes: preparedBytes, Records: len(prepared),
 		Start: lastFetch, End: r.since(),
 	})
 	holder := site
@@ -132,7 +133,7 @@ func (r *liveRun) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) erro
 			Kind: trace.KindPush, ID: pushID, Parent: taskID, Host: topology.HostID(site),
 			Stage: st.ID, Part: part, Shuffle: st.OutSpec.ID,
 			SrcSite: r.c.siteLabel(site), DstSite: r.c.siteLabel(aggTo),
-			Bytes: rdd.SizeOfAll(prepared), Records: len(prepared),
+			Bytes: preparedBytes, Records: len(prepared),
 			Start: tPush, End: r.since(),
 		})
 		holder = aggTo
@@ -221,21 +222,26 @@ func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float6
 		numMaps := r.NumMaps(spec.ID)
 		t0 := r.since()
 		fetchID := r.c.ids.Next()
-		shards := make([][]rdd.Pair, numMaps)
+		var chunks [][]rdd.Pair // every map's shard, as the chunks it arrived in
 		srcBytes := map[int]float64{}
-		for m := range shards {
+		for m := 0; m < numMaps; m++ {
 			holder, err := r.Holder(spec.ID, m)
 			if err != nil {
 				return nil, err
 			}
-			shards[m], err = r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
+			shard, err := r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
 				spanCtx{trace: r.traceID, parent: fetchID})
 			if err != nil {
 				return nil, err
 			}
-			srcBytes[holder] += rdd.SizeOfAll(shards[m])
+			for _, ch := range shard {
+				srcBytes[holder] += rdd.SizeOfAll(ch)
+			}
+			chunks = append(chunks, shard...)
 		}
-		out := slices.Concat(shards...) // one allocation of the gathered size
+		// The one copy between decoding and the reduce-side sort: a single
+		// allocation of the gathered size.
+		out := slices.Concat(chunks...)
 		// Attribute the fetch to its dominant source by bytes (ties break
 		// toward the lower worker index, for determinism).
 		src, best := site, -1.0

@@ -56,7 +56,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		}
 		var out []rdd.Pair
 		for r := 0; r < 3; r++ {
-			shard, err := w0.fetch(w1.addr, 7, 1, r, stats, spanCtx{})
+			shard, err := fetchFlat(w0, w1.addr, 7, 1, r, stats)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		}
 		failed := 0
 		for r := 0; r < 3; r++ {
-			if _, err := w0.fetch(w1.addr, 7, 2, r, stats, spanCtx{}); err != nil {
+			if _, err := fetchFlat(w0, w1.addr, 7, 2, r, stats); err != nil {
 				failed++
 				if !strings.Contains(err.Error(), "livecluster.opaque") {
 					t.Fatalf("fanout %d: fetch error %q does not name the Go type", fanout, err)

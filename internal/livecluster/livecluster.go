@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -852,11 +853,7 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	for i, w := range c.workers {
 		stats.ShardsByWorker[i] = w.storedOutputs()
 	}
-	var out []rdd.Pair
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, stats, nil
+	return slices.Concat(parts...), stats, nil
 }
 
 // resetJobState clears the previous job's shuffle metadata and stored map

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/obs"
+	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/trace"
 )
 
@@ -163,5 +164,71 @@ func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
 	}
 	if got := stats.BytesByClass["shuffle"]; got == 0 {
 		t.Fatalf("fetch run recorded no shuffle-class bytes: %v", stats.BytesByClass)
+	}
+}
+
+// TestReceiveSpansCarryCodecBytes pins the receive side of the byte
+// accounting: the receive spans linked to one push together report the
+// record-codec bytes that push sent, whether its chunks crossed the wire
+// raw or compressed.
+func TestReceiveSpansCarryCodecBytes(t *testing.T) {
+	const chunkRecords = 16
+	build := func() (*rdd.RDD, []float64) {
+		g := rdd.NewGraph()
+		parts := make([]rdd.InputPartition, 4)
+		sent := make([]float64, len(parts)) // codec bytes of each map output's chunks
+		for p := range parts {
+			parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: pairs(50 + 30*p)}
+			for _, chunk := range splitRecords(parts[p].Records, chunkRecords) {
+				sent[p] += rdd.EncodedSize(chunk)
+			}
+		}
+		// No map-side combine: each map output is its input partition.
+		return g.Input("in", parts).GroupByKey("group", 2), sent
+	}
+	for _, codec := range []string{CodecNone, CodecFlate} {
+		tr := &trace.SyncRecorder{}
+		cluster, err := New(Config{
+			Workers: 2, Mode: ModePush, Aggregators: []int{1},
+			ChunkRecords: chunkRecords, Compression: codec, Trace: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, sent := build()
+		_, stats, err := cluster.Run(job)
+		cluster.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec != CodecNone && stats.BytesRaw <= stats.BytesOverTCP {
+			t.Fatalf("codec %q: nothing was compressed, the test would prove nothing", codec)
+		}
+		mapPartOf := map[trace.SpanID]int{}
+		for _, s := range tr.Spans() {
+			if s.Kind == trace.KindPush {
+				mapPartOf[s.ID] = s.Part
+			}
+		}
+		received := make([]float64, len(sent))
+		for _, s := range tr.Spans() {
+			if s.Kind != trace.KindReceive {
+				continue
+			}
+			part, ok := mapPartOf[s.Link]
+			if !ok {
+				t.Fatalf("codec %q: receive span %d links to no push span", codec, s.ID)
+			}
+			if s.Bytes <= 0 {
+				t.Errorf("codec %q: receive span of map %d reports %v bytes", codec, part, s.Bytes)
+			}
+			received[part] += s.Bytes
+		}
+		for p := range sent {
+			if received[p] != sent[p] {
+				t.Errorf("codec %q: map %d: receive spans report %v bytes, its push sent %v codec bytes",
+					codec, p, received[p], sent[p])
+			}
+		}
 	}
 }

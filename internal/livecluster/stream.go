@@ -1,11 +1,14 @@
 package livecluster
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"wanshuffle/internal/rdd"
@@ -14,16 +17,46 @@ import (
 // Chunk framing for the streaming data plane. A push or fetch moves its
 // records as a sequence of bounded-size chunk frames over one (or, for
 // pushes, several parallel) pooled connections, ended by a terminal frame.
-// The frames themselves are gob, like every control message; the records
-// inside them are not — each chunk carries them as one byte payload in the
-// record codec of internal/rdd, optionally compressed. Chunks that would
-// not shrink ship raw, so compression never inflates the wire.
+// Requests, responses and heartbeats are control messages and travel as
+// their own encoding (worker.go); a chunk frame is raw bytes:
+//
+//	flags byte | uvarint seq | uvarint rawLen | uvarint len | len payload bytes
+//
+// A data frame's payload is its records in the record codec of
+// internal/rdd, compressed with the codec the flags name when that made
+// them smaller (rawLen is then the codec bytes before compression, and 0
+// otherwise), so compression never inflates the wire. A frame with
+// frameLast set terminates the stream; with frameErr too its payload is an
+// error message: the holder's on a fetch stream, the sender's on a push
+// stream it had to abandon. Push and fetch share the one writer and reader
+// below. The reader takes a *bufio.Reader that the connection's control
+// decoder reads through as well, so neither reads past its own message.
 
 // Compression codec names accepted by Config.Compression.
 const (
 	CodecNone  = ""
 	CodecGzip  = "gzip"
 	CodecFlate = "flate"
+)
+
+// frameCodecs maps the codec bits of a frame's flags to the codec name.
+var frameCodecs = [...]string{CodecNone, CodecGzip, CodecFlate}
+
+const (
+	frameLast       = 1 << 0
+	frameErr        = 1 << 1
+	frameCodecShift = 2 // two bits: an index into frameCodecs
+
+	// frameHeaderMax is the room a frame's header can take ahead of its
+	// payload: senders build the payload behind that much space, so header
+	// and payload leave in one Write.
+	frameHeaderMax = 1 + 3*binary.MaxVarintLen64
+
+	// maxFramePayload caps len and rawLen. The reader checks both before it
+	// allocates, so a damaged or hostile header cannot make it reserve more;
+	// a sender refuses to write a chunk the receiver would reject. Chunks
+	// are Config.ChunkRecords records, far below this at any sane setting.
+	maxFramePayload = 64 << 20
 )
 
 // validCodec reports whether name is a supported compression codec,
@@ -39,93 +72,172 @@ func validCodec(name string) (string, bool) {
 	}
 }
 
-// chunk is one frame of a push or fetch stream. Payload holds the frame's
-// records in the record codec (rdd.AppendPairs), compressed with Codec
-// when that made them smaller. A frame with Last set terminates the
-// stream and may carry an error: the holder's on a fetch stream, the
-// sender's on a push stream it had to abandon.
-type chunk struct {
-	// Seq orders the chunk within its logical transfer, so parallel push
+// chunkFrame is one received frame of a push or fetch stream.
+type chunkFrame struct {
+	// seq orders the chunk within its logical transfer, so parallel push
 	// streams reassemble deterministically.
-	Seq     int
-	Payload []byte
-	Codec   string
-	// RawLen is the size of the codec bytes before compression, set on
-	// compressed chunks only; it feeds the bytes_raw_total accounting.
-	RawLen int64
-	Last   bool
-	Err    string
+	seq     int
+	last    bool
+	err     string // terminal frames only
+	codec   string
+	rawLen  int
+	payload []byte
+}
+
+// codecBytes is the size of the frame's records in the record codec,
+// whatever crossed the wire: what bytes_raw_total and spans account.
+func (fr *chunkFrame) codecBytes() int64 {
+	if fr.codec != CodecNone {
+		return int64(fr.rawLen)
+	}
+	return int64(len(fr.payload))
 }
 
 // savings returns how many payload bytes compression saved on this chunk
-// (zero for raw chunks), the delta between raw and wire accounting.
-func (ch *chunk) savings() int64 {
-	if ch.Codec == CodecNone || ch.RawLen == 0 {
-		return 0
-	}
-	if s := ch.RawLen - int64(len(ch.Payload)); s > 0 {
-		return s
-	}
-	return 0
+// (zero for raw chunks, positive for compressed ones: the reader rejects a
+// compressed frame that is not smaller), the delta between raw and wire
+// accounting.
+func (fr *chunkFrame) savings() int64 { return fr.codecBytes() - int64(len(fr.payload)) }
+
+// writeFrame sends one frame in a single Write. room is frameHeaderMax
+// bytes of scratch followed by the payload; the header is laid down right
+// before the payload.
+func writeFrame(w io.Writer, room []byte, flags byte, seq, rawLen int) error {
+	var hdr [frameHeaderMax]byte
+	hdr[0] = flags
+	n := 1
+	n += binary.PutUvarint(hdr[n:], uint64(seq))
+	n += binary.PutUvarint(hdr[n:], uint64(rawLen))
+	n += binary.PutUvarint(hdr[n:], uint64(len(room)-frameHeaderMax))
+	frame := room[frameHeaderMax-n:]
+	copy(frame, hdr[:n])
+	_, err := w.Write(frame)
+	return err
 }
 
-// encodeBufs recycles the buffers senders encode chunk payloads in. A
-// buffer is taken per chunk and handed back as soon as the frame is on the
-// connection, so a stream's encoding costs no allocation once warm.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// makeChunk builds one data frame for records, encoding them into *buf
-// (reused from its start) and compressing with codec when that shrinks
-// the encoding. The frame's Payload may alias *buf: it is valid until buf
-// is reused. A value the codec cannot carry is an
-// *rdd.UnsupportedValueError.
-func makeChunk(seq int, records []rdd.Pair, codec string, buf *[]byte) (*chunk, error) {
-	raw, err := rdd.AppendPairs((*buf)[:0], records)
-	if err != nil {
-		return nil, err
+// writeLastFrame ends a stream, with the error that cut it short if any.
+func writeLastFrame(w io.Writer, cause error) error {
+	flags, room := byte(frameLast), make([]byte, frameHeaderMax)
+	if cause != nil {
+		flags, room = flags|frameErr, append(room, cause.Error()...)
 	}
-	*buf = raw
-	ch := &chunk{Seq: seq, Payload: raw}
-	if codec == CodecNone {
-		return ch, nil
-	}
-	comp, err := compress(codec, raw)
-	if err != nil {
-		return nil, err
-	}
-	// A chunk compression would inflate (tiny or incompressible data)
-	// ships raw, so bytes_wire_total never exceeds raw.
-	if len(comp) < len(raw) {
-		ch.Payload, ch.Codec, ch.RawLen = comp, codec, int64(len(raw))
-	}
-	return ch, nil
+	return writeFrame(w, room, flags, 0, 0)
 }
 
-// decode returns the chunk's records, decompressing as needed. The records
-// are cut out of the payload, which the chunk gives up (rdd.DecodePairs).
-func (ch *chunk) decode() ([]rdd.Pair, error) {
-	raw := ch.Payload
-	if ch.Codec != CodecNone {
+// readChunkFrame reads one frame, its payload with a single io.ReadFull
+// into a buffer of its own (which chunkFrame.records then gives to the
+// record decoder). A header that is malformed or asks for more than
+// maxPayload bytes is an error before anything is allocated; so is a
+// stream that ends anywhere inside a frame.
+func readChunkFrame(r *bufio.Reader, maxPayload int) (chunkFrame, error) {
+	var fr chunkFrame
+	fail := func(err error) (chunkFrame, error) {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return chunkFrame{}, fmt.Errorf("livecluster: reading chunk frame: %w", err)
+	}
+	flags, err := r.ReadByte()
+	if err != nil {
+		return fail(err)
+	}
+	codec := int(flags >> frameCodecShift)
+	if codec >= len(frameCodecs) || (flags&frameErr != 0 && flags&frameLast == 0) {
+		return fail(fmt.Errorf("bad flags %#x", flags))
+	}
+	var hdr [3]uint64 // seq, rawLen, len
+	for i := range hdr {
+		if hdr[i], err = binary.ReadUvarint(r); err != nil {
+			return fail(err)
+		}
+		if hdr[i] > uint64(maxPayload) {
+			return fail(fmt.Errorf("header field %d is %d, above the %d-byte frame cap", i, hdr[i], maxPayload))
+		}
+	}
+	if codec != 0 && hdr[1] <= hdr[2] {
+		return fail(fmt.Errorf("compressed payload of %d bytes for %d raw ones", hdr[2], hdr[1]))
+	}
+	fr.seq, fr.rawLen = int(hdr[0]), int(hdr[1])
+	fr.last, fr.codec = flags&frameLast != 0, frameCodecs[codec]
+	fr.payload = make([]byte, hdr[2])
+	if _, err := io.ReadFull(r, fr.payload); err != nil {
+		return fail(err)
+	}
+	if flags&frameErr != 0 {
+		fr.err, fr.payload = string(fr.payload), nil
+	}
+	return fr, nil
+}
+
+// encodeBuf is the scratch one chunk is encoded in: frameHeaderMax bytes
+// of header room, then the codec bytes (raw) or their compressed form.
+type encodeBuf struct{ raw, comp []byte }
+
+// encodeBufs recycles them. A buffer is taken per chunk and handed back as
+// soon as the frame is on the connection, so a stream's encoding costs no
+// allocation once warm.
+var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
+
+// sendChunk encodes one chunk of records into a pooled buffer, compresses
+// it with codec when that shrinks it, writes the data frame and hands the
+// buffer back, returning the chunk's compression savings. A chunk that
+// cannot be sent — a value the codec cannot carry, which stays an
+// *rdd.UnsupportedValueError, or an encoding above the frame cap — is a
+// localError: nothing of it was written.
+func sendChunk(w io.Writer, seq int, records []rdd.Pair, codec string) (int64, error) {
+	buf := encodeBufs.Get().(*encodeBuf)
+	defer encodeBufs.Put(buf)
+	room, err := rdd.AppendPairs(slices.Grow(buf.raw[:0], frameHeaderMax)[:frameHeaderMax], records)
+	if err != nil {
+		return 0, localError{err}
+	}
+	buf.raw = room
+	rawLen := len(room) - frameHeaderMax
+	if rawLen > maxFramePayload {
+		return 0, localError{fmt.Errorf("livecluster: chunk %d encodes to %d bytes, above the %d-byte frame cap", seq, rawLen, maxFramePayload)}
+	}
+	if codec != CodecNone {
+		comp, err := compress(codec, slices.Grow(buf.comp[:0], frameHeaderMax)[:frameHeaderMax], room[frameHeaderMax:])
+		if err != nil {
+			return 0, localError{err}
+		}
+		buf.comp = comp
+		// A chunk compression would inflate (tiny or incompressible data)
+		// ships raw, so bytes_wire_total never exceeds raw.
+		if len(comp) < len(room) {
+			flags := byte(slices.Index(frameCodecs[:], codec) << frameCodecShift)
+			return int64(len(room) - len(comp)), writeFrame(w, comp, flags, seq, rawLen)
+		}
+	}
+	return 0, writeFrame(w, room, 0, seq, 0)
+}
+
+// records returns the frame's records, decompressing as needed. They are
+// cut out of the payload, which the frame gives up (rdd.DecodePairs).
+func (fr *chunkFrame) records() ([]rdd.Pair, error) {
+	raw := fr.payload
+	if fr.codec != CodecNone {
 		var err error
-		if raw, err = decompress(ch.Codec, ch.Payload); err != nil {
+		if raw, err = decompress(fr.codec, fr.payload, fr.rawLen); err != nil {
 			return nil, err
 		}
 	}
 	records, err := rdd.DecodePairs(raw)
 	if err != nil {
-		return nil, fmt.Errorf("livecluster: decoding chunk %d: %w", ch.Seq, err)
+		return nil, fmt.Errorf("livecluster: decoding chunk %d: %w", fr.seq, err)
 	}
 	return records, nil
 }
 
-func compress(codec string, raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
+// compress appends raw, compressed with codec, to dst.
+func compress(codec string, dst, raw []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
 	var w io.WriteCloser
 	switch codec {
 	case CodecGzip:
-		w = gzip.NewWriter(&buf)
+		w = gzip.NewWriter(buf)
 	case CodecFlate:
-		fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+		fw, err := flate.NewWriter(buf, flate.DefaultCompression)
 		if err != nil {
 			return nil, fmt.Errorf("livecluster: flate writer: %w", err)
 		}
@@ -142,7 +254,9 @@ func compress(codec string, raw []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decompress(codec string, payload []byte) ([]byte, error) {
+// decompress inflates payload, which must hold exactly rawLen bytes: the
+// sender said so in the frame header, so the output is allocated once.
+func decompress(codec string, payload []byte, rawLen int) ([]byte, error) {
 	var r io.ReadCloser
 	switch codec {
 	case CodecGzip:
@@ -156,12 +270,18 @@ func decompress(codec string, payload []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("livecluster: unknown codec %q", codec)
 	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		_ = r.Close()
+	defer r.Close()
+	raw := make([]byte, rawLen)
+	if _, err := io.ReadFull(r, raw); err != nil {
 		return nil, fmt.Errorf("livecluster: decompressing chunk: %w", err)
 	}
-	return raw, r.Close()
+	// The next read must be the stream's clean end (which is also where
+	// gzip verifies its checksum).
+	var one [1]byte
+	if _, err := io.ReadFull(r, one[:]); err != io.EOF {
+		return nil, fmt.Errorf("livecluster: decompressing chunk: not the %d bytes its frame declared (%v)", rawLen, err)
+	}
+	return raw, nil
 }
 
 // splitRecords cuts records into consecutive chunks of at most size

@@ -1,7 +1,14 @@
 package livecluster
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,7 +26,15 @@ func pairs(n int) []rdd.Pair {
 	return out
 }
 
-func TestChunkRoundTrip(t *testing.T) {
+// fetchFlat fetches one shard and joins the chunks it arrived in.
+func fetchFlat(w *worker, addr string, shuffleID, mapPart, reduce int, stats *Stats) ([]rdd.Pair, error) {
+	chunks, err := w.fetch(addr, shuffleID, mapPart, reduce, stats, spanCtx{})
+	return slices.Concat(chunks...), err
+}
+
+func frameReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
+
+func TestChunkFrameRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		codec string
@@ -30,35 +45,191 @@ func TestChunkRoundTrip(t *testing.T) {
 		{"gzip-empty", CodecGzip, 0},
 		{"gzip-one", CodecGzip, 1},
 		{"gzip-many", CodecGzip, 500},
+		{"flate-one", CodecFlate, 1},
 		{"flate-many", CodecFlate, 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := pairs(tc.n)
-			ch, err := makeChunk(3, in, tc.codec, new([]byte))
+			var wire bytes.Buffer
+			saved, err := sendChunk(&wire, 3, in, tc.codec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ch.Seq != 3 {
-				t.Fatalf("seq = %d", ch.Seq)
+			// A data frame, a clean terminal frame and an error one, back to
+			// back on one stream: each read takes exactly its own bytes.
+			if err := writeLastFrame(&wire, nil); err != nil {
+				t.Fatal(err)
 			}
-			out, err := ch.decode()
+			if err := writeLastFrame(&wire, errors.New("holder lost the shard")); err != nil {
+				t.Fatal(err)
+			}
+			sent := wire.Len()
+			br := frameReader(wire.Bytes())
+			fr, err := readChunkFrame(br, maxFramePayload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.seq != 3 || fr.last || fr.err != "" {
+				t.Fatalf("data frame read back as %+v", fr)
+			}
+			codecBytes := int64(rdd.EncodedSize(in))
+			if fr.codecBytes() != codecBytes || fr.savings() != saved || saved != codecBytes-int64(len(fr.payload)) {
+				t.Fatalf("codec bytes %d (want %d), savings %d, sender's %d, payload %d",
+					fr.codecBytes(), codecBytes, fr.savings(), saved, len(fr.payload))
+			}
+			if tc.codec != CodecNone && tc.n >= 500 && (saved <= 0 || fr.codec != tc.codec) {
+				t.Fatal("large repetitive chunk did not compress")
+			}
+			if int64(len(fr.payload)) > codecBytes || (tc.codec == CodecGzip && tc.n <= 1 && fr.codec != CodecNone) {
+				t.Fatal("chunk shipped compressed despite inflating")
+			}
+			// Headers: at most 7 bytes on a data frame, 4 on a terminal one.
+			if over := sent - len(fr.payload) - len("holder lost the shard"); over > 7+4+4 {
+				t.Fatalf("three frames cost %d header bytes", over)
+			}
+			out, err := fr.records()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if canon(out) != canon(in) {
 				t.Fatal("chunk round-trip diverges")
 			}
-			if ch.savings() < 0 {
-				t.Fatalf("negative savings %d", ch.savings())
+			if fr, err = readChunkFrame(br, maxFramePayload); err != nil || !fr.last || fr.err != "" {
+				t.Fatalf("terminal frame read back as %+v, %v", fr, err)
 			}
-			if tc.codec != CodecNone && tc.n >= 500 && ch.savings() == 0 {
-				t.Fatal("large repetitive chunk did not compress")
+			if fr, err = readChunkFrame(br, maxFramePayload); err != nil || !fr.last || fr.err != "holder lost the shard" {
+				t.Fatalf("error frame read back as %+v, %v", fr, err)
 			}
-			if tc.codec != CodecNone && tc.n <= 1 && ch.Codec != CodecNone {
-				t.Fatal("tiny chunk shipped compressed despite inflating")
+			if _, err = readChunkFrame(br, maxFramePayload); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("read past the last frame: %v", err)
 			}
 		})
 	}
+}
+
+// Every proper prefix of a valid frame is an error, never a short frame.
+func TestChunkFrameTruncated(t *testing.T) {
+	for _, codec := range []string{CodecNone, CodecFlate} {
+		var wire bytes.Buffer
+		if _, err := sendChunk(&wire, 300, pairs(200), codec); err != nil {
+			t.Fatal(err)
+		}
+		frame := wire.Bytes()
+		for cut := 0; cut < len(frame); cut++ {
+			if _, err := readChunkFrame(frameReader(frame[:cut]), maxFramePayload); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("codec %q: frame cut to %d of %d bytes: err = %v", codec, cut, len(frame), err)
+			}
+		}
+	}
+}
+
+// A header is judged before its payload is allocated: a length or rawLen
+// above the cap, or flags no sender sets, are errors that cost nothing.
+func TestChunkFrameRejectsBadHeaderBeforeAllocating(t *testing.T) {
+	const limit = 1 << 10
+	header := func(flags byte, seq, rawLen, n uint64) []byte {
+		b := []byte{flags}
+		b = binary.AppendUvarint(b, seq)
+		b = binary.AppendUvarint(b, rawLen)
+		return binary.AppendUvarint(b, n)
+	}
+	for name, frame := range map[string][]byte{
+		"len above cap":    header(0, 0, 0, limit+1),
+		"len huge":         header(0, 0, 0, 1<<62),
+		"rawLen above cap": header(2<<frameCodecShift, 0, 1<<40, 4),
+		"unknown codec":    header(3<<frameCodecShift, 0, 0, 0),
+		"unknown flag bit": header(1<<5, 0, 0, 0),
+		"error not last":   header(frameErr, 0, 0, 0),
+		"overlong uvarint": append([]byte{0}, bytes.Repeat([]byte{0xff}, 11)...),
+	} {
+		br := frameReader(append(frame, make([]byte, 64)...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readChunkFrame(br, limit)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: %d bytes allocated on the way to rejecting it", name, got)
+		}
+	}
+	ok := append(header(0, 0, 0, limit), make([]byte, limit)...)
+	if fr, err := readChunkFrame(frameReader(ok), limit); err != nil || len(fr.payload) != limit {
+		t.Fatalf("a frame exactly at the cap: %v", err)
+	}
+}
+
+// A sender refuses a chunk whose encoding the receiver's cap would reject,
+// as a localError with nothing written.
+func TestSendChunkRefusesOversizedChunk(t *testing.T) {
+	big := []rdd.Pair{rdd.KV("k", make([]byte, maxFramePayload+1))}
+	var wire bytes.Buffer
+	_, err := sendChunk(&wire, 0, big, CodecNone)
+	var local localError
+	if !errors.As(err, &local) || wire.Len() != 0 {
+		t.Fatalf("oversized chunk: err = %v, %d bytes written", err, wire.Len())
+	}
+}
+
+// A compressed frame must inflate to exactly the rawLen its header states.
+func TestChunkFrameRawLenMustMatch(t *testing.T) {
+	var wire bytes.Buffer
+	if _, err := sendChunk(&wire, 0, pairs(300), CodecFlate); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := readChunkFrame(frameReader(wire.Bytes()), maxFramePayload)
+	if err != nil || fr.codec != CodecFlate {
+		t.Fatalf("setup: %+v, %v", fr.codec, err)
+	}
+	for _, delta := range []int{-1, +1} {
+		lying := fr
+		lying.rawLen += delta
+		if _, err := lying.records(); err == nil {
+			t.Fatalf("rawLen off by %+d accepted", delta)
+		}
+	}
+}
+
+// FuzzReadChunkFrame feeds the frame reader arbitrary bytes: it returns a
+// frame or an error, never panics, and never takes more than the cap for
+// the payload (plus, when the frame decodes, what its records need).
+func FuzzReadChunkFrame(f *testing.F) {
+	const limit = 1 << 16
+	for _, codec := range []string{CodecNone, CodecGzip, CodecFlate} {
+		var wire bytes.Buffer
+		if _, err := sendChunk(&wire, 5, pairs(40), codec); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire.Bytes())
+	}
+	var last bytes.Buffer
+	_ = writeLastFrame(&last, nil)
+	_ = writeLastFrame(&last, errors.New("boom"))
+	f.Add(last.Bytes())
+	f.Add([]byte{0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := frameReader(data)
+		for {
+			fr, err := readChunkFrame(br, limit)
+			if err != nil {
+				return
+			}
+			if len(fr.payload) > limit || fr.rawLen > limit || len(fr.err) > limit {
+				t.Fatalf("frame above the cap: payload %d, rawLen %d", len(fr.payload), fr.rawLen)
+			}
+			if fr.err != "" && !fr.last {
+				t.Fatal("error on a data frame")
+			}
+			if !fr.last {
+				// Each record takes at least two codec bytes, so decoding
+				// cannot amplify what the frame carried.
+				if recs, err := fr.records(); err == nil && int64(len(recs)) > fr.codecBytes() {
+					t.Fatalf("%d records out of %d codec bytes", len(recs), fr.codecBytes())
+				}
+			}
+		}
+	})
 }
 
 func TestSplitRecords(t *testing.T) {
@@ -146,7 +317,7 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 			}
 			var out []rdd.Pair
 			for r := 0; r < reduces; r++ {
-				shard, err := w0.fetch(w1.addr, 7, 0, r, stats, spanCtx{})
+				shard, err := fetchFlat(w0, w1.addr, 7, 0, r, stats)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +357,7 @@ func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 	}
 	for r := 0; r < reduces; r++ {
 		for i := 0; i < 3; i++ { // repeated fetches of the same shard
-			if _, err := w0.fetch(w1.addr, 7, 0, r, stats, spanCtx{}); err != nil {
+			if _, err := fetchFlat(w0, w1.addr, 7, 0, r, stats); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -211,7 +382,7 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Not ready yet: fetching must fail rather than bucket garbage.
-	if _, err := w0.fetch(w1.addr, 9, 0, 0, stats, spanCtx{}); err == nil {
+	if _, err := fetchFlat(w0, w1.addr, 9, 0, 0, stats); err == nil {
 		t.Fatal("fetch succeeded before the range partitioner was prepared")
 	}
 	keys, err := c.sampleKeys(w1.addr, 9, 0, 1000, stats)
@@ -222,7 +393,7 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	var out []rdd.Pair
 	for r := 0; r < reduces; r++ {
 		for i := 0; i < 3; i++ {
-			shard, err := w0.fetch(w1.addr, 9, 0, r, stats, spanCtx{})
+			shard, err := fetchFlat(w0, w1.addr, 9, 0, r, stats)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +421,7 @@ func TestDuplicatePushesIdempotent(t *testing.T) {
 	}
 	fetchOne := func() string {
 		t.Helper()
-		out, err := w0.fetch(w1.addr, 7, 0, 0, stats, spanCtx{})
+		out, err := fetchFlat(w0, w1.addr, 7, 0, 0, stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +467,7 @@ func TestStalePooledConnectionRetriedOnce(t *testing.T) {
 		_ = conn.Close()
 	}
 	w1.mu.Unlock()
-	out, err := w0.fetch(w1.addr, 7, 0, 0, stats, spanCtx{})
+	out, err := fetchFlat(w0, w1.addr, 7, 0, 0, stats)
 	if err != nil {
 		t.Fatalf("exchange on stale pooled connection not recovered: %v", err)
 	}
@@ -394,5 +565,35 @@ func TestCompressedModeMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d %v: BytesRaw %d < wire %d", seed, mode, stats.BytesRaw, stats.BytesOverTCP)
 			}
 		}
+	}
+}
+
+// BenchmarkChunkFrameRoundTrip moves one default-sized chunk (256 sort-like
+// records) through the frame writer and reader and back into records.
+func BenchmarkChunkFrameRoundTrip(b *testing.B) {
+	recs := make([]rdd.Pair, 256)
+	for i := range recs {
+		recs[i] = rdd.KV(fmt.Sprintf("%010d", i*7919), fmt.Sprintf("%050d", i))
+	}
+	for _, codec := range []string{CodecNone, CodecFlate} {
+		b.Run("codec="+codec, func(b *testing.B) {
+			var wire bytes.Buffer
+			br := bufio.NewReader(&wire)
+			b.ReportAllocs()
+			b.SetBytes(int64(rdd.EncodedSize(recs)))
+			for i := 0; i < b.N; i++ {
+				wire.Reset()
+				if _, err := sendChunk(&wire, i, recs, codec); err != nil {
+					b.Fatal(err)
+				}
+				fr, err := readChunkFrame(br, maxFramePayload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out, err := fr.records(); err != nil || len(out) != len(recs) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

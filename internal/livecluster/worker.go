@@ -1,9 +1,11 @@
 package livecluster
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -17,19 +19,23 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// Wire protocol: gob-framed streams multiplexed over persistent pooled
-// connections. gob carries the frames only — requests, responses, chunk
-// headers; records travel inside chunk frames as record-codec bytes
-// (stream.go). A client checks a connection out of its pool, runs one
-// exchange under the configured I/O deadline, and returns it; the server
-// loops decoding requests on each accepted connection until the peer
-// closes it. Three exchange shapes exist:
+// Wire protocol: exchanges multiplexed over persistent pooled connections.
+// gob carries the control messages only — requests and responses; records
+// travel as raw chunk frames of record-codec bytes (stream.go). A client
+// checks a connection out of its pool, runs one exchange under the
+// configured I/O deadline, and returns it; the server loops decoding
+// requests on each accepted connection until the peer closes it. Both ends
+// read a connection through one bufio.Reader shared by the gob decoder and
+// the frame reader: handed an io.ByteReader, gob reads one message at a
+// time and never past it, so the frames that follow a request (or the
+// response that follows them) are still there for the next reader. Three
+// exchange shapes exist:
 //
-//   - reqPushChunk: the request header is followed by data chunk frames
-//     and a terminal frame; the receiver buckets chunks into per-reduce
-//     shards as they arrive, installs the assembled output once every
-//     chunk (across the push's parallel streams) is present, and answers
-//     with one response frame per stream.
+//   - reqPushChunk: the request is followed by data chunk frames and a
+//     terminal frame; the receiver buckets chunks into per-reduce shards
+//     as they arrive, installs the assembled output once every chunk
+//     (across the push's parallel streams) is present, and answers with
+//     one response per stream.
 //   - reqFetchStream: the holder streams one reduce shard back as chunk
 //     frames ending in a terminal frame (which carries any error).
 //   - reqSample: a plain request/response pair.
@@ -253,7 +259,8 @@ func (w *worker) serve() {
 // handleConn serves exchanges on one persistent connection until the peer
 // hangs up or a framing error breaks the stream.
 func (w *worker) handleConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
+	br := bufio.NewReader(conn)
+	dec := gob.NewDecoder(br)
 	enc := gob.NewEncoder(conn)
 	for {
 		var req request
@@ -264,13 +271,13 @@ func (w *worker) handleConn(conn net.Conn) {
 		var resp *response
 		switch req.Kind {
 		case reqPushChunk:
-			r, err := w.receivePush(dec, &req)
+			r, err := w.receivePush(br, &req)
 			if err != nil {
 				return // broken stream: drop the connection
 			}
 			resp = r
 		case reqFetchStream:
-			if err := w.streamFetch(enc, &req); err != nil {
+			if err := w.streamFetch(conn, &req); err != nil {
 				return
 			}
 			continue // the terminal chunk ends the exchange
@@ -328,35 +335,35 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 // arrive. A framing error is fatal for the connection; a payload error is
 // reported in the response after the stream is drained. Returns the
 // response for this stream.
-func (w *worker) receivePush(dec *gob.Decoder, req *request) (*response, error) {
+func (w *worker) receivePush(br *bufio.Reader, req *request) (*response, error) {
 	run := w.cluster.curRun.Load()
 	t0 := w.spanNow(run)
 	var chunkErr error
 	var nrecs int
 	var rawBytes int64
 	for {
-		var ch chunk
-		if err := dec.Decode(&ch); err != nil {
+		fr, err := readChunkFrame(br, maxFramePayload)
+		if err != nil {
 			w.abortAssembly(req)
 			return nil, err
 		}
-		if ch.Last {
-			if ch.Err != "" && chunkErr == nil {
-				chunkErr = errors.New(ch.Err) // the sender gave the push up
+		if fr.last {
+			if fr.err != "" && chunkErr == nil {
+				chunkErr = errors.New(fr.err) // the sender gave the push up
 			}
 			break
 		}
 		if chunkErr != nil {
 			continue // drain the rest of a stream that already failed
 		}
-		records, err := ch.decode()
+		records, err := fr.records()
 		if err != nil {
 			chunkErr = err
 			continue
 		}
 		nrecs += len(records)
-		rawBytes += int64(ch.RawLen)
-		if err := w.addPushChunk(req, ch.Seq, records); err != nil {
+		rawBytes += fr.codecBytes()
+		if err := w.addPushChunk(req, fr.seq, records); err != nil {
 			chunkErr = err
 		}
 	}
@@ -528,24 +535,24 @@ func (w *worker) handleSample(req *request) *response {
 // Clean completions record a serve span — the holder side of a fetch,
 // nested under the requesting fetch span — so critical-path analysis can
 // attribute fetch time to the link it actually crossed.
-func (w *worker) streamFetch(enc *gob.Encoder, req *request) error {
+func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := w.spanNow(run)
 	records, err := w.shardOf(req.ShuffleID, req.MapPart, req.Reduce)
 	if err != nil {
-		return enc.Encode(&chunk{Last: true, Err: err.Error()})
+		return writeLastFrame(conn, err)
 	}
 	codec := w.cluster.cfg.Compression
 	for seq, part := range splitRecords(records, w.cluster.cfg.ChunkRecords) {
-		if _, err := sendChunk(enc, seq, part, codec); err != nil {
+		if _, err := sendChunk(conn, seq, part, codec); err != nil {
 			var local localError
 			if errors.As(err, &local) {
-				return enc.Encode(&chunk{Last: true, Err: err.Error()})
+				return writeLastFrame(conn, err)
 			}
 			return err
 		}
 	}
-	if err := enc.Encode(&chunk{Last: true}); err != nil {
+	if err := writeLastFrame(conn, nil); err != nil {
 		return err
 	}
 	if run != nil {
@@ -689,16 +696,15 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 				// Each chunk is encoded just before it is written, so at
 				// most one encoded chunk per stream exists at a time.
 				var savings int64
-				last := chunk{Last: true}
 				var abandoned error
 				for seq := s; seq < len(chunks); seq += streams {
-					saved, err := sendChunk(pc.enc, seq, chunks[seq], codec)
+					saved, err := sendChunk(pc.conn, seq, chunks[seq], codec)
 					var local localError
 					if errors.As(err, &local) {
 						// The chunk was never written: end the stream in
 						// order, so the receiver drops the assembly and the
 						// connection stays usable.
-						last.Err, abandoned = err.Error(), err
+						abandoned = err
 						break
 					}
 					if err != nil {
@@ -706,7 +712,7 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 					}
 					savings += saved
 				}
-				if err := pc.enc.Encode(&last); err != nil {
+				if err := writeLastFrame(pc.conn, abandoned); err != nil {
 					return 0, err
 				}
 				var resp response
@@ -735,31 +741,15 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 	return nil
 }
 
-// sendChunk encodes one chunk of records into a pooled buffer, writes the
-// frame and hands the buffer back, returning the chunk's compression
-// savings. A chunk that cannot be encoded is a localError: nothing of it
-// was written.
-func sendChunk(enc *gob.Encoder, seq int, records []rdd.Pair, codec string) (int64, error) {
-	buf := encodeBufs.Get().(*[]byte)
-	defer encodeBufs.Put(buf)
-	ch, err := makeChunk(seq, records, codec, buf)
-	if err != nil {
-		return 0, localError{err}
-	}
-	if err := enc.Encode(ch); err != nil {
-		return 0, err
-	}
-	return ch.savings(), nil
-}
-
-// fetch pulls one (map, reduce) shard from its holder as a chunk stream.
-// sc parents the holder's serve span under the requesting fetch span.
-func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([]rdd.Pair, error) {
+// fetch pulls one (map, reduce) shard from its holder as a chunk stream and
+// returns the decoded chunks as they are, in order, for the caller to
+// gather at its final size. sc parents the holder's serve span under the
+// requesting fetch span.
+func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([][]rdd.Pair, error) {
 	sink := w.sink(stats)
-	var out []rdd.Pair
-	var nchunks int64
+	var out [][]rdd.Pair
 	err := w.pool.exchange(addr, sink, w.id, w.cluster.siteOfAddr(addr), "shuffle", func(pc *pooledConn) (int64, error) {
-		out, nchunks = nil, 0 // reset on transparent retry
+		out = nil // reset on transparent retry
 		if err := pc.enc.Encode(&request{
 			Kind: reqFetchStream, ShuffleID: shuffleID, MapPart: mapPart, Reduce: reduce,
 			Trace: sc.trace, Parent: sc.parent, From: w.id,
@@ -768,30 +758,29 @@ func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats
 		}
 		var savings int64
 		for {
-			var ch chunk
-			if err := pc.dec.Decode(&ch); err != nil {
-				return 0, err
-			}
-			if ch.Last {
-				if ch.Err != "" {
-					return savings, remoteError{ch.Err}
-				}
-				return savings, nil
-			}
-			records, err := ch.decode()
+			fr, err := readChunkFrame(pc.br, maxFramePayload)
 			if err != nil {
 				return 0, err
 			}
-			out = append(out, records...)
-			savings += ch.savings()
-			nchunks++
+			if fr.last {
+				if fr.err != "" {
+					return savings, remoteError{fr.err}
+				}
+				return savings, nil
+			}
+			savings += fr.savings()
+			records, err := fr.records()
+			if err != nil {
+				return 0, err
+			}
+			out = append(out, records)
 		}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: fetch %d/%d/%d from %s: %w", shuffleID, mapPart, reduce, addr, err)
 	}
 	sink.op(reqFetchStream)
-	w.cluster.counter("fetch_chunks_total", nil).Add(nchunks)
+	w.cluster.counter("fetch_chunks_total", nil).Add(int64(len(out)))
 	return out, nil
 }
 
@@ -855,10 +844,13 @@ func (k requestKind) class() string {
 }
 
 // pooledConn is one persistent client connection with its sticky gob
-// codecs for the frames (gob streams carry type state, so codecs must live
-// as long as the connection).
+// codecs for the control messages (gob streams carry type state, so codecs
+// must live as long as the connection). br is the connection's one read
+// buffer: dec decodes from it and chunk frames are read from it; frames are
+// written to conn directly, like enc's messages.
 type pooledConn struct {
 	conn *countingConn
+	br   *bufio.Reader
 	enc  *gob.Encoder
 	dec  *gob.Decoder
 }
@@ -920,7 +912,8 @@ func (ps *poolSet) dial(addr string, sink flowSink) (*pooledConn, error) {
 	if ps.rateFor != nil {
 		cw.rateBps = ps.rateFor(addr)
 	}
-	return &pooledConn{conn: cw, enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cw)}, nil
+	br := bufio.NewReader(cw)
+	return &pooledConn{conn: cw, br: br, enc: gob.NewEncoder(cw), dec: gob.NewDecoder(br)}, nil
 }
 
 // put returns a healthy connection to the pool.

@@ -35,13 +35,20 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 		// A shuffle boundary: gather every dep's shard for this partition,
 		// then apply the reduce-side semantics once (cogroup deps agree on
 		// aggregation, as in rdd.EvalLocal).
+		// ReduceAggregate only reads its input, so the first dep's shard
+		// goes in as the reader returned it; its capacity is cut to its
+		// length, so a cogroup's second shard is appended to a copy.
 		var recs []rdd.Pair
 		for di := range node.Deps {
 			shard, err := read(node.Deps[di].Shuffle, part)
 			if err != nil {
 				return nil, err
 			}
-			recs = append(recs, shard...)
+			if di == 0 {
+				recs = shard[:len(shard):len(shard)]
+			} else {
+				recs = append(recs, shard...)
+			}
 		}
 		agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, recs)
 		if node.PostShuffle != nil {

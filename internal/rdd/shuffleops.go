@@ -1,10 +1,5 @@
 package rdd
 
-import (
-	"slices"
-	"strings"
-)
-
 // The helpers below implement the record-level semantics of a shuffle.
 // They are shared between the simulated engine (internal/exec) and the
 // in-memory reference evaluator (EvalLocal), so both sides agree exactly on
@@ -19,25 +14,39 @@ func MapSidePrepare(spec *ShuffleSpec, records []Pair) []Pair {
 		return records
 	}
 	out := combineByKey(spec.Combine, records)
-	sortByKeyStable(out)
+	sortByKey(out, out)
 	return out
 }
 
 // BucketRecords shards records into the spec's reduce partitions. The
 // partitioner must be Ready.
 func BucketRecords(spec *ShuffleSpec, records []Pair) [][]Pair {
-	n := spec.Partitioner.NumPartitions()
-	out := make([][]Pair, n)
-	for _, p := range records {
-		i := spec.Partitioner.PartitionFor(p.Key)
-		out[i] = append(out[i], p)
+	// One counting pass, so every bucket is allocated once at its final
+	// size (and PartitionFor, a binary search under a range partitioner,
+	// still runs once per record).
+	part := make([]int32, len(records))
+	counts := make([]int, spec.Partitioner.NumPartitions())
+	for i := range records {
+		k := spec.Partitioner.PartitionFor(records[i].Key)
+		part[i] = int32(k)
+		counts[k]++
+	}
+	out := make([][]Pair, len(counts))
+	for k, c := range counts {
+		if c > 0 {
+			out[k] = make([]Pair, 0, c)
+		}
+	}
+	for i, k := range part {
+		out[k] = append(out[k], records[i])
 	}
 	return out
 }
 
 // ReduceAggregate applies the reduce-side semantics of the spec to one
 // reduce partition's gathered shard records: combining, grouping, or
-// sorting as requested.
+// sorting as requested. Like MapSidePrepare it only reads records — callers
+// pass stored shards — and returns a slice of its own.
 func ReduceAggregate(spec *ShuffleSpec, records []Pair) []Pair {
 	var out []Pair
 	switch {
@@ -47,11 +56,14 @@ func ReduceAggregate(spec *ShuffleSpec, records []Pair) []Pair {
 		out = combineByKey(spec.Combine, records)
 	default:
 		out = make([]Pair, len(records))
-		copy(out, records)
+		if spec.SortKeys {
+			sortByKey(out, records) // the copy is the sort's one permutation
+		} else {
+			copy(out, records)
+		}
+		return out
 	}
-	if spec.SortKeys || spec.GroupAll || spec.Combine != nil {
-		sortByKeyStable(out)
-	}
+	sortByKey(out, out)
 	return out
 }
 
@@ -125,8 +137,4 @@ func groupByKey(records []Pair) []Pair {
 		out = append(out, Pair{Key: k, Value: vs})
 	}
 	return out
-}
-
-func sortByKeyStable(records []Pair) {
-	slices.SortStableFunc(records, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
 }
