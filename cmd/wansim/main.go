@@ -1,152 +1,27 @@
-// Command wansim runs a single HiBench workload on the simulated
-// six-region cluster and prints its report: job completion time, stage
-// spans, traffic by class, the per-region traffic matrix, and (optionally)
-// the execution Gantt chart.
+// Command wansim runs one HiBench workload under one of the paper's
+// shuffle schemes and prints its run report — on the simulated six-region
+// cluster, on a real loopback TCP cluster (-live), or as a multi-tenant job
+// service taking workloads over HTTP (-serve).
 //
-// Usage:
+//	wansim -workload pagerank -scheme agg -seed 3 -matrix -gantt -validate
+//	wansim -workload sort -scheme spark -live -report run.json
+//	wansim -serve -live -telemetry-addr 127.0.0.1:9090 -tenants heavy=3,light=1
 //
-//	wansim -workload pagerank -scheme agg -seed 3 -gantt
-//
-// Flags:
-//
-//	-workload  wordcount | sort | terasort | pagerank | naivebayes
-//	-scheme    spark | centralized | agg | manual
-//	-aggregator best | random | worst | bandwidth — automatic aggregator
-//	           selection rule for agg-scheme shuffles (default best, the
-//	           paper's largest-input-share rule). bandwidth ranks candidate
-//	           sites by estimated transfer time over the measured (falling
-//	           back to configured, then uniform) link matrix; the report's
-//	           placement section records each decision. random is
-//	           sim-only (the live path carries no seeded RNG).
-//	-seed      run seed (default 1)
-//	-scale     modeled-size multiplier vs Table I (default 1.0)
-//	-gantt     print the per-worker execution timeline
-//	-chrome    write a Chrome trace-event JSON (chrome://tracing, Perfetto)
-//	           to the given file
-//	-matrix    print the traffic matrix (per-region simulated; per-worker
-//	           live, with a driver row for control-plane sampling)
-//	-report    write the canonical JSON run report (schema
-//	           wanshuffle/run-report/v1) to the given file
-//	-validate  check the output against the in-memory reference
-//	-live      execute on a real loopback TCP cluster instead of the
-//	           simulator (scheme spark → fetch shuffle, agg → push)
-//
-// Telemetry plane (both modes):
-//
-//	-telemetry-addr    serve GET /metrics (Prometheus text), /report
-//	                   (point-in-time run-report JSON), /events (NDJSON
-//	                   task-lifecycle stream), /trace (NDJSON causal trace
-//	                   spans: mid-run for -live, post-run for sim), /links
-//	                   (the measured link estimate matrix), /timeline (the
-//	                   sampled metrics time-series ring) and /debug/pprof/
-//	                   on this address (e.g. 127.0.0.1:9090). Empty
-//	                   disables.
-//	-telemetry-linger  keep the endpoint up this long after the run, so
-//	                   scrapers can read the final state (must not be
-//	                   negative; warns when set without -telemetry-addr)
-//	-timeline-interval metrics timeline sampling period (default 250ms,
-//	                   must be positive)
-//	-timeline-cap      metrics timeline ring capacity in samples (default
-//	                   512, must be positive); when full, oldest samples
-//	                   drop first
-//	-progress          print a live progress line (stages/tasks/bytes) to
-//	                   stderr while the run executes
-//	-log-level         structured log level: debug | info | warn | error |
-//	                   off (default warn), written to stderr
-//	-heartbeat         -live worker→driver heartbeat interval (must be
-//	                   positive when set; unset = 50ms default)
-//	-stale-after       -live heartbeat staleness threshold (must be
-//	                   positive and exceed -heartbeat when set; unset = 1s)
-//
-// Wire protocol (-live data plane):
-//
-//	-compress          per-chunk compression codec for pushes and fetches:
-//	                   none | gzip | flate (default none). Compressed runs
-//	                   report bytes_raw_total >= bytes_wire_total.
-//	-chunk-records     records per chunk frame (default 256; must be > 0)
-//	-push-fanout       parallel chunk streams per push (default 2; must
-//	                   be > 0; 1 = serial)
-//	-dial-timeout      TCP dial timeout for data-plane connections
-//	                   (0 = 5s default, negative disables)
-//	-io-timeout        per-exchange I/O deadline; a hung peer fails the
-//	                   task attempt instead of wedging the run (0 = 30s
-//	                   default, negative disables)
-//
-// Block store (-live storage plane):
-//
-//	-memory-budget     per-worker resident budget for stored shuffle
-//	                   blocks, e.g. 64KB, 16MiB, or plain bytes. When
-//	                   exceeded, the coldest outputs spill to temp files
-//	                   and reload transparently on fetch. Empty (default)
-//	                   keeps everything resident; must parse positive.
-//	-spill-dir         directory for spill files (default: OS temp dir);
-//	                   each worker uses its own subdirectory, removed on
-//	                   shutdown
-//
-// WAN shaping (-live network plane):
-//
-//	-topology          pace the loopback data plane at a WAN preset's
-//	                   configured inter-DC rates: ec2 (the paper's
-//	                   six-region cluster) | micro (two DCs, ¼-rate
-//	                   inter-DC path). Workers map round-robin onto the
-//	                   preset's hosts; the run report's network section
-//	                   then carries measured-vs-configured drift per link.
-//	                   Empty (default) leaves loopback unshaped.
-//
-// Job service (-serve):
-//
-//	-serve             run as a multi-tenant job service instead of one
-//	                   workload: named workloads are submitted as JSON over
-//	                   POST /jobs on the telemetry endpoint (required) and
-//	                   dispatched one at a time, weighted-fair across
-//	                   tenants; SIGINT/SIGTERM drains and exits
-//	-tenants           tenant weights, e.g. heavy=3,light=1; unlisted
-//	                   tenants weigh 1
-//	-max-queue         admission bound on queued jobs (default 16);
-//	                   over-bound submissions get HTTP 429
-//	-max-queued-bytes  admission bound on the summed est_bytes of queued
-//	                   and running jobs (empty = unbounded)
-//	-job-deadline      default per-job deadline; a submission's
-//	                   deadline_ms field overrides it
-//
-// SIGINT/SIGTERM is honored in every mode: a single run cancels the
-// in-flight job cooperatively (tasks stop launching, the cluster unwinds,
-// spill directories are removed) and serve mode additionally drains its
-// queue before exiting.
-//
-// -gantt, -chrome, -matrix, and -report all work in both modes: a
-// simulated run renders virtual time and per-region traffic, while a -live
-// run renders wall-clock spans measured on the workers and per-worker TCP
-// byte counts, through the same code paths and the same report schema.
-// GET /report after the run serves byte-for-byte the same JSON that
-// -report writes: both encode the one final report object.
+// `wansim -h` lists every flag; README.md documents them by plane. All three
+// modes run from one options value (options.go) through one backend seam
+// (backend.go): runOnce (run.go) and runServe (serve.go) never learn which
+// substrate executes the job, and everything printed comes from the
+// canonical obs.Report (print.go). SIGINT/SIGTERM cancels the in-flight job
+// cooperatively in every mode; -serve additionally drains its queue.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"syscall"
-	"time"
-
-	"wanshuffle/internal/core"
-	"wanshuffle/internal/exec"
-	"wanshuffle/internal/livecluster"
-	"wanshuffle/internal/netobs"
-	"wanshuffle/internal/obs"
-	"wanshuffle/internal/plan"
-	"wanshuffle/internal/telemetry"
-	"wanshuffle/internal/topology"
-	"wanshuffle/internal/trace"
-	"wanshuffle/internal/workloads"
 )
 
 func main() {
@@ -156,752 +31,25 @@ func main() {
 	}
 }
 
+// run is the process entry point minus os.Exit: SIGINT/SIGTERM cancels the
+// context, which unwinds the in-flight job (tasks stop launching, the
+// cluster closes, spill directories are removed) instead of killing the
+// process mid-transfer.
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("wansim", flag.ContinueOnError)
-	workload := fs.String("workload", "wordcount", "workload name")
-	scheme := fs.String("scheme", "agg", "spark | centralized | agg | manual")
-	aggregator := fs.String("aggregator", "best", "automatic aggregator rule: best | random | worst | bandwidth (random is sim-only)")
-	seed := fs.Int64("seed", 1, "run seed")
-	scale := fs.Float64("scale", 1.0, "modeled-size multiplier vs Table I")
-	gantt := fs.Bool("gantt", false, "print the execution timeline")
-	chrome := fs.String("chrome", "", "write a Chrome trace-event JSON to this file")
-	matrix := fs.Bool("matrix", false, "print the traffic matrix (per-region sim, per-worker live)")
-	report := fs.String("report", "", "write the canonical JSON run report to this file")
-	validate := fs.Bool("validate", false, "validate output against the reference")
-	live := fs.Bool("live", false, "run on a real loopback TCP cluster instead of the simulator")
-	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /report, /events and /debug/pprof/ on this address (empty disables)")
-	linger := fs.Duration("telemetry-linger", 0, "keep the telemetry endpoint up this long after the run completes")
-	progress := fs.Bool("progress", false, "print a live progress line to stderr during the run")
-	logLevel := fs.String("log-level", "warn", "structured log level: debug | info | warn | error | off")
-	heartbeat := fs.Duration("heartbeat", 0, "-live worker heartbeat interval (must be positive when set; unset = 50ms default)")
-	staleAfter := fs.Duration("stale-after", 0, "-live heartbeat staleness threshold (must be positive and exceed -heartbeat when set; unset = 1s)")
-	compress := fs.String("compress", "", "-live per-chunk compression codec: none | gzip | flate")
-	chunkRecords := fs.Int("chunk-records", 256, "-live records per chunk frame (must be positive)")
-	pushFanout := fs.Int("push-fanout", 2, "-live parallel chunk streams per push (must be positive; 1 = serial)")
-	dialTimeout := fs.Duration("dial-timeout", 0, "-live data-plane dial timeout (0 = 5s default, negative disables)")
-	ioTimeout := fs.Duration("io-timeout", 0, "-live per-exchange I/O deadline (0 = 30s default, negative disables)")
-	memoryBudget := fs.String("memory-budget", "", "-live per-worker resident budget for stored shuffle blocks, e.g. 64KB or 16MiB (empty = unlimited)")
-	spillDir := fs.String("spill-dir", "", "-live directory for spilled shuffle blocks (empty = OS temp dir)")
-	topoName := fs.String("topology", "", "-live WAN preset shaping the loopback data plane: ec2 | micro (empty = unshaped)")
-	timelineInterval := fs.Duration("timeline-interval", netobs.DefaultInterval, "metrics timeline sampling period (must be positive)")
-	timelineCap := fs.Int("timeline-cap", netobs.DefaultCap, "metrics timeline ring capacity in samples (must be positive)")
-	serve := fs.Bool("serve", false, "run as a multi-tenant job service accepting HTTP submissions on -telemetry-addr instead of one workload")
-	tenants := fs.String("tenants", "", "-serve tenant weights, e.g. heavy=3,light=1 (unlisted tenants weigh 1)")
-	maxQueue := fs.Int("max-queue", 16, "-serve admission bound on queued jobs (must be positive)")
-	maxQueuedBytes := fs.String("max-queued-bytes", "", "-serve admission bound on summed est_bytes of queued+running jobs, e.g. 256MB (empty = unbounded)")
-	jobDeadline := fs.Duration("job-deadline", 0, "-serve default per-job deadline (0 = none; a request's deadline_ms overrides)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// Flag validation: a zero or negative chunk size, fanout, or budget has
-	// no meaningful interpretation on the data plane — fail loudly up front
-	// instead of letting a silent default mask the typo.
-	if *chunkRecords <= 0 {
-		return fmt.Errorf("-chunk-records must be positive, got %d", *chunkRecords)
-	}
-	if *pushFanout <= 0 {
-		return fmt.Errorf("-push-fanout must be positive, got %d", *pushFanout)
-	}
-	budgetBytes, err := parseMemoryBudget(*memoryBudget)
-	if err != nil {
-		return err
-	}
-	liveTopo, err := topologyByName(*topoName)
-	if err != nil {
-		return err
-	}
-	// Job-service plane validation: the service only takes submissions over
-	// HTTP, so -serve without an endpoint could never receive a job; a
-	// non-positive queue bound would reject everything; tenant weights and
-	// the queued-bytes bound must parse.
-	tenantWeights, err := parseTenantWeights(*tenants)
-	if err != nil {
-		return err
-	}
-	if *maxQueue <= 0 {
-		return fmt.Errorf("-max-queue must be positive, got %d", *maxQueue)
-	}
-	queuedBytes, err := parseByteSize("-max-queued-bytes", *maxQueuedBytes)
-	if err != nil {
-		return err
-	}
-	if *jobDeadline < 0 {
-		return fmt.Errorf("-job-deadline must not be negative, got %v", *jobDeadline)
-	}
-	if *serve && *telemetryAddr == "" {
-		return fmt.Errorf("-serve requires -telemetry-addr: submissions arrive over HTTP")
-	}
-	if !*serve && *tenants != "" {
-		fmt.Fprintf(os.Stderr, "wansim: warning: -tenants %q has no effect without -serve\n", *tenants)
-	}
-	// Telemetry plane validation: a negative linger is a typo (zero already
-	// means "don't linger"), and the timeline sampler cannot tick at a
-	// non-positive period or retain a non-positive ring.
-	if *linger < 0 {
-		return fmt.Errorf("-telemetry-linger must not be negative, got %v", *linger)
-	}
-	if *linger > 0 && *telemetryAddr == "" {
-		fmt.Fprintf(os.Stderr, "wansim: warning: -telemetry-linger %v has no effect without -telemetry-addr\n", *linger)
-	}
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be positive, got %v", *timelineInterval)
-	}
-	if *timelineCap <= 0 {
-		return fmt.Errorf("-timeline-cap must be positive, got %d", *timelineCap)
-	}
-	// Heartbeat plane validation: an explicitly non-positive interval or
-	// staleness threshold is a typo, not a request (zero means "default" only
-	// when the flag is left unset), and a staleness bound at or below the
-	// beat interval would declare every worker dead between beats.
-	hbSet, saSet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "heartbeat":
-			hbSet = true
-		case "stale-after":
-			saSet = true
-		}
-	})
-	if hbSet && *heartbeat <= 0 {
-		return fmt.Errorf("-heartbeat must be positive, got %v", *heartbeat)
-	}
-	if saSet && *staleAfter <= 0 {
-		return fmt.Errorf("-stale-after must be positive, got %v", *staleAfter)
-	}
-	effHeartbeat, effStale := *heartbeat, *staleAfter
-	if effHeartbeat == 0 {
-		effHeartbeat = 50 * time.Millisecond
-	}
-	if effStale == 0 {
-		effStale = time.Second
-	}
-	if effStale <= effHeartbeat {
-		return fmt.Errorf("-stale-after (%v) must exceed -heartbeat (%v): workers would look dead between beats", effStale, effHeartbeat)
-	}
-
-	w, err := workloads.ByName(*workload)
-	if err != nil {
-		return err
-	}
-	schemes := map[string]core.Scheme{
-		"spark": core.SchemeSpark, "centralized": core.SchemeCentralized,
-		"agg": core.SchemeAggShuffle, "manual": core.SchemeManual,
-	}
-	sch, ok := schemes[strings.ToLower(*scheme)]
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", *scheme)
-	}
-	aggPolicy, err := plan.ParseAggregatorPolicy(*aggregator)
-	if err != nil {
-		return fmt.Errorf("-aggregator: %w", err)
-	}
-	if *live && aggPolicy == plan.AggregatorRandom {
-		return fmt.Errorf("-aggregator random is not supported with -live (the live path carries no seeded RNG)")
-	}
-	logger, err := buildLogger(*logLevel)
-	if err != nil {
-		return err
-	}
-
-	// Graceful shutdown: SIGINT/SIGTERM cancels the run context, which
-	// unwinds the in-flight job cooperatively (stops launching tasks,
-	// drains) instead of killing the process mid-transfer — spill dirs are
-	// removed and telemetry flushes its final state.
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	return runContext(ctx, args, stdout, os.Stderr)
+}
 
-	obsOptsEarly := obsOptions{
-		telemetryAddr: *telemetryAddr, linger: *linger,
-		progress: *progress, logger: logger,
-		timelineInterval: *timelineInterval, timelineCap: *timelineCap,
-	}
-	if *serve {
-		return runServe(sigCtx, serveConfig{
-			live: *live, scheme: sch, aggregator: aggPolicy,
-			seed: *seed, scale: *scale,
-			weights: tenantWeights, maxQueue: *maxQueue,
-			queuedBytes: queuedBytes, jobDeadline: *jobDeadline,
-			liveOpts: liveOptions{
-				heartbeat: *heartbeat, staleAfter: *staleAfter,
-				compress: *compress, chunkRecords: *chunkRecords,
-				pushFanout:  *pushFanout,
-				dialTimeout: *dialTimeout, ioTimeout: *ioTimeout,
-				memoryBudget: budgetBytes, spillDir: *spillDir,
-				topology:   liveTopo,
-				aggregator: aggPolicy,
-				obs:        obsOptsEarly,
-			},
-			obs: obsOptsEarly,
-		}, stdout)
-	}
-
-	ctx := core.NewContext(core.Config{
-		Seed:   *seed,
-		Scheme: sch,
-		Exec: exec.Config{
-			Trace:            *gantt || *chrome != "" || *report != "" || *telemetryAddr != "",
-			AggregatorPolicy: aggPolicy,
-			Logger:           logger,
-		},
-	})
-	inst := w.Make(ctx, workloads.Options{Seed: *seed, Scale: *scale})
-	obsOpts := obsOptsEarly
-	if *live {
-		return runLive(sigCtx, w.Name, inst, sch, liveOptions{
-			gantt: *gantt, chrome: *chrome, matrix: *matrix,
-			report: *report, validate: *validate,
-			heartbeat: *heartbeat, staleAfter: *staleAfter,
-			compress: *compress, chunkRecords: *chunkRecords,
-			pushFanout:  *pushFanout,
-			dialTimeout: *dialTimeout, ioTimeout: *ioTimeout,
-			memoryBudget: budgetBytes, spillDir: *spillDir,
-			topology:   liveTopo,
-			aggregator: aggPolicy,
-			obs:        obsOpts,
-		}, stdout)
-	}
-
-	// Telemetry plane: until the run finishes, /report serves an
-	// in-progress snapshot built from the engine's event collector; the
-	// final report object then takes over — the same object -report writes,
-	// so file and endpoint are byte-identical. /trace serves spans only
-	// once the run completes: the simulator's recorder is single-threaded
-	// with its event loop, so mid-run reads would race.
-	var finalRep atomic.Pointer[obs.Report]
-	var finalSpans atomic.Pointer[[]trace.Span]
-	events := ctx.Engine().Events
-	sampler := startSampler(obsOpts, func() []obs.MetricPoint {
-		return events.Registry().Snapshot()
-	})
-	defer sampler.Stop()
-	tel, err := startTelemetry(obsOpts, stdout, telemetry.Config{
-		Registry: func() *obs.Registry { return events.Registry() },
-		Report: func() *obs.Report {
-			if rep := finalRep.Load(); rep != nil {
-				return rep
-			}
-			return obs.InProgressReport("sim", w.Name, sch.String(), events)
-		},
-		Events: func() *obs.Collector { return events },
-		Trace: func() []trace.Span {
-			if sp := finalSpans.Load(); sp != nil {
-				return *sp
-			}
-			return nil
-		},
-		// Mid-run /links reads the engine's flow-fed estimator; the final
-		// report's section (same data, same merge) takes over afterwards.
-		Links: func() *obs.NetworkStats {
-			if rep := finalRep.Load(); rep != nil {
-				return rep.Network
-			}
-			return ctx.Engine().NetworkStats()
-		},
-		Timeline: sampler.Samples,
-		Logger:   logger,
-	})
+// runContext parses the flags once and hands the options to the mode's run
+// path. Warnings and the progress line go to stderr.
+func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	o, err := parseOptions(args, stderr)
 	if err != nil {
 		return err
 	}
-	if tel != nil {
-		defer tel.Close()
+	if o.serve {
+		return runServe(ctx, o, stdout)
 	}
-	var prog *telemetry.Progress
-	if *progress {
-		prog = telemetry.StartProgress(os.Stderr, 0,
-			func() *obs.Collector { return events },
-			func() int64 { return sumCounter(events.Registry(), "bytes_moved_total") })
-	}
-	rep, err := ctx.SaveContext(sigCtx, inst.Target)
-	if prog != nil {
-		prog.Stop()
-	}
-	if err != nil {
-		return err
-	}
-	runRep := rep.RunReport(w.Name)
-	finalRep.Store(runRep)
-	spans := trace.EnforceCausality(rep.Spans())
-	finalSpans.Store(&spans)
-
-	fmt.Fprintf(stdout, "%s under %v (seed %d, scale %.2f)\n", w.Name, sch, *seed, *scale)
-	fmt.Fprintf(stdout, "  job completion time: %.1f s\n", rep.JCT)
-	fmt.Fprintf(stdout, "  cross-DC traffic:    %.0f MB\n", rep.CrossDCBytes/1e6)
-	tags := make([]string, 0, len(rep.CrossDCByTag))
-	for tag := range rep.CrossDCByTag {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	for _, tag := range tags {
-		fmt.Fprintf(stdout, "    %-12s %8.0f MB\n", tag, rep.CrossDCByTag[tag]/1e6)
-	}
-	fmt.Fprintf(stdout, "  task attempts:       %d\n", rep.TaskAttempts)
-	if cp := runRep.CriticalPath; cp != nil {
-		fmt.Fprintf(stdout, "  %s\n", cp.Summary())
-	}
-	fmt.Fprintf(stdout, "  %s\n", netobs.Summary(runRep.Network))
-	printPlacement(stdout, runRep.Placement)
-	fmt.Fprintln(stdout, "  stages:")
-	for _, st := range rep.Stages {
-		fmt.Fprintf(stdout, "    %-34s %7.1f -> %7.1f (%6.1f s)\n", st.Name, st.Start, st.End, st.End-st.Start)
-	}
-	if *matrix {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, rep.TrafficMatrix())
-	}
-	if *gantt {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, rep.Gantt(110))
-	}
-	if *chrome != "" {
-		f, err := os.Create(*chrome)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteChromeTrace(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  Chrome trace written to %s\n", *chrome)
-	}
-	if *report != "" {
-		if err := writeReport(*report, runRep); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  run report written to %s\n", *report)
-	}
-	if *validate {
-		if err := inst.Validate(rep.Records); err != nil {
-			return fmt.Errorf("validation failed: %w", err)
-		}
-		fmt.Fprintln(stdout, "  output validated against the in-memory reference ✓")
-	}
-	lingerTelemetry(tel, obsOpts, stdout)
-	return nil
-}
-
-// buildLogger maps the -log-level flag to a stderr text logger; "off"
-// yields nil (discard).
-func buildLogger(level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "off", "none", "":
-		return nil, nil
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn", "warning":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown log level %q (debug | info | warn | error | off)", level)
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
-}
-
-// obsOptions carries the mode-independent observability flags.
-type obsOptions struct {
-	telemetryAddr    string
-	linger           time.Duration
-	progress         bool
-	logger           *slog.Logger
-	timelineInterval time.Duration
-	timelineCap      int
-}
-
-// topologyByName maps the -topology flag to a WAN preset shaping the live
-// data plane; empty means unshaped loopback.
-func topologyByName(name string) (*topology.Topology, error) {
-	switch strings.ToLower(name) {
-	case "":
-		return nil, nil
-	case "ec2":
-		return topology.SixRegionEC2(), nil
-	case "micro":
-		return topology.TwoDCMicro(0, 0), nil
-	default:
-		return nil, fmt.Errorf("unknown -topology %q (ec2 | micro)", name)
-	}
-}
-
-// startSampler begins the metrics timeline ring feeding GET /timeline.
-// Without a telemetry endpoint nothing can read it, so it returns nil
-// (safe to Stop and to query) and samples nothing.
-func startSampler(opts obsOptions, source func() []obs.MetricPoint) *netobs.Sampler {
-	if opts.telemetryAddr == "" {
-		return nil
-	}
-	s := netobs.NewSampler(netobs.SamplerConfig{
-		Interval: opts.timelineInterval,
-		Cap:      opts.timelineCap,
-		Source:   source,
-	})
-	s.Start()
-	return s
-}
-
-// startTelemetry brings the telemetry HTTP endpoint up when configured
-// (nil server otherwise) and announces its URL.
-func startTelemetry(opts obsOptions, stdout io.Writer, cfg telemetry.Config) (*telemetry.Server, error) {
-	if opts.telemetryAddr == "" {
-		return nil, nil
-	}
-	tel, err := telemetry.Start(opts.telemetryAddr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stdout, "telemetry: serving at %s (GET /metrics /report /events /trace /links /timeline /debug/pprof/)\n", tel.URL())
-	return tel, nil
-}
-
-// lingerTelemetry keeps a running endpoint up past job completion, so
-// scrapers can collect the final state.
-func lingerTelemetry(tel *telemetry.Server, opts obsOptions, stdout io.Writer) {
-	if tel == nil || opts.linger <= 0 {
-		return
-	}
-	fmt.Fprintf(stdout, "telemetry: lingering %v at %s\n", opts.linger, tel.URL())
-	time.Sleep(opts.linger)
-}
-
-// printPlacement renders the report's placement section: one line per
-// automatic aggregator decision, naming the chosen site, its estimated
-// transfer cost, and the bandwidth source behind the estimate.
-func printPlacement(stdout io.Writer, p *obs.PlacementStats) {
-	if p == nil {
-		return
-	}
-	fmt.Fprintf(stdout, "  placement (%s policy):\n", p.Policy)
-	for _, d := range p.Decisions {
-		site := d.ChosenSite
-		if site == "" {
-			site = fmt.Sprintf("site %d", d.Chosen)
-		}
-		source := d.Source
-		if source == "" {
-			source = "local"
-		}
-		fmt.Fprintf(stdout, "    shuffle %d -> %s (est. %.3f s, %s bandwidth, %d candidates)\n",
-			d.Shuffle, site, d.CostSec, source, len(d.Candidates))
-	}
-}
-
-// sumCounter totals a counter metric over all label sets.
-func sumCounter(reg *obs.Registry, name string) int64 {
-	var total float64
-	for _, p := range reg.Snapshot() {
-		if p.Name == name {
-			total += p.Value
-		}
-	}
-	return int64(total)
-}
-
-// writeReport writes one canonical run report to path.
-func writeReport(path string, rep *obs.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// liveOptions carries the observability flags into a live run.
-type liveOptions struct {
-	gantt        bool
-	chrome       string
-	matrix       bool
-	report       string
-	validate     bool
-	heartbeat    time.Duration
-	staleAfter   time.Duration
-	compress     string
-	chunkRecords int
-	pushFanout   int
-	dialTimeout  time.Duration
-	ioTimeout    time.Duration
-	memoryBudget int64
-	spillDir     string
-	topology     *topology.Topology
-	aggregator   plan.AggregatorPolicy
-	obs          obsOptions
-}
-
-// parseMemoryBudget parses the -memory-budget flag: a positive integer
-// with an optional binary (KiB/MiB/GiB) or decimal (KB/MB/GB, or bare
-// K/M/G) suffix; empty means no budget (everything stays resident).
-func parseMemoryBudget(s string) (int64, error) {
-	return parseByteSize("-memory-budget", s)
-}
-
-// parseByteSize parses a byte-size flag value: a positive integer with an
-// optional binary or decimal suffix; empty means unbounded (zero).
-func parseByteSize(flagName, s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	suffixes := []struct {
-		suffix string
-		mult   int64
-	}{
-		{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30},
-		{"KB", 1e3}, {"MB", 1e6}, {"GB", 1e9},
-		{"K", 1e3}, {"M", 1e6}, {"G", 1e9}, {"B", 1},
-	}
-	num, mult := s, int64(1)
-	for _, sf := range suffixes {
-		if len(s) > len(sf.suffix) && strings.EqualFold(s[len(s)-len(sf.suffix):], sf.suffix) {
-			num, mult = strings.TrimSpace(s[:len(s)-len(sf.suffix)]), sf.mult
-			break
-		}
-	}
-	n, err := strconv.ParseInt(num, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: cannot parse %q (want e.g. 65536, 64KB, or 16MiB)", flagName, s)
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("%s must be positive, got %q", flagName, s)
-	}
-	budget := n * mult
-	if budget/mult != n {
-		return 0, fmt.Errorf("%s %q overflows", flagName, s)
-	}
-	return budget, nil
-}
-
-// modeForScheme maps a shuffle scheme to its live mechanism: spark is the
-// fetch-based shuffle, agg is Push/Aggregate with per-shuffle measured-size
-// aggregator selection.
-func modeForScheme(sch core.Scheme) (livecluster.Mode, error) {
-	switch sch {
-	case core.SchemeSpark:
-		return livecluster.ModeFetch, nil
-	case core.SchemeAggShuffle:
-		return livecluster.ModePush, nil
-	default:
-		return 0, fmt.Errorf("-live supports schemes spark and agg, not %v", sch)
-	}
-}
-
-// newLiveCluster builds the loopback TCP cluster from the data-plane
-// flags — shared by single-run mode and the job service.
-func newLiveCluster(mode livecluster.Mode, opts liveOptions, tracer *trace.SyncRecorder) (*livecluster.Cluster, error) {
-	return livecluster.New(livecluster.Config{
-		Workers: 6, Mode: mode, Trace: tracer,
-		AggregatorPolicy:  opts.aggregator,
-		HeartbeatInterval: opts.heartbeat, StaleAfter: opts.staleAfter,
-		Compression: opts.compress, ChunkRecords: opts.chunkRecords,
-		PushFanout:  opts.pushFanout,
-		DialTimeout: opts.dialTimeout, IOTimeout: opts.ioTimeout,
-		MemoryBudget: opts.memoryBudget, SpillDir: opts.spillDir,
-		WANTopology: opts.topology,
-		Logger:      opts.obs.logger,
-	})
-}
-
-// runLive executes the workload on a real loopback TCP cluster. Timing and
-// traffic are wall-clock and actual socket bytes, not the WAN model. ctx
-// cancellation (SIGINT/SIGTERM) unwinds the run cooperatively.
-func runLive(ctx context.Context, name string, inst *workloads.Instance, sch core.Scheme, opts liveOptions, stdout io.Writer) error {
-	mode, err := modeForScheme(sch)
-	if err != nil {
-		return err
-	}
-	var tracer *trace.SyncRecorder
-	if opts.gantt || opts.chrome != "" || opts.report != "" || opts.obs.telemetryAddr != "" {
-		tracer = &trace.SyncRecorder{}
-	}
-	cluster, err := newLiveCluster(mode, opts, tracer)
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-
-	// Telemetry plane: mid-run scrapes read the running job's stats — the
-	// registry fed by worker heartbeats, and /report built by the same
-	// RunReport code path as the final file, so its traffic matrix always
-	// sums to the bytes moved so far. Scrapes refresh the per-worker
-	// heartbeat-age gauges first.
-	var finalRep atomic.Pointer[obs.Report]
-	sampler := startSampler(opts.obs, func() []obs.MetricPoint {
-		if s := cluster.CurrentStats(); s != nil {
-			return s.Events.Registry().Snapshot()
-		}
-		return nil
-	})
-	defer sampler.Stop()
-	tel, err := startTelemetry(opts.obs, stdout, telemetry.Config{
-		Registry: func() *obs.Registry {
-			cluster.RefreshLiveness()
-			if s := cluster.CurrentStats(); s != nil {
-				return s.Events.Registry()
-			}
-			return nil
-		},
-		Report: func() *obs.Report {
-			if rep := finalRep.Load(); rep != nil {
-				return rep
-			}
-			if s := cluster.CurrentStats(); s != nil {
-				return s.RunReport(name, tracer)
-			}
-			return nil
-		},
-		Events: func() *obs.Collector {
-			if s := cluster.CurrentStats(); s != nil {
-				return s.Events
-			}
-			return nil
-		},
-		// Mid-run /trace reads the driver's recorder directly: it fills
-		// continuously from driver-side spans and heartbeat-merged worker
-		// spans, already rebased onto the run clock.
-		Trace: func() []trace.Span {
-			if tracer == nil {
-				return nil
-			}
-			return tracer.Spans()
-		},
-		// /links reads the cluster's cross-job estimator: heartbeat-shipped
-		// transfer samples merged with the configured WAN topology's rates.
-		Links:    cluster.NetworkStats,
-		Timeline: sampler.Samples,
-		Logger:   opts.obs.logger,
-	})
-	if err != nil {
-		return err
-	}
-	if tel != nil {
-		defer tel.Close()
-	}
-	var prog *telemetry.Progress
-	if opts.obs.progress {
-		prog = telemetry.StartProgress(os.Stderr, 0,
-			func() *obs.Collector {
-				if s := cluster.CurrentStats(); s != nil {
-					return s.Events
-				}
-				return nil
-			},
-			func() int64 {
-				if s := cluster.CurrentStats(); s != nil {
-					return s.BytesMoved()
-				}
-				return 0
-			})
-	}
-	out, stats, err := cluster.RunContext(ctx, inst.Target)
-	if prog != nil {
-		prog.Stop()
-	}
-	if err != nil {
-		return err
-	}
-	runRep := stats.RunReport(name, tracer)
-	finalRep.Store(runRep)
-
-	fmt.Fprintf(stdout, "%s live on %d workers (%s shuffle)\n", name, len(stats.ShardsByWorker), mode)
-	fmt.Fprintf(stdout, "  completion time:  %.3f s\n", stats.CompletionSec)
-	fmt.Fprintf(stdout, "  output records:   %d\n", len(out))
-	fmt.Fprintf(stdout, "  bytes over TCP:   %d\n", stats.BytesOverTCP)
-	if stats.BytesRaw > stats.BytesOverTCP {
-		fmt.Fprintf(stdout, "  bytes raw:        %d (compression ratio %.2fx)\n",
-			stats.BytesRaw, float64(stats.BytesRaw)/float64(stats.BytesOverTCP))
-	}
-	fmt.Fprintf(stdout, "  pushes/fetches:   %d/%d (%d samples, %d dials, %d retries)\n",
-		stats.PushConnections, stats.FetchConnections, stats.SampleRequests, stats.Dials, stats.Retries)
-	if cp := runRep.CriticalPath; cp != nil {
-		fmt.Fprintf(stdout, "  %s\n", cp.Summary())
-	}
-	fmt.Fprintf(stdout, "  %s\n", netobs.Summary(runRep.Network))
-	printPlacement(stdout, runRep.Placement)
-	if st := stats.Storage(); st.SpillEvents > 0 {
-		fmt.Fprintf(stdout, "  block store:      %d spills (%d bytes to disk, %d reloaded), %d bytes resident\n",
-			st.SpillEvents, st.SpilledBytesTotal, st.ReloadBytesTotal, st.ResidentBytes)
-	}
-	fmt.Fprintln(stdout, "  stages:")
-	for _, st := range stats.StageSpans {
-		fmt.Fprintf(stdout, "    %-34s %7.3f -> %7.3f (%6.3f s)\n", st.Name, st.Start, st.End, st.End-st.Start)
-	}
-	if mode == livecluster.ModePush {
-		ids := make([]int, 0, len(stats.AggregatorsByShuffle))
-		for id := range stats.AggregatorsByShuffle {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			fmt.Fprintf(stdout, "  shuffle %d aggregated at worker(s) %v\n", id, stats.AggregatorsByShuffle[id])
-		}
-	}
-	if opts.matrix {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, liveMatrix(stats))
-	}
-	if opts.gantt {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, tracer.Gantt(cluster.Topology(), 110))
-	}
-	if opts.chrome != "" {
-		f, err := os.Create(opts.chrome)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteChromeTrace(f, cluster.Topology()); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  Chrome trace written to %s\n", opts.chrome)
-	}
-	if opts.report != "" {
-		if err := writeReport(opts.report, runRep); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  run report written to %s\n", opts.report)
-	}
-	if opts.validate {
-		if err := inst.Validate(out); err != nil {
-			return fmt.Errorf("validation failed: %w", err)
-		}
-		fmt.Fprintln(stdout, "  output validated against the in-memory reference ✓")
-	}
-	lingerTelemetry(tel, opts.obs, stdout)
-	return nil
-}
-
-// liveMatrix renders the per-worker TCP traffic matrix, mirroring the
-// simulated report's per-region rendering.
-func liveMatrix(stats *livecluster.Stats) string {
-	var b strings.Builder
-	labels := stats.MatrixLabels()
-	b.WriteString("TCP traffic (KB), row=source, col=destination\n")
-	fmt.Fprintf(&b, "%8s", "")
-	for _, n := range labels {
-		fmt.Fprintf(&b, " %10s", n)
-	}
-	b.WriteString("\n")
-	for i, row := range stats.TrafficMatrix {
-		fmt.Fprintf(&b, "%8s", labels[i])
-		for j, v := range row {
-			if i == j {
-				fmt.Fprintf(&b, " %10s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, " %10.1f", float64(v)/1e3)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+	return runOnce(ctx, o, stdout, stderr)
 }

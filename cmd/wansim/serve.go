@@ -4,109 +4,48 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
+	"sync/atomic"
 
-	"wanshuffle/internal/core"
-	"wanshuffle/internal/exec"
 	"wanshuffle/internal/jobs"
-	"wanshuffle/internal/livecluster"
 	"wanshuffle/internal/obs"
-	"wanshuffle/internal/plan"
 	"wanshuffle/internal/telemetry"
 	"wanshuffle/internal/workloads"
 )
 
-// serveConfig carries the job-service flags plus the backend selection
-// shared with single-run mode.
-type serveConfig struct {
-	live        bool
-	scheme      core.Scheme
-	aggregator  plan.AggregatorPolicy
-	seed        int64
-	scale       float64
-	weights     map[string]float64
-	maxQueue    int
-	queuedBytes int64
-	jobDeadline time.Duration
-	liveOpts    liveOptions
-	obs         obsOptions
-}
-
-// parseTenantWeights parses the -tenants flag: comma-separated
-// name=weight pairs with strictly positive weights. Empty means every
-// tenant gets the default weight.
-func parseTenantWeights(s string) (map[string]float64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
+// runServe runs wansim as a multi-tenant job service: a jobs.Service taking
+// named-workload submissions over HTTP on the telemetry endpoint until ctx
+// is canceled (SIGINT/SIGTERM). Every round of every job is one backend.run,
+// exactly as in a single run.
+func runServe(ctx context.Context, o *options, stdout io.Writer) error {
+	open, release, err := openBackend(o)
+	if err != nil {
+		return err
 	}
-	weights := make(map[string]float64)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("-tenants: %q is not name=weight", strings.TrimSpace(part))
-		}
-		name = strings.TrimSpace(name)
-		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || name == "" || !(w > 0) {
-			return nil, fmt.Errorf("-tenants: %q needs a tenant name and a positive weight", strings.TrimSpace(part))
-		}
-		if _, dup := weights[name]; dup {
-			return nil, fmt.Errorf("-tenants: tenant %q listed twice", name)
-		}
-		weights[name] = w
-	}
-	return weights, nil
-}
-
-// runServe runs wansim as a multi-tenant job service: a jobs.Service
-// fronting either backend, taking named-workload submissions over HTTP on
-// the telemetry endpoint until SIGINT/SIGTERM. The live backend shares one
-// Cluster across all jobs (its link estimator keeps learning across them);
-// the simulator backend builds a fresh engine per job, since a canceled
-// simulation cannot be resumed.
-func runServe(sigCtx context.Context, cfg serveConfig, stdout io.Writer) error {
-	backend := "sim"
-	var cluster *livecluster.Cluster
-	if cfg.live {
-		mode, err := modeForScheme(cfg.scheme)
-		if err != nil {
-			return err
-		}
-		cluster, err = newLiveCluster(mode, cfg.liveOpts, nil)
-		if err != nil {
-			return err
-		}
-		defer cluster.Close()
-		backend = "live"
-	}
+	defer release()
 
 	svc := jobs.New(jobs.Config{
-		Weights:         cfg.weights,
-		MaxQueue:        cfg.maxQueue,
-		MaxQueuedBytes:  cfg.queuedBytes,
-		DefaultDeadline: cfg.jobDeadline,
-		Logger:          cfg.obs.logger,
+		Weights:         o.weights,
+		MaxQueue:        o.maxQueue,
+		MaxQueuedBytes:  o.queuedBytes,
+		DefaultDeadline: o.jobDeadline,
+		Logger:          o.logger,
 	})
 	defer svc.Close()
 
+	// cur is the backend of the running (else the last) job: /events and
+	// /links follow it.
+	var cur atomic.Pointer[backend]
 	build := func(req jobs.SubmitRequest) (jobs.Submission, error) {
 		w, err := workloads.ByName(req.Workload)
 		if err != nil {
 			return jobs.Submission{}, err
 		}
-		tenant := req.Tenant
-		if tenant == "" {
-			tenant = "default"
-		}
 		seed, scale, repeat := req.Seed, req.Scale, req.Repeat
 		if seed == 0 {
-			seed = cfg.seed
+			seed = o.seed
 		}
 		if scale <= 0 {
-			scale = cfg.scale
+			scale = o.scale
 		}
 		if repeat == 0 {
 			repeat = 1
@@ -114,47 +53,19 @@ func runServe(sigCtx context.Context, cfg serveConfig, stdout io.Writer) error {
 		if repeat < 0 {
 			return jobs.Submission{}, fmt.Errorf("repeat must be positive, got %d", repeat)
 		}
-		// One round of the workload; repeat chains rounds inside the one
-		// job, re-checking the job's context between them so a deadline or
+		// repeat chains rounds of the workload inside the one job,
+		// re-checking the job's context between them so a deadline or
 		// cancel lands at the next round boundary at the latest.
-		var round func(ctx context.Context) (*obs.Report, error)
-		if cluster != nil {
-			round = func(ctx context.Context) (*obs.Report, error) {
-				// The core.Context here only constructs the workload's RDD
-				// graph; execution happens on the shared live cluster.
-				cctx := core.NewContext(core.Config{Seed: seed, Scheme: cfg.scheme})
-				inst := w.Make(cctx, workloads.Options{Seed: seed, Scale: scale})
-				_, stats, err := cluster.RunContext(ctx, inst.Target)
-				if err != nil {
-					return nil, err
-				}
-				return stats.RunReport(w.Name, nil), nil
-			}
-		} else {
-			round = func(ctx context.Context) (*obs.Report, error) {
-				cctx := core.NewContext(core.Config{
-					Seed: seed, Scheme: cfg.scheme,
-					Exec: exec.Config{
-						Trace:            true,
-						AggregatorPolicy: cfg.aggregator,
-						Logger:           cfg.obs.logger,
-					},
-				})
-				inst := w.Make(cctx, workloads.Options{Seed: seed, Scale: scale})
-				rep, err := cctx.SaveContext(ctx, inst.Target)
-				if err != nil {
-					return nil, err
-				}
-				return rep.RunReport(w.Name), nil
-			}
-		}
 		run := func(ctx context.Context) (*obs.Report, error) {
 			var last *obs.Report
 			for i := 0; i < repeat; i++ {
 				if err := ctx.Err(); err != nil {
 					return last, fmt.Errorf("jobs: canceled after %d/%d rounds: %w", i, repeat, err)
 				}
-				rep, err := round(ctx)
+				b := open(seed)
+				cur.Store(b)
+				inst := w.Make(b.lineage, workloads.Options{Seed: seed, Scale: scale})
+				_, rep, err := b.run(ctx, w.Name, inst.Target)
 				if err != nil {
 					return last, err
 				}
@@ -163,47 +74,45 @@ func runServe(sigCtx context.Context, cfg serveConfig, stdout io.Writer) error {
 			return last, nil
 		}
 		return jobs.Submission{
-			Tenant: tenant, Name: w.Name,
+			Tenant: req.Tenant, Name: w.Name,
 			EstBytes: req.EstBytes, Run: run,
 		}, nil
 	}
 
 	// The telemetry endpoint doubles as the submission API: /metrics serves
-	// the service's jobs_* registry, /jobs the job surface; with a live
-	// backend /links exposes the cluster's cross-job link estimates and
-	// /events the running job's task lifecycle.
-	telCfg := telemetry.Config{
-		Registry: func() *obs.Registry { return svc.Registry() },
+	// the service's jobs_* registry and /jobs the job surface.
+	_, stopTelemetry, err := startTelemetry(o, stdout, telemetry.Config{
+		Registry: svc.Registry,
 		Jobs:     jobs.NewHandler(svc, build),
-		Logger:   cfg.obs.logger,
-	}
-	if cluster != nil {
-		telCfg.Links = cluster.NetworkStats
-		telCfg.Events = func() *obs.Collector {
-			if s := cluster.CurrentStats(); s != nil {
-				return s.Events
+		Events: func() *obs.Collector {
+			if b := cur.Load(); b != nil {
+				return b.events()
 			}
 			return nil
-		}
-	}
-	tel, err := telemetry.Start(cfg.obs.telemetryAddr, telCfg)
+		},
+		Links: func() *obs.NetworkStats {
+			if b := cur.Load(); b != nil {
+				return b.links()
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		return err
 	}
-	defer tel.Close()
+	defer stopTelemetry()
+	fmt.Fprintf(stdout, "job service: POST /jobs submits {\"tenant\",\"workload\",...}; %v scheme, -live=%t, queue bound %d\n", o.scheme, o.live, o.maxQueue)
 
-	fmt.Fprintf(stdout, "job service: serving at %s (%s backend, %v scheme)\n", tel.URL(), backend, cfg.scheme)
-	fmt.Fprintf(stdout, "job service: POST /jobs submits {\"tenant\",\"workload\",...}; queue bound %d\n", cfg.maxQueue)
-
-	<-sigCtx.Done()
+	<-ctx.Done()
 	fmt.Fprintln(stdout, "job service: shutdown signal; canceling the in-flight job and draining the queue")
 	svc.Close()
+	list := svc.List()
 	counts := map[jobs.State]int{}
-	for _, info := range svc.List() {
+	for _, info := range list {
 		counts[info.State]++
 	}
 	fmt.Fprintf(stdout, "job service: stopped after %d jobs (%d done, %d failed, %d canceled, %d rejected)\n",
-		len(svc.List()), counts[jobs.StateDone], counts[jobs.StateFailed],
+		len(list), counts[jobs.StateDone], counts[jobs.StateFailed],
 		counts[jobs.StateCanceled], counts[jobs.StateRejected])
 	return nil
 }

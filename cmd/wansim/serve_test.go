@@ -9,9 +9,9 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"wanshuffle/internal/jobs"
+	"wanshuffle/internal/obs"
 )
 
 func TestParseTenantWeights(t *testing.T) {
@@ -50,29 +50,39 @@ func submitJob(t *testing.T, url string, req jobs.SubmitRequest) jobs.Info {
 	return info
 }
 
-// TestServeModeJobService drives the full serve-mode loop over the sim
-// backend: HTTP submissions from two tenants run to completion with
-// retained reports, a bogus workload is a 400, /metrics carries the jobs_*
-// series, and a real SIGINT drains the service and returns cleanly.
-func TestServeModeJobService(t *testing.T) {
-	out := &syncWriter{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-serve", "-telemetry-addr", "127.0.0.1:0",
-			"-tenants", "heavy=2,light=1", "-max-queue", "4",
-			"-scale", "0.02", "-log-level", "off",
-		}, out)
-	}()
+// taskCount sums the per-stage task counts of a run report's tasks
+// section.
+func taskCount(rep *obs.Report) int {
+	n := 0
+	for _, ts := range rep.Tasks {
+		n += ts.Count
+	}
+	return n
+}
 
-	var url string
-	waitTest(t, "job service URL in output", func() bool {
-		if m := urlRe.FindStringSubmatch(out.String()); m != nil {
-			url = m[1]
-			return true
-		}
-		return false
-	})
+// TestServeModeJobService drives the full serve-mode loop over each
+// backend: HTTP submissions from two tenants run to completion with
+// retained reports that carry the traced sections (tasks, critical_path)
+// whichever backend ran them, a bogus workload is a 400, a deadline cancels
+// a job without poisoning the next, /metrics carries the jobs_* series, and
+// a real SIGINT drains the service and returns cleanly.
+func TestServeModeJobService(t *testing.T) {
+	for _, backend := range []string{"sim", "live"} {
+		t.Run(backend, func(t *testing.T) { testServeModeJobService(t, backend) })
+	}
+}
+
+func testServeModeJobService(t *testing.T, backend string) {
+	args := []string{
+		"-serve", "-telemetry-addr", "127.0.0.1:0",
+		"-tenants", "heavy=2,light=1", "-max-queue", "4",
+		"-scale", "0.02", "-log-level", "off",
+	}
+	if backend == "live" {
+		args = append(args, "-live")
+	}
+	w := goWansim(func(stdout io.Writer) error { return run(args, stdout) })
+	url := w.url(t)
 
 	h := submitJob(t, url, jobs.SubmitRequest{Tenant: "heavy", Workload: "wordcount"})
 	l := submitJob(t, url, jobs.SubmitRequest{Tenant: "light", Workload: "wordcount"})
@@ -88,7 +98,10 @@ func TestServeModeJobService(t *testing.T) {
 		t.Fatalf("unknown workload: %d, want 400", resp.StatusCode)
 	}
 
-	for _, id := range []string{h.ID, l.ID} {
+	// doneReport waits for a job to finish and returns its retained report,
+	// which must carry the traced sections on either backend.
+	doneReport := func(id string) *obs.Report {
+		t.Helper()
 		waitTest(t, fmt.Sprintf("job %s done", id), func() bool {
 			var info jobs.Info
 			getJSONTest(t, url+"/jobs/"+id, &info)
@@ -97,12 +110,18 @@ func TestServeModeJobService(t *testing.T) {
 			}
 			return info.State == jobs.StateDone
 		})
-		var rep map[string]any
+		var rep obs.Report
 		getJSONTest(t, url+"/jobs/"+id+"/report", &rep)
-		if rep["backend"] != "sim" {
-			t.Fatalf("job %s report backend = %v, want sim", id, rep["backend"])
+		if rep.Backend != backend {
+			t.Fatalf("job %s report backend = %q, want %q", id, rep.Backend, backend)
 		}
+		if taskCount(&rep) == 0 || rep.CriticalPath == nil || len(rep.CriticalPath.Steps) == 0 {
+			t.Fatalf("job %s report lacks tasks (%d) or critical_path (%v)", id, taskCount(&rep), rep.CriticalPath)
+		}
+		return &rep
 	}
+	first := doneReport(h.ID)
+	doneReport(l.ID)
 
 	// A repeated job outlives its deadline and lands canceled, not failed;
 	// the service then runs the next submission cleanly.
@@ -118,11 +137,13 @@ func TestServeModeJobService(t *testing.T) {
 		return info.State == jobs.StateCanceled
 	})
 	after := submitJob(t, url, jobs.SubmitRequest{Tenant: "heavy", Workload: "wordcount"})
-	waitTest(t, "post-cancel job done", func() bool {
-		var info jobs.Info
-		getJSONTest(t, url+"/jobs/"+after.ID, &info)
-		return info.State == jobs.StateDone
-	})
+	// The same workload traces the same number of tasks every time: a
+	// report holding more would be carrying an earlier job's spans (the
+	// live cluster's recorder outlives its jobs, and the canceled job left
+	// a partial trace behind).
+	if got, want := taskCount(doneReport(after.ID)), taskCount(first); got != want {
+		t.Fatalf("the job after the canceled one traced %d tasks, the first job %d: spans leak across jobs", got, want)
+	}
 
 	// A negative repeat is the caller's fault.
 	resp, err = http.Post(url+"/jobs", "application/json",
@@ -135,12 +156,7 @@ func TestServeModeJobService(t *testing.T) {
 		t.Fatalf("negative repeat: %d, want 400", resp.StatusCode)
 	}
 
-	resp, err = http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
+	_, metrics := httpGet(t, url+"/metrics")
 	for _, series := range []string{"jobs_submitted_total", "jobs_done_total", "jobs_queue_depth"} {
 		if !strings.Contains(string(metrics), series) {
 			t.Fatalf("/metrics missing %s:\n%s", series, metrics)
@@ -152,15 +168,10 @@ func TestServeModeJobService(t *testing.T) {
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve mode exited with error: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("serve mode did not exit after SIGINT")
+	if err := w.wait(t); err != nil {
+		t.Fatalf("serve mode exited with error: %v", err)
 	}
-	if s := out.String(); !strings.Contains(s, "draining the queue") || !strings.Contains(s, "job service: stopped") {
+	if s := w.out.String(); !strings.Contains(s, "draining the queue") || !strings.Contains(s, "job service: stopped") {
 		t.Fatalf("missing shutdown narration:\n%s", s)
 	}
 }
@@ -181,6 +192,8 @@ func TestServeFlagValidation(t *testing.T) {
 		{"garbage queued bytes", []string{"-max-queued-bytes", "lots"}, "cannot parse"},
 		{"negative queued bytes", []string{"-max-queued-bytes", "-64KB"}, "-max-queued-bytes must be positive"},
 		{"negative job deadline", []string{"-job-deadline", "-1s"}, "-job-deadline must not be negative"},
+		{"serve live manual scheme", []string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-live", "-scheme", "manual"}, "-live supports schemes spark and agg"},
+		{"serve live random aggregator", []string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-live", "-aggregator", "random"}, "not supported with -live"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(append([]string{"-workload", "wordcount", "-scale", "0.01"}, tc.args...), io.Discard)
@@ -194,16 +207,11 @@ func TestServeFlagValidation(t *testing.T) {
 // getJSONTest fetches and decodes a JSON endpoint.
 func getJSONTest(t *testing.T, url string, into any) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
+	status, body := httpGet(t, url)
+	if status != http.StatusOK {
+		t.Fatalf("GET %s: %d: %s", url, status, body)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s: %d: %s", url, resp.StatusCode, raw)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+	if err := json.Unmarshal(body, into); err != nil {
 		t.Fatalf("GET %s: decode: %v", url, err)
 	}
 }

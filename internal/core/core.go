@@ -20,8 +20,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
-	"strings"
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/exec"
@@ -184,41 +182,6 @@ func (r *Report) Gantt(width int) string {
 
 // Spans returns the recorded trace spans (empty without tracing).
 func (r *Report) Spans() []trace.Span { return r.tracer.Spans() }
-
-// WriteChromeTrace exports the job timeline in Chrome trace-event format
-// (chrome://tracing, Perfetto): one process per datacenter, one thread per
-// host. Requires tracing (Config.Exec.Trace).
-func (r *Report) WriteChromeTrace(w io.Writer) error {
-	if r.tracer == nil {
-		return fmt.Errorf("core: tracing disabled; set Config.Exec.Trace")
-	}
-	return r.tracer.WriteChromeTrace(w, r.topo)
-}
-
-// TrafficMatrix renders the job's cross-datacenter traffic per region
-// pair, in MB — the developer-facing transfer visibility of Sec. IV-E.
-func (r *Report) TrafficMatrix() string {
-	var b strings.Builder
-	names := r.topo.DCNames()
-	b.WriteString("cross-DC traffic (MB), row=source, col=destination\n")
-	fmt.Fprintf(&b, "%16s", "")
-	for _, n := range names {
-		fmt.Fprintf(&b, " %14s", n)
-	}
-	b.WriteString("\n")
-	for i, row := range r.PairBytes {
-		fmt.Fprintf(&b, "%16s", names[i])
-		for j, v := range row {
-			if i == j {
-				fmt.Fprintf(&b, " %14s", "-")
-				continue
-			}
-			fmt.Fprintf(&b, " %14.1f", v/1e6)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
 
 // Collect runs the job materializing target and returns all records plus
 // the run report.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"wanshuffle/internal/exec"
@@ -16,10 +15,6 @@ func TestTrafficMatrixShowsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rep.TrafficMatrix()
-	if !strings.Contains(m, topology.Virginia) {
-		t.Fatalf("matrix missing region names:\n%s", m)
-	}
 	// Column sums into the driver DC (the aggregator for skewed inputs)
 	// must dominate: every row's entries outside that column should be 0.
 	va, _ := c.Topology().DCByName(topology.Virginia)
@@ -29,9 +24,6 @@ func TestTrafficMatrixShowsAggregation(t *testing.T) {
 				t.Fatalf("AggShuffle traffic between non-aggregator DCs %d->%d: %v", i, j, v)
 			}
 		}
-	}
-	if !strings.Contains(m, "-") {
-		t.Fatal("matrix diagonal not dashed")
 	}
 }
 

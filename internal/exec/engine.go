@@ -149,7 +149,9 @@ func (c Config) withDefaults() Config {
 // output persist across jobs run on the same engine; RunMany executes
 // several jobs concurrently on the shared cluster. The engine itself is
 // single-threaded (the simulation is deterministic) — drive separate
-// Engines from separate goroutines for parallel experiments.
+// Engines from separate goroutines for parallel experiments. Tracer is nil
+// unless Config.Trace; it and Events lock, so telemetry may read both
+// while the event loop runs.
 type Engine struct {
 	Clock  *sim.Clock
 	Net    *simnet.Network

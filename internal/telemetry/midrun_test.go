@@ -11,14 +11,16 @@ import (
 	"testing"
 
 	"wanshuffle/internal/core"
+	"wanshuffle/internal/exec"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 )
 
 // TestScrapeMidRunStrictlyIncreasing pins the telemetry plane's core
 // contract on a real running job: counters scraped from /metrics mid-run
-// are strictly increasing across scrapes, and scraping concurrently with
-// the engine's event loop is race-free (this test is the registry's
+// are strictly increasing across scrapes, /trace serves the spans recorded
+// so far, and scraping concurrently with the engine's event loop is
+// race-free (this test is the registry's and the span recorder's
 // concurrency test — run it with -race).
 //
 // The job's map function blocks the simulator's event loop at two chosen
@@ -27,7 +29,7 @@ import (
 // before the job finished. Background scrapers hammer /metrics and
 // /report the whole time.
 func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
-	c := core.NewContext(core.Config{Seed: 1})
+	c := core.NewContext(core.Config{Seed: 1, Exec: exec.Config{Trace: true}})
 	var recs []rdd.Pair
 	for i := 0; i < 200; i++ {
 		recs = append(recs, rdd.KV(fmt.Sprintf("l%d", i), fmt.Sprintf("w%d w%d", i%7, i%13)))
@@ -67,6 +69,7 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 		Report: func() *obs.Report {
 			return obs.InProgressReport("sim", "wordcount", c.Scheme().String(), events)
 		},
+		Trace: c.Engine().Tracer.Spans,
 	}))
 	defer ts.Close()
 
@@ -88,7 +91,7 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 				case <-stopScrape:
 					return
 				default:
-					for _, path := range []string{"/metrics", "/report"} {
+					for _, path := range []string{"/metrics", "/report", "/trace"} {
 						if resp, err := http.Get(ts.URL + path); err == nil {
 							_, _ = io.Copy(io.Discard, resp.Body)
 							_ = resp.Body.Close()
@@ -120,6 +123,11 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	<-reached2
 	_, body2, _ := get(t, ts.URL+"/metrics")
 	s2 := promSeries(t, body2)
+	// Every map task has finished by now and the job has not: the spans
+	// they recorded are on /trace mid-run.
+	if status, spans, _ := get(t, ts.URL+"/trace"); status != http.StatusOK || !strings.Contains(spans, `"kind":"map"`) {
+		t.Errorf("mid-run /trace = %d, want the finished map tasks' spans:\n%s", status, spans)
+	}
 	close(hold2)
 
 	if err := <-runErr; err != nil {

@@ -35,9 +35,7 @@ type Config struct {
 	// Events backs GET /events, the NDJSON task-lifecycle stream.
 	Events func() *obs.Collector
 	// Trace backs GET /trace: the run's causal spans so far, one JSON
-	// object per line. The live cluster serves mid-run snapshots from its
-	// heartbeat-fed recorder; the simulator publishes spans once the run
-	// completes (its recorder is single-threaded with the event loop).
+	// object per line, mid-run on both backends (the recorder locks).
 	Trace func() []trace.Span
 	// Links backs GET /links: the current link estimate matrix (measured
 	// per-site-pair throughput and RTT, merged with any configured

@@ -125,15 +125,3 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, topo *topology.Topology) error 
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events, "displayTimeUnit": "ms"})
 }
-
-// WriteChromeTrace renders the recorded spans as a Chrome trace, like
-// (*Recorder).WriteChromeTrace. Safe against concurrent Add, so live
-// backends can export without copying through Spans.
-func (s *SyncRecorder) WriteChromeTrace(w io.Writer, topo *topology.Topology) error {
-	if s == nil {
-		return (*Recorder)(nil).WriteChromeTrace(w, topo)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.WriteChromeTrace(w, topo)
-}

@@ -113,11 +113,18 @@ func (a *IDAllocator) Next() SpanID {
 	return a.base + SpanID(a.ctr.Add(1))
 }
 
-// Recorder accumulates spans. The zero value is ready to use; a nil
-// *Recorder discards everything, so callers need no enabled checks.
+// Recorder accumulates spans and is safe for concurrent use: the simulator
+// records from its event loop, the live cluster from task goroutines and
+// heartbeat merges, and telemetry scrapes read either mid-run. The zero value
+// is ready to use; a nil *Recorder discards everything.
 type Recorder struct {
+	mu    sync.Mutex
 	spans []Span
 }
+
+// SyncRecorder is the name the live cluster's recorder had while the
+// simulator's was unlocked; they are one type now.
+type SyncRecorder = Recorder
 
 // Add records a span.
 func (r *Recorder) Add(s Span) {
@@ -127,7 +134,19 @@ func (r *Recorder) Add(s Span) {
 	if s.End < s.Start {
 		panic(fmt.Sprintf("trace: span ends (%v) before it starts (%v)", s.End, s.Start))
 	}
+	r.mu.Lock()
 	r.spans = append(r.spans, s)
+	r.mu.Unlock()
+}
+
+// Reset drops every recorded span, so a recorder that outlives one job
+// starts the next job's trace empty.
+func (r *Recorder) Reset() {
+	if r != nil {
+		r.mu.Lock()
+		r.spans = nil
+		r.mu.Unlock()
+	}
 }
 
 // Spans returns all recorded spans sorted by start time (stable).
@@ -135,8 +154,10 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
 	out := make([]Span, len(r.spans))
 	copy(out, r.spans)
+	r.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
@@ -157,72 +178,14 @@ func (r *Recorder) Find(id SpanID) (Span, bool) {
 	if r == nil || id == 0 {
 		return Span{}, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, s := range r.spans {
 		if s.ID == id {
 			return s, true
 		}
 	}
 	return Span{}, false
-}
-
-// SyncRecorder is a Recorder safe for concurrent use. The simulator is
-// single-threaded and records into a plain Recorder; live backends run
-// tasks on concurrent goroutines in wall-clock time and record here. A nil
-// *SyncRecorder discards everything, like a nil *Recorder.
-type SyncRecorder struct {
-	mu sync.Mutex
-	r  Recorder
-}
-
-// Add records a span.
-func (s *SyncRecorder) Add(sp Span) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.r.Add(sp)
-}
-
-// Spans returns all recorded spans sorted by start time (stable).
-func (s *SyncRecorder) Spans() []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Spans()
-}
-
-// ByKind returns recorded spans of one kind, sorted by start time.
-func (s *SyncRecorder) ByKind(k Kind) []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.ByKind(k)
-}
-
-// Find returns the recorded span with the given ID, if any.
-func (s *SyncRecorder) Find(id SpanID) (Span, bool) {
-	if s == nil {
-		return Span{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Find(id)
-}
-
-// Gantt renders the spans as an ASCII chart, like (*Recorder).Gantt. Safe
-// against concurrent Add.
-func (s *SyncRecorder) Gantt(topo *topology.Topology, width int) string {
-	if s == nil {
-		return (*Recorder)(nil).Gantt(topo, width)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Gantt(topo, width)
 }
 
 // Gantt renders the spans as an ASCII chart with one row per host that has

@@ -131,6 +131,22 @@ func TestSyncRecorderRenderRace(t *testing.T) {
 	}
 }
 
+// TestRecorderReset checks a recorder that outlives one job starts the next
+// trace empty, and that a nil recorder tolerates the call like every other.
+func TestRecorderReset(t *testing.T) {
+	r := &Recorder{}
+	r.Add(Span{ID: 1, Kind: KindMap, Start: 0, End: 1})
+	r.Reset()
+	if _, ok := r.Find(1); ok || len(r.Spans()) != 0 {
+		t.Fatalf("after Reset: %d spans, Find(1) = %v", len(r.Spans()), ok)
+	}
+	r.Add(Span{ID: 2, Kind: KindReduce, Start: 1, End: 2})
+	if got := r.Spans(); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("after Reset and Add: %+v", got)
+	}
+	(*Recorder)(nil).Reset()
+}
+
 func TestNilSyncRecorderRenders(t *testing.T) {
 	var s *SyncRecorder
 	topo := topology.TwoDCMicro(2, 0.25)
