@@ -43,9 +43,9 @@ func TestPrintReport(t *testing.T) {
 		Sites:          []string{"w0", "w1"},
 		CompletionSec:  0.0425,
 		Stages:         []obs.StageEvent{{ID: 0, Name: "stage0(map:sort.input)", Start: 0, End: 0.03}},
-		TrafficByClass: map[string]float64{"push": 30e3, "sample": 10e3},
-		MatrixLabels:   []string{"w0", "w1", "driver"},
-		TrafficMatrix:  [][]float64{{4e3, 0, 0}, {26e3, 0, 0}, {5e3, 5e3, 0}},
+		TrafficByClass: map[string]float64{"push": 30e3, "shuffle": 10e3},
+		MatrixLabels:   []string{"w0", "w1"},
+		TrafficMatrix:  [][]float64{{4e3, 0}, {26e3, 10e3}},
 		TaskAttempts:   32, Retries: 0, Dials: 12,
 		BytesTotal: 40e3, BytesRaw: 100e3,
 		Storage: &obs.StorageStats{SpillEvents: 3, SpilledBytesTotal: 2e6, ReloadBytesTotal: 1e6, ResidentBytes: 4e3},
@@ -85,7 +85,7 @@ Sort on the live backend (push, 2 sites)
   output records:   200
   bytes moved:      0.040 MB
     push            0.030 MB
-    sample          0.010 MB
+    shuffle         0.010 MB
   bytes raw:        0.100 MB (compression ratio 2.50x)
   task attempts:    32 (0 retries, 12 dials)
   links: none observed
@@ -96,10 +96,9 @@ Sort on the live backend (push, 2 sites)
     stage0(map:sort.input)                0.000 ->    0.030 (  0.030 s)
 
 traffic (KB), row=source, col=destination
-                   w0         w1     driver
-        w0          -        0.0        0.0
-        w1       26.0          -        0.0
-    driver        5.0        5.0          -
+                   w0         w1
+        w0          -        0.0
+        w1       26.0          -
 `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

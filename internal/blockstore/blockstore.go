@@ -80,7 +80,9 @@ type Store interface {
 
 	// Get returns the output's flat record view: the records as stored
 	// for flat outputs, or the shards flattened in shard order for
-	// bucketed ones. Barrier-time key sampling reads through it.
+	// bucketed ones. Nothing on a job's path calls it any more (range
+	// samples are taken by the map task, not read back at the barrier);
+	// tests and the benchmark's layer probes do.
 	Get(key Key) ([]rdd.Pair, error)
 
 	// Shards returns the output's per-reduce shards. A flat output is

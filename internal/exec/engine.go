@@ -183,11 +183,9 @@ type Engine struct {
 
 	cache map[int][]*cachedPart // RDD ID → per-partition cached copies
 
-	// Fractional-byte remainders per traffic class, carrying the sub-byte
-	// residue of continuous flow deliveries between integer counter
-	// increments (bytes_moved_total / bytes_cross_dc_total).
-	byteRem  map[string]float64
-	crossRem map[string]float64
+	// byClass mirrors delivered bytes into the registry's per-class integer
+	// counters (bytes_moved_total / bytes_cross_dc_total).
+	byClass map[string]*classBytes
 
 	deadHosts []bool
 	// producers maps shuffle ID → the stage that computes its map output,
@@ -226,8 +224,7 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		failRNG:    sim.Stream(seed, "exec.failure"),
 		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
 		cache:      make(map[int][]*cachedPart),
-		byteRem:    make(map[string]float64),
-		crossRem:   make(map[string]float64),
+		byClass:    make(map[string]*classBytes),
 		deadHosts:  make([]bool, topo.NumHosts()),
 		producers:  make(map[int]*stageState),
 		recovering: make(map[recoveryKey]bool),
@@ -260,28 +257,45 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 	return e
 }
 
-// mirrorDelivery folds one (possibly fractional) delivered-byte increment
-// into the registry's integer counters, carrying the remainder. Runs
-// inside the single-threaded simulation loop; the registry itself is
-// concurrency-safe for scrapers.
-func (e *Engine) mirrorDelivery(tag string, bytes float64, crossDC bool) {
-	reg := e.Events.Registry()
-	if r := e.byteRem[tag] + bytes; r >= 1 {
-		whole := int64(r)
-		reg.Counter("bytes_moved_total", obs.Labels{"class": tag}).Add(whole)
-		e.byteRem[tag] = r - float64(whole)
-	} else {
-		e.byteRem[tag] = r
-	}
-	if !crossDC {
+// classBytes is one traffic class's pair of mirrored byte counters.
+type classBytes struct{ moved, cross byteCounter }
+
+// byteCounter feeds continuous flow deliveries into one integer counter:
+// its handle, resolved when the first whole byte arrives (a class that
+// never crosses a DC registers no cross-DC series) and kept, so a delivery
+// costs no registry lookup, plus the sub-byte remainder carried between
+// increments.
+type byteCounter struct {
+	c   *obs.Counter
+	rem float64
+}
+
+func (b *byteCounter) add(bytes float64, reg *obs.Registry, name, class string) {
+	b.rem += bytes
+	if b.rem < 1 {
 		return
 	}
-	if r := e.crossRem[tag] + bytes; r >= 1 {
-		whole := int64(r)
-		reg.Counter("bytes_cross_dc_total", obs.Labels{"class": tag}).Add(whole)
-		e.crossRem[tag] = r - float64(whole)
-	} else {
-		e.crossRem[tag] = r
+	if b.c == nil {
+		b.c = reg.Counter(name, obs.Labels{"class": class})
+	}
+	whole := int64(b.rem)
+	b.c.Add(whole)
+	b.rem -= float64(whole)
+}
+
+// mirrorDelivery folds one (possibly fractional) delivered-byte increment
+// into the registry's integer counters. Runs inside the single-threaded
+// simulation loop; the registry itself is concurrency-safe for scrapers.
+func (e *Engine) mirrorDelivery(tag string, bytes float64, crossDC bool) {
+	cb := e.byClass[tag]
+	if cb == nil {
+		cb = &classBytes{}
+		e.byClass[tag] = cb
+	}
+	reg := e.Events.Registry()
+	cb.moved.add(bytes, reg, "bytes_moved_total", tag)
+	if crossDC {
+		cb.cross.add(bytes, reg, "bytes_cross_dc_total", tag)
 	}
 }
 

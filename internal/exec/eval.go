@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
@@ -148,15 +149,16 @@ func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound m
 // aggregateShuffle materializes a ShuffledRDD partition from its fetched
 // shards and charges the reduce-side aggregation cost.
 func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID, cost *float64) partData {
-	var recs []rdd.Pair
+	var shards [][]rdd.Pair
 	var modeled float64
 	for di := range node.Deps {
 		d := &node.Deps[di]
 		for _, sh := range e.reg.Shards(d.Shuffle.ID, part) {
-			recs = append(recs, sh.Records...)
+			shards = append(shards, sh.Records)
 			modeled += sh.ModeledBytes
 		}
 	}
+	recs := slices.Concat(shards...) // the gather, allocated once at its final size
 	inReal := rdd.SizeOfAll(recs)
 	agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, recs)
 	if node.PostShuffle != nil {

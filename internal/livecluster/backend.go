@@ -2,7 +2,6 @@ package livecluster
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"wanshuffle/internal/dag"
@@ -27,11 +26,6 @@ type liveRun struct {
 	// shuffleStage maps shuffle ID → producing stage ID, so server-side
 	// receive spans carry the same stage attribution as the simulator's.
 	shuffleStage map[int]int
-
-	// MapOutputTracker records each map output's holder worker and
-	// measured size, feeding both shuffle reads and the next shuffle's
-	// aggregator selection.
-	plan.MapOutputTracker
 }
 
 func newLiveRun(c *Cluster, stats *Stats, p *dag.Plan) *liveRun {
@@ -65,122 +59,76 @@ func (r *liveRun) stageOfShuffle(id int) int {
 // NumSites implements plan.Backend: one site per worker.
 func (r *liveRun) NumSites() int { return len(r.c.workers) }
 
-// SiteOfHost implements plan.Backend: lineage hosts wrap onto workers.
-func (r *liveRun) SiteOfHost(h topology.HostID) int { return int(h) % len(r.c.workers) }
-
-// InputSizes implements plan.Backend: leaf input bytes at the sites their
-// tasks round-robin onto, plus the measured sizes of map outputs feeding
-// the stage's shuffle boundaries, at their holder workers. Sizes here and
-// in RunMapTask's RecordMapOutput are rdd.EncodedSize — the bytes the
-// records take on this cluster's wire — so the planner's predicted
+// RunTask implements plan.Backend: evaluate the partition at its worker,
+// fetching its shuffle input over TCP. A map task then prepares its output
+// map-side and pushes it to the aggregator the moment it finishes
+// (t.AggTo >= 0, the paper's transferTo) or stores it locally for later
+// fetches. The bytes it reports, like every span's, are record-codec bytes —
+// what the records take on this cluster's wire — so the planner's predicted
 // transfer cost is a prediction about the real sockets, not about the
 // simulator's SizeOf model.
-func (r *liveRun) InputSizes(st *dag.Stage) []float64 {
-	bySite := make([]float64, len(r.c.workers))
-	for _, src := range st.Sources {
-		for i := range src.Input {
-			bySite[i%len(r.c.workers)] += rdd.EncodedSize(src.Input[i].Records)
-		}
-	}
-	r.AddBoundaryBytes(st, bySite)
-	return bySite
-}
-
-// RunMapTask implements plan.Backend: evaluate the partition at its
-// worker, prepare it map-side, then push it to the aggregator over TCP the
-// moment the task finishes (aggTo >= 0, the paper's transferTo) or store
-// it locally for later fetches.
-func (r *liveRun) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) error {
+func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
+	st, site := t.Stage, t.Site
 	w := r.c.workers[site]
 	if w.closed.Load() {
-		return fmt.Errorf("livecluster: worker %d is down", site)
+		return plan.TaskResult{}, fmt.Errorf("livecluster: worker %d is down", site)
 	}
 	taskID := r.c.ids.Next()
-	t0 := r.since()
-	lastFetch := t0
-	recs, err := plan.EvalStagePart(st, part, r.reader(site, st.ID, taskID, &lastFetch))
+	// The compute span runs from the last shuffle read (the task's start
+	// for leaf stages) until the output is ready; transfers are spans of
+	// their own, so the timeline separates M and P the way the simulator's
+	// does.
+	lastFetch := r.since()
+	recs, err := plan.EvalStagePart(st, t.Part, r.reader(t, taskID, &lastFetch))
 	if err != nil {
-		return err
+		return plan.TaskResult{}, err
+	}
+	spec := st.OutSpec
+	if spec == nil {
+		r.span(trace.Span{
+			Kind: trace.KindReduce, ID: taskID, Host: topology.HostID(site),
+			Stage: st.ID, Part: t.Part, Records: len(recs),
+			Start: lastFetch, End: r.since(),
+		})
+		return plan.TaskResult{Records: recs}, nil
 	}
 	if w.closed.Load() {
 		// The worker died under the task; its output cannot be stored or
 		// pushed from a dead site. Fail the attempt so the driver
 		// re-places it on a healthy worker.
-		return fmt.Errorf("livecluster: worker %d died during map task %s/t%d", site, st.Name(), part)
+		return plan.TaskResult{}, fmt.Errorf("livecluster: worker %d died during map task %s/t%d", site, st.Name(), t.Part)
 	}
-	prepared := rdd.MapSidePrepare(st.OutSpec, recs)
-	preparedBytes := rdd.SizeOfAll(prepared)
-	// The compute span runs from the last shuffle read (t0 for leaf
-	// stages) until the output is ready; the push is its own span, so the
-	// timeline separates M and P the way the simulator's does. The map
-	// span carries the shuffle it produced, making it a producer edge for
-	// downstream fetch/serve spans in critical-path analysis.
+	prepared := rdd.MapSidePrepare(spec, recs)
+	res := plan.TaskResult{Bytes: rdd.EncodedSize(prepared), Sample: rdd.RangeSample(spec, prepared)}
+	// The map span carries the shuffle it produced, making it a producer
+	// edge for downstream fetch/serve spans in critical-path analysis.
 	r.span(trace.Span{
 		Kind: trace.KindMap, ID: taskID, Host: topology.HostID(site),
-		Stage: st.ID, Part: part, Shuffle: st.OutSpec.ID,
-		Bytes: preparedBytes, Records: len(prepared),
+		Stage: st.ID, Part: t.Part, Shuffle: spec.ID,
+		Bytes: res.Bytes, Records: len(prepared),
 		Start: lastFetch, End: r.since(),
 	})
-	holder := site
-	if aggTo >= 0 {
-		tPush := r.since()
-		pushID := r.c.ids.Next()
-		if err := w.push(r.c.workers[aggTo].addr, st.OutSpec.ID, part, attempt, prepared, r.stats,
-			spanCtx{trace: r.traceID, parent: taskID, span: pushID}); err != nil {
-			return err
-		}
-		r.span(trace.Span{
-			Kind: trace.KindPush, ID: pushID, Parent: taskID, Host: topology.HostID(site),
-			Stage: st.ID, Part: part, Shuffle: st.OutSpec.ID,
-			SrcSite: r.c.siteLabel(site), DstSite: r.c.siteLabel(aggTo),
-			Bytes: preparedBytes, Records: len(prepared),
-			Start: tPush, End: r.since(),
-		})
-		holder = aggTo
-	} else {
+	if t.AggTo < 0 {
 		// Fetch mode: the output stays at its mapper, landing in the same
 		// block store pushes assemble into (and spilling under the same
 		// budget), so later fetches stream it back out through one path.
-		if err := w.storeMapOutput(st.OutSpec.ID, part, attempt, prepared); err != nil {
-			return err
-		}
+		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, prepared)
 	}
-	r.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, rdd.EncodedSize(prepared))
-	return nil
-}
-
-// RunResultTask implements plan.Backend.
-func (r *liveRun) RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, error) {
-	if r.c.workers[site].closed.Load() {
-		return nil, fmt.Errorf("livecluster: worker %d is down", site)
-	}
-	taskID := r.c.ids.Next()
-	t0 := r.since()
-	lastFetch := t0
-	recs, err := plan.EvalStagePart(st, part, r.reader(site, st.ID, taskID, &lastFetch))
+	tPush := r.since()
+	pushID := r.c.ids.Next()
+	sent, err := w.push(r.c.workers[t.AggTo].addr, spec.ID, t.Part, t.Attempt, prepared, r.stats,
+		spanCtx{trace: r.traceID, parent: taskID, span: pushID})
 	if err != nil {
-		return nil, err
+		return plan.TaskResult{}, err
 	}
 	r.span(trace.Span{
-		Kind: trace.KindReduce, ID: taskID, Host: topology.HostID(site),
-		Stage: st.ID, Part: part, Records: len(recs),
-		Start: lastFetch, End: r.since(),
+		Kind: trace.KindPush, ID: pushID, Parent: taskID, Host: topology.HostID(site),
+		Stage: st.ID, Part: t.Part, Shuffle: spec.ID,
+		SrcSite: r.c.siteLabel(site), DstSite: r.c.siteLabel(t.AggTo),
+		Bytes: float64(sent), Records: len(prepared),
+		Start: tPush, End: r.since(),
 	})
-	return recs, nil
-}
-
-// Barrier implements plan.Backend: once a map stage completes, prepare its
-// range partitioner from keys sampled out of the stored map outputs, over
-// the wire (Spark's sampling job at the map barrier).
-func (r *liveRun) Barrier(st *dag.Stage) error {
-	spec := st.OutSpec
-	return rdd.PrepareRange(spec, st.NumTasks, func(m, max int) ([]string, error) {
-		holder, err := r.Holder(spec.ID, m)
-		if err != nil {
-			return nil, err
-		}
-		return r.c.sampleKeys(r.c.workers[holder].addr, spec.ID, m, max, r.stats)
-	})
+	return res, nil
 }
 
 // OnTask implements plan.Backend (obs.Sink): the driver's task lifecycle
@@ -209,55 +157,47 @@ func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 	r.stats.addPlacement(d)
 }
 
-// reader builds the ShuffleReader tasks at one worker gather their shuffle
-// input through: every map output's shard is fetched over TCP from its
-// holder (aggregator or mapper), serially in map order so gathered records
-// arrive deterministically. Fetch spans carry the reading stage's ID and
-// nest under the consuming task (parent); the fetch span's own ID rides
-// the wire so each holder's serve span nests under it. lastFetch tracks
-// when the task's final fetch completed, so callers can start the compute
-// span after the transfer window.
-func (r *liveRun) reader(site, stage int, parent trace.SpanID, lastFetch *float64) plan.ShuffleReader {
+// reader builds the ShuffleReader task t gathers its shuffle input
+// through: every map output's shard is fetched over TCP from its holder
+// (aggregator or mapper), serially in map order (plan.Task.Gather) so
+// gathered records arrive deterministically. Fetch spans carry the reading
+// stage's ID and nest under the consuming task (parent); the fetch span's
+// own ID rides the wire so each holder's serve span nests under it.
+// lastFetch tracks when the task's final fetch completed, so callers can
+// start the compute span after the transfer window.
+func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) plan.ShuffleReader {
+	site := t.Site
 	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
-		numMaps := r.NumMaps(spec.ID)
 		t0 := r.since()
 		fetchID := r.c.ids.Next()
-		var chunks [][]rdd.Pair // every map's shard, as the chunks it arrived in
-		srcBytes := map[int]float64{}
-		for m := 0; m < numMaps; m++ {
-			holder, err := r.Holder(spec.ID, m)
-			if err != nil {
-				return nil, err
-			}
-			shard, err := r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
+		srcBytes := map[int]int64{} // record-codec bytes by holder
+		out, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
+			shard, n, err := r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
 				spanCtx{trace: r.traceID, parent: fetchID})
-			if err != nil {
-				return nil, err
-			}
-			for _, ch := range shard {
-				srcBytes[holder] += rdd.SizeOfAll(ch)
-			}
-			chunks = append(chunks, shard...)
+			srcBytes[holder] += n
+			return shard, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		// The one copy between decoding and the reduce-side sort: a single
-		// allocation of the gathered size.
-		out := slices.Concat(chunks...)
 		// Attribute the fetch to its dominant source by bytes (ties break
 		// toward the lower worker index, for determinism).
-		src, best := site, -1.0
+		src, best, total := site, int64(-1), int64(0)
 		for s, b := range srcBytes {
+			total += b
 			if b > best || (b == best && s < src) {
 				src, best = s, b
 			}
 		}
+		end := r.since()
 		r.span(trace.Span{
 			Kind: trace.KindFetch, ID: fetchID, Parent: parent, Host: topology.HostID(site),
-			Stage: stage, Part: reduce, Shuffle: spec.ID,
+			Stage: t.Stage.ID, Part: reduce, Shuffle: spec.ID,
 			SrcSite: r.c.siteLabel(src), DstSite: r.c.siteLabel(site),
-			Records: len(out),
-			Start:   t0, End: r.since(),
+			Bytes: float64(total), Records: len(out),
+			Start: t0, End: end,
 		})
-		if end := r.since(); lastFetch != nil && end > *lastFetch {
+		if end > *lastFetch {
 			*lastFetch = end
 		}
 		return out, nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wanshuffle/internal/blockstore"
 	"wanshuffle/internal/rdd"
 )
 
@@ -24,7 +25,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 4, PushFanout: fanout}, 3)
 		w0, w1 := c.workers[0], c.workers[1]
 		good := pairs(17)
-		if err := w0.push(w1.addr, 7, 0, 1, good, stats, spanCtx{}); err != nil {
+		if _, err := w0.push(w1.addr, 7, 0, 1, good, stats, spanCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		// One connection per parallel stream is all w0 ever needs to w1:
@@ -32,7 +33,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		maxDials := int64(fanout)
 
 		bad := append(pairs(17), rdd.KV("bad-key", opaque{})) // in the last of five chunks
-		err := w0.push(w1.addr, 7, 1, 1, bad, stats, spanCtx{})
+		_, err := w0.push(w1.addr, 7, 1, 1, bad, stats, spanCtx{})
 		var unsupported *rdd.UnsupportedValueError
 		if !errors.As(err, &unsupported) {
 			t.Fatalf("fanout %d: push err = %v, want *rdd.UnsupportedValueError", fanout, err)
@@ -46,12 +47,12 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		if fanout == 1 && pending {
 			t.Fatal("receiver kept the abandoned push's assembly")
 		}
-		if _, err := w1.stored(7, 1); err == nil {
+		if _, err := w1.store.Get(blockstore.Key{Shuffle: 7, MapPart: 1}); err == nil {
 			t.Fatalf("fanout %d: the abandoned push was installed", fanout)
 		}
 
 		// The same connections carry the next push and the fetches.
-		if err := w0.push(w1.addr, 7, 1, 2, good, stats, spanCtx{}); err != nil {
+		if _, err := w0.push(w1.addr, 7, 1, 2, good, stats, spanCtx{}); err != nil {
 			t.Fatalf("fanout %d: push after the failed one: %v", fanout, err)
 		}
 		var out []rdd.Pair

@@ -79,12 +79,12 @@ type xferSample struct {
 // best offset estimate rides along so the driver can map the beat's span
 // timestamps — stamped on the worker's local clock — onto the run clock.
 type heartbeat struct {
-	Worker                   int
-	Flows                    []flowDelta
-	Xfers                    []xferSample
-	Pushes, Fetches, Samples int64
-	Dials                    int64
-	Spans                    []trace.Span
+	Worker          int
+	Flows           []flowDelta
+	Xfers           []xferSample
+	Pushes, Fetches int64
+	Dials           int64
+	Spans           []trace.Span
 	// T0 is the worker's local clock at send time.
 	T0 float64
 	// Offset and RTT are the worker's current clock-alignment estimate
@@ -167,7 +167,6 @@ func (t *workerTel) drain() heartbeat {
 		Xfers:   t.xfers,
 		Pushes:  t.ops[reqPushChunk],
 		Fetches: t.ops[reqFetchStream],
-		Samples: t.ops[reqSample],
 		Dials:   t.dials,
 		Spans:   t.spans,
 	}
@@ -197,7 +196,6 @@ func (t *workerTel) restore(hb heartbeat) {
 	t.xfers = append(append([]xferSample(nil), hb.Xfers...), t.xfers...)
 	t.ops[reqPushChunk] += hb.Pushes
 	t.ops[reqFetchStream] += hb.Fetches
-	t.ops[reqSample] += hb.Samples
 	t.dials += hb.Dials
 	t.spans = append(hb.Spans, t.spans...)
 }

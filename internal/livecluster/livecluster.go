@@ -207,9 +207,6 @@ type Cluster struct {
 	// specs is the control-plane shuffle metadata of the current job
 	// (shuffleID → *rdd.ShuffleSpec), the registry workers bucket by.
 	specs sync.Map
-	// pool is the driver's own client side, for control-plane requests
-	// like barrier sampling.
-	pool poolSet
 	// curRun is the job currently executing, so server-side handlers
 	// (push receives) can record spans against its clock.
 	curRun atomic.Pointer[liveRun]
@@ -254,9 +251,11 @@ type Stats struct {
 	// whatever per-chunk compression saved. Equal to BytesOverTCP when
 	// compression is off; never smaller.
 	BytesRaw int64
-	// PushConnections, FetchConnections and SampleRequests count
-	// data-plane requests by purpose. Requests reuse pooled connections;
-	// Dials counts how many fresh TCP connections they actually opened.
+	// PushConnections and FetchConnections count data-plane requests by
+	// purpose. Requests reuse pooled connections; Dials counts how many
+	// fresh TCP connections they actually opened. SampleRequests is always
+	// 0: range samples ride with map outputs to the planner, nothing asks
+	// for them over the wire (the field stays for perf/, which reads it).
 	PushConnections  int64
 	FetchConnections int64
 	SampleRequests   int64
@@ -276,14 +275,12 @@ type Stats struct {
 	CompletionSec float64
 	// Retries counts task attempts beyond the first.
 	Retries int
-	// TrafficMatrix[i][j] is the TCP payload moved by requests from site
-	// i to site j; sites 0..Workers-1 are the workers, index Workers is
-	// the driver (barrier sampling). Summed over all entries it equals
-	// BytesOverTCP — the live analogue of the simulator's per-region
-	// matrix.
+	// TrafficMatrix[i][j] is the TCP payload moved by requests from
+	// worker i to worker j. Summed over all entries it equals BytesOverTCP
+	// — the live analogue of the simulator's per-region matrix.
 	TrafficMatrix [][]int64
 	// BytesByClass splits BytesOverTCP by request purpose: "push",
-	// "shuffle" (fetch), "sample".
+	// "shuffle" (fetch).
 	BytesByClass map[string]int64
 	// Events collects the driver's task lifecycle and stage events, with
 	// a metrics registry mirroring them.
@@ -313,7 +310,7 @@ type Stats struct {
 
 	// mu guards BytesOverTCP, TrafficMatrix, BytesByClass, StageSpans,
 	// CompletionSec, Retries, and placements against concurrent scrapes;
-	// the request counters (Push/Fetch/Sample/Dials) are atomics.
+	// the request counters (Push/Fetch/Dials) are atomics.
 	mu sync.Mutex
 }
 
@@ -371,8 +368,6 @@ func (s *Stats) op(kind requestKind) {
 		atomic.AddInt64(&s.PushConnections, 1)
 	case reqFetchStream:
 		atomic.AddInt64(&s.FetchConnections, 1)
-	case reqSample:
-		atomic.AddInt64(&s.SampleRequests, 1)
 	}
 }
 
@@ -387,7 +382,6 @@ func (s *Stats) merge(hb heartbeat, tr *trace.SyncRecorder) {
 	}
 	atomic.AddInt64(&s.PushConnections, hb.Pushes)
 	atomic.AddInt64(&s.FetchConnections, hb.Fetches)
-	atomic.AddInt64(&s.SampleRequests, hb.Samples)
 	atomic.AddInt64(&s.Dials, hb.Dials)
 	for _, sp := range hb.Spans {
 		tr.Add(sp)
@@ -434,14 +428,14 @@ func (s *Stats) setCompletion(sec float64, retries int) {
 	s.Retries = retries
 }
 
-// MatrixLabels names the traffic matrix's rows and columns: one per
-// worker, then the driver.
+// MatrixLabels names the traffic matrix's rows and columns, one per
+// worker.
 func (s *Stats) MatrixLabels() []string {
-	out := make([]string, 0, len(s.ShardsByWorker)+1)
-	for i := range s.ShardsByWorker {
-		out = append(out, fmt.Sprintf("w%d", i))
+	out := make([]string, len(s.ShardsByWorker))
+	for i := range out {
+		out[i] = fmt.Sprintf("w%d", i)
 	}
-	return append(out, "driver")
+	return out
 }
 
 // RunReport assembles the canonical JSON run report for this job. tr is
@@ -494,7 +488,7 @@ func (s *Stats) RunReport(workload string, tr *trace.SyncRecorder) *obs.Report {
 		Backend:        "live",
 		Workload:       workload,
 		Scheme:         s.Mode.String(),
-		Sites:          labels[:len(s.ShardsByWorker)],
+		Sites:          labels,
 		CompletionSec:  completion,
 		Stages:         stages,
 		TrafficByClass: byClass,
@@ -557,8 +551,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		return nil
 	}})
-	c.pool.dialTimeout = cfg.DialTimeout
-	c.pool.ioTimeout = cfg.IOTimeout
 	if c.hbEnabled() {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -642,9 +634,6 @@ func (c *Cluster) StorageStats() blockstore.Stats {
 	return total
 }
 
-// driverSite is the traffic-matrix index of the driver's connection pool.
-func (c *Cluster) driverSite() int { return len(c.workers) }
-
 // workerHost maps a worker index onto the WAN topology's worker hosts,
 // round-robin when the cluster has more workers than the topology.
 // Callers must have checked Config.WANTopology is set.
@@ -709,14 +698,10 @@ func (c *Cluster) LinkCosts() plan.LinkCostProvider {
 // expressed against it.
 func (c *Cluster) clusterNow() float64 { return time.Since(c.epoch).Seconds() }
 
-// siteLabel names a traffic-matrix site for span attribution, matching
-// Stats.MatrixLabels ("w0".."wN-1", then "driver").
-func (c *Cluster) siteLabel(i int) string {
-	if i == len(c.workers) {
-		return "driver"
-	}
-	return fmt.Sprintf("w%d", i)
-}
+// siteLabel names worker i for span and link attribution, matching
+// Stats.MatrixLabels. (The one link the driver is on, the heartbeat RTT
+// pair, names its far end "driver" itself.)
+func (c *Cluster) siteLabel(i int) string { return fmt.Sprintf("w%d", i) }
 
 // CurrentStats returns the stats of the job currently running, falling
 // back to the last completed job's (nil before any job). Telemetry
@@ -753,7 +738,6 @@ func (c *Cluster) Topology() *topology.Topology {
 // Close shuts every worker down and drops all pooled connections, then
 // stops the heartbeat plane.
 func (c *Cluster) Close() {
-	c.pool.closeAll()
 	for _, w := range c.workers {
 		if w != nil {
 			w.close()
@@ -801,10 +785,9 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	for _, spec := range job.Plan.Shuffles() {
 		c.specs.Store(spec.ID, spec)
 	}
-	nSites := len(c.workers) + 1 // workers plus the driver's pool
-	matrix := make([][]int64, nSites)
+	matrix := make([][]int64, len(c.workers))
 	for i := range matrix {
-		matrix[i] = make([]int64, nSites)
+		matrix[i] = make([]int64, len(c.workers))
 	}
 	stats := &Stats{
 		ShardsByWorker:       make([]int, len(c.workers)),

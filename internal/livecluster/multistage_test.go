@@ -204,9 +204,10 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
-// TestRangePartitionBarrierOverWire runs a multi-stage sort: the range
-// partitioner must be prepared at the map barrier from samples fetched
-// over TCP, not from a driver-side pre-pass.
+// TestRangePartitionBarrierOverWire runs a multi-stage sort over the wire:
+// the range partitioner is prepared at the map barrier from the samples
+// that came back with the map outputs, so the output is globally sorted and
+// nothing but shuffle data ever crossed a socket.
 func TestRangePartitionBarrierOverWire(t *testing.T) {
 	build := func() *rdd.RDD {
 		g := rdd.NewGraph()
@@ -237,8 +238,11 @@ func TestRangePartitionBarrierOverWire(t *testing.T) {
 				t.Fatalf("%v output not globally sorted at %d", mode, i)
 			}
 		}
-		if stats.SampleRequests == 0 {
-			t.Fatalf("%v: range boundaries prepared without wire sampling", mode)
+		if n := stats.BytesByClass["sample"]; n != 0 || stats.SampleRequests != 0 {
+			t.Fatalf("%v: %d sample bytes in %d requests crossed the wire", mode, n, stats.SampleRequests)
+		}
+		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP || got == 0 {
+			t.Fatalf("%v: matrix total %d, BytesOverTCP %d", mode, got, stats.BytesOverTCP)
 		}
 	}
 }

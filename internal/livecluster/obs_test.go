@@ -43,7 +43,7 @@ func TestLiveRunReportInvariants(t *testing.T) {
 		t.Fatalf("degenerate report: workload=%q completion=%v stages=%d",
 			rep.Workload, rep.CompletionSec, len(rep.Stages))
 	}
-	if len(rep.Sites) != 4 || len(rep.MatrixLabels) != 5 || rep.MatrixLabels[4] != "driver" {
+	if len(rep.Sites) != 4 || len(rep.MatrixLabels) != 4 || rep.MatrixLabels[3] != "w3" {
 		t.Fatalf("sites = %v, matrix labels = %v", rep.Sites, rep.MatrixLabels)
 	}
 
@@ -167,10 +167,11 @@ func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
 	}
 }
 
-// TestReceiveSpansCarryCodecBytes pins the receive side of the byte
-// accounting: the receive spans linked to one push together report the
-// record-codec bytes that push sent, whether its chunks crossed the wire
-// raw or compressed.
+// TestReceiveSpansCarryCodecBytes pins the spans' byte accounting: a push
+// span, and the receive spans linked to it together, report the
+// record-codec bytes that push sent, and a fetch span reports what the
+// serve spans nested under it add up to — whether the chunks crossed the
+// wire raw or compressed.
 func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 	const chunkRecords = 16
 	build := func() (*rdd.RDD, []float64) {
@@ -205,13 +206,26 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 			t.Fatalf("codec %q: nothing was compressed, the test would prove nothing", codec)
 		}
 		mapPartOf := map[trace.SpanID]int{}
+		pushed := make([]float64, len(sent))
+		fetched := map[trace.SpanID]float64{}
 		for _, s := range tr.Spans() {
-			if s.Kind == trace.KindPush {
+			switch s.Kind {
+			case trace.KindPush:
 				mapPartOf[s.ID] = s.Part
+				pushed[s.Part] = s.Bytes
+			case trace.KindFetch:
+				fetched[s.ID] = s.Bytes
 			}
 		}
 		received := make([]float64, len(sent))
+		served := map[trace.SpanID]float64{}
 		for _, s := range tr.Spans() {
+			if s.Kind == trace.KindServe {
+				if _, ok := fetched[s.Parent]; !ok {
+					t.Fatalf("codec %q: serve span %d nests under no fetch span", codec, s.ID)
+				}
+				served[s.Parent] += s.Bytes
+			}
 			if s.Kind != trace.KindReceive {
 				continue
 			}
@@ -225,10 +239,25 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 			received[part] += s.Bytes
 		}
 		for p := range sent {
-			if received[p] != sent[p] {
-				t.Errorf("codec %q: map %d: receive spans report %v bytes, its push sent %v codec bytes",
-					codec, p, received[p], sent[p])
+			if received[p] != sent[p] || pushed[p] != sent[p] {
+				t.Errorf("codec %q: map %d: its push sent %v codec bytes, the push span reports %v, its receive spans %v",
+					codec, p, sent[p], pushed[p], received[p])
 			}
+		}
+		// Both ends of a fetch agree too, and between them the fetches
+		// moved every record the pushes delivered.
+		var fetchTotal, sentTotal float64
+		for id, b := range fetched {
+			if b <= 0 || b != served[id] {
+				t.Errorf("codec %q: fetch span %d reports %v bytes, its serve spans %v", codec, id, b, served[id])
+			}
+			fetchTotal += b
+		}
+		for _, b := range sent {
+			sentTotal += b
+		}
+		if len(fetched) == 0 || fetchTotal < sentTotal*0.9 || fetchTotal > sentTotal*1.1 {
+			t.Errorf("codec %q: %d fetch spans report %v bytes for %v pushed", codec, len(fetched), fetchTotal, sentTotal)
 		}
 	}
 }

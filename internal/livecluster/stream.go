@@ -17,8 +17,8 @@ import (
 // Chunk framing for the streaming data plane. A push or fetch moves its
 // records as a sequence of bounded-size chunk frames over one (or, for
 // pushes, several parallel) pooled connections, ended by a terminal frame.
-// Requests, responses and heartbeats are control messages and travel as
-// their own encoding (worker.go); a chunk frame is raw bytes:
+// Requests and heartbeats are control messages and travel as their own
+// encoding (worker.go); a chunk frame is raw bytes:
 //
 //	flags byte | uvarint seq | uvarint rawLen | uvarint len | len payload bytes
 //
@@ -28,9 +28,12 @@ import (
 // otherwise), so compression never inflates the wire. A frame with
 // frameLast set terminates the stream; with frameErr too its payload is an
 // error message: the holder's on a fetch stream, the sender's on a push
-// stream it had to abandon. Push and fetch share the one writer and reader
-// below. The reader takes a *bufio.Reader that the connection's control
-// decoder reads through as well, so neither reads past its own message.
+// stream it had to abandon. A terminal frame is also the only reply there
+// is: the receiver acknowledges a push stream with one, carrying the error
+// that made it drop the push if any. Push and fetch share the one writer
+// and reader below. The reader takes a *bufio.Reader that the server side's
+// request decoder reads through as well, so neither reads past its own
+// message.
 
 // Compression codec names accepted by Config.Compression.
 const (
@@ -180,36 +183,37 @@ var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
 
 // sendChunk encodes one chunk of records into a pooled buffer, compresses
 // it with codec when that shrinks it, writes the data frame and hands the
-// buffer back, returning the chunk's compression savings. A chunk that
-// cannot be sent — a value the codec cannot carry, which stays an
+// buffer back, returning the chunk's record-codec bytes (the receiver's
+// chunkFrame.codecBytes) and how many of them compression saved. A chunk
+// that cannot be sent — a value the codec cannot carry, which stays an
 // *rdd.UnsupportedValueError, or an encoding above the frame cap — is a
 // localError: nothing of it was written.
-func sendChunk(w io.Writer, seq int, records []rdd.Pair, codec string) (int64, error) {
+func sendChunk(w io.Writer, seq int, records []rdd.Pair, codec string) (raw, saved int64, err error) {
 	buf := encodeBufs.Get().(*encodeBuf)
 	defer encodeBufs.Put(buf)
 	room, err := rdd.AppendPairs(slices.Grow(buf.raw[:0], frameHeaderMax)[:frameHeaderMax], records)
 	if err != nil {
-		return 0, localError{err}
+		return 0, 0, localError{err}
 	}
 	buf.raw = room
 	rawLen := len(room) - frameHeaderMax
 	if rawLen > maxFramePayload {
-		return 0, localError{fmt.Errorf("livecluster: chunk %d encodes to %d bytes, above the %d-byte frame cap", seq, rawLen, maxFramePayload)}
+		return 0, 0, localError{fmt.Errorf("livecluster: chunk %d encodes to %d bytes, above the %d-byte frame cap", seq, rawLen, maxFramePayload)}
 	}
 	if codec != CodecNone {
 		comp, err := compress(codec, slices.Grow(buf.comp[:0], frameHeaderMax)[:frameHeaderMax], room[frameHeaderMax:])
 		if err != nil {
-			return 0, localError{err}
+			return 0, 0, localError{err}
 		}
 		buf.comp = comp
 		// A chunk compression would inflate (tiny or incompressible data)
 		// ships raw, so bytes_wire_total never exceeds raw.
 		if len(comp) < len(room) {
 			flags := byte(slices.Index(frameCodecs[:], codec) << frameCodecShift)
-			return int64(len(room) - len(comp)), writeFrame(w, comp, flags, seq, rawLen)
+			return int64(rawLen), int64(len(room) - len(comp)), writeFrame(w, comp, flags, seq, rawLen)
 		}
 	}
-	return 0, writeFrame(w, room, 0, seq, 0)
+	return int64(rawLen), 0, writeFrame(w, room, 0, seq, 0)
 }
 
 // records returns the frame's records, decompressing as needed. They are

@@ -9,6 +9,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func pairs(n int) []rdd.Pair {
 
 // fetchFlat fetches one shard and joins the chunks it arrived in.
 func fetchFlat(w *worker, addr string, shuffleID, mapPart, reduce int, stats *Stats) ([]rdd.Pair, error) {
-	chunks, err := w.fetch(addr, shuffleID, mapPart, reduce, stats, spanCtx{})
+	chunks, _, err := w.fetch(addr, shuffleID, mapPart, reduce, stats, spanCtx{})
 	return slices.Concat(chunks...), err
 }
 
@@ -51,7 +52,7 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := pairs(tc.n)
 			var wire bytes.Buffer
-			saved, err := sendChunk(&wire, 3, in, tc.codec)
+			raw, saved, err := sendChunk(&wire, 3, in, tc.codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 				t.Fatalf("data frame read back as %+v", fr)
 			}
 			codecBytes := int64(rdd.EncodedSize(in))
-			if fr.codecBytes() != codecBytes || fr.savings() != saved || saved != codecBytes-int64(len(fr.payload)) {
+			if fr.codecBytes() != codecBytes || raw != codecBytes || fr.savings() != saved || saved != codecBytes-int64(len(fr.payload)) {
 				t.Fatalf("codec bytes %d (want %d), savings %d, sender's %d, payload %d",
 					fr.codecBytes(), codecBytes, fr.savings(), saved, len(fr.payload))
 			}
@@ -111,7 +112,7 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 func TestChunkFrameTruncated(t *testing.T) {
 	for _, codec := range []string{CodecNone, CodecFlate} {
 		var wire bytes.Buffer
-		if _, err := sendChunk(&wire, 300, pairs(200), codec); err != nil {
+		if _, _, err := sendChunk(&wire, 300, pairs(200), codec); err != nil {
 			t.Fatal(err)
 		}
 		frame := wire.Bytes()
@@ -165,7 +166,7 @@ func TestChunkFrameRejectsBadHeaderBeforeAllocating(t *testing.T) {
 func TestSendChunkRefusesOversizedChunk(t *testing.T) {
 	big := []rdd.Pair{rdd.KV("k", make([]byte, maxFramePayload+1))}
 	var wire bytes.Buffer
-	_, err := sendChunk(&wire, 0, big, CodecNone)
+	_, _, err := sendChunk(&wire, 0, big, CodecNone)
 	var local localError
 	if !errors.As(err, &local) || wire.Len() != 0 {
 		t.Fatalf("oversized chunk: err = %v, %d bytes written", err, wire.Len())
@@ -175,7 +176,7 @@ func TestSendChunkRefusesOversizedChunk(t *testing.T) {
 // A compressed frame must inflate to exactly the rawLen its header states.
 func TestChunkFrameRawLenMustMatch(t *testing.T) {
 	var wire bytes.Buffer
-	if _, err := sendChunk(&wire, 0, pairs(300), CodecFlate); err != nil {
+	if _, _, err := sendChunk(&wire, 0, pairs(300), CodecFlate); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := readChunkFrame(frameReader(wire.Bytes()), maxFramePayload)
@@ -198,7 +199,7 @@ func FuzzReadChunkFrame(f *testing.F) {
 	const limit = 1 << 16
 	for _, codec := range []string{CodecNone, CodecGzip, CodecFlate} {
 		var wire bytes.Buffer
-		if _, err := sendChunk(&wire, 5, pairs(40), codec); err != nil {
+		if _, _, err := sendChunk(&wire, 5, pairs(40), codec); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(wire.Bytes())
@@ -207,6 +208,10 @@ func FuzzReadChunkFrame(f *testing.F) {
 	_ = writeLastFrame(&last, nil)
 	_ = writeLastFrame(&last, errors.New("boom"))
 	f.Add(last.Bytes())
+	// What a push stream's receiver answers when it dropped the push.
+	var ack bytes.Buffer
+	_ = writeLastFrame(&ack, errors.New("worker 1: unknown shuffle 99"))
+	f.Add(ack.Bytes())
 	f.Add([]byte{0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := frameReader(data)
@@ -279,12 +284,16 @@ func streamCluster(t *testing.T, cfg Config, reduces int) (*Cluster, *Stats) {
 	}
 	t.Cleanup(c.Close)
 	c.specs.Store(7, &rdd.ShuffleSpec{ID: 7, Partitioner: rdd.NewHashPartitioner(reduces)})
-	n := cfg.Workers + 1
-	matrix := make([][]int64, n)
+	return c, directStats(cfg.Workers)
+}
+
+// directStats is a Stats for exchanges driven outside a job to account into.
+func directStats(workers int) *Stats {
+	matrix := make([][]int64, workers)
 	for i := range matrix {
-		matrix[i] = make([]int64, n)
+		matrix[i] = make([]int64, workers)
 	}
-	return c, &Stats{Events: obs.NewCollector(), TrafficMatrix: matrix, BytesByClass: map[string]int64{}}
+	return &Stats{Events: obs.NewCollector(), TrafficMatrix: matrix, BytesByClass: map[string]int64{}}
 }
 
 // TestChunkedPushFetchRoundTrip drives the full wire path — chunked push
@@ -312,7 +321,7 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 			}, reduces)
 			in := pairs(tc.records)
 			w0, w1 := c.workers[0], c.workers[1]
-			if err := w0.push(w1.addr, 7, 0, 1, in, stats, spanCtx{}); err != nil {
+			if _, err := w0.push(w1.addr, 7, 0, 1, in, stats, spanCtx{}); err != nil {
 				t.Fatal(err)
 			}
 			var out []rdd.Pair
@@ -352,7 +361,7 @@ func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 	const reduces = 4
 	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
 	w0, w1 := c.workers[0], c.workers[1]
-	if err := w0.push(w1.addr, 7, 0, 1, pairs(100), stats, spanCtx{}); err != nil {
+	if _, err := w0.push(w1.addr, 7, 0, 1, pairs(100), stats, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < reduces; r++ {
@@ -378,18 +387,14 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	c.specs.Store(9, &rdd.ShuffleSpec{ID: 9, Partitioner: rp, SampleForRange: true})
 	w0, w1 := c.workers[0], c.workers[1]
 	in := pairs(60)
-	if err := w0.push(w1.addr, 9, 0, 1, in, stats, spanCtx{}); err != nil {
+	if _, err := w0.push(w1.addr, 9, 0, 1, in, stats, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	// Not ready yet: fetching must fail rather than bucket garbage.
 	if _, err := fetchFlat(w0, w1.addr, 9, 0, 0, stats); err == nil {
 		t.Fatal("fetch succeeded before the range partitioner was prepared")
 	}
-	keys, err := c.sampleKeys(w1.addr, 9, 0, 1000, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Prepare(keys)
+	rp.Prepare(rdd.SampleKeys(in, 1000))
 	var out []rdd.Pair
 	for r := 0; r < reduces; r++ {
 		for i := 0; i < 3; i++ {
@@ -407,6 +412,64 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	}
 	if n := w1.bucketBuilds.Load(); n != 1 {
 		t.Fatalf("flat output bucketed %d times, want exactly once", n)
+	}
+}
+
+// TestPushFailureIsATerminalFrame pins the push acknowledgement: when the
+// receiver drops a push, the sender reads the reason out of a terminal
+// chunk frame — the same reply a fetch ends with — the exchange leaves the
+// connection pooled, and the job that follows dials nothing.
+func TestPushFailureIsATerminalFrame(t *testing.T) {
+	// One task per worker and one stream per push: a worker never needs a
+	// second connection to a peer, so every dial is a connection lost.
+	c, err := New(Config{Workers: 2, Mode: ModePush, Aggregators: []int{1},
+		TasksPerWorker: 1, PushFanout: 1, ChunkRecords: 4, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Run(buildWordCount(4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	w0, w1 := c.workers[0], c.workers[1]
+	stats := directStats(2)
+
+	// Shuffle 99 is not registered: the receiver refuses its chunks.
+	_, err = w0.push(w1.addr, 99, 0, 1, pairs(9), stats, spanCtx{})
+	var remote remoteError
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "worker 1: unknown shuffle 99") {
+		t.Fatalf("push err = %v, want the receiver's refusal as a remoteError", err)
+	}
+	// The same exchange frame by frame: request, one chunk, the sender's
+	// terminal frame, and then the receiver's.
+	err = w0.pool.exchange(w1.addr, stats, 0, 1, "push", func(pc *pooledConn) (int64, error) {
+		if err := pc.enc.Encode(&request{Kind: reqPushChunk, ShuffleID: 99, Attempt: 2, Chunks: 1}); err != nil {
+			return 0, err
+		}
+		if _, _, err := sendChunk(pc.conn, 0, pairs(3), CodecNone); err != nil {
+			return 0, err
+		}
+		if err := writeLastFrame(pc.conn, nil); err != nil {
+			return 0, err
+		}
+		ack, err := readChunkFrame(pc.br, maxFramePayload)
+		if err == nil && (!ack.last || ack.err != "worker 1: unknown shuffle 99") {
+			err = fmt.Errorf("acknowledgement read back as %+v", ack)
+		}
+		return 0, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Dials != 0 {
+		t.Fatalf("the failed pushes dialed %d connections: the pool lost the warm one", stats.Dials)
+	}
+	_, next, err := c.Run(buildWordCount(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Dials != 0 || next.PushConnections == 0 {
+		t.Fatalf("job after the failed pushes: %d dials over %d pushes, want 0 dials", next.Dials, next.PushConnections)
 	}
 }
 
@@ -431,14 +494,14 @@ func TestDuplicatePushesIdempotent(t *testing.T) {
 		return out[0].Value.(string)
 	}
 	for _, att := range []int{2, 1} { // attempt 1 arrives after attempt 2
-		if err := w0.push(w1.addr, 7, 0, att, byAttempt(att), stats, spanCtx{}); err != nil {
+		if _, err := w0.push(w1.addr, 7, 0, att, byAttempt(att), stats, spanCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := fetchOne(); got != "attempt-2" {
 		t.Fatalf("stale attempt overwrote newer output: %q", got)
 	}
-	if err := w0.push(w1.addr, 7, 0, 3, byAttempt(3), stats, spanCtx{}); err != nil {
+	if _, err := w0.push(w1.addr, 7, 0, 3, byAttempt(3), stats, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fetchOne(); got != "attempt-3" {
@@ -456,7 +519,7 @@ func TestDuplicatePushesIdempotent(t *testing.T) {
 func TestStalePooledConnectionRetriedOnce(t *testing.T) {
 	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
 	w0, w1 := c.workers[0], c.workers[1]
-	if err := w0.push(w1.addr, 7, 0, 1, pairs(6), stats, spanCtx{}); err != nil {
+	if _, err := w0.push(w1.addr, 7, 0, 1, pairs(6), stats, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	dialsBefore := stats.Dials
@@ -583,7 +646,7 @@ func BenchmarkChunkFrameRoundTrip(b *testing.B) {
 			b.SetBytes(int64(rdd.EncodedSize(recs)))
 			for i := 0; i < b.N; i++ {
 				wire.Reset()
-				if _, err := sendChunk(&wire, i, recs, codec); err != nil {
+				if _, _, err := sendChunk(&wire, i, recs, codec); err != nil {
 					b.Fatal(err)
 				}
 				fr, err := readChunkFrame(br, maxFramePayload)

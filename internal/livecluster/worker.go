@@ -20,32 +20,31 @@ import (
 )
 
 // Wire protocol: exchanges multiplexed over persistent pooled connections.
-// gob carries the control messages only — requests and responses; records
-// travel as raw chunk frames of record-codec bytes (stream.go). A client
-// checks a connection out of its pool, runs one exchange under the
-// configured I/O deadline, and returns it; the server loops decoding
-// requests on each accepted connection until the peer closes it. Both ends
-// read a connection through one bufio.Reader shared by the gob decoder and
-// the frame reader: handed an io.ByteReader, gob reads one message at a
-// time and never past it, so the frames that follow a request (or the
-// response that follows them) are still there for the next reader. Three
-// exchange shapes exist:
+// gob carries one control message per exchange, the request that opens it;
+// everything after it — records and replies — travels as raw chunk frames
+// (stream.go), and every exchange ends with the server's terminal frame,
+// which carries any error. A client checks a connection out of its pool,
+// runs one exchange under the configured I/O deadline, and returns it; the
+// server loops decoding requests on each accepted connection until the
+// peer closes it. The server reads a connection through one bufio.Reader
+// shared by its gob decoder and the frame reader: handed an io.ByteReader,
+// gob reads one message at a time and never past it, so the frames that
+// follow a request are still there for the frame reader. Two exchange
+// shapes exist:
 //
 //   - reqPushChunk: the request is followed by data chunk frames and a
 //     terminal frame; the receiver buckets chunks into per-reduce shards
 //     as they arrive, installs the assembled output once every chunk
-//     (across the push's parallel streams) is present, and answers with
-//     one response per stream.
+//     (across the push's parallel streams) is present, and acknowledges
+//     each stream with a terminal frame of its own.
 //   - reqFetchStream: the holder streams one reduce shard back as chunk
-//     frames ending in a terminal frame (which carries any error).
-//   - reqSample: a plain request/response pair.
+//     frames ending in the terminal frame.
 
 type requestKind int
 
 const (
 	reqPushChunk requestKind = iota + 1
 	reqFetchStream
-	reqSample
 )
 
 // (Heartbeats use their own wire types on a dedicated driver connection —
@@ -56,7 +55,6 @@ type request struct {
 	ShuffleID int
 	MapPart   int
 	Reduce    int
-	Max       int
 	// Attempt is the map-task attempt a push stream ships. Receivers keep
 	// the highest attempt per (shuffle, map) — duplicate pushes from
 	// retried tasks are idempotent, last-write-wins by attempt.
@@ -82,11 +80,6 @@ type spanCtx struct {
 	trace  trace.TraceID
 	parent trace.SpanID // span the server-side span nests under
 	span   trace.SpanID // client-side send span (pushes; receive links to it)
-}
-
-type response struct {
-	Err  string
-	Keys []string
 }
 
 // pushKey identifies one in-flight push assembly.
@@ -261,33 +254,23 @@ func (w *worker) serve() {
 func (w *worker) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
 	for {
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		err := dec.Decode(&req)
+		if err != nil {
 			return
 		}
 		w.maybeStall()
-		var resp *response
 		switch req.Kind {
 		case reqPushChunk:
-			r, err := w.receivePush(br, &req)
-			if err != nil {
-				return // broken stream: drop the connection
-			}
-			resp = r
+			err = w.receivePush(conn, br, &req)
 		case reqFetchStream:
-			if err := w.streamFetch(conn, &req); err != nil {
-				return
-			}
-			continue // the terminal chunk ends the exchange
-		case reqSample:
-			resp = w.handleSample(&req)
+			err = w.streamFetch(conn, &req)
 		default:
-			resp = &response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
+			err = writeLastFrame(conn, fmt.Errorf("unknown request kind %d", req.Kind))
 		}
-		if err := enc.Encode(resp); err != nil {
-			return
+		if err != nil {
+			return // broken stream: drop the connection
 		}
 	}
 }
@@ -332,10 +315,10 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 
 // receivePush consumes one push stream: chunk frames until the terminal
 // frame, bucketed into the (shuffle, map, attempt) assembly as they
-// arrive. A framing error is fatal for the connection; a payload error is
-// reported in the response after the stream is drained. Returns the
-// response for this stream.
-func (w *worker) receivePush(br *bufio.Reader, req *request) (*response, error) {
+// arrive, then acknowledged with a terminal frame on conn. A framing error
+// is fatal for the connection and the only error returned; a payload or
+// store error travels in the acknowledgement after the stream is drained.
+func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := w.spanNow(run)
 	var chunkErr error
@@ -345,7 +328,7 @@ func (w *worker) receivePush(br *bufio.Reader, req *request) (*response, error) 
 		fr, err := readChunkFrame(br, maxFramePayload)
 		if err != nil {
 			w.abortAssembly(req)
-			return nil, err
+			return err
 		}
 		if fr.last {
 			if fr.err != "" && chunkErr == nil {
@@ -369,10 +352,8 @@ func (w *worker) receivePush(br *bufio.Reader, req *request) (*response, error) 
 	}
 	if chunkErr != nil {
 		w.abortAssembly(req)
-		return &response{Err: chunkErr.Error()}, nil
-	}
-	if err := w.finishPushStream(req); err != nil {
-		return &response{Err: err.Error()}, nil
+	} else {
+		chunkErr = w.finishPushStream(req)
 	}
 	// Receiver occupancy (the paper's V rows): the aggregator side of a
 	// push, parented to the originating map task and linked to its send
@@ -380,7 +361,7 @@ func (w *worker) receivePush(br *bufio.Reader, req *request) (*response, error) 
 	// With heartbeats enabled the span is stamped on the worker's local
 	// clock, buffered, and rebased onto the run clock when the next beat
 	// merges driver-side.
-	if run != nil {
+	if chunkErr == nil && run != nil {
 		w.recordSpan(trace.Span{
 			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent, Link: req.Span,
 			Kind: trace.KindReceive, Host: topology.HostID(w.id),
@@ -391,7 +372,7 @@ func (w *worker) receivePush(br *bufio.Reader, req *request) (*response, error) 
 			Start: t0, End: w.spanNow(run),
 		})
 	}
-	return &response{}, nil
+	return writeLastFrame(conn, chunkErr)
 }
 
 // spanNow reads the clock server-side spans are stamped on: the worker's
@@ -521,20 +502,19 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 	return nil
 }
 
-// handleSample serves a key-sample request out of the stored flat records.
-func (w *worker) handleSample(req *request) *response {
-	records, err := w.stored(req.ShuffleID, req.MapPart)
-	if err != nil {
-		return &response{Err: err.Error()}
-	}
-	return &response{Keys: rdd.SampleKeys(records, req.Max)}
-}
-
 // streamFetch serves one reduce shard as a chunk stream. Errors travel in
 // the terminal frame; a nil error return means the exchange completed.
-// Clean completions record a serve span — the holder side of a fetch,
-// nested under the requesting fetch span — so critical-path analysis can
-// attribute fetch time to the link it actually crossed.
+// A stream whose chunks all went out records a serve span — the holder side
+// of a fetch, nested under the requesting fetch span — so critical-path
+// analysis can attribute fetch time to the link it actually crossed. Like a
+// receive span before its acknowledgement, it is recorded before the
+// terminal frame goes out: a fetch that has returned has its serve span in
+// this worker's telemetry, so the flush at the end of the job cannot miss
+// it. The price is the same as for a receive span: if the terminal frame
+// itself cannot be written the span stays, and when the fetching side
+// retries on a fresh connection (poolSet.exchange) a second serve span
+// joins it under the same fetch span — serve bytes sum to the fetch's only
+// over exchanges that needed no retry.
 func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := w.spanNow(run)
@@ -543,17 +523,17 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 		return writeLastFrame(conn, err)
 	}
 	codec := w.cluster.cfg.Compression
+	var sent int64 // record-codec bytes, what the fetching side will count
 	for seq, part := range splitRecords(records, w.cluster.cfg.ChunkRecords) {
-		if _, err := sendChunk(conn, seq, part, codec); err != nil {
+		raw, _, err := sendChunk(conn, seq, part, codec)
+		if err != nil {
 			var local localError
 			if errors.As(err, &local) {
 				return writeLastFrame(conn, err)
 			}
 			return err
 		}
-	}
-	if err := writeLastFrame(conn, nil); err != nil {
-		return err
+		sent += raw
 	}
 	if run != nil {
 		w.recordSpan(trace.Span{
@@ -562,11 +542,11 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
 			SrcSite: w.cluster.siteLabel(w.id), DstSite: w.cluster.siteLabel(req.From),
-			Bytes: rdd.SizeOfAll(records), Records: len(records),
+			Bytes: float64(sent), Records: len(records),
 			Start: t0, End: w.spanNow(run),
 		})
 	}
-	return nil
+	return writeLastFrame(conn, nil)
 }
 
 // storeMapOutput stores a locally produced map output (fetch mode), run
@@ -592,17 +572,6 @@ func (w *worker) resetRun() {
 }
 
 func (w *worker) storedOutputs() int { return w.store.Len() }
-
-// stored returns a map output's flat records for sampling. Sampling runs
-// at the map barrier, before range partitioners are prepared, so sampled
-// outputs are still flat; bucketed outputs flatten in shard order.
-func (w *worker) stored(shuffleID, mapPart int) ([]rdd.Pair, error) {
-	recs, err := w.store.Get(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart})
-	if errors.Is(err, blockstore.ErrNotFound) {
-		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d", w.id, shuffleID, mapPart)
-	}
-	return recs, err
-}
 
 // bucketFn builds the store's BucketFunc for one shuffle: resolve the
 // spec, require a ready partitioner, and count the deferred whole-output
@@ -671,21 +640,24 @@ func (w *worker) pushStreams(chunks int) int {
 // streams over up to Config.PushFanout pooled connections in parallel.
 // The receiver reassembles by sequence number and installs the output
 // atomically once every chunk arrived, so a partially failed push is
-// invisible and safely retried under the same or a later attempt.
-func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rdd.Pair, stats *Stats, sc spanCtx) error {
+// invisible and safely retried under the same or a later attempt. It
+// returns the record-codec bytes of the chunks it sent — what the push's
+// receive spans add up to.
+func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rdd.Pair, stats *Stats, sc spanCtx) (int64, error) {
 	sink := w.sink(stats)
 	codec := w.cluster.cfg.Compression
 	chunks := splitRecords(records, w.cluster.cfg.ChunkRecords)
 	streams := w.pushStreams(len(chunks))
 	dst := w.cluster.siteOfAddr(addr)
 	errs := make([]error, streams)
-	remote := make([]string, streams)
+	sent := make([]int64, streams)
 	var wg sync.WaitGroup
 	for s := 0; s < streams; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			errs[s] = w.pool.exchange(addr, sink, w.id, dst, "push", func(pc *pooledConn) (int64, error) {
+				sent[s] = 0 // reset on transparent retry
 				if err := pc.enc.Encode(&request{
 					Kind: reqPushChunk, ShuffleID: shuffleID, MapPart: mapPart,
 					Attempt: attempt, Chunks: len(chunks),
@@ -698,7 +670,7 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 				var savings int64
 				var abandoned error
 				for seq := s; seq < len(chunks); seq += streams {
-					saved, err := sendChunk(pc.conn, seq, chunks[seq], codec)
+					raw, saved, err := sendChunk(pc.conn, seq, chunks[seq], codec)
 					var local localError
 					if errors.As(err, &local) {
 						// The chunk was never written: end the stream in
@@ -710,46 +682,53 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 					if err != nil {
 						return 0, err
 					}
+					sent[s] += raw
 					savings += saved
 				}
 				if err := writeLastFrame(pc.conn, abandoned); err != nil {
 					return 0, err
 				}
-				var resp response
-				if err := pc.dec.Decode(&resp); err != nil {
+				// The receiver acknowledges the stream the way a fetch
+				// ends: a terminal frame, carrying what failed if anything.
+				ack, err := readChunkFrame(pc.br, maxFramePayload)
+				switch {
+				case err != nil:
 					return 0, err
-				}
-				if abandoned != nil {
+				case !ack.last:
+					return 0, errors.New("livecluster: data frame in place of a push acknowledgement")
+				case abandoned != nil:
 					return savings, abandoned
+				case ack.err != "":
+					return savings, remoteError{ack.err}
 				}
-				remote[s] = resp.Err
 				return savings, nil
 			})
 		}(s)
 	}
 	wg.Wait()
+	var total int64
 	for s := 0; s < streams; s++ {
 		if errs[s] != nil {
-			return fmt.Errorf("livecluster: push %d/%d to %s: %w", shuffleID, mapPart, addr, errs[s])
+			return 0, fmt.Errorf("livecluster: push %d/%d to %s: %w", shuffleID, mapPart, addr, errs[s])
 		}
-		if remote[s] != "" {
-			return fmt.Errorf("livecluster: push %d/%d to %s: %s", shuffleID, mapPart, addr, remote[s])
-		}
+		total += sent[s]
 	}
 	sink.op(reqPushChunk)
 	w.cluster.counter("push_chunks_total", nil).Add(int64(len(chunks)))
-	return nil
+	return total, nil
 }
 
 // fetch pulls one (map, reduce) shard from its holder as a chunk stream and
 // returns the decoded chunks as they are, in order, for the caller to
-// gather at its final size. sc parents the holder's serve span under the
+// gather at its final size, plus their record-codec bytes (what the
+// holder's serve span reports). sc parents that serve span under the
 // requesting fetch span.
-func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([][]rdd.Pair, error) {
+func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([][]rdd.Pair, int64, error) {
 	sink := w.sink(stats)
 	var out [][]rdd.Pair
+	var codecBytes int64
 	err := w.pool.exchange(addr, sink, w.id, w.cluster.siteOfAddr(addr), "shuffle", func(pc *pooledConn) (int64, error) {
-		out = nil // reset on transparent retry
+		out, codecBytes = nil, 0 // reset on transparent retry
 		if err := pc.enc.Encode(&request{
 			Kind: reqFetchStream, ShuffleID: shuffleID, MapPart: mapPart, Reduce: reduce,
 			Trace: sc.trace, Parent: sc.parent, From: w.id,
@@ -769,6 +748,7 @@ func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats
 				return savings, nil
 			}
 			savings += fr.savings()
+			codecBytes += fr.codecBytes()
 			records, err := fr.records()
 			if err != nil {
 				return 0, err
@@ -777,39 +757,11 @@ func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("livecluster: fetch %d/%d/%d from %s: %w", shuffleID, mapPart, reduce, addr, err)
+		return nil, 0, fmt.Errorf("livecluster: fetch %d/%d/%d from %s: %w", shuffleID, mapPart, reduce, addr, err)
 	}
 	sink.op(reqFetchStream)
 	w.cluster.counter("fetch_chunks_total", nil).Add(int64(len(out)))
-	return out, nil
-}
-
-// sampleKeys asks a holder for a key sample of one stored map output, on
-// the driver's own connection pool. Driver-side accounting is always
-// direct — the driver has no heartbeat buffer.
-func (c *Cluster) sampleKeys(addr string, shuffleID, mapPart, max int, stats *Stats) ([]string, error) {
-	var keys []string
-	err := c.pool.exchange(addr, stats, c.driverSite(), c.siteOfAddr(addr), "sample", func(pc *pooledConn) (int64, error) {
-		if err := pc.enc.Encode(&request{
-			Kind: reqSample, ShuffleID: shuffleID, MapPart: mapPart, Max: max,
-		}); err != nil {
-			return 0, err
-		}
-		var resp response
-		if err := pc.dec.Decode(&resp); err != nil {
-			return 0, err
-		}
-		if resp.Err != "" {
-			return 0, remoteError{resp.Err}
-		}
-		keys = resp.Keys
-		return 0, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("livecluster: sample %d/%d from %s: %w", shuffleID, mapPart, addr, err)
-	}
-	stats.op(reqSample)
-	return keys, nil
+	return out, codecBytes, nil
 }
 
 // remoteError is a failure reported by the peer over a healthy exchange:
@@ -828,31 +780,15 @@ type localError struct{ err error }
 func (e localError) Error() string { return e.err.Error() }
 func (e localError) Unwrap() error { return e.err }
 
-// class maps a request kind to its traffic class in byte accounting,
-// mirroring the simulator's traffic tags where the purposes align.
-func (k requestKind) class() string {
-	switch k {
-	case reqPushChunk:
-		return "push"
-	case reqFetchStream:
-		return "shuffle"
-	case reqSample:
-		return "sample"
-	default:
-		return "other"
-	}
-}
-
 // pooledConn is one persistent client connection with its sticky gob
-// codecs for the control messages (gob streams carry type state, so codecs
-// must live as long as the connection). br is the connection's one read
-// buffer: dec decodes from it and chunk frames are read from it; frames are
-// written to conn directly, like enc's messages.
+// encoder for requests (a gob stream carries type state, so the encoder
+// must live as long as the connection). Everything the server sends back is
+// chunk frames, read through br; frames are written to conn directly, like
+// enc's requests.
 type pooledConn struct {
 	conn *countingConn
 	br   *bufio.Reader
 	enc  *gob.Encoder
-	dec  *gob.Decoder
 }
 
 func (pc *pooledConn) close() { _ = pc.conn.Close() }
@@ -912,8 +848,7 @@ func (ps *poolSet) dial(addr string, sink flowSink) (*pooledConn, error) {
 	if ps.rateFor != nil {
 		cw.rateBps = ps.rateFor(addr)
 	}
-	br := bufio.NewReader(cw)
-	return &pooledConn{conn: cw, br: br, enc: gob.NewEncoder(cw), dec: gob.NewDecoder(br)}, nil
+	return &pooledConn{conn: cw, br: bufio.NewReader(cw), enc: gob.NewEncoder(cw)}, nil
 }
 
 // put returns a healthy connection to the pool.
@@ -951,10 +886,8 @@ func (ps *poolSet) exchange(addr string, sink flowSink, src, dst int, class stri
 		var local localError
 		if errors.As(err, &remote) || errors.As(err, &local) {
 			// The peer answered; the wire worked. Account and pool.
-			if sink != nil {
-				sink.flow(src, dst, class, wire, wire+savings)
-				sink.xfer(src, dst, wire, sec)
-			}
+			sink.flow(src, dst, class, wire, wire+savings)
+			sink.xfer(src, dst, wire, sec)
 			ps.put(addr, pc)
 			return err
 		}
@@ -973,10 +906,8 @@ func (ps *poolSet) exchange(addr string, sink flowSink, src, dst int, class stri
 			return err
 		}
 	}
-	if sink != nil {
-		sink.flow(src, dst, class, wire, wire+savings)
-		sink.xfer(src, dst, wire, sec)
-	}
+	sink.flow(src, dst, class, wire, wire+savings)
+	sink.xfer(src, dst, wire, sec)
 	ps.put(addr, pc)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
@@ -89,10 +88,10 @@ type cancelingBackend struct {
 	attempts atomic.Int32
 }
 
-func (b *cancelingBackend) RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, error) {
+func (b *cancelingBackend) RunTask(Task) (TaskResult, error) {
 	b.attempts.Add(1)
 	b.cancel()
-	return nil, errors.New("worker lost")
+	return TaskResult{}, errors.New("worker lost")
 }
 
 // TestRunContextCancelSkipsRetry checks a failing task under a canceled

@@ -4,61 +4,88 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
-	"wanshuffle/internal/topology"
 )
 
-// Backend is the execution substrate the Driver runs a planned job on. A
-// backend owns a set of integer-indexed task sites (workers for the live
-// cluster, whatever a future substrate provides), runs tasks at sites,
-// moves shuffle bytes between them, and observes stage spans.
+// Backend is the data plane the Driver runs a planned job on. A backend
+// owns a set of integer-indexed task sites (workers for the live cluster,
+// whatever a future substrate provides), runs tasks at sites, moves and
+// stores shuffle bytes between them, and observes the run's events.
 //
-// The contract mirrors the issue the planner solves for the simulator too:
-// run task, move bytes, report span. Data-plane details (TCP, memory) stay
-// entirely inside the backend; record semantics come from EvalStagePart so
-// every backend agrees with rdd.EvalLocal.
+// Everything that is planning stays with the Driver: where each map output
+// lives and how big it measured (the MapOutputTracker), a stage's input
+// sizes, the range-partitioner barrier, placement and retries. Data-plane
+// details (TCP, memory) stay entirely inside the backend; record semantics
+// come from EvalStagePart so every backend agrees with rdd.EvalLocal.
 type Backend interface {
 	// NumSites returns the number of task sites.
 	NumSites() int
 
-	// SiteOfHost maps a lineage host (input-partition placement) to a
-	// site, for map-task locality and input-share accounting.
-	SiteOfHost(h topology.HostID) int
-
-	// InputSizes reports stage st's input bytes per site: leaf input
-	// partitions plus the measured sizes of the map outputs feeding the
-	// stage's shuffle boundaries. It feeds ChooseAggregator.
-	InputSizes(st *dag.Stage) []float64
-
-	// RunMapTask computes map partition part of st at site, applies
-	// map-side preparation for st.OutSpec, and stores the prepared
-	// output — pushed to site aggTo the moment the task finishes when
-	// aggTo >= 0 (the paper's transferTo), kept local otherwise. attempt
-	// is the 1-based attempt number; backends use it to keep duplicate
-	// outputs from retried attempts idempotent (last-write-wins by
-	// attempt).
-	RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) error
-
-	// RunResultTask computes result-stage partition part at site and
-	// returns its records.
-	RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, error)
-
-	// Barrier runs once every task of a completed map stage finished:
-	// finalize the stage's shuffle (e.g. prepare a sampled range
-	// partitioner) before any consumer reads it.
-	Barrier(st *dag.Stage) error
+	// RunTask computes partition t.Part of t.Stage at t.Site, reading its
+	// shuffle input through t.Gather. A result-stage task returns its
+	// records. A map-stage task (t.Stage.OutSpec != nil) applies map-side
+	// preparation and stores the prepared output — pushed to site t.AggTo
+	// the moment the task finishes when t.AggTo >= 0 (the paper's
+	// transferTo), kept at t.Site otherwise — keeping duplicate outputs
+	// from retried attempts idempotent (last-write-wins by t.Attempt), and
+	// returns what the Driver tracks about it: its measured bytes and its
+	// rdd.RangeSample.
+	RunTask(t Task) (TaskResult, error)
 
 	// Sink receives the driver's run events: every task lifecycle
 	// transition (scheduled / started / finished / retried / failed) via
-	// OnTask, and each completed stage's execution window via OnStage —
-	// the widened successor of the old StageDone-only hook. Task events
-	// arrive from concurrent task goroutines.
+	// OnTask, and each completed stage's execution window via OnStage.
+	// Task events arrive from concurrent task goroutines.
 	obs.Sink
+}
+
+// Task is one task attempt as the Driver hands it to a Backend.
+type Task struct {
+	Stage *dag.Stage
+	Part  int
+	Site  int
+	// Attempt is the 1-based attempt number.
+	Attempt int
+	// AggTo is the site a map task pushes its output to, -1 for none.
+	AggTo int
+
+	outputs *MapOutputTracker // the Driver's; tasks only read it
+}
+
+// TaskResult is what only the data plane can know about a finished task.
+type TaskResult struct {
+	// Records are a result-stage task's output.
+	Records []rdd.Pair
+	// Bytes is a map task's prepared output as the data plane measures it;
+	// Sample is rdd.RangeSample of that output.
+	Bytes  float64
+	Sample []string
+}
+
+// Gather reads reduce partition reduce of a shuffle: fetch is called once
+// per map output, in map order, with the site the tracker says holds it,
+// and the chunks it returns are concatenated once at their final size — the
+// one copy between a backend's reads and the reduce-side sort.
+func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pair, error)) ([]rdd.Pair, error) {
+	var chunks [][]rdd.Pair
+	for m, n := 0, t.outputs.NumMaps(shuffleID); m < n; m++ {
+		holder, err := t.outputs.Holder(shuffleID, m)
+		if err != nil {
+			return nil, err
+		}
+		got, err := fetch(m, holder)
+		if err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, got...)
+	}
+	return slices.Concat(chunks...), nil
 }
 
 // SiteHealth is an optional Backend extension: backends that can tell a
@@ -87,7 +114,7 @@ type DriverConfig struct {
 	Aggregate bool
 	// Aggregators pins the aggregator sites explicitly (the analogue of
 	// TransferTo(dc)). Empty means automatic per-shuffle selection under
-	// Policy over Backend.InputSizes — measured map-output sizes for
+	// Policy over the stage's input sizes — measured map-output sizes for
 	// every shuffle past the first (the analogue of TransferToAuto).
 	Aggregators []int
 	// Policy selects the automatic-aggregation rule when Aggregators is
@@ -98,11 +125,6 @@ type DriverConfig struct {
 	// AggregatorBandwidth; other policies use it only to annotate the
 	// decision record. Nil means uniform bandwidth.
 	LinkCosts LinkCostProvider
-	// Locality places leaf map tasks at the site of their input
-	// partition's host (via SiteOfHost). Leave it off for backends whose
-	// input ships from the driver rather than residing on workers — tasks
-	// then round-robin over sites.
-	Locality bool
 	// SiteSlots bounds concurrent tasks per site. Default 2.
 	SiteSlots int
 	// Retry is the per-task attempt budget.
@@ -114,9 +136,10 @@ type DriverConfig struct {
 }
 
 // Driver executes a planned job stage-by-stage over a Backend: topological
-// stage order, per-shuffle aggregator selection, receiver/reducer
-// placement, bounded task concurrency, and retry bookkeeping all live
-// here — backends only run tasks and move bytes.
+// stage order, map-output tracking, per-shuffle aggregator selection,
+// receiver/reducer placement, the range-partitioner barrier, bounded task
+// concurrency, and retry bookkeeping all live here — backends only run
+// tasks and move bytes.
 type Driver struct {
 	job *Job
 	be  Backend
@@ -126,6 +149,9 @@ type Driver struct {
 
 	sems  []chan struct{}
 	start time.Time
+	// outputs tracks every map output of the job: holder, measured bytes,
+	// range sample.
+	outputs MapOutputTracker
 
 	mu sync.Mutex
 	// aggSites records, per shuffle ID, the sites its map output was
@@ -263,12 +289,20 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 			defer wg.Done()
 			defer func() { <-d.sems[site] }()
 			errs[part] = d.attempt(st, part, site, func(site, attempt int) error {
-				if st.OutSpec != nil {
-					return d.be.RunMapTask(st, part, site, aggTo, attempt)
+				res, err := d.be.RunTask(Task{Stage: st, Part: part, Site: site, Attempt: attempt, AggTo: aggTo, outputs: &d.outputs})
+				if err != nil {
+					return err
 				}
-				recs, err := d.be.RunResultTask(st, part, site)
-				results[part] = recs
-				return err
+				if st.OutSpec == nil {
+					results[part] = res.Records
+					return nil
+				}
+				holder := site
+				if aggTo >= 0 {
+					holder = aggTo
+				}
+				d.outputs.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, res.Bytes, res.Sample)
+				return nil
 			})
 		}()
 	}
@@ -279,7 +313,7 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 		}
 	}
 	if st.OutSpec != nil {
-		if err := d.be.Barrier(st); err != nil {
+		if err := d.outputs.PrepareRange(st.OutSpec, st.NumTasks); err != nil {
 			return nil, err
 		}
 	}
@@ -301,17 +335,17 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, st *dag.Stage, part, site, attem
 }
 
 // resolveAggregators picks the stage's aggregator sites: the explicit
-// override when configured, otherwise ChooseAggregator over
-// Backend.InputSizes — actual map-output sizes for every shuffle input
-// (Sec. III-B / IV-D). Automatic choices are recorded for the run report
-// and handed to the backend when it implements PlacementObserver.
+// override when configured, otherwise ChooseAggregator over inputSizes —
+// actual map-output sizes for every shuffle input (Sec. III-B / IV-D).
+// Automatic choices are recorded for the run report and handed to the
+// backend when it implements PlacementObserver.
 func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 	if st.OutSpec == nil || !d.cfg.Aggregate {
 		return nil
 	}
 	agg := d.cfg.Aggregators
 	if len(agg) == 0 {
-		rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.be.InputSizes(st),
+		rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.inputSizes(st),
 			d.cfg.Policy, d.cfg.LinkCosts, nil, nil)
 		if len(rank) == 0 {
 			return nil
@@ -334,22 +368,38 @@ func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 	return agg
 }
 
+// inputSizes is stage st's input bytes per site, what ChooseAggregator
+// ranks: leaf input partitions at the sites placeTask runs their tasks on,
+// plus the measured map outputs feeding the stage's shuffle boundaries at
+// their holders. Leaf records are sized as rdd.EncodedSize, the unit a
+// backend measures its map outputs in, so a predicted transfer cost is a
+// prediction about bytes a data plane moves.
+func (d *Driver) inputSizes(st *dag.Stage) []float64 {
+	bySite := make([]float64, d.be.NumSites())
+	for _, src := range st.Sources {
+		for i := range src.Input {
+			bySite[d.leafSite(i)] += rdd.EncodedSize(src.Input[i].Records)
+		}
+	}
+	d.outputs.AddBoundaryBytes(st, bySite)
+	return bySite
+}
+
+// leafSite is where the task over leaf input partition part runs: input
+// ships from the driver rather than residing on sites, so leaf tasks
+// round-robin.
+func (d *Driver) leafSite(part int) int { return part % d.be.NumSites() }
+
 // placeTask places one task: shuffle-reading tasks follow aggregated input
-// (the paper's preferredLocations restricted to the aggregator), leaf
-// tasks follow their input partition's host, everything else round-robins.
+// (the paper's preferredLocations restricted to the aggregator), everything
+// else goes where a leaf task would.
 func (d *Driver) placeTask(st *dag.Stage, part int) int {
 	if len(st.Boundaries) > 0 {
 		if sites := d.boundarySites(st); len(sites) > 0 {
 			return sites[part%len(sites)]
 		}
-		return part % d.be.NumSites()
 	}
-	if d.cfg.Locality {
-		if h, ok := HomeHost(st, part); ok {
-			return d.be.SiteOfHost(h)
-		}
-	}
-	return part % d.be.NumSites()
+	return d.leafSite(part)
 }
 
 // boundarySites returns the aggregator sites of the stage's shuffle inputs

@@ -5,14 +5,13 @@ import (
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/rdd"
-	"wanshuffle/internal/topology"
 )
 
 // ShuffleReader supplies a task's shuffle input: the gathered records of
 // one reduce partition of one shuffle (every map output's shard for that
-// partition, concatenated in map order). Backends implement it over their
-// data plane — TCP fetches for the live cluster, in-memory shard lookups
-// for MemBackend.
+// partition, concatenated in map order). Backends build it on Task.Gather,
+// which owns the map-order loop, and supply only the per-output read — a
+// TCP fetch for the live cluster, a shard lookup for MemBackend.
 type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([]rdd.Pair, error)
 
 // EvalStagePart computes output partition part of a single-phase stage,
@@ -68,32 +67,4 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 		}
 	}
 	return node.Narrow(part, in), nil
-}
-
-// HomeHost returns the host of the first leaf input partition feeding
-// partition part of the stage — the task's natural placement hint — or
-// false when the partition's input comes from shuffles only.
-func HomeHost(st *dag.Stage, part int) (topology.HostID, bool) {
-	if len(st.Phases) == 0 {
-		return 0, false
-	}
-	return homeHost(st.Phases[0].Top, part)
-}
-
-func homeHost(node *rdd.RDD, part int) (topology.HostID, bool) {
-	if len(node.Deps) == 0 {
-		return node.Input[part].Host, true
-	}
-	if node.Deps[0].Kind == rdd.DepShuffle {
-		return 0, false
-	}
-	for di := range node.Deps {
-		d := &node.Deps[di]
-		for _, pi := range d.ParentParts(part) {
-			if h, ok := homeHost(d.Parent, pi); ok {
-				return h, true
-			}
-		}
-	}
-	return 0, false
 }

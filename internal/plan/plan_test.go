@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/shuffle"
@@ -137,7 +136,6 @@ func runMem(t *testing.T, target *rdd.RDD, cfg DriverConfig, sites int) ([]rdd.P
 func TestDriverMemBackendMatchesEvalLocal(t *testing.T) {
 	for _, cfg := range []DriverConfig{
 		{},
-		{Locality: true},
 		{Aggregate: true},
 		{Aggregate: true, Aggregators: []int{2}},
 	} {
@@ -182,8 +180,7 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewMemBackend(6)
-	drv := NewDriver(pj, be, DriverConfig{Aggregate: true})
+	drv := NewDriver(pj, NewMemBackend(6), DriverConfig{Aggregate: true})
 	if _, err := drv.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +203,9 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	if second[0] != first[0] {
 		t.Fatalf("second shuffle aggregated at %d, want measured-heavy site %d", second[0], first[0])
 	}
-	for _, site := range be.HolderSites(specs[1].ID) {
-		if site != second[0] {
-			t.Fatalf("map output not pushed to aggregator: %v", be.HolderSites(specs[1].ID))
+	for m := 0; m < drv.outputs.NumMaps(specs[1].ID); m++ {
+		if site, err := drv.outputs.Holder(specs[1].ID, m); err != nil || site != second[0] {
+			t.Fatalf("map output %d held at site %d (%v), want the aggregator %d", m, site, err, second[0])
 		}
 	}
 }
@@ -250,12 +247,12 @@ type flakyBackend struct {
 	failFirst int
 }
 
-func (b *flakyBackend) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) error {
-	if b.failFirst > 0 {
+func (b *flakyBackend) RunTask(t Task) (TaskResult, error) {
+	if t.Stage.OutSpec != nil && b.failFirst > 0 {
 		b.failFirst--
-		return fmt.Errorf("flaky: injected failure")
+		return TaskResult{}, fmt.Errorf("flaky: injected failure")
 	}
-	return b.MemBackend.RunMapTask(st, part, site, aggTo, attempt)
+	return b.MemBackend.RunTask(t)
 }
 
 // deadSiteBackend wraps MemBackend with a permanently dead site: every
@@ -270,28 +267,14 @@ type deadSiteBackend struct {
 	attempts []int // sites tried, in attempt order
 }
 
-func (b *deadSiteBackend) note(site int) error {
+func (b *deadSiteBackend) RunTask(t Task) (TaskResult, error) {
 	b.mu.Lock()
-	b.attempts = append(b.attempts, site)
+	b.attempts = append(b.attempts, t.Site)
 	b.mu.Unlock()
-	if site == b.dead {
-		return fmt.Errorf("dead: site %d is down", site)
+	if t.Site == b.dead {
+		return TaskResult{}, fmt.Errorf("dead: site %d is down", t.Site)
 	}
-	return nil
-}
-
-func (b *deadSiteBackend) RunMapTask(st *dag.Stage, part, site, aggTo, attempt int) error {
-	if err := b.note(site); err != nil {
-		return err
-	}
-	return b.MemBackend.RunMapTask(st, part, site, aggTo, attempt)
-}
-
-func (b *deadSiteBackend) RunResultTask(st *dag.Stage, part, site int) ([]rdd.Pair, error) {
-	if err := b.note(site); err != nil {
-		return nil, err
-	}
-	return b.MemBackend.RunResultTask(st, part, site)
+	return b.MemBackend.RunTask(t)
 }
 
 // SiteHealthy implements SiteHealth.

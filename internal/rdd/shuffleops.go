@@ -85,14 +85,26 @@ func SampleKeys(records []Pair, max int) []string {
 // partitioner's boundary sample.
 const rangeSampleKeys = 1000
 
+// RangeSample is one map output's contribution to its shuffle's range
+// boundaries: up to rangeSampleKeys keys of the prepared output, or nil
+// when PrepareRange would leave spec alone. A map task takes it while it
+// still holds the records, so nothing reads the stored output back at the
+// barrier.
+func RangeSample(spec *ShuffleSpec, prepared []Pair) []string {
+	if !spec.SampleForRange || spec.Partitioner.Ready() {
+		return nil
+	}
+	return SampleKeys(prepared, rangeSampleKeys)
+}
+
 // PrepareRange is the map-stage barrier's sampling step (Spark's
 // sortByKey sampling job): when spec asks for a sampled range partitioner
 // that is not prepared yet, gather up to rangeSampleKeys keys from each of
 // the numMaps map outputs through sample, in map order, and install the
-// boundaries. Every backend's barrier calls it — the sampler is the only
-// part that differs (resident records, a registry, a worker across the
-// wire). A ready partitioner, or a spec that needs none, is left alone
-// and sample is never called.
+// boundaries. Every barrier calls it — the sampler is the only part that
+// differs (the samples a planner tracked with its map outputs, a
+// registry's resident records). A ready partitioner, or a spec that needs
+// none, is left alone and sample is never called.
 func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) ([]string, error)) error {
 	if !spec.SampleForRange || spec.Partitioner.Ready() {
 		return nil

@@ -3,6 +3,7 @@ package rdd
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -110,10 +111,23 @@ func TestReduceAggregateSortAllocatesOnlyItsOutput(t *testing.T) {
 	for _, n := range []int{radixSortCutoff - 1, 5000} {
 		in := sortInput("digits", n, 9)
 		ReduceAggregate(spec, in) // warm the pool
-		if allocs := testing.AllocsPerRun(20, func() { ReduceAggregate(spec, in) }); allocs > 1 {
+		allocs := testing.AllocsPerRun(20, func() { ReduceAggregate(spec, in) })
+		// Under the race detector sync.Pool.Put drops one entry in four on
+		// purpose, so the mean cannot hold there (it fails at any commit);
+		// a race build asks for one run that found the pool warm instead.
+		for try := 0; raceBuild() && allocs > 1 && try < 20; try++ {
+			allocs = testing.AllocsPerRun(1, func() { ReduceAggregate(spec, in) })
+		}
+		if allocs > 1 {
 			t.Errorf("n=%d: %v allocations per sorting ReduceAggregate, want 1", n, allocs)
 		}
 	}
+}
+
+// raceBuild reports whether this test binary was built with -race.
+func raceBuild() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 func TestBucketRecordsPresized(t *testing.T) {
