@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"wanshuffle/internal/telemetry"
 )
 
 // SubmitRequest is the JSON body of POST /jobs: a named workload plus the
@@ -57,7 +59,7 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
 			if r.URL.Query().Get("watch") != "" {
-				h.watch(w, r)
+				telemetry.Tail(w, r, h.svc.Subscribe)
 				return
 			}
 			h.list(w)
@@ -164,38 +166,4 @@ func (h *handler) cancel(w http.ResponseWriter, id string) {
 	w.Header().Set("Content-Type", "application/json")
 	info, _ := h.svc.Get(id)
 	json.NewEncoder(w).Encode(info)
-}
-
-// watch streams lifecycle events as NDJSON: full history first, then live
-// events until the client hangs up.
-func (h *handler) watch(w http.ResponseWriter, r *http.Request) {
-	history, ch, cancel := h.svc.Subscribe(64)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for _, ev := range history {
-		if enc.Encode(ev) != nil {
-			return
-		}
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if enc.Encode(ev) != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-	}
 }

@@ -164,11 +164,9 @@ type Event struct {
 
 // Config tunes a Service.
 type Config struct {
-	// Weights maps tenant name → scheduling weight; tenants not listed get
-	// DefaultWeight. Non-positive weights are treated as DefaultWeight.
+	// Weights maps tenant name → scheduling weight; tenants not listed, or
+	// listed with a non-positive weight, get defaultWeight.
 	Weights map[string]float64
-	// DefaultWeight applies to unlisted tenants. Defaults to 1.
-	DefaultWeight float64
 	// MaxQueue bounds how many jobs may wait in the queue (the running job
 	// does not count). Defaults to 16.
 	MaxQueue int
@@ -182,10 +180,11 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// defaultWeight is the scheduling weight of a tenant Config.Weights does not
+// list.
+const defaultWeight = 1
+
 func (c Config) withDefaults() Config {
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 16
 	}
@@ -235,9 +234,10 @@ type Service struct {
 	seq         int
 	closed      bool
 
-	events  []Event
-	subs    map[int]chan Event
-	nextSub int
+	// events is the lifecycle event log behind Events, Subscribe and the
+	// /jobs watch stream; appends happen under mu, so it is in transition
+	// order.
+	events obs.Log[Event]
 
 	dispatcherDone chan struct{}
 }
@@ -250,7 +250,6 @@ func New(cfg Config) *Service {
 		log:            obs.LoggerOr(cfg.Logger),
 		tenants:        map[string]*tenantQueue{},
 		records:        map[string]*record{},
-		subs:           map[int]chan Event{},
 		dispatcherDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -389,7 +388,7 @@ func (s *Service) tenantLocked(name string) *tenantQueue {
 	if !ok {
 		w := s.cfg.Weights[name]
 		if w <= 0 {
-			w = s.cfg.DefaultWeight
+			w = defaultWeight
 		}
 		t = &tenantQueue{weight: w}
 		s.tenants[name] = t
@@ -397,59 +396,31 @@ func (s *Service) tenantLocked(name string) *tenantQueue {
 	return t
 }
 
-// publishLocked appends the record's current state to the event log and
-// fans it out. Slow subscribers whose buffer is full lose the event rather
-// than stalling the service (the log still holds everything).
+// publishLocked appends the record's current state to the event log, which
+// fans it out to the watchers.
 func (s *Service) publishLocked(rec *record) {
-	ev := Event{
-		Seq:    len(s.events) + 1,
-		Time:   time.Now(),
-		Job:    rec.info.ID,
-		Tenant: rec.info.Tenant,
-		Name:   rec.info.Name,
-		State:  rec.info.State,
-		Err:    rec.info.Err,
-	}
-	s.events = append(s.events, ev)
-	for _, ch := range s.subs {
-		select {
-		case ch <- ev:
-		default:
+	s.events.Append(func(seq int) Event {
+		return Event{
+			Seq:    seq,
+			Time:   time.Now(),
+			Job:    rec.info.ID,
+			Tenant: rec.info.Tenant,
+			Name:   rec.info.Name,
+			State:  rec.info.State,
+			Err:    rec.info.Err,
 		}
-	}
+	})
 }
 
-// Subscribe registers a live tail of the lifecycle event stream, the
-// obs.Collector idiom: history is everything so far, ch carries later
+// Subscribe registers a live tail of the lifecycle event stream
+// (obs.Log.Subscribe): history is everything so far, ch carries later
 // events, cancel unregisters (safe to call twice).
 func (s *Service) Subscribe(buf int) (history []Event, ch <-chan Event, cancel func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.nextSub
-	s.nextSub++
-	sub := make(chan Event, buf)
-	s.subs[id] = sub
-	history = append([]Event(nil), s.events...)
-	cancel = func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(sub)
-		}
-	}
-	return history, sub, cancel
+	return s.events.Subscribe(buf)
 }
 
 // Events returns a copy of the lifecycle event log in arrival order.
-func (s *Service) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
-}
+func (s *Service) Events() []Event { return s.events.Snapshot() }
 
 // List returns every job the service has seen (rejected included), in
 // submission order.

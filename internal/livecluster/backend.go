@@ -116,7 +116,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	}
 	tPush := r.since()
 	pushID := r.c.ids.Next()
-	sent, err := w.push(r.c.workers[t.AggTo].addr, spec.ID, t.Part, t.Attempt, prepared, r.stats,
+	sent, err := w.push(t.AggTo, spec.ID, t.Part, t.Attempt, prepared,
 		spanCtx{trace: r.traceID, parent: taskID, span: pushID})
 	if err != nil {
 		return plan.TaskResult{}, err
@@ -124,7 +124,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	r.span(trace.Span{
 		Kind: trace.KindPush, ID: pushID, Parent: taskID, Host: topology.HostID(site),
 		Stage: st.ID, Part: t.Part, Shuffle: spec.ID,
-		SrcSite: r.c.siteLabel(site), DstSite: r.c.siteLabel(t.AggTo),
+		SrcSite: siteLabel(site), DstSite: siteLabel(t.AggTo),
 		Bytes: float64(sent), Records: len(prepared),
 		Start: tPush, End: r.since(),
 	})
@@ -150,9 +150,9 @@ func (r *liveRun) SiteHealthy(site int) bool { return r.c.workerHealthy(site) }
 // sites with the cluster's matrix labels, then record it on the job's
 // stats (report section plus placement_* metrics).
 func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
-	d.ChosenSite = r.c.siteLabel(d.Chosen)
+	d.ChosenSite = siteLabel(d.Chosen)
 	for i := range d.Candidates {
-		d.Candidates[i].SiteName = r.c.siteLabel(d.Candidates[i].Site)
+		d.Candidates[i].SiteName = siteLabel(d.Candidates[i].Site)
 	}
 	r.stats.addPlacement(d)
 }
@@ -172,7 +172,7 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 		fetchID := r.c.ids.Next()
 		srcBytes := map[int]int64{} // record-codec bytes by holder
 		out, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
-			shard, n, err := r.c.workers[site].fetch(r.c.workers[holder].addr, spec.ID, m, reduce, r.stats,
+			shard, n, err := r.c.workers[site].fetch(holder, spec.ID, m, reduce,
 				spanCtx{trace: r.traceID, parent: fetchID})
 			srcBytes[holder] += n
 			return shard, err
@@ -193,7 +193,7 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 		r.span(trace.Span{
 			Kind: trace.KindFetch, ID: fetchID, Parent: parent, Host: topology.HostID(site),
 			Stage: t.Stage.ID, Part: reduce, Shuffle: spec.ID,
-			SrcSite: r.c.siteLabel(src), DstSite: r.c.siteLabel(site),
+			SrcSite: siteLabel(src), DstSite: siteLabel(site),
 			Bytes: float64(total), Records: len(out),
 			Start: t0, End: end,
 		})

@@ -20,26 +20,36 @@ func fmtSscanf(label string, id *int) (int, error) {
 // push-mode job, their server-side spans (stamped on skewed local clocks)
 // ride heartbeats to the driver, and after offset rebasing the merged
 // trace is causally ordered — no receive starts before the push-send it
-// links to, despite the raw stamps being seconds apart.
+// links to, despite the raw stamps being seconds apart. With heartbeats
+// off the same spans reach the driver in the end-of-run flush, which has
+// no sync exchange to go by and needs none: in-process, its one-way offset
+// is exact.
 func TestSkewedWorkerClocksAlignCausally(t *testing.T) {
+	// Beat fast so the short test job spans several clock-sync exchanges.
+	for _, hb := range []time.Duration{2 * time.Millisecond, -1} {
+		t.Run(fmt.Sprint("heartbeat ", hb), func(t *testing.T) { skewedWorkerClocksAlignCausally(t, hb) })
+	}
+}
+
+func skewedWorkerClocksAlignCausally(t *testing.T, heartbeat time.Duration) {
 	skews := []float64{4.0, -3.0, 9.0}
 	rec := &trace.SyncRecorder{}
 	cluster, err := New(Config{
-		Workers: 3,
-		Mode:    ModePush,
-		Trace:   rec,
-		// Beat fast so the short test job spans several clock-sync
-		// exchanges.
-		HeartbeatInterval: 2 * time.Millisecond,
+		Workers:           3,
+		Mode:              ModePush,
+		Trace:             rec,
+		HeartbeatInterval: heartbeat,
 		ClockSkew:         skews,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	// Let each worker complete a few sync exchanges so offset estimates
-	// exist before the job's spans are stamped.
-	time.Sleep(25 * time.Millisecond)
+	if heartbeat > 0 {
+		// Let each worker complete a few sync exchanges so offset estimates
+		// exist before the job's spans are stamped.
+		time.Sleep(25 * time.Millisecond)
+	}
 	want := canon(rdd.CollectLocal(buildChained()))
 	out, stats, err := cluster.Run(buildChained())
 	if err != nil {
@@ -130,6 +140,9 @@ func TestSkewedWorkerClocksAlignCausally(t *testing.T) {
 		t.Fatal("critical path has no steps")
 	}
 
+	if heartbeat < 0 {
+		return
+	}
 	// Heartbeats published each worker's offset estimate; it must be close
 	// to the negated injected skew (driver clock minus worker clock).
 	found := 0

@@ -22,10 +22,10 @@ func (opaque) SizeBytes() float64 { return 8 }
 // assembly, and the pooled connection is neither lost nor replaced.
 func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 	for _, fanout := range []int{1, 2} {
-		c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 4, PushFanout: fanout}, 3)
+		c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4, PushFanout: fanout}, 3)
 		w0, w1 := c.workers[0], c.workers[1]
 		good := pairs(17)
-		if _, err := w0.push(w1.addr, 7, 0, 1, good, stats, spanCtx{}); err != nil {
+		if _, err := w0.push(1, 7, 0, 1, good, spanCtx{}); err != nil {
 			t.Fatal(err)
 		}
 		// One connection per parallel stream is all w0 ever needs to w1:
@@ -33,7 +33,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		maxDials := int64(fanout)
 
 		bad := append(pairs(17), rdd.KV("bad-key", opaque{})) // in the last of five chunks
-		_, err := w0.push(w1.addr, 7, 1, 1, bad, stats, spanCtx{})
+		_, err := w0.push(1, 7, 1, 1, bad, spanCtx{})
 		var unsupported *rdd.UnsupportedValueError
 		if !errors.As(err, &unsupported) {
 			t.Fatalf("fanout %d: push err = %v, want *rdd.UnsupportedValueError", fanout, err)
@@ -52,12 +52,12 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		}
 
 		// The same connections carry the next push and the fetches.
-		if _, err := w0.push(w1.addr, 7, 1, 2, good, stats, spanCtx{}); err != nil {
+		if _, err := w0.push(1, 7, 1, 2, good, spanCtx{}); err != nil {
 			t.Fatalf("fanout %d: push after the failed one: %v", fanout, err)
 		}
 		var out []rdd.Pair
 		for r := 0; r < 3; r++ {
-			shard, err := fetchFlat(w0, w1.addr, 7, 1, r, stats)
+			shard, err := fetchFlat(w0, 1, 7, 1, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,6 +66,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		if canon(out) != canon(good) {
 			t.Fatalf("fanout %d: push after the failed one diverges", fanout)
 		}
+		stats := flushed(c)
 		if stats.Dials > maxDials {
 			t.Fatalf("fanout %d: %d dials after the failed push: it cost a pooled connection", fanout, stats.Dials)
 		}
@@ -81,7 +82,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		}
 		failed := 0
 		for r := 0; r < 3; r++ {
-			if _, err := fetchFlat(w0, w1.addr, 7, 2, r, stats); err != nil {
+			if _, err := fetchFlat(w0, 1, 7, 2, r); err != nil {
 				failed++
 				if !strings.Contains(err.Error(), "livecluster.opaque") {
 					t.Fatalf("fanout %d: fetch error %q does not name the Go type", fanout, err)
@@ -91,8 +92,8 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 		if failed != 1 {
 			t.Fatalf("fanout %d: %d of 3 shard fetches failed, want the one holding the value", fanout, failed)
 		}
-		if stats.Dials > maxDials {
-			t.Fatalf("fanout %d: %d dials after the failed fetch: it cost a pooled connection", fanout, stats.Dials)
+		if dials := stats.Dials + flushed(c).Dials; dials > maxDials {
+			t.Fatalf("fanout %d: %d dials after the failed fetch: it cost a pooled connection", fanout, dials)
 		}
 	}
 }

@@ -11,39 +11,21 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// Worker→driver heartbeats. Each worker buffers its data-plane telemetry
-// (per-(src,dst,class) byte deltas, request and dial counts, completed
-// receive spans) in a workerTel and ships the buffer to the driver's
-// heartbeat listener on a ticker, over a dedicated gob/TCP connection that
-// is deliberately NOT byte-counted — heartbeats are control plane, and
-// counting them would pollute the traffic matrix whose total must equal
-// BytesOverTCP. The driver merges each beat into the running job's Stats,
-// so mid-run /metrics and /report snapshots converge continuously instead
-// of jumping at job end. A final in-process flush at the end of Run drains
-// whatever the tickers had not shipped yet, so post-run totals are exact
-// regardless of heartbeat timing.
-
-// flowSink receives one data-plane exchange's accounting. Stats implements
-// it for direct (driver-side) accounting; workerTel implements it to
-// buffer worker-side accounting for the next heartbeat.
-type flowSink interface {
-	// flow accounts one exchange's payload bytes from site src to dst
-	// under a traffic class: wire is what actually crossed the socket,
-	// raw is wire plus whatever chunk compression saved (raw == wire
-	// when compression is off or saved nothing).
-	flow(src, dst int, class string, wire, raw int64)
-	// dial accounts one fresh TCP connection.
-	dial()
-	// op accounts one successful request by purpose.
-	op(kind requestKind)
-	// xfer records one completed exchange's wire bytes and wall-clock
-	// duration as a link throughput sample for the cluster's estimator.
-	// Kept separate from flow: flows aggregate between beats (exact byte
-	// conservation), while transfer samples must stay individual — an
-	// EWMA fed one merged lump per heartbeat would see one giant slow
-	// "transfer" instead of the real per-exchange rates.
-	xfer(src, dst int, bytes int64, sec float64)
-}
+// Worker telemetry and worker→driver heartbeats. Everything a worker
+// accounts — per-(src,dst,class) byte deltas, transfer samples, request and
+// dial counts, completed receive and serve spans — lands in its workerTel,
+// and the driver merging that buffer into the running job's Stats
+// (mergeHeartbeat) is the one way any of it is ever counted. Two things
+// drain the buffer. With heartbeats on, each worker ships it to the
+// driver's heartbeat listener on a ticker, over a dedicated gob/TCP
+// connection that is deliberately NOT byte-counted — heartbeats are control
+// plane, and counting them would pollute the traffic matrix whose total must
+// equal BytesOverTCP — so mid-run /metrics and /report snapshots converge
+// continuously instead of jumping at job end. And at the end of every Run an
+// in-process flush drains whatever no beat has shipped, so post-run totals
+// are exact regardless of heartbeat timing; with heartbeats off
+// (Config.HeartbeatInterval < 0: no ticker, no listener, no liveness) that
+// flush is the only merge there is.
 
 // flowKey identifies one traffic-matrix cell per class.
 type flowKey struct {
@@ -104,21 +86,20 @@ type hbAck struct {
 	T1, T2 float64
 }
 
-// workerTel buffers one worker's telemetry between heartbeats.
+// workerTel buffers one worker's telemetry until the driver merges it: the
+// next heartbeat's payload, with the flows still keyed by cell.
 type workerTel struct {
 	mu    sync.Mutex
+	hb    heartbeat // everything but Flows
 	flows map[flowKey]flowAgg
-	xfers []xferSample
-	ops   map[requestKind]int64
-	dials int64
-	spans []trace.Span
 }
 
-func newWorkerTel() *workerTel {
-	return &workerTel{flows: map[flowKey]flowAgg{}, ops: map[requestKind]int64{}}
-}
+func newWorkerTel() *workerTel { return &workerTel{flows: map[flowKey]flowAgg{}} }
 
-// flow implements flowSink.
+// flow accounts one exchange attempt's payload bytes from worker src to dst
+// under a traffic class: wire is what actually crossed the socket, raw is
+// wire plus whatever chunk compression saved (raw == wire when compression
+// is off or saved nothing).
 func (t *workerTel) flow(src, dst int, class string, wire, raw int64) {
 	t.mu.Lock()
 	k := flowKey{src, dst, class}
@@ -129,33 +110,41 @@ func (t *workerTel) flow(src, dst int, class string, wire, raw int64) {
 	t.mu.Unlock()
 }
 
-// xfer implements flowSink: individual samples, not aggregated — the
-// estimator needs per-exchange rates, and a link's sample count bounds
-// the buffer naturally (one entry per completed exchange per beat).
+// xfer records one completed exchange's wire bytes and wall-clock duration
+// as a throughput sample for the cluster's link estimator. Flows aggregate
+// between merges (exact byte conservation); samples stay individual — an
+// EWMA fed one merged lump per heartbeat would see one giant slow "transfer"
+// instead of the real per-exchange rates — and a link's exchange count
+// bounds the buffer naturally.
 func (t *workerTel) xfer(src, dst int, bytes int64, sec float64) {
 	t.mu.Lock()
-	t.xfers = append(t.xfers, xferSample{Src: src, Dst: dst, Bytes: bytes, Sec: sec})
+	t.hb.Xfers = append(t.hb.Xfers, xferSample{Src: src, Dst: dst, Bytes: bytes, Sec: sec})
 	t.mu.Unlock()
 }
 
-// dial implements flowSink.
+// dial accounts one fresh TCP connection.
 func (t *workerTel) dial() {
 	t.mu.Lock()
-	t.dials++
+	t.hb.Dials++
 	t.mu.Unlock()
 }
 
-// op implements flowSink.
+// op accounts one successful request by purpose.
 func (t *workerTel) op(kind requestKind) {
 	t.mu.Lock()
-	t.ops[kind]++
+	if kind == reqPushChunk {
+		t.hb.Pushes++
+	} else {
+		t.hb.Fetches++
+	}
 	t.mu.Unlock()
 }
 
-// addSpan buffers a completed span for the next beat.
+// addSpan buffers a completed server-side span, stamped on the worker's
+// local clock.
 func (t *workerTel) addSpan(s trace.Span) {
 	t.mu.Lock()
-	t.spans = append(t.spans, s)
+	t.hb.Spans = append(t.hb.Spans, s)
 	t.mu.Unlock()
 }
 
@@ -163,48 +152,37 @@ func (t *workerTel) addSpan(s trace.Span) {
 func (t *workerTel) drain() heartbeat {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	hb := heartbeat{
-		Xfers:   t.xfers,
-		Pushes:  t.ops[reqPushChunk],
-		Fetches: t.ops[reqFetchStream],
-		Dials:   t.dials,
-		Spans:   t.spans,
-	}
+	hb := t.hb
 	for k, agg := range t.flows {
 		hb.Flows = append(hb.Flows, flowDelta{Src: k.src, Dst: k.dst, Class: k.class, Bytes: agg.wire, Raw: agg.raw})
 	}
-	t.flows = map[flowKey]flowAgg{}
-	t.xfers = nil
-	t.ops = map[requestKind]int64{}
-	t.dials = 0
-	t.spans = nil
+	t.hb, t.flows = heartbeat{}, map[flowKey]flowAgg{}
 	return hb
 }
 
-// restore merges a drained heartbeat back after a failed send, so no
-// telemetry is lost to a flaky exchange.
+// restore merges a drained heartbeat back, ahead of what was buffered since,
+// after a failed send, so no telemetry is lost to a flaky exchange.
 func (t *workerTel) restore(hb heartbeat) {
+	for _, f := range hb.Flows {
+		t.flow(f.Src, f.Dst, f.Class, f.Bytes, f.Raw)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, f := range hb.Flows {
-		k := flowKey{f.Src, f.Dst, f.Class}
-		agg := t.flows[k]
-		agg.wire += f.Bytes
-		agg.raw += f.Raw
-		t.flows[k] = agg
-	}
-	t.xfers = append(append([]xferSample(nil), hb.Xfers...), t.xfers...)
-	t.ops[reqPushChunk] += hb.Pushes
-	t.ops[reqFetchStream] += hb.Fetches
-	t.dials += hb.Dials
-	t.spans = append(hb.Spans, t.spans...)
+	t.hb.Xfers = append(hb.Xfers, t.hb.Xfers...)
+	t.hb.Pushes += hb.Pushes
+	t.hb.Fetches += hb.Fetches
+	t.hb.Dials += hb.Dials
+	t.hb.Spans = append(hb.Spans, t.hb.Spans...)
 }
 
-// hbEnabled reports whether heartbeating is on for this cluster.
+// hbEnabled reports whether heartbeating is on for this cluster: whether
+// there is a ticker per worker, a listener at the driver and a liveness
+// clock to read. What is accounted, and how, does not depend on it.
 func (c *Cluster) hbEnabled() bool { return c.cfg.HeartbeatInterval > 0 }
 
 // serveHeartbeats accepts worker heartbeat connections on the driver's
-// listener and merges every beat into the running job's stats.
+// listener and merges every beat into the running job's stats. A beat that
+// arrives here is also what says its worker is alive.
 func (c *Cluster) serveHeartbeats() {
 	defer c.hbWG.Done()
 	var connWG sync.WaitGroup
@@ -234,7 +212,10 @@ func (c *Cluster) serveHeartbeats() {
 					return
 				}
 				t1 := c.clusterNow()
-				c.mergeHeartbeat(hb, t1)
+				if hb.Worker >= 0 && hb.Worker < len(c.lastBeat) {
+					c.lastBeat[hb.Worker].Store(time.Now().UnixNano())
+				}
+				c.mergeHeartbeat(hb, t1, true)
 				if err := enc.Encode(hbAck{OK: true, T1: t1, T2: c.clusterNow()}); err != nil {
 					return
 				}
@@ -245,19 +226,17 @@ func (c *Cluster) serveHeartbeats() {
 
 // mergeHeartbeat folds one worker's telemetry delta into the current job's
 // stats (bytes, matrix, class splits, request counters, receive and serve
-// spans) and stamps the worker's liveness clock. t1 is the driver's
-// cluster-clock receive time of the beat. Called both from the heartbeat
-// listener and from the end-of-run flush.
+// spans). t1 is the driver's cluster-clock receive time of the beat. Called
+// both from the heartbeat listener (beat true: heartbeats_total counts the
+// beats that crossed the heartbeat connection) and from the end-of-run
+// flush.
 //
 // Span timestamps in the beat are worker-local; they are rebased onto the
 // run clock through the worker's offset estimate before merging, then any
 // receive that would still precede its recorded push-send (residual
 // estimation error) is clamped forward, so the driver's recorder only ever
 // holds causally ordered spans.
-func (c *Cluster) mergeHeartbeat(hb heartbeat, t1 float64) {
-	if hb.Worker >= 0 && hb.Worker < len(c.lastBeat) {
-		c.lastBeat[hb.Worker].Store(time.Now().UnixNano())
-	}
+func (c *Cluster) mergeHeartbeat(hb heartbeat, t1 float64, beat bool) {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
 	run := c.curRun.Load()
@@ -268,7 +247,8 @@ func (c *Cluster) mergeHeartbeat(hb heartbeat, t1 float64) {
 		offset := hb.Offset
 		if !hb.HasOffset {
 			// No completed sync exchange yet: a one-way estimate off this
-			// beat's own timestamps (ignores the upstream delay).
+			// beat's own timestamps. It ignores the upstream delay, which the
+			// in-process flush does not have: with heartbeats off it is exact.
 			offset = t1 - hb.T0
 		}
 		shift := offset - run.base()
@@ -291,31 +271,27 @@ func (c *Cluster) mergeHeartbeat(hb heartbeat, t1 float64) {
 	run.stats.merge(hb, c.cfg.Trace)
 	reg := run.stats.Events.Registry()
 	labels := obs.Labels{"worker": fmt.Sprintf("w%d", hb.Worker)}
-	reg.Counter("heartbeats_total", labels).Inc()
+	if beat {
+		reg.Counter("heartbeats_total", labels).Inc()
+	}
 	if hb.HasOffset {
 		reg.Gauge("clock_offset_sec", labels).Set(hb.Offset)
 		reg.Gauge("clock_rtt_sec", labels).Set(hb.RTT)
 		// The clock-sync exchange doubles as the link estimator's RTT feed
 		// for the worker↔driver pair — free latency telemetry, no probes.
-		c.links.ObserveRTT(c.siteLabel(hb.Worker), "driver", hb.RTT)
+		c.links.ObserveRTT(siteLabel(hb.Worker), "driver", hb.RTT)
 	}
 	c.log.Debug("livecluster: heartbeat merged", "worker", hb.Worker, "flows", len(hb.Flows), "spans", len(hb.Spans))
 }
 
-// flushTelemetry drains every worker's buffer directly into the current
-// job's stats, in-process. Holding each worker's hbMu excludes an
-// in-flight ticker exchange, so every datum is merged exactly once and the
-// job's post-run totals are exact.
+// flushTelemetry drains every worker's buffer into the current job's stats,
+// in-process. Holding each worker's hbMu excludes an in-flight ticker
+// exchange, so every datum is merged exactly once and the job's post-run
+// totals are exact.
 func (c *Cluster) flushTelemetry() {
-	if !c.hbEnabled() {
-		return
-	}
 	for _, w := range c.workers {
 		w.hbMu.Lock()
-		hb := w.tel.drain()
-		hb.Worker = w.id
-		w.stampClock(&hb)
-		c.mergeHeartbeat(hb, c.clusterNow())
+		c.mergeHeartbeat(w.drainBeat(), c.clusterNow(), false)
 		w.hbMu.Unlock()
 	}
 }
@@ -345,23 +321,24 @@ func (w *worker) startHeartbeats(interval time.Duration) {
 func (w *worker) sendHeartbeat() {
 	w.hbMu.Lock()
 	defer w.hbMu.Unlock()
-	hb := w.tel.drain()
-	hb.Worker = w.id
-	w.stampClock(&hb)
+	hb := w.drainBeat()
 	if err := w.exchangeHeartbeat(hb); err != nil {
 		w.tel.restore(hb)
 		w.dropHBConn()
 	}
 }
 
-// stampClock fills a drained beat's clock-sync fields from the worker's
+// drainBeat drains the worker's buffer into a beat carrying its name, its
 // local clock and its current offset estimate. Callers hold hbMu (the
 // ClockSync ring is not otherwise synchronized).
-func (w *worker) stampClock(hb *heartbeat) {
+func (w *worker) drainBeat() heartbeat {
+	hb := w.tel.drain()
+	hb.Worker = w.id
 	hb.T0 = w.localNow()
 	hb.Offset = w.sync.Offset()
 	hb.RTT = w.sync.RTT()
 	hb.HasOffset = w.sync.Samples() > 0
+	return hb
 }
 
 // exchangeHeartbeat runs one beat over the worker's dedicated (uncounted)

@@ -1,6 +1,8 @@
 package livecluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -185,7 +187,15 @@ func TestHeartbeatFailover(t *testing.T) {
 // once heartbeats merge, the snapshot must show bytes — and its matrix
 // must sum exactly to the bytes reported so far, with completion-only
 // fields still zero. The final report then dominates the mid-run one.
+// With heartbeats off nothing merges before the job ends, and the mid-run
+// snapshot is consistent the empty way.
 func TestMidRunReportConvergence(t *testing.T) {
+	for _, hb := range []time.Duration{10 * time.Millisecond, -1} {
+		t.Run(fmt.Sprint("heartbeat ", hb), func(t *testing.T) { midRunReportConvergence(t, hb) })
+	}
+}
+
+func midRunReportConvergence(t *testing.T, heartbeat time.Duration) {
 	reached := make(chan struct{})
 	release := make(chan struct{})
 
@@ -226,7 +236,7 @@ func TestMidRunReportConvergence(t *testing.T) {
 
 	cluster, err := New(Config{
 		Workers: 3, Mode: ModePush, Aggregators: []int{2},
-		HeartbeatInterval: 10 * time.Millisecond,
+		HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +251,13 @@ func TestMidRunReportConvergence(t *testing.T) {
 
 	<-reached
 	// All map pushes happened; wait for heartbeats to carry them in.
-	var mid *obs.Report
-	waitFor(t, "heartbeats to merge push bytes into the mid-run report", func() bool {
-		mid = cluster.CurrentStats().RunReport("wordcount", nil)
-		return mid.BytesTotal > 0
-	})
+	mid := cluster.CurrentStats().RunReport("wordcount", nil)
+	if heartbeat > 0 {
+		waitFor(t, "heartbeats to merge push bytes into the mid-run report", func() bool {
+			mid = cluster.CurrentStats().RunReport("wordcount", nil)
+			return mid.BytesTotal > 0
+		})
+	}
 	if sum := reportMatrixSum(mid.TrafficMatrix); sum != mid.BytesTotal {
 		t.Fatalf("mid-run matrix sums to %v, want bytes so far = %v", sum, mid.BytesTotal)
 	}
@@ -258,8 +270,8 @@ func TestMidRunReportConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := cluster.CurrentStats().RunReport("wordcount", nil)
-	if final.BytesTotal < mid.BytesTotal {
-		t.Fatalf("final bytes %v < mid-run bytes %v", final.BytesTotal, mid.BytesTotal)
+	if final.BytesTotal <= 0 || final.BytesTotal < mid.BytesTotal {
+		t.Fatalf("final bytes %v, mid-run bytes %v", final.BytesTotal, mid.BytesTotal)
 	}
 	if sum := reportMatrixSum(final.TrafficMatrix); sum != final.BytesTotal {
 		t.Fatalf("final matrix sums to %v, want %v", sum, final.BytesTotal)
@@ -269,9 +281,10 @@ func TestMidRunReportConvergence(t *testing.T) {
 	}
 }
 
-// TestHeartbeatsDisabled runs with heartbeats off (negative interval): all
-// accounting lands in Stats directly, liveness degrades to closed-only,
-// and byte conservation still holds.
+// TestHeartbeatsDisabled runs with heartbeats off (negative interval): the
+// workers' accounting is merged by the flush that ends the job and by
+// nothing else, so totals, matrix and class split are exact the moment Run
+// returns; liveness degrades to closed-only.
 func TestHeartbeatsDisabled(t *testing.T) {
 	cluster, err := New(Config{
 		Workers: 3, Mode: ModePush, Aggregators: []int{2},
@@ -295,6 +308,11 @@ func TestHeartbeatsDisabled(t *testing.T) {
 	if sum := matrixSum(stats.TrafficMatrix); sum != stats.BytesOverTCP {
 		t.Fatalf("matrix sums to %d, want %d", sum, stats.BytesOverTCP)
 	}
+	checkConservation(t, stats)
+	if stats.PushConnections != 6 || stats.FetchConnections == 0 || stats.Dials == 0 {
+		t.Fatalf("%d pushes, %d fetches, %d dials; want the 6 map outputs' pushes, and fetches and dials accounted",
+			stats.PushConnections, stats.FetchConnections, stats.Dials)
+	}
 	for i, age := range cluster.HeartbeatAges() {
 		if age != 0 {
 			t.Fatalf("worker %d reports heartbeat age %v without heartbeats", i, age)
@@ -305,5 +323,89 @@ func TestHeartbeatsDisabled(t *testing.T) {
 	}
 	if n := stats.Events.Registry().Counter("heartbeats_total", obs.Labels{"worker": "w0"}).Value(); n != 0 {
 		t.Fatalf("heartbeats_total = %d with heartbeats disabled", n)
+	}
+}
+
+// checkConservation holds a finished job's byte accounting against itself:
+// the traffic matrix, the class split and the byte counters each add up to
+// BytesOverTCP, and the uncompressed-equivalent total is no smaller.
+func checkConservation(t *testing.T, stats *Stats) {
+	t.Helper()
+	if sum := matrixSum(stats.TrafficMatrix); sum != stats.BytesOverTCP {
+		t.Errorf("matrix sums to %d, BytesOverTCP is %d", sum, stats.BytesOverTCP)
+	}
+	var byClass int64
+	for _, v := range stats.BytesByClass {
+		byClass += v
+	}
+	if byClass != stats.BytesOverTCP {
+		t.Errorf("class split %v sums to %d, BytesOverTCP is %d", stats.BytesByClass, byClass, stats.BytesOverTCP)
+	}
+	if stats.BytesRaw < stats.BytesOverTCP {
+		t.Errorf("BytesRaw %d < BytesOverTCP %d", stats.BytesRaw, stats.BytesOverTCP)
+	}
+	reg := stats.Events.Registry()
+	if wire, raw := reg.Counter("bytes_wire_total", nil).Value(), reg.Counter("bytes_raw_total", nil).Value(); wire != stats.BytesOverTCP || raw != stats.BytesRaw {
+		t.Errorf("bytes_wire_total %d / bytes_raw_total %d, stats have %d / %d", wire, raw, stats.BytesOverTCP, stats.BytesRaw)
+	}
+}
+
+// TestConservationAcrossCanceledJob runs a job on a warm cluster before and
+// after one that is canceled mid-map-stage with pushes in flight, with
+// heartbeats on and off. Whichever way the workers' buffers reach the
+// driver, each job's accounting adds up and is its own — the canceled
+// job's bytes do not leak into the next one's — and the connections the
+// canceled job held are back in their links: the job after it dials
+// nothing.
+func TestConservationAcrossCanceledJob(t *testing.T) {
+	for _, hb := range []time.Duration{2 * time.Millisecond, -1} {
+		t.Run(fmt.Sprint("heartbeat ", hb), func(t *testing.T) {
+			// One task per worker and one stream per push: a worker never
+			// needs a second connection to a peer.
+			cluster, err := New(Config{
+				Workers: 2, Mode: ModePush, Aggregators: []int{1},
+				TasksPerWorker: 1, PushFanout: 1, Compression: CodecFlate,
+				HeartbeatInterval: hb,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			want := canon(rdd.CollectLocal(buildWordCount(6, 3)))
+			var before *Stats
+			for i := 0; i < 2; i++ { // the first run dials, the second is the reference
+				if _, before, err = cluster.Run(buildWordCount(6, 3)); err != nil {
+					t.Fatal(err)
+				}
+				checkConservation(t, before)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			if _, _, err := cluster.RunContext(ctx, buildSlowJob(8, 60*time.Millisecond)); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+			}
+			canceled := cluster.CurrentStats()
+			checkConservation(t, canceled)
+			if canceled.PushConnections == 0 {
+				t.Fatal("the canceled job pushed nothing before its deadline: the test would prove nothing")
+			}
+
+			out, next, err := cluster.Run(buildWordCount(6, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canon(out) != want {
+				t.Fatal("output after the canceled job diverges from reference")
+			}
+			checkConservation(t, next)
+			if next.Dials != 0 {
+				t.Fatalf("job after the canceled one dialed %d connections", next.Dials)
+			}
+			if next.BytesOverTCP != before.BytesOverTCP || next.PushConnections != before.PushConnections {
+				t.Fatalf("same job, different accounting: %d bytes over %d pushes after the canceled job, %d over %d before it",
+					next.BytesOverTCP, next.PushConnections, before.BytesOverTCP, before.PushConnections)
+			}
+		})
 	}
 }

@@ -104,7 +104,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 		}
 		if stats.Mode != ModePush || stats.CompletionSec <= 0 || stats.Retries != 0 ||
 			len(stats.StageSpans) != 2 || len(stats.ShardsByWorker) != 4 || len(stats.AggregatorsByShuffle) != 1 ||
-			stats.Events.CountPhase(obs.PhaseFinished) == 0 {
+			stats.Events.Counts().Finished == 0 {
 			t.Fatalf("run %d: implausible stats %+v", run, stats.StageSpans)
 		}
 	}
@@ -155,7 +155,7 @@ func TestRunContextDeadlineStopsMidStage(t *testing.T) {
 	if stats == nil {
 		t.Fatal("no stats from the canceled job")
 	}
-	if n := stats.Events.CountPhase(obs.PhaseFinished); n >= parts {
+	if n := stats.Events.Counts().Finished; n >= parts {
 		t.Fatalf("%d tasks finished despite mid-stage deadline, want < %d", n, parts)
 	}
 
@@ -296,7 +296,7 @@ func TestJobServiceOverLiveCluster(t *testing.T) {
 	if info := slow.Wait(); info.State != jobs.StateCanceled {
 		t.Fatalf("slow job finished %s (err=%q), want canceled", info.State, info.Err)
 	}
-	if n := cluster.CurrentStats().Events.CountPhase(obs.PhaseFinished); n >= 8 {
+	if n := cluster.CurrentStats().Events.Counts().Finished; n >= 8 {
 		t.Fatalf("%d tasks finished despite the deadline, want < 8", n)
 	}
 

@@ -99,11 +99,12 @@ type Config struct {
 	Trace *trace.SyncRecorder
 	// HeartbeatInterval is the period of worker→driver telemetry
 	// heartbeats: each worker buffers its data-plane accounting (bytes by
-	// (src,dst,class), request and dial counts, receive spans) and ships
-	// the delta to the driver on this ticker, so mid-run telemetry
-	// snapshots converge continuously. Zero means the 50ms default;
-	// negative disables heartbeats (all accounting then lands in Stats
-	// directly, converging only as each request completes).
+	// (src,dst,class), request and dial counts, receive and serve spans)
+	// and ships the delta to the driver on this ticker, so mid-run
+	// telemetry snapshots converge continuously. Zero means the 50ms
+	// default; negative disables heartbeats — no ticker, no listener, no
+	// liveness — and the same buffers are merged once, by the flush that
+	// ends every Run: Stats are exact when Run returns and empty before.
 	HeartbeatInterval time.Duration
 	// StaleAfter is how long a worker may go without a merged heartbeat
 	// before SiteHealthy / StaleWorkers report it dead. Zero means 1s.
@@ -150,11 +151,12 @@ type Config struct {
 	SpillDir string
 	// WANTopology, when non-nil, shapes the loopback data plane to the
 	// given WAN topology: workers map round-robin onto its worker hosts,
-	// and every exchange between workers in different DCs is paced to the
-	// pair's configured inter-DC bandwidth, so link asymmetry becomes
-	// measurable on a laptop. The topology also supplies the configured
-	// rates the run report's network section computes drift against.
-	// Nil (the default) leaves the loopback unshaped.
+	// and the bytes moving from one worker to another in a different DC —
+	// over however many connections, streams and tasks — are paced
+	// together to the pair's configured inter-DC bandwidth, so link
+	// asymmetry becomes measurable on a laptop. The topology also supplies
+	// the configured rates the run report's network section computes drift
+	// against. Nil (the default) leaves the loopback unshaped.
 	WANTopology *topology.Topology
 }
 
@@ -201,9 +203,6 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	cfg     Config
 	workers []*worker
-	// addrIndex resolves a worker listen address to its index, for the
-	// per-(src,dst) traffic matrix.
-	addrIndex map[string]int
 	// specs is the control-plane shuffle metadata of the current job
 	// (shuffleID → *rdd.ShuffleSpec), the registry workers bucket by.
 	specs sync.Map
@@ -286,20 +285,18 @@ type Stats struct {
 	// a metrics registry mirroring them.
 	Events *obs.Collector
 
-	// storage snapshots the cluster's block-store accounting (set by Run;
-	// the stores lock internally, so reading it mid-run is safe).
+	// storage snapshots the cluster's block-store accounting (the stores
+	// lock internally, so reading it mid-run is safe).
 	storage func() blockstore.Stats
 
-	// topo names hosts for critical-path attribution (set by Run from the
-	// cluster's single-DC topology; nil for hand-built Stats).
+	// topo names hosts for critical-path attribution (the cluster's
+	// single-DC topology).
 	topo *topology.Topology
 
-	// links receives per-exchange transfer samples (set by Run to the
-	// cluster's estimator; nil for hand-built Stats, where xfer no-ops).
-	// siteName labels matrix indexes for it; configured lists the
-	// WANTopology's promised rates the report computes drift against.
+	// links receives per-exchange transfer samples (the cluster's
+	// estimator); configured lists the WANTopology's promised rates the
+	// report computes drift against.
 	links      *netobs.Estimator
-	siteName   func(int) string
 	configured []netobs.ConfiguredLink
 
 	// placementPolicy and placements carry the run's aggregator-policy
@@ -308,23 +305,17 @@ type Stats struct {
 	placementPolicy string
 	placements      []obs.PlacementDecision
 
-	// mu guards BytesOverTCP, TrafficMatrix, BytesByClass, StageSpans,
-	// CompletionSec, Retries, and placements against concurrent scrapes;
-	// the request counters (Push/Fetch/Dials) are atomics.
+	// mu guards BytesOverTCP, BytesRaw, TrafficMatrix, BytesByClass,
+	// StageSpans, CompletionSec, Retries, and placements against concurrent
+	// scrapes; the request counters (Push/Fetch/Dials) are atomics.
 	mu sync.Mutex
 }
 
-// Storage returns the block-store accounting summed across workers (the
-// zero value when the stats did not come from a cluster run).
-func (s *Stats) Storage() blockstore.Stats {
-	if s.storage == nil {
-		return blockstore.Stats{}
-	}
-	return s.storage()
-}
+// Storage returns the block-store accounting summed across workers.
+func (s *Stats) Storage() blockstore.Stats { return s.storage() }
 
-// flow implements flowSink: account one exchange's wire bytes into the
-// byte total, the (src,dst) traffic matrix cell, the class split, and the
+// flow merges one buffered flow: its wire bytes go into the byte total, the
+// (src,dst) traffic matrix cell, the class split, and the
 // bytes_moved_total{class} counter — all under one lock, so the matrix
 // total equals BytesOverTCP at every instant a scraper could observe.
 // raw (wire plus compression savings) feeds the parallel BytesRaw /
@@ -336,9 +327,7 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	if src >= 0 && src < len(s.TrafficMatrix) && dst >= 0 && dst < len(s.TrafficMatrix) {
 		s.TrafficMatrix[src][dst] += wire
 	}
-	if s.BytesByClass != nil {
-		s.BytesByClass[class] += wire
-	}
+	s.BytesByClass[class] += wire
 	s.mu.Unlock()
 	reg := s.Events.Registry()
 	reg.Counter("bytes_moved_total", obs.Labels{"class": class}).Add(wire)
@@ -346,39 +335,19 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	reg.Counter("bytes_raw_total", nil).Add(raw)
 }
 
-// xfer implements flowSink: one completed exchange's wire bytes over its
-// wall-clock duration, fed to the cluster's link estimator as a
-// throughput sample for the (src,dst) site pair. Self-transfers carry no
-// link information (a worker exchanging with itself never crosses a WAN
-// path) and are skipped.
-func (s *Stats) xfer(src, dst int, bytes int64, sec float64) {
-	if s.links == nil || s.siteName == nil || src < 0 || dst < 0 || src == dst {
-		return
-	}
-	s.links.ObserveTransfer(s.siteName(src), s.siteName(dst), float64(bytes), sec)
-}
-
-// dial implements flowSink.
-func (s *Stats) dial() { atomic.AddInt64(&s.Dials, 1) }
-
-// op implements flowSink.
-func (s *Stats) op(kind requestKind) {
-	switch kind {
-	case reqPushChunk:
-		atomic.AddInt64(&s.PushConnections, 1)
-	case reqFetchStream:
-		atomic.AddInt64(&s.FetchConnections, 1)
-	}
-}
-
-// merge folds one heartbeat's deltas into the stats, routing its receive
-// spans to the job's trace recorder.
+// merge folds one drained telemetry buffer into the stats, routing its
+// receive and serve spans to the job's trace recorder. Each transfer sample
+// — one completed exchange's wire bytes over its wall-clock duration — feeds
+// the cluster's link estimator for its (src,dst) pair; a worker exchanging
+// with itself never crosses a WAN path, so self-transfers are skipped.
 func (s *Stats) merge(hb heartbeat, tr *trace.SyncRecorder) {
 	for _, f := range hb.Flows {
 		s.flow(f.Src, f.Dst, f.Class, f.Bytes, f.Raw)
 	}
 	for _, x := range hb.Xfers {
-		s.xfer(x.Src, x.Dst, x.Bytes, x.Sec)
+		if x.Src != x.Dst {
+			s.links.ObserveTransfer(siteLabel(x.Src), siteLabel(x.Dst), float64(x.Bytes), x.Sec)
+		}
 	}
 	atomic.AddInt64(&s.PushConnections, hb.Pushes)
 	atomic.AddInt64(&s.FetchConnections, hb.Fetches)
@@ -405,14 +374,6 @@ func (s *Stats) Placements() []obs.PlacementDecision {
 	return append([]obs.PlacementDecision(nil), s.placements...)
 }
 
-// BytesMoved returns the payload bytes moved so far, safe to call while
-// the job is still running (progress lines, telemetry scrapes).
-func (s *Stats) BytesMoved() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.BytesOverTCP
-}
-
 // addStageSpan records one completed stage window.
 func (s *Stats) addStageSpan(span plan.StageSpan) {
 	s.mu.Lock()
@@ -433,7 +394,7 @@ func (s *Stats) setCompletion(sec float64, retries int) {
 func (s *Stats) MatrixLabels() []string {
 	out := make([]string, len(s.ShardsByWorker))
 	for i := range out {
-		out[i] = fmt.Sprintf("w%d", i)
+		out[i] = siteLabel(i)
 	}
 	return out
 }
@@ -466,22 +427,15 @@ func (s *Stats) RunReport(workload string, tr *trace.SyncRecorder) *obs.Report {
 	bytesRaw := float64(s.BytesRaw)
 	placement := obs.PlacementSection(s.placementPolicy, append([]obs.PlacementDecision(nil), s.placements...))
 	s.mu.Unlock()
-	var network *obs.NetworkStats
-	if s.links != nil {
-		network = netobs.ReportSection(s.links, s.configured)
-	}
-	var storage *obs.StorageStats
-	if s.storage != nil {
-		st := s.storage()
-		storage = &obs.StorageStats{
-			ResidentBytes:     float64(st.ResidentBytes),
-			ResidentOutputs:   st.ResidentOutputs,
-			SpilledBytes:      float64(st.SpilledBytes),
-			SpilledOutputs:    st.SpilledOutputs,
-			SpilledBytesTotal: float64(st.SpilledBytesTotal),
-			SpillEvents:       st.SpillEvents,
-			ReloadBytesTotal:  float64(st.ReloadBytesTotal),
-		}
+	st := s.storage()
+	storage := &obs.StorageStats{
+		ResidentBytes:     float64(st.ResidentBytes),
+		ResidentOutputs:   st.ResidentOutputs,
+		SpilledBytes:      float64(st.SpilledBytes),
+		SpilledOutputs:    st.SpilledOutputs,
+		SpilledBytesTotal: float64(st.SpilledBytesTotal),
+		SpillEvents:       st.SpillEvents,
+		ReloadBytesTotal:  float64(st.ReloadBytesTotal),
 	}
 	return &obs.Report{
 		Schema:         obs.SchemaVersion,
@@ -495,22 +449,22 @@ func (s *Stats) RunReport(workload string, tr *trace.SyncRecorder) *obs.Report {
 		MatrixLabels:   labels,
 		TrafficMatrix:  matrix,
 		Tasks:          obs.TaskSummaries(tr.Spans(), obs.StageNames(stages)),
-		TaskAttempts:   s.Events.CountPhase(obs.PhaseStarted),
+		TaskAttempts:   s.Events.Counts().Started,
 		Retries:        retries,
 		Dials:          atomic.LoadInt64(&s.Dials),
 		BytesTotal:     bytesTotal,
 		BytesRaw:       bytesRaw,
 		CriticalPath:   trace.AnalyzeCriticalPath(trace.EnforceCausality(tr.Spans()), s.topo),
 		Storage:        storage,
-		Network:        network,
+		Network:        netobs.ReportSection(s.links, s.configured),
 		Placement:      placement,
 		Metrics:        s.Events.Registry().Snapshot(),
 	}
 }
 
 // New starts the workers, each listening on an ephemeral loopback port,
-// plus (with heartbeats enabled) the driver's heartbeat listener and each
-// worker's heartbeat ticker.
+// wires their links, and (with heartbeats enabled) starts the driver's
+// heartbeat listener and each worker's heartbeat ticker.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	for _, a := range cfg.Aggregators {
@@ -537,13 +491,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	cfg.Compression = codec
 	c := &Cluster{
-		cfg:       cfg,
-		addrIndex: make(map[string]int, cfg.Workers),
-		log:       obs.LoggerOr(cfg.Logger),
-		hbConns:   make(map[net.Conn]bool),
-		lastBeat:  make([]atomic.Int64, cfg.Workers),
-		epoch:     time.Now(),
-		ids:       trace.NewIDAllocator(1),
+		cfg:      cfg,
+		log:      obs.LoggerOr(cfg.Logger),
+		hbConns:  make(map[net.Conn]bool),
+		lastBeat: make([]atomic.Int64, cfg.Workers),
+		epoch:    time.Now(),
+		ids:      trace.NewIDAllocator(1),
 	}
 	c.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
 		if run := c.curRun.Load(); run != nil {
@@ -572,8 +525,8 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.workers = append(c.workers, w)
-		c.addrIndex[w.addr] = i
 	}
+	c.wireLinks()
 	if c.hbEnabled() {
 		for _, w := range c.workers {
 			w.startHeartbeats(cfg.HeartbeatInterval)
@@ -582,6 +535,33 @@ func New(cfg Config) (*Cluster, error) {
 	c.log.Info("livecluster: started", "workers", cfg.Workers, "mode", cfg.Mode.String(),
 		"heartbeat", cfg.HeartbeatInterval, "stale_after", cfg.StaleAfter)
 	return c, nil
+}
+
+// wireLinks gives every worker its link to every worker, now that all of
+// them listen. Under Config.WANTopology it also makes the one bucket of each
+// cross-DC directed pair and hands it to the two links whose connections
+// move bytes in that direction: src's, which writes them, and dst's, which
+// reads them back on its fetches.
+func (c *Cluster) wireLinks() {
+	pace := make([][]*bucket, len(c.workers))
+	for i := range pace {
+		pace[i] = make([]*bucket, len(c.workers))
+		for j := range pace[i] {
+			if bps := c.linkRateBps(i, j); bps > 0 {
+				pace[i][j] = &bucket{rateBps: bps}
+			}
+		}
+	}
+	for i, w := range c.workers {
+		w.links = make([]*link, len(c.workers))
+		for j, peer := range c.workers {
+			w.links[j] = &link{
+				src: i, dst: j, addr: peer.addr, tel: w.tel,
+				dialTimeout: c.cfg.DialTimeout, ioTimeout: c.cfg.IOTimeout,
+				out: pace[i][j], in: pace[j][i],
+			}
+		}
+	}
 }
 
 // newStore builds one worker's shuffle block store: fully resident by
@@ -644,10 +624,10 @@ func (c *Cluster) workerHost(i int) topology.HostID {
 
 // linkRateBps returns the configured inter-DC bandwidth between two
 // workers under Config.WANTopology, or 0 (unshaped) when no topology is
-// set, either index is not a worker, or both map into the same DC.
+// set or both map into the same DC.
 func (c *Cluster) linkRateBps(src, dst int) float64 {
 	topo := c.cfg.WANTopology
-	if topo == nil || src < 0 || dst < 0 || src >= len(c.workers) || dst >= len(c.workers) {
+	if topo == nil {
 		return 0
 	}
 	a, b := topo.DCOf(c.workerHost(src)), topo.DCOf(c.workerHost(dst))
@@ -669,7 +649,7 @@ func (c *Cluster) configuredLinks() []netobs.ConfiguredLink {
 	for i := range c.workers {
 		for j := range c.workers {
 			if bps := c.linkRateBps(i, j); bps > 0 {
-				out = append(out, netobs.ConfiguredLink{Src: c.siteLabel(i), Dst: c.siteLabel(j), Bps: bps})
+				out = append(out, netobs.ConfiguredLink{Src: siteLabel(i), Dst: siteLabel(j), Bps: bps})
 			}
 		}
 	}
@@ -690,7 +670,7 @@ func (c *Cluster) NetworkStats() *obs.NetworkStats {
 // runs inform later placements), else the shaped topology's configured
 // rate; same-DC pairs fall to the planner's uniform fallback.
 func (c *Cluster) LinkCosts() plan.LinkCostProvider {
-	return plan.MeasuredLinkCosts(c.links, len(c.workers), c.siteLabel, c.linkRateBps)
+	return plan.MeasuredLinkCosts(c.links, len(c.workers), siteLabel, c.linkRateBps)
 }
 
 // clusterNow reads the driver's telemetry clock: seconds since the
@@ -698,10 +678,10 @@ func (c *Cluster) LinkCosts() plan.LinkCostProvider {
 // expressed against it.
 func (c *Cluster) clusterNow() float64 { return time.Since(c.epoch).Seconds() }
 
-// siteLabel names worker i for span and link attribution, matching
-// Stats.MatrixLabels. (The one link the driver is on, the heartbeat RTT
-// pair, names its far end "driver" itself.)
-func (c *Cluster) siteLabel(i int) string { return fmt.Sprintf("w%d", i) }
+// siteLabel names worker i for span, link and matrix attribution. (The one
+// link the driver is on, the heartbeat RTT pair, names its far end "driver"
+// itself.)
+func siteLabel(i int) string { return fmt.Sprintf("w%d", i) }
 
 // CurrentStats returns the stats of the job currently running, falling
 // back to the last completed job's (nil before any job). Telemetry
@@ -711,15 +691,6 @@ func (c *Cluster) CurrentStats() *Stats {
 		return run.stats
 	}
 	return c.lastStats.Load()
-}
-
-// siteOfAddr resolves a worker address to its matrix index (-1 if
-// unknown).
-func (c *Cluster) siteOfAddr(addr string) int {
-	if i, ok := c.addrIndex[addr]; ok {
-		return i
-	}
-	return -1
 }
 
 // Topology describes the cluster as a single-datacenter topology (one host
@@ -754,15 +725,6 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Addrs returns the workers' listen addresses.
-func (c *Cluster) Addrs() []string {
-	out := make([]string, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = w.addr
-	}
-	return out
-}
-
 // Run executes the job materializing target and returns its output records
 // (concatenated in result-partition order) plus data-plane statistics. The
 // lineage may contain any number of shuffles; it is planned and driven
@@ -785,24 +747,7 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	for _, spec := range job.Plan.Shuffles() {
 		c.specs.Store(spec.ID, spec)
 	}
-	matrix := make([][]int64, len(c.workers))
-	for i := range matrix {
-		matrix[i] = make([]int64, len(c.workers))
-	}
-	stats := &Stats{
-		ShardsByWorker:       make([]int, len(c.workers)),
-		AggregatorsByShuffle: map[int][]int{},
-		Mode:                 c.cfg.Mode,
-		TrafficMatrix:        matrix,
-		BytesByClass:         map[string]int64{},
-		Events:               obs.NewCollector(),
-		storage:              c.StorageStats,
-		topo:                 c.Topology(),
-		links:                c.links,
-		siteName:             c.siteLabel,
-		configured:           c.configuredLinks(),
-		placementPolicy:      c.cfg.AggregatorPolicy.String(),
-	}
+	stats := c.newStats()
 	run := newLiveRun(c, stats, job.Plan)
 	c.curRun.Store(run)
 	drv := plan.NewDriver(job, run, plan.DriverConfig{
@@ -818,7 +763,7 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	// Drain every worker's telemetry buffer before reading the stats, so
 	// totals are exact regardless of heartbeat timing.
 	c.flushTelemetry()
-	stats.setCompletion(time.Since(run.start).Seconds(), stats.Events.CountPhase(obs.PhaseRetried))
+	stats.setCompletion(time.Since(run.start).Seconds(), stats.Events.Counts().Retried)
 	c.lastStats.Store(stats)
 	// Detach the run before stats is handed to the caller: a ticker beat
 	// arriving from here on finds no run and merges nowhere.
@@ -837,6 +782,27 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 		stats.ShardsByWorker[i] = w.storedOutputs()
 	}
 	return slices.Concat(parts...), stats, nil
+}
+
+// newStats returns the empty stats of one job on this cluster.
+func (c *Cluster) newStats() *Stats {
+	matrix := make([][]int64, len(c.workers))
+	for i := range matrix {
+		matrix[i] = make([]int64, len(c.workers))
+	}
+	return &Stats{
+		ShardsByWorker:       make([]int, len(c.workers)),
+		AggregatorsByShuffle: map[int][]int{},
+		Mode:                 c.cfg.Mode,
+		TrafficMatrix:        matrix,
+		BytesByClass:         map[string]int64{},
+		Events:               obs.NewCollector(),
+		storage:              c.StorageStats,
+		topo:                 c.Topology(),
+		links:                c.links,
+		configured:           c.configuredLinks(),
+		placementPolicy:      c.cfg.AggregatorPolicy.String(),
+	}
 }
 
 // resetJobState clears the previous job's shuffle metadata and stored map

@@ -200,8 +200,8 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	}
 	cluster.Close()
 	cluster.Close()
-	if len(cluster.Addrs()) != 2 {
-		t.Fatal("addrs lost")
+	if len(cluster.workers) != 2 {
+		t.Fatal("workers lost")
 	}
 }
 

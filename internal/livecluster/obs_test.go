@@ -3,6 +3,7 @@ package livecluster
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
@@ -71,7 +72,7 @@ func TestLiveRunReportInvariants(t *testing.T) {
 
 	// Every finished task attempt contributed exactly one compute span
 	// (map or reduce) to the summaries.
-	finished := stats.Events.CountPhase(obs.PhaseFinished)
+	finished := stats.Events.Counts().Finished
 	if finished == 0 {
 		t.Fatal("no finished task events recorded")
 	}
@@ -91,9 +92,9 @@ func TestLiveRunReportInvariants(t *testing.T) {
 	if compute != finished {
 		t.Fatalf("compute spans = %d, finished tasks = %d", compute, finished)
 	}
-	if rep.TaskAttempts != stats.Events.CountPhase(obs.PhaseStarted) {
+	if rep.TaskAttempts != stats.Events.Counts().Started {
 		t.Fatalf("task_attempts = %d, started events = %d",
-			rep.TaskAttempts, stats.Events.CountPhase(obs.PhaseStarted))
+			rep.TaskAttempts, stats.Events.Counts().Started)
 	}
 
 	// The report round-trips through its JSON encoding.
@@ -187,11 +188,18 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		// No map-side combine: each map output is its input partition.
 		return g.Input("in", parts).GroupByKey("group", 2), sent
 	}
-	for _, codec := range []string{CodecNone, CodecFlate} {
+	// Heartbeats at their default period, then off: the spans reach the
+	// recorder on beats and in the final flush, or in the flush alone.
+	for _, v := range []struct {
+		codec     string
+		heartbeat time.Duration
+	}{{CodecNone, 0}, {CodecFlate, 0}, {CodecNone, -1}, {CodecFlate, -1}} {
+		codec := v.codec
 		tr := &trace.SyncRecorder{}
 		cluster, err := New(Config{
 			Workers: 2, Mode: ModePush, Aggregators: []int{1},
 			ChunkRecords: chunkRecords, Compression: codec, Trace: tr,
+			HeartbeatInterval: v.heartbeat,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -28,8 +27,8 @@ func pairs(n int) []rdd.Pair {
 }
 
 // fetchFlat fetches one shard and joins the chunks it arrived in.
-func fetchFlat(w *worker, addr string, shuffleID, mapPart, reduce int, stats *Stats) ([]rdd.Pair, error) {
-	chunks, _, err := w.fetch(addr, shuffleID, mapPart, reduce, stats, spanCtx{})
+func fetchFlat(w *worker, holder, shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
+	chunks, _, err := w.fetch(holder, shuffleID, mapPart, reduce, spanCtx{})
 	return slices.Concat(chunks...), err
 }
 
@@ -272,28 +271,30 @@ func TestValidCodec(t *testing.T) {
 	}
 }
 
-// streamCluster builds a heartbeat-less cluster whose workers account
-// directly into the stats the test hands them, plus a registered
-// hash-partitioned shuffle spec.
-func streamCluster(t *testing.T, cfg Config, reduces int) (*Cluster, *Stats) {
+// streamCluster builds a heartbeat-less cluster — nothing drains a worker's
+// telemetry buffer but the test — plus a registered hash-partitioned shuffle
+// spec, for tests that drive exchanges outside a job.
+func streamCluster(t *testing.T, cfg Config, reduces int) *Cluster {
 	t.Helper()
-	cfg.HeartbeatInterval = -1 // direct accounting, no heartbeat buffering
+	cfg.HeartbeatInterval = -1
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	c.specs.Store(7, &rdd.ShuffleSpec{ID: 7, Partitioner: rdd.NewHashPartitioner(reduces)})
-	return c, directStats(cfg.Workers)
+	return c
 }
 
-// directStats is a Stats for exchanges driven outside a job to account into.
-func directStats(workers int) *Stats {
-	matrix := make([][]int64, workers)
-	for i := range matrix {
-		matrix[i] = make([]int64, workers)
+// flushed merges what the workers have accounted since it was last called
+// into fresh stats, the way the flush that ends a job merges it into the
+// job's.
+func flushed(c *Cluster) *Stats {
+	stats := c.newStats()
+	for _, w := range c.workers {
+		stats.merge(w.tel.drain(), nil)
 	}
-	return &Stats{Events: obs.NewCollector(), TrafficMatrix: matrix, BytesByClass: map[string]int64{}}
+	return stats
 }
 
 // TestChunkedPushFetchRoundTrip drives the full wire path — chunked push
@@ -316,17 +317,17 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 		{"large-flate", 400, 32, CodecFlate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, stats := streamCluster(t, Config{
+			c := streamCluster(t, Config{
 				Workers: 2, ChunkRecords: tc.chunkRec, Compression: tc.codec, PushFanout: 2,
 			}, reduces)
 			in := pairs(tc.records)
-			w0, w1 := c.workers[0], c.workers[1]
-			if _, err := w0.push(w1.addr, 7, 0, 1, in, stats, spanCtx{}); err != nil {
+			w0 := c.workers[0]
+			if _, err := w0.push(1, 7, 0, 1, in, spanCtx{}); err != nil {
 				t.Fatal(err)
 			}
 			var out []rdd.Pair
 			for r := 0; r < reduces; r++ {
-				shard, err := fetchFlat(w0, w1.addr, 7, 0, r, stats)
+				shard, err := fetchFlat(w0, 1, 7, 0, r)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -335,6 +336,7 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 			if canon(out) != canon(in) {
 				t.Fatal("push/fetch round-trip diverges")
 			}
+			stats := flushed(c)
 			if stats.PushConnections != 1 || stats.FetchConnections != int64(reduces) {
 				t.Fatalf("ops = %d pushes / %d fetches", stats.PushConnections, stats.FetchConnections)
 			}
@@ -359,14 +361,14 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 // per-fetch (or even one-time) whole-output bucketing pass.
 func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 	const reduces = 4
-	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
 	w0, w1 := c.workers[0], c.workers[1]
-	if _, err := w0.push(w1.addr, 7, 0, 1, pairs(100), stats, spanCtx{}); err != nil {
+	if _, err := w0.push(1, 7, 0, 1, pairs(100), spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < reduces; r++ {
 		for i := 0; i < 3; i++ { // repeated fetches of the same shard
-			if _, err := fetchFlat(w0, w1.addr, 7, 0, r, stats); err != nil {
+			if _, err := fetchFlat(w0, 1, 7, 0, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -382,23 +384,23 @@ func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 // fetch, the bug this PR removes.
 func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	const reduces = 3
-	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
 	rp := rdd.NewRangePartitioner(reduces)
 	c.specs.Store(9, &rdd.ShuffleSpec{ID: 9, Partitioner: rp, SampleForRange: true})
 	w0, w1 := c.workers[0], c.workers[1]
 	in := pairs(60)
-	if _, err := w0.push(w1.addr, 9, 0, 1, in, stats, spanCtx{}); err != nil {
+	if _, err := w0.push(1, 9, 0, 1, in, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	// Not ready yet: fetching must fail rather than bucket garbage.
-	if _, err := fetchFlat(w0, w1.addr, 9, 0, 0, stats); err == nil {
+	if _, err := fetchFlat(w0, 1, 9, 0, 0); err == nil {
 		t.Fatal("fetch succeeded before the range partitioner was prepared")
 	}
 	rp.Prepare(rdd.SampleKeys(in, 1000))
 	var out []rdd.Pair
 	for r := 0; r < reduces; r++ {
 		for i := 0; i < 3; i++ {
-			shard, err := fetchFlat(w0, w1.addr, 9, 0, r, stats)
+			shard, err := fetchFlat(w0, 1, 9, 0, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,18 +433,17 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	if _, _, err := c.Run(buildWordCount(4, 2)); err != nil {
 		t.Fatal(err)
 	}
-	w0, w1 := c.workers[0], c.workers[1]
-	stats := directStats(2)
+	w0 := c.workers[0]
 
 	// Shuffle 99 is not registered: the receiver refuses its chunks.
-	_, err = w0.push(w1.addr, 99, 0, 1, pairs(9), stats, spanCtx{})
+	_, err = w0.push(1, 99, 0, 1, pairs(9), spanCtx{})
 	var remote remoteError
 	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "worker 1: unknown shuffle 99") {
 		t.Fatalf("push err = %v, want the receiver's refusal as a remoteError", err)
 	}
 	// The same exchange frame by frame: request, one chunk, the sender's
 	// terminal frame, and then the receiver's.
-	err = w0.pool.exchange(w1.addr, stats, 0, 1, "push", func(pc *pooledConn) (int64, error) {
+	err = w0.links[1].exchange("push", func(pc *pooledConn) (int64, error) {
 		if err := pc.enc.Encode(&request{Kind: reqPushChunk, ShuffleID: 99, Attempt: 2, Chunks: 1}); err != nil {
 			return 0, err
 		}
@@ -461,6 +462,7 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := flushed(c)
 	if stats.Dials != 0 {
 		t.Fatalf("the failed pushes dialed %d connections: the pool lost the warm one", stats.Dials)
 	}
@@ -477,14 +479,14 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 // (shuffle, map) partition and checks last-write-wins by attempt: a stale
 // retried attempt never clobbers a newer one.
 func TestDuplicatePushesIdempotent(t *testing.T) {
-	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
 	w0, w1 := c.workers[0], c.workers[1]
 	byAttempt := func(att int) []rdd.Pair {
 		return []rdd.Pair{rdd.KV("winner", fmt.Sprintf("attempt-%d", att))}
 	}
 	fetchOne := func() string {
 		t.Helper()
-		out, err := fetchFlat(w0, w1.addr, 7, 0, 0, stats)
+		out, err := fetchFlat(w0, 1, 7, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,14 +496,14 @@ func TestDuplicatePushesIdempotent(t *testing.T) {
 		return out[0].Value.(string)
 	}
 	for _, att := range []int{2, 1} { // attempt 1 arrives after attempt 2
-		if _, err := w0.push(w1.addr, 7, 0, att, byAttempt(att), stats, spanCtx{}); err != nil {
+		if _, err := w0.push(1, 7, 0, att, byAttempt(att), spanCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := fetchOne(); got != "attempt-2" {
 		t.Fatalf("stale attempt overwrote newer output: %q", got)
 	}
-	if _, err := w0.push(w1.addr, 7, 0, 3, byAttempt(3), stats, spanCtx{}); err != nil {
+	if _, err := w0.push(1, 7, 0, 3, byAttempt(3), spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fetchOne(); got != "attempt-3" {
@@ -517,12 +519,12 @@ func TestDuplicatePushesIdempotent(t *testing.T) {
 // exchange: the stale connection must be detected and the exchange retried
 // transparently on a fresh dial instead of failing the task.
 func TestStalePooledConnectionRetriedOnce(t *testing.T) {
-	c, stats := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
 	w0, w1 := c.workers[0], c.workers[1]
-	if _, err := w0.push(w1.addr, 7, 0, 1, pairs(6), stats, spanCtx{}); err != nil {
+	if _, err := w0.push(1, 7, 0, 1, pairs(6), spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
-	dialsBefore := stats.Dials
+	flushed(c) // the push's dial
 	// Simulate the peer dropping idle connections (restart, LB timeout):
 	// close every server-side conn under the worker's own lock.
 	w1.mu.Lock()
@@ -530,15 +532,15 @@ func TestStalePooledConnectionRetriedOnce(t *testing.T) {
 		_ = conn.Close()
 	}
 	w1.mu.Unlock()
-	out, err := fetchFlat(w0, w1.addr, 7, 0, 0, stats)
+	out, err := fetchFlat(w0, 1, 7, 0, 0)
 	if err != nil {
 		t.Fatalf("exchange on stale pooled connection not recovered: %v", err)
 	}
 	if len(out) != 6 {
 		t.Fatalf("recovered fetch returned %d records, want 6", len(out))
 	}
-	if stats.Dials <= dialsBefore {
-		t.Fatal("transparent retry did not dial a fresh connection")
+	if stats := flushed(c); stats.Dials != 1 || stats.FetchConnections != 1 {
+		t.Fatalf("recovered fetch: %d dials for %d fetches, want one transparent retry on one fresh connection", stats.Dials, stats.FetchConnections)
 	}
 }
 
@@ -572,7 +574,7 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 	// is still wedged.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if s := cluster.CurrentStats(); s != nil && s.Events.CountPhase(obs.PhaseRetried) > 0 {
+		if s := cluster.CurrentStats(); s != nil && s.Events.Counts().Retried > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

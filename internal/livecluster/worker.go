@@ -23,14 +23,14 @@ import (
 // gob carries one control message per exchange, the request that opens it;
 // everything after it — records and replies — travels as raw chunk frames
 // (stream.go), and every exchange ends with the server's terminal frame,
-// which carries any error. A client checks a connection out of its pool,
-// runs one exchange under the configured I/O deadline, and returns it; the
-// server loops decoding requests on each accepted connection until the
-// peer closes it. The server reads a connection through one bufio.Reader
-// shared by its gob decoder and the frame reader: handed an io.ByteReader,
-// gob reads one message at a time and never past it, so the frames that
-// follow a request are still there for the frame reader. Two exchange
-// shapes exist:
+// which carries any error. A client checks a connection out of its link to
+// the peer (link.go), runs one exchange under the configured I/O deadline,
+// and returns it; the server loops decoding requests on each accepted
+// connection until the peer closes it. The server reads a connection
+// through one bufio.Reader shared by its gob decoder and the frame reader:
+// handed an io.ByteReader, gob reads one message at a time and never past
+// it, so the frames that follow a request are still there for the frame
+// reader. Two exchange shapes exist:
 //
 //   - reqPushChunk: the request is followed by data chunk frames and a
 //     terminal frame; the receiver buckets chunks into per-reduce shards
@@ -99,8 +99,8 @@ type pushAssembly struct {
 }
 
 // worker is one live cluster member: a loopback TCP server storing map
-// output bucketed per reduce, plus a pooled client side for pushes and
-// fetches to peers.
+// output bucketed per reduce, plus one link per peer for its pushes and
+// fetches.
 type worker struct {
 	id      int
 	addr    string
@@ -114,7 +114,9 @@ type worker struct {
 	// bounded while cold outputs ride on disk. The store locks internally;
 	// w.mu only guards the in-flight push assemblies and connection set.
 	store blockstore.Store
-	pool  poolSet
+	// links[dst] is this worker's link to worker dst (itself included),
+	// wired by the cluster once every worker listens.
+	links []*link
 
 	mu      sync.Mutex
 	pending map[pushKey]*pushAssembly
@@ -132,9 +134,11 @@ type worker struct {
 	closed  atomic.Bool
 	serveWG sync.WaitGroup
 
-	// Heartbeat plane: the telemetry buffer, its ticker goroutine, and a
-	// dedicated (uncounted) connection to the driver. hbMu serializes one
-	// full drain→send→ack exchange against the end-of-run flush.
+	// Telemetry: tel buffers everything this worker accounts — its links'
+	// exchanges, its server-side spans — until the driver merges it, on
+	// heartbeats sent by the ticker goroutine over a dedicated (uncounted)
+	// connection and in the end-of-run flush. hbMu serializes one full
+	// drain→send→ack exchange against that flush.
 	tel    *workerTel
 	hbMu   sync.Mutex
 	hbConn net.Conn
@@ -177,23 +181,11 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 		pending: make(map[pushKey]*pushAssembly),
 		conns:   make(map[net.Conn]bool),
 		tel:     newWorkerTel(),
-		pool: poolSet{
-			dialTimeout: c.cfg.DialTimeout,
-			ioTimeout:   c.cfg.IOTimeout,
-		},
-		epoch: time.Now(),
-		ids:   trace.NewIDAllocator(id + 2),
+		epoch:   time.Now(),
+		ids:     trace.NewIDAllocator(id + 2),
 	}
 	if id < len(c.cfg.ClockSkew) {
 		w.skew = c.cfg.ClockSkew[id]
-	}
-	if c.cfg.WANTopology != nil {
-		// Shape this worker's outbound connections to the WAN topology's
-		// cross-DC rates (resolved at dial time, when the peer's address
-		// is registered).
-		w.pool.rateFor = func(addr string) float64 {
-			return c.linkRateBps(id, c.siteOfAddr(addr))
-		}
 	}
 	w.serveWG.Add(1)
 	go w.serve()
@@ -206,7 +198,9 @@ func (w *worker) close() {
 			close(w.stopHB)
 		}
 		_ = w.ln.Close()
-		w.pool.closeAll()
+		for _, l := range w.links {
+			l.closeAll()
+		}
 		w.resumeRequests() // unpark any test-stalled handlers
 		// Unblock handlers parked in Decode on persistent connections.
 		w.mu.Lock()
@@ -320,7 +314,7 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 // store error travels in the acknowledgement after the stream is drained.
 func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) error {
 	run := w.cluster.curRun.Load()
-	t0 := w.spanNow(run)
+	t0 := w.localNow()
 	var chunkErr error
 	var nrecs int
 	var rawBytes int64
@@ -358,45 +352,21 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	// Receiver occupancy (the paper's V rows): the aggregator side of a
 	// push, parented to the originating map task and linked to its send
 	// span, so every chunk send has a matching receive in the causal DAG.
-	// With heartbeats enabled the span is stamped on the worker's local
-	// clock, buffered, and rebased onto the run clock when the next beat
-	// merges driver-side.
+	// Like every server-side span it is stamped on the worker's local clock
+	// and buffered; the driver rebases it onto the run clock when it merges
+	// the buffer.
 	if chunkErr == nil && run != nil {
-		w.recordSpan(trace.Span{
+		w.tel.addSpan(trace.Span{
 			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent, Link: req.Span,
 			Kind: trace.KindReceive, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
-			SrcSite: w.cluster.siteLabel(req.From), DstSite: w.cluster.siteLabel(w.id),
+			SrcSite: siteLabel(req.From), DstSite: siteLabel(w.id),
 			Bytes: float64(rawBytes), Records: nrecs,
-			Start: t0, End: w.spanNow(run),
+			Start: t0, End: w.localNow(),
 		})
 	}
 	return writeLastFrame(conn, chunkErr)
-}
-
-// spanNow reads the clock server-side spans are stamped on: the worker's
-// local clock when heartbeats will rebase them, the run clock when the
-// span goes straight to the driver's recorder. Zero without a run.
-func (w *worker) spanNow(run *liveRun) float64 {
-	if run == nil {
-		return 0
-	}
-	if w.cluster.hbEnabled() {
-		return w.localNow()
-	}
-	return run.since()
-}
-
-// recordSpan routes a completed server-side span: buffered for the next
-// heartbeat when the beat plane is on, directly into the driver's recorder
-// otherwise.
-func (w *worker) recordSpan(sp trace.Span) {
-	if w.cluster.hbEnabled() {
-		w.tel.addSpan(sp)
-	} else {
-		w.cluster.cfg.Trace.Add(sp)
-	}
 }
 
 // assemblyFor returns the push assembly for req, creating it on first use.
@@ -512,12 +482,12 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 // this worker's telemetry, so the flush at the end of the job cannot miss
 // it. The price is the same as for a receive span: if the terminal frame
 // itself cannot be written the span stays, and when the fetching side
-// retries on a fresh connection (poolSet.exchange) a second serve span
+// retries on a fresh connection (link.exchange) a second serve span
 // joins it under the same fetch span — serve bytes sum to the fetch's only
 // over exchanges that needed no retry.
 func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	run := w.cluster.curRun.Load()
-	t0 := w.spanNow(run)
+	t0 := w.localNow()
 	records, err := w.shardOf(req.ShuffleID, req.MapPart, req.Reduce)
 	if err != nil {
 		return writeLastFrame(conn, err)
@@ -536,14 +506,14 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 		sent += raw
 	}
 	if run != nil {
-		w.recordSpan(trace.Span{
+		w.tel.addSpan(trace.Span{
 			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent,
 			Kind: trace.KindServe, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
-			SrcSite: w.cluster.siteLabel(w.id), DstSite: w.cluster.siteLabel(req.From),
+			SrcSite: siteLabel(w.id), DstSite: siteLabel(req.From),
 			Bytes: float64(sent), Records: len(records),
-			Start: t0, End: w.spanNow(run),
+			Start: t0, End: w.localNow(),
 		})
 	}
 	return writeLastFrame(conn, nil)
@@ -611,16 +581,6 @@ func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
 	return shards[reduce], nil
 }
 
-// sink returns where this worker's data-plane accounting goes: its
-// heartbeat buffer when heartbeats are on, the job's stats directly
-// otherwise.
-func (w *worker) sink(stats *Stats) flowSink {
-	if w.cluster.hbEnabled() {
-		return w.tel
-	}
-	return stats
-}
-
 // pushStreams bounds the parallel chunk streams of one push.
 func (w *worker) pushStreams(chunks int) int {
 	n := w.cluster.cfg.PushFanout
@@ -636,19 +596,17 @@ func (w *worker) pushStreams(chunks int) int {
 	return n
 }
 
-// push ships a map output partition to a receiver worker as chunked
-// streams over up to Config.PushFanout pooled connections in parallel.
+// push ships a map output partition to worker dst as chunked streams over
+// up to Config.PushFanout of the link's pooled connections in parallel.
 // The receiver reassembles by sequence number and installs the output
 // atomically once every chunk arrived, so a partially failed push is
 // invisible and safely retried under the same or a later attempt. It
 // returns the record-codec bytes of the chunks it sent — what the push's
 // receive spans add up to.
-func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rdd.Pair, stats *Stats, sc spanCtx) (int64, error) {
-	sink := w.sink(stats)
+func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, sc spanCtx) (int64, error) {
 	codec := w.cluster.cfg.Compression
 	chunks := splitRecords(records, w.cluster.cfg.ChunkRecords)
 	streams := w.pushStreams(len(chunks))
-	dst := w.cluster.siteOfAddr(addr)
 	errs := make([]error, streams)
 	sent := make([]int64, streams)
 	var wg sync.WaitGroup
@@ -656,7 +614,7 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = w.pool.exchange(addr, sink, w.id, dst, "push", func(pc *pooledConn) (int64, error) {
+			errs[s] = w.links[dst].exchange("push", func(pc *pooledConn) (int64, error) {
 				sent[s] = 0 // reset on transparent retry
 				if err := pc.enc.Encode(&request{
 					Kind: reqPushChunk, ShuffleID: shuffleID, MapPart: mapPart,
@@ -709,25 +667,24 @@ func (w *worker) push(addr string, shuffleID, mapPart, attempt int, records []rd
 	var total int64
 	for s := 0; s < streams; s++ {
 		if errs[s] != nil {
-			return 0, fmt.Errorf("livecluster: push %d/%d to %s: %w", shuffleID, mapPart, addr, errs[s])
+			return 0, fmt.Errorf("livecluster: push %d/%d to worker %d: %w", shuffleID, mapPart, dst, errs[s])
 		}
 		total += sent[s]
 	}
-	sink.op(reqPushChunk)
+	w.tel.op(reqPushChunk)
 	w.cluster.counter("push_chunks_total", nil).Add(int64(len(chunks)))
 	return total, nil
 }
 
-// fetch pulls one (map, reduce) shard from its holder as a chunk stream and
+// fetch pulls one (map, reduce) shard from worker holder as a chunk stream and
 // returns the decoded chunks as they are, in order, for the caller to
 // gather at its final size, plus their record-codec bytes (what the
 // holder's serve span reports). sc parents that serve span under the
 // requesting fetch span.
-func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats, sc spanCtx) ([][]rdd.Pair, int64, error) {
-	sink := w.sink(stats)
+func (w *worker) fetch(holder, shuffleID, mapPart, reduce int, sc spanCtx) ([][]rdd.Pair, int64, error) {
 	var out [][]rdd.Pair
 	var codecBytes int64
-	err := w.pool.exchange(addr, sink, w.id, w.cluster.siteOfAddr(addr), "shuffle", func(pc *pooledConn) (int64, error) {
+	err := w.links[holder].exchange("shuffle", func(pc *pooledConn) (int64, error) {
 		out, codecBytes = nil, 0 // reset on transparent retry
 		if err := pc.enc.Encode(&request{
 			Kind: reqFetchStream, ShuffleID: shuffleID, MapPart: mapPart, Reduce: reduce,
@@ -757,9 +714,9 @@ func (w *worker) fetch(addr string, shuffleID, mapPart, reduce int, stats *Stats
 		}
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("livecluster: fetch %d/%d/%d from %s: %w", shuffleID, mapPart, reduce, addr, err)
+		return nil, 0, fmt.Errorf("livecluster: fetch %d/%d/%d from worker %d: %w", shuffleID, mapPart, reduce, holder, err)
 	}
-	sink.op(reqFetchStream)
+	w.tel.op(reqFetchStream)
 	w.cluster.counter("fetch_chunks_total", nil).Add(int64(len(out)))
 	return out, codecBytes, nil
 }
@@ -779,210 +736,6 @@ type localError struct{ err error }
 
 func (e localError) Error() string { return e.err.Error() }
 func (e localError) Unwrap() error { return e.err }
-
-// pooledConn is one persistent client connection with its sticky gob
-// encoder for requests (a gob stream carries type state, so the encoder
-// must live as long as the connection). Everything the server sends back is
-// chunk frames, read through br; frames are written to conn directly, like
-// enc's requests.
-type pooledConn struct {
-	conn *countingConn
-	br   *bufio.Reader
-	enc  *gob.Encoder
-}
-
-func (pc *pooledConn) close() { _ = pc.conn.Close() }
-
-// poolSet pools client connections per remote address. The zero value is
-// ready to use (with no dial or I/O bounds).
-type poolSet struct {
-	mu   sync.Mutex
-	idle map[string][]*pooledConn
-
-	// dialTimeout bounds connection establishment; ioTimeout is the
-	// deadline one whole exchange (stream included) must finish within.
-	// Zero disables either bound.
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-
-	// rateFor, when set, returns the pacing rate (bps) for connections to
-	// addr; 0 leaves a connection unshaped. Set on worker pools when the
-	// cluster shapes to a WAN topology.
-	rateFor func(addr string) float64
-}
-
-// get checks a connection to addr out of the pool, dialing a fresh one
-// (accounted via sink.dial) when none is idle. The second result reports
-// whether the connection came from the pool — pooled connections may have
-// been closed by the peer while idle, so their first exchange gets one
-// transparent retry.
-func (ps *poolSet) get(addr string, sink flowSink) (*pooledConn, bool, error) {
-	ps.mu.Lock()
-	if n := len(ps.idle[addr]); n > 0 {
-		pc := ps.idle[addr][n-1]
-		ps.idle[addr] = ps.idle[addr][:n-1]
-		ps.mu.Unlock()
-		return pc, true, nil
-	}
-	ps.mu.Unlock()
-	pc, err := ps.dial(addr, sink)
-	return pc, false, err
-}
-
-// dial opens a fresh connection to addr under the configured dial timeout.
-func (ps *poolSet) dial(addr string, sink flowSink) (*pooledConn, error) {
-	var conn net.Conn
-	var err error
-	if ps.dialTimeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, ps.dialTimeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		sink.dial()
-	}
-	cw := &countingConn{Conn: conn}
-	if ps.rateFor != nil {
-		cw.rateBps = ps.rateFor(addr)
-	}
-	return &pooledConn{conn: cw, br: bufio.NewReader(cw), enc: gob.NewEncoder(cw)}, nil
-}
-
-// put returns a healthy connection to the pool.
-func (ps *poolSet) put(addr string, pc *pooledConn) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.idle == nil {
-		ps.idle = make(map[string][]*pooledConn)
-	}
-	ps.idle[addr] = append(ps.idle[addr], pc)
-}
-
-// exchange runs one request exchange (fn drives the framing) on a pooled
-// connection to addr under the configured I/O deadline, then accounts the
-// payload bytes that crossed the socket through the sink — directly into
-// the job's stats (byte total, traffic-matrix cell, class split all under
-// one lock, so the matrix total always equals BytesOverTCP exactly) or
-// into a worker's heartbeat buffer, which reaches the same stats on the
-// next beat. fn returns the exchange's compression savings; raw bytes are
-// accounted as wire + savings.
-//
-// A connection that came from the pool may have been closed by the peer
-// while idle; if its exchange fails with anything but a timeout, the
-// exchange is retried exactly once on a freshly dialed connection.
-// Connections that error are dropped, not pooled; a remoteError or a
-// localError leaves the connection healthy and pooled.
-func (ps *poolSet) exchange(addr string, sink flowSink, src, dst int, class string, fn func(*pooledConn) (int64, error)) error {
-	pc, pooled, err := ps.get(addr, sink)
-	if err != nil {
-		return err
-	}
-	savings, wire, sec, err := ps.runExchange(pc, fn)
-	if err != nil {
-		var remote remoteError
-		var local localError
-		if errors.As(err, &remote) || errors.As(err, &local) {
-			// The peer answered; the wire worked. Account and pool.
-			sink.flow(src, dst, class, wire, wire+savings)
-			sink.xfer(src, dst, wire, sec)
-			ps.put(addr, pc)
-			return err
-		}
-		pc.close()
-		var ne net.Error
-		if !pooled || (errors.As(err, &ne) && ne.Timeout()) {
-			// Fresh connections don't retry; neither do timeouts — a hung
-			// peer would only burn a second deadline.
-			return err
-		}
-		if pc, err = ps.dial(addr, sink); err != nil {
-			return err
-		}
-		if savings, wire, sec, err = ps.runExchange(pc, fn); err != nil {
-			pc.close()
-			return err
-		}
-	}
-	sink.flow(src, dst, class, wire, wire+savings)
-	sink.xfer(src, dst, wire, sec)
-	ps.put(addr, pc)
-	return nil
-}
-
-// runExchange applies the I/O deadline, runs fn, clears the deadline, and
-// measures the exchange's wire bytes and wall-clock duration (the link
-// estimator's throughput sample).
-func (ps *poolSet) runExchange(pc *pooledConn, fn func(*pooledConn) (int64, error)) (savings, wire int64, sec float64, err error) {
-	before := pc.conn.bytes.Load()
-	t0 := time.Now()
-	if ps.ioTimeout > 0 {
-		_ = pc.conn.SetDeadline(t0.Add(ps.ioTimeout))
-	}
-	savings, err = fn(pc)
-	if ps.ioTimeout > 0 {
-		_ = pc.conn.SetDeadline(time.Time{})
-	}
-	return savings, pc.conn.bytes.Load() - before, time.Since(t0).Seconds(), err
-}
-
-func (ps *poolSet) closeAll() {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for _, conns := range ps.idle {
-		for _, pc := range conns {
-			pc.close()
-		}
-	}
-	ps.idle = nil
-}
-
-// countingConn counts payload bytes in both directions and, with a
-// positive rateBps, paces them: each read or write pushes a rolling
-// next-allowed instant forward by the bytes' transmission time at the
-// configured rate and sleeps until it, modeling a WAN link's bandwidth
-// on the loopback (Config.WANTopology). Pacing covers both directions
-// because the shaped payload arrives via writes on a push but via reads
-// on a fetch.
-type countingConn struct {
-	net.Conn
-	bytes   atomic.Int64
-	rateBps float64
-	paceMu  sync.Mutex
-	next    time.Time
-}
-
-func (c *countingConn) pace(n int) {
-	if c.rateBps <= 0 || n <= 0 {
-		return
-	}
-	d := time.Duration(float64(n) * 8 / c.rateBps * float64(time.Second))
-	c.paceMu.Lock()
-	now := time.Now()
-	if c.next.Before(now) {
-		c.next = now
-	}
-	c.next = c.next.Add(d)
-	wait := c.next.Sub(now)
-	c.paceMu.Unlock()
-	time.Sleep(wait)
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.bytes.Add(int64(n))
-	c.pace(n)
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.bytes.Add(int64(n))
-	c.pace(n)
-	return n, err
-}
 
 // counter resolves a run-scoped metrics counter; nil (a no-op counter)
 // between jobs. Registry writes are thread-safe and do not affect the

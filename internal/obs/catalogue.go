@@ -22,7 +22,7 @@ var Catalogue = []MetricDoc{
 	{"fetch_chunks_total", "counter", "—", "live", "data chunks a fetcher received, counted once its fetch succeeded"},
 	{"push_duplicates_total", "counter", "—", "live", "duplicate pushes dropped (retried attempts)"},
 	{"bucket_builds_total", "counter", "—", "live", "deferred whole-output bucketing passes"},
-	{"heartbeats_total", "counter", "`worker`", "live", "heartbeats merged by the driver"},
+	{"heartbeats_total", "counter", "`worker`", "live", "heartbeats the driver received and merged (the end-of-job flush is not one)"},
 	{"worker_heartbeat_age_sec", "gauge", "`worker`", "live", "seconds since each worker's last heartbeat"},
 	{"clock_offset_sec", "gauge", "`worker`", "live", "estimated driver−worker clock offset"},
 	{"clock_rtt_sec", "gauge", "`worker`", "live", "round-trip time of the best clock-sync sample"},

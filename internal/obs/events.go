@@ -83,20 +83,18 @@ func (p PhaseCounts) Running() int {
 	return n
 }
 
-// Collector is the standard Sink: it records every event and mirrors the
-// stream into a metrics registry (obs_tasks_total{phase=...} per stage,
-// obs_stages_total). Subscribers receive the live event stream for
-// tailing. A nil *Collector discards everything, so callers need no
-// enabled checks.
+// Collector is the standard Sink: it records every event once, in one
+// unified log, and mirrors the stream into a metrics registry
+// (obs_tasks_total{phase=...} per stage, obs_stages_total). Subscribers
+// receive the live event stream for tailing. A nil *Collector discards
+// everything, so callers need no enabled checks.
 type Collector struct {
-	mu      sync.Mutex
-	reg     *Registry
-	tasks   []TaskEvent
-	stages  []StageEvent
-	log     []Event
-	counts  PhaseCounts
-	subs    map[int]chan Event
-	nextSub int
+	reg *Registry
+	log Log[Event]
+	// mu guards counts and is held across the append, so the tally and the
+	// log move together.
+	mu     sync.Mutex
+	counts PhaseCounts
 }
 
 // NewCollector returns a Collector feeding a fresh registry.
@@ -110,7 +108,6 @@ func (c *Collector) OnTask(ev TaskEvent) {
 		return
 	}
 	c.mu.Lock()
-	c.tasks = append(c.tasks, ev)
 	switch ev.Phase {
 	case PhaseScheduled:
 		c.counts.Scheduled++
@@ -123,7 +120,7 @@ func (c *Collector) OnTask(ev TaskEvent) {
 	case PhaseRetried:
 		c.counts.Retried++
 	}
-	c.publish(Event{Type: "task", Task: &ev})
+	c.log.Append(func(seq int) Event { return Event{Seq: seq, Type: "task", Task: &ev} })
 	c.mu.Unlock()
 	c.reg.Counter("tasks_total", Labels{"phase": string(ev.Phase), "stage": ev.StageName}).Inc()
 }
@@ -134,26 +131,11 @@ func (c *Collector) OnStage(ev StageEvent) {
 		return
 	}
 	c.mu.Lock()
-	c.stages = append(c.stages, ev)
 	c.counts.StagesDone++
-	c.publish(Event{Type: "stage", Stage: &ev})
+	c.log.Append(func(seq int) Event { return Event{Seq: seq, Type: "stage", Stage: &ev} })
 	c.mu.Unlock()
 	c.reg.Counter("stages_total", nil).Inc()
 	c.reg.Gauge("stage_duration_sec", Labels{"stage": ev.Name}).Set(ev.End - ev.Start)
-}
-
-// publish appends ev to the unified log and fans it out to subscribers.
-// Callers hold c.mu. Slow subscribers whose buffer is full lose the event
-// rather than stalling the run (the log still holds everything).
-func (c *Collector) publish(ev Event) {
-	ev.Seq = len(c.log) + 1
-	c.log = append(c.log, ev)
-	for _, ch := range c.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
 }
 
 // Counts returns the stream summary.
@@ -171,79 +153,38 @@ func (c *Collector) Events() []Event {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.log...)
+	return c.log.Snapshot()
 }
 
-// Subscribe registers a live tail of the event stream: history is a copy
-// of everything recorded so far, and ch carries events published after
-// the snapshot (buffered with buf slots; events overflowing the buffer
-// are dropped for that subscriber). cancel unregisters and closes ch;
-// it is safe to call more than once. A nil collector returns an empty
-// history and a nil channel.
+// Subscribe registers a live tail of the event stream (Log.Subscribe). A
+// nil collector returns an empty history and a nil channel.
 func (c *Collector) Subscribe(buf int) (history []Event, ch <-chan Event, cancel func()) {
 	if c == nil {
 		return nil, nil, func() {}
 	}
-	if buf < 1 {
-		buf = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.subs == nil {
-		c.subs = make(map[int]chan Event)
-	}
-	id := c.nextSub
-	c.nextSub++
-	sub := make(chan Event, buf)
-	c.subs[id] = sub
-	history = append([]Event(nil), c.log...)
-	cancel = func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if _, ok := c.subs[id]; ok {
-			delete(c.subs, id)
-			close(sub)
-		}
-	}
-	return history, sub, cancel
+	return c.log.Subscribe(buf)
 }
 
 // TaskEvents returns a copy of the recorded task events in arrival order.
 func (c *Collector) TaskEvents() []TaskEvent {
-	if c == nil {
-		return nil
+	var out []TaskEvent
+	for _, ev := range c.Events() {
+		if ev.Task != nil {
+			out = append(out, *ev.Task)
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]TaskEvent(nil), c.tasks...)
+	return out
 }
 
 // StageEvents returns a copy of the recorded stage events in arrival order.
 func (c *Collector) StageEvents() []StageEvent {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]StageEvent(nil), c.stages...)
-}
-
-// CountPhase returns how many task events of one phase were recorded.
-func (c *Collector) CountPhase(p TaskPhase) int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, ev := range c.tasks {
-		if ev.Phase == p {
-			n++
+	var out []StageEvent
+	for _, ev := range c.Events() {
+		if ev.Stage != nil {
+			out = append(out, *ev.Stage)
 		}
 	}
-	return n
+	return out
 }
 
 // Registry returns the collector's metrics registry (nil for a nil

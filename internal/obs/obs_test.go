@@ -141,8 +141,8 @@ func TestCollectorRecordsAndMirrors(t *testing.T) {
 	if got := len(c.TaskEvents()); got != 3 {
 		t.Fatalf("task events = %d, want 3", got)
 	}
-	if got := c.CountPhase(PhaseFinished); got != 1 {
-		t.Fatalf("CountPhase(finished) = %d, want 1", got)
+	if got := c.Counts().Finished; got != 1 {
+		t.Fatalf("Counts().Finished = %d, want 1", got)
 	}
 	if got := len(c.StageEvents()); got != 1 {
 		t.Fatalf("stage events = %d, want 1", got)
@@ -160,7 +160,7 @@ func TestNilCollectorNoOp(t *testing.T) {
 	var c *Collector
 	c.OnTask(TaskEvent{Phase: PhaseStarted})
 	c.OnStage(StageEvent{})
-	if c.TaskEvents() != nil || c.StageEvents() != nil || c.CountPhase(PhaseStarted) != 0 || c.Registry() != nil {
+	if c.TaskEvents() != nil || c.StageEvents() != nil || c.Counts().Started != 0 || c.Registry() != nil {
 		t.Fatal("nil collector is not a no-op")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -38,7 +37,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := be.Events.CountPhase(obs.PhaseStarted); n != 0 {
+	if n := be.Events.Counts().Started; n != 0 {
 		t.Fatalf("%d tasks started under a pre-canceled context", n)
 	}
 }
@@ -74,7 +73,7 @@ func TestRunContextCancelMidStage(t *testing.T) {
 	if n := ran.Load(); n >= tasks {
 		t.Fatalf("all %d tasks ran despite mid-stage cancel", n)
 	}
-	if n := be.Events.CountPhase(obs.PhaseFinished); n >= tasks {
+	if n := be.Events.Counts().Finished; n >= tasks {
 		t.Fatalf("%d finished-task events despite mid-stage cancel", n)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/shuffle"
 	"wanshuffle/internal/topology"
@@ -328,7 +327,7 @@ func TestDriverReplacesTasksOffDeadSite(t *testing.T) {
 	if deadTries != 3 {
 		t.Fatalf("dead-site attempts = %d, want 3 (map t0, map t3, reduce t0): %v", deadTries, be.attempts)
 	}
-	if got := be.Events.CountPhase(obs.PhaseRetried); got != 3 {
+	if got := be.Events.Counts().Retried; got != 3 {
 		t.Fatalf("retried events = %d, want 3", got)
 	}
 	if healthyTries < 6 {

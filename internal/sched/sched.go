@@ -17,15 +17,19 @@ import (
 	"wanshuffle/internal/topology"
 )
 
-// Config tunes the scheduler.
-type Config struct {
-	// LocalityWaitHost is how long a task holds out for a preferred host
+// Delay-scheduling waits, in virtual seconds.
+const (
+	// localityWaitHost is how long a task holds out for a preferred host
 	// before accepting any host in a preferred datacenter. Spark's default
 	// spark.locality.wait is 3 s.
-	LocalityWaitHost float64
-	// LocalityWaitDC is the additional wait before accepting any host at
+	localityWaitHost = 3.0
+	// localityWaitDC is the additional wait before accepting any host at
 	// all.
-	LocalityWaitDC float64
+	localityWaitDC = 3.0
+)
+
+// Config tunes the scheduler.
+type Config struct {
 	// RandomOffers reproduces Spark 1.6's TaskSchedulerImpl, which
 	// shuffles resource offers randomly: tasks placed below host locality
 	// pick a random host among those with free slots (weighted by free
@@ -35,16 +39,6 @@ type Config struct {
 	RandomOffers bool
 	// Seed drives RandomOffers.
 	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.LocalityWaitHost <= 0 {
-		c.LocalityWaitHost = 3
-	}
-	if c.LocalityWaitDC <= 0 {
-		c.LocalityWaitDC = 3
-	}
-	return c
 }
 
 // Task is a unit of schedulable work. Run is invoked exactly once, when a
@@ -96,7 +90,7 @@ func New(clock *sim.Clock, topo *topology.Topology, cfg Config) *Scheduler {
 	s := &Scheduler{
 		clock:     clock,
 		topo:      topo,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		freeSlots: make([]int, topo.NumHosts()),
 		dead:      make([]bool, topo.NumHosts()),
 		rng:       sim.Stream(cfg.Seed, "sched.offers"),
@@ -169,9 +163,9 @@ func (s *Scheduler) levelOf(t *Task) localityLevel {
 	}
 	waited := s.clock.Now() - since
 	switch {
-	case waited < s.cfg.LocalityWaitHost:
+	case waited < localityWaitHost:
 		return levelHost
-	case waited < s.cfg.LocalityWaitHost+s.cfg.LocalityWaitDC:
+	case waited < localityWaitHost+localityWaitDC:
 		return levelDC
 	default:
 		return levelAny
@@ -325,7 +319,7 @@ func (s *Scheduler) scheduleRecheck() {
 		if s.lastLaunch > since {
 			since = s.lastLaunch
 		}
-		for _, edge := range []float64{s.cfg.LocalityWaitHost, s.cfg.LocalityWaitHost + s.cfg.LocalityWaitDC} {
+		for _, edge := range []float64{localityWaitHost, localityWaitHost + localityWaitDC} {
 			at := since + edge
 			if at > now+1e-12 && (next < 0 || at < next) {
 				next = at

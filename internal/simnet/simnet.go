@@ -50,11 +50,6 @@ type Config struct {
 	// links. 0 disables jitter. With amplitude a, capacity stays within
 	// roughly ±2a of the base value.
 	JitterAmplitude float64
-	// JitterPeriod is the virtual-time interval between capacity
-	// re-samples. Defaults to 5 s when jitter is enabled.
-	JitterPeriod float64
-	// JitterRho is the AR(1) autocorrelation in [0,1). Defaults to 0.7.
-	JitterRho float64
 	// LoopbackBps bounds same-host transfers. Defaults to 10 Gbps.
 	LoopbackBps float64
 	// HostWANBps is each host's wide-area uplink/downlink share — the
@@ -68,13 +63,15 @@ type Config struct {
 	BurstPenalty float64
 }
 
+// The AR(1) jitter process of wide-area links (Config.JitterAmplitude).
+const (
+	// jitterPeriod is the virtual-time interval between capacity re-samples.
+	jitterPeriod = 5.0
+	// jitterRho is the AR(1) autocorrelation, in [0,1).
+	jitterRho = 0.7
+)
+
 func (c Config) withDefaults() Config {
-	if c.JitterPeriod <= 0 {
-		c.JitterPeriod = 5
-	}
-	if c.JitterRho <= 0 || c.JitterRho >= 1 {
-		c.JitterRho = 0.7
-	}
 	if c.LoopbackBps <= 0 {
 		c.LoopbackBps = 10 * topology.Gbps
 	}
@@ -266,7 +263,7 @@ func (n *Network) ensureJitter() {
 	if n.cfg.JitterAmplitude <= 0 || n.jitterTimer.Pending() {
 		return
 	}
-	n.jitterTimer = n.clock.After(n.cfg.JitterPeriod, n.resampleJitter)
+	n.jitterTimer = n.clock.After(jitterPeriod, n.resampleJitter)
 }
 
 // StartFlow begins a transfer of the given number of bytes. onComplete (may
@@ -560,7 +557,7 @@ func (n *Network) onCompletionTick() {
 
 func (n *Network) resampleJitter() {
 	n.settle()
-	rho := n.cfg.JitterRho
+	rho := jitterRho
 	amp := n.cfg.JitterAmplitude
 	d := n.topo.NumDCs()
 	for i := 0; i < d; i++ {
@@ -589,7 +586,7 @@ func (n *Network) resampleJitter() {
 	}
 	n.reallocate()
 	if len(n.flows) > 0 {
-		n.jitterTimer = n.clock.After(n.cfg.JitterPeriod, n.resampleJitter)
+		n.jitterTimer = n.clock.After(jitterPeriod, n.resampleJitter)
 	}
 }
 

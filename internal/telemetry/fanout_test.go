@@ -85,7 +85,7 @@ func TestEventsFanoutConcurrentSubscribers(t *testing.T) {
 		t.Fatalf("publishing %d events took %v: a subscriber stalled the run", published, elapsed)
 	}
 
-	// Fast subscribers drain everything: the serveEvents buffer (1024)
+	// Fast subscribers drain everything: the tail's buffer (1024)
 	// exceeds the publish count, so nothing may be dropped for them.
 	for name, sc := range map[string]*bufio.Scanner{"fastA": scanA, "fastB": scanB} {
 		seqs := scanSeqs(t, sc, published)

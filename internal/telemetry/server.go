@@ -122,7 +122,7 @@ func Handler(cfg Config) http.Handler {
 			http.Error(w, "no event collector yet", http.StatusServiceUnavailable)
 			return
 		}
-		serveEvents(w, r, c, log)
+		Tail(w, r, c.Subscribe)
 	})
 
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -194,15 +194,19 @@ func Handler(cfg Config) http.Handler {
 	})
 }
 
-// serveEvents streams the collector's event log as NDJSON: full history
-// first, then live events until the client disconnects.
-func serveEvents(w http.ResponseWriter, r *http.Request, c *obs.Collector, log *slog.Logger) {
+// Tail streams an event log as NDJSON, one event per line: the history the
+// subscription starts with, then live events until the client disconnects
+// or the subscription is canceled. It is the one tail of the telemetry
+// plane — /events subscribes to an obs.Collector, /jobs?watch=1 to the job
+// service — so subscribe is a log's Subscribe method (obs.Log.Subscribe).
+func Tail[E any](w http.ResponseWriter, r *http.Request, subscribe func(buf int) ([]E, <-chan E, func())) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	history, ch, cancel := c.Subscribe(1024)
+	// A subscriber that falls this many events behind starts losing them.
+	history, ch, cancel := subscribe(1024)
 	defer cancel()
 	for _, ev := range history {
 		if err := enc.Encode(ev); err != nil {
