@@ -87,7 +87,6 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 		AggregatorPolicy:  o.aggregator,
 		HeartbeatInterval: o.heartbeat, StaleAfter: o.staleAfter,
 		Compression: o.compress, ChunkRecords: o.chunkRecords,
-		PushFanout:  o.pushFanout,
 		DialTimeout: o.dialTimeout, IOTimeout: o.ioTimeout,
 		MemoryBudget: o.memoryBudget, SpillDir: o.spillDir,
 		WANTopology: o.topology,

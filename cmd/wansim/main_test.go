@@ -181,8 +181,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"zero chunk records", []string{"-chunk-records", "0"}, "-chunk-records must be positive"},
 		{"negative chunk records", []string{"-chunk-records", "-3"}, "-chunk-records must be positive"},
-		{"zero push fanout", []string{"-push-fanout", "0"}, "-push-fanout must be positive"},
-		{"negative push fanout", []string{"-push-fanout", "-1"}, "-push-fanout must be positive"},
 		{"zero memory budget", []string{"-memory-budget", "0"}, "-memory-budget must be positive"},
 		{"negative memory budget", []string{"-memory-budget", "-64KB"}, "-memory-budget must be positive"},
 		{"garbage memory budget", []string{"-memory-budget", "lots"}, "cannot parse"},

@@ -44,7 +44,6 @@ type options struct {
 	heartbeat, staleAfter  time.Duration
 	compress               string
 	chunkRecords           int
-	pushFanout             int
 	dialTimeout, ioTimeout time.Duration
 	memoryBudget           int64
 	spillDir               string
@@ -94,7 +93,6 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.DurationVar(&o.staleAfter, "stale-after", time.Second, "-live heartbeat silence after which a worker counts as dead (must be positive and exceed -heartbeat)")
 	fs.StringVar(&o.compress, "compress", "", "-live per-chunk compression codec: none | gzip | flate")
 	fs.IntVar(&o.chunkRecords, "chunk-records", 256, "-live records per chunk frame (must be positive)")
-	fs.IntVar(&o.pushFanout, "push-fanout", 2, "-live parallel chunk streams per push (must be positive; 1 = serial)")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 0, "-live data-plane dial timeout (0 = 5s default, negative disables)")
 	fs.DurationVar(&o.ioTimeout, "io-timeout", 0, "-live per-exchange I/O deadline; a hung peer fails the task attempt instead of wedging the run (0 = 30s default, negative disables)")
 	fs.StringVar(&raw.memoryBudget, "memory-budget", "", "-live per-worker resident budget for stored shuffle blocks, e.g. 64KB or 16MiB; beyond it the coldest outputs spill to disk (empty = unlimited)")
@@ -160,7 +158,7 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	for _, c := range []struct {
 		name string
 		v    int
-	}{{"-chunk-records", o.chunkRecords}, {"-push-fanout", o.pushFanout}, {"-timeline-cap", o.timelineCap}, {"-max-queue", o.maxQueue}} {
+	}{{"-chunk-records", o.chunkRecords}, {"-timeline-cap", o.timelineCap}, {"-max-queue", o.maxQueue}} {
 		if c.v <= 0 {
 			return nil, fmt.Errorf("%s must be positive, got %d", c.name, c.v)
 		}

@@ -14,7 +14,7 @@ import (
 func TestFlagSetUnchanged(t *testing.T) {
 	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt heartbeat
 		io-timeout job-deadline live log-level matrix max-queue max-queued-bytes memory-budget
-		progress push-fanout report scale scheme seed serve spill-dir stale-after telemetry-addr
+		progress report scale scheme seed serve spill-dir stale-after telemetry-addr
 		telemetry-linger tenants timeline-cap timeline-interval topology validate workload`)
 	var got []string
 	newFlagSet(&options{}, &rawFlags{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

@@ -103,8 +103,7 @@ type Config struct {
 	// datacenter. Ablation knob; default plan.AggregatorBest.
 	AggregatorPolicy plan.AggregatorPolicy
 
-	Sched sched.Config
-	Net   simnet.Config
+	Net simnet.Config
 	// Trace enables span recording (Gantt timelines).
 	Trace bool
 	// Logger receives structured run logs (job and stage windows, task
@@ -205,16 +204,12 @@ type cachedPart struct {
 // New builds an engine over a fresh simulated cluster.
 func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	// Reproduce Spark 1.6's randomized resource offers (the scheduler the
-	// paper leaves untouched); seeded so runs stay deterministic.
-	cfg.Sched.RandomOffers = true
-	cfg.Sched.Seed = seed
 	clock := sim.NewClock()
 	e := &Engine{
 		Clock:      clock,
 		Net:        simnet.New(clock, topo, seed, cfg.Net),
 		Topo:       topo,
-		Sched:      sched.New(clock, topo, cfg.Sched),
+		Sched:      sched.New(clock, topo, seed),
 		Events:     obs.NewCollector(),
 		cfg:        cfg,
 		log:        obs.LoggerOr(cfg.Logger),

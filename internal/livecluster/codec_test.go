@@ -18,83 +18,82 @@ func (opaque) SizeBytes() float64 { return 8 }
 
 // TestUnsupportedValueFailsPushCleanly drives the wire path directly: a
 // push holding a value the codec cannot carry fails with the typed error
-// before the offending chunk is written, the receiver drops the partial
-// assembly, and the pooled connection is neither lost nor replaced.
+// before the offending chunk is written, the receiver installs nothing of
+// it, and the pooled connection is neither lost nor replaced.
 func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
-	for _, fanout := range []int{1, 2} {
-		c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4, PushFanout: fanout}, 3)
-		w0, w1 := c.workers[0], c.workers[1]
-		good := pairs(17)
-		if _, err := w0.push(1, 7, 0, 1, good, spanCtx{}); err != nil {
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 3)
+	w0, w1 := c.workers[0], c.workers[1]
+	good := pairs(17)
+	if _, err := w0.push(1, 7, 0, 1, good, spanCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	// One connection is all w0 ever needs to w1: any dial beyond the first
+	// push's replaces a connection a failure cost.
+	if dials := flushed(c).Dials; dials != 1 {
+		t.Fatalf("first push dialed %d connections, want 1", dials)
+	}
+
+	bad := append(pairs(17), rdd.KV("bad-key", opaque{})) // in the last of five chunks
+	_, err := w0.push(1, 7, 1, 1, bad, spanCtx{})
+	var unsupported *rdd.UnsupportedValueError
+	if !errors.As(err, &unsupported) {
+		t.Fatalf("push err = %v, want *rdd.UnsupportedValueError", err)
+	}
+	if unsupported.Key != "bad-key" || !strings.Contains(err.Error(), "livecluster.opaque") {
+		t.Fatalf("error %q does not name the key and Go type", err)
+	}
+	// The receiver's only state outside the handler is its store: the
+	// abandoned push left nothing behind and was not installed.
+	if _, err := w1.store.Get(blockstore.Key{Shuffle: 7, MapPart: 1}); !errors.Is(err, blockstore.ErrNotFound) {
+		t.Fatalf("the abandoned push was installed (Get err = %v)", err)
+	}
+	if n := w1.storedOutputs(); n != 1 {
+		t.Fatalf("receiver holds %d outputs after the abandoned push, want the first push's one", n)
+	}
+
+	// The same connection carries the next push and the fetches.
+	if _, err := w0.push(1, 7, 1, 2, good, spanCtx{}); err != nil {
+		t.Fatalf("push after the failed one: %v", err)
+	}
+	var out []rdd.Pair
+	for r := 0; r < 3; r++ {
+		shard, err := fetchFlat(w0, 1, 7, 1, r)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// One connection per parallel stream is all w0 ever needs to w1:
-		// any dial beyond that replaces a connection a failure cost.
-		maxDials := int64(fanout)
+		out = append(out, shard...)
+	}
+	if canon(out) != canon(good) {
+		t.Fatal("push after the failed one diverges")
+	}
+	stats := flushed(c)
+	if stats.Dials != 0 {
+		t.Fatalf("%d dials after the failed push: it cost a pooled connection", stats.Dials)
+	}
+	if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
+		t.Fatalf("matrix total %d != BytesOverTCP %d", got, stats.BytesOverTCP)
+	}
 
-		bad := append(pairs(17), rdd.KV("bad-key", opaque{})) // in the last of five chunks
-		_, err := w0.push(1, 7, 1, 1, bad, spanCtx{})
-		var unsupported *rdd.UnsupportedValueError
-		if !errors.As(err, &unsupported) {
-			t.Fatalf("fanout %d: push err = %v, want *rdd.UnsupportedValueError", fanout, err)
-		}
-		if unsupported.Key != "bad-key" || !strings.Contains(err.Error(), "livecluster.opaque") {
-			t.Fatalf("fanout %d: error %q does not name the key and Go type", fanout, err)
-		}
-		w1.mu.Lock()
-		_, pending := w1.pending[pushKey{7, 1, 1}]
-		w1.mu.Unlock()
-		if fanout == 1 && pending {
-			t.Fatal("receiver kept the abandoned push's assembly")
-		}
-		if _, err := w1.store.Get(blockstore.Key{Shuffle: 7, MapPart: 1}); err == nil {
-			t.Fatalf("fanout %d: the abandoned push was installed", fanout)
-		}
-
-		// The same connections carry the next push and the fetches.
-		if _, err := w0.push(1, 7, 1, 2, good, spanCtx{}); err != nil {
-			t.Fatalf("fanout %d: push after the failed one: %v", fanout, err)
-		}
-		var out []rdd.Pair
-		for r := 0; r < 3; r++ {
-			shard, err := fetchFlat(w0, 1, 7, 1, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, shard...)
-		}
-		if canon(out) != canon(good) {
-			t.Fatalf("fanout %d: push after the failed one diverges", fanout)
-		}
-		stats := flushed(c)
-		if stats.Dials > maxDials {
-			t.Fatalf("fanout %d: %d dials after the failed push: it cost a pooled connection", fanout, stats.Dials)
-		}
-		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
-			t.Fatalf("fanout %d: matrix total %d != BytesOverTCP %d", fanout, got, stats.BytesOverTCP)
-		}
-
-		// Fetch side: a locally stored output with such a value fails its
-		// fetch as a remote error naming the type, on a connection that
-		// stays pooled.
-		if err := w1.storeMapOutput(7, 2, 1, bad); err != nil {
-			t.Fatal(err)
-		}
-		failed := 0
-		for r := 0; r < 3; r++ {
-			if _, err := fetchFlat(w0, 1, 7, 2, r); err != nil {
-				failed++
-				if !strings.Contains(err.Error(), "livecluster.opaque") {
-					t.Fatalf("fanout %d: fetch error %q does not name the Go type", fanout, err)
-				}
+	// Fetch side: a locally stored output with such a value fails its
+	// fetch as a remote error naming the type, on a connection that
+	// stays pooled.
+	if err := w1.storeMapOutput(7, 2, 1, bad); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for r := 0; r < 3; r++ {
+		if _, err := fetchFlat(w0, 1, 7, 2, r); err != nil {
+			failed++
+			if !strings.Contains(err.Error(), "livecluster.opaque") {
+				t.Fatalf("fetch error %q does not name the Go type", err)
 			}
 		}
-		if failed != 1 {
-			t.Fatalf("fanout %d: %d of 3 shard fetches failed, want the one holding the value", fanout, failed)
-		}
-		if dials := stats.Dials + flushed(c).Dials; dials > maxDials {
-			t.Fatalf("fanout %d: %d dials after the failed fetch: it cost a pooled connection", fanout, dials)
-		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d of 3 shard fetches failed, want the one holding the value", failed)
+	}
+	if dials := flushed(c).Dials; dials != 0 {
+		t.Fatalf("%d dials after the failed fetch: it cost a pooled connection", dials)
 	}
 }
 
@@ -125,7 +124,7 @@ func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 	for _, mode := range []Mode{ModePush, ModeFetch} {
 		c, err := New(Config{
 			Workers: 2, Mode: mode, Aggregators: []int{1},
-			TasksPerWorker: 1, PushFanout: 1, MaxAttempts: 1, ChunkRecords: 4,
+			TasksPerWorker: 1, MaxAttempts: 1, ChunkRecords: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

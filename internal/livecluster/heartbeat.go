@@ -180,47 +180,25 @@ func (t *workerTel) restore(hb heartbeat) {
 // clock to read. What is accounted, and how, does not depend on it.
 func (c *Cluster) hbEnabled() bool { return c.cfg.HeartbeatInterval > 0 }
 
-// serveHeartbeats accepts worker heartbeat connections on the driver's
-// listener and merges every beat into the running job's stats. A beat that
-// arrives here is also what says its worker is alive.
-func (c *Cluster) serveHeartbeats() {
-	defer c.hbWG.Done()
-	var connWG sync.WaitGroup
-	defer connWG.Wait()
+// handleHeartbeats serves one worker's heartbeat connection on the driver:
+// every beat is merged into the running job's stats and acknowledged. A beat
+// that arrives here is also what says its worker is alive.
+func (c *Cluster) handleHeartbeats(conn net.Conn) {
+	dec := gob.NewDecoder(conn)
+	enc := gob.NewEncoder(conn)
 	for {
-		conn, err := c.hbLn.Accept()
-		if err != nil {
-			return // listener closed
+		var hb heartbeat
+		if err := dec.Decode(&hb); err != nil {
+			return
 		}
-		c.hbConnMu.Lock()
-		c.hbConns[conn] = true
-		c.hbConnMu.Unlock()
-		connWG.Add(1)
-		go func() {
-			defer connWG.Done()
-			defer func() {
-				c.hbConnMu.Lock()
-				delete(c.hbConns, conn)
-				c.hbConnMu.Unlock()
-				_ = conn.Close()
-			}()
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
-			for {
-				var hb heartbeat
-				if err := dec.Decode(&hb); err != nil {
-					return
-				}
-				t1 := c.clusterNow()
-				if hb.Worker >= 0 && hb.Worker < len(c.lastBeat) {
-					c.lastBeat[hb.Worker].Store(time.Now().UnixNano())
-				}
-				c.mergeHeartbeat(hb, t1, true)
-				if err := enc.Encode(hbAck{OK: true, T1: t1, T2: c.clusterNow()}); err != nil {
-					return
-				}
-			}
-		}()
+		t1 := c.clusterNow()
+		if hb.Worker >= 0 && hb.Worker < len(c.lastBeat) {
+			c.lastBeat[hb.Worker].Store(time.Now().UnixNano())
+		}
+		c.mergeHeartbeat(hb, t1, true)
+		if err := enc.Encode(hbAck{OK: true, T1: t1, T2: c.clusterNow()}); err != nil {
+			return
+		}
 	}
 }
 
@@ -345,7 +323,7 @@ func (w *worker) drainBeat() heartbeat {
 // driver connection, dialing it on first use. Callers hold hbMu.
 func (w *worker) exchangeHeartbeat(hb heartbeat) error {
 	if w.hbConn == nil {
-		conn, err := net.Dial("tcp", w.cluster.hbAddr)
+		conn, err := net.Dial("tcp", w.cluster.hbSrv.addr())
 		if err != nil {
 			return err
 		}

@@ -360,11 +360,11 @@ func checkConservation(t *testing.T, stats *Stats) {
 func TestConservationAcrossCanceledJob(t *testing.T) {
 	for _, hb := range []time.Duration{2 * time.Millisecond, -1} {
 		t.Run(fmt.Sprint("heartbeat ", hb), func(t *testing.T) {
-			// One task per worker and one stream per push: a worker never
-			// needs a second connection to a peer.
+			// One task per worker: a worker never needs a second connection
+			// to a peer.
 			cluster, err := New(Config{
 				Workers: 2, Mode: ModePush, Aggregators: []int{1},
-				TasksPerWorker: 1, PushFanout: 1, Compression: CodecFlate,
+				TasksPerWorker: 1, Compression: CodecFlate,
 				HeartbeatInterval: hb,
 			})
 			if err != nil {

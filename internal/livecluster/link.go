@@ -134,13 +134,9 @@ func (l *link) attempt(pc *pooledConn, class string, fn func(*pooledConn) (int64
 	}
 	wire := pc.conn.bytes.Load() - before
 	l.tel.flow(l.src, l.dst, class, wire, wire+savings)
-	if err != nil {
-		var remote remoteError
-		var local localError
-		if !errors.As(err, &remote) && !errors.As(err, &local) {
-			pc.close()
-			return true, err
-		}
+	if !intact(err) {
+		pc.close()
+		return true, err
 	}
 	l.tel.xfer(l.src, l.dst, wire, time.Since(t0).Seconds())
 	l.put(pc)
@@ -161,8 +157,8 @@ func (l *link) closeAll() {
 // every byte any connection moves in that direction pushes a rolling
 // next-allowed instant forward by its transmission time at the rate, and
 // its mover sleeps until that instant. The state is per pair, not per
-// connection, so a push's parallel streams and a worker's concurrent tasks
-// share the link's rate instead of multiplying it.
+// connection, so a worker's concurrent tasks share the link's rate instead
+// of multiplying it.
 type bucket struct {
 	rateBps float64
 	mu      sync.Mutex

@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"net"
 	"slices"
 	"strconv"
 	"sync"
@@ -123,8 +122,8 @@ type Config struct {
 	// carries; pushes and fetches stream their partitions as sequences of
 	// such chunks. Defaults to 256.
 	ChunkRecords int
-	// PushFanout bounds the parallel chunk streams one push uses (each on
-	// its own pooled connection). Defaults to 2; 1 means serial.
+	// PushFanout selects nothing — a push is one chunk stream — and New rejects
+	// values above 1; it stays until perf/ stops setting it (ROADMAP 5(f)).
 	PushFanout int
 	// Compression selects the per-chunk codec: "" or "none" (default,
 	// off), "gzip", or "flate". Chunks that would not shrink ship raw, so
@@ -152,11 +151,11 @@ type Config struct {
 	// WANTopology, when non-nil, shapes the loopback data plane to the
 	// given WAN topology: workers map round-robin onto its worker hosts,
 	// and the bytes moving from one worker to another in a different DC —
-	// over however many connections, streams and tasks — are paced
-	// together to the pair's configured inter-DC bandwidth, so link
-	// asymmetry becomes measurable on a laptop. The topology also supplies
-	// the configured rates the run report's network section computes drift
-	// against. Nil (the default) leaves the loopback unshaped.
+	// over however many connections and tasks — are paced together to the
+	// pair's configured inter-DC bandwidth, so link asymmetry becomes
+	// measurable on a laptop. The topology also supplies the configured
+	// rates the run report's network section computes drift against. Nil
+	// (the default) leaves the loopback unshaped.
 	WANTopology *topology.Topology
 }
 
@@ -180,9 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ChunkRecords <= 0 {
 		c.ChunkRecords = 256
-	}
-	if c.PushFanout <= 0 {
-		c.PushFanout = 2
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 5 * time.Second
@@ -231,13 +227,9 @@ type Cluster struct {
 	// whichever job's registry is current.
 	links *netobs.Estimator
 
-	// Heartbeat plane: the driver's listener, its accepted connections,
-	// and each worker's last-beat clock (unix nanos).
-	hbLn     net.Listener
-	hbAddr   string
-	hbWG     sync.WaitGroup
-	hbConnMu sync.Mutex
-	hbConns  map[net.Conn]bool
+	// Heartbeat plane: the driver's heartbeat server (nil with heartbeats
+	// off) and each worker's last-beat clock (unix nanos).
+	hbSrv    *server
 	lastBeat []atomic.Int64
 }
 
@@ -483,6 +475,9 @@ func New(cfg Config) (*Cluster, error) {
 	if !ok {
 		return nil, fmt.Errorf("livecluster: unknown compression codec %q (want none, gzip, or flate)", cfg.Compression)
 	}
+	if cfg.PushFanout > 1 {
+		return nil, fmt.Errorf("livecluster: PushFanout %d: a push is one stream, there is no fan-out to set", cfg.PushFanout)
+	}
 	if cfg.MemoryBudget < 0 {
 		return nil, fmt.Errorf("livecluster: memory budget must be positive (or zero for unlimited), got %d", cfg.MemoryBudget)
 	}
@@ -493,7 +488,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:      cfg,
 		log:      obs.LoggerOr(cfg.Logger),
-		hbConns:  make(map[net.Conn]bool),
 		lastBeat: make([]atomic.Int64, cfg.Workers),
 		epoch:    time.Now(),
 		ids:      trace.NewIDAllocator(1),
@@ -505,18 +499,14 @@ func New(cfg Config) (*Cluster, error) {
 		return nil
 	}})
 	if c.hbEnabled() {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("livecluster: heartbeat listen: %w", err)
-		}
-		c.hbLn = ln
-		c.hbAddr = ln.Addr().String()
 		now := time.Now().UnixNano()
 		for i := range c.lastBeat {
 			c.lastBeat[i].Store(now)
 		}
-		c.hbWG.Add(1)
-		go c.serveHeartbeats()
+		var err error
+		if c.hbSrv, err = serve(c.handleHeartbeats); err != nil {
+			return nil, fmt.Errorf("livecluster: heartbeat listen: %w", err)
+		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(i, c)
@@ -556,7 +546,7 @@ func (c *Cluster) wireLinks() {
 		w.links = make([]*link, len(c.workers))
 		for j, peer := range c.workers {
 			w.links[j] = &link{
-				src: i, dst: j, addr: peer.addr, tel: w.tel,
+				src: i, dst: j, addr: peer.srv.addr(), tel: w.tel,
 				dialTimeout: c.cfg.DialTimeout, ioTimeout: c.cfg.IOTimeout,
 				out: pace[i][j], in: pace[j][i],
 			}
@@ -714,14 +704,8 @@ func (c *Cluster) Close() {
 			w.close()
 		}
 	}
-	if c.hbLn != nil {
-		_ = c.hbLn.Close()
-		c.hbConnMu.Lock()
-		for conn := range c.hbConns {
-			_ = conn.Close()
-		}
-		c.hbConnMu.Unlock()
-		c.hbWG.Wait()
+	if c.hbSrv != nil {
+		c.hbSrv.close()
 	}
 }
 

@@ -191,6 +191,10 @@ func TestBadAggregatorRejected(t *testing.T) {
 	if _, err := New(Config{Workers: 2, Aggregators: []int{5}}); err == nil {
 		t.Fatal("out-of-range aggregator accepted")
 	}
+	// A push is one stream; the field only survives for perf/, at 1.
+	if _, err := New(Config{Workers: 2, PushFanout: 2}); err == nil {
+		t.Fatal("PushFanout 2 accepted: nothing would honour it")
+	}
 }
 
 func TestClusterCloseIdempotent(t *testing.T) {

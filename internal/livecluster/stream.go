@@ -15,25 +15,26 @@ import (
 )
 
 // Chunk framing for the streaming data plane. A push or fetch moves its
-// records as a sequence of bounded-size chunk frames over one (or, for
-// pushes, several parallel) pooled connections, ended by a terminal frame.
-// Requests and heartbeats are control messages and travel as their own
-// encoding (worker.go); a chunk frame is raw bytes:
+// records as one ordered stream of bounded-size chunk frames over one pooled
+// connection, ended by a terminal frame. Requests and heartbeats are control
+// messages and travel as their own encoding (worker.go); a chunk frame is raw
+// bytes:
 //
 //	flags byte | uvarint seq | uvarint rawLen | uvarint len | len payload bytes
 //
 // A data frame's payload is its records in the record codec of
 // internal/rdd, compressed with the codec the flags name when that made
 // them smaller (rawLen is then the codec bytes before compression, and 0
-// otherwise), so compression never inflates the wire. A frame with
+// otherwise), so compression never inflates the wire. seq counts a stream's
+// data frames from 0; one out of turn is a protocol error. A frame with
 // frameLast set terminates the stream; with frameErr too its payload is an
 // error message: the holder's on a fetch stream, the sender's on a push
 // stream it had to abandon. A terminal frame is also the only reply there
 // is: the receiver acknowledges a push stream with one, carrying the error
-// that made it drop the push if any. Push and fetch share the one writer
-// and reader below. The reader takes a *bufio.Reader that the server side's
-// request decoder reads through as well, so neither reads past its own
-// message.
+// that made it drop the push if any. Push and fetch share the one stream
+// writer and the one stream reader below (writeStream, readStream). The
+// reader takes a *bufio.Reader that the server side's request decoder reads
+// through as well, so neither reads past its own message.
 
 // Compression codec names accepted by Config.Compression.
 const (
@@ -77,8 +78,7 @@ func validCodec(name string) (string, bool) {
 
 // chunkFrame is one received frame of a push or fetch stream.
 type chunkFrame struct {
-	// seq orders the chunk within its logical transfer, so parallel push
-	// streams reassemble deterministically.
+	// seq is the data frame's place in its stream, counted from 0.
 	seq     int
 	last    bool
 	err     string // terminal frames only
@@ -231,6 +231,84 @@ func (fr *chunkFrame) records() ([]rdd.Pair, error) {
 		return nil, fmt.Errorf("livecluster: decoding chunk %d: %w", fr.seq, err)
 	}
 	return records, nil
+}
+
+// streamTotals is what one chunk stream carried: its data frames, their
+// records' size in the record codec (what spans and bytes_raw_total account)
+// and how much of that compression kept off the wire.
+type streamTotals struct {
+	chunks     int
+	raw, saved int64
+}
+
+// writeStream sends records as one chunk stream: data frames of at most
+// chunkRecords records each, then the terminal frame. In between — the last
+// chunk out, the peer not yet told so — it hands sent what the stream
+// carried, for whatever must be on record before the peer can act on the
+// stream's end. A chunk that cannot be encoded was never written: the stream
+// ends in order with that cause in its terminal frame and the localError is
+// returned, the connection still in step. Any other error is a failed write.
+func writeStream(w io.Writer, records []rdd.Pair, chunkRecords int, codec string, sent func(streamTotals)) error {
+	var st streamTotals
+	for seq, part := range splitRecords(records, chunkRecords) {
+		raw, saved, err := sendChunk(w, seq, part, codec)
+		if err != nil {
+			if intact(err) {
+				if werr := writeLastFrame(w, err); werr != nil {
+					return werr
+				}
+			}
+			return err
+		}
+		st.chunks++
+		st.raw += raw
+		st.saved += saved
+	}
+	sent(st)
+	return writeLastFrame(w, nil)
+}
+
+// readStream reads one chunk stream: data frames until the terminal one, each
+// frame's records handed to fn in stream order. A frame that cannot be read
+// is returned at once, as it is: the connection is out of step. Any other
+// failure leaves the stream intact, so the reader first drains it to its
+// terminal frame, without calling fn again: a frame out of sequence, a
+// payload that does not decode or an error from fn then comes back as a
+// localError, and failing those the peer's terminal-frame error as a
+// remoteError.
+func readStream(br *bufio.Reader, fn func([]rdd.Pair) error) (streamTotals, error) {
+	var st streamTotals
+	var failed error
+	for {
+		fr, err := readChunkFrame(br, maxFramePayload)
+		if err != nil {
+			return st, err
+		}
+		if fr.last {
+			if failed == nil && fr.err != "" {
+				failed = remoteError{fr.err}
+			}
+			return st, failed
+		}
+		if failed != nil {
+			continue
+		}
+		if fr.seq != st.chunks {
+			failed = localError{fmt.Errorf("livecluster: chunk %d where chunk %d of the stream was due", fr.seq, st.chunks)}
+			continue
+		}
+		records, err := fr.records()
+		if err == nil {
+			err = fn(records)
+		}
+		if err != nil {
+			failed = localError{err}
+			continue
+		}
+		st.chunks++
+		st.raw += fr.codecBytes()
+		st.saved += fr.savings()
+	}
 }
 
 // compress appends raw, compressed with codec, to dst.

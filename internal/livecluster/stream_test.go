@@ -318,7 +318,7 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := streamCluster(t, Config{
-				Workers: 2, ChunkRecords: tc.chunkRec, Compression: tc.codec, PushFanout: 2,
+				Workers: 2, ChunkRecords: tc.chunkRec, Compression: tc.codec,
 			}, reduces)
 			in := pairs(tc.records)
 			w0 := c.workers[0]
@@ -417,15 +417,58 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	}
 }
 
+// handPush drives one push exchange frame by frame on a connection checked
+// out of a link, for tests that need to stop, interleave or damage a stream.
+type handPush struct {
+	t  *testing.T
+	l  *link
+	pc *pooledConn
+}
+
+func startPush(t *testing.T, l *link, req request) *handPush {
+	t.Helper()
+	pc, _, err := l.get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Kind = reqPushChunk
+	if err := pc.enc.Encode(&req); err != nil {
+		t.Fatal(err)
+	}
+	return &handPush{t: t, l: l, pc: pc}
+}
+
+func (p *handPush) chunk(seq int, records []rdd.Pair) {
+	p.t.Helper()
+	if _, _, err := sendChunk(p.pc.conn, seq, records, CodecNone); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// finish ends the stream, hands the connection back to the link and returns
+// the error the receiver acknowledged with ("" for none).
+func (p *handPush) finish() string {
+	p.t.Helper()
+	if err := writeLastFrame(p.pc.conn, nil); err != nil {
+		p.t.Fatal(err)
+	}
+	ack, err := readChunkFrame(p.pc.br, maxFramePayload)
+	if err != nil || !ack.last {
+		p.t.Fatalf("acknowledgement read back as %+v, %v", ack, err)
+	}
+	p.l.put(p.pc)
+	return ack.err
+}
+
 // TestPushFailureIsATerminalFrame pins the push acknowledgement: when the
 // receiver drops a push, the sender reads the reason out of a terminal
 // chunk frame — the same reply a fetch ends with — the exchange leaves the
 // connection pooled, and the job that follows dials nothing.
 func TestPushFailureIsATerminalFrame(t *testing.T) {
-	// One task per worker and one stream per push: a worker never needs a
-	// second connection to a peer, so every dial is a connection lost.
+	// One task per worker: a worker never needs a second connection to a
+	// peer, so every dial is a connection lost.
 	c, err := New(Config{Workers: 2, Mode: ModePush, Aggregators: []int{1},
-		TasksPerWorker: 1, PushFanout: 1, ChunkRecords: 4, HeartbeatInterval: -1})
+		TasksPerWorker: 1, ChunkRecords: 4, HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,24 +486,22 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	}
 	// The same exchange frame by frame: request, one chunk, the sender's
 	// terminal frame, and then the receiver's.
-	err = w0.links[1].exchange("push", func(pc *pooledConn) (int64, error) {
-		if err := pc.enc.Encode(&request{Kind: reqPushChunk, ShuffleID: 99, Attempt: 2, Chunks: 1}); err != nil {
-			return 0, err
-		}
-		if _, _, err := sendChunk(pc.conn, 0, pairs(3), CodecNone); err != nil {
-			return 0, err
-		}
-		if err := writeLastFrame(pc.conn, nil); err != nil {
-			return 0, err
-		}
-		ack, err := readChunkFrame(pc.br, maxFramePayload)
-		if err == nil && (!ack.last || ack.err != "worker 1: unknown shuffle 99") {
-			err = fmt.Errorf("acknowledgement read back as %+v", ack)
-		}
-		return 0, err
-	})
-	if err != nil {
-		t.Fatal(err)
+	p := startPush(t, w0.links[1], request{ShuffleID: 99, Attempt: 2})
+	p.chunk(0, pairs(3))
+	if ack := p.finish(); ack != "worker 1: unknown shuffle 99" {
+		t.Fatalf("refused push acknowledged with %q", ack)
+	}
+	// And one whose chunks skip a seq: the receiver reads the stream to its
+	// end, installs nothing and says which chunk was due.
+	before := c.workers[1].storedOutputs()
+	p = startPush(t, w0.links[1], request{ShuffleID: 99, Attempt: 3})
+	p.chunk(1, pairs(3))
+	p.chunk(2, pairs(3))
+	if ack := p.finish(); !strings.Contains(ack, "chunk 1 where chunk 0 of the stream was due") {
+		t.Fatalf("push with a skipped seq acknowledged with %q, want the protocol error", ack)
+	}
+	if n := c.workers[1].storedOutputs(); n != before {
+		t.Fatalf("receiver went from %d to %d outputs over a push it refused", before, n)
 	}
 	stats := flushed(c)
 	if stats.Dials != 0 {
@@ -475,42 +516,122 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	}
 }
 
+// attemptRecord is a one-record map output naming the attempt that made it.
+func attemptRecord(att int) []rdd.Pair {
+	return []rdd.Pair{rdd.KV("winner", fmt.Sprintf("attempt-%d", att))}
+}
+
+// fetchWinner fetches shuffle 7's single reduce shard of map 0 from worker 1
+// and returns the attempt label its one record carries.
+func fetchWinner(t *testing.T, c *Cluster) string {
+	t.Helper()
+	out, err := fetchFlat(c.workers[0], 1, 7, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 {
+		t.Fatalf("fetched %d records, want 1", len(out))
+	}
+	return out[0].Value.(string)
+}
+
 // TestDuplicatePushesIdempotent pushes several attempts of the same
 // (shuffle, map) partition and checks last-write-wins by attempt: a stale
 // retried attempt never clobbers a newer one.
 func TestDuplicatePushesIdempotent(t *testing.T) {
 	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
 	w0, w1 := c.workers[0], c.workers[1]
-	byAttempt := func(att int) []rdd.Pair {
-		return []rdd.Pair{rdd.KV("winner", fmt.Sprintf("attempt-%d", att))}
-	}
-	fetchOne := func() string {
-		t.Helper()
-		out, err := fetchFlat(w0, 1, 7, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 1 {
-			t.Fatalf("fetched %d records, want 1", len(out))
-		}
-		return out[0].Value.(string)
-	}
 	for _, att := range []int{2, 1} { // attempt 1 arrives after attempt 2
-		if _, err := w0.push(1, 7, 0, att, byAttempt(att), spanCtx{}); err != nil {
+		if _, err := w0.push(1, 7, 0, att, attemptRecord(att), spanCtx{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := fetchOne(); got != "attempt-2" {
+	if got := fetchWinner(t, c); got != "attempt-2" {
 		t.Fatalf("stale attempt overwrote newer output: %q", got)
 	}
-	if _, err := w0.push(1, 7, 0, 3, byAttempt(3), spanCtx{}); err != nil {
+	if _, err := w0.push(1, 7, 0, 3, attemptRecord(3), spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fetchOne(); got != "attempt-3" {
+	if got := fetchWinner(t, c); got != "attempt-3" {
 		t.Fatalf("newer attempt did not take over: %q", got)
 	}
 	if n := w1.storedOutputs(); n != 1 {
 		t.Fatalf("duplicates stored as %d outputs, want 1", n)
+	}
+}
+
+// TestZombieAttemptStreamsBesideLaterOne has an earlier attempt of a map
+// task still streaming its push when a later attempt of the same (shuffle,
+// map) starts its own: each stream's state is its handler's, so the two
+// cannot mix, and whichever ends first the later attempt's output is the one
+// installed.
+func TestZombieAttemptStreamsBesideLaterOne(t *testing.T) {
+	for _, zombieLast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("zombie ends last=%v", zombieLast), func(t *testing.T) {
+			c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
+			l := c.workers[0].links[1]
+			zombie := startPush(t, l, request{ShuffleID: 7, Attempt: 1})
+			zombie.chunk(0, attemptRecord(1))
+			later := startPush(t, l, request{ShuffleID: 7, Attempt: 2})
+			later.chunk(0, attemptRecord(2))
+			order := []*handPush{zombie, later}
+			if zombieLast {
+				order = []*handPush{later, zombie}
+			}
+			for _, p := range order {
+				if ack := p.finish(); ack != "" {
+					t.Fatalf("push acknowledged with %q", ack)
+				}
+			}
+			if got := fetchWinner(t, c); got != "attempt-2" {
+				t.Fatalf("installed output is %q, want the later attempt's", got)
+			}
+			if n := c.workers[1].storedOutputs(); n != 1 {
+				t.Fatalf("two attempts stored as %d outputs, want 1", n)
+			}
+		})
+	}
+}
+
+// TestCutPushStreamInstallsNothing closes a push's connection in the middle
+// of its third chunk frame: the receiver's handler ends with the connection
+// and installs nothing, and the push retried under the same attempt goes
+// through.
+func TestCutPushStreamInstallsNothing(t *testing.T) {
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
+	w0, w1 := c.workers[0], c.workers[1]
+	in := pairs(12)
+	p := startPush(t, w0.links[1], request{ShuffleID: 7, Attempt: 1})
+	p.chunk(0, in[:4])
+	p.chunk(1, in[4:8])
+	var frame bytes.Buffer
+	if _, _, err := sendChunk(&frame, 2, in[8:], CodecNone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.pc.conn.Write(frame.Bytes()[:frame.Len()/2]); err != nil {
+		t.Fatal(err)
+	}
+	p.pc.close()
+	// The handler is done once the server has dropped the connection.
+	deadline := time.Now().Add(5 * time.Second)
+	for open := 1; open > 0; {
+		w1.srv.mu.Lock()
+		open = len(w1.srv.conns)
+		w1.srv.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("receiver still holds the cut connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := w1.storedOutputs(); n != 0 {
+		t.Fatalf("receiver installed %d outputs from a cut stream", n)
+	}
+	if _, err := w0.push(1, 7, 0, 1, in, spanCtx{}); err != nil {
+		t.Fatalf("retried push under the same attempt: %v", err)
+	}
+	out, err := fetchFlat(w0, 1, 7, 0, 0)
+	if err != nil || canon(out) != canon(in) {
+		t.Fatalf("retried push round-trip diverges (%v)", err)
 	}
 }
 
@@ -526,12 +647,12 @@ func TestStalePooledConnectionRetriedOnce(t *testing.T) {
 	}
 	flushed(c) // the push's dial
 	// Simulate the peer dropping idle connections (restart, LB timeout):
-	// close every server-side conn under the worker's own lock.
-	w1.mu.Lock()
-	for conn := range w1.conns {
+	// close every server-side conn under the server's own lock.
+	w1.srv.mu.Lock()
+	for conn := range w1.srv.conns {
 		_ = conn.Close()
 	}
-	w1.mu.Unlock()
+	w1.srv.mu.Unlock()
 	out, err := fetchFlat(w0, 1, 7, 0, 0)
 	if err != nil {
 		t.Fatalf("exchange on stale pooled connection not recovered: %v", err)

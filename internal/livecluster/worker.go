@@ -32,11 +32,12 @@ import (
 // it, so the frames that follow a request are still there for the frame
 // reader. Two exchange shapes exist:
 //
-//   - reqPushChunk: the request is followed by data chunk frames and a
-//     terminal frame; the receiver buckets chunks into per-reduce shards
-//     as they arrive, installs the assembled output once every chunk
-//     (across the push's parallel streams) is present, and acknowledges
-//     each stream with a terminal frame of its own.
+//   - reqPushChunk: the request is followed by one chunk stream; the
+//     receiver buckets its chunks into per-reduce shards as they arrive,
+//     installs the output when the stream's terminal frame says it is whole,
+//     and acknowledges with a terminal frame of its own. Everything it holds
+//     until then is local to the handler, so a stream that breaks, is
+//     abandoned or loses to a later attempt leaves nothing behind.
 //   - reqFetchStream: the holder streams one reduce shard back as chunk
 //     frames ending in the terminal frame.
 
@@ -59,9 +60,6 @@ type request struct {
 	// the highest attempt per (shuffle, map) — duplicate pushes from
 	// retried tasks are idempotent, last-write-wins by attempt.
 	Attempt int
-	// Chunks is the total data-chunk count of the push across all of its
-	// parallel streams; the receiver installs the output once all arrived.
-	Chunks int
 	// Trace/Parent/Span propagate causal span context across the wire:
 	// Trace is the run's trace ID, Parent the span the server-side span
 	// should nest under (the originating map task for a push, the fetch
@@ -82,45 +80,24 @@ type spanCtx struct {
 	span   trace.SpanID // client-side send span (pushes; receive links to it)
 }
 
-// pushKey identifies one in-flight push assembly.
-type pushKey struct{ shuffle, mapPart, attempt int }
-
-// pushAssembly accumulates one push's chunks across its parallel streams.
-// Chunks are bucketed the moment they arrive (when the partitioner is
-// ready) and merged in sequence order on completion, so parallel streams
-// cannot reorder records.
-type pushAssembly struct {
-	total    int                  // expected data chunks
-	got      int                  // distinct chunks received
-	flat     map[int][]rdd.Pair   // seq → records (partitioner not ready)
-	bucketed map[int][][]rdd.Pair // seq → per-reduce buckets
-	ready    bool                 // partitioner was ready at assembly start
-	nParts   int
-}
-
 // worker is one live cluster member: a loopback TCP server storing map
 // output bucketed per reduce, plus one link per peer for its pushes and
 // fetches.
 type worker struct {
 	id      int
-	addr    string
-	ln      net.Listener
 	cluster *Cluster
+	// srv accepts the peers' connections and serves their exchanges.
+	srv *server
 
-	// store holds the worker's shuffle blocks: assembled push outputs and
+	// store holds the worker's shuffle blocks: received push outputs and
 	// fetch-mode local map outputs, flat until their partitioner is ready
 	// and per-reduce shards afterwards. With Config.MemoryBudget set it is
 	// a blockstore.SpillStore, so an aggregator's resident heap stays
-	// bounded while cold outputs ride on disk. The store locks internally;
-	// w.mu only guards the in-flight push assemblies and connection set.
+	// bounded while cold outputs ride on disk. The store locks internally.
 	store blockstore.Store
 	// links[dst] is this worker's link to worker dst (itself included),
 	// wired by the cluster once every worker listens.
 	links []*link
-
-	mu      sync.Mutex
-	pending map[pushKey]*pushAssembly
-	conns   map[net.Conn]bool // open server-side connections
 
 	// bucketBuilds counts deferred whole-output bucketing passes; pushes
 	// bucketed incrementally on arrival never increment it.
@@ -131,8 +108,7 @@ type worker struct {
 	stallMu sync.Mutex
 	stallCh chan struct{}
 
-	closed  atomic.Bool
-	serveWG sync.WaitGroup
+	closed atomic.Bool
 
 	// Telemetry: tel buffers everything this worker accounts — its links'
 	// exchanges, its server-side spans — until the driver merges it, on
@@ -163,23 +139,14 @@ type worker struct {
 func (w *worker) localNow() float64 { return time.Since(w.epoch).Seconds() + w.skew }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("livecluster: worker %d listen: %w", id, err)
-	}
 	store, err := c.newStore(id)
 	if err != nil {
-		_ = ln.Close()
 		return nil, fmt.Errorf("livecluster: worker %d block store: %w", id, err)
 	}
 	w := &worker{
 		id:      id,
-		addr:    ln.Addr().String(),
-		ln:      ln,
 		cluster: c,
 		store:   store,
-		pending: make(map[pushKey]*pushAssembly),
-		conns:   make(map[net.Conn]bool),
 		tel:     newWorkerTel(),
 		epoch:   time.Now(),
 		ids:     trace.NewIDAllocator(id + 2),
@@ -187,8 +154,10 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 	if id < len(c.cfg.ClockSkew) {
 		w.skew = c.cfg.ClockSkew[id]
 	}
-	w.serveWG.Add(1)
-	go w.serve()
+	if w.srv, err = serve(w.handleConn); err != nil {
+		_ = store.Close()
+		return nil, fmt.Errorf("livecluster: worker %d listen: %w", id, err)
+	}
 	return w, nil
 }
 
@@ -197,19 +166,12 @@ func (w *worker) close() {
 		if w.stopHB != nil {
 			close(w.stopHB)
 		}
-		_ = w.ln.Close()
 		for _, l := range w.links {
 			l.closeAll()
 		}
 		w.resumeRequests() // unpark any test-stalled handlers
-		// Unblock handlers parked in Decode on persistent connections.
-		w.mu.Lock()
-		for conn := range w.conns {
-			_ = conn.Close()
-		}
-		w.mu.Unlock()
 	}
-	w.serveWG.Wait()
+	w.srv.close()
 	w.hbWG.Wait()
 	w.hbMu.Lock()
 	w.dropHBConn()
@@ -217,30 +179,65 @@ func (w *worker) close() {
 	_ = w.store.Close()
 }
 
-func (w *worker) serve() {
-	defer w.serveWG.Done()
-	var connWG sync.WaitGroup
-	defer connWG.Wait()
-	for {
-		conn, err := w.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		w.mu.Lock()
-		w.conns[conn] = true
-		w.mu.Unlock()
-		connWG.Add(1)
-		go func() {
-			defer connWG.Done()
-			defer func() {
-				w.mu.Lock()
-				delete(w.conns, conn)
-				w.mu.Unlock()
+// server is one accept loop on a loopback port: the listener, the
+// connections it accepted that are still open, and the goroutines handling
+// them. Each worker serves its peers' exchanges through one, and the driver
+// its workers' heartbeats.
+type server struct {
+	ln   net.Listener
+	done chan struct{}  // closed once the accept loop has returned
+	wg   sync.WaitGroup // the handlers
+
+	mu    sync.Mutex
+	conns map[net.Conn]bool
+}
+
+// serve listens on an ephemeral loopback port and runs handle on a goroutine
+// per accepted connection, closing the connection when handle returns.
+func serve(handle func(net.Conn)) (*server, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	s := &server{ln: ln, done: make(chan struct{}), conns: make(map[net.Conn]bool)}
+	go func() {
+		defer close(s.done)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			s.mu.Lock()
+			s.conns[conn] = true
+			s.mu.Unlock()
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				handle(conn)
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
 				_ = conn.Close()
 			}()
-			w.handleConn(conn)
-		}()
+		}
+	}()
+	return s, nil
+}
+
+func (s *server) addr() string { return s.ln.Addr().String() }
+
+// close stops accepting and, once the accept loop has returned and can add
+// no more, closes the open connections — a handler parked reading a
+// persistent connection returns on that — and waits for every handler.
+func (s *server) close() {
+	_ = s.ln.Close()
+	<-s.done
+	s.mu.Lock()
+	for conn := range s.conns {
+		_ = conn.Close()
 	}
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
 // handleConn serves exchanges on one persistent connection until the peer
@@ -263,7 +260,7 @@ func (w *worker) handleConn(conn net.Conn) {
 		default:
 			err = writeLastFrame(conn, fmt.Errorf("unknown request kind %d", req.Kind))
 		}
-		if err != nil {
+		if !intact(err) {
 			return // broken stream: drop the connection
 		}
 	}
@@ -307,155 +304,65 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 	return nil
 }
 
-// receivePush consumes one push stream: chunk frames until the terminal
-// frame, bucketed into the (shuffle, map, attempt) assembly as they
-// arrive, then acknowledged with a terminal frame on conn. A framing error
-// is fatal for the connection and the only error returned; a payload or
-// store error travels in the acknowledgement after the stream is drained.
+// receivePush consumes one push stream: chunks bucketed per reduce as they
+// arrive when the partitioner is ready and kept flat otherwise, the output
+// installed at the terminal frame, the sender acknowledged with a terminal
+// frame on conn. Everything until the install is local to this call. A
+// framing error is fatal for the connection and the only error returned;
+// whatever else fails — a bad payload, a chunk out of turn, the store, the
+// sender giving up — travels in the acknowledgement after the stream is
+// drained.
 func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := w.localNow()
-	var chunkErr error
+	spec := w.spec(req.ShuffleID)
+	out := blockstore.Output{Attempt: req.Attempt}
+	if spec != nil && spec.Partitioner.Ready() {
+		out.Shards = make([][]rdd.Pair, spec.Partitioner.NumPartitions())
+	}
+	var flat [][]rdd.Pair
 	var nrecs int
-	var rawBytes int64
-	for {
-		fr, err := readChunkFrame(br, maxFramePayload)
-		if err != nil {
-			w.abortAssembly(req)
-			return err
-		}
-		if fr.last {
-			if fr.err != "" && chunkErr == nil {
-				chunkErr = errors.New(fr.err) // the sender gave the push up
-			}
-			break
-		}
-		if chunkErr != nil {
-			continue // drain the rest of a stream that already failed
-		}
-		records, err := fr.records()
-		if err != nil {
-			chunkErr = err
-			continue
+	got, err := readStream(br, func(records []rdd.Pair) error {
+		if spec == nil {
+			return fmt.Errorf("worker %d: unknown shuffle %d", w.id, req.ShuffleID)
 		}
 		nrecs += len(records)
-		rawBytes += fr.codecBytes()
-		if err := w.addPushChunk(req, fr.seq, records); err != nil {
-			chunkErr = err
+		if out.Shards == nil {
+			flat = append(flat, records)
+			return nil
 		}
+		for r, bucket := range rdd.BucketRecords(spec, records) {
+			out.Shards[r] = append(out.Shards[r], bucket...)
+		}
+		return nil
+	})
+	if !intact(err) {
+		return err
 	}
-	if chunkErr != nil {
-		w.abortAssembly(req)
-	} else {
-		chunkErr = w.finishPushStream(req)
+	if err == nil {
+		if out.Shards == nil {
+			out.Records = slices.Concat(flat...)
+		}
+		err = w.install(req.ShuffleID, req.MapPart, out)
 	}
 	// Receiver occupancy (the paper's V rows): the aggregator side of a
 	// push, parented to the originating map task and linked to its send
-	// span, so every chunk send has a matching receive in the causal DAG.
+	// span, so every push has its matching receive in the causal DAG.
 	// Like every server-side span it is stamped on the worker's local clock
 	// and buffered; the driver rebases it onto the run clock when it merges
 	// the buffer.
-	if chunkErr == nil && run != nil {
+	if err == nil && run != nil {
 		w.tel.addSpan(trace.Span{
 			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent, Link: req.Span,
 			Kind: trace.KindReceive, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
 			SrcSite: siteLabel(req.From), DstSite: siteLabel(w.id),
-			Bytes: float64(rawBytes), Records: nrecs,
+			Bytes: float64(got.raw), Records: nrecs,
 			Start: t0, End: w.localNow(),
 		})
 	}
-	return writeLastFrame(conn, chunkErr)
-}
-
-// assemblyFor returns the push assembly for req, creating it on first use.
-// Callers hold w.mu.
-func (w *worker) assemblyFor(req *request) *pushAssembly {
-	key := pushKey{req.ShuffleID, req.MapPart, req.Attempt}
-	a, ok := w.pending[key]
-	if !ok {
-		a = &pushAssembly{total: req.Chunks}
-		if spec := w.spec(req.ShuffleID); spec != nil && spec.Partitioner.Ready() {
-			a.ready = true
-			a.nParts = spec.Partitioner.NumPartitions()
-			a.bucketed = make(map[int][][]rdd.Pair)
-		} else {
-			a.flat = make(map[int][]rdd.Pair)
-		}
-		w.pending[key] = a
-	}
-	return a
-}
-
-// addPushChunk folds one arrived chunk into its assembly, bucketing it
-// per reduce immediately when the partitioner is ready — the incremental
-// half of incremental bucketing.
-func (w *worker) addPushChunk(req *request, seq int, records []rdd.Pair) error {
-	if seq < 0 || seq >= req.Chunks {
-		return fmt.Errorf("worker %d: push chunk seq %d out of range [0,%d)", w.id, seq, req.Chunks)
-	}
-	spec := w.spec(req.ShuffleID)
-	if spec == nil {
-		return fmt.Errorf("worker %d: unknown shuffle %d", w.id, req.ShuffleID)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	a := w.assemblyFor(req)
-	if a.ready {
-		if _, dup := a.bucketed[seq]; !dup {
-			a.bucketed[seq] = rdd.BucketRecords(spec, records)
-			a.got++
-		}
-	} else {
-		if _, dup := a.flat[seq]; !dup {
-			a.flat[seq] = records
-			a.got++
-		}
-	}
-	return nil
-}
-
-// finishPushStream runs at a stream's terminal frame: if every chunk of
-// the push (across its parallel streams) has arrived, merge them in
-// sequence order and install the output.
-func (w *worker) finishPushStream(req *request) error {
-	key := pushKey{req.ShuffleID, req.MapPart, req.Attempt}
-	w.mu.Lock()
-	a := w.assemblyFor(req)
-	if a.got < a.total {
-		w.mu.Unlock()
-		return nil // sibling streams still in flight
-	}
-	delete(w.pending, key)
-	out := blockstore.Output{Attempt: req.Attempt}
-	// Every chunk is in hand (got counts distinct in-range seqs), so each
-	// merged slice is allocated once at its final size.
-	parts := make([][]rdd.Pair, a.total)
-	if a.ready {
-		out.Shards = make([][]rdd.Pair, a.nParts)
-		for r := range out.Shards {
-			for seq := range parts {
-				parts[seq] = a.bucketed[seq][r]
-			}
-			out.Shards[r] = slices.Concat(parts...)
-		}
-	} else {
-		for seq := range parts {
-			parts[seq] = a.flat[seq]
-		}
-		out.Records = slices.Concat(parts...)
-	}
-	w.mu.Unlock()
-	return w.install(req.ShuffleID, req.MapPart, out)
-}
-
-// abortAssembly discards a partial assembly after a broken or failed
-// stream, so a retried push starts clean.
-func (w *worker) abortAssembly(req *request) {
-	w.mu.Lock()
-	delete(w.pending, pushKey{req.ShuffleID, req.MapPart, req.Attempt})
-	w.mu.Unlock()
+	return writeLastFrame(conn, err)
 }
 
 // install stores out under (shuffle, mapPart) in the worker's block
@@ -473,7 +380,7 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 }
 
 // streamFetch serves one reduce shard as a chunk stream. Errors travel in
-// the terminal frame; a nil error return means the exchange completed.
+// the terminal frame; the one returned is intact unless the stream broke.
 // A stream whose chunks all went out records a serve span — the holder side
 // of a fetch, nested under the requesting fetch span — so critical-path
 // analysis can attribute fetch time to the link it actually crossed. Like a
@@ -492,31 +399,20 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	if err != nil {
 		return writeLastFrame(conn, err)
 	}
-	codec := w.cluster.cfg.Compression
-	var sent int64 // record-codec bytes, what the fetching side will count
-	for seq, part := range splitRecords(records, w.cluster.cfg.ChunkRecords) {
-		raw, _, err := sendChunk(conn, seq, part, codec)
-		if err != nil {
-			var local localError
-			if errors.As(err, &local) {
-				return writeLastFrame(conn, err)
-			}
-			return err
+	return writeStream(conn, records, w.cluster.cfg.ChunkRecords, w.cluster.cfg.Compression, func(sent streamTotals) {
+		if run == nil {
+			return
 		}
-		sent += raw
-	}
-	if run != nil {
 		w.tel.addSpan(trace.Span{
 			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent,
 			Kind: trace.KindServe, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
 			SrcSite: siteLabel(w.id), DstSite: siteLabel(req.From),
-			Bytes: float64(sent), Records: len(records),
+			Bytes: float64(sent.raw), Records: len(records),
 			Start: t0, End: w.localNow(),
 		})
-	}
-	return writeLastFrame(conn, nil)
+	})
 }
 
 // storeMapOutput stores a locally produced map output (fetch mode), run
@@ -531,15 +427,9 @@ func (w *worker) storeMapOutput(shuffleID, mapPart, attempt int, records []rdd.P
 	return w.install(shuffleID, mapPart, out)
 }
 
-// resetRun clears the previous job's stored outputs and any in-flight
-// push assemblies (shuffle IDs are graph-scoped, so leftovers could
-// collide with the next job's).
-func (w *worker) resetRun() {
-	w.mu.Lock()
-	w.pending = make(map[pushKey]*pushAssembly)
-	w.mu.Unlock()
-	_ = w.store.Reset()
-}
+// resetRun clears the previous job's stored outputs (shuffle IDs are
+// graph-scoped, so leftovers could collide with the next job's).
+func (w *worker) resetRun() { _ = w.store.Reset() }
 
 func (w *worker) storedOutputs() int { return w.store.Len() }
 
@@ -581,99 +471,45 @@ func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
 	return shards[reduce], nil
 }
 
-// pushStreams bounds the parallel chunk streams of one push.
-func (w *worker) pushStreams(chunks int) int {
-	n := w.cluster.cfg.PushFanout
-	if n < 1 {
-		n = 1
-	}
-	if chunks < 1 {
-		return 1
-	}
-	if n > chunks {
-		return chunks
-	}
-	return n
-}
-
-// push ships a map output partition to worker dst as chunked streams over
-// up to Config.PushFanout of the link's pooled connections in parallel.
-// The receiver reassembles by sequence number and installs the output
-// atomically once every chunk arrived, so a partially failed push is
-// invisible and safely retried under the same or a later attempt. It
-// returns the record-codec bytes of the chunks it sent — what the push's
-// receive spans add up to.
+// push ships a map output partition to worker dst as one chunk stream on one
+// of the link's pooled connections. The receiver installs the output when
+// the stream's terminal frame reaches it, so a push that failed part-way is
+// invisible and safely retried under the same or a later attempt. It returns
+// the record-codec bytes of the chunks it sent — what the push's receive
+// span reports.
 func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, sc spanCtx) (int64, error) {
-	codec := w.cluster.cfg.Compression
-	chunks := splitRecords(records, w.cluster.cfg.ChunkRecords)
-	streams := w.pushStreams(len(chunks))
-	errs := make([]error, streams)
-	sent := make([]int64, streams)
-	var wg sync.WaitGroup
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = w.links[dst].exchange("push", func(pc *pooledConn) (int64, error) {
-				sent[s] = 0 // reset on transparent retry
-				if err := pc.enc.Encode(&request{
-					Kind: reqPushChunk, ShuffleID: shuffleID, MapPart: mapPart,
-					Attempt: attempt, Chunks: len(chunks),
-					Trace: sc.trace, Parent: sc.parent, Span: sc.span, From: w.id,
-				}); err != nil {
-					return 0, err
-				}
-				// Each chunk is encoded just before it is written, so at
-				// most one encoded chunk per stream exists at a time.
-				var savings int64
-				var abandoned error
-				for seq := s; seq < len(chunks); seq += streams {
-					raw, saved, err := sendChunk(pc.conn, seq, chunks[seq], codec)
-					var local localError
-					if errors.As(err, &local) {
-						// The chunk was never written: end the stream in
-						// order, so the receiver drops the assembly and the
-						// connection stays usable.
-						abandoned = err
-						break
-					}
-					if err != nil {
-						return 0, err
-					}
-					sent[s] += raw
-					savings += saved
-				}
-				if err := writeLastFrame(pc.conn, abandoned); err != nil {
-					return 0, err
-				}
-				// The receiver acknowledges the stream the way a fetch
-				// ends: a terminal frame, carrying what failed if anything.
-				ack, err := readChunkFrame(pc.br, maxFramePayload)
-				switch {
-				case err != nil:
-					return 0, err
-				case !ack.last:
-					return 0, errors.New("livecluster: data frame in place of a push acknowledgement")
-				case abandoned != nil:
-					return savings, abandoned
-				case ack.err != "":
-					return savings, remoteError{ack.err}
-				}
-				return savings, nil
-			})
-		}(s)
-	}
-	wg.Wait()
-	var total int64
-	for s := 0; s < streams; s++ {
-		if errs[s] != nil {
-			return 0, fmt.Errorf("livecluster: push %d/%d to worker %d: %w", shuffleID, mapPart, dst, errs[s])
+	var sent streamTotals
+	err := w.links[dst].exchange("push", func(pc *pooledConn) (int64, error) {
+		if err := pc.enc.Encode(&request{
+			Kind: reqPushChunk, ShuffleID: shuffleID, MapPart: mapPart, Attempt: attempt,
+			Trace: sc.trace, Parent: sc.parent, Span: sc.span, From: w.id,
+		}); err != nil {
+			return 0, err
 		}
-		total += sent[s]
+		// Each chunk is encoded just before it is written, so at most one
+		// encoded chunk exists at a time.
+		err := writeStream(pc.conn, records, w.cluster.cfg.ChunkRecords, w.cluster.cfg.Compression,
+			func(st streamTotals) { sent = st })
+		if !intact(err) {
+			return 0, err
+		}
+		// The receiver acknowledges the way a fetch ends: a stream whose
+		// terminal frame carries what failed, if anything, and which has no
+		// chunks to give.
+		_, ack := readStream(pc.br, func([]rdd.Pair) error {
+			return errors.New("livecluster: data frame in place of a push acknowledgement")
+		})
+		if err == nil || !intact(ack) {
+			err = ack // otherwise this side abandoned the push: its cause outranks the echo
+		}
+		return sent.saved, err
+	})
+	if err != nil {
+		return 0, fmt.Errorf("livecluster: push %d/%d to worker %d: %w", shuffleID, mapPart, dst, err)
 	}
 	w.tel.op(reqPushChunk)
-	w.cluster.counter("push_chunks_total", nil).Add(int64(len(chunks)))
-	return total, nil
+	w.cluster.counter("push_chunks_total", nil).Add(int64(sent.chunks))
+	return sent.raw, nil
 }
 
 // fetch pulls one (map, reduce) shard from worker holder as a chunk stream and
@@ -683,42 +519,28 @@ func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, 
 // requesting fetch span.
 func (w *worker) fetch(holder, shuffleID, mapPart, reduce int, sc spanCtx) ([][]rdd.Pair, int64, error) {
 	var out [][]rdd.Pair
-	var codecBytes int64
+	var got streamTotals
 	err := w.links[holder].exchange("shuffle", func(pc *pooledConn) (int64, error) {
-		out, codecBytes = nil, 0 // reset on transparent retry
+		out = nil // reset on transparent retry
 		if err := pc.enc.Encode(&request{
 			Kind: reqFetchStream, ShuffleID: shuffleID, MapPart: mapPart, Reduce: reduce,
 			Trace: sc.trace, Parent: sc.parent, From: w.id,
 		}); err != nil {
 			return 0, err
 		}
-		var savings int64
-		for {
-			fr, err := readChunkFrame(pc.br, maxFramePayload)
-			if err != nil {
-				return 0, err
-			}
-			if fr.last {
-				if fr.err != "" {
-					return savings, remoteError{fr.err}
-				}
-				return savings, nil
-			}
-			savings += fr.savings()
-			codecBytes += fr.codecBytes()
-			records, err := fr.records()
-			if err != nil {
-				return 0, err
-			}
+		var err error
+		got, err = readStream(pc.br, func(records []rdd.Pair) error {
 			out = append(out, records)
-		}
+			return nil
+		})
+		return got.saved, err
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("livecluster: fetch %d/%d/%d from worker %d: %w", shuffleID, mapPart, reduce, holder, err)
 	}
 	w.tel.op(reqFetchStream)
-	w.cluster.counter("fetch_chunks_total", nil).Add(int64(len(out)))
-	return out, codecBytes, nil
+	w.cluster.counter("fetch_chunks_total", nil).Add(int64(got.chunks))
+	return out, got.raw, nil
 }
 
 // remoteError is a failure reported by the peer over a healthy exchange:
@@ -729,13 +551,26 @@ type remoteError struct{ msg string }
 func (e remoteError) Error() string { return e.msg }
 
 // localError is a failure on this side of an exchange that left the stream
-// intact: a chunk that could not be encoded and so was never written. The
-// sender ends the stream in order, the connection stays healthy and
-// pooled, and the error is never retried transparently.
+// intact: a chunk that could not be encoded and so was never written (the
+// sender ends the stream in order), or one the reader could not use (it
+// drains the stream to its end). The connection stays healthy and pooled,
+// and the error is never retried transparently.
 type localError struct{ err error }
 
 func (e localError) Error() string { return e.err.Error() }
 func (e localError) Unwrap() error { return e.err }
+
+// intact reports whether an exchange that ended with err, nil included, left
+// its connection in step with the peer: the peer answered, or this side ended
+// the stream in order.
+func intact(err error) bool {
+	if err == nil {
+		return true
+	}
+	var remote remoteError // declared on the failure path only: they escape
+	var local localError
+	return errors.As(err, &remote) || errors.As(err, &local)
+}
 
 // counter resolves a run-scoped metrics counter; nil (a no-op counter)
 // between jobs. Registry writes are thread-safe and do not affect the

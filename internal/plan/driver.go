@@ -369,37 +369,31 @@ func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 }
 
 // inputSizes is stage st's input bytes per site, what ChooseAggregator
-// ranks: leaf input partitions at the sites placeTask runs their tasks on,
-// plus the measured map outputs feeding the stage's shuffle boundaries at
-// their holders. Leaf records are sized as rdd.EncodedSize, the unit a
-// backend measures its map outputs in, so a predicted transfer cost is a
-// prediction about bytes a data plane moves.
+// ranks: the leaf input partitions each task reads at the site placeTask
+// runs that task on, plus the measured map outputs feeding the stage's
+// shuffle boundaries at their holders. Leaf records are sized as
+// rdd.EncodedSize, the unit a backend measures its map outputs in, so a
+// predicted transfer cost is a prediction about bytes a data plane moves.
 func (d *Driver) inputSizes(st *dag.Stage) []float64 {
 	bySite := make([]float64, d.be.NumSites())
-	for _, src := range st.Sources {
-		for i := range src.Input {
-			bySite[d.leafSite(i)] += rdd.EncodedSize(src.Input[i].Records)
-		}
+	for part := 0; part < st.NumTasks; part++ {
+		bySite[d.placeTask(st, part)] += leafBytes(st.Phases[0].Top, part)
 	}
 	d.outputs.AddBoundaryBytes(st, bySite)
 	return bySite
 }
 
-// leafSite is where the task over leaf input partition part runs: input
-// ships from the driver rather than residing on sites, so leaf tasks
-// round-robin.
-func (d *Driver) leafSite(part int) int { return part % d.be.NumSites() }
-
 // placeTask places one task: shuffle-reading tasks follow aggregated input
-// (the paper's preferredLocations restricted to the aggregator), everything
-// else goes where a leaf task would.
+// (the paper's preferredLocations restricted to the aggregator); everything
+// else round-robins, since leaf input ships from the driver rather than
+// residing on sites.
 func (d *Driver) placeTask(st *dag.Stage, part int) int {
 	if len(st.Boundaries) > 0 {
 		if sites := d.boundarySites(st); len(sites) > 0 {
 			return sites[part%len(sites)]
 		}
 	}
-	return d.leafSite(part)
+	return part % d.be.NumSites()
 }
 
 // boundarySites returns the aggregator sites of the stage's shuffle inputs

@@ -68,3 +68,19 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 	}
 	return node.Narrow(part, in), nil
 }
+
+// leafBytes sizes the leaf input partitions evalPart reads for partition
+// part of node: down the same narrow chain, stopping at shuffle boundaries.
+func leafBytes(node *rdd.RDD, part int) (total float64) {
+	if len(node.Deps) == 0 {
+		return rdd.EncodedSize(node.Input[part].Records)
+	}
+	for di := range node.Deps {
+		if dep := &node.Deps[di]; dep.Kind == rdd.DepNarrow {
+			for _, pi := range dep.ParentParts(part) {
+				total += leafBytes(dep.Parent, pi)
+			}
+		}
+	}
+	return total
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -268,5 +269,90 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 	}
 	if bd.Source != BandwidthConfigured {
 		t.Fatalf("bandwidth decision source = %q, want configured", bd.Source)
+	}
+}
+
+// TestInputSizesFollowTaskPlacement checks what ChooseAggregator is told a
+// site holds against where the stage's tasks actually ran: a candidate's
+// input bytes are the leaf partitions read by the tasks the event log shows
+// at that site (plus the map outputs held there). Under a union of uneven
+// inputs task 3+j reads the second input's partition j, and a stage that
+// also reads an aggregated shuffle runs every task at the aggregator.
+func TestInputSizesFollowTaskPlacement(t *testing.T) {
+	input := func(g *rdd.Graph, name string, n int) (*rdd.RDD, []rdd.InputPartition) {
+		parts := make([]rdd.InputPartition, n)
+		for p := range parts {
+			parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: []rdd.Pair{
+				rdd.KV(fmt.Sprintf("%s%d", name, p), strings.Repeat("x", 100*(p+1)+7*len(name))),
+			}}
+		}
+		return g.Input(name, parts), parts
+	}
+	for _, tc := range []struct {
+		name     string
+		decision int // index into Placements()
+		// build returns the job and, per task of the decision's stage, the
+		// leaf records that task reads (nil for none).
+		build func() (*rdd.RDD, func(part int) []rdd.Pair)
+	}{
+		{"union of uneven inputs", 0, func() (*rdd.RDD, func(int) []rdd.Pair) {
+			g := rdd.NewGraph()
+			a, aParts := input(g, "a", 3)
+			b, bParts := input(g, "bb", 4)
+			return a.Union("u", b).GroupByKey("g", 2), func(part int) []rdd.Pair {
+				if part < 3 {
+					return aParts[part].Records
+				}
+				return bParts[part-3].Records
+			}
+		}},
+		{"leaf beside an aggregated shuffle", 1, func() (*rdd.RDD, func(int) []rdd.Pair) {
+			g := rdd.NewGraph()
+			a, _ := input(g, "a", 3)
+			b, bParts := input(g, "bb", 3)
+			return a.GroupByKey("g1", 2).Union("u", b).GroupByKey("g2", 2), func(part int) []rdd.Pair {
+				if part < 2 {
+					return nil // reads shuffle g1
+				}
+				return bParts[part-2].Records
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			target, leafOf := tc.build()
+			job, err := BuildJob(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			be := NewMemBackend(4)
+			drv := NewDriver(job, be, DriverConfig{Aggregate: true})
+			if _, err := drv.Run(); err != nil {
+				t.Fatal(err)
+			}
+			dec := drv.Placements()[tc.decision]
+			want := make([]float64, be.Sites)
+			tasks := 0
+			for _, ev := range be.Events.TaskEvents() {
+				if ev.Stage == dec.Stage && ev.Phase == obs.PhaseFinished {
+					if leaf := leafOf(ev.Part); leaf != nil {
+						want[ev.Site] += rdd.EncodedSize(leaf)
+					}
+					tasks++
+				}
+			}
+			for _, st := range job.Stages() {
+				if st.ID == dec.Stage {
+					if tasks != st.NumTasks {
+						t.Fatalf("event log shows %d finished tasks of stage %d, want %d", tasks, st.ID, st.NumTasks)
+					}
+					drv.outputs.AddBoundaryBytes(st, want)
+				}
+			}
+			for _, c := range dec.Candidates {
+				if c.InputBytes != want[c.Site] {
+					t.Errorf("site %d: decision booked %.0f input bytes, its tasks read %.0f", c.Site, c.InputBytes, want[c.Site])
+				}
+			}
+		})
 	}
 }

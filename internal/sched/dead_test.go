@@ -10,7 +10,7 @@ import (
 func TestMarkDeadStopsAssignment(t *testing.T) {
 	clock := sim.NewClock()
 	topo := topology.TwoDCMicro(2, 0.25)
-	s := New(clock, topo, Config{})
+	s := New(clock, topo, 1)
 	s.MarkDead(0)
 	if !s.Dead(0) || s.Dead(1) {
 		t.Fatal("dead bookkeeping wrong")
@@ -36,7 +36,7 @@ func TestMarkDeadStopsAssignment(t *testing.T) {
 func TestReleaseOnDeadHostSwallowed(t *testing.T) {
 	clock := sim.NewClock()
 	topo := topology.TwoDCMicro(2, 0.25)
-	s := New(clock, topo, Config{})
+	s := New(clock, topo, 1)
 	var rel func()
 	s.Submit(&Task{
 		Name:      "victim",
@@ -54,7 +54,7 @@ func TestReleaseOnDeadHostSwallowed(t *testing.T) {
 func TestStrictTaskWaitsOutDeadPref(t *testing.T) {
 	clock := sim.NewClock()
 	topo := topology.TwoDCMicro(2, 0.25)
-	s := New(clock, topo, Config{})
+	s := New(clock, topo, 1)
 	s.MarkDead(2)
 	var got topology.HostID = -1
 	s.Submit(&Task{

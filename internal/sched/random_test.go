@@ -11,7 +11,7 @@ func TestRandomOffersScatterNoPrefTasks(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	run := func(seed int64) map[topology.HostID]int {
 		clock := sim.NewClock()
-		s := New(clock, topo, Config{RandomOffers: true, Seed: seed})
+		s := New(clock, topo, seed)
 		placed := map[topology.HostID]int{}
 		for i := 0; i < 16; i++ {
 			s.Submit(&Task{
@@ -53,7 +53,7 @@ func TestRandomOffersScatterNoPrefTasks(t *testing.T) {
 func TestRandomOffersRespectHostPrefs(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	clock := sim.NewClock()
-	s := New(clock, topo, Config{RandomOffers: true, Seed: 3})
+	s := New(clock, topo, 3)
 	var got topology.HostID = -1
 	s.Submit(&Task{
 		Name:      "pinned",
@@ -75,7 +75,7 @@ func TestRandomOffersRespectHostPrefs(t *testing.T) {
 func TestLocalityWaitResetsOnLaunch(t *testing.T) {
 	clock := sim.NewClock()
 	topo := topology.TwoDCMicro(2, 0.25)
-	s := New(clock, topo, Config{})
+	s := New(clock, topo, 1)
 	// Keep host 0 (2 cores) cycling with a stream of 2-second preferred
 	// tasks; a third task also prefers host 0.
 	var hosts []topology.HostID

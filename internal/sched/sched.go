@@ -28,19 +28,6 @@ const (
 	localityWaitDC = 3.0
 )
 
-// Config tunes the scheduler.
-type Config struct {
-	// RandomOffers reproduces Spark 1.6's TaskSchedulerImpl, which
-	// shuffles resource offers randomly: tasks placed below host locality
-	// pick a random host among those with free slots (weighted by free
-	// slots) instead of the most-free one. This is what scatters
-	// preference-free reducers across datacenters in the vanilla
-	// baseline. Seeded; runs stay deterministic.
-	RandomOffers bool
-	// Seed drives RandomOffers.
-	Seed int64
-}
-
 // Task is a unit of schedulable work. Run is invoked exactly once, when a
 // slot is assigned; the callee must call release() when the slot can be
 // freed.
@@ -67,7 +54,6 @@ type Task struct {
 type Scheduler struct {
 	clock *sim.Clock
 	topo  *topology.Topology
-	cfg   Config
 
 	freeSlots []int
 	dead      []bool
@@ -75,7 +61,9 @@ type Scheduler struct {
 	seq       uint64
 	recheck   sim.Timer
 	kicking   bool
-	rng       sim.RNG
+	// rng orders resource offers the way Spark 1.6's TaskSchedulerImpl
+	// does, randomly (bestFree); seeded, so runs stay deterministic.
+	rng sim.RNG
 
 	assigned int // tasks ever assigned, for diagnostics
 	// lastLaunch is when any task last launched. Spark's delay scheduler
@@ -85,15 +73,15 @@ type Scheduler struct {
 	lastLaunch float64
 }
 
-// New builds a scheduler with every worker's cores free.
-func New(clock *sim.Clock, topo *topology.Topology, cfg Config) *Scheduler {
+// New builds a scheduler with every worker's cores free; seed drives its
+// randomized resource offers.
+func New(clock *sim.Clock, topo *topology.Topology, seed int64) *Scheduler {
 	s := &Scheduler{
 		clock:     clock,
 		topo:      topo,
-		cfg:       cfg,
 		freeSlots: make([]int, topo.NumHosts()),
 		dead:      make([]bool, topo.NumHosts()),
-		rng:       sim.Stream(cfg.Seed, "sched.offers"),
+		rng:       sim.Stream(seed, "sched.offers"),
 	}
 	for _, h := range topo.Hosts {
 		if !h.Aux {
@@ -172,11 +160,10 @@ func (s *Scheduler) levelOf(t *Task) localityLevel {
 	}
 }
 
-// hostFor finds the best free host for a task at its current locality
-// level, or -1. Preference order: a preferred host, then (level ≥ DC) any
-// host in a preferred host's datacenter with the most free slots, then
-// (level any) the host with the most free slots cluster-wide. Ties break
-// by lowest host ID, keeping runs deterministic.
+// hostFor finds a free host for a task at its current locality level, or
+// -1. Preference order: a preferred host, then (level ≥ DC) a random free
+// slot in a preferred host's datacenter, then (level any) a random free
+// slot cluster-wide (bestFree).
 func (s *Scheduler) hostFor(t *Task, level localityLevel) topology.HostID {
 	avoid := func(h topology.HostID) bool {
 		if s.dead[h] {
@@ -211,42 +198,33 @@ func (s *Scheduler) hostFor(t *Task, level localityLevel) topology.HostID {
 	return -1
 }
 
+// bestFree reproduces Spark 1.6's TaskSchedulerImpl, which shuffles resource
+// offers randomly: a task placed below host locality lands on a random free
+// slot among the hosts ok admits (so a host is picked with weight its free
+// slots), not on the most-free host. This is what scatters preference-free
+// reducers across datacenters in the vanilla baseline.
 func (s *Scheduler) bestFree(ok func(topology.HostID) bool) topology.HostID {
-	if s.cfg.RandomOffers {
-		// Spark 1.6 semantics: offers arrive in random order, so a task
-		// without a matching preference lands on a random free slot.
-		total := 0
-		for id := range s.freeSlots {
-			h := topology.HostID(id)
-			if s.freeSlots[h] > 0 && ok(h) {
-				total += s.freeSlots[h]
-			}
+	total := 0
+	for id := range s.freeSlots {
+		h := topology.HostID(id)
+		if s.freeSlots[h] > 0 && ok(h) {
+			total += s.freeSlots[h]
 		}
-		if total == 0 {
-			return -1
-		}
-		pick := s.rng.Intn(total)
-		for id := range s.freeSlots {
-			h := topology.HostID(id)
-			if s.freeSlots[h] > 0 && ok(h) {
-				pick -= s.freeSlots[h]
-				if pick < 0 {
-					return h
-				}
-			}
-		}
+	}
+	if total == 0 {
 		return -1
 	}
-	best := topology.HostID(-1)
-	bestFree := 0
-	for id := 0; id < len(s.freeSlots); id++ {
+	pick := s.rng.Intn(total)
+	for id := range s.freeSlots {
 		h := topology.HostID(id)
-		if s.freeSlots[h] > bestFree && ok(h) {
-			best = h
-			bestFree = s.freeSlots[h]
+		if s.freeSlots[h] > 0 && ok(h) {
+			pick -= s.freeSlots[h]
+			if pick < 0 {
+				return h
+			}
 		}
 	}
-	return best
+	return -1
 }
 
 // kick makes a placement pass: FIFO over the queue, placing every task that

@@ -11,7 +11,7 @@ func setup(t *testing.T) (*sim.Clock, *topology.Topology, *Scheduler) {
 	t.Helper()
 	clock := sim.NewClock()
 	topo := topology.TwoDCMicro(2, 0.25) // hosts 0,1 in dc-a; 2,3 in dc-b; 2 cores each
-	return clock, topo, New(clock, topo, Config{})
+	return clock, topo, New(clock, topo, 1)
 }
 
 // runFor submits a task that holds its slot for d seconds.
@@ -141,23 +141,35 @@ func TestFIFOAmongEqualTasks(t *testing.T) {
 	}
 }
 
+// TestLoadBalancePicksFreestHost pins how load spreads under Spark 1.6's
+// random offers: an unconstrained task takes a random free slot, so a host
+// is chosen in proportion to its free cores — the half-busy host still gets
+// tasks, but fewer than any fully free one.
 func TestLoadBalancePicksFreestHost(t *testing.T) {
-	clock, _, s := setup(t)
-	// Occupy one core of host 0; an unconstrained task should land on a
-	// fully free host, not host 0.
-	runFor(clock, s, "hog", []topology.HostID{0}, 100, nil)
-	var got topology.HostID = -1
-	runFor(clock, s, "free", nil, 1, func(h topology.HostID) { got = h })
-	clock.RunUntil(10)
-	if got == 0 {
-		t.Fatal("load balancer picked the busiest host")
+	picks := map[topology.HostID]int{}
+	for seed := int64(0); seed < 700; seed++ {
+		clock := sim.NewClock()
+		s := New(clock, topology.TwoDCMicro(2, 0.25), seed)
+		// Occupy one of host 0's two cores: 7 free slots are left, one of
+		// them on host 0.
+		runFor(clock, s, "hog", []topology.HostID{0}, 100, nil)
+		runFor(clock, s, "free", nil, 1, func(h topology.HostID) { picks[h]++ })
+		clock.RunUntil(10)
+	}
+	if picks[0] == 0 {
+		t.Fatal("the half-busy host never got the task: offers are not random over free slots")
+	}
+	for h := topology.HostID(1); h <= 3; h++ {
+		if picks[h] <= picks[0] {
+			t.Fatalf("host %d (2 free cores) got %d tasks, half-busy host 0 got %d: picks = %v", h, picks[h], picks[0], picks)
+		}
 	}
 }
 
 func TestSubmitToAuxPrefPanics(t *testing.T) {
 	clock := sim.NewClock()
 	topo := topology.SixRegionEC2()
-	s := New(clock, topo, Config{})
+	s := New(clock, topo, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for aux pref host")
@@ -193,7 +205,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 func TestAuxHostsGetNoSlots(t *testing.T) {
 	clock := sim.NewClock()
 	topo := topology.SixRegionEC2()
-	s := New(clock, topo, Config{})
+	s := New(clock, topo, 1)
 	if got := s.FreeSlots(topo.MasterHost); got != 0 {
 		t.Fatalf("master host has %d slots, want 0", got)
 	}

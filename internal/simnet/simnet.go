@@ -43,15 +43,12 @@ import (
 	"wanshuffle/internal/topology"
 )
 
-// Config tunes the network model. The zero value enables jitter-free links
-// and a 10 Gbps loopback.
+// Config tunes the network model. The zero value enables jitter-free links.
 type Config struct {
 	// JitterAmplitude scales the AR(1) bandwidth fluctuation of wide-area
 	// links. 0 disables jitter. With amplitude a, capacity stays within
 	// roughly ±2a of the base value.
 	JitterAmplitude float64
-	// LoopbackBps bounds same-host transfers. Defaults to 10 Gbps.
-	LoopbackBps float64
 	// HostWANBps is each host's wide-area uplink/downlink share — the
 	// per-instance cross-region throughput limit. Defaults to 450 Mbps
 	// ("moderate" EC2 instance networking of the paper's era).
@@ -63,6 +60,9 @@ type Config struct {
 	BurstPenalty float64
 }
 
+// loopbackBps bounds same-host transfers.
+const loopbackBps = 10 * topology.Gbps
+
 // The AR(1) jitter process of wide-area links (Config.JitterAmplitude).
 const (
 	// jitterPeriod is the virtual-time interval between capacity re-samples.
@@ -72,9 +72,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.LoopbackBps <= 0 {
-		c.LoopbackBps = 10 * topology.Gbps
-	}
 	if c.HostWANBps <= 0 {
 		c.HostWANBps = 450 * topology.Mbps
 	}
@@ -295,7 +292,7 @@ func (n *Network) pathFor(f *Flow) []*link {
 	if f.Src == f.Dst {
 		// Same-host transfer: modeled as a private loopback link so it
 		// completes in bytes/loopback time without touching the NIC.
-		return []*link{{name: "loopback", capBps: n.cfg.LoopbackBps}}
+		return []*link{{name: "loopback", capBps: loopbackBps}}
 	}
 	path := []*link{n.nicUp[f.Src]}
 	if f.crossDC {

@@ -158,9 +158,9 @@ func TestNICBottleneckIntraDC(t *testing.T) {
 
 func TestSameHostLoopback(t *testing.T) {
 	top := micro()
-	clock, net := newNet(t, top, Config{LoopbackBps: 8 * 1e9}) // 1 GB/s
+	clock, net := newNet(t, top, Config{})
 	var doneAt float64
-	net.StartFlow(0, 0, 1000*mb, "t", func() { doneAt = clock.Now() })
+	net.StartFlow(0, 0, 1250*mb, "t", func() { doneAt = clock.Now() }) // 1 s at 10 Gbps
 	clock.Run(0)
 	want := 1 + 0.5*topology.Millisecond
 	if math.Abs(doneAt-want) > 1e-9 {

@@ -109,8 +109,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, topo *topology.Topology) error 
 				continue
 			}
 			sendHost := topo.Host(send.Host)
-			// Unique per receive: several receive streams can consume one
-			// send (push fanout), and each arrow needs its own binding.
+			// Unique per receive: a retried push exchange can leave two
+			// receives of one send, and each arrow needs its own binding.
 			flowID := fmt.Sprintf("%d.%d", s.Link, s.ID)
 			events = append(events, chromeEvent{
 				Name: "xfer", Cat: "flow", Ph: "s", ID: flowID,
