@@ -81,7 +81,7 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.Float64Var(&o.scale, "scale", 1.0, "modeled-size multiplier vs Table I")
 	fs.BoolVar(&o.gantt, "gantt", false, "print the per-host execution timeline")
 	fs.StringVar(&o.chrome, "chrome", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
-	fs.BoolVar(&o.matrix, "matrix", false, "print the traffic matrix (per region simulated; per worker plus a driver row live)")
+	fs.BoolVar(&o.matrix, "matrix", false, "print the traffic matrix (per region simulated; per worker live)")
 	fs.StringVar(&o.report, "report", "", "write the canonical JSON run report (schema wanshuffle/run-report/v1) to this file")
 	fs.BoolVar(&o.validate, "validate", false, "check the output against the in-memory reference")
 	fs.BoolVar(&o.live, "live", false, "run on a real loopback TCP cluster instead of the simulator")

@@ -199,7 +199,7 @@ func printReport(w io.Writer, rep *obs.Report, records int) {
 }
 
 // printMatrix renders the report's traffic matrix — per region simulated,
-// per worker plus the driver live — in KB, or MB once the run moved enough
+// per worker live — in KB, or MB once the run moved enough
 // for that to read better. The diagonal is dashed: a site's traffic with
 // itself crosses no link.
 func printMatrix(w io.Writer, rep *obs.Report) {

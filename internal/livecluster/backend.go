@@ -43,10 +43,6 @@ func newLiveRun(c *Cluster, stats *Stats, p *dag.Plan) *liveRun {
 	}
 }
 
-// base is the run's start on the cluster clock: worker span timestamps are
-// rebased through it (local time + offset − base = run-relative seconds).
-func (r *liveRun) base() float64 { return r.start.Sub(r.c.epoch).Seconds() }
-
 // stageOfShuffle resolves a shuffle ID to the stage that produced it (-1
 // if unknown).
 func (r *liveRun) stageOfShuffle(id int) int {
@@ -204,7 +200,12 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 	}
 }
 
-func (r *liveRun) since() float64 { return time.Since(r.start).Seconds() }
+// since reads the run's clock, seconds since the job started: the one clock
+// every span of the run is stamped on, driver and worker side.
+func (r *liveRun) since() float64 { return r.at(time.Now()) }
+
+// at places an instant on the run's clock.
+func (r *liveRun) at(t time.Time) float64 { return t.Sub(r.start).Seconds() }
 
 // span records one driver-side span, stamping the run's trace ID.
 func (r *liveRun) span(s trace.Span) {

@@ -2,7 +2,6 @@ package livecluster
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -38,15 +37,12 @@ type link struct {
 	idle []*pooledConn
 }
 
-// pooledConn is one persistent client connection with its sticky gob
-// encoder for requests (a gob stream carries type state, so the encoder
-// must live as long as the connection). Everything the server sends back is
-// chunk frames, read through br; frames are written to conn directly, like
-// enc's requests.
+// pooledConn is one persistent client connection and its reader: frames are
+// written to conn directly, and everything the server sends back is read
+// through br.
 type pooledConn struct {
 	conn *countingConn
 	br   *bufio.Reader
-	enc  *gob.Encoder
 }
 
 func (pc *pooledConn) close() { _ = pc.conn.Close() }
@@ -76,7 +72,7 @@ func (l *link) dial() (*pooledConn, error) {
 	}
 	l.tel.dial()
 	cw := &countingConn{Conn: conn, out: l.out, in: l.in}
-	return &pooledConn{conn: cw, br: bufio.NewReader(cw), enc: gob.NewEncoder(cw)}, nil
+	return &pooledConn{conn: cw, br: bufio.NewReader(cw)}, nil
 }
 
 // put returns a healthy connection to the link.

@@ -99,22 +99,16 @@ type Config struct {
 	// HeartbeatInterval is the period of worker→driver telemetry
 	// heartbeats: each worker buffers its data-plane accounting (bytes by
 	// (src,dst,class), request and dial counts, receive and serve spans)
-	// and ships the delta to the driver on this ticker, so mid-run
+	// and the driver merges the delta on this ticker, so mid-run
 	// telemetry snapshots converge continuously. Zero means the 50ms
-	// default; negative disables heartbeats — no ticker, no listener, no
-	// liveness — and the same buffers are merged once, by the flush that
-	// ends every Run: Stats are exact when Run returns and empty before.
+	// default; negative disables heartbeats — no ticker, no liveness — and
+	// the same buffers are merged once, by the flush that ends every Run:
+	// Stats are exact when Run returns and empty before.
 	HeartbeatInterval time.Duration
 	// StaleAfter is how long a worker may go without a merged heartbeat
 	// before SiteHealthy / StaleWorkers report it dead. Zero means 1s.
 	// Only meaningful with heartbeats enabled.
 	StaleAfter time.Duration
-	// ClockSkew injects a fixed offset (seconds, by worker index) into each
-	// worker's local telemetry clock — a test hook for the clock-alignment
-	// path: spans stamped on a skewed worker must still merge into a
-	// causally ordered driver trace once heartbeat offset estimation has
-	// corrected them. Workers beyond the slice get zero skew.
-	ClockSkew []float64
 	// Logger receives structured cluster logs (worker lifecycle,
 	// heartbeat merges, kills) with worker attributes. Nil discards.
 	Logger *slog.Logger
@@ -203,7 +197,7 @@ type Cluster struct {
 	// (shuffleID → *rdd.ShuffleSpec), the registry workers bucket by.
 	specs sync.Map
 	// curRun is the job currently executing, so server-side handlers
-	// (push receives) can record spans against its clock.
+	// (push receives, fetch serves) can stamp their spans on its clock.
 	curRun atomic.Pointer[liveRun]
 	// mergeMu is held while a heartbeat merges into curRun's stats and
 	// while RunContext detaches the run, so no beat — however late its
@@ -213,23 +207,18 @@ type Cluster struct {
 	// for telemetry endpoints after Run returns.
 	lastStats atomic.Pointer[Stats]
 	log       *slog.Logger
-	// epoch anchors the driver's monotonic telemetry clock; clusterNow()
-	// reads seconds since it. Worker clocks align to this clock via the
-	// offset estimation piggybacked on heartbeats.
-	epoch time.Time
 	// ids allocates driver-side span IDs (participant 1; each worker i
 	// allocates from participant i+2), so IDs never collide across
 	// processes without coordination.
 	ids *trace.IDAllocator
-	// links estimates per-site-pair throughput and RTT from the transfer
-	// samples the data plane already produces. It persists across jobs
+	// links estimates per-site-pair throughput from the transfer samples
+	// the data plane already produces. It persists across jobs
 	// (link capacity outlives any one run) and mirrors its gauges into
 	// whichever job's registry is current.
 	links *netobs.Estimator
 
-	// Heartbeat plane: the driver's heartbeat server (nil with heartbeats
-	// off) and each worker's last-beat clock (unix nanos).
-	hbSrv    *server
+	// lastBeat is each worker's liveness clock: when its ticker last beat
+	// (unix nanos).
 	lastBeat []atomic.Int64
 }
 
@@ -455,8 +444,8 @@ func (s *Stats) RunReport(workload string, tr *trace.SyncRecorder) *obs.Report {
 }
 
 // New starts the workers, each listening on an ephemeral loopback port,
-// wires their links, and (with heartbeats enabled) starts the driver's
-// heartbeat listener and each worker's heartbeat ticker.
+// wires their links, and (with heartbeats enabled) starts each worker's
+// heartbeat ticker. The workers' listeners are the only sockets it opens.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	for _, a := range cfg.Aggregators {
@@ -489,7 +478,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:      cfg,
 		log:      obs.LoggerOr(cfg.Logger),
 		lastBeat: make([]atomic.Int64, cfg.Workers),
-		epoch:    time.Now(),
 		ids:      trace.NewIDAllocator(1),
 	}
 	c.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
@@ -498,15 +486,9 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		return nil
 	}})
-	if c.hbEnabled() {
-		now := time.Now().UnixNano()
-		for i := range c.lastBeat {
-			c.lastBeat[i].Store(now)
-		}
-		var err error
-		if c.hbSrv, err = serve(c.handleHeartbeats); err != nil {
-			return nil, fmt.Errorf("livecluster: heartbeat listen: %w", err)
-		}
+	now := time.Now().UnixNano()
+	for i := range c.lastBeat {
+		c.lastBeat[i].Store(now)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(i, c)
@@ -647,7 +629,7 @@ func (c *Cluster) configuredLinks() []netobs.ConfiguredLink {
 }
 
 // NetworkStats assembles the current link estimate matrix — measured
-// throughput/RTT per site pair merged with the configured topology's
+// throughput per worker pair merged with the configured topology's
 // rates. Safe to call mid-run; the telemetry plane's /links endpoint
 // serves exactly this.
 func (c *Cluster) NetworkStats() *obs.NetworkStats {
@@ -663,14 +645,7 @@ func (c *Cluster) LinkCosts() plan.LinkCostProvider {
 	return plan.MeasuredLinkCosts(c.links, len(c.workers), siteLabel, c.linkRateBps)
 }
 
-// clusterNow reads the driver's telemetry clock: seconds since the
-// cluster's epoch. Heartbeat timestamps and worker clock offsets are all
-// expressed against it.
-func (c *Cluster) clusterNow() float64 { return time.Since(c.epoch).Seconds() }
-
-// siteLabel names worker i for span, link and matrix attribution. (The one
-// link the driver is on, the heartbeat RTT pair, names its far end "driver"
-// itself.)
+// siteLabel names worker i for span, link and matrix attribution.
 func siteLabel(i int) string { return fmt.Sprintf("w%d", i) }
 
 // CurrentStats returns the stats of the job currently running, falling
@@ -696,16 +671,11 @@ func (c *Cluster) Topology() *topology.Topology {
 	return topo
 }
 
-// Close shuts every worker down and drops all pooled connections, then
-// stops the heartbeat plane.
+// Close shuts every worker down: its listener, its pooled connections, its
+// heartbeat ticker and its block store.
 func (c *Cluster) Close() {
 	for _, w := range c.workers {
-		if w != nil {
-			w.close()
-		}
-	}
-	if c.hbSrv != nil {
-		c.hbSrv.close()
+		w.close()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -14,11 +15,11 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// Chunk framing for the streaming data plane. A push or fetch moves its
-// records as one ordered stream of bounded-size chunk frames over one pooled
-// connection, ended by a terminal frame. Requests and heartbeats are control
-// messages and travel as their own encoding (worker.go); a chunk frame is raw
-// bytes:
+// Framing for the streaming data plane: everything a socket carries is a
+// frame of one format. A push or fetch opens with one request frame
+// (worker.go) and moves its records as one ordered stream of bounded-size
+// chunk frames over one pooled connection, ended by a terminal frame. A frame
+// is raw bytes:
 //
 //	flags byte | uvarint seq | uvarint rawLen | uvarint len | len payload bytes
 //
@@ -31,10 +32,10 @@ import (
 // error message: the holder's on a fetch stream, the sender's on a push
 // stream it had to abandon. A terminal frame is also the only reply there
 // is: the receiver acknowledges a push stream with one, carrying the error
-// that made it drop the push if any. Push and fetch share the one stream
-// writer and the one stream reader below (writeStream, readStream). The
-// reader takes a *bufio.Reader that the server side's request decoder reads
-// through as well, so neither reads past its own message.
+// that made it drop the push if any. A frame whose flags are frameReq alone
+// carries a request and belongs at the head of an exchange only: anywhere
+// inside a stream it is a framing error. Push and fetch share the one stream
+// writer and the one stream reader below (writeStream, readStream).
 
 // Compression codec names accepted by Config.Compression.
 const (
@@ -50,6 +51,7 @@ const (
 	frameLast       = 1 << 0
 	frameErr        = 1 << 1
 	frameCodecShift = 2 // two bits: an index into frameCodecs
+	frameReq        = 1 << 4
 
 	// frameHeaderMax is the room a frame's header can take ahead of its
 	// payload: senders build the payload behind that much space, so header
@@ -76,11 +78,13 @@ func validCodec(name string) (string, bool) {
 	}
 }
 
-// chunkFrame is one received frame of a push or fetch stream.
+// chunkFrame is one received frame: of a push or fetch stream, or (req) the
+// request that opens one.
 type chunkFrame struct {
 	// seq is the data frame's place in its stream, counted from 0.
 	seq     int
 	last    bool
+	req     bool
 	err     string // terminal frames only
 	codec   string
 	rawLen  int
@@ -144,8 +148,11 @@ func readChunkFrame(r *bufio.Reader, maxPayload int) (chunkFrame, error) {
 	if err != nil {
 		return fail(err)
 	}
+	fr.req = flags == frameReq // no other bit goes with frameReq
 	codec := int(flags >> frameCodecShift)
-	if codec >= len(frameCodecs) || (flags&frameErr != 0 && flags&frameLast == 0) {
+	if fr.req {
+		codec = 0
+	} else if codec >= len(frameCodecs) || (flags&frameErr != 0 && flags&frameLast == 0) {
 		return fail(fmt.Errorf("bad flags %#x", flags))
 	}
 	var hdr [3]uint64 // seq, rawLen, len
@@ -269,10 +276,10 @@ func writeStream(w io.Writer, records []rdd.Pair, chunkRecords int, codec string
 }
 
 // readStream reads one chunk stream: data frames until the terminal one, each
-// frame's records handed to fn in stream order. A frame that cannot be read
-// is returned at once, as it is: the connection is out of step. Any other
-// failure leaves the stream intact, so the reader first drains it to its
-// terminal frame, without calling fn again: a frame out of sequence, a
+// frame's records handed to fn in stream order. A frame that cannot be read,
+// or is a request, is returned at once: the connection is out of step. Any
+// other failure leaves the stream intact, so the reader first drains it to
+// its terminal frame, without calling fn again: a frame out of sequence, a
 // payload that does not decode or an error from fn then comes back as a
 // localError, and failing those the peer's terminal-frame error as a
 // remoteError.
@@ -283,6 +290,9 @@ func readStream(br *bufio.Reader, fn func([]rdd.Pair) error) (streamTotals, erro
 		fr, err := readChunkFrame(br, maxFramePayload)
 		if err != nil {
 			return st, err
+		}
+		if fr.req {
+			return st, errors.New("livecluster: request frame inside a chunk stream")
 		}
 		if fr.last {
 			if failed == nil && fr.err != "" {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
+	"wanshuffle/internal/trace"
 )
 
 // pairs builds n distinct records with moderately compressible values.
@@ -191,9 +193,125 @@ func TestChunkFrameRawLenMustMatch(t *testing.T) {
 	}
 }
 
+// requestFrame is req as writeRequest puts it on the wire.
+func requestFrame(t testing.TB, req request) []byte {
+	t.Helper()
+	var wire bytes.Buffer
+	if err := writeRequest(&wire, &req); err != nil {
+		t.Fatal(err)
+	}
+	return wire.Bytes()
+}
+
+// TestRequestFrameRoundTrip pins the header that opens every exchange: both
+// kinds read back as written at the far ends of what their fields hold, and
+// everything else a peer could send in a request's place is an error, the
+// oversized one before its length is allocated.
+func TestRequestFrameRoundTrip(t *testing.T) {
+	// Span IDs from the highest participant namespace there is, a trace ID
+	// exactly at the cap.
+	ids := trace.NewIDAllocator(math.MaxInt32)
+	push := request{Kind: reqPushChunk, ShuffleID: 7, MapPart: 1 << 20, Attempt: 3, From: 5,
+		Trace: trace.TraceID(strings.Repeat("t", maxTraceID)), Parent: ids.Next(), Span: ids.Next()}
+	fetch := request{Kind: reqFetchStream, ShuffleID: 1, MapPart: 2, Reduce: 3, From: 4,
+		Trace: "live-1", Parent: ids.Next()}
+	for _, want := range []request{push, fetch, {}} {
+		frame := requestFrame(t, want)
+		if got, err := readRequest(frameReader(frame)); err != nil || got != want {
+			t.Fatalf("request read back as %+v, %v; want %+v", got, err, want)
+		}
+		// Every proper prefix is an error: a cut frame, never a short request.
+		for cut := 0; cut < len(frame); cut++ {
+			if _, err := readRequest(frameReader(frame[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("request frame cut to %d of %d bytes: err = %v", cut, len(frame), err)
+			}
+		}
+	}
+	push.Trace += "t"
+	if err := writeRequest(io.Discard, &push); err == nil {
+		t.Fatal("a trace ID above the cap was written")
+	}
+
+	// A whole frame around a payload that is not a request's.
+	framed := func(flags byte, payload []byte) []byte {
+		var wire bytes.Buffer
+		if err := writeFrame(&wire, append(make([]byte, frameHeaderMax), payload...), flags, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		return wire.Bytes()
+	}
+	payload := requestFrame(t, fetch)[4:] // behind flags, seq, rawLen and a one-byte len
+	overlong := append([]byte{byte(reqFetchStream)}, bytes.Repeat([]byte{0xff}, 11)...)
+	for name, frame := range map[string][]byte{
+		"no kind byte":          framed(frameReq, nil),
+		"header cut short":      framed(frameReq, payload[:5]),
+		"trace ID cut short":    framed(frameReq, payload[:len(payload)-1]),
+		"bytes after trace ID":  framed(frameReq, append(slices.Clone(payload), 0)),
+		"overlong uvarint":      framed(frameReq, overlong),
+		"field above MaxInt64":  framed(frameReq, append([]byte{byte(reqFetchStream)}, binary.AppendUvarint(nil, 1<<63)...)),
+		"data frame":            framed(0, payload),
+		"terminal frame":        framed(frameLast, nil),
+		"request and last":      framed(frameReq|frameLast, payload),
+		"payload above the cap": framed(frameReq, make([]byte, maxRequestPayload+1)),
+		"payload far above cap": append([]byte{frameReq, 0, 0}, binary.AppendUvarint(nil, 1<<40)...),
+		"rawLen above the cap":  append([]byte{frameReq, 0}, binary.AppendUvarint(binary.AppendUvarint(nil, 1<<40), 4)...),
+	} {
+		br := frameReader(append(frame, make([]byte, 64)...))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readRequest(br)
+		runtime.ReadMemStats(&after)
+		if err == nil || intact(err) {
+			t.Errorf("%s: err = %v, want one that drops the connection", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+			t.Errorf("%s: %d bytes allocated on the way to rejecting it", name, got)
+		}
+	}
+
+	// A request frame belongs at the head of an exchange: inside a stream it
+	// is a framing error, not a frame to skip.
+	var stream bytes.Buffer
+	if _, _, err := sendChunk(&stream, 0, pairs(3), CodecNone); err != nil {
+		t.Fatal(err)
+	}
+	stream.Write(requestFrame(t, fetch))
+	_ = writeLastFrame(&stream, nil)
+	chunks := 0
+	if _, err := readStream(frameReader(stream.Bytes()), func([]rdd.Pair) error { chunks++; return nil }); err == nil || intact(err) || chunks != 1 {
+		t.Fatalf("request frame inside a stream: err = %v after %d chunks, want a framing error after 1", err, chunks)
+	}
+
+	// An unknown kind is a whole request the server cannot serve: it answers
+	// with an error terminal frame and both ends keep the connection.
+	c := streamCluster(t, Config{Workers: 2}, 1)
+	l := c.workers[0].links[1]
+	for i := 0; i < 2; i++ {
+		pc, _, err := l.get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRequest(pc.conn, &request{Kind: 9, Trace: "live-1"}); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := readChunkFrame(pc.br, maxFramePayload)
+		if err != nil || !ack.last || ack.err != "unknown request kind 9" {
+			t.Fatalf("unknown kind answered with %+v, %v", ack, err)
+		}
+		l.put(pc)
+	}
+	if _, err := c.workers[0].push(1, 7, 0, 1, pairs(5), spanCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	if stats := flushed(c); stats.Dials != 1 || stats.PushConnections != 1 {
+		t.Fatalf("%d dials for two refused requests and %d push: the connection was not kept", stats.Dials, stats.PushConnections)
+	}
+}
+
 // FuzzReadChunkFrame feeds the frame reader arbitrary bytes: it returns a
 // frame or an error, never panics, and never takes more than the cap for
-// the payload (plus, when the frame decodes, what its records need).
+// the payload (plus, when the frame decodes, what its records need). The
+// request reader gets the same bytes, under the same terms.
 func FuzzReadChunkFrame(f *testing.F) {
 	const limit = 1 << 16
 	for _, codec := range []string{CodecNone, CodecGzip, CodecFlate} {
@@ -212,7 +330,21 @@ func FuzzReadChunkFrame(f *testing.F) {
 	_ = writeLastFrame(&ack, errors.New("worker 1: unknown shuffle 99"))
 	f.Add(ack.Bytes())
 	f.Add([]byte{0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	// What opens an exchange: a push's request with its first chunk behind
+	// it, a fetch's, and one whose trace ID is cut short.
+	req := requestFrame(f, request{Kind: reqPushChunk, ShuffleID: 7, MapPart: 3, Attempt: 2, From: 1,
+		Trace: "live-1700000000000000000", Parent: 1<<32 + 9, Span: 1<<32 + 10})
+	var chunk bytes.Buffer
+	_, _, _ = sendChunk(&chunk, 0, pairs(4), CodecNone)
+	f.Add(append(slices.Clone(req), chunk.Bytes()...))
+	f.Add(requestFrame(f, request{Kind: reqFetchStream, ShuffleID: 7, MapPart: 3, Reduce: 2, Trace: "live-1", Parent: 5<<32 + 1}))
+	f.Add(req[:len(req)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The same bytes where an exchange opens: a request within its cap,
+		// or an error.
+		if req, err := readRequest(frameReader(data)); err == nil && len(req.Trace) > maxTraceID {
+			t.Fatalf("request with a %d-byte trace ID", len(req.Trace))
+		}
 		br := frameReader(data)
 		for {
 			fr, err := readChunkFrame(br, limit)
@@ -432,7 +564,7 @@ func startPush(t *testing.T, l *link, req request) *handPush {
 		t.Fatal(err)
 	}
 	req.Kind = reqPushChunk
-	if err := pc.enc.Encode(&req); err != nil {
+	if err := writeRequest(pc.conn, &req); err != nil {
 		t.Fatal(err)
 	}
 	return &handPush{t: t, l: l, pc: pc}

@@ -2,10 +2,11 @@ package livecluster
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -19,18 +20,15 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// Wire protocol: exchanges multiplexed over persistent pooled connections.
-// gob carries one control message per exchange, the request that opens it;
-// everything after it — records and replies — travels as raw chunk frames
-// (stream.go), and every exchange ends with the server's terminal frame,
-// which carries any error. A client checks a connection out of its link to
-// the peer (link.go), runs one exchange under the configured I/O deadline,
-// and returns it; the server loops decoding requests on each accepted
-// connection until the peer closes it. The server reads a connection
-// through one bufio.Reader shared by its gob decoder and the frame reader:
-// handed an io.ByteReader, gob reads one message at a time and never past
-// it, so the frames that follow a request are still there for the frame
-// reader. Two exchange shapes exist:
+// Wire protocol: exchanges multiplexed over persistent pooled connections,
+// every byte of them a frame of stream.go's format. An exchange opens with one
+// request frame (frameReq, its payload the request below); everything after it
+// — records and replies — travels as chunk frames, and every exchange ends
+// with the server's terminal frame, which carries any error. A client checks
+// a connection out of its link to the peer (link.go), runs one exchange under
+// the configured I/O deadline, and returns it; the server loops reading
+// requests on each accepted connection until the peer closes it. Two exchange
+// shapes exist:
 //
 //   - reqPushChunk: the request is followed by one chunk stream; the
 //     receiver buckets its chunks into per-reduce shards as they arrive,
@@ -47,9 +45,6 @@ const (
 	reqPushChunk requestKind = iota + 1
 	reqFetchStream
 )
-
-// (Heartbeats use their own wire types on a dedicated driver connection —
-// see heartbeat.go — so the data-plane request framing stays untouched.)
 
 type request struct {
 	Kind      requestKind
@@ -70,6 +65,60 @@ type request struct {
 	Parent trace.SpanID
 	Span   trace.SpanID
 	From   int
+}
+
+// A request frame's payload is the kind byte, seven uvarints (ShuffleID,
+// MapPart, Reduce, Attempt, Parent, Span, From) and the trace ID behind its
+// uvarint length. maxRequestPayload is the cap a server reads request frames
+// under, checked like any frame's before anything is allocated.
+const (
+	maxTraceID        = 64
+	maxRequestPayload = 1 + 7*binary.MaxVarintLen64 + 1 + maxTraceID
+)
+
+// writeRequest opens an exchange on w with req as one request frame.
+func writeRequest(w io.Writer, req *request) error {
+	if len(req.Trace) > maxTraceID {
+		return fmt.Errorf("livecluster: trace ID of %d bytes, above the %d-byte cap", len(req.Trace), maxTraceID)
+	}
+	buf := encodeBufs.Get().(*encodeBuf)
+	defer encodeBufs.Put(buf)
+	room := append(slices.Grow(buf.raw[:0], frameHeaderMax)[:frameHeaderMax], byte(req.Kind))
+	for _, v := range [...]int64{int64(req.ShuffleID), int64(req.MapPart), int64(req.Reduce), int64(req.Attempt),
+		int64(req.Parent), int64(req.Span), int64(req.From), int64(len(req.Trace))} {
+		room = binary.AppendUvarint(room, uint64(v))
+	}
+	buf.raw = append(room, req.Trace...)
+	return writeFrame(w, buf.raw, frameReq, 0, 0)
+}
+
+// readRequest reads the frame that opens an exchange and decodes its payload,
+// every length checked against the bytes that are there. Any error leaves the
+// connection out of step: nothing says what follows the frame.
+func readRequest(br *bufio.Reader) (request, error) {
+	fr, err := readChunkFrame(br, maxRequestPayload)
+	if err != nil {
+		return request{}, err
+	}
+	if !fr.req || len(fr.payload) == 0 {
+		return request{}, errors.New("livecluster: an exchange opened with a frame that is not a request")
+	}
+	var f [8]int64
+	rest := fr.payload[1:]
+	for i := range f {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 || v > math.MaxInt64 {
+			return request{}, fmt.Errorf("livecluster: request field %d is malformed", i)
+		}
+		f[i], rest = int64(v), rest[n:]
+	}
+	if f[7] != int64(len(rest)) {
+		return request{}, fmt.Errorf("livecluster: request names a %d-byte trace ID and carries %d bytes", f[7], len(rest))
+	}
+	return request{
+		Kind: requestKind(fr.payload[0]), ShuffleID: int(f[0]), MapPart: int(f[1]), Reduce: int(f[2]), Attempt: int(f[3]),
+		Parent: trace.SpanID(f[4]), Span: trace.SpanID(f[5]), From: int(f[6]), Trace: trace.TraceID(rest),
+	}, nil
 }
 
 // spanCtx is the causal context a client attaches to its data-plane
@@ -111,32 +160,17 @@ type worker struct {
 	closed atomic.Bool
 
 	// Telemetry: tel buffers everything this worker accounts — its links'
-	// exchanges, its server-side spans — until the driver merges it, on
-	// heartbeats sent by the ticker goroutine over a dedicated (uncounted)
-	// connection and in the end-of-run flush. hbMu serializes one full
-	// drain→send→ack exchange against that flush.
+	// exchanges, its server-side spans — until the driver merges it, on the
+	// beats of the ticker goroutine and in the end-of-run flush. hbMu
+	// serializes one drain→merge against the other's.
 	tel    *workerTel
 	hbMu   sync.Mutex
-	hbConn net.Conn
-	hbEnc  *gob.Encoder
-	hbDec  *gob.Decoder
 	stopHB chan struct{}
 	hbWG   sync.WaitGroup
 
-	// Clock plane: each worker stamps its spans on its own local clock
-	// (epoch + injected test skew) and aligns it to the driver through the
-	// ClockSync samples its heartbeats collect. ids namespaces the
-	// worker's span IDs (participant id+2). sync is guarded by hbMu.
-	epoch time.Time
-	skew  float64
-	sync  trace.ClockSync
-	ids   *trace.IDAllocator
+	// ids namespaces the worker's span IDs (participant id+2).
+	ids *trace.IDAllocator
 }
-
-// localNow reads the worker's local telemetry clock: seconds since its
-// own epoch, plus any injected test skew. Deliberately NOT the driver's
-// clock — alignment happens driver-side from heartbeat offset estimates.
-func (w *worker) localNow() float64 { return time.Since(w.epoch).Seconds() + w.skew }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
 	store, err := c.newStore(id)
@@ -148,11 +182,7 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 		cluster: c,
 		store:   store,
 		tel:     newWorkerTel(),
-		epoch:   time.Now(),
 		ids:     trace.NewIDAllocator(id + 2),
-	}
-	if id < len(c.cfg.ClockSkew) {
-		w.skew = c.cfg.ClockSkew[id]
 	}
 	if w.srv, err = serve(w.handleConn); err != nil {
 		_ = store.Close()
@@ -173,16 +203,12 @@ func (w *worker) close() {
 	}
 	w.srv.close()
 	w.hbWG.Wait()
-	w.hbMu.Lock()
-	w.dropHBConn()
-	w.hbMu.Unlock()
 	_ = w.store.Close()
 }
 
 // server is one accept loop on a loopback port: the listener, the
 // connections it accepted that are still open, and the goroutines handling
-// them. Each worker serves its peers' exchanges through one, and the driver
-// its workers' heartbeats.
+// them. Each worker serves its peers' exchanges through one.
 type server struct {
 	ln   net.Listener
 	done chan struct{}  // closed once the accept loop has returned
@@ -244,10 +270,8 @@ func (s *server) close() {
 // hangs up or a framing error breaks the stream.
 func (w *worker) handleConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
 	for {
-		var req request
-		err := dec.Decode(&req)
+		req, err := readRequest(br)
 		if err != nil {
 			return
 		}
@@ -314,7 +338,7 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 // drained.
 func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) error {
 	run := w.cluster.curRun.Load()
-	t0 := w.localNow()
+	t0 := time.Now() // after the request arrived: a receive cannot start before its send
 	spec := w.spec(req.ShuffleID)
 	out := blockstore.Output{Attempt: req.Attempt}
 	if spec != nil && spec.Partitioner.Ready() {
@@ -348,9 +372,8 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	// Receiver occupancy (the paper's V rows): the aggregator side of a
 	// push, parented to the originating map task and linked to its send
 	// span, so every push has its matching receive in the causal DAG.
-	// Like every server-side span it is stamped on the worker's local clock
-	// and buffered; the driver rebases it onto the run clock when it merges
-	// the buffer.
+	// Like every server-side span it is stamped on the run's clock, the one
+	// the driver-side spans are on, and buffered until the next merge.
 	if err == nil && run != nil {
 		w.tel.addSpan(trace.Span{
 			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent, Link: req.Span,
@@ -359,7 +382,7 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 			Shuffle: req.ShuffleID,
 			SrcSite: siteLabel(req.From), DstSite: siteLabel(w.id),
 			Bytes: float64(got.raw), Records: nrecs,
-			Start: t0, End: w.localNow(),
+			Start: run.at(t0), End: run.since(),
 		})
 	}
 	return writeLastFrame(conn, err)
@@ -394,7 +417,7 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 // over exchanges that needed no retry.
 func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	run := w.cluster.curRun.Load()
-	t0 := w.localNow()
+	t0 := time.Now()
 	records, err := w.shardOf(req.ShuffleID, req.MapPart, req.Reduce)
 	if err != nil {
 		return writeLastFrame(conn, err)
@@ -410,7 +433,7 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 			Shuffle: req.ShuffleID,
 			SrcSite: siteLabel(w.id), DstSite: siteLabel(req.From),
 			Bytes: float64(sent.raw), Records: len(records),
-			Start: t0, End: w.localNow(),
+			Start: run.at(t0), End: run.since(),
 		})
 	})
 }
@@ -480,7 +503,7 @@ func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
 func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, sc spanCtx) (int64, error) {
 	var sent streamTotals
 	err := w.links[dst].exchange("push", func(pc *pooledConn) (int64, error) {
-		if err := pc.enc.Encode(&request{
+		if err := writeRequest(pc.conn, &request{
 			Kind: reqPushChunk, ShuffleID: shuffleID, MapPart: mapPart, Attempt: attempt,
 			Trace: sc.trace, Parent: sc.parent, Span: sc.span, From: w.id,
 		}); err != nil {
@@ -522,7 +545,7 @@ func (w *worker) fetch(holder, shuffleID, mapPart, reduce int, sc spanCtx) ([][]
 	var got streamTotals
 	err := w.links[holder].exchange("shuffle", func(pc *pooledConn) (int64, error) {
 		out = nil // reset on transparent retry
-		if err := pc.enc.Encode(&request{
+		if err := writeRequest(pc.conn, &request{
 			Kind: reqFetchStream, ShuffleID: shuffleID, MapPart: mapPart, Reduce: reduce,
 			Trace: sc.trace, Parent: sc.parent, From: w.id,
 		}); err != nil {

@@ -1,7 +1,8 @@
 // Package netobs is the WAN link observatory: a passive estimator that
-// turns transfer and clock-sync samples the system already produces into
-// a live site-pair link estimate matrix (EWMA + windowed p50/p95
-// throughput, RTT, sample counts), plus a bounded metrics time-series
+// turns the transfer samples the system already produces (and the RTT a
+// backend can supply: the simulator's modeled latency) into a live
+// site-pair link estimate matrix (EWMA + windowed p50/p95 throughput, RTT,
+// sample counts), plus a bounded metrics time-series
 // ring (sampler.go) so telemetry scrapes are no longer point-in-time
 // only. Both backends feed it — the live cluster from measured exchange
 // wall-clock, the simulator from modeled flow completions — so the

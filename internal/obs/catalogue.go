@@ -22,16 +22,14 @@ var Catalogue = []MetricDoc{
 	{"fetch_chunks_total", "counter", "—", "live", "data chunks a fetcher received, counted once its fetch succeeded"},
 	{"push_duplicates_total", "counter", "—", "live", "duplicate pushes dropped (retried attempts)"},
 	{"bucket_builds_total", "counter", "—", "live", "deferred whole-output bucketing passes"},
-	{"heartbeats_total", "counter", "`worker`", "live", "heartbeats the driver received and merged (the end-of-job flush is not one)"},
+	{"heartbeats_total", "counter", "`worker`", "live", "ticker beats the driver merged (the end-of-job flush is not one)"},
 	{"worker_heartbeat_age_sec", "gauge", "`worker`", "live", "seconds since each worker's last heartbeat"},
-	{"clock_offset_sec", "gauge", "`worker`", "live", "estimated driver−worker clock offset"},
-	{"clock_rtt_sec", "gauge", "`worker`", "live", "round-trip time of the best clock-sync sample"},
 	{"blockstore_resident_bytes", "gauge", "`worker`", "live", "shuffle bytes resident in memory"},
 	{"blockstore_spilled_bytes_total", "counter", "`worker`", "live", "bytes spilled to disk under `-memory-budget`"},
 	{"blockstore_spill_events_total", "counter", "`worker`", "live", "spill events"},
 	{"blockstore_reload_bytes_total", "counter", "`worker`", "live", "spilled bytes reloaded on demand"},
 	{"link_throughput_bps", "gauge", "`src`, `dst`", "both", "EWMA link throughput estimate per site pair (`internal/netobs`)"},
-	{"link_rtt_sec", "gauge", "`src`, `dst`", "both", "EWMA round-trip-time estimate per site pair"},
+	{"link_rtt_sec", "gauge", "`src`, `dst`", "sim", "EWMA round-trip-time estimate per site pair (modeled latency; nothing live measures a round trip)"},
 	{"link_samples_total", "counter", "`src`, `dst`", "both", "transfer samples folded into each pair's estimate"},
 	{"placement_decisions_total", "counter", "`policy`, `source`", "both", "aggregator placement decisions, by policy and bandwidth source (`measured`/`configured`/`uniform`/`none`)"},
 	{"placement_chosen_site", "gauge", "`shuffle`", "both", "site index chosen as each shuffle's aggregator"},

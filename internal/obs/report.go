@@ -56,13 +56,12 @@ type Report struct {
 	CompletionSec float64      `json:"completion_sec"`
 	Stages        []StageEvent `json:"stages"`
 	// TrafficByClass splits moved bytes by purpose (input / shuffle /
-	// push / result / centralize / cache for sim; push / shuffle / sample
-	// for live).
+	// push / result / centralize / cache for sim; push / shuffle for
+	// live).
 	TrafficByClass map[string]float64 `json:"traffic_by_class"`
 	// TrafficMatrix[i][j] is bytes moved from MatrixLabels[i] to
-	// MatrixLabels[j]: per-region for sim, per-worker (plus the driver
-	// row) for live — the comparable artifact behind the paper's S − s₁
-	// claim.
+	// MatrixLabels[j]: per-region for sim, per-worker for live — the
+	// comparable artifact behind the paper's S − s₁ claim.
 	MatrixLabels  []string      `json:"matrix_labels"`
 	TrafficMatrix [][]float64   `json:"traffic_matrix"`
 	Tasks         []TaskSummary `json:"tasks,omitempty"`
@@ -83,8 +82,8 @@ type Report struct {
 	// across workers. Nil on backends without a block store (the
 	// simulator models bytes, it does not hold them).
 	Storage *StorageStats `json:"storage,omitempty"`
-	// Network is the run's link estimate matrix: measured throughput and
-	// RTT per site pair, plus — when a topology is configured — the
+	// Network is the run's link estimate matrix: measured throughput (and,
+	// simulated, modeled RTT) per site pair, plus — when a topology is configured — the
 	// observed-vs-configured drift ratio. Built by internal/netobs from
 	// measured exchanges (live) or modeled flow completions (sim); nil
 	// when nothing was observed or configured.
@@ -109,7 +108,7 @@ type StorageStats struct {
 	SpilledOutputs int     `json:"spilled_outputs"`
 	// SpilledBytesTotal / SpillEvents / ReloadBytesTotal accumulate over
 	// the run: every output written to a spill file, and every spilled
-	// output read back for a fetch or sample.
+	// output read back for a fetch.
 	SpilledBytesTotal float64 `json:"spilled_bytes_total"`
 	SpillEvents       int64   `json:"spill_events"`
 	ReloadBytesTotal  float64 `json:"reload_bytes_total"`

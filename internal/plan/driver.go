@@ -276,18 +276,12 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 			aggTo = SpreadTopK(agg, len(agg), part)
 		}
 		d.taskEvent(obs.PhaseScheduled, st, part, site, 1, nil)
-		wg.Add(1)
-		select {
-		case d.sems[site] <- struct{}{}:
-		case <-d.ctx.Done():
-			// Canceled while waiting for a task slot: never launched.
-			errs[part] = d.canceled()
-			wg.Done()
-			continue
+		if errs[part] = d.acquire(site); errs[part] != nil {
+			continue // canceled while waiting for a task slot: never launched
 		}
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { <-d.sems[site] }()
 			errs[part] = d.attempt(st, part, site, func(site, attempt int) error {
 				res, err := d.be.RunTask(Task{Stage: st, Part: part, Site: site, Attempt: attempt, AggTo: aggTo, outputs: &d.outputs})
 				if err != nil {
@@ -416,11 +410,31 @@ func (d *Driver) boundarySites(st *dag.Stage) []int {
 	return sites
 }
 
+// acquire takes one of site's task slots, waiting for it until the job is
+// canceled.
+func (d *Driver) acquire(site int) error {
+	select {
+	case d.sems[site] <- struct{}{}:
+		return nil
+	case <-d.ctx.Done():
+		return d.canceled()
+	}
+}
+
 // attempt runs one task against the retry budget, reporting every
 // transition to the backend's event sink. Retried attempts are re-placed
 // away from sites the backend reports unhealthy (SiteHealth), so a task
 // whose worker died mid-run fails over instead of retrying into the hole.
+// The caller took a slot at site; the slot follows the task when it moves,
+// so SiteSlots bounds every site whatever the retries did, and attempt
+// releases the one it holds when it returns.
 func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt int) error) error {
+	held := true
+	defer func() {
+		if held {
+			<-d.sems[site]
+		}
+	}()
 	for att := 1; ; att++ {
 		d.taskEvent(obs.PhaseStarted, st, part, site, att, nil)
 		err := run(site, att)
@@ -440,7 +454,12 @@ func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt i
 		}
 		if moved := d.replaceSite(site); moved != site {
 			d.log.Info("plan: re-placing retried task off unhealthy site", "stage", st.Name(), "part", part, "from", site, "to", moved)
+			<-d.sems[site]
 			site = moved
+			if err := d.acquire(site); err != nil {
+				held = false
+				return err
+			}
 		}
 		d.taskEvent(obs.PhaseRetried, st, part, site, att+1, nil)
 	}

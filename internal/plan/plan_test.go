@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/shuffle"
@@ -257,19 +258,31 @@ func (b *flakyBackend) RunTask(t Task) (TaskResult, error) {
 // deadSiteBackend wraps MemBackend with a permanently dead site: every
 // task attempt there fails, and SiteHealth reports it unhealthy. The
 // driver must steer retried attempts to a healthy site, so jobs complete
-// despite the hole.
+// despite the hole. Every attempt takes nap, long enough for attempts that
+// may overlap to be seen overlapping.
 type deadSiteBackend struct {
 	*MemBackend
 	dead int
+	nap  time.Duration
 
 	mu       sync.Mutex
-	attempts []int // sites tried, in attempt order
+	attempts []int       // sites tried, in attempt order
+	running  map[int]int // attempts in flight, by site
+	peak     map[int]int // the most that ever were, by site
 }
 
 func (b *deadSiteBackend) RunTask(t Task) (TaskResult, error) {
 	b.mu.Lock()
 	b.attempts = append(b.attempts, t.Site)
+	b.running[t.Site]++
+	b.peak[t.Site] = max(b.peak[t.Site], b.running[t.Site])
 	b.mu.Unlock()
+	defer func() {
+		b.mu.Lock()
+		b.running[t.Site]--
+		b.mu.Unlock()
+	}()
+	time.Sleep(b.nap)
 	if t.Site == b.dead {
 		return TaskResult{}, fmt.Errorf("dead: site %d is down", t.Site)
 	}
@@ -282,56 +295,77 @@ func (b *deadSiteBackend) SiteHealthy(site int) bool { return site != b.dead }
 // TestDriverReplacesTasksOffDeadSite checks the SiteHealth fail-over: with
 // site 0 permanently dead, every task the placer sends there must fail
 // once, be re-placed on a healthy site by the retry path, and succeed —
-// within the default attempt budget, and with the reference output.
+// within the default attempt budget, and with the reference output. A moved
+// task takes a slot where it lands: no site ever runs more tasks at once
+// than SiteSlots, least of all the one inheriting the dead site's.
 func TestDriverReplacesTasksOffDeadSite(t *testing.T) {
-	build := func() *rdd.RDD {
-		g := rdd.NewGraph()
-		inputs := make([]rdd.InputPartition, 4)
-		for p := 0; p < 4; p++ {
-			inputs[p] = rdd.InputPartition{Host: topology.HostID(p), ModeledBytes: 1,
-				Records: []rdd.Pair{rdd.KV(fmt.Sprintf("k%d", p%2), 1)}}
-		}
-		return g.Input("in", inputs).
-			ReduceByKey("sum", 2, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
-	}
-	want := canon(rdd.CollectLocal(build()))
+	for _, tc := range []struct {
+		name         string
+		parts, slots int // slots 0: the default, 2
+		nap          time.Duration
+	}{
+		{"default slots", 4, 0, 0},
+		{"one slot, slow tasks", 12, 1, 20 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *rdd.RDD {
+				g := rdd.NewGraph()
+				inputs := make([]rdd.InputPartition, tc.parts)
+				for p := range inputs {
+					inputs[p] = rdd.InputPartition{Host: topology.HostID(p), ModeledBytes: 1,
+						Records: []rdd.Pair{rdd.KV(fmt.Sprintf("k%d", p%2), 1)}}
+				}
+				return g.Input("in", inputs).
+					ReduceByKey("sum", 2, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
+			}
+			want := canon(rdd.CollectLocal(build()))
 
-	job, err := BuildJob(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := &deadSiteBackend{MemBackend: NewMemBackend(3), dead: 0}
-	drv := NewDriver(job, be, DriverConfig{})
-	parts, err := drv.Run()
-	if err != nil {
-		t.Fatalf("job must survive a dead site via re-placement: %v", err)
-	}
-	var out []rdd.Pair
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	if canon(out) != want {
-		t.Fatal("fail-over output diverges from reference")
-	}
+			job, err := BuildJob(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			be := &deadSiteBackend{MemBackend: NewMemBackend(3), dead: 0, nap: tc.nap,
+				running: map[int]int{}, peak: map[int]int{}}
+			drv := NewDriver(job, be, DriverConfig{SiteSlots: tc.slots})
+			parts, err := drv.Run()
+			if err != nil {
+				t.Fatalf("job must survive a dead site via re-placement: %v", err)
+			}
+			var out []rdd.Pair
+			for _, p := range parts {
+				out = append(out, p...)
+			}
+			if canon(out) != want {
+				t.Fatal("fail-over output diverges from reference")
+			}
 
-	// Map parts 0,3 and reduce part 0 round-robin onto dead site 0; each
-	// must show exactly one failed attempt there and none after re-placement.
-	deadTries, healthyTries := 0, 0
-	for _, site := range be.attempts {
-		if site == be.dead {
-			deadTries++
-		} else {
-			healthyTries++
-		}
-	}
-	if deadTries != 3 {
-		t.Fatalf("dead-site attempts = %d, want 3 (map t0, map t3, reduce t0): %v", deadTries, be.attempts)
-	}
-	if got := be.Events.Counts().Retried; got != 3 {
-		t.Fatalf("retried events = %d, want 3", got)
-	}
-	if healthyTries < 6 {
-		t.Fatalf("healthy attempts = %d, want >= 6 (every task completes off-site-0)", healthyTries)
+			// Every third map part and reduce part 0 round-robin onto dead
+			// site 0; each must show exactly one failed attempt there and
+			// none after re-placement.
+			wantDead := (tc.parts+2)/3 + 1
+			deadTries, healthyTries := 0, 0
+			for _, site := range be.attempts {
+				if site == be.dead {
+					deadTries++
+				} else {
+					healthyTries++
+				}
+			}
+			if deadTries != wantDead {
+				t.Fatalf("dead-site attempts = %d, want %d (every third map task, reduce t0): %v", deadTries, wantDead, be.attempts)
+			}
+			if got := be.Events.Counts().Retried; got != wantDead {
+				t.Fatalf("retried events = %d, want %d", got, wantDead)
+			}
+			if healthyTries < tc.parts+2 {
+				t.Fatalf("healthy attempts = %d, want >= %d (every task completes off-site-0)", healthyTries, tc.parts+2)
+			}
+			for site, peak := range be.peak {
+				if peak > drv.cfg.SiteSlots {
+					t.Errorf("site %d ran %d tasks at once, SiteSlots is %d", site, peak, drv.cfg.SiteSlots)
+				}
+			}
+		})
 	}
 }
 

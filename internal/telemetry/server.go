@@ -11,6 +11,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -83,98 +84,66 @@ func Handler(cfg Config) http.Handler {
 		}
 	})
 
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var reg *obs.Registry
-		if cfg.Registry != nil {
-			reg = cfg.Registry()
+	// view mounts one read-only view of the run at path. source returns what
+	// writes the state as it is now, or nil while there is none: the answer
+	// is then a 503 saying what is missing.
+	view := func(path, missing, contentType string, source func() func(io.Writer) error) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			write := source()
+			if write == nil {
+				http.Error(w, missing, http.StatusServiceUnavailable)
+				return
+			}
+			w.Header().Set("Content-Type", contentType)
+			if err := write(w); err != nil {
+				log.Debug("telemetry: "+path+" write failed", "err", err)
+			}
+		})
+	}
+	view("/metrics", "no metrics registry yet", obs.PromContentType, func() func(io.Writer) error {
+		if reg := call(cfg.Registry); reg != nil {
+			return reg.WriteProm
 		}
-		if reg == nil {
-			http.Error(w, "no metrics registry yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", obs.PromContentType)
-		if err := reg.WriteProm(w); err != nil {
-			log.Debug("telemetry: /metrics write failed", "err", err)
-		}
+		return nil
 	})
-
-	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
-		var rep *obs.Report
-		if cfg.Report != nil {
-			rep = cfg.Report()
+	view("/report", "no run report yet", "application/json", func() func(io.Writer) error {
+		if rep := call(cfg.Report); rep != nil {
+			return rep.WriteJSON
 		}
-		if rep == nil {
-			http.Error(w, "no run report yet", http.StatusServiceUnavailable)
-			return
+		return nil
+	})
+	view("/trace", "no trace spans yet", "application/x-ndjson", func() func(io.Writer) error {
+		if spans := call(cfg.Trace); spans != nil {
+			return ndjson(spans)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := rep.WriteJSON(w); err != nil {
-			log.Debug("telemetry: /report write failed", "err", err)
+		return nil
+	})
+	view("/links", "no link estimates yet", "application/json", func() func(io.Writer) error {
+		if links := call(cfg.Links); links != nil {
+			return func(w io.Writer) error {
+				enc := json.NewEncoder(w)
+				enc.SetIndent("", "  ")
+				return enc.Encode(links)
+			}
 		}
+		return nil
+	})
+	// An unwired timeline is a 503; a wired one that has no samples yet is an
+	// empty 200.
+	view("/timeline", "no metrics timeline yet", "application/x-ndjson", func() func(io.Writer) error {
+		if cfg.Timeline == nil {
+			return nil
+		}
+		return ndjson(cfg.Timeline())
 	})
 
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		var c *obs.Collector
-		if cfg.Events != nil {
-			c = cfg.Events()
-		}
+		c := call(cfg.Events)
 		if c == nil {
 			http.Error(w, "no event collector yet", http.StatusServiceUnavailable)
 			return
 		}
 		Tail(w, r, c.Subscribe)
-	})
-
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		var spans []trace.Span
-		if cfg.Trace != nil {
-			spans = cfg.Trace()
-		}
-		if spans == nil {
-			http.Error(w, "no trace spans yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, s := range spans {
-			if err := enc.Encode(s); err != nil {
-				log.Debug("telemetry: /trace write failed", "err", err)
-				return
-			}
-		}
-	})
-
-	mux.HandleFunc("/links", func(w http.ResponseWriter, r *http.Request) {
-		var links *obs.NetworkStats
-		if cfg.Links != nil {
-			links = cfg.Links()
-		}
-		if links == nil {
-			http.Error(w, "no link estimates yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(links); err != nil {
-			log.Debug("telemetry: /links write failed", "err", err)
-		}
-	})
-
-	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
-		if cfg.Timeline == nil {
-			http.Error(w, "no metrics timeline yet", http.StatusServiceUnavailable)
-			return
-		}
-		samples := cfg.Timeline()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, s := range samples {
-			if err := enc.Encode(s); err != nil {
-				log.Debug("telemetry: /timeline write failed", "err", err)
-				return
-			}
-		}
 	})
 
 	if cfg.Jobs != nil {
@@ -192,6 +161,28 @@ func Handler(cfg Config) http.Handler {
 		log.Debug("telemetry: request", "method", r.Method, "path", r.URL.Path, "remote", r.RemoteAddr)
 		mux.ServeHTTP(w, r)
 	})
+}
+
+// call returns what an endpoint's source says, the zero value when the source
+// was never wired.
+func call[T any](source func() T) (v T) {
+	if source != nil {
+		v = source()
+	}
+	return v
+}
+
+// ndjson writes items one JSON object per line.
+func ndjson[T any](items []T) func(io.Writer) error {
+	return func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for _, it := range items {
+			if err := enc.Encode(it); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // Tail streams an event log as NDJSON, one event per line: the history the

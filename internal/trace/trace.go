@@ -173,21 +173,6 @@ func (r *Recorder) ByKind(k Kind) []Span {
 	return out
 }
 
-// Find returns the recorded span with the given ID, if any.
-func (r *Recorder) Find(id SpanID) (Span, bool) {
-	if r == nil || id == 0 {
-		return Span{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.spans {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return Span{}, false
-}
-
 // Gantt renders the spans as an ASCII chart with one row per host that has
 // activity, width characters wide. Overlapping spans on a host merge
 // left-to-right (later kinds overwrite earlier within the overlap), which
