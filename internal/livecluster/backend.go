@@ -1,6 +1,7 @@
 package livecluster
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -52,22 +53,28 @@ func (r *liveRun) stageOfShuffle(id int) int {
 	return -1
 }
 
+// errWorkerDown fails a task whose worker was closed under it (KillWorker, or
+// the cluster shutting down): what the worker held is gone with it.
+var errWorkerDown = errors.New("worker is down")
+
 // NumSites implements plan.Backend: one site per worker.
 func (r *liveRun) NumSites() int { return len(r.c.workers) }
 
 // RunTask implements plan.Backend: evaluate the partition at its worker,
-// fetching its shuffle input over TCP. A map task then prepares its output
-// map-side and pushes it to the aggregator the moment it finishes
-// (t.AggTo >= 0, the paper's transferTo) or stores it locally for later
-// fetches. The bytes it reports, like every span's, are record-codec bytes —
-// what the records take on this cluster's wire — so the planner's predicted
+// gathering its shuffle input through reader. A map task then prepares its
+// output map-side and either pushes it to the aggregator the moment it
+// finishes (t.AggTo names another worker, the paper's transferTo) or installs
+// it in its own worker's block store: in fetch mode, and in push mode when the
+// task already runs on the aggregator — the s₁ of Eq. 2 that never has to
+// move. The bytes it reports, like every span's, are record-codec bytes — what
+// the records take on this cluster's wire — so the planner's predicted
 // transfer cost is a prediction about the real sockets, not about the
 // simulator's SizeOf model.
 func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	st, site := t.Stage, t.Site
 	w := r.c.workers[site]
 	if w.closed.Load() {
-		return plan.TaskResult{}, fmt.Errorf("livecluster: worker %d is down", site)
+		return plan.TaskResult{}, fmt.Errorf("livecluster: worker %d: %w", site, errWorkerDown)
 	}
 	taskID := r.c.ids.Next()
 	// The compute span runs from the last shuffle read (the task's start
@@ -92,7 +99,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// The worker died under the task; its output cannot be stored or
 		// pushed from a dead site. Fail the attempt so the driver
 		// re-places it on a healthy worker.
-		return plan.TaskResult{}, fmt.Errorf("livecluster: worker %d died during map task %s/t%d", site, st.Name(), t.Part)
+		return plan.TaskResult{}, fmt.Errorf("livecluster: map task %s/t%d on worker %d: %w", st.Name(), t.Part, site, errWorkerDown)
 	}
 	prepared := rdd.MapSidePrepare(spec, recs)
 	res := plan.TaskResult{Bytes: rdd.EncodedSize(prepared), Sample: rdd.RangeSample(spec, prepared)}
@@ -104,10 +111,12 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		Bytes: res.Bytes, Records: len(prepared),
 		Start: lastFetch, End: r.since(),
 	})
-	if t.AggTo < 0 {
-		// Fetch mode: the output stays at its mapper, landing in the same
-		// block store pushes assemble into (and spilling under the same
-		// budget), so later fetches stream it back out through one path.
+	if t.AggTo < 0 || t.AggTo == site {
+		// The output stays where it was produced — every fetch-mode map
+		// task, and a push-mode one that ran on its aggregator — landing in
+		// the same block store pushes assemble into (spilling under the same
+		// budget, last write wins by attempt). No push and no receive span:
+		// the map span above is the producer edge, as in fetch mode.
 		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, prepared)
 	}
 	tPush := r.since()
@@ -154,30 +163,49 @@ func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 }
 
 // reader builds the ShuffleReader task t gathers its shuffle input
-// through: every map output's shard is fetched over TCP from its holder
-// (aggregator or mapper), serially in map order (plan.Task.Gather) so
-// gathered records arrive deterministically. Fetch spans carry the reading
-// stage's ID and nest under the consuming task (parent); the fetch span's
-// own ID rides the wire so each holder's serve span nests under it.
-// lastFetch tracks when the task's final fetch completed, so callers can
-// start the compute span after the transfer window.
+// through, serially in map order (plan.Task.Gather) so gathered records
+// arrive deterministically. A map output the task's own worker holds — every
+// one, when a push-mode reducer sits on its aggregator — is read from that
+// worker's block store directly: no request, no serve span, no wire bytes.
+// Gather's one copy stands between the store's slices and the reduce-side
+// sort, so a read never aliases what a retried attempt will read again. Any
+// other holder (a mapper in fetch mode, a second aggregator, the one a
+// re-placed retry left behind) is fetched from over TCP. One fetch span per
+// read carries the reading stage's ID and nests under the consuming task
+// (parent); its own ID rides the wire so each holder's serve span nests under
+// it, and its Bytes are the codec bytes of those serves — zero, with
+// SrcSite == DstSite, when the gather touched no socket, which keeps a
+// reducer's input wait (spill reloads included) on the timeline. lastFetch
+// tracks when the task's final read completed, so callers can start the
+// compute span after the transfer window.
 func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) plan.ShuffleReader {
 	site := t.Site
+	w := r.c.workers[site]
 	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
 		t0 := r.since()
 		fetchID := r.c.ids.Next()
-		srcBytes := map[int]int64{} // record-codec bytes by holder
+		var srcBytes map[int]int64 // record-codec bytes by remote holder; nil while every read is local
+		var own [1][]rdd.Pair      // Gather copies the headers out before the next call
 		out, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
-			shard, n, err := r.c.workers[site].fetch(holder, spec.ID, m, reduce,
+			if holder == site {
+				shard, err := w.shardOf(spec.ID, m, reduce)
+				own[0] = shard
+				return own[:], err
+			}
+			shard, n, err := w.fetch(holder, spec.ID, m, reduce,
 				spanCtx{trace: r.traceID, parent: fetchID})
+			if srcBytes == nil {
+				srcBytes = map[int]int64{}
+			}
 			srcBytes[holder] += n
 			return shard, err
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Attribute the fetch to its dominant source by bytes (ties break
-		// toward the lower worker index, for determinism).
+		// Attribute the fetch to its dominant remote source by bytes (ties
+		// break toward the lower worker index, for determinism); to the
+		// reader itself when nothing came over a socket.
 		src, best, total := site, int64(-1), int64(0)
 		for s, b := range srcBytes {
 			total += b

@@ -21,14 +21,14 @@ func (opaque) SizeBytes() float64 { return 8 }
 // before the offending chunk is written, the receiver installs nothing of
 // it, and the pooled connection is neither lost nor replaced.
 func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
-	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 3)
+	c := streamCluster(t, Config{Workers: 2, TasksPerWorker: 1, ChunkRecords: 4}, 3)
 	w0, w1 := c.workers[0], c.workers[1]
 	good := pairs(17)
 	if _, err := w0.push(1, 7, 0, 1, good, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
-	// One connection is all w0 ever needs to w1: any dial beyond the first
-	// push's replaces a connection a failure cost.
+	// With one task slot, one connection is all w0 ever needs to w1: any dial
+	// beyond the first push's replaces a connection a failure cost.
 	if dials := flushed(c).Dials; dials != 1 {
 		t.Fatalf("first push dialed %d connections, want 1", dials)
 	}

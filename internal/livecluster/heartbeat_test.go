@@ -309,9 +309,12 @@ func TestHeartbeatsDisabled(t *testing.T) {
 		t.Fatalf("matrix sums to %d, want %d", sum, stats.BytesOverTCP)
 	}
 	checkConservation(t, stats)
-	if stats.PushConnections != 6 || stats.FetchConnections == 0 || stats.Dials == 0 {
-		t.Fatalf("%d pushes, %d fetches, %d dials; want the 6 map outputs' pushes, and fetches and dials accounted",
-			stats.PushConnections, stats.FetchConnections, stats.Dials)
+	// Six maps round-robin over three workers put two on the aggregator:
+	// the other four push, each of the two senders' links dials its width
+	// once, and the reducers, all on the aggregator, fetch nothing.
+	if width := int64(cluster.cfg.TasksPerWorker); stats.PushConnections != 4 || stats.FetchConnections != 0 || stats.Dials != 2*width {
+		t.Fatalf("%d pushes, %d fetches, %d dials; want 4 pushes (maps at %v, worker 2 aggregates), no fetch and %d dials",
+			stats.PushConnections, stats.FetchConnections, stats.Dials, sitesOf(stats, 0), 2*width)
 	}
 	for i, age := range cluster.HeartbeatAges() {
 		if age != 0 {

@@ -83,14 +83,18 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
+	// A link dials its width once, the first time a job uses it, and never
+	// again: forty jobs together dial no more than every link's width.
+	var dials int64
 	for run := 0; run < 40; run++ {
 		_, stats, err := cluster.Run(buildWordCount(6, 3))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		requests := stats.PushConnections + stats.FetchConnections + stats.SampleRequests
-		if requests == 0 || stats.Dials > requests {
-			t.Fatalf("run %d: %d dials for %d requests", run, stats.Dials, requests)
+		dials += stats.Dials
+		if width := int64(cluster.cfg.TasksPerWorker); requests == 0 || stats.Dials%width != 0 || dials > 4*3*width {
+			t.Fatalf("run %d: %d dials for %d requests, %d dials so far over 12 links %d wide", run, stats.Dials, requests, dials, width)
 		}
 		if total := matrixTotal(stats.TrafficMatrix); total != stats.BytesOverTCP || stats.BytesRaw < total {
 			t.Fatalf("run %d: matrix total %d, BytesOverTCP %d, BytesRaw %d", run, total, stats.BytesOverTCP, stats.BytesRaw)

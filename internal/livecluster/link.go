@@ -13,14 +13,27 @@ import (
 // idle pooled connections src holds to dst, the bounds their dials and
 // exchanges run under, the pacing of the two directed links those
 // connections' bytes travel, and src's telemetry buffer, where every byte
-// they carry is accounted. The cluster wires one per ordered pair once every
-// worker listens (Cluster.wireLinks); nothing else knows which link a byte
-// is on. Only addr and tel need setting for a link to work: zero timeouts
-// bound nothing, and without buckets it is unshaped.
+// they carry is accounted. The cluster wires one per ordered pair of distinct
+// workers once every worker listens (Cluster.wireLinks) — no worker has a
+// link to itself, what it holds it reads and writes in its own block store —
+// and nothing else knows which link a byte is on. Only addr and tel need
+// setting for a link to work: zero timeouts bound nothing, without buckets it
+// is unshaped, and with no width it dials one connection at a time.
+//
+// When a link dials: a task has at most one exchange in flight, and at most
+// width tasks (Config.TasksPerWorker) run on src at once, so a link never
+// needs more than width connections. The first exchange on a link dials all
+// of them and pools the spares; from then on a link dials only to replace a
+// connection that broke. A warm cluster therefore runs its jobs without
+// dialing, however its tasks happen to overlap, and New opens nothing for the
+// links no job uses.
 type link struct {
 	src, dst int
 	addr     string // dst's listen address
 	tel      *workerTel
+	// width is how many exchanges src can have in flight to dst at once, and
+	// so how many connections the first dial fills the pool to.
+	width int
 
 	// dialTimeout bounds connection establishment; ioTimeout is the
 	// deadline one whole exchange (stream included) must finish within.
@@ -33,8 +46,9 @@ type link struct {
 	// buckets the other way round.
 	out, in *bucket
 
-	mu   sync.Mutex
-	idle []*pooledConn
+	mu     sync.Mutex
+	idle   []*pooledConn
+	filled bool // the first get has dialed the link's width
 }
 
 // pooledConn is one persistent client connection and its reader: frames are
@@ -50,7 +64,10 @@ func (pc *pooledConn) close() { _ = pc.conn.Close() }
 // get checks a connection out of the link, dialing a fresh one when none is
 // idle. The second result reports whether the connection had been pooled —
 // the peer may have closed such a connection while it sat idle, so its
-// exchange gets one transparent retry.
+// exchange gets one transparent retry. The link's first connection brings its
+// spares with it, dialed before the lock is let go: a second task arriving
+// meanwhile waits for a spare instead of dialing one of its own, so a link
+// that lost no connection has dialed exactly its width.
 func (l *link) get() (*pooledConn, bool, error) {
 	l.mu.Lock()
 	if n := len(l.idle); n > 0 {
@@ -59,9 +76,25 @@ func (l *link) get() (*pooledConn, bool, error) {
 		l.mu.Unlock()
 		return pc, true, nil
 	}
-	l.mu.Unlock()
+	if l.filled {
+		l.mu.Unlock()
+		pc, err := l.dial()
+		return pc, false, err
+	}
+	defer l.mu.Unlock()
 	pc, err := l.dial()
-	return pc, false, err
+	if err != nil {
+		return nil, false, err
+	}
+	l.filled = true
+	for n := 1; n < l.width; n++ {
+		spare, err := l.dial()
+		if err != nil {
+			break // the exchange has its connection; a short pool costs a later dial, not this one
+		}
+		l.idle = append(l.idle, spare)
+	}
+	return pc, false, nil
 }
 
 // dial opens and accounts a fresh connection under the dial timeout.

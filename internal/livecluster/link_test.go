@@ -167,6 +167,67 @@ func TestPoolReusesIdleConnections(t *testing.T) {
 	}
 }
 
+// TestFirstDialFillsThePool pins when a link dials (link.go's header): the
+// first exchange dials the link's whole width and pools the spares, so
+// however many of the source's task slots then use the link at once — width
+// at most — none of them dials; and a link with no width set dials one
+// connection at a time.
+func TestFirstDialFillsThePool(t *testing.T) {
+	const width = 3
+	srv := newPoolServer(t, func(srv *poolServer, _ int, conn net.Conn) { srv.answer(conn, 1<<30) })
+	l := srv.link()
+	l.width = width
+	defer l.closeAll()
+
+	calls := 0
+	if err := l.exchange("push", ping(&calls)); err != nil {
+		t.Fatal(err)
+	}
+	srv.accepted(t, width)
+	if dials := l.tel.drain().Dials; dials != width {
+		t.Fatalf("first exchange accounted %d dials, want the link's width %d", dials, width)
+	}
+
+	// width exchanges in flight at once, the most the source's task slots can
+	// ask for, five rounds of them: every one finds a pooled connection.
+	for round := 0; round < 5; round++ {
+		held := make([]*pooledConn, width)
+		for i := range held {
+			pc, pooled, err := l.get()
+			if err != nil || !pooled {
+				t.Fatalf("round %d: get %d of %d concurrent ones: pooled=%v, err=%v", round, i, width, pooled, err)
+			}
+			held[i] = pc
+		}
+		var wg sync.WaitGroup
+		for _, pc := range held {
+			wg.Add(1)
+			go func(pc *pooledConn) {
+				defer wg.Done()
+				n := 0
+				if broken, err := l.attempt(pc, "push", ping(&n)); broken || err != nil {
+					t.Errorf("round %d: exchange on a pooled connection: broken=%v, err=%v", round, broken, err)
+				}
+			}(pc)
+		}
+		wg.Wait()
+	}
+	srv.accepted(t, width)
+	if dials := l.tel.drain().Dials; dials != 0 {
+		t.Fatalf("a warm link dialed %d more connections under %d concurrent exchanges", dials, width)
+	}
+
+	// Only the first dial fills: once the pool has been emptied (closeAll,
+	// or connections that broke), the next get replaces one connection.
+	l.closeAll()
+	pc, pooled, err := l.get()
+	if err != nil || pooled {
+		t.Fatalf("get on an emptied link: pooled=%v, err=%v", pooled, err)
+	}
+	l.put(pc)
+	srv.accepted(t, width+1)
+}
+
 // TestPoolCloseAllEvicts checks closeAll closes every idle connection and
 // empties the pool, so the next get dials fresh.
 func TestPoolCloseAllEvicts(t *testing.T) {
@@ -279,7 +340,9 @@ func TestTimedOutExchangeIsNotRetried(t *testing.T) {
 }
 
 // TestClusterCloseLeaksNoConnections runs a job, closes the cluster, and
-// checks every worker's links are empty — no idle sockets outlive Close.
+// checks every worker's links are empty — no idle sockets outlive Close. On
+// the way it holds the wiring to its rule: a link to every other worker,
+// TasksPerWorker wide, and none to oneself.
 func TestClusterCloseLeaksNoConnections(t *testing.T) {
 	cluster, err := New(Config{Workers: 4, Mode: ModePush})
 	if err != nil {
@@ -293,7 +356,16 @@ func TestClusterCloseLeaksNoConnections(t *testing.T) {
 	workers := cluster.workers
 	cluster.Close()
 	for i, w := range workers {
-		for _, l := range w.links {
+		for j, l := range w.links {
+			if (l == nil) != (i == j) {
+				t.Fatalf("worker %d's link to worker %d: %v; want one to every other worker and none to itself", i, j, l)
+			}
+			if l == nil {
+				continue
+			}
+			if l.src != i || l.dst != j || l.width != cluster.cfg.TasksPerWorker {
+				t.Fatalf("worker %d's link to worker %d is wired %d→%d, %d wide", i, j, l.src, l.dst, l.width)
+			}
 			l.mu.Lock()
 			idle := len(l.idle)
 			l.mu.Unlock()

@@ -1,6 +1,8 @@
 // Package livecluster executes wanshuffle jobs on a real miniature
 // cluster: worker processes are goroutines, but every byte of shuffle data
-// moves over genuine TCP connections on the loopback interface. It is the
+// that changes worker moves over genuine TCP connections on the loopback
+// interface, and a byte that stays on its worker stays in that worker's block
+// store — no worker has a connection to itself. It is the
 // functional twin of the simulator — same planner (internal/plan), same
 // record semantics, validated against rdd.EvalLocal — demonstrating that
 // the Push/Aggregate mechanism is an executable system design, not only a
@@ -14,12 +16,16 @@
 // not a graph edit). Two shuffle modes mirror the paper:
 //
 //   - ModeFetch: mappers store their output locally; reducers pull every
-//     shard over TCP after the map barrier (stock Spark).
+//     shard another worker holds over TCP after the map barrier (stock
+//     Spark).
 //   - ModePush: each mapper pushes its prepared output to a receiver on an
-//     aggregator worker as soon as it finishes (transferTo). The
+//     aggregator worker as soon as it finishes (transferTo); a mapper that
+//     runs on the aggregator installs its output there directly. The
 //     aggregator is chosen per shuffle by plan.ChooseAggregator from
 //     measured map-output sizes unless Config.Aggregators pins it;
-//     reducers then read from the aggregators only.
+//     reducers are placed on the aggregator and read its block store
+//     without a request — the locality the paper aggregates for — so the
+//     bytes that cross sockets are Eq. 2's S − s₁.
 //
 // Closures execute in-process (tasks share the lineage graph), while data
 // crosses sockets in the binary record codec of internal/rdd
@@ -117,7 +123,7 @@ type Config struct {
 	// such chunks. Defaults to 256.
 	ChunkRecords int
 	// PushFanout selects nothing — a push is one chunk stream — and New rejects
-	// values above 1; it stays until perf/ stops setting it (ROADMAP 5(f)).
+	// values above 1; it stays until perf/ stops setting it (ROADMAP 1(b)).
 	PushFanout int
 	// Compression selects the per-chunk codec: "" or "none" (default,
 	// off), "gzip", or "flate". Chunks that would not shrink ship raw, so
@@ -231,9 +237,12 @@ type Stats struct {
 	// whatever per-chunk compression saved. Equal to BytesOverTCP when
 	// compression is off; never smaller.
 	BytesRaw int64
-	// PushConnections and FetchConnections count data-plane requests by
-	// purpose. Requests reuse pooled connections; Dials counts how many
-	// fresh TCP connections they actually opened. SampleRequests is always
+	// PushConnections and FetchConnections count the exchanges that crossed
+	// a socket, by purpose: a map output installed on the worker that made
+	// it, or read by a reducer on the worker that holds it, is neither.
+	// Requests reuse pooled connections; Dials counts how many fresh TCP
+	// connections the links opened (a link dials its whole width,
+	// TasksPerWorker, the first time it is used). SampleRequests is always
 	// 0: range samples ride with map outputs to the planner, nothing asks
 	// for them over the wire (the field stays for perf/, which reads it).
 	PushConnections  int64
@@ -256,8 +265,9 @@ type Stats struct {
 	// Retries counts task attempts beyond the first.
 	Retries int
 	// TrafficMatrix[i][j] is the TCP payload moved by requests from
-	// worker i to worker j. Summed over all entries it equals BytesOverTCP
-	// — the live analogue of the simulator's per-region matrix.
+	// worker i to worker j; its diagonal is zero, no worker has a link to
+	// itself. Summed over all entries it equals BytesOverTCP — the live
+	// analogue of the simulator's per-region matrix.
 	TrafficMatrix [][]int64
 	// BytesByClass splits BytesOverTCP by request purpose: "push",
 	// "shuffle" (fetch).
@@ -319,16 +329,14 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 // merge folds one drained telemetry buffer into the stats, routing its
 // receive and serve spans to the job's trace recorder. Each transfer sample
 // — one completed exchange's wire bytes over its wall-clock duration — feeds
-// the cluster's link estimator for its (src,dst) pair; a worker exchanging
-// with itself never crosses a WAN path, so self-transfers are skipped.
+// the cluster's link estimator for its (src,dst) pair; every exchange ran on
+// a link, so there is no sample from a worker to itself.
 func (s *Stats) merge(hb heartbeat, tr *trace.SyncRecorder) {
 	for _, f := range hb.Flows {
 		s.flow(f.Src, f.Dst, f.Class, f.Bytes, f.Raw)
 	}
 	for _, x := range hb.Xfers {
-		if x.Src != x.Dst {
-			s.links.ObserveTransfer(siteLabel(x.Src), siteLabel(x.Dst), float64(x.Bytes), x.Sec)
-		}
+		s.links.ObserveTransfer(siteLabel(x.Src), siteLabel(x.Dst), float64(x.Bytes), x.Sec)
 	}
 	atomic.AddInt64(&s.PushConnections, hb.Pushes)
 	atomic.AddInt64(&s.FetchConnections, hb.Fetches)
@@ -509,11 +517,13 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// wireLinks gives every worker its link to every worker, now that all of
-// them listen. Under Config.WANTopology it also makes the one bucket of each
-// cross-DC directed pair and hands it to the two links whose connections
-// move bytes in that direction: src's, which writes them, and dst's, which
-// reads them back on its fetches.
+// wireLinks gives every worker its link to every other worker, now that all
+// of them listen. links[i][i] stays nil: a worker does not talk to itself over
+// a socket, so the traffic matrix has no diagonal to account. Under
+// Config.WANTopology it also makes the one bucket of each cross-DC directed
+// pair and hands it to the two links whose connections move bytes in that
+// direction: src's, which writes them, and dst's, which reads them back on
+// its fetches.
 func (c *Cluster) wireLinks() {
 	pace := make([][]*bucket, len(c.workers))
 	for i := range pace {
@@ -527,8 +537,12 @@ func (c *Cluster) wireLinks() {
 	for i, w := range c.workers {
 		w.links = make([]*link, len(c.workers))
 		for j, peer := range c.workers {
+			if j == i {
+				continue
+			}
 			w.links[j] = &link{
 				src: i, dst: j, addr: peer.srv.addr(), tel: w.tel,
+				width:       c.cfg.TasksPerWorker,
 				dialTimeout: c.cfg.DialTimeout, ioTimeout: c.cfg.IOTimeout,
 				out: pace[i][j], in: pace[j][i],
 			}

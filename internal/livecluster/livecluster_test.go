@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 )
 
@@ -82,6 +83,18 @@ func TestWordCountOverTCPMatchesReference(t *testing.T) {
 	}
 }
 
+// sitesOf returns where each task of a stage ran, by partition: the worker
+// its finished attempt was placed on, as the driver's task events recorded it.
+func sitesOf(stats *Stats, stage int) map[int]int {
+	sites := map[int]int{}
+	for _, ev := range stats.Events.TaskEvents() {
+		if ev.Stage == stage && ev.Phase == obs.PhaseFinished {
+			sites[ev.Part] = ev.Site
+		}
+	}
+	return sites
+}
+
 func TestPushModeAggregatesOutputs(t *testing.T) {
 	_, stats := runMode(t, ModePush, buildWordCount(6, 3))
 	// All 6 map outputs must land on worker 2, none elsewhere.
@@ -94,8 +107,21 @@ func TestPushModeAggregatesOutputs(t *testing.T) {
 			t.Fatalf("worker %d holds %d outputs, want %d: %v", i, n, want, stats.ShardsByWorker)
 		}
 	}
-	if stats.PushConnections != 6 {
-		t.Fatalf("push connections = %d, want 6", stats.PushConnections)
+	// A push is an exchange that crossed a socket: one per map task that ran
+	// anywhere but on the aggregator, whose own maps install directly.
+	maps := sitesOf(stats, 0)
+	var offAggregator int64
+	for _, site := range maps {
+		if site != 2 {
+			offAggregator++
+		}
+	}
+	if len(maps) != 6 || offAggregator == 6 || stats.PushConnections != offAggregator {
+		t.Fatalf("push connections = %d, want %d: the maps ran at %v and worker 2 aggregates", stats.PushConnections, offAggregator, maps)
+	}
+	// Every reducer sits on the aggregator and reads its store directly.
+	if stats.FetchConnections != 0 {
+		t.Fatalf("%d fetch requests with reducers at %v: an aggregator's reducers read locally", stats.FetchConnections, sitesOf(stats, 1))
 	}
 }
 
@@ -114,9 +140,23 @@ func TestFetchModeScattersOutputs(t *testing.T) {
 	if holders < 3 {
 		t.Fatalf("outputs on %d workers, want scattered: %v", holders, stats.ShardsByWorker)
 	}
-	// Every reducer fetches from every map: 3×6 connections.
-	if stats.FetchConnections != 18 {
-		t.Fatalf("fetch connections = %d, want 18", stats.FetchConnections)
+	// Every reducer reads every map output, over a socket unless its own
+	// worker holds it: the fetches are the (reducer, map) pairs on different
+	// workers.
+	maps, reducers := sitesOf(stats, 0), sitesOf(stats, 1)
+	var remote, local int64
+	for _, r := range reducers {
+		for _, m := range maps {
+			if m != r {
+				remote++
+			} else {
+				local++
+			}
+		}
+	}
+	if remote+local != 3*6 || local == 0 || stats.FetchConnections != remote {
+		t.Fatalf("fetch connections = %d, want %d (%d of the 18 reads are local): maps at %v, reducers at %v",
+			stats.FetchConnections, remote, local, maps, reducers)
 	}
 }
 

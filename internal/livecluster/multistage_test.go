@@ -189,8 +189,8 @@ func TestConnectionReuse(t *testing.T) {
 	if stats1.Dials == 0 {
 		t.Fatal("first job dialed nothing")
 	}
-	if stats1.Dials > requests {
-		t.Fatalf("dials %d exceed requests %d; connections not reused", stats1.Dials, requests)
+	if links := int64(4 * 3 * cluster.cfg.TasksPerWorker); stats1.Dials > requests || stats1.Dials > links {
+		t.Fatalf("%d dials for %d requests over links %d connections wide in all; connections not reused", stats1.Dials, requests, links)
 	}
 	_, stats2, err := cluster.Run(buildChained())
 	if err != nil {

@@ -114,7 +114,8 @@ func TestLiveRunReportInvariants(t *testing.T) {
 // TestPushModeMatrixConcentratesOnAggregator is the matrix form of the
 // paper's push-aggregation claim: with the aggregator pinned, cross-worker
 // shuffle bytes land only in the aggregator's column — every other
-// worker's column (and the driver's) stays zero.
+// worker's column stays zero, and so does the diagonal, the aggregator's cell
+// included: what it holds it reads without a socket.
 func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 	const agg = 2
 	cluster, err := New(Config{Workers: 4, Mode: ModePush, Aggregators: []int{agg}})
@@ -128,8 +129,8 @@ func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 	}
 	for src, row := range stats.TrafficMatrix {
 		for dst, v := range row {
-			if dst != agg && dst != src && v != 0 {
-				t.Fatalf("push mode moved %d bytes from %d to non-aggregator %d\nmatrix: %v",
+			if (dst != agg || src == agg) && v != 0 {
+				t.Fatalf("push mode moved %d bytes from %d to %d, not from another worker to the aggregator\nmatrix: %v",
 					v, src, dst, stats.TrafficMatrix)
 			}
 		}
@@ -168,104 +169,127 @@ func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
 	}
 }
 
-// TestReceiveSpansCarryCodecBytes pins the spans' byte accounting: a push
-// span, and the receive spans linked to it together, report the
-// record-codec bytes that push sent, and a fetch span reports what the
-// serve spans nested under it add up to — whether the chunks crossed the
-// wire raw or compressed.
+// TestReceiveSpansCarryCodecBytes pins the spans' byte accounting, which
+// follows the sockets: a push span, and the receive span linked to it, report
+// the record-codec bytes that push sent, and a map task that ran on its
+// aggregator has neither; a fetch span reports what the serve spans nested
+// under it add up to — whether the chunks crossed the wire raw or compressed
+// — and a gather that touched no socket still leaves its fetch span, with
+// its records, no bytes and itself as the source.
 func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 	const chunkRecords = 16
-	build := func() (*rdd.RDD, []float64) {
+	const agg = 1
+	build := func() (*rdd.RDD, []float64, int) {
 		g := rdd.NewGraph()
 		parts := make([]rdd.InputPartition, 4)
 		sent := make([]float64, len(parts)) // codec bytes of each map output's chunks
+		records := 0
 		for p := range parts {
 			parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: pairs(50 + 30*p)}
-			for _, chunk := range splitRecords(parts[p].Records, chunkRecords) {
-				sent[p] += rdd.EncodedSize(chunk)
-			}
+			records += len(parts[p].Records)
+			sent[p] = streamedBytes(parts[p].Records, chunkRecords)
 		}
 		// No map-side combine: each map output is its input partition.
-		return g.Input("in", parts).GroupByKey("group", 2), sent
+		return g.Input("in", parts).GroupByKey("group", 2), sent, records
 	}
-	// Heartbeats at their default period, then off: the spans reach the
-	// recorder on beats and in the final flush, or in the flush alone.
+	// Push mode, where the reducers sit on the aggregator and read locally,
+	// and fetch mode, where most reads have serves. Heartbeats at their
+	// default period, then off: the spans reach the recorder on beats and in
+	// the final flush, or in the flush alone.
 	for _, v := range []struct {
+		mode      Mode
 		codec     string
 		heartbeat time.Duration
-	}{{CodecNone, 0}, {CodecFlate, 0}, {CodecNone, -1}, {CodecFlate, -1}} {
-		codec := v.codec
+	}{
+		{ModePush, CodecNone, 0}, {ModePush, CodecFlate, 0}, {ModePush, CodecNone, -1}, {ModePush, CodecFlate, -1},
+		{ModeFetch, CodecNone, 0}, {ModeFetch, CodecFlate, -1},
+	} {
 		tr := &trace.SyncRecorder{}
 		cluster, err := New(Config{
-			Workers: 2, Mode: ModePush, Aggregators: []int{1},
-			ChunkRecords: chunkRecords, Compression: codec, Trace: tr,
+			Workers: 2, Mode: v.mode, Aggregators: []int{agg},
+			ChunkRecords: chunkRecords, Compression: v.codec, Trace: tr,
 			HeartbeatInterval: v.heartbeat,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, sent := build()
+		job, sent, records := build()
 		_, stats, err := cluster.Run(job)
 		cluster.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if codec != CodecNone && stats.BytesRaw <= stats.BytesOverTCP {
-			t.Fatalf("codec %q: nothing was compressed, the test would prove nothing", codec)
+		if v.codec != CodecNone && stats.BytesRaw <= stats.BytesOverTCP {
+			t.Fatalf("%v, codec %q: nothing was compressed, the test would prove nothing", v.mode, v.codec)
 		}
-		mapPartOf := map[trace.SpanID]int{}
-		pushed := make([]float64, len(sent))
-		fetched := map[trace.SpanID]float64{}
+		mapSite := map[int]int{}
+		pushed := map[int]float64{} // by map partition
+		pushOf := map[trace.SpanID]int{}
+		fetches := map[trace.SpanID]trace.Span{}
 		for _, s := range tr.Spans() {
 			switch s.Kind {
+			case trace.KindMap:
+				mapSite[s.Part] = int(s.Host)
 			case trace.KindPush:
-				mapPartOf[s.ID] = s.Part
+				pushOf[s.ID] = s.Part
 				pushed[s.Part] = s.Bytes
 			case trace.KindFetch:
-				fetched[s.ID] = s.Bytes
+				fetches[s.ID] = s
 			}
 		}
-		received := make([]float64, len(sent))
+		received := map[int]float64{}
 		served := map[trace.SpanID]float64{}
 		for _, s := range tr.Spans() {
 			if s.Kind == trace.KindServe {
-				if _, ok := fetched[s.Parent]; !ok {
-					t.Fatalf("codec %q: serve span %d nests under no fetch span", codec, s.ID)
+				if _, ok := fetches[s.Parent]; !ok {
+					t.Fatalf("%v, codec %q: serve span %d nests under no fetch span", v.mode, v.codec, s.ID)
 				}
 				served[s.Parent] += s.Bytes
 			}
 			if s.Kind != trace.KindReceive {
 				continue
 			}
-			part, ok := mapPartOf[s.Link]
+			part, ok := pushOf[s.Link]
 			if !ok {
-				t.Fatalf("codec %q: receive span %d links to no push span", codec, s.ID)
-			}
-			if s.Bytes <= 0 {
-				t.Errorf("codec %q: receive span of map %d reports %v bytes", codec, part, s.Bytes)
+				t.Fatalf("%v, codec %q: receive span %d links to no push span", v.mode, v.codec, s.ID)
 			}
 			received[part] += s.Bytes
 		}
+		// A map output crossed a socket, with a push span and its receive,
+		// exactly when push mode ran its task off the aggregator.
 		for p := range sent {
-			if received[p] != sent[p] || pushed[p] != sent[p] {
-				t.Errorf("codec %q: map %d: its push sent %v codec bytes, the push span reports %v, its receive spans %v",
-					codec, p, sent[p], pushed[p], received[p])
+			want := 0.0
+			if v.mode == ModePush && mapSite[p] != agg {
+				want = sent[p]
+			}
+			if _, has := pushed[p]; has != (want > 0) || pushed[p] != want || received[p] != want {
+				t.Errorf("%v, codec %q: map %d ran on worker %d: its push should send %v codec bytes, the push span reports %v, its receive span %v",
+					v.mode, v.codec, p, mapSite[p], want, pushed[p], received[p])
 			}
 		}
-		// Both ends of a fetch agree too, and between them the fetches
-		// moved every record the pushes delivered.
-		var fetchTotal, sentTotal float64
-		for id, b := range fetched {
-			if b <= 0 || b != served[id] {
-				t.Errorf("codec %q: fetch span %d reports %v bytes, its serve spans %v", codec, id, b, served[id])
+		if v.mode == ModePush && (len(pushed) == 0 || len(pushed) == len(sent)) {
+			t.Fatalf("push mode: %d of %d maps pushed; the test wants some on the aggregator and some off it", len(pushed), len(sent))
+		}
+		// Both ends of a fetch agree, over the serves that exist; between
+		// them the fetch spans account for every record the maps produced.
+		var fetchedRecords, overSockets int
+		for id, f := range fetches {
+			if f.Bytes != served[id] {
+				t.Errorf("%v, codec %q: fetch span %d reports %v bytes, its serve spans %v", v.mode, v.codec, id, f.Bytes, served[id])
 			}
-			fetchTotal += b
+			if _, remote := served[id]; remote {
+				overSockets++
+			} else if f.Bytes != 0 || f.SrcSite != f.DstSite || f.Records == 0 {
+				t.Errorf("%v, codec %q: fetch span %d touched no socket and reports %v bytes, %d records, %s→%s",
+					v.mode, v.codec, id, f.Bytes, f.Records, f.SrcSite, f.DstSite)
+			}
+			fetchedRecords += f.Records
 		}
-		for _, b := range sent {
-			sentTotal += b
+		if len(fetches) != 2 || fetchedRecords != records {
+			t.Errorf("%v, codec %q: %d fetch spans carry %d records, want the 2 reducers' and all %d", v.mode, v.codec, len(fetches), fetchedRecords, records)
 		}
-		if len(fetched) == 0 || fetchTotal < sentTotal*0.9 || fetchTotal > sentTotal*1.1 {
-			t.Errorf("codec %q: %d fetch spans report %v bytes for %v pushed", codec, len(fetched), fetchTotal, sentTotal)
+		if wantRemote := v.mode == ModeFetch; (overSockets > 0) != wantRemote {
+			t.Errorf("%v: %d of %d gathers crossed a socket", v.mode, overSockets, len(fetches))
 		}
 	}
 }

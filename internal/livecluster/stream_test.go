@@ -284,7 +284,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 
 	// An unknown kind is a whole request the server cannot serve: it answers
 	// with an error terminal frame and both ends keep the connection.
-	c := streamCluster(t, Config{Workers: 2}, 1)
+	c := streamCluster(t, Config{Workers: 2, TasksPerWorker: 1}, 1) // one slot: the link is one connection wide
 	l := c.workers[0].links[1]
 	for i := 0; i < 2; i++ {
 		pc, _, err := l.get()
@@ -730,7 +730,8 @@ func TestZombieAttemptStreamsBesideLaterOne(t *testing.T) {
 // and installs nothing, and the push retried under the same attempt goes
 // through.
 func TestCutPushStreamInstallsNothing(t *testing.T) {
-	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, 1)
+	// One task slot, so the cut connection is the only one the link dialed.
+	c := streamCluster(t, Config{Workers: 2, TasksPerWorker: 1, ChunkRecords: 4}, 1)
 	w0, w1 := c.workers[0], c.workers[1]
 	in := pairs(12)
 	p := startPush(t, w0.links[1], request{ShuffleID: 7, Attempt: 1})

@@ -144,8 +144,9 @@ type worker struct {
 	// a blockstore.SpillStore, so an aggregator's resident heap stays
 	// bounded while cold outputs ride on disk. The store locks internally.
 	store blockstore.Store
-	// links[dst] is this worker's link to worker dst (itself included),
-	// wired by the cluster once every worker listens.
+	// links[dst] is this worker's link to worker dst, wired by the cluster
+	// once every worker listens; links[id] is nil, there is no link to
+	// oneself.
 	links []*link
 
 	// bucketBuilds counts deferred whole-output bucketing passes; pushes
@@ -197,7 +198,9 @@ func (w *worker) close() {
 			close(w.stopHB)
 		}
 		for _, l := range w.links {
-			l.closeAll()
+			if l != nil { // none to itself
+				l.closeAll()
+			}
 		}
 		w.resumeRequests() // unpark any test-stalled handlers
 	}
@@ -438,8 +441,9 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	})
 }
 
-// storeMapOutput stores a locally produced map output (fetch mode), run
-// through the same bucketing and idempotency path as pushed outputs.
+// storeMapOutput stores a locally produced map output (fetch mode, and a
+// push-mode map task that ran on its aggregator), run through the same
+// bucketing and idempotency path as pushed outputs.
 func (w *worker) storeMapOutput(shuffleID, mapPart, attempt int, records []rdd.Pair) error {
 	out := blockstore.Output{Attempt: attempt}
 	if spec := w.spec(shuffleID); spec != nil && spec.Partitioner.Ready() {
@@ -478,12 +482,14 @@ func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
 // shardOf returns one reduce shard of a stored output: an O(1) per-reduce
 // lookup once the output is bucketed. Flat outputs (range-partitioned
 // shuffles stored before the barrier) are bucketed exactly once, on the
-// first fetch — never re-bucketed per fetch. Spilled outputs reload from
-// disk transparently inside the store.
+// first read — never re-bucketed per read. Spilled outputs reload from
+// disk transparently inside the store. The shard is the store's own slice:
+// streamFetch encodes it, a local reader copies it (plan.Task.Gather), and
+// neither writes to it.
 func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
 	shards, err := w.store.Shards(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, w.bucketFn(shuffleID))
 	if errors.Is(err, blockstore.ErrNotFound) {
-		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d", w.id, shuffleID, mapPart)
+		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d: %w", w.id, shuffleID, mapPart, err)
 	}
 	if err != nil {
 		return nil, err

@@ -18,8 +18,8 @@ var Catalogue = []MetricDoc{
 	{"bytes_cross_dc_total", "counter", "`class`", "sim", "bytes crossing DC boundaries per class"},
 	{"bytes_wire_total", "counter", "—", "live", "actual socket bytes (post-compression)"},
 	{"bytes_raw_total", "counter", "—", "live", "uncompressed-equivalent bytes (wire + savings)"},
-	{"push_chunks_total", "counter", "—", "live", "data chunks a pusher sent, counted once its push succeeded"},
-	{"fetch_chunks_total", "counter", "—", "live", "data chunks a fetcher received, counted once its fetch succeeded"},
+	{"push_chunks_total", "counter", "—", "live", "data chunks of pushes, exchanges that crossed a socket (a map output made on its aggregator installs directly), counted once the push succeeded"},
+	{"fetch_chunks_total", "counter", "—", "live", "data chunks of fetches, exchanges that crossed a socket (a reducer reads what its own worker holds directly), counted once the fetch succeeded"},
 	{"push_duplicates_total", "counter", "—", "live", "duplicate pushes dropped (retried attempts)"},
 	{"bucket_builds_total", "counter", "—", "live", "deferred whole-output bucketing passes"},
 	{"heartbeats_total", "counter", "`worker`", "live", "ticker beats the driver merged (the end-of-job flush is not one)"},
