@@ -3,8 +3,9 @@
 // the simulated six-region cluster and reports the paper's metrics as
 // custom benchmark outputs:
 //
-//	JCT-s        job completion time (virtual seconds)
-//	crossDC-MB   cross-datacenter traffic
+//	JCT-s        job completion time (virtual seconds; Fig. 7)
+//	crossDC-MB   cross-datacenter traffic (Fig. 8)
+//	stageSum-s   summed stage spans, the stacked bar height (Fig. 9)
 //
 // Run everything with:
 //
@@ -30,11 +31,11 @@ func benchOpts() bench.Options {
 	return bench.Options{Runs: 1, Scale: 1.0}
 }
 
-// runWorkload executes one (workload, scheme) cell and reports JCT and
-// cross-DC traffic.
+// runWorkload executes one (workload, scheme) cell and reports the three
+// quantities Figs. 7, 8 and 9 read off the same run.
 func runWorkload(b *testing.B, w *workloads.Workload, scheme core.Scheme) {
 	b.Helper()
-	var jct, cross float64
+	var jct, cross, stages float64
 	for i := 0; i < b.N; i++ {
 		rep, err := bench.RunOne(w, scheme, int64(i+1), benchOpts())
 		if err != nil {
@@ -42,60 +43,25 @@ func runWorkload(b *testing.B, w *workloads.Workload, scheme core.Scheme) {
 		}
 		jct += rep.JCT
 		cross += rep.CrossDCBytes / 1e6
+		for _, st := range rep.Stages {
+			stages += st.End - st.Start
+		}
 	}
 	b.ReportMetric(jct/float64(b.N), "JCT-s")
 	b.ReportMetric(cross/float64(b.N), "crossDC-MB")
+	b.ReportMetric(stages/float64(b.N), "stageSum-s")
 }
 
-// --- Fig. 7: job completion time, all five workloads × three schemes ---
+// --- Figs. 7, 8 and 9: the paper's sweep, all five workloads × three
+// schemes. The three figures are views of the same runs, so each cell is
+// simulated once. ---
 
-func BenchmarkFig7(b *testing.B) {
+func BenchmarkFigs7to9(b *testing.B) {
 	for _, w := range workloads.All() {
 		for _, scheme := range bench.Schemes() {
 			w, scheme := w, scheme
 			b.Run(fmt.Sprintf("%s/%v", w.Name, scheme), func(b *testing.B) {
 				runWorkload(b, w, scheme)
-			})
-		}
-	}
-}
-
-// --- Fig. 8: cross-datacenter traffic (Sort, TeraSort, PageRank,
-// NaiveBayes) ---
-
-func BenchmarkFig8(b *testing.B) {
-	for _, w := range workloads.All() {
-		if !w.InFig8 {
-			continue
-		}
-		for _, scheme := range bench.Schemes() {
-			w, scheme := w, scheme
-			b.Run(fmt.Sprintf("%s/%v", w.Name, scheme), func(b *testing.B) {
-				runWorkload(b, w, scheme)
-			})
-		}
-	}
-}
-
-// --- Fig. 9: per-stage breakdown; the stage spans of the Fig. 7 runs.
-// Reported here as total stage-time (the stacked bar height). ---
-
-func BenchmarkFig9(b *testing.B) {
-	for _, w := range workloads.All() {
-		for _, scheme := range bench.Schemes() {
-			w, scheme := w, scheme
-			b.Run(fmt.Sprintf("%s/%v", w.Name, scheme), func(b *testing.B) {
-				var total float64
-				for i := 0; i < b.N; i++ {
-					rep, err := bench.RunOne(w, scheme, int64(i+1), benchOpts())
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, st := range rep.Stages {
-						total += st.End - st.Start
-					}
-				}
-				b.ReportMetric(total/float64(b.N), "stageSum-s")
 			})
 		}
 	}

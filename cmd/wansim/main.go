@@ -11,7 +11,7 @@
 // modes run from one options value (options.go) through one backend seam
 // (backend.go): runOnce (run.go) and runServe (serve.go) never learn which
 // substrate executes the job, and everything printed comes from the
-// canonical obs.Report (print.go). SIGINT/SIGTERM cancels the in-flight job
+// canonical obs.Report (printReport in run.go). SIGINT/SIGTERM cancels the in-flight job
 // cooperatively in every mode; -serve additionally drains its queue.
 package main
 

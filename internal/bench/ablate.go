@@ -8,8 +8,6 @@ import (
 	"wanshuffle/internal/core"
 	"wanshuffle/internal/exec"
 	"wanshuffle/internal/plan"
-	"wanshuffle/internal/rdd"
-	"wanshuffle/internal/simnet"
 	"wanshuffle/internal/stats"
 	"wanshuffle/internal/workloads"
 )
@@ -22,40 +20,25 @@ type AblationRow struct {
 	CrossMB stats.Summary
 }
 
-// runVariant sweeps one workload × scheme under a tweaked engine config
-// and optionally tweaked workload options.
-func runVariant(w *workloads.Workload, scheme core.Scheme, opts Options, mutate func(*exec.Config), wlMutate func(*workloads.Options)) (AblationRow, error) {
-	opts = opts.withDefaults()
-	var jcts, cross []float64
-	for i := 0; i < opts.Runs; i++ {
-		seed := opts.BaseSeed + int64(i)
-		cfg := core.Config{
-			Seed:   seed,
-			Scheme: scheme,
-			Exec: exec.Config{
-				Net: simnet.Config{JitterAmplitude: opts.Jitter},
-			},
-		}
-		if mutate != nil {
-			mutate(&cfg.Exec)
-		}
-		ctx := core.NewContext(cfg)
-		wlOpts := workloads.Options{Seed: seed, Scale: opts.Scale}
-		if wlMutate != nil {
-			wlMutate(&wlOpts)
-		}
-		inst := w.Make(ctx, wlOpts)
-		rep, err := ctx.Save(inst.Target)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		jcts = append(jcts, rep.JCT)
-		cross = append(cross, rep.CrossDCBytes/1e6)
-	}
-	return AblationRow{JCT: stats.Summarize(jcts), CrossMB: stats.Summarize(cross)}, nil
+// Ablate runs the design-choice ablations DESIGN.md calls out; ablations
+// lists them.
+func Ablate(opts Options) ([]AblationRow, error) {
+	return ablate(ablations(), opts)
 }
 
-// Ablate runs the design-choice ablations DESIGN.md calls out:
+func ablate(variants []variant, opts Options) ([]AblationRow, error) {
+	series, err := summarize(variants, opts)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRow, len(variants))
+	for i, v := range variants {
+		rows[i] = AblationRow{Study: v.study, Variant: v.label, JCT: series[i].JCT, CrossMB: series[i].CrossDCMB}
+	}
+	return rows, nil
+}
+
+// ablations is the table of studies:
 //
 //   - pipelining: pushes at map completion (the paper's design) vs held at
 //     a phase barrier;
@@ -63,61 +46,35 @@ func runVariant(w *workloads.Workload, scheme core.Scheme, opts Options, mutate 
 //   - aggregation spread: top-K ∈ {1, 2, 3} datacenters;
 //   - WAN burst degradation β (the fetch-storm model) including β = 0,
 //     the idealized fluid-TCP network;
+//   - multi-tenancy and mapper-node failure;
 //   - bandwidth jitter amplitude, the driver of the baseline's variance.
 //
 // TeraSort exercises the network-heavy path; PageRank the iterative one.
-func Ablate(opts Options) ([]AblationRow, error) {
-	opts = opts.withDefaults()
-	var rows []AblationRow
-	add := func(study, variant string, row AblationRow, err error) error {
-		if err != nil {
-			return fmt.Errorf("bench: ablation %s/%s: %w", study, variant, err)
-		}
-		row.Study = study
-		row.Variant = variant
-		rows = append(rows, row)
-		return nil
-	}
-
+func ablations() []variant {
 	ts := workloads.TeraSort()
 	pr := workloads.PageRank()
+	var vs []variant
+	add := func(study string, v variant) {
+		v.study = study
+		vs = append(vs, v)
+	}
 
 	// 1a. Pipelining in the Fig. 1 micro-scenario, where map completions
 	// stagger heavily — the regime the mechanism targets.
-	for _, noPipe := range []bool{false, true} {
-		name := "pushed at map completion (paper)"
-		if noPipe {
-			name = "held at phase barrier"
-		}
-		noPipe := noPipe
-		var jcts, cross []float64
-		for i := 0; i < opts.Runs; i++ {
-			res, err := microScenario(true, false, opts.BaseSeed+int64(i), func(c *exec.Config) { c.NoPipelining = noPipe })
-			if err != nil {
-				return nil, fmt.Errorf("bench: ablation pipelining micro: %w", err)
-			}
-			jcts = append(jcts, res.JCT)
-			cross = append(cross, res.CrossDCMB)
-		}
-		row := AblationRow{JCT: stats.Summarize(jcts), CrossMB: stats.Summarize(cross)}
-		if err := add("pipelining[Fig.1 micro]", name, row, nil); err != nil {
-			return nil, err
-		}
+	pipelining := []variant{
+		{label: "pushed at map completion (paper)"},
+		{label: "held at phase barrier", engine: func(c *exec.Config) { c.NoPipelining = true }},
+	}
+	for _, p := range pipelining {
+		add("pipelining[Fig.1 micro]", variant{label: p.label, engine: p.engine, cell: microPush})
 	}
 
 	// 1b. Pipelining at workload scale: 96 map partitions (two task waves
 	// per core) give only a mild stagger, bounding the effect.
 	multiWave := func(o *workloads.Options) { o.MapParts = 96 }
-	for _, noPipe := range []bool{false, true} {
-		name := "pushed at map completion (paper)"
-		if noPipe {
-			name = "held at phase barrier"
-		}
-		noPipe := noPipe
-		row, err := runVariant(ts, core.SchemeAggShuffle, opts, func(c *exec.Config) { c.NoPipelining = noPipe }, multiWave)
-		if err := add("pipelining[TeraSort,96 maps]", name, row, err); err != nil {
-			return nil, err
-		}
+	for _, p := range pipelining {
+		add("pipelining[TeraSort,96 maps]", variant{label: p.label, engine: p.engine,
+			workload: ts, scheme: core.SchemeAggShuffle, input: multiWave})
 	}
 
 	// 2. Aggregator selection rule.
@@ -129,22 +86,15 @@ func Ablate(opts Options) ([]AblationRow, error) {
 		{"random datacenter", plan.AggregatorRandom},
 		{"smallest input share", plan.AggregatorWorst},
 	} {
-		p := p
-		row, err := runVariant(pr, core.SchemeAggShuffle, opts, func(c *exec.Config) { c.AggregatorPolicy = p.policy }, nil)
-		if err := add("aggregator-rule[PageRank]", p.name, row, err); err != nil {
-			return nil, err
-		}
+		add("aggregator-rule[PageRank]", variant{label: p.name, workload: pr, scheme: core.SchemeAggShuffle,
+			engine: func(c *exec.Config) { c.AggregatorPolicy = p.policy }})
 	}
 
 	// 3. Aggregating into the top-K datacenters. Uses the explicit-style
 	// TeraSort so K applies to the raw-input transfer.
 	for k := 1; k <= 3; k++ {
-		k := k
-		w := teraSortTopK(k)
-		row, err := runVariant(w, core.SchemeManual, opts, nil, nil)
-		if err := add("aggregate-top-K[TeraSort]", fmt.Sprintf("K=%d", k), row, err); err != nil {
-			return nil, err
-		}
+		add("aggregate-top-K[TeraSort]", variant{label: fmt.Sprintf("K=%d", k),
+			workload: workloads.TeraSortExplicitTopK(k), scheme: core.SchemeManual})
 	}
 
 	// 4. WAN burst degradation β, on the Spark baseline.
@@ -153,98 +103,57 @@ func Ablate(opts Options) ([]AblationRow, error) {
 		if beta < 0 {
 			name = "β=0 (idealized fluid TCP)"
 		}
-		beta := beta
-		row, err := runVariant(ts, core.SchemeSpark, opts, func(c *exec.Config) { c.Net.BurstPenalty = beta }, nil)
-		if err := add("burst-penalty[TeraSort/Spark]", name, row, err); err != nil {
-			return nil, err
-		}
+		add("burst-penalty[TeraSort/Spark]", variant{label: name, workload: ts, scheme: core.SchemeSpark,
+			engine: func(c *exec.Config) { c.Net.BurstPenalty = beta }})
 	}
 
 	// 4b. Multi-tenancy (Sec. IV-E limitation discussion): three
 	// concurrent WordCounts share the cluster; Push/Aggregate must remain
 	// beneficial even while jobs contend for the aggregator datacenter.
 	for _, scheme := range []core.Scheme{core.SchemeSpark, core.SchemeAggShuffle} {
-		var slowest, cross []float64
-		for i := 0; i < opts.Runs; i++ {
-			seed := opts.BaseSeed + int64(i)
-			ctx := core.NewContext(core.Config{
-				Seed: seed, Scheme: scheme,
-				Exec: exec.Config{Net: simnet.Config{JitterAmplitude: opts.Jitter}},
-			})
-			wc := workloads.WordCount()
-			var targets []*rdd.RDD
-			for j := 0; j < 3; j++ {
-				inst := wc.Make(ctx, workloads.Options{Seed: seed + int64(100*j), Scale: opts.Scale})
-				targets = append(targets, inst.Target)
-			}
-			reports, err := ctx.RunConcurrently(targets)
-			if err != nil {
-				return nil, fmt.Errorf("bench: multi-tenancy ablation: %w", err)
-			}
-			var worst, crossTotal float64
-			for _, rep := range reports {
-				if rep.JCT > worst {
-					worst = rep.JCT
-				}
-			}
-			crossTotal = reports[len(reports)-1].CrossDCBytes / 1e6
-			slowest = append(slowest, worst)
-			cross = append(cross, crossTotal)
-		}
-		row := AblationRow{JCT: stats.Summarize(slowest), CrossMB: stats.Summarize(cross)}
-		if err := add("multi-tenancy[3×WordCount]", fmt.Sprintf("%v (slowest of 3)", scheme), row, nil); err != nil {
-			return nil, err
-		}
+		add("multi-tenancy[3×WordCount]", variant{label: fmt.Sprintf("%v (slowest of 3)", scheme),
+			workload: workloads.WordCount(), scheme: scheme, tenants: 3})
 	}
 
 	// 4c. Node failure (beyond the paper's reducer-retry scenario): a
 	// mapper's host dies after the map stage. Fetch-based shuffle loses
 	// the shuffle files and recomputes; pushed shuffle input survives in
 	// the aggregator datacenter.
-	for _, push := range []bool{false, true} {
-		name := "fetch (recompute lost maps)"
-		if push {
-			name = "push (output survives mapper death)"
-		}
-		var jcts []float64
-		for i := 0; i < opts.Runs; i++ {
-			seed := opts.BaseSeed + int64(i)
-			clean, err := microScenario(push, false, seed)
-			if err != nil {
-				return nil, fmt.Errorf("bench: node-failure ablation: %w", err)
-			}
-			failed, err := microScenario(push, false, seed, func(c *exec.Config) {
-				c.HostFailures = []exec.HostFailure{{Host: 0, At: clean.JCT * 0.55}}
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: node-failure ablation: %w", err)
-			}
-			jcts = append(jcts, failed.JCT-clean.JCT)
-		}
-		row := AblationRow{JCT: stats.Summarize(jcts)}
-		if err := add("node-failure-penalty[Fig.1 micro]", name, row, nil); err != nil {
-			return nil, err
-		}
-	}
+	add("node-failure-penalty[Fig.1 micro]", variant{label: "fetch (recompute lost maps)", cell: mapperDeathPenalty(false)})
+	add("node-failure-penalty[Fig.1 micro]", variant{label: "push (output survives mapper death)", cell: mapperDeathPenalty(true)})
 
 	// 5. Jitter amplitude, Spark baseline vs AggShuffle.
 	for _, amp := range []float64{-1, 0.25, 0.4} {
 		for _, scheme := range []core.Scheme{core.SchemeSpark, core.SchemeAggShuffle} {
-			o := opts
-			o.Jitter = amp
-			row, err := runVariant(ts, scheme, o, nil, nil)
-			if err := add("jitter[TeraSort]", fmt.Sprintf("amp=%.2f %v", math.Max(amp, 0), scheme), row, err); err != nil {
-				return nil, err
-			}
+			add("jitter[TeraSort]", variant{label: fmt.Sprintf("amp=%.2f %v", math.Max(amp, 0), scheme), workload: ts, scheme: scheme,
+				engine: func(c *exec.Config) { c.Net.JitterAmplitude = amp }})
 		}
 	}
-	return rows, nil
+	return vs
 }
 
-// teraSortTopK is TeraSort with an explicit top-K raw-input aggregation.
-func teraSortTopK(k int) *workloads.Workload {
-	w := workloads.TeraSortExplicitTopK(k)
-	return w
+// microPush is the cell of the Fig. 1 micro-scenario under push, with the
+// variant's engine knobs.
+func microPush(v variant, seed int64) (outcome, error) {
+	res, err := microScenario(true, seed, v.engine)
+	if err != nil {
+		return outcome{}, err
+	}
+	return outcome{jct: res.JCT, crossMB: res.CrossDCMB}, nil
+}
+
+// mapperDeathPenalty is the cell that reports the JCT a mapper's host
+// dying just after the map stage costs the micro-scenario.
+func mapperDeathPenalty(push bool) func(variant, int64) (outcome, error) {
+	return func(_ variant, seed int64) (outcome, error) {
+		res, err := microFailure(push, seed, func(clean *MicroResult, c *exec.Config) {
+			c.HostFailures = []exec.HostFailure{{Host: 0, At: clean.JCT * 0.55}}
+		})
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{jct: res.Penalty}, nil
+	}
 }
 
 // FormatAblation renders ablation rows grouped by study.

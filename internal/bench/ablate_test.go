@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"wanshuffle/internal/core"
+	"wanshuffle/internal/rdd"
+	"wanshuffle/internal/workloads"
 )
 
 // TestAblateSmoke runs every ablation at tiny scale and sanity-checks the
@@ -72,5 +77,27 @@ func TestAblateSmoke(t *testing.T) {
 		if !strings.Contains(out, study) {
 			t.Errorf("formatted ablation missing %q", study)
 		}
+	}
+}
+
+// TestAblateValidates holds the ablations to -validate: they go through
+// the one runner, so a variant whose output check always fails must fail
+// the study when Validate is set, and only then.
+func TestAblateValidates(t *testing.T) {
+	wrong := workloads.Sort()
+	wrong.Check = func(_, _ []rdd.Pair) error { return errors.New("never right") }
+	study := []variant{{study: "s", label: "wrong", workload: wrong, scheme: core.SchemeSpark}}
+
+	opts := Options{Runs: 2, Scale: 0.05}
+	if _, err := ablate(study, opts); err != nil {
+		t.Fatalf("unvalidated study failed: %v", err)
+	}
+	opts.Validate = true
+	_, err := ablate(study, opts)
+	if err == nil || !strings.Contains(err.Error(), "never right") {
+		t.Fatalf("validated study returned %v, want the check's error", err)
+	}
+	if !strings.Contains(err.Error(), "s/wrong seed 1") {
+		t.Errorf("error %q does not name the first failing cell", err)
 	}
 }

@@ -7,11 +7,14 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 
 	"wanshuffle/internal/core"
 	"wanshuffle/internal/exec"
 	"wanshuffle/internal/obs"
+	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/simnet"
 	"wanshuffle/internal/stats"
 	"wanshuffle/internal/workloads"
@@ -36,8 +39,6 @@ type Options struct {
 	// 0.25, matching the paper's observation that inter-region capacity
 	// varies widely over time.
 	Jitter float64
-	// Parallelism bounds concurrent simulation runs. Defaults to 8.
-	Parallelism int
 	// Validate re-checks every run's output against the in-memory
 	// reference (slower; on by default at small scale in tests).
 	Validate bool
@@ -56,44 +57,166 @@ func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
+	// Negative passes through: simnet/core treat it as jitter disabled.
 	if o.Jitter == 0 {
 		o.Jitter = 0.25
-	}
-	// Negative passes through: simnet/core treat it as jitter disabled.
-	if o.Parallelism <= 0 {
-		o.Parallelism = 8
 	}
 	return o
 }
 
-// RunOne executes a single workload run and returns its report.
-func RunOne(w *workloads.Workload, scheme core.Scheme, seed int64, opts Options) (*core.Report, error) {
-	opts = opts.withDefaults()
-	ctx := core.NewContext(core.Config{
+// variant is one row of an experiment: a workload under a scheme, with
+// the knobs that row turns away from the paper's configuration. Every
+// figure, table and ablation is a list of these.
+type variant struct {
+	// study and label name the row where (workload, scheme) does not.
+	study, label string
+	workload     *workloads.Workload
+	scheme       core.Scheme
+	// engine and input adjust the engine config and the workload options
+	// of every run; nil leaves them at the paper's.
+	engine func(*exec.Config)
+	input  func(*workloads.Options)
+	// tenants is how many instances of the workload start at the same
+	// instant on the one cluster; 0 means the paper's 1.
+	tenants int
+	// cell, when set, replaces the workload run (the Fig. 1
+	// micro-scenario).
+	cell func(v variant, seed int64) (outcome, error)
+}
+
+// outcome is what one (variant, seed) cell contributes to its row.
+type outcome struct {
+	jct, crossMB float64
+	// stages are the run's stage spans in seconds, by stage index.
+	stages []float64
+	// rep is the run behind the numbers. It holds its whole simulated
+	// cluster, so runAll drops it; nil after a custom cell.
+	rep *core.Report
+	err error
+}
+
+func (v variant) String() string {
+	if v.label != "" {
+		return v.study + "/" + v.label
+	}
+	return fmt.Sprintf("%s/%v", v.workload.Name, v.scheme)
+}
+
+// run executes one cell, naming it in any error.
+func (v variant) run(seed int64, opts Options) (o outcome) {
+	var err error
+	if v.cell != nil {
+		o, err = v.cell(v, seed)
+	} else {
+		o, err = v.runWorkload(seed, opts)
+	}
+	if err != nil {
+		o.err = fmt.Errorf("bench: %v seed %d: %w", v, seed, err)
+	}
+	return o
+}
+
+// runWorkload is the standard cell: the variant's workload on a fresh
+// simulated cluster, validated when opts ask for it. With several tenants
+// the cell's JCT is the slowest job's; each report's traffic is the
+// cluster-wide delta over its job's lifetime, so the last job's is the
+// cell's.
+func (v variant) runWorkload(seed int64, opts Options) (outcome, error) {
+	cfg := core.Config{
 		Seed:   seed,
-		Scheme: scheme,
+		Scheme: v.scheme,
 		Exec: exec.Config{
 			Net:   simnet.Config{JitterAmplitude: opts.Jitter},
 			Trace: opts.Trace,
 		},
-	})
-	inst := w.Make(ctx, workloads.Options{Seed: seed, Scale: opts.Scale})
-	// HiBench jobs write their output to HDFS rather than collecting it
-	// at the driver; Save models that.
-	rep, err := ctx.Save(inst.Target)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s/%v seed %d: %w", w.Name, scheme, seed, err)
 	}
-	if opts.Validate {
-		if err := inst.Validate(rep.Records); err != nil {
-			return nil, fmt.Errorf("bench: %s/%v seed %d: wrong results: %w", w.Name, scheme, seed, err)
+	if v.engine != nil {
+		v.engine(&cfg.Exec)
+	}
+	ctx := core.NewContext(cfg)
+	insts := make([]*workloads.Instance, max(v.tenants, 1))
+	targets := make([]*rdd.RDD, len(insts))
+	for j := range insts {
+		in := workloads.Options{Seed: seed + int64(100*j), Scale: opts.Scale}
+		if v.input != nil {
+			v.input(&in)
+		}
+		insts[j] = v.workload.Make(ctx, in)
+		targets[j] = insts[j].Target
+	}
+	// HiBench jobs write their output to HDFS rather than collecting it
+	// at the driver; RunConcurrently saves.
+	reports, err := ctx.RunConcurrently(targets)
+	if err != nil {
+		return outcome{}, err
+	}
+	last := reports[len(reports)-1]
+	o := outcome{crossMB: last.CrossDCBytes / 1e6, rep: last}
+	for _, st := range last.Stages {
+		o.stages = append(o.stages, st.End-st.Start)
+	}
+	for j, rep := range reports {
+		o.jct = math.Max(o.jct, rep.JCT)
+		if opts.Validate {
+			if err := insts[j].Validate(rep.Records); err != nil {
+				return outcome{}, fmt.Errorf("wrong results: %w", err)
+			}
 		}
 	}
-	return rep, nil
+	return o, nil
 }
 
-// Series is one (workload, scheme) sample set across runs.
+// runAll is the one seeded runner: it executes every variant for
+// opts.Runs seeds, each cell on its own simulated cluster, and returns the
+// outcomes as [variant][run]. Cells run in parallel on one worker per CPU;
+// a cell's result depends on its variant and seed alone, so neither the
+// pool size nor the completion order shows in the result, and the error
+// returned is the first in table order.
+func runAll(variants []variant, opts Options) ([][]outcome, error) {
+	opts = opts.withDefaults()
+	type cellID struct{ v, run int }
+	cells := make(chan cellID)
+	out := make([][]outcome, len(variants))
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range cells {
+				o := variants[c.v].run(opts.BaseSeed+int64(c.run), opts)
+				o.rep = nil
+				out[c.v][c.run] = o
+			}
+		}()
+	}
+	for v := range variants {
+		out[v] = make([]outcome, opts.Runs)
+		for run := 0; run < opts.Runs; run++ {
+			cells <- cellID{v, run}
+		}
+	}
+	close(cells)
+	wg.Wait()
+	for _, runs := range out {
+		for _, o := range runs {
+			if o.err != nil {
+				return nil, o.err
+			}
+		}
+	}
+	return out, nil
+}
+
+// RunOne executes a single workload run and returns its report.
+func RunOne(w *workloads.Workload, scheme core.Scheme, seed int64, opts Options) (*core.Report, error) {
+	o := variant{workload: w, scheme: scheme}.run(seed, opts.withDefaults())
+	return o.rep, o.err
+}
+
+// Series is one variant's sample set across runs: the one row type every
+// figure and ablation is rendered from.
 type Series struct {
+	// Workload is empty for a row that ran a custom cell.
 	Workload string
 	Scheme   core.Scheme
 	// JCT aggregates job completion times in seconds (Fig. 7).
@@ -103,90 +226,57 @@ type Series struct {
 	// Stages aggregates per-stage spans in seconds (Fig. 9), by stage
 	// index.
 	Stages []stats.Summary
-	// StageNames labels Stages.
-	StageNames []string
+}
+
+// summarize runs the variants and reduces each one's outcomes to a Series,
+// in variant order.
+func summarize(variants []variant, opts Options) ([]Series, error) {
+	outs, err := runAll(variants, opts)
+	if err != nil {
+		return nil, err
+	}
+	series := make([]Series, len(variants))
+	for vi, v := range variants {
+		var jct, cross []float64
+		var stages [][]float64
+		s := Series{Scheme: v.scheme}
+		if v.workload != nil {
+			s.Workload = v.workload.Name
+		}
+		for _, o := range outs[vi] {
+			jct = append(jct, o.jct)
+			cross = append(cross, o.crossMB)
+			for i, span := range o.stages {
+				if i >= len(stages) {
+					stages = append(stages, nil)
+				}
+				stages[i] = append(stages[i], span)
+			}
+		}
+		s.JCT, s.CrossDCMB = stats.Summarize(jct), stats.Summarize(cross)
+		for _, spans := range stages {
+			s.Stages = append(s.Stages, stats.Summarize(spans))
+		}
+		series[vi] = s
+	}
+	return series, nil
+}
+
+// grid lists every workload under every scheme, workload-major.
+func grid(ws []*workloads.Workload, schemes []core.Scheme) []variant {
+	var vs []variant
+	for _, w := range ws {
+		for _, scheme := range schemes {
+			vs = append(vs, variant{workload: w, scheme: scheme})
+		}
+	}
+	return vs
 }
 
 // Sweep runs every given workload under every scheme for opts.Runs seeds
-// and aggregates the results. Runs execute in parallel (each on its own
-// simulated cluster); aggregation order is deterministic.
+// and aggregates the results, workload-major.
 func Sweep(ws []*workloads.Workload, schemes []core.Scheme, opts Options) ([]Series, error) {
-	opts = opts.withDefaults()
-	type cell struct {
-		jct     []float64
-		cross   []float64
-		stages  [][]float64
-		names   []string
-		lastErr error
-	}
-	cells := make([][]cell, len(ws))
-	for i := range cells {
-		cells[i] = make([]cell, len(schemes))
-	}
-
-	type task struct{ wi, si, run int }
-	var tasks []task
-	for wi := range ws {
-		for si := range schemes {
-			for run := 0; run < opts.Runs; run++ {
-				tasks = append(tasks, task{wi, si, run})
-			}
-		}
-	}
-
-	results := make([]*core.Report, len(tasks))
-	errs := make([]error, len(tasks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Parallelism)
-	for ti, tk := range tasks {
-		ti, tk := ti, tk
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rep, err := RunOne(ws[tk.wi], schemes[tk.si], opts.BaseSeed+int64(tk.run), opts)
-			results[ti] = rep
-			errs[ti] = err
-		}()
-	}
-	wg.Wait()
-
-	for ti, tk := range tasks {
-		if errs[ti] != nil {
-			return nil, errs[ti]
-		}
-		rep := results[ti]
-		c := &cells[tk.wi][tk.si]
-		c.jct = append(c.jct, rep.JCT)
-		c.cross = append(c.cross, rep.CrossDCBytes/1e6)
-		for i, st := range rep.Stages {
-			if i >= len(c.stages) {
-				c.stages = append(c.stages, nil)
-				c.names = append(c.names, st.Name)
-			}
-			c.stages[i] = append(c.stages[i], st.End-st.Start)
-		}
-	}
-
-	var out []Series
-	for wi, w := range ws {
-		for si, scheme := range schemes {
-			c := &cells[wi][si]
-			s := Series{
-				Workload:   w.Name,
-				Scheme:     scheme,
-				JCT:        stats.Summarize(c.jct),
-				CrossDCMB:  stats.Summarize(c.cross),
-				StageNames: c.names,
-			}
-			for _, sp := range c.stages {
-				s.Stages = append(s.Stages, stats.Summarize(sp))
-			}
-			out = append(out, s)
-		}
-	}
-	return out, nil
+	return summarize(grid(ws, schemes), opts)
 }
 
 // Reports runs every workload under every scheme once (seed
@@ -196,21 +286,20 @@ func Sweep(ws []*workloads.Workload, schemes []core.Scheme, opts Options) ([]Ser
 func Reports(ws []*workloads.Workload, schemes []core.Scheme, opts Options) ([]*obs.Report, error) {
 	opts = opts.withDefaults()
 	opts.Trace = true
-	var out []*obs.Report
-	for _, w := range ws {
-		for _, scheme := range schemes {
-			rep, err := RunOne(w, scheme, opts.BaseSeed, opts)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rep.RunReport(w.Name))
+	var reports []*obs.Report
+	for _, v := range grid(ws, schemes) {
+		o := v.run(opts.BaseSeed, opts)
+		if o.err != nil {
+			return nil, o.err
 		}
+		reports = append(reports, o.rep.RunReport(v.workload.Name))
 	}
-	return out, nil
+	return reports, nil
 }
 
-// Fig7 regenerates the job-completion-time comparison for all five
-// workloads under the three schemes.
+// Fig7 regenerates the paper's sweep: all five workloads under the three
+// schemes. Its series carry the job completion times of Fig. 7, the
+// cross-datacenter traffic of Fig. 8 and the stage spans of Fig. 9.
 func Fig7(opts Options) ([]Series, error) {
 	return Sweep(workloads.All(), Schemes(), opts)
 }
@@ -226,12 +315,6 @@ func Fig8(opts Options) ([]Series, error) {
 		}
 	}
 	return Sweep(ws, Schemes(), opts)
-}
-
-// Fig9 regenerates the per-stage execution-time breakdown for all five
-// workloads (same sweep as Fig. 7; the stage spans are the payload).
-func Fig9(opts Options) ([]Series, error) {
-	return Fig7(opts)
 }
 
 // Find returns the series for (workload, scheme).

@@ -12,7 +12,7 @@ import (
 // testOpts keeps the integration sweeps fast: 3 runs at reduced modeled
 // scale, with output validation on.
 func testOpts() Options {
-	return Options{Runs: 3, Scale: 0.25, Validate: true, Parallelism: 8}
+	return Options{Runs: 3, Scale: 0.25, Validate: true}
 }
 
 // TestFig7Shapes verifies the paper's headline JCT orderings on a reduced

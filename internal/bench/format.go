@@ -4,10 +4,25 @@ import (
 	"fmt"
 	"strings"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/workloads"
 )
+
+// paperRows calls row for each Table I workload the sweep covers, with its
+// series under Schemes(), in that order.
+func paperRows(series []Series, row func(w *workloads.Workload, spark, cent, agg Series)) {
+	for _, w := range workloads.All() {
+		var cells []Series
+		for _, scheme := range Schemes() {
+			if s, err := Find(series, w.Name, scheme); err == nil {
+				cells = append(cells, s)
+			}
+		}
+		if len(cells) == 3 {
+			row(w, cells[0], cells[1], cells[2])
+		}
+	}
+}
 
 // FormatFig7 renders the Fig. 7 table: 10% trimmed mean job completion
 // time with median and interquartile range, per workload and scheme.
@@ -15,26 +30,16 @@ func FormatFig7(series []Series) string {
 	var b strings.Builder
 	b.WriteString("Fig. 7 — Average job completion time (s), 10% trimmed mean [median, Q1–Q3]\n")
 	fmt.Fprintf(&b, "%-12s %28s %28s %28s %12s\n", "Workload", "Spark", "Centralized", "AggShuffle", "Agg vs Spark")
-	for _, w := range workloads.All() {
-		row := fmt.Sprintf("%-12s", w.Name)
-		var cells int
-		for _, scheme := range Schemes() {
-			s, err := Find(series, w.Name, scheme)
-			if err != nil {
-				continue
-			}
-			cells++
-			row += fmt.Sprintf(" %9.1f [%6.1f, %6.1f–%6.1f]",
-				s.JCT.TrimmedMean, s.JCT.Median, s.JCT.Q1, s.JCT.Q3)
-		}
-		if cells == 0 {
-			continue
+	paperRows(series, func(w *workloads.Workload, spark, cent, agg Series) {
+		fmt.Fprintf(&b, "%-12s", w.Name)
+		for _, s := range []Series{spark, cent, agg} {
+			fmt.Fprintf(&b, " %9.1f [%6.1f, %6.1f–%6.1f]", s.JCT.TrimmedMean, s.JCT.Median, s.JCT.Q1, s.JCT.Q3)
 		}
 		if red, err := Reduction(series, w.Name); err == nil {
-			row += fmt.Sprintf("      -%4.0f%%", red*100)
+			fmt.Fprintf(&b, "      -%4.0f%%", red*100)
 		}
-		b.WriteString(row + "\n")
-	}
+		b.WriteString("\n")
+	})
 	return b.String()
 }
 
@@ -44,15 +49,9 @@ func FormatFig8(series []Series) string {
 	var b strings.Builder
 	b.WriteString("Fig. 8 — Cross-datacenter traffic (MB), mean over runs\n")
 	fmt.Fprintf(&b, "%-12s %12s %12s %12s %14s\n", "Workload", "Spark", "Centralized", "AggShuffle", "Agg vs Spark")
-	for _, w := range workloads.All() {
+	paperRows(series, func(w *workloads.Workload, spark, cent, agg Series) {
 		if !w.InFig8 {
-			continue
-		}
-		spark, err1 := Find(series, w.Name, core.SchemeSpark)
-		cent, err2 := Find(series, w.Name, core.SchemeCentralized)
-		agg, err3 := Find(series, w.Name, core.SchemeAggShuffle)
-		if err1 != nil || err2 != nil || err3 != nil {
-			continue
+			return
 		}
 		red := 0.0
 		if spark.CrossDCMB.TrimmedMean > 0 {
@@ -60,7 +59,7 @@ func FormatFig8(series []Series) string {
 		}
 		fmt.Fprintf(&b, "%-12s %12.0f %12.0f %12.0f %13.1f%%\n",
 			w.Name, spark.CrossDCMB.TrimmedMean, cent.CrossDCMB.TrimmedMean, agg.CrossDCMB.TrimmedMean, red)
-	}
+	})
 	return b.String()
 }
 
@@ -69,14 +68,10 @@ func FormatFig8(series []Series) string {
 func FormatFig9(series []Series) string {
 	var b strings.Builder
 	b.WriteString("Fig. 9 — Stage execution time breakdown (s), trimmed mean per stage [Q1–Q3]\n")
-	for _, w := range workloads.All() {
+	paperRows(series, func(w *workloads.Workload, spark, cent, agg Series) {
 		fmt.Fprintf(&b, "%s:\n", w.Name)
-		for _, scheme := range Schemes() {
-			s, err := Find(series, w.Name, scheme)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(&b, "  %-12s", scheme)
+		for _, s := range []Series{spark, cent, agg} {
+			fmt.Fprintf(&b, "  %-12s", s.Scheme)
 			var total float64
 			for i, st := range s.Stages {
 				fmt.Fprintf(&b, " | s%d %6.1f [%5.1f–%5.1f]", i, st.TrimmedMean, st.Q1, st.Q3)
@@ -84,7 +79,7 @@ func FormatFig9(series []Series) string {
 			}
 			fmt.Fprintf(&b, " | Σ %.1f\n", total)
 		}
-	}
+	})
 	return b.String()
 }
 

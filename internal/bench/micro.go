@@ -32,9 +32,9 @@ type MicroResult struct {
 
 // microScenario builds the two-datacenter setting of the paper's Figs. 1
 // and 2: staggered mappers in dc-a, reducers in dc-b, inter-DC bandwidth at
-// ¼ of a datacenter link. Optional mutators tweak the engine config
-// (ablations).
-func microScenario(push, injectFailure bool, seed int64, mutate ...func(*exec.Config)) (*MicroResult, error) {
+// ¼ of a datacenter link. mutate, when not nil, tweaks the engine config
+// (failure injection, ablations).
+func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResult, error) {
 	topo := microTopology()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
@@ -51,14 +51,13 @@ func microScenario(push, injectFailure bool, seed int64, mutate ...func(*exec.Co
 			// All cross-DC traffic funnels through the single dc-b
 			// host's 250 Mbps WAN share — Fig. 1's "inter-datacenter
 			// link is ¼ of a datacenter link", shared by every flow.
-			Net: simnetConfig(),
+			// BurstPenalty -1: the shared-link arithmetic of Fig. 1 is
+			// fluid.
+			Net: simnet.Config{HostWANBps: 250 * topology.Mbps, BurstPenalty: -1},
 		},
 	}
-	if injectFailure {
-		cfg.Exec.ScriptedFailures = []exec.FailureSpec{{Stage: "micro.agg", Part: 0, Attempt: 1, AtFrac: 0.5}}
-	}
-	for _, m := range mutate {
-		m(&cfg.Exec)
+	if mutate != nil {
+		mutate(&cfg.Exec)
 	}
 	ctx := core.NewContext(cfg)
 
@@ -134,25 +133,22 @@ func microTopology() *topology.Topology {
 	return t
 }
 
-func simnetConfig() (c simnet.Config) {
-	c.HostWANBps = 250 * topology.Mbps
-	c.BurstPenalty = -1 // the shared-link arithmetic of Fig. 1 is fluid
-	return c
+// fetchAndPush runs one comparison under fetch-based shuffle, then under
+// push.
+func fetchAndPush[T any](run func(push bool) (T, error)) (fetch, push T, err error) {
+	if fetch, err = run(false); err == nil {
+		push, err = run(true)
+	}
+	return fetch, push, err
 }
 
 // Fig1 reproduces the paper's Fig. 1: the same two-stage job under
 // fetch-based shuffle vs proactive push, reporting reducer start times and
 // timelines.
 func Fig1(seed int64) (fetch, push *MicroResult, err error) {
-	fetch, err = microScenario(false, false, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	push, err = microScenario(true, false, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fetch, push, nil
+	return fetchAndPush(func(push bool) (*MicroResult, error) {
+		return microScenario(push, seed, nil)
+	})
 }
 
 // Fig2Result extends MicroResult with the failure-recovery comparison.
@@ -163,28 +159,28 @@ type Fig2Result struct {
 	Penalty float64
 }
 
+// microFailure runs the micro-scenario clean, then again with the failure
+// inject configures — it sees the clean run, so a failure can be timed
+// against it — and reports what the failure cost.
+func microFailure(push bool, seed int64, inject func(clean *MicroResult, c *exec.Config)) (*Fig2Result, error) {
+	clean, err := microScenario(push, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	failed, err := microScenario(push, seed, func(c *exec.Config) { inject(clean, c) })
+	if err != nil {
+		return nil, err
+	}
+	return &Fig2Result{Clean: clean, Failed: failed, Penalty: failed.JCT - clean.JCT}, nil
+}
+
 // Fig2 reproduces the paper's Fig. 2: a reducer fails mid-stage; with
 // fetch-based shuffle its retry re-fetches across datacenters, with push
 // the shuffle input is already local to the reducer's datacenter.
 func Fig2(seed int64) (fetch, push *Fig2Result, err error) {
-	build := func(pushMode bool) (*Fig2Result, error) {
-		clean, err := microScenario(pushMode, false, seed)
-		if err != nil {
-			return nil, err
-		}
-		failed, err := microScenario(pushMode, true, seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Fig2Result{Clean: clean, Failed: failed, Penalty: failed.JCT - clean.JCT}, nil
-	}
-	fetch, err = build(false)
-	if err != nil {
-		return nil, nil, err
-	}
-	push, err = build(true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fetch, push, nil
+	return fetchAndPush(func(push bool) (*Fig2Result, error) {
+		return microFailure(push, seed, func(_ *MicroResult, c *exec.Config) {
+			c.ScriptedFailures = []exec.FailureSpec{{Stage: "micro.agg", Part: 0, Attempt: 1, AtFrac: 0.5}}
+		})
+	})
 }

@@ -19,7 +19,6 @@ var DefaultPrefixes = []string{
 	"link_",
 	"heartbeats_total",
 	"worker_heartbeat_age_sec",
-	"clock_",
 	"blockstore_resident_bytes",
 }
 

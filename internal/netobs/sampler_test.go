@@ -1,6 +1,7 @@
 package netobs
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -107,5 +108,24 @@ func TestSamplerNilSource(t *testing.T) {
 	var nilS *Sampler
 	if got := nilS.Samples(); got != nil {
 		t.Fatalf("nil sampler samples = %+v", got)
+	}
+}
+
+// TestDefaultPrefixesMatchCatalogue keeps the timeline's filter from
+// drifting behind the metrics the repo emits: a prefix that selects no
+// catalogued metric samples nothing (as "clock_" did after its gauges
+// went).
+func TestDefaultPrefixesMatchCatalogue(t *testing.T) {
+	for _, prefix := range DefaultPrefixes {
+		matched := false
+		for _, m := range obs.Catalogue {
+			if strings.HasPrefix(m.Name, prefix) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			t.Errorf("prefix %q matches no metric in obs.Catalogue", prefix)
+		}
 	}
 }

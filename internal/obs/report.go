@@ -97,8 +97,9 @@ type Report struct {
 }
 
 // StorageStats is the run report's block-store section. Bytes are
-// estimated record sizes (the same estimator that drives aggregator
-// selection), not file sizes.
+// estimated in-memory record sizes (rdd.SizeOfAll, what the memory budget
+// is charged in), not file sizes; the planner ranks aggregators by codec
+// bytes (rdd.EncodedSize) instead.
 type StorageStats struct {
 	// ResidentBytes / ResidentOutputs describe what is held in memory.
 	ResidentBytes   float64 `json:"resident_bytes"`

@@ -65,7 +65,6 @@ type Scheduler struct {
 	// does, randomly (bestFree); seeded, so runs stay deterministic.
 	rng sim.RNG
 
-	assigned int // tasks ever assigned, for diagnostics
 	// lastLaunch is when any task last launched. Spark's delay scheduler
 	// (TaskSetManager.lastLaunchTime) resets its locality-wait timer on
 	// every launch, so a queue that keeps making progress never relaxes
@@ -108,9 +107,6 @@ func (s *Scheduler) Submit(t *Task) {
 	s.kick()
 }
 
-// FreeSlots returns the number of idle cores on a host.
-func (s *Scheduler) FreeSlots(h topology.HostID) int { return s.freeSlots[h] }
-
 // MarkDead removes a host from scheduling: its free slots vanish and
 // running-task releases are swallowed. Queued tasks simply stop matching
 // it.
@@ -120,14 +116,8 @@ func (s *Scheduler) MarkDead(h topology.HostID) {
 	s.kick()
 }
 
-// Dead reports whether a host has been failed.
-func (s *Scheduler) Dead(h topology.HostID) bool { return s.dead[h] }
-
 // QueueLen returns the number of unplaced tasks.
 func (s *Scheduler) QueueLen() int { return len(s.queue) }
-
-// Assigned returns the number of tasks ever placed.
-func (s *Scheduler) Assigned() int { return s.assigned }
 
 // localityLevel is the loosest placement a task currently accepts.
 type localityLevel int
@@ -251,7 +241,6 @@ func (s *Scheduler) kick() {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			i--
 			s.freeSlots[h]--
-			s.assigned++
 			s.lastLaunch = s.clock.Now()
 			released := false
 			release := func() {

@@ -108,13 +108,6 @@ type Flow struct {
 	frozen bool
 }
 
-// Remaining returns the bytes not yet delivered.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Rate returns the currently allocated rate in bytes per second (0 while
-// the flow is still in its latency phase).
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
 
@@ -650,12 +643,3 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 
 // CompletedFlows returns the number of flows that ran to completion.
 func (n *Network) CompletedFlows() int { return n.completedFlows }
-
-// WANCapBps returns the current (possibly jittered) capacity of the WAN
-// path between an instance pair in DCs a and b, in bits per second.
-func (n *Network) WANCapBps(a, b topology.DCID) float64 {
-	if a == b {
-		return math.Inf(1)
-	}
-	return n.topo.InterBps(a, b) * n.jitterF[a][b]
-}

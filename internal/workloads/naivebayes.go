@@ -6,14 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
 )
-
-// naiveBayesModeledBytes models HiBench's "large scale" Bayes input
-// (Table I: 100,000 pages with 100 classes; the byte size is not listed —
-// we use the ~1.1 GB such a corpus occupies in HiBench's generator).
-const naiveBayesModeledBytes = 1.1 * GB
 
 // NaiveBayes trains a multinomial classifier: count (class, term)
 // frequencies through a combining shuffle, then assemble the per-class
@@ -24,18 +18,11 @@ func NaiveBayes() *Workload {
 		Name:   "NaiveBayes",
 		TableI: "The input has 100,000 pages, with 100 classes.",
 		InFig8: true,
-		Make: func(ctx *core.Context, opts Options) *Instance {
-			opts = opts.withDefaults()
-			recs := naiveBayesDocs(opts)
-			in := ctx.DistributeRecords("nb.docs", recs, opts.MapParts, naiveBayesModeledBytes*opts.Scale)
-			return &Instance{
-				Target: naiveBayesJob(in, opts),
-				Validate: func(got []rdd.Pair) error {
-					return expectExactMatch(got, naiveBayesReference(opts))
-				},
-			}
-		},
-		MakeReference: naiveBayesReference,
+		// The paper does not list the byte size; ~1.1 GB is what such a
+		// corpus occupies in HiBench's generator.
+		Inputs: []Input{{"nb.docs", naiveBayesDocs, 1.1 * GB}},
+		Flow:   naiveBayesFlow,
+		Check:  expectExactMatch,
 	}
 }
 
@@ -43,8 +30,8 @@ func NaiveBayes() *Workload {
 // Document length, class count, and vocabulary are tuned so that map-side
 // combining shrinks the shuffle input to roughly a third of the raw corpus
 // — the ratio a 100k-page corpus with bounded vocabulary exhibits.
-func naiveBayesDocs(opts Options) []rdd.Pair {
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0xba7e5))
+func naiveBayesDocs(seed int64) []rdd.Pair {
+	rng := rand.New(rand.NewSource(seed ^ 0xba7e5))
 	zipf := rand.NewZipf(rng, 1.2, 1, 199)
 	const docs = 600
 	const wordsPerDoc = 120
@@ -61,9 +48,9 @@ func naiveBayesDocs(opts Options) []rdd.Pair {
 	return recs
 }
 
-func naiveBayesJob(docs *rdd.RDD, opts Options) *rdd.RDD {
+func naiveBayesFlow(ins []*rdd.RDD) *rdd.RDD {
 	// Shuffle 1: count each (class, term) occurrence, combining map-side.
-	termCounts := docs.FlatMap("nb.tokenize", func(p rdd.Pair) []rdd.Pair {
+	termCounts := ins[0].FlatMap("nb.tokenize", func(p rdd.Pair) []rdd.Pair {
 		fields := strings.Fields(p.Value.(string))
 		class := fields[0]
 		out := make([]rdd.Pair, 0, len(fields)-1)
@@ -71,14 +58,14 @@ func naiveBayesJob(docs *rdd.RDD, opts Options) *rdd.RDD {
 			out = append(out, rdd.KV(class+"\x00"+w, 1))
 		}
 		return out
-	}).ReduceByKey("nb.termCounts", opts.Parallelism, func(a, b rdd.Value) rdd.Value {
+	}).ReduceByKey("nb.termCounts", parallelism, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)
 	})
 	// Shuffle 2: gather each class's term table into its model row.
 	model := termCounts.Map("nb.byClass", func(p rdd.Pair) rdd.Pair {
 		i := strings.IndexByte(p.Key, 0)
 		return rdd.KV(p.Key[:i], fmt.Sprintf("%s=%d", p.Key[i+1:], p.Value.(int)))
-	}).GroupByKey("nb.model", opts.Parallelism)
+	}).GroupByKey("nb.model", parallelism)
 	// Canonical per-class row: sorted term=count entries.
 	return model.Map("nb.finalize", func(p rdd.Pair) rdd.Pair {
 		vs := p.Value.([]rdd.Value)
@@ -89,11 +76,4 @@ func naiveBayesJob(docs *rdd.RDD, opts Options) *rdd.RDD {
 		sort.Strings(terms)
 		return rdd.KV(p.Key, strings.Join(terms, " "))
 	})
-}
-
-func naiveBayesReference(opts Options) []rdd.Pair {
-	opts = opts.withDefaults()
-	g := rdd.NewGraph()
-	in := localInput(g, "nb.docs", naiveBayesDocs(opts), opts.MapParts)
-	return rdd.CollectLocal(naiveBayesJob(in, opts))
 }

@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
 )
-
-// pageRankModeledBytes models HiBench's "large scale" PageRank input
-// (Table I: 500,000 pages; the paper does not list the byte size — we use
-// the ~600 MB a 500k-page link table occupies in HiBench's generator).
-const pageRankModeledBytes = 600 * MB
 
 // pageRankIterations is Table I: "The maximum number of iterations is 3."
 const pageRankIterations = 3
@@ -26,25 +20,18 @@ func PageRank() *Workload {
 		Name:   "PageRank",
 		TableI: "The input has 500,000 pages. The maximum number of iterations is 3.",
 		InFig8: true,
-		Make: func(ctx *core.Context, opts Options) *Instance {
-			opts = opts.withDefaults()
-			recs := pageRankEdges(opts)
-			in := ctx.DistributeRecords("pr.edges", recs, opts.MapParts, pageRankModeledBytes*opts.Scale)
-			return &Instance{
-				Target: pageRankJob(in, opts),
-				Validate: func(got []rdd.Pair) error {
-					return expectFloatMatch(got, pageRankReference(opts), 1e-9)
-				},
-			}
-		},
-		MakeReference: pageRankReference,
+		// The paper does not list the byte size; ~600 MB is what a
+		// 500k-page link table occupies in HiBench's generator.
+		Inputs: []Input{{"pr.edges", pageRankEdges, 600 * MB}},
+		Flow:   pageRankFlow,
+		Check:  expectFloatMatch,
 	}
 }
 
 // pageRankEdges generates a link table with skewed in-degrees (popular
 // pages attract most links), one record per edge.
-func pageRankEdges(opts Options) []rdd.Pair {
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x9a6e))
+func pageRankEdges(seed int64) []rdd.Pair {
+	rng := rand.New(rand.NewSource(seed ^ 0x9a6e))
 	zipf := rand.NewZipf(rng, 1.4, 1, 1199)
 	const pages = 1200
 	var recs []rdd.Pair
@@ -63,13 +50,13 @@ func pageRankEdges(opts Options) []rdd.Pair {
 
 func pageName(i int) string { return fmt.Sprintf("page%06d", i) }
 
-func pageRankJob(edges *rdd.RDD, opts Options) *rdd.RDD {
-	links := edges.GroupByKey("pr.links", opts.Parallelism).Cache()
+func pageRankFlow(ins []*rdd.RDD) *rdd.RDD {
+	links := ins[0].GroupByKey("pr.links", parallelism).Cache()
 	ranks := links.Map("pr.ranks0", func(p rdd.Pair) rdd.Pair {
 		return rdd.KV(p.Key, 1.0)
 	})
 	for it := 1; it <= pageRankIterations; it++ {
-		joined := links.Join(fmt.Sprintf("pr.join%d", it), ranks, opts.Parallelism)
+		joined := links.Join(fmt.Sprintf("pr.join%d", it), ranks, parallelism)
 		contribs := joined.FlatMap(fmt.Sprintf("pr.contribs%d", it), func(p rdd.Pair) []rdd.Pair {
 			pair := p.Value.([]rdd.Value)
 			dests := pair[0].([]rdd.Value)
@@ -81,7 +68,7 @@ func pageRankJob(edges *rdd.RDD, opts Options) *rdd.RDD {
 			}
 			return out
 		})
-		sums := contribs.ReduceByKey(fmt.Sprintf("pr.sum%d", it), opts.Parallelism, func(a, b rdd.Value) rdd.Value {
+		sums := contribs.ReduceByKey(fmt.Sprintf("pr.sum%d", it), parallelism, func(a, b rdd.Value) rdd.Value {
 			return a.(float64) + b.(float64)
 		})
 		ranks = sums.Map(fmt.Sprintf("pr.damp%d", it), func(p rdd.Pair) rdd.Pair {
@@ -89,11 +76,4 @@ func pageRankJob(edges *rdd.RDD, opts Options) *rdd.RDD {
 		})
 	}
 	return ranks
-}
-
-func pageRankReference(opts Options) []rdd.Pair {
-	opts = opts.withDefaults()
-	g := rdd.NewGraph()
-	in := localInput(g, "pr.edges", pageRankEdges(opts), opts.MapParts)
-	return rdd.CollectLocal(pageRankJob(in, opts))
 }

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
 )
-
-// sortModeledBytes is Table I: "The total size of generated input data is
-// 320 MB."
-const sortModeledBytes = 320 * MB
 
 // Sort globally sorts random key-value records through a range-partitioned
 // shuffle. Its map output equals its input: the entire dataset crosses the
@@ -20,46 +15,27 @@ func Sort() *Workload {
 		Name:   "Sort",
 		TableI: "The total size of generated input data is 320 MB.",
 		InFig8: true,
-		Make: func(ctx *core.Context, opts Options) *Instance {
-			opts = opts.withDefaults()
-			recs := sortRecords(opts, 0x50f7, 4000)
-			in := ctx.DistributeRecords("sort.input", recs, opts.MapParts, sortModeledBytes*opts.Scale)
-			return &Instance{
-				Target: sortJob(in, opts),
-				Validate: func(got []rdd.Pair) error {
-					if err := expectSorted(got); err != nil {
-						return err
-					}
-					return expectExactMatch(got, sortReference(opts))
-				},
-			}
+		Inputs: []Input{{"sort.input", sortRecords(0x50f7), 320 * MB}},
+		Flow: func(ins []*rdd.RDD) *rdd.RDD {
+			return ins[0].SortByKey("sort.sorted", parallelism)
 		},
-		MakeReference: sortReference,
+		Check: expectSortedMatch,
 	}
 }
 
-// sortRecords draws HiBench-style random records: a short random key and
-// an opaque payload.
-func sortRecords(opts Options, salt int64, n int) []rdd.Pair {
-	rng := rand.New(rand.NewSource(opts.Seed ^ salt))
-	payload := make([]byte, 52)
-	for i := range payload {
-		payload[i] = 'a' + byte(i%26)
+// sortRecords generates HiBench-style random records: a short random key
+// and an opaque payload.
+func sortRecords(salt int64) func(seed int64) []rdd.Pair {
+	return func(seed int64) []rdd.Pair {
+		rng := rand.New(rand.NewSource(seed ^ salt))
+		payload := make([]byte, 52)
+		for i := range payload {
+			payload[i] = 'a' + byte(i%26)
+		}
+		recs := make([]rdd.Pair, 4000)
+		for i := range recs {
+			recs[i] = rdd.KV(fmt.Sprintf("%010d", rng.Intn(1<<30)), string(payload))
+		}
+		return recs
 	}
-	recs := make([]rdd.Pair, n)
-	for i := range recs {
-		recs[i] = rdd.KV(fmt.Sprintf("%010d", rng.Intn(1<<30)), string(payload))
-	}
-	return recs
-}
-
-func sortJob(in *rdd.RDD, opts Options) *rdd.RDD {
-	return in.SortByKey("sort.sorted", opts.Parallelism)
-}
-
-func sortReference(opts Options) []rdd.Pair {
-	opts = opts.withDefaults()
-	g := rdd.NewGraph()
-	in := localInput(g, "sort.input", sortRecords(opts, 0x50f7, 4000), opts.MapParts)
-	return rdd.CollectLocal(sortJob(in, opts))
 }

@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
 )
-
-// teraSortModeledBytes is Table I: "The input has 32 million records. Each
-// record is 100 bytes in size." — 3.2 GB.
-const teraSortModeledBytes = 3.2 * GB
 
 // teraSortBloat pads each record during the pre-shuffle map, reproducing
 // the HiBench implementation quirk the paper highlights (Sec. V-B): "there
@@ -21,44 +16,7 @@ const teraSortBloat = "#partition-tag#"
 
 // TeraSort sorts 100-byte records whose pre-shuffle map bloats the data.
 func TeraSort() *Workload {
-	return &Workload{
-		Name:   "TeraSort",
-		TableI: "The input has 32 million records. Each record is 100 bytes in size.",
-		InFig8: true,
-		Make: func(ctx *core.Context, opts Options) *Instance {
-			opts = opts.withDefaults()
-			recs := sortRecords(opts, 0x7e4a, 4000)
-			in := ctx.DistributeRecords("terasort.input", recs, opts.MapParts, teraSortModeledBytes*opts.Scale)
-			return &Instance{
-				Target: teraSortJob(in, opts, false),
-				Validate: func(got []rdd.Pair) error {
-					if err := expectSorted(got); err != nil {
-						return err
-					}
-					return expectExactMatch(got, teraSortReference(opts))
-				},
-			}
-		},
-		MakeReference: teraSortReference,
-	}
-}
-
-// teraSortJob builds the TeraSort dataflow. With explicitTransfer, a
-// developer-placed transferTo() runs *before* the bloating map, the fix the
-// paper prescribes for TeraSort (Sec. V-B): only the developer can know the
-// map inflates the data, so the raw records should be aggregated instead of
-// the bloated shuffle input.
-func teraSortJob(in *rdd.RDD, opts Options, explicitTransfer bool) *rdd.RDD {
-	if explicitTransfer {
-		in = in.TransferToAuto()
-	}
-	tagged := in.Map("terasort.tag", func(p rdd.Pair) rdd.Pair {
-		return rdd.KV(p.Key, p.Value.(string)+teraSortBloat)
-	})
-	sorted := tagged.SortByKey("terasort.sorted", opts.Parallelism)
-	return sorted.Map("terasort.strip", func(p rdd.Pair) rdd.Pair {
-		return rdd.KV(p.Key, strings.TrimSuffix(p.Value.(string), teraSortBloat))
-	})
+	return teraSort("TeraSort", func(in *rdd.RDD) *rdd.RDD { return in })
 }
 
 // TeraSortExplicit is the developer-optimized variant: the raw input is
@@ -72,36 +30,30 @@ func TeraSortExplicit() *Workload {
 // datacenters before the bloating map (Sec. III-B's "subset of
 // datacenters"); K=1 is TeraSortExplicit.
 func TeraSortExplicitTopK(k int) *Workload {
-	w := TeraSort()
-	w.Name = fmt.Sprintf("TeraSort-explicit-k%d", k)
-	w.Make = func(ctx *core.Context, opts Options) *Instance {
-		opts = opts.withDefaults()
-		recs := sortRecords(opts, 0x7e4a, 4000)
-		in := ctx.DistributeRecords("terasort.input", recs, opts.MapParts, teraSortModeledBytes*opts.Scale)
-		moved := in.TransferToTopK(k)
-		tagged := moved.Map("terasort.tag", func(p rdd.Pair) rdd.Pair {
-			return rdd.KV(p.Key, p.Value.(string)+teraSortBloat)
-		})
-		sorted := tagged.SortByKey("terasort.sorted", opts.Parallelism)
-		target := sorted.Map("terasort.strip", func(p rdd.Pair) rdd.Pair {
-			return rdd.KV(p.Key, strings.TrimSuffix(p.Value.(string), teraSortBloat))
-		})
-		return &Instance{
-			Target: target,
-			Validate: func(got []rdd.Pair) error {
-				if err := expectSorted(got); err != nil {
-					return err
-				}
-				return expectExactMatch(got, teraSortReference(opts))
-			},
-		}
-	}
-	return w
+	return teraSort(fmt.Sprintf("TeraSort-explicit-k%d", k), func(in *rdd.RDD) *rdd.RDD { return in.TransferToTopK(k) })
 }
 
-func teraSortReference(opts Options) []rdd.Pair {
-	opts = opts.withDefaults()
-	g := rdd.NewGraph()
-	in := localInput(g, "terasort.input", sortRecords(opts, 0x7e4a, 4000), opts.MapParts)
-	return rdd.CollectLocal(teraSortJob(in, opts, false))
+// teraSort declares the TeraSort dataflow with transfer applied to the raw
+// input, *before* the bloating map. A developer-placed transferTo() there
+// is the fix the paper prescribes (Sec. V-B): only the developer can know
+// the map inflates the data, so the raw records should be aggregated
+// instead of the bloated shuffle input.
+func teraSort(name string, transfer func(*rdd.RDD) *rdd.RDD) *Workload {
+	return &Workload{
+		Name:   name,
+		TableI: "The input has 32 million records. Each record is 100 bytes in size.",
+		InFig8: true,
+		// 32 million records of 100 bytes.
+		Inputs: []Input{{"terasort.input", sortRecords(0x7e4a), 3.2 * GB}},
+		Flow: func(ins []*rdd.RDD) *rdd.RDD {
+			tagged := transfer(ins[0]).Map("terasort.tag", func(p rdd.Pair) rdd.Pair {
+				return rdd.KV(p.Key, p.Value.(string)+teraSortBloat)
+			})
+			sorted := tagged.SortByKey("terasort.sorted", parallelism)
+			return sorted.Map("terasort.strip", func(p rdd.Pair) rdd.Pair {
+				return rdd.KV(p.Key, strings.TrimSuffix(p.Value.(string), teraSortBloat))
+			})
+		},
+		Check: expectSortedMatch,
+	}
 }

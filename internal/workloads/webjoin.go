@@ -6,16 +6,7 @@ import (
 	"strconv"
 	"strings"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
-)
-
-// webJoinModeledBytes models HiBench's web-analytics join inputs
-// (rankings ⋈ uservisits): the visits table dominates at ~1.5 GB with a
-// ~120 MB rankings side.
-const (
-	webJoinVisitsBytes   = 1.5 * GB
-	webJoinRankingsBytes = 120 * MB
 )
 
 // WebJoin is an extension workload beyond the paper's five: the classic
@@ -27,19 +18,13 @@ func WebJoin() *Workload {
 	return &Workload{
 		Name:   "WebJoin",
 		TableI: "(extension) rankings 120 MB ⋈ uservisits 1.5 GB, revenue by /16 prefix.",
-		Make: func(ctx *core.Context, opts Options) *Instance {
-			opts = opts.withDefaults()
-			rankings, visits := webJoinTables(opts)
-			rin := ctx.DistributeRecords("wj.rankings", rankings, opts.MapParts, webJoinRankingsBytes*opts.Scale)
-			vin := ctx.DistributeRecords("wj.visits", visits, opts.MapParts, webJoinVisitsBytes*opts.Scale)
-			return &Instance{
-				Target: webJoinJob(rin, vin, opts),
-				Validate: func(got []rdd.Pair) error {
-					return expectFloatMatch(got, webJoinReference(opts), 1e-9)
-				},
-			}
+		// HiBench's web-analytics join inputs: the visits table dominates.
+		Inputs: []Input{
+			{"wj.rankings", webJoinRankings, 120 * MB},
+			{"wj.visits", webJoinVisits, 1.5 * GB},
 		},
-		MakeReference: webJoinReference,
+		Flow:  webJoinFlow,
+		Check: expectFloatMatch,
 	}
 }
 
@@ -48,29 +33,38 @@ func Extensions() []*Workload {
 	return []*Workload{WebJoin()}
 }
 
-func webJoinTables(opts Options) (rankings, visits []rdd.Pair) {
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x3e8f1))
-	const pages = 400
-	const nVisits = 2500
-	zipf := rand.NewZipf(rng, 1.25, 1, pages-1)
-	for p := 0; p < pages; p++ {
-		rankings = append(rankings, rdd.KV(urlName(p), p+1))
+// webJoinPages is the size of the rankings table: one row per URL.
+const webJoinPages = 400
+
+func webJoinRankings(int64) []rdd.Pair {
+	rankings := make([]rdd.Pair, webJoinPages)
+	for p := range rankings {
+		rankings[p] = rdd.KV(urlName(p), p+1)
 	}
-	for v := 0; v < nVisits; v++ {
+	return rankings
+}
+
+// webJoinVisits draws visits with skewed page popularity.
+func webJoinVisits(seed int64) []rdd.Pair {
+	rng := rand.New(rand.NewSource(seed ^ 0x3e8f1))
+	zipf := rand.NewZipf(rng, 1.25, 1, webJoinPages-1)
+	visits := make([]rdd.Pair, 2500)
+	for v := range visits {
 		page := int(zipf.Uint64())
 		ip := fmt.Sprintf("%d.%d.%d.%d", rng.Intn(16)+1, rng.Intn(256), rng.Intn(256), rng.Intn(256))
 		revenue := float64(rng.Intn(1000)) / 100
-		visits = append(visits, rdd.KV(urlName(page), fmt.Sprintf("%s %.2f", ip, revenue)))
+		visits[v] = rdd.KV(urlName(page), fmt.Sprintf("%s %.2f", ip, revenue))
 	}
-	return rankings, visits
+	return visits
 }
 
 func urlName(p int) string { return fmt.Sprintf("url%05d", p) }
 
-// webJoinJob: join on URL (visits gain the page rank), then sum ad revenue
+// webJoinFlow: join on URL (visits gain the page rank), then sum ad revenue
 // per /16 source prefix, weighting by whether the page is well-ranked.
-func webJoinJob(rankings, visits *rdd.RDD, opts Options) *rdd.RDD {
-	joined := rankings.Join("wj.join", visits, opts.Parallelism)
+func webJoinFlow(ins []*rdd.RDD) *rdd.RDD {
+	rankings, visits := ins[0], ins[1]
+	joined := rankings.Join("wj.join", visits, parallelism)
 	contribs := joined.FlatMap("wj.revenue", func(p rdd.Pair) []rdd.Pair {
 		pair := p.Value.([]rdd.Value)
 		rank := pair[0].(int)
@@ -88,14 +82,5 @@ func webJoinJob(rankings, visits *rdd.RDD, opts Options) *rdd.RDD {
 		prefix := parts[0] + "." + parts[1]
 		return []rdd.Pair{rdd.KV(prefix, revenue)}
 	})
-	return contribs.SumByKey("wj.byPrefix", opts.Parallelism)
-}
-
-func webJoinReference(opts Options) []rdd.Pair {
-	opts = opts.withDefaults()
-	g := rdd.NewGraph()
-	rankings, visits := webJoinTables(opts)
-	rin := localInput(g, "wj.rankings", rankings, opts.MapParts)
-	vin := localInput(g, "wj.visits", visits, opts.MapParts)
-	return rdd.CollectLocal(webJoinJob(rin, vin, opts))
+	return contribs.SumByKey("wj.byPrefix", parallelism)
 }

@@ -5,13 +5,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
 )
-
-// wordCountModeledBytes is Table I: "The total size of generated input
-// files is 3.2 GB."
-const wordCountModeledBytes = 3.2 * GB
 
 // WordCount is the simplest workload: tokenize text and count word
 // occurrences through a single combining shuffle.
@@ -19,26 +14,17 @@ func WordCount() *Workload {
 	return &Workload{
 		Name:   "WordCount",
 		TableI: "The total size of generated input files is 3.2 GB.",
-		Make: func(ctx *core.Context, opts Options) *Instance {
-			opts = opts.withDefaults()
-			recs := wordCountLines(opts)
-			in := ctx.DistributeRecords("wc.text", recs, opts.MapParts, wordCountModeledBytes*opts.Scale)
-			return &Instance{
-				Target: wordCountJob(in, opts),
-				Validate: func(got []rdd.Pair) error {
-					return expectExactMatch(got, wordCountReference(opts))
-				},
-			}
-		},
-		MakeReference: wordCountReference,
+		Inputs: []Input{{"wc.text", wordCountLines, 3.2 * GB}},
+		Flow:   wordCountFlow,
+		Check:  expectExactMatch,
 	}
 }
 
 // wordCountLines generates text lines with a skewed vocabulary so that
 // map-side combining shrinks the shuffle input to a few percent of the raw
 // text, as it does at paper scale.
-func wordCountLines(opts Options) []rdd.Pair {
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x77c0))
+func wordCountLines(seed int64) []rdd.Pair {
+	rng := rand.New(rand.NewSource(seed ^ 0x77c0))
 	zipf := rand.NewZipf(rng, 1.3, 1, 199)
 	const lines = 4800
 	const wordsPerLine = 8
@@ -53,8 +39,8 @@ func wordCountLines(opts Options) []rdd.Pair {
 	return recs
 }
 
-func wordCountJob(in *rdd.RDD, opts Options) *rdd.RDD {
-	words := in.FlatMap("wc.split", func(p rdd.Pair) []rdd.Pair {
+func wordCountFlow(ins []*rdd.RDD) *rdd.RDD {
+	words := ins[0].FlatMap("wc.split", func(p rdd.Pair) []rdd.Pair {
 		fields := strings.Fields(p.Value.(string))
 		out := make([]rdd.Pair, len(fields))
 		for i, w := range fields {
@@ -62,28 +48,7 @@ func wordCountJob(in *rdd.RDD, opts Options) *rdd.RDD {
 		}
 		return out
 	})
-	return words.ReduceByKey("wc.count", opts.Parallelism, func(a, b rdd.Value) rdd.Value {
+	return words.ReduceByKey("wc.count", parallelism, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)
 	})
-}
-
-func wordCountReference(opts Options) []rdd.Pair {
-	opts = opts.withDefaults()
-	g := rdd.NewGraph()
-	in := localInput(g, "wc.text", wordCountLines(opts), opts.MapParts)
-	return rdd.CollectLocal(wordCountJob(in, opts))
-}
-
-// localInput mirrors core.Context.DistributeRecords' record-to-partition
-// assignment on a placement-free local graph, for reference evaluation.
-func localInput(g *rdd.Graph, name string, recs []rdd.Pair, numParts int) *rdd.RDD {
-	parts := make([]rdd.InputPartition, numParts)
-	for i := range parts {
-		parts[i] = rdd.InputPartition{Host: 0, ModeledBytes: 1}
-	}
-	for i, r := range recs {
-		p := i % numParts
-		parts[p].Records = append(parts[p].Records, r)
-	}
-	return g.Input(name, parts)
 }

@@ -1,11 +1,12 @@
 // Package workloads re-implements the five HiBench workloads the paper
 // evaluates (Table I): WordCount, Sort, TeraSort, PageRank, and NaiveBayes.
 //
-// Each workload provides a deterministic, seeded input generator whose
-// partitions are spread across every datacenter (the wide-area setting),
-// the job dataflow expressed on the wanshuffle RDD API, and a validator
-// that checks the simulated cluster's output against an in-memory reference
-// evaluation of the identical lineage.
+// Each workload is a declaration: deterministic, seeded input generators
+// whose partitions are spread across every datacenter (the wide-area
+// setting), the job dataflow expressed on the wanshuffle RDD API, and the
+// check that compares the simulated cluster's output against an in-memory
+// reference evaluation of the identical lineage. Make and MakeReference
+// turn any declaration into a job and its expected output.
 //
 // Real record counts are scaled down for simulation speed; every partition
 // carries the paper-scale modeled byte size from Table I, which is what all
@@ -32,14 +33,15 @@ const (
 	GB = 1e9
 )
 
+// parallelism is the reduce-side partition count of every shuffle: the
+// paper sets "the parallelism of both map and reduce" to 8 (Sec. V-A).
+const parallelism = 8
+
 // Options configure one workload instance.
 type Options struct {
 	// Seed drives the input generator. Runs with equal seeds generate
 	// identical data.
 	Seed int64
-	// Parallelism is the reduce-side partition count; the paper sets it
-	// to 8 (Sec. V-A). Defaults to 8.
-	Parallelism int
 	// MapParts is the map-side partition count. HiBench inputs are HDFS
 	// files, so map tasks follow block count (3.2 GB ≈ 25 blocks of
 	// 128 MB), not the parallelism setting. Defaults to 24 — one per
@@ -51,9 +53,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Parallelism <= 0 {
-		o.Parallelism = 8
-	}
 	if o.MapParts <= 0 {
 		o.MapParts = 24
 	}
@@ -72,7 +71,19 @@ type Instance struct {
 	Validate func(got []rdd.Pair) error
 }
 
-// Workload is one benchmark from the HiBench suite.
+// Input is one dataset a workload reads.
+type Input struct {
+	// Name of the leaf RDD.
+	Name string
+	// Generate draws the records for a seed, deterministically.
+	Generate func(seed int64) []rdd.Pair
+	// ModeledBytes is the dataset's Table I size, which all timing and
+	// traffic modeling uses in place of the real records' size.
+	ModeledBytes float64
+}
+
+// Workload declares one benchmark from the HiBench suite: what it reads,
+// the dataflow over it, and how its output is checked.
 type Workload struct {
 	// Name as reported in the paper's figures.
 	Name string
@@ -80,11 +91,52 @@ type Workload struct {
 	TableI string
 	// InFig8 reports whether the paper's Fig. 8 includes this workload.
 	InFig8 bool
-	// Make builds the workload inside a context.
-	Make func(ctx *core.Context, opts Options) *Instance
-	// MakeReference evaluates the same lineage in memory (built fresh on
-	// a second graph) and returns the expected output records.
-	MakeReference func(opts Options) []rdd.Pair
+	// Inputs are read in order; Flow receives one leaf RDD per entry.
+	Inputs []Input
+	// Flow builds the job on its inputs' graph and returns the target.
+	Flow func(ins []*rdd.RDD) *rdd.RDD
+	// Check compares the engine's output with the reference evaluation.
+	Check func(got, want []rdd.Pair) error
+}
+
+// Make builds the workload inside a context.
+func (w *Workload) Make(ctx *core.Context, opts Options) *Instance {
+	ins := w.place(ctx, opts)
+	return &Instance{
+		Target:   w.Flow(ins),
+		Validate: func(got []rdd.Pair) error { return w.Check(got, w.reference(ins)) },
+	}
+}
+
+// MakeReference evaluates the workload's lineage in memory and returns the
+// expected output records. The context only places the inputs; it never
+// runs.
+func (w *Workload) MakeReference(opts Options) []rdd.Pair {
+	return w.reference(w.place(core.NewContext(core.Config{}), opts))
+}
+
+// place generates the inputs and spreads them over the cluster. This is
+// the only place a record meets a partition.
+func (w *Workload) place(ctx *core.Context, opts Options) []*rdd.RDD {
+	opts = opts.withDefaults()
+	ins := make([]*rdd.RDD, len(w.Inputs))
+	for i, in := range w.Inputs {
+		ins[i] = ctx.DistributeRecords(in.Name, in.Generate(opts.Seed), opts.MapParts, in.ModeledBytes*opts.Scale)
+	}
+	return ins
+}
+
+// reference builds the lineage a second time, over the partitions ins were
+// placed in but on a graph of its own — rdd.EvalLocal prepares range
+// partitioners, so it must not share a Graph with the engine — and
+// evaluates it in memory.
+func (w *Workload) reference(ins []*rdd.RDD) []rdd.Pair {
+	g := rdd.NewGraph()
+	local := make([]*rdd.RDD, len(ins))
+	for i, in := range ins {
+		local[i] = g.Input(in.Name, in.Input)
+	}
+	return rdd.CollectLocal(w.Flow(local))
 }
 
 // All lists the paper's five workloads in Table I order.
@@ -102,7 +154,7 @@ func ByName(name string) (*Workload, error) {
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)
 }
 
-// --- shared validation helpers ---
+// --- the checks a workload declares ---
 
 // canonExact renders records as a canonical multiset string for exact
 // comparison.
@@ -129,9 +181,10 @@ func expectExactMatch(got, want []rdd.Pair) error {
 	return nil
 }
 
-// expectFloatMatch compares keyed float64 outputs within tolerance
-// (floating-point sums depend on reduction order).
-func expectFloatMatch(got, want []rdd.Pair, tol float64) error {
+// expectFloatMatch compares keyed float64 outputs within a relative
+// tolerance of 1e-9 (floating-point sums depend on reduction order).
+func expectFloatMatch(got, want []rdd.Pair) error {
+	const tol = 1e-9
 	w := map[string]float64{}
 	for _, p := range want {
 		w[p.Key] = p.Value.(float64)
@@ -152,12 +205,13 @@ func expectFloatMatch(got, want []rdd.Pair, tol float64) error {
 	return nil
 }
 
-// expectSorted verifies records are globally ordered by key.
-func expectSorted(got []rdd.Pair) error {
+// expectSortedMatch verifies records are globally ordered by key and
+// equal the reference as a multiset.
+func expectSortedMatch(got, want []rdd.Pair) error {
 	for i := 1; i < len(got); i++ {
 		if got[i].Key < got[i-1].Key {
 			return fmt.Errorf("output not sorted at %d: %q < %q", i, got[i].Key, got[i-1].Key)
 		}
 	}
-	return nil
+	return expectExactMatch(got, want)
 }

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"wanshuffle/internal/core"
@@ -124,32 +123,29 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
+// placedBytes sums the real record bytes of placed inputs.
+func placedBytes(ins []*rdd.RDD) float64 {
+	var n float64
+	for _, in := range ins {
+		for _, p := range in.Input {
+			n += rdd.SizeOfAll(p.Records)
+		}
+	}
+	return n
+}
+
 // TestWordCountCombineShrinksShuffle checks the ratio that drives the
 // paper's WordCount result: the combined map output must be a small
 // fraction of the raw input.
 func TestWordCountCombineShrinksShuffle(t *testing.T) {
-	opts := Options{Seed: 1}.withDefaults()
-	lines := wordCountLines(opts)
-	rawBytes := rdd.SizeOfAll(lines)
-	g := rdd.NewGraph()
-	in := localInput(g, "t", lines, opts.Parallelism)
-	words := in.FlatMap("w", func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
-		}
-		return out
-	})
-	spec := &rdd.ShuffleSpec{
-		Partitioner: rdd.NewHashPartitioner(opts.Parallelism), MapSideCombine: true,
-		Combine: func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) },
-	}
+	w := WordCount()
+	ins := w.place(core.NewContext(core.Config{}), Options{Seed: 1, MapParts: 8})
+	count := w.Flow(ins).Deps[0] // wc.count's shuffle over wc.split
 	var combinedBytes float64
-	for _, part := range rdd.EvalLocal(words) {
-		combinedBytes += rdd.SizeOfAll(rdd.MapSidePrepare(spec, part))
+	for _, part := range rdd.EvalLocal(count.Parent) {
+		combinedBytes += rdd.SizeOfAll(rdd.MapSidePrepare(count.Shuffle, part))
 	}
-	if ratio := combinedBytes / rawBytes; ratio > 0.15 {
+	if ratio := combinedBytes / placedBytes(ins); ratio > 0.15 {
 		t.Fatalf("combine ratio = %.3f, want well under raw input", ratio)
 	}
 }
@@ -157,19 +153,14 @@ func TestWordCountCombineShrinksShuffle(t *testing.T) {
 // TestTeraSortMapBloatsData checks the HiBench quirk: the pre-shuffle map
 // output is larger than the raw input.
 func TestTeraSortMapBloatsData(t *testing.T) {
-	opts := Options{Seed: 1}.withDefaults()
-	recs := sortRecords(opts, 0x7e4a, 4000)
-	raw := rdd.SizeOfAll(recs)
-	g := rdd.NewGraph()
-	in := localInput(g, "t", recs, opts.Parallelism)
-	tagged := in.Map("tag", func(p rdd.Pair) rdd.Pair {
-		return rdd.KV(p.Key, p.Value.(string)+teraSortBloat)
-	})
+	w := TeraSort()
+	ins := w.place(core.NewContext(core.Config{}), Options{Seed: 1, MapParts: 8})
+	sorted := w.Flow(ins).Deps[0].Parent // terasort.strip ← terasort.sorted
 	var bloated float64
-	for _, part := range rdd.EvalLocal(tagged) {
+	for _, part := range rdd.EvalLocal(sorted.Deps[0].Parent) { // terasort.tag
 		bloated += rdd.SizeOfAll(part)
 	}
-	ratio := bloated / raw
+	ratio := bloated / placedBytes(ins)
 	if ratio < 1.1 || ratio > 2.0 {
 		t.Fatalf("TeraSort bloat ratio = %.2f, want 1.1-2.0 (output larger than input)", ratio)
 	}
