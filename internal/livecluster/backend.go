@@ -61,10 +61,11 @@ var errWorkerDown = errors.New("worker is down")
 func (r *liveRun) NumSites() int { return len(r.c.workers) }
 
 // RunTask implements plan.Backend: evaluate the partition at its worker,
-// gathering its shuffle input through reader. A map task then prepares its
-// output map-side and either pushes it to the aggregator the moment it
-// finishes (t.AggTo names another worker, the paper's transferTo) or installs
-// it in its own worker's block store: in fetch mode, and in push mode when the
+// gathering its shuffle input through reader. A map task's output comes back
+// from plan.TaskOutput prepared for its shuffle (combined map-side, where the
+// spec asks, as the records are produced); the task either pushes it to the
+// aggregator the moment it finishes (t.AggTo names another worker, the
+// paper's transferTo) or installs it in its own worker's block store: in fetch mode, and in push mode when the
 // task already runs on the aggregator — the s₁ of Eq. 2 that never has to
 // move. The bytes it reports, like every span's, are record-codec bytes — what
 // the records take on this cluster's wire — so the planner's predicted
@@ -82,7 +83,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	// their own, so the timeline separates M and P the way the simulator's
 	// does.
 	lastFetch := r.since()
-	recs, err := plan.EvalStagePart(st, t.Part, r.reader(t, taskID, &lastFetch))
+	out, err := plan.TaskOutput(st, t.Part, r.reader(t, taskID, &lastFetch))
 	if err != nil {
 		return plan.TaskResult{}, err
 	}
@@ -90,10 +91,10 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	if spec == nil {
 		r.span(trace.Span{
 			Kind: trace.KindReduce, ID: taskID, Host: topology.HostID(site),
-			Stage: st.ID, Part: t.Part, Records: len(recs),
+			Stage: st.ID, Part: t.Part, Records: len(out),
 			Start: lastFetch, End: r.since(),
 		})
-		return plan.TaskResult{Records: recs}, nil
+		return plan.TaskResult{Records: out}, nil
 	}
 	if w.closed.Load() {
 		// The worker died under the task; its output cannot be stored or
@@ -101,14 +102,13 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// re-places it on a healthy worker.
 		return plan.TaskResult{}, fmt.Errorf("livecluster: map task %s/t%d on worker %d: %w", st.Name(), t.Part, site, errWorkerDown)
 	}
-	prepared := rdd.MapSidePrepare(spec, recs)
-	res := plan.TaskResult{Bytes: rdd.EncodedSize(prepared), Sample: rdd.RangeSample(spec, prepared)}
+	res := plan.TaskResult{Bytes: rdd.EncodedSize(out), Sample: rdd.RangeSample(spec, out)}
 	// The map span carries the shuffle it produced, making it a producer
 	// edge for downstream fetch/serve spans in critical-path analysis.
 	r.span(trace.Span{
 		Kind: trace.KindMap, ID: taskID, Host: topology.HostID(site),
 		Stage: st.ID, Part: t.Part, Shuffle: spec.ID,
-		Bytes: res.Bytes, Records: len(prepared),
+		Bytes: res.Bytes, Records: len(out),
 		Start: lastFetch, End: r.since(),
 	})
 	if t.AggTo < 0 || t.AggTo == site {
@@ -117,11 +117,11 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// the same block store pushes assemble into (spilling under the same
 		// budget, last write wins by attempt). No push and no receive span:
 		// the map span above is the producer edge, as in fetch mode.
-		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, prepared)
+		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, out)
 	}
 	tPush := r.since()
 	pushID := r.c.ids.Next()
-	sent, err := w.push(t.AggTo, spec.ID, t.Part, t.Attempt, prepared,
+	sent, err := w.push(t.AggTo, spec.ID, t.Part, t.Attempt, out,
 		spanCtx{trace: r.traceID, parent: taskID, span: pushID})
 	if err != nil {
 		return plan.TaskResult{}, err
@@ -130,7 +130,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		Kind: trace.KindPush, ID: pushID, Parent: taskID, Host: topology.HostID(site),
 		Stage: st.ID, Part: t.Part, Shuffle: spec.ID,
 		SrcSite: siteLabel(site), DstSite: siteLabel(t.AggTo),
-		Bytes: float64(sent), Records: len(prepared),
+		Bytes: float64(sent), Records: len(out),
 		Start: tPush, End: r.since(),
 	})
 	return res, nil

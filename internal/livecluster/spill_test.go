@@ -21,7 +21,7 @@ func TestParityWithForcedSpill(t *testing.T) {
 		var reloads int64
 		// Seeds whose lineages move enough shuffle data to overflow the
 		// budget in both modes (small lineages legitimately fit in 1 KiB).
-		for _, seed := range []int64{0, 5, 22} {
+		for _, seed := range []int64{2, 16, 22} {
 			want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
 
 			dir := t.TempDir()

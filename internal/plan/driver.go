@@ -22,15 +22,15 @@ import (
 // lives and how big it measured (the MapOutputTracker), a stage's input
 // sizes, the range-partitioner barrier, placement and retries. Data-plane
 // details (TCP, memory) stay entirely inside the backend; record semantics
-// come from EvalStagePart so every backend agrees with rdd.EvalLocal.
+// come from TaskOutput so every backend agrees with rdd.EvalLocal.
 type Backend interface {
 	// NumSites returns the number of task sites.
 	NumSites() int
 
 	// RunTask computes partition t.Part of t.Stage at t.Site, reading its
 	// shuffle input through t.Gather. A result-stage task returns its
-	// records. A map-stage task (t.Stage.OutSpec != nil) applies map-side
-	// preparation and stores the prepared output — pushed to site t.AggTo
+	// records. A map-stage task (t.Stage.OutSpec != nil) stores its output,
+	// which TaskOutput returns prepared map-side — pushed to site t.AggTo
 	// the moment the task finishes when t.AggTo >= 0 (the paper's
 	// transferTo), kept at t.Site otherwise — keeping duplicate outputs
 	// from retried attempts idempotent (last-write-wins by t.Attempt), and

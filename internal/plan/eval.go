@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/rdd"
@@ -20,12 +21,64 @@ type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([]rdd.Pair, erro
 // transforms — are exactly those of rdd.EvalLocal, so every backend built
 // on this evaluator agrees with the in-memory reference by construction.
 func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
-	if len(st.Phases) != 1 {
-		return nil, fmt.Errorf("plan: stage %s has %d phases; EvalStagePart handles single-phase stages", st.Name(), len(st.Phases))
+	top, err := stageTop(st)
+	if err != nil {
+		return nil, err
 	}
-	return evalPart(st.Phases[0].Top, part, read)
+	return evalPart(top, part, read)
 }
 
+// TaskOutput computes what task part of a single-phase stage produces: a
+// result stage's output partition, or a map stage's output prepared for the
+// stage's shuffle — rdd.MapSidePrepare(st.OutSpec, EvalStagePart(...)),
+// record for record. How it gets there is decided here and nowhere else: when
+// the shuffle combines map-side, the stage's chain runs record by record
+// straight into the combiner's table (Sec. IV-C3: the combine is pipelined
+// with the map, before any push), so the uncombined map output — 150,000
+// words about to fold to 5,000 — is never built; any other stage's prepared
+// output is its evaluated partition as it stands.
+func TaskOutput(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
+	top, err := stageTop(st)
+	if err != nil {
+		return nil, err
+	}
+	spec := st.OutSpec
+	if spec == nil || !spec.CombinesMapSide() {
+		return evalPart(top, part, read)
+	}
+	c := rdd.NewCombiner(spec.Combine)
+	if err := eachPart(top, part, read, c.Add, nil); err != nil {
+		return nil, err
+	}
+	return c.Sorted(), nil
+}
+
+func stageTop(st *dag.Stage) (*rdd.RDD, error) {
+	if len(st.Phases) != 1 {
+		return nil, fmt.Errorf("plan: stage %s has %d phases; the evaluator handles single-phase stages", st.Name(), len(st.Phases))
+	}
+	return st.Phases[0].Top, nil
+}
+
+// evalPart and eachPart are one evaluator in two forms: evalPart returns
+// partition part of node as a slice, eachPart hands its records to emit in
+// the same order without building one.
+//
+// A node with a per-record form (rdd.RDD.Each: Map, FlatMap, Filter, Union)
+// fuses: eachPart runs its parents' eachPart with the node's operator
+// composed in front of emit — no input slice, no output slice per operator —
+// and evalPart of such a node is eachPart into an append. Everything else
+// materialises, because it is a slice already or needs one: a leaf (its
+// input partition is returned as it is, so a stage that is only a leaf
+// copies nothing), a shuffle boundary (reduce-side aggregation sorts its
+// whole shard), and MapPartitions (the user's function takes the partition);
+// eachPart of those is evalPart and a loop. Transfer nodes never get here:
+// dag cuts a phase at each one and Driver rejects multi-phase stages.
+//
+// expect, when not nil, hears from each materialised source how many records
+// it is about to emit, before it emits them: evalPart makes room for that
+// many at once, so a Map over a leaf fills a slice of the right size the way
+// its Narrow would have, and does not double its way up to it.
 func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 	if len(node.Deps) == 0 {
 		return node.Input[part].Records, nil
@@ -55,18 +108,50 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 		}
 		return agg, nil
 	}
-	var in []rdd.Pair
+	var recs []rdd.Pair
+	collect := func(p rdd.Pair) { recs = append(recs, p) }
+	expect := func(n int) { recs = slices.Grow(recs, n) }
+	if node.Each != nil {
+		if err := eachPart(node, part, read, collect, expect); err != nil {
+			return nil, err
+		}
+		return recs, nil
+	}
+	if err := eachParent(node, part, read, collect, expect); err != nil {
+		return nil, err
+	}
+	return node.Narrow(part, recs), nil
+}
+
+func eachPart(node *rdd.RDD, part int, read ShuffleReader, emit func(rdd.Pair), expect func(int)) error {
+	if node.Each == nil {
+		recs, err := evalPart(node, part, read)
+		if err != nil {
+			return err
+		}
+		if expect != nil {
+			expect(len(recs))
+		}
+		for _, p := range recs {
+			emit(p)
+		}
+		return nil
+	}
+	return eachParent(node, part, read, func(p rdd.Pair) { node.Each(p, emit) }, expect)
+}
+
+// eachParent hands emit the records of every parent partition that narrow
+// node's partition part reads, in dependency order.
+func eachParent(node *rdd.RDD, part int, read ShuffleReader, emit func(rdd.Pair), expect func(int)) error {
 	for di := range node.Deps {
 		d := &node.Deps[di]
 		for _, pi := range d.ParentParts(part) {
-			pr, err := evalPart(d.Parent, pi, read)
-			if err != nil {
-				return nil, err
+			if err := eachPart(d.Parent, pi, read, emit, expect); err != nil {
+				return err
 			}
-			in = append(in, pr...)
 		}
 	}
-	return node.Narrow(part, in), nil
+	return nil
 }
 
 // leafBytes sizes the leaf input partitions evalPart reads for partition

@@ -38,22 +38,20 @@ func (b *MemBackend) Store() blockstore.Store { return b.store }
 // NumSites implements Backend.
 func (b *MemBackend) NumSites() int { return b.Sites }
 
-// RunTask implements Backend: evaluate the partition and, for a map stage,
-// prepare it for the stage's shuffle and store it.
+// RunTask implements Backend: evaluate the task's output and, for a map
+// stage — whose output TaskOutput has prepared for the stage's shuffle —
+// store it.
 func (b *MemBackend) RunTask(t Task) (TaskResult, error) {
-	recs, err := EvalStagePart(t.Stage, t.Part, func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
-		return t.Gather(spec.ID, func(mapPart, _ int) ([][]rdd.Pair, error) { return b.shard(spec, mapPart, reduce) })
-	})
+	out, err := TaskOutput(t.Stage, t.Part, b.reader(t))
 	spec := t.Stage.OutSpec
 	if err != nil || spec == nil {
-		return TaskResult{Records: recs}, err
+		return TaskResult{Records: out}, err
 	}
-	prepared := rdd.MapSidePrepare(spec, recs)
 	// A stale attempt's Put is a no-op, and the tracker drops its record.
 	_, _, err = b.store.Put(
 		blockstore.Key{Shuffle: spec.ID, MapPart: t.Part},
-		blockstore.Output{Attempt: t.Attempt, Records: prepared})
-	return TaskResult{Bytes: rdd.EncodedSize(prepared), Sample: rdd.RangeSample(spec, prepared)}, err
+		blockstore.Output{Attempt: t.Attempt, Records: out})
+	return TaskResult{Bytes: rdd.EncodedSize(out), Sample: rdd.RangeSample(spec, out)}, err
 }
 
 // OnTask implements Backend (obs.Sink).
@@ -61,6 +59,13 @@ func (b *MemBackend) OnTask(ev obs.TaskEvent) { b.Events.OnTask(ev) }
 
 // OnStage implements Backend (obs.Sink).
 func (b *MemBackend) OnStage(span StageSpan) { b.Events.OnStage(span) }
+
+// reader gathers task t's shuffle input from the shared store.
+func (b *MemBackend) reader(t Task) ShuffleReader {
+	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
+		return t.Gather(spec.ID, func(mapPart, _ int) ([][]rdd.Pair, error) { return b.shard(spec, mapPart, reduce) })
+	}
+}
 
 // shard reads one reduce partition's shard of one map output. The store
 // buckets each output at most once (on its first shard read), so reading R

@@ -89,6 +89,11 @@ type ShuffleSpec struct {
 	SampleForRange bool
 }
 
+// CombinesMapSide reports whether a map task folds its output per key before
+// it leaves the mapper. It is the one condition MapSidePrepare and a planner's
+// fused map-side evaluation both branch on.
+func (s *ShuffleSpec) CombinesMapSide() bool { return s.MapSideCombine && s.Combine != nil }
+
 // TransferSpec directs a TransferredRDD (the paper's transferTo): push each
 // parent partition to a receiver task in the target datacenter(s).
 type TransferSpec struct {
@@ -108,6 +113,12 @@ type TransferSpec struct {
 // records, concatenated in dependency order.
 type NarrowFn func(part int, input []Pair) []Pair
 
+// EachFn is the push-style form of a per-record operator: it calls emit,
+// in order, with every record p turns into (none, for a filtered record).
+// An evaluator composes a chain of them into one loop with no slice between
+// the operators.
+type EachFn func(p Pair, emit func(Pair))
+
 // RDD is one dataset node in the lineage graph.
 type RDD struct {
 	ID   int
@@ -123,6 +134,12 @@ type RDD struct {
 	// Narrow computes an output partition from parent records (narrow
 	// RDDs only).
 	Narrow NarrowFn
+
+	// Each is set on the narrow RDDs that work record by record (Map,
+	// FlatMap, Filter, Union); their Narrow is then the same operator
+	// materialised. Nil means the RDD needs its whole input partition at
+	// once (MapPartitions) and Narrow is the only form it has.
+	Each EachFn
 
 	// PostShuffle optionally transforms a reduce partition after shuffle
 	// aggregation (e.g. the flatMap step of a join). Nil means identity.
@@ -183,42 +200,48 @@ func (r *RDD) narrowChild(name string, fn NarrowFn) *RDD {
 	})
 }
 
-// Map applies fn to every record.
-func (r *RDD) Map(name string, fn func(Pair) Pair) *RDD {
-	return r.narrowChild(name, func(_ int, in []Pair) []Pair {
-		out := make([]Pair, len(in))
-		for i, p := range in {
-			out[i] = fn(p)
+// eachChild builds the narrow RDD of a per-record operator. Its Narrow is
+// derived from each, so the two forms cannot disagree: an evaluator that
+// wants every operator's output on its own (exec's cost model, EvalLocal)
+// calls Narrow, one that only wants the end of the chain composes Each.
+func (r *RDD) eachChild(name string, each EachFn) *RDD {
+	child := r.narrowChild(name, func(_ int, in []Pair) []Pair {
+		out := make([]Pair, 0, len(in))
+		emit := func(p Pair) { out = append(out, p) }
+		for _, p := range in {
+			each(p, emit)
 		}
 		return out
 	})
+	child.Each = each
+	return child
+}
+
+// Map applies fn to every record.
+func (r *RDD) Map(name string, fn func(Pair) Pair) *RDD {
+	return r.eachChild(name, func(p Pair, emit func(Pair)) { emit(fn(p)) })
 }
 
 // FlatMap applies fn to every record and concatenates the results.
 func (r *RDD) FlatMap(name string, fn func(Pair) []Pair) *RDD {
-	return r.narrowChild(name, func(_ int, in []Pair) []Pair {
-		var out []Pair
-		for _, p := range in {
-			out = append(out, fn(p)...)
+	return r.eachChild(name, func(p Pair, emit func(Pair)) {
+		for _, q := range fn(p) {
+			emit(q)
 		}
-		return out
 	})
 }
 
 // Filter keeps records satisfying fn.
 func (r *RDD) Filter(name string, fn func(Pair) bool) *RDD {
-	return r.narrowChild(name, func(_ int, in []Pair) []Pair {
-		var out []Pair
-		for _, p := range in {
-			if fn(p) {
-				out = append(out, p)
-			}
+	return r.eachChild(name, func(p Pair, emit func(Pair)) {
+		if fn(p) {
+			emit(p)
 		}
-		return out
 	})
 }
 
-// MapPartitions applies fn to each whole partition.
+// MapPartitions applies fn to each whole partition. It has no per-record
+// form: an evaluator materialises its input, whatever surrounds it.
 func (r *RDD) MapPartitions(name string, fn func(part int, in []Pair) []Pair) *RDD {
 	return r.narrowChild(name, fn)
 }
@@ -263,8 +286,12 @@ func (r *RDD) Union(name string, others ...*RDD) *RDD {
 		Name:     name,
 		numParts: total,
 		Deps:     deps,
-		Narrow:   func(_ int, in []Pair) []Pair { return in },
-		graph:    r.graph,
+		// The identity in both forms: materialised, the concatenated parent
+		// partitions are the output; record by record, a Union passes its
+		// parents' records straight through to whatever reads it.
+		Narrow: func(_ int, in []Pair) []Pair { return in },
+		Each:   func(p Pair, emit func(Pair)) { emit(p) },
+		graph:  r.graph,
 	})
 }
 

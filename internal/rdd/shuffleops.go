@@ -10,12 +10,10 @@ package rdd
 // the spec requests it (Sec. IV-C3: combine runs on the mapper, pipelined
 // before any push), returning the records that will leave the mapper.
 func MapSidePrepare(spec *ShuffleSpec, records []Pair) []Pair {
-	if !spec.MapSideCombine || spec.Combine == nil {
+	if !spec.CombinesMapSide() {
 		return records
 	}
-	out := combineByKey(spec.Combine, records)
-	sortByKey(out, out)
-	return out
+	return combineAll(spec.Combine, records)
 }
 
 // BucketRecords shards records into the spec's reduce partitions. The
@@ -48,22 +46,18 @@ func BucketRecords(spec *ShuffleSpec, records []Pair) [][]Pair {
 // sorting as requested. Like MapSidePrepare it only reads records — callers
 // pass stored shards — and returns a slice of its own.
 func ReduceAggregate(spec *ShuffleSpec, records []Pair) []Pair {
-	var out []Pair
 	switch {
 	case spec.GroupAll:
-		out = groupByKey(records)
+		return groupByKey(records)
 	case spec.Combine != nil:
-		out = combineByKey(spec.Combine, records)
-	default:
-		out = make([]Pair, len(records))
-		if spec.SortKeys {
-			sortByKey(out, records) // the copy is the sort's one permutation
-		} else {
-			copy(out, records)
-		}
-		return out
+		return combineAll(spec.Combine, records)
 	}
-	sortByKey(out, out)
+	out := make([]Pair, len(records))
+	if spec.SortKeys {
+		sortByKey(out, records) // the copy is the sort's one permutation
+	} else {
+		copy(out, records)
+	}
 	return out
 }
 
@@ -121,32 +115,72 @@ func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) 
 	return nil
 }
 
-// combineByKey and groupByKey return one record per key in map order;
-// their callers sort.
-func combineByKey(fn CombineFn, records []Pair) []Pair {
-	acc := make(map[string]Value, len(records))
-	for _, p := range records {
-		if cur, ok := acc[p.Key]; ok {
-			acc[p.Key] = fn(cur, p.Value)
-		} else {
-			acc[p.Key] = p.Value
-		}
-	}
-	out := make([]Pair, 0, len(acc))
-	for k, v := range acc {
-		out = append(out, Pair{Key: k, Value: v})
-	}
-	return out
+// Combiner folds records into one per key as they arrive: the map-side
+// combine a fused map task emits into (plan.TaskOutput), and the reduce-side
+// one. A key's first record is kept as it came and every later one is folded
+// into it as fn(current, next), so values meet in arrival order. The table is
+// an index from key to a position in one []Pair — one hash lookup per record,
+// values updated in place in the slice that becomes the output — and grows
+// with the distinct keys seen: a map task folding 150,000 words to 5,000
+// never holds more than the 5,000.
+type Combiner struct {
+	fn    CombineFn
+	index map[string]int32 // position in recs; a partition holds far fewer than 2³¹ keys
+	recs  []Pair
 }
 
-func groupByKey(records []Pair) []Pair {
-	acc := make(map[string][]Value, len(records))
+// NewCombiner returns an empty combiner folding with fn.
+func NewCombiner(fn CombineFn) *Combiner {
+	return &Combiner{fn: fn, index: map[string]int32{}}
+}
+
+// Add folds one record in.
+func (c *Combiner) Add(p Pair) {
+	if i, ok := c.index[p.Key]; ok {
+		c.recs[i].Value = c.fn(c.recs[i].Value, p.Value)
+		return
+	}
+	c.index[p.Key] = int32(len(c.recs))
+	c.recs = append(c.recs, p)
+}
+
+// Sorted returns the combined records in key order. It hands over the
+// combiner's own slice, sorted in place: the combiner is spent afterwards.
+func (c *Combiner) Sorted() []Pair {
+	sortByKey(c.recs, c.recs)
+	c.index = nil // its positions are stale now: a later Add panics instead of folding into the wrong key
+	return c.recs
+}
+
+func combineAll(fn CombineFn, records []Pair) []Pair {
+	c := NewCombiner(fn)
 	for _, p := range records {
-		acc[p.Key] = append(acc[p.Key], p.Value)
+		c.Add(p)
 	}
-	out := make([]Pair, 0, len(acc))
-	for k, vs := range acc {
-		out = append(out, Pair{Key: k, Value: vs})
+	return c.Sorted()
+}
+
+// groupByKey returns one record per key, in key order, whose value is the
+// []Value of that key's values in arrival order. The same layout as Combiner — an index into slices that grow with the distinct
+// keys — with the groups kept unboxed beside the records until the end, so
+// appending to one does not allocate a new interface value per record.
+func groupByKey(records []Pair) []Pair {
+	index := map[string]int32{}
+	var out []Pair
+	var groups [][]Value
+	for _, p := range records {
+		i, ok := index[p.Key]
+		if !ok {
+			i = int32(len(out))
+			index[p.Key] = i
+			out = append(out, Pair{Key: p.Key})
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], p.Value)
 	}
+	for i, vs := range groups {
+		out[i].Value = vs
+	}
+	sortByKey(out, out)
 	return out
 }

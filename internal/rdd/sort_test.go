@@ -3,6 +3,7 @@ package rdd
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -75,6 +76,12 @@ func TestSortByKeyMatchesStableSort(t *testing.T) {
 	}
 }
 
+// DESIGN §3.5's non-mutation contract: MapSidePrepare, ReduceAggregate and
+// BucketRecords are handed stored shards and leaf partitions, which a retried
+// attempt or a second reader will read again, so none of them may write to its
+// input — neither to the slice nor, for values they only carry, through a
+// value (the []Value values here have spare capacity, so an append into one
+// would show). Each gets a slice, the test keeps a deep copy, and compares.
 func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 	sum := func(a, b Value) Value { return a.(int) + b.(int) }
 	specs := map[string]*ShuffleSpec{
@@ -83,22 +90,41 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 		"group":   {GroupAll: true},
 		"plain":   {},
 	}
+	deepCopy := func(recs []Pair) []Pair {
+		out := slices.Clone(recs)
+		for i, p := range out {
+			if vs, ok := p.Value.([]Value); ok {
+				out[i].Value = slices.Clone(vs)
+			}
+		}
+		return out
+	}
 	for name, spec := range specs {
+		spec.Partitioner = NewHashPartitioner(4)
 		for _, n := range []int{radixSortCutoff - 1, 5000} {
 			in := sortInput("duplicates", n, 3)
-			orig := slices.Clone(in)
+			if spec.Combine == nil {
+				for i := range in {
+					in[i].Value = append(make([]Value, 0, 4), i, "v")
+				}
+			}
+			orig := deepCopy(in)
 			// Twice over the same slice, as perf/layers.go and EvalLocal do.
 			first := ReduceAggregate(spec, in)
 			second := ReduceAggregate(spec, in)
-			if !slices.Equal(in, orig) {
+			if !reflect.DeepEqual(in, orig) {
 				t.Errorf("%s n=%d: ReduceAggregate wrote to its input", name, n)
 			}
-			if !spec.GroupAll && !slices.Equal(first, second) {
+			if !reflect.DeepEqual(first, second) {
 				t.Errorf("%s n=%d: ReduceAggregate gave two answers for one input", name, n)
 			}
 			MapSidePrepare(spec, in)
-			if !slices.Equal(in, orig) {
+			if !reflect.DeepEqual(in, orig) {
 				t.Errorf("%s n=%d: MapSidePrepare wrote to its input", name, n)
+			}
+			BucketRecords(spec, in)
+			if !reflect.DeepEqual(in, orig) {
+				t.Errorf("%s n=%d: BucketRecords wrote to its input", name, n)
 			}
 		}
 	}
