@@ -83,9 +83,7 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 		tracer = &trace.Recorder{}
 	}
 	cluster, err := livecluster.New(livecluster.Config{
-		Workers: 6, Mode: o.mode, Trace: tracer,
-		AggregatorPolicy:  o.aggregator,
-		HeartbeatInterval: o.heartbeat, StaleAfter: o.staleAfter,
+		Workers: 6, Mode: o.mode, Trace: tracer, AggregatorPolicy: o.aggregator,
 		Compression: o.compress, ChunkRecords: o.chunkRecords,
 		DialTimeout: o.dialTimeout, IOTimeout: o.ioTimeout,
 		MemoryBudget: o.memoryBudget, SpillDir: o.spillDir,
@@ -110,7 +108,6 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 		tracer: tracer,
 		topo:   cluster.Topology(),
 		registry: func() *obs.Registry {
-			cluster.RefreshLiveness() // scrapes see current heartbeat ages
 			if s := cluster.CurrentStats(); s != nil {
 				return s.Events.Registry()
 			}

@@ -184,18 +184,7 @@ func TestFlagValidation(t *testing.T) {
 		{"zero memory budget", []string{"-memory-budget", "0"}, "-memory-budget must be positive"},
 		{"negative memory budget", []string{"-memory-budget", "-64KB"}, "-memory-budget must be positive"},
 		{"garbage memory budget", []string{"-memory-budget", "lots"}, "cannot parse"},
-		{"zero heartbeat", []string{"-heartbeat", "0s"}, "-heartbeat must be positive"},
-		{"negative heartbeat", []string{"-heartbeat", "-50ms"}, "-heartbeat must be positive"},
-		{"zero stale-after", []string{"-stale-after", "0s"}, "-stale-after must be positive"},
-		{"negative stale-after", []string{"-stale-after", "-1s"}, "-stale-after must be positive"},
-		{"stale-after equals heartbeat", []string{"-heartbeat", "100ms", "-stale-after", "100ms"}, "must exceed"},
-		{"stale-after below heartbeat", []string{"-heartbeat", "2s", "-stale-after", "1s"}, "must exceed"},
-		{"stale-after below default heartbeat", []string{"-stale-after", "10ms"}, "must exceed"},
 		{"negative telemetry linger", []string{"-telemetry-linger", "-5s"}, "-telemetry-linger must not be negative"},
-		{"zero timeline interval", []string{"-timeline-interval", "0s"}, "-timeline-interval must be positive"},
-		{"negative timeline interval", []string{"-timeline-interval", "-1s"}, "-timeline-interval must be positive"},
-		{"zero timeline cap", []string{"-timeline-cap", "0"}, "-timeline-cap must be positive"},
-		{"negative timeline cap", []string{"-timeline-cap", "-10"}, "-timeline-cap must be positive"},
 		{"unknown topology", []string{"-topology", "moon"}, "unknown -topology"},
 		{"unknown aggregator", []string{"-aggregator", "fastest"}, "unknown aggregator policy"},
 		{"random aggregator live", []string{"-aggregator", "random", "-live"}, "not supported with -live"},

@@ -11,7 +11,6 @@ import (
 
 	"wanshuffle/internal/core"
 	"wanshuffle/internal/livecluster"
-	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/workloads"
@@ -33,15 +32,12 @@ type options struct {
 	chrome, report          string
 
 	// Telemetry plane.
-	telemetryAddr    string
-	linger           time.Duration
-	progress         bool
-	logger           *slog.Logger
-	timelineInterval time.Duration
-	timelineCap      int
+	telemetryAddr string
+	linger        time.Duration
+	progress      bool
+	logger        *slog.Logger
 
 	// -live data, storage and network planes.
-	heartbeat, staleAfter  time.Duration
 	compress               string
 	chunkRecords           int
 	dialTimeout, ioTimeout time.Duration
@@ -89,8 +85,6 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.DurationVar(&o.linger, "telemetry-linger", 0, "keep the telemetry endpoint up this long after the run, so scrapers can read the final state")
 	fs.BoolVar(&o.progress, "progress", false, "print a live stages/tasks/bytes progress line to stderr during the run")
 	fs.StringVar(&raw.logLevel, "log-level", "warn", "structured log level on stderr: debug | info | warn | error | off")
-	fs.DurationVar(&o.heartbeat, "heartbeat", 50*time.Millisecond, "-live worker heartbeat interval (must be positive)")
-	fs.DurationVar(&o.staleAfter, "stale-after", time.Second, "-live heartbeat silence after which a worker counts as dead (must be positive and exceed -heartbeat)")
 	fs.StringVar(&o.compress, "compress", "", "-live per-chunk compression codec: none | gzip | flate")
 	fs.IntVar(&o.chunkRecords, "chunk-records", 256, "-live records per chunk frame (must be positive)")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 0, "-live data-plane dial timeout (0 = 5s default, negative disables)")
@@ -98,8 +92,6 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.StringVar(&raw.memoryBudget, "memory-budget", "", "-live per-worker resident budget for stored shuffle blocks, e.g. 64KB or 16MiB; beyond it the coldest outputs spill to disk (empty = unlimited)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "-live directory for spilled shuffle blocks (empty = OS temp dir)")
 	fs.StringVar(&raw.topology, "topology", "", "-live WAN preset pacing the loopback data plane at its inter-DC rates: ec2 | micro (empty = unshaped)")
-	fs.DurationVar(&o.timelineInterval, "timeline-interval", netobs.DefaultInterval, "metrics timeline sampling period (must be positive)")
-	fs.IntVar(&o.timelineCap, "timeline-cap", netobs.DefaultCap, "metrics timeline ring capacity in samples, oldest dropped first (must be positive)")
 	fs.BoolVar(&o.serve, "serve", false, "run as a multi-tenant job service: workloads arrive as JSON over POST /jobs on -telemetry-addr (required) and run one at a time, weighted-fair across tenants")
 	fs.StringVar(&raw.tenants, "tenants", "", "-serve tenant weights, e.g. heavy=3,light=1 (unlisted tenants weigh 1)")
 	fs.IntVar(&o.maxQueue, "max-queue", 16, "-serve admission bound on queued jobs; submissions beyond it get HTTP 429 (must be positive)")
@@ -117,8 +109,8 @@ var singleRunFlags = map[string]bool{
 }
 
 // parseOptions parses and validates args. A value with no meaningful
-// interpretation (a zero chunk size, a staleness bound below the beat
-// interval, a scheme the chosen backend cannot run) fails here, before
+// interpretation (a zero chunk size, an unknown topology, a scheme the
+// chosen backend cannot run) fails here, before
 // anything is built; a flag that is merely without effect in the chosen
 // mode draws a warning on stderr.
 func parseOptions(args []string, stderr io.Writer) (*options, error) {
@@ -158,7 +150,7 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	for _, c := range []struct {
 		name string
 		v    int
-	}{{"-chunk-records", o.chunkRecords}, {"-timeline-cap", o.timelineCap}, {"-max-queue", o.maxQueue}} {
+	}{{"-chunk-records", o.chunkRecords}, {"-max-queue", o.maxQueue}} {
 		if c.v <= 0 {
 			return nil, fmt.Errorf("%s must be positive, got %d", c.name, c.v)
 		}
@@ -169,20 +161,8 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	if o.topology, err = topologyByName(raw.topology); err != nil {
 		return nil, err
 	}
-	if o.heartbeat <= 0 {
-		return nil, fmt.Errorf("-heartbeat must be positive, got %v", o.heartbeat)
-	}
-	if o.staleAfter <= 0 {
-		return nil, fmt.Errorf("-stale-after must be positive, got %v", o.staleAfter)
-	}
-	if o.staleAfter <= o.heartbeat {
-		return nil, fmt.Errorf("-stale-after (%v) must exceed -heartbeat (%v): workers would look dead between beats", o.staleAfter, o.heartbeat)
-	}
 	if o.linger < 0 {
 		return nil, fmt.Errorf("-telemetry-linger must not be negative, got %v", o.linger)
-	}
-	if o.timelineInterval <= 0 {
-		return nil, fmt.Errorf("-timeline-interval must be positive, got %v", o.timelineInterval)
 	}
 	if o.weights, err = parseTenantWeights(raw.tenants); err != nil {
 		return nil, err

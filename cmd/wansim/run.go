@@ -50,7 +50,7 @@ func runOnce(ctx context.Context, o *options, stdout, stderr io.Writer) error {
 	var prog *telemetry.Progress
 	if o.progress {
 		// Both backends count every moved byte into bytes_moved_total{class}.
-		prog = telemetry.StartProgress(stderr, 0, b.events, func() int64 {
+		prog = telemetry.StartProgress(stderr, b.events, func() int64 {
 			var total float64
 			for _, p := range b.registry().Snapshot() {
 				if p.Name == "bytes_moved_total" {
@@ -114,11 +114,7 @@ func startTelemetry(o *options, stdout io.Writer, cfg telemetry.Config) (tel *te
 	if o.telemetryAddr == "" {
 		return nil, func() {}, nil
 	}
-	sampler := netobs.NewSampler(netobs.SamplerConfig{
-		Interval: o.timelineInterval,
-		Cap:      o.timelineCap,
-		Source:   func() []obs.MetricPoint { return cfg.Registry().Snapshot() },
-	})
+	sampler := netobs.NewSampler(func() []obs.MetricPoint { return cfg.Registry().Snapshot() })
 	cfg.Timeline = sampler.Samples
 	cfg.Logger = o.logger
 	if tel, err = telemetry.Start(o.telemetryAddr, cfg); err != nil {

@@ -159,10 +159,10 @@ func TestSmoke(t *testing.T) {
 		{
 			// Transfer samples ride worker heartbeats, so /links fills while
 			// the job runs; the report then carries drift for every pair the
-			// micro topology configures, and the timeline ring the link_*
-			// series.
+			// micro topology configures, and the timeline ring — sampled at
+			// start, every 250 ms and at stop — the link_* series.
 			name: "link observatory",
-			args: []string{"-live", "-scale", "0.2", "-topology", "micro", "-timeline-interval", "50ms"},
+			args: []string{"-live", "-scale", "0.2", "-topology", "micro"},
 			scrape: func(t *testing.T, url string) {
 				waitTest(t, "a measured pair on /links", func() bool {
 					status, body := httpGet(t, url+"/links")

@@ -1,9 +1,10 @@
 // Package blockstore is the storage seam under every shuffle data plane:
 // map outputs (flat records before the partitioner is ready, per-reduce
 // shards after) live behind the Store interface instead of ad-hoc maps
-// inside each backend. The live cluster's workers, its fetch-mode local
-// store, and the planner's in-memory reference backend all keep their
-// shuffle blocks here, so the semantics that keep those backends in
+// inside each backend. Each live worker's one store (holding its own map
+// outputs and, on an aggregator, the ones pushed to it) and the planner's
+// in-memory reference backend keep their shuffle blocks here, so the
+// semantics that keep those backends in
 // agreement — last-write-wins by task attempt, exactly-once bucketing of
 // flat outputs on first shard read — are implemented once.
 //

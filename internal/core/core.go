@@ -217,14 +217,11 @@ func (c *Context) SaveContext(ctx context.Context, target *rdd.RDD) (*Report, er
 func (c *Context) RunConcurrently(targets []*rdd.RDD) ([]*Report, error) {
 	specs := make([]exec.JobSpec, len(targets))
 	for i, target := range targets {
-		opts := exec.RunOptions{}
-		switch c.cfg.Scheme {
-		case SchemeAggShuffle:
-			dag.AutoAggregate(target)
-		case SchemeCentralized:
-			opts.Centralize = true
+		spec, err := c.jobSpec(target, exec.ActionSave)
+		if err != nil {
+			return nil, err
 		}
-		specs[i] = exec.JobSpec{Target: target, Action: exec.ActionSave, Opts: opts}
+		specs[i] = spec
 	}
 	results, err := c.eng.RunMany(specs)
 	if err != nil {
@@ -232,7 +229,7 @@ func (c *Context) RunConcurrently(targets []*rdd.RDD) ([]*Report, error) {
 	}
 	reports := make([]*Report, len(results))
 	for i, res := range results {
-		reports[i] = &Report{Scheme: c.cfg.Scheme, Result: res, topo: c.cfg.Topology, tracer: c.eng.Tracer, events: c.eng.Events, links: c.eng.Links(), seed: c.cfg.Seed, aggPolicy: c.cfg.Exec.AggregatorPolicy.String()}
+		reports[i] = c.report(res)
 	}
 	return reports, nil
 }
@@ -242,25 +239,43 @@ func (c *Context) run(target *rdd.RDD, action exec.Action) (*Report, error) {
 }
 
 func (c *Context) runContext(ctx context.Context, target *rdd.RDD, action exec.Action) (*Report, error) {
-	opts := exec.RunOptions{}
-	switch c.cfg.Scheme {
-	case SchemeAggShuffle:
-		// The paper's automatic embedding: a transferTo before every
-		// shuffle (idempotent across jobs on the same lineage).
-		dag.AutoAggregate(target)
-	case SchemeCentralized:
-		opts.Centralize = true
-	case SchemeSpark, SchemeManual:
-		// Nothing: fetch-based shuffle; Manual keeps explicit transfers.
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %v", c.cfg.Scheme)
+	spec, err := c.jobSpec(target, action)
+	if err != nil {
+		return nil, err
 	}
-	results, err := c.eng.RunManyContext(ctx, []exec.JobSpec{{Target: target, Action: action, Opts: opts}})
+	results, err := c.eng.RunManyContext(ctx, []exec.JobSpec{spec})
 	if err != nil {
 		return nil, fmt.Errorf("core: %v job failed: %w", c.cfg.Scheme, err)
 	}
-	res := results[0]
-	return &Report{Scheme: c.cfg.Scheme, Result: res, topo: c.cfg.Topology, tracer: c.eng.Tracer, events: c.eng.Events, links: c.eng.Links(), seed: c.cfg.Seed, aggPolicy: c.cfg.Exec.AggregatorPolicy.String()}, nil
+	return c.report(results[0]), nil
+}
+
+// jobSpec is the one place the scheme says what it does to a job: AggShuffle
+// embeds a transferTo before every shuffle (the paper's automatic embedding,
+// idempotent across jobs on the same lineage), Centralized ships the inputs
+// to one datacenter first, Spark and Manual run the lineage as written
+// (Manual keeps its explicit transfers). Any other scheme is an error.
+func (c *Context) jobSpec(target *rdd.RDD, action exec.Action) (exec.JobSpec, error) {
+	spec := exec.JobSpec{Target: target, Action: action}
+	switch c.cfg.Scheme {
+	case SchemeAggShuffle:
+		dag.AutoAggregate(target)
+	case SchemeCentralized:
+		spec.Opts.Centralize = true
+	case SchemeSpark, SchemeManual:
+	default:
+		return exec.JobSpec{}, fmt.Errorf("core: unknown scheme %v", c.cfg.Scheme)
+	}
+	return spec, nil
+}
+
+// report wraps one finished job's result with what the context knows.
+func (c *Context) report(res *exec.Result) *Report {
+	return &Report{
+		Scheme: c.cfg.Scheme, Result: res, topo: c.cfg.Topology,
+		tracer: c.eng.Tracer, events: c.eng.Events, links: c.eng.Links(),
+		seed: c.cfg.Seed, aggPolicy: c.cfg.Exec.AggregatorPolicy.String(),
+	}
 }
 
 // RunReport assembles the canonical machine-readable run report

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wanshuffle/internal/exec"
@@ -109,6 +110,46 @@ func TestDistributeRecordsDriverSkew(t *testing.T) {
 	for dc, n := range byDC {
 		if dc != driver && n >= byDC[driver] {
 			t.Fatalf("driver DC share %d not the largest (DC %d has %d)", byDC[driver], dc, n)
+		}
+	}
+}
+
+// TestSchemeEntryPoints runs one job per scheme through both entry points
+// that say what a scheme does, Save and RunConcurrently: a known scheme
+// produces the reference output under its own label, an unknown one is an
+// error from either (RunConcurrently used to run it silently as Spark).
+func TestSchemeEntryPoints(t *testing.T) {
+	want := canon(rdd.CollectLocal(buildWordCount(NewContext(Config{}))))
+	for _, scheme := range []Scheme{SchemeSpark, SchemeCentralized, SchemeAggShuffle, SchemeManual, Scheme(99)} {
+		for _, entry := range []struct {
+			name string
+			run  func(c *Context, target *rdd.RDD) (*Report, error)
+		}{
+			{"Save", (*Context).Save},
+			{"RunConcurrently", func(c *Context, target *rdd.RDD) (*Report, error) {
+				reps, err := c.RunConcurrently([]*rdd.RDD{target})
+				if err != nil {
+					return nil, err
+				}
+				return reps[0], nil
+			}},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", scheme, entry.name), func(t *testing.T) {
+				c := NewContext(Config{Seed: 1, Scheme: scheme})
+				rep, err := entry.run(c, buildWordCount(c))
+				if scheme == Scheme(99) {
+					if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+						t.Fatalf("err = %v, want unknown scheme", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Scheme != scheme || canon(rep.Records) != want {
+					t.Fatalf("report for %v, output matches reference: %v", rep.Scheme, canon(rep.Records) == want)
+				}
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
@@ -589,10 +590,11 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 	}
 	out := e.evaluate(phase.Top, t.part, host, bound, &cost)
 
-	// Map-side combine runs at the end of the stage's first executed
-	// phase, before any push leaves the mapper (Sec. IV-C3).
-	if t.phase == t.ss.startPhase && !t.receiver && st.OutSpec != nil && st.OutSpec.MapSideCombine {
-		combined := rdd.MapSidePrepare(st.OutSpec, out.records)
+	// Map-side combine runs before the push when it can (Sec. IV-C3): at the
+	// end of the last phase that computes anything, whether it runs on the
+	// mapper, inline or as a receiver.
+	if spec := st.OutSpec; spec != nil && spec.CombinesMapSide() && t.phase == max(t.ss.startPhase, combinePhase(st)) {
+		combined := rdd.MapSidePrepare(spec, out.records)
 		cost += out.modeled * 0.2 // combine pass over the map output
 		out = partData{
 			records: combined,
@@ -651,6 +653,19 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 		e.trace(sp)
 		e.postPhase(t, host, out, bound, release, start)
 	})
+}
+
+// combinePhase is the phase after which only transfers remain: a phase
+// whose top is the previous phase's transfer node computes nothing. A
+// transferTo directly before the shuffle (the automatic embedding) leaves it
+// at phase 0; an explicit one below narrow operators moves it past them, so
+// the combine folds the records the shuffle actually receives.
+func combinePhase(st *dag.Stage) int {
+	c := len(st.Phases) - 1
+	for c > 0 && st.Phases[c].Top == st.Phases[c-1].TransferNode {
+		c--
+	}
+	return c
 }
 
 // shouldFail decides whether this attempt fails, from scripted specs first,

@@ -146,9 +146,9 @@ func (r *liveRun) OnStage(span plan.StageSpan) {
 	r.stats.addStageSpan(span)
 }
 
-// SiteHealthy implements plan.SiteHealth: a worker is healthy while it is
-// open and (with heartbeats enabled) its heartbeats are fresh. The driver
-// re-places retried task attempts away from unhealthy sites.
+// SiteHealthy implements plan.SiteHealth: a worker is healthy until it is
+// closed. The driver re-places retried task attempts away from unhealthy
+// sites.
 func (r *liveRun) SiteHealthy(site int) bool { return r.c.workerHealthy(site) }
 
 // OnPlacement implements plan.PlacementObserver: label the decision's

@@ -16,11 +16,11 @@ import (
 // drain the buffer, both by a function call: control never crosses a socket.
 // With heartbeats on, each worker's ticker goroutine drains and merges it, so
 // mid-run /metrics and /report snapshots converge continuously instead of
-// jumping at job end, and stamps the worker's liveness clock. And at the end
-// of every Run a flush drains whatever no beat has merged, so post-run totals
-// are exact regardless of heartbeat timing; with heartbeats off
-// (Config.HeartbeatInterval < 0: no ticker, no liveness) that flush is the
-// only merge there is.
+// jumping at job end. And at the end of every Run a flush drains whatever no
+// beat has merged, so post-run totals are exact regardless of heartbeat
+// timing; with heartbeats off (Config.HeartbeatInterval < 0: no ticker) that
+// flush is the only merge there is. A beat is telemetry, not liveness: a
+// worker is down when it is closed, and nothing else says so.
 
 // flowKey identifies one traffic-matrix cell per class.
 type flowKey struct {
@@ -134,8 +134,8 @@ func (t *workerTel) drain() heartbeat {
 }
 
 // hbEnabled reports whether heartbeating is on for this cluster: whether
-// there is a ticker per worker and a liveness clock to read. What is
-// accounted, and how, does not depend on it.
+// there is a ticker per worker. What is accounted, and how, does not depend
+// on it.
 func (c *Cluster) hbEnabled() bool { return c.cfg.HeartbeatInterval > 0 }
 
 // mergeHeartbeat folds one worker's telemetry delta into the current job's
@@ -178,8 +178,7 @@ func (c *Cluster) flushTelemetry() {
 }
 
 // startHeartbeats begins the worker's ticker loop: every tick is one beat,
-// merged by a call and stamped on the worker's liveness clock. A closed
-// worker's ticker has stopped, which is what makes it stale.
+// merged by a call. Closing the worker stops it.
 func (w *worker) startHeartbeats(interval time.Duration) {
 	w.stopHB = make(chan struct{})
 	w.hbWG.Add(1)
@@ -193,74 +192,16 @@ func (w *worker) startHeartbeats(interval time.Duration) {
 				return
 			case <-tick.C:
 				w.flush(true)
-				w.cluster.lastBeat[w.id].Store(time.Now().UnixNano())
 			}
 		}
 	}()
 }
 
-// HeartbeatAges returns each worker's time since its last merged
-// heartbeat. Without heartbeats enabled every age is zero.
-func (c *Cluster) HeartbeatAges() []time.Duration {
-	out := make([]time.Duration, len(c.workers))
-	if !c.hbEnabled() {
-		return out
-	}
-	now := time.Now().UnixNano()
-	for i := range c.lastBeat {
-		out[i] = time.Duration(now - c.lastBeat[i].Load())
-	}
-	return out
-}
-
-// StaleWorkers returns the workers currently considered dead: closed, or
-// silent for longer than Config.StaleAfter (with heartbeats enabled).
-func (c *Cluster) StaleWorkers() []int {
-	var out []int
-	for i := range c.workers {
-		if !c.workerHealthy(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// workerHealthy reports whether worker i can take tasks: not closed, and
-// not heartbeat-stale.
+// workerHealthy reports whether worker i can take tasks: it exists and is
+// not closed. Heartbeats are in-process calls, so a late one means a busy
+// merge, not a dead worker.
 func (c *Cluster) workerHealthy(i int) bool {
-	if i < 0 || i >= len(c.workers) || c.workers[i].closed.Load() {
-		return false
-	}
-	if c.hbEnabled() {
-		age := time.Duration(time.Now().UnixNano() - c.lastBeat[i].Load())
-		if age > c.cfg.StaleAfter {
-			return false
-		}
-	}
-	return true
-}
-
-// RefreshLiveness publishes each worker's heartbeat age as the
-// worker_heartbeat_age_sec gauge in the current (or last) job's registry.
-// Telemetry scrape paths call it so /metrics always carries fresh ages.
-func (c *Cluster) RefreshLiveness() {
-	if !c.hbEnabled() {
-		return
-	}
-	var reg *obs.Registry
-	if run := c.curRun.Load(); run != nil {
-		reg = run.stats.Events.Registry()
-	} else if s := c.lastStats.Load(); s != nil {
-		reg = s.Events.Registry()
-	}
-	if reg == nil {
-		return
-	}
-	now := time.Now().UnixNano()
-	for i := range c.lastBeat {
-		age := float64(now-c.lastBeat[i].Load()) / 1e9
-		reg.Gauge("worker_heartbeat_age_sec", obs.Labels{"worker": siteLabel(i)}).Set(age)
-	}
+	return i >= 0 && i < len(c.workers) && !c.workers[i].closed.Load()
 }
 
 // KillWorker shuts worker i down mid-run — listener, stored outputs,

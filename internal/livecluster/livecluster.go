@@ -107,14 +107,11 @@ type Config struct {
 	// (src,dst,class), request and dial counts, receive and serve spans)
 	// and the driver merges the delta on this ticker, so mid-run
 	// telemetry snapshots converge continuously. Zero means the 50ms
-	// default; negative disables heartbeats — no ticker, no liveness — and
-	// the same buffers are merged once, by the flush that ends every Run:
-	// Stats are exact when Run returns and empty before.
+	// default; negative disables heartbeats — no ticker — and the same
+	// buffers are merged once, by the flush that ends every Run: Stats are
+	// exact when Run returns and empty before. Liveness does not depend on
+	// it: a worker is down when it is closed.
 	HeartbeatInterval time.Duration
-	// StaleAfter is how long a worker may go without a merged heartbeat
-	// before SiteHealthy / StaleWorkers report it dead. Zero means 1s.
-	// Only meaningful with heartbeats enabled.
-	StaleAfter time.Duration
 	// Logger receives structured cluster logs (worker lifecycle,
 	// heartbeat merges, kills) with worker attributes. Nil discards.
 	Logger *slog.Logger
@@ -174,9 +171,6 @@ func (c Config) withDefaults() Config {
 	} else if c.HeartbeatInterval < 0 {
 		c.HeartbeatInterval = 0 // disabled
 	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = time.Second
-	}
 	if c.ChunkRecords <= 0 {
 		c.ChunkRecords = 256
 	}
@@ -222,10 +216,6 @@ type Cluster struct {
 	// (link capacity outlives any one run) and mirrors its gauges into
 	// whichever job's registry is current.
 	links *netobs.Estimator
-
-	// lastBeat is each worker's liveness clock: when its ticker last beat
-	// (unix nanos).
-	lastBeat []atomic.Int64
 }
 
 // Stats reports the data-plane activity of one job.
@@ -483,10 +473,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	cfg.Compression = codec
 	c := &Cluster{
-		cfg:      cfg,
-		log:      obs.LoggerOr(cfg.Logger),
-		lastBeat: make([]atomic.Int64, cfg.Workers),
-		ids:      trace.NewIDAllocator(1),
+		cfg: cfg,
+		log: obs.LoggerOr(cfg.Logger),
+		ids: trace.NewIDAllocator(1),
 	}
 	c.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
 		if run := c.curRun.Load(); run != nil {
@@ -494,10 +483,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		return nil
 	}})
-	now := time.Now().UnixNano()
-	for i := range c.lastBeat {
-		c.lastBeat[i].Store(now)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(i, c)
 		if err != nil {
@@ -513,7 +498,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.log.Info("livecluster: started", "workers", cfg.Workers, "mode", cfg.Mode.String(),
-		"heartbeat", cfg.HeartbeatInterval, "stale_after", cfg.StaleAfter)
+		"heartbeat", cfg.HeartbeatInterval)
 	return c, nil
 }
 

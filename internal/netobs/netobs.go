@@ -21,14 +21,8 @@ import (
 	"wanshuffle/internal/topology"
 )
 
-// Config tunes an Estimator.
+// Config wires an Estimator.
 type Config struct {
-	// Alpha is the EWMA smoothing factor applied to new throughput and
-	// RTT samples (0 < Alpha <= 1); 0 means DefaultAlpha.
-	Alpha float64
-	// Window bounds the per-link throughput sample ring that backs the
-	// p50/p95 estimates; 0 means DefaultWindow.
-	Window int
 	// Registry, when set, names the registry the estimator mirrors its
 	// per-link gauges and counters into (link_throughput_bps,
 	// link_rtt_sec, link_samples_total). A function so callers whose
@@ -37,10 +31,12 @@ type Config struct {
 	Registry func() *obs.Registry
 }
 
-// Defaults for Config zero values.
+// Every link's estimate folds a new throughput or RTT sample into its EWMA
+// with weight alpha, and its p50/p95 come from the newest window
+// throughput samples.
 const (
-	DefaultAlpha  = 0.2
-	DefaultWindow = 128
+	alpha  = 0.2
+	window = 128
 )
 
 // link is the per-(src,dst) accumulator.
@@ -50,10 +46,9 @@ type link struct {
 	samples    int64
 	rttSamples int64
 	bytes      float64
-	// ring holds the last Window throughput samples for percentiles.
+	// ring holds the last window throughput samples for percentiles.
 	ring []float64
 	next int
-	full bool
 }
 
 // Estimate is one site pair's current link estimate.
@@ -79,14 +74,8 @@ type Estimator struct {
 	links map[[2]string]*link
 }
 
-// NewEstimator builds an estimator with cfg's zero values defaulted.
+// NewEstimator builds an estimator wired as cfg says.
 func NewEstimator(cfg Config) *Estimator {
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = DefaultAlpha
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
 	return &Estimator{cfg: cfg, links: map[[2]string]*link{}}
 }
 
@@ -94,7 +83,7 @@ func (e *Estimator) linkLocked(src, dst string) *link {
 	key := [2]string{src, dst}
 	l := e.links[key]
 	if l == nil {
-		l = &link{ring: make([]float64, 0, e.cfg.Window)}
+		l = &link{ring: make([]float64, 0, window)}
 		e.links[key] = l
 	}
 	return l
@@ -120,17 +109,16 @@ func (e *Estimator) ObserveTransfer(src, dst string, bytes, seconds float64) {
 	if l.samples == 0 {
 		l.ewmaBps = bps
 	} else {
-		l.ewmaBps += e.cfg.Alpha * (bps - l.ewmaBps)
+		l.ewmaBps += alpha * (bps - l.ewmaBps)
 	}
 	l.samples++
 	l.bytes += bytes
-	if len(l.ring) < e.cfg.Window {
+	if len(l.ring) < window {
 		l.ring = append(l.ring, bps)
 	} else {
 		l.ring[l.next] = bps
-		l.full = true
 	}
-	l.next = (l.next + 1) % e.cfg.Window
+	l.next = (l.next + 1) % window
 	ewma := l.ewmaBps
 	rtt, hasRTT := l.rttSec, l.rttSamples > 0
 	e.mu.Unlock()
@@ -155,7 +143,7 @@ func (e *Estimator) ObserveRTT(src, dst string, rttSec float64) {
 	if l.rttSamples == 0 {
 		l.rttSec = rttSec
 	} else {
-		l.rttSec += e.cfg.Alpha * (rttSec - l.rttSec)
+		l.rttSec += alpha * (rttSec - l.rttSec)
 	}
 	l.rttSamples++
 	rtt := l.rttSec
@@ -175,19 +163,7 @@ func (e *Estimator) Estimates() []Estimate {
 	e.mu.Lock()
 	out := make([]Estimate, 0, len(e.links))
 	for key, l := range e.links {
-		est := Estimate{
-			Src: key[0], Dst: key[1],
-			ThroughputBps: l.ewmaBps,
-			RTTSec:        l.rttSec,
-			Samples:       l.samples,
-			RTTSamples:    l.rttSamples,
-			Bytes:         l.bytes,
-		}
-		if len(l.ring) > 0 {
-			est.P50Bps = percentile(l.ring, 0.50)
-			est.P95Bps = percentile(l.ring, 0.95)
-		}
-		out = append(out, est)
+		out = append(out, l.estimateLocked(key[0], key[1]))
 	}
 	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -213,6 +189,11 @@ func (e *Estimator) Estimate(src, dst string) (Estimate, bool) {
 	if l == nil || l.samples == 0 {
 		return Estimate{}, false
 	}
+	return l.estimateLocked(src, dst), true
+}
+
+// estimateLocked builds the link's estimate; the estimator's lock is held.
+func (l *link) estimateLocked(src, dst string) Estimate {
 	est := Estimate{
 		Src: src, Dst: dst,
 		ThroughputBps: l.ewmaBps,
@@ -225,7 +206,7 @@ func (e *Estimator) Estimate(src, dst string) (Estimate, bool) {
 		est.P50Bps = percentile(l.ring, 0.50)
 		est.P95Bps = percentile(l.ring, 0.95)
 	}
-	return est, true
+	return est
 }
 
 // percentile computes the nearest-rank p-quantile of samples (copied,

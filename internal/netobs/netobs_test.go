@@ -11,7 +11,7 @@ import (
 )
 
 func TestObserveTransferEWMAAndCounts(t *testing.T) {
-	e := NewEstimator(Config{Alpha: 0.5, Window: 8})
+	e := NewEstimator(Config{})
 	// 1000 bytes in 1s = 8000 bps; first sample seeds the EWMA exactly.
 	e.ObserveTransfer("a", "b", 1000, 1)
 	ests := e.Estimates()
@@ -21,11 +21,12 @@ func TestObserveTransferEWMAAndCounts(t *testing.T) {
 	if got := ests[0].ThroughputBps; got != 8000 {
 		t.Fatalf("first sample EWMA = %v, want 8000", got)
 	}
-	// Second sample 2000 bytes in 1s = 16000 bps; alpha 0.5 → 12000.
+	// Second sample 2000 bytes in 1s = 16000 bps, folded in with weight
+	// alpha (0.2 → 9600).
 	e.ObserveTransfer("a", "b", 2000, 1)
 	ests = e.Estimates()
-	if got := ests[0].ThroughputBps; got != 12000 {
-		t.Fatalf("EWMA after second sample = %v, want 12000", got)
+	if got, want := ests[0].ThroughputBps, 8000+alpha*(16000-8000); got != want {
+		t.Fatalf("EWMA after second sample = %v, want %v", got, want)
 	}
 	if ests[0].Samples != 2 || ests[0].Bytes != 3000 {
 		t.Fatalf("samples/bytes = %d/%v, want 2/3000", ests[0].Samples, ests[0].Bytes)
@@ -54,8 +55,9 @@ func TestObserveTransferIgnoresDegenerateSamples(t *testing.T) {
 }
 
 func TestPercentilesFromWindow(t *testing.T) {
-	e := NewEstimator(Config{Window: 100})
-	// 100 samples at 8, 16, 24, ... 800 bps (1..100 bytes over 1s).
+	e := NewEstimator(Config{})
+	// 100 samples (fewer than the window) at 8, 16, 24, ... 800 bps (1..100
+	// bytes over 1s).
 	for i := 1; i <= 100; i++ {
 		e.ObserveTransfer("x", "y", float64(i), 1)
 	}
@@ -69,30 +71,34 @@ func TestPercentilesFromWindow(t *testing.T) {
 }
 
 func TestWindowBoundsRing(t *testing.T) {
-	e := NewEstimator(Config{Window: 4})
-	// 10 samples; only the last 4 (rates 56..80 bps) stay in the window.
-	for i := 1; i <= 10; i++ {
+	e := NewEstimator(Config{})
+	// window+10 samples at 8, 16, ... bps; only the newest window of them
+	// (the 11th on) stay in the ring.
+	const n = window + 10
+	for i := 1; i <= n; i++ {
 		e.ObserveTransfer("x", "y", float64(i), 1)
 	}
 	est := e.Estimates()[0]
-	if est.Samples != 10 {
-		t.Fatalf("samples = %d, want 10 (count must outlive the ring)", est.Samples)
+	if est.Samples != n {
+		t.Fatalf("samples = %d, want %d (count must outlive the ring)", est.Samples, n)
 	}
-	if est.P95Bps != 10*8 {
-		t.Fatalf("p95 = %v, want %v (newest retained sample)", est.P95Bps, 10*8)
+	// Nearest rank over the retained samples 11..n; over all n the median
+	// would be sample n/2.
+	if want := float64(10+window/2) * 8; est.P50Bps != want {
+		t.Fatalf("p50 = %v, want %v (median of the retained window)", est.P50Bps, want)
 	}
-	if est.P50Bps < 7*8 || est.P50Bps > 9*8 {
-		t.Fatalf("p50 = %v outside the retained window [56,72]", est.P50Bps)
+	if est.P95Bps <= est.P50Bps || est.P95Bps > n*8 {
+		t.Fatalf("p95 = %v outside (p50, newest sample %d]", est.P95Bps, n*8)
 	}
 }
 
 func TestObserveRTT(t *testing.T) {
-	e := NewEstimator(Config{Alpha: 0.5})
+	e := NewEstimator(Config{})
 	e.ObserveRTT("a", "b", 0.100)
 	e.ObserveRTT("a", "b", 0.200)
 	est := e.Estimates()[0]
-	if math.Abs(est.RTTSec-0.150) > 1e-12 {
-		t.Fatalf("rtt EWMA = %v, want 0.150", est.RTTSec)
+	if want := 0.100 + alpha*(0.200-0.100); math.Abs(est.RTTSec-want) > 1e-12 {
+		t.Fatalf("rtt EWMA = %v, want %v", est.RTTSec, want)
 	}
 	if est.RTTSamples != 2 {
 		t.Fatalf("rtt samples = %d, want 2", est.RTTSamples)

@@ -9,39 +9,23 @@ import (
 )
 
 // DefaultPrefixes selects the registry series worth a time dimension:
-// traffic totals, task/stage progress, link estimates, and liveness
-// gauges. Histograms are always skipped (their buckets already summarize
-// a distribution; resampling them bloats every tick).
+// traffic totals, task/stage progress, link estimates, heartbeat merges and
+// resident block-store bytes. Histograms are always skipped (their buckets
+// already summarize a distribution; resampling them bloats every tick).
 var DefaultPrefixes = []string{
 	"bytes_",
 	"tasks_total",
 	"stages_total",
 	"link_",
 	"heartbeats_total",
-	"worker_heartbeat_age_sec",
 	"blockstore_resident_bytes",
 }
 
-// SamplerConfig tunes a Sampler.
-type SamplerConfig struct {
-	// Interval is the sampling period; 0 means DefaultInterval.
-	Interval time.Duration
-	// Cap bounds the retained sample ring; when full, the oldest sample
-	// is dropped (Seq stays monotonic so consumers can see the gap). 0
-	// means DefaultCap.
-	Cap int
-	// Source supplies the metric snapshot each tick; returning nil skips
-	// the tick. Usually a registry's Snapshot wrapped in a closure.
-	Source func() []obs.MetricPoint
-	// Prefixes filters the snapshot by metric-name prefix; nil means
-	// DefaultPrefixes. An empty non-nil slice keeps everything.
-	Prefixes []string
-}
-
-// Defaults for SamplerConfig zero values.
+// The timeline samples every sampleInterval and keeps the newest sampleCap
+// samples: two minutes of history at 250 ms.
 const (
-	DefaultInterval = 250 * time.Millisecond
-	DefaultCap      = 512
+	sampleInterval = 250 * time.Millisecond
+	sampleCap      = 512
 )
 
 // Sample is one timestamped slice of the metrics registry.
@@ -59,8 +43,10 @@ type Sample struct {
 // ring, turning the point-in-time /metrics scrape into a short
 // time-series a client can fetch after the fact (GET /timeline).
 type Sampler struct {
-	cfg   SamplerConfig
-	start time.Time
+	// source supplies the metric snapshot each tick; a nil source, or a
+	// nil snapshot, skips the tick.
+	source func() []obs.MetricPoint
+	start  time.Time
 
 	mu      sync.Mutex
 	samples []Sample
@@ -71,22 +57,13 @@ type Sampler struct {
 	once sync.Once
 }
 
-// NewSampler builds a sampler with cfg's zero values defaulted. Call
-// Start to begin ticking.
-func NewSampler(cfg SamplerConfig) *Sampler {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
-	}
-	if cfg.Cap <= 0 {
-		cfg.Cap = DefaultCap
-	}
-	if cfg.Prefixes == nil {
-		cfg.Prefixes = DefaultPrefixes
-	}
+// NewSampler builds a sampler over source, usually a registry's Snapshot
+// wrapped in a closure. Call Start to begin ticking.
+func NewSampler(source func() []obs.MetricPoint) *Sampler {
 	return &Sampler{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		source: source,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -97,7 +74,7 @@ func (s *Sampler) Start() {
 	go func() {
 		defer close(s.done)
 		s.tick()
-		t := time.NewTicker(s.cfg.Interval)
+		t := time.NewTicker(sampleInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -124,16 +101,16 @@ func (s *Sampler) Stop() {
 }
 
 func (s *Sampler) tick() {
-	if s.cfg.Source == nil {
+	if s.source == nil {
 		return
 	}
-	points := s.cfg.Source()
+	points := s.source()
 	if points == nil {
 		return
 	}
 	kept := make([]obs.MetricPoint, 0, len(points))
 	for _, p := range points {
-		if p.Type == "histogram" || !s.keep(p.Name) {
+		if p.Type == "histogram" || !keep(p.Name) {
 			continue
 		}
 		kept = append(kept, p)
@@ -145,19 +122,17 @@ func (s *Sampler) tick() {
 		Points:  kept,
 	})
 	s.seq++
-	if len(s.samples) > s.cfg.Cap {
+	if len(s.samples) > sampleCap {
 		// Drop oldest; copy so the backing array doesn't pin dropped
 		// samples.
-		s.samples = append([]Sample(nil), s.samples[len(s.samples)-s.cfg.Cap:]...)
+		s.samples = append([]Sample(nil), s.samples[len(s.samples)-sampleCap:]...)
 	}
 	s.mu.Unlock()
 }
 
-func (s *Sampler) keep(name string) bool {
-	if len(s.cfg.Prefixes) == 0 {
-		return true
-	}
-	for _, p := range s.cfg.Prefixes {
+// keep reports whether a series is one DefaultPrefixes selects.
+func keep(name string) bool {
+	for _, p := range DefaultPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true
 		}

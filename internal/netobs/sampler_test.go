@@ -19,7 +19,7 @@ func TestSamplerFiltersAndStamps(t *testing.T) {
 	reg.Gauge("link_throughput_bps", obs.Labels{"src": "a", "dst": "b"}).Set(8e6)
 	reg.Histogram("task_duration_sec", []float64{1, 2}, nil).Observe(0.5)
 
-	s := NewSampler(SamplerConfig{Source: registrySource(reg)})
+	s := NewSampler(registrySource(reg))
 	s.tick()
 	samples := s.Samples()
 	if len(samples) != 1 {
@@ -46,46 +46,39 @@ func TestSamplerFiltersAndStamps(t *testing.T) {
 func TestSamplerCapDropsOldest(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("bytes_wire_total", nil).Add(1)
-	s := NewSampler(SamplerConfig{Cap: 3, Source: registrySource(reg)})
-	for i := 0; i < 10; i++ {
+	s := NewSampler(registrySource(reg))
+	const ticks = sampleCap + 7
+	for i := 0; i < ticks; i++ {
 		s.tick()
 	}
 	samples := s.Samples()
-	if len(samples) != 3 {
-		t.Fatalf("retained = %d, want cap 3", len(samples))
+	if len(samples) != sampleCap {
+		t.Fatalf("retained = %d, want cap %d", len(samples), sampleCap)
 	}
 	// Seq stays monotonic across the drop, so consumers can see the gap.
-	if samples[0].Seq != 7 || samples[2].Seq != 9 {
-		t.Fatalf("retained seqs = %d..%d, want 7..9", samples[0].Seq, samples[2].Seq)
+	if first, last := samples[0].Seq, samples[sampleCap-1].Seq; first != 7 || last != ticks-1 {
+		t.Fatalf("retained seqs = %d..%d, want 7..%d", first, last, ticks-1)
 	}
 }
 
-func TestSamplerEmptyPrefixesKeepsAll(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("push_chunks_total", nil).Add(7)
-	s := NewSampler(SamplerConfig{Prefixes: []string{}, Source: registrySource(reg)})
-	s.tick()
-	if got := s.Samples(); len(got) != 1 || len(got[0].Points) != 1 {
-		t.Fatalf("samples = %+v, want the unfiltered point", got)
-	}
-}
-
+// TestSamplerStartStop samples at Start, once per interval and at Stop, and
+// not after.
 func TestSamplerStartStop(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("bytes_wire_total", nil).Add(1)
-	s := NewSampler(SamplerConfig{Interval: 5 * time.Millisecond, Source: registrySource(reg)})
+	s := NewSampler(registrySource(reg))
 	s.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.Samples()) < 3 && time.Now().Before(deadline) {
+	deadline := time.Now().Add(10 * sampleInterval)
+	for len(s.Samples()) < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Stop()
 	s.Stop() // idempotent
 	n := len(s.Samples())
 	if n < 3 {
-		t.Fatalf("samples after start/stop = %d, want >= 3", n)
+		t.Fatalf("samples after start, one interval and stop = %d, want >= 3", n)
 	}
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(sampleInterval + 50*time.Millisecond)
 	if got := len(s.Samples()); got != n {
 		t.Fatalf("sampler still ticking after Stop: %d -> %d", n, got)
 	}
@@ -100,7 +93,7 @@ func TestSamplerStartStop(t *testing.T) {
 }
 
 func TestSamplerNilSource(t *testing.T) {
-	s := NewSampler(SamplerConfig{})
+	s := NewSampler(nil)
 	s.tick()
 	if got := s.Samples(); len(got) != 0 {
 		t.Fatalf("nil source produced samples: %+v", got)

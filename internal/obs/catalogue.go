@@ -23,7 +23,6 @@ var Catalogue = []MetricDoc{
 	{"push_duplicates_total", "counter", "—", "live", "duplicate pushes dropped (retried attempts)"},
 	{"bucket_builds_total", "counter", "—", "live", "deferred whole-output bucketing passes"},
 	{"heartbeats_total", "counter", "`worker`", "live", "ticker beats the driver merged (the end-of-job flush is not one)"},
-	{"worker_heartbeat_age_sec", "gauge", "`worker`", "live", "seconds since each worker's last heartbeat"},
 	{"blockstore_resident_bytes", "gauge", "`worker`", "live", "shuffle bytes resident in memory"},
 	{"blockstore_spilled_bytes_total", "counter", "`worker`", "live", "bytes spilled to disk under `-memory-budget`"},
 	{"blockstore_spill_events_total", "counter", "`worker`", "live", "spill events"},

@@ -89,8 +89,8 @@ func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pai
 }
 
 // SiteHealth is an optional Backend extension: backends that can tell a
-// live site from a dead or stale one (the live cluster watches worker
-// heartbeats) implement it, and the Driver then re-places retried task
+// live site from a dead one (the live cluster: a worker is down once it is
+// closed) implement it, and the Driver then re-places retried task
 // attempts away from unhealthy sites instead of hammering the site that
 // just failed them.
 type SiteHealth interface {

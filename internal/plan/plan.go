@@ -1,7 +1,7 @@
 // Package plan is the backend-neutral execution core of wanshuffle: it
 // turns an RDD lineage into a planned job (shuffle-separated stages via
-// internal/dag), selects per-shuffle aggregators with the paper's Eq. (2)
-// rule (shuffle.BestAggregator) from measured input sizes, places receiver
+// internal/dag), selects per-shuffle aggregators with ChooseAggregator (the
+// paper's Eq. (2) rule by default) from measured input sizes, places receiver
 // and reducer tasks, and tracks retry budgets.
 //
 // Two backends consume the planner:

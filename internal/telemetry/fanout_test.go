@@ -124,15 +124,12 @@ func TestEventsLateSubscriberGetsHistory(t *testing.T) {
 
 // TestTimelineFanoutConcurrentReaders hammers /timeline from several
 // goroutines while the sampler keeps ticking against a registry under
-// concurrent mutation. Every response must be well-formed NDJSON with
-// non-decreasing seq; the exercise is meaningful mainly under -race.
+// concurrent mutation, until it has ticked twice after its first sample.
+// Every response must be well-formed NDJSON with non-decreasing seq; the
+// exercise is meaningful mainly under -race.
 func TestTimelineFanoutConcurrentReaders(t *testing.T) {
 	c := obs.NewCollector()
-	sampler := netobs.NewSampler(netobs.SamplerConfig{
-		Interval: time.Millisecond,
-		Cap:      64,
-		Source:   func() []obs.MetricPoint { return c.Registry().Snapshot() },
-	})
+	sampler := netobs.NewSampler(func() []obs.MetricPoint { return c.Registry().Snapshot() })
 	sampler.Start()
 	defer sampler.Stop()
 	ts := newTestServer(t, Config{Timeline: sampler.Samples})
@@ -148,6 +145,7 @@ func TestTimelineFanoutConcurrentReaders(t *testing.T) {
 				return
 			default:
 				c.OnTask(obs.TaskEvent{Phase: obs.PhaseStarted, StageName: "map", Part: i})
+				time.Sleep(50 * time.Microsecond) // the run spans ticks; keep its event log small
 			}
 		}
 	}()
@@ -158,8 +156,8 @@ func TestTimelineFanoutConcurrentReaders(t *testing.T) {
 		pause := time.Duration(r) * 3 * time.Millisecond
 		go func() {
 			defer readers.Done()
-			deadline := time.Now().Add(150 * time.Millisecond)
-			for time.Now().Before(deadline) {
+			deadline := time.Now().Add(10 * time.Second)
+			for len(sampler.Samples()) < 3 && time.Now().Before(deadline) {
 				resp, err := http.Get(ts.URL + "/timeline")
 				if err != nil {
 					t.Errorf("GET /timeline: %v", err)

@@ -24,12 +24,12 @@ type Progress struct {
 	lastLen int
 }
 
-// StartProgress begins redrawing every interval (default 200ms when
-// interval <= 0). Call Stop to finish the line.
-func StartProgress(w io.Writer, interval time.Duration, events func() *obs.Collector, bytes func() int64) *Progress {
-	if interval <= 0 {
-		interval = 200 * time.Millisecond
-	}
+// progressInterval is how often the progress line redraws.
+const progressInterval = 200 * time.Millisecond
+
+// StartProgress begins redrawing every progressInterval. Call Stop to finish
+// the line.
+func StartProgress(w io.Writer, events func() *obs.Collector, bytes func() int64) *Progress {
 	p := &Progress{
 		w:      w,
 		events: events,
@@ -39,7 +39,7 @@ func StartProgress(w io.Writer, interval time.Duration, events func() *obs.Colle
 	}
 	go func() {
 		defer close(p.done)
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(progressInterval)
 		defer tick.Stop()
 		for {
 			select {

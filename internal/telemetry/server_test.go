@@ -217,12 +217,15 @@ func TestProgressLine(t *testing.T) {
 	c.OnTask(obs.TaskEvent{Phase: obs.PhaseFinished, Part: 0})
 	c.OnStage(obs.StageEvent{Name: "map"})
 	var buf bytes.Buffer
-	p := StartProgress(&buf, time.Millisecond, func() *obs.Collector { return c }, func() int64 { return 2_500_000 })
-	time.Sleep(20 * time.Millisecond)
+	p := StartProgress(&buf, func() *obs.Collector { return c }, func() int64 { return 2_500_000 })
+	want := "stages 1 done | tasks 2 running / 1 finished | 2.5 MB moved"
+	if got := p.Line(); got != want {
+		t.Fatalf("progress line %q, want %q", got, want)
+	}
+	// Stop draws the final state whether or not a tick has.
 	p.Stop()
 	out := buf.String()
-	want := "stages 1 done | tasks 2 running / 1 finished | 2.5 MB moved"
-	if !strings.Contains(out, want) {
+	if !strings.Contains(out, "\r"+want) {
 		t.Fatalf("progress output %q missing %q", out, want)
 	}
 	if !strings.HasSuffix(out, "\n") {
