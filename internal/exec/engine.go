@@ -11,8 +11,11 @@
 // network flows remotely — the all-to-all burst of a fetch-based shuffle
 // read happens here), compute, then either register shuffle output, push to
 // the next phase's receiver task (transferTo), or ship results to the
-// driver. Reducer failures can be injected to reproduce the paper's Fig. 2
-// recovery behaviour.
+// driver. Fault tolerance is Spark's retry path and nothing more: a failed
+// attempt is re-submitted until plan.MaxAttempts, and a reducer that finds
+// map output lost with its host recomputes it (FetchFailed). Scripted
+// reducer failures (FailureSpec) and host failures (HostFailure) are the
+// two fault inputs, reproducing the paper's Fig. 2 recovery behaviour.
 package exec
 
 import (
@@ -70,12 +73,8 @@ type Config struct {
 	// ComputeNoise is the relative amplitude of per-task compute time
 	// jitter. Default 0.08; set negative to disable.
 	ComputeNoise float64
-	// MaxAttempts bounds task retries. Default 4 (Spark's default).
-	MaxAttempts int
-	// ReduceFailureProb injects random first-attempt failures into reduce
-	// tasks with this probability.
-	ReduceFailureProb float64
-	// ScriptedFailures injects specific failures.
+	// ScriptedFailures injects specific reduce-task failures; a task that
+	// fails plan.MaxAttempts times fails the job.
 	ScriptedFailures []FailureSpec
 	// PinReducersDC, when non-nil, forces shuffle-reading tasks into one
 	// datacenter. Used by the Fig. 1 / Fig. 2 micro-benchmarks to pin the
@@ -85,16 +84,6 @@ type Config struct {
 	// finished (a barrier), disabling the paper's early-transfer
 	// pipelining. Ablation knob; off by default.
 	NoPipelining bool
-	// Speculation enables Spark-style speculative execution: once
-	// speculationQuantile of a stage's tasks have finished, stragglers
-	// running longer than speculationMultiplier× the median duration get
-	// a second copy; the first finisher wins. Mitigates the slow-link and
-	// slow-node stragglers of Sec. II-B.
-	Speculation bool
-	// SlowHosts emulates degraded machines: a per-host multiplier on
-	// compute speed (0.2 = 5× slower). The classic straggler source
-	// speculative execution exists for.
-	SlowHosts map[topology.HostID]float64
 	// HostFailures kills workers at given virtual times: slots, shuffle
 	// files, and caches on them are lost; shuffle reads recover by
 	// recomputing the lost map outputs (Spark's FetchFailed path).
@@ -123,10 +112,6 @@ const (
 	// must hold to become a preferred location (Spark's
 	// REDUCER_PREF_LOCS_FRACTION).
 	reducerLocalityFraction float64 = 0.2
-	// speculationQuantile and speculationMultiplier are
-	// spark.speculation.quantile and spark.speculation.multiplier.
-	speculationQuantile   float64 = 0.75
-	speculationMultiplier float64 = 1.5
 )
 
 func (c Config) withDefaults() Config {
@@ -137,9 +122,6 @@ func (c Config) withDefaults() Config {
 		c.ComputeNoise = 0.08
 	} else if c.ComputeNoise < 0 {
 		c.ComputeNoise = 0
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = plan.DefaultMaxAttempts
 	}
 	return c
 }
@@ -163,10 +145,8 @@ type Engine struct {
 
 	cfg      Config
 	log      *slog.Logger
-	retry    plan.Retry
 	reg      *shuffle.Registry
 	noiseRNG sim.RNG
-	failRNG  sim.RNG
 	aggRNG   sim.RNG
 
 	// ids allocates span IDs for the causal trace; participant 0 counts
@@ -213,10 +193,8 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		Events:     obs.NewCollector(),
 		cfg:        cfg,
 		log:        obs.LoggerOr(cfg.Logger),
-		retry:      plan.Retry{Max: cfg.MaxAttempts},
 		reg:        shuffle.NewRegistry(),
 		noiseRNG:   sim.Stream(seed, "exec.noise"),
-		failRNG:    sim.Stream(seed, "exec.failure"),
 		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
 		cache:      make(map[int][]*cachedPart),
 		byClass:    make(map[string]*classBytes),
@@ -338,8 +316,9 @@ type Result struct {
 	// TaskAttempts counts every task attempt launched, including failed
 	// ones.
 	TaskAttempts int
-	// Retries counts re-submissions after a failed attempt (injected
-	// failures and lost hosts; speculative copies are not retries).
+	// Retries counts re-submissions after a failed attempt (scripted
+	// failures and lost hosts). Recomputing a lost map output is a fresh
+	// attempt 1, not a retry.
 	Retries int
 	// Placements records the job's automatic aggregator decisions (one
 	// per auto-resolved shuffle) under the configured AggregatorPolicy.
@@ -410,15 +389,9 @@ type stageState struct {
 	// recomputations don't re-trigger child launches.
 	completed bool
 
-	// Speculation bookkeeping: per-partition completion, launch times,
-	// finished-task durations, and already-speculated markers.
-	partDone   []bool
-	partStart  []float64
-	partRun    []bool
-	partHost   []topology.HostID
-	durations  []float64
-	speculated []bool
-	specTimer  sim.Timer
+	// partDone marks each partition's final phase finished; recovery
+	// reopens a partition whose map output was lost.
+	partDone []bool
 }
 
 // JobSpec describes one job for RunMany.

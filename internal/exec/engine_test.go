@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/dag"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/simnet"
 	"wanshuffle/internal/topology"
@@ -379,36 +380,61 @@ func TestCacheAvoidsRecomputationAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestMaxAttemptsExceededFailsJob fails one reducer on every attempt it
+// gets: the job must fail, not retry past plan.MaxAttempts.
 func TestMaxAttemptsExceededFailsJob(t *testing.T) {
 	topo := topology.TwoDCMicro(2, 0.25)
 	g := rdd.NewGraph()
 	job := wordCount(spreadInput(g, topo, mb), 2)
-	cfg := Config{MaxAttempts: 2, ScriptedFailures: []FailureSpec{
-		{Stage: "counts", Part: 0, Attempt: 1, AtFrac: 0.5},
-		{Stage: "counts", Part: 0, Attempt: 2, AtFrac: 0.5},
-	}}
+	var cfg Config
+	for a := 1; a <= plan.MaxAttempts; a++ {
+		cfg.ScriptedFailures = append(cfg.ScriptedFailures, FailureSpec{Stage: "counts", Part: 0, Attempt: a, AtFrac: 0.5})
+	}
 	eng := New(topo, 1, cfg)
 	if _, err := eng.Run(job, ActionCollect, RunOptions{}); err == nil {
 		t.Fatal("job succeeded despite exhausted attempts")
 	}
 }
 
+// TestRandomReduceFailuresStillCorrect fails the first attempt of half the
+// reducers part-way through their compute: every one is retried, and the
+// output is still the reference's.
 func TestRandomReduceFailuresStillCorrect(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	build := func() *rdd.RDD {
 		g := rdd.NewGraph()
 		return wordCount(spreadInput(g, topo, 5*mb), 8)
 	}
-	eng := New(topo, 7, Config{ReduceFailureProb: 0.5})
+	var cfg Config
+	for part := 0; part < 8; part += 2 {
+		cfg.ScriptedFailures = append(cfg.ScriptedFailures, FailureSpec{Stage: "counts", Part: part, AtFrac: 0.5})
+	}
+	eng := New(topo, 7, cfg)
 	res, err := eng.Run(build(), ActionCollect, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canon(res.Records) != canon(rdd.CollectLocal(build())) {
-		t.Fatal("results wrong under random failures")
+		t.Fatal("results wrong under reducer failures")
 	}
 	if res.TaskAttempts <= 24+8 {
 		t.Fatalf("TaskAttempts = %d; expected retries beyond 32 tasks", res.TaskAttempts)
+	}
+}
+
+// TestCleanRunOneAttemptPerTask: without a fault input, every partition
+// runs exactly once.
+func TestCleanRunOneAttemptPerTask(t *testing.T) {
+	topo := topology.TwoDCMicro(2, 0.25)
+	g := rdd.NewGraph()
+	in := spreadInput(g, topo, mb)
+	eng := New(topo, 1, Config{ComputeNoise: 0.9})
+	res, err := eng.Run(in, ActionCount, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TaskAttempts != 4 || res.Retries != 0 {
+		t.Fatalf("attempts = %d, retries = %d, want exactly one attempt per partition", res.TaskAttempts, res.Retries)
 	}
 }
 

@@ -109,8 +109,6 @@ func (e *Engine) recoverShuffle(shuffleID int) bool {
 		// Reopen the map task: the stage's completion bookkeeping rolls
 		// back for this partition and a fresh attempt is submitted.
 		producer.partDone[m] = false
-		producer.partRun[m] = false
-		producer.speculated[m] = false
 		producer.tasksDone--
 		e.submitTask(&taskRun{ss: producer, part: m, phase: producer.startPhase, attempt: 1})
 	}

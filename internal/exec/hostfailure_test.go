@@ -8,22 +8,22 @@ import (
 	"wanshuffle/internal/topology"
 )
 
-// hostFailJob: mappers in dc-a, reducers pinned to dc-b, staggered sizes
-// so the job spans enough virtual time to inject a failure mid-run.
-func hostFailJob(topo *topology.Topology, dcA, dcB topology.DCID, push bool) *rdd.RDD {
+// hostFailJob: four map partitions on dc-a's hosts, of the given modeled
+// sizes, feeding an aggregation whose reducers the caller pins to dc-b.
+func hostFailJob(topo *topology.Topology, dcA, dcB topology.DCID, push bool, sizes [4]float64) *rdd.RDD {
 	g := rdd.NewGraph()
 	hosts := []topology.HostID{}
 	for _, h := range topo.HostsIn(dcA) {
 		hosts = append(hosts, h)
 	}
 	var parts []rdd.InputPartition
-	for i := 0; i < 4; i++ {
+	for i := range sizes {
 		var recs []rdd.Pair
 		for w := 0; w < 30; w++ {
 			recs = append(recs, rdd.KV(fmt.Sprintf("k%d-%d", i, w), fmt.Sprintf("word%d", w%9)))
 		}
 		parts = append(parts, rdd.InputPartition{
-			Host: hosts[i%len(hosts)], ModeledBytes: 60 * mb, Records: recs,
+			Host: hosts[i%len(hosts)], ModeledBytes: sizes[i], Records: recs,
 		})
 	}
 	in := g.Input("in", parts)
@@ -51,7 +51,7 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 			cfg.HostFailures = []HostFailure{{Host: mapperHost, At: failAt}}
 		}
 		eng := New(topo, 3, cfg)
-		res, err := eng.Run(hostFailJob(topo, dcA, dcB, push), ActionSave, RunOptions{})
+		res, err := eng.Run(hostFailJob(topo, dcA, dcB, push, even), ActionSave, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +96,10 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 	}
 }
 
+// even gives every map partition 60 MB, so the job spans enough virtual
+// time to inject a failure mid-run.
+var even = [4]float64{60 * mb, 60 * mb, 60 * mb, 60 * mb}
+
 func canonSet(records []rdd.Pair) string {
 	return canon(records)
 }
@@ -110,13 +114,13 @@ func TestHostFailureDuringMapStage(t *testing.T) {
 	cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6,
 		HostFailures: []HostFailure{{Host: mapperHost, At: 1.0}}}
 	eng := New(topo, 3, cfg)
-	res, err := eng.Run(hostFailJob(topo, dcA, dcB, false), ActionSave, RunOptions{})
+	res, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := func() *Result {
 		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6})
-		r, err := eng.Run(hostFailJob(topo, dcA, dcB, false), ActionSave, RunOptions{})
+		r, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,6 +131,41 @@ func TestHostFailureDuringMapStage(t *testing.T) {
 	}
 	if res.TaskAttempts <= clean.TaskAttempts {
 		t.Fatalf("no failover attempts recorded: %d vs %d", res.TaskAttempts, clean.TaskAttempts)
+	}
+}
+
+// TestHostDiesDuringMapStage kills a mapper host late in the map stage:
+// one of its map outputs is already registered (partition 2, 10 MB), and
+// the 200 MB partition 0 is still computing on it. Whatever the host held
+// or was computing must run again on a live host before the reducers read
+// it, for a fetch shuffle and for an explicit transfer to the reducers'
+// datacenter.
+func TestHostDiesDuringMapStage(t *testing.T) {
+	topo := topology.TwoDCMicro(2, 0.25)
+	dcA, _ := topo.DCByName("dc-a")
+	dcB, _ := topo.DCByName("dc-b")
+	victim := topo.HostsIn(dcA)[0]
+	sizes := [4]float64{200 * mb, 10 * mb, 10 * mb, 10 * mb}
+	run := func(push bool, failures []HostFailure) *Result {
+		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures})
+		res, err := eng.Run(hostFailJob(topo, dcA, dcB, push, sizes), ActionSave, RunOptions{})
+		if err != nil {
+			t.Fatalf("push=%v: %v", push, err)
+		}
+		return res
+	}
+	// At 0.8 of the fetch run's map stage, partition 0 is still computing
+	// on the victim in both runs.
+	failAt := 0.8 * run(false, nil).Stages[0].End
+	for _, push := range []bool{false, true} {
+		clean := run(push, nil)
+		res := run(push, []HostFailure{{Host: victim, At: failAt}})
+		if canon(res.Records) != canon(rdd.CollectLocal(hostFailJob(topo, dcA, dcB, push, sizes))) {
+			t.Fatalf("push=%v: output wrong after host %d died at t=%.2f", push, victim, failAt)
+		}
+		if res.TaskAttempts <= clean.TaskAttempts {
+			t.Fatalf("push=%v: lost map work was not rerun: %d vs %d attempts", push, res.TaskAttempts, clean.TaskAttempts)
+		}
 	}
 }
 

@@ -25,17 +25,10 @@ func (e *Engine) launchStage(ss *stageState) {
 	ss.phaseDone = make([]int, len(ss.st.Phases))
 	ss.heldHandoffs = make([][]func(), len(ss.st.Phases))
 	ss.partDone = make([]bool, ss.st.NumTasks)
-	ss.partStart = make([]float64, ss.st.NumTasks)
-	ss.partRun = make([]bool, ss.st.NumTasks)
-	ss.partHost = make([]topology.HostID, ss.st.NumTasks)
-	ss.speculated = make([]bool, ss.st.NumTasks)
 	e.resolveAggregator(ss)
 	ss.startPhase = e.resumePhase(ss)
 	for part := 0; part < ss.st.NumTasks; part++ {
 		e.submitTask(&taskRun{ss: ss, part: part, phase: ss.startPhase, attempt: 1})
-	}
-	if e.cfg.Speculation {
-		ss.specTimer = e.Clock.After(specCheckInterval, func() { e.speculationCheck(ss) })
 	}
 }
 
@@ -69,49 +62,13 @@ func (e *Engine) resumePhase(ss *stageState) int {
 	return start
 }
 
-// specCheckInterval is how often a stage scans for stragglers
-// (spark.speculation.interval is 100 ms; we use a coarser virtual tick).
-const specCheckInterval = 0.5
-
-// speculationCheck launches backup copies of straggling tasks, Spark
-// semantics: once speculationQuantile of the stage finished, any running
-// task older than speculationMultiplier× the median finished duration gets
-// one speculative copy.
-func (e *Engine) speculationCheck(ss *stageState) {
-	if ss.tasksDone >= ss.st.NumTasks {
-		return
-	}
-	defer func() {
-		ss.specTimer = e.Clock.After(specCheckInterval, func() { e.speculationCheck(ss) })
-	}()
-	if float64(len(ss.durations)) < speculationQuantile*float64(ss.st.NumTasks) {
-		return
-	}
-	durs := make([]float64, len(ss.durations))
-	copy(durs, ss.durations)
-	sort.Float64s(durs)
-	threshold := speculationMultiplier * durs[len(durs)/2]
-	now := e.Clock.Now()
-	for part := 0; part < ss.st.NumTasks; part++ {
-		if ss.partDone[part] || ss.speculated[part] || !ss.partRun[part] {
-			continue
-		}
-		if now-ss.partStart[part] <= threshold {
-			continue
-		}
-		ss.speculated[part] = true
-		e.submitTask(&taskRun{ss: ss, part: part, phase: ss.startPhase, attempt: 1, speculative: true})
-	}
-}
-
-// claimPartDone marks a partition's logical task complete; the second
-// (speculative or original) finisher loses and must discard its work.
+// claimPartDone marks a partition's logical task complete; a second
+// finisher of the same partition loses and must discard its work.
 func (e *Engine) claimPartDone(ss *stageState, part int) bool {
 	if ss.partDone[part] {
 		return false
 	}
 	ss.partDone[part] = true
-	ss.durations = append(ss.durations, e.Clock.Now()-ss.partStart[part])
 	return true
 }
 
@@ -205,8 +162,6 @@ type taskRun struct {
 	phase   int
 	part    int
 	attempt int
-	// speculative marks a backup copy racing the original attempt.
-	speculative bool
 	// receiver marks a transferTo receiver task fed by a push.
 	receiver bool
 	// bound carries the previous phase's output keyed by the transfer
@@ -232,11 +187,7 @@ func (e *Engine) spanFor(t *taskRun) trace.SpanID {
 }
 
 func (t *taskRun) name() string {
-	tag := ""
-	if t.speculative {
-		tag = ".spec"
-	}
-	return fmt.Sprintf("%s/p%d/t%d#%d%s", t.ss.st.Name(), t.phase, t.part, t.attempt, tag)
+	return fmt.Sprintf("%s/p%d/t%d#%d", t.ss.st.Name(), t.phase, t.part, t.attempt)
 }
 
 // taskEvent reports one lifecycle transition of a task attempt to the
@@ -264,37 +215,21 @@ func (e *Engine) submitTask(t *taskRun) {
 	e.taskEvent(obs.PhaseScheduled, t, -1, nil)
 	var prefs []topology.HostID
 	strict := false
-	if t.ss.job.pinDC != nil {
+	switch {
+	case t.ss.job.pinDC != nil:
 		// Centralized baseline: every task stays in the central DC.
-		e.Sched.Submit(&sched.Task{
-			Name:      t.name(),
-			PrefHosts: e.Topo.HostsIn(*t.ss.job.pinDC),
-			Strict:    true,
-			Run: func(host topology.HostID, release func()) {
-				e.runTask(t, host, release)
-			},
-		})
-		return
-	}
-	if t.receiver {
+		prefs, strict = e.Topo.HostsIn(*t.ss.job.pinDC), true
+	case t.receiver:
 		// Receiver task: pinned to the aggregator datacenter.
 		target := e.transferTarget(t.ss, t.ss.st.Phases[t.phase-1].Transfer, t.part)
-		prefs = e.Topo.HostsIn(target)
-		strict = true
-	} else {
+		prefs, strict = e.Topo.HostsIn(target), true
+	default:
 		prefs = e.prefsFor(t.ss, t.part)
 	}
-	var avoid []topology.HostID
-	if t.speculative {
-		// Spark never places a speculative copy on the original
-		// attempt's host.
-		avoid = []topology.HostID{t.ss.partHost[t.part]}
-	}
 	e.Sched.Submit(&sched.Task{
-		Name:       t.name(),
-		PrefHosts:  prefs,
-		Strict:     strict,
-		AvoidHosts: avoid,
+		Name:      t.name(),
+		PrefHosts: prefs,
+		Strict:    strict,
 		Run: func(host topology.HostID, release func()) {
 			e.runTask(t, host, release)
 		},
@@ -378,13 +313,6 @@ func (e *Engine) locality(ss *stageState, part int) []topology.HostID {
 func (e *Engine) runTask(t *taskRun, host topology.HostID, release func()) {
 	start := e.Clock.Now()
 	e.taskEvent(obs.PhaseStarted, t, int(e.Topo.DCOf(host)), nil)
-	if t.phase == t.ss.startPhase && !t.receiver {
-		t.ss.partRun[t.part] = true
-		if !t.speculative {
-			t.ss.partStart[t.part] = start
-			t.ss.partHost[t.part] = host
-		}
-	}
 	if t.ss.partDone[t.part] {
 		// The partition finished while this attempt was queued.
 		release()
@@ -538,25 +466,11 @@ func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release fu
 // optionally injects a reduce failure, then posts the output.
 func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), start float64) {
 	if t.ss.partDone[t.part] {
-		// A racing copy already finished this partition.
+		// Another attempt already finished this partition.
 		release()
 		return
 	}
-	if e.isDead(host) {
-		// The host died under this attempt; fail over elsewhere.
-		release()
-		err := fmt.Errorf("host %d died under attempt", host)
-		e.taskEvent(obs.PhaseFailed, t, int(e.Topo.DCOf(host)), err)
-		if !e.retry.Allow(t.attempt + 1) {
-			e.failJob(t.ss.job, fmt.Errorf("exec: task %s lost its host %d times", t.name(), t.attempt))
-			return
-		}
-		retry := *t
-		retry.attempt++
-		retry.spanID = 0 // the retry is a fresh span
-		t.ss.job.retries++
-		e.taskEvent(obs.PhaseRetried, &retry, -1, nil)
-		e.submitTask(&retry)
+	if e.hostLost(t, host, release) {
 		return
 	}
 	st := t.ss.st
@@ -603,9 +517,6 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 	}
 
 	dur := cost / e.cfg.ComputeBps * e.noise()
-	if f, ok := e.cfg.SlowHosts[host]; ok && f > 0 {
-		dur /= f
-	}
 	computeStart := e.Clock.Now()
 
 	kind := trace.KindMap
@@ -616,29 +527,26 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 		kind = trace.KindReduce
 	}
 
-	// Failure injection applies to shuffle-reading (reduce) tasks;
-	// speculative copies are fresh attempts and don't re-fail.
-	if isReduce && t.phase == t.ss.startPhase && !t.receiver && !t.speculative {
+	// Failure injection applies to shuffle-reading (reduce) tasks.
+	if isReduce && t.phase == t.ss.startPhase && !t.receiver {
 		if spec, fail := e.shouldFail(t); fail {
 			at := dur * spec.AtFrac
 			e.Clock.After(at, func() {
 				e.trace(trace.Span{Kind: trace.KindFail, ID: e.spanFor(t), Parent: t.parentSpan, Host: host, Stage: st.ID, Part: t.part, Start: computeStart, End: e.Clock.Now(), Label: "failed attempt"})
 				release()
-				e.taskEvent(obs.PhaseFailed, t, int(e.Topo.DCOf(host)), fmt.Errorf("injected failure"))
-				if !e.retry.Allow(t.attempt + 1) {
-					e.failJob(t.ss.job, fmt.Errorf("exec: task %s exceeded %d attempts", t.name(), e.retry.Limit()))
-					return
-				}
 				retry := &taskRun{ss: t.ss, part: t.part, phase: t.ss.startPhase, attempt: t.attempt + 1}
-				t.ss.job.retries++
-				e.taskEvent(obs.PhaseRetried, retry, -1, nil)
-				e.submitTask(retry)
+				e.retryOrFail(t, retry, host, fmt.Errorf("injected failure"))
 			})
 			return
 		}
 	}
 
 	e.Clock.After(dur, func() {
+		if e.hostLost(t, host, release) {
+			// The host died while this attempt computed: its output is
+			// lost with it, so it neither registers nor pushes.
+			return
+		}
 		sp := trace.Span{
 			Kind: kind, ID: e.spanFor(t), Parent: t.parentSpan, Link: t.linkSpan,
 			Host: host, Stage: st.ID, Part: t.part,
@@ -668,8 +576,7 @@ func combinePhase(st *dag.Stage) int {
 	return c
 }
 
-// shouldFail decides whether this attempt fails, from scripted specs first,
-// then the random failure probability.
+// shouldFail finds the scripted failure for this attempt, if any.
 func (e *Engine) shouldFail(t *taskRun) (FailureSpec, bool) {
 	for _, f := range e.cfg.ScriptedFailures {
 		attempt := f.Attempt
@@ -680,12 +587,34 @@ func (e *Engine) shouldFail(t *taskRun) (FailureSpec, bool) {
 			return f, true
 		}
 	}
-	if e.cfg.ReduceFailureProb > 0 && t.attempt == 1 {
-		if e.failRNG.Float64() < e.cfg.ReduceFailureProb {
-			return FailureSpec{AtFrac: 0.5 + 0.5*e.failRNG.Float64()}, true
-		}
-	}
 	return FailureSpec{}, false
+}
+
+// hostLost fails attempt t over to another host if its host has died, and
+// reports whether it did.
+func (e *Engine) hostLost(t *taskRun, host topology.HostID, release func()) bool {
+	if !e.isDead(host) {
+		return false
+	}
+	release()
+	retry := *t
+	retry.attempt++
+	retry.spanID = 0 // the retry is a fresh span
+	e.retryOrFail(t, &retry, host, fmt.Errorf("host %d died under attempt", host))
+	return true
+}
+
+// retryOrFail records a failed attempt t and submits its retry next, or
+// fails the job once the task has made plan.MaxAttempts attempts.
+func (e *Engine) retryOrFail(t, next *taskRun, host topology.HostID, err error) {
+	e.taskEvent(obs.PhaseFailed, t, int(e.Topo.DCOf(host)), err)
+	if t.attempt >= plan.MaxAttempts {
+		e.failJob(t.ss.job, fmt.Errorf("exec: task %s failed %d attempts: %w", t.name(), t.attempt, err))
+		return
+	}
+	t.ss.job.retries++
+	e.taskEvent(obs.PhaseRetried, next, -1, nil)
+	e.submitTask(next)
 }
 
 // postPhase hands the phase output onward: push to the next phase, register
@@ -693,14 +622,6 @@ func (e *Engine) shouldFail(t *taskRun) (FailureSpec, bool) {
 func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound map[int]partData, release func(), start float64) {
 	st := t.ss.st
 	phase := st.Phases[t.phase]
-	if phase.Transfer == nil {
-		// Final phase: first finisher (original or speculative) wins the
-		// partition; the loser discards its work.
-		if !e.claimPartDone(t.ss, t.part) {
-			release()
-			return
-		}
-	}
 	if phase.Transfer != nil {
 		e.markPhaseDone(t.ss, t.phase)
 		target := e.transferTarget(t.ss, phase.Transfer, t.part)
@@ -715,8 +636,7 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 		// Hand off to a receiver task in the target DC; this task is done.
 		next := &taskRun{
 			ss: t.ss, phase: t.phase + 1, part: t.part, attempt: t.attempt,
-			receiver: true, speculative: t.speculative,
-			bound: nextBound, pushFrom: host, pushBytes: out.modeled,
+			receiver: true, bound: nextBound, pushFrom: host, pushBytes: out.modeled,
 			parentSpan: e.spanFor(t),
 		}
 		handoff := func() { e.submitTask(next) }
@@ -731,7 +651,12 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 		return
 	}
 
-	// Final phase of the stage.
+	// Final phase of the stage: the first finisher wins the partition, and
+	// a later one discards its work.
+	if !e.claimPartDone(t.ss, t.part) {
+		release()
+		return
+	}
 	if st.OutSpec != nil {
 		e.reg.AddMapOutput(st.OutSpec.ID, t.part, host, out.records, out.modeled)
 		e.recoveryDone(st.OutSpec.ID, t.part)
@@ -818,8 +743,12 @@ func (e *Engine) taskDone(ss *stageState) {
 		// already running (or waiting on the recovered shuffle reads).
 		return
 	}
+	if ss.st.OutSpec != nil && e.recoverShuffle(ss.st.OutSpec.ID) {
+		// A host died during the stage and took outputs it had registered
+		// with it: their map tasks run again before the barrier opens.
+		return
+	}
 	ss.completed = true
-	ss.specTimer.Cancel()
 	ss.span.End = e.Clock.Now()
 	e.log.Debug("exec: stage finished", "stage", ss.st.Name(), "id", ss.st.ID, "sec", ss.span.End-ss.span.Start)
 	e.Events.OnStage(ss.span)

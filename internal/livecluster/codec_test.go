@@ -124,7 +124,7 @@ func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 	for _, mode := range []Mode{ModePush, ModeFetch} {
 		c, err := New(Config{
 			Workers: 2, Mode: mode, Aggregators: []int{1},
-			TasksPerWorker: 1, MaxAttempts: 1, ChunkRecords: 4,
+			TasksPerWorker: 1, ChunkRecords: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -96,9 +96,6 @@ type Config struct {
 	AggregatorPolicy plan.AggregatorPolicy
 	// TasksPerWorker bounds task concurrency per worker. Defaults to 2.
 	TasksPerWorker int
-	// MaxAttempts bounds attempts per task; <= 0 means the shared
-	// plan.DefaultMaxAttempts.
-	MaxAttempts int
 	// Trace, when non-nil, records per-task spans (wall-clock seconds
 	// since the job started).
 	Trace *trace.SyncRecorder
@@ -709,7 +706,6 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 		Policy:      c.cfg.AggregatorPolicy,
 		LinkCosts:   c.LinkCosts(),
 		SiteSlots:   c.cfg.TasksPerWorker,
-		Retry:       plan.Retry{Max: c.cfg.MaxAttempts},
 		Logger:      c.cfg.Logger,
 	})
 	parts, err := drv.RunContext(ctx)

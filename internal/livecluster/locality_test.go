@@ -314,7 +314,7 @@ func TestKillAggregatorUnderLocalReads(t *testing.T) {
 			})
 		}
 		want := canon(rdd.CollectLocal(build(false)))
-		cluster, err := New(Config{Workers: 3, Mode: ModePush, Aggregators: []int{agg}, MaxAttempts: 2})
+		cluster, err := New(Config{Workers: 3, Mode: ModePush, Aggregators: []int{agg}})
 		if err != nil {
 			t.Fatal(err)
 		}

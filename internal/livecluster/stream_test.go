@@ -806,7 +806,7 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildWordCount(4, 2)))
 	cluster, err := New(Config{
 		Workers: 3, Mode: ModePush, Aggregators: []int{2},
-		MaxAttempts: 6, IOTimeout: 300 * time.Millisecond,
+		IOTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

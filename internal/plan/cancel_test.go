@@ -103,7 +103,7 @@ func TestRunContextCancelSkipsRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := &cancelingBackend{MemBackend: NewMemBackend(1), cancel: cancel}
-	_, err = NewDriver(job, be, DriverConfig{Retry: Retry{Max: 5}}).RunContext(ctx)
+	_, err = NewDriver(job, be, DriverConfig{}).RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -127,8 +127,6 @@ type DriverConfig struct {
 	LinkCosts LinkCostProvider
 	// SiteSlots bounds concurrent tasks per site. Default 2.
 	SiteSlots int
-	// Retry is the per-task attempt budget.
-	Retry Retry
 	// Logger receives structured run logs (stage windows, task retries
 	// and failures, aggregator choices) with run/stage/task attributes.
 	// Nil discards.
@@ -421,7 +419,7 @@ func (d *Driver) acquire(site int) error {
 	}
 }
 
-// attempt runs one task against the retry budget, reporting every
+// attempt runs one task up to MaxAttempts times, reporting every
 // transition to the backend's event sink. Retried attempts are re-placed
 // away from sites the backend reports unhealthy (SiteHealth), so a task
 // whose worker died mid-run fails over instead of retrying into the hole.
@@ -449,7 +447,7 @@ func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt i
 		if cerr := d.canceled(); cerr != nil {
 			return cerr
 		}
-		if !d.cfg.Retry.Allow(att + 1) {
+		if att >= MaxAttempts {
 			return fmt.Errorf("plan: task %s/t%d failed after %d attempt(s): %w", st.Name(), part, att, err)
 		}
 		if moved := d.replaceSite(site); moved != site {

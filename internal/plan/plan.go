@@ -2,13 +2,13 @@
 // turns an RDD lineage into a planned job (shuffle-separated stages via
 // internal/dag), selects per-shuffle aggregators with ChooseAggregator (the
 // paper's Eq. (2) rule by default) from measured input sizes, places receiver
-// and reducer tasks, and tracks retry budgets.
+// and reducer tasks, and caps every task at MaxAttempts attempts.
 //
 // Two backends consume the planner:
 //
 //   - internal/exec, the simnet-timed discrete-event simulator, uses the
 //     planning and placement primitives (BuildJob, ChooseAggregator,
-//     SpreadTopK, Retry) inside its event-driven task runtime;
+//     SpreadTopK, MaxAttempts) inside its event-driven task runtime;
 //   - internal/livecluster implements the Backend interface and is driven
 //     stage-by-stage by the Driver, moving every shuffle byte over real
 //     TCP connections.
@@ -25,6 +25,10 @@ import (
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 )
+
+// MaxAttempts is how many times either backend runs a task before it fails
+// the job (Spark's spark.task.maxFailures default).
+const MaxAttempts = 4
 
 // Job is one planned job: the validated target lineage plus its stage DAG.
 type Job struct {

@@ -76,20 +76,6 @@ func TestSpreadTopKClamps(t *testing.T) {
 	}
 }
 
-func TestRetryBudget(t *testing.T) {
-	r := Retry{}
-	if r.Limit() != DefaultMaxAttempts {
-		t.Fatalf("zero Retry limit = %d", r.Limit())
-	}
-	if !r.Allow(DefaultMaxAttempts) || r.Allow(DefaultMaxAttempts+1) {
-		t.Fatal("default budget boundary wrong")
-	}
-	r = Retry{Max: 1}
-	if !r.Allow(1) || r.Allow(2) {
-		t.Fatal("Max=1 budget boundary wrong")
-	}
-}
-
 func canon(records []rdd.Pair) string {
 	cp := make([]rdd.Pair, len(records))
 	copy(cp, records)
@@ -231,13 +217,13 @@ func TestDriverRetriesUntilBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := &flakyBackend{MemBackend: NewMemBackend(2), failFirst: 2}
-	if _, err := NewDriver(job, be, DriverConfig{Retry: Retry{Max: 3}}).Run(); err != nil {
-		t.Fatalf("2 failures within a 3-attempt budget should succeed: %v", err)
+	be := &flakyBackend{MemBackend: NewMemBackend(2), failFirst: MaxAttempts - 1}
+	if _, err := NewDriver(job, be, DriverConfig{}).Run(); err != nil {
+		t.Fatalf("%d failures within %d attempts should succeed: %v", MaxAttempts-1, MaxAttempts, err)
 	}
-	be = &flakyBackend{MemBackend: NewMemBackend(2), failFirst: 2}
-	if _, err := NewDriver(job, be, DriverConfig{Retry: Retry{Max: 2}}).Run(); err == nil {
-		t.Fatal("2 failures should exhaust a 2-attempt budget")
+	be = &flakyBackend{MemBackend: NewMemBackend(2), failFirst: MaxAttempts}
+	if _, err := NewDriver(job, be, DriverConfig{}).Run(); err == nil {
+		t.Fatalf("%d failures should exhaust %d attempts", MaxAttempts, MaxAttempts)
 	}
 }
 

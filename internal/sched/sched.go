@@ -40,9 +40,6 @@ type Task struct {
 	// Used for transferTo receiver tasks, whose whole point is running in
 	// the aggregator datacenter.
 	Strict bool
-	// AvoidHosts are never assigned (Spark forbids a speculative copy on
-	// the original attempt's host).
-	AvoidHosts []topology.HostID
 	// Run receives the chosen host and a release callback.
 	Run func(host topology.HostID, release func())
 
@@ -153,21 +150,11 @@ func (s *Scheduler) levelOf(t *Task) localityLevel {
 // hostFor finds a free host for a task at its current locality level, or
 // -1. Preference order: a preferred host, then (level ≥ DC) a random free
 // slot in a preferred host's datacenter, then (level any) a random free
-// slot cluster-wide (bestFree).
+// slot cluster-wide (bestFree). A dead host has no free slots (MarkDead), so
+// it is never chosen.
 func (s *Scheduler) hostFor(t *Task, level localityLevel) topology.HostID {
-	avoid := func(h topology.HostID) bool {
-		if s.dead[h] {
-			return true
-		}
-		for _, a := range t.AvoidHosts {
-			if a == h {
-				return true
-			}
-		}
-		return false
-	}
 	for _, h := range t.PrefHosts {
-		if s.freeSlots[h] > 0 && !avoid(h) {
+		if s.freeSlots[h] > 0 {
 			return h
 		}
 	}
@@ -176,12 +163,12 @@ func (s *Scheduler) hostFor(t *Task, level localityLevel) topology.HostID {
 		for _, h := range t.PrefHosts {
 			prefDCs[s.topo.DCOf(h)] = true
 		}
-		if h := s.bestFree(func(h topology.HostID) bool { return prefDCs[s.topo.DCOf(h)] && !avoid(h) }); h >= 0 {
+		if h := s.bestFree(func(h topology.HostID) bool { return prefDCs[s.topo.DCOf(h)] }); h >= 0 {
 			return h
 		}
 	}
 	if level >= levelAny {
-		if h := s.bestFree(func(h topology.HostID) bool { return !avoid(h) }); h >= 0 {
+		if h := s.bestFree(func(topology.HostID) bool { return true }); h >= 0 {
 			return h
 		}
 	}

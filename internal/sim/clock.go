@@ -20,10 +20,9 @@ import (
 // Clock is not safe for concurrent use: the simulation kernel is
 // single-threaded by design so that runs are deterministic.
 type Clock struct {
-	now    float64
-	seq    uint64
-	queue  eventQueue
-	events int // live (non-cancelled) events, for diagnostics
+	now   float64
+	seq   uint64
+	queue eventQueue
 }
 
 // Timer is a handle to a scheduled event. It can be used to cancel the
@@ -114,7 +113,6 @@ func (c *Clock) At(t float64, fn func()) Timer {
 	c.seq++
 	item := &eventItem{at: t, seq: c.seq, fn: fn}
 	heap.Push(&c.queue, item)
-	c.events++
 	return Timer{item: item}
 }
 
@@ -142,7 +140,6 @@ func (c *Clock) Step() bool {
 		}
 		c.now = item.at
 		item.fired = true
-		c.events--
 		item.fn()
 		return true
 	}
