@@ -24,9 +24,9 @@ func blockstoreWorkload(records, reduceParts int) ([]rdd.Pair, blockstore.Bucket
 }
 
 // runStoreCycle drives one full storage cycle through the store: put
-// `outputs` map outputs, then read every reduce shard of each — the
-// bucketing (and, for a spill store under pressure, the spill + reload)
-// hot path of a shuffle.
+// `outputs` map outputs, then read one shard per (reduce, map) in reducer
+// order, the way plan.Task.Gather does — the bucketing (and, for a spill
+// store under pressure, the spill + per-shard reload) hot path of a shuffle.
 func runStoreCycle(b *testing.B, store blockstore.Store, recs []rdd.Pair, bucket blockstore.BucketFunc, outputs, reduceParts int) {
 	b.Helper()
 	for m := 0; m < outputs; m++ {
@@ -37,12 +37,8 @@ func runStoreCycle(b *testing.B, store blockstore.Store, recs []rdd.Pair, bucket
 	}
 	for r := 0; r < reduceParts; r++ {
 		for m := 0; m < outputs; m++ {
-			shards, err := store.Shards(blockstore.Key{Shuffle: 1, MapPart: m}, bucket)
-			if err != nil {
+			if _, err := store.Shard(blockstore.Key{Shuffle: 1, MapPart: m}, r, bucket); err != nil {
 				b.Fatal(err)
-			}
-			if len(shards) != reduceParts {
-				b.Fatalf("got %d shards, want %d", len(shards), reduceParts)
 			}
 		}
 	}
@@ -65,13 +61,15 @@ func BenchmarkBlockStoreResident(b *testing.B) {
 }
 
 // BenchmarkBlockStoreSpill measures the same cycle with the memory budget
-// squeezed so outputs continually spill to disk and reload on read — the
-// record-codec encode/decode + file I/O cost stacked on top of bucketing.
+// squeezed so every output but the last spills and each shard is read off
+// disk — the record-codec encode/decode + file I/O cost stacked on top of
+// bucketing.
 func BenchmarkBlockStoreSpill(b *testing.B) {
 	const outputs, records, reduceParts = 8, 4096, 8
 	recs, bucket := blockstoreWorkload(records, reduceParts)
 	store, err := blockstore.NewSpillStore(blockstore.SpillConfig{
-		// Roughly one output resident at a time: every read reloads.
+		// Roughly one output resident at a time: every read of another
+		// output is a read from disk.
 		MemoryBudget: int64(rdd.SizeOfAll(recs)) + 1,
 		Dir:          b.TempDir(),
 	}, nil)
@@ -90,4 +88,5 @@ func BenchmarkBlockStoreSpill(b *testing.B) {
 	}
 	b.ReportMetric(float64(outputs*records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(stats.SpillEvents)/float64(b.N), "spills/op")
+	b.ReportMetric(float64(stats.ReloadEvents)/float64(b.N), "reloads/op")
 }

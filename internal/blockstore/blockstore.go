@@ -10,11 +10,12 @@
 //
 // One implementation exists, SpillStore. Without a memory budget
 // (NewMemStore) it holds everything resident. With one (NewSpillStore),
-// when resident bytes exceed it the coldest outputs are written to
-// per-store temp files (in the record codec of internal/rdd) and
-// transparently reloaded on their next read, so
-// an aggregator that concentrates a whole job's shuffle input (the
-// paper's Push/Aggregate design) is bounded by disk, not by resident
+// when a Put takes resident bytes over it the coldest outputs are written
+// to per-store temp files, each shard as its own checksummed segment in
+// the record codec of internal/rdd. A spilled output stays on disk: a
+// reader decodes only the shard it asks for, and no read evicts another
+// output. So an aggregator that concentrates a whole job's shuffle input
+// (the paper's Push/Aggregate design) is bounded by disk, not by resident
 // heap. Either way the store feeds a byte Accountant, which observability
 // planes tap for resident/spilled gauges and spill/reload counters.
 package blockstore
@@ -29,7 +30,7 @@ import (
 
 // Key identifies one stored map output: the shuffle it belongs to and the
 // map partition that produced it. The producing attempt travels with the
-// Output value; the reduce dimension is addressed by Shards.
+// Output value; the reduce dimension is addressed by Shard.
 type Key struct {
 	Shuffle int
 	MapPart int
@@ -62,7 +63,7 @@ func (o *Output) bytes() int64 {
 }
 
 // BucketFunc buckets one flat output into per-reduce shards. Stores call
-// it at most once per key — the first Shards read of a flat output — so
+// it at most once per key — the first read of a flat output — so
 // callers may count invocations to observe deferred bucketing.
 type BucketFunc func(records []rdd.Pair) ([][]rdd.Pair, error)
 
@@ -79,16 +80,22 @@ type Store interface {
 	// (a duplicate push).
 	Put(key Key, out Output) (stored, dup bool, err error)
 
+	// Shard returns one reduce shard of the output; a reduce the output
+	// has no shard for is an error. A flat output is bucketed through
+	// bucket once, on its first read, and the result replaces the flat
+	// records — never re-bucketed per read. A spilled output stays on
+	// disk: the read decodes that one shard and evicts nothing.
+	Shard(key Key, reduce int, bucket BucketFunc) ([]rdd.Pair, error)
+
 	// Get returns the output's flat record view: the records as stored
 	// for flat outputs, or the shards flattened in shard order for
-	// bucketed ones. Nothing on a job's path calls it any more (range
-	// samples are taken by the map task, not read back at the barrier);
-	// tests and the benchmark's layer probes do.
+	// bucketed ones. Nothing on a job's path calls it; it stays only for
+	// the benchmark's layer probes and goes with them (ROADMAP 1(b)).
 	Get(key Key) ([]rdd.Pair, error)
 
-	// Shards returns the output's per-reduce shards. A flat output is
-	// bucketed through bucket exactly once, on its first Shards call, and
-	// the result replaces the flat records — never re-bucketed per read.
+	// Shards returns every shard of the output, bucketing it as Shard
+	// does. Nothing on a job's path calls it; it stays only for the
+	// benchmark's layer probes and goes with them (ROADMAP 1(b)).
 	Shards(key Key, bucket BucketFunc) ([][]rdd.Pair, error)
 
 	// Len reports how many outputs are stored.
@@ -114,9 +121,12 @@ const (
 	// EventResident reports a change in resident bytes (puts, drops,
 	// bucketing re-measurement). Bytes is the post-change resident total.
 	EventResident EventKind = iota + 1
-	// EventSpill reports one output written to disk; Bytes is its size.
+	// EventSpill reports one spill file written: a resident output
+	// evicted, or a spilled flat output rewritten as shards on its first
+	// read. Bytes is the output's size.
 	EventSpill
-	// EventReload reports one spilled output read back; Bytes is its size.
+	// EventReload reports one shard of a spilled output read from disk;
+	// Bytes is the shard's share of the output's size.
 	EventReload
 )
 
@@ -140,7 +150,8 @@ type Stats struct {
 	// SpilledBytesTotal / SpillEvents accumulate over the store's life.
 	SpilledBytesTotal int64
 	SpillEvents       int64
-	// ReloadBytesTotal / ReloadEvents count spilled outputs read back.
+	// ReloadBytesTotal / ReloadEvents count shard reads from disk, each
+	// the shard's share of its output's bytes.
 	ReloadBytesTotal int64
 	ReloadEvents     int64
 }
@@ -203,33 +214,34 @@ func (a *Accountant) resident(n int64, outputs int) {
 	a.emit(EventResident, a.st.ResidentBytes)
 }
 
-// spill records one output of n bytes moving from memory to disk.
-func (a *Accountant) spill(n int64) {
+// spill records one spill file of an n-byte output written. fromMemory
+// moves the output from memory to disk; a spilled output rewritten in
+// place stays where it was.
+func (a *Accountant) spill(n int64, fromMemory bool) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.st.ResidentBytes -= n
-	a.st.ResidentOutputs--
-	a.st.SpilledBytes += n
-	a.st.SpilledOutputs++
+	if fromMemory {
+		a.st.ResidentBytes -= n
+		a.st.ResidentOutputs--
+		a.st.SpilledBytes += n
+		a.st.SpilledOutputs++
+	}
 	a.st.SpilledBytesTotal += n
 	a.st.SpillEvents++
 	a.emit(EventSpill, n)
 }
 
-// reload records one spilled output of n bytes coming back to memory.
+// reload records one read of n bytes' worth of a spilled output. The
+// output stays on disk.
 func (a *Accountant) reload(n int64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.st.ResidentBytes += n
-	a.st.ResidentOutputs++
-	a.st.SpilledBytes -= n
-	a.st.SpilledOutputs--
 	a.st.ReloadBytesTotal += n
 	a.st.ReloadEvents++
 	a.emit(EventReload, n)

@@ -1,7 +1,6 @@
 package blockstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -14,10 +13,10 @@ import (
 
 // SpillConfig configures a budgeted SpillStore.
 type SpillConfig struct {
-	// MemoryBudget is the resident-byte budget. Whenever resident bytes
-	// exceed it, the coldest outputs (least recently stored or read) are
-	// written to temp files until the store fits again, and reloaded
-	// transparently on their next read. Must be positive.
+	// MemoryBudget is the resident-byte budget. Whenever a Put takes
+	// resident bytes over it, the coldest outputs (least recently stored or
+	// read) are written to temp files until the store fits again, and read
+	// from there one shard at a time. Must be positive.
 	MemoryBudget int64
 	// Dir is where spill files live; each store creates (and removes on
 	// Close) its own subdirectory under it. Empty means the OS temp dir.
@@ -25,28 +24,27 @@ type SpillConfig struct {
 }
 
 // spillEntry is one stored output, resident or on disk. While resident,
-// exactly one of flat/shards is non-nil; while spilled, both are nil and
-// path names the file holding the encoded output (encodeOutput).
+// exactly one of flat/shards is non-nil. While spilled both are nil, path
+// names the output's file and segs indexes it: one segment per shard, or a
+// single segment holding a flat output (flatFile).
 type spillEntry struct {
-	attempt int
-	flat    []rdd.Pair
-	shards  [][]rdd.Pair
-	bytes   int64
-	lastUse uint64
-	spilled bool
-	path    string
+	attempt  int
+	flat     []rdd.Pair
+	shards   [][]rdd.Pair
+	bytes    int64
+	lastUse  uint64
+	spilled  bool
+	path     string
+	segs     []segment
+	flatFile bool
 }
 
-// A spill file is one output in the record codec of internal/rdd:
-//
-//	kind      1 byte: spillFlat or spillShards
-//	nShards   uvarint (1 for a flat output)
-//	nShards × { uvarint length, rdd.AppendPairs payload }
-//	crc32c    4 bytes little-endian, over everything before it
-const (
-	spillFlat   byte = 1
-	spillShards byte = 2
-)
+// segment locates one rdd.AppendPairs payload in a spill file. The index is
+// in memory only: a spill file never outlives its store.
+type segment struct {
+	off, n int64
+	crc    uint32 // CRC-32C of the payload
+}
 
 var (
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -55,74 +53,18 @@ var (
 	spillBufs = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// ErrCorrupt is wrapped by the error a read returns when the output's
-// spill file does not hold what was written: truncated, or failing its
-// checksum. The entry stays in the store (reads of it keep failing) and
-// every other output stays readable.
+// ErrCorrupt is wrapped by the error a read returns when the segment it
+// reads does not hold what was written: short, failing its checksum, or not
+// decoding. Only that shard's reads fail (every time); the output's other
+// shards and every other output stay readable.
 var ErrCorrupt = errors.New("blockstore: corrupt spill file")
-
-// encodeOutput appends the spill-file encoding of one output to dst. It
-// fails, before appending anything, on a value the record codec cannot
-// carry (*rdd.UnsupportedValueError).
-func encodeOutput(dst []byte, flat []rdd.Pair, shards [][]rdd.Pair) ([]byte, error) {
-	kind := spillShards
-	if shards == nil {
-		kind, shards = spillFlat, [][]rdd.Pair{flat}
-	}
-	start := len(dst)
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(shards)))
-	for _, shard := range shards {
-		dst = binary.AppendUvarint(dst, uint64(rdd.EncodedSize(shard)))
-		var err error
-		if dst, err = rdd.AppendPairs(dst, shard); err != nil {
-			return dst[:start], err
-		}
-	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
-}
-
-// decodeOutput is encodeOutput's inverse. It takes ownership of buf (the
-// decoded records are cut out of it, see rdd.DecodePairs).
-func decodeOutput(buf []byte) (flat []rdd.Pair, shards [][]rdd.Pair, err error) {
-	if len(buf) < 6 {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(buf))
-	}
-	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	kind, rest := body[0], body[1:]
-	n, w := binary.Uvarint(rest)
-	if w <= 0 || n > uint64(len(rest)) || (kind != spillFlat && kind != spillShards) || (kind == spillFlat && n != 1) {
-		return nil, nil, fmt.Errorf("%w: bad header", ErrCorrupt)
-	}
-	rest = rest[w:]
-	shards = make([][]rdd.Pair, n)
-	for i := range shards {
-		size, w := binary.Uvarint(rest)
-		if w <= 0 || size > uint64(len(rest)-w) {
-			return nil, nil, fmt.Errorf("%w: shard %d overruns the file", ErrCorrupt, i)
-		}
-		if shards[i], err = rdd.DecodePairs(rest[w : w+int(size) : w+int(size)]); err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		rest = rest[w+int(size):]
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	if kind == spillFlat {
-		return shards[0], nil, nil
-	}
-	return nil, shards, nil
-}
 
 // SpillStore is the Store implementation. Outputs are resident until the
 // memory budget is exceeded, then the coldest ones spill to per-store temp
-// files and reload transparently when read again. Without a budget
-// (NewMemStore) nothing ever spills and no spill directory exists: the
-// fully resident store is this store with the budget check switched off.
+// files, one segment per shard, and are read from there one shard at a
+// time. Without a budget (NewMemStore) nothing ever spills and no spill
+// directory exists: the fully resident store is this store with the budget
+// check switched off.
 type SpillStore struct {
 	mu      sync.Mutex
 	acct    *Accountant
@@ -187,6 +129,33 @@ func (s *SpillStore) Put(key Key, out Output) (stored, dup bool, err error) {
 	return true, dup, s.enforceBudgetLocked(e)
 }
 
+// Shard implements Store.
+func (s *SpillStore) Shard(key Key, reduce int, bucket BucketFunc) ([]rdd.Pair, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, shards, err := s.bucketedLocked(key, bucket)
+	switch {
+	case err != nil:
+		return nil, err
+	case shards == nil && reduce >= 0 && reduce < len(e.segs):
+		return s.readLocked(e, reduce)
+	case reduce >= 0 && reduce < len(shards):
+		return shards[reduce], nil
+	}
+	return nil, fmt.Errorf("blockstore: %v has no reduce %d", key, reduce)
+}
+
+// Shards implements Store.
+func (s *SpillStore) Shards(key Key, bucket BucketFunc) ([][]rdd.Pair, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, shards, err := s.bucketedLocked(key, bucket)
+	if err != nil || shards != nil {
+		return shards, err
+	}
+	return s.shardsLocked(e)
+}
+
 // Get implements Store.
 func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
 	s.mu.Lock()
@@ -195,35 +164,12 @@ func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if err := s.ensureResidentLocked(e); err != nil {
-		return nil, err
-	}
-	if e.shards == nil {
+	s.touchLocked(e)
+	if !e.spilled && e.shards == nil {
 		return e.flat, nil
 	}
-	return slices.Concat(e.shards...), nil
-}
-
-// Shards implements Store.
-func (s *SpillStore) Shards(key Key, bucket BucketFunc) ([][]rdd.Pair, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.outputs[key]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if err := s.ensureResidentLocked(e); err != nil {
-		return nil, err
-	}
-	if e.shards == nil {
-		shards, err := bucket(e.flat)
-		if err != nil {
-			return nil, err
-		}
-		e.shards = shards
-		e.flat = nil
-	}
-	return e.shards, nil
+	shards, err := s.shardsLocked(e)
+	return slices.Concat(shards...), err
 }
 
 // Len implements Store.
@@ -270,31 +216,87 @@ func (s *SpillStore) discardLocked(e *spillEntry) {
 	s.acct.resident(-e.bytes, -1)
 }
 
-// ensureResidentLocked reloads a spilled entry and re-enforces the budget
-// against the other entries (the reload itself may overflow it).
-func (s *SpillStore) ensureResidentLocked(e *spillEntry) error {
+// bucketedLocked looks key up, marks it used and buckets a flat output: in
+// memory while resident, and while spilled by reading its one segment and
+// rewriting the file as per-shard segments — never making it resident, so
+// no read evicts. The shards it returns are nil when they are on disk.
+func (s *SpillStore) bucketedLocked(key Key, bucket BucketFunc) (*spillEntry, [][]rdd.Pair, error) {
+	e, ok := s.outputs[key]
+	if !ok {
+		return nil, nil, ErrNotFound
+	}
 	s.touchLocked(e)
+	if e.shards != nil || (e.spilled && !e.flatFile) {
+		return e, e.shards, nil
+	}
+	flat := e.flat
+	if e.spilled {
+		var err error
+		if flat, err = s.readLocked(e, 0); err != nil {
+			return nil, nil, err
+		}
+	}
+	shards, err := bucket(flat)
+	if err != nil {
+		return nil, nil, err
+	}
 	if !e.spilled {
-		return nil
+		e.flat, e.shards = nil, shards
+		return e, shards, nil
 	}
-	buf, err := os.ReadFile(e.path)
+	if err := s.writeLocked(e, shards, false); err != nil {
+		return nil, nil, err
+	}
+	s.acct.spill(e.bytes, false)
+	return e, shards, nil
+}
+
+// shardsLocked returns every shard of e: its own while resident, each read
+// from disk while spilled.
+func (s *SpillStore) shardsLocked(e *spillEntry) ([][]rdd.Pair, error) {
+	if !e.spilled {
+		return e.shards, nil
+	}
+	shards := make([][]rdd.Pair, len(e.segs))
+	for i := range shards {
+		var err error
+		if shards[i], err = s.readLocked(e, i); err != nil {
+			return nil, err
+		}
+	}
+	return shards, nil
+}
+
+// readLocked reads, checks and decodes segment i of spilled entry e, and
+// accounts its share of e's bytes as reloaded. The entry stays spilled.
+func (s *SpillStore) readLocked(e *spillEntry, i int) ([]rdd.Pair, error) {
+	seg := e.segs[i]
+	f, err := os.Open(e.path)
 	if err != nil {
-		return fmt.Errorf("blockstore: reloading spilled output: %w", err)
+		return nil, fmt.Errorf("blockstore: reading spilled output: %w", err)
 	}
-	flat, shards, err := decodeOutput(buf)
+	buf := make([]byte, seg.n)
+	_, err = f.ReadAt(buf, seg.off)
+	_ = f.Close()
 	if err != nil {
-		return fmt.Errorf("blockstore: decoding spilled output %s: %w", e.path, err)
+		return nil, fmt.Errorf("%w: %s shard %d: %v", ErrCorrupt, e.path, i, err)
 	}
-	_ = os.Remove(e.path)
-	e.flat, e.shards = flat, shards
-	e.spilled, e.path = false, ""
-	s.acct.reload(e.bytes)
-	return s.enforceBudgetLocked(e)
+	if crc32.Checksum(buf, crcTable) != seg.crc {
+		return nil, fmt.Errorf("%w: %s shard %d: checksum mismatch", ErrCorrupt, e.path, i)
+	}
+	recs, err := rdd.DecodePairs(buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s shard %d: %v", ErrCorrupt, e.path, i, err)
+	}
+	last := e.segs[len(e.segs)-1]
+	s.acct.reload(e.bytes * seg.n / (last.off + last.n))
+	return recs, nil
 }
 
 // enforceBudgetLocked spills the coldest resident entries (never exclude,
 // the one the caller is actively using) until resident bytes fit the
 // budget or no candidate remains. A store without a budget never spills.
+// Only Put calls it: reads leave spilled entries on disk.
 func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
 	if s.cfg.MemoryBudget <= 0 {
 		return nil
@@ -319,25 +321,47 @@ func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
 	return nil
 }
 
-// spillLocked writes one resident entry to a fresh file in the store's
-// spill directory and frees its records. The entry is encoded in full
-// first, so an output that cannot be encoded leaves no file behind.
+// spillLocked writes one resident entry to disk, a flat output as a single
+// segment, and frees its records.
 func (s *SpillStore) spillLocked(e *spillEntry) error {
+	shards, flat := e.shards, e.shards == nil
+	if flat {
+		shards = [][]rdd.Pair{e.flat}
+	}
+	if err := s.writeLocked(e, shards, flat); err != nil {
+		return err
+	}
+	e.flat, e.shards, e.spilled = nil, nil, true
+	s.acct.spill(e.bytes, true)
+	return nil
+}
+
+// writeLocked encodes shards back to back into a fresh file in the store's
+// spill directory, points e's path and segment index at it and removes the
+// file it replaces, if any. Everything is encoded first, so an output that
+// cannot be encoded leaves no file behind and e as it was.
+func (s *SpillStore) writeLocked(e *spillEntry, shards [][]rdd.Pair, flat bool) error {
 	buf := spillBufs.Get().(*[]byte)
 	defer spillBufs.Put(buf)
-	data, err := encodeOutput((*buf)[:0], e.flat, e.shards)
-	*buf = data[:0]
-	if err != nil {
-		return fmt.Errorf("blockstore: encoding spill file: %w", err)
+	data, segs := (*buf)[:0], make([]segment, len(shards))
+	for i, shard := range shards {
+		off := len(data)
+		var err error
+		if data, err = rdd.AppendPairs(data, shard); err != nil {
+			return fmt.Errorf("blockstore: encoding spill file: %w", err)
+		}
+		segs[i] = segment{off: int64(off), n: int64(len(data) - off), crc: crc32.Checksum(data[off:], crcTable)}
 	}
+	*buf = data[:0]
 	s.nfiles++
 	path := fmt.Sprintf("%s%cblock-%d", s.dir, os.PathSeparator, s.nfiles)
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		_ = os.Remove(path)
 		return fmt.Errorf("blockstore: writing spill file: %w", err)
 	}
-	e.flat, e.shards = nil, nil
-	e.spilled, e.path = true, path
-	s.acct.spill(e.bytes)
+	if e.spilled {
+		_ = os.Remove(e.path)
+	}
+	e.path, e.segs, e.flatFile = path, segs, flat
 	return nil
 }

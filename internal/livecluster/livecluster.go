@@ -134,7 +134,7 @@ type Config struct {
 	// MemoryBudget bounds each worker's resident shuffle-block bytes.
 	// Zero (the default) keeps every output in memory; a positive budget
 	// makes each worker's block store spill its coldest outputs to temp
-	// files under SpillDir and reload them transparently on fetch, so an
+	// files under SpillDir and read them from there a shard at a time, so an
 	// aggregator concentrating a whole job's shuffle input is bounded by
 	// disk rather than heap. Negative is rejected by New.
 	MemoryBudget int64

@@ -3,6 +3,8 @@ package livecluster
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
+	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,6 +108,36 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 				t.Fatalf("read past the last frame: %v", err)
 			}
 		})
+	}
+}
+
+// A pooled, reset compressor writes the bytes a new one would, whatever it
+// compressed before, and the pooled decompressor reads each of them back.
+func TestPooledCompressorsMatchNewOnes(t *testing.T) {
+	fresh := map[string]func(io.Writer) io.WriteCloser{
+		CodecGzip: func(w io.Writer) io.WriteCloser { return gzip.NewWriter(w) },
+		CodecFlate: func(w io.Writer) io.WriteCloser {
+			fw, _ := flate.NewWriter(w, flate.DefaultCompression)
+			return fw
+		},
+	}
+	for codec, newWriter := range fresh {
+		for _, n := range []int{500, 1, 0, 500, 37} {
+			raw, _ := rdd.AppendPairs(nil, pairs(n))
+			var want bytes.Buffer
+			w := newWriter(&want)
+			if _, err := w.Write(raw); err != nil || w.Close() != nil {
+				t.Fatal(err)
+			}
+			got, err := compress(codec, []byte("hdr"), raw)
+			if err != nil || !bytes.Equal(got[3:], want.Bytes()) || string(got[:3]) != "hdr" {
+				t.Fatalf("%s, %d records: pooled compressor wrote %d bytes, a new one %d (%v)", codec, n, len(got)-3, want.Len(), err)
+			}
+			back, err := decompress(codec, got[3:], len(raw))
+			if err != nil || !bytes.Equal(back, raw) {
+				t.Fatalf("%s, %d records: round trip: %v", codec, n, err)
+			}
+		}
 	}
 }
 

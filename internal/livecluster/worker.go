@@ -479,25 +479,18 @@ func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
 	}
 }
 
-// shardOf returns one reduce shard of a stored output: an O(1) per-reduce
-// lookup once the output is bucketed. Flat outputs (range-partitioned
-// shuffles stored before the barrier) are bucketed exactly once, on the
-// first read — never re-bucketed per read. Spilled outputs reload from
-// disk transparently inside the store. The shard is the store's own slice:
-// streamFetch encodes it, a local reader copies it (plan.Task.Gather), and
-// neither writes to it.
+// shardOf returns one reduce shard of a stored output. Flat outputs
+// (range-partitioned shuffles stored before the barrier) are bucketed
+// exactly once, on the first read — never re-bucketed per read. A spilled
+// output stays on disk and the store decodes just this shard. The shard is
+// the store's own slice (or a fresh one off disk): streamFetch encodes it,
+// a local reader copies it (plan.Task.Gather), and neither writes to it.
 func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
-	shards, err := w.store.Shards(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, w.bucketFn(shuffleID))
+	shard, err := w.store.Shard(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, reduce, w.bucketFn(shuffleID))
 	if errors.Is(err, blockstore.ErrNotFound) {
 		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d: %w", w.id, shuffleID, mapPart, err)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if reduce < 0 || reduce >= len(shards) {
-		return nil, fmt.Errorf("worker %d: reduce %d out of range", w.id, reduce)
-	}
-	return shards[reduce], nil
+	return shard, err
 }
 
 // push ships a map output partition to worker dst as one chunk stream on one

@@ -72,13 +72,10 @@ func (b *MemBackend) reader(t Task) ShuffleReader {
 // reduce partitions does not re-bucket the output R times — the same
 // exactly-once semantics the live workers rely on.
 func (b *MemBackend) shard(spec *rdd.ShuffleSpec, mapPart, reduce int) ([][]rdd.Pair, error) {
-	shards, err := b.store.Shards(blockstore.Key{Shuffle: spec.ID, MapPart: mapPart},
+	shard, err := b.store.Shard(blockstore.Key{Shuffle: spec.ID, MapPart: mapPart}, reduce,
 		func(recs []rdd.Pair) ([][]rdd.Pair, error) { return rdd.BucketRecords(spec, recs), nil })
 	if err != nil {
 		return nil, fmt.Errorf("plan: reading shuffle %d map %d: %w", spec.ID, mapPart, err)
 	}
-	if reduce < 0 || reduce >= len(shards) {
-		return nil, fmt.Errorf("plan: shuffle %d reduce %d out of range", spec.ID, reduce)
-	}
-	return shards[reduce : reduce+1], nil
+	return [][]rdd.Pair{shard}, nil
 }
