@@ -1,11 +1,11 @@
 // Command wansim runs one HiBench workload under one of the paper's
 // shuffle schemes and prints its run report — on the simulated six-region
-// cluster, on a real loopback TCP cluster (-live), or as a multi-tenant job
-// service taking workloads over HTTP (-serve).
+// cluster, on a real loopback TCP cluster (-live), or as a job service
+// taking workloads over HTTP and running them in arrival order (-serve).
 //
 //	wansim -workload pagerank -scheme agg -seed 3 -matrix -gantt -validate
 //	wansim -workload sort -scheme spark -live -report run.json
-//	wansim -serve -live -telemetry-addr 127.0.0.1:9090 -tenants heavy=3,light=1
+//	wansim -serve -live -telemetry-addr 127.0.0.1:9090 -max-queue 8
 //
 // `wansim -h` lists every flag; README.md documents them by plane. All three
 // modes run from one options value (options.go) through one backend seam

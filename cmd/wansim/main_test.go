@@ -211,7 +211,6 @@ func TestIneffectiveFlagsWarn(t *testing.T) {
 		want string
 	}{
 		{"linger without telemetry", []string{"-telemetry-linger", "1ms"}, "-telemetry-linger 1ms has no effect without -telemetry-addr"},
-		{"tenants without serve", []string{"-tenants", "a=1"}, `-tenants "a=1" has no effect without -serve`},
 		{"single-run flags under serve",
 			[]string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-workload", "sort", "-gantt", "-chrome", "x.json", "-matrix", "-report", "x.json", "-validate", "-progress"},
 			"-chrome, -gantt, -matrix, -progress, -report, -validate, -workload has no effect with -serve"},

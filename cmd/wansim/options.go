@@ -46,11 +46,8 @@ type options struct {
 	topology               *topology.Topology
 
 	// Job service.
-	serve       bool
-	weights     map[string]float64
-	maxQueue    int
-	queuedBytes int64
-	jobDeadline time.Duration
+	serve    bool
+	maxQueue int
 }
 
 // trace reports whether anything will read spans: the timeline flags, the
@@ -62,8 +59,7 @@ func (o *options) trace() bool {
 // rawFlags holds the flag values that need more parsing than package flag
 // does.
 type rawFlags struct {
-	workload, scheme, aggregator, logLevel          string
-	memoryBudget, topology, tenants, maxQueuedBytes string
+	workload, scheme, aggregator, logLevel, memoryBudget, topology string
 }
 
 // newFlagSet registers every wansim flag. The usage strings here are the
@@ -92,11 +88,8 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.StringVar(&raw.memoryBudget, "memory-budget", "", "-live per-worker resident budget for stored shuffle blocks, e.g. 64KB or 16MiB; beyond it the coldest outputs spill to disk (empty = unlimited)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "-live directory for spilled shuffle blocks (empty = OS temp dir)")
 	fs.StringVar(&raw.topology, "topology", "", "-live WAN preset pacing the loopback data plane at its inter-DC rates: ec2 | micro (empty = unshaped)")
-	fs.BoolVar(&o.serve, "serve", false, "run as a multi-tenant job service: workloads arrive as JSON over POST /jobs on -telemetry-addr (required) and run one at a time, weighted-fair across tenants")
-	fs.StringVar(&raw.tenants, "tenants", "", "-serve tenant weights, e.g. heavy=3,light=1 (unlisted tenants weigh 1)")
-	fs.IntVar(&o.maxQueue, "max-queue", 16, "-serve admission bound on queued jobs; submissions beyond it get HTTP 429 (must be positive)")
-	fs.StringVar(&raw.maxQueuedBytes, "max-queued-bytes", "", "-serve admission bound on summed est_bytes of queued+running jobs, e.g. 256MB (empty = unbounded)")
-	fs.DurationVar(&o.jobDeadline, "job-deadline", 0, "-serve default per-job deadline (0 = none; a request's deadline_ms overrides)")
+	fs.BoolVar(&o.serve, "serve", false, "run as a job service: workloads arrive as JSON over POST /jobs on -telemetry-addr (required) and run one at a time, in arrival order")
+	fs.IntVar(&o.maxQueue, "max-queue", 16, "-serve bound on queued jobs; submissions beyond it get HTTP 429 (must be positive)")
 	return fs
 }
 
@@ -164,22 +157,10 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	if o.linger < 0 {
 		return nil, fmt.Errorf("-telemetry-linger must not be negative, got %v", o.linger)
 	}
-	if o.weights, err = parseTenantWeights(raw.tenants); err != nil {
-		return nil, err
-	}
-	if o.queuedBytes, err = parseByteSize("-max-queued-bytes", raw.maxQueuedBytes); err != nil {
-		return nil, err
-	}
-	if o.jobDeadline < 0 {
-		return nil, fmt.Errorf("-job-deadline must not be negative, got %v", o.jobDeadline)
-	}
 	if o.serve && o.telemetryAddr == "" {
 		return nil, fmt.Errorf("-serve requires -telemetry-addr: submissions arrive over HTTP")
 	}
 
-	if !o.serve && raw.tenants != "" {
-		fmt.Fprintf(stderr, "wansim: warning: -tenants %q has no effect without -serve\n", raw.tenants)
-	}
 	if o.linger > 0 && o.telemetryAddr == "" {
 		fmt.Fprintf(stderr, "wansim: warning: -telemetry-linger %v has no effect without -telemetry-addr\n", o.linger)
 	}
@@ -274,31 +255,4 @@ func parseByteSize(flagName, s string) (int64, error) {
 		return 0, fmt.Errorf("%s %q overflows", flagName, s)
 	}
 	return budget, nil
-}
-
-// parseTenantWeights parses the -tenants flag: comma-separated
-// name=weight pairs with strictly positive weights. Empty means every
-// tenant gets the default weight.
-func parseTenantWeights(s string) (map[string]float64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	weights := make(map[string]float64)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("-tenants: %q is not name=weight", strings.TrimSpace(part))
-		}
-		name = strings.TrimSpace(name)
-		w, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || name == "" || !(w > 0) {
-			return nil, fmt.Errorf("-tenants: %q needs a tenant name and a positive weight", strings.TrimSpace(part))
-		}
-		if _, dup := weights[name]; dup {
-			return nil, fmt.Errorf("-tenants: tenant %q listed twice", name)
-		}
-		weights[name] = w
-	}
-	return weights, nil
 }

@@ -13,9 +13,9 @@ import (
 // not add, drop or rename a flag.
 func TestFlagSetUnchanged(t *testing.T) {
 	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt
-		io-timeout job-deadline live log-level matrix max-queue max-queued-bytes memory-budget
+		io-timeout live log-level matrix max-queue memory-budget
 		progress report scale scheme seed serve spill-dir telemetry-addr
-		telemetry-linger tenants topology validate workload`)
+		telemetry-linger topology validate workload`)
 	var got []string
 	newFlagSet(&options{}, &rawFlags{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	if !reflect.DeepEqual(got, want) {

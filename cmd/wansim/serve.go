@@ -12,7 +12,7 @@ import (
 	"wanshuffle/internal/workloads"
 )
 
-// runServe runs wansim as a multi-tenant job service: a jobs.Service taking
+// runServe runs wansim as a job service: a jobs.Service taking
 // named-workload submissions over HTTP on the telemetry endpoint until ctx
 // is canceled (SIGINT/SIGTERM). Every round of every job is one backend.run,
 // exactly as in a single run.
@@ -23,13 +23,7 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 	}
 	defer release()
 
-	svc := jobs.New(jobs.Config{
-		Weights:         o.weights,
-		MaxQueue:        o.maxQueue,
-		MaxQueuedBytes:  o.queuedBytes,
-		DefaultDeadline: o.jobDeadline,
-		Logger:          o.logger,
-	})
+	svc := jobs.New(jobs.Config{MaxQueue: o.maxQueue, Logger: o.logger})
 	defer svc.Close()
 
 	// cur is the backend of the running (else the last) job: /events and
@@ -41,17 +35,20 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 			return jobs.Submission{}, err
 		}
 		seed, scale, repeat := req.Seed, req.Scale, req.Repeat
+		if scale < 0 {
+			return jobs.Submission{}, fmt.Errorf("scale must not be negative, got %v", scale)
+		}
+		if repeat < 0 {
+			return jobs.Submission{}, fmt.Errorf("repeat must be positive, got %d", repeat)
+		}
 		if seed == 0 {
 			seed = o.seed
 		}
-		if scale <= 0 {
+		if scale == 0 {
 			scale = o.scale
 		}
 		if repeat == 0 {
 			repeat = 1
-		}
-		if repeat < 0 {
-			return jobs.Submission{}, fmt.Errorf("repeat must be positive, got %d", repeat)
 		}
 		// repeat chains rounds of the workload inside the one job,
 		// re-checking the job's context between them so a deadline or
@@ -73,10 +70,7 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 			}
 			return last, nil
 		}
-		return jobs.Submission{
-			Tenant: req.Tenant, Name: w.Name,
-			EstBytes: req.EstBytes, Run: run,
-		}, nil
+		return jobs.Submission{Tenant: req.Tenant, Name: w.Name, Run: run}, nil
 	}
 
 	// The telemetry endpoint doubles as the submission API: /metrics serves

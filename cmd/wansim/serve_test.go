@@ -14,21 +14,6 @@ import (
 	"wanshuffle/internal/obs"
 )
 
-func TestParseTenantWeights(t *testing.T) {
-	got, err := parseTenantWeights(" heavy=3, light=1.5 ")
-	if err != nil || got["heavy"] != 3 || got["light"] != 1.5 || len(got) != 2 {
-		t.Fatalf("parseTenantWeights = (%v, %v)", got, err)
-	}
-	if got, err := parseTenantWeights(""); err != nil || got != nil {
-		t.Fatalf("empty: (%v, %v), want (nil, nil)", got, err)
-	}
-	for _, bad := range []string{"heavy", "=2", "a=0", "a=-1", "a=x", "a=1,a=2"} {
-		if _, err := parseTenantWeights(bad); err == nil {
-			t.Errorf("parseTenantWeights(%q) accepted", bad)
-		}
-	}
-}
-
 // submitJob posts one workload submission and decodes the accepted job's
 // snapshot.
 func submitJob(t *testing.T, url string, req jobs.SubmitRequest) jobs.Info {
@@ -63,9 +48,9 @@ func taskCount(rep *obs.Report) int {
 // TestServeModeJobService drives the full serve-mode loop over each
 // backend: HTTP submissions from two tenants run to completion with
 // retained reports that carry the traced sections (tasks, critical_path)
-// whichever backend ran them, a bogus workload is a 400, a deadline cancels
-// a job without poisoning the next, /metrics carries the jobs_* series, and
-// a real SIGINT drains the service and returns cleanly.
+// whichever backend ran them, a malformed request is a 400, a deadline
+// cancels a job without poisoning the next, /metrics carries the jobs_*
+// series, and a real SIGINT drains the service and returns cleanly.
 func TestServeModeJobService(t *testing.T) {
 	for _, backend := range []string{"sim", "live"} {
 		t.Run(backend, func(t *testing.T) { testServeModeJobService(t, backend) })
@@ -74,8 +59,7 @@ func TestServeModeJobService(t *testing.T) {
 
 func testServeModeJobService(t *testing.T, backend string) {
 	args := []string{
-		"-serve", "-telemetry-addr", "127.0.0.1:0",
-		"-tenants", "heavy=2,light=1", "-max-queue", "4",
+		"-serve", "-telemetry-addr", "127.0.0.1:0", "-max-queue", "4",
 		"-scale", "0.02", "-log-level", "off",
 	}
 	if backend == "live" {
@@ -87,15 +71,22 @@ func testServeModeJobService(t *testing.T, backend string) {
 	h := submitJob(t, url, jobs.SubmitRequest{Tenant: "heavy", Workload: "wordcount"})
 	l := submitJob(t, url, jobs.SubmitRequest{Tenant: "light", Workload: "wordcount"})
 
-	// An unknown workload is the caller's fault, not a service failure.
-	resp, err := http.Post(url+"/jobs", "application/json",
-		strings.NewReader(`{"tenant":"light","workload":"nope"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown workload: %d, want 400", resp.StatusCode)
+	// A request the service cannot run as written is the caller's fault,
+	// not a service failure.
+	for _, body := range []string{
+		`{"tenant":"light","workload":"nope"}`,
+		`{"tenant":"light","workload":"wordcount","repeat":-1}`,
+		`{"tenant":"light","workload":"wordcount","deadline_ms":-5}`,
+		`{"tenant":"light","workload":"wordcount","scale":-1}`,
+	} {
+		resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /jobs %s: %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	// doneReport waits for a job to finish and returns its retained report,
@@ -145,17 +136,6 @@ func testServeModeJobService(t *testing.T, backend string) {
 		t.Fatalf("the job after the canceled one traced %d tasks, the first job %d: spans leak across jobs", got, want)
 	}
 
-	// A negative repeat is the caller's fault.
-	resp, err = http.Post(url+"/jobs", "application/json",
-		strings.NewReader(`{"tenant":"light","workload":"wordcount","repeat":-1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative repeat: %d, want 400", resp.StatusCode)
-	}
-
 	_, metrics := httpGet(t, url+"/metrics")
 	for _, series := range []string{"jobs_submitted_total", "jobs_done_total", "jobs_queue_depth"} {
 		if !strings.Contains(string(metrics), series) {
@@ -184,14 +164,8 @@ func TestServeFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"serve without telemetry", []string{"-serve"}, "-serve requires -telemetry-addr"},
-		{"bare tenant", []string{"-tenants", "heavy"}, "is not name=weight"},
-		{"zero weight", []string{"-tenants", "a=0"}, "positive weight"},
-		{"duplicate tenant", []string{"-tenants", "a=1,a=2"}, "listed twice"},
 		{"zero max queue", []string{"-max-queue", "0"}, "-max-queue must be positive"},
 		{"negative max queue", []string{"-max-queue", "-2"}, "-max-queue must be positive"},
-		{"garbage queued bytes", []string{"-max-queued-bytes", "lots"}, "cannot parse"},
-		{"negative queued bytes", []string{"-max-queued-bytes", "-64KB"}, "-max-queued-bytes must be positive"},
-		{"negative job deadline", []string{"-job-deadline", "-1s"}, "-job-deadline must not be negative"},
 		{"serve live manual scheme", []string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-live", "-scheme", "manual"}, "-live supports schemes spark and agg"},
 		{"serve live random aggregator", []string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-live", "-aggregator", "random"}, "not supported with -live"},
 	} {

@@ -12,7 +12,7 @@ import (
 )
 
 // SubmitRequest is the JSON body of POST /jobs: a named workload plus the
-// tenant and admission/deadline knobs the caller wants applied.
+// tenant label and the job's deadline.
 type SubmitRequest struct {
 	Tenant   string  `json:"tenant"`
 	Workload string  `json:"workload"`
@@ -20,10 +20,10 @@ type SubmitRequest struct {
 	Seed     int64   `json:"seed,omitempty"`
 	// Repeat runs the workload this many times within the one job
 	// (default 1), re-checking the job's context between rounds — an
-	// iterative job whose rounds share the admission slot.
-	Repeat     int   `json:"repeat,omitempty"`
+	// iterative job whose rounds share one turn on the cluster.
+	Repeat int `json:"repeat,omitempty"`
+	// DeadlineMS bounds the job's run time (0 = none; negative is a 400).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	EstBytes   int64 `json:"est_bytes,omitempty"`
 }
 
 // Builder turns an HTTP submit request into a runnable Submission. The
@@ -100,6 +100,10 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		return
+	}
+	if req.DeadlineMS < 0 {
+		http.Error(w, fmt.Sprintf("deadline_ms must not be negative, got %d", req.DeadlineMS), http.StatusBadRequest)
 		return
 	}
 	sub, err := h.build(req)

@@ -21,7 +21,7 @@ func testServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := New(cfg)
 	build := func(req SubmitRequest) (Submission, error) {
-		sub := Submission{Tenant: req.Tenant, Name: req.Workload, EstBytes: req.EstBytes}
+		sub := Submission{Tenant: req.Tenant, Name: req.Workload}
 		switch req.Workload {
 		case "ok":
 			sub.Run = func(ctx context.Context) (*obs.Report, error) {
@@ -184,17 +184,17 @@ func TestHTTPWatchStream(t *testing.T) {
 	if ct := wresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("watch content type %q", ct)
 	}
-	// History replays the whole arc; read the four lines then hang up.
+	// History replays the whole arc; read the three lines then hang up.
 	scanner := bufio.NewScanner(wresp.Body)
 	var states []State
-	for len(states) < 4 && scanner.Scan() {
+	for len(states) < 3 && scanner.Scan() {
 		var ev Event
 		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
 			t.Fatalf("watch line %q: %v", scanner.Text(), err)
 		}
 		states = append(states, ev.State)
 	}
-	want := []State{StateQueued, StateAdmitted, StateRunning, StateDone}
+	want := []State{StateQueued, StateRunning, StateDone}
 	if fmt.Sprint(states) != fmt.Sprint(want) {
 		t.Fatalf("watch states %v, want %v", states, want)
 	}

@@ -1,33 +1,26 @@
-// Package jobs is the multi-tenant job service fronting both execution
-// backends: a bounded submission queue, per-tenant weighted-fair
-// scheduling, admission control, and the full job lifecycle
-// (queued → admitted → running → done/failed/canceled/rejected) with
-// cooperative cancellation and per-job deadlines.
+// Package jobs is the job service fronting both execution backends: a
+// bounded FIFO submission queue, one dispatcher, and the full job lifecycle
+// (queued → running → done/failed/canceled/rejected) with cooperative
+// cancellation and per-job deadlines.
 //
 // The paper observes that "it is common that a Spark cluster is shared by
 // multiple jobs" (Sec. IV-E); Exoshuffle and FuxiShuffle push the point
-// further — shuffle belongs behind a long-running, adaptive *service*, not
-// a one-shot CLI invocation. This package is that service layer: callers
-// submit work as run closures (a live-cluster job, a fresh simulator
-// context, anything honoring a context.Context), and the service decides
-// when — and whether — each one runs.
+// further — shuffle belongs behind a long-running *service*, not a one-shot
+// CLI invocation. This package is that service layer: callers submit work
+// as run closures (a live-cluster job, a fresh simulator context, anything
+// honoring a context.Context), and the service runs them.
 //
-// Scheduling is start-time fair queueing (SFQ) over tenant weights: each
-// dispatched job advances its tenant's virtual finish tag by 1/weight, the
-// job with the smallest finish tag goes next (ties break on the earlier
-// virtual start, then tenant name), and submissions within one tenant stay
-// FIFO. A tenant with weight 2 therefore drains twice as fast as a
-// weight-1 tenant under contention, and an idle tenant's backlog never
-// starves others. Jobs run one at a time: both backends execute a single
-// job per cluster (the live Cluster is strictly sequential; the engine
-// returns exec.ErrBusy), so the service serializes dispatch and fairness
-// is decided entirely by queue order.
+// Jobs run one at a time, in the order they arrive — Spark's default
+// spark.scheduler.mode=FIFO. Both backends execute a single job per
+// cluster (the live Cluster is strictly sequential; the engine returns
+// exec.ErrBusy), so which queued job runs next is the only decision there
+// is. A job's tenant labels it in listings, events and metrics; it does
+// not affect the order.
 //
-// Admission control sheds load before it queues: a full queue
-// (Config.MaxQueue) or an estimated-bytes footprint past
-// Config.MaxQueuedBytes rejects the submission with a typed *ErrRejected,
-// recorded as a terminal "rejected" job so the /jobs listing and the
-// jobs_rejected_total metric account for every shed submission.
+// The queue bound is the one admission rule: a submission past
+// Config.MaxQueue, or one made after Close, is rejected with a typed
+// *ErrRejected, recorded as a terminal "rejected" job so the /jobs listing
+// and the jobs_rejected_total metric account for every shed submission.
 package jobs
 
 import (
@@ -35,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,12 +39,11 @@ import (
 // State is one point in a job's lifecycle.
 type State string
 
-// Lifecycle states. A healthy job passes queued → admitted → running →
-// done; rejected is terminal at submission time, canceled and failed are
-// the other terminal outcomes.
+// Lifecycle states. A healthy job passes queued → running → done; rejected
+// is terminal at submission time, canceled and failed are the other
+// terminal outcomes.
 const (
 	StateQueued   State = "queued"
-	StateAdmitted State = "admitted"
 	StateRunning  State = "running"
 	StateDone     State = "done"
 	StateFailed   State = "failed"
@@ -71,7 +64,6 @@ func (s State) Terminal() bool {
 // jobs_rejected_total.
 const (
 	ReasonQueueFull = "queue_full"
-	ReasonMemory    = "memory"
 	ReasonClosed    = "closed"
 )
 
@@ -81,21 +73,17 @@ const (
 type ErrRejected struct {
 	// Reason is one of the Reason* constants.
 	Reason string
-	// Limit and Have quantify the exceeded bound: queued jobs for
-	// ReasonQueueFull, estimated bytes for ReasonMemory.
+	// Limit and Have quantify the exceeded bound for ReasonQueueFull: the
+	// queue bound and the jobs queued.
 	Limit, Have int64
 }
 
 // Error implements error.
 func (e *ErrRejected) Error() string {
-	switch e.Reason {
-	case ReasonQueueFull:
+	if e.Reason == ReasonQueueFull {
 		return fmt.Sprintf("jobs: rejected (%s): %d job(s) queued, limit %d", e.Reason, e.Have, e.Limit)
-	case ReasonMemory:
-		return fmt.Sprintf("jobs: rejected (%s): %d estimated bytes pending, limit %d", e.Reason, e.Have, e.Limit)
-	default:
-		return fmt.Sprintf("jobs: rejected (%s)", e.Reason)
 	}
+	return fmt.Sprintf("jobs: rejected (%s)", e.Reason)
 }
 
 // IsRejected reports whether err is (or wraps) an admission rejection.
@@ -104,7 +92,7 @@ func IsRejected(err error) bool {
 	return errors.As(err, &r)
 }
 
-// RunFunc executes one admitted job. It must honor ctx: a canceled or
+// RunFunc executes one dispatched job. It must honor ctx: a canceled or
 // deadline-expired context should stop launching work and return an error
 // wrapping ctx.Err() (the plan.Driver, exec.Engine, and
 // livecluster.Cluster context plumbing does exactly that). The returned
@@ -113,16 +101,12 @@ type RunFunc func(ctx context.Context) (*obs.Report, error)
 
 // Submission describes one job offered to the service.
 type Submission struct {
-	// Tenant names the submitting tenant; empty means "default".
+	// Tenant names the submitting tenant; empty means "default". It labels
+	// the job's listings, events and metrics.
 	Tenant string
 	// Name labels the job (workload name) for listings and events.
 	Name string
-	// EstBytes is the submission's estimated memory footprint, counted
-	// against Config.MaxQueuedBytes while the job is queued or running.
-	// Zero means unknown (admitted on queue depth alone).
-	EstBytes int64
-	// Deadline bounds the job's run time; zero falls back to
-	// Config.DefaultDeadline (zero there too means unbounded).
+	// Deadline bounds the job's run time; zero means unbounded.
 	Deadline time.Duration
 	// Run is the work itself.
 	Run RunFunc
@@ -135,13 +119,12 @@ type Info struct {
 	Tenant      string    `json:"tenant"`
 	Name        string    `json:"name,omitempty"`
 	State       State     `json:"state"`
-	EstBytes    int64     `json:"est_bytes,omitempty"`
 	SubmittedAt time.Time `json:"submitted_at"`
-	// QueueWaitSec is submission→admission; zero until admitted.
+	// QueueWaitSec is submission→dispatch; zero until running.
 	QueueWaitSec float64 `json:"queue_wait_sec,omitempty"`
 	// RunSec is the run duration; zero until terminal.
 	RunSec float64 `json:"run_sec,omitempty"`
-	// DeadlineSec is the effective per-job deadline (0 = none).
+	// DeadlineSec is the job's deadline (0 = none).
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
 	// Err carries the failure/cancellation/rejection message.
 	Err string `json:"err,omitempty"`
@@ -164,25 +147,12 @@ type Event struct {
 
 // Config tunes a Service.
 type Config struct {
-	// Weights maps tenant name → scheduling weight; tenants not listed, or
-	// listed with a non-positive weight, get defaultWeight.
-	Weights map[string]float64
 	// MaxQueue bounds how many jobs may wait in the queue (the running job
 	// does not count). Defaults to 16.
 	MaxQueue int
-	// MaxQueuedBytes bounds the summed EstBytes of queued plus running
-	// jobs; 0 disables the bound.
-	MaxQueuedBytes int64
-	// DefaultDeadline applies to submissions without their own; 0 leaves
-	// them unbounded.
-	DefaultDeadline time.Duration
 	// Logger receives structured service logs; nil discards.
 	Logger *slog.Logger
 }
-
-// defaultWeight is the scheduling weight of a tenant Config.Weights does not
-// list.
-const defaultWeight = 1
 
 func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
@@ -198,23 +168,14 @@ type record struct {
 	info   Info
 	sub    Submission
 	report *obs.Report
-	// vstart/vfinish are the SFQ virtual tags stamped at dispatch.
-	vstart, vfinish float64
-	// cancel aborts the running job; set for the duration of the run.
+	// cancel aborts the running job; set when the job is dispatched.
 	cancel context.CancelFunc
 	done   chan struct{}
 }
 
-// tenantQueue is one tenant's FIFO backlog plus its SFQ finish tag.
-type tenantQueue struct {
-	weight float64
-	queue  []*record
-	finish float64
-}
-
-// Service is a running multi-tenant job service. Create one with New and
-// Close it when done; Close cancels the in-flight job and drains the
-// queue (every queued job turns canceled).
+// Service is a running job service. Create one with New and Close it when
+// done; Close cancels the running job and drains the queue (every queued
+// job turns canceled).
 type Service struct {
 	cfg Config
 	reg *obs.Registry
@@ -222,17 +183,12 @@ type Service struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	tenants map[string]*tenantQueue
+	queue   []*record // waiting jobs, in arrival order
 	records map[string]*record
 	order   []*record // submission order, rejected included
-	// vtime is the SFQ virtual clock: the virtual start tag of the job
-	// most recently entering service.
-	vtime       float64
-	queued      int
-	pendingByte int64 // EstBytes of queued + running jobs
-	running     *record
-	seq         int
-	closed      bool
+	running *record
+	seq     int
+	closed  bool
 
 	// events is the lifecycle event log behind Events, Subscribe and the
 	// /jobs watch stream; appends happen under mu, so it is in transition
@@ -248,7 +204,6 @@ func New(cfg Config) *Service {
 		cfg:            cfg.withDefaults(),
 		reg:            obs.NewRegistry(),
 		log:            obs.LoggerOr(cfg.Logger),
-		tenants:        map[string]*tenantQueue{},
 		records:        map[string]*record{},
 		dispatcherDone: make(chan struct{}),
 	}
@@ -321,13 +276,10 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 	if sub.Tenant == "" {
 		sub.Tenant = "default"
 	}
-	if sub.Deadline <= 0 {
-		sub.Deadline = s.cfg.DefaultDeadline
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reg.Counter("jobs_submitted_total", obs.Labels{"tenant": sub.Tenant}).Inc()
-	if rej := s.admitLocked(sub); rej != nil {
+	if rej := s.admitLocked(); rej != nil {
 		rec := s.newRecordLocked(sub)
 		rec.info.State = StateRejected
 		rec.info.Err = rej.Error()
@@ -339,27 +291,21 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 	}
 	rec := s.newRecordLocked(sub)
 	rec.info.State = StateQueued
-	t := s.tenantLocked(sub.Tenant)
-	t.queue = append(t.queue, rec)
-	s.queued++
-	s.pendingByte += sub.EstBytes
-	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(s.queued))
+	s.queue = append(s.queue, rec)
+	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 	s.publishLocked(rec)
-	s.log.Info("jobs: queued", "job", rec.info.ID, "tenant", sub.Tenant, "name", sub.Name, "depth", s.queued)
+	s.log.Info("jobs: queued", "job", rec.info.ID, "tenant", sub.Tenant, "name", sub.Name, "depth", len(s.queue))
 	s.cond.Broadcast()
 	return &Job{svc: s, rec: rec}, nil
 }
 
-// admitLocked applies the admission bounds to one submission.
-func (s *Service) admitLocked(sub Submission) *ErrRejected {
+// admitLocked rejects a submission to a closed service or a full queue.
+func (s *Service) admitLocked() *ErrRejected {
 	if s.closed {
 		return &ErrRejected{Reason: ReasonClosed}
 	}
-	if s.queued >= s.cfg.MaxQueue {
-		return &ErrRejected{Reason: ReasonQueueFull, Limit: int64(s.cfg.MaxQueue), Have: int64(s.queued)}
-	}
-	if s.cfg.MaxQueuedBytes > 0 && s.pendingByte+sub.EstBytes > s.cfg.MaxQueuedBytes {
-		return &ErrRejected{Reason: ReasonMemory, Limit: s.cfg.MaxQueuedBytes, Have: s.pendingByte + sub.EstBytes}
+	if len(s.queue) >= s.cfg.MaxQueue {
+		return &ErrRejected{Reason: ReasonQueueFull, Limit: int64(s.cfg.MaxQueue), Have: int64(len(s.queue))}
 	}
 	return nil
 }
@@ -373,7 +319,6 @@ func (s *Service) newRecordLocked(sub Submission) *record {
 			ID:          fmt.Sprintf("j-%04d", s.seq),
 			Tenant:      sub.Tenant,
 			Name:        sub.Name,
-			EstBytes:    sub.EstBytes,
 			SubmittedAt: time.Now(),
 			DeadlineSec: sub.Deadline.Seconds(),
 		},
@@ -381,19 +326,6 @@ func (s *Service) newRecordLocked(sub Submission) *record {
 	s.records[rec.info.ID] = rec
 	s.order = append(s.order, rec)
 	return rec
-}
-
-func (s *Service) tenantLocked(name string) *tenantQueue {
-	t, ok := s.tenants[name]
-	if !ok {
-		w := s.cfg.Weights[name]
-		if w <= 0 {
-			w = defaultWeight
-		}
-		t = &tenantQueue{weight: w}
-		s.tenants[name] = t
-	}
-	return t
 }
 
 // publishLocked appends the record's current state to the event log, which
@@ -461,7 +393,7 @@ func (s *Service) Report(id string) (*obs.Report, bool) {
 func (s *Service) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued
+	return len(s.queue)
 }
 
 // Cancel cancels a job: a queued job leaves the queue immediately, a
@@ -477,33 +409,17 @@ func (s *Service) Cancel(id string) error {
 	}
 	switch rec.info.State {
 	case StateQueued:
-		t := s.tenants[rec.info.Tenant]
-		for i, q := range t.queue {
-			if q == rec {
-				t.queue = append(t.queue[:i], t.queue[i+1:]...)
-				break
-			}
-		}
-		s.queued--
-		s.pendingByte -= rec.sub.EstBytes
-		s.reg.Gauge("jobs_queue_depth", nil).Set(float64(s.queued))
+		s.queue = slices.DeleteFunc(s.queue, func(q *record) bool { return q == rec })
+		s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 		s.finishLocked(rec, StateCanceled, "canceled while queued", nil)
-	case StateAdmitted:
-		// Dispatched but not yet running: mark terminal; runJob notices
-		// before invoking the run function.
-		s.finishLocked(rec, StateCanceled, "canceled before start", nil)
 	case StateRunning:
-		if rec.cancel != nil {
-			rec.cancel()
-		}
+		rec.cancel()
 	}
 	return nil
 }
 
 // finishLocked moves a non-terminal record to a terminal state: metrics,
-// event, done-channel close, pending-bytes release for jobs that were
-// dispatched (queued jobs release in Cancel, which owns the queue
-// bookkeeping).
+// event, done-channel close.
 func (s *Service) finishLocked(rec *record, st State, msg string, report *obs.Report) {
 	if rec.info.State.Terminal() {
 		return
@@ -527,118 +443,61 @@ func (s *Service) finishLocked(rec *record, st State, msg string, report *obs.Re
 	close(rec.done)
 }
 
-// dispatch is the service's single scheduler goroutine: it picks the next
-// job under start-time fair queueing and runs it to completion, one at a
-// time, until Close drains the service.
+// dispatch is the service's single dispatcher goroutine: it runs the queue's
+// head to completion, one job at a time, until Close drains the service.
 func (s *Service) dispatch() {
 	defer close(s.dispatcherDone)
 	for {
-		rec := s.next()
+		rec, ctx := s.next()
 		if rec == nil {
 			return
 		}
-		s.runJob(rec)
+		s.runJob(ctx, rec)
 	}
 }
 
-// next blocks until a job is dispatchable (returning it admitted) or the
-// service is closed (returning nil).
-func (s *Service) next() *record {
+// next blocks until a job is queued and takes it off the queue already
+// running, its context (deadline applied) and cancel func set in the same
+// critical section, so Cancel and Close always find a dispatched job's
+// cancel func. It returns nil once the service is closed.
+func (s *Service) next() (*record, context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if rec := s.pickLocked(); rec != nil {
-			return rec
-		}
+	for len(s.queue) == 0 {
 		if s.closed {
-			return nil
+			return nil, nil
 		}
 		s.cond.Wait()
 	}
-}
+	rec := s.queue[0]
+	s.queue = s.queue[1:]
+	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 
-// pickLocked implements SFQ dispatch: among tenant queue heads, compute
-// virtual start S = max(vtime, tenant finish tag) and finish
-// F = S + 1/weight; take the smallest F (ties: smaller S, then tenant
-// name), advance the tenant tag to F and the virtual clock to S. Within a
-// tenant the queue is FIFO, so one tenant can never reorder its own jobs.
-func (s *Service) pickLocked() *record {
-	var (
-		best       *record
-		bestTenant *tenantQueue
-		bestName   string
-		bestS      float64
-		bestF      float64
-	)
-	for name, t := range s.tenants {
-		if len(t.queue) == 0 {
-			continue
-		}
-		start := t.finish
-		if s.vtime > start {
-			start = s.vtime
-		}
-		finish := start + 1/t.weight
-		better := best == nil || finish < bestF ||
-			(finish == bestF && (start < bestS || (start == bestS && name < bestName)))
-		if better {
-			best, bestTenant, bestName, bestS, bestF = t.queue[0], t, name, start, finish
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	bestTenant.queue = bestTenant.queue[1:]
-	bestTenant.finish = bestF
-	s.vtime = bestS
-	best.vstart, best.vfinish = bestS, bestF
-	s.queued--
-	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(s.queued))
-	best.info.State = StateAdmitted
-	wait := time.Since(best.info.SubmittedAt).Seconds()
-	best.info.QueueWaitSec = wait
-	s.reg.Counter("jobs_admitted_total", obs.Labels{"tenant": best.info.Tenant}).Inc()
-	s.reg.Histogram("jobs_queue_wait_sec", queueWaitEdges, nil).Observe(wait)
-	s.publishLocked(best)
-	s.log.Info("jobs: admitted", "job", best.info.ID, "tenant", best.info.Tenant,
-		"wait_sec", wait, "vfinish", bestF)
-	return best
-}
-
-// runJob executes one admitted job: build its context (deadline applied),
-// invoke the run function, and classify the outcome — a context-shaped
-// error is a cancellation, anything else a failure.
-func (s *Service) runJob(rec *record) {
-	ctx := context.Background()
-	var cancel context.CancelFunc
+	var ctx context.Context
 	if rec.sub.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, rec.sub.Deadline)
+		ctx, rec.cancel = context.WithTimeout(context.Background(), rec.sub.Deadline)
 	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		ctx, rec.cancel = context.WithCancel(context.Background())
 	}
-	defer cancel()
-
-	s.mu.Lock()
-	if rec.info.State.Terminal() {
-		// Canceled in the dispatch→run window.
-		s.pendingByte -= rec.sub.EstBytes
-		s.mu.Unlock()
-		return
-	}
-	rec.cancel = cancel
 	rec.info.State = StateRunning
-	started := time.Now()
 	s.running = rec
+	wait := time.Since(rec.info.SubmittedAt).Seconds()
+	rec.info.QueueWaitSec = wait
+	s.reg.Histogram("jobs_queue_wait_sec", queueWaitEdges, nil).Observe(wait)
 	s.publishLocked(rec)
-	s.mu.Unlock()
+	s.log.Info("jobs: running", "job", rec.info.ID, "tenant", rec.info.Tenant, "wait_sec", wait)
+	return rec, ctx
+}
 
+// runJob executes one dispatched job and classifies the outcome — a
+// context-shaped error is a cancellation, anything else a failure.
+func (s *Service) runJob(ctx context.Context, rec *record) {
+	started := time.Now()
 	report, err := rec.sub.Run(ctx)
 
 	runSec := time.Since(started).Seconds()
 	s.mu.Lock()
-	rec.cancel = nil
 	s.running = nil
-	s.pendingByte -= rec.sub.EstBytes
 	rec.info.RunSec = runSec
 	s.reg.Histogram("jobs_run_sec", runSecEdges, nil).Observe(runSec)
 	switch {
@@ -649,13 +508,14 @@ func (s *Service) runJob(rec *record) {
 	default:
 		s.finishLocked(rec, StateFailed, err.Error(), report)
 	}
+	rec.cancel() // releases the deadline timer
 	state := rec.info.State
 	s.mu.Unlock()
 	s.log.Info("jobs: finished", "job", rec.info.ID, "tenant", rec.info.Tenant,
 		"state", string(state), "run_sec", runSec, "err", rec.info.Err)
 }
 
-// Close drains the service: no further submissions are admitted, every
+// Close drains the service: further submissions are rejected, every
 // queued job turns canceled, the running job (if any) has its context
 // canceled, and Close returns once the dispatcher has exited. Safe to
 // call more than once.
@@ -667,16 +527,12 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
-	for _, t := range s.tenants {
-		for _, rec := range t.queue {
-			s.queued--
-			s.pendingByte -= rec.sub.EstBytes
-			s.finishLocked(rec, StateCanceled, "service closed", nil)
-		}
-		t.queue = nil
+	for _, rec := range s.queue {
+		s.finishLocked(rec, StateCanceled, "service closed", nil)
 	}
-	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(s.queued))
-	if s.running != nil && s.running.cancel != nil {
+	s.queue = nil
+	s.reg.Gauge("jobs_queue_depth", nil).Set(0)
+	if s.running != nil {
 		s.running.cancel()
 	}
 	s.cond.Broadcast()

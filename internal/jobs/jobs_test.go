@@ -74,12 +74,11 @@ func counterValue(reg *obs.Registry, name string, labels map[string]string) floa
 	return 0
 }
 
-// TestWeightedFairDispatchOrder pins the SFQ schedule: with heavy at
-// weight 2 and light at weight 1, two jobs each, the interleaving is
-// h1, l1, h2, l2 — heavy drains twice as fast, light is not starved, and
-// each tenant's own jobs stay FIFO.
-func TestWeightedFairDispatchOrder(t *testing.T) {
-	svc := New(Config{Weights: map[string]float64{"heavy": 2, "light": 1}})
+// TestDispatchInArrivalOrder pins the dispatch order: four jobs from two
+// tenants queued behind a running gate run in the order they arrived, h1,
+// h2, l1, l2 — the tenant labels them and does not reorder them.
+func TestDispatchInArrivalOrder(t *testing.T) {
+	svc := New(Config{})
 	defer svc.Close()
 
 	release, gate := gateJob(t, svc, "gatekeeper")
@@ -111,7 +110,7 @@ func TestWeightedFairDispatchOrder(t *testing.T) {
 			t.Fatalf("job %s finished %s (err=%q), want done", info.Name, info.State, info.Err)
 		}
 	}
-	want := []string{"h1", "l1", "h2", "l2"}
+	want := []string{"h1", "h2", "l1", "l2"}
 	mu.Lock()
 	defer mu.Unlock()
 	if fmt.Sprint(order) != fmt.Sprint(want) {
@@ -162,54 +161,6 @@ func TestAdmissionQueueBound(t *testing.T) {
 		t.Fatalf("jobs_rejected_total{b,queue_full} = %v, want 1", got)
 	}
 	close(release)
-}
-
-// TestAdmissionMemoryBound rejects on the aggregate estimated-bytes
-// footprint of queued plus running jobs.
-func TestAdmissionMemoryBound(t *testing.T) {
-	svc := New(Config{MaxQueuedBytes: 100})
-	defer svc.Close()
-
-	release := make(chan struct{})
-	big, err := svc.Submit(Submission{
-		Tenant:   "a",
-		EstBytes: 60,
-		Run: func(ctx context.Context) (*obs.Report, error) {
-			<-release
-			return nil, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("submit big: %v", err)
-	}
-	waitState(t, svc, big.ID(), StateRunning)
-
-	// 60 running + 50 requested > 100: shed.
-	_, err = svc.Submit(Submission{Tenant: "a", EstBytes: 50,
-		Run: func(ctx context.Context) (*obs.Report, error) { return nil, nil }})
-	var rej *ErrRejected
-	if !errors.As(err, &rej) || rej.Reason != ReasonMemory {
-		t.Fatalf("memory-bound submit: err = %v, want memory rejection", err)
-	}
-	// 60 + 30 fits.
-	small, err := svc.Submit(Submission{Tenant: "a", EstBytes: 30,
-		Run: func(ctx context.Context) (*obs.Report, error) { return nil, nil }})
-	if err != nil {
-		t.Fatalf("fitting submit rejected: %v", err)
-	}
-	close(release)
-	if info := small.Wait(); info.State != StateDone {
-		t.Fatalf("small job finished %s, want done", info.State)
-	}
-	// With both jobs terminal the footprint drains back to zero, so a
-	// full-size submission fits again.
-	big.Wait()
-	full, err := svc.Submit(Submission{Tenant: "a", EstBytes: 100,
-		Run: func(ctx context.Context) (*obs.Report, error) { return nil, nil }})
-	if err != nil {
-		t.Fatalf("post-drain submit rejected: %v", err)
-	}
-	full.Wait()
 }
 
 // TestDeadlineCancelsJob gives a blocking job a short deadline and checks
@@ -305,7 +256,7 @@ func TestFailedJobClassification(t *testing.T) {
 }
 
 // TestLifecycleEvents checks the event stream carries the full
-// queued→admitted→running→done arc, both to Subscribe history and a live
+// queued→running→done arc, both to Subscribe history and a live
 // subscriber.
 func TestLifecycleEvents(t *testing.T) {
 	svc := New(Config{})
@@ -320,7 +271,7 @@ func TestLifecycleEvents(t *testing.T) {
 	}
 	job.Wait()
 
-	want := []State{StateQueued, StateAdmitted, StateRunning, StateDone}
+	want := []State{StateQueued, StateRunning, StateDone}
 	var got []State
 	timeout := time.After(5 * time.Second)
 	for len(got) < len(want) {
@@ -384,8 +335,41 @@ func TestCloseDrainsQueue(t *testing.T) {
 	svc.Close() // idempotent
 }
 
+// TestCloseCancelsJobBeingDispatched closes a service at varying instants
+// around the dispatch of its one job — still queued, just taken off the
+// queue, or running — and checks Close cancels the job wherever it is
+// instead of waiting out its run.
+func TestCloseCancelsJobBeingDispatched(t *testing.T) {
+	const rounds = 4000
+	for i := 0; i < rounds; i++ {
+		svc := New(Config{})
+		job, err := svc.Submit(Submission{Tenant: "t",
+			Run: func(ctx context.Context) (*obs.Report, error) {
+				select {
+				case <-time.After(200 * time.Millisecond):
+					return nil, nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}})
+		if err != nil {
+			t.Fatalf("round %d: submit: %v", i, err)
+		}
+		for spin := time.Now(); time.Since(spin) < time.Duration(i%40)*time.Microsecond; {
+		}
+		start := time.Now()
+		svc.Close()
+		if took := time.Since(start); took > 150*time.Millisecond {
+			t.Fatalf("round %d: Close took %v: it waited for the job instead of canceling it", i, took)
+		}
+		if info := job.Wait(); info.State != StateCanceled {
+			t.Fatalf("round %d: job ended %s (err=%q), want canceled", i, info.State, info.Err)
+		}
+	}
+}
+
 // TestQueueWaitMetric checks the queue-wait histogram sees one sample per
-// admitted job and the depth gauge returns to zero.
+// dispatched job and the depth gauge returns to zero.
 func TestQueueWaitMetric(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()

@@ -40,14 +40,11 @@ func simRun(t *testing.T, record func(name string)) func(name string) RunFunc {
 }
 
 // TestJobServiceOverSimBackend is the sim-side acceptance test: four
-// concurrent submissions from two weighted tenants against the simulator
-// backend, weighted-fair dispatch, queue-bound rejection, and per-job run
-// reports — the mirror of the live-cluster test in internal/livecluster.
+// concurrent submissions from two tenants against the simulator backend,
+// arrival-order dispatch, queue-bound rejection, and per-job run reports —
+// the mirror of the live-cluster test in internal/livecluster.
 func TestJobServiceOverSimBackend(t *testing.T) {
-	svc := New(Config{
-		Weights:  map[string]float64{"heavy": 2, "light": 1},
-		MaxQueue: 4,
-	})
+	svc := New(Config{MaxQueue: 4})
 	defer svc.Close()
 
 	var mu sync.Mutex
@@ -109,8 +106,8 @@ func TestJobServiceOverSimBackend(t *testing.T) {
 	mu.Lock()
 	got := fmt.Sprint(order)
 	mu.Unlock()
-	if want := "[h1 l1 h2 l2]"; got != want {
-		t.Fatalf("weighted-fair dispatch order %s, want %s", got, want)
+	if want := "[h1 h2 l1 l2]"; got != want {
+		t.Fatalf("dispatch order %s, want arrival order %s", got, want)
 	}
 
 	counts := map[State]int{}

@@ -33,9 +33,8 @@ var Catalogue = []MetricDoc{
 	{"placement_decisions_total", "counter", "`policy`, `source`", "both", "aggregator placement decisions, by policy and bandwidth source (`measured`/`configured`/`uniform`/`none`)"},
 	{"placement_chosen_site", "gauge", "`shuffle`", "both", "site index chosen as each shuffle's aggregator"},
 	{"placement_candidate_cost_sec", "gauge", "`shuffle`, `site`", "both", "estimated bottleneck transfer time of each candidate site"},
-	{"jobs_submitted_total", "counter", "`tenant`", "both", "job submissions received (admitted or rejected)"},
-	{"jobs_admitted_total", "counter", "`tenant`", "both", "jobs dispatched out of the queue"},
-	{"jobs_rejected_total", "counter", "`tenant`, `reason`", "both", "submissions shed at admission (`queue_full` / `memory` / `closed`)"},
+	{"jobs_submitted_total", "counter", "`tenant`", "both", "job submissions received (queued or rejected)"},
+	{"jobs_rejected_total", "counter", "`tenant`, `reason`", "both", "submissions shed at admission (`queue_full` / `closed`)"},
 	{"jobs_done_total", "counter", "`tenant`", "both", "jobs that finished successfully"},
 	{"jobs_failed_total", "counter", "`tenant`", "both", "jobs that finished with a non-cancellation error"},
 	{"jobs_canceled_total", "counter", "`tenant`", "both", "jobs canceled (explicitly, by deadline, or at shutdown)"},
