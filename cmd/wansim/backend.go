@@ -34,7 +34,6 @@ type backend struct {
 	registry func() *obs.Registry
 	snapshot func(workload string) *obs.Report
 	events   func() *obs.Collector
-	links    func() *obs.NetworkStats
 }
 
 // openBackend returns the per-job backend constructor for o's mode, plus
@@ -67,13 +66,14 @@ func newSimBackend(o *options, seed int64) *backend {
 		tracer:   eng.Tracer,
 		topo:     cctx.Topology(),
 		registry: eng.Events.Registry,
-		// Until the run finishes the engine's event collector is all there
-		// is to report from.
+		// Until the run finishes the engine's event collector and link
+		// estimator are all there is to report from.
 		snapshot: func(workload string) *obs.Report {
-			return obs.InProgressReport("sim", workload, o.scheme.String(), eng.Events)
+			rep := obs.InProgressReport("sim", workload, o.scheme.String(), eng.Events)
+			rep.Network = eng.NetworkStats()
+			return rep
 		},
 		events: func() *obs.Collector { return eng.Events },
-		links:  eng.NetworkStats,
 	}
 }
 
@@ -125,7 +125,6 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 			}
 			return nil
 		},
-		links: cluster.NetworkStats,
 	}
 	open := func(seed int64) *backend {
 		// The recorder outlives a job; jobs run one at a time, so clearing

@@ -34,7 +34,6 @@ type options struct {
 	// Telemetry plane.
 	telemetryAddr string
 	linger        time.Duration
-	progress      bool
 	logger        *slog.Logger
 
 	// -live data, storage and network planes.
@@ -77,9 +76,8 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.StringVar(&o.report, "report", "", "write the canonical JSON run report (schema wanshuffle/run-report/v1) to this file")
 	fs.BoolVar(&o.validate, "validate", false, "check the output against the in-memory reference")
 	fs.BoolVar(&o.live, "live", false, "run on a real loopback TCP cluster instead of the simulator")
-	fs.StringVar(&o.telemetryAddr, "telemetry-addr", "", "serve /metrics /report /events /trace /links /timeline and /debug/pprof/ on this address while the job runs, e.g. 127.0.0.1:9090 (empty disables)")
+	fs.StringVar(&o.telemetryAddr, "telemetry-addr", "", "serve /metrics /report /events /trace and /debug/pprof/ on this address while the job runs, e.g. 127.0.0.1:9090 (empty disables)")
 	fs.DurationVar(&o.linger, "telemetry-linger", 0, "keep the telemetry endpoint up this long after the run, so scrapers can read the final state")
-	fs.BoolVar(&o.progress, "progress", false, "print a live stages/tasks/bytes progress line to stderr during the run")
 	fs.StringVar(&raw.logLevel, "log-level", "warn", "structured log level on stderr: debug | info | warn | error | off")
 	fs.StringVar(&o.compress, "compress", "", "-live per-chunk compression codec: none | gzip | flate")
 	fs.IntVar(&o.chunkRecords, "chunk-records", 256, "-live records per chunk frame (must be positive)")
@@ -94,11 +92,19 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 }
 
 // singleRunFlags are the flags only a single run reads; -serve warns when
-// one is set, since jobs name their own workload and reports are retained
-// per job.
+// one is set, since jobs name their own workload, reports are retained per
+// job, and the service serves until it is stopped.
 var singleRunFlags = map[string]bool{
 	"workload": true, "gantt": true, "chrome": true, "matrix": true,
-	"report": true, "validate": true, "progress": true,
+	"report": true, "validate": true, "telemetry-linger": true,
+}
+
+// liveOnlyFlags are the flags only the live cluster reads; a run without
+// -live warns when one is set, since the simulator models bytes, links and
+// storage itself.
+var liveOnlyFlags = map[string]bool{
+	"compress": true, "chunk-records": true, "dial-timeout": true, "io-timeout": true,
+	"memory-budget": true, "spill-dir": true, "topology": true,
 }
 
 // parseOptions parses and validates args. A value with no meaningful
@@ -165,17 +171,26 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 		fmt.Fprintf(stderr, "wansim: warning: -telemetry-linger %v has no effect without -telemetry-addr\n", o.linger)
 	}
 	if o.serve {
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if singleRunFlags[f.Name] {
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			fmt.Fprintf(stderr, "wansim: warning: %s has no effect with -serve (each job names its workload; its report is at /jobs/{id}/report)\n", strings.Join(ignored, ", "))
-		}
+		warnSet(fs, stderr, singleRunFlags, "has no effect with -serve (each job names its workload, its report is at /jobs/{id}/report, and the service serves until stopped)")
+	}
+	if !o.live {
+		warnSet(fs, stderr, liveOnlyFlags, "has no effect without -live (the simulator models the data plane and its WAN itself)")
 	}
 	return o, nil
+}
+
+// warnSet prints one warning line naming every flag in set the command
+// line gave.
+func warnSet(fs *flag.FlagSet, stderr io.Writer, set map[string]bool, why string) {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if set[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		fmt.Fprintf(stderr, "wansim: warning: %s %s\n", strings.Join(ignored, ", "), why)
+	}
 }
 
 // modeForScheme maps a shuffle scheme to its live mechanism: spark is the

@@ -14,7 +14,7 @@ import (
 func TestFlagSetUnchanged(t *testing.T) {
 	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt
 		io-timeout live log-level matrix max-queue memory-budget
-		progress report scale scheme seed serve spill-dir telemetry-addr
+		report scale scheme seed serve spill-dir telemetry-addr
 		telemetry-linger topology validate workload`)
 	var got []string
 	newFlagSet(&options{}, &rawFlags{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

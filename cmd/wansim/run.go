@@ -16,9 +16,9 @@ import (
 )
 
 // runOnce executes one workload on the chosen backend and renders the
-// result: telemetry and progress while it runs, the printed summary, then
-// whatever of -matrix/-gantt/-chrome/-report/-validate was asked for.
-func runOnce(ctx context.Context, o *options, stdout, stderr io.Writer) error {
+// result: telemetry while it runs, the printed summary, then whatever of
+// -matrix/-gantt/-chrome/-report/-validate was asked for.
+func runOnce(ctx context.Context, o *options, stdout io.Writer) error {
 	open, release, err := openBackend(o)
 	if err != nil {
 		return err
@@ -41,29 +41,12 @@ func runOnce(ctx context.Context, o *options, stdout, stderr io.Writer) error {
 		},
 		Events: b.events,
 		Trace:  b.tracer.Spans,
-		Links:  b.links,
 	})
 	if err != nil {
 		return err
 	}
 	defer stopTelemetry()
-	var prog *telemetry.Progress
-	if o.progress {
-		// Both backends count every moved byte into bytes_moved_total{class}.
-		prog = telemetry.StartProgress(stderr, b.events, func() int64 {
-			var total float64
-			for _, p := range b.registry().Snapshot() {
-				if p.Name == "bytes_moved_total" {
-					total += p.Value
-				}
-			}
-			return int64(total)
-		})
-	}
 	records, rep, err := b.run(ctx, o.workload.Name, inst.Target)
-	if prog != nil {
-		prog.Stop()
-	}
 	if err != nil {
 		return err
 	}
@@ -107,25 +90,19 @@ func runOnce(ctx context.Context, o *options, stdout, stderr io.Writer) error {
 }
 
 // startTelemetry brings the telemetry endpoint up on -telemetry-addr and
-// announces its URL, with the metrics timeline ring behind GET /timeline
-// sampling cfg's registry. Without an address nothing could read either,
-// so it starts nothing: the server is nil and stop does nothing.
+// announces its URL. Without an address it starts nothing: the server is
+// nil and stop does nothing.
 func startTelemetry(o *options, stdout io.Writer, cfg telemetry.Config) (tel *telemetry.Server, stop func(), err error) {
 	if o.telemetryAddr == "" {
 		return nil, func() {}, nil
 	}
-	sampler := netobs.NewSampler(func() []obs.MetricPoint { return cfg.Registry().Snapshot() })
-	cfg.Timeline = sampler.Samples
 	cfg.Logger = o.logger
 	if tel, err = telemetry.Start(o.telemetryAddr, cfg); err != nil {
 		return nil, nil, err
 	}
-	sampler.Start()
-	fmt.Fprintf(stdout, "telemetry: serving at %s (GET /metrics /report /events /trace /links /timeline /debug/pprof/)\n", tel.URL())
-	return tel, func() {
-		sampler.Stop()
-		_ = tel.Close() // the process is done serving; nothing to do about a close error
-	}, nil
+	fmt.Fprintf(stdout, "telemetry: serving at %s (GET /metrics /report /events /trace /debug/pprof/)\n", tel.URL())
+	// The process is done serving; nothing to do about a close error.
+	return tel, func() { _ = tel.Close() }, nil
 }
 
 // writeFile creates path and fills it through write.

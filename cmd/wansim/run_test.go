@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -9,6 +10,20 @@ import (
 )
 
 func f64(v float64) *float64 { return &v }
+
+// TestSimSnapshotCarriesNetwork pins the simulator's mid-run /report to the
+// live one's shape: before a job has moved a byte its snapshot already has
+// the network section, one entry per configured cross-DC pair.
+func TestSimSnapshotCarriesNetwork(t *testing.T) {
+	o, err := parseOptions(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := newSimBackend(o, 1).snapshot(o.workload.Name)
+	if rep.Network == nil || len(rep.Network.Links) == 0 {
+		t.Fatalf("sim snapshot network section = %+v, want the configured pairs", rep.Network)
+	}
+}
 
 // TestPrintReport pins the CLI text over one fixed report per backend: both
 // print through the same lines, and a section only one backend fills

@@ -26,8 +26,8 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 	svc := jobs.New(jobs.Config{MaxQueue: o.maxQueue, Logger: o.logger})
 	defer svc.Close()
 
-	// cur is the backend of the running (else the last) job: /events and
-	// /links follow it.
+	// cur is the backend of the running (else the last) job: /events
+	// follows it.
 	var cur atomic.Pointer[backend]
 	build := func(req jobs.SubmitRequest) (jobs.Submission, error) {
 		w, err := workloads.ByName(req.Workload)
@@ -81,12 +81,6 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 		Events: func() *obs.Collector {
 			if b := cur.Load(); b != nil {
 				return b.events()
-			}
-			return nil
-		},
-		Links: func() *obs.NetworkStats {
-			if b := cur.Load(); b != nil {
-				return b.links()
 			}
 			return nil
 		},

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"wanshuffle/internal/jobs"
-	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/trace"
 )
@@ -80,6 +79,41 @@ func pollSpans(t *testing.T, url, prefix string) {
 	}
 }
 
+// checkLinksReconcile holds a finished run's two views of the link estimator
+// against each other: every measured pair in the network section has the
+// throughput its link_throughput_bps gauge reads and the sample count its
+// link_samples_total counter reads. The run is over, so both are exact.
+func checkLinksReconcile(t *testing.T, rep *obs.Report) {
+	t.Helper()
+	if rep.Network == nil {
+		t.Fatal("the report has no network section")
+	}
+	metric := func(name string, l obs.LinkStats) (float64, bool) {
+		for _, m := range rep.Metrics {
+			if m.Name == name && m.Labels["src"] == l.Src && m.Labels["dst"] == l.Dst {
+				return m.Value, true
+			}
+		}
+		return 0, false
+	}
+	measured := 0
+	for _, l := range rep.Network.Links {
+		if l.Samples == 0 {
+			continue
+		}
+		measured++
+		if v, ok := metric("link_throughput_bps", l); !ok || v != l.ThroughputBps {
+			t.Errorf("%s->%s: link_throughput_bps = %v (present %t), network section says %v", l.Src, l.Dst, v, ok, l.ThroughputBps)
+		}
+		if v, ok := metric("link_samples_total", l); !ok || v != float64(l.Samples) {
+			t.Errorf("%s->%s: link_samples_total = %v (present %t), network section says %d", l.Src, l.Dst, v, ok, l.Samples)
+		}
+	}
+	if measured == 0 {
+		t.Fatalf("no measured pair in the report's network section: %+v", rep.Network)
+	}
+}
+
 // TestSmoke runs wansim end to end, in process, once per data-plane feature,
 // and checks each run's report — and where the feature has one, its
 // telemetry endpoint — for what the feature promises. Between them the runs
@@ -93,14 +127,14 @@ func TestSmoke(t *testing.T) {
 		// scrape, when set, runs against the telemetry endpoint as soon as
 		// it is up; the run then lingers until the test is done with it.
 		scrape func(t *testing.T, url string)
-		check  func(t *testing.T, rep *obs.Report, url string)
+		check  func(t *testing.T, rep *obs.Report)
 	}{
 		{
 			// Under a 4 KB per-worker budget the block stores must spill,
 			// and byte conservation must survive the storage detour.
 			name: "spill",
 			args: []string{"-live", "-scale", "0.05", "-memory-budget", "4KB"},
-			check: func(t *testing.T, rep *obs.Report, _ string) {
+			check: func(t *testing.T, rep *obs.Report) {
 				st := rep.Storage
 				if st == nil || st.SpillEvents <= 0 || st.SpilledBytesTotal <= 0 || st.ReloadBytesTotal <= 0 {
 					t.Fatalf("no spill activity under a 4KB budget: %+v", st)
@@ -119,7 +153,7 @@ func TestSmoke(t *testing.T) {
 			// deferred bucketing (the other cases push wordcount).
 			name: "compressed",
 			args: []string{"-live", "-workload", "sort", "-scheme", "spark", "-scale", "0.05", "-compress", "gzip"},
-			check: func(t *testing.T, rep *obs.Report, _ string) {
+			check: func(t *testing.T, rep *obs.Report) {
 				if rep.BytesTotal <= 0 || matrixSum(rep) != rep.BytesTotal {
 					t.Fatalf("traffic matrix sums to %v, bytes_total is %v", matrixSum(rep), rep.BytesTotal)
 				}
@@ -136,7 +170,7 @@ func TestSmoke(t *testing.T) {
 			// every candidate with a finite cost.
 			name: "bandwidth placement",
 			args: []string{"-live", "-scale", "0.2", "-aggregator", "bandwidth", "-topology", "ec2"},
-			check: func(t *testing.T, rep *obs.Report, _ string) {
+			check: func(t *testing.T, rep *obs.Report) {
 				pl := rep.Placement
 				if pl == nil || pl.Policy != "bandwidth" || len(pl.Decisions) == 0 {
 					t.Fatalf("placement section = %+v, want bandwidth decisions", pl)
@@ -157,23 +191,26 @@ func TestSmoke(t *testing.T) {
 			},
 		},
 		{
-			// Transfer samples ride worker heartbeats, so /links fills while
-			// the job runs; the report then carries drift for every pair the
-			// micro topology configures, and the timeline ring — sampled at
-			// start, every 250 ms and at stop — the link_* series.
+			// Transfer samples ride worker heartbeats, so /report's network
+			// section fills while the job runs; the final report then carries
+			// drift for every pair the micro topology configures, and its
+			// link_* series agree with its network section.
 			name: "link observatory",
 			args: []string{"-live", "-scale", "0.2", "-topology", "micro"},
 			scrape: func(t *testing.T, url string) {
-				waitTest(t, "a measured pair on /links", func() bool {
-					status, body := httpGet(t, url+"/links")
+				waitTest(t, "a measured pair on /report", func() bool {
+					status, body := httpGet(t, url+"/report")
 					if status != http.StatusOK {
 						return false
 					}
-					var net obs.NetworkStats
-					if err := json.Unmarshal(body, &net); err != nil {
-						t.Fatalf("/links: %v", err)
+					rep, err := obs.DecodeReport(bytes.NewReader(body))
+					if err != nil {
+						t.Fatalf("/report: %v", err)
 					}
-					for _, l := range net.Links {
+					if rep.Network == nil {
+						return false
+					}
+					for _, l := range rep.Network.Links {
 						if l.Samples > 0 && l.ThroughputBps > 0 && !math.IsInf(l.ThroughputBps, 0) {
 							return true
 						}
@@ -181,7 +218,7 @@ func TestSmoke(t *testing.T) {
 					return false
 				})
 			},
-			check: func(t *testing.T, rep *obs.Report, url string) {
+			check: func(t *testing.T, rep *obs.Report) {
 				configured := 0
 				for _, l := range rep.Network.Links {
 					if l.ConfiguredBps > 0 {
@@ -194,23 +231,7 @@ func TestSmoke(t *testing.T) {
 				if configured == 0 {
 					t.Fatalf("no configured link in the report's network section: %+v", rep.Network)
 				}
-				// The ring samples on its own ticker, so the sample that
-				// first sees the link_* series may still be a tick away.
-				waitTest(t, "link_* series on /timeline", func() bool {
-					_, body := httpGet(t, url+"/timeline")
-					samples := ndjson[netobs.Sample](t, body)
-					if len(samples) > 0 && samples[len(samples)-1].Seq < samples[0].Seq {
-						t.Fatalf("/timeline seq not monotonic: %v", samples)
-					}
-					for _, s := range samples {
-						for _, p := range s.Points {
-							if strings.HasPrefix(p.Name, "link_") {
-								return true
-							}
-						}
-					}
-					return false
-				})
+				checkLinksReconcile(t, rep)
 			},
 		},
 		{
@@ -223,7 +244,7 @@ func TestSmoke(t *testing.T) {
 			name:   "trace",
 			args:   []string{"-live", "-scale", "0.2"},
 			scrape: func(t *testing.T, url string) { pollSpans(t, url, "live-") },
-			check: func(t *testing.T, rep *obs.Report, _ string) {
+			check: func(t *testing.T, rep *obs.Report) {
 				cp := rep.CriticalPath
 				if cp == nil || cp.Hosts < 1 || len(cp.Steps) == 0 {
 					t.Fatalf("critical path = %+v, want steps on at least one host", cp)
@@ -263,10 +284,11 @@ func TestSmoke(t *testing.T) {
 			name:   "trace sim",
 			args:   []string{"-scale", "0.2"},
 			scrape: func(t *testing.T, url string) { pollSpans(t, url, "sim-") },
-			check: func(t *testing.T, rep *obs.Report, _ string) {
+			check: func(t *testing.T, rep *obs.Report) {
 				if rep.CriticalPath == nil || len(rep.Tasks) == 0 {
 					t.Fatalf("sim report lacks tasks (%d) or critical_path (%v)", len(rep.Tasks), rep.CriticalPath)
 				}
+				checkLinksReconcile(t, rep)
 			},
 		},
 	} {
@@ -277,10 +299,8 @@ func TestSmoke(t *testing.T) {
 				args = append(args, "-telemetry-addr", "127.0.0.1:0", "-telemetry-linger", "30s")
 			}
 			w := startWansim(t, args...)
-			var url string
 			if tc.scrape != nil {
-				url = w.url(t)
-				tc.scrape(t, url)
+				tc.scrape(t, w.url(t))
 			}
 			w.waitOutput(t, "output validated")
 			f, err := os.Open(path)
@@ -295,7 +315,7 @@ func TestSmoke(t *testing.T) {
 			for _, m := range rep.Metrics {
 				emitted[m.Name] = true
 			}
-			tc.check(t, rep, url)
+			tc.check(t, rep)
 		})
 	}
 	t.Run("job service", func(t *testing.T) { smokeJobService(t, emitted) })

@@ -707,8 +707,8 @@ func (e *Engine) LinkCosts() plan.LinkCostProvider {
 
 // NetworkStats assembles the current link estimate matrix — measured
 // per-DC-pair throughput/RTT merged with the topology's configured rates.
-// Safe to call while the event loop runs; the telemetry plane's /links
-// endpoint serves exactly this mid-run.
+// Safe to call while the event loop runs; it is the network section of the
+// in-progress report the telemetry plane's /report serves mid-run.
 func (e *Engine) NetworkStats() *obs.NetworkStats {
 	return netobs.ReportSection(e.links, netobs.ConfiguredDCLinks(e.Topo))
 }

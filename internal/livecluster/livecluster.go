@@ -626,8 +626,7 @@ func (c *Cluster) configuredLinks() []netobs.ConfiguredLink {
 
 // NetworkStats assembles the current link estimate matrix — measured
 // throughput per worker pair merged with the configured topology's
-// rates. Safe to call mid-run; the telemetry plane's /links endpoint
-// serves exactly this.
+// rates, across every job the cluster has run. Safe to call mid-run.
 func (c *Cluster) NetworkStats() *obs.NetworkStats {
 	return netobs.ReportSection(c.links, c.configuredLinks())
 }

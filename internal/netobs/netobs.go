@@ -2,13 +2,13 @@
 // turns the transfer samples the system already produces (and the RTT a
 // backend can supply: the simulator's modeled latency) into a live
 // site-pair link estimate matrix (EWMA + windowed p50/p95 throughput, RTT,
-// sample counts), plus a bounded metrics time-series
-// ring (sampler.go) so telemetry scrapes are no longer point-in-time
-// only. Both backends feed it — the live cluster from measured exchange
-// wall-clock, the simulator from modeled flow completions — so the
-// report's network section stays structurally comparable across
-// backends, and a future bandwidth-adaptive planner can read measured
-// link capacity instead of hard-coding configured numbers.
+// sample counts). Both backends feed it — the live cluster from measured
+// exchange wall-clock, the simulator from modeled flow completions — so
+// the report's network section stays structurally comparable across
+// backends, and the bandwidth aggregator policy reads measured link
+// capacity instead of configured numbers. The matrix reaches a reader
+// twice, from the same estimate: the run report's network section (mid-run
+// on GET /report) and the link_* series on /metrics.
 package netobs
 
 import (

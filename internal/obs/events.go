@@ -66,21 +66,12 @@ type Event struct {
 	Stage *StageEvent `json:"stage,omitempty"`
 }
 
-// PhaseCounts summarizes a collector's stream for progress displays,
-// maintained incrementally so reading it is O(1).
+// PhaseCounts summarizes a collector's stream for reports, maintained
+// incrementally so reading it is O(1).
 type PhaseCounts struct {
 	Scheduled, Started, Finished, Failed, Retried int
 	// StagesDone counts completed stages.
 	StagesDone int
-}
-
-// Running returns the number of task attempts currently executing.
-func (p PhaseCounts) Running() int {
-	n := p.Started - p.Finished - p.Failed
-	if n < 0 {
-		n = 0
-	}
-	return n
 }
 
 // Collector is the standard Sink: it records every event once, in one

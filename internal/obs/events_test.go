@@ -65,9 +65,6 @@ func TestCollectorCounts(t *testing.T) {
 	if got != want {
 		t.Fatalf("counts = %+v, want %+v", got, want)
 	}
-	if got.Running() != 0 {
-		t.Fatalf("running = %d, want 0", got.Running())
-	}
 }
 
 func TestCollectorSubscribeConcurrent(t *testing.T) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,14 +21,15 @@ import (
 // contract on a real running job: counters scraped from /metrics mid-run
 // are strictly increasing across scrapes, /trace serves the spans recorded
 // so far, and scraping concurrently with the engine's event loop is
-// race-free (this test is the registry's and the span recorder's
-// concurrency test — run it with -race).
+// race-free (this test is the registry's, the span recorder's and the link
+// estimator's concurrency test — run it with -race).
 //
 // The job's map function blocks the simulator's event loop at two chosen
 // invocations, so "mid-run" is deterministic: scrape 1 happens with the
 // first map task in flight, scrape 2 after most map tasks completed but
-// before the job finished. Background scrapers hammer /metrics and
-// /report the whole time.
+// before the job finished; by then /report's network section has measured
+// the shuffle's cross-DC flows. Background scrapers hammer /metrics,
+// /report (link matrix included) and /trace the whole time.
 func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	c := core.NewContext(core.Config{Seed: 1, Exec: exec.Config{Trace: true}})
 	var recs []rdd.Pair
@@ -66,8 +68,12 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	ts := httptest.NewServer(Handler(Config{
 		Registry: events.Registry,
 		Events:   func() *obs.Collector { return events },
+		// The snapshot wansim serves: the link matrix is read while the
+		// event loop feeds the estimator.
 		Report: func() *obs.Report {
-			return obs.InProgressReport("sim", "wordcount", c.Scheme().String(), events)
+			rep := obs.InProgressReport("sim", "wordcount", c.Scheme().String(), events)
+			rep.Network = c.Engine().NetworkStats()
+			return rep
 		},
 		Trace: c.Engine().Tracer.Spans,
 	}))
@@ -128,6 +134,15 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	if status, spans, _ := get(t, ts.URL+"/trace"); status != http.StatusOK || !strings.Contains(spans, `"kind":"map"`) {
 		t.Errorf("mid-run /trace = %d, want the finished map tasks' spans:\n%s", status, spans)
 	}
+	// The map stage's shuffle crossed DCs, so /report measures a pair.
+	_, body, _ := get(t, ts.URL+"/report")
+	mid, err := obs.DecodeReport(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !measuredPair(mid.Network) {
+		t.Errorf("mid-run /report network section has no measured pair: %+v", mid.Network)
+	}
 	close(hold2)
 
 	if err := <-runErr; err != nil {
@@ -159,4 +174,18 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	if s3["stages_total"] < 2 {
 		t.Errorf("final stages_total = %v, want >= 2", s3["stages_total"])
 	}
+}
+
+// measuredPair reports whether a network section holds a pair with
+// transfer samples and a finite throughput.
+func measuredPair(n *obs.NetworkStats) bool {
+	if n == nil {
+		return false
+	}
+	for _, l := range n.Links {
+		if l.Samples > 0 && l.ThroughputBps > 0 && !math.IsInf(l.ThroughputBps, 0) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,10 +1,12 @@
 // Package telemetry is the live observability plane: an HTTP server that
 // exposes a running job's metrics registry in Prometheus text exposition
 // format, a point-in-time canonical run-report snapshot, a streaming
-// NDJSON tail of the task-lifecycle event log, and the Go runtime's pprof
-// profiles — the monitoring counterpart to internal/obs's post-mortem
-// report. Both backends serve through it: the simulator scrapes its
-// engine's collector while the event loop runs, and the live cluster's
+// NDJSON tail of the task-lifecycle event log, the causal trace spans, and
+// the Go runtime's pprof profiles — the monitoring counterpart to
+// internal/obs's post-mortem report. Each run fact is served once: the
+// report (link matrix included), the metrics, the events and the trace.
+// Both backends serve through it: the simulator scrapes its engine's
+// collector while the event loop runs, and the live cluster's
 // heartbeat-fed Stats snapshot mid-run.
 package telemetry
 
@@ -18,7 +20,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/trace"
 )
@@ -31,21 +32,14 @@ type Config struct {
 	// Registry backs GET /metrics.
 	Registry func() *obs.Registry
 	// Report backs GET /report: a point-in-time run-report snapshot
-	// while the job runs, and the exact final report once it finished.
+	// (its network section is the link estimate matrix) while the job
+	// runs, and the exact final report once it finished.
 	Report func() *obs.Report
 	// Events backs GET /events, the NDJSON task-lifecycle stream.
 	Events func() *obs.Collector
 	// Trace backs GET /trace: the run's causal spans so far, one JSON
 	// object per line, mid-run on both backends (the recorder locks).
 	Trace func() []trace.Span
-	// Links backs GET /links: the current link estimate matrix (measured
-	// per-site-pair throughput and RTT, merged with any configured
-	// topology's rates and drift), as JSON.
-	Links func() *obs.NetworkStats
-	// Timeline backs GET /timeline: the metrics time-series ring sampled
-	// by a netobs.Sampler, one NDJSON sample per line — the time dimension
-	// /metrics scrapes lack.
-	Timeline func() []netobs.Sample
 	// Jobs, when non-nil, mounts the job service's HTTP surface under
 	// /jobs and /jobs/ (list, submit, per-job snapshot/report/cancel,
 	// lifecycle watch stream). Serve mode wires jobs.NewHandler here.
@@ -55,8 +49,7 @@ type Config struct {
 }
 
 // Handler builds the telemetry plane's HTTP handler: /metrics, /report,
-// /events, /trace, /links, /timeline, /debug/pprof/, and a plain-text
-// index at /.
+// /events, /trace, /debug/pprof/, and a plain-text index at /.
 func Handler(cfg Config) http.Handler {
 	log := obs.LoggerOr(cfg.Logger)
 	mux := http.NewServeMux()
@@ -72,8 +65,6 @@ func Handler(cfg Config) http.Handler {
 			"GET /report       point-in-time wanshuffle/run-report/v1 snapshot (JSON)\n"+
 			"GET /events       task-lifecycle event stream (NDJSON, streams until closed)\n"+
 			"GET /trace        causal trace spans recorded so far (NDJSON)\n"+
-			"GET /links        link estimate matrix: per-site-pair throughput/RTT + drift (JSON)\n"+
-			"GET /timeline     sampled metrics time-series ring (NDJSON, one sample/line)\n"+
 			"GET /debug/pprof/ Go runtime profiles\n")
 		if cfg.Jobs != nil {
 			fmt.Fprint(w, ""+
@@ -117,24 +108,6 @@ func Handler(cfg Config) http.Handler {
 			return ndjson(spans)
 		}
 		return nil
-	})
-	view("/links", "no link estimates yet", "application/json", func() func(io.Writer) error {
-		if links := call(cfg.Links); links != nil {
-			return func(w io.Writer) error {
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				return enc.Encode(links)
-			}
-		}
-		return nil
-	})
-	// An unwired timeline is a 503; a wired one that has no samples yet is an
-	// empty 200.
-	view("/timeline", "no metrics timeline yet", "application/x-ndjson", func() func(io.Writer) error {
-		if cfg.Timeline == nil {
-			return nil
-		}
-		return ndjson(cfg.Timeline())
 	})
 
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
 )
 
@@ -80,10 +81,14 @@ func TestMetricsUnavailable(t *testing.T) {
 
 // TestReportEndpointMatchesWriteJSON pins the /report contract: the HTTP
 // body is byte-for-byte the same JSON Report.WriteJSON emits — the single
-// report-building code path shared with the wansim -report file.
+// report-building code path shared with the wansim -report file — and its
+// network section is the link estimate matrix, drift included.
 func TestReportEndpointMatchesWriteJSON(t *testing.T) {
 	c := testCollector()
 	rep := obs.InProgressReport("sim", "wordcount", "AggShuffle", c)
+	est := netobs.NewEstimator(netobs.Config{})
+	est.ObserveTransfer("us-east-1", "eu-central-1", 1e6, 1.0)
+	rep.Network = netobs.ReportSection(est, []netobs.ConfiguredLink{{Src: "us-east-1", Dst: "eu-central-1", Bps: 16e6}})
 	ts := newTestServer(t, Config{Report: func() *obs.Report { return rep }})
 	code, body, hdr := get(t, ts.URL+"/report")
 	if code != http.StatusOK {
@@ -105,6 +110,12 @@ func TestReportEndpointMatchesWriteJSON(t *testing.T) {
 	}
 	if rt.Backend != "sim" || rt.Workload != "wordcount" {
 		t.Fatalf("decoded report = %+v", rt)
+	}
+	if rt.Network == nil || len(rt.Network.Links) != 1 {
+		t.Fatalf("decoded network section = %+v, want 1 link", rt.Network)
+	}
+	if l := rt.Network.Links[0]; l.Samples != 1 || l.ThroughputBps != 8e6 || l.Drift == nil || *l.Drift != 0.5 {
+		t.Fatalf("decoded link = %+v, want 1 sample at 8 Mbit/s, drift 0.5", l)
 	}
 }
 
@@ -206,45 +217,6 @@ func TestStartServesAndCloses(t *testing.T) {
 	}
 	if _, err := http.Get(srv.URL() + "/metrics"); err == nil {
 		t.Fatal("server still reachable after Close")
-	}
-}
-
-func TestProgressLine(t *testing.T) {
-	c := obs.NewCollector()
-	for i := 0; i < 3; i++ {
-		c.OnTask(obs.TaskEvent{Phase: obs.PhaseStarted, Part: i})
-	}
-	c.OnTask(obs.TaskEvent{Phase: obs.PhaseFinished, Part: 0})
-	c.OnStage(obs.StageEvent{Name: "map"})
-	var buf bytes.Buffer
-	p := StartProgress(&buf, func() *obs.Collector { return c }, func() int64 { return 2_500_000 })
-	want := "stages 1 done | tasks 2 running / 1 finished | 2.5 MB moved"
-	if got := p.Line(); got != want {
-		t.Fatalf("progress line %q, want %q", got, want)
-	}
-	// Stop draws the final state whether or not a tick has.
-	p.Stop()
-	out := buf.String()
-	if !strings.Contains(out, "\r"+want) {
-		t.Fatalf("progress output %q missing %q", out, want)
-	}
-	if !strings.HasSuffix(out, "\n") {
-		t.Fatalf("progress output not newline-terminated: %q", out)
-	}
-}
-
-func TestHumanBytes(t *testing.T) {
-	cases := map[int64]string{
-		0:             "0 B",
-		999:           "999 B",
-		1500:          "1.5 KB",
-		2_500_000:     "2.5 MB",
-		3_200_000_000: "3.2 GB",
-	}
-	for n, want := range cases {
-		if got := humanBytes(n); got != want {
-			t.Errorf("humanBytes(%d) = %q, want %q", n, got, want)
-		}
 	}
 }
 
