@@ -304,19 +304,6 @@ func Fig7(opts Options) ([]Series, error) {
 	return Sweep(workloads.All(), Schemes(), opts)
 }
 
-// Fig8 regenerates the cross-datacenter traffic comparison for the four
-// workloads the paper's Fig. 8 covers (Sort, TeraSort, PageRank,
-// NaiveBayes).
-func Fig8(opts Options) ([]Series, error) {
-	var ws []*workloads.Workload
-	for _, w := range workloads.All() {
-		if w.InFig8 {
-			ws = append(ws, w)
-		}
-	}
-	return Sweep(ws, Schemes(), opts)
-}
-
 // Find returns the series for (workload, scheme).
 func Find(series []Series, workload string, scheme core.Scheme) (Series, error) {
 	for _, s := range series {

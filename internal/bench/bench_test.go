@@ -75,14 +75,15 @@ func TestFig7StabilityClaim(t *testing.T) {
 	}
 }
 
-// TestFig8Shapes verifies the traffic results: reductions inside the
-// paper's 16-90% band, PageRank's the largest, and TeraSort the only
-// workload where Centralized ships the fewest bytes.
+// TestFig8Shapes verifies the traffic results of the Fig. 8 workloads in
+// the Fig. 7 sweep: reductions inside the paper's 16-90% band, PageRank's
+// the largest, and TeraSort the only workload where Centralized ships the
+// fewest bytes.
 func TestFig8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive")
 	}
-	series, err := Fig8(testOpts())
+	series, err := Fig7(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

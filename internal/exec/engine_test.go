@@ -323,8 +323,8 @@ func TestAutoAggregatePicksLargestInputDC(t *testing.T) {
 		t.Fatalf("no push traffic recorded: %v", res.CrossDCByTag)
 	}
 	// Receiver spans must all sit on DC-2 hosts.
-	for _, s := range eng.Tracer.ByKind(trace.KindReceive) {
-		if topo.DCOf(s.Host) != 2 {
+	for _, s := range eng.Tracer.Spans() {
+		if s.Kind == trace.KindReceive && topo.DCOf(s.Host) != 2 {
 			t.Fatalf("receiver ran in DC %d, want 2", topo.DCOf(s.Host))
 		}
 	}

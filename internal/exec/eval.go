@@ -136,11 +136,7 @@ func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound m
 	if node.Transfer == nil {
 		// Transfer nodes are identity pass-throughs; they cost network
 		// time, not CPU.
-		factor := node.CostFactor
-		if factor == 0 {
-			factor = 1
-		}
-		*cost += inModeled * factor
+		*cost += inModeled
 	}
 	e.storeCache(node, part, host, out)
 	return out
@@ -168,11 +164,7 @@ func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID,
 		records: agg,
 		modeled: scaleTo(rdd.SizeOfAll(agg), inReal, modeled),
 	}
-	factor := node.CostFactor
-	if factor == 0 {
-		factor = 1
-	}
-	*cost += modeled * factor
+	*cost += modeled
 	e.storeCache(node, part, host, out)
 	return out
 }

@@ -121,13 +121,13 @@ func TestEvaluateChargesCost(t *testing.T) {
 		{Host: 0, ModeledBytes: 1000, Records: []rdd.Pair{rdd.KV("a", "xx")}},
 	})
 	m1 := in.Map("m1", func(p rdd.Pair) rdd.Pair { return p })
-	m2 := m1.Map("m2", func(p rdd.Pair) rdd.Pair { return p }).WithCostFactor(3)
+	m2 := m1.Map("m2", func(p rdd.Pair) rdd.Pair { return p })
 	var cost float64
 	out := eng.evaluate(m2, 0, 0, map[int]partData{}, &cost)
-	// m1 charges 1000 (factor 1), m2 charges 3×m1's modeled output
-	// (= 1000, identity map).
-	if math.Abs(cost-4000) > 1e-9 {
-		t.Fatalf("cost = %v, want 4000", cost)
+	// Each operator charges its modeled input: m1 its 1000 bytes, m2 m1's
+	// modeled output (= 1000, identity map).
+	if math.Abs(cost-2000) > 1e-9 {
+		t.Fatalf("cost = %v, want 2000", cost)
 	}
 	if math.Abs(out.modeled-1000) > 1e-9 {
 		t.Fatalf("modeled = %v, want 1000 (identity chain)", out.modeled)

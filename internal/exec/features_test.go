@@ -213,7 +213,8 @@ func TestCachedTransferSkipsRepush(t *testing.T) {
 
 	// Job 2 consumes the cached transfer: no pushes may repeat, and all
 	// computation should read locally in DC 0.
-	job2 := moved.CountByKey("counts", 4)
+	ones := moved.Map("counts.ones", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 1) })
+	job2 := ones.ReduceByKey("counts", 4, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
 	res2, err := eng.Run(job2, ActionSave, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -70,17 +70,29 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		}
 	case strings.HasSuffix(rest, "/report"):
-		h.report(w, r, strings.TrimSuffix(rest, "/report"))
-	case strings.HasSuffix(rest, "/cancel"):
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", "POST")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+		if allowOnly(w, r, http.MethodGet) {
+			h.report(w, strings.TrimSuffix(rest, "/report"))
 		}
-		h.cancel(w, strings.TrimSuffix(rest, "/cancel"))
+	case strings.HasSuffix(rest, "/cancel"):
+		if allowOnly(w, r, http.MethodPost) {
+			h.cancel(w, strings.TrimSuffix(rest, "/cancel"))
+		}
 	default:
-		h.get(w, rest)
+		if allowOnly(w, r, http.MethodGet) {
+			h.get(w, rest)
+		}
 	}
+}
+
+// allowOnly reports whether r uses method, and otherwise answers 405 with
+// the Allow header naming it.
+func allowOnly(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	return false
 }
 
 func (h *handler) list(w http.ResponseWriter) {
@@ -146,7 +158,7 @@ func (h *handler) get(w http.ResponseWriter, id string) {
 	enc.Encode(info)
 }
 
-func (h *handler) report(w http.ResponseWriter, r *http.Request, id string) {
+func (h *handler) report(w http.ResponseWriter, id string) {
 	rep, ok := h.svc.Report(id)
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown job %q", id), http.StatusNotFound)

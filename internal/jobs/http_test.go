@@ -200,24 +200,34 @@ func TestHTTPWatchStream(t *testing.T) {
 	}
 }
 
+// TestHTTPMethodGuards sends each route a method it does not serve, with
+// job j-0001 existing and holding a report, so a route that ignored the
+// method would answer 200.
 func TestHTTPMethodGuards(t *testing.T) {
-	_, srv := testServer(t, Config{})
-	resp, err := http.Get(srv.URL + "/jobs/j-0001/cancel")
-	if err != nil {
-		t.Fatalf("GET cancel: %v", err)
+	svc, srv := testServer(t, Config{})
+	resp, info := postJob(t, srv, `{"tenant":"a","workload":"ok"}`)
+	if resp.StatusCode != http.StatusAccepted || info.ID != "j-0001" {
+		t.Fatalf("submit status %d, job %q", resp.StatusCode, info.ID)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET cancel status %d, want 405", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("DELETE /jobs: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("DELETE /jobs status %d, want 405", resp.StatusCode)
+	waitTerminal(t, svc, info.ID)
+	for _, tc := range []struct {
+		method, path, allow string
+	}{
+		{http.MethodGet, "/jobs/j-0001/cancel", "POST"},
+		{http.MethodDelete, "/jobs", "GET, POST"},
+		{http.MethodDelete, "/jobs/j-0001", "GET"},
+		{http.MethodDelete, "/jobs/j-0001/report", "GET"},
+	} {
+		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want 405, Allow %q",
+				tc.method, tc.path, resp.StatusCode, resp.Header.Get("Allow"), tc.allow)
+		}
 	}
 }
 

@@ -86,12 +86,6 @@ func (e *ErrRejected) Error() string {
 	return fmt.Sprintf("jobs: rejected (%s)", e.Reason)
 }
 
-// IsRejected reports whether err is (or wraps) an admission rejection.
-func IsRejected(err error) bool {
-	var r *ErrRejected
-	return errors.As(err, &r)
-}
-
 // RunFunc executes one dispatched job. It must honor ctx: a canceled or
 // deadline-expired context should stop launching work and return an error
 // wrapping ctx.Err() (the plan.Driver, exec.Engine, and
@@ -387,13 +381,6 @@ func (s *Service) Report(id string) (*obs.Report, bool) {
 		return nil, false
 	}
 	return rec.report, true
-}
-
-// QueueDepth returns the number of queued (not yet dispatched) jobs.
-func (s *Service) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
 }
 
 // Cancel cancels a job: a queued job leaves the queue immediately, a

@@ -54,7 +54,8 @@ func waitState(t *testing.T, svc *Service, id string, want State) {
 	t.Fatalf("job %s never reached state %s", id, want)
 }
 
-// counterValue digs one counter out of a registry snapshot.
+// counterValue digs one counter's (or gauge's) value out of a registry
+// snapshot.
 func counterValue(reg *obs.Registry, name string, labels map[string]string) float64 {
 	for _, p := range reg.Snapshot() {
 		if p.Name != name {
@@ -136,11 +137,10 @@ func TestAdmissionQueueBound(t *testing.T) {
 		}
 	}
 	_, err := svc.Submit(Submission{Tenant: "b", Run: idle})
-	if !IsRejected(err) {
+	var rej *ErrRejected
+	if !errors.As(err, &rej) {
 		t.Fatalf("over-bound submit: err = %v, want *ErrRejected", err)
 	}
-	var rej *ErrRejected
-	errors.As(err, &rej)
 	if rej.Reason != ReasonQueueFull || rej.Limit != 2 {
 		t.Fatalf("rejection = %+v, want queue_full with limit 2", rej)
 	}
@@ -210,8 +210,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if info := queued.Wait(); info.State != StateCanceled {
 		t.Fatalf("queued victim finished %s, want canceled", info.State)
 	}
-	if depth := svc.QueueDepth(); depth != 0 {
-		t.Fatalf("queue depth %d after canceling the only queued job", depth)
+	if depth := counterValue(svc.Registry(), "jobs_queue_depth", nil); depth != 0 {
+		t.Fatalf("jobs_queue_depth = %v after canceling the only queued job", depth)
 	}
 
 	// Cancel the running gate; its Run returns ctx.Err().

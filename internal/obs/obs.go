@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -31,7 +32,9 @@ import (
 // same metric instance.
 type Labels map[string]string
 
-// canonical renders labels in sorted k=v order for map keys and output.
+// canonical renders labels in sorted k=v order: Snapshot's sort key. It
+// does not escape, so two label sets can share it ({a="1,b=2"} and
+// {a="1",b="2"}); the registry keys metrics by appendMetricKey instead.
 func (l Labels) canonical() string {
 	if len(l) == 0 {
 		return ""
@@ -46,6 +49,24 @@ func (l Labels) canonical() string {
 		s += k + "=" + l[k] + ","
 	}
 	return s
+}
+
+// appendMetricKey appends the registry key of name{labels} to dst: the name
+// and each sorted label pair as Go-quoted strings, back to back. A quoted
+// string ends at its first unescaped quote, so a key decodes one way only
+// and two different metrics never share one.
+func appendMetricKey(dst []byte, name string, l Labels) []byte {
+	dst = strconv.AppendQuote(dst, name)
+	keys := make([]string, 0, 8) // on the stack for up to 8 labels
+	for k := range l {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		dst = strconv.AppendQuote(dst, k)
+		dst = strconv.AppendQuote(dst, l[k])
+	}
+	return dst
 }
 
 // Counter is a monotonically increasing metric.
@@ -147,6 +168,7 @@ func (k metricKind) String() string {
 }
 
 type metricEntry struct {
+	key    string // appendMetricKey(nil, name, labels)
 	name   string
 	labels Labels
 	kind   metricKind
@@ -170,10 +192,13 @@ func NewRegistry() *Registry {
 }
 
 func (r *Registry) entry(name string, labels Labels, kind metricKind, edges []float64) *metricEntry {
-	key := name + "\xff" + labels.canonical()
+	// The data plane looks a metric up on every increment: with the key
+	// built on the stack, finding an existing one allocates nothing.
+	var buf [128]byte
+	key := appendMetricKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.metrics[key]; ok {
+	if e, ok := r.metrics[string(key)]; ok {
 		if e.kind != kind {
 			panic(fmt.Sprintf("obs: metric %q re-registered as %v, was %v", name, kind, e.kind))
 		}
@@ -183,7 +208,7 @@ func (r *Registry) entry(name string, labels Labels, kind metricKind, edges []fl
 	for k, v := range labels {
 		cp[k] = v
 	}
-	e := &metricEntry{name: name, labels: cp, kind: kind}
+	e := &metricEntry{key: string(key), name: name, labels: cp, kind: kind}
 	switch kind {
 	case kindCounter:
 		e.c = &Counter{}
@@ -192,7 +217,7 @@ func (r *Registry) entry(name string, labels Labels, kind metricKind, edges []fl
 	case kindHistogram:
 		e.h = &Histogram{h: stats.NewHistogram(edges)}
 	}
-	r.metrics[key] = e
+	r.metrics[e.key] = e
 	return e
 }
 
@@ -247,8 +272,9 @@ type MetricPoint struct {
 	Buckets []HistBucket      `json:"buckets,omitempty"`
 }
 
-// Snapshot exports every metric, sorted by name then labels, so output is
-// deterministic.
+// Snapshot exports every metric, sorted by name then canonical labels
+// (then metric key, for label sets whose canonical forms collide), so
+// output is deterministic.
 func (r *Registry) Snapshot() []MetricPoint {
 	if r == nil {
 		return nil
@@ -263,7 +289,10 @@ func (r *Registry) Snapshot() []MetricPoint {
 		if entries[i].name != entries[j].name {
 			return entries[i].name < entries[j].name
 		}
-		return entries[i].labels.canonical() < entries[j].labels.canonical()
+		if ci, cj := entries[i].labels.canonical(), entries[j].labels.canonical(); ci != cj {
+			return ci < cj
+		}
+		return entries[i].key < entries[j].key
 	})
 	out := make([]MetricPoint, 0, len(entries))
 	for _, e := range entries {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -27,6 +28,25 @@ func TestCounterIdentityAndValue(t *testing.T) {
 	a.Add(-7) // negative deltas are ignored: counters are monotonic
 	if got := a.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
+	}
+
+	// Label sets whose unescaped k=v, renderings coincide are still two
+	// counters, and both appear in the snapshot.
+	r = NewRegistry()
+	r.Counter("c", Labels{"a": "1,b=2"}).Inc()
+	r.Counter("c", Labels{"a": "1", "b": "2"}).Add(5)
+	snap := r.Snapshot()
+	got := map[string]float64{}
+	for _, p := range snap {
+		got[fmt.Sprint(p.Labels)] = p.Value
+	}
+	if want := map[string]float64{"map[a:1,b=2]": 1, "map[a:1 b:2]": 5}; len(snap) != 2 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("snapshot = %+v, want counters 1 and 5 under their own labels", snap)
+	}
+	for i := 0; i < 20; i++ { // entries come out of a map in random order
+		if again := r.Snapshot(); fmt.Sprint(again) != fmt.Sprint(snap) {
+			t.Fatalf("snapshot order changed between calls: %+v then %+v", snap, again)
+		}
 	}
 }
 

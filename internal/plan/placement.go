@@ -1,9 +1,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -126,9 +127,9 @@ func (l measuredLinks) LinkBps(src, dst int) (float64, string, bool) {
 	return 0, "", false
 }
 
-// CandidateCost is one candidate aggregator site's estimated shuffle
+// candidateCost is one candidate aggregator site's estimated shuffle
 // cost under the bandwidth-aware model.
-type CandidateCost struct {
+type candidateCost struct {
 	// Site is the candidate's index; InputBytes its (sanitized) input
 	// share.
 	Site       int
@@ -170,17 +171,17 @@ func sanitizeSizes(bySite []float64) []float64 {
 	return out
 }
 
-// EstimateTransferCosts computes every candidate site's estimated shuffle
+// estimateTransferCosts computes every candidate site's estimated shuffle
 // transfer time from the input shares and the provider's link bandwidth:
 // cost(d) = max over sources s≠d with bytes of bySite[s]·8 / bps(s→d).
 // Pairs the provider does not know fall back to DefaultUniformBps. A nil
 // provider prices every pair uniformly, which reduces the ranking to the
 // paper's byte rule.
-func EstimateTransferCosts(bySite []float64, links LinkCostProvider) []CandidateCost {
+func estimateTransferCosts(bySite []float64, links LinkCostProvider) []candidateCost {
 	sizes := sanitizeSizes(bySite)
-	out := make([]CandidateCost, len(sizes))
+	out := make([]candidateCost, len(sizes))
 	for d := range sizes {
-		cc := CandidateCost{Site: d, InputBytes: sizes[d]}
+		cc := candidateCost{Site: d, InputBytes: sizes[d]}
 		for s := range sizes {
 			if s == d || sizes[s] <= 0 {
 				continue
@@ -204,74 +205,6 @@ func EstimateTransferCosts(bySite []float64, links LinkCostProvider) []Candidate
 	return out
 }
 
-// RankBandwidth orders sites by ascending estimated transfer cost
-// (AggregatorBandwidth), tie-breaking toward the larger input share and
-// then the lower index — so under uniform bandwidth the head coincides
-// with the Eq. 2 optimum. It returns the rank plus every candidate's
-// cost, for reports and metrics.
-func RankBandwidth[S ~int](bySite []float64, links LinkCostProvider) ([]S, []CandidateCost) {
-	costs := EstimateTransferCosts(bySite, links)
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := costs[order[i]], costs[order[j]]
-		if a.CostSec != b.CostSec {
-			return a.CostSec < b.CostSec
-		}
-		if a.InputBytes != b.InputBytes {
-			return a.InputBytes > b.InputBytes
-		}
-		return a.Site < b.Site
-	})
-	rank := make([]S, len(order))
-	for i, s := range order {
-		rank[i] = S(s)
-	}
-	return rank, costs
-}
-
-// Rank orders sites (datacenters for the simulator, workers for the live
-// cluster) for automatic aggregation under policy, given the input bytes
-// each site holds. Inputs are sanitized first (NaN, ±Inf, and negative
-// shares count as 0 bytes), then sorted by descending share with ties
-// toward the lowest site index — so the head of a Best-policy rank is
-// exactly shuffle.BestAggregator's Eq. (2) optimum, deterministically,
-// with no sentinel values that degenerate inputs could collide with.
-// shuffleFn (required only for AggregatorRandom) permutes the rank with
-// the backend's seeded RNG. AggregatorBandwidth needs link costs — use
-// RankBandwidth instead; passing it here panics like any unknown policy.
-func Rank[S ~int](bySite []float64, policy AggregatorPolicy, shuffleFn func(n int, swap func(i, j int))) []S {
-	sizes := sanitizeSizes(bySite)
-	rank := make([]S, len(sizes))
-	for i := range rank {
-		rank[i] = S(i)
-	}
-	sort.SliceStable(rank, func(i, j int) bool {
-		if sizes[rank[i]] != sizes[rank[j]] {
-			return sizes[rank[i]] > sizes[rank[j]]
-		}
-		return rank[i] < rank[j]
-	})
-	switch policy {
-	case AggregatorBest:
-		// Largest input share first (Eq. 2).
-	case AggregatorWorst:
-		for i, j := 0, len(rank)-1; i < j; i, j = i+1, j-1 {
-			rank[i], rank[j] = rank[j], rank[i]
-		}
-	case AggregatorRandom:
-		if shuffleFn == nil {
-			panic("plan: AggregatorRandom needs a shuffle function")
-		}
-		shuffleFn(len(rank), func(i, j int) { rank[i], rank[j] = rank[j], rank[i] })
-	default:
-		panic(fmt.Sprintf("plan: unknown aggregator policy %d", policy))
-	}
-	return rank
-}
-
 // SpreadTopK spreads partition part round-robin over the top-k ranked
 // sites (Sec. III-B's "subset of datacenters" generalization); k outside
 // [1, len(rank)] is clamped. An empty rank yields -1, the driver's
@@ -290,33 +223,70 @@ func SpreadTopK[S ~int](rank []S, k, part int) S {
 }
 
 // ChooseAggregator makes one automatic aggregator choice (Sec. III-B /
-// IV-D) for both execution cores: rank the sites holding bySite input
-// bytes under policy — Eq. (2)'s byte rule, its ablations, or estimated
-// transfer time over links for AggregatorBandwidth — and assemble the
-// decision record around the head of the rank. links only annotates the
-// record under the byte policies; shuffleFn is required only for
-// AggregatorRandom; names (optional) labels sites. An empty bySite yields
-// an empty rank and a zero decision.
+// IV-D) for both execution cores: it ranks the sites (datacenters for the
+// simulator, workers for the live cluster) holding bySite input bytes
+// under policy and assembles the decision record around the head of the
+// rank. Inputs are sanitized first (NaN, ±Inf, and negative shares count
+// as 0 bytes), so no degenerate input can break the order:
+//
+//   - AggregatorBest: descending share, ties toward the lowest site index —
+//     the head is exactly shuffle.BestAggregator's Eq. (2) optimum;
+//   - AggregatorWorst: that order reversed;
+//   - AggregatorRandom: that order permuted by shuffleFn, the backend's
+//     seeded RNG (required for this policy only);
+//   - AggregatorBandwidth: ascending estimated transfer time over links,
+//     ties broken as under AggregatorBest, so under uniform bandwidth the
+//     head is the Eq. (2) optimum.
+//
+// links only annotates the record under the byte policies; names
+// (optional) labels sites. An unknown policy panics. An empty bySite
+// yields an empty rank and a zero decision.
 func ChooseAggregator[S ~int](shuffleID, stageID int, bySite []float64, policy AggregatorPolicy,
 	links LinkCostProvider, shuffleFn func(n int, swap func(i, j int)), names func(int) string) ([]S, obs.PlacementDecision) {
-	var rank []S
-	var costs []CandidateCost
-	if policy == AggregatorBandwidth {
-		rank, costs = RankBandwidth[S](bySite, links)
-	} else {
-		rank = Rank[S](bySite, policy, shuffleFn)
-		costs = EstimateTransferCosts(bySite, links)
+	costs := estimateTransferCosts(bySite, links)
+	order := slices.Clone(costs)
+	byShare := func(a, b candidateCost) int {
+		if c := cmp.Compare(b.InputBytes, a.InputBytes); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Site, b.Site)
 	}
-	if len(rank) == 0 {
+	switch policy {
+	case AggregatorBest:
+		slices.SortFunc(order, byShare)
+	case AggregatorWorst:
+		slices.SortFunc(order, byShare)
+		slices.Reverse(order)
+	case AggregatorRandom:
+		if shuffleFn == nil {
+			panic("plan: AggregatorRandom needs a shuffle function")
+		}
+		slices.SortFunc(order, byShare)
+		shuffleFn(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	case AggregatorBandwidth:
+		slices.SortFunc(order, func(a, b candidateCost) int {
+			if c := cmp.Compare(a.CostSec, b.CostSec); c != 0 {
+				return c
+			}
+			return byShare(a, b)
+		})
+	default:
+		panic(fmt.Sprintf("plan: unknown aggregator policy %d", policy))
+	}
+	if len(order) == 0 {
 		return nil, obs.PlacementDecision{}
 	}
-	return rank, NewPlacementDecision(shuffleID, stageID, int(rank[0]), costs, names)
+	rank := make([]S, len(order))
+	for i, c := range order {
+		rank[i] = S(c.Site)
+	}
+	return rank, newPlacementDecision(shuffleID, stageID, order[0].Site, costs, names)
 }
 
-// NewPlacementDecision assembles the run report's record of one automatic
+// newPlacementDecision assembles the run report's record of one automatic
 // aggregator choice from the candidate costs. names (optional) labels
 // sites — DC names in the simulator, worker labels in the live cluster.
-func NewPlacementDecision(shuffleID, stageID, chosen int, costs []CandidateCost, names func(int) string) obs.PlacementDecision {
+func newPlacementDecision(shuffleID, stageID, chosen int, costs []candidateCost, names func(int) string) obs.PlacementDecision {
 	d := obs.PlacementDecision{Shuffle: shuffleID, Stage: stageID, Chosen: chosen}
 	for _, c := range costs {
 		pc := obs.PlacementCandidate{

@@ -3,11 +3,14 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
+	"wanshuffle/internal/shuffle"
 	"wanshuffle/internal/topology"
 )
 
@@ -53,36 +56,96 @@ func TestSpreadTopKEmptyRank(t *testing.T) {
 	}
 }
 
-// TestRankSanitizesDegenerateInputs is the satellite-3 table: NaN,
-// ±Inf, and negative input shares must rank as zero bytes, ties must
-// break toward the lower site index, and the order must be identical on
-// every call — the old extraction loop marked extracted sites with
-// -Inf, which collided with degenerate inputs and scrambled ties.
-func TestRankSanitizesDegenerateInputs(t *testing.T) {
+// TestChooseAggregatorRanking pins the order each policy ranks sites in.
+// Best is descending input share with ties toward the lower site index, and
+// its head is shuffle.BestAggregator's Eq. 2 optimum; worst is that order
+// reversed; random is that order put through the seeded shuffle; bandwidth
+// is ascending estimated transfer time, so under uniform bandwidth (nil
+// links) it is the byte rule's order. NaN, ±Inf and negative shares rank
+// as zero bytes, and the order is the same on every call — an old
+// extraction loop marked extracted sites with -Inf, which collided with
+// degenerate inputs and scrambled ties.
+func TestChooseAggregatorRanking(t *testing.T) {
+	hub := symmetric( // site 0 holds the most but sits behind the slow link
+		[3]float64{0, 1, 100e6},
+		[3]float64{1, 2, 100e6},
+		[3]float64{0, 2, 1e6},
+	)
+	order := func(bySite []float64, policy AggregatorPolicy, links LinkCostProvider,
+		shuffleFn func(n int, swap func(i, j int))) ([]int, obs.PlacementDecision) {
+		return ChooseAggregator[int](0, 0, bySite, policy, links, shuffleFn, nil)
+	}
 	for _, tc := range []struct {
 		name      string
 		bySite    []float64
-		wantBest  string
-		wantWorst string
+		links     LinkCostProvider
+		best      string
+		bandwidth string
 	}{
-		{"plain ties", []float64{5, 5, 5}, "[0 1 2]", "[2 1 0]"},
-		{"nan treated as zero", []float64{5, math.NaN(), 5, math.NaN(), 5}, "[0 2 4 1 3]", "[3 1 4 2 0]"},
-		{"neg inf collides with old sentinel", []float64{math.Inf(-1), 3, math.Inf(-1), 7}, "[3 1 0 2]", "[2 0 1 3]"},
-		{"negative shares rank last", []float64{-10, 2, -3}, "[1 0 2]", "[2 0 1]"},
-		{"pos inf treated as zero", []float64{math.Inf(1), 4}, "[1 0]", "[0 1]"},
-		{"all degenerate", []float64{math.NaN(), math.Inf(-1), -1}, "[0 1 2]", "[2 1 0]"},
+		{"shares with a tie", []float64{10, 50, 20, 50, 5}, nil, "[1 3 2 0 4]", "[1 3 2 0 4]"},
+		{"three sites", []float64{10, 50, 20}, nil, "[1 2 0]", "[1 2 0]"},
+		{"plain ties", []float64{5, 5, 5}, nil, "[0 1 2]", "[0 1 2]"},
+		{"nan treated as zero", []float64{5, math.NaN(), 5, math.NaN(), 5}, nil, "[0 2 4 1 3]", "[0 2 4 1 3]"},
+		{"neg inf collides with old sentinel", []float64{math.Inf(-1), 3, math.Inf(-1), 7}, nil, "[3 1 0 2]", "[3 1 0 2]"},
+		{"negative shares rank last", []float64{-10, 2, -3}, nil, "[1 0 2]", "[1 0 2]"},
+		{"pos inf treated as zero", []float64{math.Inf(1), 4}, nil, "[1 0]", "[1 0]"},
+		{"all degenerate", []float64{math.NaN(), math.Inf(-1), -1}, nil, "[0 1 2]", "[0 1 2]"},
+		{"eight empty sites", make([]float64, 8), nil, "[0 1 2 3 4 5 6 7]", "[0 1 2 3 4 5 6 7]"},
+		// Site 1 is the only holder, so it alone pays no transfer.
+		{"sole holder", []float64{math.NaN(), 5, math.Inf(-1)}, nil, "[1 0 2]", "[1 0 2]"},
+		// The byte-optimal site sits behind the slow link: the bandwidth
+		// rule leads with the well-connected hub instead.
+		{"fast hub", []float64{45e3, 10e3, 40e3}, hub, "[0 2 1]", "[1 0 2]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for i := 0; i < 25; i++ {
-				if got := fmt.Sprint(Rank[int](tc.bySite, AggregatorBest, nil)); got != tc.wantBest {
-					t.Fatalf("iteration %d: Rank(best) = %s, want %s", i, got, tc.wantBest)
+				best, bestDec := order(tc.bySite, AggregatorBest, tc.links, nil)
+				if got := fmt.Sprint(best); got != tc.best {
+					t.Fatalf("iteration %d: best = %s, want %s", i, got, tc.best)
 				}
-				if got := fmt.Sprint(Rank[int](tc.bySite, AggregatorWorst, nil)); got != tc.wantWorst {
-					t.Fatalf("iteration %d: Rank(worst) = %s, want %s", i, got, tc.wantWorst)
+				if head, _ := shuffle.BestAggregator(sanitizeSizes(tc.bySite)); best[0] != head {
+					t.Fatalf("best head %d != BestAggregator %d", best[0], head)
+				}
+				worst, _ := order(tc.bySite, AggregatorWorst, tc.links, nil)
+				if got, want := fmt.Sprint(worst), fmt.Sprint(reversed(best)); got != want {
+					t.Fatalf("iteration %d: worst = %s, want best reversed %s", i, got, want)
+				}
+				random, _ := order(tc.bySite, AggregatorRandom, tc.links, rand.New(rand.NewSource(7)).Shuffle)
+				shuffled := slices.Clone(best)
+				rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				if fmt.Sprint(random) != fmt.Sprint(shuffled) {
+					t.Fatalf("iteration %d: random = %v, want best through the seeded shuffle %v", i, random, shuffled)
+				}
+				bw, bwDec := order(tc.bySite, AggregatorBandwidth, tc.links, nil)
+				if got := fmt.Sprint(bw); got != tc.bandwidth {
+					t.Fatalf("iteration %d: bandwidth = %s, want %s", i, got, tc.bandwidth)
+				}
+				if bw[0] != best[0] && bwDec.CostSec >= bestDec.CostSec {
+					t.Fatalf("bandwidth pick %d (%.4fs) not cheaper than byte pick %d (%.4fs)",
+						bw[0], bwDec.CostSec, best[0], bestDec.CostSec)
 				}
 			}
 		})
 	}
+
+	t.Run("panics", func(t *testing.T) {
+		expectPanic := func(name string, fn func()) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}
+		expectPanic("random without shuffleFn", func() { order([]float64{1}, AggregatorRandom, nil, nil) })
+		expectPanic("unknown policy", func() { order([]float64{1}, AggregatorPolicy(99), nil, nil) })
+	})
+}
+
+func reversed(rank []int) []int {
+	out := slices.Clone(rank)
+	slices.Reverse(out)
+	return out
 }
 
 func TestParseAggregatorPolicy(t *testing.T) {
@@ -124,7 +187,7 @@ func TestEstimateTransferCosts(t *testing.T) {
 		[3]float64{1, 2, 100e6},
 		[3]float64{0, 2, 1e6},
 	)
-	costs := EstimateTransferCosts(sizes, links)
+	costs := estimateTransferCosts(sizes, links)
 	want := []float64{
 		40e3 * 8 / 1e6,   // site 0: bottleneck is 2->0 over the slow path
 		45e3 * 8 / 100e6, // site 1: bottleneck is 0->1 over the fast path
@@ -142,7 +205,7 @@ func TestEstimateTransferCosts(t *testing.T) {
 	// A pair the provider does not know falls back to the uniform rate,
 	// and the candidate's source degrades to the weakest link used.
 	partial := fakeLinks{bps: map[[2]int]float64{{0, 1}: 100e6}}
-	costs = EstimateTransferCosts([]float64{10e3, 0, 40e3}, partial)
+	costs = estimateTransferCosts([]float64{10e3, 0, 40e3}, partial)
 	wantUniform := 40e3 * 8 / DefaultUniformBps
 	if math.Abs(costs[1].CostSec-wantUniform) > 1e-12 || costs[1].Source != BandwidthUniform {
 		t.Fatalf("mixed-source candidate = %+v, want uniform-dominated cost %.6f", costs[1], wantUniform)
@@ -150,52 +213,12 @@ func TestEstimateTransferCosts(t *testing.T) {
 
 	// A nil provider prices everything uniformly; a candidate with no
 	// remote inflow costs zero and carries no source.
-	costs = EstimateTransferCosts([]float64{0, 10e3, 0}, nil)
+	costs = estimateTransferCosts([]float64{0, 10e3, 0}, nil)
 	if costs[1].CostSec != 0 || costs[1].Source != "" {
 		t.Fatalf("sole-holder candidate = %+v, want zero cost and empty source", costs[1])
 	}
 	if costs[0].Source != BandwidthUniform || costs[0].CostSec <= 0 {
 		t.Fatalf("nil-provider candidate = %+v, want uniform source", costs[0])
-	}
-}
-
-// TestRankBandwidthPrefersFastHub pins the tentpole's decision case: the
-// byte-optimal site sits behind the slow link, so the bandwidth rank
-// must lead with the well-connected hub instead — and under uniform
-// bandwidth the head must coincide with the byte rule (the parity the
-// sim≡live property test relies on).
-func TestRankBandwidthPrefersFastHub(t *testing.T) {
-	sizes := []float64{45e3, 10e3, 40e3}
-	links := symmetric(
-		[3]float64{0, 1, 100e6},
-		[3]float64{1, 2, 100e6},
-		[3]float64{0, 2, 1e6},
-	)
-	rank, costs := RankBandwidth[int](sizes, links)
-	if fmt.Sprint(rank) != "[1 0 2]" {
-		t.Fatalf("bandwidth rank = %v, want [1 0 2] (hub first)", rank)
-	}
-	best := Rank[int](sizes, AggregatorBest, nil)
-	if best[0] != 0 {
-		t.Fatalf("byte rule head = %d, want 0 (largest share)", best[0])
-	}
-	if costs[rank[0]].CostSec >= costs[best[0]].CostSec {
-		t.Fatalf("bandwidth pick %d (%.4fs) not cheaper than byte pick %d (%.4fs)",
-			rank[0], costs[rank[0]].CostSec, best[0], costs[best[0]].CostSec)
-	}
-
-	// Uniform bandwidth: the ranking degenerates to the byte rule.
-	uniformRank, _ := RankBandwidth[int](sizes, nil)
-	if uniformRank[0] != best[0] {
-		t.Fatalf("uniform-bandwidth head %d != byte-rule head %d", uniformRank[0], best[0])
-	}
-
-	// Degenerate inputs are sanitized like Rank's.
-	for i := 0; i < 10; i++ {
-		r, _ := RankBandwidth[int]([]float64{math.NaN(), 5, math.Inf(-1)}, nil)
-		if fmt.Sprint(r) != "[1 0 2]" {
-			t.Fatalf("degenerate bandwidth rank = %v, want [1 0 2] (site 1 is the only holder, so it alone pays no transfer)", r)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -11,57 +10,8 @@ import (
 	"time"
 
 	"wanshuffle/internal/rdd"
-	"wanshuffle/internal/shuffle"
 	"wanshuffle/internal/topology"
 )
-
-func TestRankBestHeadIsBestAggregator(t *testing.T) {
-	bySite := []float64{10, 50, 20, 50, 5}
-	rank := Rank[int](bySite, AggregatorBest, nil)
-	best, _ := shuffle.BestAggregator(bySite)
-	if rank[0] != best {
-		t.Fatalf("rank head %d != BestAggregator %d", rank[0], best)
-	}
-	if got, want := fmt.Sprint(rank), "[1 3 2 0 4]"; got != want {
-		t.Fatalf("rank = %v, want %v (descending, ties to lowest index)", got, want)
-	}
-}
-
-func TestRankWorstReversesBest(t *testing.T) {
-	bySite := []float64{10, 50, 20}
-	best := Rank[int](bySite, AggregatorBest, nil)
-	worst := Rank[int](bySite, AggregatorWorst, nil)
-	for i := range best {
-		if worst[i] != best[len(best)-1-i] {
-			t.Fatalf("worst %v is not best %v reversed", worst, best)
-		}
-	}
-}
-
-func TestRankRandomUsesShuffleFn(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rank := Rank[int](make([]float64, 8), AggregatorRandom, rng.Shuffle)
-	seen := map[int]bool{}
-	for _, s := range rank {
-		seen[s] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("random rank %v is not a permutation", rank)
-	}
-}
-
-func TestRankPanics(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("random without shuffleFn", func() { Rank[int]([]float64{1}, AggregatorRandom, nil) })
-	expectPanic("unknown policy", func() { Rank[int]([]float64{1}, AggregatorPolicy(99), nil) })
-}
 
 func TestSpreadTopKClamps(t *testing.T) {
 	rank := []int{4, 2, 7}

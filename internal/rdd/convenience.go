@@ -1,10 +1,8 @@
 package rdd
 
-import "math/rand"
-
-// This file provides the convenience transformations Spark applications
-// lean on. All are thin compositions over the core primitives, so they
-// inherit placement, pipelining, and transfer semantics unchanged.
+// This file provides the convenience transformations the bundled workloads
+// and examples call. Each is a thin composition over the core primitives,
+// so it inherits placement, pipelining, and transfer semantics unchanged.
 
 // MapValues transforms each record's value, keeping its key. Like Spark's
 // mapValues it preserves partitioning.
@@ -12,109 +10,12 @@ func (r *RDD) MapValues(name string, fn func(Value) Value) *RDD {
 	return r.Map(name, func(p Pair) Pair { return Pair{Key: p.Key, Value: fn(p.Value)} })
 }
 
-// Keys drops values, keeping each record's key.
-func (r *RDD) Keys(name string) *RDD {
-	return r.Map(name, func(p Pair) Pair { return Pair{Key: p.Key} })
-}
-
-// Values re-keys each record by the string form of its value, dropping the
-// old key. The value must be a string.
-func (r *RDD) Values(name string) *RDD {
-	return r.Map(name, func(p Pair) Pair { return Pair{Key: p.Value.(string)} })
-}
-
-// FilterByKey keeps records whose key satisfies fn.
-func (r *RDD) FilterByKey(name string, fn func(string) bool) *RDD {
-	return r.Filter(name, func(p Pair) bool { return fn(p.Key) })
-}
-
-// Sample keeps each record independently with the given probability,
-// deterministically from seed and the record's position.
-func (r *RDD) Sample(name string, fraction float64, seed int64) *RDD {
-	if fraction < 0 || fraction > 1 {
-		panic("rdd: Sample fraction must be in [0,1]")
-	}
-	return r.MapPartitions(name, func(part int, in []Pair) []Pair {
-		rng := rand.New(rand.NewSource(seed ^ int64(part)<<17))
-		var out []Pair
-		for _, p := range in {
-			if rng.Float64() < fraction {
-				out = append(out, p)
-			}
-		}
-		return out
-	})
-}
-
-// CountByKey counts records per key through a combining shuffle; each
-// output record's value is an int count.
-func (r *RDD) CountByKey(name string, numParts int) *RDD {
-	ones := r.Map(name+".ones", func(p Pair) Pair { return Pair{Key: p.Key, Value: 1} })
-	return ones.ReduceByKey(name, numParts, func(a, b Value) Value { return a.(int) + b.(int) })
-}
-
 // SumByKey sums float64 values per key through a combining shuffle.
 func (r *RDD) SumByKey(name string, numParts int) *RDD {
 	return r.ReduceByKey(name, numParts, func(a, b Value) Value { return a.(float64) + b.(float64) })
 }
 
-// MaxByKey keeps the largest float64 value per key.
-func (r *RDD) MaxByKey(name string, numParts int) *RDD {
-	return r.ReduceByKey(name, numParts, func(a, b Value) Value {
-		if a.(float64) >= b.(float64) {
-			return a
-		}
-		return b
-	})
-}
-
-// RepartitionBy reshuffles records into numParts partitions by key hash
-// without aggregation (Spark's partitionBy on a pair RDD).
-func (r *RDD) RepartitionBy(name string, numParts int) *RDD {
-	return r.shuffleChild(name, &ShuffleSpec{
-		Partitioner: NewHashPartitioner(numParts),
-	}, nil)
-}
-
 // KeyBy re-keys each record by fn applied to the whole pair.
 func (r *RDD) KeyBy(name string, fn func(Pair) string) *RDD {
 	return r.Map(name, func(p Pair) Pair { return Pair{Key: fn(p), Value: p.Value} })
-}
-
-// Salt prefixes each record's key with one of n round-robin shard tags,
-// splitting hot keys across reducers — the standard mitigation for the
-// reducer skew the paper cites ([9], balancing reducer skew). Aggregate,
-// then Unsalt and aggregate again.
-func (r *RDD) Salt(name string, n int) *RDD {
-	if n <= 0 {
-		panic("rdd: Salt needs n > 0")
-	}
-	return r.MapPartitions(name, func(part int, in []Pair) []Pair {
-		out := make([]Pair, len(in))
-		for i, p := range in {
-			out[i] = Pair{Key: saltTag((part + i) % n), Value: p.Value}
-			out[i].Key += p.Key
-		}
-		return out
-	})
-}
-
-// Unsalt strips the shard tag added by Salt.
-func (r *RDD) Unsalt(name string) *RDD {
-	return r.Map(name, func(p Pair) Pair {
-		for i := 0; i < len(p.Key); i++ {
-			if p.Key[i] == '|' {
-				return Pair{Key: p.Key[i+1:], Value: p.Value}
-			}
-		}
-		return p
-	})
-}
-
-func saltTag(shard int) string {
-	const digits = "0123456789"
-	if shard < 10 {
-		return string([]byte{digits[shard], '|'})
-	}
-	return string([]byte{digits[(shard/10)%10], digits[shard%10], '|'})
 }

@@ -2,9 +2,7 @@ package rdd
 
 import (
 	"fmt"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMapValuesKeepsKeys(t *testing.T) {
@@ -17,114 +15,12 @@ func TestMapValuesKeepsKeys(t *testing.T) {
 	}
 }
 
-func TestKeysAndValues(t *testing.T) {
-	g := NewGraph()
-	in := inputFrom(g, pairs("k1", "v1", "k2", "v2"))
-	keys := sortedCollect(in.Keys("keys"))
-	if keys[0].Key != "k1" || keys[0].Value != nil {
-		t.Fatalf("Keys = %v", keys)
-	}
-	vals := sortedCollect(in.Values("vals"))
-	if vals[0].Key != "v1" {
-		t.Fatalf("Values = %v", vals)
-	}
-}
-
-func TestFilterByKey(t *testing.T) {
-	g := NewGraph()
-	in := inputFrom(g, pairs("apple", "1", "banana", "2", "avocado", "3"))
-	got := sortedCollect(in.FilterByKey("a-only", func(k string) bool { return strings.HasPrefix(k, "a") }))
-	if len(got) != 2 {
-		t.Fatalf("FilterByKey kept %d, want 2", len(got))
-	}
-}
-
-func TestSampleBoundsAndDeterminism(t *testing.T) {
-	g := NewGraph()
-	var recs []Pair
-	for i := 0; i < 1000; i++ {
-		recs = append(recs, KV(fmt.Sprintf("k%04d", i), i))
-	}
-	in := inputFrom(g, recs)
-	half := in.Sample("half", 0.5, 7)
-	got := CollectLocal(half)
-	if len(got) < 350 || len(got) > 650 {
-		t.Fatalf("Sample(0.5) kept %d of 1000", len(got))
-	}
-	g2 := NewGraph()
-	in2 := inputFrom(g2, recs)
-	got2 := CollectLocal(in2.Sample("half", 0.5, 7))
-	if len(got) != len(got2) {
-		t.Fatal("Sample nondeterministic for equal seeds")
-	}
-	if n := len(CollectLocal(inputFrom(NewGraph(), recs).Sample("none", 0, 7))); n != 0 {
-		t.Fatalf("Sample(0) kept %d", n)
-	}
-	if n := len(CollectLocal(inputFrom(NewGraph(), recs).Sample("all", 1, 7))); n != 1000 {
-		t.Fatalf("Sample(1) kept %d", n)
-	}
-}
-
-func TestSampleBadFractionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g := NewGraph()
-	inputFrom(g, pairs("a", "1")).Sample("bad", 1.5, 1)
-}
-
-func TestCountByKey(t *testing.T) {
-	g := NewGraph()
-	in := inputFrom(g, pairs("a", "", "b", "", "a", ""), pairs("a", ""))
-	got := sortedCollect(in.CountByKey("counts", 2))
-	want := map[string]int{"a": 3, "b": 1}
-	for _, p := range got {
-		if p.Value.(int) != want[p.Key] {
-			t.Fatalf("CountByKey = %v", got)
-		}
-	}
-}
-
-func TestSumAndMaxByKey(t *testing.T) {
+func TestSumByKey(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g, []Pair{KV("a", 1.5), KV("a", 2.5), KV("b", -1.0)})
 	sums := sortedCollect(in.SumByKey("sum", 2))
 	if sums[0].Value.(float64) != 4.0 || sums[1].Value.(float64) != -1.0 {
 		t.Fatalf("SumByKey = %v", sums)
-	}
-	g2 := NewGraph()
-	in2 := inputFrom(g2, []Pair{KV("a", 1.5), KV("a", 2.5), KV("b", -1.0)})
-	maxes := sortedCollect(in2.MaxByKey("max", 2))
-	if maxes[0].Value.(float64) != 2.5 {
-		t.Fatalf("MaxByKey = %v", maxes)
-	}
-}
-
-func TestRepartitionByConservesRecords(t *testing.T) {
-	g := NewGraph()
-	var recs []Pair
-	for i := 0; i < 60; i++ {
-		recs = append(recs, KV(fmt.Sprintf("k%d", i%9), i))
-	}
-	in := inputFrom(g, recs[:30], recs[30:])
-	rp := in.RepartitionBy("rp", 5)
-	if rp.NumParts() != 5 {
-		t.Fatalf("parts = %d", rp.NumParts())
-	}
-	parts := EvalLocal(rp)
-	total := 0
-	for pi, part := range parts {
-		for _, p := range part {
-			total++
-			if NewHashPartitioner(5).PartitionFor(p.Key) != pi {
-				t.Fatalf("record %v in wrong partition %d", p, pi)
-			}
-		}
-	}
-	if total != 60 {
-		t.Fatalf("repartition lost records: %d", total)
 	}
 }
 
@@ -136,78 +32,5 @@ func TestKeyBy(t *testing.T) {
 	}))
 	if keyed[0].Key != "007" || keyed[1].Key != "041" {
 		t.Fatalf("KeyBy = %v", keyed)
-	}
-}
-
-// Property: Salt+aggregate+Unsalt+aggregate equals direct aggregation.
-func TestQuickSaltedAggregationEquivalence(t *testing.T) {
-	f := func(vals []uint8, nRaw uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		n := int(nRaw%5) + 2
-		recs := make([]Pair, len(vals))
-		want := map[string]int{}
-		for i, v := range vals {
-			k := fmt.Sprintf("k%d", v%4) // few hot keys
-			recs[i] = KV(k, int(v))
-			want[k] += int(v)
-		}
-		g := NewGraph()
-		in := inputFrom(g, recs)
-		sum := func(a, b Value) Value { return a.(int) + b.(int) }
-		salted := in.Salt("salt", n).
-			ReduceByKey("partial", 4, sum).
-			Unsalt("unsalt").
-			ReduceByKey("final", 2, sum)
-		got := CollectLocal(salted)
-		if len(got) != len(want) {
-			return false
-		}
-		for _, p := range got {
-			if p.Value.(int) != want[p.Key] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSaltSpreadsHotKey(t *testing.T) {
-	g := NewGraph()
-	var recs []Pair
-	for i := 0; i < 100; i++ {
-		recs = append(recs, KV("hot", 1))
-	}
-	in := inputFrom(g, recs)
-	salted := in.Salt("salt", 4)
-	distinct := map[string]bool{}
-	for _, p := range CollectLocal(salted) {
-		distinct[p.Key] = true
-	}
-	if len(distinct) != 4 {
-		t.Fatalf("hot key split into %d salted keys, want 4", len(distinct))
-	}
-}
-
-func TestSaltBadNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g := NewGraph()
-	inputFrom(g, pairs("a", "1")).Salt("bad", 0)
-}
-
-func TestUnsaltWithoutTagIsIdentity(t *testing.T) {
-	g := NewGraph()
-	in := inputFrom(g, pairs("plain", "v"))
-	got := CollectLocal(in.Unsalt("u"))
-	if got[0].Key != "plain" {
-		t.Fatalf("Unsalt mangled untagged key: %v", got)
 	}
 }

@@ -74,29 +74,6 @@ func FuzzSizeOfNonNegative(f *testing.F) {
 	})
 }
 
-func FuzzSaltUnsaltRoundtrip(f *testing.F) {
-	f.Add("hot-key", 4)
-	f.Add("", 1)
-	f.Add("with|pipe", 7)
-	f.Fuzz(func(t *testing.T, key string, nRaw int) {
-		if strings.ContainsRune(key, '|') {
-			// Keys containing the tag separator are out of contract.
-			t.Skip()
-		}
-		n := nRaw%20 + 1
-		if n <= 0 {
-			n += 20
-		}
-		g := NewGraph()
-		in := g.Input("in", []InputPartition{{Host: 0, ModeledBytes: 1, Records: []Pair{KV(key, 1)}}})
-		round := in.Salt("s", n).Unsalt("u")
-		got := CollectLocal(round)
-		if len(got) != 1 || got[0].Key != key {
-			t.Fatalf("roundtrip of %q through Salt(%d) = %v", key, n, got)
-		}
-	})
-}
-
 // FuzzDecodePairs feeds the record decoder arbitrary bytes: it must return
 // records or an ErrCorrupt error, never panic, and never allocate more than
 // a small multiple of its input — a huge length prefix is checked against

@@ -153,10 +153,6 @@ type RDD struct {
 	// cache()).
 	Cached bool
 
-	// CostFactor scales the modeled CPU cost of computing this RDD
-	// (default 1.0 when zero).
-	CostFactor float64
-
 	graph *Graph
 }
 
@@ -244,16 +240,6 @@ func (r *RDD) Filter(name string, fn func(Pair) bool) *RDD {
 // form: an evaluator materialises its input, whatever surrounds it.
 func (r *RDD) MapPartitions(name string, fn func(part int, in []Pair) []Pair) *RDD {
 	return r.narrowChild(name, fn)
-}
-
-// WithCostFactor scales the modeled CPU cost of this RDD's computation and
-// returns the RDD for chaining.
-func (r *RDD) WithCostFactor(f float64) *RDD {
-	if f <= 0 {
-		panic("rdd: cost factor must be positive")
-	}
-	r.CostFactor = f
-	return r
 }
 
 // Cache marks the RDD for materialization (Spark's cache()) and returns it.
@@ -447,15 +433,6 @@ func (r *RDD) Join(name string, other *RDD, numParts int) *RDD {
 		}
 		return out
 	})
-}
-
-// Distinct removes duplicate (key, value-as-string) records via a shuffle.
-func (r *RDD) Distinct(name string, numParts int) *RDD {
-	keyed := r.Map(name+".keyed", func(p Pair) Pair {
-		return Pair{Key: p.Key + "\x00" + fmt.Sprint(p.Value), Value: p}
-	})
-	reduced := keyed.ReduceByKey(name+".dedup", numParts, func(a, _ Value) Value { return a })
-	return reduced.Map(name, func(p Pair) Pair { return p.Value.(Pair) })
 }
 
 // Validate checks structural invariants of the lineage reachable from r and

@@ -197,16 +197,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	g := NewGraph()
-	in := inputFrom(g, pairs("a", "1", "a", "1", "a", "2"), pairs("b", "1", "a", "1"))
-	d := in.Distinct("distinct", 2)
-	got := sortedCollect(d)
-	if len(got) != 3 {
-		t.Fatalf("distinct = %v, want 3 records", got)
-	}
-}
-
 func TestTransferToMarksLineage(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g, pairs("a", "1"))
@@ -225,12 +215,12 @@ func TestTransferToMarksLineage(t *testing.T) {
 	}
 }
 
-func TestCacheAndCostFactorChain(t *testing.T) {
+func TestCacheChain(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g, pairs("a", "1"))
-	r := in.Map("m", func(p Pair) Pair { return p }).Cache().WithCostFactor(2.5)
-	if !r.Cached || r.CostFactor != 2.5 {
-		t.Fatalf("chain flags lost: %+v", r)
+	m := in.Map("m", func(p Pair) Pair { return p })
+	if r := m.Cache(); r != m || !r.Cached {
+		t.Fatalf("Cache() = %+v, want the same RDD marked cached", r)
 	}
 }
 

@@ -196,14 +196,3 @@ func (c *Clock) peek() *eventItem {
 	}
 	return nil
 }
-
-// Pending returns the number of live scheduled events.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, item := range c.queue {
-		if !item.cancelled && !item.fired {
-			n++
-		}
-	}
-	return n
-}

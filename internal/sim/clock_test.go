@@ -110,19 +110,22 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 func TestPendingReflectsQueue(t *testing.T) {
 	c := NewClock()
 	t1 := c.At(1, func() {})
-	c.At(2, func() {})
-	if got := c.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2", got)
+	t2 := c.At(2, func() {})
+	if !t1.Pending() || !t2.Pending() {
+		t.Fatal("Pending() = false for a scheduled event")
 	}
 	t1.Cancel()
-	if got := c.Pending(); got != 1 {
-		t.Fatalf("Pending() after cancel = %d, want 1", got)
+	if t1.Pending() || !t2.Pending() {
+		t.Fatalf("after cancel: Pending() = %v, %v, want false, true", t1.Pending(), t2.Pending())
 	}
 	if !c.Step() {
 		t.Fatal("Step() = false with pending events")
 	}
-	if got := c.Pending(); got != 0 {
-		t.Fatalf("Pending() after run = %d, want 0", got)
+	if t2.Pending() {
+		t.Fatal("Pending() = true after the event fired")
+	}
+	if c.Step() {
+		t.Fatal("Step() = true with no live events left")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package simnet models a geo-distributed network at flow level on top of
 // the discrete-event kernel in internal/sim.
 //
-// Every transfer is a Flow from one host to another. An intra-datacenter
+// Every transfer is a flow from one host to another. An intra-datacenter
 // flow traverses the two hosts' NICs (datacenter networks have abundant
 // bandwidth, Sec. II-A). A cross-datacenter flow additionally traverses:
 //
@@ -83,33 +83,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Flow is an in-progress transfer. Flows are created with Network.StartFlow
-// and must not be constructed directly.
-type Flow struct {
-	Src, Dst topology.HostID
-	Tag      string
+// flow is an in-progress transfer, created by Network.StartFlow.
+type flow struct {
+	src, dst topology.HostID
+	tag      string
 
-	seq        uint64
 	created    float64 // clock time StartFlow was called
 	totalBytes float64
 	remaining  float64
 	rate       float64 // bytes/s under the current allocation
 	path       []*link
 	onComplete func()
-	active     bool // latency elapsed, consuming bandwidth
-	done       bool
-	cancelled  bool
 	crossDC    bool
 	srcDC      topology.DCID
 	dstDC      topology.DCID
-	activation sim.Timer
 
 	// scratch for reallocate
 	frozen bool
 }
-
-// Done reports whether the flow has completed.
-func (f *Flow) Done() bool { return f.done }
 
 type link struct {
 	name   string
@@ -155,16 +146,14 @@ type Network struct {
 	jitterX    [][]float64 // AR(1) state per unordered DC pair
 	jitterF    [][]float64 // current capacity factor per DC pair
 
-	flows       []*Flow // active flows, creation order
-	flowSeq     uint64
+	flows       []*flow // active flows, creation order
 	lastSettle  float64
 	completion  sim.Timer
 	jitterTimer sim.Timer
 
 	bytesByTag     map[string]float64 // cross-DC bytes only
-	tagOrder       []string
-	bytesByPair    [][]float64 // cross-DC bytes per (srcDC,dstDC)
-	totalBytes     float64     // all delivered bytes, any scope
+	bytesByPair    [][]float64        // cross-DC bytes per (srcDC,dstDC)
+	totalBytes     float64            // all delivered bytes, any scope
 	crossDCBytes   float64
 	completedFlows int
 	observer       DeliveryObserver
@@ -257,16 +246,15 @@ func (n *Network) ensureJitter() {
 }
 
 // StartFlow begins a transfer of the given number of bytes. onComplete (may
-// be nil) fires when the last byte is delivered. Zero-byte flows complete
-// after the propagation latency alone.
-func (n *Network) StartFlow(src, dst topology.HostID, bytes float64, tag string, onComplete func()) *Flow {
+// be nil) fires when the last byte is delivered; a started flow always runs
+// to completion. Zero-byte flows complete after the propagation latency
+// alone.
+func (n *Network) StartFlow(src, dst topology.HostID, bytes float64, tag string, onComplete func()) {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("simnet: invalid flow size %v", bytes))
 	}
-	n.flowSeq++
-	f := &Flow{
-		Src: src, Dst: dst, Tag: tag,
-		seq:        n.flowSeq,
+	f := &flow{
+		src: src, dst: dst, tag: tag,
 		created:    n.clock.Now(),
 		totalBytes: bytes,
 		remaining:  bytes,
@@ -277,29 +265,24 @@ func (n *Network) StartFlow(src, dst topology.HostID, bytes float64, tag string,
 	f.crossDC = f.srcDC != f.dstDC
 	f.path = n.pathFor(f)
 	lat := n.topo.Latency(src, dst)
-	f.activation = n.clock.After(lat, func() { n.activate(f) })
-	return f
+	n.clock.After(lat, func() { n.activate(f) })
 }
 
-func (n *Network) pathFor(f *Flow) []*link {
-	if f.Src == f.Dst {
+func (n *Network) pathFor(f *flow) []*link {
+	if f.src == f.dst {
 		// Same-host transfer: modeled as a private loopback link so it
 		// completes in bytes/loopback time without touching the NIC.
 		return []*link{{name: "loopback", capBps: loopbackBps}}
 	}
-	path := []*link{n.nicUp[f.Src]}
+	path := []*link{n.nicUp[f.src]}
 	if f.crossDC {
-		path = append(path, n.wanUp[f.Src], n.pathLink(f.Src, f.Dst), n.wanDown[f.Dst])
+		path = append(path, n.wanUp[f.src], n.pathLink(f.src, f.dst), n.wanDown[f.dst])
 	}
-	return append(path, n.nicDown[f.Dst])
+	return append(path, n.nicDown[f.dst])
 }
 
-func (n *Network) activate(f *Flow) {
-	if f.cancelled {
-		return
-	}
+func (n *Network) activate(f *flow) {
 	n.settle()
-	f.active = true
 	n.flows = append(n.flows, f)
 	for _, l := range f.path {
 		l.nflows++
@@ -308,22 +291,7 @@ func (n *Network) activate(f *Flow) {
 	n.reallocate()
 }
 
-// Cancel aborts a flow; bytes already delivered stay counted, no completion
-// callback fires. Used for failure injection (aborting in-flight fetches).
-func (n *Network) Cancel(f *Flow) {
-	if f.done || f.cancelled {
-		return
-	}
-	f.cancelled = true
-	f.activation.Cancel()
-	if f.active {
-		n.settle()
-		n.removeFlow(f)
-		n.reallocate()
-	}
-}
-
-func (n *Network) removeFlow(f *Flow) {
+func (n *Network) removeFlow(f *flow) {
 	for i, g := range n.flows {
 		if g == f {
 			n.flows = append(n.flows[:i], n.flows[i+1:]...)
@@ -333,7 +301,6 @@ func (n *Network) removeFlow(f *Flow) {
 	for _, l := range f.path {
 		l.nflows--
 	}
-	f.active = false
 	f.rate = 0
 }
 
@@ -356,21 +323,18 @@ func (n *Network) settle() {
 	}
 }
 
-func (n *Network) account(f *Flow, bytes float64) {
+func (n *Network) account(f *flow, bytes float64) {
 	if bytes <= 0 {
 		return
 	}
 	n.totalBytes += bytes
 	if f.crossDC {
 		n.crossDCBytes += bytes
-		if _, ok := n.bytesByTag[f.Tag]; !ok {
-			n.tagOrder = append(n.tagOrder, f.Tag)
-		}
-		n.bytesByTag[f.Tag] += bytes
+		n.bytesByTag[f.tag] += bytes
 		n.bytesByPair[f.srcDC][f.dstDC] += bytes
 	}
 	if n.observer != nil {
-		n.observer(f.Tag, bytes, f.crossDC)
+		n.observer(f.tag, bytes, f.crossDC)
 	}
 }
 
@@ -520,7 +484,7 @@ const (
 
 func (n *Network) onCompletionTick() {
 	n.settle()
-	var finished []*Flow
+	var finished []*flow
 	for _, f := range n.flows {
 		if f.remaining <= flowEpsilon || f.remaining <= f.rate*2*minTick {
 			finished = append(finished, f)
@@ -528,11 +492,10 @@ func (n *Network) onCompletionTick() {
 	}
 	for _, f := range finished {
 		n.removeFlow(f)
-		f.done = true
 		f.remaining = 0
 		n.completedFlows++
 		if n.flowObserver != nil {
-			n.flowObserver(f.Src, f.Dst, f.Tag, f.totalBytes, f.created, n.clock.Now())
+			n.flowObserver(f.src, f.dst, f.tag, f.totalBytes, f.created, n.clock.Now())
 		}
 	}
 	n.reallocate()

@@ -6,10 +6,7 @@
 // internal/simnet and the execution model in internal/exec.
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // HostID identifies a host within a Topology. IDs are dense indexes into
 // Topology.Hosts.
@@ -257,17 +254,6 @@ func (t *Topology) DCByName(name string) (DCID, bool) {
 	return 0, false
 }
 
-// TotalCores returns the total number of worker cores in dc.
-func (t *Topology) TotalCores(dc DCID) int {
-	n := 0
-	for _, h := range t.DCs[dc].Hosts {
-		if !t.Hosts[h].Aux {
-			n += t.Hosts[h].Cores
-		}
-	}
-	return n
-}
-
 // DCNames returns datacenter names in ID order.
 func (t *Topology) DCNames() []string {
 	names := make([]string, len(t.DCs))
@@ -279,7 +265,5 @@ func (t *Topology) DCNames() []string {
 
 // String summarizes the topology.
 func (t *Topology) String() string {
-	names := t.DCNames()
-	sort.Strings(names)
 	return fmt.Sprintf("topology{%d DCs, %d hosts, driver=%s}", len(t.DCs), len(t.Hosts), t.DCs[t.DriverDC].Name)
 }

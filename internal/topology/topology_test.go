@@ -20,8 +20,12 @@ func TestSixRegionEC2Shape(t *testing.T) {
 		if got := len(top.HostsIn(dc.ID)); got != 4 {
 			t.Fatalf("DC %s has %d workers, want 4", dc.Name, got)
 		}
-		if got := top.TotalCores(dc.ID); got != 8 {
-			t.Fatalf("DC %s has %d cores, want 8 (paper: parallelism 8 per DC)", dc.Name, got)
+		cores := 0
+		for _, h := range top.HostsIn(dc.ID) {
+			cores += top.Host(h).Cores
+		}
+		if cores != 8 {
+			t.Fatalf("DC %s has %d cores, want 8 (paper: parallelism 8 per DC)", dc.Name, cores)
 		}
 	}
 	va, ok := top.DCByName(Virginia)

@@ -162,17 +162,6 @@ func (r *Recorder) Spans() []Span {
 	return out
 }
 
-// ByKind returns recorded spans of one kind, sorted by start time.
-func (r *Recorder) ByKind(k Kind) []Span {
-	var out []Span
-	for _, s := range r.Spans() {
-		if s.Kind == k {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Gantt renders the spans as an ASCII chart with one row per host that has
 // activity, width characters wide. Overlapping spans on a host merge
 // left-to-right (later kinds overwrite earlier within the overlap), which

@@ -28,19 +28,6 @@ func TestSpansSortedByStart(t *testing.T) {
 	}
 }
 
-func TestByKindFilters(t *testing.T) {
-	r := &Recorder{}
-	r.Add(Span{Kind: KindMap, Start: 0, End: 1})
-	r.Add(Span{Kind: KindPush, Start: 1, End: 2})
-	r.Add(Span{Kind: KindMap, Start: 2, End: 3})
-	if got := len(r.ByKind(KindMap)); got != 2 {
-		t.Fatalf("ByKind(map) = %d, want 2", got)
-	}
-	if got := len(r.ByKind(KindFail)); got != 0 {
-		t.Fatalf("ByKind(fail) = %d, want 0", got)
-	}
-}
-
 func TestBackwardsSpanPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
