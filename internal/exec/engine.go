@@ -366,7 +366,9 @@ type jobState struct {
 }
 
 type stageState struct {
-	st             *dag.Stage
+	st *dag.Stage
+	// name is st.Name(), formatted once: every task event carries it.
+	name           string
 	job            *jobState
 	pendingParents int
 	launched       bool
@@ -526,7 +528,7 @@ func (e *Engine) prepareJob(target *rdd.RDD, action Action) (*jobState, error) {
 		start:         e.Clock.Now(),
 	}
 	for _, st := range pj.Plan.Stages {
-		ss := &stageState{st: st, job: job, pendingParents: len(st.Parents)}
+		ss := &stageState{st: st, name: st.Name(), job: job, pendingParents: len(st.Parents)}
 		job.stages = append(job.stages, ss)
 		job.byStage[st] = ss
 		if st.OutSpec != nil {
@@ -606,7 +608,7 @@ func (e *Engine) stallDiagnostic(jobs []*jobState) string {
 	msg := ""
 	for ji, job := range jobs {
 		for _, ss := range job.stages {
-			msg += fmt.Sprintf("j%d/%s[launched=%v done=%d/%d] ", ji, ss.st.Name(), ss.launched, ss.tasksDone, ss.st.NumTasks)
+			msg += fmt.Sprintf("j%d/%s[launched=%v done=%d/%d] ", ji, ss.name, ss.launched, ss.tasksDone, ss.st.NumTasks)
 		}
 	}
 	return msg + fmt.Sprintf("queue=%d", e.Sched.QueueLen())

@@ -20,8 +20,8 @@ func (e *Engine) launchStage(ss *stageState) {
 		return
 	}
 	ss.launched = true
-	e.log.Debug("exec: stage starting", "stage", ss.st.Name(), "id", ss.st.ID, "tasks", ss.st.NumTasks, "t", e.Clock.Now())
-	ss.span = StageSpan{ID: ss.st.ID, Name: ss.st.Name(), Start: e.Clock.Now()}
+	e.log.Debug("exec: stage starting", "stage", ss.name, "id", ss.st.ID, "tasks", ss.st.NumTasks, "t", e.Clock.Now())
+	ss.span = StageSpan{ID: ss.st.ID, Name: ss.name, Start: e.Clock.Now()}
 	ss.phaseDone = make([]int, len(ss.st.Phases))
 	ss.heldHandoffs = make([][]func(), len(ss.st.Phases))
 	ss.partDone = make([]bool, ss.st.NumTasks)
@@ -149,7 +149,7 @@ func (e *Engine) transferTarget(ss *stageState, spec *rdd.TransferSpec, part int
 		return spec.DC
 	}
 	if !ss.aggResolved {
-		panic(fmt.Sprintf("exec: %s: auto transfer without resolved aggregator", ss.st.Name()))
+		panic(fmt.Sprintf("exec: %s: auto transfer without resolved aggregator", ss.name))
 	}
 	return plan.SpreadTopK(ss.aggRank, spec.K, part)
 }
@@ -187,7 +187,7 @@ func (e *Engine) spanFor(t *taskRun) trace.SpanID {
 }
 
 func (t *taskRun) name() string {
-	return fmt.Sprintf("%s/p%d/t%d#%d", t.ss.st.Name(), t.phase, t.part, t.attempt)
+	return fmt.Sprintf("%s/p%d/t%d#%d", t.ss.name, t.phase, t.part, t.attempt)
 }
 
 // taskEvent reports one lifecycle transition of a task attempt to the
@@ -195,7 +195,7 @@ func (t *taskRun) name() string {
 // simulator's unit of placement), or -1 before placement.
 func (e *Engine) taskEvent(phase obs.TaskPhase, t *taskRun, site int, err error) {
 	ev := obs.TaskEvent{
-		Phase: phase, Stage: t.ss.st.ID, StageName: t.ss.st.Name(),
+		Phase: phase, Stage: t.ss.st.ID, StageName: t.ss.name,
 		Part: t.part, Site: site, Attempt: t.attempt, Time: e.Clock.Now(),
 	}
 	if err != nil {
@@ -750,7 +750,7 @@ func (e *Engine) taskDone(ss *stageState) {
 	}
 	ss.completed = true
 	ss.span.End = e.Clock.Now()
-	e.log.Debug("exec: stage finished", "stage", ss.st.Name(), "id", ss.st.ID, "sec", ss.span.End-ss.span.Start)
+	e.log.Debug("exec: stage finished", "stage", ss.name, "id", ss.st.ID, "sec", ss.span.End-ss.span.Start)
 	e.Events.OnStage(ss.span)
 	if ss.st.OutSpec != nil {
 		e.reg.Finalize(ss.st.OutSpec.ID)

@@ -13,7 +13,12 @@
 //
 // Concurrent flows share link capacity by max-min fairness, computed with
 // the classic progressive-filling algorithm; rates are recomputed whenever
-// a flow starts or finishes and whenever wide-area capacity changes.
+// a flow starts or finishes and whenever wide-area capacity changes. Each
+// link indexes the active flows that cross it, so a filling round freezes
+// the bottleneck's own flows without scanning the others: one refill costs
+// the active flows' path lengths once, plus per round the links still
+// carrying unfrozen flows and the flows that round freezes. A refill
+// allocates nothing.
 //
 // Two wide-area non-idealities the paper leans on are modeled explicitly:
 //
@@ -83,6 +88,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxPath is the longest flow path: NIC up, WAN up, the host-pair path,
+// WAN down, NIC down.
+const maxPath = 5
+
 // flow is an in-progress transfer, created by Network.StartFlow.
 type flow struct {
 	src, dst topology.HostID
@@ -92,20 +101,27 @@ type flow struct {
 	totalBytes float64
 	remaining  float64
 	rate       float64 // bytes/s under the current allocation
-	path       []*link
+	path       [maxPath]*link
+	npath      int
 	onComplete func()
 	crossDC    bool
 	srcDC      topology.DCID
 	dstDC      topology.DCID
+	// tagBytes is the cross-DC byte total of the flow's tag, resolved at
+	// its first cross-DC byte.
+	tagBytes *float64
 
 	// scratch for reallocate
 	frozen bool
 }
 
+func (f *flow) links() []*link { return f.path[:f.npath] }
+
 type link struct {
 	name   string
 	capBps float64 // current capacity, bits/s
-	nflows int
+	// flows are the active flows crossing the link, in no particular order.
+	flows []*flow
 	// burstBeta, when positive, degrades effective capacity under
 	// concurrent flows (WAN host links only).
 	burstBeta float64
@@ -120,10 +136,23 @@ type link struct {
 // bytes/s, after burst degradation.
 func (l *link) effCapBytes() float64 {
 	cap := l.capBps / 8
-	if l.burstBeta > 0 && l.nflows > 1 {
-		cap /= 1 + l.burstBeta*float64(l.nflows-1)
+	if n := len(l.flows); l.burstBeta > 0 && n > 1 {
+		cap /= 1 + l.burstBeta*float64(n-1)
 	}
 	return cap
+}
+
+// removeFlow drops f from the link's flow index.
+func (l *link) removeFlow(f *flow) {
+	for i, g := range l.flows {
+		if g == f {
+			last := len(l.flows) - 1
+			l.flows[i] = l.flows[last]
+			l.flows[last] = nil
+			l.flows = l.flows[:last]
+			return
+		}
+	}
 }
 
 // Network is the flow-level network simulator. Construct with New.
@@ -150,10 +179,18 @@ type Network struct {
 	lastSettle  float64
 	completion  sim.Timer
 	jitterTimer sim.Timer
+	// onTick is onCompletionTick, bound once so that scheduling a
+	// completion does not allocate a method value.
+	onTick func()
 
-	bytesByTag     map[string]float64 // cross-DC bytes only
-	bytesByPair    [][]float64        // cross-DC bytes per (srcDC,dstDC)
-	totalBytes     float64            // all delivered bytes, any scope
+	// scratch for reallocate and onCompletionTick, reused across calls:
+	// live holds the links still carrying unfrozen flows.
+	live     []*link
+	finished []*flow
+
+	bytesByTag     map[string]*float64 // cross-DC bytes only
+	bytesByPair    [][]float64         // cross-DC bytes per (srcDC,dstDC)
+	totalBytes     float64             // all delivered bytes, any scope
 	crossDCBytes   float64
 	completedFlows int
 	observer       DeliveryObserver
@@ -178,9 +215,10 @@ func New(clock *sim.Clock, topo *topology.Topology, seed int64, cfg Config) *Net
 		topo:        topo,
 		cfg:         cfg,
 		rng:         sim.Stream(seed, "simnet.jitter"),
-		bytesByTag:  make(map[string]float64),
+		bytesByTag:  make(map[string]*float64),
 		bytesByPair: make([][]float64, topo.NumDCs()),
 	}
+	n.onTick = n.onCompletionTick
 	for i := range n.bytesByPair {
 		n.bytesByPair[i] = make([]float64, topo.NumDCs())
 	}
@@ -263,29 +301,30 @@ func (n *Network) StartFlow(src, dst topology.HostID, bytes float64, tag string,
 		dstDC:      n.topo.DCOf(dst),
 	}
 	f.crossDC = f.srcDC != f.dstDC
-	f.path = n.pathFor(f)
+	n.setPath(f)
 	lat := n.topo.Latency(src, dst)
 	n.clock.After(lat, func() { n.activate(f) })
 }
 
-func (n *Network) pathFor(f *flow) []*link {
+func (n *Network) setPath(f *flow) {
 	if f.src == f.dst {
 		// Same-host transfer: modeled as a private loopback link so it
 		// completes in bytes/loopback time without touching the NIC.
-		return []*link{{name: "loopback", capBps: loopbackBps}}
+		f.path[0], f.npath = &link{name: "loopback", capBps: loopbackBps}, 1
+		return
 	}
-	path := []*link{n.nicUp[f.src]}
+	path := append(f.path[:0], n.nicUp[f.src])
 	if f.crossDC {
 		path = append(path, n.wanUp[f.src], n.pathLink(f.src, f.dst), n.wanDown[f.dst])
 	}
-	return append(path, n.nicDown[f.dst])
+	f.npath = len(append(path, n.nicDown[f.dst]))
 }
 
 func (n *Network) activate(f *flow) {
 	n.settle()
 	n.flows = append(n.flows, f)
-	for _, l := range f.path {
-		l.nflows++
+	for _, l := range f.links() {
+		l.flows = append(l.flows, f)
 	}
 	n.ensureJitter()
 	n.reallocate()
@@ -298,8 +337,8 @@ func (n *Network) removeFlow(f *flow) {
 			break
 		}
 	}
-	for _, l := range f.path {
-		l.nflows--
+	for _, l := range f.links() {
+		l.removeFlow(f)
 	}
 	f.rate = 0
 }
@@ -330,7 +369,14 @@ func (n *Network) account(f *flow, bytes float64) {
 	n.totalBytes += bytes
 	if f.crossDC {
 		n.crossDCBytes += bytes
-		n.bytesByTag[f.tag] += bytes
+		if f.tagBytes == nil {
+			f.tagBytes = n.bytesByTag[f.tag]
+			if f.tagBytes == nil {
+				f.tagBytes = new(float64)
+				n.bytesByTag[f.tag] = f.tagBytes
+			}
+		}
+		*f.tagBytes += bytes
 		n.bytesByPair[f.srcDC][f.dstDC] += bytes
 	}
 	if n.observer != nil {
@@ -364,79 +410,8 @@ func (n *Network) SetFlowObserver(o FlowObserver) { n.flowObserver = o }
 
 // reallocate recomputes max-min fair rates with progressive filling and
 // schedules the next flow completion. Callers must settle() first.
-//
-// Progressive filling yields the unique max-min fair allocation, so the
-// iteration order below matters only for floating-point rounding — which is
-// why it runs over creation-ordered slices.
 func (n *Network) reallocate() {
-	var touched []*link
-	touch := func(l *link) {
-		if !l.touched {
-			l.touched = true
-			l.remCap = l.effCapBytes()
-			l.unfrozen = 0
-			touched = append(touched, l)
-		}
-	}
-	for _, f := range n.flows {
-		f.rate = 0
-		f.frozen = false
-		for _, l := range f.path {
-			touch(l)
-			l.unfrozen++
-		}
-	}
-	remaining := len(n.flows)
-	for remaining > 0 {
-		// Bottleneck link: minimum fair share among links carrying
-		// unfrozen flows.
-		var bottleneck *link
-		minShare := math.Inf(1)
-		for _, l := range touched {
-			if l.unfrozen == 0 {
-				continue
-			}
-			share := l.remCap / float64(l.unfrozen)
-			if share < minShare {
-				minShare = share
-				bottleneck = l
-			}
-		}
-		if bottleneck == nil {
-			break
-		}
-		if minShare < 0 {
-			minShare = 0
-		}
-		for _, f := range n.flows {
-			if f.frozen {
-				continue
-			}
-			onBottleneck := false
-			for _, l := range f.path {
-				if l == bottleneck {
-					onBottleneck = true
-					break
-				}
-			}
-			if !onBottleneck {
-				continue
-			}
-			f.rate = minShare
-			f.frozen = true
-			remaining--
-			for _, l := range f.path {
-				l.remCap -= minShare
-				if l.remCap < 0 {
-					l.remCap = 0
-				}
-				l.unfrozen--
-			}
-		}
-	}
-	for _, l := range touched {
-		l.touched = false
-	}
+	n.maxMinRates()
 	var crossRate float64
 	for _, f := range n.flows {
 		if f.crossDC {
@@ -447,6 +422,77 @@ func (n *Network) reallocate() {
 		n.util = append(n.util, UtilPoint{T: n.clock.Now(), CrossRate: crossRate})
 	}
 	n.scheduleCompletion()
+}
+
+// maxMinRates sets every active flow's rate to its max-min fair share.
+//
+// Progressive filling yields the unique max-min fair allocation, so the
+// iteration order below matters only for floating-point rounding — which is
+// why links are touched in creation order of the flows crossing them, and
+// the first link in that order wins a tie for bottleneck. Which order a
+// round freezes the bottleneck's flows in does not matter: each link on
+// their paths has the same share subtracted once per frozen flow.
+func (n *Network) maxMinRates() {
+	live := n.live[:0]
+	for _, f := range n.flows {
+		f.rate = 0
+		f.frozen = false
+		for _, l := range f.links() {
+			if !l.touched {
+				l.touched = true
+				l.remCap = l.effCapBytes()
+				l.unfrozen = 0
+				live = append(live, l)
+			}
+			l.unfrozen++
+		}
+	}
+	for _, l := range live {
+		l.touched = false
+	}
+	remaining := len(n.flows)
+	for remaining > 0 {
+		// Bottleneck link: minimum fair share among links carrying
+		// unfrozen flows. Links left without any are dropped from live,
+		// which keeps its order.
+		var bottleneck *link
+		minShare := math.Inf(1)
+		kept := live[:0]
+		for _, l := range live {
+			if l.unfrozen == 0 {
+				continue
+			}
+			kept = append(kept, l)
+			share := l.remCap / float64(l.unfrozen)
+			if share < minShare {
+				minShare = share
+				bottleneck = l
+			}
+		}
+		live = kept
+		if bottleneck == nil {
+			break
+		}
+		if minShare < 0 {
+			minShare = 0
+		}
+		for _, f := range bottleneck.flows {
+			if f.frozen {
+				continue
+			}
+			f.rate = minShare
+			f.frozen = true
+			remaining--
+			for _, l := range f.links() {
+				l.remCap -= minShare
+				if l.remCap < 0 {
+					l.remCap = 0
+				}
+				l.unfrozen--
+			}
+		}
+	}
+	n.live = live
 }
 
 func (n *Network) scheduleCompletion() {
@@ -474,7 +520,7 @@ func (n *Network) scheduleCompletion() {
 	if math.IsInf(next, 1) {
 		return
 	}
-	n.completion = n.clock.After(next, n.onCompletionTick)
+	n.completion = n.clock.After(next, n.onTick)
 }
 
 const (
@@ -484,7 +530,7 @@ const (
 
 func (n *Network) onCompletionTick() {
 	n.settle()
-	var finished []*flow
+	finished := n.finished[:0]
 	for _, f := range n.flows {
 		if f.remaining <= flowEpsilon || f.remaining <= f.rate*2*minTick {
 			finished = append(finished, f)
@@ -506,6 +552,10 @@ func (n *Network) onCompletionTick() {
 			f.onComplete()
 		}
 	}
+	// A callback cannot re-enter this method (a flow it starts activates
+	// in a later event), so the scratch is free again here.
+	clear(finished)
+	n.finished = finished[:0]
 }
 
 func (n *Network) resampleJitter() {
@@ -555,7 +605,7 @@ func (n *Network) CrossDCBytesByTag() map[string]float64 {
 	n.settle()
 	out := make(map[string]float64, len(n.bytesByTag))
 	for k, v := range n.bytesByTag {
-		out[k] = v
+		out[k] = *v
 	}
 	return out
 }

@@ -1,8 +1,11 @@
 package simnet
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +191,7 @@ func TestCrossDCAccounting(t *testing.T) {
 	net.StartFlow(0, 2, 10*mb, "shuffle", nil)
 	net.StartFlow(1, 3, 5*mb, "push", nil)
 	net.StartFlow(0, 1, 50*mb, "local", nil)
+	net.StartFlow(0, 3, 0, "empty", nil)
 	clock.Run(0)
 	if got := net.CrossDCBytes(); math.Abs(got-15*mb) > 1 {
 		t.Fatalf("CrossDCBytes = %v, want 15 MB", got)
@@ -199,6 +203,9 @@ func TestCrossDCAccounting(t *testing.T) {
 	if _, ok := byTag["local"]; ok {
 		t.Fatal("intra-DC traffic counted in cross-DC tags")
 	}
+	if _, ok := byTag["empty"]; ok {
+		t.Fatal("a zero-byte flow's tag listed in cross-DC tags")
+	}
 	if got := net.PairBytes(0, 1); math.Abs(got-15*mb) > 1 {
 		t.Fatalf("PairBytes(0,1) = %v, want 15 MB", got)
 	}
@@ -208,8 +215,8 @@ func TestCrossDCAccounting(t *testing.T) {
 	if got := net.TotalBytes(); math.Abs(got-65*mb) > 1 {
 		t.Fatalf("TotalBytes = %v, want 65 MB", got)
 	}
-	if got := net.CompletedFlows(); got != 3 {
-		t.Fatalf("CompletedFlows = %d, want 3", got)
+	if got := net.CompletedFlows(); got != 4 {
+		t.Fatalf("CompletedFlows = %d, want 4", got)
 	}
 }
 
@@ -319,7 +326,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 			if fl.rate < -1e-9 {
 				return false
 			}
-			for _, l := range fl.path {
+			for _, l := range fl.links() {
 				usage[l] += fl.rate
 			}
 		}
@@ -332,7 +339,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 		// Bottleneck property: every flow crosses >= 1 saturated link.
 		for _, fl := range net.flows {
 			saturated := false
-			for _, l := range fl.path {
+			for _, l := range fl.links() {
 				if usage[l] >= l.effCapBytes()*(1-1e-6) {
 					saturated = true
 					break
@@ -444,5 +451,302 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	t2, b2 := run()
 	if t1 != t2 || b1 != b2 {
 		t.Fatalf("non-deterministic: (%v,%v) vs (%v,%v)", t1, b1, t2, b2)
+	}
+}
+
+// fullScanRates is the progressive filling simnet ran before links indexed
+// their flows, kept as the reference the allocator must match bit for bit:
+// every round tests every unfrozen flow's whole path for the bottleneck. It
+// counts each link's flows from the paths itself, keeps its own scratch and
+// leaves the network untouched. The result is aligned with flows.
+func fullScanRates(flows []*flow) []float64 {
+	type linkState struct {
+		remCap           float64
+		nflows, unfrozen int
+	}
+	state := map[*link]*linkState{}
+	var touched []*link
+	for _, f := range flows {
+		for _, l := range f.links() {
+			if state[l] == nil {
+				state[l] = &linkState{}
+				touched = append(touched, l)
+			}
+			state[l].nflows++
+		}
+	}
+	for _, l := range touched {
+		s := state[l]
+		s.remCap = l.capBps / 8
+		if l.burstBeta > 0 && s.nflows > 1 {
+			s.remCap /= 1 + l.burstBeta*float64(s.nflows-1)
+		}
+		s.unfrozen = s.nflows
+	}
+	rates := make([]float64, len(flows))
+	frozen := make([]bool, len(flows))
+	remaining := len(flows)
+	for remaining > 0 {
+		var bottleneck *link
+		minShare := math.Inf(1)
+		for _, l := range touched {
+			s := state[l]
+			if s.unfrozen == 0 {
+				continue
+			}
+			share := s.remCap / float64(s.unfrozen)
+			if share < minShare {
+				minShare = share
+				bottleneck = l
+			}
+		}
+		if bottleneck == nil {
+			break
+		}
+		if minShare < 0 {
+			minShare = 0
+		}
+		for i, f := range flows {
+			if frozen[i] || !slices.Contains(f.links(), bottleneck) {
+				continue
+			}
+			rates[i] = minShare
+			frozen[i] = true
+			remaining--
+			for _, l := range f.links() {
+				s := state[l]
+				s.remCap -= minShare
+				if s.remCap < 0 {
+					s.remCap = 0
+				}
+				s.unfrozen--
+			}
+		}
+	}
+	return rates
+}
+
+// plannedFlow is one flow of a schedule. It starts at time at, or, when
+// after >= 0, from the completion callback of flow after.
+type plannedFlow struct {
+	at       float64
+	after    int
+	src, dst topology.HostID
+	bytes    float64
+	tag      string
+}
+
+type schedule struct {
+	top   *topology.Topology
+	cfg   Config
+	seed  int64
+	flows []plannedFlow
+}
+
+type completion struct {
+	flow int
+	at   float64
+}
+
+// runAgainstFullScan runs s and, after every clock step, holds every active
+// flow's rate to fullScanRates bit for bit. It returns the completions in
+// the order their callbacks ran.
+func runAgainstFullScan(t testing.TB, s schedule) []completion {
+	t.Helper()
+	clock := sim.NewClock()
+	net := New(clock, s.top, s.seed, s.cfg)
+	next := make([][]int, len(s.flows))
+	for i, p := range s.flows {
+		if p.after >= 0 {
+			next[p.after] = append(next[p.after], i)
+		}
+	}
+	var done []completion
+	var start func(i int)
+	start = func(i int) {
+		p := s.flows[i]
+		net.StartFlow(p.src, p.dst, p.bytes, p.tag, func() {
+			done = append(done, completion{i, clock.Now()})
+			for _, j := range next[i] {
+				start(j)
+			}
+		})
+	}
+	for i, p := range s.flows {
+		if p.after < 0 {
+			clock.At(p.at, func() { start(i) })
+		}
+	}
+	for step := 0; clock.Step(); step++ {
+		if step > 1_000_000 {
+			t.Fatal("schedule did not drain")
+		}
+		want := fullScanRates(net.flows)
+		for i, f := range net.flows {
+			if math.Float64bits(f.rate) != math.Float64bits(want[i]) {
+				t.Fatalf("step %d at t=%v: flow %d->%d (%v bytes left) has rate %v, the full scan gives %v",
+					step, clock.Now(), f.src, f.dst, f.remaining, f.rate, want[i])
+			}
+		}
+	}
+	if len(done) != len(s.flows) {
+		t.Fatalf("%d of %d flows completed", len(done), len(s.flows))
+	}
+	return done
+}
+
+// randomSchedule draws n flows over top: about one in eight is same-host,
+// one in eight carries zero bytes, and a third start from an earlier flow's
+// completion callback, the way a task starts its next transfer.
+func randomSchedule(top *topology.Topology, cfg Config, seed int64, n int) schedule {
+	rng := rand.New(rand.NewSource(seed))
+	s := schedule{top: top, cfg: cfg, seed: seed}
+	for i := 0; i < n; i++ {
+		p := plannedFlow{after: -1, at: rng.Float64() * 5, tag: []string{"a", "b", "c"}[rng.Intn(3)]}
+		p.src = topology.HostID(rng.Intn(top.NumHosts()))
+		p.dst = topology.HostID(rng.Intn(top.NumHosts()))
+		if rng.Intn(8) == 0 {
+			p.dst = p.src
+		}
+		if rng.Intn(8) != 0 {
+			p.bytes = float64(rng.Intn(40)+1) * mb
+		}
+		if i > 0 && rng.Intn(3) == 0 {
+			p.after = rng.Intn(i)
+		}
+		s.flows = append(s.flows, p)
+	}
+	return s
+}
+
+// TestAllocatorMatchesFullScan drives random schedules through the
+// network and holds its rates to fullScanRates after every event. The
+// completion times are pinned as well, one digest per case over four
+// seeds, so that any later change to the floats shows here.
+func TestAllocatorMatchesFullScan(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		top    *topology.Topology
+		cfg    Config
+		digest uint64
+	}{
+		{"ec2", topology.SixRegionEC2(), Config{}, 0x227caf0551d71be3},
+		{"ec2/no-burst", topology.SixRegionEC2(), Config{BurstPenalty: -1}, 0x4de08b49e77b53e9},
+		{"ec2/jitter", topology.SixRegionEC2(), Config{JitterAmplitude: 0.25}, 0x3435a98fa06a94d7},
+		{"micro", micro(), Config{}, 0xefcbd9e72cdb5466},
+		{"micro/jitter/no-burst", micro(), Config{JitterAmplitude: 0.3, BurstPenalty: -1}, 0x322543e2fbdba007},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := fnv.New64a()
+			for seed := int64(1); seed <= 4; seed++ {
+				for _, c := range runAgainstFullScan(t, randomSchedule(tc.top, tc.cfg, seed, 60)) {
+					fmt.Fprintf(h, "%d@%x;", c.flow, math.Float64bits(c.at))
+				}
+			}
+			if got := h.Sum64(); got != tc.digest {
+				t.Errorf("completion digest %#x, want %#x", got, tc.digest)
+			}
+		})
+	}
+}
+
+// FuzzAllocatorMatchesFullScan turns arbitrary bytes into a schedule and
+// holds the network's rates to fullScanRates after every event. The first
+// byte picks the topology, burst penalty and jitter; every four bytes after
+// it are one flow: source, destination, size in half megabytes (0 is a
+// zero-byte flow) and a start byte whose high bit chains the flow to an
+// earlier one's completion.
+func FuzzAllocatorMatchesFullScan(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 10, 0, 1, 4, 20, 1, 2, 3, 0, 2})
+	f.Add([]byte{7, 0, 2, 40, 0, 1, 2, 40, 0, 2, 2, 0, 0x80, 3, 3, 9, 5})
+	f.Add([]byte{3, 1, 9, 200, 1, 9, 1, 100, 0x81, 4, 20, 1, 0, 20, 4, 30, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		s := schedule{top: micro(), seed: 1}
+		if data[0]&1 != 0 {
+			s.top = topology.SixRegionEC2()
+		}
+		if data[0]&2 != 0 {
+			s.cfg.BurstPenalty = -1
+		}
+		if data[0]&4 != 0 {
+			s.cfg.JitterAmplitude = 0.3
+		}
+		hosts := s.top.NumHosts()
+		for i, b := 0, data[1:]; len(b) >= 4 && i < 48; i, b = i+1, b[4:] {
+			p := plannedFlow{after: -1, tag: "f",
+				src: topology.HostID(int(b[0]) % hosts), dst: topology.HostID(int(b[1]) % hosts),
+				bytes: float64(b[2]) * mb / 2, at: float64(b[3]&0x7f) * 0.05}
+			if b[3]&0x80 != 0 && i > 0 {
+				p.after = int(b[3]&0x7f) % i
+			}
+			s.flows = append(s.flows, p)
+		}
+		runAgainstFullScan(t, s)
+	})
+}
+
+// TestRefillDoesNotAllocate keeps 64 flows in flight and checks that a
+// max-min refill reuses the network's scratch. The one allocation a whole
+// reallocate may make is the completion event the clock queues.
+func TestRefillDoesNotAllocate(t *testing.T) {
+	top := topology.SixRegionEC2()
+	clock, net := newNet(t, top, Config{JitterAmplitude: 0.25})
+	workers := top.Workers()
+	for i := 0; i < 64; i++ {
+		net.StartFlow(workers[i%len(workers)], workers[(7*i+5)%len(workers)], 1e12, "t", nil)
+	}
+	clock.RunUntil(1)
+	if got := net.ActiveFlows(); got != 64 {
+		t.Fatalf("%d flows active, want 64", got)
+	}
+	if allocs := testing.AllocsPerRun(100, net.maxMinRates); allocs != 0 {
+		t.Errorf("a refill with 64 flows in flight made %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, net.reallocate); allocs > 1 {
+		t.Errorf("reallocate made %v allocations, want at most the clock's event", allocs)
+	}
+}
+
+// flowChurn keeps concurrent flows in flight on top, each completion
+// starting a replacement, until 2·concurrent+256 flows have run, and
+// returns how many completed.
+func flowChurn(top *topology.Topology, concurrent int) int {
+	clock := sim.NewClock()
+	net := New(clock, top, 1, Config{})
+	workers := top.Workers()
+	total := 2*concurrent + 256
+	started := 0
+	var start func()
+	start = func() {
+		if started >= total {
+			return
+		}
+		i := started
+		started++
+		// 7i+5 never equals i modulo the preset's 24 workers.
+		net.StartFlow(workers[i%len(workers)], workers[(7*i+5)%len(workers)], float64(1+i%5)*4e6, "churn", start)
+	}
+	for i := 0; i < concurrent; i++ {
+		start()
+	}
+	clock.Run(0)
+	return net.CompletedFlows()
+}
+
+// BenchmarkFlowChurn is the max-min refill at 8, 64 and 512 flows in flight
+// on SixRegionEC2, reported as host microseconds per completed flow.
+func BenchmarkFlowChurn(b *testing.B) {
+	top := topology.SixRegionEC2()
+	for _, c := range []int{8, 64, 512} {
+		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
+			flows := 0
+			for i := 0; i < b.N; i++ {
+				flows += flowChurn(top, c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(flows), "us/flow")
+		})
 	}
 }
