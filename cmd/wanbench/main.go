@@ -102,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&s.opts.Runs, "runs", 10, "iterations per (workload, scheme)")
 	fs.Int64Var(&s.opts.BaseSeed, "seed", 1, "base seed")
 	fs.Float64Var(&s.opts.Scale, "scale", 1.0, "modeled-size multiplier vs Table I")
-	fs.Float64Var(&s.opts.Jitter, "jitter", 0.25, "WAN bandwidth jitter amplitude")
+	fs.Float64Var(&s.opts.Jitter, "jitter", 0.25, "WAN bandwidth jitter amplitude (0 disables)")
 	fs.StringVar(&s.reportFile, "report", "run-reports.json", "output file for the report experiment")
 	fs.BoolVar(&s.opts.Validate, "validate", false, "validate every run's records against the reference")
 	fs.Usage = func() {
@@ -115,6 +115,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if s.opts.Jitter == 0 {
+		s.opts.Jitter = -1 // core reads 0 as its default amplitude
 	}
 	s.paperSweep = sync.OnceValues(func() ([]bench.Series, error) { return bench.Fig7(s.opts) })
 	if fs.NArg() != 1 {

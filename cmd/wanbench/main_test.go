@@ -31,6 +31,29 @@ func TestAllGolden(t *testing.T) {
 	}
 }
 
+// TestJitterZeroDisables holds the -jitter help text to what runs: an
+// amplitude of 0 is stable links, the same figure as any negative one, and
+// not the default amplitude's.
+func TestJitterZeroDisables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the paper's sweep three times")
+	}
+	fig7 := func(jitter string) string {
+		var out bytes.Buffer
+		if err := run([]string{"-runs", "2", "-scale", "0.1", "-seed", "1", "-jitter", jitter, "fig7"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	off, zero := fig7("-1"), fig7("0")
+	if zero != off {
+		t.Fatalf("fig7 at -jitter 0:\n%s\ndiffers from -jitter -1:\n%s", zero, off)
+	}
+	if fig7("0.25") == off {
+		t.Fatal("fig7 prints the same at -jitter 0.25 as with jitter off: the test cannot tell them apart")
+	}
+}
+
 // TestDocsNameRealExperiments checks that every `wanbench [flags] <name>`
 // the documentation tells a reader to run is in the experiments table.
 func TestDocsNameRealExperiments(t *testing.T) {

@@ -35,9 +35,10 @@ type Options struct {
 	// Scale multiplies Table I modeled sizes. Defaults to 1.0 (paper
 	// scale).
 	Scale float64
-	// Jitter is the WAN bandwidth fluctuation amplitude. Defaults to
-	// 0.25, matching the paper's observation that inter-region capacity
-	// varies widely over time.
+	// Jitter is the WAN bandwidth fluctuation amplitude, passed to
+	// core.NewContext as it is: 0 means core's default, 0.25 (the paper's
+	// observation that inter-region capacity varies widely over time), and
+	// a negative amplitude disables jitter.
 	Jitter float64
 	// Validate re-checks every run's output against the in-memory
 	// reference (slower; on by default at small scale in tests).
@@ -56,10 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	// Negative passes through: simnet/core treat it as jitter disabled.
-	if o.Jitter == 0 {
-		o.Jitter = 0.25
 	}
 	return o
 }

@@ -305,7 +305,7 @@ func (r *Report) RunReport(workload string) *obs.Report {
 		TaskAttempts:   r.TaskAttempts,
 		Retries:        r.Retries,
 		BytesTotal:     r.CrossDCBytes,
-		CriticalPath:   trace.AnalyzeCriticalPath(trace.EnforceCausality(r.Spans()), r.topo),
+		CriticalPath:   trace.AnalyzeCriticalPath(r.Spans(), r.topo),
 		Network:        netobs.ReportSection(r.links, netobs.ConfiguredDCLinks(r.topo)),
 		Placement:      obs.PlacementSection(r.aggPolicy, r.Placements),
 		Metrics:        r.events.Registry().Snapshot(),

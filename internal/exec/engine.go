@@ -149,9 +149,8 @@ type Engine struct {
 	noiseRNG sim.RNG
 	aggRNG   sim.RNG
 
-	// ids allocates span IDs for the causal trace; participant 0 counts
-	// 1, 2, 3, … in event order, so traces stay deterministic per seed.
-	ids     *trace.IDAllocator
+	// traceID names the causal trace; Tracer numbers its spans 1, 2, 3, …
+	// in event order, so traces stay deterministic per seed.
 	traceID trace.TraceID
 
 	// links estimates per-DC-pair throughput and RTT from completed
@@ -201,7 +200,6 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		deadHosts:  make([]bool, topo.NumHosts()),
 		producers:  make(map[int]*stageState),
 		recovering: make(map[recoveryKey]bool),
-		ids:        trace.NewIDAllocator(0),
 		traceID:    trace.TraceID(fmt.Sprintf("sim-%d", seed)),
 	}
 	e.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
@@ -669,7 +667,7 @@ func (e *Engine) centralizeInputs(job *jobState, done func()) {
 					part.Host = dst
 					pending--
 					e.trace(trace.Span{
-						Kind: trace.KindInput, ID: e.ids.Next(), Host: dst,
+						Kind: trace.KindInput, ID: e.Tracer.NewSpanID(), Host: dst,
 						SrcSite: e.siteName(from), DstSite: e.siteName(dst), Bytes: modeled,
 						Start: start, End: e.Clock.Now(), Label: "centralize",
 					})

@@ -181,7 +181,7 @@ type taskRun struct {
 // spanFor lazily allocates an attempt's own span ID.
 func (e *Engine) spanFor(t *taskRun) trace.SpanID {
 	if t.spanID == 0 {
-		t.spanID = e.ids.Next()
+		t.spanID = e.Tracer.NewSpanID()
 	}
 	return t.spanID
 }
@@ -332,7 +332,7 @@ func (e *Engine) runTask(t *taskRun, host topology.HostID, release func()) {
 func (e *Engine) receiveThenCompute(t *taskRun, host topology.HostID, release func(), start float64) {
 	from := t.pushFrom
 	pushStart := e.Clock.Now()
-	pushID := e.ids.Next()
+	pushID := e.Tracer.NewSpanID()
 	t.linkSpan = pushID // the receiver's compute span consumed this send
 	e.Net.StartFlow(from, host, t.pushBytes, TagPush, func() {
 		e.trace(trace.Span{
@@ -448,7 +448,7 @@ func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release fu
 				}
 			}
 			e.trace(trace.Span{
-				Kind: kind, ID: e.ids.Next(), Parent: e.spanFor(t),
+				Kind: kind, ID: e.Tracer.NewSpanID(), Parent: e.spanFor(t),
 				Host: host, Stage: t.ss.st.ID, Part: t.part, Shuffle: fetchShuffle,
 				SrcSite: e.siteName(src), DstSite: e.siteName(host), Bytes: total,
 				Start: acquireStart, End: e.Clock.Now(),
@@ -690,7 +690,7 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 	e.Clock.After(localWrite, func() {
 		e.Net.StartFlow(host, e.Topo.MasterHost, bytes, TagResult, func() {
 			e.trace(trace.Span{
-				Kind: trace.KindResult, ID: e.ids.Next(), Parent: e.spanFor(t),
+				Kind: trace.KindResult, ID: e.Tracer.NewSpanID(), Parent: e.spanFor(t),
 				Host: host, Stage: st.ID, Part: t.part,
 				SrcSite: e.siteName(host), DstSite: e.siteName(e.Topo.MasterHost), Bytes: bytes,
 				Start: resStart, End: e.Clock.Now(),

@@ -22,7 +22,8 @@ type liveRun struct {
 	stats *Stats
 	start time.Time
 	// traceID names the run's causal trace; every span of the job — driver
-	// and worker side — carries it.
+	// and worker side — carries it, and none crosses a socket: a server
+	// stamps it from the run its handler loaded.
 	traceID trace.TraceID
 	// shuffleStage maps shuffle ID → producing stage ID, so server-side
 	// receive spans carry the same stage attribution as the simulator's.
@@ -77,7 +78,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	if w.closed.Load() {
 		return plan.TaskResult{}, fmt.Errorf("livecluster: worker %d: %w", site, errWorkerDown)
 	}
-	taskID := r.c.ids.Next()
+	taskID := r.c.cfg.Trace.NewSpanID()
 	// The compute span runs from the last shuffle read (the task's start
 	// for leaf stages) until the output is ready; transfers are spans of
 	// their own, so the timeline separates M and P the way the simulator's
@@ -120,9 +121,9 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, out)
 	}
 	tPush := r.since()
-	pushID := r.c.ids.Next()
+	pushID := r.c.cfg.Trace.NewSpanID()
 	sent, err := w.push(t.AggTo, spec.ID, t.Part, t.Attempt, out,
-		spanCtx{trace: r.traceID, parent: taskID, span: pushID})
+		spanCtx{parent: taskID, span: pushID})
 	if err != nil {
 		return plan.TaskResult{}, err
 	}
@@ -183,7 +184,7 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 	w := r.c.workers[site]
 	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
 		t0 := r.since()
-		fetchID := r.c.ids.Next()
+		fetchID := r.c.cfg.Trace.NewSpanID()
 		var srcBytes map[int]int64 // record-codec bytes by remote holder; nil while every read is local
 		var own [1][]rdd.Pair      // Gather copies the headers out before the next call
 		out, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
@@ -193,7 +194,7 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 				return own[:], err
 			}
 			shard, n, err := w.fetch(holder, spec.ID, m, reduce,
-				spanCtx{trace: r.traceID, parent: fetchID})
+				spanCtx{parent: fetchID})
 			if srcBytes == nil {
 				srcBytes = map[int]int64{}
 			}

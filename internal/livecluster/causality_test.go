@@ -43,14 +43,18 @@ func workerSpansOrderCausally(t *testing.T, heartbeat time.Duration) {
 		t.Fatal("run output diverges from reference")
 	}
 
-	// The raw trace must be ordered before report-time causality enforcement
-	// touches it, and exactly.
+	// The raw trace is what the report reads: it must be ordered, exactly,
+	// and carry one trace ID across several hosts.
 	raw := rec.Spans()
 	byID := map[trace.SpanID]trace.Span{}
+	hosts := map[int]bool{}
+	traces := map[trace.TraceID]bool{}
 	for _, s := range raw {
 		if s.ID != 0 {
 			byID[s.ID] = s
 		}
+		hosts[int(s.Host)] = true
+		traces[s.Trace] = true
 	}
 	recvs := 0
 	for _, s := range raw {
@@ -74,29 +78,6 @@ func workerSpansOrderCausally(t *testing.T, heartbeat time.Duration) {
 	}
 	if recvs == 0 {
 		t.Fatal("push-mode run recorded no receive spans")
-	}
-
-	// Causality enforcement has nothing left to move.
-	spans := trace.EnforceCausality(raw)
-	enforced := map[trace.SpanID]trace.Span{}
-	hosts := map[int]bool{}
-	traces := map[trace.TraceID]bool{}
-	for _, s := range spans {
-		if s.ID != 0 {
-			enforced[s.ID] = s
-		}
-		hosts[int(s.Host)] = true
-		if s.Trace != "" {
-			traces[s.Trace] = true
-		}
-	}
-	for _, s := range spans {
-		if s.Link == 0 {
-			continue
-		}
-		if send, ok := enforced[s.Link]; ok && s.Start < send.Start {
-			t.Errorf("enforced trace still has receive %d before send %d", s.ID, s.Link)
-		}
 	}
 	if len(hosts) < 2 {
 		t.Fatalf("trace covers %d hosts, want >= 2", len(hosts))

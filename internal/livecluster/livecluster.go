@@ -97,8 +97,8 @@ type Config struct {
 	// TasksPerWorker bounds task concurrency per worker. Defaults to 2.
 	TasksPerWorker int
 	// Trace, when non-nil, records per-task spans (wall-clock seconds
-	// since the job started).
-	Trace *trace.SyncRecorder
+	// since the job started) and numbers them, driver and worker side.
+	Trace *trace.Recorder
 	// HeartbeatInterval is the period of worker→driver telemetry
 	// heartbeats: each worker buffers its data-plane accounting (bytes by
 	// (src,dst,class), request and dial counts, receive and serve spans)
@@ -204,10 +204,6 @@ type Cluster struct {
 	// for telemetry endpoints after Run returns.
 	lastStats atomic.Pointer[Stats]
 	log       *slog.Logger
-	// ids allocates driver-side span IDs (participant 1; each worker i
-	// allocates from participant i+2), so IDs never collide across
-	// processes without coordination.
-	ids *trace.IDAllocator
 	// links estimates per-site-pair throughput from the transfer samples
 	// the data plane already produces. It persists across jobs
 	// (link capacity outlives any one run) and mirrors its gauges into
@@ -318,7 +314,7 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 // — one completed exchange's wire bytes over its wall-clock duration — feeds
 // the cluster's link estimator for its (src,dst) pair; every exchange ran on
 // a link, so there is no sample from a worker to itself.
-func (s *Stats) merge(hb heartbeat, tr *trace.SyncRecorder) {
+func (s *Stats) merge(hb heartbeat, tr *trace.Recorder) {
 	for _, f := range hb.Flows {
 		s.flow(f.Src, f.Dst, f.Class, f.Bytes, f.Raw)
 	}
@@ -382,7 +378,7 @@ func (s *Stats) MatrixLabels() []string {
 // exactly this snapshot mid-run, with the same code path as the final
 // report, so a mid-run traffic matrix always sums to the bytes moved so
 // far and completion-only fields stay zero until the run finishes.
-func (s *Stats) RunReport(workload string, tr *trace.SyncRecorder) *obs.Report {
+func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 	labels := s.MatrixLabels()
 	s.mu.Lock()
 	matrix := make([][]float64, len(s.TrafficMatrix))
@@ -430,7 +426,7 @@ func (s *Stats) RunReport(workload string, tr *trace.SyncRecorder) *obs.Report {
 		Dials:          atomic.LoadInt64(&s.Dials),
 		BytesTotal:     bytesTotal,
 		BytesRaw:       bytesRaw,
-		CriticalPath:   trace.AnalyzeCriticalPath(trace.EnforceCausality(tr.Spans()), s.topo),
+		CriticalPath:   trace.AnalyzeCriticalPath(tr.Spans(), s.topo),
 		Storage:        storage,
 		Network:        netobs.ReportSection(s.links, s.configured),
 		Placement:      placement,
@@ -472,7 +468,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg: cfg,
 		log: obs.LoggerOr(cfg.Logger),
-		ids: trace.NewIDAllocator(1),
 	}
 	c.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
 		if run := c.curRun.Load(); run != nil {

@@ -59,7 +59,7 @@ func TestNoWorkerDialsItself(t *testing.T) {
 func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode Mode, budget int64) bool {
 	t.Helper()
 	want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts)))
-	tr := &trace.SyncRecorder{}
+	tr := &trace.Recorder{}
 	cluster, err := New(Config{Workers: 4, Mode: mode, MemoryBudget: budget, SpillDir: t.TempDir(), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode
 // reducer sits on one of them, reads that one's half of the map outputs from
 // its own store and the other half through fetch, serve spans and all.
 func TestPushModeReadsAnotherAggregatorOverTCP(t *testing.T) {
-	tr := &trace.SyncRecorder{}
+	tr := &trace.Recorder{}
 	cluster, err := New(Config{Workers: 4, Mode: ModePush, Aggregators: []int{1, 2}, Trace: tr})
 	if err != nil {
 		t.Fatal(err)

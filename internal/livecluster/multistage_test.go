@@ -248,7 +248,7 @@ func TestRangePartitionBarrierOverWire(t *testing.T) {
 }
 
 func TestTraceRecordsLiveSpans(t *testing.T) {
-	rec := &trace.SyncRecorder{}
+	rec := &trace.Recorder{}
 	cluster, err := New(Config{Workers: 4, Trace: rec})
 	if err != nil {
 		t.Fatal(err)

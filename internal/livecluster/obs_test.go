@@ -25,7 +25,7 @@ func matrixTotal(m [][]int64) int64 {
 // one span, percentiles are ordered, and the traffic matrix accounts for
 // every byte that crossed a socket.
 func TestLiveRunReportInvariants(t *testing.T) {
-	tr := &trace.SyncRecorder{}
+	tr := &trace.Recorder{}
 	cluster, err := New(Config{Workers: 4, Mode: ModePush, Aggregators: []int{2}, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		{ModePush, CodecNone, 0}, {ModePush, CodecFlate, 0}, {ModePush, CodecNone, -1}, {ModePush, CodecFlate, -1},
 		{ModeFetch, CodecNone, 0}, {ModeFetch, CodecFlate, -1},
 	} {
-		tr := &trace.SyncRecorder{}
+		tr := &trace.Recorder{}
 		cluster, err := New(Config{
 			Workers: 2, Mode: v.mode, Aggregators: []int{agg},
 			ChunkRecords: chunkRecords, Compression: v.codec, Trace: tr,

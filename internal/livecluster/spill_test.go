@@ -127,7 +127,7 @@ func TestRunReportCarriesStorageSection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := stats.RunReport("random", &trace.SyncRecorder{})
+			rep := stats.RunReport("random", &trace.Recorder{})
 			if rep.Storage == nil {
 				t.Fatal("live run report is missing the storage section")
 			}

@@ -18,7 +18,6 @@ import (
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
-	"wanshuffle/internal/trace"
 )
 
 // pairs builds n distinct records with moderately compressible values.
@@ -240,13 +239,10 @@ func requestFrame(t testing.TB, req request) []byte {
 // everything else a peer could send in a request's place is an error, the
 // oversized one before its length is allocated.
 func TestRequestFrameRoundTrip(t *testing.T) {
-	// Span IDs from the highest participant namespace there is, a trace ID
-	// exactly at the cap.
-	ids := trace.NewIDAllocator(math.MaxInt32)
+	// A span ID as high as one goes, and the small ones a recorder hands out.
 	push := request{Kind: reqPushChunk, ShuffleID: 7, MapPart: 1 << 20, Attempt: 3, From: 5,
-		Trace: trace.TraceID(strings.Repeat("t", maxTraceID)), Parent: ids.Next(), Span: ids.Next()}
-	fetch := request{Kind: reqFetchStream, ShuffleID: 1, MapPart: 2, Reduce: 3, From: 4,
-		Trace: "live-1", Parent: ids.Next()}
+		Parent: 41, Span: math.MaxInt64}
+	fetch := request{Kind: reqFetchStream, ShuffleID: 1, MapPart: 2, Reduce: 3, From: 4, Parent: 2}
 	for _, want := range []request{push, fetch, {}} {
 		frame := requestFrame(t, want)
 		if got, err := readRequest(frameReader(frame)); err != nil || got != want {
@@ -259,10 +255,6 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	push.Trace += "t"
-	if err := writeRequest(io.Discard, &push); err == nil {
-		t.Fatal("a trace ID above the cap was written")
-	}
 
 	// A whole frame around a payload that is not a request's.
 	framed := func(flags byte, payload []byte) []byte {
@@ -273,12 +265,14 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		return wire.Bytes()
 	}
 	payload := requestFrame(t, fetch)[4:] // behind flags, seq, rawLen and a one-byte len
+	pushPayload := requestFrame(t, push)[4:]
 	overlong := append([]byte{byte(reqFetchStream)}, bytes.Repeat([]byte{0xff}, 11)...)
 	for name, frame := range map[string][]byte{
 		"no kind byte":          framed(frameReq, nil),
 		"header cut short":      framed(frameReq, payload[:5]),
-		"trace ID cut short":    framed(frameReq, payload[:len(payload)-1]),
-		"bytes after trace ID":  framed(frameReq, append(slices.Clone(payload), 0)),
+		"last field cut short":  framed(frameReq, payload[:len(payload)-1]),
+		"bytes after fetch":     framed(frameReq, append(slices.Clone(payload), 0)),
+		"bytes after push":      framed(frameReq, append(slices.Clone(pushPayload), 1, 2, 3)),
 		"overlong uvarint":      framed(frameReq, overlong),
 		"field above MaxInt64":  framed(frameReq, append([]byte{byte(reqFetchStream)}, binary.AppendUvarint(nil, 1<<63)...)),
 		"data frame":            framed(0, payload),
@@ -323,7 +317,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeRequest(pc.conn, &request{Kind: 9, Trace: "live-1"}); err != nil {
+		if err := writeRequest(pc.conn, &request{Kind: 9}); err != nil {
 			t.Fatal(err)
 		}
 		ack, err := readChunkFrame(pc.br, maxFramePayload)
@@ -363,19 +357,30 @@ func FuzzReadChunkFrame(f *testing.F) {
 	f.Add(ack.Bytes())
 	f.Add([]byte{0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// What opens an exchange: a push's request with its first chunk behind
-	// it, a fetch's, and one whose trace ID is cut short.
+	// it, a fetch's, and one whose highest span ID is cut short.
 	req := requestFrame(f, request{Kind: reqPushChunk, ShuffleID: 7, MapPart: 3, Attempt: 2, From: 1,
-		Trace: "live-1700000000000000000", Parent: 1<<32 + 9, Span: 1<<32 + 10})
+		Parent: 9, Span: math.MaxInt64})
 	var chunk bytes.Buffer
 	_, _, _ = sendChunk(&chunk, 0, pairs(4), CodecNone)
 	f.Add(append(slices.Clone(req), chunk.Bytes()...))
-	f.Add(requestFrame(f, request{Kind: reqFetchStream, ShuffleID: 7, MapPart: 3, Reduce: 2, Trace: "live-1", Parent: 5<<32 + 1}))
+	f.Add(requestFrame(f, request{Kind: reqFetchStream, ShuffleID: 7, MapPart: 3, Reduce: 2, Parent: 12}))
 	f.Add(req[:len(req)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The same bytes where an exchange opens: a request within its cap,
-		// or an error.
-		if req, err := readRequest(frameReader(data)); err == nil && len(req.Trace) > maxTraceID {
-			t.Fatalf("request with a %d-byte trace ID", len(req.Trace))
+		// The same bytes where an exchange opens: a request that takes its
+		// frame's whole payload, so one byte more is an error, or an error.
+		if _, err := readRequest(frameReader(data)); err == nil {
+			fr, err := readChunkFrame(frameReader(data), maxRequestPayload)
+			if err != nil {
+				t.Fatalf("request read from a frame that does not read: %v", err)
+			}
+			var longer bytes.Buffer
+			room := append(append(make([]byte, frameHeaderMax), fr.payload...), 0)
+			if err := writeFrame(&longer, room, frameReq, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readRequest(frameReader(longer.Bytes())); err == nil {
+				t.Fatal("a request with a byte after its last field read back")
+			}
 		}
 		br := frameReader(data)
 		for {

@@ -55,40 +55,32 @@ type request struct {
 	// the highest attempt per (shuffle, map) — duplicate pushes from
 	// retried tasks are idempotent, last-write-wins by attempt.
 	Attempt int
-	// Trace/Parent/Span propagate causal span context across the wire:
-	// Trace is the run's trace ID, Parent the span the server-side span
-	// should nest under (the originating map task for a push, the fetch
-	// span for a fetch), and Span the client-side send span a receive
-	// links back to. From is the sender's site index, for src/dst
-	// attribution on the server-side span.
-	Trace  trace.TraceID
+	// Parent/Span propagate causal span context across the wire: Parent is
+	// the span the server-side span should nest under (the originating map
+	// task for a push, the fetch span for a fetch), and Span the client-side
+	// send span a receive links back to. From is the sender's site index,
+	// for src/dst attribution on the server-side span. The trace ID does
+	// not travel: the server stamps the one of the run it serves.
 	Parent trace.SpanID
 	Span   trace.SpanID
 	From   int
 }
 
-// A request frame's payload is the kind byte, seven uvarints (ShuffleID,
-// MapPart, Reduce, Attempt, Parent, Span, From) and the trace ID behind its
-// uvarint length. maxRequestPayload is the cap a server reads request frames
-// under, checked like any frame's before anything is allocated.
-const (
-	maxTraceID        = 64
-	maxRequestPayload = 1 + 7*binary.MaxVarintLen64 + 1 + maxTraceID
-)
+// A request frame's payload is the kind byte and seven uvarints (ShuffleID,
+// MapPart, Reduce, Attempt, Parent, Span, From). maxRequestPayload is the cap
+// a server reads request frames under, checked like any frame's before
+// anything is allocated.
+const maxRequestPayload = 1 + 7*binary.MaxVarintLen64
 
 // writeRequest opens an exchange on w with req as one request frame.
 func writeRequest(w io.Writer, req *request) error {
-	if len(req.Trace) > maxTraceID {
-		return fmt.Errorf("livecluster: trace ID of %d bytes, above the %d-byte cap", len(req.Trace), maxTraceID)
-	}
 	buf := encodeBufs.Get().(*encodeBuf)
 	defer encodeBufs.Put(buf)
-	room := append(slices.Grow(buf.raw[:0], frameHeaderMax)[:frameHeaderMax], byte(req.Kind))
+	buf.raw = append(slices.Grow(buf.raw[:0], frameHeaderMax)[:frameHeaderMax], byte(req.Kind))
 	for _, v := range [...]int64{int64(req.ShuffleID), int64(req.MapPart), int64(req.Reduce), int64(req.Attempt),
-		int64(req.Parent), int64(req.Span), int64(req.From), int64(len(req.Trace))} {
-		room = binary.AppendUvarint(room, uint64(v))
+		int64(req.Parent), int64(req.Span), int64(req.From)} {
+		buf.raw = binary.AppendUvarint(buf.raw, uint64(v))
 	}
-	buf.raw = append(room, req.Trace...)
 	return writeFrame(w, buf.raw, frameReq, 0, 0)
 }
 
@@ -103,7 +95,7 @@ func readRequest(br *bufio.Reader) (request, error) {
 	if !fr.req || len(fr.payload) == 0 {
 		return request{}, errors.New("livecluster: an exchange opened with a frame that is not a request")
 	}
-	var f [8]int64
+	var f [7]int64
 	rest := fr.payload[1:]
 	for i := range f {
 		v, n := binary.Uvarint(rest)
@@ -112,19 +104,18 @@ func readRequest(br *bufio.Reader) (request, error) {
 		}
 		f[i], rest = int64(v), rest[n:]
 	}
-	if f[7] != int64(len(rest)) {
-		return request{}, fmt.Errorf("livecluster: request names a %d-byte trace ID and carries %d bytes", f[7], len(rest))
+	if len(rest) != 0 {
+		return request{}, fmt.Errorf("livecluster: %d bytes after the request's last field", len(rest))
 	}
 	return request{
 		Kind: requestKind(fr.payload[0]), ShuffleID: int(f[0]), MapPart: int(f[1]), Reduce: int(f[2]), Attempt: int(f[3]),
-		Parent: trace.SpanID(f[4]), Span: trace.SpanID(f[5]), From: int(f[6]), Trace: trace.TraceID(rest),
+		Parent: trace.SpanID(f[4]), Span: trace.SpanID(f[5]), From: int(f[6]),
 	}, nil
 }
 
 // spanCtx is the causal context a client attaches to its data-plane
 // requests, filled in by the driver-side task that issued the operation.
 type spanCtx struct {
-	trace  trace.TraceID
 	parent trace.SpanID // span the server-side span nests under
 	span   trace.SpanID // client-side send span (pushes; receive links to it)
 }
@@ -168,9 +159,6 @@ type worker struct {
 	hbMu   sync.Mutex
 	stopHB chan struct{}
 	hbWG   sync.WaitGroup
-
-	// ids namespaces the worker's span IDs (participant id+2).
-	ids *trace.IDAllocator
 }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
@@ -183,7 +171,6 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 		cluster: c,
 		store:   store,
 		tel:     newWorkerTel(),
-		ids:     trace.NewIDAllocator(id + 2),
 	}
 	if w.srv, err = serve(w.handleConn); err != nil {
 		_ = store.Close()
@@ -375,11 +362,12 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	// Receiver occupancy (the paper's V rows): the aggregator side of a
 	// push, parented to the originating map task and linked to its send
 	// span, so every push has its matching receive in the causal DAG.
-	// Like every server-side span it is stamped on the run's clock, the one
-	// the driver-side spans are on, and buffered until the next merge.
+	// Like every server-side span it carries the run's trace ID, is stamped
+	// on the run's clock, the one the driver-side spans are on, and is
+	// buffered until the next merge.
 	if err == nil && run != nil {
 		w.tel.addSpan(trace.Span{
-			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent, Link: req.Span,
+			Trace: run.traceID, ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent, Link: req.Span,
 			Kind: trace.KindReceive, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
@@ -430,7 +418,7 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 			return
 		}
 		w.tel.addSpan(trace.Span{
-			Trace: req.Trace, ID: w.ids.Next(), Parent: req.Parent,
+			Trace: run.traceID, ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent,
 			Kind: trace.KindServe, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
@@ -504,7 +492,7 @@ func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, 
 	err := w.links[dst].exchange("push", func(pc *pooledConn) (int64, error) {
 		if err := writeRequest(pc.conn, &request{
 			Kind: reqPushChunk, ShuffleID: shuffleID, MapPart: mapPart, Attempt: attempt,
-			Trace: sc.trace, Parent: sc.parent, Span: sc.span, From: w.id,
+			Parent: sc.parent, Span: sc.span, From: w.id,
 		}); err != nil {
 			return 0, err
 		}
@@ -546,7 +534,7 @@ func (w *worker) fetch(holder, shuffleID, mapPart, reduce int, sc spanCtx) ([][]
 		out = nil // reset on transparent retry
 		if err := writeRequest(pc.conn, &request{
 			Kind: reqFetchStream, ShuffleID: shuffleID, MapPart: mapPart, Reduce: reduce,
-			Trace: sc.trace, Parent: sc.parent, From: w.id,
+			Parent: sc.parent, From: w.id,
 		}); err != nil {
 			return 0, err
 		}

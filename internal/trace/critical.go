@@ -95,7 +95,10 @@ func isTransfer(k Kind) bool {
 // the span it links to: a receive cannot precede its push-send. Spans
 // violating the invariant (imperfect clock alignment) are shifted forward,
 // preserving duration. Spans with no link, or whose link is absent from
-// the set, pass through unchanged.
+// the set, pass through unchanged. Both backends stamp every span of a run
+// on one clock, so reports read the raw trace and nothing on a job's path
+// calls this; it stays only for the benchmark's critical-path probe and goes
+// with it (ROADMAP 1(b)).
 func EnforceCausality(spans []Span) []Span {
 	out := make([]Span, len(spans))
 	copy(out, spans)

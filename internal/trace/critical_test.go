@@ -172,15 +172,3 @@ func TestCriticalPathSummary(t *testing.T) {
 		}
 	}
 }
-
-func TestIDAllocatorNamespaces(t *testing.T) {
-	sim := NewIDAllocator(0)
-	if sim.Next() != 1 || sim.Next() != 2 {
-		t.Fatal("participant 0 must count 1, 2, …")
-	}
-	w := NewIDAllocator(3)
-	id := w.Next()
-	if id>>32 != 3 || id&0xffffffff != 1 {
-		t.Fatalf("participant 3 first ID = %d", id)
-	}
-}

@@ -58,8 +58,9 @@ func (k Kind) glyph() byte {
 // TraceID names one job run; every span of the run carries it.
 type TraceID string
 
-// SpanID identifies a span within a trace. Zero means "unset" — spans
-// recorded before the causal API existed, or edges that do not apply.
+// SpanID identifies a span within a trace; Recorder.NewSpanID hands them
+// out. Zero means "unset" — an untraced span, or an edge that does not
+// apply.
 type SpanID int64
 
 // Span is one timed activity on a host, optionally annotated with causal
@@ -94,37 +95,34 @@ type Span struct {
 	End     float64 `json:"end_sec"`
 }
 
-// IDAllocator hands out span IDs unique across a run without
-// coordination: each participant (driver, worker, simulator) owns a
-// distinct high-bits namespace and counts within it. Participant 0 yields
-// plain 1, 2, 3, … — the simulator uses it so golden traces stay stable.
-type IDAllocator struct {
-	base SpanID
-	ctr  atomic.Int64
-}
-
-// NewIDAllocator returns an allocator for the given participant number.
-func NewIDAllocator(participant int) *IDAllocator {
-	return &IDAllocator{base: SpanID(participant) << 32}
-}
-
-// Next returns a fresh span ID. Safe for concurrent use.
-func (a *IDAllocator) Next() SpanID {
-	return a.base + SpanID(a.ctr.Add(1))
-}
-
-// Recorder accumulates spans and is safe for concurrent use: the simulator
-// records from its event loop, the live cluster from task goroutines and
-// heartbeat merges, and telemetry scrapes read either mid-run. The zero value
-// is ready to use; a nil *Recorder discards everything.
+// Recorder accumulates spans and numbers them, and is safe for concurrent
+// use: the simulator records from its event loop, the live cluster from task
+// goroutines and heartbeat merges, and telemetry scrapes read either mid-run.
+// The zero value is ready to use; a nil *Recorder discards everything.
 type Recorder struct {
 	mu    sync.Mutex
 	spans []Span
+	// lastID is the span ID NewSpanID handed out last. Reset keeps it, so
+	// a span of an earlier job never shares an ID with one of the next.
+	lastID atomic.Int64
 }
 
 // SyncRecorder is the name the live cluster's recorder had while the
-// simulator's was unlocked; they are one type now.
+// simulator's was unlocked; they are one type now. Only the benchmark
+// (perf/) still uses this name; it goes in ROADMAP 1(b).
 type SyncRecorder = Recorder
+
+// NewSpanID returns the next span ID, counting 1, 2, 3, … in call order —
+// a simulation's event order, so its trace is the same for the same seed.
+// Every span of a run is recorded in this one process, so one counter keeps
+// IDs unique across the driver, the workers and every job the recorder
+// sees. A nil recorder returns 0, the ID of an untraced span.
+func (r *Recorder) NewSpanID() SpanID {
+	if r == nil {
+		return 0
+	}
+	return SpanID(r.lastID.Add(1))
+}
 
 // Add records a span.
 func (r *Recorder) Add(s Span) {
@@ -140,7 +138,7 @@ func (r *Recorder) Add(s Span) {
 }
 
 // Reset drops every recorded span, so a recorder that outlives one job
-// starts the next job's trace empty.
+// starts the next job's trace empty. It does not rewind NewSpanID.
 func (r *Recorder) Reset() {
 	if r != nil {
 		r.mu.Lock()

@@ -86,12 +86,12 @@ func TestGanttRightEdgeSpanVisible(t *testing.T) {
 	}
 }
 
-// TestSyncRecorderRenderRace hammers concurrent Add against Gantt and
+// TestRecorderRenderRace hammers concurrent Add against Gantt and
 // Chrome-trace rendering; run under -race it proves live backends can
 // export mid-job.
-func TestSyncRecorderRenderRace(t *testing.T) {
+func TestRecorderRenderRace(t *testing.T) {
 	topo := topology.TwoDCMicro(2, 0.25)
-	s := &SyncRecorder{}
+	s := &Recorder{}
 	const writers, perWriter = 4, 200
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -134,15 +134,54 @@ func TestRecorderReset(t *testing.T) {
 	(*Recorder)(nil).Reset()
 }
 
-func TestNilSyncRecorderRenders(t *testing.T) {
-	var s *SyncRecorder
+func TestNilRecorderRenders(t *testing.T) {
+	var s *Recorder
 	topo := topology.TwoDCMicro(2, 0.25)
 	if g := s.Gantt(topo, 40); !strings.Contains(g, "no spans") {
-		t.Fatalf("nil SyncRecorder gantt = %q", g)
+		t.Fatalf("nil Recorder gantt = %q", g)
 	}
 	var buf bytes.Buffer
 	if err := s.WriteChromeTrace(&buf, topo); err != nil {
-		t.Fatalf("nil SyncRecorder chrome trace: %v", err)
+		t.Fatalf("nil Recorder chrome trace: %v", err)
+	}
+}
+
+// TestNewSpanID checks the recorder numbers spans 1, 2, 3, … in call order,
+// hands concurrent callers distinct IDs, keeps counting across Reset (a
+// recorder shared by a cluster's jobs never reuses an ID), and that a nil
+// recorder hands out 0, the untraced span's ID.
+func TestNewSpanID(t *testing.T) {
+	r := &Recorder{}
+	if a, b := r.NewSpanID(), r.NewSpanID(); a != 1 || b != 2 {
+		t.Fatalf("first IDs = %d, %d; want 1, 2", a, b)
+	}
+	const callers, each = 4, 100
+	seen := make(chan SpanID, callers*each)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seen <- r.NewSpanID()
+			}
+		}()
+	}
+	wg.Wait()
+	close(seen)
+	ids := map[SpanID]bool{}
+	for id := range seen {
+		if id <= 2 || ids[id] {
+			t.Fatalf("concurrent caller got ID %d twice or from before", id)
+		}
+		ids[id] = true
+	}
+	r.Reset()
+	if id := r.NewSpanID(); id != 2+callers*each+1 {
+		t.Fatalf("after Reset: ID %d, want %d", id, 2+callers*each+1)
+	}
+	if id := (*Recorder)(nil).NewSpanID(); id != 0 {
+		t.Fatalf("nil recorder handed out ID %d", id)
 	}
 }
 
