@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -115,6 +116,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if s.opts.Runs < 1 {
+		return fmt.Errorf("-runs must be at least 1, got %d", s.opts.Runs)
+	}
+	if !(s.opts.Scale > 0) || math.IsInf(s.opts.Scale, 1) {
+		return fmt.Errorf("-scale must be positive and finite, got %v", s.opts.Scale)
 	}
 	if s.opts.Jitter == 0 {
 		s.opts.Jitter = -1 // core reads 0 as its default amplitude

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +53,27 @@ func TestJitterZeroDisables(t *testing.T) {
 	}
 	if fig7("0.25") == off {
 		t.Fatal("fig7 prints the same at -jitter 0.25 as with jitter off: the test cannot tell them apart")
+	}
+}
+
+// TestFlagValidation holds wanbench to rejecting a run count or scale it
+// cannot honour, instead of silently running the default.
+func TestFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-runs", "0"}, "-runs must be at least 1"},
+		{[]string{"-runs", "-2"}, "-runs must be at least 1"},
+		{[]string{"-scale", "0"}, "-scale must be positive and finite"},
+		{[]string{"-scale", "-1"}, "-scale must be positive and finite"},
+		{[]string{"-scale", "+Inf"}, "-scale must be positive and finite"},
+		{[]string{"-scale", "NaN"}, "-scale must be positive and finite"},
+	} {
+		args := append(append([]string{"-seed", "1"}, tc.args...), "fig1")
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want error containing %q", args, err, tc.want)
+		}
 	}
 }
 

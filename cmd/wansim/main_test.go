@@ -179,6 +179,10 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
+		{"zero scale", []string{"-scale", "0"}, "-scale must be positive and finite"},
+		{"negative scale", []string{"-scale", "-1"}, "-scale must be positive and finite"},
+		{"infinite scale", []string{"-scale", "+Inf"}, "-scale must be positive and finite"},
+		{"NaN scale", []string{"-scale", "NaN"}, "-scale must be positive and finite"},
 		{"zero chunk records", []string{"-chunk-records", "0"}, "-chunk-records must be positive"},
 		{"negative chunk records", []string{"-chunk-records", "-3"}, "-chunk-records must be positive"},
 		{"zero memory budget", []string{"-memory-budget", "0"}, "-memory-budget must be positive"},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -108,7 +109,7 @@ var liveOnlyFlags = map[string]bool{
 }
 
 // parseOptions parses and validates args. A value with no meaningful
-// interpretation (a zero chunk size, an unknown topology, a scheme the
+// interpretation (a zero scale or chunk size, an unknown topology, a scheme the
 // chosen backend cannot run) fails here, before
 // anything is built; a flag that is merely without effect in the chosen
 // mode draws a warning on stderr.
@@ -159,6 +160,9 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	}
 	if o.topology, err = topologyByName(raw.topology); err != nil {
 		return nil, err
+	}
+	if !(o.scale > 0) || math.IsInf(o.scale, 1) {
+		return nil, fmt.Errorf("-scale must be positive and finite, got %v", o.scale)
 	}
 	if o.linger < 0 {
 		return nil, fmt.Errorf("-telemetry-linger must not be negative, got %v", o.linger)
@@ -229,7 +233,7 @@ func topologyByName(name string) (*topology.Topology, error) {
 	case "ec2":
 		return topology.SixRegionEC2(), nil
 	case "micro":
-		return topology.TwoDCMicro(0, 0), nil
+		return topology.TwoDCMicro(), nil
 	default:
 		return nil, fmt.Errorf("unknown -topology %q (ec2 | micro)", name)
 	}

@@ -24,7 +24,7 @@ func main() {
 }
 
 func run() error {
-	topo := wanshuffle.TwoDCMicro(2, 0.25)
+	topo := wanshuffle.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
 

@@ -6,7 +6,7 @@
 // the job chains two shuffles (count words, then regroup the counts by
 // frequency bucket), and under push mode every mapper ships its combined
 // output to a per-shuffle aggregator worker — chosen automatically by
-// shuffle.BestAggregator from the map-output sizes measured on the wire —
+// plan.ChooseAggregator from the map-output sizes measured on the wire —
 // the moment it finishes. Watch the per-worker shard counts and the chosen
 // aggregators; connection reuse means fetches and pushes far outnumber
 // TCP dials.

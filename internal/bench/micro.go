@@ -24,17 +24,19 @@ type MicroResult struct {
 	CrossDCMB float64
 	// WANUtilBeforeReduce is the shared inter-DC link's mean utilization
 	// from job start to reducer start — the quantity behind Sec. II-B's
-	// "links are usually well under-utilized most of the time".
+	// "links are usually well under-utilized most of the time". Only Fig1
+	// measures it.
 	WANUtilBeforeReduce float64
 	// Gantt is the ASCII timeline.
 	Gantt string
 }
 
-// microScenario builds the two-datacenter setting of the paper's Figs. 1
+// microContext builds the two-datacenter setting of the paper's Figs. 1
 // and 2: staggered mappers in dc-a, reducers in dc-b, inter-DC bandwidth at
-// ¼ of a datacenter link. mutate, when not nil, tweaks the engine config
-// (failure injection, ablations).
-func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResult, error) {
+// ¼ of a datacenter link. It returns the context and the job, not yet run.
+// mutate, when not nil, tweaks the engine config (failure injection,
+// ablations).
+func microContext(push bool, seed int64, mutate func(*exec.Config)) (*core.Context, *rdd.RDD) {
 	topo := microTopology()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
@@ -53,7 +55,7 @@ func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResu
 			// link is ¼ of a datacenter link", shared by every flow.
 			// BurstPenalty -1: the shared-link arithmetic of Fig. 1 is
 			// fluid.
-			Net: simnet.Config{HostWANBps: 250 * topology.Mbps, BurstPenalty: -1},
+			Net: simnet.Config{HostWANBps: microWANBps, BurstPenalty: -1},
 		},
 	}
 	if mutate != nil {
@@ -85,7 +87,12 @@ func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResu
 	job := mapped.AggregateByKey("micro.agg", 2, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)
 	})
+	return ctx, job
+}
 
+// microScenario runs the micro-scenario once.
+func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResult, error) {
+	ctx, job := microContext(push, seed, mutate)
 	rep, err := ctx.Collect(job)
 	if err != nil {
 		return nil, err
@@ -108,13 +115,11 @@ func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResu
 			break
 		}
 	}
-	if res.ReduceStart > 0 {
-		moved := simnet.CrossBytesBetween(ctx.Engine().Net.UtilTimeline(), 0, res.ReduceStart)
-		capacity := 250 * topology.Mbps / 8 * res.ReduceStart
-		res.WANUtilBeforeReduce = moved / capacity
-	}
 	return res, nil
 }
+
+// microWANBps is the micro-scenario's shared inter-DC capacity.
+const microWANBps = 250 * topology.Mbps
 
 // microTopology is Fig. 1's setting: two mapper workers in dc-a and one
 // reducer-side worker in dc-b, connected by a wide-area path at ¼ of the
@@ -123,7 +128,7 @@ func microTopology() *topology.Topology {
 	b := topology.NewBuilder()
 	dcA := b.AddDC("dc-a", 2, 2, 1*topology.Gbps)
 	dcB := b.AddDC("dc-b", 1, 4, 1*topology.Gbps)
-	b.Link(dcA, dcB, 250*topology.Mbps, 40*topology.Millisecond)
+	b.Link(dcA, dcB, microWANBps, 40*topology.Millisecond)
 	b.IntraLatency(0.5 * topology.Millisecond)
 	b.Driver(dcB)
 	t, err := b.Build()
@@ -147,7 +152,22 @@ func fetchAndPush[T any](run func(push bool) (T, error)) (fetch, push T, err err
 // timelines.
 func Fig1(seed int64) (fetch, push *MicroResult, err error) {
 	return fetchAndPush(func(push bool) (*MicroResult, error) {
-		return microScenario(push, seed, nil)
+		res, err := microScenario(push, seed, nil)
+		if err != nil || res.ReduceStart <= 0 {
+			return res, err
+		}
+		// The run is deterministic per seed, so a replay reaches the same
+		// instant the reducers start; the WAN byte counter read there is
+		// what the shared link moved before them.
+		ctx, job := microContext(push, seed, nil)
+		eng := ctx.Engine()
+		var moved float64
+		eng.Clock.At(res.ReduceStart, func() { moved = eng.Net.CrossDCBytes() })
+		if _, err := ctx.Collect(job); err != nil {
+			return nil, err
+		}
+		res.WANUtilBeforeReduce = moved / (microWANBps / 8 * res.ReduceStart)
+		return res, nil
 	})
 }
 

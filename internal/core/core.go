@@ -23,7 +23,6 @@ import (
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/exec"
-	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
@@ -162,11 +161,8 @@ func (c *Context) DistributeRecords(name string, records []rdd.Pair, numParts in
 type Report struct {
 	Scheme Scheme
 	*exec.Result
-	topo   *topology.Topology
-	tracer *trace.Recorder
-	events *obs.Collector
-	links  *netobs.Estimator
-	seed   int64
+	eng  *exec.Engine
+	seed int64
 	// aggPolicy labels the run's aggregator policy for the report's
 	// placement section.
 	aggPolicy string
@@ -174,14 +170,14 @@ type Report struct {
 
 // Gantt renders the job timeline when tracing was enabled.
 func (r *Report) Gantt(width int) string {
-	if r.tracer == nil {
+	if r.eng.Tracer == nil {
 		return "(tracing disabled; set Config.Exec.Trace)\n"
 	}
-	return r.tracer.Gantt(r.topo, width)
+	return r.eng.Tracer.Gantt(r.eng.Topo, width)
 }
 
 // Spans returns the recorded trace spans (empty without tracing).
-func (r *Report) Spans() []trace.Span { return r.tracer.Spans() }
+func (r *Report) Spans() []trace.Span { return r.eng.Tracer.Spans() }
 
 // Collect runs the job materializing target and returns all records plus
 // the run report.
@@ -272,8 +268,7 @@ func (c *Context) jobSpec(target *rdd.RDD, action exec.Action) (exec.JobSpec, er
 // report wraps one finished job's result with what the context knows.
 func (c *Context) report(res *exec.Result) *Report {
 	return &Report{
-		Scheme: c.cfg.Scheme, Result: res, topo: c.cfg.Topology,
-		tracer: c.eng.Tracer, events: c.eng.Events, links: c.eng.Links(),
+		Scheme: c.cfg.Scheme, Result: res, eng: c.eng,
 		seed: c.cfg.Seed, aggPolicy: c.cfg.Exec.AggregatorPolicy.String(),
 	}
 }
@@ -284,7 +279,7 @@ func (c *Context) report(res *exec.Result) *Report {
 // Task-duration summaries require tracing (Config.Exec.Trace); without it
 // the tasks section is empty.
 func (r *Report) RunReport(workload string) *obs.Report {
-	names := r.topo.DCNames()
+	names := r.eng.Topo.DCNames()
 	matrix := make([][]float64, len(r.PairBytes))
 	for i := range r.PairBytes {
 		matrix[i] = append([]float64(nil), r.PairBytes[i]...)
@@ -305,9 +300,9 @@ func (r *Report) RunReport(workload string) *obs.Report {
 		TaskAttempts:   r.TaskAttempts,
 		Retries:        r.Retries,
 		BytesTotal:     r.CrossDCBytes,
-		CriticalPath:   trace.AnalyzeCriticalPath(r.Spans(), r.topo),
-		Network:        netobs.ReportSection(r.links, netobs.ConfiguredDCLinks(r.topo)),
+		CriticalPath:   trace.AnalyzeCriticalPath(r.Spans(), r.eng.Topo),
+		Network:        r.eng.NetworkStats(),
 		Placement:      obs.PlacementSection(r.aggPolicy, r.Placements),
-		Metrics:        r.events.Registry().Snapshot(),
+		Metrics:        r.eng.Events.Registry().Snapshot(),
 	}
 }

@@ -13,7 +13,7 @@ import (
 // job service distinguishes "retry after the current job" from fatal
 // submission errors with errors.Is.
 func TestErrBusyIsTyped(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	eng := New(topo, 1, Config{})
 	g := rdd.NewGraph()
 	probe := multiJobInput(g, topo, 0)
@@ -37,7 +37,7 @@ func TestErrBusyIsTyped(t *testing.T) {
 // TestRunManyContextPreCanceled rejects a dead-on-arrival context before
 // any job is prepared or launched.
 func TestRunManyContextPreCanceled(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	eng := New(topo, 1, Config{})
 	g := rdd.NewGraph()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -153,10 +153,9 @@ type Engine struct {
 	// in event order, so traces stay deterministic per seed.
 	traceID trace.TraceID
 
-	// links estimates per-DC-pair throughput and RTT from completed
-	// cross-DC flows, in modeled time — the simulator's half of the
-	// report's network section, structurally identical to the live
-	// cluster's measured one.
+	// links estimates per-DC-pair throughput from completed cross-DC
+	// flows, in modeled time — the simulator's half of the report's
+	// network section, the same shape as the live cluster's measured one.
 	links *netobs.Estimator
 
 	cache map[int][]*cachedPart // RDD ID → per-partition cached copies
@@ -212,15 +211,13 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 	e.Net.SetDeliveryObserver(e.mirrorDelivery)
 	// Every completed cross-DC flow is one modeled throughput sample for
 	// the link estimator — the simulator's analogue of the live cluster's
-	// per-exchange wall-clock measurements. RTT is modeled as twice the
-	// pair's one-way propagation latency.
+	// per-exchange wall-clock measurements.
 	e.Net.SetFlowObserver(func(src, dst topology.HostID, _ string, bytes, start, end float64) {
 		a, b := e.Topo.DCOf(src), e.Topo.DCOf(dst)
 		if a == b {
 			return
 		}
 		e.links.ObserveTransfer(e.Topo.DCs[a].Name, e.Topo.DCs[b].Name, bytes, end-start)
-		e.links.ObserveRTT(e.Topo.DCs[a].Name, e.Topo.DCs[b].Name, 2*e.Topo.DCLatency(a, b))
 	})
 	if cfg.Trace {
 		e.Tracer = &trace.Recorder{}
@@ -692,10 +689,6 @@ func (e *Engine) siteName(h topology.HostID) string {
 	return e.Topo.DCs[e.Topo.DCOf(h)].Name
 }
 
-// Links exposes the engine's flow-fed link estimator (core builds the
-// run report's network section from it).
-func (e *Engine) Links() *netobs.Estimator { return e.links }
-
 // LinkCosts returns the planner's link-cost view over DC indices: the
 // flow-fed EWMA when the pair has been measured, else the topology's
 // configured inter-DC rate.
@@ -706,9 +699,10 @@ func (e *Engine) LinkCosts() plan.LinkCostProvider {
 }
 
 // NetworkStats assembles the current link estimate matrix — measured
-// per-DC-pair throughput/RTT merged with the topology's configured rates.
-// Safe to call while the event loop runs; it is the network section of the
-// in-progress report the telemetry plane's /report serves mid-run.
+// per-DC-pair throughput merged with the topology's configured rates.
+// Safe to call while the event loop runs; it is the network section of
+// both the run report and the in-progress one the telemetry plane's
+// /report serves mid-run.
 func (e *Engine) NetworkStats() *obs.NetworkStats {
 	return netobs.ReportSection(e.links, netobs.ConfiguredDCLinks(e.Topo))
 }

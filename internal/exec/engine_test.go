@@ -140,7 +140,7 @@ func TestSeedChangesOutcomeUnderJitter(t *testing.T) {
 }
 
 func TestCountAction(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	g := rdd.NewGraph()
 	in := spreadInput(g, topo, mb)
 	eng := New(topo, 1, Config{})
@@ -165,7 +165,7 @@ func TestCountAction(t *testing.T) {
 // pipelines the WAN transfer with the map stage and beats the fetch-based
 // baseline.
 func TestPushBeatsFetch(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
 
@@ -221,7 +221,7 @@ func TestPushBeatsFetch(t *testing.T) {
 // re-fetches across datacenters in the baseline but reads locally after a
 // push.
 func TestFailureRecovery(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
 	_ = dcA
@@ -356,7 +356,7 @@ func TestCentralizedMovesInputs(t *testing.T) {
 }
 
 func TestCacheAvoidsRecomputationAcrossJobs(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	g := rdd.NewGraph()
 	in := spreadInput(g, topo, 5*mb)
 	computes := 0
@@ -383,7 +383,7 @@ func TestCacheAvoidsRecomputationAcrossJobs(t *testing.T) {
 // TestMaxAttemptsExceededFailsJob fails one reducer on every attempt it
 // gets: the job must fail, not retry past plan.MaxAttempts.
 func TestMaxAttemptsExceededFailsJob(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	g := rdd.NewGraph()
 	job := wordCount(spreadInput(g, topo, mb), 2)
 	var cfg Config
@@ -425,7 +425,7 @@ func TestRandomReduceFailuresStillCorrect(t *testing.T) {
 // TestCleanRunOneAttemptPerTask: without a fault input, every partition
 // runs exactly once.
 func TestCleanRunOneAttemptPerTask(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	g := rdd.NewGraph()
 	in := spreadInput(g, topo, mb)
 	eng := New(topo, 1, Config{ComputeNoise: 0.9})
@@ -439,7 +439,7 @@ func TestCleanRunOneAttemptPerTask(t *testing.T) {
 }
 
 func TestSortByKeyThroughEngine(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	g := rdd.NewGraph()
 	var parts []rdd.InputPartition
 	for i, h := range topo.Workers() {
@@ -466,7 +466,7 @@ func TestSortByKeyThroughEngine(t *testing.T) {
 }
 
 func TestEngineRejectsConcurrentJobs(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	eng := New(topo, 1, Config{})
 	g := rdd.NewGraph()
 	job := spreadInput(g, topo, mb)

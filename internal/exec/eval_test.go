@@ -26,7 +26,7 @@ func TestScaleTo(t *testing.T) {
 
 func evalFixture(t *testing.T) (*Engine, *rdd.Graph) {
 	t.Helper()
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	return New(topo, 1, Config{}), rdd.NewGraph()
 }
 

@@ -153,7 +153,7 @@ func TestTransferToTopKSpreadsReceivers(t *testing.T) {
 }
 
 func TestNoPipeliningDelaysPushes(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	dcB, _ := topo.DCByName("dc-b")
 	build := func() *rdd.RDD {
 		g := rdd.NewGraph()
@@ -233,7 +233,7 @@ func TestCachedTransferSkipsRepush(t *testing.T) {
 func TestRunawayGuardSurfacesError(t *testing.T) {
 	// Sanity: a healthy job is far below the step cap; the guard should
 	// never fire here.
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	g := rdd.NewGraph()
 	job := spreadInput(g, topo, mb)
 	eng := New(topo, 1, Config{})

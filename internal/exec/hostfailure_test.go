@@ -40,7 +40,7 @@ func hostFailJob(topo *topology.Topology, dcA, dcB topology.DCID, push bool, siz
 // pushed shuffle input already lives in the reducer's datacenter and the
 // job is unaffected.
 func TestMapperHostFailureRecovery(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
 	mapperHost := topo.HostsIn(dcA)[0]
@@ -107,7 +107,7 @@ func canonSet(records []rdd.Pair) string {
 // TestHostFailureDuringMapStage covers death before the stage barrier: the
 // running map attempt fails over to a live host and the job completes.
 func TestHostFailureDuringMapStage(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
 	mapperHost := topo.HostsIn(dcA)[1]
@@ -141,7 +141,7 @@ func TestHostFailureDuringMapStage(t *testing.T) {
 // it, for a fetch shuffle and for an explicit transfer to the reducers'
 // datacenter.
 func TestHostDiesDuringMapStage(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
 	victim := topo.HostsIn(dcA)[0]

@@ -14,7 +14,7 @@ import (
 // checks the engine narrates its lifecycle — job and stage windows with
 // stage attributes — through Config.Logger.
 func TestStructuredRunLogs(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	g := rdd.NewGraph()
@@ -43,7 +43,7 @@ func TestStructuredRunLogs(t *testing.T) {
 // TestFailureLogsWarn checks an injected reduce failure surfaces as a
 // warning with the task attempt attribute.
 func TestFailureLogsWarn(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	g := rdd.NewGraph()

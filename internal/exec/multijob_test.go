@@ -94,7 +94,7 @@ func TestConcurrentJobsContend(t *testing.T) {
 }
 
 func TestRunManyRejectsNestedRuns(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	eng := New(topo, 1, Config{})
 	g := rdd.NewGraph()
 	probe := multiJobInput(g, topo, 0)
@@ -111,7 +111,7 @@ func TestRunManyRejectsNestedRuns(t *testing.T) {
 }
 
 func TestRunManyEmpty(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	eng := New(topo, 1, Config{})
 	results, err := eng.RunMany(nil)
 	if err != nil || results != nil {

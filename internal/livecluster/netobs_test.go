@@ -1,7 +1,9 @@
 package livecluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,8 +161,9 @@ func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 // TestNetworkSectionParityAcrossBackends runs the same lineage through
 // the simulator and the shaped live cluster and requires structurally
 // identical network sections: both present, sorted, every observed link
-// carrying positive throughput and bytes, every configured link carrying
-// drift — so reports from either backend diff mechanically.
+// carrying positive throughput and bytes and the same JSON fields in both
+// backends, every configured link carrying drift — so reports from either
+// backend diff mechanically.
 func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 	topo := asymmetricTriad()
 
@@ -181,6 +184,9 @@ func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 	}
 	liveNS := stats.RunReport("wordcount", nil).Network
 
+	// keySets maps each observed link's JSON field set to one link that
+	// has it.
+	keySets := map[string]string{}
 	for name, ns := range map[string]*obs.NetworkStats{"sim": simNS, "live": liveNS} {
 		if ns == nil || len(ns.Links) == 0 {
 			t.Fatalf("%s: network section empty", name)
@@ -198,6 +204,20 @@ func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 				if l.ThroughputBps <= 0 || l.Bytes <= 0 {
 					t.Fatalf("%s: observed link %s->%s has degenerate estimate: %+v", name, l.Src, l.Dst, l)
 				}
+				raw, err := json.Marshal(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fields map[string]any
+				if err := json.Unmarshal(raw, &fields); err != nil {
+					t.Fatal(err)
+				}
+				keys := make([]string, 0, len(fields))
+				for k := range fields {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				keySets[strings.Join(keys, ",")] = fmt.Sprintf("%s %s->%s", name, l.Src, l.Dst)
 			}
 			if l.ConfiguredBps > 0 && l.Drift == nil {
 				t.Fatalf("%s: configured link %s->%s lacks drift", name, l.Src, l.Dst)
@@ -206,5 +226,8 @@ func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 		if observed == 0 {
 			t.Fatalf("%s: no link observed", name)
 		}
+	}
+	if len(keySets) != 1 {
+		t.Fatalf("observed links carry different JSON fields across backends: %v", keySets)
 	}
 }

@@ -1,14 +1,13 @@
 // Package netobs is the WAN link observatory: a passive estimator that
-// turns the transfer samples the system already produces (and the RTT a
-// backend can supply: the simulator's modeled latency) into a live
-// site-pair link estimate matrix (EWMA + windowed p50/p95 throughput, RTT,
-// sample counts). Both backends feed it — the live cluster from measured
-// exchange wall-clock, the simulator from modeled flow completions — so
-// the report's network section stays structurally comparable across
-// backends, and the bandwidth aggregator policy reads measured link
-// capacity instead of configured numbers. The matrix reaches a reader
-// twice, from the same estimate: the run report's network section (mid-run
-// on GET /report) and the link_* series on /metrics.
+// turns the transfer samples the system already produces into a site-pair
+// link estimate matrix (one EWMA throughput, a sample count and a byte
+// count per directed pair). Both backends feed it — the live cluster from
+// measured exchange wall-clock, the simulator from modeled flow
+// completions — so the report's network section has the same shape in
+// both, and the bandwidth aggregator policy reads measured link capacity
+// instead of configured numbers. The matrix reaches a reader twice, from
+// the same estimate: the run report's network section (mid-run on
+// GET /report) and the link_* series on /metrics.
 package netobs
 
 import (
@@ -24,31 +23,21 @@ import (
 // Config wires an Estimator.
 type Config struct {
 	// Registry, when set, names the registry the estimator mirrors its
-	// per-link gauges and counters into (link_throughput_bps,
-	// link_rtt_sec, link_samples_total). A function so callers whose
-	// registry changes per run (the live cluster) stay wired; returning
-	// nil skips the mirror.
+	// per-link gauge and counter into (link_throughput_bps,
+	// link_samples_total). A function so callers whose registry changes
+	// per run (the live cluster) stay wired; returning nil skips the
+	// mirror.
 	Registry func() *obs.Registry
 }
 
-// Every link's estimate folds a new throughput or RTT sample into its EWMA
-// with weight alpha, and its p50/p95 come from the newest window
-// throughput samples.
-const (
-	alpha  = 0.2
-	window = 128
-)
+// alpha is the weight every link's EWMA gives a new throughput sample.
+const alpha = 0.2
 
 // link is the per-(src,dst) accumulator.
 type link struct {
-	ewmaBps    float64
-	rttSec     float64
-	samples    int64
-	rttSamples int64
-	bytes      float64
-	// ring holds the last window throughput samples for percentiles.
-	ring []float64
-	next int
+	ewmaBps float64
+	samples int64
+	bytes   float64
 }
 
 // Estimate is one site pair's current link estimate.
@@ -56,11 +45,7 @@ type Estimate struct {
 	Src           string
 	Dst           string
 	ThroughputBps float64
-	P50Bps        float64
-	P95Bps        float64
-	RTTSec        float64
 	Samples       int64
-	RTTSamples    int64
 	Bytes         float64
 }
 
@@ -83,7 +68,7 @@ func (e *Estimator) linkLocked(src, dst string) *link {
 	key := [2]string{src, dst}
 	l := e.links[key]
 	if l == nil {
-		l = &link{ring: make([]float64, 0, window)}
+		l = &link{}
 		e.links[key] = l
 	}
 	return l
@@ -113,44 +98,13 @@ func (e *Estimator) ObserveTransfer(src, dst string, bytes, seconds float64) {
 	}
 	l.samples++
 	l.bytes += bytes
-	if len(l.ring) < window {
-		l.ring = append(l.ring, bps)
-	} else {
-		l.ring[l.next] = bps
-	}
-	l.next = (l.next + 1) % window
 	ewma := l.ewmaBps
-	rtt, hasRTT := l.rttSec, l.rttSamples > 0
 	e.mu.Unlock()
 
 	if reg := e.registry(); reg != nil {
 		labels := map[string]string{"src": src, "dst": dst}
 		reg.Gauge("link_throughput_bps", labels).Set(ewma)
 		reg.Counter("link_samples_total", labels).Add(1)
-		if hasRTT {
-			reg.Gauge("link_rtt_sec", labels).Set(rtt)
-		}
-	}
-}
-
-// ObserveRTT records one round-trip-time sample for the site pair.
-func (e *Estimator) ObserveRTT(src, dst string, rttSec float64) {
-	if e == nil || rttSec <= 0 {
-		return
-	}
-	e.mu.Lock()
-	l := e.linkLocked(src, dst)
-	if l.rttSamples == 0 {
-		l.rttSec = rttSec
-	} else {
-		l.rttSec += alpha * (rttSec - l.rttSec)
-	}
-	l.rttSamples++
-	rtt := l.rttSec
-	e.mu.Unlock()
-
-	if reg := e.registry(); reg != nil {
-		reg.Gauge("link_rtt_sec", map[string]string{"src": src, "dst": dst}).Set(rtt)
 	}
 }
 
@@ -176,8 +130,7 @@ func (e *Estimator) Estimates() []Estimate {
 }
 
 // Estimate returns the current estimate for one directed site pair;
-// ok=false when the pair has never recorded a transfer sample (an
-// RTT-only entry carries no throughput and does not count). Nil
+// ok=false when the pair has never recorded a transfer sample. Nil
 // estimators know nothing.
 func (e *Estimator) Estimate(src, dst string) (Estimate, bool) {
 	if e == nil {
@@ -186,7 +139,7 @@ func (e *Estimator) Estimate(src, dst string) (Estimate, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	l := e.links[[2]string{src, dst}]
-	if l == nil || l.samples == 0 {
+	if l == nil {
 		return Estimate{}, false
 	}
 	return l.estimateLocked(src, dst), true
@@ -194,34 +147,7 @@ func (e *Estimator) Estimate(src, dst string) (Estimate, bool) {
 
 // estimateLocked builds the link's estimate; the estimator's lock is held.
 func (l *link) estimateLocked(src, dst string) Estimate {
-	est := Estimate{
-		Src: src, Dst: dst,
-		ThroughputBps: l.ewmaBps,
-		RTTSec:        l.rttSec,
-		Samples:       l.samples,
-		RTTSamples:    l.rttSamples,
-		Bytes:         l.bytes,
-	}
-	if len(l.ring) > 0 {
-		est.P50Bps = percentile(l.ring, 0.50)
-		est.P95Bps = percentile(l.ring, 0.95)
-	}
-	return est
-}
-
-// percentile computes the nearest-rank p-quantile of samples (copied,
-// not in place).
-func percentile(samples []float64, p float64) float64 {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	return Estimate{Src: src, Dst: dst, ThroughputBps: l.ewmaBps, Samples: l.samples, Bytes: l.bytes}
 }
 
 // ConfiguredLink names one link the deployment's topology promises,
@@ -285,9 +211,6 @@ func ReportSection(e *Estimator, configured []ConfiguredLink) *obs.NetworkStats 
 		ls := obs.LinkStats{
 			Src: est.Src, Dst: est.Dst,
 			ThroughputBps: est.ThroughputBps,
-			P50Bps:        est.P50Bps,
-			P95Bps:        est.P95Bps,
-			RTTSec:        est.RTTSec,
 			Samples:       est.Samples,
 			Bytes:         est.Bytes,
 		}

@@ -48,63 +48,8 @@ func TestObserveTransferIgnoresDegenerateSamples(t *testing.T) {
 	// A nil estimator ignores everything without panicking.
 	var nilE *Estimator
 	nilE.ObserveTransfer("a", "b", 100, 1)
-	nilE.ObserveRTT("a", "b", 0.01)
 	if got := nilE.Estimates(); got != nil {
 		t.Fatalf("nil estimator reported %+v", got)
-	}
-}
-
-func TestPercentilesFromWindow(t *testing.T) {
-	e := NewEstimator(Config{})
-	// 100 samples (fewer than the window) at 8, 16, 24, ... 800 bps (1..100
-	// bytes over 1s).
-	for i := 1; i <= 100; i++ {
-		e.ObserveTransfer("x", "y", float64(i), 1)
-	}
-	est := e.Estimates()[0]
-	if est.P50Bps != 50*8 {
-		t.Fatalf("p50 = %v, want %v", est.P50Bps, 50*8)
-	}
-	if est.P95Bps != 95*8 {
-		t.Fatalf("p95 = %v, want %v", est.P95Bps, 95*8)
-	}
-}
-
-func TestWindowBoundsRing(t *testing.T) {
-	e := NewEstimator(Config{})
-	// window+10 samples at 8, 16, ... bps; only the newest window of them
-	// (the 11th on) stay in the ring.
-	const n = window + 10
-	for i := 1; i <= n; i++ {
-		e.ObserveTransfer("x", "y", float64(i), 1)
-	}
-	est := e.Estimates()[0]
-	if est.Samples != n {
-		t.Fatalf("samples = %d, want %d (count must outlive the ring)", est.Samples, n)
-	}
-	// Nearest rank over the retained samples 11..n; over all n the median
-	// would be sample n/2.
-	if want := float64(10+window/2) * 8; est.P50Bps != want {
-		t.Fatalf("p50 = %v, want %v (median of the retained window)", est.P50Bps, want)
-	}
-	if est.P95Bps <= est.P50Bps || est.P95Bps > n*8 {
-		t.Fatalf("p95 = %v outside (p50, newest sample %d]", est.P95Bps, n*8)
-	}
-}
-
-func TestObserveRTT(t *testing.T) {
-	e := NewEstimator(Config{})
-	e.ObserveRTT("a", "b", 0.100)
-	e.ObserveRTT("a", "b", 0.200)
-	est := e.Estimates()[0]
-	if want := 0.100 + alpha*(0.200-0.100); math.Abs(est.RTTSec-want) > 1e-12 {
-		t.Fatalf("rtt EWMA = %v, want %v", est.RTTSec, want)
-	}
-	if est.RTTSamples != 2 {
-		t.Fatalf("rtt samples = %d, want 2", est.RTTSamples)
-	}
-	if est.Samples != 0 {
-		t.Fatalf("transfer samples = %d, want 0 (RTT-only link)", est.Samples)
 	}
 }
 
@@ -126,7 +71,6 @@ func TestRegistryMirror(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := NewEstimator(Config{Registry: func() *obs.Registry { return reg }})
 	e.ObserveTransfer("a", "b", 1000, 1)
-	e.ObserveRTT("a", "b", 0.05)
 	labels := obs.Labels{"src": "a", "dst": "b"}
 	if got := reg.Gauge("link_throughput_bps", labels).Value(); got != 8000 {
 		t.Fatalf("link_throughput_bps = %v, want 8000", got)
@@ -134,14 +78,17 @@ func TestRegistryMirror(t *testing.T) {
 	if got := reg.Counter("link_samples_total", labels).Value(); got != 1 {
 		t.Fatalf("link_samples_total = %v, want 1", got)
 	}
-	if got := reg.Gauge("link_rtt_sec", labels).Value(); got != 0.05 {
-		t.Fatalf("link_rtt_sec = %v, want 0.05", got)
+	// The estimate is one EWMA and a sample count: no other series (a
+	// round-trip gauge, say) exists.
+	for _, m := range reg.Snapshot() {
+		if m.Name != "link_throughput_bps" && m.Name != "link_samples_total" {
+			t.Fatalf("registry carries %s%v", m.Name, m.Labels)
+		}
 	}
 	// A registry fn returning nil must not panic (live cluster between
 	// runs).
 	e2 := NewEstimator(Config{Registry: func() *obs.Registry { return nil }})
 	e2.ObserveTransfer("a", "b", 1000, 1)
-	e2.ObserveRTT("a", "b", 0.05)
 }
 
 func TestReportSectionMergesConfigured(t *testing.T) {
@@ -226,7 +173,6 @@ func TestEstimatorConcurrent(t *testing.T) {
 			src := string(rune('a' + g%4))
 			for i := 0; i < 200; i++ {
 				e.ObserveTransfer(src, "z", float64(i+1), 0.001)
-				e.ObserveRTT(src, "z", 0.01)
 				_ = e.Estimates()
 			}
 		}(g)
@@ -250,11 +196,9 @@ func TestEstimateLookup(t *testing.T) {
 	if _, ok := e.Estimate("a", "b"); ok {
 		t.Fatal("unobserved pair returned an estimate")
 	}
-	// RTT-only pairs carry no throughput samples and must not count as
-	// measured bandwidth.
-	e.ObserveRTT("a", "b", 0.05)
+	e.ObserveTransfer("a", "b", 0, 1) // degenerate: no rate, no link
 	if _, ok := e.Estimate("a", "b"); ok {
-		t.Fatal("RTT-only pair returned a bandwidth estimate")
+		t.Fatal("degenerate sample created an estimate")
 	}
 	e.ObserveTransfer("a", "b", 1000, 1)
 	est, ok := e.Estimate("a", "b")
@@ -308,5 +252,22 @@ func TestReportSectionDegenerateConfiguredRates(t *testing.T) {
 	// The regression's actual symptom: json.Marshal fails on ±Inf/NaN.
 	if _, err := json.Marshal(n); err != nil {
 		t.Fatalf("run report section does not marshal: %v", err)
+	}
+}
+
+// TestEstimateDoesNotAllocate holds a placement lookup to a copy of the
+// link's three numbers: nothing is sorted or cloned per call.
+func TestEstimateDoesNotAllocate(t *testing.T) {
+	e := NewEstimator(Config{})
+	for i := 0; i < 200; i++ {
+		e.ObserveTransfer("a", "b", float64(1000+i), 1)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := e.Estimate("a", "b"); !ok {
+			t.Fatal("observed pair has no estimate")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Estimate allocates %v times per call, want 0", allocs)
 	}
 }

@@ -28,7 +28,6 @@ var Catalogue = []MetricDoc{
 	{"blockstore_spill_events_total", "counter", "`worker`", "live", "spill events"},
 	{"blockstore_reload_bytes_total", "counter", "`worker`", "live", "spilled bytes reloaded on demand"},
 	{"link_throughput_bps", "gauge", "`src`, `dst`", "both", "EWMA link throughput estimate per site pair (`internal/netobs`)"},
-	{"link_rtt_sec", "gauge", "`src`, `dst`", "sim", "EWMA round-trip-time estimate per site pair (modeled latency; nothing live measures a round trip)"},
 	{"link_samples_total", "counter", "`src`, `dst`", "both", "transfer samples folded into each pair's estimate"},
 	{"placement_decisions_total", "counter", "`policy`, `source`", "both", "aggregator placement decisions, by policy and bandwidth source (`measured`/`configured`/`uniform`/`none`)"},
 	{"placement_chosen_site", "gauge", "`shuffle`", "both", "site index chosen as each shuffle's aggregator"},

@@ -82,8 +82,8 @@ type Report struct {
 	// across workers. Nil on backends without a block store (the
 	// simulator models bytes, it does not hold them).
 	Storage *StorageStats `json:"storage,omitempty"`
-	// Network is the run's link estimate matrix: measured throughput (and,
-	// simulated, modeled RTT) per site pair, plus — when a topology is configured — the
+	// Network is the run's link estimate matrix: measured throughput per
+	// site pair, plus — when a topology is configured — the
 	// observed-vs-configured drift ratio. Built by internal/netobs from
 	// measured exchanges (live) or modeled flow completions (sim); nil
 	// when nothing was observed or configured.
@@ -126,12 +126,8 @@ type NetworkStats struct {
 type LinkStats struct {
 	Src string `json:"src"`
 	Dst string `json:"dst"`
-	// ThroughputBps is the EWMA of observed transfer rates; P50/P95 come
-	// from a bounded window of recent samples.
+	// ThroughputBps is the EWMA of observed transfer rates.
 	ThroughputBps float64 `json:"throughput_bps"`
-	P50Bps        float64 `json:"p50_bps,omitempty"`
-	P95Bps        float64 `json:"p95_bps,omitempty"`
-	RTTSec        float64 `json:"rtt_sec,omitempty"`
 	Samples       int64   `json:"samples"`
 	Bytes         float64 `json:"bytes,omitempty"`
 	// ConfiguredBps is the topology's promised rate for this pair, when

@@ -9,7 +9,7 @@ import (
 
 func TestMarkDeadStopsAssignment(t *testing.T) {
 	clock := sim.NewClock()
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	s := New(clock, topo, 1)
 	s.MarkDead(0)
 	if !s.Dead(0) || s.Dead(1) {
@@ -35,7 +35,7 @@ func TestMarkDeadStopsAssignment(t *testing.T) {
 
 func TestReleaseOnDeadHostSwallowed(t *testing.T) {
 	clock := sim.NewClock()
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	s := New(clock, topo, 1)
 	var rel func()
 	s.Submit(&Task{
@@ -53,7 +53,7 @@ func TestReleaseOnDeadHostSwallowed(t *testing.T) {
 
 func TestStrictTaskWaitsOutDeadPref(t *testing.T) {
 	clock := sim.NewClock()
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	s := New(clock, topo, 1)
 	s.MarkDead(2)
 	var got topology.HostID = -1

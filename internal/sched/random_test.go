@@ -74,7 +74,7 @@ func TestRandomOffersRespectHostPrefs(t *testing.T) {
 // their locality level.
 func TestLocalityWaitResetsOnLaunch(t *testing.T) {
 	clock := sim.NewClock()
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	s := New(clock, topo, 1)
 	// Keep host 0 (2 cores) cycling with a stream of 2-second preferred
 	// tasks; a third task also prefers host 0.

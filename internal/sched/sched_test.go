@@ -10,7 +10,7 @@ import (
 func setup(t *testing.T) (*sim.Clock, *topology.Topology, *Scheduler) {
 	t.Helper()
 	clock := sim.NewClock()
-	topo := topology.TwoDCMicro(2, 0.25) // hosts 0,1 in dc-a; 2,3 in dc-b; 2 cores each
+	topo := topology.TwoDCMicro() // hosts 0,1 in dc-a; 2,3 in dc-b; 2 cores each
 	return clock, topo, New(clock, topo, 1)
 }
 
@@ -150,7 +150,7 @@ func TestLoadBalancePicksFreestHost(t *testing.T) {
 	picks := map[topology.HostID]int{}
 	for seed := int64(0); seed < 700; seed++ {
 		clock := sim.NewClock()
-		s := New(clock, topology.TwoDCMicro(2, 0.25), seed)
+		s := New(clock, topology.TwoDCMicro(), seed)
 		// Occupy one of host 0's two cores: 7 free slots are left, one of
 		// them on host 0.
 		runFor(clock, s, "hog", []topology.HostID{0}, 100, nil)

@@ -195,15 +195,6 @@ type Network struct {
 	completedFlows int
 	observer       DeliveryObserver
 	flowObserver   FlowObserver
-
-	util []UtilPoint
-}
-
-// UtilPoint is one step of the aggregate cross-datacenter rate timeline:
-// from T onward (until the next point) the WAN moved CrossRate bytes/s.
-type UtilPoint struct {
-	T         float64
-	CrossRate float64
 }
 
 // New builds a network over the given topology. All randomness (jitter)
@@ -412,15 +403,6 @@ func (n *Network) SetFlowObserver(o FlowObserver) { n.flowObserver = o }
 // schedules the next flow completion. Callers must settle() first.
 func (n *Network) reallocate() {
 	n.maxMinRates()
-	var crossRate float64
-	for _, f := range n.flows {
-		if f.crossDC {
-			crossRate += f.rate
-		}
-	}
-	if len(n.util) == 0 || n.util[len(n.util)-1].CrossRate != crossRate {
-		n.util = append(n.util, UtilPoint{T: n.clock.Now(), CrossRate: crossRate})
-	}
 	n.scheduleCompletion()
 }
 
@@ -620,35 +602,6 @@ func (n *Network) PairBytes(a, b topology.DCID) float64 {
 func (n *Network) TotalBytes() float64 {
 	n.settle()
 	return n.totalBytes
-}
-
-// UtilTimeline returns the aggregate cross-DC rate as a step function over
-// time — the data behind the paper's Sec. II-B observation that fetch-based
-// shuffles leave wide-area links idle until the stage barrier, then burst.
-func (n *Network) UtilTimeline() []UtilPoint {
-	out := make([]UtilPoint, len(n.util))
-	copy(out, n.util)
-	return out
-}
-
-// CrossBytesBetween integrates the utilization timeline over [t0, t1),
-// returning the cross-DC bytes moved in that window.
-func CrossBytesBetween(points []UtilPoint, t0, t1 float64) float64 {
-	var total float64
-	for i, p := range points {
-		end := t1
-		if i+1 < len(points) && points[i+1].T < end {
-			end = points[i+1].T
-		}
-		start := p.T
-		if start < t0 {
-			start = t0
-		}
-		if end > start {
-			total += p.CrossRate * (end - start)
-		}
-	}
-	return total
 }
 
 // ActiveFlows returns the number of flows currently consuming bandwidth.

@@ -17,7 +17,7 @@ const (
 	mb = 1e6 // bytes
 )
 
-func micro() *topology.Topology { return topology.TwoDCMicro(2, 0.25) }
+func micro() *topology.Topology { return topology.TwoDCMicro() }
 
 func newNet(t *testing.T, top *topology.Topology, cfg Config) (*sim.Clock, *Network) {
 	t.Helper()
@@ -391,45 +391,6 @@ func TestQuickByteConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUtilTimelineIntegratesToCrossBytes(t *testing.T) {
-	top := micro()
-	clock, net := newNet(t, top, Config{})
-	net.StartFlow(0, 2, 20*mb, "t", nil)
-	clock.At(3, func() { net.StartFlow(1, 3, 10*mb, "t", nil) })
-	clock.Run(0)
-	points := net.UtilTimeline()
-	if len(points) < 2 {
-		t.Fatalf("timeline has %d points", len(points))
-	}
-	got := CrossBytesBetween(points, 0, clock.Now()+1)
-	if math.Abs(got-30*mb) > mb/100 {
-		t.Fatalf("integrated %v bytes, want 30 MB", got)
-	}
-	// Windowed integration: nothing before the first activation latency.
-	if b := CrossBytesBetween(points, 0, 0.01); b != 0 {
-		t.Fatalf("bytes before activation = %v", b)
-	}
-	// Rates never negative, times non-decreasing.
-	for i, p := range points {
-		if p.CrossRate < 0 {
-			t.Fatalf("negative rate at %d", i)
-		}
-		if i > 0 && p.T < points[i-1].T {
-			t.Fatalf("timeline not monotone at %d", i)
-		}
-	}
-}
-
-func TestUtilTimelineIgnoresIntraDC(t *testing.T) {
-	top := micro()
-	clock, net := newNet(t, top, Config{})
-	net.StartFlow(0, 1, 50*mb, "t", nil)
-	clock.Run(0)
-	if got := CrossBytesBetween(net.UtilTimeline(), 0, clock.Now()+1); got != 0 {
-		t.Fatalf("intra-DC flow counted in WAN utilization: %v", got)
 	}
 }
 

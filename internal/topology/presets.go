@@ -81,20 +81,14 @@ func SixRegionEC2() *Topology {
 
 // TwoDCMicro builds the two-datacenter micro-topology used by the paper's
 // motivating examples (Figs. 1 and 2): one DC holding the mappers, one
-// holding the reducers, with the inter-DC path at ratio (default ¼) of the
-// intra-DC host bandwidth.
-func TwoDCMicro(hostsPerDC int, interRatio float64) *Topology {
-	if hostsPerDC <= 0 {
-		hostsPerDC = 2
-	}
-	if interRatio <= 0 || interRatio > 1 {
-		interRatio = 0.25
-	}
+// holding the reducers, two 2-core hosts each, with the inter-DC path at ¼
+// of the intra-DC host bandwidth.
+func TwoDCMicro() *Topology {
 	const nic = 1 * Gbps
 	b := NewBuilder()
-	a := b.AddDC("dc-a", hostsPerDC, 2, nic)
-	c := b.AddDC("dc-b", hostsPerDC, 2, nic)
-	b.Link(a, c, interRatio*nic, 40*Millisecond)
+	a := b.AddDC("dc-a", 2, 2, nic)
+	c := b.AddDC("dc-b", 2, 2, nic)
+	b.Link(a, c, nic/4, 40*Millisecond)
 	b.IntraLatency(0.5 * Millisecond)
 	b.Driver(c)
 	t, err := b.Build()

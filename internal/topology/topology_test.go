@@ -42,7 +42,7 @@ func TestSixRegionEC2Shape(t *testing.T) {
 }
 
 func TestMasterFallsBackToWorker(t *testing.T) {
-	top := TwoDCMicro(2, 0.25)
+	top := TwoDCMicro()
 	m := top.Host(top.MasterHost)
 	if m.Aux {
 		t.Fatal("micro topology should fall back to a worker master")
@@ -113,18 +113,13 @@ func TestBuilderBadLink(t *testing.T) {
 }
 
 func TestTwoDCMicro(t *testing.T) {
-	top := TwoDCMicro(2, 0.25)
+	top := TwoDCMicro()
 	if top.NumDCs() != 2 || top.NumHosts() != 4 {
 		t.Fatalf("micro topology = %d DCs %d hosts, want 2/4", top.NumDCs(), top.NumHosts())
 	}
 	nic := top.Host(0).NICbps
 	if got := top.InterBps(0, 1); got != nic/4 {
 		t.Fatalf("inter-DC = %v, want NIC/4 = %v (Fig. 1 assumption)", got, nic/4)
-	}
-	// Defaults kick in for bad args.
-	top2 := TwoDCMicro(0, -1)
-	if top2.NumHosts() != 4 {
-		t.Fatalf("default micro topology has %d hosts, want 4", top2.NumHosts())
 	}
 }
 

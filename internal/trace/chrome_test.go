@@ -10,7 +10,7 @@ import (
 )
 
 func TestWriteChromeTrace(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	r := &Recorder{}
 	r.Add(Span{Kind: KindMap, Host: 0, Stage: 1, Part: 2, Start: 0.5, End: 2.5})
 	r.Add(Span{Kind: KindPush, Host: 1, Start: 2.5, End: 4, Label: "to dc-b"})
@@ -66,7 +66,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // TestWriteChromeTraceFlows checks a receive span linked to its push-send
 // emits a flow arrow pair bound to the right pids/tids.
 func TestWriteChromeTraceFlows(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	r := &Recorder{}
 	r.Add(Span{Kind: KindPush, ID: 7, Host: 0, Start: 1, End: 3})
 	r.Add(Span{Kind: KindReceive, ID: 9, Link: 7, Host: 2, Start: 1.5, End: 3.5})
@@ -109,7 +109,7 @@ func TestWriteChromeTraceFlows(t *testing.T) {
 }
 
 func TestWriteChromeTraceEmpty(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	var buf bytes.Buffer
 	if err := (&Recorder{}).WriteChromeTrace(&buf, topo); err != nil {
 		t.Fatal(err)

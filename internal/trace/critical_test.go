@@ -111,7 +111,7 @@ func TestCriticalPathOverlapNotDoubleCounted(t *testing.T) {
 }
 
 func TestCriticalPathHostNames(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	cp := AnalyzeCriticalPath([]Span{{ID: 1, Kind: KindMap, Host: 0, Start: 0, End: 1}}, topo)
 	if cp.Steps[0].Host != topo.Host(0).Name {
 		t.Fatalf("host = %q, want topology name %q", cp.Steps[0].Host, topo.Host(0).Name)

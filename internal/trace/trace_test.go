@@ -38,7 +38,7 @@ func TestBackwardsSpanPanics(t *testing.T) {
 }
 
 func TestGanttRendering(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	r := &Recorder{}
 	r.Add(Span{Kind: KindMap, Host: 0, Start: 0, End: 5})
 	r.Add(Span{Kind: KindPush, Host: 0, Start: 5, End: 8})
@@ -59,13 +59,13 @@ func TestGanttRendering(t *testing.T) {
 
 func TestGanttEmpty(t *testing.T) {
 	r := &Recorder{}
-	if got := r.Gantt(topology.TwoDCMicro(2, 0.25), 40); !strings.Contains(got, "no spans") {
+	if got := r.Gantt(topology.TwoDCMicro(), 40); !strings.Contains(got, "no spans") {
 		t.Fatalf("empty gantt = %q", got)
 	}
 }
 
 func TestGanttTinyWidthClamped(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	r := &Recorder{}
 	r.Add(Span{Kind: KindMap, Host: 0, Start: 0, End: 1})
 	if g := r.Gantt(topo, 1); !strings.Contains(g, "M") {
@@ -74,7 +74,7 @@ func TestGanttTinyWidthClamped(t *testing.T) {
 }
 
 func TestGanttRightEdgeSpanVisible(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	r := &Recorder{}
 	r.Add(Span{Kind: KindMap, Host: 0, Start: 0, End: 10})
 	// A span whose scaled start lands at/after the right edge (here a
@@ -90,7 +90,7 @@ func TestGanttRightEdgeSpanVisible(t *testing.T) {
 // Chrome-trace rendering; run under -race it proves live backends can
 // export mid-job.
 func TestRecorderRenderRace(t *testing.T) {
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	s := &Recorder{}
 	const writers, perWriter = 4, 200
 	var wg sync.WaitGroup
@@ -136,7 +136,7 @@ func TestRecorderReset(t *testing.T) {
 
 func TestNilRecorderRenders(t *testing.T) {
 	var s *Recorder
-	topo := topology.TwoDCMicro(2, 0.25)
+	topo := topology.TwoDCMicro()
 	if g := s.Gantt(topo, 40); !strings.Contains(g, "no spans") {
 		t.Fatalf("nil Recorder gantt = %q", g)
 	}

@@ -97,8 +97,6 @@ func KV(k string, v Value) Pair { return rdd.KV(k, v) }
 func SixRegionEC2() *Topology { return topology.SixRegionEC2() }
 
 // TwoDCMicro returns the two-datacenter topology of the paper's motivating
-// examples (Figs. 1–2), with the inter-DC path at interRatio of host NIC
-// bandwidth (default ¼).
-func TwoDCMicro(hostsPerDC int, interRatio float64) *Topology {
-	return topology.TwoDCMicro(hostsPerDC, interRatio)
-}
+// examples (Figs. 1–2): two hosts per DC, the inter-DC path at ¼ of host
+// NIC bandwidth.
+func TwoDCMicro() *Topology { return topology.TwoDCMicro() }
