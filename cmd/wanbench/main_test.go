@@ -56,6 +56,21 @@ func TestJitterZeroDisables(t *testing.T) {
 	}
 }
 
+// TestSeedZeroIsASeed holds -seed 0 to running seed 0: every experiment
+// reads the seed it was given, so `all` never mixes seeds 0 and 1.
+func TestSeedZeroIsASeed(t *testing.T) {
+	fig7 := func(seed string) string {
+		var out bytes.Buffer
+		if err := run([]string{"-runs", "1", "-scale", "0.1", "-seed", seed, "fig7"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	if zero := fig7("0"); zero == fig7("1") {
+		t.Fatalf("fig7 prints the same at -seed 0 as at -seed 1:\n%s", zero)
+	}
+}
+
 // TestFlagValidation holds wanbench to rejecting a run count or scale it
 // cannot honour, instead of silently running the default.
 func TestFlagValidation(t *testing.T) {

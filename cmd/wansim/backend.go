@@ -51,7 +51,7 @@ func openBackend(o *options) (open func(seed int64) *backend, release func(), er
 func newSimBackend(o *options, seed int64) *backend {
 	cctx := core.NewContext(core.Config{
 		Seed: seed, Scheme: o.scheme,
-		Exec: exec.Config{Trace: o.trace(), AggregatorPolicy: o.aggregator, Logger: o.logger},
+		Exec: exec.Config{Trace: o.trace(), AggregatorPolicy: o.aggregator},
 	})
 	eng := cctx.Engine()
 	return &backend{
@@ -88,7 +88,6 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 		DialTimeout: o.dialTimeout, IOTimeout: o.ioTimeout,
 		MemoryBudget: o.memoryBudget, SpillDir: o.spillDir,
 		WANTopology: o.topology,
-		Logger:      o.logger,
 	})
 	if err != nil {
 		return nil, nil, err

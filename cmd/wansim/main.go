@@ -42,7 +42,7 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // runContext parses the flags once and hands the options to the mode's run
-// path. Warnings and logs go to stderr.
+// path. Flag warnings go to stderr.
 func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	o, err := parseOptions(args, stderr)
 	if err != nil {

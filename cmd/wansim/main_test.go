@@ -143,7 +143,7 @@ func TestReportEndpointMatchesReportFile(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "report.json")
 			w := startWansim(t, append([]string{
-				"-workload", "wordcount", "-scale", "0.02", "-log-level", "off",
+				"-workload", "wordcount", "-scale", "0.02",
 				"-telemetry-addr", "127.0.0.1:0", "-telemetry-linger", "30s",
 				"-report", path,
 			}, tc.args...)...)
@@ -256,20 +256,6 @@ func TestParseByteSize(t *testing.T) {
 		if _, err := parseByteSize("-memory-budget", bad); err == nil {
 			t.Errorf("parseByteSize(%q) accepted", bad)
 		}
-	}
-}
-
-func TestBuildLoggerLevels(t *testing.T) {
-	for _, lvl := range []string{"debug", "info", "warn", "error"} {
-		if l, err := buildLogger(lvl, io.Discard); err != nil || l == nil {
-			t.Fatalf("level %q: logger=%v err=%v", lvl, l, err)
-		}
-	}
-	if l, err := buildLogger("off", io.Discard); err != nil || l != nil {
-		t.Fatalf("off: logger=%v err=%v", l, err)
-	}
-	if _, err := buildLogger("loud", io.Discard); err == nil {
-		t.Fatal("bogus level accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"strconv"
 	"strings"
@@ -35,7 +34,6 @@ type options struct {
 	// Telemetry plane.
 	telemetryAddr string
 	linger        time.Duration
-	logger        *slog.Logger
 
 	// -live data, storage and network planes.
 	compress               string
@@ -59,7 +57,7 @@ func (o *options) trace() bool {
 // rawFlags holds the flag values that need more parsing than package flag
 // does.
 type rawFlags struct {
-	workload, scheme, aggregator, logLevel, memoryBudget, topology string
+	workload, scheme, aggregator, memoryBudget, topology string
 }
 
 // newFlagSet registers every wansim flag. The usage strings here are the
@@ -79,7 +77,6 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.BoolVar(&o.live, "live", false, "run on a real loopback TCP cluster instead of the simulator")
 	fs.StringVar(&o.telemetryAddr, "telemetry-addr", "", "serve /metrics /report /events /trace and /debug/pprof/ on this address while the job runs, e.g. 127.0.0.1:9090 (empty disables)")
 	fs.DurationVar(&o.linger, "telemetry-linger", 0, "keep the telemetry endpoint up this long after the run, so scrapers can read the final state")
-	fs.StringVar(&raw.logLevel, "log-level", "warn", "structured log level on stderr: debug | info | warn | error | off")
 	fs.StringVar(&o.compress, "compress", "", "-live per-chunk compression codec: none | gzip | flate")
 	fs.IntVar(&o.chunkRecords, "chunk-records", 256, "-live records per chunk frame (must be positive)")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 0, "-live data-plane dial timeout (0 = 5s default, negative disables)")
@@ -142,9 +139,6 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 		if o.aggregator == plan.AggregatorRandom {
 			return nil, fmt.Errorf("-aggregator random is not supported with -live (the live path carries no seeded RNG)")
 		}
-	}
-	if o.logger, err = buildLogger(raw.logLevel, stderr); err != nil {
-		return nil, err
 	}
 
 	for _, c := range []struct {
@@ -209,19 +203,6 @@ func modeForScheme(sch core.Scheme) (livecluster.Mode, error) {
 	default:
 		return 0, fmt.Errorf("-live supports schemes spark and agg, not %v", sch)
 	}
-}
-
-// buildLogger maps the -log-level flag to a text logger on stderr; "off"
-// yields nil (discard).
-func buildLogger(level string, stderr io.Writer) (*slog.Logger, error) {
-	if level == "" || strings.EqualFold(level, "off") || strings.EqualFold(level, "none") {
-		return nil, nil
-	}
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("unknown log level %q (debug | info | warn | error | off)", level)
-	}
-	return slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
 
 // topologyByName maps the -topology flag to a WAN preset shaping the live

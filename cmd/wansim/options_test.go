@@ -13,7 +13,7 @@ import (
 // not add, drop or rename a flag.
 func TestFlagSetUnchanged(t *testing.T) {
 	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt
-		io-timeout live log-level matrix max-queue memory-budget
+		io-timeout live matrix max-queue memory-budget
 		report scale scheme seed serve spill-dir telemetry-addr
 		telemetry-linger topology validate workload`)
 	var got []string

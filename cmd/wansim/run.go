@@ -96,7 +96,6 @@ func startTelemetry(o *options, stdout io.Writer, cfg telemetry.Config) (tel *te
 	if o.telemetryAddr == "" {
 		return nil, func() {}, nil
 	}
-	cfg.Logger = o.logger
 	if tel, err = telemetry.Start(o.telemetryAddr, cfg); err != nil {
 		return nil, nil, err
 	}

@@ -23,7 +23,7 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 	}
 	defer release()
 
-	svc := jobs.New(jobs.Config{MaxQueue: o.maxQueue, Logger: o.logger})
+	svc := jobs.New(jobs.Config{MaxQueue: o.maxQueue})
 	defer svc.Close()
 
 	// cur is the backend of the running (else the last) job: /events

@@ -60,7 +60,7 @@ func TestServeModeJobService(t *testing.T) {
 func testServeModeJobService(t *testing.T, backend string) {
 	args := []string{
 		"-serve", "-telemetry-addr", "127.0.0.1:0", "-max-queue", "4",
-		"-scale", "0.02", "-log-level", "off",
+		"-scale", "0.02",
 	}
 	if backend == "live" {
 		args = append(args, "-live")

@@ -294,7 +294,7 @@ func TestSmoke(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "report.json")
-			args := append([]string{"-workload", "wordcount", "-log-level", "off", "-validate", "-report", path}, tc.args...)
+			args := append([]string{"-workload", "wordcount", "-validate", "-report", path}, tc.args...)
 			if tc.scrape != nil {
 				args = append(args, "-telemetry-addr", "127.0.0.1:0", "-telemetry-linger", "30s")
 			}
@@ -400,7 +400,7 @@ func checkMetricsCatalogue(t *testing.T, emitted map[string]bool) {
 // agree with the job table, and canceling the context must drain the
 // service.
 func smokeJobService(t *testing.T, emitted map[string]bool) {
-	w := startWansim(t, "-serve", "-live", "-scheme", "agg", "-scale", "0.05", "-log-level", "off",
+	w := startWansim(t, "-serve", "-live", "-scheme", "agg", "-scale", "0.05",
 		"-max-queue", "4", "-telemetry-addr", "127.0.0.1:0")
 	url := w.url(t)
 

@@ -115,12 +115,15 @@ func ablations() []variant {
 			workload: workloads.WordCount(), scheme: scheme, tenants: 3})
 	}
 
-	// 4c. Node failure (beyond the paper's reducer-retry scenario): a
-	// mapper's host dies after the map stage. Fetch-based shuffle loses
-	// the shuffle files and recomputes; pushed shuffle input survives in
-	// the aggregator datacenter.
-	add("node-failure-penalty[Fig.1 micro]", variant{label: "fetch (recompute lost maps)", cell: mapperDeathPenalty(false)})
-	add("node-failure-penalty[Fig.1 micro]", variant{label: "push (output survives mapper death)", cell: mapperDeathPenalty(true)})
+	// 4c. Node failure (beyond the paper's reducer-retry scenario): mapper
+	// host 0 dies at 0.55 × the clean JCT, after the map stage and its
+	// pushes. Fetch-based shuffle loses the shuffle files and recomputes;
+	// pushed shuffle input survives in the aggregator datacenter. Dying at
+	// 0.3 × the clean JCT, halfway through host 0's push of partition 2,
+	// loses that push with the host, and the partition's map runs again.
+	add("node-failure-penalty[Fig.1 micro]", variant{label: "fetch (recompute lost maps)", cell: mapperDeathPenalty(false, 0.55)})
+	add("node-failure-penalty[Fig.1 micro]", variant{label: "push (output survives mapper death)", cell: mapperDeathPenalty(true, 0.55)})
+	add("node-failure-penalty[Fig.1 micro]", variant{label: "push (mapper dies mid-push)", cell: mapperDeathPenalty(true, 0.3)})
 
 	// 5. Jitter amplitude, Spark baseline vs AggShuffle.
 	for _, amp := range []float64{-1, 0.25, 0.4} {
@@ -142,12 +145,12 @@ func microPush(v variant, seed int64) (outcome, error) {
 	return outcome{jct: res.JCT, crossMB: res.CrossDCMB}, nil
 }
 
-// mapperDeathPenalty is the cell that reports the JCT a mapper's host
-// dying just after the map stage costs the micro-scenario.
-func mapperDeathPenalty(push bool) func(variant, int64) (outcome, error) {
+// mapperDeathPenalty is the cell that reports the JCT mapper host 0 dying
+// at frac × the clean JCT costs the micro-scenario.
+func mapperDeathPenalty(push bool, frac float64) func(variant, int64) (outcome, error) {
 	return func(_ variant, seed int64) (outcome, error) {
 		res, err := microFailure(push, seed, func(clean *MicroResult, c *exec.Config) {
-			c.HostFailures = []exec.HostFailure{{Host: 0, At: clean.JCT * 0.55}}
+			c.HostFailures = []exec.HostFailure{{Host: 0, At: clean.JCT * frac}}
 		})
 		if err != nil {
 			return outcome{}, err

@@ -16,7 +16,7 @@ func TestAblateSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep is expensive")
 	}
-	rows, err := Ablate(Options{Runs: 2, Scale: 0.1})
+	rows, err := Ablate(Options{Runs: 2, BaseSeed: 1, Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAblateValidates(t *testing.T) {
 	wrong.Check = func(_, _ []rdd.Pair) error { return errors.New("never right") }
 	study := []variant{{study: "s", label: "wrong", workload: wrong, scheme: core.SchemeSpark}}
 
-	opts := Options{Runs: 2, Scale: 0.05}
+	opts := Options{Runs: 2, BaseSeed: 1, Scale: 0.05}
 	if _, err := ablate(study, opts); err != nil {
 		t.Fatalf("unvalidated study failed: %v", err)
 	}

@@ -30,7 +30,7 @@ type Options struct {
 	// Runs is the number of iterations per (workload, scheme); the paper
 	// uses 10. Defaults to 10.
 	Runs int
-	// BaseSeed seeds run i with BaseSeed+i. Defaults to 1.
+	// BaseSeed seeds run i with BaseSeed+i; 0 is a seed like any other.
 	BaseSeed int64
 	// Scale multiplies Table I modeled sizes. Defaults to 1.0 (paper
 	// scale).
@@ -51,9 +51,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Runs <= 0 {
 		o.Runs = 10
-	}
-	if o.BaseSeed == 0 {
-		o.BaseSeed = 1
 	}
 	if o.Scale <= 0 {
 		o.Scale = 1

@@ -12,7 +12,7 @@ import (
 // testOpts keeps the integration sweeps fast: 3 runs at reduced modeled
 // scale, with output validation on.
 func testOpts() Options {
-	return Options{Runs: 3, Scale: 0.25, Validate: true}
+	return Options{Runs: 3, BaseSeed: 1, Scale: 0.25, Validate: true}
 }
 
 // TestFig7Shapes verifies the paper's headline JCT orderings on a reduced
@@ -227,7 +227,7 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestRunOneValidates(t *testing.T) {
-	opts := Options{Runs: 1, Scale: 0.1, Validate: true}
+	opts := Options{Runs: 1, BaseSeed: 1, Scale: 0.1, Validate: true}
 	rep, err := RunOne(workloads.Sort(), core.SchemeAggShuffle, 3, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/netobs"
@@ -95,10 +94,6 @@ type Config struct {
 	Net simnet.Config
 	// Trace enables span recording (Gantt timelines).
 	Trace bool
-	// Logger receives structured run logs (job and stage windows, task
-	// failures and retries) with stage/task attributes; times are virtual
-	// seconds. Nil discards.
-	Logger *slog.Logger
 }
 
 // Model constants no caller varies, calibrated together with the Config
@@ -144,7 +139,6 @@ type Engine struct {
 	Events *obs.Collector
 
 	cfg      Config
-	log      *slog.Logger
 	reg      *shuffle.Registry
 	noiseRNG sim.RNG
 	aggRNG   sim.RNG
@@ -190,7 +184,6 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		Sched:      sched.New(clock, topo, seed),
 		Events:     obs.NewCollector(),
 		cfg:        cfg,
-		log:        obs.LoggerOr(cfg.Logger),
 		reg:        shuffle.NewRegistry(),
 		noiseRNG:   sim.Stream(seed, "exec.noise"),
 		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
@@ -450,7 +443,6 @@ func (e *Engine) RunManyContext(ctx context.Context, specs []JobSpec) ([]*Result
 	}
 	e.activeJobs = len(jobs)
 	for i, spec := range specs {
-		e.log.Info("exec: job starting", "job", i, "stages", len(jobs[i].stages), "t", e.Clock.Now())
 		e.startJob(jobs[i], spec.Opts)
 	}
 
@@ -494,12 +486,9 @@ func (e *Engine) RunManyContext(ctx context.Context, specs []JobSpec) ([]*Result
 	results := make([]*Result, len(jobs))
 	for i, job := range jobs {
 		if job.err != nil {
-			e.log.Error("exec: job failed", "job", i, "err", job.err)
 			return nil, job.err
 		}
 		results[i] = e.report(job)
-		e.log.Info("exec: job finished", "job", i,
-			"jct_sec", results[i].JCT, "retries", results[i].Retries)
 	}
 	return results, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/dag"
+	"wanshuffle/internal/obs"
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/simnet"
@@ -393,6 +394,53 @@ func TestMaxAttemptsExceededFailsJob(t *testing.T) {
 	eng := New(topo, 1, cfg)
 	if _, err := eng.Run(job, ActionCollect, RunOptions{}); err == nil {
 		t.Fatal("job succeeded despite exhausted attempts")
+	}
+}
+
+// TestFailureEvents checks a failed attempt is visible on the event stream:
+// a scripted reduce failure yields a failed event carrying its error, then
+// the retry and the retry's finish, and a clean run has no failed events.
+func TestFailureEvents(t *testing.T) {
+	topo := topology.TwoDCMicro()
+	run := func(failures []FailureSpec) (*Engine, *Result) {
+		eng := New(topo, 1, Config{ScriptedFailures: failures})
+		res, err := eng.Run(wordCount(spreadInput(rdd.NewGraph(), topo, mb), 2), ActionCollect, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, res
+	}
+	eng, res := run([]FailureSpec{{Stage: "counts", Part: 0, Attempt: 1, AtFrac: 0.5}})
+	wantRetried(t, eng.Events.TaskEvents(), res.Stages[len(res.Stages)-1].ID, 0, "injected failure")
+
+	eng, _ = run(nil)
+	if n := eng.Events.Counts().Failed; n != 0 {
+		t.Fatalf("clean run has %d failed events", n)
+	}
+}
+
+// wantRetried asserts that events show part of stage failing attempt 1 with
+// an error containing errText, then retried as attempt 2, then finished as
+// attempt 2, in that order.
+func wantRetried(t *testing.T, events []obs.TaskEvent, stage, part int, errText string) {
+	t.Helper()
+	want := []struct {
+		phase   obs.TaskPhase
+		attempt int
+	}{{obs.PhaseFailed, 1}, {obs.PhaseRetried, 2}, {obs.PhaseFinished, 2}}
+	seen := 0
+	for _, ev := range events {
+		if seen == len(want) || ev.Stage != stage || ev.Part != part ||
+			ev.Phase != want[seen].phase || ev.Attempt != want[seen].attempt {
+			continue
+		}
+		if ev.Phase == obs.PhaseFailed && !strings.Contains(ev.Err, errText) {
+			t.Fatalf("stage %d part %d failed with %q, want an error containing %q", stage, part, ev.Err, errText)
+		}
+		seen++
+	}
+	if seen < len(want) {
+		t.Fatalf("stage %d part %d: saw %d of failed → retried → finished, want all 3", stage, part, seen)
 	}
 }
 

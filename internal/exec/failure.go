@@ -8,10 +8,11 @@ import (
 )
 
 // HostFailure kills a worker at a virtual time: its slots vanish, its
-// stored shuffle output and cached partitions are lost, and tasks reaching
-// their next checkpoint on it fail over. This models whole-node failure,
-// the case where the paper's Push/Aggregate pays twice: pushed shuffle
-// input survives the death of the mapper that produced it, while
+// stored shuffle output and cached partitions are lost, tasks reaching
+// their next checkpoint on it fail over, and a push from it that has not
+// landed is lost. This models whole-node failure, the case where the
+// paper's Push/Aggregate pays twice: pushed shuffle input survives the
+// death of the mapper that produced it once it has landed, while
 // fetch-based shuffle must re-run the lost map tasks (Spark's FetchFailed
 // recovery).
 type HostFailure struct {

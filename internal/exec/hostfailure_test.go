@@ -2,10 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
+	"wanshuffle/internal/trace"
 )
 
 // hostFailJob: four map partitions on dc-a's hosts, of the given modeled
@@ -58,12 +60,13 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 		return res
 	}
 
-	// Pick a failure instant after the map stage finished but before the
-	// job ends.
+	// Pick a failure instant after the map stage finished in both modes
+	// (under push, once every push has landed) but before either job ends.
 	clean := run(false, 0)
-	failAt := clean.Stages[0].End + 1
-	if failAt >= clean.End {
-		t.Fatalf("no window to inject failure: stages %v end %v", clean.Stages, clean.End)
+	pushClean := run(true, 0)
+	failAt := max(clean.Stages[0].End, pushClean.Stages[0].End) + 1
+	if failAt >= min(clean.End, pushClean.End) {
+		t.Fatalf("no window to inject failure: stages %v / %v", clean.Stages, pushClean.Stages)
 	}
 
 	fetchFail := run(false, failAt)
@@ -78,7 +81,6 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 		t.Fatalf("fetch-mode failure was free: %.2f vs %.2f", fetchFail.JCT, clean.JCT)
 	}
 
-	pushClean := run(true, 0)
 	pushFail := run(true, failAt)
 	if canonSet(pushFail.Records) != canonSet(pushClean.Records) {
 		t.Fatal("push-mode results wrong under host failure")
@@ -167,6 +169,83 @@ func TestHostDiesDuringMapStage(t *testing.T) {
 			t.Fatalf("push=%v: lost map work was not rerun: %d vs %d attempts", push, res.TaskAttempts, clean.TaskAttempts)
 		}
 	}
+}
+
+// TestHostDiesDuringPush kills a mapper host while its map outputs are on
+// their way to the reducers' datacenter: once after its maps finished but
+// before its pushes start, and once halfway through them. A push whose
+// source host died does not land: the receiver attempt fails, the
+// partition's map runs again on a live host as attempt 2, and its output is
+// pushed again. A lost push's flow is not cancelled, so its bytes stay in
+// the cross-DC accounting.
+func TestHostDiesDuringPush(t *testing.T) {
+	topo := topology.TwoDCMicro()
+	dcA, _ := topo.DCByName("dc-a")
+	dcB, _ := topo.DCByName("dc-b")
+	victim := topo.HostsIn(dcA)[0]
+	run := func(failures []HostFailure) (*Engine, *Result) {
+		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, Trace: true, HostFailures: failures})
+		res, err := eng.Run(hostFailJob(topo, dcA, dcB, true, even), ActionSave, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, res
+	}
+	cleanEng, clean := run(nil)
+	var mapEnd, pushBytes float64
+	var pushes []trace.Span
+	for _, sp := range cleanEng.Tracer.Spans() {
+		switch {
+		case sp.Host != victim:
+		case sp.Kind == trace.KindMap:
+			mapEnd = max(mapEnd, sp.End)
+		case sp.Kind == trace.KindPush:
+			pushes = append(pushes, sp)
+			pushBytes += sp.Bytes
+		}
+	}
+	if len(pushes) == 0 || mapEnd >= pushes[0].Start {
+		t.Fatalf("no push window after host %d's maps: maps end %.2f, pushes %v", victim, mapEnd, pushes)
+	}
+	want := canon(rdd.CollectLocal(hostFailJob(topo, dcA, dcB, true, even)))
+	for _, tc := range []struct {
+		name string
+		at   float64
+		// moved is the cross-DC push bytes the lost pushes moved.
+		moved float64
+	}{
+		{"before its pushes start", (mapEnd + pushes[0].Start) / 2, 0},
+		{"while its pushes flow", (pushes[0].Start + pushes[0].End) / 2, pushBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			failure := HostFailure{Host: victim, At: tc.at}
+			eng, res := run([]HostFailure{failure})
+			if canon(res.Records) != want {
+				t.Fatalf("output wrong after host %d died at t=%.2f", victim, tc.at)
+			}
+			if sp, ok := landedFromDead(eng.Tracer.Spans(), failure); ok {
+				t.Fatalf("push of part %d from host %d landed at t=%.2f, after the host died at t=%.2f", sp.Part, victim, sp.End, tc.at)
+			}
+			for _, sp := range pushes {
+				wantRetried(t, eng.Events.TaskEvents(), sp.Stage, sp.Part, fmt.Sprintf("push source host %d died", victim))
+			}
+			got, wantBytes := res.CrossDCByTag[TagPush], clean.CrossDCByTag[TagPush]+tc.moved
+			if math.Abs(got-wantBytes) > 1e-6*wantBytes {
+				t.Fatalf("cross-DC push bytes = %.0f, want %.0f (clean %.0f + lost %.0f)", got, wantBytes, clean.CrossDCByTag[TagPush], tc.moved)
+			}
+		})
+	}
+}
+
+// landedFromDead returns a push span from the failed host that ended after
+// the host died: a push whose source is dead must not be delivered.
+func landedFromDead(spans []trace.Span, f HostFailure) (trace.Span, bool) {
+	for _, sp := range spans {
+		if sp.Kind == trace.KindPush && sp.Host == f.Host && sp.End > f.At {
+			return sp, true
+		}
+	}
+	return trace.Span{}, false
 }
 
 // TestInputReplicaRedirect: a dead host's input blocks are served by a

@@ -9,6 +9,7 @@ import (
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
+	"wanshuffle/internal/trace"
 )
 
 // buildRandomLineage delegates to the shared seeded job generator, placing
@@ -80,9 +81,11 @@ func faultSchedule(t *testing.T, rng *rand.Rand, target *rdd.RDD) []FailureSpec 
 }
 
 // TestQuickRandomLineagesWithChaos runs random jobs under every scheme with
-// compute noise and a seeded fault schedule: scripted reducer failures, and
-// then the same failures plus one worker killed at a random point of the
-// clean run. Recovery must reproduce the reference output.
+// compute noise and a seeded fault schedule: scripted reducer failures, then
+// the same failures plus one worker killed at a random point of the clean
+// run, and, where the clean run pushes, a push's source host killed inside
+// that push's window. Recovery must reproduce the reference output, and no
+// push may land from a host that has died.
 func TestQuickRandomLineagesWithChaos(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	workers := topo.Workers()
@@ -104,10 +107,12 @@ func TestQuickRandomLineagesWithChaos(t *testing.T) {
 				}
 				return job
 			}
-			run := func(cfg Config) *Result {
+			run := func(cfg Config) (*Result, []trace.Span) {
 				t.Helper()
 				cfg.ComputeNoise = 0.5
-				res, err := New(topo, seed+1, cfg).Run(build(), ActionSave, mode.opts)
+				cfg.Trace = true
+				eng := New(topo, seed+1, cfg)
+				res, err := eng.Run(build(), ActionSave, mode.opts)
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, mode.name, err)
 				}
@@ -115,16 +120,34 @@ func TestQuickRandomLineagesWithChaos(t *testing.T) {
 					t.Fatalf("seed %d %s (%d scripted failures, host failures %v): output diverges from reference",
 						seed, mode.name, len(cfg.ScriptedFailures), cfg.HostFailures)
 				}
-				return res
+				for _, f := range cfg.HostFailures {
+					if sp, ok := landedFromDead(eng.Tracer.Spans(), f); ok {
+						t.Fatalf("seed %d %s: push of stage %d part %d landed at t=%.2f from host %d, dead since t=%.2f",
+							seed, mode.name, sp.Stage, sp.Part, sp.End, f.Host, f.At)
+					}
+				}
+				return res, eng.Tracer.Spans()
 			}
 			rng := rand.New(rand.NewSource(seed))
-			clean := run(Config{})
+			clean, spans := run(Config{})
 			failures := faultSchedule(t, rng, build())
 			run(Config{ScriptedFailures: failures})
 			run(Config{ScriptedFailures: failures, HostFailures: []HostFailure{{
 				Host: workers[rng.Intn(len(workers))],
 				At:   clean.JCT * (0.1 + 0.8*rng.Float64()),
 			}}})
+			// Without scripted failures the run matches the clean one up to
+			// the death, so the death falls inside the drawn push's window.
+			var pushes []trace.Span
+			for _, sp := range spans {
+				if sp.Kind == trace.KindPush && sp.End > sp.Start {
+					pushes = append(pushes, sp)
+				}
+			}
+			if len(pushes) > 0 {
+				p := pushes[rng.Intn(len(pushes))]
+				run(Config{HostFailures: []HostFailure{{Host: p.Host, At: p.Start + (p.End-p.Start)*(0.1+0.8*rng.Float64())}}})
+			}
 		}
 	}
 }

@@ -20,7 +20,6 @@ func (e *Engine) launchStage(ss *stageState) {
 		return
 	}
 	ss.launched = true
-	e.log.Debug("exec: stage starting", "stage", ss.name, "id", ss.st.ID, "tasks", ss.st.NumTasks, "t", e.Clock.Now())
 	ss.span = StageSpan{ID: ss.st.ID, Name: ss.name, Start: e.Clock.Now()}
 	ss.phaseDone = make([]int, len(ss.st.Phases))
 	ss.heldHandoffs = make([][]func(), len(ss.st.Phases))
@@ -202,12 +201,6 @@ func (e *Engine) taskEvent(phase obs.TaskPhase, t *taskRun, site int, err error)
 		ev.Err = err.Error()
 	}
 	e.Events.OnTask(ev)
-	switch phase {
-	case obs.PhaseFailed:
-		e.log.Warn("exec: task attempt failed", "task", t.name(), "site", site, "t", ev.Time, "err", ev.Err)
-	case obs.PhaseRetried:
-		e.log.Debug("exec: task retried", "task", t.name(), "t", ev.Time)
-	}
 }
 
 func (e *Engine) submitTask(t *taskRun) {
@@ -328,13 +321,20 @@ func (e *Engine) runTask(t *taskRun, host topology.HostID, release func()) {
 }
 
 // receiveThenCompute handles a receiver task: accept the push flow, spill
-// to disk, then continue the phase chain.
+// to disk, then continue the phase chain. A push whose source host died
+// before it started or before it landed is not delivered (pushLost).
 func (e *Engine) receiveThenCompute(t *taskRun, host topology.HostID, release func(), start float64) {
+	if e.pushLost(t, host, release) {
+		return
+	}
 	from := t.pushFrom
 	pushStart := e.Clock.Now()
 	pushID := e.Tracer.NewSpanID()
 	t.linkSpan = pushID // the receiver's compute span consumed this send
 	e.Net.StartFlow(from, host, t.pushBytes, TagPush, func() {
+		if e.pushLost(t, host, release) {
+			return
+		}
 		e.trace(trace.Span{
 			Kind: trace.KindPush, ID: pushID, Parent: t.parentSpan,
 			Host: from, Stage: t.ss.st.ID, Part: t.part,
@@ -345,6 +345,22 @@ func (e *Engine) receiveThenCompute(t *taskRun, host topology.HostID, release fu
 			e.computePhase(t, host, release, start)
 		})
 	})
+}
+
+// pushLost fails receiver attempt t at host if the host its push comes from
+// has died: the map output died with it, so the partition runs again from
+// the stage's first phase as a fresh attempt, counted against
+// plan.MaxAttempts. A flow already started is not cancelled (simnet has no
+// cancellation): it runs to its end and its bytes stay in the cross-DC
+// accounting, at most the bytes left at the death more than crossed.
+func (e *Engine) pushLost(t *taskRun, host topology.HostID, release func()) bool {
+	if !e.isDead(t.pushFrom) {
+		return false
+	}
+	release()
+	retry := &taskRun{ss: t.ss, part: t.part, phase: t.ss.startPhase, attempt: t.attempt + 1}
+	e.retryOrFail(t, retry, host, fmt.Errorf("push source host %d died", t.pushFrom))
+	return true
 }
 
 // acquireThenCompute fetches a phase-0 task's inputs: local disk reads plus
@@ -750,7 +766,6 @@ func (e *Engine) taskDone(ss *stageState) {
 	}
 	ss.completed = true
 	ss.span.End = e.Clock.Now()
-	e.log.Debug("exec: stage finished", "stage", ss.name, "id", ss.st.ID, "sec", ss.span.End-ss.span.Start)
 	e.Events.OnStage(ss.span)
 	if ss.st.OutSpec != nil {
 		e.reg.Finalize(ss.st.OutSpec.ID)

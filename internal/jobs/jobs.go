@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"slices"
 	"sync"
 	"time"
@@ -144,8 +143,6 @@ type Config struct {
 	// MaxQueue bounds how many jobs may wait in the queue (the running job
 	// does not count). Defaults to 16.
 	MaxQueue int
-	// Logger receives structured service logs; nil discards.
-	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -173,7 +170,6 @@ type record struct {
 type Service struct {
 	cfg Config
 	reg *obs.Registry
-	log *slog.Logger
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -197,7 +193,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:            cfg.withDefaults(),
 		reg:            obs.NewRegistry(),
-		log:            obs.LoggerOr(cfg.Logger),
 		records:        map[string]*record{},
 		dispatcherDone: make(chan struct{}),
 	}
@@ -280,7 +275,6 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 		close(rec.done)
 		s.reg.Counter("jobs_rejected_total", obs.Labels{"tenant": sub.Tenant, "reason": rej.Reason}).Inc()
 		s.publishLocked(rec)
-		s.log.Warn("jobs: submission rejected", "job", rec.info.ID, "tenant", sub.Tenant, "reason", rej.Reason)
 		return nil, rej
 	}
 	rec := s.newRecordLocked(sub)
@@ -288,7 +282,6 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 	s.queue = append(s.queue, rec)
 	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 	s.publishLocked(rec)
-	s.log.Info("jobs: queued", "job", rec.info.ID, "tenant", sub.Tenant, "name", sub.Name, "depth", len(s.queue))
 	s.cond.Broadcast()
 	return &Job{svc: s, rec: rec}, nil
 }
@@ -472,7 +465,6 @@ func (s *Service) next() (*record, context.Context) {
 	rec.info.QueueWaitSec = wait
 	s.reg.Histogram("jobs_queue_wait_sec", queueWaitEdges, nil).Observe(wait)
 	s.publishLocked(rec)
-	s.log.Info("jobs: running", "job", rec.info.ID, "tenant", rec.info.Tenant, "wait_sec", wait)
 	return rec, ctx
 }
 
@@ -496,10 +488,7 @@ func (s *Service) runJob(ctx context.Context, rec *record) {
 		s.finishLocked(rec, StateFailed, err.Error(), report)
 	}
 	rec.cancel() // releases the deadline timer
-	state := rec.info.State
 	s.mu.Unlock()
-	s.log.Info("jobs: finished", "job", rec.info.ID, "tenant", rec.info.Tenant,
-		"state", string(state), "run_sec", runSec, "err", rec.info.Err)
 }
 
 // Close drains the service: further submissions are rejected, every

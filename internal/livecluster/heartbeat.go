@@ -154,7 +154,6 @@ func (c *Cluster) mergeHeartbeat(hb heartbeat, beat bool) {
 	if beat {
 		run.stats.Events.Registry().Counter("heartbeats_total", obs.Labels{"worker": siteLabel(hb.Worker)}).Inc()
 	}
-	c.log.Debug("livecluster: heartbeat merged", "worker", hb.Worker, "flows", len(hb.Flows), "spans", len(hb.Spans))
 }
 
 // flush drains the worker's buffer into the current job's stats. hbMu is held
@@ -211,6 +210,5 @@ func (c *Cluster) KillWorker(i int) {
 	if i < 0 || i >= len(c.workers) {
 		return
 	}
-	c.log.Warn("livecluster: killing worker", "worker", i)
 	c.workers[i].close()
 }

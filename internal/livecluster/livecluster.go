@@ -38,7 +38,6 @@ package livecluster
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"slices"
 	"strconv"
 	"sync"
@@ -109,9 +108,6 @@ type Config struct {
 	// exact when Run returns and empty before. Liveness does not depend on
 	// it: a worker is down when it is closed.
 	HeartbeatInterval time.Duration
-	// Logger receives structured cluster logs (worker lifecycle,
-	// heartbeat merges, kills) with worker attributes. Nil discards.
-	Logger *slog.Logger
 	// ChunkRecords bounds how many records one data-plane chunk frame
 	// carries; pushes and fetches stream their partitions as sequences of
 	// such chunks. Defaults to 256.
@@ -203,7 +199,6 @@ type Cluster struct {
 	// lastStats keeps the most recently completed job's stats reachable
 	// for telemetry endpoints after Run returns.
 	lastStats atomic.Pointer[Stats]
-	log       *slog.Logger
 	// links estimates per-site-pair throughput from the transfer samples
 	// the data plane already produces. It persists across jobs
 	// (link capacity outlives any one run) and mirrors its gauges into
@@ -465,10 +460,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("livecluster: WAN topology has no worker hosts")
 	}
 	cfg.Compression = codec
-	c := &Cluster{
-		cfg: cfg,
-		log: obs.LoggerOr(cfg.Logger),
-	}
+	c := &Cluster{cfg: cfg}
 	c.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
 		if run := c.curRun.Load(); run != nil {
 			return run.stats.Events.Registry()
@@ -489,8 +481,6 @@ func New(cfg Config) (*Cluster, error) {
 			w.startHeartbeats(cfg.HeartbeatInterval)
 		}
 	}
-	c.log.Info("livecluster: started", "workers", cfg.Workers, "mode", cfg.Mode.String(),
-		"heartbeat", cfg.HeartbeatInterval)
 	return c, nil
 }
 
@@ -700,7 +690,6 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 		Policy:      c.cfg.AggregatorPolicy,
 		LinkCosts:   c.LinkCosts(),
 		SiteSlots:   c.cfg.TasksPerWorker,
-		Logger:      c.cfg.Logger,
 	})
 	parts, err := drv.RunContext(ctx)
 	// Drain every worker's telemetry buffer before reading the stats, so

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"slices"
 	"sync"
 	"time"
@@ -127,10 +126,6 @@ type DriverConfig struct {
 	LinkCosts LinkCostProvider
 	// SiteSlots bounds concurrent tasks per site. Default 2.
 	SiteSlots int
-	// Logger receives structured run logs (stage windows, task retries
-	// and failures, aggregator choices) with run/stage/task attributes.
-	// Nil discards.
-	Logger *slog.Logger
 }
 
 // Driver executes a planned job stage-by-stage over a Backend: topological
@@ -142,7 +137,6 @@ type Driver struct {
 	job *Job
 	be  Backend
 	cfg DriverConfig
-	log *slog.Logger
 	ctx context.Context
 
 	sems  []chan struct{}
@@ -165,7 +159,7 @@ func NewDriver(job *Job, be Backend, cfg DriverConfig) *Driver {
 	if cfg.SiteSlots <= 0 {
 		cfg.SiteSlots = 2
 	}
-	return &Driver{job: job, be: be, cfg: cfg, log: obs.LoggerOr(cfg.Logger), aggSites: map[int][]int{}}
+	return &Driver{job: job, be: be, cfg: cfg, aggSites: map[int][]int{}}
 }
 
 // AggregatedTo returns the sites a shuffle's output was aggregated into
@@ -215,23 +209,19 @@ func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 	}
 	d.start = time.Now()
 
-	d.log.Info("plan: job starting", "stages", len(d.job.Stages()), "sites", n, "aggregate", d.cfg.Aggregate)
 	var final [][]rdd.Pair
 	for _, st := range d.job.Stages() {
 		if err := d.canceled(); err != nil {
-			d.log.Warn("plan: job canceled between stages", "next_stage", st.Name())
 			return nil, err
 		}
 		out, err := d.runStage(st)
 		if err != nil {
-			d.log.Error("plan: job failed", "stage", st.Name(), "err", err)
 			return nil, err
 		}
 		if st == d.job.Final() {
 			final = out
 		}
 	}
-	d.log.Info("plan: job finished", "sec", d.now())
 	return final, nil
 }
 
@@ -251,7 +241,6 @@ func (d *Driver) canceled() error {
 func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
 	agg := d.resolveAggregators(st)
-	d.log.Debug("plan: stage starting", "stage", st.Name(), "id", st.ID, "tasks", st.NumTasks, "aggregators", agg)
 
 	errs := make([]error, st.NumTasks)
 	var results [][]rdd.Pair
@@ -310,7 +299,6 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 		}
 	}
 	d.be.OnStage(StageSpan{ID: st.ID, Name: st.Name(), Start: spanStart, End: d.now()})
-	d.log.Debug("plan: stage finished", "stage", st.Name(), "id", st.ID, "sec", d.now()-spanStart)
 	return results, nil
 }
 
@@ -349,10 +337,6 @@ func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 		if po, ok := d.be.(PlacementObserver); ok {
 			po.OnPlacement(dec)
 		}
-		d.log.Info("plan: aggregator chosen",
-			"stage", st.Name(), "shuffle", st.OutSpec.ID,
-			"policy", d.cfg.Policy.String(), "site", rank[0],
-			"cost_sec", dec.CostSec, "source", dec.Source)
 	}
 	d.mu.Lock()
 	d.aggSites[st.OutSpec.ID] = agg
@@ -441,7 +425,6 @@ func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt i
 			return nil
 		}
 		d.taskEvent(obs.PhaseFailed, st, part, site, att, err)
-		d.log.Warn("plan: task attempt failed", "stage", st.Name(), "part", part, "site", site, "attempt", att, "err", err)
 		// A canceled job burns no retry budget: surface the cancellation
 		// instead of re-running a task whose job is being torn down.
 		if cerr := d.canceled(); cerr != nil {
@@ -451,7 +434,6 @@ func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt i
 			return fmt.Errorf("plan: task %s/t%d failed after %d attempt(s): %w", st.Name(), part, att, err)
 		}
 		if moved := d.replaceSite(site); moved != site {
-			d.log.Info("plan: re-placing retried task off unhealthy site", "stage", st.Name(), "part", part, "from", site, "to", moved)
 			<-d.sems[site]
 			site = moved
 			if err := d.acquire(site); err != nil {

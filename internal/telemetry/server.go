@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -44,14 +43,11 @@ type Config struct {
 	// /jobs and /jobs/ (list, submit, per-job snapshot/report/cancel,
 	// lifecycle watch stream). Serve mode wires jobs.NewHandler here.
 	Jobs http.Handler
-	// Logger receives request logs at debug level; nil discards.
-	Logger *slog.Logger
 }
 
 // Handler builds the telemetry plane's HTTP handler: /metrics, /report,
 // /events, /trace, /debug/pprof/, and a plain-text index at /.
 func Handler(cfg Config) http.Handler {
-	log := obs.LoggerOr(cfg.Logger)
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -86,9 +82,7 @@ func Handler(cfg Config) http.Handler {
 				return
 			}
 			w.Header().Set("Content-Type", contentType)
-			if err := write(w); err != nil {
-				log.Debug("telemetry: "+path+" write failed", "err", err)
-			}
+			_ = write(w) // a write error means the client went away: nobody to tell
 		})
 	}
 	view("/metrics", "no metrics registry yet", obs.PromContentType, func() func(io.Writer) error {
@@ -130,10 +124,7 @@ func Handler(cfg Config) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		log.Debug("telemetry: request", "method", r.Method, "path", r.URL.Path, "remote", r.RemoteAddr)
-		mux.ServeHTTP(w, r)
-	})
+	return mux
 }
 
 // call returns what an endpoint's source says, the zero value when the source
@@ -191,22 +182,9 @@ func Tail[E any](w http.ResponseWriter, r *http.Request, subscribe func(buf int)
 			if err := enc.Encode(ev); err != nil {
 				return
 			}
-			// Drain whatever else is queued before flushing, so bursts
-			// don't flush per event.
-			for drained := false; !drained; {
-				select {
-				case ev, ok := <-ch:
-					if !ok {
-						return
-					}
-					if err := enc.Encode(ev); err != nil {
-						return
-					}
-				default:
-					drained = true
-				}
-			}
-			if flusher != nil {
+			// Flush once nothing else is queued, so bursts don't flush per
+			// event.
+			if len(ch) == 0 && flusher != nil {
 				flusher.Flush()
 			}
 		}
@@ -232,7 +210,6 @@ func Start(addr string, cfg Config) (*Server, error) {
 	go func() {
 		_ = srv.Serve(ln)
 	}()
-	obs.LoggerOr(cfg.Logger).Info("telemetry: serving", "addr", s.Addr())
 	return s, nil
 }
 
