@@ -71,6 +71,7 @@ func newSimBackend(o *options, seed int64) *backend {
 		snapshot: func(workload string) *obs.Report {
 			rep := obs.InProgressReport("sim", workload, o.scheme.String(), eng.Events)
 			rep.Network = eng.NetworkStats()
+			rep.Placement = obs.PlacementSection(o.aggregator.String(), eng.Events.Placements())
 			return rep
 		},
 		events: func() *obs.Collector { return eng.Events },

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/trace"
+	"wanshuffle/internal/workloads"
 )
 
 func f64(v float64) *float64 { return &v }
@@ -15,13 +18,36 @@ func f64(v float64) *float64 { return &v }
 // live one's shape: before a job has moved a byte its snapshot already has
 // the network section, one entry per configured cross-DC pair.
 func TestSimSnapshotCarriesNetwork(t *testing.T) {
-	o, err := parseOptions(nil, io.Discard)
+	rep, _ := simRun(t, []string{"-scale", "0.02"}, 1, 0)
+	if rep.Network == nil || len(rep.Network.Links) == 0 {
+		t.Fatalf("sim snapshot network section = %+v, want the configured pairs", rep.Network)
+	}
+}
+
+// simRun runs the workload args name on a fresh simulator backend and
+// takes the backend's mid-run snapshot at virtual time at.
+func simRun(t *testing.T, args []string, seed int64, at float64) (mid, final *obs.Report) {
+	o, err := parseOptions(args, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := newSimBackend(o, 1).snapshot(o.workload.Name)
-	if rep.Network == nil || len(rep.Network.Links) == 0 {
-		t.Fatalf("sim snapshot network section = %+v, want the configured pairs", rep.Network)
+	b := newSimBackend(o, seed)
+	b.lineage.Engine().Clock.At(at, func() { mid = b.snapshot(o.workload.Name) })
+	inst := o.workload.Make(b.lineage, workloads.Options{Seed: seed, Scale: o.scale})
+	if _, final, err = b.run(context.Background(), o.workload.Name, inst.Target); err != nil {
+		t.Fatal(err)
+	}
+	return mid, final
+}
+
+// TestSimSnapshotCarriesPlacement: at 0.5 s, in its first stage (0–1.1 s),
+// naivebayes has made the first of its two aggregator decisions, and the
+// simulator's mid-run /report carries exactly that one, as live does.
+func TestSimSnapshotCarriesPlacement(t *testing.T) {
+	mid, final := simRun(t, []string{"-workload", "naivebayes", "-scheme", "agg", "-scale", "0.05"}, 1, 0.5)
+	p := final.Placement
+	if p == nil || len(p.Decisions) != 2 || !reflect.DeepEqual(mid.Placement, &obs.PlacementStats{Policy: p.Policy, Decisions: p.Decisions[:1]}) {
+		t.Fatalf("mid-run placement section = %+v, want the first decision of the final %+v", mid.Placement, p)
 	}
 }
 

@@ -34,15 +34,15 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 		if err != nil {
 			return jobs.Submission{}, err
 		}
-		seed, scale, repeat := req.Seed, req.Scale, req.Repeat
+		seed, scale, repeat := o.seed, req.Scale, req.Repeat
 		if scale < 0 {
 			return jobs.Submission{}, fmt.Errorf("scale must not be negative, got %v", scale)
 		}
 		if repeat < 0 {
-			return jobs.Submission{}, fmt.Errorf("repeat must be positive, got %d", repeat)
+			return jobs.Submission{}, fmt.Errorf("repeat must not be negative, got %d", repeat)
 		}
-		if seed == 0 {
-			seed = o.seed
+		if req.Seed != nil {
+			seed = *req.Seed
 		}
 		if scale == 0 {
 			scale = o.scale

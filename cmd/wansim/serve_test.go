@@ -14,9 +14,9 @@ import (
 	"wanshuffle/internal/obs"
 )
 
-// submitJob posts one workload submission and decodes the accepted job's
-// snapshot.
-func submitJob(t *testing.T, url string, req jobs.SubmitRequest) jobs.Info {
+// submitJob posts one workload submission (a jobs.SubmitRequest or raw
+// JSON) and decodes the accepted job's snapshot.
+func submitJob(t *testing.T, url string, req any) jobs.Info {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/jobs", "application/json", bytes.NewReader(body))
@@ -60,7 +60,7 @@ func TestServeModeJobService(t *testing.T) {
 func testServeModeJobService(t *testing.T, backend string) {
 	args := []string{
 		"-serve", "-telemetry-addr", "127.0.0.1:0", "-max-queue", "4",
-		"-scale", "0.02",
+		"-scale", "0.02", "-seed", "1",
 	}
 	if backend == "live" {
 		args = append(args, "-live")
@@ -113,6 +113,14 @@ func testServeModeJobService(t *testing.T, backend string) {
 	}
 	first := doneReport(h.ID)
 	doneReport(l.ID)
+	// A body naming seed 0 runs seed 0, not the service's -seed 1 that h ran.
+	if backend == "sim" {
+		_, seed0 := simRun(t, []string{"-scale", "0.02"}, 0, 0)
+		z := submitJob(t, url, json.RawMessage(`{"tenant":"light","workload":"wordcount","seed":0}`))
+		if got := doneReport(z.ID).CompletionSec; got != seed0.CompletionSec || got == first.CompletionSec {
+			t.Fatalf("seed 0 job completed at %v s, want seed 0's %v (seed 1's is %v)", got, seed0.CompletionSec, first.CompletionSec)
+		}
+	}
 
 	// A repeated job outlives its deadline and lands canceled, not failed;
 	// the service then runs the next submission cleanly.

@@ -121,9 +121,9 @@ func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResu
 // microWANBps is the micro-scenario's shared inter-DC capacity.
 const microWANBps = 250 * topology.Mbps
 
-// microTopology is Fig. 1's setting: two mapper workers in dc-a and one
-// reducer-side worker in dc-b, connected by a wide-area path at ¼ of the
-// datacenter link rate.
+// microTopology is Fig. 1's setting: two 2-core mapper hosts in dc-a, one
+// 4-core reducer-side host in dc-b, and a 250 Mbps wide-area path (¼ of the
+// datacenter link), which microContext also makes each host's WAN share.
 func microTopology() *topology.Topology {
 	b := topology.NewBuilder()
 	dcA := b.AddDC("dc-a", 2, 2, 1*topology.Gbps)

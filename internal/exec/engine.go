@@ -134,8 +134,8 @@ type Engine struct {
 	Topo   *topology.Topology
 	Sched  *sched.Scheduler
 	Tracer *trace.Recorder
-	// Events collects the task/stage lifecycle stream of every job run on
-	// this engine, with counters in its metrics registry. Always present.
+	// Events collects the task/stage lifecycle stream and placements of
+	// every job run on this engine, with counters in its registry.
 	Events *obs.Collector
 
 	cfg      Config
@@ -308,9 +308,6 @@ type Result struct {
 	// failures and lost hosts). Recomputing a lost map output is a fresh
 	// attempt 1, not a retry.
 	Retries int
-	// Placements records the job's automatic aggregator decisions (one
-	// per auto-resolved shuffle) under the configured AggregatorPolicy.
-	Placements []obs.PlacementDecision
 }
 
 // RunOptions tune one job run.
@@ -342,10 +339,6 @@ type jobState struct {
 	done     bool
 	end      float64
 	err      error
-
-	// placements accumulates automatic aggregator decisions, appended
-	// from the single-threaded event loop as shuffles resolve.
-	placements []obs.PlacementDecision
 
 	// pinDC confines every task to one datacenter (Centralized baseline:
 	// "after all data is centralized within a cluster, Spark works within
@@ -572,7 +565,6 @@ func (e *Engine) report(job *jobState) *Result {
 	for _, ss := range job.stages {
 		res.Stages = append(res.Stages, ss.span)
 	}
-	res.Placements = append([]obs.PlacementDecision(nil), job.placements...)
 	return res
 }
 

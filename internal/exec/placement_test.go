@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/dag"
+	"wanshuffle/internal/obs"
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
@@ -54,25 +55,25 @@ func hubTriadJob(topo *topology.Topology) *rdd.RDD {
 // different (and cheaper) aggregator than plan.AggregatorBest, and the job
 // must finish faster end to end.
 func TestBandwidthPolicyBeatsByteRuleOnSkewedLinks(t *testing.T) {
-	run := func(policy plan.AggregatorPolicy) *Result {
+	run := func(policy plan.AggregatorPolicy) (*Result, []obs.PlacementDecision) {
 		topo := hubTriad(t)
 		eng := New(topo, 1, Config{AggregatorPolicy: policy})
 		res, err := eng.Run(hubTriadJob(topo), ActionCollect, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, eng.Events.Placements()
 	}
-	best := run(plan.AggregatorBest)
-	bw := run(plan.AggregatorBandwidth)
+	best, bestDecs := run(plan.AggregatorBest)
+	bw, bwDecs := run(plan.AggregatorBandwidth)
 
 	if canon(best.Records) != canon(bw.Records) {
 		t.Fatalf("policies disagree on output:\n best %s\n bw   %s", canon(best.Records), canon(bw.Records))
 	}
-	if len(best.Placements) == 0 || len(bw.Placements) == 0 {
-		t.Fatalf("placements not recorded: best=%d bw=%d", len(best.Placements), len(bw.Placements))
+	if len(bestDecs) == 0 || len(bwDecs) == 0 {
+		t.Fatalf("placements not recorded: best=%d bw=%d", len(bestDecs), len(bwDecs))
 	}
-	bd, wd := best.Placements[0], bw.Placements[0]
+	bd, wd := bestDecs[0], bwDecs[0]
 	if bd.Chosen != 0 || bd.ChosenSite != "dc-a" {
 		t.Fatalf("byte rule chose %d (%s), want dc-a (largest share)", bd.Chosen, bd.ChosenSite)
 	}

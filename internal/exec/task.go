@@ -73,8 +73,8 @@ func (e *Engine) claimPartDone(ss *stageState, part int) bool {
 
 // resolveAggregator picks the stage's automatic aggregator datacenter
 // (Sec. IV-D): it measures the stage's input bytes per DC and hands them
-// to the shared plan.ChooseAggregator. The decision is recorded on the job
-// for the run report and mirrored into the metrics registry.
+// to the shared plan.ChooseAggregator. The decision goes to the engine's
+// event collector, the run report's one record of it.
 func (e *Engine) resolveAggregator(ss *stageState) {
 	auto := false
 	for _, ph := range ss.st.Phases {
@@ -124,8 +124,7 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 		func(dc int) string { return e.Topo.DCs[dc].Name })
 	ss.aggResolved = true
 	if len(ss.aggRank) > 0 {
-		ss.job.placements = append(ss.job.placements, dec)
-		plan.RecordPlacement(e.Events.Registry(), e.cfg.AggregatorPolicy.String(), dec)
+		e.Events.OnPlacement(dec)
 	}
 }
 

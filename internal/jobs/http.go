@@ -17,7 +17,8 @@ type SubmitRequest struct {
 	Tenant   string  `json:"tenant"`
 	Workload string  `json:"workload"`
 	Scale    float64 `json:"scale,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
+	// Seed is nil when the body names none; an explicit 0 is a seed.
+	Seed *int64 `json:"seed,omitempty"`
 	// Repeat runs the workload this many times within the one job
 	// (default 1), re-checking the job's context between rounds — an
 	// iterative job whose rounds share one turn on the cluster.

@@ -180,8 +180,8 @@ type Service struct {
 	seq     int
 	closed  bool
 
-	// events is the lifecycle event log behind Events, Subscribe and the
-	// /jobs watch stream; appends happen under mu, so it is in transition
+	// events is the lifecycle event log behind Subscribe and the /jobs
+	// watch stream; appends happen under mu, so it is in transition
 	// order.
 	events obs.Log[Event]
 
@@ -236,17 +236,6 @@ func (j *Job) Info() Info {
 	defer j.svc.mu.Unlock()
 	return snapshotLocked(j.rec)
 }
-
-// Report returns the job's retained run report (nil until the run
-// produced one).
-func (j *Job) Report() *obs.Report {
-	j.svc.mu.Lock()
-	defer j.svc.mu.Unlock()
-	return j.rec.report
-}
-
-// Cancel cancels the job (see Service.Cancel).
-func (j *Job) Cancel() { j.svc.Cancel(j.rec.info.ID) }
 
 func snapshotLocked(rec *record) Info {
 	info := rec.info
@@ -337,9 +326,6 @@ func (s *Service) publishLocked(rec *record) {
 func (s *Service) Subscribe(buf int) (history []Event, ch <-chan Event, cancel func()) {
 	return s.events.Subscribe(buf)
 }
-
-// Events returns a copy of the lifecycle event log in arrival order.
-func (s *Service) Events() []Event { return s.events.Snapshot() }
 
 // List returns every job the service has seen (rejected included), in
 // submission order.

@@ -215,7 +215,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 
 	// Cancel the running gate; its Run returns ctx.Err().
-	gate.Cancel()
+	svc.Cancel(gate.ID())
 	if info := gate.Wait(); info.State != StateCanceled {
 		t.Fatalf("running victim finished %s (err=%q), want canceled", info.State, info.Err)
 	}
@@ -294,9 +294,6 @@ func TestLifecycleEvents(t *testing.T) {
 	}
 	if info := job.Info(); !info.HasReport {
 		t.Fatalf("job retained no report: %+v", info)
-	}
-	if rep := job.Report(); rep == nil {
-		t.Fatal("Report() nil despite run returning one")
 	}
 }
 

@@ -94,7 +94,7 @@ func TestJobServiceOverSimBackend(t *testing.T) {
 		if info.State != StateDone {
 			t.Fatalf("job %s finished %s (err=%q), want done", info.Name, info.State, info.Err)
 		}
-		rep := j.Report()
+		rep, _ := svc.Report(j.ID())
 		if rep == nil {
 			t.Fatalf("job %s kept no run report", info.Name)
 		}

@@ -54,8 +54,8 @@ func (r *liveRun) stageOfShuffle(id int) int {
 	return -1
 }
 
-// errWorkerDown fails a task whose worker was closed under it (KillWorker, or
-// the cluster shutting down): what the worker held is gone with it.
+// errWorkerDown fails a task whose worker was closed under it: what the
+// worker held is gone with it.
 var errWorkerDown = errors.New("worker is down")
 
 // NumSites implements plan.Backend: one site per worker.
@@ -152,15 +152,15 @@ func (r *liveRun) OnStage(span plan.StageSpan) {
 // sites.
 func (r *liveRun) SiteHealthy(site int) bool { return r.c.workerHealthy(site) }
 
-// OnPlacement implements plan.PlacementObserver: label the decision's
-// sites with the cluster's matrix labels, then record it on the job's
-// stats (report section plus placement_* metrics).
+// OnPlacement implements plan.Backend (obs.Sink): label the decision's
+// sites with the cluster's matrix labels, then record it in the job's
+// event collector.
 func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 	d.ChosenSite = siteLabel(d.Chosen)
 	for i := range d.Candidates {
 		d.Candidates[i].SiteName = siteLabel(d.Candidates[i].Site)
 	}
-	r.stats.addPlacement(d)
+	r.stats.Events.OnPlacement(d)
 }
 
 // reader builds the ShuffleReader task t gathers its shuffle input

@@ -202,13 +202,3 @@ func (w *worker) startHeartbeats(interval time.Duration) {
 func (c *Cluster) workerHealthy(i int) bool {
 	return i >= 0 && i < len(c.workers) && !c.workers[i].closed.Load()
 }
-
-// KillWorker shuts worker i down mid-run — listener, stored outputs,
-// pooled connections, heartbeats — simulating a worker death for failover
-// testing. The driver's retry path re-places its tasks via SiteHealthy.
-func (c *Cluster) KillWorker(i int) {
-	if i < 0 || i >= len(c.workers) {
-		return
-	}
-	c.workers[i].close()
-}

@@ -126,7 +126,7 @@ func TestHeartbeatFailover(t *testing.T) {
 	if !cluster.workerHealthy(0) {
 		t.Fatal("worker 0 unhealthy before it was killed")
 	}
-	cluster.KillWorker(0)
+	cluster.workers[0].close()
 
 	// Closed ⇒ unhealthy on the same call; the survivors are untouched.
 	if cluster.workerHealthy(0) {
@@ -170,11 +170,11 @@ func TestHeartbeatFailover(t *testing.T) {
 	}
 }
 
-// TestBlockedFlushDoesNotKillWorker holds worker 0's flush lock — what a
+// TestBlockedFlushLeavesWorkerHealthy holds worker 0's flush lock — what a
 // slow merge does to its ticker — for longer than a second, the staleness
 // bound the heartbeat-age clock used to apply: a worker that has not beaten
 // for a while is busy, not dead, and stays healthy until it is closed.
-func TestBlockedFlushDoesNotKillWorker(t *testing.T) {
+func TestBlockedFlushLeavesWorkerHealthy(t *testing.T) {
 	cluster, err := New(Config{Workers: 2, HeartbeatInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestBlockedFlushDoesNotKillWorker(t *testing.T) {
 	if !healthy {
 		t.Fatal("worker 0 reported unhealthy while only its flush was blocked")
 	}
-	cluster.KillWorker(0)
+	cluster.workers[0].close()
 	if cluster.workerHealthy(0) {
 		t.Fatal("killed worker 0 still healthy")
 	}

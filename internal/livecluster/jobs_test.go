@@ -259,7 +259,7 @@ func TestJobServiceOverLiveCluster(t *testing.T) {
 		if info.State != jobs.StateDone {
 			t.Fatalf("job %s finished %s (err=%q), want done", info.Name, info.State, info.Err)
 		}
-		rep := j.Report()
+		rep, _ := svc.Report(j.ID())
 		if rep == nil {
 			t.Fatalf("job %s kept no run report", info.Name)
 		}

@@ -109,7 +109,7 @@ func clusterLeavesNothingBehind(t *testing.T, heartbeat time.Duration, mode Mode
 	if c.StorageStats().SpillEvents == 0 {
 		t.Fatal("nothing spilled under a 256-byte budget: the spill directory was never used")
 	}
-	c.KillWorker(1)
+	c.workers[1].close()
 	c.Close()
 
 	waitFor(t, "goroutines and descriptors to return to where they were before New", func() bool {

@@ -250,8 +250,8 @@ type Stats struct {
 	// BytesByClass splits BytesOverTCP by request purpose: "push",
 	// "shuffle" (fetch).
 	BytesByClass map[string]int64
-	// Events collects the driver's task lifecycle and stage events, with
-	// a metrics registry mirroring them.
+	// Events collects the driver's task lifecycle and stage events and its
+	// placement decisions, with a metrics registry mirroring the events.
 	Events *obs.Collector
 
 	// storage snapshots the cluster's block-store accounting (the stores
@@ -268,15 +268,12 @@ type Stats struct {
 	links      *netobs.Estimator
 	configured []netobs.ConfiguredLink
 
-	// placementPolicy and placements carry the run's aggregator-policy
-	// label and the automatic placement decisions for the report's
-	// placement section.
+	// placementPolicy labels the report's placement section.
 	placementPolicy string
-	placements      []obs.PlacementDecision
 
 	// mu guards BytesOverTCP, BytesRaw, TrafficMatrix, BytesByClass,
-	// StageSpans, CompletionSec, Retries, and placements against concurrent
-	// scrapes; the request counters (Push/Fetch/Dials) are atomics.
+	// StageSpans, CompletionSec and Retries against concurrent scrapes; the
+	// request counters (Push/Fetch/Dials) are atomics.
 	mu sync.Mutex
 }
 
@@ -324,22 +321,8 @@ func (s *Stats) merge(hb heartbeat, tr *trace.Recorder) {
 	}
 }
 
-// addPlacement records one automatic aggregator decision and mirrors it
-// into the metrics registry.
-func (s *Stats) addPlacement(d obs.PlacementDecision) {
-	s.mu.Lock()
-	s.placements = append(s.placements, d)
-	policy := s.placementPolicy
-	s.mu.Unlock()
-	plan.RecordPlacement(s.Events.Registry(), policy, d)
-}
-
 // Placements returns the automatic aggregator decisions recorded so far.
-func (s *Stats) Placements() []obs.PlacementDecision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]obs.PlacementDecision(nil), s.placements...)
-}
+func (s *Stats) Placements() []obs.PlacementDecision { return s.Events.Placements() }
 
 // addStageSpan records one completed stage window.
 func (s *Stats) addStageSpan(span plan.StageSpan) {
@@ -392,7 +375,6 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 	retries := s.Retries
 	bytesTotal := float64(s.BytesOverTCP)
 	bytesRaw := float64(s.BytesRaw)
-	placement := obs.PlacementSection(s.placementPolicy, append([]obs.PlacementDecision(nil), s.placements...))
 	s.mu.Unlock()
 	st := s.storage()
 	storage := &obs.StorageStats{
@@ -424,7 +406,7 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 		CriticalPath:   trace.AnalyzeCriticalPath(tr.Spans(), s.topo),
 		Storage:        storage,
 		Network:        netobs.ReportSection(s.links, s.configured),
-		Placement:      placement,
+		Placement:      obs.PlacementSection(s.placementPolicy, s.Placements()),
 		Metrics:        s.Events.Registry().Snapshot(),
 	}
 }

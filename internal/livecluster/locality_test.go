@@ -328,7 +328,7 @@ func TestKillAggregatorUnderLocalReads(t *testing.T) {
 			done <- result{out, err}
 		}()
 		<-reached
-		cluster.KillWorker(agg)
+		cluster.workers[agg].close()
 		close(release)
 		res := <-done
 		cluster.Close()

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"wanshuffle/internal/blockstore"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -835,10 +836,21 @@ func TestStalePooledConnectionRetriedOnce(t *testing.T) {
 	}
 }
 
-// TestHungPeerDeadlineFiresAndRetries stalls the aggregator worker's
-// request handling mid-job: the push must fail within the configured I/O
-// deadline (not hang the run), charge the retry budget, and — once the
-// peer recovers — the retried attempt must complete the job correctly.
+// gatedStore's Put waits for gate to close: a peer hung after reading a push.
+type gatedStore struct {
+	blockstore.Store
+	gate <-chan struct{}
+}
+
+func (s gatedStore) Put(key blockstore.Key, out blockstore.Output) (stored, dup bool, err error) {
+	<-s.gate
+	return s.Store.Put(key, out)
+}
+
+// TestHungPeerDeadlineFiresAndRetries hangs the aggregator worker's store
+// mid-job: the push must fail within the configured I/O deadline (not hang
+// the run), charge the retry budget, and — once the peer recovers — the
+// retried attempt must complete the job correctly.
 func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildWordCount(4, 2)))
 	cluster, err := New(Config{
@@ -849,7 +861,8 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	cluster.workers[2].stallRequests()
+	gate := make(chan struct{})
+	cluster.workers[2].store = gatedStore{cluster.workers[2].store, gate}
 
 	type result struct {
 		out []rdd.Pair
@@ -869,11 +882,12 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
+			close(gate) // Close waits for the handlers
 			t.Fatal("no task retry observed; hung peer is blocking the run")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cluster.workers[2].resumeRequests()
+	close(gate)
 
 	select {
 	case res := <-done:

@@ -144,11 +144,6 @@ type worker struct {
 	// bucketed incrementally on arrival never increment it.
 	bucketBuilds atomic.Int64
 
-	// stallCh, when non-nil, parks request handlers (tests simulate a
-	// hung peer with it).
-	stallMu sync.Mutex
-	stallCh chan struct{}
-
 	closed atomic.Bool
 
 	// Telemetry: tel buffers everything this worker accounts — its links'
@@ -189,7 +184,6 @@ func (w *worker) close() {
 				l.closeAll()
 			}
 		}
-		w.resumeRequests() // unpark any test-stalled handlers
 	}
 	w.srv.close()
 	w.hbWG.Wait()
@@ -265,7 +259,6 @@ func (w *worker) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		w.maybeStall()
 		switch req.Kind {
 		case reqPushChunk:
 			err = w.receivePush(conn, br, &req)
@@ -277,36 +270,6 @@ func (w *worker) handleConn(conn net.Conn) {
 		if !intact(err) {
 			return // broken stream: drop the connection
 		}
-	}
-}
-
-// stallRequests parks every subsequent request handler until
-// resumeRequests is called — tests simulate a hung peer with it, proving
-// client-side deadlines fire instead of wedging the run.
-func (w *worker) stallRequests() {
-	w.stallMu.Lock()
-	defer w.stallMu.Unlock()
-	if w.stallCh == nil {
-		w.stallCh = make(chan struct{})
-	}
-}
-
-// resumeRequests releases handlers parked by stallRequests.
-func (w *worker) resumeRequests() {
-	w.stallMu.Lock()
-	defer w.stallMu.Unlock()
-	if w.stallCh != nil {
-		close(w.stallCh)
-		w.stallCh = nil
-	}
-}
-
-func (w *worker) maybeStall() {
-	w.stallMu.Lock()
-	ch := w.stallCh
-	w.stallMu.Unlock()
-	if ch != nil {
-		<-ch
 	}
 }
 

@@ -29,9 +29,6 @@ var Catalogue = []MetricDoc{
 	{"blockstore_reload_bytes_total", "counter", "`worker`", "live", "spilled bytes reloaded on demand"},
 	{"link_throughput_bps", "gauge", "`src`, `dst`", "both", "EWMA link throughput estimate per site pair (`internal/netobs`)"},
 	{"link_samples_total", "counter", "`src`, `dst`", "both", "transfer samples folded into each pair's estimate"},
-	{"placement_decisions_total", "counter", "`policy`, `source`", "both", "aggregator placement decisions, by policy and bandwidth source (`measured`/`configured`/`uniform`/`none`)"},
-	{"placement_chosen_site", "gauge", "`shuffle`", "both", "site index chosen as each shuffle's aggregator"},
-	{"placement_candidate_cost_sec", "gauge", "`shuffle`, `site`", "both", "estimated bottleneck transfer time of each candidate site"},
 	{"jobs_submitted_total", "counter", "`tenant`", "both", "job submissions received (queued or rejected)"},
 	{"jobs_rejected_total", "counter", "`tenant`, `reason`", "both", "submissions shed at admission (`queue_full` / `closed`)"},
 	{"jobs_done_total", "counter", "`tenant`", "both", "jobs that finished successfully"},

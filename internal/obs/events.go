@@ -44,14 +44,16 @@ type StageEvent struct {
 }
 
 // Sink receives run events. plan.Backend embeds it, widening the old
-// StageDone-only hook: the Driver reports every task transition and every
-// stage completion to the backend running the job. Implementations must be
-// safe for concurrent use (tasks run on concurrent goroutines).
+// StageDone-only hook: the Driver reports every task transition, stage
+// completion and aggregator decision to the backend running the job.
+// Implementations must be safe for concurrent use (concurrent tasks).
 type Sink interface {
 	// OnTask receives one task lifecycle transition.
 	OnTask(ev TaskEvent)
 	// OnStage receives one completed stage's execution window.
 	OnStage(ev StageEvent)
+	// OnPlacement receives one automatic aggregator decision as it is made.
+	OnPlacement(d PlacementDecision)
 }
 
 // Event is one entry of the unified run-event log: either a task
@@ -77,15 +79,17 @@ type PhaseCounts struct {
 // Collector is the standard Sink: it records every event once, in one
 // unified log, and mirrors the stream into a metrics registry
 // (obs_tasks_total{phase=...} per stage, obs_stages_total). Subscribers
-// receive the live event stream for tailing. A nil *Collector discards
+// receive the live event stream for tailing. Beside the log it keeps the
+// run's one record of its placement decisions. A nil *Collector discards
 // everything, so callers need no enabled checks.
 type Collector struct {
 	reg *Registry
 	log Log[Event]
-	// mu guards counts and is held across the append, so the tally and the
-	// log move together.
-	mu     sync.Mutex
-	counts PhaseCounts
+	// mu guards counts and placements, and is held across the append, so
+	// the tally and the log move together.
+	mu         sync.Mutex
+	counts     PhaseCounts
+	placements []PlacementDecision
 }
 
 // NewCollector returns a Collector feeding a fresh registry.
@@ -127,6 +131,27 @@ func (c *Collector) OnStage(ev StageEvent) {
 	c.mu.Unlock()
 	c.reg.Counter("stages_total", nil).Inc()
 	c.reg.Gauge("stage_duration_sec", Labels{"stage": ev.Name}).Set(ev.End - ev.Start)
+}
+
+// OnPlacement implements Sink.
+func (c *Collector) OnPlacement(d PlacementDecision) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.placements = append(c.placements, d)
+	c.mu.Unlock()
+}
+
+// Placements returns a copy of the recorded placement decisions in
+// arrival order.
+func (c *Collector) Placements() []PlacementDecision {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]PlacementDecision(nil), c.placements...)
 }
 
 // Counts returns the stream summary.

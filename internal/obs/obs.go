@@ -7,7 +7,7 @@
 //
 // The package sits below internal/plan in the dependency order: plan's
 // Backend interface embeds Sink, so the Driver reports every task
-// transition and stage completion to whichever backend runs the job.
+// transition, stage window and placement to whichever backend runs the job.
 // Production shuffle systems treat this telemetry as the substrate for
 // adaptation and resilience; here it is also the evidence layer for the
 // paper's observability claims (per-worker timelines, cross-DC traffic

@@ -158,6 +158,12 @@ func TestCollectorRecordsAndMirrors(t *testing.T) {
 	c.OnTask(TaskEvent{Phase: PhaseStarted, Stage: 0, StageName: "s0", Part: 0, Site: 2})
 	c.OnTask(TaskEvent{Phase: PhaseFinished, Stage: 0, StageName: "s0", Part: 0, Site: 2, Time: 1.5})
 	c.OnStage(StageEvent{ID: 0, Name: "s0", Start: 0, End: 1.5})
+	c.OnPlacement(PlacementDecision{Shuffle: 2})
+	c.OnPlacement(PlacementDecision{Shuffle: 0})
+	c.Placements()[1].Shuffle = 9 // a copy: the collector keeps its own
+	if p := c.Placements(); len(p) != 2 || p[0].Shuffle != 2 || p[1].Shuffle != 0 || len(c.Events()) != 4 {
+		t.Fatalf("placements = %+v beside %d logged events, want shuffles 2 then 0 beside 4", p, len(c.Events()))
+	}
 	if got := len(c.TaskEvents()); got != 3 {
 		t.Fatalf("task events = %d, want 3", got)
 	}
@@ -180,7 +186,8 @@ func TestNilCollectorNoOp(t *testing.T) {
 	var c *Collector
 	c.OnTask(TaskEvent{Phase: PhaseStarted})
 	c.OnStage(StageEvent{})
-	if c.TaskEvents() != nil || c.StageEvents() != nil || c.Counts().Started != 0 || c.Registry() != nil {
+	c.OnPlacement(PlacementDecision{})
+	if c.TaskEvents() != nil || c.StageEvents() != nil || c.Placements() != nil || c.Counts().Started != 0 || c.Registry() != nil {
 		t.Fatal("nil collector is not a no-op")
 	}
 }

@@ -39,8 +39,8 @@ type Backend interface {
 
 	// Sink receives the driver's run events: every task lifecycle
 	// transition (scheduled / started / finished / retried / failed) via
-	// OnTask, and each completed stage's execution window via OnStage.
-	// Task events arrive from concurrent task goroutines.
+	// OnTask, each completed stage's window via OnStage, and each automatic
+	// aggregator decision via OnPlacement, from concurrent task goroutines.
 	obs.Sink
 }
 
@@ -97,14 +97,6 @@ type SiteHealth interface {
 	SiteHealthy(site int) bool
 }
 
-// PlacementObserver is an optional Backend extension: backends that
-// surface placement decisions (run report, metrics) receive each
-// automatic aggregator choice as it is made. Site labels are not filled
-// in — the backend knows its own site names.
-type PlacementObserver interface {
-	OnPlacement(d obs.PlacementDecision)
-}
-
 // DriverConfig tunes one driven job.
 type DriverConfig struct {
 	// Aggregate enables Push/Aggregate: each map stage's output is pushed
@@ -149,9 +141,6 @@ type Driver struct {
 	// aggSites records, per shuffle ID, the sites its map output was
 	// aggregated into (nil entry = scattered, fetch-based).
 	aggSites map[int][]int
-	// placements accumulates the automatic aggregator decisions, in
-	// stage order, for the run report.
-	placements []obs.PlacementDecision
 }
 
 // NewDriver prepares a driver; Run may be called once.
@@ -168,14 +157,6 @@ func (d *Driver) AggregatedTo(shuffleID int) []int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.aggSites[shuffleID]
-}
-
-// Placements returns the automatic aggregator decisions made so far, in
-// stage order.
-func (d *Driver) Placements() []obs.PlacementDecision {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]obs.PlacementDecision(nil), d.placements...)
 }
 
 // Run executes every stage and returns the result stage's partitions.
@@ -317,8 +298,8 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, st *dag.Stage, part, site, attem
 // resolveAggregators picks the stage's aggregator sites: the explicit
 // override when configured, otherwise ChooseAggregator over inputSizes —
 // actual map-output sizes for every shuffle input (Sec. III-B / IV-D).
-// Automatic choices are recorded for the run report and handed to the
-// backend when it implements PlacementObserver.
+// Automatic choices go to the backend's sink, without site labels: the
+// backend knows its own site names.
 func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 	if st.OutSpec == nil || !d.cfg.Aggregate {
 		return nil
@@ -331,12 +312,7 @@ func (d *Driver) resolveAggregators(st *dag.Stage) []int {
 			return nil
 		}
 		agg = []int{rank[0]}
-		d.mu.Lock()
-		d.placements = append(d.placements, dec)
-		d.mu.Unlock()
-		if po, ok := d.be.(PlacementObserver); ok {
-			po.OnPlacement(dec)
-		}
+		d.be.OnPlacement(dec)
 	}
 	d.mu.Lock()
 	d.aggSites[st.OutSpec.ID] = agg

@@ -16,8 +16,8 @@ import (
 type MemBackend struct {
 	Sites int
 
-	// Events collects the driver's run events (task lifecycle + stage
-	// spans).
+	// Events collects the driver's run events (task lifecycle, stage
+	// spans and placement decisions).
 	Events *obs.Collector
 
 	// store holds the prepared map outputs — the same storage code path the
@@ -59,6 +59,9 @@ func (b *MemBackend) OnTask(ev obs.TaskEvent) { b.Events.OnTask(ev) }
 
 // OnStage implements Backend (obs.Sink).
 func (b *MemBackend) OnStage(span StageSpan) { b.Events.OnStage(span) }
+
+// OnPlacement implements Backend (obs.Sink).
+func (b *MemBackend) OnPlacement(d obs.PlacementDecision) { b.Events.OnPlacement(d) }
 
 // reader gathers task t's shuffle input from the shared store.
 func (b *MemBackend) reader(t Task) ShuffleReader {

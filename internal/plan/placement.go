@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 
 	"wanshuffle/internal/netobs"
@@ -304,24 +303,4 @@ func newPlacementDecision(shuffleID, stageID, chosen int, costs []candidateCost,
 		}
 	}
 	return d
-}
-
-// RecordPlacement mirrors one placement decision into the metrics
-// registry as the placement_* series: a decision counter by policy and
-// bandwidth source, the chosen site index per shuffle, and every
-// candidate's estimated cost.
-func RecordPlacement(reg *obs.Registry, policy string, d obs.PlacementDecision) {
-	if reg == nil {
-		return
-	}
-	source := d.Source
-	if source == "" {
-		source = "none"
-	}
-	reg.Counter("placement_decisions_total", obs.Labels{"policy": policy, "source": source}).Inc()
-	shuffle := strconv.Itoa(d.Shuffle)
-	reg.Gauge("placement_chosen_site", obs.Labels{"shuffle": shuffle}).Set(float64(d.Chosen))
-	for _, c := range d.Candidates {
-		reg.Gauge("placement_candidate_cost_sec", obs.Labels{"shuffle": shuffle, "site": strconv.Itoa(c.Site)}).Set(c.CostSec)
-	}
 }

@@ -246,20 +246,21 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 		[3]float64{0, 2, 1e6},
 	)
 
-	run := func(cfg DriverConfig) *Driver {
+	run := func(cfg DriverConfig) (*Driver, []obs.PlacementDecision) {
 		job, err := BuildJob(build())
 		if err != nil {
 			t.Fatal(err)
 		}
-		drv := NewDriver(job, NewMemBackend(3), cfg)
+		be := NewMemBackend(3)
+		drv := NewDriver(job, be, cfg)
 		if _, err := drv.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return drv
+		return drv, be.Events.Placements()
 	}
 
-	best := run(DriverConfig{Aggregate: true, Policy: AggregatorBest, LinkCosts: links})
-	bw := run(DriverConfig{Aggregate: true, Policy: AggregatorBandwidth, LinkCosts: links})
+	best, bestDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBest, LinkCosts: links})
+	bw, bwDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBandwidth, LinkCosts: links})
 
 	job, _ := BuildJob(build())
 	shuffleID := job.Plan.Shuffles()[0].ID
@@ -271,8 +272,7 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 	}
 
 	// Both runs recorded their decision, with every candidate costed.
-	for name, drv := range map[string]*Driver{"best": best, "bandwidth": bw} {
-		decs := drv.Placements()
+	for name, decs := range map[string][]obs.PlacementDecision{"best": bestDecs, "bandwidth": bwDecs} {
 		if len(decs) != 1 {
 			t.Fatalf("%s: %d placement decisions, want 1", name, len(decs))
 		}
@@ -286,7 +286,7 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 			}
 		}
 	}
-	bd, bb := bw.Placements()[0], best.Placements()[0]
+	bd, bb := bwDecs[0], bestDecs[0]
 	if bd.CostSec >= bb.CostSec {
 		t.Fatalf("bandwidth decision cost %.4f not below best's %.4f", bd.CostSec, bb.CostSec)
 	}
@@ -313,7 +313,7 @@ func TestInputSizesFollowTaskPlacement(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		decision int // index into Placements()
+		decision int // index into the backend's Events.Placements()
 		// build returns the job and, per task of the decision's stage, the
 		// leaf records that task reads (nil for none).
 		build func() (*rdd.RDD, func(part int) []rdd.Pair)
@@ -352,7 +352,7 @@ func TestInputSizesFollowTaskPlacement(t *testing.T) {
 			if _, err := drv.Run(); err != nil {
 				t.Fatal(err)
 			}
-			dec := drv.Placements()[tc.decision]
+			dec := be.Events.Placements()[tc.decision]
 			want := make([]float64, be.Sites)
 			tasks := 0
 			for _, ev := range be.Events.TaskEvents() {

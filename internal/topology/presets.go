@@ -79,10 +79,10 @@ func SixRegionEC2() *Topology {
 	return t
 }
 
-// TwoDCMicro builds the two-datacenter micro-topology used by the paper's
-// motivating examples (Figs. 1 and 2): one DC holding the mappers, one
-// holding the reducers, two 2-core hosts each, with the inter-DC path at ¼
-// of the intra-DC host bandwidth.
+// TwoDCMicro builds a small two-datacenter topology: two 2-core hosts in
+// each DC, the driver in dc-b, and the inter-DC path at ¼ of the 1 Gbps
+// host NIC rate. It is wansim's `-topology micro`; the Figs. 1–2
+// micro-scenario runs on internal/bench's own three-worker topology.
 func TwoDCMicro() *Topology {
 	const nic = 1 * Gbps
 	b := NewBuilder()

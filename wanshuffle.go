@@ -96,7 +96,6 @@ func KV(k string, v Value) Pair { return rdd.KV(k, v) }
 // jittery 80–300 Mbps WAN links.
 func SixRegionEC2() *Topology { return topology.SixRegionEC2() }
 
-// TwoDCMicro returns the two-datacenter topology of the paper's motivating
-// examples (Figs. 1–2): two hosts per DC, the inter-DC path at ¼ of host
-// NIC bandwidth.
+// TwoDCMicro returns a small two-datacenter topology: two 2-core hosts per
+// DC, the inter-DC path at ¼ of host NIC bandwidth.
 func TwoDCMicro() *Topology { return topology.TwoDCMicro() }
