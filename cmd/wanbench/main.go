@@ -123,6 +123,9 @@ func run(args []string, stdout io.Writer) error {
 	if !(s.opts.Scale > 0) || math.IsInf(s.opts.Scale, 1) {
 		return fmt.Errorf("-scale must be positive and finite, got %v", s.opts.Scale)
 	}
+	if !(s.opts.Jitter >= 0) || math.IsInf(s.opts.Jitter, 1) {
+		return fmt.Errorf("-jitter must be finite and not negative, got %v", s.opts.Jitter)
+	}
 	if s.opts.Jitter == 0 {
 		s.opts.Jitter = -1 // core reads 0 as its default amplitude
 	}

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"wanshuffle/internal/bench"
 )
 
 // TestAllGolden pins every figure, table and ablation `wanbench all`
@@ -34,8 +36,9 @@ func TestAllGolden(t *testing.T) {
 }
 
 // TestJitterZeroDisables holds the -jitter help text to what runs: an
-// amplitude of 0 is stable links, the same figure as any negative one, and
-// not the default amplitude's.
+// amplitude of 0 is stable links, the same figure as the sweep run with
+// jitter off (a negative amplitude, which only the flag rejects), and not
+// the default amplitude's.
 func TestJitterZeroDisables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the paper's sweep three times")
@@ -47,9 +50,13 @@ func TestJitterZeroDisables(t *testing.T) {
 		}
 		return out.String()
 	}
-	off, zero := fig7("-1"), fig7("0")
+	sweep, err := bench.Fig7(bench.Options{Runs: 2, Scale: 0.1, BaseSeed: 1, Jitter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, zero := bench.FormatFig7(sweep), fig7("0")
 	if zero != off {
-		t.Fatalf("fig7 at -jitter 0:\n%s\ndiffers from -jitter -1:\n%s", zero, off)
+		t.Fatalf("fig7 at -jitter 0:\n%s\ndiffers from the sweep with jitter off:\n%s", zero, off)
 	}
 	if fig7("0.25") == off {
 		t.Fatal("fig7 prints the same at -jitter 0.25 as with jitter off: the test cannot tell them apart")
@@ -71,8 +78,8 @@ func TestSeedZeroIsASeed(t *testing.T) {
 	}
 }
 
-// TestFlagValidation holds wanbench to rejecting a run count or scale it
-// cannot honour, instead of silently running the default.
+// TestFlagValidation holds wanbench to rejecting a run count, scale or
+// jitter it cannot honour, instead of silently running the default.
 func TestFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -84,6 +91,9 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-scale", "-1"}, "-scale must be positive and finite"},
 		{[]string{"-scale", "+Inf"}, "-scale must be positive and finite"},
 		{[]string{"-scale", "NaN"}, "-scale must be positive and finite"},
+		{[]string{"-jitter", "NaN"}, "-jitter must be finite and not negative"},
+		{[]string{"-jitter", "+Inf"}, "-jitter must be finite and not negative"},
+		{[]string{"-jitter", "-1"}, "-jitter must be finite and not negative"},
 	} {
 		args := append(append([]string{"-seed", "1"}, tc.args...), "fig1")
 		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {

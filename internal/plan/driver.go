@@ -221,6 +221,7 @@ func (d *Driver) canceled() error {
 // aggregation mode, and finalizes the stage's shuffle at the barrier.
 func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
+	name := st.Name() // formatted once: every task event carries it
 	agg := d.resolveAggregators(st)
 
 	errs := make([]error, st.NumTasks)
@@ -243,14 +244,14 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 		if len(agg) > 0 {
 			aggTo = SpreadTopK(agg, len(agg), part)
 		}
-		d.taskEvent(obs.PhaseScheduled, st, part, site, 1, nil)
+		d.taskEvent(obs.PhaseScheduled, st.ID, name, part, site, 1, nil)
 		if errs[part] = d.acquire(site); errs[part] != nil {
 			continue // canceled while waiting for a task slot: never launched
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[part] = d.attempt(st, part, site, func(site, attempt int) error {
+			errs[part] = d.attempt(st.ID, name, part, site, func(site, attempt int) error {
 				res, err := d.be.RunTask(Task{Stage: st, Part: part, Site: site, Attempt: attempt, AggTo: aggTo, outputs: &d.outputs})
 				if err != nil {
 					return err
@@ -279,14 +280,14 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 			return nil, err
 		}
 	}
-	d.be.OnStage(StageSpan{ID: st.ID, Name: st.Name(), Start: spanStart, End: d.now()})
+	d.be.OnStage(StageSpan{ID: st.ID, Name: name, Start: spanStart, End: d.now()})
 	return results, nil
 }
 
 // taskEvent reports one task lifecycle transition to the backend's sink.
-func (d *Driver) taskEvent(phase obs.TaskPhase, st *dag.Stage, part, site, attempt int, err error) {
+func (d *Driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, site, attempt int, err error) {
 	ev := obs.TaskEvent{
-		Phase: phase, Stage: st.ID, StageName: st.Name(),
+		Phase: phase, Stage: stage, StageName: name,
 		Part: part, Site: site, Attempt: attempt, Time: d.now(),
 	}
 	if err != nil {
@@ -386,7 +387,7 @@ func (d *Driver) acquire(site int) error {
 // The caller took a slot at site; the slot follows the task when it moves,
 // so SiteSlots bounds every site whatever the retries did, and attempt
 // releases the one it holds when it returns.
-func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt int) error) error {
+func (d *Driver) attempt(stage int, name string, part, site int, run func(site, attempt int) error) error {
 	held := true
 	defer func() {
 		if held {
@@ -394,20 +395,20 @@ func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt i
 		}
 	}()
 	for att := 1; ; att++ {
-		d.taskEvent(obs.PhaseStarted, st, part, site, att, nil)
+		d.taskEvent(obs.PhaseStarted, stage, name, part, site, att, nil)
 		err := run(site, att)
 		if err == nil {
-			d.taskEvent(obs.PhaseFinished, st, part, site, att, nil)
+			d.taskEvent(obs.PhaseFinished, stage, name, part, site, att, nil)
 			return nil
 		}
-		d.taskEvent(obs.PhaseFailed, st, part, site, att, err)
+		d.taskEvent(obs.PhaseFailed, stage, name, part, site, att, err)
 		// A canceled job burns no retry budget: surface the cancellation
 		// instead of re-running a task whose job is being torn down.
 		if cerr := d.canceled(); cerr != nil {
 			return cerr
 		}
 		if att >= MaxAttempts {
-			return fmt.Errorf("plan: task %s/t%d failed after %d attempt(s): %w", st.Name(), part, att, err)
+			return fmt.Errorf("plan: task %s/t%d failed after %d attempt(s): %w", name, part, att, err)
 		}
 		if moved := d.replaceSite(site); moved != site {
 			<-d.sems[site]
@@ -417,7 +418,7 @@ func (d *Driver) attempt(st *dag.Stage, part, site int, run func(site, attempt i
 				return err
 			}
 		}
-		d.taskEvent(obs.PhaseRetried, st, part, site, att+1, nil)
+		d.taskEvent(obs.PhaseRetried, stage, name, part, site, att+1, nil)
 	}
 }
 

@@ -159,9 +159,11 @@ func TestCombinerFoldsInArrivalOrder(t *testing.T) {
 	}
 }
 
-// groupByKey keeps a key's values in arrival order, like the combiner.
+// GroupByKey keeps a key's values in arrival order, like the combiner.
 func TestGroupByKeyKeepsArrivalOrder(t *testing.T) {
-	got := ReduceAggregate(&ShuffleSpec{GroupAll: true}, pairs("k", "1", "j", "a", "k", "2", "j", "b", "k", "3"))
+	g := NewGraph()
+	grouped := inputFrom(g, pairs("k", "1", "j", "a", "k", "2", "j", "b", "k", "3")).GroupByKey("group", 1)
+	got := CollectLocal(grouped)
 	want := []Pair{
 		{Key: "j", Value: []Value{"a", "b"}},
 		{Key: "k", Value: []Value{"1", "2", "3"}},

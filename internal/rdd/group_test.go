@@ -1,0 +1,239 @@
+package rdd
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// groupInput draws seeded input partitions for the grouping tests: some
+// empty, some too small for the radix sort and some large enough for it
+// once bucketed, with keys drawn from keys so they repeat within and across
+// partitions. Values are "<tag>:<position>", so arrival order is visible.
+func groupInput(rng *rand.Rand, tag string, keys []string) [][]Pair {
+	parts := make([][]Pair, 1+rng.Intn(3))
+	seq := 0
+	for i := range parts {
+		var n int
+		switch rng.Intn(3) {
+		case 0: // empty
+		case 1:
+			n = 1 + rng.Intn(radixSortCutoff/2)
+		default:
+			n = radixSortCutoff + rng.Intn(6*radixSortCutoff)
+		}
+		for j := 0; j < n; j++ {
+			parts[i] = append(parts[i], KV(keys[rng.Intn(len(keys))], fmt.Sprintf("%s:%d", tag, seq)))
+			seq++
+		}
+	}
+	return parts
+}
+
+// referenceGroups is the grouping written the naive way: every key's values
+// in arrival order (partition by partition, record by record), and each
+// reduce partition's keys in order.
+func referenceGroups(parts [][]Pair, numParts int) ([][]string, map[string][]Value) {
+	vals := map[string][]Value{}
+	for _, part := range parts {
+		for _, p := range part {
+			vals[p.Key] = append(vals[p.Key], p.Value)
+		}
+	}
+	return referenceKeys(numParts, vals), vals
+}
+
+func referenceKeys(numParts int, sides ...map[string][]Value) [][]string {
+	hp := NewHashPartitioner(numParts)
+	seen := map[string]bool{}
+	keys := make([][]string, numParts)
+	for _, side := range sides {
+		for k := range side {
+			if !seen[k] {
+				seen[k] = true
+				keys[hp.PartitionFor(k)] = append(keys[hp.PartitionFor(k)], k)
+			}
+		}
+	}
+	for _, ks := range keys {
+		slices.Sort(ks)
+	}
+	return keys
+}
+
+// GroupByKey, CoGroup and Join under EvalLocal equal a map-based reference
+// on random inputs: the same keys per reduce partition in key order, each
+// key's values in arrival order, a nil for a cogroup side with no values,
+// and a join's pairs left-major.
+func TestGroupingMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		numParts := 1 + rng.Intn(4)
+		pool := make([]string, 1+rng.Intn(60))
+		for i := range pool {
+			pool[i] = fmt.Sprintf("k%03d", rng.Intn(200))
+		}
+		// Each side draws from its own two thirds of the pool, so some keys
+		// are on one side only.
+		third := (len(pool) + 2) / 3
+		leftParts := groupInput(rng, "l", pool[:len(pool)-third+1])
+		rightParts := groupInput(rng, "r", pool[third-1:])
+
+		g := NewGraph()
+		left, right := inputFrom(g, leftParts...), inputFrom(g, rightParts...)
+
+		keys, vals := referenceGroups(leftParts, numParts)
+		want := make([][]Pair, numParts)
+		for i, ks := range keys {
+			for _, k := range ks {
+				want[i] = append(want[i], KV(k, vals[k]))
+			}
+		}
+		if got := EvalLocal(left.GroupByKey("group", numParts)); !groupsEqual(got, want) {
+			t.Errorf("seed %d: GroupByKey\n got %v\nwant %v", seed, got, want)
+		}
+
+		_, rvals := referenceGroups(rightParts, numParts)
+		keys = referenceKeys(numParts, vals, rvals)
+		wantCG := make([][]Pair, numParts)
+		wantJoin := make([][]Pair, numParts)
+		for i, ks := range keys {
+			for _, k := range ks {
+				wantCG[i] = append(wantCG[i], KV(k, [2][]Value{vals[k], rvals[k]}))
+				for _, l := range vals[k] {
+					for _, r := range rvals[k] {
+						wantJoin[i] = append(wantJoin[i], KV(k, []Value{l, r}))
+					}
+				}
+			}
+		}
+		if got := EvalLocal(left.CoGroup("cogroup", right, numParts)); !groupsEqual(got, wantCG) {
+			t.Errorf("seed %d: CoGroup\n got %v\nwant %v", seed, got, wantCG)
+		}
+		if got := EvalLocal(left.Join("join", right, numParts)); !groupsEqual(got, wantJoin) {
+			t.Errorf("seed %d: Join\n got %v\nwant %v", seed, got, wantJoin)
+		}
+	}
+}
+
+// groupsEqual compares evaluated partitions with a reference, an empty
+// partition matching a nil one (the reference builds none for it).
+func groupsEqual(got, want [][]Pair) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if (len(got[i]) != 0 || len(want[i]) != 0) && !reflect.DeepEqual(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// A key's values are a window of one slice shared by the partition: an
+// append to one key's values, or to either side of a cogroup, must copy
+// rather than write over the next key's.
+func TestGroupedValuesDoNotAlias(t *testing.T) {
+	g := NewGraph()
+	left := inputFrom(g, pairs("a", "1", "b", "2", "a", "3", "b", "4"))
+	right := inputFrom(g, pairs("a", "x", "b", "y"))
+
+	grouped := CollectLocal(left.GroupByKey("group", 1))
+	_ = append(grouped[0].Value.([]Value), "clobber")
+	if got := grouped[1].Value.([]Value); !slices.Equal(got, []Value{"2", "4"}) {
+		t.Errorf("appending to a's values changed b's to %v", got)
+	}
+
+	cg := CollectLocal(left.CoGroup("cogroup", right, 1))
+	a, b := cg[0].Value.([2][]Value), cg[1].Value.([2][]Value)
+	_ = append(a[0], "clobber")
+	if !slices.Equal(a[1], []Value{"x"}) {
+		t.Errorf("appending to a's left side changed its right side to %v", a[1])
+	}
+	_ = append(a[1], "clobber")
+	if !slices.Equal(b[0], []Value{"2", "4"}) {
+		t.Errorf("appending to a's right side changed b's left side to %v", b[0])
+	}
+}
+
+// groupingShard builds one reduce partition's shard of n PageRank edges
+// over k pages, in arrival order, for node's shuffle: each run of k records
+// holds every page once, in a scrambled order. GroupByKey's records carry
+// the destination page; CoGroup's are tagged, the runs alternating between
+// the left side (a link list) and the right (a rank).
+func groupingShard(node *RDD, n, k int) []Pair {
+	cogroup := len(node.Deps) == 2
+	recs := make([]Pair, n)
+	for i := range recs {
+		dest := fmt.Sprintf("page%06d", i%k)
+		recs[i] = KV(fmt.Sprintf("page%06d", i*7919%k), dest)
+		switch {
+		case cogroup && i/k%2 == 0:
+			recs[i].Value = Tagged{Side: 0, V: []Value{dest}}
+		case cogroup:
+			recs[i].Value = Tagged{Side: 1, V: float64(i)}
+		}
+	}
+	return recs
+}
+
+// The grouping sorts a partition once and cuts every key's values from one
+// slice: ReduceAggregate plus PostShuffle allocate the sorted copy, the
+// output, the values' backing and one boxed value per key, however many
+// values a key has.
+func TestGroupingAllocatesPerKeyNotPerValue(t *testing.T) {
+	g := NewGraph()
+	src := inputFrom(g, nil)
+	const k = 500
+	for name, node := range map[string]*RDD{
+		"groupByKey": src.GroupByKey("group", 1),
+		"cogroup":    src.CoGroup("cogroup", src, 1),
+	} {
+		for _, n := range []int{2 * k, 8 * k} {
+			in := groupingShard(node, n, k)
+			reduce := func() {
+				out := ReduceAggregate(node.Deps[0].Shuffle, in)
+				if node.PostShuffle != nil {
+					out = node.PostShuffle(0, out)
+				}
+				pairsSink = out
+			}
+			reduce() // warm the sort's entry pool
+			allocs := testing.AllocsPerRun(10, reduce)
+			// Under the race detector sync.Pool.Put drops entries on
+			// purpose; ask for one run that found the pool warm instead.
+			for try := 0; raceBuild() && allocs > k+4 && try < 20; try++ {
+				allocs = testing.AllocsPerRun(1, reduce)
+			}
+			if allocs > k+4 {
+				t.Errorf("%s n=%d over %d keys: %v allocations, want at most %d", name, n, k, allocs, k+4)
+			}
+		}
+	}
+}
+
+// BenchmarkGroupByKey reduces one PageRank-shaped partition of the link
+// table: 4,000 edges over 1,000 pages, grouped into link lists.
+func BenchmarkGroupByKey(b *testing.B) {
+	benchGrouping(b, NewGraph().Input("edges", make([]InputPartition, 1)).GroupByKey("links", 1), 4000, 1000)
+}
+
+// BenchmarkCoGroup reduces one PageRank-shaped partition of a join's
+// cogroup: 2,000 tagged records, a link list and a rank for each of 1,000
+// pages.
+func BenchmarkCoGroup(b *testing.B) {
+	in := NewGraph().Input("links", make([]InputPartition, 1))
+	benchGrouping(b, in.CoGroup("join", in, 1), 2000, 1000)
+}
+
+func benchGrouping(b *testing.B, node *RDD, n, k int) {
+	in := groupingShard(node, n, k)
+	b.ReportAllocs()
+	b.SetBytes(int64(SizeOfAll(in)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairsSink = node.PostShuffle(0, ReduceAggregate(node.Deps[0].Shuffle, in))
+	}
+}

@@ -68,7 +68,9 @@ func (d *Dependency) ParentParts(i int) []int {
 type CombineFn func(a, b Value) Value
 
 // ShuffleSpec is the contract of one shuffle: how map output is sharded and
-// how each reducer aggregates its shard.
+// how each reducer aggregates its shard. A grouping (GroupByKey, CoGroup) is
+// no aggregation of its own: it is a SortKeys shuffle whose RDD's
+// PostShuffle step groups the key-sorted records.
 type ShuffleSpec struct {
 	// ID is unique per graph, assigned on creation.
 	ID int
@@ -77,11 +79,9 @@ type ShuffleSpec struct {
 	// MapSideCombine runs Combine on the mapper before data leaves it
 	// (Sec. IV-C3: pipelined before the push when possible).
 	MapSideCombine bool
-	// Combine merges values per key. Nil with GroupAll=false means values
-	// pass through ungrouped (sort-style shuffles).
+	// Combine merges values per key. Nil means values pass through
+	// uncombined (sort-style shuffles and groupings).
 	Combine CombineFn
-	// GroupAll gathers all values of a key into a []Value (groupByKey).
-	GroupAll bool
 	// SortKeys sorts each reduce partition by key after aggregation.
 	SortKeys bool
 	// SampleForRange marks a range-partitioned shuffle whose boundaries
@@ -142,7 +142,9 @@ type RDD struct {
 	Each EachFn
 
 	// PostShuffle optionally transforms a reduce partition after shuffle
-	// aggregation (e.g. the flatMap step of a join). Nil means identity.
+	// aggregation. A grouping is one: over the key-sorted records a SortKeys
+	// shuffle leaves, it turns each run of equal keys into one record.
+	// Nil means identity.
 	PostShuffle NarrowFn
 
 	// Transfer marks a TransferredRDD.
@@ -341,14 +343,25 @@ func (r *RDD) ReduceByKey(name string, numParts int, fn CombineFn) *RDD {
 	}, nil)
 }
 
-// GroupByKey gathers all values of each key into a []Value. No map-side
-// combining happens (Spark semantics), so the full map output crosses the
-// network.
+// GroupByKey gathers all values of each key into a []Value, in arrival
+// order. No map-side combining happens (Spark semantics), so the full map
+// output crosses the network. The reducer sorts its shard, stably, and cuts
+// each key's values from one slice per partition.
 func (r *RDD) GroupByKey(name string, numParts int) *RDD {
 	return r.shuffleChild(name, &ShuffleSpec{
 		Partitioner: NewHashPartitioner(numParts),
-		GroupAll:    true,
-	}, nil)
+		SortKeys:    true,
+	}, groupValues)
+}
+
+// groupValues is GroupByKey's post-shuffle step.
+func groupValues(_ int, sorted []Pair) []Pair {
+	return groupRuns(sorted, func(run []Pair, vals []Value) Value {
+		for i, p := range run {
+			vals[i] = p.Value
+		}
+		return vals
+	})
 }
 
 // SortByKey produces globally sorted output via a range partitioner whose
@@ -383,7 +396,8 @@ type Tagged struct {
 func (t Tagged) SizeBytes() float64 { return valueSize(t.V) + 1 }
 
 // CoGroup groups this RDD (side 0) with other (side 1) by key. Each output
-// record's value is a [2][]Value of the two sides' values.
+// record's value is a [2][]Value of the two sides' values, each in arrival
+// order; a side with no values for the key is nil.
 func (r *RDD) CoGroup(name string, other *RDD, numParts int) *RDD {
 	part := NewHashPartitioner(numParts)
 	tag := func(side int) func(Pair) Pair {
@@ -391,22 +405,10 @@ func (r *RDD) CoGroup(name string, other *RDD, numParts int) *RDD {
 	}
 	left := r.Map(name+".tagL", tag(0))
 	right := other.Map(name+".tagR", tag(1))
-	spec := &ShuffleSpec{Partitioner: part, GroupAll: true}
+	spec := &ShuffleSpec{Partitioner: part, SortKeys: true}
 	spec.ID = r.graph.nextShuffleID()
-	spec2 := &ShuffleSpec{Partitioner: part, GroupAll: true}
+	spec2 := &ShuffleSpec{Partitioner: part, SortKeys: true}
 	spec2.ID = r.graph.nextShuffleID()
-	post := func(_ int, in []Pair) []Pair {
-		out := make([]Pair, 0, len(in))
-		for _, p := range in {
-			groups := [2][]Value{}
-			for _, v := range p.Value.([]Value) {
-				tv := v.(Tagged)
-				groups[tv.Side] = append(groups[tv.Side], tv.V)
-			}
-			out = append(out, Pair{Key: p.Key, Value: groups})
-		}
-		return out
-	}
 	return r.graph.register(&RDD{
 		Name:     name,
 		numParts: numParts,
@@ -414,8 +416,33 @@ func (r *RDD) CoGroup(name string, other *RDD, numParts int) *RDD {
 			{Kind: DepShuffle, Parent: left, Shuffle: spec},
 			{Kind: DepShuffle, Parent: right, Shuffle: spec2},
 		},
-		PostShuffle: post,
+		PostShuffle: cogroupValues,
 		graph:       r.graph,
+	})
+}
+
+// cogroupValues is CoGroup's post-shuffle step: each run's window holds the
+// left values, then the right ones.
+func cogroupValues(_ int, sorted []Pair) []Pair {
+	return groupRuns(sorted, func(run []Pair, vals []Value) Value {
+		left := 0
+		for _, p := range run {
+			if p.Value.(Tagged).Side == 0 {
+				left++
+			}
+		}
+		var groups [2][]Value // a side with no values stays nil
+		if left > 0 {
+			groups[0] = vals[:0:left]
+		}
+		if left < len(run) {
+			groups[1] = vals[left:left]
+		}
+		for _, p := range run {
+			tv := p.Value.(Tagged)
+			groups[tv.Side] = append(groups[tv.Side], tv.V) // within the window: never reallocates
+		}
+		return groups
 	})
 }
 
@@ -425,10 +452,17 @@ func (r *RDD) Join(name string, other *RDD, numParts int) *RDD {
 	cg := r.CoGroup(name+".cogroup", other, numParts)
 	return cg.FlatMap(name, func(p Pair) []Pair {
 		groups := p.Value.([2][]Value)
-		var out []Pair
+		n := len(groups[0]) * len(groups[1])
+		if n == 0 {
+			return nil
+		}
+		// One output slice, and one backing array for every pair's values.
+		out := make([]Pair, 0, n)
+		vals := make([]Value, 0, 2*n)
 		for _, l := range groups[0] {
 			for _, rv := range groups[1] {
-				out = append(out, Pair{Key: p.Key, Value: []Value{l, rv}})
+				vals = append(vals, l, rv)
+				out = append(out, Pair{Key: p.Key, Value: vals[len(vals)-2 : len(vals) : len(vals)]})
 			}
 		}
 		return out

@@ -42,14 +42,12 @@ func BucketRecords(spec *ShuffleSpec, records []Pair) [][]Pair {
 }
 
 // ReduceAggregate applies the reduce-side semantics of the spec to one
-// reduce partition's gathered shard records: combining, grouping, or
-// sorting as requested. Like MapSidePrepare it only reads records — callers
-// pass stored shards — and returns a slice of its own.
+// reduce partition's gathered shard records: combining or sorting as
+// requested (a grouping is the PostShuffle step over the sorted records).
+// Like MapSidePrepare it only reads records — callers pass stored shards —
+// and returns a slice of its own.
 func ReduceAggregate(spec *ShuffleSpec, records []Pair) []Pair {
-	switch {
-	case spec.GroupAll:
-		return groupByKey(records)
-	case spec.Combine != nil:
+	if spec.Combine != nil {
 		return combineAll(spec.Combine, records)
 	}
 	out := make([]Pair, len(records))
@@ -160,27 +158,27 @@ func combineAll(fn CombineFn, records []Pair) []Pair {
 	return c.Sorted()
 }
 
-// groupByKey returns one record per key, in key order, whose value is the
-// []Value of that key's values in arrival order. The same layout as Combiner — an index into slices that grow with the distinct
-// keys — with the groups kept unboxed beside the records until the end, so
-// appending to one does not allocate a new interface value per record.
-func groupByKey(records []Pair) []Pair {
-	index := map[string]int32{}
-	var out []Pair
-	var groups [][]Value
-	for _, p := range records {
-		i, ok := index[p.Key]
-		if !ok {
-			i = int32(len(out))
-			index[p.Key] = i
-			out = append(out, Pair{Key: p.Key})
-			groups = append(groups, nil)
+// groupRuns makes one record per run of equal keys in sorted, in key order,
+// whose value is value(run, vals): vals is the run's window of one []Value
+// allocated for the whole partition, len(run) long, for value to fill and
+// keep. Each window's capacity ends where it does, so a consumer appending to
+// one key's values copies them instead of overwriting the next key's.
+func groupRuns(sorted []Pair, value func(run []Pair, vals []Value) Value) []Pair {
+	keys := 0
+	for i := range sorted {
+		if i == 0 || sorted[i].Key != sorted[i-1].Key {
+			keys++
 		}
-		groups[i] = append(groups[i], p.Value)
 	}
-	for i, vs := range groups {
-		out[i].Value = vs
+	out := make([]Pair, 0, keys)
+	vals := make([]Value, len(sorted))
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Key == sorted[lo].Key {
+			hi++
+		}
+		out = append(out, Pair{Key: sorted[lo].Key, Value: value(sorted[lo:hi], vals[lo:hi:hi])})
+		lo = hi
 	}
-	sortByKey(out, out)
 	return out
 }

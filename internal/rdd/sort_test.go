@@ -81,20 +81,24 @@ func TestSortByKeyMatchesStableSort(t *testing.T) {
 // attempt or a second reader will read again, so none of them may write to its
 // input — neither to the slice nor, for values they only carry, through a
 // value (the []Value values here have spare capacity, so an append into one
-// would show). Each gets a slice, the test keeps a deep copy, and compares.
+// would show). The grouping post-shuffles are held to the same: they run over
+// a stored shard's sorted aggregate. Each gets a slice, the test keeps a deep
+// copy, and compares.
 func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 	sum := func(a, b Value) Value { return a.(int) + b.(int) }
 	specs := map[string]*ShuffleSpec{
 		"sort":    {SortKeys: true},
 		"combine": {Combine: sum, MapSideCombine: true},
-		"group":   {GroupAll: true},
 		"plain":   {},
 	}
 	deepCopy := func(recs []Pair) []Pair {
 		out := slices.Clone(recs)
 		for i, p := range out {
-			if vs, ok := p.Value.([]Value); ok {
-				out[i].Value = slices.Clone(vs)
+			switch v := p.Value.(type) {
+			case []Value:
+				out[i].Value = slices.Clone(v)
+			case Tagged:
+				out[i].Value = Tagged{Side: v.Side, V: slices.Clone(v.V.([]Value))}
 			}
 		}
 		return out
@@ -125,6 +129,38 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 			BucketRecords(spec, in)
 			if !reflect.DeepEqual(in, orig) {
 				t.Errorf("%s n=%d: BucketRecords wrote to its input", name, n)
+			}
+		}
+	}
+
+	g := NewGraph()
+	src := inputFrom(g, nil)
+	groupings := map[string]*RDD{
+		"groupByKey": src.GroupByKey("group", 4),
+		"cogroup":    src.CoGroup("cogroup", src, 4),
+	}
+	for name, node := range groupings {
+		for _, n := range []int{radixSortCutoff - 1, 5000} {
+			shard := sortInput("duplicates", n, 3)
+			for i := range shard {
+				shard[i].Value = append(make([]Value, 0, 4), i, "v")
+				if name == "cogroup" {
+					shard[i].Value = Tagged{Side: i % 2, V: shard[i].Value}
+				}
+			}
+			origShard := deepCopy(shard)
+			sorted := ReduceAggregate(node.Deps[0].Shuffle, shard)
+			origSorted := deepCopy(sorted)
+			first := node.PostShuffle(0, sorted)
+			second := node.PostShuffle(0, sorted)
+			if !reflect.DeepEqual(shard, origShard) {
+				t.Errorf("%s n=%d: ReduceAggregate wrote to its input", name, n)
+			}
+			if !reflect.DeepEqual(sorted, origSorted) {
+				t.Errorf("%s n=%d: PostShuffle wrote to its input", name, n)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("%s n=%d: PostShuffle gave two answers for one input", name, n)
 			}
 		}
 	}
