@@ -98,6 +98,27 @@ var experiments = []experiment{
 }
 
 func run(args []string, stdout io.Writer) error {
+	s, picked, err := parse(args)
+	if err != nil {
+		return err
+	}
+	for _, e := range picked {
+		out, err := e.run(s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		fmt.Fprint(stdout, out)
+		if len(picked) > 1 { // all: a blank line after each experiment
+			fmt.Fprintln(stdout)
+		}
+	}
+	return nil
+}
+
+// parse builds the session args describe and picks the experiments it
+// runs: the one named, or under `all` every one that prints to stdout, in
+// table order.
+func parse(args []string) (*session, []experiment, error) {
 	fs := flag.NewFlagSet("wanbench", flag.ContinueOnError)
 	var s session
 	fs.IntVar(&s.opts.Runs, "runs", 10, "iterations per (workload, scheme)")
@@ -115,16 +136,16 @@ func run(args []string, stdout io.Writer) error {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if s.opts.Runs < 1 {
-		return fmt.Errorf("-runs must be at least 1, got %d", s.opts.Runs)
+		return nil, nil, fmt.Errorf("-runs must be at least 1, got %d", s.opts.Runs)
 	}
 	if !(s.opts.Scale > 0) || math.IsInf(s.opts.Scale, 1) {
-		return fmt.Errorf("-scale must be positive and finite, got %v", s.opts.Scale)
+		return nil, nil, fmt.Errorf("-scale must be positive and finite, got %v", s.opts.Scale)
 	}
 	if !(s.opts.Jitter >= 0) || math.IsInf(s.opts.Jitter, 1) {
-		return fmt.Errorf("-jitter must be finite and not negative, got %v", s.opts.Jitter)
+		return nil, nil, fmt.Errorf("-jitter must be finite and not negative, got %v", s.opts.Jitter)
 	}
 	if s.opts.Jitter == 0 {
 		s.opts.Jitter = -1 // core reads 0 as its default amplitude
@@ -132,7 +153,7 @@ func run(args []string, stdout io.Writer) error {
 	s.paperSweep = sync.OnceValues(func() ([]bench.Series, error) { return bench.Fig7(s.opts) })
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("need exactly one experiment")
+		return nil, nil, fmt.Errorf("need exactly one experiment")
 	}
 	name := fs.Arg(0)
 	var picked []experiment
@@ -143,19 +164,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if len(picked) == 0 {
 		fs.Usage()
-		return fmt.Errorf("unknown experiment %q", name)
+		return nil, nil, fmt.Errorf("unknown experiment %q", name)
 	}
-	for _, e := range picked {
-		out, err := e.run(&s)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
-		}
-		fmt.Fprint(stdout, out)
-		if name == "all" {
-			fmt.Fprintln(stdout)
-		}
-	}
-	return nil
+	return &s, picked, nil
 }
 
 // teraSortExplicit reproduces the Sec. V-B discussion: TeraSort under

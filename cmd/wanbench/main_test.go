@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,26 +14,114 @@ import (
 	"wanshuffle/internal/bench"
 )
 
-// TestAllGolden pins every figure, table and ablation `wanbench all`
-// prints at a small seeded configuration. The golden was recorded from the
-// binary of the commit before the harness became two tables, so it holds
-// the rewrite to the old numbers; at two runs the 10 % trimmed mean is the
-// plain mean, so it holds Sec. V-B's change of statistic too.
-func TestAllGolden(t *testing.T) {
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks from the current output")
+
+// experimentsDoc is the document whose generated blocks are the golden.
+var experimentsDoc = filepath.Join("..", "..", "EXPERIMENTS.md")
+
+// block matches one generated block of EXPERIMENTS.md: a fenced copy of
+// what one experiment prints inside `wanbench -runs 10 all`, followed by the
+// blank line `all` prints after each experiment.
+var block = regexp.MustCompile("(?s)<!-- wanbench -runs 10 ([a-z0-9-]+) -->\n```text\n(.*?)```\n<!-- end -->")
+
+// TestExperimentsMatchWanbench holds every figure, table and ablation
+// EXPERIMENTS.md shows to what `wanbench -runs 10 all` prints: each
+// experiment of `all` has exactly one generated block, and the block is
+// that experiment's output byte for byte, so the document a reader sees is
+// the thing tier-1 compares. The session is run's own, so the paper sweep
+// is simulated once. When the figures are meant to move, rewrite the
+// blocks with
+//
+//	go test ./cmd/wanbench -run TestExperimentsMatchWanbench -update
+func TestExperimentsMatchWanbench(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment")
+		t.Skip("runs every experiment at -runs 10")
 	}
-	var got bytes.Buffer
-	if err := run([]string{"-runs", "2", "-scale", "0.1", "-seed", "1", "all"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	s, picked, err := parse([]string{"-runs", "10", "all"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("`wanbench all` drifted from testdata/all.golden; if the figures were meant to move, rewrite it with\n"+
-			"  go run ./cmd/wanbench -runs 2 -scale 0.1 -seed 1 all > cmd/wanbench/testdata/all.golden\ngot:\n%s", got.Bytes())
+	doc, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string]int{}
+	for _, m := range block.FindAllSubmatch(doc, -1) {
+		blocks[string(m[1])]++
+	}
+	want := map[string]string{}
+	for _, e := range picked {
+		if blocks[e.name] != 1 {
+			t.Errorf("EXPERIMENTS.md has %d blocks for %s, want 1", blocks[e.name], e.name)
+		}
+		delete(blocks, e.name)
+		out, err := e.run(s)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		want[e.name] = out + "\n"
+	}
+	for name := range blocks {
+		t.Errorf("EXPERIMENTS.md has a block for %s, which `all` does not print", name)
+	}
+	if t.Failed() {
+		return
+	}
+	fresh := block.ReplaceAllFunc(doc, func(m []byte) []byte {
+		name := string(block.FindSubmatch(m)[1])
+		got := string(block.FindSubmatch(m)[2])
+		if got == want[name] {
+			return m
+		}
+		if !*update {
+			t.Errorf("EXPERIMENTS.md's %s block drifted from `wanbench -runs 10 all`; if the figures were meant to move, rewrite the blocks with -update\ngot:\n%swant:\n%s", name, got, want[name])
+		}
+		return []byte(fmt.Sprintf("<!-- wanbench -runs 10 %s -->\n```text\n%s```\n<!-- end -->", name, want[name]))
+	})
+	if *update && !bytes.Equal(fresh, doc) {
+		if err := os.WriteFile(experimentsDoc, fresh, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestExperimentsProseQuotesItsBlock holds EXPERIMENTS.md's prose to its
+// generated blocks: in every section that carries a block, each number
+// written with a unit of s or MB is a whole number token of that section's
+// blocks, so no measured figure can be typed by hand and go stale.
+// Percentages carry no such unit, and the paper's own values are quoted
+// ("…"), which exempts them.
+func TestExperimentsProseQuotesItsBlock(t *testing.T) {
+	doc, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	number := regexp.MustCompile(`[0-9]+(?:\.[0-9]+)?`)
+	measured := regexp.MustCompile(`(?:^|[^\w.])(([0-9]+(?:\.[0-9]+)?) ?(?:s|MB))\b`)
+	quoted := regexp.MustCompile(`"[^"]*"`)
+	checked := 0
+	for _, section := range strings.Split("\n"+string(doc), "\n## ")[1:] {
+		title, _, _ := strings.Cut(section, "\n")
+		blocks := block.FindAllStringSubmatch(section, -1)
+		if len(blocks) == 0 {
+			continue
+		}
+		checked++
+		tokens := map[string]bool{}
+		for _, b := range blocks {
+			for _, tok := range number.FindAllString(b[2], -1) {
+				tokens[tok] = true
+			}
+		}
+		prose := quoted.ReplaceAllString(block.ReplaceAllString(section, ""), "")
+		for _, m := range measured.FindAllStringSubmatch(prose, -1) {
+			if !tokens[m[2]] {
+				t.Errorf("%s: %q is not in the section's wanbench output", title, m[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no EXPERIMENTS.md section carries a generated block; has the marker pattern gone stale?")
 	}
 }
 

@@ -47,7 +47,9 @@ func ablate(variants []variant, opts Options) ([]AblationRow, error) {
 //   - WAN burst degradation β (the fetch-storm model) including β = 0,
 //     the idealized fluid-TCP network;
 //   - multi-tenancy and mapper-node failure;
-//   - bandwidth jitter amplitude, the driver of the baseline's variance.
+//   - bandwidth jitter amplitude: means and spread barely move with it,
+//     because the baseline's variance comes from placement randomness
+//     compounding with slow paths.
 //
 // TeraSort exercises the network-heavy path; PageRank the iterative one.
 func ablations() []variant {

@@ -123,7 +123,7 @@ func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModePush, ModeFetch} {
 		c, err := New(Config{
-			Workers: 2, Mode: mode, Aggregators: []int{1},
+			Workers: 2, Mode: mode,
 			TasksPerWorker: 1, ChunkRecords: 4,
 		})
 		if err != nil {

@@ -13,46 +13,21 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// gatedWordCount builds the same lineage as buildWordCount, but the map
-// closure parks the first record of input partition 0 on a gate: it closes
-// reached and then blocks until release closes. With leaf tasks
+// gatedWordCount builds the same lineage as buildSkewedWordCount, but the
+// map closure parks the first record of input partition 0 on a gate: it
+// closes reached and then blocks until release closes. With leaf tasks
 // round-robined over sites, partition 0 runs at worker 0, so tests can
 // act mid-run — while worker 0 is provably inside a map task — before
 // letting the job proceed. Only the first hit blocks (retried attempts
 // run straight through), and the gate does not change the data, so the
-// output still matches buildWordCount's local reference.
-func gatedWordCount(parts, reduces int, reached, release chan struct{}) *rdd.RDD {
-	g := rdd.NewGraph()
-	inputs := make([]rdd.InputPartition, parts)
-	for p := 0; p < parts; p++ {
-		var recs []rdd.Pair
-		for i := 0; i < 40; i++ {
-			recs = append(recs, rdd.KV(
-				fmt.Sprintf("line%d-%d", p, i),
-				fmt.Sprintf("alpha beta gamma-%d delta", (p+i)%7),
-			))
-		}
-		inputs[p] = rdd.InputPartition{Host: 0, ModeledBytes: 1, Records: recs}
-	}
+// output still matches buildSkewedWordCount's local reference.
+func gatedWordCount(parts, reduces, heavy int, reached, release chan struct{}) *rdd.RDD {
 	var once atomic.Bool
-	in := g.Input("text", inputs)
-	words := in.FlatMap("split", func(p rdd.Pair) []rdd.Pair {
+	return wordCount(parts, reduces, heavy, func(p rdd.Pair) {
 		if strings.HasPrefix(p.Key, "line0-") && once.CompareAndSwap(false, true) {
 			close(reached)
 			<-release
 		}
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
-		}
-		return out
-	})
-	counts := words.ReduceByKey("count", reduces, func(a, b rdd.Value) rdd.Value {
-		return a.(int) + b.(int)
-	})
-	return counts.Map("fmt", func(p rdd.Pair) rdd.Pair {
-		return rdd.KV(p.Key, fmt.Sprintf("n=%d", p.Value.(int)))
 	})
 }
 
@@ -98,11 +73,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestHeartbeatFailover(t *testing.T) {
 	reached := make(chan struct{})
 	release := make(chan struct{})
-	job := gatedWordCount(6, 3, reached, release)
-	want := canon(rdd.CollectLocal(buildWordCount(6, 3)))
+	// The heavy partition puts the aggregator on worker 2, so the worker
+	// killed below is a mapper and not the aggregator.
+	job := gatedWordCount(6, 3, 2, reached, release)
+	want := canon(rdd.CollectLocal(buildSkewedWordCount(6, 3, 2)))
 
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush, Aggregators: []int{2},
+		Workers: 3, Mode: ModePush,
 		HeartbeatInterval: 15 * time.Millisecond,
 	})
 	if err != nil {
@@ -247,7 +224,7 @@ func midRunReportConvergence(t *testing.T, heartbeat time.Duration) {
 		})
 
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush, Aggregators: []int{2},
+		Workers: 3, Mode: ModePush,
 		HeartbeatInterval: heartbeat,
 	})
 	if err != nil {
@@ -299,7 +276,7 @@ func midRunReportConvergence(t *testing.T, heartbeat time.Duration) {
 // returns, and every open worker is healthy.
 func TestHeartbeatsDisabled(t *testing.T) {
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush, Aggregators: []int{2},
+		Workers: 3, Mode: ModePush,
 		HeartbeatInterval: -1,
 	})
 	if err != nil {
@@ -321,12 +298,13 @@ func TestHeartbeatsDisabled(t *testing.T) {
 		t.Fatalf("matrix sums to %d, want %d", sum, stats.BytesOverTCP)
 	}
 	checkConservation(t, stats)
-	// Six maps round-robin over three workers put two on the aggregator:
-	// the other four push, each of the two senders' links dials its width
-	// once, and the reducers, all on the aggregator, fetch nothing.
+	// Six maps round-robin over three workers put two on the aggregator,
+	// whichever it is: the other four push, each of the two senders' links
+	// dials its width once, and the reducers, all on the aggregator, fetch
+	// nothing.
 	if width := int64(cluster.cfg.TasksPerWorker); stats.PushConnections != 4 || stats.FetchConnections != 0 || stats.Dials != 2*width {
-		t.Fatalf("%d pushes, %d fetches, %d dials; want 4 pushes (maps at %v, worker 2 aggregates), no fetch and %d dials",
-			stats.PushConnections, stats.FetchConnections, stats.Dials, sitesOf(stats, 0), 2*width)
+		t.Fatalf("%d pushes, %d fetches, %d dials; want 4 pushes (maps at %v, aggregators %v), no fetch and %d dials",
+			stats.PushConnections, stats.FetchConnections, stats.Dials, sitesOf(stats, 0), aggregators(stats), 2*width)
 	}
 	for i := range cluster.workers {
 		if !cluster.workerHealthy(i) {
@@ -375,7 +353,7 @@ func TestConservationAcrossCanceledJob(t *testing.T) {
 			// One task per worker: a worker never needs a second connection
 			// to a peer.
 			cluster, err := New(Config{
-				Workers: 2, Mode: ModePush, Aggregators: []int{1},
+				Workers: 2, Mode: ModePush,
 				TasksPerWorker: 1, Compression: CodecFlate,
 				HeartbeatInterval: hb,
 			})

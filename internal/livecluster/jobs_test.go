@@ -52,7 +52,7 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 		if stats.BytesOverTCP <= 0 {
 			t.Fatalf("run %d moved no bytes", run)
 		}
-		if len(stats.AggregatorsByShuffle) == 0 {
+		if len(stats.Events.Placements()) == 0 {
 			t.Fatalf("run %d chose no aggregator in push mode", run)
 		}
 		// Map outputs of THIS job only: 6 total, all on the aggregator —
@@ -107,7 +107,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 			t.Fatalf("run %d: class split sums to %d, BytesOverTCP %d", run, byClass, stats.BytesOverTCP)
 		}
 		if stats.Mode != ModePush || stats.CompletionSec <= 0 || stats.Retries != 0 ||
-			len(stats.StageSpans) != 2 || len(stats.ShardsByWorker) != 4 || len(stats.AggregatorsByShuffle) != 1 ||
+			len(stats.StageSpans) != 2 || len(stats.ShardsByWorker) != 4 || len(stats.Events.Placements()) != 1 ||
 			stats.Events.Counts().Finished == 0 {
 			t.Fatalf("run %d: implausible stats %+v", run, stats.StageSpans)
 		}

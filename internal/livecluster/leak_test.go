@@ -96,7 +96,7 @@ func clusterLeavesNothingBehind(t *testing.T, heartbeat time.Duration, mode Mode
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.RunContext(ctx, gatedWordCount(6, 3, reached, release))
+		_, _, err := c.RunContext(ctx, gatedWordCount(6, 3, -1, reached, release))
 		done <- err
 	}()
 	<-reached

@@ -22,10 +22,10 @@
 //     aggregator worker as soon as it finishes (transferTo); a mapper that
 //     runs on the aggregator installs its output there directly. The
 //     aggregator is chosen per shuffle by plan.ChooseAggregator from
-//     measured map-output sizes unless Config.Aggregators pins it;
-//     reducers are placed on the aggregator and read its block store
-//     without a request — the locality the paper aggregates for — so the
-//     bytes that cross sockets are Eq. 2's S − s₁.
+//     measured map-output sizes; reducers are placed on the aggregator
+//     and read its block store without a request — the locality the
+//     paper aggregates for — so the bytes that cross sockets are Eq. 2's
+//     S − s₁.
 //
 // Closures execute in-process (tasks share the lineage graph), while data
 // crosses sockets in the binary record codec of internal/rdd
@@ -82,12 +82,9 @@ type Config struct {
 	Workers int
 	// Mode defaults to ModeFetch.
 	Mode Mode
-	// Aggregators pins the worker indexes receiving pushes in ModePush.
-	// Empty means automatic: each shuffle's aggregator is chosen under
-	// AggregatorPolicy from the stage's measured per-worker input sizes.
-	Aggregators []int
-	// AggregatorPolicy selects the automatic rule when Aggregators is
-	// empty: plan.AggregatorBest (default, largest input share) or
+	// AggregatorPolicy selects the rule that chooses each shuffle's
+	// aggregator in ModePush from the stage's measured per-worker input
+	// sizes: plan.AggregatorBest (default, largest input share) or
 	// plan.AggregatorBandwidth (smallest estimated transfer time over the
 	// cluster's measured-then-configured link matrix). plan.AggregatorWorst
 	// is accepted for ablations; plan.AggregatorRandom is rejected (the
@@ -230,9 +227,6 @@ type Stats struct {
 	// ShardsByWorker counts map-output partitions stored per worker after
 	// the job — under ModePush everything lands on the aggregators.
 	ShardsByWorker []int
-	// AggregatorsByShuffle records the aggregator workers chosen for each
-	// shuffle in ModePush (explicit or measured-size automatic).
-	AggregatorsByShuffle map[int][]int
 	// StageSpans are the per-stage execution windows, wall-clock seconds
 	// since the job started.
 	StageSpans []plan.StageSpan
@@ -416,11 +410,6 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 // heartbeat ticker. The workers' listeners are the only sockets it opens.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	for _, a := range cfg.Aggregators {
-		if a < 0 || a >= cfg.Workers {
-			return nil, fmt.Errorf("livecluster: aggregator %d out of range [0,%d)", a, cfg.Workers)
-		}
-	}
 	switch cfg.AggregatorPolicy {
 	case plan.AggregatorBest, plan.AggregatorWorst, plan.AggregatorBandwidth:
 	case plan.AggregatorRandom:
@@ -667,11 +656,10 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	run := newLiveRun(c, stats, job.Plan)
 	c.curRun.Store(run)
 	drv := plan.NewDriver(job, run, plan.DriverConfig{
-		Aggregate:   c.cfg.Mode == ModePush,
-		Aggregators: c.cfg.Aggregators,
-		Policy:      c.cfg.AggregatorPolicy,
-		LinkCosts:   c.LinkCosts(),
-		SiteSlots:   c.cfg.TasksPerWorker,
+		Aggregate: c.cfg.Mode == ModePush,
+		Policy:    c.cfg.AggregatorPolicy,
+		LinkCosts: c.LinkCosts(),
+		SiteSlots: c.cfg.TasksPerWorker,
 	})
 	parts, err := drv.RunContext(ctx)
 	// Drain every worker's telemetry buffer before reading the stats, so
@@ -687,11 +675,6 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, spec := range job.Plan.Shuffles() {
-		if sites := drv.AggregatedTo(spec.ID); len(sites) > 0 {
-			stats.AggregatorsByShuffle[spec.ID] = sites
-		}
-	}
 	for i, w := range c.workers {
 		stats.ShardsByWorker[i] = w.storedOutputs()
 	}
@@ -705,17 +688,16 @@ func (c *Cluster) newStats() *Stats {
 		matrix[i] = make([]int64, len(c.workers))
 	}
 	return &Stats{
-		ShardsByWorker:       make([]int, len(c.workers)),
-		AggregatorsByShuffle: map[int][]int{},
-		Mode:                 c.cfg.Mode,
-		TrafficMatrix:        matrix,
-		BytesByClass:         map[string]int64{},
-		Events:               obs.NewCollector(),
-		storage:              c.StorageStats,
-		topo:                 c.Topology(),
-		links:                c.links,
-		configured:           c.configuredLinks(),
-		placementPolicy:      c.cfg.AggregatorPolicy.String(),
+		ShardsByWorker:  make([]int, len(c.workers)),
+		Mode:            c.cfg.Mode,
+		TrafficMatrix:   matrix,
+		BytesByClass:    map[string]int64{},
+		Events:          obs.NewCollector(),
+		storage:         c.StorageStats,
+		topo:            c.Topology(),
+		links:           c.links,
+		configured:      c.configuredLinks(),
+		placementPolicy: c.cfg.AggregatorPolicy.String(),
 	}
 }
 

@@ -7,15 +7,35 @@ import (
 	"testing"
 
 	"wanshuffle/internal/obs"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 )
 
-func buildWordCount(parts, reduces int) *rdd.RDD {
+// buildWordCount is a small WordCount over parts input partitions of 40
+// lines each.
+func buildWordCount(parts, reduces int) *rdd.RDD { return wordCount(parts, reduces, -1, nil) }
+
+// buildSkewedWordCount is buildWordCount with partition heavy three times
+// the size of the others. Leaf tasks round-robin over the workers, so on a
+// cluster of more than heavy workers partition heavy runs on worker heavy
+// and Eq. 2 aggregates the count there: this is how a test picks its
+// aggregator.
+func buildSkewedWordCount(parts, reduces, heavy int) *rdd.RDD {
+	return wordCount(parts, reduces, heavy, nil)
+}
+
+// wordCount builds both; split, when not nil, sees every input line before
+// the map closure splits it.
+func wordCount(parts, reduces, heavy int, split func(rdd.Pair)) *rdd.RDD {
 	g := rdd.NewGraph()
 	inputs := make([]rdd.InputPartition, parts)
 	for p := 0; p < parts; p++ {
+		lines := 40
+		if p == heavy {
+			lines = 120
+		}
 		var recs []rdd.Pair
-		for i := 0; i < 40; i++ {
+		for i := 0; i < lines; i++ {
 			recs = append(recs, rdd.KV(
 				fmt.Sprintf("line%d-%d", p, i),
 				fmt.Sprintf("alpha beta gamma-%d delta", (p+i)%7),
@@ -25,6 +45,9 @@ func buildWordCount(parts, reduces int) *rdd.RDD {
 	}
 	in := g.Input("text", inputs)
 	words := in.FlatMap("split", func(p rdd.Pair) []rdd.Pair {
+		if split != nil {
+			split(p)
+		}
 		fields := strings.Fields(p.Value.(string))
 		out := make([]rdd.Pair, len(fields))
 		for i, w := range fields {
@@ -56,9 +79,19 @@ func canon(records []rdd.Pair) string {
 	return b.String()
 }
 
+// aggregators returns each shuffle's aggregator worker, as the run's
+// placement decisions recorded it.
+func aggregators(stats *Stats) map[int]int {
+	agg := map[int]int{}
+	for _, d := range stats.Events.Placements() {
+		agg[d.Shuffle] = d.Chosen
+	}
+	return agg
+}
+
 func runMode(t *testing.T, mode Mode, job *rdd.RDD) ([]rdd.Pair, *Stats) {
 	t.Helper()
-	cluster, err := New(Config{Workers: 4, Mode: mode, Aggregators: []int{2}})
+	cluster, err := New(Config{Workers: 4, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +129,10 @@ func sitesOf(stats *Stats, stage int) map[int]int {
 }
 
 func TestPushModeAggregatesOutputs(t *testing.T) {
-	_, stats := runMode(t, ModePush, buildWordCount(6, 3))
+	_, stats := runMode(t, ModePush, buildSkewedWordCount(6, 3, 2))
+	if decs := stats.Events.Placements(); len(decs) != 1 || decs[0].Chosen != 2 {
+		t.Fatalf("placement decisions %+v, want worker 2, which holds the heavy partition", decs)
+	}
 	// All 6 map outputs must land on worker 2, none elsewhere.
 	for i, n := range stats.ShardsByWorker {
 		want := 0
@@ -228,8 +264,8 @@ func TestRejectsTransferLineage(t *testing.T) {
 }
 
 func TestBadAggregatorRejected(t *testing.T) {
-	if _, err := New(Config{Workers: 2, Aggregators: []int{5}}); err == nil {
-		t.Fatal("out-of-range aggregator accepted")
+	if _, err := New(Config{Workers: 2, AggregatorPolicy: plan.AggregatorPolicy(9)}); err == nil {
+		t.Fatal("unknown aggregator policy accepted")
 	}
 	// A push is one stream; the field only survives for perf/, at 1.
 	if _, err := New(Config{Workers: 2, PushFanout: 2}); err == nil {

@@ -103,16 +103,17 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode
 			serves++
 		}
 	}
+	aggs := aggregators(stats)
 	holder := func(shuffle, mapPart int) int {
-		if agg := stats.AggregatorsByShuffle[shuffle]; len(agg) > 0 {
-			return agg[0]
+		if agg, ok := aggs[shuffle]; ok {
+			return agg
 		}
 		return int(mapSpans[shuffle][mapPart].Host)
 	}
 	for shuffle, maps := range mapSpans {
-		agg := stats.AggregatorsByShuffle[shuffle]
-		if (mode == ModePush) != (len(agg) == 1) {
-			t.Fatalf("seed %d: shuffle %d aggregated at %v in %v mode", seed, shuffle, agg, mode)
+		agg, aggregated := aggs[shuffle]
+		if (mode == ModePush) != aggregated {
+			t.Fatalf("seed %d: shuffle %d aggregated in %v mode: %v", seed, shuffle, mode, aggregated)
 		}
 		// S − s₁, from the prepared outputs themselves as their holders
 		// store them (bucketing reorders records, it does not resize them).
@@ -125,7 +126,7 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode
 			if size := rdd.EncodedSize(stored); size != span.Bytes {
 				t.Fatalf("seed %d: shuffle %d map %d stores %v codec bytes, its map task reported %v", seed, shuffle, m, size, span.Bytes)
 			}
-			if mode == ModePush && int(span.Host) != agg[0] {
+			if mode == ModePush && int(span.Host) != agg {
 				crossed += streamedBytes(stored, cluster.cfg.ChunkRecords)
 			}
 		}
@@ -149,35 +150,55 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode
 	return len(fetches) > 0 && remote == 0
 }
 
-// TestPushModeReadsAnotherAggregatorOverTCP pins two aggregators: every
-// reducer sits on one of them, reads that one's half of the map outputs from
-// its own store and the other half through fetch, serve spans and all.
+// TestPushModeReadsAnotherAggregatorOverTCP cogroups two inputs, one
+// skewed toward worker 1 and one toward worker 2, so Eq. 2 aggregates their
+// shuffles at different workers: every reducer sits on one of them, reads
+// that side's map outputs from its own store and the other side's through
+// fetch, serve spans and all.
 func TestPushModeReadsAnotherAggregatorOverTCP(t *testing.T) {
+	build := func() *rdd.RDD {
+		g := rdd.NewGraph()
+		side := func(name string, heavy int) *rdd.RDD {
+			parts := make([]rdd.InputPartition, 4)
+			for p := range parts {
+				n := 20
+				if p == heavy {
+					n = 60
+				}
+				parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: pairs(n)}
+			}
+			return g.Input(name, parts)
+		}
+		return side("left", 1).CoGroup("cogroup", side("right", 2), 4)
+	}
 	tr := &trace.Recorder{}
-	cluster, err := New(Config{Workers: 4, Mode: ModePush, Aggregators: []int{1, 2}, Trace: tr})
+	cluster, err := New(Config{Workers: 4, Mode: ModePush, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	want := canon(rdd.CollectLocal(buildWordCount(6, 4)))
-	out, stats, err := cluster.Run(buildWordCount(6, 4))
+	want := canon(rdd.CollectLocal(build()))
+	out, stats, err := cluster.Run(build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canon(out) != want {
 		t.Fatal("output diverges from the reference")
 	}
-	if got := fmt.Sprint(stats.ShardsByWorker); got != "[0 3 3 0]" {
-		t.Fatalf("map outputs held %s, want three on each aggregator", got)
+	if decs := stats.Events.Placements(); len(decs) != 2 || decs[0].Chosen+decs[1].Chosen != 3 || decs[0].Chosen == decs[1].Chosen {
+		t.Fatalf("placement decisions %+v, want workers 1 and 2, which hold the heavy partitions", decs)
 	}
-	reducers := sitesOf(stats, 1)
+	if got := fmt.Sprint(stats.ShardsByWorker); got != "[0 4 4 0]" {
+		t.Fatalf("map outputs held %s, want each side's four on its aggregator", got)
+	}
+	reducers := sitesOf(stats, 2)
 	for part, site := range reducers {
 		if site != 1 && site != 2 {
 			t.Fatalf("reducer %d ran on worker %d, off the aggregators", part, site)
 		}
 	}
-	// Each of the four reducers reads the other aggregator's three outputs.
-	if want := int64(len(reducers) * 3); len(reducers) != 4 || stats.FetchConnections != want {
+	// Each of the four reducers reads the other side's four outputs.
+	if want := int64(len(reducers) * 4); len(reducers) != 4 || stats.FetchConnections != want {
 		t.Fatalf("%d fetch requests from reducers at %v, want %d", stats.FetchConnections, reducers, want)
 	}
 	serves := 0
@@ -221,11 +242,14 @@ func (r *capturingRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 func TestLocalReadDoesNotAliasTheStore(t *testing.T) {
 	for _, budget := range []int64{0, 1 << 10} {
 		t.Run(fmt.Sprintf("budget %d", budget), func(t *testing.T) {
-			c, err := New(Config{Workers: 2, Mode: ModePush, Aggregators: []int{1}, MemoryBudget: budget, SpillDir: t.TempDir(), HeartbeatInterval: -1})
+			c, err := New(Config{Workers: 2, Mode: ModePush, MemoryBudget: budget, SpillDir: t.TempDir(), HeartbeatInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			// Partitions grow with their index, so worker 1, which runs
+			// partitions 1 and 3, holds the larger input and Eq. 2
+			// aggregates there.
 			g := rdd.NewGraph()
 			parts := make([]rdd.InputPartition, 4)
 			for p := range parts {
@@ -242,7 +266,7 @@ func TestLocalReadDoesNotAliasTheStore(t *testing.T) {
 			run := &capturingRun{liveRun: newLiveRun(c, c.newStats(), job.Plan)}
 			c.curRun.Store(run.liveRun)
 			defer c.curRun.Store(nil)
-			drv := plan.NewDriver(job, run, plan.DriverConfig{Aggregate: true, Aggregators: []int{1}, SiteSlots: 2})
+			drv := plan.NewDriver(job, run, plan.DriverConfig{Aggregate: true, SiteSlots: 2})
 			if _, err := drv.RunContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +314,9 @@ func TestLocalReadDoesNotAliasTheStore(t *testing.T) {
 // what was lost — the worker, the stored output, the connection to it —
 // never with a panic or a short read.
 func TestKillAggregatorUnderLocalReads(t *testing.T) {
-	const agg = 2
+	// Sixteen equal maps round-robin over three workers put six on worker 0
+	// and five on each other one, so Eq. 2 aggregates at worker 0.
+	const agg = 0
 	for round := 0; round < 5; round++ {
 		reached := make(chan struct{})
 		release := make(chan struct{})
@@ -314,7 +340,7 @@ func TestKillAggregatorUnderLocalReads(t *testing.T) {
 			})
 		}
 		want := canon(rdd.CollectLocal(build(false)))
-		cluster, err := New(Config{Workers: 3, Mode: ModePush, Aggregators: []int{agg}})
+		cluster, err := New(Config{Workers: 3, Mode: ModePush})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,6 +354,13 @@ func TestKillAggregatorUnderLocalReads(t *testing.T) {
 			done <- result{out, err}
 		}()
 		<-reached
+		// The decision is recorded before any reducer runs.
+		if decs := cluster.CurrentStats().Events.Placements(); len(decs) != 1 || decs[0].Chosen != agg {
+			close(release)
+			<-done
+			cluster.Close()
+			t.Fatalf("round %d: placements %+v, want one decision choosing worker %d", round, decs, agg)
+		}
 		cluster.workers[agg].close()
 		close(release)
 		res := <-done

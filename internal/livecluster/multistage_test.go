@@ -96,8 +96,8 @@ func TestChainedShufflesBothModes(t *testing.T) {
 		if len(stats.StageSpans) != 3 {
 			t.Fatalf("%v: %d stage spans, want 3", mode, len(stats.StageSpans))
 		}
-		if mode == ModePush && len(stats.AggregatorsByShuffle) != 2 {
-			t.Fatalf("push mode chose aggregators for %d shuffles, want 2", len(stats.AggregatorsByShuffle))
+		if mode == ModePush && len(stats.Events.Placements()) != 2 {
+			t.Fatalf("push mode chose aggregators for %d shuffles, want 2", len(stats.Events.Placements()))
 		}
 	}
 }
@@ -120,8 +120,8 @@ func TestIterativePageRankRoundBothModes(t *testing.T) {
 		if mode == ModePush {
 			// Every shuffle must aggregate: links, the join's two cogroup
 			// sides, and the contribution sum.
-			if len(stats.AggregatorsByShuffle) != 4 {
-				t.Fatalf("aggregators chosen for %d shuffles, want 4", len(stats.AggregatorsByShuffle))
+			if len(stats.Events.Placements()) != 4 {
+				t.Fatalf("aggregators chosen for %d shuffles, want 4", len(stats.Events.Placements()))
 			}
 			if stats.PushConnections == 0 {
 				t.Fatal("push mode pushed nothing")
@@ -156,9 +156,9 @@ func TestAutoAggregatorPicksMeasuredHeavySite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sites := range stats.AggregatorsByShuffle {
-		if len(sites) != 1 || sites[0] != 3 {
-			t.Fatalf("aggregated at %v, want worker 3 (holds the 8 KB partition)", sites)
+	for _, d := range stats.Events.Placements() {
+		if d.Chosen != 3 {
+			t.Fatalf("shuffle %d aggregated at worker %d, want worker 3 (holds the 8 KB partition)", d.Shuffle, d.Chosen)
 		}
 	}
 	// All map outputs pushed to worker 3.

@@ -81,7 +81,8 @@ func findLink(ns *obs.NetworkStats, src, dst string) *obs.LinkStats {
 }
 
 // TestLinkMatrixReflectsInjectedAsymmetry shapes the loopback data plane
-// with a skewed three-DC topology, pins the aggregator on w0, and checks
+// with a skewed three-DC topology, aggregates on w0 by Eq. 2's tie-break,
+// and checks
 // the passive estimator recovers the injected ordering: the push over the
 // fast dc-a↔dc-b path must measure faster than the one crossing the slow
 // dc-c paths, and every configured pair must carry a drift ratio in the
@@ -89,7 +90,7 @@ func findLink(ns *obs.NetworkStats, src, dst string) *obs.LinkStats {
 func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 	topo := asymmetricTriad()
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush, Aggregators: []int{0},
+		Workers: 3, Mode: ModePush,
 		WANTopology: topo,
 	})
 	if err != nil {
@@ -104,6 +105,11 @@ func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 	}
 	if canon(out) != want {
 		t.Fatal("shaped run diverges from reference")
+	}
+	// Every worker holds the same input, and Eq. 2 breaks the tie toward
+	// the lowest index.
+	if decs := stats.Events.Placements(); len(decs) != 1 || decs[0].Chosen != 0 {
+		t.Fatalf("placement decisions %+v, want worker 0", decs)
 	}
 
 	ns := cluster.NetworkStats()
@@ -173,7 +179,7 @@ func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 	}
 	simNS := eng.NetworkStats()
 
-	cluster, err := New(Config{Workers: 3, Mode: ModePush, Aggregators: []int{0}, WANTopology: topo})
+	cluster, err := New(Config{Workers: 3, Mode: ModePush, WANTopology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func matrixTotal(m [][]int64) int64 {
 // every byte that crossed a socket.
 func TestLiveRunReportInvariants(t *testing.T) {
 	tr := &trace.Recorder{}
-	cluster, err := New(Config{Workers: 4, Mode: ModePush, Aggregators: []int{2}, Trace: tr})
+	cluster, err := New(Config{Workers: 4, Mode: ModePush, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +112,23 @@ func TestLiveRunReportInvariants(t *testing.T) {
 }
 
 // TestPushModeMatrixConcentratesOnAggregator is the matrix form of the
-// paper's push-aggregation claim: with the aggregator pinned, cross-worker
+// paper's push-aggregation claim: with the aggregator known, cross-worker
 // shuffle bytes land only in the aggregator's column — every other
 // worker's column stays zero, and so does the diagonal, the aggregator's cell
 // included: what it holds it reads without a socket.
 func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 	const agg = 2
-	cluster, err := New(Config{Workers: 4, Mode: ModePush, Aggregators: []int{agg}})
+	cluster, err := New(Config{Workers: 4, Mode: ModePush})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, stats, err := cluster.Run(buildWordCount(6, 3))
+	_, stats, err := cluster.Run(buildSkewedWordCount(6, 3, agg))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if decs := stats.Events.Placements(); len(decs) != 1 || decs[0].Chosen != agg {
+		t.Fatalf("placement decisions %+v, want worker %d, which holds the heavy partition", decs, agg)
 	}
 	for src, row := range stats.TrafficMatrix {
 		for dst, v := range row {
@@ -178,6 +181,8 @@ func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
 // its records, no bytes and itself as the source.
 func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 	const chunkRecords = 16
+	// Partitions grow with their index, so worker 1, which runs partitions
+	// 1 and 3, holds the larger input and Eq. 2 aggregates there.
 	const agg = 1
 	build := func() (*rdd.RDD, []float64, int) {
 		g := rdd.NewGraph()
@@ -206,7 +211,7 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 	} {
 		tr := &trace.Recorder{}
 		cluster, err := New(Config{
-			Workers: 2, Mode: v.mode, Aggregators: []int{agg},
+			Workers: 2, Mode: v.mode,
 			ChunkRecords: chunkRecords, Compression: v.codec, Trace: tr,
 			HeartbeatInterval: v.heartbeat,
 		})

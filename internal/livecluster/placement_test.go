@@ -159,13 +159,9 @@ func TestLivePlacementReportAndCosts(t *testing.T) {
 	}
 
 	// The pushes landed where the decision says they did.
-	if sites := stats.AggregatorsByShuffle; len(sites) != 1 {
-		t.Fatalf("AggregatorsByShuffle = %+v, want one shuffle", sites)
-	} else {
-		for _, s := range sites {
-			if len(s) != 1 || s[0] != 1 {
-				t.Fatalf("shuffle aggregated at %v, want [1]", s)
-			}
+	for w, n := range stats.ShardsByWorker {
+		if (n > 0) != (w == 1) {
+			t.Fatalf("map outputs stored per worker %v, want all on the hub w1", stats.ShardsByWorker)
 		}
 	}
 }

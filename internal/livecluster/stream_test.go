@@ -637,13 +637,14 @@ func (p *handPush) finish() string {
 func TestPushFailureIsATerminalFrame(t *testing.T) {
 	// One task per worker: a worker never needs a second connection to a
 	// peer, so every dial is a connection lost.
-	c, err := New(Config{Workers: 2, Mode: ModePush, Aggregators: []int{1},
+	// The job aggregates at worker 1, so worker 0's link to it is warm.
+	c, err := New(Config{Workers: 2, Mode: ModePush,
 		TasksPerWorker: 1, ChunkRecords: 4, HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Run(buildWordCount(4, 2)); err != nil {
+	if _, _, err := c.Run(buildSkewedWordCount(4, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	w0 := c.workers[0]
@@ -677,7 +678,7 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	if stats.Dials != 0 {
 		t.Fatalf("the failed pushes dialed %d connections: the pool lost the warm one", stats.Dials)
 	}
-	_, next, err := c.Run(buildWordCount(4, 2))
+	_, next, err := c.Run(buildSkewedWordCount(4, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -852,9 +853,9 @@ func (s gatedStore) Put(key blockstore.Key, out blockstore.Output) (stored, dup 
 // the run), charge the retry budget, and — once the peer recovers — the
 // retried attempt must complete the job correctly.
 func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
-	want := canon(rdd.CollectLocal(buildWordCount(4, 2)))
+	want := canon(rdd.CollectLocal(buildSkewedWordCount(4, 2, 2)))
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush, Aggregators: []int{2},
+		Workers: 3, Mode: ModePush,
 		IOTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
@@ -870,7 +871,7 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, _, err := cluster.Run(buildWordCount(4, 2))
+		out, _, err := cluster.Run(buildSkewedWordCount(4, 2, 2))
 		done <- result{out, err}
 	}()
 

@@ -101,16 +101,13 @@ type SiteHealth interface {
 type DriverConfig struct {
 	// Aggregate enables Push/Aggregate: each map stage's output is pushed
 	// to an aggregator site as tasks finish, instead of staying scattered
-	// for fetch-based reads.
-	Aggregate bool
-	// Aggregators pins the aggregator sites explicitly (the analogue of
-	// TransferTo(dc)). Empty means automatic per-shuffle selection under
+	// for fetch-based reads. The aggregator is chosen per shuffle under
 	// Policy over the stage's input sizes — measured map-output sizes for
 	// every shuffle past the first (the analogue of TransferToAuto).
-	Aggregators []int
-	// Policy selects the automatic-aggregation rule when Aggregators is
-	// empty. Zero value is AggregatorBest (Eq. 2). AggregatorRandom is
-	// the simulator's ablation only — the driver carries no seeded RNG.
+	Aggregate bool
+	// Policy selects the aggregation rule. Zero value is AggregatorBest
+	// (Eq. 2). AggregatorRandom is the simulator's ablation only — the
+	// driver carries no seeded RNG.
 	Policy AggregatorPolicy
 	// LinkCosts supplies site-pair bandwidth estimates for
 	// AggregatorBandwidth; other policies use it only to annotate the
@@ -138,9 +135,9 @@ type Driver struct {
 	outputs MapOutputTracker
 
 	mu sync.Mutex
-	// aggSites records, per shuffle ID, the sites its map output was
-	// aggregated into (nil entry = scattered, fetch-based).
-	aggSites map[int][]int
+	// aggSites records, per shuffle ID, the site its map output was
+	// aggregated into (no entry = scattered, fetch-based).
+	aggSites map[int]int
 }
 
 // NewDriver prepares a driver; Run may be called once.
@@ -148,15 +145,7 @@ func NewDriver(job *Job, be Backend, cfg DriverConfig) *Driver {
 	if cfg.SiteSlots <= 0 {
 		cfg.SiteSlots = 2
 	}
-	return &Driver{job: job, be: be, cfg: cfg, aggSites: map[int][]int{}}
-}
-
-// AggregatedTo returns the sites a shuffle's output was aggregated into
-// (nil when the shuffle stayed scattered).
-func (d *Driver) AggregatedTo(shuffleID int) []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.aggSites[shuffleID]
+	return &Driver{job: job, be: be, cfg: cfg, aggSites: map[int]int{}}
 }
 
 // Run executes every stage and returns the result stage's partitions.
@@ -222,7 +211,7 @@ func (d *Driver) canceled() error {
 func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
 	name := st.Name() // formatted once: every task event carries it
-	agg := d.resolveAggregators(st)
+	aggTo := d.resolveAggregator(st)
 
 	errs := make([]error, st.NumTasks)
 	var results [][]rdd.Pair
@@ -240,10 +229,6 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 			continue
 		}
 		site := d.placeTask(st, part)
-		aggTo := -1
-		if len(agg) > 0 {
-			aggTo = SpreadTopK(agg, len(agg), part)
-		}
 		d.taskEvent(obs.PhaseScheduled, st.ID, name, part, site, 1, nil)
 		if errs[part] = d.acquire(site); errs[part] != nil {
 			continue // canceled while waiting for a task slot: never launched
@@ -296,29 +281,25 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, si
 	d.be.OnTask(ev)
 }
 
-// resolveAggregators picks the stage's aggregator sites: the explicit
-// override when configured, otherwise ChooseAggregator over inputSizes —
-// actual map-output sizes for every shuffle input (Sec. III-B / IV-D).
-// Automatic choices go to the backend's sink, without site labels: the
-// backend knows its own site names.
-func (d *Driver) resolveAggregators(st *dag.Stage) []int {
+// resolveAggregator picks the stage's aggregator site, -1 when its output
+// stays scattered: ChooseAggregator over inputSizes — actual map-output
+// sizes for every shuffle input (Sec. III-B / IV-D). The choice goes to the
+// backend's sink, without site labels: the backend knows its own site
+// names.
+func (d *Driver) resolveAggregator(st *dag.Stage) int {
 	if st.OutSpec == nil || !d.cfg.Aggregate {
-		return nil
+		return -1
 	}
-	agg := d.cfg.Aggregators
-	if len(agg) == 0 {
-		rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.inputSizes(st),
-			d.cfg.Policy, d.cfg.LinkCosts, nil, nil)
-		if len(rank) == 0 {
-			return nil
-		}
-		agg = []int{rank[0]}
-		d.be.OnPlacement(dec)
+	rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.inputSizes(st),
+		d.cfg.Policy, d.cfg.LinkCosts, nil, nil)
+	if len(rank) == 0 {
+		return -1
 	}
+	d.be.OnPlacement(dec)
 	d.mu.Lock()
-	d.aggSites[st.OutSpec.ID] = agg
+	d.aggSites[st.OutSpec.ID] = rank[0]
 	d.mu.Unlock()
-	return agg
+	return rank[0]
 }
 
 // inputSizes is stage st's input bytes per site, what ChooseAggregator
@@ -341,32 +322,31 @@ func (d *Driver) inputSizes(st *dag.Stage) []float64 {
 // else round-robins, since leaf input ships from the driver rather than
 // residing on sites.
 func (d *Driver) placeTask(st *dag.Stage, part int) int {
-	if len(st.Boundaries) > 0 {
-		if sites := d.boundarySites(st); len(sites) > 0 {
-			return sites[part%len(sites)]
-		}
+	if site := d.boundarySite(st); site >= 0 {
+		return site
 	}
 	return part % d.be.NumSites()
 }
 
-// boundarySites returns the aggregator sites of the stage's shuffle inputs
-// when every one of them was aggregated; nil otherwise.
-func (d *Driver) boundarySites(st *dag.Stage) []int {
+// boundarySite returns the aggregator site of the stage's first shuffle
+// input when every one of its shuffle inputs was aggregated; -1 otherwise
+// (and for a stage that reads no shuffle).
+func (d *Driver) boundarySite(st *dag.Stage) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var sites []int
+	site := -1
 	for _, b := range st.Boundaries {
 		for di := range b.Deps {
 			s, ok := d.aggSites[b.Deps[di].Shuffle.ID]
-			if !ok || len(s) == 0 {
-				return nil
+			if !ok {
+				return -1
 			}
-			if sites == nil {
-				sites = s
+			if site < 0 {
+				site = s
 			}
 		}
 	}
-	return sites
+	return site
 }
 
 // acquire takes one of site's task slots, waiting for it until the job is

@@ -246,7 +246,7 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 		[3]float64{0, 2, 1e6},
 	)
 
-	run := func(cfg DriverConfig) (*Driver, []obs.PlacementDecision) {
+	run := func(cfg DriverConfig) []obs.PlacementDecision {
 		job, err := BuildJob(build())
 		if err != nil {
 			t.Fatal(err)
@@ -256,19 +256,19 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 		if _, err := drv.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return drv, be.Events.Placements()
+		return be.Events.Placements()
 	}
 
-	best, bestDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBest, LinkCosts: links})
-	bw, bwDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBandwidth, LinkCosts: links})
+	bestDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBest, LinkCosts: links})
+	bwDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBandwidth, LinkCosts: links})
 
 	job, _ := BuildJob(build())
 	shuffleID := job.Plan.Shuffles()[0].ID
-	if got := best.AggregatedTo(shuffleID); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("best aggregated to %v, want [0]", got)
+	if len(bestDecs) == 0 || bestDecs[0].Chosen != 0 {
+		t.Fatalf("best decided %+v, want site 0", bestDecs)
 	}
-	if got := bw.AggregatedTo(shuffleID); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("bandwidth aggregated to %v, want [1] (the hub)", got)
+	if len(bwDecs) == 0 || bwDecs[0].Chosen != 1 {
+		t.Fatalf("bandwidth decided %+v, want site 1 (the hub)", bwDecs)
 	}
 
 	// Both runs recorded their decision, with every candidate costed.

@@ -73,7 +73,9 @@ func TestDriverMemBackendMatchesEvalLocal(t *testing.T) {
 	for _, cfg := range []DriverConfig{
 		{},
 		{Aggregate: true},
-		{Aggregate: true, Aggregators: []int{2}},
+		// Aggregation at the smallest input share: map outputs cross to a
+		// site other than Eq. 2's.
+		{Aggregate: true, Policy: AggregatorWorst},
 	} {
 		f := func(seedRaw uint16) bool {
 			seed := int64(seedRaw)
@@ -116,7 +118,8 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := NewDriver(pj, NewMemBackend(6), DriverConfig{Aggregate: true})
+	be := NewMemBackend(6)
+	drv := NewDriver(pj, be, DriverConfig{Aggregate: true})
 	if _, err := drv.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,20 +131,20 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	// aggregate at site 4 (its input's home); the second shuffle's map
 	// output then all sits at site 4, so it must pick site 4 too — both
 	// from measured byte sizes, not static guesses.
-	first := drv.AggregatedTo(specs[0].ID)
-	second := drv.AggregatedTo(specs[1].ID)
-	if len(first) != 1 || len(second) != 1 {
-		t.Fatalf("aggregators not chosen: %v %v", first, second)
+	decs := be.Events.Placements()
+	if len(decs) != 2 || decs[0].Shuffle != specs[0].ID || decs[1].Shuffle != specs[1].ID {
+		t.Fatalf("placement decisions %+v, want one per shuffle in stage order", decs)
 	}
-	if first[0] != 4 {
-		t.Fatalf("first shuffle aggregated at %d, want the byte-heavy site 4", first[0])
+	first, second := decs[0].Chosen, decs[1].Chosen
+	if first != 4 {
+		t.Fatalf("first shuffle aggregated at %d, want the byte-heavy site 4", first)
 	}
-	if second[0] != first[0] {
-		t.Fatalf("second shuffle aggregated at %d, want measured-heavy site %d", second[0], first[0])
+	if second != first {
+		t.Fatalf("second shuffle aggregated at %d, want measured-heavy site %d", second, first)
 	}
 	for m := 0; m < drv.outputs.NumMaps(specs[1].ID); m++ {
-		if site, err := drv.outputs.Holder(specs[1].ID, m); err != nil || site != second[0] {
-			t.Fatalf("map output %d held at site %d (%v), want the aggregator %d", m, site, err, second[0])
+		if site, err := drv.outputs.Holder(specs[1].ID, m); err != nil || site != second {
+			t.Fatalf("map output %d held at site %d (%v), want the aggregator %d", m, site, err, second)
 		}
 	}
 }

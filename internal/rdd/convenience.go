@@ -1,7 +1,7 @@
 package rdd
 
 // This file provides the convenience transformations the bundled workloads
-// and examples call. Each is a thin composition over the core primitives,
+// and Examples call. Each is a thin composition over the core primitives,
 // so it inherits placement, pipelining, and transfer semantics unchanged.
 
 // MapValues transforms each record's value, keeping its key. Like Spark's

@@ -22,6 +22,11 @@
 // the paper's contribution), the three evaluation schemes, the six-region
 // EC2 topology preset, and run reports with per-stage spans and
 // cross-datacenter traffic accounting.
+//
+// The package's Example functions are complete programs whose printed
+// output go test checks: WordCount under the fetch baseline and under
+// Push/Aggregate, caching after a transferTo (Sec. IV-E), and iterative
+// KMeans and PageRank over the six regions.
 package wanshuffle
 
 import (
