@@ -63,11 +63,11 @@ func newSimBackend(o *options, seed int64) *backend {
 			}
 			return rep.Records, rep.RunReport(workload), nil
 		},
-		tracer:   eng.Tracer,
-		topo:     cctx.Topology(),
-		registry: eng.Events.Registry,
+		tracer: eng.Tracer,
+		topo:   cctx.Topology(),
 		// Until the run finishes the engine's event collector and link
-		// estimator are all there is to report from.
+		// estimator are all there is to report from. Every simulated fact
+		// is a report fact, so there is no registry.
 		snapshot: func(workload string) *obs.Report {
 			rep := obs.InProgressReport("sim", workload, o.scheme.String(), eng.Events)
 			rep.Network = eng.NetworkStats()
@@ -93,10 +93,10 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Mid-run sources read the running job's stats: the registry fed by
-	// worker heartbeats, and a snapshot built by the same RunReport code
-	// path as the final report, so its traffic matrix always sums to the
-	// bytes moved so far.
+	// Mid-run sources read the running job's stats: the registry of the
+	// data plane's live counters, and a snapshot built by the same
+	// RunReport code path as the final report, so its traffic matrix
+	// always sums to the bytes moved so far.
 	shared := backend{
 		run: func(ctx context.Context, workload string, target *rdd.RDD) ([]rdd.Pair, *obs.Report, error) {
 			out, stats, err := cluster.RunContext(ctx, target)

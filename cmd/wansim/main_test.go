@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wanshuffle/internal/obs"
 )
 
 // syncWriter is a goroutine-safe buffer for capturing run() output while
@@ -161,11 +163,17 @@ func TestReportEndpointMatchesReportFile(t *testing.T) {
 				t.Fatalf("GET /report diverges from the -report file:\nendpoint %d bytes\nfile %d bytes", len(body), len(fileBytes))
 			}
 
-			// The metrics endpoint serves the same run's counters.
-			_, metrics := httpGet(t, url+"/metrics")
-			if !strings.Contains(string(metrics), "tasks_total") ||
-				!strings.Contains(string(metrics), "bytes_moved_total") {
-				t.Fatalf("metrics missing expected series:\n%s", metrics)
+			// The metrics endpoint renders the same report first.
+			rep, err := obs.DecodeReport(bytes.NewReader(fileBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := obs.WriteProm(&want, obs.ReportPoints(rep)); err != nil {
+				t.Fatal(err)
+			}
+			if _, metrics := httpGet(t, url+"/metrics"); !bytes.HasPrefix(metrics, want.Bytes()) {
+				t.Fatalf("/metrics does not open with the report's gauges:\n%s\nwant prefix:\n%s", metrics, want.Bytes())
 			}
 		})
 	}

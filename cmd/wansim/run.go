@@ -99,7 +99,7 @@ func startTelemetry(o *options, stdout io.Writer, cfg telemetry.Config) (tel *te
 	if tel, err = telemetry.Start(o.telemetryAddr, cfg); err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(stdout, "telemetry: serving at %s (GET /metrics /report /events /trace /debug/pprof/)\n", tel.URL())
+	fmt.Fprintf(stdout, "telemetry: serving at %s (GET / lists its endpoints)\n", tel.URL())
 	// The process is done serving; nothing to do about a close error.
 	return tel, func() { _ = tel.Close() }, nil
 }

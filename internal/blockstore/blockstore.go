@@ -16,8 +16,8 @@
 // reader decodes only the shard it asks for, and no read evicts another
 // output. So an aggregator that concentrates a whole job's shuffle input
 // (the paper's Push/Aggregate design) is bounded by disk, not by resident
-// heap. Either way the store feeds a byte Accountant, which observability
-// planes tap for resident/spilled gauges and spill/reload counters.
+// heap. Either way the store feeds a byte Accountant, which the live run
+// report's storage section reads.
 package blockstore
 
 import (
@@ -113,31 +113,6 @@ type Store interface {
 	Accountant() *Accountant
 }
 
-// EventKind discriminates Accountant events.
-type EventKind int
-
-// Accountant event kinds.
-const (
-	// EventResident reports a change in resident bytes (puts, drops,
-	// bucketing re-measurement). Bytes is the post-change resident total.
-	EventResident EventKind = iota + 1
-	// EventSpill reports one spill file written: a resident output
-	// evicted, or a spilled flat output rewritten as shards on its first
-	// read. Bytes is the output's size.
-	EventSpill
-	// EventReload reports one shard of a spilled output read from disk;
-	// Bytes is the shard's share of the output's size.
-	EventReload
-)
-
-// Event is one accounting change, delivered to the Accountant's observer.
-type Event struct {
-	Kind  EventKind
-	Bytes int64
-	// Stats is the post-event snapshot.
-	Stats Stats
-}
-
 // Stats is a point-in-time snapshot of a store's byte accounting.
 type Stats struct {
 	// ResidentBytes is the estimated size of the outputs held in memory.
@@ -168,21 +143,11 @@ func (s *Stats) Add(other Stats) {
 	s.ReloadEvents += other.ReloadEvents
 }
 
-// Accountant tracks one store's byte occupancy and spill activity. An
-// optional observer receives every change (with the post-change
-// snapshot), so metrics planes can mirror the accounting into gauges and
-// counters without polling. A nil *Accountant no-ops.
+// Accountant tracks one store's byte occupancy and spill activity; the
+// run report's storage section reads its Stats. A nil *Accountant no-ops.
 type Accountant struct {
-	mu       sync.Mutex
-	st       Stats
-	observer func(Event)
-}
-
-// NewAccountant returns an accountant delivering change events to
-// observer (nil for none). The observer runs synchronously under the
-// accountant's lock; keep it cheap and never call back into the store.
-func NewAccountant(observer func(Event)) *Accountant {
-	return &Accountant{observer: observer}
+	mu sync.Mutex
+	st Stats
 }
 
 // Stats returns the current snapshot.
@@ -195,12 +160,6 @@ func (a *Accountant) Stats() Stats {
 	return a.st
 }
 
-func (a *Accountant) emit(kind EventKind, bytes int64) {
-	if a.observer != nil {
-		a.observer(Event{Kind: kind, Bytes: bytes, Stats: a.st})
-	}
-}
-
 // resident applies a resident-set delta: n bytes and outputs outputs
 // (either may be negative).
 func (a *Accountant) resident(n int64, outputs int) {
@@ -211,7 +170,6 @@ func (a *Accountant) resident(n int64, outputs int) {
 	defer a.mu.Unlock()
 	a.st.ResidentBytes += n
 	a.st.ResidentOutputs += outputs
-	a.emit(EventResident, a.st.ResidentBytes)
 }
 
 // spill records one spill file of an n-byte output written. fromMemory
@@ -231,7 +189,6 @@ func (a *Accountant) spill(n int64, fromMemory bool) {
 	}
 	a.st.SpilledBytesTotal += n
 	a.st.SpillEvents++
-	a.emit(EventSpill, n)
 }
 
 // reload records one read of n bytes' worth of a spilled output. The
@@ -244,7 +201,6 @@ func (a *Accountant) reload(n int64) {
 	defer a.mu.Unlock()
 	a.st.ReloadBytesTotal += n
 	a.st.ReloadEvents++
-	a.emit(EventReload, n)
 }
 
 // dropSpilled records one spilled output of n bytes discarded from disk
@@ -257,5 +213,4 @@ func (a *Accountant) dropSpilled(n int64) {
 	defer a.mu.Unlock()
 	a.st.SpilledBytes -= n
 	a.st.SpilledOutputs--
-	a.emit(EventResident, a.st.ResidentBytes)
 }

@@ -76,17 +76,16 @@ type SpillStore struct {
 }
 
 // NewMemStore returns an empty, fully resident store accounting into acct
-// (nil for a private, unobserved accountant).
+// (nil for a private accountant).
 func NewMemStore(acct *Accountant) *SpillStore {
 	if acct == nil {
-		acct = NewAccountant(nil)
+		acct = &Accountant{}
 	}
 	return &SpillStore{acct: acct, outputs: map[Key]*spillEntry{}}
 }
 
 // NewSpillStore creates a budgeted store spilling into its own
-// subdirectory of cfg.Dir. acct may be nil for a private, unobserved
-// accountant.
+// subdirectory of cfg.Dir. acct may be nil for a private accountant.
 func NewSpillStore(cfg SpillConfig, acct *Accountant) (*SpillStore, error) {
 	if cfg.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("blockstore: memory budget must be positive, got %d", cfg.MemoryBudget)

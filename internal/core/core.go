@@ -277,8 +277,8 @@ func (c *Context) report(res *exec.Result) *Report {
 // (obs.SchemaVersion) for this job: the same schema the live cluster
 // emits, so runs from either backend can be diffed mechanically.
 // Task-duration summaries require tracing (Config.Exec.Trace); without it
-// the tasks section is empty. Metrics, tasks, critical path and placement
-// cover every job the engine ran: every caller runs one job per Context.
+// the tasks section is empty. Tasks, critical path and placement cover
+// every job the engine ran: every caller runs one job per Context.
 func (r *Report) RunReport(workload string) *obs.Report {
 	names := r.eng.Topo.DCNames()
 	matrix := make([][]float64, len(r.PairBytes))
@@ -304,6 +304,5 @@ func (r *Report) RunReport(workload string) *obs.Report {
 		CriticalPath:   trace.AnalyzeCriticalPath(r.Spans(), r.eng.Topo),
 		Network:        r.eng.NetworkStats(),
 		Placement:      obs.PlacementSection(r.aggPolicy, r.eng.Events.Placements()),
-		Metrics:        r.eng.Events.Registry().Snapshot(),
 	}
 }

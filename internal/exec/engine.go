@@ -154,10 +154,6 @@ type Engine struct {
 
 	cache map[int][]*cachedPart // RDD ID → per-partition cached copies
 
-	// byClass mirrors delivered bytes into the registry's per-class integer
-	// counters (bytes_moved_total / bytes_cross_dc_total).
-	byClass map[string]*classBytes
-
 	deadHosts []bool
 	// producers maps shuffle ID → the stage that computes its map output,
 	// for failure recovery.
@@ -188,20 +184,13 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		noiseRNG:   sim.Stream(seed, "exec.noise"),
 		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
 		cache:      make(map[int][]*cachedPart),
-		byClass:    make(map[string]*classBytes),
 		deadHosts:  make([]bool, topo.NumHosts()),
 		producers:  make(map[int]*stageState),
 		recovering: make(map[recoveryKey]bool),
 		traceID:    trace.TraceID(fmt.Sprintf("sim-%d", seed)),
 	}
-	e.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
-		return e.Events.Registry()
-	}})
+	e.links = netobs.NewEstimator(netobs.Config{})
 	e.scheduleHostFailures()
-	// Mirror every delivered byte into the metrics registry, live as the
-	// simulation advances, so mid-run /metrics scrapes watch the same
-	// bytes_moved_total{class} counters the live cluster maintains.
-	e.Net.SetDeliveryObserver(e.mirrorDelivery)
 	// Every completed cross-DC flow is one modeled throughput sample for
 	// the link estimator — the simulator's analogue of the live cluster's
 	// per-exchange wall-clock measurements.
@@ -216,48 +205,6 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		e.Tracer = &trace.Recorder{}
 	}
 	return e
-}
-
-// classBytes is one traffic class's pair of mirrored byte counters.
-type classBytes struct{ moved, cross byteCounter }
-
-// byteCounter feeds continuous flow deliveries into one integer counter:
-// its handle, resolved when the first whole byte arrives (a class that
-// never crosses a DC registers no cross-DC series) and kept, so a delivery
-// costs no registry lookup, plus the sub-byte remainder carried between
-// increments.
-type byteCounter struct {
-	c   *obs.Counter
-	rem float64
-}
-
-func (b *byteCounter) add(bytes float64, reg *obs.Registry, name, class string) {
-	b.rem += bytes
-	if b.rem < 1 {
-		return
-	}
-	if b.c == nil {
-		b.c = reg.Counter(name, obs.Labels{"class": class})
-	}
-	whole := int64(b.rem)
-	b.c.Add(whole)
-	b.rem -= float64(whole)
-}
-
-// mirrorDelivery folds one (possibly fractional) delivered-byte increment
-// into the registry's integer counters. Runs inside the single-threaded
-// simulation loop; the registry itself is concurrency-safe for scrapers.
-func (e *Engine) mirrorDelivery(tag string, bytes float64, crossDC bool) {
-	cb := e.byClass[tag]
-	if cb == nil {
-		cb = &classBytes{}
-		e.byClass[tag] = cb
-	}
-	reg := e.Events.Registry()
-	cb.moved.add(bytes, reg, "bytes_moved_total", tag)
-	if crossDC {
-		cb.cross.add(bytes, reg, "bytes_cross_dc_total", tag)
-	}
 }
 
 // Action selects what Run does with the final RDD.

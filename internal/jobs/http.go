@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -26,6 +27,10 @@ type SubmitRequest struct {
 	// DeadlineMS bounds the job's run time (0 = none; negative is a 400).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
+
+// maxSubmitBody bounds a POST /jobs body: a SubmitRequest is a few short
+// fields.
+const maxSubmitBody = 1 << 20
 
 // Builder turns an HTTP submit request into a runnable Submission. The
 // serving command supplies it: it resolves the workload name against its
@@ -110,9 +115,27 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "job submission not enabled", http.StatusServiceUnavailable)
 		return
 	}
+	// The body is one SubmitRequest and nothing else: a field the request
+	// does not define (a misspelt deadline, say) would otherwise be dropped
+	// without a word.
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		switch err = dec.Decode(new(json.RawMessage)); err {
+		case io.EOF:
+			err = nil
+		case nil:
+			err = errors.New("data after the JSON object")
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
 	if req.DeadlineMS < 0 {

@@ -114,6 +114,20 @@ func TestHTTPRejectionsAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body status %d, want 400", resp.StatusCode)
 	}
+	// A body that is more or other than one SubmitRequest is refused, not
+	// queued with the rest dropped.
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"unknown field", `{"tenant":"a","workload":"ok","deadline":5}`, http.StatusBadRequest},
+		{"trailing data", `{"tenant":"a","workload":"ok"} {"tenant":"b","workload":"ok"}`, http.StatusBadRequest},
+		{"oversized body", `{"tenant":"a","workload":"ok"` + strings.Repeat(" ", 1<<20) + `}`, http.StatusRequestEntityTooLarge},
+	} {
+		if resp, _ = postJob(t, srv, tc.body); resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
 	// Unknown job → 404, on both snapshot and report routes.
 	for _, path := range []string{"/jobs/j-9999", "/jobs/j-9999/report"} {
 		r, err := http.Get(srv.URL + path)

@@ -138,7 +138,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 }
 
 // OnTask implements plan.Backend (obs.Sink): the driver's task lifecycle
-// stream feeds the job's event collector and its metrics registry.
+// stream feeds the job's event collector.
 func (r *liveRun) OnTask(ev obs.TaskEvent) { r.stats.Events.OnTask(ev) }
 
 // OnStage implements plan.Backend (obs.Sink).

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/trace"
 )
 
@@ -52,7 +51,6 @@ type xferSample struct {
 // heartbeat is one worker's telemetry delta since its buffer was last
 // drained. Its spans are stamped on the run's clock, like the driver's.
 type heartbeat struct {
-	Worker          int
 	Flows           []flowDelta
 	Xfers           []xferSample
 	Pushes, Fetches int64
@@ -141,9 +139,8 @@ func (c *Cluster) hbEnabled() bool { return c.cfg.HeartbeatInterval > 0 }
 // mergeHeartbeat folds one worker's telemetry delta into the current job's
 // stats (bytes, matrix, class splits, request counters, receive and serve
 // spans); between jobs there is nothing to fold it into and it is dropped.
-// Called both from the workers' tickers (beat true: heartbeats_total counts
-// those merges) and from the end-of-run flush.
-func (c *Cluster) mergeHeartbeat(hb heartbeat, beat bool) {
+// Called both from the workers' tickers and from the end-of-run flush.
+func (c *Cluster) mergeHeartbeat(hb heartbeat) {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
 	run := c.curRun.Load()
@@ -151,28 +148,23 @@ func (c *Cluster) mergeHeartbeat(hb heartbeat, beat bool) {
 		return
 	}
 	run.stats.merge(hb, c.cfg.Trace)
-	if beat {
-		run.stats.Events.Registry().Counter("heartbeats_total", obs.Labels{"worker": siteLabel(hb.Worker)}).Inc()
-	}
 }
 
 // flush drains the worker's buffer into the current job's stats. hbMu is held
 // from the drain to the end of the merge, so a ticker beat and the end-of-run
 // flush never interleave: every datum is merged exactly once, and a beat that
 // drained before the flush has merged before the flush returns.
-func (w *worker) flush(beat bool) {
+func (w *worker) flush() {
 	w.hbMu.Lock()
 	defer w.hbMu.Unlock()
-	hb := w.tel.drain()
-	hb.Worker = w.id
-	w.cluster.mergeHeartbeat(hb, beat)
+	w.cluster.mergeHeartbeat(w.tel.drain())
 }
 
 // flushTelemetry flushes every worker, so the job's post-run totals are
 // exact.
 func (c *Cluster) flushTelemetry() {
 	for _, w := range c.workers {
-		w.flush(false)
+		w.flush()
 	}
 }
 
@@ -190,7 +182,7 @@ func (w *worker) startHeartbeats(interval time.Duration) {
 			case <-w.stopHB:
 				return
 			case <-tick.C:
-				w.flush(true)
+				w.flush()
 			}
 		}
 	}()

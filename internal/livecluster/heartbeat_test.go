@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 )
 
@@ -115,11 +114,15 @@ func TestHeartbeatFailover(t *testing.T) {
 		}
 	}
 	// The survivors keep beating into the running job while worker 0 is
-	// dead.
-	reg := cluster.CurrentStats().Events.Registry()
-	waitFor(t, "a heartbeat merged from a surviving worker", func() bool {
-		return reg.Counter("heartbeats_total", obs.Labels{"worker": "w1"}).Value() > 0 ||
-			reg.Counter("heartbeats_total", obs.Labels{"worker": "w2"}).Value() > 0
+	// dead: worker 1's push to the aggregator reaches the running job's
+	// report before the job can end (only a beat merges mid-run).
+	stats := cluster.CurrentStats()
+	waitFor(t, "a surviving worker's bytes in the running job's report", func() bool {
+		var sent float64
+		for _, v := range stats.RunReport("", nil).TrafficMatrix[1] {
+			sent += v
+		}
+		return sent > 0
 	})
 
 	close(release)
@@ -311,14 +314,11 @@ func TestHeartbeatsDisabled(t *testing.T) {
 			t.Fatalf("open worker %d unhealthy without heartbeats", i)
 		}
 	}
-	if n := stats.Events.Registry().Counter("heartbeats_total", obs.Labels{"worker": "w0"}).Value(); n != 0 {
-		t.Fatalf("heartbeats_total = %d with heartbeats disabled", n)
-	}
 }
 
 // checkConservation holds a finished job's byte accounting against itself:
-// the traffic matrix, the class split and the byte counters each add up to
-// BytesOverTCP, and the uncompressed-equivalent total is no smaller.
+// the traffic matrix and the class split each add up to BytesOverTCP, and
+// the uncompressed-equivalent total is no smaller.
 func checkConservation(t *testing.T, stats *Stats) {
 	t.Helper()
 	if sum := matrixSum(stats.TrafficMatrix); sum != stats.BytesOverTCP {
@@ -333,10 +333,6 @@ func checkConservation(t *testing.T, stats *Stats) {
 	}
 	if stats.BytesRaw < stats.BytesOverTCP {
 		t.Errorf("BytesRaw %d < BytesOverTCP %d", stats.BytesRaw, stats.BytesOverTCP)
-	}
-	reg := stats.Events.Registry()
-	if wire, raw := reg.Counter("bytes_wire_total", nil).Value(), reg.Counter("bytes_raw_total", nil).Value(); wire != stats.BytesOverTCP || raw != stats.BytesRaw {
-		t.Errorf("bytes_wire_total %d / bytes_raw_total %d, stats have %d / %d", wire, raw, stats.BytesOverTCP, stats.BytesRaw)
 	}
 }
 

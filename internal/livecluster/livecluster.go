@@ -39,7 +39,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,9 +196,8 @@ type Cluster struct {
 	// for telemetry endpoints after Run returns.
 	lastStats atomic.Pointer[Stats]
 	// links estimates per-site-pair throughput from the transfer samples
-	// the data plane already produces. It persists across jobs
-	// (link capacity outlives any one run) and mirrors its gauges into
-	// whichever job's registry is current.
+	// the data plane already produces. It persists across jobs (link
+	// capacity outlives any one run).
 	links *netobs.Estimator
 }
 
@@ -245,7 +243,8 @@ type Stats struct {
 	// "shuffle" (fetch).
 	BytesByClass map[string]int64
 	// Events collects the driver's task lifecycle and stage events and its
-	// placement decisions, with a metrics registry mirroring the events.
+	// placement decisions; its registry holds the data plane's chunk,
+	// duplicate and bucketing counters.
 	Events *obs.Collector
 
 	// storage snapshots the cluster's block-store accounting (the stores
@@ -275,11 +274,9 @@ type Stats struct {
 func (s *Stats) Storage() blockstore.Stats { return s.storage() }
 
 // flow merges one buffered flow: its wire bytes go into the byte total, the
-// (src,dst) traffic matrix cell, the class split, and the
-// bytes_moved_total{class} counter — all under one lock, so the matrix
-// total equals BytesOverTCP at every instant a scraper could observe.
-// raw (wire plus compression savings) feeds the parallel BytesRaw /
-// bytes_raw_total accounting.
+// (src,dst) traffic matrix cell and the class split — all under one lock,
+// so the matrix total equals BytesOverTCP at every instant a scraper could
+// observe. raw (wire plus compression savings) feeds BytesRaw.
 func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	s.mu.Lock()
 	s.BytesOverTCP += wire
@@ -289,10 +286,6 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	}
 	s.BytesByClass[class] += wire
 	s.mu.Unlock()
-	reg := s.Events.Registry()
-	reg.Counter("bytes_moved_total", obs.Labels{"class": class}).Add(wire)
-	reg.Counter("bytes_wire_total", nil).Add(wire)
-	reg.Counter("bytes_raw_total", nil).Add(raw)
 }
 
 // merge folds one drained telemetry buffer into the stats, routing its
@@ -401,7 +394,6 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 		Storage:        storage,
 		Network:        netobs.ReportSection(s.links, s.configured),
 		Placement:      obs.PlacementSection(s.placementPolicy, s.Placements()),
-		Metrics:        s.Events.Registry().Snapshot(),
 	}
 }
 
@@ -431,13 +423,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("livecluster: WAN topology has no worker hosts")
 	}
 	cfg.Compression = codec
-	c := &Cluster{cfg: cfg}
-	c.links = netobs.NewEstimator(netobs.Config{Registry: func() *obs.Registry {
-		if run := c.curRun.Load(); run != nil {
-			return run.stats.Events.Registry()
-		}
-		return nil
-	}})
+	c := &Cluster{cfg: cfg, links: netobs.NewEstimator(netobs.Config{})}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(i, c)
 		if err != nil {
@@ -490,41 +476,15 @@ func (c *Cluster) wireLinks() {
 
 // newStore builds one worker's shuffle block store: fully resident by
 // default, budget-bounded with disk spill when Config.MemoryBudget is
-// set. Its accountant mirrors every change into the running job's metrics
-// registry (no-op between jobs).
-func (c *Cluster) newStore(id int) (blockstore.Store, error) {
-	acct := blockstore.NewAccountant(c.storeObserver(id))
+// set. The report's storage section reads its accountant.
+func (c *Cluster) newStore() (blockstore.Store, error) {
 	if c.cfg.MemoryBudget > 0 {
 		return blockstore.NewSpillStore(blockstore.SpillConfig{
 			MemoryBudget: c.cfg.MemoryBudget,
 			Dir:          c.cfg.SpillDir,
-		}, acct)
+		}, nil)
 	}
-	return blockstore.NewMemStore(acct), nil
-}
-
-// storeObserver mirrors one worker store's byte accounting into the
-// current run's metrics registry: a per-worker resident-bytes gauge plus
-// cumulative spill/reload counters. Registry writes are thread-safe and
-// never feed back into the store, so the observer is safe to run under
-// the accountant's lock.
-func (c *Cluster) storeObserver(id int) func(blockstore.Event) {
-	labels := obs.Labels{"worker": strconv.Itoa(id)}
-	return func(ev blockstore.Event) {
-		run := c.curRun.Load()
-		if run == nil {
-			return
-		}
-		reg := run.stats.Events.Registry()
-		reg.Gauge("blockstore_resident_bytes", labels).Set(float64(ev.Stats.ResidentBytes))
-		switch ev.Kind {
-		case blockstore.EventSpill:
-			reg.Counter("blockstore_spilled_bytes_total", labels).Add(ev.Bytes)
-			reg.Counter("blockstore_spill_events_total", labels).Inc()
-		case blockstore.EventReload:
-			reg.Counter("blockstore_reload_bytes_total", labels).Add(ev.Bytes)
-		}
-	}
+	return blockstore.NewMemStore(nil), nil
 }
 
 // StorageStats sums the workers' block-store accounting: resident and

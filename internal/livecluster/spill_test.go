@@ -57,17 +57,10 @@ func TestParityWithForcedSpill(t *testing.T) {
 				t.Fatalf("seed %d %v: Stats.Storage() (%d spills) disagrees with cluster (%d)",
 					seed, mode, got.SpillEvents, storage.SpillEvents)
 			}
-			// The accountant's spill counters mirror into the run's metrics
-			// registry as blockstore_* series.
-			var metricSpills float64
-			for _, mp := range stats.Events.Registry().Snapshot() {
-				if mp.Name == "blockstore_spill_events_total" {
-					metricSpills += mp.Value
-				}
-			}
-			if int64(metricSpills) != storage.SpillEvents {
-				t.Fatalf("seed %d %v: blockstore_spill_events_total = %v, accountant says %d",
-					seed, mode, metricSpills, storage.SpillEvents)
+			// The run report's storage section is the accountants' record.
+			if rep := stats.RunReport("", nil); rep.Storage == nil || rep.Storage.SpillEvents != storage.SpillEvents {
+				t.Fatalf("seed %d %v: report storage section %+v, accountant says %d spills",
+					seed, mode, rep.Storage, storage.SpillEvents)
 			}
 
 			// Byte conservation survives the storage change: every wire byte

@@ -92,7 +92,7 @@ type chunkFrame struct {
 }
 
 // codecBytes is the size of the frame's records in the record codec,
-// whatever crossed the wire: what bytes_raw_total and spans account.
+// whatever crossed the wire: what Stats.BytesRaw and spans account.
 func (fr *chunkFrame) codecBytes() int64 {
 	if fr.codec != CodecNone {
 		return int64(fr.rawLen)
@@ -214,7 +214,7 @@ func sendChunk(w io.Writer, seq int, records []rdd.Pair, codec string) (raw, sav
 		}
 		buf.comp = comp
 		// A chunk compression would inflate (tiny or incompressible data)
-		// ships raw, so bytes_wire_total never exceeds raw.
+		// ships raw, so Stats.BytesOverTCP never exceeds BytesRaw.
 		if len(comp) < len(room) {
 			flags := byte(slices.Index(frameCodecs[:], codec) << frameCodecShift)
 			return int64(rawLen), int64(len(room) - len(comp)), writeFrame(w, comp, flags, seq, rawLen)
@@ -241,7 +241,7 @@ func (fr *chunkFrame) records() ([]rdd.Pair, error) {
 }
 
 // streamTotals is what one chunk stream carried: its data frames, their
-// records' size in the record codec (what spans and bytes_raw_total account)
+// records' size in the record codec (what spans and Stats.BytesRaw account)
 // and how much of that compression kept off the wire.
 type streamTotals struct {
 	chunks     int

@@ -157,7 +157,7 @@ type worker struct {
 }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
-	store, err := c.newStore(id)
+	store, err := c.newStore()
 	if err != nil {
 		return nil, fmt.Errorf("livecluster: worker %d block store: %w", id, err)
 	}

@@ -5,9 +5,9 @@
 // measured exchange wall-clock, the simulator from modeled flow
 // completions — so the report's network section has the same shape in
 // both, and the bandwidth aggregator policy reads measured link capacity
-// instead of configured numbers. The matrix reaches a reader twice, from
-// the same estimate: the run report's network section (mid-run on
-// GET /report) and the link_* series on /metrics.
+// instead of configured numbers. The matrix is recorded once, in the run
+// report's network section: GET /report serves it mid-run, and /metrics
+// renders it as report_link_* gauges.
 package netobs
 
 import (
@@ -20,15 +20,10 @@ import (
 	"wanshuffle/internal/topology"
 )
 
-// Config wires an Estimator.
-type Config struct {
-	// Registry, when set, names the registry the estimator mirrors its
-	// per-link gauge and counter into (link_throughput_bps,
-	// link_samples_total). A function so callers whose registry changes
-	// per run (the live cluster) stay wired; returning nil skips the
-	// mirror.
-	Registry func() *obs.Registry
-}
+// Config wires an Estimator. It has no fields, since the estimate is read
+// only through Estimates and ReportSection; it stays because the benchmark
+// module (perf/) builds its estimator with it.
+type Config struct{}
 
 // alpha is the weight every link's EWMA gives a new throughput sample.
 const alpha = 0.2
@@ -53,15 +48,13 @@ type Estimate struct {
 // for concurrent use; a nil *Estimator ignores observations and reports
 // nothing, so callers can leave it unwired.
 type Estimator struct {
-	cfg Config
-
 	mu    sync.Mutex
 	links map[[2]string]*link
 }
 
-// NewEstimator builds an estimator wired as cfg says.
-func NewEstimator(cfg Config) *Estimator {
-	return &Estimator{cfg: cfg, links: map[[2]string]*link{}}
+// NewEstimator builds an empty estimator.
+func NewEstimator(Config) *Estimator {
+	return &Estimator{links: map[[2]string]*link{}}
 }
 
 func (e *Estimator) linkLocked(src, dst string) *link {
@@ -72,13 +65,6 @@ func (e *Estimator) linkLocked(src, dst string) *link {
 		e.links[key] = l
 	}
 	return l
-}
-
-func (e *Estimator) registry() *obs.Registry {
-	if e.cfg.Registry == nil {
-		return nil
-	}
-	return e.cfg.Registry()
 }
 
 // ObserveTransfer records one completed transfer of bytes over seconds of
@@ -98,14 +84,7 @@ func (e *Estimator) ObserveTransfer(src, dst string, bytes, seconds float64) {
 	}
 	l.samples++
 	l.bytes += bytes
-	ewma := l.ewmaBps
 	e.mu.Unlock()
-
-	if reg := e.registry(); reg != nil {
-		labels := map[string]string{"src": src, "dst": dst}
-		reg.Gauge("link_throughput_bps", labels).Set(ewma)
-		reg.Counter("link_samples_total", labels).Add(1)
-	}
 }
 
 // Estimates snapshots every observed link, sorted by source then

@@ -67,30 +67,6 @@ func TestEstimatesSortedDeterministically(t *testing.T) {
 	}
 }
 
-func TestRegistryMirror(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := NewEstimator(Config{Registry: func() *obs.Registry { return reg }})
-	e.ObserveTransfer("a", "b", 1000, 1)
-	labels := obs.Labels{"src": "a", "dst": "b"}
-	if got := reg.Gauge("link_throughput_bps", labels).Value(); got != 8000 {
-		t.Fatalf("link_throughput_bps = %v, want 8000", got)
-	}
-	if got := reg.Counter("link_samples_total", labels).Value(); got != 1 {
-		t.Fatalf("link_samples_total = %v, want 1", got)
-	}
-	// The estimate is one EWMA and a sample count: no other series (a
-	// round-trip gauge, say) exists.
-	for _, m := range reg.Snapshot() {
-		if m.Name != "link_throughput_bps" && m.Name != "link_samples_total" {
-			t.Fatalf("registry carries %s%v", m.Name, m.Labels)
-		}
-	}
-	// A registry fn returning nil must not panic (live cluster between
-	// runs).
-	e2 := NewEstimator(Config{Registry: func() *obs.Registry { return nil }})
-	e2.ObserveTransfer("a", "b", 1000, 1)
-}
-
 func TestReportSectionMergesConfigured(t *testing.T) {
 	e := NewEstimator(Config{})
 	e.ObserveTransfer("va", "ca", 1e6, 1) // 8 Mbps observed

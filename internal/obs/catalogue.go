@@ -1,8 +1,9 @@
 package obs
 
-// MetricDoc is one row of the metrics catalogue: a metric some part of the
-// repo emits through a Registry, with the type and label names it is
-// emitted under, the backends that emit it and what it counts.
+// MetricDoc is one row of the metrics catalogue: a series /metrics serves,
+// either a run-report field (ReportPoints) or a metric some part of the
+// repo keeps in a Registry, with the type and label names it is served
+// under, the backends that serve it and what it counts.
 type MetricDoc struct{ Name, Type, Labels, Backends, Meaning string }
 
 // Catalogue documents every metric the repo emits. README's metrics
@@ -11,24 +12,26 @@ type MetricDoc struct{ Name, Type, Labels, Backends, Meaning string }
 // directions (`go test ./cmd/wansim -run 'TestSmoke/metrics_catalogue'
 // -update` rewrites the README rows): a new metric gets its row here.
 var Catalogue = []MetricDoc{
-	{"tasks_total", "counter", "`phase`, `stage`", "both", "task lifecycle transitions (scheduled/started/finished/retried/failed)"},
-	{"stages_total", "counter", "—", "both", "stages completed"},
-	{"stage_duration_sec", "gauge", "`stage`", "both", "each stage's window length"},
-	{"bytes_moved_total", "counter", "`class`", "both", "bytes moved per traffic class"},
-	{"bytes_cross_dc_total", "counter", "`class`", "sim", "bytes crossing DC boundaries per class"},
-	{"bytes_wire_total", "counter", "—", "live", "actual socket bytes (post-compression)"},
-	{"bytes_raw_total", "counter", "—", "live", "uncompressed-equivalent bytes (wire + savings)"},
+	{"report_task_attempts", "gauge", "—", "both", "the run report's `task_attempts`: task attempts started"},
+	{"report_retries", "gauge", "—", "both", "the run report's `retries`: attempts beyond each task's first"},
+	{"report_stages_done", "gauge", "—", "both", "stages in the run report's `stages` section: stages completed"},
+	{"report_stage_duration_sec", "gauge", "`stage`", "both", "each completed stage's window length"},
+	{"report_bytes_total", "gauge", "—", "both", "the run report's `bytes_total`: bytes moved (cross-DC in sim, socket wire bytes in live)"},
+	{"report_bytes_raw", "gauge", "—", "both", "the run report's `bytes_raw`: uncompressed-equivalent bytes (0 in sim)"},
+	{"report_traffic_bytes", "gauge", "`class`", "both", "the run report's `traffic_by_class`"},
+	{"report_storage_resident_bytes", "gauge", "—", "live", "block-store bytes resident in memory, summed over workers"},
+	{"report_storage_resident_outputs", "gauge", "—", "live", "map outputs resident in memory"},
+	{"report_storage_spilled_bytes", "gauge", "—", "live", "block-store bytes on disk now, under `-memory-budget`"},
+	{"report_storage_spilled_outputs", "gauge", "—", "live", "map outputs on disk now"},
+	{"report_storage_spilled_bytes_total", "gauge", "—", "live", "bytes written to spill files over the run"},
+	{"report_storage_spill_events", "gauge", "—", "live", "spill files written over the run"},
+	{"report_storage_reload_bytes_total", "gauge", "—", "live", "spilled bytes read back over the run"},
+	{"report_link_throughput_bps", "gauge", "`src`, `dst`", "both", "the network section's EWMA link throughput per site pair (`internal/netobs`)"},
+	{"report_link_samples", "gauge", "`src`, `dst`", "both", "transfer samples folded into each pair's estimate"},
 	{"push_chunks_total", "counter", "—", "live", "data chunks of pushes, exchanges that crossed a socket (a map output made on its aggregator installs directly), counted once the push succeeded"},
 	{"fetch_chunks_total", "counter", "—", "live", "data chunks of fetches, exchanges that crossed a socket (a reducer reads what its own worker holds directly), counted once the fetch succeeded"},
 	{"push_duplicates_total", "counter", "—", "live", "duplicate pushes dropped (retried attempts)"},
 	{"bucket_builds_total", "counter", "—", "live", "deferred whole-output bucketing passes"},
-	{"heartbeats_total", "counter", "`worker`", "live", "ticker beats the driver merged (the end-of-job flush is not one)"},
-	{"blockstore_resident_bytes", "gauge", "`worker`", "live", "shuffle bytes resident in memory"},
-	{"blockstore_spilled_bytes_total", "counter", "`worker`", "live", "bytes spilled to disk under `-memory-budget`"},
-	{"blockstore_spill_events_total", "counter", "`worker`", "live", "spill events"},
-	{"blockstore_reload_bytes_total", "counter", "`worker`", "live", "spilled bytes reloaded on demand"},
-	{"link_throughput_bps", "gauge", "`src`, `dst`", "both", "EWMA link throughput estimate per site pair (`internal/netobs`)"},
-	{"link_samples_total", "counter", "`src`, `dst`", "both", "transfer samples folded into each pair's estimate"},
 	{"jobs_submitted_total", "counter", "`tenant`", "both", "job submissions received (queued or rejected)"},
 	{"jobs_rejected_total", "counter", "`tenant`, `reason`", "both", "submissions shed at admission (`queue_full` / `closed`)"},
 	{"jobs_done_total", "counter", "`tenant`", "both", "jobs that finished successfully"},

@@ -77,11 +77,11 @@ type PhaseCounts struct {
 }
 
 // Collector is the standard Sink: it records every event once, in one
-// unified log, and mirrors the stream into a metrics registry
-// (obs_tasks_total{phase=...} per stage, obs_stages_total). Subscribers
-// receive the live event stream for tailing. Beside the log it keeps the
-// run's one record of its placement decisions. A nil *Collector discards
-// everything, so callers need no enabled checks.
+// unified log, and tallies it (Counts). Subscribers receive the live event
+// stream for tailing. Beside the log it keeps the run's one record of its
+// placement decisions, and it carries the run's metrics registry for the
+// live counters no report holds. A nil *Collector discards everything, so
+// callers need no enabled checks.
 type Collector struct {
 	reg *Registry
 	log Log[Event]
@@ -92,7 +92,7 @@ type Collector struct {
 	placements []PlacementDecision
 }
 
-// NewCollector returns a Collector feeding a fresh registry.
+// NewCollector returns a Collector with a fresh registry.
 func NewCollector() *Collector {
 	return &Collector{reg: NewRegistry()}
 }
@@ -117,7 +117,6 @@ func (c *Collector) OnTask(ev TaskEvent) {
 	}
 	c.log.Append(func(seq int) Event { return Event{Seq: seq, Type: "task", Task: &ev} })
 	c.mu.Unlock()
-	c.reg.Counter("tasks_total", Labels{"phase": string(ev.Phase), "stage": ev.StageName}).Inc()
 }
 
 // OnStage implements Sink.
@@ -129,8 +128,6 @@ func (c *Collector) OnStage(ev StageEvent) {
 	c.counts.StagesDone++
 	c.log.Append(func(seq int) Event { return Event{Seq: seq, Type: "stage", Stage: &ev} })
 	c.mu.Unlock()
-	c.reg.Counter("stages_total", nil).Inc()
-	c.reg.Gauge("stage_duration_sec", Labels{"stage": ev.Name}).Set(ev.End - ev.Start)
 }
 
 // OnPlacement implements Sink.

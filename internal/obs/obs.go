@@ -1,9 +1,12 @@
 // Package obs is the run-observability substrate shared by every backend:
-// a lightweight metrics registry (counters, gauges, histograms with label
-// support and JSON export), a task-lifecycle event sink threaded through
-// the planner's Driver and both execution backends, and the canonical JSON
-// run report (report.go) that makes simulated and live executions
-// comparable field-by-field.
+// the canonical JSON run report (report.go) that makes simulated and live
+// executions comparable field-by-field and is a run's one record of what it
+// did, a task-lifecycle event sink threaded through the planner's Driver
+// and both execution backends, and a lightweight metrics registry
+// (counters, gauges, histograms with label support) for the few live
+// counters no report holds. /metrics renders both in the Prometheus text
+// format (prom.go): the report as report_* gauges (ReportPoints), then the
+// registry.
 //
 // The package sits below internal/plan in the dependency order: plan's
 // Backend interface embeds Sink, so the Driver reports every task
@@ -15,9 +18,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -316,11 +317,4 @@ func (r *Registry) Snapshot() []MetricPoint {
 		out = append(out, p)
 	}
 	return out
-}
-
-// WriteJSON writes the registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -8,10 +8,11 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition format (version 0.0.4) rendering of the
-// registry, so a running job can be scraped by any Prometheus-compatible
-// collector. The encoding is deterministic: Snapshot orders metrics by
-// name then canonical labels, label keys render sorted, and histogram
+// Prometheus text exposition format (version 0.0.4) rendering of a run
+// report and of the registry, so a running job can be scraped by any
+// Prometheus-compatible collector. The encoding is deterministic:
+// ReportPoints emits in field order, Snapshot orders metrics by name then
+// canonical labels, label keys render sorted, and histogram
 // buckets render in ascending edge order with cumulative counts ending at
 // "+Inf" — the same edges the JSON export carries.
 
@@ -63,7 +64,8 @@ func promValue(v float64) string {
 }
 
 // WriteProm renders metric points in the Prometheus text exposition
-// format. Points must be grouped by name (Registry.Snapshot's order); a
+// format. Points must be grouped by name (the order ReportPoints and
+// Registry.Snapshot return them in); a
 // `# TYPE` line is emitted once per metric name. Histograms render
 // cumulative `_bucket` series (ending at le="+Inf"), `_sum`, and `_count`.
 func WriteProm(w io.Writer, points []MetricPoint) error {
@@ -100,8 +102,49 @@ func WriteProm(w io.Writer, points []MetricPoint) error {
 	return nil
 }
 
-// WriteProm renders the registry snapshot in the Prometheus text
-// exposition format. A nil registry writes nothing.
-func (r *Registry) WriteProm(w io.Writer) error {
-	return WriteProm(w, r.Snapshot())
+// ReportPoints renders a run report as gauges named report_<field>, in a
+// fixed order grouped by name, so /metrics serves the same facts /report
+// does and the two cannot disagree. A nil report renders nothing.
+func ReportPoints(r *Report) []MetricPoint {
+	if r == nil {
+		return nil
+	}
+	var out []MetricPoint
+	gauge := func(name string, v float64, labels map[string]string) {
+		out = append(out, MetricPoint{Name: name, Type: "gauge", Labels: labels, Value: v})
+	}
+	gauge("report_task_attempts", float64(r.TaskAttempts), nil)
+	gauge("report_retries", float64(r.Retries), nil)
+	gauge("report_stages_done", float64(len(r.Stages)), nil)
+	for _, st := range r.Stages {
+		gauge("report_stage_duration_sec", st.End-st.Start, map[string]string{"stage": st.Name})
+	}
+	gauge("report_bytes_total", r.BytesTotal, nil)
+	gauge("report_bytes_raw", r.BytesRaw, nil)
+	classes := make([]string, 0, len(r.TrafficByClass))
+	for class := range r.TrafficByClass {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		gauge("report_traffic_bytes", r.TrafficByClass[class], map[string]string{"class": class})
+	}
+	if st := r.Storage; st != nil {
+		gauge("report_storage_resident_bytes", st.ResidentBytes, nil)
+		gauge("report_storage_resident_outputs", float64(st.ResidentOutputs), nil)
+		gauge("report_storage_spilled_bytes", st.SpilledBytes, nil)
+		gauge("report_storage_spilled_outputs", float64(st.SpilledOutputs), nil)
+		gauge("report_storage_spilled_bytes_total", st.SpilledBytesTotal, nil)
+		gauge("report_storage_spill_events", float64(st.SpillEvents), nil)
+		gauge("report_storage_reload_bytes_total", st.ReloadBytesTotal, nil)
+	}
+	if r.Network != nil {
+		for _, l := range r.Network.Links {
+			gauge("report_link_throughput_bps", l.ThroughputBps, map[string]string{"src": l.Src, "dst": l.Dst})
+		}
+		for _, l := range r.Network.Links {
+			gauge("report_link_samples", float64(l.Samples), map[string]string{"src": l.Src, "dst": l.Dst})
+		}
+	}
+	return out
 }

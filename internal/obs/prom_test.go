@@ -35,7 +35,7 @@ func promRegistry() *Registry {
 // deliberately with `go test ./internal/obs -run PromGolden -update`.
 func TestWritePromGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := promRegistry().WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, promRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "metrics.prom")
@@ -58,10 +58,10 @@ func TestWritePromGolden(t *testing.T) {
 
 func TestWritePromDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := promRegistry().WriteProm(&a); err != nil {
+	if err := WriteProm(&a, promRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := promRegistry().WriteProm(&b); err != nil {
+	if err := WriteProm(&b, promRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -71,7 +71,7 @@ func TestWritePromDeterministic(t *testing.T) {
 
 func TestWritePromHistogramCumulative(t *testing.T) {
 	var buf bytes.Buffer
-	if err := promRegistry().WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, promRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -92,7 +92,7 @@ func TestWritePromHistogramCumulative(t *testing.T) {
 
 func TestWritePromEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	if err := promRegistry().WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, promRegistry().Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -113,10 +113,53 @@ func TestWritePromEscaping(t *testing.T) {
 
 func TestWritePromNilRegistry(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (*Registry)(nil).WriteProm(&buf); err != nil {
+	if err := WriteProm(&buf, (*Registry)(nil).Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("nil registry rendered %q", buf.String())
+	}
+}
+
+// TestReportPointsGolden pins /metrics' rendering of a run report: one
+// report_* gauge per field ReportPoints reads, in field order, on a report
+// that fills every section it reads. Regenerate deliberately with
+// `go test ./internal/obs -run ReportPointsGolden -update`.
+func TestReportPointsGolden(t *testing.T) {
+	rep := &Report{
+		Schema:         SchemaVersion,
+		Backend:        "live",
+		Stages:         []StageEvent{{ID: 0, Name: "stage0(map:m)", End: 1.5}, {ID: 1, Name: "stage1(result:r)", Start: 1.5, End: 2}},
+		TrafficByClass: map[string]float64{"shuffle": 300, "push": 700},
+		TaskAttempts:   9,
+		Retries:        1,
+		BytesTotal:     1000,
+		BytesRaw:       1800,
+		Storage: &StorageStats{ResidentBytes: 512, ResidentOutputs: 2, SpilledBytes: 256, SpilledOutputs: 1,
+			SpilledBytesTotal: 384, SpillEvents: 3, ReloadBytesTotal: 128},
+		Network: &NetworkStats{Links: []LinkStats{
+			{Src: "w0", Dst: "w1", ThroughputBps: 8e6, Samples: 4, Bytes: 700},
+			{Src: "w1", Dst: "w0", ConfiguredBps: 1e9},
+		}},
+	}
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, ReportPoints(rep)); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "report.prom")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("report rendering drifted from golden (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+	if got := ReportPoints(nil); got != nil {
+		t.Fatalf("a nil report rendered %v", got)
 	}
 }

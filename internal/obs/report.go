@@ -93,7 +93,6 @@ type Report struct {
 	// which bandwidth source (measured / configured / uniform) the
 	// estimates came from. Nil when no automatic placement ran.
 	Placement *PlacementStats `json:"placement,omitempty"`
-	Metrics   []MetricPoint   `json:"metrics,omitempty"`
 }
 
 // StorageStats is the run report's block-store section. Bytes are
@@ -200,8 +199,8 @@ func DecodeReport(r io.Reader) (*Report, error) {
 }
 
 // InProgressReport assembles a point-in-time snapshot of a running job
-// from its event collector alone: stage windows completed so far, task
-// attempt counts, and the full metrics snapshot. It carries the canonical
+// from its event collector alone: stage windows completed so far and task
+// attempt counts. It carries the canonical
 // schema tag so consumers can decode it like a final report; fields only
 // known at completion (completion time, traffic matrix, task summaries)
 // stay zero. Backends with richer live state (the live cluster's Stats)
@@ -216,7 +215,6 @@ func InProgressReport(backend, workload, scheme string, c *Collector) *Report {
 		Stages:       c.StageEvents(),
 		TaskAttempts: counts.Started,
 		Retries:      counts.Retried,
-		Metrics:      c.Registry().Snapshot(),
 	}
 }
 

@@ -193,7 +193,6 @@ type Network struct {
 	totalBytes     float64             // all delivered bytes, any scope
 	crossDCBytes   float64
 	completedFlows int
-	observer       DeliveryObserver
 	flowObserver   FlowObserver
 }
 
@@ -370,22 +369,7 @@ func (n *Network) account(f *flow, bytes float64) {
 		*f.tagBytes += bytes
 		n.bytesByPair[f.srcDC][f.dstDC] += bytes
 	}
-	if n.observer != nil {
-		n.observer(f.tag, bytes, f.crossDC)
-	}
 }
-
-// DeliveryObserver receives every delivered byte increment as it is
-// accounted: the flow's tag, the bytes just delivered (possibly
-// fractional — flows settle continuously), and whether the flow crosses a
-// datacenter boundary. The executor mirrors these increments into its
-// metrics registry so mid-run scrapes see bytes move.
-type DeliveryObserver func(tag string, bytes float64, crossDC bool)
-
-// SetDeliveryObserver installs the delivery observer (nil disables). It is
-// invoked from inside the simulation loop; observers must not call back
-// into the network.
-func (n *Network) SetDeliveryObserver(o DeliveryObserver) { n.observer = o }
 
 // FlowObserver receives every completed flow: endpoints, tag, size, and
 // the virtual-time window from StartFlow to last-byte delivery. The
@@ -395,8 +379,8 @@ func (n *Network) SetDeliveryObserver(o DeliveryObserver) { n.observer = o }
 type FlowObserver func(src, dst topology.HostID, tag string, bytes, start, end float64)
 
 // SetFlowObserver installs the flow-completion observer (nil disables).
-// Like DeliveryObserver it runs inside the simulation loop; observers
-// must not call back into the network.
+// It runs inside the simulation loop; observers must not call back into
+// the network.
 func (n *Network) SetFlowObserver(o FlowObserver) { n.flowObserver = o }
 
 // reallocate recomputes max-min fair rates with progressive filling and

@@ -18,15 +18,16 @@ import (
 )
 
 // TestScrapeMidRunStrictlyIncreasing pins the telemetry plane's core
-// contract on a real running job: counters scraped from /metrics mid-run
-// are strictly increasing across scrapes, /trace serves the spans recorded
-// so far, and scraping concurrently with the engine's event loop is
-// race-free (this test is the registry's, the span recorder's and the link
-// estimator's concurrency test — run it with -race).
+// contract on a real running job: the report gauges scraped from /metrics
+// mid-run never go back, task attempts strictly increase across scrapes,
+// /metrics and /report read at the same instant agree, /trace serves the
+// spans recorded so far, and scraping concurrently with the engine's event
+// loop is race-free (this test is the collector's, the span recorder's and
+// the link estimator's concurrency test — run it with -race).
 //
 // The job's map function blocks the simulator's event loop at two chosen
 // invocations, so "mid-run" is deterministic: scrape 1 happens with the
-// first map task in flight, scrape 2 after most map tasks completed but
+// first map task in flight, scrape 2 after every map task completed but
 // before the job finished; by then /report's network section has measured
 // the shuffle's cross-DC flows. Background scrapers hammer /metrics,
 // /report (link matrix included) and /trace the whole time.
@@ -108,20 +109,10 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 		}()
 	}
 
-	total := func(s map[string]float64, prefix string) float64 {
-		sum := 0.0
-		for k, v := range s {
-			if strings.HasPrefix(k, prefix) {
-				sum += v
-			}
-		}
-		return sum
-	}
-
 	<-reached1
 	_, body1, _ := get(t, ts.URL+"/metrics")
 	s1 := promSeries(t, body1)
-	if total(s1, "tasks_total") < 1 {
+	if s1["report_task_attempts"] < 1 {
 		t.Fatalf("scrape 1 shows no task activity:\n%s", body1)
 	}
 	close(hold1)
@@ -143,6 +134,13 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	if !measuredPair(mid.Network) {
 		t.Errorf("mid-run /report network section has no measured pair: %+v", mid.Network)
 	}
+	// The event loop is held, so the two endpoints read one instant.
+	for _, l := range mid.Network.Links {
+		series := fmt.Sprintf(`report_link_samples{dst=%q,src=%q}`, l.Dst, l.Src)
+		if got, ok := s2[series]; !ok || got != float64(l.Samples) {
+			t.Errorf("/metrics %s = %v (present %t), /report says %d samples", series, got, ok, l.Samples)
+		}
+	}
 	close(hold2)
 
 	if err := <-runErr; err != nil {
@@ -153,26 +151,26 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	_, body3, _ := get(t, ts.URL+"/metrics")
 	s3 := promSeries(t, body3)
 
-	// Counters never decrease between scrapes, and each later scrape saw
-	// strictly more task activity (the event loop ran between them).
+	// Task attempts and completed stages never go back, and each later
+	// scrape saw one of them move (the event loop ran between them).
 	for _, step := range []struct {
 		name     string
 		from, to map[string]float64
 	}{{"scrape1→scrape2", s1, s2}, {"scrape2→final", s2, s3}} {
-		for series, v := range step.from {
-			if !strings.HasPrefix(series, "tasks_total") && series != "stages_total" {
-				continue
+		moved := false
+		for _, gauge := range []string{"report_task_attempts", "report_stages_done"} {
+			a, b := step.from[gauge], step.to[gauge]
+			if b < a {
+				t.Errorf("%s: %s decreased: %v -> %v", step.name, gauge, a, b)
 			}
-			if step.to[series] < v {
-				t.Errorf("%s: counter %s decreased: %v -> %v", step.name, series, v, step.to[series])
-			}
+			moved = moved || b > a
 		}
-		if a, b := total(step.from, "tasks_total"), total(step.to, "tasks_total"); b <= a {
-			t.Errorf("%s: tasks_total not strictly increasing: %v -> %v", step.name, a, b)
+		if !moved {
+			t.Errorf("%s: neither task attempts nor completed stages moved", step.name)
 		}
 	}
-	if s3["stages_total"] < 2 {
-		t.Errorf("final stages_total = %v, want >= 2", s3["stages_total"])
+	if s3["report_stages_done"] < 2 {
+		t.Errorf("final report_stages_done = %v, want >= 2", s3["report_stages_done"])
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package telemetry is the live observability plane: an HTTP server that
-// exposes a running job's metrics registry in Prometheus text exposition
-// format, a point-in-time canonical run-report snapshot, a streaming
-// NDJSON tail of the task-lifecycle event log, the causal trace spans, and
-// the Go runtime's pprof profiles — the monitoring counterpart to
-// internal/obs's post-mortem report. Each run fact is served once: the
-// report (link matrix included), the metrics, the events and the trace.
-// Both backends serve through it: the simulator scrapes its engine's
-// collector while the event loop runs, and the live cluster's
-// heartbeat-fed Stats snapshot mid-run.
+// exposes a point-in-time canonical run-report snapshot, the same report
+// in Prometheus text exposition format (plus the live counters no report
+// holds), a streaming NDJSON tail of the task-lifecycle event log, the
+// causal trace spans, and the Go runtime's pprof profiles — the monitoring
+// counterpart to internal/obs's post-mortem report. Each run fact is
+// recorded once, in the report: /metrics renders the report /report
+// serves, so the two cannot disagree. Both backends serve through it: the
+// simulator scrapes its engine's collector while the event loop runs, and
+// the live cluster's heartbeat-fed Stats snapshot mid-run.
 package telemetry
 
 import (
@@ -28,11 +28,13 @@ import (
 // cluster creates a fresh Stats per job); a function returning nil makes
 // its endpoint respond 503 until state exists.
 type Config struct {
-	// Registry backs GET /metrics.
+	// Registry holds the live counters GET /metrics serves after the
+	// report's gauges.
 	Registry func() *obs.Registry
 	// Report backs GET /report: a point-in-time run-report snapshot
 	// (its network section is the link estimate matrix) while the job
-	// runs, and the exact final report once it finished.
+	// runs, and the exact final report once it finished. GET /metrics
+	// renders the same report (obs.ReportPoints).
 	Report func() *obs.Report
 	// Events backs GET /events, the NDJSON task-lifecycle stream.
 	Events func() *obs.Collector
@@ -46,7 +48,8 @@ type Config struct {
 }
 
 // Handler builds the telemetry plane's HTTP handler: /metrics, /report,
-// /events, /trace, /debug/pprof/, and a plain-text index at /.
+// /events, /trace, /debug/pprof/, and a plain-text index at / listing the
+// ones cfg wires.
 func Handler(cfg Config) http.Handler {
 	mux := http.NewServeMux()
 
@@ -56,19 +59,24 @@ func Handler(cfg Config) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, "wanshuffle telemetry\n\n"+
-			"GET /metrics      Prometheus text exposition of the run's registry\n"+
-			"GET /report       point-in-time wanshuffle/run-report/v1 snapshot (JSON)\n"+
-			"GET /events       task-lifecycle event stream (NDJSON, streams until closed)\n"+
-			"GET /trace        causal trace spans recorded so far (NDJSON)\n"+
-			"GET /debug/pprof/ Go runtime profiles\n")
-		if cfg.Jobs != nil {
-			fmt.Fprint(w, ""+
-				"GET /jobs         job listing (JSON); ?watch=1 streams lifecycle events (NDJSON)\n"+
-				"POST /jobs        submit a named workload to the job service\n"+
-				"GET /jobs/{id}    one job's lifecycle snapshot; /{id}/report its run report\n"+
-				"POST /jobs/{id}/cancel cancel a queued or running job\n")
+		// An endpoint is listed only when its source is wired: one that is
+		// not would answer 503 for the life of the server.
+		list := func(wired bool, lines string) {
+			if wired {
+				fmt.Fprint(w, lines)
+			}
 		}
+		fmt.Fprint(w, "wanshuffle telemetry\n\n")
+		list(cfg.Registry != nil || cfg.Report != nil, "GET /metrics      Prometheus text exposition of the run report and live counters\n")
+		list(cfg.Report != nil, "GET /report       point-in-time wanshuffle/run-report/v1 snapshot (JSON)\n")
+		list(cfg.Events != nil, "GET /events       task-lifecycle event stream (NDJSON, streams until closed)\n")
+		list(cfg.Trace != nil, "GET /trace        causal trace spans recorded so far (NDJSON)\n")
+		fmt.Fprint(w, "GET /debug/pprof/ Go runtime profiles\n")
+		list(cfg.Jobs != nil, ""+
+			"GET /jobs         job listing (JSON); ?watch=1 streams lifecycle events (NDJSON)\n"+
+			"POST /jobs        submit a named workload to the job service\n"+
+			"GET /jobs/{id}    one job's lifecycle snapshot; /{id}/report its run report\n"+
+			"POST /jobs/{id}/cancel cancel a queued or running job\n")
 	})
 
 	// view mounts one read-only view of the run at path. source returns what
@@ -85,11 +93,12 @@ func Handler(cfg Config) http.Handler {
 			_ = write(w) // a write error means the client went away: nobody to tell
 		})
 	}
-	view("/metrics", "no metrics registry yet", obs.PromContentType, func() func(io.Writer) error {
-		if reg := call(cfg.Registry); reg != nil {
-			return reg.WriteProm
+	view("/metrics", "no run report or metrics registry yet", obs.PromContentType, func() func(io.Writer) error {
+		rep, reg := call(cfg.Report), call(cfg.Registry)
+		if rep == nil && reg == nil {
+			return nil
 		}
-		return nil
+		return func(w io.Writer) error { return obs.WriteProm(w, append(obs.ReportPoints(rep), reg.Snapshot()...)) }
 	})
 	view("/report", "no run report yet", "application/json", func() func(io.Writer) error {
 		if rep := call(cfg.Report); rep != nil {

@@ -14,6 +14,7 @@ import (
 
 	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
+	"wanshuffle/internal/trace"
 )
 
 func testCollector() *obs.Collector {
@@ -46,9 +47,14 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 	return resp.StatusCode, string(body), resp.Header
 }
 
+// TestMetricsEndpoint pins /metrics' one rendering: the report /report
+// serves, as report_* gauges, then the registry's live counters — and
+// either source alone is enough to answer.
 func TestMetricsEndpoint(t *testing.T) {
 	c := testCollector()
-	ts := newTestServer(t, Config{Registry: c.Registry})
+	c.Registry().Counter("push_chunks_total", nil).Add(3)
+	report := func() *obs.Report { return obs.InProgressReport("sim", "wordcount", "AggShuffle", c) }
+	ts := newTestServer(t, Config{Registry: c.Registry, Report: report})
 	code, body, hdr := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, want 200", code)
@@ -57,20 +63,35 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("content type = %q, want %q", got, obs.PromContentType)
 	}
 	for _, want := range []string{
-		"# TYPE tasks_total counter",
-		`tasks_total{phase="finished",stage="map"} 1`,
-		"stages_total 1",
+		"# TYPE report_task_attempts gauge\nreport_task_attempts 1\n",
+		"report_stages_done 1\n",
+		`report_stage_duration_sec{stage="map"} 1.5` + "\n",
+		"# TYPE push_chunks_total counter\npush_chunks_total 3\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics body missing %q:\n%s", want, body)
+		}
+	}
+	if strings.Index(body, "report_") > strings.Index(body, "push_chunks_total") {
+		t.Errorf("the registry renders before the report:\n%s", body)
+	}
+	for name, cfg := range map[string]Config{
+		"report only":   {Report: report},
+		"registry only": {Registry: c.Registry},
+	} {
+		if code, _, _ := get(t, newTestServer(t, cfg).URL+"/metrics"); code != http.StatusOK {
+			t.Errorf("%s: status = %d, want 200", name, code)
 		}
 	}
 }
 
 func TestMetricsUnavailable(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"nil func":     {},
-		"func nil reg": {Registry: func() *obs.Registry { return nil }},
+		"nil func": {},
+		"func nil reg and report": {
+			Registry: func() *obs.Registry { return nil },
+			Report:   func() *obs.Report { return nil },
+		},
 	} {
 		ts := newTestServer(t, cfg)
 		if code, _, _ := get(t, ts.URL+"/metrics"); code != http.StatusServiceUnavailable {
@@ -194,7 +215,7 @@ func TestPprofMounted(t *testing.T) {
 func TestIndexAndNotFound(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	code, body, _ := get(t, ts.URL+"/")
-	if code != http.StatusOK || !strings.Contains(body, "/metrics") {
+	if code != http.StatusOK || !strings.Contains(body, "/debug/pprof/") {
 		t.Fatalf("index: status %d body %.80s", code, body)
 	}
 	if code, _, _ := get(t, ts.URL+"/nonsense"); code != http.StatusNotFound {
@@ -202,14 +223,46 @@ func TestIndexAndNotFound(t *testing.T) {
 	}
 }
 
+// TestIndexListsWiredEndpointsOnly holds the index to what answers: an
+// endpoint whose source is not wired would answer 503 for the life of the
+// server (the job service wires neither /report nor /trace), so the index
+// does not list it.
+func TestIndexListsWiredEndpointsOnly(t *testing.T) {
+	c := testCollector()
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		listed []string
+		not    []string
+	}{
+		{"nothing wired", Config{}, nil, []string{"GET /metrics", "GET /report", "GET /events", "GET /trace", "GET /jobs"}},
+		{"job service", Config{Registry: c.Registry, Events: func() *obs.Collector { return c }, Jobs: http.NotFoundHandler()},
+			[]string{"GET /metrics", "GET /events", "GET /jobs"}, []string{"GET /report", "GET /trace"}},
+		{"one run", Config{Report: func() *obs.Report { return nil }, Trace: func() []trace.Span { return nil }},
+			[]string{"GET /metrics", "GET /report", "GET /trace"}, []string{"GET /events", "GET /jobs"}},
+	} {
+		_, body, _ := get(t, newTestServer(t, tc.cfg).URL+"/")
+		for _, want := range tc.listed {
+			if !strings.Contains(body, want+" ") {
+				t.Errorf("%s: index does not list %s:\n%s", tc.name, want, body)
+			}
+		}
+		for _, unwanted := range tc.not {
+			if strings.Contains(body, unwanted+" ") {
+				t.Errorf("%s: index lists unwired %s:\n%s", tc.name, unwanted, body)
+			}
+		}
+	}
+}
+
 func TestStartServesAndCloses(t *testing.T) {
 	c := testCollector()
-	srv, err := Start("127.0.0.1:0", Config{Registry: c.Registry})
+	srv, err := Start("127.0.0.1:0", Config{Report: func() *obs.Report { return obs.InProgressReport("sim", "", "", c) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	code, body, _ := get(t, srv.URL()+"/metrics")
-	if code != http.StatusOK || !strings.Contains(body, "tasks_total") {
+	if code != http.StatusOK || !strings.Contains(body, "report_task_attempts 1\n") {
 		t.Fatalf("metrics via Start: status %d", code)
 	}
 	if err := srv.Close(); err != nil {
