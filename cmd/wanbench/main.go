@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -22,7 +21,6 @@ import (
 
 	"wanshuffle/internal/bench"
 	"wanshuffle/internal/core"
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/workloads"
 )
@@ -39,7 +37,6 @@ func main() {
 // `all` must simulate only once.
 type session struct {
 	opts       bench.Options
-	reportFile string
 	paperSweep func() ([]bench.Series, error)
 }
 
@@ -77,8 +74,6 @@ type experiment struct {
 	name, doc string
 	// run produces the experiment's output.
 	run func(*session) (string, error)
-	// notInAll excludes the experiment from `all` (it writes a file).
-	notInAll bool
 }
 
 var experiments = []experiment{
@@ -94,7 +89,6 @@ var experiments = []experiment{
 	{name: "terasort-explicit", doc: "Sec. V-B: explicit transferTo for TeraSort", run: teraSortExplicit},
 	{name: "ablate", doc: "design-choice ablations (pipelining, aggregator rule, top-K, burst model β, multi-tenancy, node failure, jitter)", run: rendered(func(s *session) ([]bench.AblationRow, error) { return bench.Ablate(s.opts) }, bench.FormatAblation)},
 	{name: "extensions", doc: "workloads beyond the paper's five (WebJoin)", run: extensions},
-	{name: "report", doc: "canonical JSON run reports (" + obs.SchemaVersion + ") for every workload × scheme, written to the -report file", run: report, notInAll: true},
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -116,8 +110,7 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // parse builds the session args describe and picks the experiments it
-// runs: the one named, or under `all` every one that prints to stdout, in
-// table order.
+// runs: the one named, or under `all` every one, in table order.
 func parse(args []string) (*session, []experiment, error) {
 	fs := flag.NewFlagSet("wanbench", flag.ContinueOnError)
 	var s session
@@ -125,14 +118,13 @@ func parse(args []string) (*session, []experiment, error) {
 	fs.Int64Var(&s.opts.BaseSeed, "seed", 1, "base seed")
 	fs.Float64Var(&s.opts.Scale, "scale", 1.0, "modeled-size multiplier vs Table I")
 	fs.Float64Var(&s.opts.Jitter, "jitter", 0.25, "WAN bandwidth jitter amplitude (0 disables)")
-	fs.StringVar(&s.reportFile, "report", "run-reports.json", "output file for the report experiment")
 	fs.BoolVar(&s.opts.Validate, "validate", false, "validate every run's records against the reference")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: wanbench [flags] <experiment>\n\nexperiments:")
 		for _, e := range experiments {
 			fmt.Fprintf(fs.Output(), "  %-18s %s\n", e.name, e.doc)
 		}
-		fmt.Fprintf(fs.Output(), "  %-18s everything above that prints to stdout\n\nflags:\n", "all")
+		fmt.Fprintf(fs.Output(), "  %-18s everything above\n\nflags:\n", "all")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -158,7 +150,7 @@ func parse(args []string) (*session, []experiment, error) {
 	name := fs.Arg(0)
 	var picked []experiment
 	for _, e := range experiments {
-		if e.name == name || (name == "all" && !e.notInAll) {
+		if e.name == name || name == "all" {
 			picked = append(picked, e)
 		}
 	}
@@ -217,23 +209,4 @@ func extensions(s *session) (string, error) {
 		fmt.Fprintf(&b, "%-12s %-12s %14.1f %18.0f\n", ser.Workload, ser.Scheme, ser.JCT.TrimmedMean, ser.CrossDCMB.TrimmedMean)
 	}
 	return b.String(), nil
-}
-
-// report writes the canonical JSON run report of one traced run per
-// (workload, scheme) to the -report file, as a JSON array. Each element
-// follows the wanshuffle/run-report/v1 schema — the same shape `wansim
-// -report` emits.
-func report(s *session) (string, error) {
-	reports, err := bench.Reports(workloads.All(), bench.Schemes(), s.opts)
-	if err != nil {
-		return "", err
-	}
-	data, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(s.reportFile, append(data, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d run reports (schema %s) written to %s\n", len(reports), obs.SchemaVersion, s.reportFile), nil
 }

@@ -31,7 +31,6 @@ type backend struct {
 
 	// Mid-run sources, safe to call from telemetry handlers while run
 	// executes. A nil result means "no state yet" (the endpoint answers 503).
-	registry func() *obs.Registry
 	snapshot func(workload string) *obs.Report
 	events   func() *obs.Collector
 }
@@ -66,8 +65,7 @@ func newSimBackend(o *options, seed int64) *backend {
 		tracer: eng.Tracer,
 		topo:   cctx.Topology(),
 		// Until the run finishes the engine's event collector and link
-		// estimator are all there is to report from. Every simulated fact
-		// is a report fact, so there is no registry.
+		// estimator are all there is to report from.
 		snapshot: func(workload string) *obs.Report {
 			rep := obs.InProgressReport("sim", workload, o.scheme.String(), eng.Events)
 			rep.Network = eng.NetworkStats()
@@ -93,9 +91,8 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Mid-run sources read the running job's stats: the registry of the
-	// data plane's live counters, and a snapshot built by the same
-	// RunReport code path as the final report, so its traffic matrix
+	// Mid-run sources read the running job's stats: a snapshot built by the
+	// same RunReport code path as the final report, so its traffic matrix
 	// always sums to the bytes moved so far.
 	shared := backend{
 		run: func(ctx context.Context, workload string, target *rdd.RDD) ([]rdd.Pair, *obs.Report, error) {
@@ -107,12 +104,6 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 		},
 		tracer: tracer,
 		topo:   cluster.Topology(),
-		registry: func() *obs.Registry {
-			if s := cluster.CurrentStats(); s != nil {
-				return s.Events.Registry()
-			}
-			return nil
-		},
 		snapshot: func(workload string) *obs.Report {
 			if s := cluster.CurrentStats(); s != nil {
 				return s.RunReport(workload, tracer)

@@ -11,7 +11,11 @@
 // modes run from one options value (options.go) through one backend seam
 // (backend.go): runOnce (run.go) and runServe (serve.go) never learn which
 // substrate executes the job, and everything printed comes from the
-// canonical obs.Report (printReport in run.go). SIGINT/SIGTERM cancels the in-flight job
+// canonical obs.Report (printReport in run.go). Both serve telemetry through
+// one wiring (startTelemetry in run.go) of the current job: runOnce's one
+// job, or the service's running (else last) one, so -serve's /report,
+// /metrics, /events and /trace are a single run's. -report is the one
+// writer of the report file. SIGINT/SIGTERM cancels the in-flight job
 // cooperatively in every mode; -serve additionally drains its queue.
 package main
 

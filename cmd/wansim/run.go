@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -11,7 +12,9 @@ import (
 
 	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
+	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/telemetry"
+	"wanshuffle/internal/trace"
 	"wanshuffle/internal/workloads"
 )
 
@@ -24,33 +27,19 @@ func runOnce(ctx context.Context, o *options, stdout io.Writer) error {
 		return err
 	}
 	defer release()
-	b := open(o.seed)
+	j := &job{backend: open(o.seed), workload: o.workload.Name}
+	b := j.backend
 	inst := o.workload.Make(b.lineage, workloads.Options{Seed: o.seed, Scale: o.scale})
 
-	// Until the run finishes /report serves the backend's in-progress
-	// snapshot; the final report object then takes over — the same object
-	// -report writes, so file and endpoint are byte-identical.
-	var final atomic.Pointer[obs.Report]
-	tel, stopTelemetry, err := startTelemetry(o, stdout, telemetry.Config{
-		Registry: b.registry,
-		Report: func() *obs.Report {
-			if rep := final.Load(); rep != nil {
-				return rep
-			}
-			return b.snapshot(o.workload.Name)
-		},
-		Events: b.events,
-		Trace:  b.tracer.Spans,
-	})
+	tel, stopTelemetry, err := startTelemetry(o, stdout, func() *job { return j }, nil)
 	if err != nil {
 		return err
 	}
 	defer stopTelemetry()
-	records, rep, err := b.run(ctx, o.workload.Name, inst.Target)
+	records, rep, err := j.run(ctx, inst.Target)
 	if err != nil {
 		return err
 	}
-	final.Store(rep)
 
 	printReport(stdout, rep, len(records))
 	if o.matrix {
@@ -89,12 +78,48 @@ func runOnce(ctx context.Context, o *options, stdout io.Writer) error {
 	return nil
 }
 
+// job is one workload run on one backend, as the telemetry plane sees it.
+type job struct {
+	backend  *backend
+	workload string
+	// final is the run's report once run has returned it.
+	final atomic.Pointer[obs.Report]
+}
+
+// run executes the job and keeps its final report for the telemetry plane.
+func (j *job) run(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, *obs.Report, error) {
+	records, rep, err := j.backend.run(ctx, j.workload, target)
+	if err == nil {
+		j.final.Store(rep)
+	}
+	return records, rep, err
+}
+
+// report is the job's run report as it stands: the backend's in-progress
+// snapshot until the run returns, then the final report itself — the same
+// object -report writes and the job service keeps, so file, /report and
+// /jobs/{id}/report are byte-identical.
+func (j *job) report() *obs.Report {
+	if rep := j.final.Load(); rep != nil {
+		return rep
+	}
+	return j.backend.snapshot(j.workload)
+}
+
 // startTelemetry brings the telemetry endpoint up on -telemetry-addr and
-// announces its URL. Without an address it starts nothing: the server is
-// nil and stop does nothing.
-func startTelemetry(o *options, stdout io.Writer, cfg telemetry.Config) (tel *telemetry.Server, stop func(), err error) {
+// announces its URL. Its /report, /metrics, /events and /trace serve the
+// job cur returns — nil, before a service's first job, answers 503 — and
+// jobsAPI, when not nil, is mounted as /jobs. Without an address it starts
+// nothing: the server is nil and stop does nothing.
+func startTelemetry(o *options, stdout io.Writer, cur func() *job, jobsAPI http.Handler) (tel *telemetry.Server, stop func(), err error) {
 	if o.telemetryAddr == "" {
 		return nil, func() {}, nil
+	}
+	cfg := telemetry.Config{
+		Report: current(cur, (*job).report),
+		Events: current(cur, func(j *job) *obs.Collector { return j.backend.events() }),
+		Trace:  current(cur, func(j *job) []trace.Span { return j.backend.tracer.Spans() }),
+		Jobs:   jobsAPI,
 	}
 	if tel, err = telemetry.Start(o.telemetryAddr, cfg); err != nil {
 		return nil, nil, err
@@ -102,6 +127,17 @@ func startTelemetry(o *options, stdout io.Writer, cfg telemetry.Config) (tel *te
 	fmt.Fprintf(stdout, "telemetry: serving at %s (GET / lists its endpoints)\n", tel.URL())
 	// The process is done serving; nothing to do about a close error.
 	return tel, func() { _ = tel.Close() }, nil
+}
+
+// current turns a read of the job into a telemetry source: it reads the job
+// cur returns, and is nil while there is none.
+func current[T any](cur func() *job, read func(*job) T) func() T {
+	return func() (v T) {
+		if j := cur(); j != nil {
+			v = read(j)
+		}
+		return v
+	}
 }
 
 // writeFile creates path and fills it through write.

@@ -8,7 +8,6 @@ import (
 
 	"wanshuffle/internal/jobs"
 	"wanshuffle/internal/obs"
-	"wanshuffle/internal/telemetry"
 	"wanshuffle/internal/workloads"
 )
 
@@ -26,9 +25,10 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 	svc := jobs.New(jobs.Config{MaxQueue: o.maxQueue})
 	defer svc.Close()
 
-	// cur is the backend of the running (else the last) job: /events
-	// follows it.
-	var cur atomic.Pointer[backend]
+	// cur is the running (else the last) round of a job: the telemetry
+	// plane's /report, /metrics, /events and /trace follow it, as in a
+	// single run.
+	var cur atomic.Pointer[job]
 	build := func(req jobs.SubmitRequest) (jobs.Submission, error) {
 		w, err := workloads.ByName(req.Workload)
 		if err != nil {
@@ -59,10 +59,10 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 				if err := ctx.Err(); err != nil {
 					return last, fmt.Errorf("jobs: canceled after %d/%d rounds: %w", i, repeat, err)
 				}
-				b := open(seed)
-				cur.Store(b)
-				inst := w.Make(b.lineage, workloads.Options{Seed: seed, Scale: scale})
-				_, rep, err := b.run(ctx, w.Name, inst.Target)
+				j := &job{backend: open(seed), workload: w.Name}
+				cur.Store(j)
+				inst := w.Make(j.backend.lineage, workloads.Options{Seed: seed, Scale: scale})
+				_, rep, err := j.run(ctx, inst.Target)
 				if err != nil {
 					return last, err
 				}
@@ -73,18 +73,9 @@ func runServe(ctx context.Context, o *options, stdout io.Writer) error {
 		return jobs.Submission{Tenant: req.Tenant, Name: w.Name, Run: run}, nil
 	}
 
-	// The telemetry endpoint doubles as the submission API: /metrics serves
-	// the service's jobs_* registry and /jobs the job surface.
-	_, stopTelemetry, err := startTelemetry(o, stdout, telemetry.Config{
-		Registry: svc.Registry,
-		Jobs:     jobs.NewHandler(svc, build),
-		Events: func() *obs.Collector {
-			if b := cur.Load(); b != nil {
-				return b.events()
-			}
-			return nil
-		},
-	})
+	// The telemetry endpoint doubles as the submission API: /jobs is the
+	// job surface, and the job record is its listing.
+	_, stopTelemetry, err := startTelemetry(o, stdout, cur.Load, jobs.NewHandler(svc, build))
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -49,8 +50,9 @@ func taskCount(rep *obs.Report) int {
 // backend: HTTP submissions from two tenants run to completion with
 // retained reports that carry the traced sections (tasks, critical_path)
 // whichever backend ran them, a malformed request is a 400, a deadline
-// cancels a job without poisoning the next, /metrics carries the jobs_*
-// series, and a real SIGINT drains the service and returns cleanly.
+// cancels a job without poisoning the next, /jobs lists every submission
+// in its final state, and a real SIGINT drains the service and returns
+// cleanly.
 func TestServeModeJobService(t *testing.T) {
 	for _, backend := range []string{"sim", "live"} {
 		t.Run(backend, func(t *testing.T) { testServeModeJobService(t, backend) })
@@ -144,11 +146,20 @@ func testServeModeJobService(t *testing.T, backend string) {
 		t.Fatalf("the job after the canceled one traced %d tasks, the first job %d: spans leak across jobs", got, want)
 	}
 
-	_, metrics := httpGet(t, url+"/metrics")
-	for _, series := range []string{"jobs_submitted_total", "jobs_done_total", "jobs_queue_depth"} {
-		if !strings.Contains(string(metrics), series) {
-			t.Fatalf("/metrics missing %s:\n%s", series, metrics)
-		}
+	// The job table is the service's one record of its jobs: the rejected
+	// bodies never became jobs, and each accepted one is listed once.
+	var list struct{ Jobs []jobs.Info }
+	getJSONTest(t, url+"/jobs", &list)
+	states := map[jobs.State]int{}
+	for _, j := range list.Jobs {
+		states[j.State]++
+	}
+	done := 3
+	if backend == "sim" {
+		done++ // the seed-0 job
+	}
+	if want := map[jobs.State]int{jobs.StateDone: done, jobs.StateCanceled: 1}; !reflect.DeepEqual(states, want) {
+		t.Fatalf("/jobs lists states %v, want %v: %+v", states, want, list.Jobs)
 	}
 
 	// Graceful shutdown rides the real signal path: SIGINT to our own
@@ -161,6 +172,89 @@ func testServeModeJobService(t *testing.T, backend string) {
 	}
 	if s := w.out.String(); !strings.Contains(s, "draining the queue") || !strings.Contains(s, "job service: stopped") {
 		t.Fatalf("missing shutdown narration:\n%s", s)
+	}
+}
+
+// TestServeTelemetryFollowsCurrentJob holds -serve to a single run's
+// telemetry plane: GET / lists /report and /trace beside /jobs; /report
+// answers 503 before the first job, serves the running job's in-progress
+// snapshot, and once the last job is done byte-equals its
+// /jobs/{id}/report; /metrics is that report's report_* gauges.
+func TestServeTelemetryFollowsCurrentJob(t *testing.T) {
+	for _, backend := range []string{"sim", "live"} {
+		t.Run(backend, func(t *testing.T) { testServeTelemetryFollowsCurrentJob(t, backend) })
+	}
+}
+
+func testServeTelemetryFollowsCurrentJob(t *testing.T, backend string) {
+	args := []string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-scale", "0.02", "-seed", "1"}
+	if backend == "live" {
+		args = append(args, "-live")
+	}
+	url := startWansim(t, args...).url(t)
+
+	_, index := httpGet(t, url+"/")
+	for _, endpoint := range []string{"GET /metrics", "GET /report", "GET /events", "GET /trace", "GET /jobs"} {
+		if !strings.Contains(string(index), endpoint) {
+			t.Fatalf("GET / does not list %s:\n%s", endpoint, index)
+		}
+	}
+	for _, path := range []string{"/report", "/metrics", "/trace"} {
+		if status, body := httpGet(t, url+path); status != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s before the first job: %d, want 503: %s", path, status, body)
+		}
+	}
+
+	// A job of many rounds is running for as long as the test needs: its
+	// /report is a snapshot, which has no completion time yet.
+	long := submitJob(t, url, jobs.SubmitRequest{Tenant: "t", Workload: "wordcount", Repeat: 100000})
+	waitTest(t, "the running job's snapshot on /report", func() bool {
+		status, body := httpGet(t, url+"/report")
+		if status != http.StatusOK {
+			return false
+		}
+		rep, err := obs.DecodeReport(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("/report: %v", err)
+		}
+		if rep.Backend != backend || rep.Workload != long.Name {
+			t.Fatalf("/report is %s's %s, want the running job's: %s's %s", rep.Backend, rep.Workload, backend, long.Name)
+		}
+		return rep.CompletionSec == 0
+	})
+	resp, err := http.Post(url+"/jobs/"+long.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+
+	last := submitJob(t, url, jobs.SubmitRequest{Tenant: "t", Workload: "sort"})
+	waitTest(t, "the last job done", func() bool {
+		var info jobs.Info
+		getJSONTest(t, url+"/jobs/"+last.ID, &info)
+		if info.State.Terminal() && info.State != jobs.StateDone {
+			t.Fatalf("job %s ended %s: %s", last.ID, info.State, info.Err)
+		}
+		return info.State == jobs.StateDone
+	})
+	status, served := httpGet(t, url+"/report")
+	_, kept := httpGet(t, url+"/jobs/"+last.ID+"/report")
+	if status != http.StatusOK || !bytes.Equal(served, kept) {
+		t.Fatalf("after the last job /report (%d) is not its /jobs/%s/report:\n%s\nwant:\n%s", status, last.ID, served, kept)
+	}
+	rep, err := obs.DecodeReport(bytes.NewReader(kept))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := obs.WriteProm(&want, obs.ReportPoints(rep)); err != nil {
+		t.Fatal(err)
+	}
+	if _, metrics := httpGet(t, url+"/metrics"); !bytes.Equal(metrics, want.Bytes()) {
+		t.Fatalf("/metrics is not the last job's report gauges:\n%s\nwant:\n%s", metrics, want.Bytes())
+	}
+	if status, _ := httpGet(t, url+"/trace"); status != http.StatusOK {
+		t.Fatalf("GET /trace after the last job: %d, want its spans", status)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"wanshuffle/internal/core"
 	"wanshuffle/internal/exec"
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/simnet"
 	"wanshuffle/internal/stats"
@@ -271,24 +270,6 @@ func grid(ws []*workloads.Workload, schemes []core.Scheme) []variant {
 // and aggregates the results, workload-major.
 func Sweep(ws []*workloads.Workload, schemes []core.Scheme, opts Options) ([]Series, error) {
 	return summarize(grid(ws, schemes), opts)
-}
-
-// Reports runs every workload under every scheme once (seed
-// opts.BaseSeed, tracing on) and returns each run's canonical JSON run
-// report (obs.SchemaVersion), in workload-major order — the
-// machine-readable companion to the figure experiments.
-func Reports(ws []*workloads.Workload, schemes []core.Scheme, opts Options) ([]*obs.Report, error) {
-	opts = opts.withDefaults()
-	opts.Trace = true
-	var reports []*obs.Report
-	for _, v := range grid(ws, schemes) {
-		o := v.run(opts.BaseSeed, opts)
-		if o.err != nil {
-			return nil, o.err
-		}
-		reports = append(reports, o.rep.RunReport(v.workload.Name))
-	}
-	return reports, nil
 }
 
 // Fig7 regenerates the paper's sweep: all five workloads under the three

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -24,9 +25,15 @@ type SubmitRequest struct {
 	// (default 1), re-checking the job's context between rounds — an
 	// iterative job whose rounds share one turn on the cluster.
 	Repeat int `json:"repeat,omitempty"`
-	// DeadlineMS bounds the job's run time (0 = none; negative is a 400).
+	// DeadlineMS bounds the job's run time (0 = none; negative, or more
+	// than a time.Duration holds, is a 400).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
+
+// maxDeadlineMS is the longest deadline_ms a time.Duration holds: beyond it
+// the conversion to nanoseconds wraps around, to a deadline of microseconds
+// or to a negative one, which would mean none.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
 
 // maxSubmitBody bounds a POST /jobs body: a SubmitRequest is a few short
 // fields.
@@ -138,8 +145,8 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
-	if req.DeadlineMS < 0 {
-		http.Error(w, fmt.Sprintf("deadline_ms must not be negative, got %d", req.DeadlineMS), http.StatusBadRequest)
+	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		http.Error(w, fmt.Sprintf("deadline_ms must be between 0 and %d, got %d", maxDeadlineMS, req.DeadlineMS), http.StatusBadRequest)
 		return
 	}
 	sub, err := h.build(req)
@@ -193,9 +200,7 @@ func (h *handler) report(w http.ResponseWriter, id string) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
+	_ = rep.WriteJSON(w) // a write error means the client went away
 }
 
 func (h *handler) cancel(w http.ResponseWriter, id string) {

@@ -123,6 +123,10 @@ func TestHTTPRejectionsAndErrors(t *testing.T) {
 		{"unknown field", `{"tenant":"a","workload":"ok","deadline":5}`, http.StatusBadRequest},
 		{"trailing data", `{"tenant":"a","workload":"ok"} {"tenant":"b","workload":"ok"}`, http.StatusBadRequest},
 		{"oversized body", `{"tenant":"a","workload":"ok"` + strings.Repeat(" ", 1<<20) + `}`, http.StatusRequestEntityTooLarge},
+		// A deadline a time.Duration cannot hold would wrap around: to
+		// 448.384 µs (canceled on dispatch), or negative (no deadline).
+		{"deadline wraps to microseconds", `{"tenant":"a","workload":"ok","deadline_ms":18446744073710}`, http.StatusBadRequest},
+		{"deadline wraps negative", `{"tenant":"a","workload":"ok","deadline_ms":9223372036855}`, http.StatusBadRequest},
 	} {
 		if resp, _ = postJob(t, srv, tc.body); resp.StatusCode != tc.want {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)

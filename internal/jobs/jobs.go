@@ -14,13 +14,13 @@
 // spark.scheduler.mode=FIFO. Both backends execute a single job per
 // cluster (the live Cluster is strictly sequential; the engine returns
 // exec.ErrBusy), so which queued job runs next is the only decision there
-// is. A job's tenant labels it in listings, events and metrics; it does
-// not affect the order.
+// is. A job's tenant labels it in listings and events; it does not affect
+// the order.
 //
 // The queue bound is the one admission rule: a submission past
 // Config.MaxQueue, or one made after Close, is rejected with a typed
 // *ErrRejected, recorded as a terminal "rejected" job so the /jobs listing
-// and the jobs_rejected_total metric account for every shed submission.
+// accounts for every shed submission.
 package jobs
 
 import (
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"wanshuffle/internal/obs"
-	"wanshuffle/internal/stats"
 )
 
 // State is one point in a job's lifecycle.
@@ -59,8 +58,7 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// Rejection reasons carried by ErrRejected and the reason label of
-// jobs_rejected_total.
+// Rejection reasons carried by ErrRejected.
 const (
 	ReasonQueueFull = "queue_full"
 	ReasonClosed    = "closed"
@@ -95,7 +93,7 @@ type RunFunc func(ctx context.Context) (*obs.Report, error)
 // Submission describes one job offered to the service.
 type Submission struct {
 	// Tenant names the submitting tenant; empty means "default". It labels
-	// the job's listings, events and metrics.
+	// the job's listings and events.
 	Tenant string
 	// Name labels the job (workload name) for listings and events.
 	Name string
@@ -169,7 +167,6 @@ type record struct {
 // job turns canceled).
 type Service struct {
 	cfg Config
-	reg *obs.Registry
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -192,7 +189,6 @@ type Service struct {
 func New(cfg Config) *Service {
 	s := &Service{
 		cfg:            cfg.withDefaults(),
-		reg:            obs.NewRegistry(),
 		records:        map[string]*record{},
 		dispatcherDone: make(chan struct{}),
 	}
@@ -200,17 +196,6 @@ func New(cfg Config) *Service {
 	go s.dispatch()
 	return s
 }
-
-// Registry exposes the service's jobs_* metrics registry.
-func (s *Service) Registry() *obs.Registry { return s.reg }
-
-// histogram edge sets: queue waits are short (sub-minute) and run times a
-// bit longer; both get fixed linear buckets so text exposition stays
-// bounded.
-var (
-	queueWaitEdges = stats.LinearEdges(0, 30, 10)
-	runSecEdges    = stats.LinearEdges(0, 120, 12)
-)
 
 // Job is a caller's handle on one submitted job.
 type Job struct {
@@ -245,8 +230,8 @@ func snapshotLocked(rec *record) Info {
 
 // Submit offers one job. It returns a handle when the job was queued, or
 // a *ErrRejected when admission control shed it — the rejection is still
-// recorded as a terminal job (listed by /jobs, counted by
-// jobs_rejected_total) so shed load stays observable.
+// recorded as a terminal job (listed by /jobs) so shed load stays
+// observable.
 func (s *Service) Submit(sub Submission) (*Job, error) {
 	if sub.Run == nil {
 		return nil, fmt.Errorf("jobs: submission has no Run function")
@@ -256,20 +241,17 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reg.Counter("jobs_submitted_total", obs.Labels{"tenant": sub.Tenant}).Inc()
 	if rej := s.admitLocked(); rej != nil {
 		rec := s.newRecordLocked(sub)
 		rec.info.State = StateRejected
 		rec.info.Err = rej.Error()
 		close(rec.done)
-		s.reg.Counter("jobs_rejected_total", obs.Labels{"tenant": sub.Tenant, "reason": rej.Reason}).Inc()
 		s.publishLocked(rec)
 		return nil, rej
 	}
 	rec := s.newRecordLocked(sub)
 	rec.info.State = StateQueued
 	s.queue = append(s.queue, rec)
-	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 	s.publishLocked(rec)
 	s.cond.Broadcast()
 	return &Job{svc: s, rec: rec}, nil
@@ -376,7 +358,6 @@ func (s *Service) Cancel(id string) error {
 	switch rec.info.State {
 	case StateQueued:
 		s.queue = slices.DeleteFunc(s.queue, func(q *record) bool { return q == rec })
-		s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 		s.finishLocked(rec, StateCanceled, "canceled while queued", nil)
 	case StateRunning:
 		rec.cancel()
@@ -384,8 +365,8 @@ func (s *Service) Cancel(id string) error {
 	return nil
 }
 
-// finishLocked moves a non-terminal record to a terminal state: metrics,
-// event, done-channel close.
+// finishLocked moves a non-terminal record to a terminal state: event,
+// done-channel close.
 func (s *Service) finishLocked(rec *record, st State, msg string, report *obs.Report) {
 	if rec.info.State.Terminal() {
 		return
@@ -396,14 +377,6 @@ func (s *Service) finishLocked(rec *record, st State, msg string, report *obs.Re
 	}
 	if report != nil {
 		rec.report = report
-	}
-	switch st {
-	case StateDone:
-		s.reg.Counter("jobs_done_total", obs.Labels{"tenant": rec.info.Tenant}).Inc()
-	case StateFailed:
-		s.reg.Counter("jobs_failed_total", obs.Labels{"tenant": rec.info.Tenant}).Inc()
-	case StateCanceled:
-		s.reg.Counter("jobs_canceled_total", obs.Labels{"tenant": rec.info.Tenant}).Inc()
 	}
 	s.publishLocked(rec)
 	close(rec.done)
@@ -437,7 +410,6 @@ func (s *Service) next() (*record, context.Context) {
 	}
 	rec := s.queue[0]
 	s.queue = s.queue[1:]
-	s.reg.Gauge("jobs_queue_depth", nil).Set(float64(len(s.queue)))
 
 	var ctx context.Context
 	if rec.sub.Deadline > 0 {
@@ -447,9 +419,7 @@ func (s *Service) next() (*record, context.Context) {
 	}
 	rec.info.State = StateRunning
 	s.running = rec
-	wait := time.Since(rec.info.SubmittedAt).Seconds()
-	rec.info.QueueWaitSec = wait
-	s.reg.Histogram("jobs_queue_wait_sec", queueWaitEdges, nil).Observe(wait)
+	rec.info.QueueWaitSec = time.Since(rec.info.SubmittedAt).Seconds()
 	s.publishLocked(rec)
 	return rec, ctx
 }
@@ -464,7 +434,6 @@ func (s *Service) runJob(ctx context.Context, rec *record) {
 	s.mu.Lock()
 	s.running = nil
 	rec.info.RunSec = runSec
-	s.reg.Histogram("jobs_run_sec", runSecEdges, nil).Observe(runSec)
 	switch {
 	case err == nil:
 		s.finishLocked(rec, StateDone, "", report)
@@ -493,7 +462,6 @@ func (s *Service) Close() {
 		s.finishLocked(rec, StateCanceled, "service closed", nil)
 	}
 	s.queue = nil
-	s.reg.Gauge("jobs_queue_depth", nil).Set(0)
 	if s.running != nil {
 		s.running.cancel()
 	}

@@ -54,25 +54,16 @@ func waitState(t *testing.T, svc *Service, id string, want State) {
 	t.Fatalf("job %s never reached state %s", id, want)
 }
 
-// counterValue digs one counter's (or gauge's) value out of a registry
-// snapshot.
-func counterValue(reg *obs.Registry, name string, labels map[string]string) float64 {
-	for _, p := range reg.Snapshot() {
-		if p.Name != name {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if p.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return p.Value
+// countJobs counts the jobs the service lists in state st for tenant
+// ("" counts every tenant's).
+func countJobs(svc *Service, tenant string, st State) int {
+	n := 0
+	for _, info := range svc.List() {
+		if info.State == st && (tenant == "" || info.Tenant == tenant) {
+			n++
 		}
 	}
-	return 0
+	return n
 }
 
 // TestDispatchInArrivalOrder pins the dispatch order: four jobs from two
@@ -117,14 +108,14 @@ func TestDispatchInArrivalOrder(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("dispatch order %v, want %v", order, want)
 	}
-	if got := counterValue(svc.Registry(), "jobs_done_total", map[string]string{"tenant": "heavy"}); got != 2 {
-		t.Fatalf("jobs_done_total{tenant=heavy} = %v, want 2", got)
+	if got := countJobs(svc, "heavy", StateDone); got != 2 {
+		t.Fatalf("%d done jobs listed for tenant heavy, want 2", got)
 	}
 }
 
 // TestAdmissionQueueBound fills the queue to MaxQueue and checks the next
 // submission is shed with a typed queue_full rejection that still shows
-// up in the job table and metrics.
+// up in the job table.
 func TestAdmissionQueueBound(t *testing.T) {
 	svc := New(Config{MaxQueue: 2})
 	defer svc.Close()
@@ -144,21 +135,14 @@ func TestAdmissionQueueBound(t *testing.T) {
 	if rej.Reason != ReasonQueueFull || rej.Limit != 2 {
 		t.Fatalf("rejection = %+v, want queue_full with limit 2", rej)
 	}
-	var rejected int
+	var rejected []Info
 	for _, info := range svc.List() {
 		if info.State == StateRejected {
-			rejected++
-			if info.Err == "" {
-				t.Fatalf("rejected job has no error message: %+v", info)
-			}
+			rejected = append(rejected, info)
 		}
 	}
-	if rejected != 1 {
-		t.Fatalf("%d rejected jobs listed, want 1", rejected)
-	}
-	if got := counterValue(svc.Registry(), "jobs_rejected_total",
-		map[string]string{"tenant": "b", "reason": ReasonQueueFull}); got != 1 {
-		t.Fatalf("jobs_rejected_total{b,queue_full} = %v, want 1", got)
+	if len(rejected) != 1 || rejected[0].Tenant != "b" || rejected[0].Err != rej.Error() {
+		t.Fatalf("rejected jobs listed: %+v, want tenant b's, carrying %q", rejected, rej.Error())
 	}
 	close(release)
 }
@@ -187,8 +171,8 @@ func TestDeadlineCancelsJob(t *testing.T) {
 	if info.DeadlineSec == 0 {
 		t.Fatalf("info carries no deadline: %+v", info)
 	}
-	if got := counterValue(svc.Registry(), "jobs_canceled_total", map[string]string{"tenant": "t"}); got != 1 {
-		t.Fatalf("jobs_canceled_total = %v, want 1", got)
+	if got := countJobs(svc, "t", StateCanceled); got != 1 {
+		t.Fatalf("%d canceled jobs listed, want 1", got)
 	}
 }
 
@@ -210,8 +194,8 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if info := queued.Wait(); info.State != StateCanceled {
 		t.Fatalf("queued victim finished %s, want canceled", info.State)
 	}
-	if depth := counterValue(svc.Registry(), "jobs_queue_depth", nil); depth != 0 {
-		t.Fatalf("jobs_queue_depth = %v after canceling the only queued job", depth)
+	if queued := countJobs(svc, "", StateQueued); queued != 0 {
+		t.Fatalf("%d jobs listed queued after canceling the only queued job", queued)
 	}
 
 	// Cancel the running gate; its Run returns ctx.Err().
@@ -250,8 +234,8 @@ func TestFailedJobClassification(t *testing.T) {
 	if info.State != StateFailed || info.Err != "shuffle exploded" {
 		t.Fatalf("info = %+v, want failed/shuffle exploded", info)
 	}
-	if got := counterValue(svc.Registry(), "jobs_failed_total", map[string]string{"tenant": "t"}); got != 1 {
-		t.Fatalf("jobs_failed_total = %v, want 1", got)
+	if got := countJobs(svc, "t", StateFailed); got != 1 {
+		t.Fatalf("%d failed jobs listed, want 1", got)
 	}
 }
 
@@ -365,9 +349,9 @@ func TestCloseCancelsJobBeingDispatched(t *testing.T) {
 	}
 }
 
-// TestQueueWaitMetric checks the queue-wait histogram sees one sample per
-// dispatched job and the depth gauge returns to zero.
-func TestQueueWaitMetric(t *testing.T) {
+// TestQueueWaitRecorded checks every dispatched job's listing carries its
+// queue wait and run time, and nothing is left queued.
+func TestQueueWaitRecorded(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	release, gate := gateJob(t, svc, "t")
@@ -379,19 +363,13 @@ func TestQueueWaitMetric(t *testing.T) {
 	close(release)
 	gate.Wait()
 	j.Wait()
-	var waitCount, depth float64 = -1, -1
-	for _, p := range svc.Registry().Snapshot() {
-		switch p.Name {
-		case "jobs_queue_wait_sec":
-			waitCount = float64(p.Count)
-		case "jobs_queue_depth":
-			depth = p.Value
+	list := svc.List()
+	if len(list) != 2 {
+		t.Fatalf("%d jobs listed, want 2", len(list))
+	}
+	for _, info := range list {
+		if info.State != StateDone || info.QueueWaitSec <= 0 || info.RunSec <= 0 {
+			t.Fatalf("dispatched job listed as %+v, want done with its queue wait and run time", info)
 		}
-	}
-	if waitCount != 2 {
-		t.Fatalf("jobs_queue_wait_sec count = %v, want 2", waitCount)
-	}
-	if depth != 0 {
-		t.Fatalf("jobs_queue_depth = %v, want 0", depth)
 	}
 }

@@ -181,8 +181,8 @@ func TestRunContextDeadlineStopsMidStage(t *testing.T) {
 // jobs.Service fronting one shared live Cluster takes five concurrent
 // submissions from three tenants, runs them in arrival order, sheds the
 // one past the queue bound, deadline-cancels a slow job mid-stage, and
-// still runs the next job cleanly — with /jobs state and jobs_* metrics
-// consistent throughout.
+// still runs the next job cleanly — with the /jobs table consistent
+// throughout.
 func TestJobServiceOverLiveCluster(t *testing.T) {
 	cluster, err := New(Config{Workers: 2, TasksPerWorker: 1})
 	if err != nil {
@@ -309,48 +309,23 @@ func TestJobServiceOverLiveCluster(t *testing.T) {
 		t.Fatalf("post-cancel job finished %s (err=%q), want done", info.State, info.Err)
 	}
 
-	// /jobs sees every submission in a consistent terminal state.
+	// /jobs lists every submission once, in a consistent terminal state,
+	// and each dispatched one with its queue wait and run time.
 	counts := map[jobs.State]int{}
+	dispatched := 0
 	for _, info := range svc.List() {
 		if !info.State.Terminal() {
 			t.Fatalf("job %s not terminal: %s", info.ID, info.State)
 		}
 		counts[info.State]++
+		if info.QueueWaitSec > 0 && info.RunSec > 0 {
+			dispatched++
+		}
 	}
 	wantCounts := map[jobs.State]int{
 		jobs.StateDone: 6, jobs.StateCanceled: 1, jobs.StateRejected: 1,
 	}
-	for st, n := range wantCounts {
-		if counts[st] != n {
-			t.Fatalf("state counts %v, want %v", counts, wantCounts)
-		}
-	}
-
-	// jobs_* metrics agree with the job table.
-	totals := map[string]float64{}
-	var depth float64 = -1
-	for _, p := range svc.Registry().Snapshot() {
-		switch p.Name {
-		case "jobs_submitted_total", "jobs_done_total",
-			"jobs_canceled_total", "jobs_rejected_total", "jobs_failed_total":
-			totals[p.Name] += p.Value
-		case "jobs_queue_wait_sec":
-			totals[p.Name] += float64(p.Count)
-		case "jobs_queue_depth":
-			depth = p.Value
-		}
-	}
-	wantTotals := map[string]float64{
-		"jobs_submitted_total": 8, "jobs_queue_wait_sec": 7,
-		"jobs_done_total": 6, "jobs_canceled_total": 1,
-		"jobs_rejected_total": 1, "jobs_failed_total": 0,
-	}
-	for name, want := range wantTotals {
-		if totals[name] != want {
-			t.Fatalf("%s = %v, want %v (all: %v)", name, totals[name], want, totals)
-		}
-	}
-	if depth != 0 {
-		t.Fatalf("jobs_queue_depth = %v, want 0", depth)
+	if fmt.Sprint(counts) != fmt.Sprint(wantCounts) || dispatched != 7 {
+		t.Fatalf("state counts %v with %d dispatched, want %v with 7", counts, dispatched, wantCounts)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"wanshuffle/internal/blockstore"
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
@@ -346,12 +345,8 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 // store, which keeps duplicate pushes idempotent (last-write-wins by
 // attempt) and may spill cold outputs under a memory budget.
 func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
-	_, dup, err := w.store.Put(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, out)
-	if err != nil {
+	if _, _, err := w.store.Put(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, out); err != nil {
 		return fmt.Errorf("worker %d: storing shuffle %d map %d: %w", w.id, shuffleID, mapPart, err)
-	}
-	if dup {
-		w.cluster.counter("push_duplicates_total", nil).Inc()
 	}
 	return nil
 }
@@ -425,7 +420,6 @@ func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
 			return nil, fmt.Errorf("worker %d: shuffle %d partitioner not ready", w.id, shuffleID)
 		}
 		w.bucketBuilds.Add(1)
-		w.cluster.counter("bucket_builds_total", nil).Inc()
 		return rdd.BucketRecords(spec, records), nil
 	}
 }
@@ -481,7 +475,6 @@ func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, 
 		return 0, fmt.Errorf("livecluster: push %d/%d to worker %d: %w", shuffleID, mapPart, dst, err)
 	}
 	w.tel.op(reqPushChunk)
-	w.cluster.counter("push_chunks_total", nil).Add(int64(sent.chunks))
 	return sent.raw, nil
 }
 
@@ -512,7 +505,6 @@ func (w *worker) fetch(holder, shuffleID, mapPart, reduce int, sc spanCtx) ([][]
 		return nil, 0, fmt.Errorf("livecluster: fetch %d/%d/%d from worker %d: %w", shuffleID, mapPart, reduce, holder, err)
 	}
 	w.tel.op(reqFetchStream)
-	w.cluster.counter("fetch_chunks_total", nil).Add(int64(got.chunks))
 	return out, got.raw, nil
 }
 
@@ -543,14 +535,4 @@ func intact(err error) bool {
 	var remote remoteError // declared on the failure path only: they escape
 	var local localError
 	return errors.As(err, &remote) || errors.As(err, &local)
-}
-
-// counter resolves a run-scoped metrics counter; nil (a no-op counter)
-// between jobs. Registry writes are thread-safe and do not affect the
-// byte-conservation invariant, so workers update them directly.
-func (c *Cluster) counter(name string, labels obs.Labels) *obs.Counter {
-	if run := c.curRun.Load(); run != nil {
-		return run.stats.Events.Registry().Counter(name, labels)
-	}
-	return nil
 }

@@ -1,9 +1,8 @@
 package obs
 
 // MetricDoc is one row of the metrics catalogue: a series /metrics serves,
-// either a run-report field (ReportPoints) or a metric some part of the
-// repo keeps in a Registry, with the type and label names it is served
-// under, the backends that serve it and what it counts.
+// each a run-report field (ReportPoints), with the type and label names it
+// is served under, the backends that serve it and what it counts.
 type MetricDoc struct{ Name, Type, Labels, Backends, Meaning string }
 
 // Catalogue documents every metric the repo emits. README's metrics
@@ -28,16 +27,4 @@ var Catalogue = []MetricDoc{
 	{"report_storage_reload_bytes_total", "gauge", "—", "live", "spilled bytes read back over the run"},
 	{"report_link_throughput_bps", "gauge", "`src`, `dst`", "both", "the network section's EWMA link throughput per site pair (`internal/netobs`)"},
 	{"report_link_samples", "gauge", "`src`, `dst`", "both", "transfer samples folded into each pair's estimate"},
-	{"push_chunks_total", "counter", "—", "live", "data chunks of pushes, exchanges that crossed a socket (a map output made on its aggregator installs directly), counted once the push succeeded"},
-	{"fetch_chunks_total", "counter", "—", "live", "data chunks of fetches, exchanges that crossed a socket (a reducer reads what its own worker holds directly), counted once the fetch succeeded"},
-	{"push_duplicates_total", "counter", "—", "live", "duplicate pushes dropped (retried attempts)"},
-	{"bucket_builds_total", "counter", "—", "live", "deferred whole-output bucketing passes"},
-	{"jobs_submitted_total", "counter", "`tenant`", "both", "job submissions received (queued or rejected)"},
-	{"jobs_rejected_total", "counter", "`tenant`, `reason`", "both", "submissions shed at admission (`queue_full` / `closed`)"},
-	{"jobs_done_total", "counter", "`tenant`", "both", "jobs that finished successfully"},
-	{"jobs_failed_total", "counter", "`tenant`", "both", "jobs that finished with a non-cancellation error"},
-	{"jobs_canceled_total", "counter", "`tenant`", "both", "jobs canceled (explicitly, by deadline, or at shutdown)"},
-	{"jobs_queue_depth", "gauge", "—", "both", "jobs currently queued"},
-	{"jobs_queue_wait_sec", "histogram", "—", "both", "time from submission to dispatch"},
-	{"jobs_run_sec", "histogram", "—", "both", "running-state duration of dispatched jobs"},
 }

@@ -79,9 +79,9 @@ type PhaseCounts struct {
 // Collector is the standard Sink: it records every event once, in one
 // unified log, and tallies it (Counts). Subscribers receive the live event
 // stream for tailing. Beside the log it keeps the run's one record of its
-// placement decisions, and it carries the run's metrics registry for the
-// live counters no report holds. A nil *Collector discards everything, so
-// callers need no enabled checks.
+// placement decisions, and it carries a metrics registry, which only
+// perf/'s probes write (ROADMAP 1(b)). A nil *Collector discards
+// everything, so callers need no enabled checks.
 type Collector struct {
 	reg *Registry
 	log Log[Event]

@@ -3,10 +3,10 @@
 // executions comparable field-by-field and is a run's one record of what it
 // did, a task-lifecycle event sink threaded through the planner's Driver
 // and both execution backends, and a lightweight metrics registry
-// (counters, gauges, histograms with label support) for the few live
-// counters no report holds. /metrics renders both in the Prometheus text
-// format (prom.go): the report as report_* gauges (ReportPoints), then the
-// registry.
+// (counters, gauges, histograms with label support). /metrics renders the
+// report in the Prometheus text format (prom.go), as report_* gauges
+// (ReportPoints). No run writes the registry: it stays because perf/'s
+// probes do (ROADMAP 1(b)).
 //
 // The package sits below internal/plan in the dependency order: plan's
 // Backend interface embeds Sink, so the Driver reports every task

@@ -67,8 +67,7 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 
 	events := c.Engine().Events
 	ts := httptest.NewServer(Handler(Config{
-		Registry: events.Registry,
-		Events:   func() *obs.Collector { return events },
+		Events: func() *obs.Collector { return events },
 		// The snapshot wansim serves: the link matrix is read while the
 		// event loop feeds the estimator.
 		Report: func() *obs.Report {

@@ -1,9 +1,9 @@
 // Package telemetry is the live observability plane: an HTTP server that
 // exposes a point-in-time canonical run-report snapshot, the same report
-// in Prometheus text exposition format (plus the live counters no report
-// holds), a streaming NDJSON tail of the task-lifecycle event log, the
-// causal trace spans, and the Go runtime's pprof profiles — the monitoring
-// counterpart to internal/obs's post-mortem report. Each run fact is
+// in Prometheus text exposition format, a streaming NDJSON tail of the
+// task-lifecycle event log, the causal trace spans, and the Go runtime's
+// pprof profiles — the monitoring counterpart to internal/obs's
+// post-mortem report. Each run fact is
 // recorded once, in the report: /metrics renders the report /report
 // serves, so the two cannot disagree. Both backends serve through it: the
 // simulator scrapes its engine's collector while the event loop runs, and
@@ -28,8 +28,9 @@ import (
 // cluster creates a fresh Stats per job); a function returning nil makes
 // its endpoint respond 503 until state exists.
 type Config struct {
-	// Registry holds the live counters GET /metrics serves after the
-	// report's gauges.
+	// Registry holds counters GET /metrics serves after the report's
+	// gauges. No run of the system wires it; it stays because perf/'s
+	// scrape probe does (ROADMAP 1(b)).
 	Registry func() *obs.Registry
 	// Report backs GET /report: a point-in-time run-report snapshot
 	// (its network section is the link estimate matrix) while the job
@@ -67,7 +68,7 @@ func Handler(cfg Config) http.Handler {
 			}
 		}
 		fmt.Fprint(w, "wanshuffle telemetry\n\n")
-		list(cfg.Registry != nil || cfg.Report != nil, "GET /metrics      Prometheus text exposition of the run report and live counters\n")
+		list(cfg.Registry != nil || cfg.Report != nil, "GET /metrics      Prometheus text exposition of the run report\n")
 		list(cfg.Report != nil, "GET /report       point-in-time wanshuffle/run-report/v1 snapshot (JSON)\n")
 		list(cfg.Events != nil, "GET /events       task-lifecycle event stream (NDJSON, streams until closed)\n")
 		list(cfg.Trace != nil, "GET /trace        causal trace spans recorded so far (NDJSON)\n")

@@ -48,11 +48,11 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 }
 
 // TestMetricsEndpoint pins /metrics' one rendering: the report /report
-// serves, as report_* gauges, then the registry's live counters — and
-// either source alone is enough to answer.
+// serves, as report_* gauges, then the registry's counters — and either
+// source alone is enough to answer.
 func TestMetricsEndpoint(t *testing.T) {
 	c := testCollector()
-	c.Registry().Counter("push_chunks_total", nil).Add(3)
+	c.Registry().Counter("probe_total", nil).Add(3)
 	report := func() *obs.Report { return obs.InProgressReport("sim", "wordcount", "AggShuffle", c) }
 	ts := newTestServer(t, Config{Registry: c.Registry, Report: report})
 	code, body, hdr := get(t, ts.URL+"/metrics")
@@ -66,13 +66,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE report_task_attempts gauge\nreport_task_attempts 1\n",
 		"report_stages_done 1\n",
 		`report_stage_duration_sec{stage="map"} 1.5` + "\n",
-		"# TYPE push_chunks_total counter\npush_chunks_total 3\n",
+		"# TYPE probe_total counter\nprobe_total 3\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics body missing %q:\n%s", want, body)
 		}
 	}
-	if strings.Index(body, "report_") > strings.Index(body, "push_chunks_total") {
+	if strings.Index(body, "report_") > strings.Index(body, "probe_total") {
 		t.Errorf("the registry renders before the report:\n%s", body)
 	}
 	for name, cfg := range map[string]Config{
@@ -225,8 +225,7 @@ func TestIndexAndNotFound(t *testing.T) {
 
 // TestIndexListsWiredEndpointsOnly holds the index to what answers: an
 // endpoint whose source is not wired would answer 503 for the life of the
-// server (the job service wires neither /report nor /trace), so the index
-// does not list it.
+// server, so the index does not list it.
 func TestIndexListsWiredEndpointsOnly(t *testing.T) {
 	c := testCollector()
 	for _, tc := range []struct {
@@ -236,7 +235,7 @@ func TestIndexListsWiredEndpointsOnly(t *testing.T) {
 		not    []string
 	}{
 		{"nothing wired", Config{}, nil, []string{"GET /metrics", "GET /report", "GET /events", "GET /trace", "GET /jobs"}},
-		{"job service", Config{Registry: c.Registry, Events: func() *obs.Collector { return c }, Jobs: http.NotFoundHandler()},
+		{"no report or trace", Config{Registry: c.Registry, Events: func() *obs.Collector { return c }, Jobs: http.NotFoundHandler()},
 			[]string{"GET /metrics", "GET /events", "GET /jobs"}, []string{"GET /report", "GET /trace"}},
 		{"one run", Config{Report: func() *obs.Report { return nil }, Trace: func() []trace.Span { return nil }},
 			[]string{"GET /metrics", "GET /report", "GET /trace"}, []string{"GET /events", "GET /jobs"}},
