@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/netobs"
@@ -164,9 +165,8 @@ type Engine struct {
 }
 
 type cachedPart struct {
-	host    topology.HostID
-	records []rdd.Pair
-	modeled float64
+	host topology.HostID
+	partData
 }
 
 // New builds an engine over a fresh simulated cluster.
@@ -505,9 +505,7 @@ func (e *Engine) report(job *jobState) *Result {
 		}
 	}
 	if job.action == ActionCollect || job.action == ActionSave {
-		for _, part := range job.resultRecords {
-			res.Records = append(res.Records, part...)
-		}
+		res.Records = slices.Concat(job.resultRecords...) // allocated once at its final size
 	}
 	for _, ss := range job.stages {
 		res.Stages = append(res.Stages, ss.span)

@@ -8,14 +8,14 @@ import (
 	"wanshuffle/internal/topology"
 )
 
-// partData is a materialized partition: real records plus their modeled
-// size at workload scale.
+// partData is a materialized partition: real records, their real size
+// (rdd.SizeOfAll of the records, summed once where the records are made) and
+// their modeled size at workload scale.
 type partData struct {
 	records []rdd.Pair
+	real    float64
 	modeled float64
 }
-
-func (p partData) realBytes() float64 { return rdd.SizeOfAll(p.records) }
 
 // scaleTo returns the modeled size of output records derived from inputs
 // with the given real/modeled sizes, preserving the modeled:real ratio.
@@ -92,14 +92,122 @@ func (e *Engine) storeCache(node *rdd.RDD, part int, host topology.HostID, data 
 		e.cache[node.ID] = parts
 	}
 	if parts[part] == nil {
-		parts[part] = &cachedPart{host: host, records: data.records, modeled: data.modeled}
+		parts[part] = &cachedPart{host: host, partData: data}
 	}
 }
 
 // evaluate computes partition part of node on host, reading boundary data
 // from bound, charging modeled compute bytes to cost. Shuffle boundaries
 // must already be present in bound (the acquire step aggregates them).
+//
+// Every operator is priced on its own input and output sizes, but a chain of
+// per-record operators is not materialised operator by operator: the records
+// of the chain's base stream through the composed operators into one output
+// slice sized from the base, and meter sums each operator's output size as
+// they pass.
 func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) partData {
+	ops, base := e.chain(node, part, host, bound, cost)
+	if len(ops) == 0 {
+		return base
+	}
+	recs := make([]rdd.Pair, 0, len(base.records))
+	out := meter(ops, base, cost, func(p rdd.Pair) { recs = append(recs, p) })
+	out.records = recs
+	return out
+}
+
+// chain walks down from node through the operators that run record by
+// record — a per-record operator (rdd.RDD.Each) or a transfer node (an
+// identity) that reads exactly one parent partition and is neither bound nor
+// Cached — and materialises the first node that is not one. It returns the
+// walked operators bottom-up, and the materialised base they read.
+func (e *Engine) chain(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) ([]*rdd.RDD, partData) {
+	var ops []*rdd.RDD
+	for {
+		parent, parentPart, ok := streamParent(node, part, bound)
+		if !ok {
+			break
+		}
+		ops = append(ops, node)
+		node, part = parent, parentPart
+	}
+	slices.Reverse(ops)
+	return ops, e.materialise(node, part, host, bound, cost)
+}
+
+// streamParent returns the one parent partition that partition part of node
+// reads, if node can run record by record on it.
+func streamParent(node *rdd.RDD, part int, bound map[int]partData) (*rdd.RDD, int, bool) {
+	if node.Each == nil && node.Transfer == nil || node.Cached {
+		return nil, 0, false
+	}
+	if _, ok := bound[node.ID]; ok {
+		return nil, 0, false
+	}
+	var parent *rdd.RDD
+	parentPart := 0
+	for di := range node.Deps {
+		d := &node.Deps[di]
+		if d.Mapping == nil {
+			if parent != nil {
+				return nil, 0, false
+			}
+			parent, parentPart = d.Parent, part
+			continue
+		}
+		for _, pi := range d.Mapping(part) {
+			if parent != nil {
+				return nil, 0, false
+			}
+			parent, parentPart = d.Parent, pi
+		}
+	}
+	return parent, parentPart, parent != nil
+}
+
+// meter streams base's records through ops, bottom-up, into emit, and sizes
+// and charges each operator as materialising it would (the returned partData
+// has the last operator's sizes and no records): its real output size
+// is the sum of rdd.SizeOf over its output records in order (the sum
+// rdd.SizeOfAll would make of its output slice), its modeled output is
+// scaled from its input, and its modeled input is charged to cost, bottom-up.
+// A transfer node passes records through as they are, so its output size is
+// its input's, and it costs network time, not CPU.
+func meter(ops []*rdd.RDD, base partData, cost *float64, emit func(rdd.Pair)) partData {
+	sums := make([]float64, len(ops)) // each operator's real output bytes so far
+	for k := len(ops) - 1; k >= 0; k-- {
+		each := ops[k].Each
+		if each == nil {
+			continue
+		}
+		next := emit
+		metered := func(p rdd.Pair) {
+			sums[k] += rdd.SizeOf(p)
+			next(p)
+		}
+		emit = func(p rdd.Pair) { each(p, metered) }
+	}
+	for _, p := range base.records {
+		emit(p)
+	}
+	out := partData{real: base.real, modeled: base.modeled}
+	for k, op := range ops {
+		outReal := out.real
+		if op.Each != nil {
+			outReal = sums[k]
+		}
+		if op.Transfer == nil {
+			*cost += out.modeled
+		}
+		out = partData{real: outReal, modeled: scaleTo(outReal, out.real, out.modeled)}
+	}
+	return out
+}
+
+// materialise computes a node that does not run record by record: boundary
+// data, a cached partition, a leaf, or a narrow node over its whole input
+// (MapPartitions, several parent partitions, a Cached node).
+func (e *Engine) materialise(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) partData {
 	if d, ok := bound[node.ID]; ok {
 		// Boundary data (e.g. a pushed partition at a receiver) can still
 		// be cache-marked: "cache after all data is aggregated in a
@@ -108,11 +216,11 @@ func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound m
 		return d
 	}
 	if cp := e.cachedPart(node, part); cp != nil {
-		return partData{records: cp.records, modeled: cp.modeled}
+		return cp.partData
 	}
 	if len(node.Deps) == 0 {
 		in := node.Input[part]
-		return partData{records: in.Records, modeled: in.ModeledBytes}
+		return partData{records: in.Records, real: rdd.SizeOfAll(in.Records), modeled: in.ModeledBytes}
 	}
 	if node.Deps[0].Kind == rdd.DepShuffle {
 		panic(fmt.Sprintf("exec: shuffle boundary %q not acquired before evaluation", node.Name))
@@ -128,10 +236,11 @@ func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound m
 		}
 	}
 	outRecs := node.Narrow(part, in)
-	inReal := rdd.SizeOfAll(in)
+	outReal := rdd.SizeOfAll(outRecs)
 	out := partData{
 		records: outRecs,
-		modeled: scaleTo(rdd.SizeOfAll(outRecs), inReal, inModeled),
+		real:    outReal,
+		modeled: scaleTo(outReal, rdd.SizeOfAll(in), inModeled),
 	}
 	if node.Transfer == nil {
 		// Transfer nodes are identity pass-throughs; they cost network
@@ -160,9 +269,11 @@ func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID,
 	if node.PostShuffle != nil {
 		agg = node.PostShuffle(part, agg)
 	}
+	outReal := rdd.SizeOfAll(agg)
 	out := partData{
 		records: agg,
-		modeled: scaleTo(rdd.SizeOfAll(agg), inReal, modeled),
+		real:    outReal,
+		modeled: scaleTo(outReal, inReal, modeled),
 	}
 	*cost += modeled
 	e.storeCache(node, part, host, out)

@@ -517,19 +517,14 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 			}
 		}
 	}
-	out := e.evaluate(phase.Top, t.part, host, bound, &cost)
-
 	// Map-side combine runs before the push when it can (Sec. IV-C3): at the
 	// end of the last phase that computes anything, whether it runs on the
 	// mapper, inline or as a receiver.
+	var combine *rdd.ShuffleSpec
 	if spec := st.OutSpec; spec != nil && spec.CombinesMapSide() && t.phase == max(t.ss.startPhase, combinePhase(st)) {
-		combined := rdd.MapSidePrepare(spec, out.records)
-		cost += out.modeled * 0.2 // combine pass over the map output
-		out = partData{
-			records: combined,
-			modeled: scaleTo(rdd.SizeOfAll(combined), out.realBytes(), out.modeled),
-		}
+		combine = spec
 	}
+	out := e.phaseOutput(phase.Top, t.part, host, bound, combine, &cost)
 
 	dur := cost / e.cfg.ComputeBps * e.noise()
 	computeStart := e.Clock.Now()
@@ -576,6 +571,24 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 		e.trace(sp)
 		e.postPhase(t, host, out, bound, release, start)
 	})
+}
+
+// phaseOutput computes what a task phase hands on: partition part of top,
+// folded by combine's map-side combine when combine is not nil. The combine
+// is pipelined with the phase's chain: its records stream straight into the
+// combiner, so the uncombined map output is never built, and the combine
+// pass is charged on the uncombined output's modeled size.
+func (e *Engine) phaseOutput(top *rdd.RDD, part int, host topology.HostID, bound map[int]partData, combine *rdd.ShuffleSpec, cost *float64) partData {
+	if combine == nil {
+		return e.evaluate(top, part, host, bound, cost)
+	}
+	c := rdd.NewCombiner(combine.Combine)
+	ops, base := e.chain(top, part, host, bound, cost)
+	in := meter(ops, base, cost, c.Add)
+	*cost += in.modeled * 0.2 // combine pass over the map output
+	combined := c.Sorted()
+	outReal := rdd.SizeOfAll(combined)
+	return partData{records: combined, real: outReal, modeled: scaleTo(outReal, in.real, in.modeled)}
 }
 
 // combinePhase is the phase after which only transfers remain: a phase

@@ -50,11 +50,7 @@ func valueSize(v Value) float64 {
 	case int, int32, int64, uint64, float64, float32:
 		return 8
 	case []Value:
-		s := float64(sliceOverhead)
-		for _, e := range x {
-			s += valueSize(e)
-		}
-		return s
+		return valuesSize(x)
 	case []string:
 		s := float64(sliceOverhead)
 		for _, e := range x {
@@ -64,12 +60,22 @@ func valueSize(v Value) float64 {
 	case []float64:
 		return float64(sliceOverhead + 8*len(x))
 	case [2][]Value:
-		return valueSize(x[0]) + valueSize(x[1])
+		return valuesSize(x[0]) + valuesSize(x[1])
 	case Sized:
 		return x.SizeBytes()
 	default:
 		panic(fmt.Sprintf("rdd: SizeOf does not understand %T; implement rdd.Sized", v))
 	}
+}
+
+// valuesSize sizes a []Value. It takes the slice as it is, so sizing the
+// halves of a [2][]Value does not box each into a Value.
+func valuesSize(vs []Value) float64 {
+	s := float64(sliceOverhead)
+	for _, e := range vs {
+		s += valueSize(e)
+	}
+	return s
 }
 
 // Sized lets workload-specific value types report their serialized size.

@@ -200,8 +200,8 @@ func (r *RDD) narrowChild(name string, fn NarrowFn) *RDD {
 
 // eachChild builds the narrow RDD of a per-record operator. Its Narrow is
 // derived from each, so the two forms cannot disagree: an evaluator that
-// wants every operator's output on its own (exec's cost model, EvalLocal)
-// calls Narrow, one that only wants the end of the chain composes Each.
+// wants every operator's output as a slice (EvalLocal) calls Narrow, one that
+// streams a chain (plan's, exec's metered one) composes Each.
 func (r *RDD) eachChild(name string, each EachFn) *RDD {
 	child := r.narrowChild(name, func(_ int, in []Pair) []Pair {
 		out := make([]Pair, 0, len(in))

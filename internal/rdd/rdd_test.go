@@ -318,6 +318,19 @@ func TestSizeOfCoversTypes(t *testing.T) {
 	}
 }
 
+// A join or cogroup record's value is a [2][]Value: sizing its halves boxes
+// neither into a Value, so sizing the record allocates nothing.
+func TestSizeOfJoinRecordAllocatesNothing(t *testing.T) {
+	p := KV("k", [2][]Value{{1, "ab"}, nil})
+	var got float64
+	if allocs := testing.AllocsPerRun(100, func() { got = SizeOf(p) }); allocs != 0 {
+		t.Errorf("SizeOf of a [2][]Value record made %v allocations, want 0", allocs)
+	}
+	if want := float64(1 + (24 + 8 + 2) + 24 + 16); got != want {
+		t.Errorf("SizeOf = %v, want %v", got, want)
+	}
+}
+
 func TestSizeOfUnknownTypePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
