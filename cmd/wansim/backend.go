@@ -12,10 +12,10 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// backend is the one seam between the run paths and an execution
+// backend is the one seam between the run path and an execution
 // substrate: one job's worth of either the simulator or the live cluster.
-// runOnce and runServe build a workload on lineage, call run, and read the
-// mid-run sources; neither knows which substrate is behind the value.
+// runOnce builds a workload on lineage, calls run, and reads the mid-run
+// sources; it does not know which substrate is behind the value.
 type backend struct {
 	// lineage is where the job's workload builds its RDD graph (the sim
 	// backend also executes on it).
@@ -35,21 +35,18 @@ type backend struct {
 	events   func() *obs.Collector
 }
 
-// openBackend returns the per-job backend constructor for o's mode, plus
-// the release of whatever the constructor shares across jobs. The
-// simulator builds a fresh engine per job (a canceled simulation cannot be
-// resumed); the live cluster is built once and shared, so its link
-// estimator keeps learning across a service's jobs.
-func openBackend(o *options) (open func(seed int64) *backend, release func(), err error) {
+// openBackend returns the backend for o's mode, plus the release of what
+// it holds open (the live cluster).
+func openBackend(o *options) (b *backend, release func(), err error) {
 	if !o.live {
-		return func(seed int64) *backend { return newSimBackend(o, seed) }, func() {}, nil
+		return newSimBackend(o), func() {}, nil
 	}
 	return openLiveBackend(o)
 }
 
-func newSimBackend(o *options, seed int64) *backend {
+func newSimBackend(o *options) *backend {
 	cctx := core.NewContext(core.Config{
-		Seed: seed, Scheme: o.scheme,
+		Seed: o.seed, Scheme: o.scheme,
 		Exec: exec.Config{Trace: o.trace(), AggregatorPolicy: o.aggregator},
 	})
 	eng := cctx.Engine()
@@ -76,7 +73,7 @@ func newSimBackend(o *options, seed int64) *backend {
 	}
 }
 
-func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
+func openLiveBackend(o *options) (*backend, func(), error) {
 	var tracer *trace.Recorder
 	if o.trace() {
 		tracer = &trace.Recorder{}
@@ -94,7 +91,10 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 	// Mid-run sources read the running job's stats: a snapshot built by the
 	// same RunReport code path as the final report, so its traffic matrix
 	// always sums to the bytes moved so far.
-	shared := backend{
+	b := &backend{
+		// This context only constructs the workload's RDD graph; execution
+		// happens on the cluster.
+		lineage: core.NewContext(core.Config{Seed: o.seed, Scheme: o.scheme}),
 		run: func(ctx context.Context, workload string, target *rdd.RDD) ([]rdd.Pair, *obs.Report, error) {
 			out, stats, err := cluster.RunContext(ctx, target)
 			if err != nil {
@@ -117,16 +117,5 @@ func openLiveBackend(o *options) (func(seed int64) *backend, func(), error) {
 			return nil
 		},
 	}
-	open := func(seed int64) *backend {
-		// The recorder outlives a job; jobs run one at a time, so clearing
-		// it here keeps each report to its own job's spans and a long-lived
-		// service's memory flat.
-		tracer.Reset()
-		b := shared
-		// This context only constructs the workload's RDD graph; execution
-		// happens on the cluster.
-		b.lineage = core.NewContext(core.Config{Seed: seed, Scheme: o.scheme})
-		return &b
-	}
-	return open, cluster.Close, nil
+	return b, cluster.Close, nil
 }

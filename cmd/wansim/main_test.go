@@ -223,12 +223,6 @@ func TestIneffectiveFlagsWarn(t *testing.T) {
 		want string
 	}{
 		{"linger without telemetry", []string{"-telemetry-linger", "1ms"}, "-telemetry-linger 1ms has no effect without -telemetry-addr"},
-		{"single-run flags under serve",
-			[]string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-workload", "sort", "-gantt", "-chrome", "x.json", "-matrix", "-report", "x.json", "-validate"},
-			"-chrome, -gantt, -matrix, -report, -validate, -workload has no effect with -serve"},
-		{"linger under serve",
-			[]string{"-serve", "-telemetry-addr", "127.0.0.1:0", "-telemetry-linger", "30s"},
-			"-telemetry-linger has no effect with -serve"},
 		{"live-only flags without live",
 			[]string{"-compress", "flate", "-chunk-records", "64", "-dial-timeout", "1s", "-io-timeout", "1s",
 				"-memory-budget", "4KB", "-spill-dir", "spill", "-topology", "micro"},

@@ -16,8 +16,8 @@ import (
 	"wanshuffle/internal/workloads"
 )
 
-// options is every flag, parsed and validated once. Sim, live and -serve
-// all run from this one value; nothing downstream re-checks a flag.
+// options is every flag, parsed and validated once. Sim and live runs both
+// run from this one value; nothing downstream re-checks a flag.
 type options struct {
 	workload   *workloads.Workload
 	scheme     core.Scheme
@@ -27,7 +27,7 @@ type options struct {
 	live       bool
 	mode       livecluster.Mode // the scheme's live mechanism; set with -live
 
-	// What a single run does with its result (-serve ignores these).
+	// What the run does with its result.
 	gantt, matrix, validate bool
 	chrome, report          string
 
@@ -42,10 +42,6 @@ type options struct {
 	memoryBudget           int64
 	spillDir               string
 	topology               *topology.Topology
-
-	// Job service.
-	serve    bool
-	maxQueue int
 }
 
 // trace reports whether anything will read spans: the timeline flags, the
@@ -84,17 +80,7 @@ func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs.StringVar(&raw.memoryBudget, "memory-budget", "", "-live per-worker resident budget for stored shuffle blocks, e.g. 64KB or 16MiB; beyond it the coldest outputs spill to disk (empty = unlimited)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "-live directory for spilled shuffle blocks (empty = OS temp dir)")
 	fs.StringVar(&raw.topology, "topology", "", "-live WAN preset pacing the loopback data plane at its inter-DC rates: ec2 | micro (empty = unshaped)")
-	fs.BoolVar(&o.serve, "serve", false, "run as a job service: workloads arrive as JSON over POST /jobs on -telemetry-addr (required) and run one at a time, in arrival order")
-	fs.IntVar(&o.maxQueue, "max-queue", 16, "-serve bound on queued jobs; submissions beyond it get HTTP 429 (must be positive)")
 	return fs
-}
-
-// singleRunFlags are the flags only a single run reads; -serve warns when
-// one is set, since jobs name their own workload, reports are retained per
-// job, and the service serves until it is stopped.
-var singleRunFlags = map[string]bool{
-	"workload": true, "gantt": true, "chrome": true, "matrix": true,
-	"report": true, "validate": true, "telemetry-linger": true,
 }
 
 // liveOnlyFlags are the flags only the live cluster reads; a run without
@@ -141,13 +127,8 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 		}
 	}
 
-	for _, c := range []struct {
-		name string
-		v    int
-	}{{"-chunk-records", o.chunkRecords}, {"-max-queue", o.maxQueue}} {
-		if c.v <= 0 {
-			return nil, fmt.Errorf("%s must be positive, got %d", c.name, c.v)
-		}
+	if o.chunkRecords <= 0 {
+		return nil, fmt.Errorf("-chunk-records must be positive, got %d", o.chunkRecords)
 	}
 	if o.memoryBudget, err = parseByteSize("-memory-budget", raw.memoryBudget); err != nil {
 		return nil, err
@@ -161,15 +142,9 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 	if o.linger < 0 {
 		return nil, fmt.Errorf("-telemetry-linger must not be negative, got %v", o.linger)
 	}
-	if o.serve && o.telemetryAddr == "" {
-		return nil, fmt.Errorf("-serve requires -telemetry-addr: submissions arrive over HTTP")
-	}
 
 	if o.linger > 0 && o.telemetryAddr == "" {
 		fmt.Fprintf(stderr, "wansim: warning: -telemetry-linger %v has no effect without -telemetry-addr\n", o.linger)
-	}
-	if o.serve {
-		warnSet(fs, stderr, singleRunFlags, "has no effect with -serve (each job names its workload, its report is at /jobs/{id}/report, and the service serves until stopped)")
 	}
 	if !o.live {
 		warnSet(fs, stderr, liveOnlyFlags, "has no effect without -live (the simulator models the data plane and its WAN itself)")

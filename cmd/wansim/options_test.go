@@ -13,8 +13,8 @@ import (
 // not add, drop or rename a flag.
 func TestFlagSetUnchanged(t *testing.T) {
 	want := strings.Fields(`aggregator chrome chunk-records compress dial-timeout gantt
-		io-timeout live matrix max-queue memory-budget
-		report scale scheme seed serve spill-dir telemetry-addr
+		io-timeout live matrix memory-budget
+		report scale scheme seed spill-dir telemetry-addr
 		telemetry-linger topology validate workload`)
 	var got []string
 	newFlagSet(&options{}, &rawFlags{}).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/telemetry"
-	"wanshuffle/internal/trace"
 	"wanshuffle/internal/workloads"
 )
 
@@ -22,16 +20,15 @@ import (
 // result: telemetry while it runs, the printed summary, then whatever of
 // -matrix/-gantt/-chrome/-report/-validate was asked for.
 func runOnce(ctx context.Context, o *options, stdout io.Writer) error {
-	open, release, err := openBackend(o)
+	b, release, err := openBackend(o)
 	if err != nil {
 		return err
 	}
 	defer release()
-	j := &job{backend: open(o.seed), workload: o.workload.Name}
-	b := j.backend
+	j := &job{backend: b, workload: o.workload.Name}
 	inst := o.workload.Make(b.lineage, workloads.Options{Seed: o.seed, Scale: o.scale})
 
-	tel, stopTelemetry, err := startTelemetry(o, stdout, func() *job { return j }, nil)
+	tel, stopTelemetry, err := startTelemetry(o, stdout, j)
 	if err != nil {
 		return err
 	}
@@ -97,8 +94,7 @@ func (j *job) run(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, *obs.Report
 
 // report is the job's run report as it stands: the backend's in-progress
 // snapshot until the run returns, then the final report itself — the same
-// object -report writes and the job service keeps, so file, /report and
-// /jobs/{id}/report are byte-identical.
+// object -report writes, so the file and /report are byte-identical.
 func (j *job) report() *obs.Report {
 	if rep := j.final.Load(); rep != nil {
 		return rep
@@ -107,19 +103,17 @@ func (j *job) report() *obs.Report {
 }
 
 // startTelemetry brings the telemetry endpoint up on -telemetry-addr and
-// announces its URL. Its /report, /metrics, /events and /trace serve the
-// job cur returns — nil, before a service's first job, answers 503 — and
-// jobsAPI, when not nil, is mounted as /jobs. Without an address it starts
-// nothing: the server is nil and stop does nothing.
-func startTelemetry(o *options, stdout io.Writer, cur func() *job, jobsAPI http.Handler) (tel *telemetry.Server, stop func(), err error) {
+// announces its URL. Its /report, /metrics, /events and /trace serve j.
+// Without an address it starts nothing: the server is nil and stop does
+// nothing.
+func startTelemetry(o *options, stdout io.Writer, j *job) (tel *telemetry.Server, stop func(), err error) {
 	if o.telemetryAddr == "" {
 		return nil, func() {}, nil
 	}
 	cfg := telemetry.Config{
-		Report: current(cur, (*job).report),
-		Events: current(cur, func(j *job) *obs.Collector { return j.backend.events() }),
-		Trace:  current(cur, func(j *job) []trace.Span { return j.backend.tracer.Spans() }),
-		Jobs:   jobsAPI,
+		Report: j.report,
+		Events: j.backend.events,
+		Trace:  j.backend.tracer.Spans,
 	}
 	if tel, err = telemetry.Start(o.telemetryAddr, cfg); err != nil {
 		return nil, nil, err
@@ -127,17 +121,6 @@ func startTelemetry(o *options, stdout io.Writer, cur func() *job, jobsAPI http.
 	fmt.Fprintf(stdout, "telemetry: serving at %s (GET / lists its endpoints)\n", tel.URL())
 	// The process is done serving; nothing to do about a close error.
 	return tel, func() { _ = tel.Close() }, nil
-}
-
-// current turns a read of the job into a telemetry source: it reads the job
-// cur returns, and is nil while there is none.
-func current[T any](cur func() *job, read func(*job) T) func() T {
-	return func() (v T) {
-		if j := cur(); j != nil {
-			v = read(j)
-		}
-		return v
-	}
 }
 
 // writeFile creates path and fills it through write.

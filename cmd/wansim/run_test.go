@@ -18,7 +18,7 @@ func f64(v float64) *float64 { return &v }
 // live one's shape: before a job has moved a byte its snapshot already has
 // the network section, one entry per configured cross-DC pair.
 func TestSimSnapshotCarriesNetwork(t *testing.T) {
-	rep, _ := simRun(t, []string{"-scale", "0.02"}, 1, 0)
+	rep, _ := simRun(t, []string{"-scale", "0.02"}, 0)
 	if rep.Network == nil || len(rep.Network.Links) == 0 {
 		t.Fatalf("sim snapshot network section = %+v, want the configured pairs", rep.Network)
 	}
@@ -26,14 +26,14 @@ func TestSimSnapshotCarriesNetwork(t *testing.T) {
 
 // simRun runs the workload args name on a fresh simulator backend and
 // takes the backend's mid-run snapshot at virtual time at.
-func simRun(t *testing.T, args []string, seed int64, at float64) (mid, final *obs.Report) {
+func simRun(t *testing.T, args []string, at float64) (mid, final *obs.Report) {
 	o, err := parseOptions(args, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newSimBackend(o, seed)
+	b := newSimBackend(o)
 	b.lineage.Engine().Clock.At(at, func() { mid = b.snapshot(o.workload.Name) })
-	inst := o.workload.Make(b.lineage, workloads.Options{Seed: seed, Scale: o.scale})
+	inst := o.workload.Make(b.lineage, workloads.Options{Seed: o.seed, Scale: o.scale})
 	if _, final, err = b.run(context.Background(), o.workload.Name, inst.Target); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func simRun(t *testing.T, args []string, seed int64, at float64) (mid, final *ob
 // naivebayes has made the first of its two aggregator decisions, and the
 // simulator's mid-run /report carries exactly that one, as live does.
 func TestSimSnapshotCarriesPlacement(t *testing.T) {
-	mid, final := simRun(t, []string{"-workload", "naivebayes", "-scheme", "agg", "-scale", "0.05"}, 1, 0.5)
+	mid, final := simRun(t, []string{"-workload", "naivebayes", "-scheme", "agg", "-scale", "0.05"}, 0.5)
 	p := final.Placement
 	if p == nil || len(p.Decisions) != 2 || !reflect.DeepEqual(mid.Placement, &obs.PlacementStats{Policy: p.Policy, Decisions: p.Decisions[:1]}) {
 		t.Fatalf("mid-run placement section = %+v, want the first decision of the final %+v", mid.Placement, p)

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,11 +10,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"wanshuffle/internal/jobs"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/trace"
 )
@@ -89,9 +86,9 @@ func pollSpans(t *testing.T, url, prefix string) {
 // and checks each run's report — and where the feature has one, its
 // telemetry endpoint mid-run — for what the feature promises. Every run
 // serves telemetry, and its /metrics is scraped once the run is over.
-// Between them the runs cover a sim run, live runs and a -serve run, so the
-// last step holds the metric names their /metrics served against
-// obs.Catalogue, README's source.
+// Between them the runs cover a sim run and live runs, so the last step
+// holds the metric names their /metrics served against obs.Catalogue,
+// README's source.
 func TestSmoke(t *testing.T) {
 	emitted := map[string]bool{}
 	for _, tc := range []struct {
@@ -276,7 +273,6 @@ func TestSmoke(t *testing.T) {
 			tc.check(t, rep)
 		})
 	}
-	t.Run("job service", func(t *testing.T) { smokeJobService(t, emitted) })
 	t.Run("metrics catalogue", func(t *testing.T) { checkMetricsCatalogue(t, emitted) })
 }
 
@@ -333,96 +329,5 @@ func checkMetricsCatalogue(t *testing.T, emitted map[string]bool) {
 		if !emitted[name] {
 			t.Errorf("obs.Catalogue lists %s, which no smoke run emitted", name)
 		}
-	}
-}
-
-// smokeJobService drives -serve over the shared live cluster: a long
-// deadline-bound job holds the cluster while four jobs from two tenants
-// queue behind it up to the queue bound; its mid-run cancellation must not
-// poison them, they must run in arrival order, the job table must account
-// for every submission, and canceling the context must drain the service.
-// Its /metrics, the last job's report, joins the catalogue check.
-func smokeJobService(t *testing.T, emitted map[string]bool) {
-	w := startWansim(t, "-serve", "-live", "-scheme", "agg", "-scale", "0.05",
-		"-max-queue", "4", "-telemetry-addr", "127.0.0.1:0")
-	url := w.url(t)
-
-	submitJob(t, url, jobs.SubmitRequest{Tenant: "ops", Workload: "wordcount", Repeat: 100000, DeadlineMS: 500})
-	for _, tenant := range []string{"heavy", "heavy", "light", "light"} {
-		submitJob(t, url, jobs.SubmitRequest{Tenant: tenant, Workload: "wordcount"})
-	}
-	// The queue is at its bound: the next submission is shed, not starved.
-	resp, err := http.Post(url+"/jobs", "application/json", strings.NewReader(`{"tenant":"light","workload":"wordcount"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-bound submit got %d, want 429", resp.StatusCode)
-	}
-
-	var list struct{ Jobs []jobs.Info }
-	waitTest(t, "six jobs in a terminal state", func() bool {
-		getJSONTest(t, url+"/jobs", &list)
-		for _, j := range list.Jobs {
-			if j.State != jobs.StateDone && j.State != jobs.StateFailed && j.State != jobs.StateCanceled && j.State != jobs.StateRejected {
-				return false
-			}
-		}
-		return len(list.Jobs) == 6
-	})
-	states := map[jobs.State]int{}
-	for _, j := range list.Jobs {
-		states[j.State]++
-		switch {
-		case j.Tenant == "ops" && j.State != jobs.StateCanceled:
-			t.Fatalf("the deadline-bound gate job ended %s, want canceled: %+v", j.State, j)
-		case j.State == jobs.StateDone && !j.HasReport:
-			t.Fatalf("done job without a retained report: %+v", j)
-		case j.State != jobs.StateRejected && (j.QueueWaitSec <= 0 || j.RunSec <= 0):
-			t.Fatalf("dispatched job listed without its queue wait or run time: %+v", j)
-		}
-	}
-	if want := map[jobs.State]int{jobs.StateDone: 4, jobs.StateCanceled: 1, jobs.StateRejected: 1}; !reflect.DeepEqual(states, want) {
-		t.Fatalf("job states %v, want %v", states, want)
-	}
-
-	// The jobs queued behind the gate run in the order they arrived. The
-	// watch stream replays history first, so it is complete once every
-	// job's terminal event has gone by.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url+"/jobs?watch=1", nil)
-	stream, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	var running []string
-	dec := json.NewDecoder(stream.Body)
-	for terminal := 0; terminal < 6; {
-		var ev jobs.Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("watch stream ended after %d terminal events: %v", terminal, err)
-		}
-		switch ev.State {
-		case jobs.StateRunning:
-			running = append(running, ev.Tenant)
-		case jobs.StateDone, jobs.StateFailed, jobs.StateCanceled, jobs.StateRejected:
-			terminal++
-		}
-	}
-	if want := []string{"ops", "heavy", "heavy", "light", "light"}; !reflect.DeepEqual(running, want) {
-		t.Fatalf("dispatch order %v, want %v", running, want)
-	}
-
-	scrapeMetrics(t, url, emitted)
-
-	w.cancel()
-	if err := w.wait(t); err != nil {
-		t.Fatalf("serve mode returned %v after its context was canceled", err)
-	}
-	if out := w.out.String(); !strings.Contains(out, "job service: stopped after 6 jobs (4 done, 0 failed, 1 canceled, 1 rejected)") {
-		t.Fatalf("missing shutdown narration:\n%s", out)
 	}
 }

@@ -200,8 +200,8 @@ func (c *Context) Save(target *rdd.RDD) (*Report, error) {
 
 // SaveContext is Save under cooperative cancellation: the engine's event
 // loop aborts with an error wrapping ctx.Err() once ctx fires. A canceled
-// Context is left mid-simulation and should be discarded — the job
-// service builds a fresh Context per sim submission.
+// Context is left mid-simulation and should be discarded; build a fresh
+// one for the next job.
 func (c *Context) SaveContext(ctx context.Context, target *rdd.RDD) (*Report, error) {
 	return c.runContext(ctx, target, exec.ActionSave)
 }

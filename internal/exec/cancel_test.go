@@ -10,7 +10,7 @@ import (
 )
 
 // TestErrBusyIsTyped pins the busy-engine failure as a typed sentinel: a
-// job service distinguishes "retry after the current job" from fatal
+// caller distinguishes "retry after the current job" from fatal
 // submission errors with errors.Is.
 func TestErrBusyIsTyped(t *testing.T) {
 	topo := topology.TwoDCMicro()

@@ -332,8 +332,8 @@ type JobSpec struct {
 }
 
 // ErrBusy reports a Run/RunMany call made while the engine is already
-// driving jobs. Callers that serialize jobs themselves (a job service)
-// treat it as retry-later; anything else on this path is fatal.
+// driving jobs. A caller that serializes its own jobs can treat it as
+// retry-later; anything else on this path is fatal.
 var ErrBusy = errors.New("exec: engine busy")
 
 // Run executes an action on the target RDD and returns the job report.

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"wanshuffle/internal/jobs"
-	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 )
 
@@ -174,158 +171,5 @@ func TestRunContextDeadlineStopsMidStage(t *testing.T) {
 	}
 	if total := matrixTotal(stats2.TrafficMatrix); total != stats2.BytesOverTCP {
 		t.Fatalf("post-cancel run: matrix total %d != BytesOverTCP %d", total, stats2.BytesOverTCP)
-	}
-}
-
-// TestJobServiceOverLiveCluster is the end-to-end acceptance test: a
-// jobs.Service fronting one shared live Cluster takes five concurrent
-// submissions from three tenants, runs them in arrival order, sheds the
-// one past the queue bound, deadline-cancels a slow job mid-stage, and
-// still runs the next job cleanly — with the /jobs table consistent
-// throughout.
-func TestJobServiceOverLiveCluster(t *testing.T) {
-	cluster, err := New(Config{Workers: 2, TasksPerWorker: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-
-	svc := jobs.New(jobs.Config{MaxQueue: 4})
-	defer svc.Close()
-
-	var mu sync.Mutex
-	var order []string
-	liveRun := func(name string) jobs.RunFunc {
-		return func(ctx context.Context) (*obs.Report, error) {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			_, stats, err := cluster.RunContext(ctx, buildWordCount(4, 2))
-			if err != nil {
-				return nil, err
-			}
-			return stats.RunReport(name, nil), nil
-		}
-	}
-
-	// A gate job holds the cluster while the four tenant jobs queue, so
-	// all of them are waiting when the gate lets go.
-	release := make(chan struct{})
-	gate, err := svc.Submit(jobs.Submission{Tenant: "ops", Name: "gate",
-		Run: func(ctx context.Context) (*obs.Report, error) {
-			select {
-			case <-release:
-				return nil, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if info, _ := svc.Get(gate.ID()); info.State == jobs.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("gate never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	var tenantJobs []*jobs.Job
-	for _, spec := range []struct{ tenant, name string }{
-		{"heavy", "h1"}, {"heavy", "h2"}, {"light", "l1"}, {"light", "l2"},
-	} {
-		j, err := svc.Submit(jobs.Submission{Tenant: spec.tenant, Name: spec.name, Run: liveRun(spec.name)})
-		if err != nil {
-			t.Fatalf("submit %s: %v", spec.name, err)
-		}
-		tenantJobs = append(tenantJobs, j)
-	}
-
-	// Queue is at its bound (4): the fifth concurrent submission is shed.
-	_, err = svc.Submit(jobs.Submission{Tenant: "light", Name: "l3", Run: liveRun("l3")})
-	var rej *jobs.ErrRejected
-	if !errors.As(err, &rej) || rej.Reason != jobs.ReasonQueueFull {
-		t.Fatalf("over-bound submit: err = %v, want queue_full rejection", err)
-	}
-
-	close(release)
-	gate.Wait()
-	for _, j := range tenantJobs {
-		info := j.Wait()
-		if info.State != jobs.StateDone {
-			t.Fatalf("job %s finished %s (err=%q), want done", info.Name, info.State, info.Err)
-		}
-		rep, _ := svc.Report(j.ID())
-		if rep == nil {
-			t.Fatalf("job %s kept no run report", info.Name)
-		}
-		// Per-job reports stay byte-conserving through the service.
-		var total float64
-		for _, row := range rep.TrafficMatrix {
-			for _, v := range row {
-				total += v
-			}
-		}
-		if total != rep.BytesTotal || total <= 0 {
-			t.Fatalf("job %s report: matrix total %v != bytes_total %v", info.Name, total, rep.BytesTotal)
-		}
-	}
-
-	// The four queued behind the gate run in the order they arrived.
-	mu.Lock()
-	got := fmt.Sprint(order)
-	mu.Unlock()
-	if want := "[h1 h2 l1 l2]"; got != want {
-		t.Fatalf("dispatch order %s, want arrival order %s", got, want)
-	}
-
-	// A deadline-bound slow job cancels mid-stage on the live cluster...
-	slow, err := svc.Submit(jobs.Submission{
-		Tenant: "light", Name: "slow", Deadline: 100 * time.Millisecond,
-		Run: func(ctx context.Context) (*obs.Report, error) {
-			_, _, err := cluster.RunContext(ctx, buildSlowJob(8, 60*time.Millisecond))
-			return nil, err
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := slow.Wait(); info.State != jobs.StateCanceled {
-		t.Fatalf("slow job finished %s (err=%q), want canceled", info.State, info.Err)
-	}
-	if n := cluster.CurrentStats().Events.Counts().Finished; n >= 8 {
-		t.Fatalf("%d tasks finished despite the deadline, want < 8", n)
-	}
-
-	// ...and the same cluster serves the next queued job cleanly.
-	last, err := svc.Submit(jobs.Submission{Tenant: "heavy", Name: "after", Run: liveRun("after")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := last.Wait(); info.State != jobs.StateDone {
-		t.Fatalf("post-cancel job finished %s (err=%q), want done", info.State, info.Err)
-	}
-
-	// /jobs lists every submission once, in a consistent terminal state,
-	// and each dispatched one with its queue wait and run time.
-	counts := map[jobs.State]int{}
-	dispatched := 0
-	for _, info := range svc.List() {
-		if !info.State.Terminal() {
-			t.Fatalf("job %s not terminal: %s", info.ID, info.State)
-		}
-		counts[info.State]++
-		if info.QueueWaitSec > 0 && info.RunSec > 0 {
-			dispatched++
-		}
-	}
-	wantCounts := map[jobs.State]int{
-		jobs.StateDone: 6, jobs.StateCanceled: 1, jobs.StateRejected: 1,
-	}
-	if fmt.Sprint(counts) != fmt.Sprint(wantCounts) || dispatched != 7 {
-		t.Fatalf("state counts %v with %d dispatched, want %v with 7", counts, dispatched, wantCounts)
 	}
 }

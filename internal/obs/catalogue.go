@@ -7,7 +7,7 @@ type MetricDoc struct{ Name, Type, Labels, Backends, Meaning string }
 
 // Catalogue documents every metric the repo emits. README's metrics
 // catalogue is generated from it and cmd/wansim's TestSmoke holds it
-// against the names its sim, live and -serve runs emit, in both
+// against the names its sim and live runs emit, in both
 // directions (`go test ./cmd/wansim -run 'TestSmoke/metrics_catalogue'
 // -update` rewrites the README rows): a new metric gets its row here.
 var Catalogue = []MetricDoc{

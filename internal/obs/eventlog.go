@@ -2,10 +2,9 @@ package obs
 
 import "sync"
 
-// Log is an append-only event log with live tails, the one mechanism under
-// the run-event stream (Collector) and the job service's lifecycle stream
-// (jobs.Service). Events are numbered from 1 in arrival order. The zero
-// value is an empty log, ready to use.
+// Log is an append-only event log with live tails, the mechanism under the
+// run-event stream (Collector). Events are numbered from 1 in arrival
+// order. The zero value is an empty log, ready to use.
 type Log[E any] struct {
 	mu      sync.Mutex
 	events  []E

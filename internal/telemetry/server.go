@@ -42,10 +42,6 @@ type Config struct {
 	// Trace backs GET /trace: the run's causal spans so far, one JSON
 	// object per line, mid-run on both backends (the recorder locks).
 	Trace func() []trace.Span
-	// Jobs, when non-nil, mounts the job service's HTTP surface under
-	// /jobs and /jobs/ (list, submit, per-job snapshot/report/cancel,
-	// lifecycle watch stream). Serve mode wires jobs.NewHandler here.
-	Jobs http.Handler
 }
 
 // Handler builds the telemetry plane's HTTP handler: /metrics, /report,
@@ -73,11 +69,6 @@ func Handler(cfg Config) http.Handler {
 		list(cfg.Events != nil, "GET /events       task-lifecycle event stream (NDJSON, streams until closed)\n")
 		list(cfg.Trace != nil, "GET /trace        causal trace spans recorded so far (NDJSON)\n")
 		fmt.Fprint(w, "GET /debug/pprof/ Go runtime profiles\n")
-		list(cfg.Jobs != nil, ""+
-			"GET /jobs         job listing (JSON); ?watch=1 streams lifecycle events (NDJSON)\n"+
-			"POST /jobs        submit a named workload to the job service\n"+
-			"GET /jobs/{id}    one job's lifecycle snapshot; /{id}/report its run report\n"+
-			"POST /jobs/{id}/cancel cancel a queued or running job\n")
 	})
 
 	// view mounts one read-only view of the run at path. source returns what
@@ -120,13 +111,8 @@ func Handler(cfg Config) http.Handler {
 			http.Error(w, "no event collector yet", http.StatusServiceUnavailable)
 			return
 		}
-		Tail(w, r, c.Subscribe)
+		tail(w, r, c.Subscribe)
 	})
-
-	if cfg.Jobs != nil {
-		mux.Handle("/jobs", cfg.Jobs)
-		mux.Handle("/jobs/", cfg.Jobs)
-	}
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -159,12 +145,11 @@ func ndjson[T any](items []T) func(io.Writer) error {
 	}
 }
 
-// Tail streams an event log as NDJSON, one event per line: the history the
+// tail streams an event log as NDJSON, one event per line: the history the
 // subscription starts with, then live events until the client disconnects
-// or the subscription is canceled. It is the one tail of the telemetry
-// plane — /events subscribes to an obs.Collector, /jobs?watch=1 to the job
-// service — so subscribe is a log's Subscribe method (obs.Log.Subscribe).
-func Tail[E any](w http.ResponseWriter, r *http.Request, subscribe func(buf int) ([]E, <-chan E, func())) {
+// or the subscription is canceled. subscribe is a log's Subscribe method
+// (obs.Log.Subscribe); /events tails an obs.Collector's.
+func tail[E any](w http.ResponseWriter, r *http.Request, subscribe func(buf int) ([]E, <-chan E, func())) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	flusher, _ := w.(http.Flusher)

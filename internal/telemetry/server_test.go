@@ -234,11 +234,11 @@ func TestIndexListsWiredEndpointsOnly(t *testing.T) {
 		listed []string
 		not    []string
 	}{
-		{"nothing wired", Config{}, nil, []string{"GET /metrics", "GET /report", "GET /events", "GET /trace", "GET /jobs"}},
-		{"no report or trace", Config{Registry: c.Registry, Events: func() *obs.Collector { return c }, Jobs: http.NotFoundHandler()},
-			[]string{"GET /metrics", "GET /events", "GET /jobs"}, []string{"GET /report", "GET /trace"}},
+		{"nothing wired", Config{}, nil, []string{"GET /metrics", "GET /report", "GET /events", "GET /trace"}},
+		{"no report or trace", Config{Registry: c.Registry, Events: func() *obs.Collector { return c }},
+			[]string{"GET /metrics", "GET /events"}, []string{"GET /report", "GET /trace"}},
 		{"one run", Config{Report: func() *obs.Report { return nil }, Trace: func() []trace.Span { return nil }},
-			[]string{"GET /metrics", "GET /report", "GET /trace"}, []string{"GET /events", "GET /jobs"}},
+			[]string{"GET /metrics", "GET /report", "GET /trace"}, []string{"GET /events"}},
 	} {
 		_, body, _ := get(t, newTestServer(t, tc.cfg).URL+"/")
 		for _, want := range tc.listed {

@@ -102,8 +102,7 @@ type Span struct {
 type Recorder struct {
 	mu    sync.Mutex
 	spans []Span
-	// lastID is the span ID NewSpanID handed out last. Reset keeps it, so
-	// a span of an earlier job never shares an ID with one of the next.
+	// lastID is the span ID NewSpanID handed out last.
 	lastID atomic.Int64
 }
 
@@ -135,16 +134,6 @@ func (r *Recorder) Add(s Span) {
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
 	r.mu.Unlock()
-}
-
-// Reset drops every recorded span, so a recorder that outlives one job
-// starts the next job's trace empty. It does not rewind NewSpanID.
-func (r *Recorder) Reset() {
-	if r != nil {
-		r.mu.Lock()
-		r.spans = nil
-		r.mu.Unlock()
-	}
 }
 
 // Spans returns all recorded spans sorted by start time (stable).

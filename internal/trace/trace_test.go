@@ -118,22 +118,6 @@ func TestRecorderRenderRace(t *testing.T) {
 	}
 }
 
-// TestRecorderReset checks a recorder that outlives one job starts the next
-// trace empty, and that a nil recorder tolerates the call like every other.
-func TestRecorderReset(t *testing.T) {
-	r := &Recorder{}
-	r.Add(Span{ID: 1, Kind: KindMap, Start: 0, End: 1})
-	r.Reset()
-	if n := len(r.Spans()); n != 0 {
-		t.Fatalf("after Reset: %d spans", n)
-	}
-	r.Add(Span{ID: 2, Kind: KindReduce, Start: 1, End: 2})
-	if got := r.Spans(); len(got) != 1 || got[0].ID != 2 {
-		t.Fatalf("after Reset and Add: %+v", got)
-	}
-	(*Recorder)(nil).Reset()
-}
-
 func TestNilRecorderRenders(t *testing.T) {
 	var s *Recorder
 	topo := topology.TwoDCMicro()
@@ -147,9 +131,8 @@ func TestNilRecorderRenders(t *testing.T) {
 }
 
 // TestNewSpanID checks the recorder numbers spans 1, 2, 3, … in call order,
-// hands concurrent callers distinct IDs, keeps counting across Reset (a
-// recorder shared by a cluster's jobs never reuses an ID), and that a nil
-// recorder hands out 0, the untraced span's ID.
+// hands concurrent callers distinct IDs, and that a nil recorder hands out
+// 0, the untraced span's ID.
 func TestNewSpanID(t *testing.T) {
 	r := &Recorder{}
 	if a, b := r.NewSpanID(), r.NewSpanID(); a != 1 || b != 2 {
@@ -175,10 +158,6 @@ func TestNewSpanID(t *testing.T) {
 			t.Fatalf("concurrent caller got ID %d twice or from before", id)
 		}
 		ids[id] = true
-	}
-	r.Reset()
-	if id := r.NewSpanID(); id != 2+callers*each+1 {
-		t.Fatalf("after Reset: ID %d, want %d", id, 2+callers*each+1)
 	}
 	if id := (*Recorder)(nil).NewSpanID(); id != 0 {
 		t.Fatalf("nil recorder handed out ID %d", id)
