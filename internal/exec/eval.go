@@ -252,20 +252,20 @@ func (e *Engine) materialise(node *rdd.RDD, part int, host topology.HostID, boun
 }
 
 // aggregateShuffle materializes a ShuffledRDD partition from its fetched
-// shards and charges the reduce-side aggregation cost.
+// shards and charges the reduce-side aggregation cost. The registry's shards
+// go to ReduceAggregate as its runs, in map order, copied nowhere else.
 func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID, cost *float64) partData {
-	var shards [][]rdd.Pair
-	var modeled float64
+	var runs [][]rdd.Pair
+	var inReal, modeled float64
 	for di := range node.Deps {
 		d := &node.Deps[di]
 		for _, sh := range e.reg.Shards(d.Shuffle.ID, part) {
-			shards = append(shards, sh.Records)
+			runs = append(runs, sh.Records)
+			inReal += rdd.SizeOfAll(sh.Records) // integral, so the sum is exact
 			modeled += sh.ModeledBytes
 		}
 	}
-	recs := slices.Concat(shards...) // the gather, allocated once at its final size
-	inReal := rdd.SizeOfAll(recs)
-	agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, recs)
+	agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, runs...)
 	if node.PostShuffle != nil {
 		agg = node.PostShuffle(part, agg)
 	}

@@ -163,31 +163,33 @@ func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 	r.stats.Events.OnPlacement(d)
 }
 
-// reader builds the ShuffleReader task t gathers its shuffle input
-// through, serially in map order (plan.Task.Gather) so gathered records
-// arrive deterministically. A map output the task's own worker holds — every
-// one, when a push-mode reducer sits on its aggregator — is read from that
-// worker's block store directly: no request, no serve span, no wire bytes.
-// Gather's one copy stands between the store's slices and the reduce-side
-// sort, so a read never aliases what a retried attempt will read again. Any
-// other holder (a mapper in fetch mode, a second aggregator, the one a
-// re-placed retry left behind) is fetched from over TCP. One fetch span per
-// read carries the reading stage's ID and nests under the consuming task
-// (parent); its own ID rides the wire so each holder's serve span nests under
-// it, and its Bytes are the codec bytes of those serves — zero, with
-// SrcSite == DstSite, when the gather touched no socket, which keeps a
-// reducer's input wait (spill reloads included) on the timeline. lastFetch
-// tracks when the task's final read completed, so callers can start the
-// compute span after the transfer window.
+// reader builds the ShuffleReader task t reads its shuffle input through,
+// serially in map order (plan.Task.Gather) so the runs arrive
+// deterministically. A map output the task's own worker holds — every one,
+// when a push-mode reducer sits on its aggregator — is read from that
+// worker's block store directly: no request, no serve span, no wire bytes,
+// and no copy — its run is the store's own shard, which the reduce side
+// only reads (rdd.ReduceAggregate's output is the partition's one copy), so
+// a retried attempt reads what the first one did. Any other holder (a mapper
+// in fetch mode, a second aggregator, the one a re-placed retry left behind)
+// is fetched from over TCP, and its decoded chunks are its runs. One fetch
+// span per read carries the reading stage's ID and nests under the consuming
+// task (parent); its own ID rides the wire so each holder's serve span nests
+// under it, its Records are the runs' records, and its Bytes are the codec
+// bytes of those serves — zero, with SrcSite == DstSite, when the read
+// touched no socket, which keeps a reducer's input wait (spill reloads
+// included) on the timeline. lastFetch tracks when the task's final read
+// completed, so callers can start the compute span after the transfer
+// window.
 func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) plan.ShuffleReader {
 	site := t.Site
 	w := r.c.workers[site]
-	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
+	return func(spec *rdd.ShuffleSpec, reduce int) ([][]rdd.Pair, error) {
 		t0 := r.since()
 		fetchID := r.c.cfg.Trace.NewSpanID()
 		var srcBytes map[int]int64 // record-codec bytes by remote holder; nil while every read is local
 		var own [1][]rdd.Pair      // Gather copies the headers out before the next call
-		out, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
+		runs, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
 			if holder == site {
 				shard, err := w.shardOf(spec.ID, m, reduce)
 				own[0] = shard
@@ -204,6 +206,10 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 		if err != nil {
 			return nil, err
 		}
+		records := 0
+		for _, run := range runs {
+			records += len(run)
+		}
 		// Attribute the fetch to its dominant remote source by bytes (ties
 		// break toward the lower worker index, for determinism); to the
 		// reader itself when nothing came over a socket.
@@ -219,13 +225,13 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 			Kind: trace.KindFetch, ID: fetchID, Parent: parent, Host: topology.HostID(site),
 			Stage: t.Stage.ID, Part: reduce, Shuffle: spec.ID,
 			SrcSite: siteLabel(src), DstSite: siteLabel(site),
-			Bytes: float64(total), Records: len(out),
+			Bytes: float64(total), Records: records,
 			Start: t0, End: end,
 		})
 		if end > *lastFetch {
 			*lastFetch = end
 		}
-		return out, nil
+		return runs, nil
 	}
 }
 

@@ -527,8 +527,8 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 }
 
 // TestIncrementalBucketingAvoidsRebuilds asserts the core fix: hash-ready
-// pushes are bucketed as chunks arrive, so fetches are pure lookups — no
-// per-fetch (or even one-time) whole-output bucketing pass.
+// pushes are bucketed when they are installed, so fetches are pure lookups —
+// no per-fetch (or even one-time) deferred bucketing pass.
 func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 	const reduces = 4
 	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
@@ -544,7 +544,34 @@ func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 		}
 	}
 	if n := w1.bucketBuilds.Load(); n != 0 {
-		t.Fatalf("receiver ran %d deferred bucket builds; incremental bucketing should need none", n)
+		t.Fatalf("receiver ran %d deferred bucket builds; bucketing at install should need none", n)
+	}
+}
+
+// TestPushedOutputBucketedOnce pushes a hash-partitioned output in many
+// chunks: the receiver buckets them once, at the terminal frame, so every
+// installed shard is what bucketing the whole output gives, allocated at its
+// exact size.
+func TestPushedOutputBucketedOnce(t *testing.T) {
+	const reduces = 3
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, reduces)
+	in := pairs(37)
+	if _, err := c.workers[0].push(1, 7, 0, 1, in, spanCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := c.specs.Load(7)
+	want := rdd.BucketRecords(spec.(*rdd.ShuffleSpec), in)
+	for r := 0; r < reduces; r++ {
+		shard, err := c.workers[1].shardOf(7, 0, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(shard, want[r]) {
+			t.Fatalf("installed shard %d differs from bucketing the whole output", r)
+		}
+		if cap(shard) != len(shard) {
+			t.Errorf("installed shard %d: cap %d for %d records", r, cap(shard), len(shard))
+		}
 	}
 }
 
@@ -655,6 +682,16 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "worker 1: unknown shuffle 99") {
 		t.Fatalf("push err = %v, want the receiver's refusal as a remoteError", err)
 	}
+	// So is an empty push for it: no chunk ever names the shuffle, and the
+	// terminal frame still carries the refusal and installs nothing.
+	before := c.workers[1].storedOutputs()
+	_, err = w0.push(1, 99, 0, 1, nil, spanCtx{})
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "worker 1: unknown shuffle 99") {
+		t.Fatalf("empty push err = %v, want the receiver's refusal as a remoteError", err)
+	}
+	if n := c.workers[1].storedOutputs(); n != before {
+		t.Fatalf("receiver went from %d to %d outputs over an empty push it refused", before, n)
+	}
 	// The same exchange frame by frame: request, one chunk, the sender's
 	// terminal frame, and then the receiver's.
 	p := startPush(t, w0.links[1], request{ShuffleID: 99, Attempt: 2})
@@ -664,7 +701,6 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	}
 	// And one whose chunks skip a seq: the receiver reads the stream to its
 	// end, installs nothing and says which chunk was due.
-	before := c.workers[1].storedOutputs()
 	p = startPush(t, w0.links[1], request{ShuffleID: 99, Attempt: 3})
 	p.chunk(1, pairs(3))
 	p.chunk(2, pairs(3))

@@ -280,44 +280,42 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 	return nil
 }
 
-// receivePush consumes one push stream: chunks bucketed per reduce as they
-// arrive when the partitioner is ready and kept flat otherwise, the output
-// installed at the terminal frame, the sender acknowledged with a terminal
-// frame on conn. Everything until the install is local to this call. A
-// framing error is fatal for the connection and the only error returned;
-// whatever else fails — a bad payload, a chunk out of turn, the store, the
-// sender giving up — travels in the acknowledgement after the stream is
-// drained.
+// receivePush consumes one push stream: its decoded chunks are kept as runs
+// and, at the terminal frame, installed as one output — bucketed once over
+// all of them when the partitioner is ready, kept flat otherwise — and the
+// sender acknowledged with a terminal frame on conn. Everything until the
+// install is local to this call. A framing error is fatal for the
+// connection and the only error returned; whatever else fails — an unknown
+// shuffle (however few chunks the push has), a bad payload, a chunk out of
+// turn, the store, the sender giving up — travels in the acknowledgement
+// after the stream is drained.
 func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := time.Now() // after the request arrived: a receive cannot start before its send
 	spec := w.spec(req.ShuffleID)
-	out := blockstore.Output{Attempt: req.Attempt}
-	if spec != nil && spec.Partitioner.Ready() {
-		out.Shards = make([][]rdd.Pair, spec.Partitioner.NumPartitions())
+	var refused error
+	if spec == nil {
+		refused = fmt.Errorf("worker %d: unknown shuffle %d", w.id, req.ShuffleID)
 	}
-	var flat [][]rdd.Pair
+	var runs [][]rdd.Pair
 	var nrecs int
 	got, err := readStream(br, func(records []rdd.Pair) error {
-		if spec == nil {
-			return fmt.Errorf("worker %d: unknown shuffle %d", w.id, req.ShuffleID)
-		}
 		nrecs += len(records)
-		if out.Shards == nil {
-			flat = append(flat, records)
-			return nil
-		}
-		for r, bucket := range rdd.BucketRecords(spec, records) {
-			out.Shards[r] = append(out.Shards[r], bucket...)
-		}
-		return nil
+		runs = append(runs, records)
+		return refused // nil for a known shuffle; a refusal leaves the rest undecoded
 	})
 	if !intact(err) {
 		return err
 	}
 	if err == nil {
-		if out.Shards == nil {
-			out.Records = slices.Concat(flat...)
+		err = refused
+	}
+	if err == nil {
+		out := blockstore.Output{Attempt: req.Attempt}
+		if spec.Partitioner.Ready() {
+			out.Shards = rdd.BucketRecords(spec, runs...)
+		} else {
+			out.Records = slices.Concat(runs...)
 		}
 		err = w.install(req.ShuffleID, req.MapPart, out)
 	}
@@ -409,7 +407,7 @@ func (w *worker) storedOutputs() int { return w.store.Len() }
 // bucketFn builds the store's BucketFunc for one shuffle: resolve the
 // spec, require a ready partitioner, and count the deferred whole-output
 // bucketing pass. The store invokes it at most once per output (the
-// exactly-once half of incremental bucketing).
+// exactly-once half of bucketing, for outputs installed flat).
 func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
 	return func(records []rdd.Pair) ([][]rdd.Pair, error) {
 		spec := w.spec(shuffleID)
@@ -429,7 +427,8 @@ func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
 // exactly once, on the first read — never re-bucketed per read. A spilled
 // output stays on disk and the store decodes just this shard. The shard is
 // the store's own slice (or a fresh one off disk): streamFetch encodes it,
-// a local reader copies it (plan.Task.Gather), and neither writes to it.
+// a local reader hands it to the reduce side as one of its runs
+// (liveRun.reader), and neither writes to it.
 func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
 	shard, err := w.store.Shard(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, reduce, w.bucketFn(shuffleID))
 	if errors.Is(err, blockstore.ErrNotFound) {

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -68,11 +67,12 @@ type TaskResult struct {
 }
 
 // Gather reads reduce partition reduce of a shuffle: fetch is called once
-// per map output, in map order, with the site the tracker says holds it,
-// and the chunks it returns are concatenated once at their final size — the
-// one copy between a backend's reads and the reduce-side sort.
-func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pair, error)) ([]rdd.Pair, error) {
-	var chunks [][]rdd.Pair
+// per map output, in map order, with the site the tracker says holds it, and
+// the chunks it returns are the partition's runs, in that order and copied
+// nowhere — rdd.ReduceAggregate reads them as they lie, and its output is
+// the one copy between a backend's reads and the reduce-side sort.
+func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pair, error)) ([][]rdd.Pair, error) {
+	var runs [][]rdd.Pair
 	for m, n := 0, t.outputs.NumMaps(shuffleID); m < n; m++ {
 		holder, err := t.outputs.Holder(shuffleID, m)
 		if err != nil {
@@ -82,9 +82,9 @@ func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pai
 		if err != nil {
 			return nil, err
 		}
-		chunks = append(chunks, got...)
+		runs = append(runs, got...)
 	}
-	return slices.Concat(chunks...), nil
+	return runs, nil
 }
 
 // SiteHealth is an optional Backend extension: backends that can tell a

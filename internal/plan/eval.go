@@ -8,12 +8,15 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// ShuffleReader supplies a task's shuffle input: the gathered records of
-// one reduce partition of one shuffle (every map output's shard for that
-// partition, concatenated in map order). Backends build it on Task.Gather,
-// which owns the map-order loop, and supply only the per-output read — a
-// TCP fetch for the live cluster, a shard lookup for MemBackend.
-type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([]rdd.Pair, error)
+// ShuffleReader supplies a task's shuffle input: the runs of one reduce
+// partition of one shuffle — every map output's shard for that partition, in
+// map order, as the backend stored or fetched it (a fetched shard may be
+// several chunks) and never copied into one slice. The runs are shared with
+// the store, so a consumer only reads them: rdd.ReduceAggregate takes them
+// as they are. Backends build it on Task.Gather, which owns the map-order
+// loop, and supply only the per-output read — a TCP fetch for the live
+// cluster, a shard lookup for MemBackend.
+type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([][]rdd.Pair, error)
 
 // EvalStagePart computes output partition part of a single-phase stage,
 // reading shuffle boundaries through read. The record semantics — narrow
@@ -84,25 +87,23 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 		return node.Input[part].Records, nil
 	}
 	if node.Deps[0].Kind == rdd.DepShuffle {
-		// A shuffle boundary: gather every dep's shard for this partition,
-		// then apply the reduce-side semantics once (cogroup deps agree on
-		// aggregation, as in rdd.EvalLocal).
-		// ReduceAggregate only reads its input, so the first dep's shard
-		// goes in as the reader returned it; its capacity is cut to its
-		// length, so a cogroup's second shard is appended to a copy.
-		var recs []rdd.Pair
-		for di := range node.Deps {
-			shard, err := read(node.Deps[di].Shuffle, part)
+		// A shuffle boundary: read every dep's runs for this partition (a
+		// cogroup's second dep after its first), then apply the reduce-side
+		// semantics once over all of them (cogroup deps agree on
+		// aggregation, as in rdd.EvalLocal). ReduceAggregate only reads its
+		// runs, so they go in as the reader returned them.
+		runs, err := read(node.Deps[0].Shuffle, part)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range node.Deps[1:] {
+			more, err := read(d.Shuffle, part)
 			if err != nil {
 				return nil, err
 			}
-			if di == 0 {
-				recs = shard[:len(shard):len(shard)]
-			} else {
-				recs = append(recs, shard...)
-			}
+			runs = append(runs, more...) // each read's slice of runs is the caller's own
 		}
-		agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, recs)
+		agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, runs...)
 		if node.PostShuffle != nil {
 			agg = node.PostShuffle(part, agg)
 		}

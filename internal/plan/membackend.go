@@ -63,9 +63,10 @@ func (b *MemBackend) OnStage(span StageSpan) { b.Events.OnStage(span) }
 // OnPlacement implements Backend (obs.Sink).
 func (b *MemBackend) OnPlacement(d obs.PlacementDecision) { b.Events.OnPlacement(d) }
 
-// reader gathers task t's shuffle input from the shared store.
+// reader reads task t's shuffle input from the shared store: each run is
+// the store's own shard.
 func (b *MemBackend) reader(t Task) ShuffleReader {
-	return func(spec *rdd.ShuffleSpec, reduce int) ([]rdd.Pair, error) {
+	return func(spec *rdd.ShuffleSpec, reduce int) ([][]rdd.Pair, error) {
 		return t.Gather(spec.ID, func(mapPart, _ int) ([][]rdd.Pair, error) { return b.shard(spec, mapPart, reduce) })
 	}
 }

@@ -57,7 +57,10 @@ func (e *localEval) evalNarrow(r *RDD) [][]Pair {
 }
 
 func (e *localEval) evalShuffle(r *RDD) [][]Pair {
-	shards := make([][]Pair, r.NumParts())
+	// Each reduce partition is the list of its map outputs' shards, in map
+	// order (a cogroup's second dep after its first), handed to
+	// ReduceAggregate as runs: no shard is copied before the aggregation.
+	runs := make([][][]Pair, r.NumParts())
 	for di := range r.Deps {
 		d := &r.Deps[di]
 		if d.Kind != DepShuffle {
@@ -76,15 +79,15 @@ func (e *localEval) evalShuffle(r *RDD) [][]Pair {
 		for _, part := range parent {
 			prepared := MapSidePrepare(spec, part)
 			for i, shard := range BucketRecords(spec, prepared) {
-				shards[i] = append(shards[i], shard...)
+				runs[i] = append(runs[i], shard)
 			}
 		}
 	}
 	out := make([][]Pair, r.NumParts())
-	for i := range shards {
+	for i := range runs {
 		// With multiple shuffle deps (cogroup) the specs agree on
 		// aggregation, so apply the first.
-		agg := ReduceAggregate(r.Deps[0].Shuffle, shards[i])
+		agg := ReduceAggregate(r.Deps[0].Shuffle, runs[i]...)
 		if r.PostShuffle != nil {
 			agg = r.PostShuffle(i, agg)
 		}

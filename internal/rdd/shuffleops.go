@@ -16,18 +16,26 @@ func MapSidePrepare(spec *ShuffleSpec, records []Pair) []Pair {
 	return combineAll(spec.Combine, records)
 }
 
-// BucketRecords shards records into the spec's reduce partitions. The
-// partitioner must be Ready.
-func BucketRecords(spec *ShuffleSpec, records []Pair) [][]Pair {
-	// One counting pass, so every bucket is allocated once at its final
-	// size (and PartitionFor, a binary search under a range partitioner,
-	// still runs once per record).
-	part := make([]int32, len(records))
+// BucketRecords shards one output into the spec's reduce partitions. The
+// output comes as runs read in order as if concatenated, so a caller holding
+// it in several slices (a push's decoded chunks) passes them as they are.
+// The partitioner must be Ready.
+func BucketRecords(spec *ShuffleSpec, runs ...[]Pair) [][]Pair {
+	// One counting pass over every run, so every bucket is allocated once at
+	// its final size (and PartitionFor, a binary search under a range
+	// partitioner, still runs once per record).
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
+	part := make([]int32, 0, n)
 	counts := make([]int, spec.Partitioner.NumPartitions())
-	for i := range records {
-		k := spec.Partitioner.PartitionFor(records[i].Key)
-		part[i] = int32(k)
-		counts[k]++
+	for _, run := range runs {
+		for i := range run {
+			k := spec.Partitioner.PartitionFor(run[i].Key)
+			part = append(part, int32(k))
+			counts[k]++
+		}
 	}
 	out := make([][]Pair, len(counts))
 	for k, c := range counts {
@@ -35,26 +43,41 @@ func BucketRecords(spec *ShuffleSpec, records []Pair) [][]Pair {
 			out[k] = make([]Pair, 0, c)
 		}
 	}
-	for i, k := range part {
-		out[k] = append(out[k], records[i])
+	i := 0
+	for _, run := range runs {
+		for _, p := range run {
+			out[part[i]] = append(out[part[i]], p)
+			i++
+		}
 	}
 	return out
 }
 
 // ReduceAggregate applies the reduce-side semantics of the spec to one
-// reduce partition's gathered shard records: combining or sorting as
-// requested (a grouping is the PostShuffle step over the sorted records).
-// Like MapSidePrepare it only reads records — callers pass stored shards —
-// and returns a slice of its own.
-func ReduceAggregate(spec *ShuffleSpec, records []Pair) []Pair {
+// reduce partition, handed over as its runs — the map outputs' shards as
+// they were stored or fetched, in map order, read as if concatenated:
+// combining or sorting as requested (a grouping is the PostShuffle step over
+// the sorted records). A combining spec folds every run straight into the
+// Combiner; a sorting one permutes the runs' records straight into its
+// output; any other copies the runs into it in order. Like MapSidePrepare it
+// only reads records — callers pass stored shards — and returns a slice of
+// its own.
+func ReduceAggregate(spec *ShuffleSpec, runs ...[]Pair) []Pair {
 	if spec.Combine != nil {
-		return combineAll(spec.Combine, records)
+		return combineAll(spec.Combine, runs...)
 	}
-	out := make([]Pair, len(records))
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
+	out := make([]Pair, n)
 	if spec.SortKeys {
-		sortByKey(out, records) // the copy is the sort's one permutation
-	} else {
-		copy(out, records)
+		sortByKey(out, runs...) // the permutation is the one copy
+		return out
+	}
+	at := 0
+	for _, run := range runs {
+		at += copy(out[at:], run)
 	}
 	return out
 }
@@ -150,10 +173,12 @@ func (c *Combiner) Sorted() []Pair {
 	return c.recs
 }
 
-func combineAll(fn CombineFn, records []Pair) []Pair {
+func combineAll(fn CombineFn, runs ...[]Pair) []Pair {
 	c := NewCombiner(fn)
-	for _, p := range records {
-		c.Add(p)
+	for _, run := range runs {
+		for _, p := range run {
+			c.Add(p)
+		}
 	}
 	return c.Sorted()
 }

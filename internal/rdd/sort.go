@@ -9,12 +9,13 @@ import (
 
 // keyEntry stands in for one record while its partition is sorted: the
 // first eight key bytes as a big-endian integer (shorter keys zero-padded)
-// and the record's position in the input. It holds no pointers, so moving
-// entries costs no write barriers and the collector never scans them;
+// and the record's position in the input — its run and its offset in that
+// run, which in that order are its input order. It holds no pointers, so
+// moving entries costs no write barriers and the collector never scans them;
 // the 32-byte Pairs move exactly once, in the final permutation.
 type keyEntry struct {
-	prefix uint64
-	idx    int
+	prefix   uint64
+	run, off int32 // a partition holds far fewer than 2³¹ records
 }
 
 // radixSortCutoff is the input length below which building entries and
@@ -34,22 +35,26 @@ func keyPrefix(k string) uint64 {
 	return p
 }
 
-// sortByKey writes src's records to dst in byte-wise key order, records
-// with equal keys keeping their input order. dst has src's length and is
-// either src itself (sorted in place) or shares no memory with it (src is
-// only read).
+// sortByKey writes the records of runs, read in order as one input, to dst
+// in byte-wise key order, records with equal keys keeping their input order.
+// dst has the runs' total length and is either the one run itself (sorted in
+// place) or shares no memory with any run (the runs are only read, and the
+// permutation out of them is the sort's one copy).
 //
 // Small inputs are sorted as Pairs. Larger ones are sorted as keyEntries:
 // an LSD byte-radix sort on the prefix, skipping byte positions on which
-// every key agrees, then a full-key sort of each run of equal prefixes
+// every key agrees, then a full-key sort of each stretch of equal prefixes
 // (prefixes that differ order their keys; equal ones say nothing, "a" and
 // "a\x00" included), then one permutation of the Pairs.
-func sortByKey(dst, src []Pair) {
-	n := len(src)
-	inPlace := n > 0 && &dst[0] == &src[0]
+func sortByKey(dst []Pair, runs ...[]Pair) {
+	n := len(dst)
+	inPlace := len(runs) == 1 && n > 0 && &dst[0] == &runs[0][0]
 	if n < radixSortCutoff {
 		if !inPlace {
-			copy(dst, src)
+			at := 0
+			for _, run := range runs {
+				at += copy(dst[at:], run)
+			}
 		}
 		slices.SortStableFunc(dst, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
 		return
@@ -58,13 +63,15 @@ func sortByKey(dst, src []Pair) {
 	scratch := entryScratch.Get().(*[]keyEntry)
 	defer entryScratch.Put(scratch)
 	*scratch = slices.Grow((*scratch)[:0], 2*n)
-	ents, spare := (*scratch)[:n], (*scratch)[n:2*n]
+	ents, spare := (*scratch)[:0], (*scratch)[n:2*n]
 	or, and := uint64(0), ^uint64(0)
-	for i := range src {
-		p := keyPrefix(src[i].Key)
-		ents[i] = keyEntry{p, i}
-		or |= p
-		and &= p
+	for r, run := range runs {
+		for o := range run {
+			p := keyPrefix(run[o].Key)
+			ents = append(ents, keyEntry{p, int32(r), int32(o)})
+			or |= p
+			and &= p
+		}
 	}
 	for shift, varies := 0, or^and; shift < 64; shift += 8 {
 		if varies>>shift&0xff == 0 {
@@ -85,14 +92,17 @@ func sortByKey(dst, src []Pair) {
 		}
 		ents, spare = spare, ents
 	}
-	// The radix passes are stable, so each run of equal prefixes is still
-	// in input order; ordering a run by (key, input position) is the stable
-	// order, and lets the faster unstable sort produce it.
+	// The radix passes are stable, so each stretch of equal prefixes is
+	// still in input order; ordering a stretch by (key, input position) is
+	// the stable order, and lets the faster unstable sort produce it.
 	byKeyThenInput := func(a, b keyEntry) int {
-		if c := strings.Compare(src[a.idx].Key, src[b.idx].Key); c != 0 {
+		if c := strings.Compare(runs[a.run][a.off].Key, runs[b.run][b.off].Key); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.idx, b.idx)
+		if c := cmp.Compare(a.run, b.run); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.off, b.off)
 	}
 	for lo := 0; lo < n; {
 		hi := lo + 1
@@ -107,21 +117,22 @@ func sortByKey(dst, src []Pair) {
 
 	if !inPlace {
 		for i, e := range ents {
-			dst[i] = src[e.idx]
+			dst[i] = runs[e.run][e.off]
 		}
 		return
 	}
-	// In place: follow each cycle of the permutation, marking an entry
-	// done by pointing it at itself.
+	// In place (one run, so an entry's offset is its position): follow each
+	// cycle of the permutation, marking an entry done by pointing it at
+	// itself.
 	for i := range ents {
-		if ents[i].idx == i {
+		if int(ents[i].off) == i {
 			continue
 		}
 		first := dst[i]
 		j := i
 		for {
-			k := ents[j].idx
-			ents[j].idx = j
+			k := int(ents[j].off)
+			ents[j].off = int32(j)
 			if k == i {
 				dst[j] = first
 				break

@@ -68,6 +68,16 @@ func TestSortByKeyMatchesStableSort(t *testing.T) {
 				t.Errorf("%s n=%d: sorting into a copy wrote to the input", set, n)
 			}
 
+			runs := splitRuns(in)
+			got = make([]Pair, n)
+			sortByKey(got, runs...)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s n=%d: sorting out of runs differs from the stable sort", set, n)
+			}
+			if !slices.Equal(slices.Concat(runs...), orig) {
+				t.Errorf("%s n=%d: sorting out of runs wrote to them", set, n)
+			}
+
 			sortByKey(in, in)
 			if !slices.Equal(in, want) {
 				t.Errorf("%s n=%d: in-place sort differs from the stable sort", set, n)
@@ -122,6 +132,17 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 			if !reflect.DeepEqual(first, second) {
 				t.Errorf("%s n=%d: ReduceAggregate gave two answers for one input", name, n)
 			}
+			// And over in as runs, as a reducer hands it a partition's stored
+			// shards: each run's capacity reaches over other runs, so an
+			// append to one would show.
+			runs := splitRuns(in)
+			if got := ReduceAggregate(spec, runs...); !reflect.DeepEqual(got, first) {
+				t.Errorf("%s n=%d: ReduceAggregate over runs differs from the one-run call", name, n)
+			}
+			BucketRecords(spec, runs...)
+			if !reflect.DeepEqual(slices.Concat(runs...), orig) {
+				t.Errorf("%s n=%d: ReduceAggregate or BucketRecords wrote to one of its runs", name, n)
+			}
 			MapSidePrepare(spec, in)
 			if !reflect.DeepEqual(in, orig) {
 				t.Errorf("%s n=%d: MapSidePrepare wrote to its input", name, n)
@@ -149,12 +170,13 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 				}
 			}
 			origShard := deepCopy(shard)
-			sorted := ReduceAggregate(node.Deps[0].Shuffle, shard)
+			runs := splitRuns(shard)
+			sorted := ReduceAggregate(node.Deps[0].Shuffle, runs...)
 			origSorted := deepCopy(sorted)
 			first := node.PostShuffle(0, sorted)
 			second := node.PostShuffle(0, sorted)
-			if !reflect.DeepEqual(shard, origShard) {
-				t.Errorf("%s n=%d: ReduceAggregate wrote to its input", name, n)
+			if !reflect.DeepEqual(slices.Concat(runs...), origShard) {
+				t.Errorf("%s n=%d: ReduceAggregate wrote to its runs", name, n)
 			}
 			if !reflect.DeepEqual(sorted, origSorted) {
 				t.Errorf("%s n=%d: PostShuffle wrote to its input", name, n)
@@ -166,22 +188,40 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 	}
 }
 
+// splitRuns cuts recs into eight runs of uneven length, the third one empty,
+// laid out by asRuns so that a run's spare capacity holds other runs.
+func splitRuns(recs []Pair) [][]Pair {
+	lens := make([]int, 8)
+	rest := len(recs)
+	for i := range lens[:7] {
+		if i != 2 {
+			lens[i] = len(recs) * (i + 1) / 36
+			rest -= lens[i]
+		}
+	}
+	lens[7] = rest
+	return asRuns(recs, lens)
+}
+
 // A warm sort allocates its output slice and nothing else: the entries
-// come from the pool.
+// come from the pool, and a partition in eight runs is permuted straight
+// out of them into that output.
 func TestReduceAggregateSortAllocatesOnlyItsOutput(t *testing.T) {
 	spec := &ShuffleSpec{SortKeys: true}
 	for _, n := range []int{radixSortCutoff - 1, 5000} {
 		in := sortInput("digits", n, 9)
-		ReduceAggregate(spec, in) // warm the pool
-		allocs := testing.AllocsPerRun(20, func() { ReduceAggregate(spec, in) })
-		// Under the race detector sync.Pool.Put drops one entry in four on
-		// purpose, so the mean cannot hold there (it fails at any commit);
-		// a race build asks for one run that found the pool warm instead.
-		for try := 0; raceBuild() && allocs > 1 && try < 20; try++ {
-			allocs = testing.AllocsPerRun(1, func() { ReduceAggregate(spec, in) })
-		}
-		if allocs > 1 {
-			t.Errorf("n=%d: %v allocations per sorting ReduceAggregate, want 1", n, allocs)
+		for _, runs := range [][][]Pair{{in}, splitRuns(in)} {
+			ReduceAggregate(spec, runs...) // warm the pool
+			allocs := testing.AllocsPerRun(20, func() { ReduceAggregate(spec, runs...) })
+			// Under the race detector sync.Pool.Put drops one entry in four on
+			// purpose, so the mean cannot hold there (it fails at any commit);
+			// a race build asks for one run that found the pool warm instead.
+			for try := 0; raceBuild() && allocs > 1 && try < 20; try++ {
+				allocs = testing.AllocsPerRun(1, func() { ReduceAggregate(spec, runs...) })
+			}
+			if allocs > 1 {
+				t.Errorf("n=%d, %d runs: %v allocations per sorting ReduceAggregate, want 1", n, len(runs), allocs)
+			}
 		}
 	}
 }
@@ -260,13 +300,22 @@ func BenchmarkSortByKey(b *testing.B) {
 	}
 }
 
+// BenchmarkReduceAggregate sorts one sort-push-sized reduce partition
+// handed over whole and as eight runs, the map outputs' shards a reducer
+// reads.
 func BenchmarkReduceAggregate(b *testing.B) {
 	spec := &ShuffleSpec{SortKeys: true}
 	recs := sortInput("digits", 12500, 1)
-	b.ReportAllocs()
-	b.SetBytes(int64(SizeOfAll(recs)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sortSink = ReduceAggregate(spec, recs)
+	for _, in := range []struct {
+		name string
+		runs [][]Pair
+	}{{"1-run", [][]Pair{recs}}, {"8-runs", splitRuns(recs)}} {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(SizeOfAll(recs)))
+			for i := 0; i < b.N; i++ {
+				sortSink = ReduceAggregate(spec, in.runs...)
+			}
+		})
 	}
 }
