@@ -152,9 +152,10 @@ func TestSmoke(t *testing.T) {
 			},
 		},
 		{
-			// Transfer samples ride worker heartbeats, so /report's network
-			// section fills while the job runs; the final report then carries
-			// drift for every pair the micro topology configures.
+			// Each exchange feeds its transfer sample to the link estimator as
+			// it ends, so /report's network section fills while the job runs;
+			// the final report then carries drift for every pair the micro
+			// topology configures.
 			name: "link observatory",
 			args: []string{"-live", "-scale", "0.2", "-topology", "micro"},
 			scrape: func(t *testing.T, url string) {
@@ -194,7 +195,7 @@ func TestSmoke(t *testing.T) {
 			},
 		},
 		{
-			// Spans stream in via heartbeats under one live-… trace ID, and
+			// Spans reach the recorder as they end, under one live-… trace ID, and
 			// the critical path has its time attributed. Which tasks end up
 			// on it is timing: map, push, fetch and reduce all on the
 			// aggregator worker is a valid path over one host and no link,

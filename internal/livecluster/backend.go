@@ -242,7 +242,8 @@ func (r *liveRun) since() float64 { return r.at(time.Now()) }
 // at places an instant on the run's clock.
 func (r *liveRun) at(t time.Time) float64 { return t.Sub(r.start).Seconds() }
 
-// span records one driver-side span, stamping the run's trace ID.
+// span records one span of the run, driver or server side, stamping the
+// run's trace ID.
 func (r *liveRun) span(s trace.Span) {
 	s.Trace = r.traceID
 	r.c.cfg.Trace.Add(s)

@@ -1,35 +1,20 @@
 package livecluster
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/trace"
 )
 
 // TestWorkerSpansOrderCausally holds the one clock end to end: three workers
-// run a push-mode job, their server-side spans reach the driver's recorder on
-// ticker beats or, with heartbeats off, in the end-of-run flush, and either
-// way the raw trace is causally ordered with nothing aligning it — every
-// span, driver or worker side, was stamped on the run's clock, and a receive
-// reads its start after its send's request arrived.
+// run a push-mode job, their server-side spans go straight to the cluster's
+// recorder, and the raw trace is causally ordered with nothing aligning it —
+// every span, driver or worker side, was stamped on the run's clock, and a
+// receive reads its start after its send's request arrived.
 func TestWorkerSpansOrderCausally(t *testing.T) {
-	// Beat fast so the short test job spans several merges.
-	for _, hb := range []time.Duration{2 * time.Millisecond, -1} {
-		t.Run(fmt.Sprint("heartbeat ", hb), func(t *testing.T) { workerSpansOrderCausally(t, hb) })
-	}
-}
-
-func workerSpansOrderCausally(t *testing.T, heartbeat time.Duration) {
 	rec := &trace.Recorder{}
-	cluster, err := New(Config{
-		Workers:           3,
-		Mode:              ModePush,
-		Trace:             rec,
-		HeartbeatInterval: heartbeat,
-	})
+	cluster, err := New(Config{Workers: 3, Mode: ModePush, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/rdd"
 )
 
-// estimatorSamples sums the link estimator's transfer samples across all
+// estimatorSamples sums a link estimator's transfer samples across all
 // measured pairs.
-func estimatorSamples(c *Cluster) int64 {
+func estimatorSamples(links *netobs.Estimator) int64 {
 	var n int64
-	for _, e := range c.links.Estimates() {
+	for _, e := range links.Estimates() {
 		n += e.Samples
 	}
 	return n
@@ -61,7 +62,7 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 		if shards != 6 {
 			t.Fatalf("run %d holds %d map outputs, want 6 (reset leaked state?)", run, shards)
 		}
-		samples := estimatorSamples(cluster)
+		samples := estimatorSamples(cluster.links)
 		if samples <= prevSamples {
 			t.Fatalf("run %d: estimator samples %d did not grow past %d", run, samples, prevSamples)
 		}
@@ -69,13 +70,13 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 	}
 }
 
-// TestStatsQuiescentAfterRun runs back-to-back jobs under a 1 ms heartbeat
-// and reads every exported Stats field, unsynchronized, the moment Run
-// returns — what any caller does. Under -race this fails if a ticker beat
-// arriving after the end-of-run flush still merges into the returned
-// Stats: the run must be detached before Stats is published.
+// TestStatsQuiescentAfterRun runs back-to-back jobs and reads every
+// exported Stats field, unsynchronized, the moment Run returns — what any
+// caller does. Under -race this fails if anything the job set going — a
+// link accounting an exchange, a server handler — still writes into the
+// returned Stats: every writer must be done before Stats is published.
 func TestStatsQuiescentAfterRun(t *testing.T) {
-	cluster, err := New(Config{Workers: 4, Mode: ModePush, HeartbeatInterval: time.Millisecond})
+	cluster, err := New(Config{Workers: 4, Mode: ModePush})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		requests := stats.PushConnections + stats.FetchConnections + stats.SampleRequests
+		requests := stats.PushConnections + stats.FetchConnections
 		dials += stats.Dials
 		if width := int64(cluster.cfg.TasksPerWorker); requests == 0 || stats.Dials%width != 0 || dials > 4*3*width {
 			t.Fatalf("run %d: %d dials for %d requests, %d dials so far over 12 links %d wide", run, stats.Dials, requests, dials, width)

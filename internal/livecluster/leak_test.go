@@ -3,7 +3,6 @@ package livecluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -45,9 +44,9 @@ func settled() (goroutines, fds int) {
 // through — a job, a job canceled in the middle of its map stage, another
 // job, a worker killed, Close — and holds the process to where it started: no
 // goroutine, no descriptor and no spill file left. On the way it pins what a
-// cluster opens to begin with: New adds one descriptor per worker, its
-// listener, and nothing else — every socket after that is a link's connection
-// to one of those listeners, heartbeats on or off.
+// cluster opens to begin with: New adds one descriptor and one goroutine per
+// worker, its listener and the listener's accept loop, and nothing else —
+// every socket after that is a link's connection to one of those listeners.
 func TestClusterLeavesNothingBehind(t *testing.T) {
 	// Warm the netpoller: its descriptors are the process's, not a cluster's.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -55,30 +54,28 @@ func TestClusterLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ln.Close()
-	for _, hb := range []time.Duration{2 * time.Millisecond, -1} {
-		for _, mode := range []Mode{ModeFetch, ModePush} {
-			t.Run(fmt.Sprintf("heartbeat %v %v", hb, mode), func(t *testing.T) { clusterLeavesNothingBehind(t, hb, mode) })
-		}
+	for _, mode := range []Mode{ModeFetch, ModePush} {
+		t.Run(mode.String(), func(t *testing.T) { clusterLeavesNothingBehind(t, mode) })
 	}
 }
 
-func clusterLeavesNothingBehind(t *testing.T, heartbeat time.Duration, mode Mode) {
+func clusterLeavesNothingBehind(t *testing.T, mode Mode) {
 	const workers = 3
 	spill := t.TempDir()
 	goroutines, fds := settled()
 	c, err := New(Config{
-		Workers: workers, Mode: mode, TasksPerWorker: 1, HeartbeatInterval: heartbeat,
+		Workers: workers, Mode: mode, TasksPerWorker: 1,
 		MemoryBudget: 256, SpillDir: spill,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close() // on a failure's way out; Close is idempotent
-	if heartbeat > 0 {
-		time.Sleep(5 * heartbeat) // past the first beats: they open nothing
-	}
 	if got, ok := openDescriptors(); ok && got != fds+workers {
 		t.Fatalf("New took the process from %d to %d descriptors, want %d more: the workers' listeners", fds, got, workers)
+	}
+	if got := runtime.NumGoroutine(); got != goroutines+workers {
+		t.Fatalf("New took the process from %d to %d goroutines, want %d more: the listeners' accept loops", goroutines, got, workers)
 	}
 
 	want := canon(rdd.CollectLocal(buildWordCount(6, 3)))

@@ -12,13 +12,14 @@ import (
 // link is the client side of one directed worker pair, src → dst: the
 // idle pooled connections src holds to dst, the bounds their dials and
 // exchanges run under, the pacing of the two directed links those
-// connections' bytes travel, and src's telemetry buffer, where every byte
-// they carry is accounted. The cluster wires one per ordered pair of distinct
-// workers once every worker listens (Cluster.wireLinks) — no worker has a
-// link to itself, what it holds it reads and writes in its own block store —
-// and nothing else knows which link a byte is on. Only addr and tel need
-// setting for a link to work: zero timeouts bound nothing, without buckets it
-// is unshaped, and with no width it dials one connection at a time.
+// connections' bytes travel, and the way to the running job's Stats, where
+// every exchange, dial and byte they carry is accounted as it happens. The
+// cluster wires one per ordered pair of distinct workers once every worker
+// listens (Cluster.wireLinks) — no worker has a link to itself, what it holds
+// it reads and writes in its own block store — and nothing else knows which
+// link a byte is on. Only addr and stats need setting for a link to work:
+// zero timeouts bound nothing, without buckets it is unshaped, and with no
+// width it dials one connection at a time.
 //
 // When a link dials: a task has at most one exchange in flight, and at most
 // width tasks (Config.TasksPerWorker) run on src at once, so a link never
@@ -30,7 +31,9 @@ import (
 type link struct {
 	src, dst int
 	addr     string // dst's listen address
-	tel      *workerTel
+	// stats returns the running job's record (Cluster.running), nil between
+	// jobs, when what the link accounts is dropped.
+	stats func() *Stats
 	// width is how many exchanges src can have in flight to dst at once, and
 	// so how many connections the first dial fills the pool to.
 	width int
@@ -103,7 +106,7 @@ func (l *link) dial() (*pooledConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.tel.dial()
+	l.stats().dial()
 	cw := &countingConn{Conn: conn, out: l.out, in: l.in}
 	return &pooledConn{conn: cw, br: bufio.NewReader(cw)}, nil
 }
@@ -117,28 +120,31 @@ func (l *link) put(pc *pooledConn) {
 
 // exchange runs one request exchange of the given traffic class (fn drives
 // the framing and returns the exchange's compression savings) on a pooled
-// connection. A connection that came from the pool may have been closed by
-// the peer while idle: if its exchange breaks with anything but a timeout,
-// the exchange is run once more on a freshly dialed connection. Fresh
-// connections don't retry, and neither do timeouts — a hung peer would only
-// burn a second deadline.
+// connection, and accounts it as one request of its class if it succeeds. A
+// connection that came from the pool may have been closed by the peer while
+// idle: if its exchange breaks with anything but a timeout, the exchange is
+// run once more on a freshly dialed connection. Fresh connections don't
+// retry, and neither do timeouts — a hung peer would only burn a second
+// deadline.
 func (l *link) exchange(class string, fn func(*pooledConn) (int64, error)) error {
 	pc, pooled, err := l.get()
 	if err != nil {
 		return err
 	}
 	broken, err := l.attempt(pc, class, fn)
-	if !broken || !pooled {
-		return err
+	if broken && pooled {
+		var ne net.Error // declared on the failure path only: it escapes
+		if errors.As(err, &ne) && ne.Timeout() {
+			return err
+		}
+		if pc, err = l.dial(); err != nil {
+			return err
+		}
+		_, err = l.attempt(pc, class, fn)
 	}
-	var ne net.Error // declared on the failure path only: it escapes
-	if errors.As(err, &ne) && ne.Timeout() {
-		return err
+	if err == nil {
+		l.stats().op(class)
 	}
-	if pc, err = l.dial(); err != nil {
-		return err
-	}
-	_, err = l.attempt(pc, class, fn)
 	return err
 }
 
@@ -162,12 +168,13 @@ func (l *link) attempt(pc *pooledConn, class string, fn func(*pooledConn) (int64
 		_ = pc.conn.SetDeadline(time.Time{})
 	}
 	wire := pc.conn.bytes.Load() - before
-	l.tel.flow(l.src, l.dst, class, wire, wire+savings)
+	stats := l.stats()
+	stats.flow(l.src, l.dst, class, wire, wire+savings)
 	if !intact(err) {
 		pc.close()
 		return true, err
 	}
-	l.tel.xfer(l.src, l.dst, wire, time.Since(t0).Seconds())
+	stats.xfer(l.src, l.dst, wire, time.Since(t0).Seconds())
 	l.put(pc)
 	return false, err
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -63,9 +64,15 @@ func newPoolServer(t *testing.T, script func(s *poolServer, i int, conn net.Conn
 func (s *poolServer) addr() string { return s.ln.Addr().String() }
 
 // link returns a link to the server the way the cluster wires one: an
-// address, a telemetry buffer, and nothing else needed.
+// address, the running record it accounts into — here one of its own, for
+// worker 0's link to worker 1 — and nothing else needed.
 func (s *poolServer) link() *link {
-	return &link{src: 0, dst: 1, addr: s.addr(), tel: newWorkerTel()}
+	stats := &Stats{
+		TrafficMatrix: [][]int64{{0, 0}, {0, 0}},
+		BytesByClass:  map[string]int64{},
+		links:         netobs.NewEstimator(netobs.Config{}),
+	}
+	return &link{src: 0, dst: 1, addr: s.addr(), stats: func() *Stats { return stats }}
 }
 
 func (s *poolServer) accepted(t *testing.T, want int) {
@@ -162,7 +169,7 @@ func TestPoolReusesIdleConnections(t *testing.T) {
 	}
 	srv.accepted(t, 1) // still just one dial
 	l.put(pc2)
-	if dials := l.tel.drain().Dials; dials != 1 {
+	if dials := l.stats().Dials; dials != 1 {
 		t.Fatalf("%d dials accounted, want 1", dials)
 	}
 }
@@ -184,7 +191,7 @@ func TestFirstDialFillsThePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.accepted(t, width)
-	if dials := l.tel.drain().Dials; dials != width {
+	if dials := l.stats().Dials; dials != width {
 		t.Fatalf("first exchange accounted %d dials, want the link's width %d", dials, width)
 	}
 
@@ -213,7 +220,7 @@ func TestFirstDialFillsThePool(t *testing.T) {
 		wg.Wait()
 	}
 	srv.accepted(t, width)
-	if dials := l.tel.drain().Dials; dials != 0 {
+	if dials := l.stats().Dials - width; dials != 0 {
 		t.Fatalf("a warm link dialed %d more connections under %d concurrent exchanges", dials, width)
 	}
 
@@ -296,15 +303,16 @@ func TestRetriedExchangeAccountsBothAttempts(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("exchange body ran %d times over two exchanges, want 3 (one transparent retry)", calls)
 	}
-	hb := l.tel.drain()
-	if hb.Dials != 2 || len(hb.Xfers) != 2 {
-		t.Fatalf("%d dials, %d transfer samples; want 2 and 2 (the broken attempt has no rate)", hb.Dials, len(hb.Xfers))
+	st := l.stats()
+	if samples := estimatorSamples(st.links); st.Dials != 2 || samples != 2 || st.PushConnections != 2 {
+		t.Fatalf("%d dials, %d transfer samples, %d pushes; want 2, 2 (the broken attempt has no rate) and 2", st.Dials, samples, st.PushConnections)
 	}
-	if len(hb.Flows) != 1 || hb.Flows[0] != (flowDelta{Src: 0, Dst: 1, Class: "push", Bytes: 20, Raw: 20}) {
-		t.Fatalf("flows = %+v, want one 0→1 push cell of 20 bytes (8 + the broken attempt's 4 + 8)", hb.Flows)
+	if st.TrafficMatrix[0][1] != 20 || st.BytesByClass["push"] != 20 || st.BytesOverTCP != 20 || st.BytesRaw != 20 {
+		t.Fatalf("matrix %v, classes %v, %d wire and %d raw bytes; want one 0→1 push cell of 20 bytes (8 + the broken attempt's 4 + 8)",
+			st.TrafficMatrix, st.BytesByClass, st.BytesOverTCP, st.BytesRaw)
 	}
-	if got := srv.carried.Load(); got != hb.Flows[0].Bytes {
-		t.Fatalf("sockets carried %d bytes, flows account %d", got, hb.Flows[0].Bytes)
+	if got := srv.carried.Load(); got != st.BytesOverTCP {
+		t.Fatalf("sockets carried %d bytes, flows account %d", got, st.BytesOverTCP)
 	}
 }
 
@@ -333,9 +341,9 @@ func TestTimedOutExchangeIsNotRetried(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("exchange body ran %d times, want 2 (no retry after a timeout)", calls)
 	}
-	hb := l.tel.drain()
-	if hb.Dials != 1 || len(hb.Xfers) != 1 || len(hb.Flows) != 1 || hb.Flows[0].Bytes != 12 {
-		t.Fatalf("dials %d, samples %d, flows %+v; want 1, 1 and 12 bytes", hb.Dials, len(hb.Xfers), hb.Flows)
+	st := l.stats()
+	if samples := estimatorSamples(st.links); st.Dials != 1 || samples != 1 || st.FetchConnections != 1 || st.TrafficMatrix[0][1] != 12 {
+		t.Fatalf("dials %d, samples %d, fetches %d, matrix %v; want 1, 1, 1 and 12 bytes 0→1", st.Dials, samples, st.FetchConnections, st.TrafficMatrix)
 	}
 }
 

@@ -94,15 +94,9 @@ type Config struct {
 	// Trace, when non-nil, records per-task spans (wall-clock seconds
 	// since the job started) and numbers them, driver and worker side.
 	Trace *trace.Recorder
-	// HeartbeatInterval is the period of worker→driver telemetry
-	// heartbeats: each worker buffers its data-plane accounting (bytes by
-	// (src,dst,class), request and dial counts, receive and serve spans)
-	// and the driver merges the delta on this ticker, so mid-run
-	// telemetry snapshots converge continuously. Zero means the 50ms
-	// default; negative disables heartbeats — no ticker — and the same
-	// buffers are merged once, by the flush that ends every Run: Stats are
-	// exact when Run returns and empty before. Liveness does not depend on
-	// it: a worker is down when it is closed.
+	// HeartbeatInterval selects nothing: a worker's accounting is written
+	// into the running job's Stats where it happens, so there is no beat to
+	// time. It stays because perf/ still sets it (ROADMAP 1(b)).
 	HeartbeatInterval time.Duration
 	// ChunkRecords bounds how many records one data-plane chunk frame
 	// carries; pushes and fetches stream their partitions as sequences of
@@ -155,11 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.TasksPerWorker <= 0 {
 		c.TasksPerWorker = 2
 	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 50 * time.Millisecond
-	} else if c.HeartbeatInterval < 0 {
-		c.HeartbeatInterval = 0 // disabled
-	}
 	if c.ChunkRecords <= 0 {
 		c.ChunkRecords = 256
 	}
@@ -185,13 +174,10 @@ type Cluster struct {
 	// specs is the control-plane shuffle metadata of the current job
 	// (shuffleID → *rdd.ShuffleSpec), the registry workers bucket by.
 	specs sync.Map
-	// curRun is the job currently executing, so server-side handlers
-	// (push receives, fetch serves) can stamp their spans on its clock.
+	// curRun is the job currently executing: links account their exchanges
+	// into its stats, and server-side handlers (push receives, fetch serves)
+	// stamp their spans on its clock.
 	curRun atomic.Pointer[liveRun]
-	// mergeMu is held while a heartbeat merges into curRun's stats and
-	// while RunContext detaches the run, so no beat — however late its
-	// ticker fires — writes to a Stats the caller of Run already holds.
-	mergeMu sync.Mutex
 	// lastStats keeps the most recently completed job's stats reachable
 	// for telemetry endpoints after Run returns.
 	lastStats atomic.Pointer[Stats]
@@ -243,8 +229,7 @@ type Stats struct {
 	// "shuffle" (fetch).
 	BytesByClass map[string]int64
 	// Events collects the driver's task lifecycle and stage events and its
-	// placement decisions; its registry holds the data plane's chunk,
-	// duplicate and bucketing counters.
+	// placement decisions.
 	Events *obs.Collector
 
 	// storage snapshots the cluster's block-store accounting (the stores
@@ -273,11 +258,19 @@ type Stats struct {
 // Storage returns the block-store accounting summed across workers.
 func (s *Stats) Storage() blockstore.Stats { return s.storage() }
 
-// flow merges one buffered flow: its wire bytes go into the byte total, the
-// (src,dst) traffic matrix cell and the class split — all under one lock,
-// so the matrix total equals BytesOverTCP at every instant a scraper could
-// observe. raw (wire plus compression savings) feeds BytesRaw.
+// The four accounting methods below are how a link writes its exchanges into
+// the running job's record, where they happen. Each is a no-op on nil stats:
+// what is accounted while no job runs is dropped.
+
+// flow accounts one exchange attempt's payload bytes from worker src to dst
+// under a traffic class: wire is what crossed the socket, raw is wire plus
+// whatever chunk compression saved. Byte total, (src,dst) matrix cell and
+// class split move under one lock, so the matrix total equals BytesOverTCP
+// at every instant a scraper could observe.
 func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	s.BytesOverTCP += wire
 	s.BytesRaw += raw
@@ -288,23 +281,35 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	s.mu.Unlock()
 }
 
-// merge folds one drained telemetry buffer into the stats, routing its
-// receive and serve spans to the job's trace recorder. Each transfer sample
-// — one completed exchange's wire bytes over its wall-clock duration — feeds
-// the cluster's link estimator for its (src,dst) pair; every exchange ran on
-// a link, so there is no sample from a worker to itself.
-func (s *Stats) merge(hb heartbeat, tr *trace.Recorder) {
-	for _, f := range hb.Flows {
-		s.flow(f.Src, f.Dst, f.Class, f.Bytes, f.Raw)
+// xfer feeds one completed exchange's wire bytes over its wall-clock
+// duration to the cluster's link estimator as a throughput sample for its
+// (src,dst) pair; every exchange runs on a link, so there is no sample from
+// a worker to itself.
+func (s *Stats) xfer(src, dst int, bytes int64, sec float64) {
+	if s == nil {
+		return
 	}
-	for _, x := range hb.Xfers {
-		s.links.ObserveTransfer(siteLabel(x.Src), siteLabel(x.Dst), float64(x.Bytes), x.Sec)
+	s.links.ObserveTransfer(siteLabel(src), siteLabel(dst), float64(bytes), sec)
+}
+
+// dial accounts one fresh TCP connection.
+func (s *Stats) dial() {
+	if s == nil {
+		return
 	}
-	atomic.AddInt64(&s.PushConnections, hb.Pushes)
-	atomic.AddInt64(&s.FetchConnections, hb.Fetches)
-	atomic.AddInt64(&s.Dials, hb.Dials)
-	for _, sp := range hb.Spans {
-		tr.Add(sp)
+	atomic.AddInt64(&s.Dials, 1)
+}
+
+// op accounts one exchange that succeeded, by traffic class: a push, or a
+// fetch ("shuffle").
+func (s *Stats) op(class string) {
+	if s == nil {
+		return
+	}
+	if class == "push" {
+		atomic.AddInt64(&s.PushConnections, 1)
+	} else {
+		atomic.AddInt64(&s.FetchConnections, 1)
 	}
 }
 
@@ -397,9 +402,9 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 	}
 }
 
-// New starts the workers, each listening on an ephemeral loopback port,
-// wires their links, and (with heartbeats enabled) starts each worker's
-// heartbeat ticker. The workers' listeners are the only sockets it opens.
+// New starts the workers, each listening on an ephemeral loopback port, and
+// wires their links. The workers' listeners are the only sockets it opens,
+// and their accept loops the only goroutines it starts.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.AggregatorPolicy {
@@ -433,11 +438,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.workers = append(c.workers, w)
 	}
 	c.wireLinks()
-	if c.hbEnabled() {
-		for _, w := range c.workers {
-			w.startHeartbeats(cfg.HeartbeatInterval)
-		}
-	}
 	return c, nil
 }
 
@@ -465,7 +465,7 @@ func (c *Cluster) wireLinks() {
 				continue
 			}
 			w.links[j] = &link{
-				src: i, dst: j, addr: peer.srv.addr(), tel: w.tel,
+				src: i, dst: j, addr: peer.srv.addr(), stats: c.running,
 				width:       c.cfg.TasksPerWorker,
 				dialTimeout: c.cfg.DialTimeout, ioTimeout: c.cfg.IOTimeout,
 				out: pace[i][j], in: pace[j][i],
@@ -559,12 +559,27 @@ func (c *Cluster) LinkCosts() plan.LinkCostProvider {
 // siteLabel names worker i for span, link and matrix attribution.
 func siteLabel(i int) string { return fmt.Sprintf("w%d", i) }
 
+// running returns the stats of the job currently running, nil between jobs:
+// the record a link accounts an exchange into.
+func (c *Cluster) running() *Stats {
+	if run := c.curRun.Load(); run != nil {
+		return run.stats
+	}
+	return nil
+}
+
+// workerHealthy reports whether worker i can take tasks: it exists and is
+// not closed.
+func (c *Cluster) workerHealthy(i int) bool {
+	return i >= 0 && i < len(c.workers) && !c.workers[i].closed.Load()
+}
+
 // CurrentStats returns the stats of the job currently running, falling
 // back to the last completed job's (nil before any job). Telemetry
 // endpoints read mid-run state through it.
 func (c *Cluster) CurrentStats() *Stats {
-	if run := c.curRun.Load(); run != nil {
-		return run.stats
+	if s := c.running(); s != nil {
+		return s
 	}
 	return c.lastStats.Load()
 }
@@ -582,8 +597,8 @@ func (c *Cluster) Topology() *topology.Topology {
 	return topo
 }
 
-// Close shuts every worker down: its listener, its pooled connections, its
-// heartbeat ticker and its block store.
+// Close shuts every worker down: its listener, its pooled connections and its
+// block store.
 func (c *Cluster) Close() {
 	for _, w := range c.workers {
 		w.close()
@@ -622,16 +637,11 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 		SiteSlots: c.cfg.TasksPerWorker,
 	})
 	parts, err := drv.RunContext(ctx)
-	// Drain every worker's telemetry buffer before reading the stats, so
-	// totals are exact regardless of heartbeat timing.
-	c.flushTelemetry()
+	// Every exchange ran inside a task attempt, and the driver has waited for
+	// all of them: no link writes to stats any more.
 	stats.setCompletion(time.Since(run.start).Seconds(), stats.Events.Counts().Retried)
 	c.lastStats.Store(stats)
-	// Detach the run before stats is handed to the caller: a ticker beat
-	// arriving from here on finds no run and merges nowhere.
-	c.mergeMu.Lock()
 	c.curRun.Store(nil)
-	c.mergeMu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -246,7 +246,7 @@ func (r *capturingRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 func TestReduceDoesNotWriteTheStore(t *testing.T) {
 	for _, budget := range []int64{0, 1 << 10} {
 		t.Run(fmt.Sprintf("budget %d", budget), func(t *testing.T) {
-			c, err := New(Config{Workers: 2, Mode: ModePush, MemoryBudget: budget, SpillDir: t.TempDir(), HeartbeatInterval: -1})
+			c, err := New(Config{Workers: 2, Mode: ModePush, MemoryBudget: budget, SpillDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -185,7 +185,7 @@ func TestConnectionReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requests := stats1.PushConnections + stats1.FetchConnections + stats1.SampleRequests
+	requests := stats1.PushConnections + stats1.FetchConnections
 	if stats1.Dials == 0 {
 		t.Fatal("first job dialed nothing")
 	}
@@ -238,8 +238,8 @@ func TestRangePartitionBarrierOverWire(t *testing.T) {
 				t.Fatalf("%v output not globally sorted at %d", mode, i)
 			}
 		}
-		if n := stats.BytesByClass["sample"]; n != 0 || stats.SampleRequests != 0 {
-			t.Fatalf("%v: %d sample bytes in %d requests crossed the wire", mode, n, stats.SampleRequests)
+		if n := stats.BytesByClass["sample"]; n != 0 {
+			t.Fatalf("%v: %d sample bytes crossed the wire", mode, n)
 		}
 		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP || got == 0 {
 			t.Fatalf("%v: matrix total %d, BytesOverTCP %d", mode, got, stats.BytesOverTCP)

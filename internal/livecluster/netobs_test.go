@@ -112,9 +112,10 @@ func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 		t.Fatalf("placement decisions %+v, want worker 0", decs)
 	}
 
-	ns := cluster.NetworkStats()
+	// The run report's network section is the link estimate matrix.
+	ns := stats.RunReport("wordcount", nil).Network
 	if ns == nil {
-		t.Fatal("NetworkStats = nil after a shaped run")
+		t.Fatal("run report has no network section after a shaped run")
 	}
 
 	// Every configured cross-DC worker pair appears with a drift ratio,
@@ -146,12 +147,6 @@ func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 	// The paced path cannot measure faster than its configured rate.
 	if *slow.Drift > 1.05 {
 		t.Fatalf("slow path drift %.2f exceeds 1: measured faster than the pacing allows", *slow.Drift)
-	}
-
-	// The same matrix reaches the run report.
-	rep := stats.RunReport("wordcount", nil)
-	if l := findLink(rep.Network, "w2", "w0"); l == nil || l.ThroughputBps <= 0 {
-		t.Fatalf("run report's network section lacks a measured w2->w0 link: %+v", rep.Network)
 	}
 }
 

@@ -3,7 +3,6 @@ package livecluster
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
@@ -198,22 +197,17 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		return g.Input("in", parts).GroupByKey("group", 2), sent, records
 	}
 	// Push mode, where the reducers sit on the aggregator and read locally,
-	// and fetch mode, where most reads have serves. Heartbeats at their
-	// default period, then off: the spans reach the recorder on beats and in
-	// the final flush, or in the flush alone.
+	// and fetch mode, where most reads have serves.
 	for _, v := range []struct {
-		mode      Mode
-		codec     string
-		heartbeat time.Duration
+		mode  Mode
+		codec string
 	}{
-		{ModePush, CodecNone, 0}, {ModePush, CodecFlate, 0}, {ModePush, CodecNone, -1}, {ModePush, CodecFlate, -1},
-		{ModeFetch, CodecNone, 0}, {ModeFetch, CodecFlate, -1},
+		{ModePush, CodecNone}, {ModePush, CodecFlate}, {ModeFetch, CodecNone}, {ModeFetch, CodecFlate},
 	} {
 		tr := &trace.Recorder{}
 		cluster, err := New(Config{
 			Workers: 2, Mode: v.mode,
 			ChunkRecords: chunkRecords, Compression: v.codec, Trace: tr,
-			HeartbeatInterval: v.heartbeat,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"wanshuffle/internal/blockstore"
+	"wanshuffle/internal/dag"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -441,30 +442,31 @@ func TestValidCodec(t *testing.T) {
 	}
 }
 
-// streamCluster builds a heartbeat-less cluster — nothing drains a worker's
-// telemetry buffer but the test — plus a registered hash-partitioned shuffle
-// spec, for tests that drive exchanges outside a job.
+// streamCluster builds a cluster with a registered hash-partitioned shuffle
+// spec, for tests that drive exchanges outside a job, and gives those
+// exchanges a running record to account into (flushed).
 func streamCluster(t *testing.T, cfg Config, reduces int) *Cluster {
 	t.Helper()
-	cfg.HeartbeatInterval = -1
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	c.specs.Store(7, &rdd.ShuffleSpec{ID: 7, Partitioner: rdd.NewHashPartitioner(reduces)})
+	flushed(c)
 	return c
 }
 
-// flushed merges what the workers have accounted since it was last called
-// into fresh stats, the way the flush that ends a job merges it into the
-// job's.
+// flushed returns what the cluster's exchanges have accounted since it was
+// last called — into the stats of the run it stood in, as a job's exchanges
+// account into the job's — and stands in a fresh run for the exchanges that
+// follow. With no run standing in (none yet, or a job has ended since), the
+// exchanges in between accounted nothing, and it returns empty stats.
 func flushed(c *Cluster) *Stats {
-	stats := c.newStats()
-	for _, w := range c.workers {
-		stats.merge(w.tel.drain(), nil)
+	if prev := c.curRun.Swap(newLiveRun(c, c.newStats(), &dag.Plan{})); prev != nil {
+		return prev.stats
 	}
-	return stats
+	return c.newStats()
 }
 
 // TestChunkedPushFetchRoundTrip drives the full wire path — chunked push
@@ -666,7 +668,7 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	// peer, so every dial is a connection lost.
 	// The job aggregates at worker 1, so worker 0's link to it is warm.
 	c, err := New(Config{Workers: 2, Mode: ModePush,
-		TasksPerWorker: 1, ChunkRecords: 4, HeartbeatInterval: -1})
+		TasksPerWorker: 1, ChunkRecords: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,6 +676,7 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	if _, _, err := c.Run(buildSkewedWordCount(4, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
+	flushed(c) // the exchanges below run outside a job
 	w0 := c.workers[0]
 
 	// Shuffle 99 is not registered: the receiver refuses its chunks.

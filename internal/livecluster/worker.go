@@ -144,15 +144,6 @@ type worker struct {
 	bucketBuilds atomic.Int64
 
 	closed atomic.Bool
-
-	// Telemetry: tel buffers everything this worker accounts — its links'
-	// exchanges, its server-side spans — until the driver merges it, on the
-	// beats of the ticker goroutine and in the end-of-run flush. hbMu
-	// serializes one drain→merge against the other's.
-	tel    *workerTel
-	hbMu   sync.Mutex
-	stopHB chan struct{}
-	hbWG   sync.WaitGroup
 }
 
 func newWorker(id int, c *Cluster) (*worker, error) {
@@ -164,7 +155,6 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 		id:      id,
 		cluster: c,
 		store:   store,
-		tel:     newWorkerTel(),
 	}
 	if w.srv, err = serve(w.handleConn); err != nil {
 		_ = store.Close()
@@ -175,9 +165,6 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 
 func (w *worker) close() {
 	if w.closed.CompareAndSwap(false, true) {
-		if w.stopHB != nil {
-			close(w.stopHB)
-		}
 		for _, l := range w.links {
 			if l != nil { // none to itself
 				l.closeAll()
@@ -185,7 +172,6 @@ func (w *worker) close() {
 		}
 	}
 	w.srv.close()
-	w.hbWG.Wait()
 	_ = w.store.Close()
 }
 
@@ -323,11 +309,11 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	// push, parented to the originating map task and linked to its send
 	// span, so every push has its matching receive in the causal DAG.
 	// Like every server-side span it carries the run's trace ID, is stamped
-	// on the run's clock, the one the driver-side spans are on, and is
-	// buffered until the next merge.
+	// on the run's clock, the one the driver-side spans are on, and goes
+	// straight to the cluster's recorder.
 	if err == nil && run != nil {
-		w.tel.addSpan(trace.Span{
-			Trace: run.traceID, ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent, Link: req.Span,
+		run.span(trace.Span{
+			ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent, Link: req.Span,
 			Kind: trace.KindReceive, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
@@ -356,12 +342,12 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 // analysis can attribute fetch time to the link it actually crossed. Like a
 // receive span before its acknowledgement, it is recorded before the
 // terminal frame goes out: a fetch that has returned has its serve span in
-// this worker's telemetry, so the flush at the end of the job cannot miss
-// it. The price is the same as for a receive span: if the terminal frame
-// itself cannot be written the span stays, and when the fetching side
-// retries on a fresh connection (link.exchange) a second serve span
-// joins it under the same fetch span — serve bytes sum to the fetch's only
-// over exchanges that needed no retry.
+// the recorder, so a job's trace is whole when its last task ends. The price
+// is the same as for a receive span: if the terminal frame itself cannot be
+// written the span stays, and when the fetching side retries on a fresh
+// connection (link.exchange) a second serve span joins it under the same
+// fetch span — serve bytes sum to the fetch's only over exchanges that
+// needed no retry.
 func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := time.Now()
@@ -373,8 +359,8 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 		if run == nil {
 			return
 		}
-		w.tel.addSpan(trace.Span{
-			Trace: run.traceID, ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent,
+		run.span(trace.Span{
+			ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent,
 			Kind: trace.KindServe, Host: topology.HostID(w.id),
 			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
 			Shuffle: req.ShuffleID,
@@ -473,7 +459,6 @@ func (w *worker) push(dst, shuffleID, mapPart, attempt int, records []rdd.Pair, 
 	if err != nil {
 		return 0, fmt.Errorf("livecluster: push %d/%d to worker %d: %w", shuffleID, mapPart, dst, err)
 	}
-	w.tel.op(reqPushChunk)
 	return sent.raw, nil
 }
 
@@ -503,7 +488,6 @@ func (w *worker) fetch(holder, shuffleID, mapPart, reduce int, sc spanCtx) ([][]
 	if err != nil {
 		return nil, 0, fmt.Errorf("livecluster: fetch %d/%d/%d from worker %d: %w", shuffleID, mapPart, reduce, holder, err)
 	}
-	w.tel.op(reqFetchStream)
 	return out, got.raw, nil
 }
 

@@ -7,7 +7,8 @@
 // recorded once, in the report: /metrics renders the report /report
 // serves, so the two cannot disagree. Both backends serve through it: the
 // simulator scrapes its engine's collector while the event loop runs, and
-// the live cluster's heartbeat-fed Stats snapshot mid-run.
+// the live cluster snapshots its running job's Stats, which every exchange
+// writes as it happens.
 package telemetry
 
 import (

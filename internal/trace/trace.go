@@ -97,7 +97,7 @@ type Span struct {
 
 // Recorder accumulates spans and numbers them, and is safe for concurrent
 // use: the simulator records from its event loop, the live cluster from task
-// goroutines and heartbeat merges, and telemetry scrapes read either mid-run.
+// goroutines and server handlers, and telemetry scrapes read either mid-run.
 // The zero value is ready to use; a nil *Recorder discards everything.
 type Recorder struct {
 	mu    sync.Mutex
