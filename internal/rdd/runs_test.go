@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -33,16 +34,18 @@ func asRuns(recs []Pair, lens []int) [][]Pair {
 	return runs
 }
 
-// runsInput draws n seeded records over keys distinct keys, with float64
-// values of mixed magnitude (so a sum's rounding depends on its order), and
-// cuts them into nruns runs at random points (asRuns). Cut points may
-// coincide, so runs can be empty; nruns == 0 gives no runs at all, which
+// runsInput draws n seeded records over keys distinct keys, all starting
+// with the same shared bytes (past eight, a sort must re-key its ties), with
+// float64 values of mixed magnitude (so a sum's rounding depends on its
+// order), and cuts them into nruns runs at random points (asRuns). Cut points
+// may coincide, so runs can be empty; nruns == 0 gives no runs at all, which
 // only an empty input is.
-func runsInput(seed int64, n, keys, nruns int) ([]Pair, [][]Pair) {
+func runsInput(seed int64, n, keys, shared, nruns int) ([]Pair, [][]Pair) {
 	rng := rand.New(rand.NewSource(seed))
+	prefix := strings.Repeat("p", shared)
 	recs := make([]Pair, n)
 	for i := range recs {
-		recs[i] = KV(fmt.Sprintf("k%03d", rng.Intn(keys)), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12))))
+		recs[i] = KV(fmt.Sprintf("%sk%03d", prefix, rng.Intn(keys)), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12))))
 	}
 	if nruns == 0 {
 		if n > 0 {
@@ -166,23 +169,30 @@ func TestReduceAggregateRunsMatchConcatenation(t *testing.T) {
 				continue // only an empty partition has no runs
 			}
 			for _, keys := range []int{1, 7, 500} {
-				recs, runs := runsInput(int64(n*1000+nruns*10+keys), n, keys, nruns)
-				t.Run(fmt.Sprintf("n=%d/runs=%d/keys=%d", n, nruns, keys), func(t *testing.T) {
-					checkRunsMatchConcatenation(t, recs, runs)
-				})
+				for _, shared := range []int{0, 12} {
+					recs, runs := runsInput(int64(n*1000+nruns*10+keys), n, keys, shared, nruns)
+					name := fmt.Sprintf("n=%d/runs=%d/keys=%d", n, nruns, keys)
+					if shared > 0 {
+						name = fmt.Sprintf("shared=%d/%s", shared, name)
+					}
+					t.Run(name, func(t *testing.T) {
+						checkRunsMatchConcatenation(t, recs, runs)
+					})
+				}
 			}
 		}
 	}
 }
 
 func FuzzReduceAggregateRuns(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint8(0), uint8(3))
-	f.Add(int64(2), uint16(1), uint8(1), uint8(1))
-	f.Add(int64(3), uint16(radixSortCutoff+1), uint8(8), uint8(7))
-	f.Add(int64(4), uint16(3000), uint8(30), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, nruns, keys uint8) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(3), uint8(0))
+	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(3), uint16(radixSortCutoff+1), uint8(8), uint8(7), uint8(0))
+	f.Add(int64(4), uint16(3000), uint8(30), uint8(200), uint8(0))
+	f.Add(int64(5), uint16(2000), uint8(8), uint8(60), uint8(10))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, nruns, keys, shared uint8) {
 		size := int(n) % 5000
-		recs, runs := runsInput(seed, size, int(keys)+1, int(nruns)%64)
+		recs, runs := runsInput(seed, size, int(keys)+1, int(shared)%25, int(nruns)%64)
 		checkRunsMatchConcatenation(t, recs, runs)
 	})
 }

@@ -42,10 +42,9 @@ func keyPrefix(k string) uint64 {
 // permutation out of them is the sort's one copy).
 //
 // Small inputs are sorted as Pairs. Larger ones are sorted as keyEntries:
-// an LSD byte-radix sort on the prefix, skipping byte positions on which
-// every key agrees, then a full-key sort of each stretch of equal prefixes
-// (prefixes that differ order their keys; equal ones say nothing, "a" and
-// "a\x00" included), then one permutation of the Pairs.
+// an LSD byte-radix sort on the prefix (radixPasses), then each stretch of
+// equal prefixes ordered on the bytes where its keys differ (sortStretches),
+// then one permutation of the Pairs.
 func sortByKey(dst []Pair, runs ...[]Pair) {
 	n := len(dst)
 	inPlace := len(runs) == 1 && n > 0 && &dst[0] == &runs[0][0]
@@ -73,47 +72,8 @@ func sortByKey(dst []Pair, runs ...[]Pair) {
 			and &= p
 		}
 	}
-	for shift, varies := 0, or^and; shift < 64; shift += 8 {
-		if varies>>shift&0xff == 0 {
-			continue
-		}
-		var count [256]int
-		for i := range ents {
-			count[ents[i].prefix>>shift&0xff]++
-		}
-		pos := 0
-		for b, c := range count {
-			count[b], pos = pos, pos+c
-		}
-		for _, e := range ents {
-			b := e.prefix >> shift & 0xff
-			spare[count[b]] = e
-			count[b]++
-		}
-		ents, spare = spare, ents
-	}
-	// The radix passes are stable, so each stretch of equal prefixes is
-	// still in input order; ordering a stretch by (key, input position) is
-	// the stable order, and lets the faster unstable sort produce it.
-	byKeyThenInput := func(a, b keyEntry) int {
-		if c := strings.Compare(runs[a.run][a.off].Key, runs[b.run][b.off].Key); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.run, b.run); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.off, b.off)
-	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && ents[hi].prefix == ents[lo].prefix {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(ents[lo:hi], byKeyThenInput)
-		}
-		lo = hi
-	}
+	ents, spare = radixPasses(ents, spare, or^and)
+	sortStretches(runs, ents, spare, 0)
 
 	if !inPlace {
 		for i, e := range ents {
@@ -140,5 +100,103 @@ func sortByKey(dst []Pair, runs ...[]Pair) {
 			dst[j] = dst[k]
 			j = k
 		}
+	}
+}
+
+// radixPasses sorts ents by prefix: one stable counting pass per byte
+// position set in varies (the positions on which some prefixes differ),
+// ping-ponging between ents and spare, which has the same length. It returns
+// the half holding the result, then the other.
+func radixPasses(ents, spare []keyEntry, varies uint64) ([]keyEntry, []keyEntry) {
+	for shift := 0; shift < 64; shift += 8 {
+		if varies>>shift&0xff == 0 {
+			continue
+		}
+		var count [256]int
+		for i := range ents {
+			count[ents[i].prefix>>shift&0xff]++
+		}
+		pos := 0
+		for b, c := range count {
+			count[b], pos = pos, pos+c
+		}
+		for _, e := range ents {
+			b := e.prefix >> shift & 0xff
+			spare[count[b]] = e
+			count[b]++
+		}
+		ents, spare = spare, ents
+	}
+	return ents, spare
+}
+
+// sortStretches orders each stretch of equal prefixes in ents, which is
+// sorted by prefix and whose keys all share their first depth bytes, the
+// prefixes being taken from there on. spare is scratch of ents' length.
+//
+// Equal prefixes say nothing ("a" and "a\x00" pad alike), but the radix
+// passes are stable, so each stretch is still in input order. A stretch of
+// one key is therefore already in the stable order. A short mixed one is
+// sorted by (key, input position), which is that order too and lets the
+// faster unstable sort produce it. A long mixed one is re-keyed on the
+// bytes after the ones all its keys share, radix-sorted again and recursed
+// into; when the stretch shares no more bytes than depth (a key ends there
+// and the others continue with NULs), it too goes to the comparison sort.
+func sortStretches(runs [][]Pair, ents, spare []keyEntry, depth int) {
+	for lo := 0; lo < len(ents); {
+		hi := lo + 1
+		for hi < len(ents) && ents[hi].prefix == ents[lo].prefix {
+			hi++
+		}
+		if hi-lo > 1 {
+			sortStretch(runs, ents[lo:hi], spare[lo:hi], depth)
+		}
+		lo = hi
+	}
+}
+
+func sortStretch(runs [][]Pair, ents, spare []keyEntry, depth int) {
+	first := runs[ents[0].run][ents[0].off].Key
+	// lcp is the length of the prefix every key shares. Equal prefixes
+	// vouch for the bytes up to depth+8 that both keys have.
+	lcp, oneKey := len(first), true
+	for _, e := range ents[1:] {
+		k := runs[e.run][e.off].Key
+		if k == first {
+			continue
+		}
+		oneKey = false
+		i := min(lcp, len(k), depth+8)
+		for i < lcp && i < len(k) && k[i] == first[i] {
+			i++
+		}
+		lcp = i
+	}
+	if oneKey {
+		return
+	}
+	if len(ents) < radixSortCutoff || lcp == depth {
+		slices.SortFunc(ents, func(a, b keyEntry) int {
+			if c := strings.Compare(runs[a.run][a.off].Key, runs[b.run][b.off].Key); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.run, b.run); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.off, b.off)
+		})
+		return
+	}
+	or, and := uint64(0), ^uint64(0)
+	for i := range ents {
+		p := keyPrefix(runs[ents[i].run][ents[i].off].Key[lcp:])
+		ents[i].prefix = p
+		or |= p
+		and &= p
+	}
+	sorted, other := radixPasses(ents, spare, or^and)
+	sortStretches(runs, sorted, other, lcp)
+	if &sorted[0] != &ents[0] {
+		copy(ents, sorted)
 	}
 }

@@ -38,6 +38,17 @@ var sortKeySets = map[string]func(rng *rand.Rand, i, n int) string{
 		}
 		return string(b)
 	},
+	// PageRank's keys, whose 8-byte prefix takes only twelve values.
+	"pages": func(rng *rand.Rand, _, _ int) string { return fmt.Sprintf("page%06d", rng.Intn(1200)) },
+	// Ties that need two re-keyings: after "deep0-shared-prefix-", then
+	// after "0-more-shared-bytes-".
+	"deep-shared": func(rng *rand.Rand, _, _ int) string {
+		return fmt.Sprintf("deep%d-shared-prefix-%d-more-shared-bytes-%04d", rng.Intn(2), rng.Intn(2), rng.Intn(500))
+	},
+	// Tails that pad alike past a 16-byte shared prefix.
+	"nul-past-16": func(rng *rand.Rand, _, _ int) string {
+		return "sixteen-byte-pfx" + []string{"", "\x00", "a", "a\x00"}[rng.Intn(4)]
+	},
 	"sorted":   func(_ *rand.Rand, i, _ int) string { return fmt.Sprintf("k%08d", i/2) },
 	"reversed": func(_ *rand.Rand, i, n int) string { return fmt.Sprintf("k%08d", (n-i)/2) },
 }
@@ -55,34 +66,65 @@ func TestSortByKeyMatchesStableSort(t *testing.T) {
 	sizes := []int{0, 1, radixSortCutoff - 1, radixSortCutoff, radixSortCutoff + 1, 5000}
 	for set := range sortKeySets {
 		for _, n := range sizes {
-			in := sortInput(set, n, int64(n)+1)
-			want := referenceSort(in)
-
-			orig := slices.Clone(in)
-			got := make([]Pair, n)
-			sortByKey(got, in)
-			if !slices.Equal(got, want) {
-				t.Errorf("%s n=%d: sorted copy differs from the stable sort", set, n)
-			}
-			if !slices.Equal(in, orig) {
-				t.Errorf("%s n=%d: sorting into a copy wrote to the input", set, n)
-			}
-
-			runs := splitRuns(in)
-			got = make([]Pair, n)
-			sortByKey(got, runs...)
-			if !slices.Equal(got, want) {
-				t.Errorf("%s n=%d: sorting out of runs differs from the stable sort", set, n)
-			}
-			if !slices.Equal(slices.Concat(runs...), orig) {
-				t.Errorf("%s n=%d: sorting out of runs wrote to them", set, n)
-			}
-
-			sortByKey(in, in)
-			if !slices.Equal(in, want) {
-				t.Errorf("%s n=%d: in-place sort differs from the stable sort", set, n)
-			}
+			checkSortByKey(t, fmt.Sprintf("%s n=%d", set, n), sortInput(set, n, int64(n)+1))
 		}
+	}
+}
+
+// FuzzSortByKey sorts keys that share a prefix of 0–24 bytes and end in up
+// to three bytes from {NUL, 'a', 'b'}: ties that pad alike at every depth
+// the re-keying can reach.
+func FuzzSortByKey(f *testing.F) {
+	f.Add(int64(1), uint16(radixSortCutoff+1), uint8(0))
+	f.Add(int64(2), uint16(500), uint8(9))
+	f.Add(int64(3), uint16(3000), uint8(16))
+	f.Add(int64(4), uint16(200), uint8(24))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, shared uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		prefix := strings.Repeat("s", int(shared)%25)
+		recs := make([]Pair, int(n)%5000)
+		for i := range recs {
+			tail := make([]byte, rng.Intn(4))
+			for j := range tail {
+				tail[j] = "\x00ab"[rng.Intn(3)]
+			}
+			recs[i] = KV(prefix+string(tail), i)
+		}
+		checkSortByKey(t, fmt.Sprintf("shared=%d n=%d", len(prefix), len(recs)), recs)
+	})
+}
+
+// checkSortByKey holds sortByKey to referenceSort on in, sorted into a copy,
+// out of runs and in place, and checks that the first two leave their input
+// alone. It sorts in itself last.
+func checkSortByKey(t *testing.T, name string, in []Pair) {
+	t.Helper()
+	n := len(in)
+	want := referenceSort(in)
+
+	orig := slices.Clone(in)
+	got := make([]Pair, n)
+	sortByKey(got, in)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: sorted copy differs from the stable sort", name)
+	}
+	if !slices.Equal(in, orig) {
+		t.Errorf("%s: sorting into a copy wrote to the input", name)
+	}
+
+	runs := splitRuns(in)
+	got = make([]Pair, n)
+	sortByKey(got, runs...)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: sorting out of runs differs from the stable sort", name)
+	}
+	if !slices.Equal(slices.Concat(runs...), orig) {
+		t.Errorf("%s: sorting out of runs wrote to them", name)
+	}
+
+	sortByKey(in, in)
+	if !slices.Equal(in, want) {
+		t.Errorf("%s: in-place sort differs from the stable sort", name)
 	}
 }
 
@@ -208,8 +250,11 @@ func splitRuns(recs []Pair) [][]Pair {
 // out of them into that output.
 func TestReduceAggregateSortAllocatesOnlyItsOutput(t *testing.T) {
 	spec := &ShuffleSpec{SortKeys: true}
-	for _, n := range []int{radixSortCutoff - 1, 5000} {
-		in := sortInput("digits", n, 9)
+	for _, c := range []struct {
+		set string
+		n   int
+	}{{"digits", radixSortCutoff - 1}, {"digits", 5000}, {"pages", 5000}} {
+		n, in := c.n, sortInput(c.set, c.n, 9)
 		for _, runs := range [][][]Pair{{in}, splitRuns(in)} {
 			ReduceAggregate(spec, runs...) // warm the pool
 			allocs := testing.AllocsPerRun(20, func() { ReduceAggregate(spec, runs...) })
@@ -220,7 +265,7 @@ func TestReduceAggregateSortAllocatesOnlyItsOutput(t *testing.T) {
 				allocs = testing.AllocsPerRun(1, func() { ReduceAggregate(spec, runs...) })
 			}
 			if allocs > 1 {
-				t.Errorf("n=%d, %d runs: %v allocations per sorting ReduceAggregate, want 1", n, len(runs), allocs)
+				t.Errorf("%s n=%d, %d runs: %v allocations per sorting ReduceAggregate, want 1", c.set, n, len(runs), allocs)
 			}
 		}
 	}
@@ -258,7 +303,8 @@ var sortSink []Pair
 
 // benchSortInputs are the partitions the benchmarks sort: one sort-push
 // reduce partition, one wordcount-sized combine output, keys the prefix
-// cannot tell apart, heavy duplication, and a pagerank-sized partition.
+// cannot tell apart, heavy duplication, a pagerank-push reduce partition
+// (page keys with twelve 8-byte prefixes) and a small partition.
 var benchSortInputs = []struct {
 	name string
 	recs func() []Pair
@@ -273,6 +319,7 @@ var benchSortInputs = []struct {
 	}},
 	{"shared-prefix-12k", func() []Pair { return sortInput("shared-prefix", 12500, 1) }},
 	{"dup-keys-12k", func() []Pair { return sortInput("duplicates", 12500, 1) }},
+	{"pagerank-1500", func() []Pair { return sortInput("pages", 1500, 1) }},
 	{"n=32", func() []Pair { return sortInput("digits", 32, 1) }},
 }
 

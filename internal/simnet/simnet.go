@@ -12,8 +12,9 @@
 //     80–300 Mbps between instance pairs in two regions (Sec. V-A).
 //
 // Concurrent flows share link capacity by max-min fairness, computed with
-// the classic progressive-filling algorithm; rates are recomputed whenever
-// a flow starts or finishes and whenever wide-area capacity changes. Each
+// the classic progressive-filling algorithm; rates are recomputed once per
+// simulated instant at which a flow starts or finishes or wide-area
+// capacity changes, however many of those the instant holds. Each
 // link indexes the active flows that cross it, so a filling round freezes
 // the bottleneck's own flows without scanning the others: one refill costs
 // the active flows' path lengths once, plus per round the links still
@@ -111,7 +112,7 @@ type flow struct {
 	// its first cross-DC byte.
 	tagBytes *float64
 
-	// scratch for reallocate
+	// scratch for maxMinRates
 	frozen bool
 }
 
@@ -126,7 +127,7 @@ type link struct {
 	// concurrent flows (WAN host links only).
 	burstBeta float64
 
-	// scratch for reallocate
+	// scratch for maxMinRates
 	remCap   float64
 	unfrozen int
 	touched  bool
@@ -179,11 +180,13 @@ type Network struct {
 	lastSettle  float64
 	completion  sim.Timer
 	jitterTimer sim.Timer
-	// onTick is onCompletionTick, bound once so that scheduling a
-	// completion does not allocate a method value.
-	onTick func()
+	// refill is the pending zero-delay event that recomputes the rates.
+	refill sim.Timer
+	// onTick and onRefill are onCompletionTick and refillNow, bound once
+	// so that scheduling either does not allocate a method value.
+	onTick, onRefill func()
 
-	// scratch for reallocate and onCompletionTick, reused across calls:
+	// scratch for maxMinRates and onCompletionTick, reused across calls:
 	// live holds the links still carrying unfrozen flows.
 	live     []*link
 	finished []*flow
@@ -209,6 +212,7 @@ func New(clock *sim.Clock, topo *topology.Topology, seed int64, cfg Config) *Net
 		bytesByPair: make([][]float64, topo.NumDCs()),
 	}
 	n.onTick = n.onCompletionTick
+	n.onRefill = n.refillNow
 	for i := range n.bytesByPair {
 		n.bytesByPair[i] = make([]float64, topo.NumDCs())
 	}
@@ -383,9 +387,23 @@ type FlowObserver func(src, dst topology.HostID, tag string, bytes, start, end f
 // the network.
 func (n *Network) SetFlowObserver(o FlowObserver) { n.flowObserver = o }
 
-// reallocate recomputes max-min fair rates with progressive filling and
-// schedules the next flow completion. Callers must settle() first.
+// reallocate marks the rates stale after the flow set or a capacity
+// changed: it cancels the completion event, which the stale rates timed,
+// and queues at most one zero-delay refill, so that a batch of changes at
+// one instant (flows activating together, a completion's callbacks) pays
+// for one max-min refill. Until it runs the rates are stale, which only
+// this instant sees, and settling over a zero interval reads no rate.
+// Callers must settle() first.
 func (n *Network) reallocate() {
+	n.completion.Cancel()
+	if !n.refill.Pending() {
+		n.refill = n.clock.After(0, n.onRefill)
+	}
+}
+
+// refillNow recomputes max-min fair rates with progressive filling and
+// schedules the next flow completion.
+func (n *Network) refillNow() {
 	n.maxMinRates()
 	n.scheduleCompletion()
 }
@@ -511,8 +529,8 @@ func (n *Network) onCompletionTick() {
 		}
 	}
 	n.reallocate()
-	// Callbacks run after rates are consistent; they may start new flows,
-	// which re-enters settle/reallocate with dt == 0, harmlessly.
+	// Callbacks may start new flows, which activate in later events; the
+	// refill queued above runs before any of those at a later instant.
 	for _, f := range finished {
 		if f.onComplete != nil {
 			f.onComplete()
