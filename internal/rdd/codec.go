@@ -228,6 +228,8 @@ func appendValues(dst []byte, vs []Value) []byte {
 // []byte value is a sub-slice of it, so the caller must neither write to
 // nor reuse buf afterwards — and a decoded Pair keeps the whole of buf
 // alive (holders that outlive their chunk strings.Clone what they keep).
+// A string, float64 or int value sits in a slab of its kind (see slab), so
+// a kept value also keeps that slab alive.
 // Arbitrary bytes yield an error wrapping ErrCorrupt, never a panic, and
 // every count is checked against the bytes left (and all counts together
 // against len(buf)) before anything is allocated for it.
@@ -236,6 +238,7 @@ func DecodePairs(buf []byte) ([]Pair, error) {
 	n := d.count(2) // a record is at least a key length and a tag
 	recs := make([]Pair, n)
 	for i := range recs {
+		d.left = n - i
 		recs[i].Key = d.str()
 		recs[i].Value = d.value(0)
 		if d.err != nil {
@@ -258,8 +261,57 @@ type decoder struct {
 	arena string // the same bytes as buf, for substrings
 	off   int
 	elems int // slice elements claimed so far, see count
+	left  int // top-level records not yet decoded, see slab.next
 	err   error
+
+	strs   slab[string]
+	floats slab[float64]
+	ints   slab[int]
 }
+
+// slab holds one payload's decoded values of one scalar kind. Each value
+// is an interface over its own slot (boxAt), so a payload's values of a
+// kind cost one allocation per refill, not a heap box each. Only kinds
+// whose box would be the value's one allocation have a slab: a composite
+// value's backing array allocates anyway.
+type slab[T any] struct {
+	free []T // slots not handed out yet
+	last int // slots in the last refill
+}
+
+// next stores x in a fresh slot and returns it as a Value. A refill doubles
+// from 16 slots but never past the top-level records not yet decoded, a
+// count already checked against the payload: no count a nested value
+// claims sizes a slab, so the decoder's allocation bounds hold.
+func (s *slab[T]) next(d *decoder, x T) Value {
+	if d.err != nil {
+		return nil
+	}
+	if len(s.free) == 0 {
+		s.last = max(16, min(2*s.last, d.left))
+		s.free = make([]T, s.last)
+	}
+	s.free[0] = x
+	v := boxAt(&s.free[0])
+	s.free = s.free[1:]
+	return v
+}
+
+// boxAt returns *p as a Value without copying it into a heap box of its
+// own: the interface gets T's type word, and p itself as the data word
+// where any(*p) would put a fresh box's address. The runtime never writes
+// through an interface's data word, and nor may anything write *p once
+// the Value exists: a slab hands each slot out once. T must not be
+// pointer-shaped (a pointer, map, chan or func), since the interface of
+// such a type holds the value in its data word, not a pointer to it.
+func boxAt[T any](p *T) Value {
+	v := Value(*new(T)) // a zero scalar boxes without allocating
+	(*eface)(unsafe.Pointer(&v)).data = unsafe.Pointer(p)
+	return v
+}
+
+// eface is the runtime's layout of an interface with no methods.
+type eface struct{ typ, data unsafe.Pointer }
 
 func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
@@ -372,11 +424,15 @@ func (d *decoder) value(depth int) Value {
 	case tagNil:
 		return nil
 	case tagString:
-		return d.str()
+		return d.strs.next(d, d.str())
 	case tagInt:
-		return d.varint()
+		x := d.varint()
+		if uint(x) < 256 { // the runtime boxes these without allocating
+			return x
+		}
+		return d.ints.next(d, x)
 	case tagFloat64:
-		return d.f64()
+		return d.floats.next(d, d.f64())
 	case tagFalse:
 		return false
 	case tagTrue:

@@ -233,13 +233,19 @@ func TestDecodePairsRejectsOversizedCounts(t *testing.T) {
 }
 
 // allocatedBytes is how many heap bytes fn (and anything running beside it)
-// allocated.
+// allocated, the lesser of two calls: when a stop-the-world ends, the
+// runtime now and then starts an OS thread and allocates its bookkeeping
+// (about 5.5 KB, runtime.allocm), which is none of fn's. fn must allocate
+// the same on every call.
 func allocatedBytes(fn func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	once := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	return min(once(), once())
 }
 
 type unshippable struct{}
@@ -300,12 +306,12 @@ func TestEncodedSizeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestDecodePairsAllocatesPerChunkNotPerField pins the zero-copy contract:
-// decoding a chunk of string records costs the record slice plus one
-// string→any box per record, and no per-key or per-value copy.
-func TestDecodePairsAllocatesPerChunkNotPerField(t *testing.T) {
-	const n = 256
-	buf, err := AppendPairs(nil, sortShaped(n))
+// TestDecodePairsAllocatesPerSlabNotPerRecord pins the zero-copy contract:
+// decoding a chunk of string records costs the record slice plus a slab
+// refill per doubling of the string values decoded (16, 32, 64, 128, then
+// the 16 records left), and no per-key, per-value or per-record copy.
+func TestDecodePairsAllocatesPerSlabNotPerRecord(t *testing.T) {
+	buf, err := AppendPairs(nil, sortShaped(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,15 +321,73 @@ func TestDecodePairsAllocatesPerChunkNotPerField(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > n+2 {
-		t.Fatalf("decoding %d records took %v allocations, want at most %d", n, allocs, n+2)
+	if allocs > 8 {
+		t.Fatalf("decoding 256 records took %v allocations, want at most 8", allocs)
+	}
+}
+
+// decodeLimit is the most heap DecodePairs may allocate for n bytes of
+// payload, valid or not (see FuzzDecodePairs).
+func decodeLimit(n int) uint64 { return uint64(64*n + 16<<10) }
+
+// TestDecodeMixedKindsStaysWithinBound decodes a valid payload that cycles
+// through every tag, so each kind's slab starts and refills part way
+// through it, under the fuzz target's allocation bound.
+func TestDecodeMixedKindsStaysWithinBound(t *testing.T) {
+	var in []Pair
+	for len(in) < 4096 {
+		in = append(in, everyTag()...)
+	}
+	buf, err := AppendPairs(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := allocatedBytes(func() { pairsSink, err = DecodePairs(buf) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := decodeLimit(len(buf)); allocated > limit {
+		t.Fatalf("decoding %d bytes allocated %d, over %d", len(buf), allocated, limit)
+	}
+}
+
+// TestDecodedValueOutlivesItsPairs keeps one decoded value of each kind
+// and drops the records, their payload and so every other slot of the
+// slabs the values sit in: the values must read back as written after
+// collections that reuse whatever was freed.
+func TestDecodedValueOutlivesItsPairs(t *testing.T) {
+	in := everyTag()
+	buf, err := AppendPairs(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := DecodePairs(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]Value, len(recs))
+	for i := range recs {
+		kept[i] = recs[i].Value
+	}
+	recs, buf = nil, nil
+	for gc := 0; gc < 2; gc++ {
+		runtime.GC()
+		for i := 0; i < 1000; i++ {
+			stringsSink = make([]string, 16)
+		}
+	}
+	for i, v := range kept {
+		if !reflect.DeepEqual(v, in[i].Value) {
+			t.Errorf("kept %s value reads %#v, want %#v", in[i].Key, v, in[i].Value)
+		}
 	}
 }
 
 var (
-	sizeSink  float64
-	pairsSink []Pair
-	bytesSink []byte
+	sizeSink    float64
+	pairsSink   []Pair
+	bytesSink   []byte
+	stringsSink []string
 )
 
 // sortShaped builds records like the sort workloads': a 10-byte key and a
@@ -346,12 +410,38 @@ func pageRankShaped(n int) []Pair {
 	return recs
 }
 
+// countsShaped builds records like a word count's: a word and an int
+// count, half of them below 256 and half above.
+func countsShaped(n int) []Pair {
+	recs := make([]Pair, n)
+	for i := range recs {
+		count := i % 256
+		if i%2 == 1 {
+			count = 256 + i*31
+		}
+		recs[i] = KV(fmt.Sprintf("word%d", i), count)
+	}
+	return recs
+}
+
+// contribsShaped builds records like PageRank's ranks and contributions: a
+// short key and a float64.
+func contribsShaped(n int) []Pair {
+	recs := make([]Pair, n)
+	for i := range recs {
+		recs[i] = KV(fmt.Sprintf("p%d", i), 0.15+0.85*float64(i)/float64(n))
+	}
+	return recs
+}
+
 var codecShapes = []struct {
 	name string
 	recs []Pair
 }{
 	{"sort", sortShaped(256)},
 	{"pagerank", pageRankShaped(256)},
+	{"counts", countsShaped(256)},
+	{"contribs", contribsShaped(256)},
 }
 
 func BenchmarkAppendPairs(b *testing.B) {

@@ -3,6 +3,9 @@ package rdd
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -95,10 +98,13 @@ func FuzzDecodePairs(f *testing.F) {
 		var recs []Pair
 		var err error
 		allocated := allocatedBytes(func() { recs, err = DecodePairs(buf) })
-		// A record is 32 bytes of Pair for at least 2 of input and a nested
-		// value at most 24 bytes of box per byte; 64x leaves room for both
-		// plus the error and the runtime's own bookkeeping.
-		if limit := uint64(64*len(data) + 16<<10); allocated > limit {
+		// A record is 32 bytes of Pair for at least 2 bytes of input, and a
+		// nested value 16 bytes of []Value slot for at least 1. A string,
+		// int or float64 value of at least 2 bytes sits in its kind's slab,
+		// where a refill at most doubles the slots used before it: at most
+		// three 16-byte slots per value, 24 bytes per byte. 64x leaves room
+		// for all of them plus the error and the runtime's own bookkeeping.
+		if limit := decodeLimit(len(data)); allocated > limit {
 			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), allocated, limit)
 		}
 		if err != nil {
@@ -123,5 +129,54 @@ func FuzzDecodePairs(f *testing.F) {
 		if twice, err := AppendPairs(nil, back); err != nil || !bytes.Equal(twice, again) {
 			t.Fatalf("re-encoded payload decodes to different records (%v)", err)
 		}
+		// A decoded value points into its payload's slabs: after a
+		// collection each must still be the value it decoded as.
+		runtime.GC()
+		for i := range recs {
+			got, ok := floatBits(recs[i].Value)
+			want, _ := floatBits(back[i].Value)
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("record %d decodes as %#v after a collection, want %#v", i, recs[i].Value, back[i].Value)
+			}
+		}
 	})
+}
+
+// floatBits rebuilds v with every float64 replaced by its bits, since NaN
+// defeats reflect.DeepEqual, reading every value it holds on the way. ok
+// is false when v holds a type outside the codec's value set.
+func floatBits(v Value) (_ Value, ok bool) {
+	switch x := v.(type) {
+	case nil, string, int, bool, []byte, []string:
+		return x, true
+	case float64:
+		return math.Float64bits(x), true
+	case []float64:
+		bits := make([]uint64, len(x))
+		for i, f := range x {
+			bits[i] = math.Float64bits(f)
+		}
+		return bits, true
+	case []Value:
+		return valuesBits(x)
+	case Tagged:
+		inner, ok := floatBits(x.V)
+		return Tagged{Side: x.Side, V: inner}, ok
+	case [2][]Value:
+		a, okA := valuesBits(x[0])
+		b, okB := valuesBits(x[1])
+		return [2]Value{a, b}, okA && okB
+	}
+	return nil, false
+}
+
+func valuesBits(vs []Value) (Value, bool) {
+	out := make([]Value, len(vs))
+	for i, e := range vs {
+		var ok bool
+		if out[i], ok = floatBits(e); !ok {
+			return nil, false
+		}
+	}
+	return out, true
 }
