@@ -79,7 +79,7 @@ func openLiveBackend(o *options) (*backend, func(), error) {
 		tracer = &trace.Recorder{}
 	}
 	cluster, err := livecluster.New(livecluster.Config{
-		Workers: 6, Mode: o.mode, Trace: tracer, AggregatorPolicy: o.aggregator,
+		Workers: 6, Trace: tracer, AggregatorPolicy: o.aggregator,
 		Compression: o.compress, ChunkRecords: o.chunkRecords,
 		DialTimeout: o.dialTimeout, IOTimeout: o.ioTimeout,
 		MemoryBudget: o.memoryBudget, SpillDir: o.spillDir,
@@ -88,14 +88,16 @@ func openLiveBackend(o *options) (*backend, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// This context only builds the workload's RDD graph and applies the
+	// scheme's rewrite to it; execution happens on the cluster.
+	lineage := core.NewContext(core.Config{Seed: o.seed, Scheme: o.scheme})
 	// Mid-run sources read the running job's stats: a snapshot built by the
 	// same RunReport code path as the final report, so its traffic matrix
 	// always sums to the bytes moved so far.
 	b := &backend{
-		// This context only constructs the workload's RDD graph; execution
-		// happens on the cluster.
-		lineage: core.NewContext(core.Config{Seed: o.seed, Scheme: o.scheme}),
+		lineage: lineage,
 		run: func(ctx context.Context, workload string, target *rdd.RDD) ([]rdd.Pair, *obs.Report, error) {
+			lineage.Embed(target)
 			out, stats, err := cluster.RunContext(ctx, target)
 			if err != nil {
 				return nil, nil, err

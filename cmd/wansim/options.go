@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"wanshuffle/internal/core"
-	"wanshuffle/internal/livecluster"
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/workloads"
@@ -25,7 +24,6 @@ type options struct {
 	seed       int64
 	scale      float64
 	live       bool
-	mode       livecluster.Mode // the scheme's live mechanism; set with -live
 
 	// What the run does with its result.
 	gantt, matrix, validate bool
@@ -61,7 +59,7 @@ type rawFlags struct {
 func newFlagSet(o *options, raw *rawFlags) *flag.FlagSet {
 	fs := flag.NewFlagSet("wansim", flag.ContinueOnError)
 	fs.StringVar(&raw.workload, "workload", "wordcount", "wordcount | sort | terasort | pagerank | naivebayes")
-	fs.StringVar(&raw.scheme, "scheme", "agg", "spark | centralized | agg | manual (-live runs spark as a fetch shuffle and agg as a push shuffle, and rejects the others)")
+	fs.StringVar(&raw.scheme, "scheme", "agg", "spark | centralized | agg | manual (agg puts a transferTo before every shuffle, on either backend; -live rejects centralized and manual)")
 	fs.StringVar(&raw.aggregator, "aggregator", "best", "automatic aggregator rule for agg-scheme shuffles: best (largest input share) | bandwidth (smallest estimated transfer time over the measured, then configured, link matrix) | worst | random (sim only)")
 	fs.Int64Var(&o.seed, "seed", 1, "run seed")
 	fs.Float64Var(&o.scale, "scale", 1.0, "modeled-size multiplier vs Table I")
@@ -119,8 +117,8 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 		return nil, fmt.Errorf("-aggregator: %w", err)
 	}
 	if o.live {
-		if o.mode, err = modeForScheme(o.scheme); err != nil {
-			return nil, err
+		if o.scheme != core.SchemeSpark && o.scheme != core.SchemeAggShuffle {
+			return nil, fmt.Errorf("-live supports schemes spark and agg, not %v", o.scheme)
 		}
 		if o.aggregator == plan.AggregatorRandom {
 			return nil, fmt.Errorf("-aggregator random is not supported with -live (the live path carries no seeded RNG)")
@@ -163,20 +161,6 @@ func warnSet(fs *flag.FlagSet, stderr io.Writer, set map[string]bool, why string
 	})
 	if len(ignored) > 0 {
 		fmt.Fprintf(stderr, "wansim: warning: %s %s\n", strings.Join(ignored, ", "), why)
-	}
-}
-
-// modeForScheme maps a shuffle scheme to its live mechanism: spark is the
-// fetch-based shuffle, agg is Push/Aggregate with per-shuffle measured-size
-// aggregator selection.
-func modeForScheme(sch core.Scheme) (livecluster.Mode, error) {
-	switch sch {
-	case core.SchemeSpark:
-		return livecluster.ModeFetch, nil
-	case core.SchemeAggShuffle:
-		return livecluster.ModePush, nil
-	default:
-		return 0, fmt.Errorf("-live supports schemes spark and agg, not %v", sch)
 	}
 }
 

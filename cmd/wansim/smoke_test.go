@@ -44,6 +44,17 @@ func matrixSum(rep *obs.Report) float64 {
 	return sum
 }
 
+// mapStages counts the report's map stages: one per shuffle.
+func mapStages(rep *obs.Report) int {
+	n := 0
+	for _, st := range rep.Stages {
+		if strings.Contains(st.Name, "(map:") {
+			n++
+		}
+	}
+	return n
+}
+
 // ndjson decodes one value of type T per non-empty line.
 func ndjson[T any](t *testing.T, body []byte) []T {
 	t.Helper()
@@ -101,10 +112,16 @@ func TestSmoke(t *testing.T) {
 	}{
 		{
 			// Under a 4 KB per-worker budget the block stores must spill,
-			// and byte conservation must survive the storage detour.
+			// and byte conservation must survive the storage detour. The
+			// default scheme, agg, puts a transferTo before every shuffle on
+			// the live cluster too: every shuffle pushes, each after one
+			// placement decision.
 			name: "spill",
 			args: []string{"-live", "-scale", "0.05", "-memory-budget", "4KB"},
 			check: func(t *testing.T, rep *obs.Report) {
+				if maps := mapStages(rep); rep.Scheme != "push" || maps == 0 || rep.Placement == nil || len(rep.Placement.Decisions) != maps {
+					t.Fatalf("scheme %q with placement %+v over %d shuffles, want push and one decision per shuffle", rep.Scheme, rep.Placement, maps)
+				}
 				st := rep.Storage
 				if st == nil || st.SpillEvents <= 0 || st.SpilledBytesTotal <= 0 || st.ReloadBytesTotal <= 0 {
 					t.Fatalf("no spill activity under a 4KB budget: %+v", st)
@@ -121,6 +138,9 @@ func TestSmoke(t *testing.T) {
 			name: "compressed",
 			args: []string{"-live", "-workload", "sort", "-scheme", "spark", "-scale", "0.05", "-compress", "gzip"},
 			check: func(t *testing.T, rep *obs.Report) {
+				if rep.Scheme != "fetch" || rep.Placement != nil {
+					t.Fatalf("scheme %q with placement %+v, want fetch and no decisions", rep.Scheme, rep.Placement)
+				}
 				if rep.BytesTotal <= 0 || matrixSum(rep) != rep.BytesTotal {
 					t.Fatalf("traffic matrix sums to %v, bytes_total is %v", matrixSum(rep), rep.BytesTotal)
 				}

@@ -246,23 +246,30 @@ func (c *Context) runContext(ctx context.Context, target *rdd.RDD, action exec.A
 	return c.report(results[0]), nil
 }
 
-// jobSpec is the one place the scheme says what it does to a job: AggShuffle
-// embeds a transferTo before every shuffle (the paper's automatic embedding,
-// idempotent across jobs on the same lineage), Centralized ships the inputs
-// to one datacenter first, Spark and Manual run the lineage as written
-// (Manual keeps its explicit transfers). Any other scheme is an error.
+// jobSpec is the one place the scheme says what it does to a simulated job:
+// AggShuffle embeds a transferTo before every shuffle (Embed), Centralized
+// ships the inputs to one datacenter first, Spark and Manual run the lineage
+// as written (Manual keeps its explicit transfers). Any other is an error.
 func (c *Context) jobSpec(target *rdd.RDD, action exec.Action) (exec.JobSpec, error) {
 	spec := exec.JobSpec{Target: target, Action: action}
+	c.Embed(target)
 	switch c.cfg.Scheme {
-	case SchemeAggShuffle:
-		dag.AutoAggregate(target)
 	case SchemeCentralized:
 		spec.Opts.Centralize = true
-	case SchemeSpark, SchemeManual:
+	case SchemeSpark, SchemeManual, SchemeAggShuffle:
 	default:
 		return exec.JobSpec{}, fmt.Errorf("core: unknown scheme %v", c.cfg.Scheme)
 	}
 	return spec, nil
+}
+
+// Embed is the scheme's one edit to a job's lineage, on either backend: under
+// SchemeAggShuffle a transferTo with automatic aggregator selection before
+// every shuffle (dag.AutoAggregate, idempotent); under the others, none.
+func (c *Context) Embed(target *rdd.RDD) {
+	if c.cfg.Scheme == SchemeAggShuffle {
+		dag.AutoAggregate(target)
+	}
 }
 
 // report wraps one finished job's result with what the context knows.

@@ -66,12 +66,12 @@ func (r *liveRun) NumSites() int { return len(r.c.workers) }
 // from plan.TaskOutput prepared for its shuffle (combined map-side, where the
 // spec asks, as the records are produced); the task either pushes it to the
 // aggregator the moment it finishes (t.AggTo names another worker, the
-// paper's transferTo) or installs it in its own worker's block store: in fetch mode, and in push mode when the
-// task already runs on the aggregator — the s₁ of Eq. 2 that never has to
-// move. The bytes it reports, like every span's, are record-codec bytes — what
-// the records take on this cluster's wire — so the planner's predicted
-// transfer cost is a prediction about the real sockets, not about the
-// simulator's SizeOf model.
+// paper's transferTo) or installs it in its own worker's block store: when
+// its shuffle is fetched, or when the task runs on the aggregator — the s₁ of
+// Eq. 2 that never has to move. The bytes it reports, like every span's, are
+// record-codec bytes — what the records take on this cluster's wire — so
+// the planner's predicted transfer cost is a prediction about the real
+// sockets, not about the simulator's SizeOf model.
 func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	st, site := t.Stage, t.Site
 	w := r.c.workers[site]
@@ -113,11 +113,11 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		Start: lastFetch, End: r.since(),
 	})
 	if t.AggTo < 0 || t.AggTo == site {
-		// The output stays where it was produced — every fetch-mode map
-		// task, and a push-mode one that ran on its aggregator — landing in
-		// the same block store pushes assemble into (spilling under the same
-		// budget, last write wins by attempt). No push and no receive span:
-		// the map span above is the producer edge, as in fetch mode.
+		// The output stays where it was produced — a fetched shuffle's, or
+		// a pushed one's that ran on its aggregator — landing in the same
+		// block store pushes assemble into (spilling under the same budget,
+		// last write wins by attempt). No push and no receive span:
+		// the map span above is the producer edge, as for a fetch.
 		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, out)
 	}
 	tPush := r.since()
@@ -166,12 +166,12 @@ func (r *liveRun) OnPlacement(d obs.PlacementDecision) {
 // reader builds the ShuffleReader task t reads its shuffle input through,
 // serially in map order (plan.Task.Gather) so the runs arrive
 // deterministically. A map output the task's own worker holds — every one,
-// when a push-mode reducer sits on its aggregator — is read from that
+// when a pushed shuffle's reducer sits on its aggregator — is read from that
 // worker's block store directly: no request, no serve span, no wire bytes,
 // and no copy — its run is the store's own shard, which the reduce side
 // only reads (rdd.ReduceAggregate's output is the partition's one copy), so
 // a retried attempt reads what the first one did. Any other holder (a mapper
-// in fetch mode, a second aggregator, the one a re-placed retry left behind)
+// of a fetched shuffle, a second aggregator, the one a re-placed retry left behind)
 // is fetched from over TCP, and its decoded chunks are its runs. One fetch
 // span per read carries the reading stage's ID and nests under the consuming
 // task (parent); its own ID rides the wire so each holder's serve span nests

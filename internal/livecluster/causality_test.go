@@ -8,19 +8,19 @@ import (
 )
 
 // TestWorkerSpansOrderCausally holds the one clock end to end: three workers
-// run a push-mode job, their server-side spans go straight to the cluster's
+// run a push job, their server-side spans go straight to the cluster's
 // recorder, and the raw trace is causally ordered with nothing aligning it —
 // every span, driver or worker side, was stamped on the run's clock, and a
 // receive reads its start after its send's request arrived.
 func TestWorkerSpansOrderCausally(t *testing.T) {
 	rec := &trace.Recorder{}
-	cluster, err := New(Config{Workers: 3, Mode: ModePush, Trace: rec})
+	cluster, err := New(Config{Workers: 3, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 	want := canon(rdd.CollectLocal(buildChained()))
-	out, stats, err := cluster.Run(buildChained())
+	out, stats, err := cluster.Run(pushed(buildChained()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWorkerSpansOrderCausally(t *testing.T) {
 		}
 	}
 	if recvs == 0 {
-		t.Fatal("push-mode run recorded no receive spans")
+		t.Fatal("push job recorded no receive spans")
 	}
 	if len(hosts) < 2 {
 		t.Fatalf("trace covers %d hosts, want >= 2", len(hosts))

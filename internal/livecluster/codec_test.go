@@ -121,34 +121,33 @@ func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 		}
 		return i
 	}
-	for _, mode := range []Mode{ModePush, ModeFetch} {
+	for _, scheme := range []string{"push", "fetch"} {
 		c, err := New(Config{
-			Workers: 2, Mode: mode,
-			TasksPerWorker: 1, ChunkRecords: 4,
+			Workers: 2, TasksPerWorker: 1, ChunkRecords: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := canon(rdd.CollectLocal(job(good)))
-		if out, _, err := c.Run(job(good)); err != nil || canon(out) != want {
-			t.Fatalf("%v: warm-up job: %v", mode, err)
+		if out, _, err := c.Run(shuffledAs(scheme, job(good))); err != nil || canon(out) != want {
+			t.Fatalf("%v: warm-up job: %v", scheme, err)
 		}
 
-		_, _, err = c.Run(job(bad))
+		_, _, err = c.Run(shuffledAs(scheme, job(bad)))
 		if err == nil || !strings.Contains(err.Error(), "livecluster.opaque") {
-			t.Fatalf("%v: job with an unsupported value: err = %v, want one naming the Go type", mode, err)
+			t.Fatalf("%v: job with an unsupported value: err = %v, want one naming the Go type", scheme, err)
 		}
 		var unsupported *rdd.UnsupportedValueError
-		if mode == ModePush && !errors.As(err, &unsupported) {
+		if scheme == "push" && !errors.As(err, &unsupported) {
 			t.Fatalf("push: err = %v, want *rdd.UnsupportedValueError", err)
 		}
 
-		out, stats, err := c.Run(job(good))
+		out, stats, err := c.Run(shuffledAs(scheme, job(good)))
 		if err != nil || canon(out) != want {
-			t.Fatalf("%v: job after the failed one: %v", mode, err)
+			t.Fatalf("%v: job after the failed one: %v", scheme, err)
 		}
 		if stats.Dials != 0 {
-			t.Fatalf("%v: job after the failed one dialed %d connections: the failure cost pooled ones", mode, stats.Dials)
+			t.Fatalf("%v: job after the failed one dialed %d connections: the failure cost pooled ones", scheme, stats.Dials)
 		}
 		c.Close()
 	}

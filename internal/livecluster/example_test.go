@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"wanshuffle/internal/dag"
 	"wanshuffle/internal/livecluster"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
@@ -12,25 +13,30 @@ import (
 
 // Example_wordCount runs a job of two chained shuffles — count words, then
 // regroup the counts by order of magnitude — on four workers with genuine
-// TCP data planes on loopback, under both shuffle modes. Under push mode
-// every mapper ships its combined output to the shuffle's aggregator,
-// chosen by Eq. 2 from the map-output sizes measured on the wire, the
-// moment it finishes: all twelve map outputs land on that worker, and the
-// bytes that cross sockets are exactly the map stage's S − s₁.
+// TCP data planes on loopback, as written and with a transferTo before
+// every shuffle (dag.AutoAggregate, Spark's spark.shuffle.aggregation).
+// Pushed, every mapper ships its combined output to the shuffle's
+// aggregator, chosen by Eq. 2 from the map-output sizes measured on the
+// wire, the moment it finishes: all twelve map outputs land on that worker,
+// and the bytes that cross sockets are exactly the map stage's S − s₁.
 func Example_wordCount() {
-	for _, mode := range []livecluster.Mode{livecluster.ModeFetch, livecluster.ModePush} {
-		cluster, err := livecluster.New(livecluster.Config{Workers: 4, Mode: mode})
+	for _, scheme := range []string{"fetch", "push"} {
+		job := wordCountJob()
+		if scheme == "push" {
+			dag.AutoAggregate(job)
+		}
+		cluster, err := livecluster.New(livecluster.Config{Workers: 4})
 		if err != nil {
 			panic(err)
 		}
-		out, stats, err := cluster.Run(wordCountJob())
+		out, stats, err := cluster.Run(job)
 		cluster.Close()
 		if err != nil {
 			panic(err)
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 		fmt.Printf("[%s] %v, %d bytes over TCP in %d pushes and %d fetches\n",
-			mode, out, stats.BytesOverTCP, stats.PushConnections, stats.FetchConnections)
+			scheme, out, stats.BytesOverTCP, stats.PushConnections, stats.FetchConnections)
 		fmt.Printf("  map outputs per worker: %v\n", stats.ShardsByWorker)
 		for _, d := range stats.Events.Placements() {
 			fmt.Printf("  shuffle %d aggregated at %s\n", d.Shuffle, d.ChosenSite)
@@ -82,25 +88,30 @@ func wordCountJob() *rdd.RDD {
 // Example_pageRank runs three rounds of PageRank over the live cluster:
 // the link-table group, each round's join (two cogroup sides) and its
 // contribution sum plan into a stage DAG of ten shuffles, driven stage by
-// stage by the same planner as the simulator. Under push mode every
-// shuffle picks its own aggregator from measured map-output sizes.
+// stage by the same planner as the simulator. With a transferTo before
+// every shuffle, each shuffle picks its own aggregator from measured
+// map-output sizes.
 func Example_pageRank() {
-	for _, mode := range []livecluster.Mode{livecluster.ModeFetch, livecluster.ModePush} {
-		cluster, err := livecluster.New(livecluster.Config{Workers: 4, Mode: mode})
+	for _, scheme := range []string{"fetch", "push"} {
+		job := pageRankJob(3)
+		if scheme == "push" {
+			dag.AutoAggregate(job)
+		}
+		cluster, err := livecluster.New(livecluster.Config{Workers: 4})
 		if err != nil {
 			panic(err)
 		}
-		out, stats, err := cluster.Run(pageRankJob(3))
+		out, stats, err := cluster.Run(job)
 		cluster.Close()
 		if err != nil {
 			panic(err)
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		fmt.Printf("[%s] %d ranks, %d stages, %d bytes over TCP\n", mode, len(out), len(stats.StageSpans), stats.BytesOverTCP)
+		fmt.Printf("[%s] %d ranks, %d stages, %d bytes over TCP\n", scheme, len(out), len(stats.StageSpans), stats.BytesOverTCP)
 		for _, p := range out[:4] {
 			fmt.Printf("  %s = %.4f\n", p.Key, p.Value.(float64))
 		}
-		if mode == livecluster.ModePush {
+		if scheme == "push" {
 			var sites []string
 			for _, d := range stats.Events.Placements() {
 				sites = append(sites, d.ChosenSite)

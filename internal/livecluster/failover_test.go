@@ -83,7 +83,7 @@ func TestWorkerDeathFailover(t *testing.T) {
 	job := gatedWordCount(6, 3, 2, reached, release)
 	want := canon(rdd.CollectLocal(buildSkewedWordCount(6, 3, 2)))
 
-	cluster, err := New(Config{Workers: 3, Mode: ModePush})
+	cluster, err := New(Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWorkerDeathFailover(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, stats, err := cluster.Run(job)
+		out, stats, err := cluster.Run(pushed(job))
 		done <- result{out, stats, err}
 	}()
 
@@ -195,7 +195,7 @@ func TestMidRunReportConvergence(t *testing.T) {
 	}
 	want := canon(rdd.CollectLocal(build(false)))
 
-	cluster, err := New(Config{Workers: 3, Mode: ModePush})
+	cluster, err := New(Config{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMidRunReportConvergence(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, stats, err := cluster.Run(build(true))
+		out, stats, err := cluster.Run(pushed(build(true)))
 		done <- result{out, stats, err}
 	}()
 
@@ -279,8 +279,7 @@ func TestConservationAcrossCanceledJob(t *testing.T) {
 	// One task per worker: a worker never needs a second connection to a
 	// peer.
 	cluster, err := New(Config{
-		Workers: 2, Mode: ModePush,
-		TasksPerWorker: 1, Compression: CodecFlate,
+		Workers: 2, TasksPerWorker: 1, Compression: CodecFlate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +288,7 @@ func TestConservationAcrossCanceledJob(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildWordCount(6, 3)))
 	var before *Stats
 	for i := 0; i < 2; i++ { // the first run dials, the second is the reference
-		if _, before, err = cluster.Run(buildWordCount(6, 3)); err != nil {
+		if _, before, err = cluster.Run(pushed(buildWordCount(6, 3))); err != nil {
 			t.Fatal(err)
 		}
 		checkConservation(t, before)
@@ -297,7 +296,7 @@ func TestConservationAcrossCanceledJob(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, _, err := cluster.RunContext(ctx, buildSlowJob(8, 60*time.Millisecond)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := cluster.RunContext(ctx, pushed(buildSlowJob(8, 60*time.Millisecond))); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	canceled := cluster.CurrentStats()
@@ -306,7 +305,7 @@ func TestConservationAcrossCanceledJob(t *testing.T) {
 		t.Fatal("the canceled job pushed nothing before its deadline: the test would prove nothing")
 	}
 
-	out, next, err := cluster.Run(buildWordCount(6, 3))
+	out, next, err := cluster.Run(pushed(buildWordCount(6, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,14 @@ func estimatorSamples(links *netobs.Estimator) int64 {
 	return n
 }
 
-// TestBackToBackJobsOnSharedCluster runs three push-mode jobs on one
+// TestBackToBackJobsOnSharedCluster runs three push jobs on one
 // Cluster: every run must produce correct output from a clean per-job
 // slate (resetJobState), stay byte-conserving (matrix total ==
 // BytesOverTCP), and re-choose its aggregator — while the netobs link
 // estimator keeps accumulating across jobs, since link capacity outlives
 // any one run.
 func TestBackToBackJobsOnSharedCluster(t *testing.T) {
-	cluster, err := New(Config{Workers: 4, Mode: ModePush})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildWordCount(6, 3)))
 	var prevSamples int64
 	for run := 0; run < 3; run++ {
-		out, stats, err := cluster.Run(buildWordCount(6, 3))
+		out, stats, err := cluster.Run(pushed(buildWordCount(6, 3)))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -51,7 +51,7 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 			t.Fatalf("run %d moved no bytes", run)
 		}
 		if len(stats.Events.Placements()) == 0 {
-			t.Fatalf("run %d chose no aggregator in push mode", run)
+			t.Fatalf("run %d chose no aggregator for a push job", run)
 		}
 		// Map outputs of THIS job only: 6 total, all on the aggregator —
 		// stale outputs from the previous run must be gone.
@@ -76,7 +76,7 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 // link accounting an exchange, a server handler — still writes into the
 // returned Stats: every writer must be done before Stats is published.
 func TestStatsQuiescentAfterRun(t *testing.T) {
-	cluster, err := New(Config{Workers: 4, Mode: ModePush})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 	// again: forty jobs together dial no more than every link's width.
 	var dials int64
 	for run := 0; run < 40; run++ {
-		_, stats, err := cluster.Run(buildWordCount(6, 3))
+		_, stats, err := cluster.Run(pushed(buildWordCount(6, 3)))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -104,7 +104,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 		if byClass != stats.BytesOverTCP {
 			t.Fatalf("run %d: class split sums to %d, BytesOverTCP %d", run, byClass, stats.BytesOverTCP)
 		}
-		if stats.Mode != ModePush || stats.CompletionSec <= 0 || stats.Retries != 0 ||
+		if stats.scheme != "push" || stats.CompletionSec <= 0 || stats.Retries != 0 ||
 			len(stats.StageSpans) != 2 || len(stats.ShardsByWorker) != 4 || len(stats.Events.Placements()) != 1 ||
 			stats.Events.Counts().Finished == 0 {
 			t.Fatalf("run %d: implausible stats %+v", run, stats.StageSpans)

@@ -54,17 +54,17 @@ func TestClusterLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = ln.Close()
-	for _, mode := range []Mode{ModeFetch, ModePush} {
-		t.Run(mode.String(), func(t *testing.T) { clusterLeavesNothingBehind(t, mode) })
+	for _, scheme := range schemes {
+		t.Run(scheme, func(t *testing.T) { clusterLeavesNothingBehind(t, scheme) })
 	}
 }
 
-func clusterLeavesNothingBehind(t *testing.T, mode Mode) {
+func clusterLeavesNothingBehind(t *testing.T, scheme string) {
 	const workers = 3
 	spill := t.TempDir()
 	goroutines, fds := settled()
 	c, err := New(Config{
-		Workers: workers, Mode: mode, TasksPerWorker: 1,
+		Workers: workers, TasksPerWorker: 1,
 		MemoryBudget: 256, SpillDir: spill,
 	})
 	if err != nil {
@@ -81,7 +81,7 @@ func clusterLeavesNothingBehind(t *testing.T, mode Mode) {
 	want := canon(rdd.CollectLocal(buildWordCount(6, 3)))
 	runJob := func() {
 		t.Helper()
-		out, _, err := c.Run(buildWordCount(6, 3))
+		out, _, err := c.Run(shuffledAs(scheme, buildWordCount(6, 3)))
 		if err != nil || canon(out) != want {
 			t.Fatalf("job failed or diverges from reference (%v)", err)
 		}

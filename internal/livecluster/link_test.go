@@ -352,11 +352,11 @@ func TestTimedOutExchangeIsNotRetried(t *testing.T) {
 // the way it holds the wiring to its rule: a link to every other worker,
 // TasksPerWorker wide, and none to oneself.
 func TestClusterCloseLeaksNoConnections(t *testing.T) {
-	cluster, err := New(Config{Workers: 4, Mode: ModePush})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := rdd.RandomLineage(1, rdd.NewGraph(), topology.SixRegionEC2().Workers())
+	job := pushed(rdd.RandomLineage(1, rdd.NewGraph(), topology.SixRegionEC2().Workers()))
 	if _, _, err := cluster.Run(job); err != nil {
 		cluster.Close()
 		t.Fatal(err)

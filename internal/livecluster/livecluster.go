@@ -11,21 +11,21 @@
 // Jobs are planned by plan.BuildJob into shuffle-separated stages and
 // driven stage-by-stage by plan.Driver; the cluster implements the
 // plan.Backend interface. Any multi-stage DAG the simulator accepts runs
-// here too — chained shuffles, iterative rounds, cogroups — as long as the
-// lineage carries no explicit transferTo (aggregation is a cluster mode,
-// not a graph edit). Two shuffle modes mirror the paper:
+// here too — chained shuffles, iterative rounds, cogroups — and its lineage
+// says how each shuffle moves, as on the simulator:
 //
-//   - ModeFetch: mappers store their output locally; reducers pull every
-//     shard another worker holds over TCP after the map barrier (stock
-//     Spark).
-//   - ModePush: each mapper pushes its prepared output to a receiver on an
-//     aggregator worker as soon as it finishes (transferTo); a mapper that
+//   - a shuffle read straight from its map stage is fetched: mappers store
+//     their output locally; reducers pull every shard another worker holds
+//     over TCP after the map barrier (stock Spark).
+//   - a shuffle fed through TransferToAuto (dag.AutoAggregate puts one
+//     before every shuffle) is pushed: each mapper pushes its prepared
+//     output to an aggregator worker as soon as it finishes; a mapper that
 //     runs on the aggregator installs its output there directly. The
 //     aggregator is chosen per shuffle by plan.ChooseAggregator from
 //     measured map-output sizes; reducers are placed on the aggregator
 //     and read its block store without a request — the locality the
 //     paper aggregates for — so the bytes that cross sockets are Eq. 2's
-//     S − s₁.
+//     S − s₁. The driver rejects any other transferTo.
 //
 // Closures execute in-process (tasks share the lineage graph), while data
 // crosses sockets in the binary record codec of internal/rdd
@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"wanshuffle/internal/blockstore"
+	"wanshuffle/internal/dag"
 	"wanshuffle/internal/netobs"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/plan"
@@ -52,37 +53,24 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// Mode selects the shuffle mechanism.
+// Mode is what perf/ still sets to say push (ROADMAP 1(b)): ModePush applies
+// dag.AutoAggregate to each job's lineage before it is planned.
 type Mode int
 
-// Modes.
+// The values of Mode; ModeFetch, like zero, leaves the lineage as written.
 const (
-	// ModeFetch is the stock fetch-based shuffle.
 	ModeFetch Mode = iota + 1
-	// ModePush is the paper's Push/Aggregate shuffle.
 	ModePush
 )
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeFetch:
-		return "fetch"
-	case ModePush:
-		return "push"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Config configures a live cluster.
 type Config struct {
 	// Workers is the worker count. Defaults to 4.
 	Workers int
-	// Mode defaults to ModeFetch.
+	// Mode selects nothing a lineage cannot say: see Mode.
 	Mode Mode
-	// AggregatorPolicy selects the rule that chooses each shuffle's
-	// aggregator in ModePush from the stage's measured per-worker input
+	// AggregatorPolicy selects the rule that chooses the aggregator of
+	// each pushed shuffle from its stage's measured per-worker input
 	// sizes: plan.AggregatorBest (default, largest input share) or
 	// plan.AggregatorBandwidth (smallest estimated transfer time over the
 	// cluster's measured-then-configured link matrix). plan.AggregatorWorst
@@ -142,9 +130,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.Mode == 0 {
-		c.Mode = ModeFetch
 	}
 	if c.TasksPerWorker <= 0 {
 		c.TasksPerWorker = 2
@@ -209,13 +194,11 @@ type Stats struct {
 	SampleRequests   int64
 	Dials            int64
 	// ShardsByWorker counts map-output partitions stored per worker after
-	// the job — under ModePush everything lands on the aggregators.
+	// the job — a pushed shuffle's all land on its aggregator.
 	ShardsByWorker []int
 	// StageSpans are the per-stage execution windows, wall-clock seconds
 	// since the job started.
 	StageSpans []plan.StageSpan
-	// Mode is the shuffle mode the job ran under.
-	Mode Mode
 	// CompletionSec is the job's wall-clock duration.
 	CompletionSec float64
 	// Retries counts task attempts beyond the first.
@@ -246,8 +229,10 @@ type Stats struct {
 	links      *netobs.Estimator
 	configured []netobs.ConfiguredLink
 
-	// placementPolicy labels the report's placement section.
+	// placementPolicy labels the report's placement section, and scheme
+	// the report: "push" when a stage of the job pushed, "fetch" otherwise.
 	placementPolicy string
+	scheme          string
 
 	// mu guards BytesOverTCP, BytesRaw, TrafficMatrix, BytesByClass,
 	// StageSpans, CompletionSec and Retries against concurrent scrapes; the
@@ -382,7 +367,7 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 		Schema:         obs.SchemaVersion,
 		Backend:        "live",
 		Workload:       workload,
-		Scheme:         s.Mode.String(),
+		Scheme:         s.scheme,
 		Sites:          labels,
 		CompletionSec:  completion,
 		Stages:         stages,
@@ -619,6 +604,9 @@ func (c *Cluster) Run(target *rdd.RDD) ([]rdd.Pair, *Stats, error) {
 // the netobs estimator survive a canceled job — resetJobState clears the
 // per-job residue on the next Run, so the same Cluster keeps serving.
 func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, *Stats, error) {
+	if c.cfg.Mode == ModePush {
+		dag.AutoAggregate(target)
+	}
 	job, err := plan.BuildJob(target)
 	if err != nil {
 		return nil, nil, fmt.Errorf("livecluster: %w", err)
@@ -628,10 +616,12 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 		c.specs.Store(spec.ID, spec)
 	}
 	stats := c.newStats()
+	if slices.ContainsFunc(job.Stages(), plan.Pushes) {
+		stats.scheme = "push"
+	}
 	run := newLiveRun(c, stats, job.Plan)
 	c.curRun.Store(run)
 	drv := plan.NewDriver(job, run, plan.DriverConfig{
-		Aggregate: c.cfg.Mode == ModePush,
 		Policy:    c.cfg.AggregatorPolicy,
 		LinkCosts: c.LinkCosts(),
 		SiteSlots: c.cfg.TasksPerWorker,
@@ -659,7 +649,6 @@ func (c *Cluster) newStats() *Stats {
 	}
 	return &Stats{
 		ShardsByWorker:  make([]int, len(c.workers)),
-		Mode:            c.cfg.Mode,
 		TrafficMatrix:   matrix,
 		BytesByClass:    map[string]int64{},
 		Events:          obs.NewCollector(),
@@ -668,6 +657,7 @@ func (c *Cluster) newStats() *Stats {
 		links:           c.links,
 		configured:      c.configuredLinks(),
 		placementPolicy: c.cfg.AggregatorPolicy.String(),
+		scheme:          "fetch",
 	}
 }
 

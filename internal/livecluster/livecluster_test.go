@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
@@ -89,14 +90,32 @@ func aggregators(stats *Stats) map[int]int {
 	return agg
 }
 
-func runMode(t *testing.T, mode Mode, job *rdd.RDD) ([]rdd.Pair, *Stats) {
+// schemes are the two ways a test job's shuffles move, named as its run
+// report names them: "fetch" runs the lineage as written, "push" with a
+// transferTo before every shuffle.
+var schemes = []string{"fetch", "push"}
+
+// shuffledAs returns target as scheme runs it: under "push" through
+// dag.AutoAggregate, the one way a job says push.
+func shuffledAs(scheme string, target *rdd.RDD) *rdd.RDD {
+	if scheme == "push" {
+		dag.AutoAggregate(target)
+	}
+	return target
+}
+
+// pushed is target with a transferTo before every shuffle.
+func pushed(target *rdd.RDD) *rdd.RDD { return shuffledAs("push", target) }
+
+// runScheme runs job under scheme on a fresh four-worker cluster.
+func runScheme(t *testing.T, scheme string, job *rdd.RDD) ([]rdd.Pair, *Stats) {
 	t.Helper()
-	cluster, err := New(Config{Workers: 4, Mode: mode})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	out, stats, err := cluster.Run(job)
+	out, stats, err := cluster.Run(shuffledAs(scheme, job))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +124,13 @@ func runMode(t *testing.T, mode Mode, job *rdd.RDD) ([]rdd.Pair, *Stats) {
 
 func TestWordCountOverTCPMatchesReference(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildWordCount(6, 3)))
-	for _, mode := range []Mode{ModeFetch, ModePush} {
-		got, stats := runMode(t, mode, buildWordCount(6, 3))
+	for _, scheme := range schemes {
+		got, stats := runScheme(t, scheme, buildWordCount(6, 3))
 		if canon(got) != want {
-			t.Fatalf("%v output diverges from reference", mode)
+			t.Fatalf("%v output diverges from reference", scheme)
 		}
 		if stats.BytesOverTCP <= 0 {
-			t.Fatalf("%v moved no bytes over TCP", mode)
+			t.Fatalf("%v moved no bytes over TCP", scheme)
 		}
 	}
 }
@@ -129,7 +148,7 @@ func sitesOf(stats *Stats, stage int) map[int]int {
 }
 
 func TestPushModeAggregatesOutputs(t *testing.T) {
-	_, stats := runMode(t, ModePush, buildSkewedWordCount(6, 3, 2))
+	_, stats := runScheme(t, "push", buildSkewedWordCount(6, 3, 2))
 	if decs := stats.Events.Placements(); len(decs) != 1 || decs[0].Chosen != 2 {
 		t.Fatalf("placement decisions %+v, want worker 2, which holds the heavy partition", decs)
 	}
@@ -162,9 +181,9 @@ func TestPushModeAggregatesOutputs(t *testing.T) {
 }
 
 func TestFetchModeScattersOutputs(t *testing.T) {
-	_, stats := runMode(t, ModeFetch, buildWordCount(6, 3))
+	_, stats := runScheme(t, "fetch", buildWordCount(6, 3))
 	if stats.PushConnections != 0 {
-		t.Fatalf("fetch mode pushed: %d", stats.PushConnections)
+		t.Fatalf("fetch job pushed: %d", stats.PushConnections)
 	}
 	// 6 maps round-robin over 4 workers.
 	holders := 0
@@ -209,14 +228,14 @@ func TestSortByKeyOverTCP(t *testing.T) {
 		}
 		return g.Input("in", inputs).SortByKey("sorted", 3)
 	}
-	for _, mode := range []Mode{ModeFetch, ModePush} {
-		got, _ := runMode(t, mode, build())
+	for _, scheme := range schemes {
+		got, _ := runScheme(t, scheme, build())
 		if len(got) != 200 {
-			t.Fatalf("%v lost records: %d", mode, len(got))
+			t.Fatalf("%v lost records: %d", scheme, len(got))
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i].Key < got[i-1].Key {
-				t.Fatalf("%v output not globally sorted at %d", mode, i)
+				t.Fatalf("%v output not globally sorted at %d", scheme, i)
 			}
 		}
 	}
@@ -259,7 +278,7 @@ func TestRejectsTransferLineage(t *testing.T) {
 	}
 	defer cluster.Close()
 	if _, _, err := cluster.Run(job); err == nil {
-		t.Fatal("transferTo lineage accepted; modes are configured, not inlined")
+		t.Fatal("explicit transferTo(dc) lineage accepted; the driver pushes only TransferToAuto")
 	}
 }
 
@@ -282,11 +301,5 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	cluster.Close()
 	if len(cluster.workers) != 2 {
 		t.Fatal("workers lost")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeFetch.String() != "fetch" || ModePush.String() != "push" || Mode(9).String() == "" {
-		t.Fatal("mode strings wrong")
 	}
 }

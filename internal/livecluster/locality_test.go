@@ -29,26 +29,26 @@ func streamedBytes(records []rdd.Pair, chunkRecords int) float64 {
 	return n
 }
 
-// TestNoWorkerDialsItself runs the sim≡live property lineages in both modes,
+// TestNoWorkerDialsItself runs the sim≡live property lineages fetched and pushed,
 // resident and under a forced spill, and holds every run to the locality
 // rule: output equal to the reference, an empty traffic-matrix diagonal, a
 // fetch request for exactly the (reader, map output) pairs on different
 // workers — none at all when every reducer sits on its aggregator — and, in
-// push mode, push spans that add up per shuffle to the codec bytes of the map
+// a push job, push spans that add up per shuffle to the codec bytes of the map
 // outputs produced off the aggregator: Eq. 2's S − s₁.
 func TestNoWorkerDialsItself(t *testing.T) {
 	hosts := topology.SixRegionEC2().Workers()
-	for _, mode := range []Mode{ModePush, ModeFetch} {
+	for _, scheme := range []string{"push", "fetch"} {
 		for _, budget := range []int64{0, 1 << 10} {
-			t.Run(fmt.Sprintf("%v/budget %d", mode, budget), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/budget %d", scheme, budget), func(t *testing.T) {
 				allLocal := 0
 				for _, seed := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 22} {
-					if noWorkerDialsItself(t, seed, hosts, mode, budget) {
+					if noWorkerDialsItself(t, seed, hosts, scheme, budget) {
 						allLocal++
 					}
 				}
-				if mode == ModePush && allLocal == 0 {
-					t.Fatal("no push-mode run kept every read on its aggregator: the no-fetch case went untested")
+				if scheme == "push" && allLocal == 0 {
+					t.Fatal("no push job kept every read on its aggregator: the no-fetch case went untested")
 				}
 			})
 		}
@@ -57,16 +57,16 @@ func TestNoWorkerDialsItself(t *testing.T) {
 
 // noWorkerDialsItself checks one run and reports whether it made no fetch
 // request at all.
-func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode Mode, budget int64) bool {
+func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, scheme string, budget int64) bool {
 	t.Helper()
 	want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts)))
 	tr := &trace.Recorder{}
-	cluster, err := New(Config{Workers: 4, Mode: mode, MemoryBudget: budget, SpillDir: t.TempDir(), Trace: tr})
+	cluster, err := New(Config{Workers: 4, MemoryBudget: budget, SpillDir: t.TempDir(), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	out, stats, err := cluster.Run(rdd.RandomLineage(seed, rdd.NewGraph(), hosts))
+	out, stats, err := cluster.Run(shuffledAs(scheme, rdd.RandomLineage(seed, rdd.NewGraph(), hosts)))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -113,8 +113,8 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode
 	}
 	for shuffle, maps := range mapSpans {
 		agg, aggregated := aggs[shuffle]
-		if (mode == ModePush) != aggregated {
-			t.Fatalf("seed %d: shuffle %d aggregated in %v mode: %v", seed, shuffle, mode, aggregated)
+		if (scheme == "push") != aggregated {
+			t.Fatalf("seed %d: shuffle %d aggregated in a %v job: %v", seed, shuffle, scheme, aggregated)
 		}
 		// S − s₁, from the prepared outputs themselves as their holders
 		// store them (bucketing reorders records, it does not resize them).
@@ -127,7 +127,7 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, mode
 			if size := rdd.EncodedSize(stored); size != span.Bytes {
 				t.Fatalf("seed %d: shuffle %d map %d stores %v codec bytes, its map task reported %v", seed, shuffle, m, size, span.Bytes)
 			}
-			if mode == ModePush && int(span.Host) != agg {
+			if scheme == "push" && int(span.Host) != agg {
 				crossed += streamedBytes(stored, cluster.cfg.ChunkRecords)
 			}
 		}
@@ -173,13 +173,13 @@ func TestPushModeReadsAnotherAggregatorOverTCP(t *testing.T) {
 		return side("left", 1).CoGroup("cogroup", side("right", 2), 4)
 	}
 	tr := &trace.Recorder{}
-	cluster, err := New(Config{Workers: 4, Mode: ModePush, Trace: tr})
+	cluster, err := New(Config{Workers: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
 	want := canon(rdd.CollectLocal(build()))
-	out, stats, err := cluster.Run(build())
+	out, stats, err := cluster.Run(pushed(build()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func (r *capturingRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 func TestReduceDoesNotWriteTheStore(t *testing.T) {
 	for _, budget := range []int64{0, 1 << 10} {
 		t.Run(fmt.Sprintf("budget %d", budget), func(t *testing.T) {
-			c, err := New(Config{Workers: 2, Mode: ModePush, MemoryBudget: budget, SpillDir: t.TempDir()})
+			c, err := New(Config{Workers: 2, MemoryBudget: budget, SpillDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestReduceDoesNotWriteTheStore(t *testing.T) {
 			for p := range parts {
 				parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: pairs(40 + 10*p)}
 			}
-			job, err := plan.BuildJob(g.Input("in", parts).GroupByKey("group", 2))
+			job, err := plan.BuildJob(pushed(g.Input("in", parts).GroupByKey("group", 2)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestReduceDoesNotWriteTheStore(t *testing.T) {
 			run := &capturingRun{liveRun: newLiveRun(c, c.newStats(), job.Plan)}
 			c.curRun.Store(run.liveRun)
 			defer c.curRun.Store(nil)
-			drv := plan.NewDriver(job, run, plan.DriverConfig{Aggregate: true, SiteSlots: 2})
+			drv := plan.NewDriver(job, run, plan.DriverConfig{SiteSlots: 2})
 			if _, err := drv.RunContext(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +356,7 @@ func TestKillAggregatorUnderLocalReads(t *testing.T) {
 			})
 		}
 		want := canon(rdd.CollectLocal(build(false)))
-		cluster, err := New(Config{Workers: 3, Mode: ModePush})
+		cluster, err := New(Config{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestKillAggregatorUnderLocalReads(t *testing.T) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			out, _, err := cluster.Run(build(true))
+			out, _, err := cluster.Run(pushed(build(true)))
 			done <- result{out, err}
 		}()
 		<-reached

@@ -80,51 +80,51 @@ func buildPageRankRound() *rdd.RDD {
 
 func TestChainedShufflesBothModes(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildChained()))
-	for _, mode := range []Mode{ModeFetch, ModePush} {
-		cluster, err := New(Config{Workers: 4, Mode: mode})
+	for _, scheme := range schemes {
+		cluster, err := New(Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, stats, err := cluster.Run(buildChained())
+		out, stats, err := cluster.Run(shuffledAs(scheme, buildChained()))
 		cluster.Close()
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", scheme, err)
 		}
 		if canon(out) != want {
-			t.Fatalf("%v chained-shuffle output diverges from reference", mode)
+			t.Fatalf("%v chained-shuffle output diverges from reference", scheme)
 		}
 		if len(stats.StageSpans) != 3 {
-			t.Fatalf("%v: %d stage spans, want 3", mode, len(stats.StageSpans))
+			t.Fatalf("%v: %d stage spans, want 3", scheme, len(stats.StageSpans))
 		}
-		if mode == ModePush && len(stats.Events.Placements()) != 2 {
-			t.Fatalf("push mode chose aggregators for %d shuffles, want 2", len(stats.Events.Placements()))
+		if scheme == "push" && len(stats.Events.Placements()) != 2 {
+			t.Fatalf("push job chose aggregators for %d shuffles, want 2", len(stats.Events.Placements()))
 		}
 	}
 }
 
 func TestIterativePageRankRoundBothModes(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildPageRankRound()))
-	for _, mode := range []Mode{ModeFetch, ModePush} {
-		cluster, err := New(Config{Workers: 4, Mode: mode})
+	for _, scheme := range schemes {
+		cluster, err := New(Config{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, stats, err := cluster.Run(buildPageRankRound())
+		out, stats, err := cluster.Run(shuffledAs(scheme, buildPageRankRound()))
 		cluster.Close()
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", scheme, err)
 		}
 		if canon(out) != want {
-			t.Fatalf("%v pagerank round diverges from reference", mode)
+			t.Fatalf("%v pagerank round diverges from reference", scheme)
 		}
-		if mode == ModePush {
+		if scheme == "push" {
 			// Every shuffle must aggregate: links, the join's two cogroup
 			// sides, and the contribution sum.
 			if len(stats.Events.Placements()) != 4 {
 				t.Fatalf("aggregators chosen for %d shuffles, want 4", len(stats.Events.Placements()))
 			}
 			if stats.PushConnections == 0 {
-				t.Fatal("push mode pushed nothing")
+				t.Fatal("push job pushed nothing")
 			}
 		}
 	}
@@ -147,12 +147,12 @@ func TestAutoAggregatorPicksMeasuredHeavySite(t *testing.T) {
 		}
 		return g.Input("in", parts).GroupByKey("g", 2)
 	}
-	cluster, err := New(Config{Workers: 4, Mode: ModePush})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, stats, err := cluster.Run(build())
+	_, stats, err := cluster.Run(pushed(build()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,26 +223,26 @@ func TestRangePartitionBarrierOverWire(t *testing.T) {
 			ReduceByKey("dedup", 4, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }).
 			SortByKey("sorted", 3)
 	}
-	for _, mode := range []Mode{ModeFetch, ModePush} {
-		cluster, err := New(Config{Workers: 3, Mode: mode})
+	for _, scheme := range schemes {
+		cluster, err := New(Config{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := cluster.Run(build())
+		got, stats, err := cluster.Run(shuffledAs(scheme, build()))
 		cluster.Close()
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("%v: %v", scheme, err)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i].Key < got[i-1].Key {
-				t.Fatalf("%v output not globally sorted at %d", mode, i)
+				t.Fatalf("%v output not globally sorted at %d", scheme, i)
 			}
 		}
 		if n := stats.BytesByClass["sample"]; n != 0 {
-			t.Fatalf("%v: %d sample bytes crossed the wire", mode, n)
+			t.Fatalf("%v: %d sample bytes crossed the wire", scheme, n)
 		}
 		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP || got == 0 {
-			t.Fatalf("%v: matrix total %d, BytesOverTCP %d", mode, got, stats.BytesOverTCP)
+			t.Fatalf("%v: matrix total %d, BytesOverTCP %d", scheme, got, stats.BytesOverTCP)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func findLink(ns *obs.NetworkStats, src, dst string) *obs.LinkStats {
 func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 	topo := asymmetricTriad()
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush,
+		Workers:     3,
 		WANTopology: topo,
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestLinkMatrixReflectsInjectedAsymmetry(t *testing.T) {
 	defer cluster.Close()
 
 	want := canon(rdd.CollectLocal(buildBulkyWordCount(6, 3, topo.Workers())))
-	out, stats, err := cluster.Run(buildBulkyWordCount(6, 3, topo.Workers()))
+	out, stats, err := cluster.Run(pushed(buildBulkyWordCount(6, 3, topo.Workers())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +165,12 @@ func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 	}
 	simNS := eng.NetworkStats()
 
-	cluster, err := New(Config{Workers: 3, Mode: ModePush, WANTopology: topo})
+	cluster, err := New(Config{Workers: 3, WANTopology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, stats, err := cluster.Run(buildBulkyWordCount(6, 3, topo.Workers()))
+	_, stats, err := cluster.Run(pushed(buildBulkyWordCount(6, 3, topo.Workers())))
 	if err != nil {
 		t.Fatal(err)
 	}

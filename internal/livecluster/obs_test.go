@@ -25,12 +25,12 @@ func matrixTotal(m [][]int64) int64 {
 // every byte that crossed a socket.
 func TestLiveRunReportInvariants(t *testing.T) {
 	tr := &trace.Recorder{}
-	cluster, err := New(Config{Workers: 4, Mode: ModePush, Trace: tr})
+	cluster, err := New(Config{Workers: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, stats, err := cluster.Run(buildWordCount(6, 3))
+	_, stats, err := cluster.Run(pushed(buildWordCount(6, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestLiveRunReportInvariants(t *testing.T) {
 // included: what it holds it reads without a socket.
 func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 	const agg = 2
-	cluster, err := New(Config{Workers: 4, Mode: ModePush})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
-	_, stats, err := cluster.Run(buildSkewedWordCount(6, 3, agg))
+	_, stats, err := cluster.Run(pushed(buildSkewedWordCount(6, 3, agg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 	for src, row := range stats.TrafficMatrix {
 		for dst, v := range row {
 			if (dst != agg || src == agg) && v != 0 {
-				t.Fatalf("push mode moved %d bytes from %d to %d, not from another worker to the aggregator\nmatrix: %v",
+				t.Fatalf("push job moved %d bytes from %d to %d, not from another worker to the aggregator\nmatrix: %v",
 					v, src, dst, stats.TrafficMatrix)
 			}
 		}
@@ -151,7 +151,7 @@ func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 // TestFetchModeMatrixAccountsAllBytes checks the byte-conservation
 // invariant under the fetch baseline too.
 func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
-	cluster, err := New(Config{Workers: 4, Mode: ModeFetch})
+	cluster, err := New(Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,30 +196,30 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		// No map-side combine: each map output is its input partition.
 		return g.Input("in", parts).GroupByKey("group", 2), sent, records
 	}
-	// Push mode, where the reducers sit on the aggregator and read locally,
-	// and fetch mode, where most reads have serves.
+	// A push job, where the reducers sit on the aggregator and read
+	// locally, and a fetch job, where most reads have serves.
 	for _, v := range []struct {
-		mode  Mode
-		codec string
+		scheme string
+		codec  string
 	}{
-		{ModePush, CodecNone}, {ModePush, CodecFlate}, {ModeFetch, CodecNone}, {ModeFetch, CodecFlate},
+		{"push", CodecNone}, {"push", CodecFlate}, {"fetch", CodecNone}, {"fetch", CodecFlate},
 	} {
 		tr := &trace.Recorder{}
 		cluster, err := New(Config{
-			Workers: 2, Mode: v.mode,
+			Workers:      2,
 			ChunkRecords: chunkRecords, Compression: v.codec, Trace: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		job, sent, records := build()
-		_, stats, err := cluster.Run(job)
+		_, stats, err := cluster.Run(shuffledAs(v.scheme, job))
 		cluster.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.codec != CodecNone && stats.BytesRaw <= stats.BytesOverTCP {
-			t.Fatalf("%v, codec %q: nothing was compressed, the test would prove nothing", v.mode, v.codec)
+			t.Fatalf("%v, codec %q: nothing was compressed, the test would prove nothing", v.scheme, v.codec)
 		}
 		mapSite := map[int]int{}
 		pushed := map[int]float64{} // by map partition
@@ -241,7 +241,7 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		for _, s := range tr.Spans() {
 			if s.Kind == trace.KindServe {
 				if _, ok := fetches[s.Parent]; !ok {
-					t.Fatalf("%v, codec %q: serve span %d nests under no fetch span", v.mode, v.codec, s.ID)
+					t.Fatalf("%v, codec %q: serve span %d nests under no fetch span", v.scheme, v.codec, s.ID)
 				}
 				served[s.Parent] += s.Bytes
 			}
@@ -250,45 +250,45 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 			}
 			part, ok := pushOf[s.Link]
 			if !ok {
-				t.Fatalf("%v, codec %q: receive span %d links to no push span", v.mode, v.codec, s.ID)
+				t.Fatalf("%v, codec %q: receive span %d links to no push span", v.scheme, v.codec, s.ID)
 			}
 			received[part] += s.Bytes
 		}
 		// A map output crossed a socket, with a push span and its receive,
-		// exactly when push mode ran its task off the aggregator.
+		// exactly when a push job ran its task off the aggregator.
 		for p := range sent {
 			want := 0.0
-			if v.mode == ModePush && mapSite[p] != agg {
+			if v.scheme == "push" && mapSite[p] != agg {
 				want = sent[p]
 			}
 			if _, has := pushed[p]; has != (want > 0) || pushed[p] != want || received[p] != want {
 				t.Errorf("%v, codec %q: map %d ran on worker %d: its push should send %v codec bytes, the push span reports %v, its receive span %v",
-					v.mode, v.codec, p, mapSite[p], want, pushed[p], received[p])
+					v.scheme, v.codec, p, mapSite[p], want, pushed[p], received[p])
 			}
 		}
-		if v.mode == ModePush && (len(pushed) == 0 || len(pushed) == len(sent)) {
-			t.Fatalf("push mode: %d of %d maps pushed; the test wants some on the aggregator and some off it", len(pushed), len(sent))
+		if v.scheme == "push" && (len(pushed) == 0 || len(pushed) == len(sent)) {
+			t.Fatalf("push job: %d of %d maps pushed; the test wants some on the aggregator and some off it", len(pushed), len(sent))
 		}
 		// Both ends of a fetch agree, over the serves that exist; between
 		// them the fetch spans account for every record the maps produced.
 		var fetchedRecords, overSockets int
 		for id, f := range fetches {
 			if f.Bytes != served[id] {
-				t.Errorf("%v, codec %q: fetch span %d reports %v bytes, its serve spans %v", v.mode, v.codec, id, f.Bytes, served[id])
+				t.Errorf("%v, codec %q: fetch span %d reports %v bytes, its serve spans %v", v.scheme, v.codec, id, f.Bytes, served[id])
 			}
 			if _, remote := served[id]; remote {
 				overSockets++
 			} else if f.Bytes != 0 || f.SrcSite != f.DstSite || f.Records == 0 {
 				t.Errorf("%v, codec %q: fetch span %d touched no socket and reports %v bytes, %d records, %s→%s",
-					v.mode, v.codec, id, f.Bytes, f.Records, f.SrcSite, f.DstSite)
+					v.scheme, v.codec, id, f.Bytes, f.Records, f.SrcSite, f.DstSite)
 			}
 			fetchedRecords += f.Records
 		}
 		if len(fetches) != 2 || fetchedRecords != records {
-			t.Errorf("%v, codec %q: %d fetch spans carry %d records, want the 2 reducers' and all %d", v.mode, v.codec, len(fetches), fetchedRecords, records)
+			t.Errorf("%v, codec %q: %d fetch spans carry %d records, want the 2 reducers' and all %d", v.scheme, v.codec, len(fetches), fetchedRecords, records)
 		}
-		if wantRemote := v.mode == ModeFetch; (overSockets > 0) != wantRemote {
-			t.Errorf("%v: %d of %d gathers crossed a socket", v.mode, overSockets, len(fetches))
+		if wantRemote := v.scheme == "fetch"; (overSockets > 0) != wantRemote {
+			t.Errorf("%v: %d of %d gathers crossed a socket", v.scheme, overSockets, len(fetches))
 		}
 	}
 }

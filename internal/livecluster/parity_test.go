@@ -14,60 +14,63 @@ import (
 
 // TestSimulatorAndLiveClusterAgree drives seeded random lineages through
 // the discrete-event simulator and the live TCP cluster — both consuming
-// the same shared plan, both traced — and requires identical sorted outputs,
-// which must also equal the in-memory reference. Each backend gets a freshly
-// built lineage because evaluation mutates range-partitioner state. The raw
-// trace of every run, the one its report reads, must be causal and carry one
-// trace ID (rawTraceHolds).
+// the same shared plan, both traced, under the same two schemes — and
+// requires identical sorted outputs, which must also equal the in-memory
+// reference. Each backend gets a freshly built lineage because evaluation
+// mutates range-partitioner state. The raw trace of every run, the one its
+// report reads, must be causal and carry one trace ID (rawTraceHolds).
 func TestSimulatorAndLiveClusterAgree(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	f := func(seedRaw uint16) bool {
 		seed := int64(seedRaw)
 		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
 
-		for _, sim := range []struct {
+		for _, scheme := range []struct {
 			name string
 			agg  bool
 		}{{"spark", false}, {"aggshuffle", true}} {
-			job := rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())
-			if sim.agg {
-				dag.AutoAggregate(job)
+			// Each backend runs a fresh lineage through the one rewrite
+			// that says push on both.
+			lineage := func() *rdd.RDD {
+				job := rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())
+				if scheme.agg {
+					dag.AutoAggregate(job)
+				}
+				return job
 			}
 			eng := exec.New(topo, seed+1, exec.Config{Trace: true})
-			res, err := eng.Run(job, exec.ActionSave, exec.RunOptions{})
+			res, err := eng.Run(lineage(), exec.ActionSave, exec.RunOptions{})
 			if err != nil {
-				t.Logf("seed %d sim/%s: %v", seed, sim.name, err)
+				t.Logf("seed %d sim/%s: %v", seed, scheme.name, err)
 				return false
 			}
 			if canon(res.Records) != want {
-				t.Logf("seed %d sim/%s diverges from reference", seed, sim.name)
+				t.Logf("seed %d sim/%s diverges from reference", seed, scheme.name)
 				return false
 			}
 			if err := rawTraceHolds(eng.Tracer.Spans()); err != nil {
-				t.Logf("seed %d sim/%s: %v", seed, sim.name, err)
+				t.Logf("seed %d sim/%s: %v", seed, scheme.name, err)
 				return false
 			}
-		}
 
-		for _, mode := range []Mode{ModeFetch, ModePush} {
 			rec := &trace.Recorder{}
-			cluster, err := New(Config{Workers: 4, Mode: mode, Trace: rec})
+			cluster, err := New(Config{Workers: 4, Trace: rec})
 			if err != nil {
-				t.Logf("seed %d live/%v: %v", seed, mode, err)
+				t.Logf("seed %d live/%s: %v", seed, scheme.name, err)
 				return false
 			}
-			out, _, err := cluster.Run(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers()))
+			out, _, err := cluster.Run(lineage())
 			cluster.Close()
 			if err != nil {
-				t.Logf("seed %d live/%v: %v", seed, mode, err)
+				t.Logf("seed %d live/%s: %v", seed, scheme.name, err)
 				return false
 			}
 			if canon(out) != want {
-				t.Logf("seed %d live/%v diverges from simulator/reference", seed, mode)
+				t.Logf("seed %d live/%s diverges from simulator/reference", seed, scheme.name)
 				return false
 			}
 			if err := rawTraceHolds(rec.Spans()); err != nil {
-				t.Logf("seed %d live/%v: %v", seed, mode, err)
+				t.Logf("seed %d live/%s: %v", seed, scheme.name, err)
 				return false
 			}
 		}

@@ -75,14 +75,14 @@ func TestPlacementParityAcrossBackends(t *testing.T) {
 	}
 	liveChoice := func(policy plan.AggregatorPolicy) int {
 		cluster, err := New(Config{
-			Workers: 3, Mode: ModePush, WANTopology: topo,
+			Workers: 3, WANTopology: topo,
 			AggregatorPolicy: policy,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cluster.Close()
-		_, stats, err := cluster.Run(buildSkewedShuffle(topo.Workers()))
+		_, stats, err := cluster.Run(pushed(buildSkewedShuffle(topo.Workers())))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestPlacementParityAcrossBackends(t *testing.T) {
 func TestLivePlacementReportAndCosts(t *testing.T) {
 	topo := hubTriad()
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush, WANTopology: topo,
+		Workers: 3, WANTopology: topo,
 		AggregatorPolicy: plan.AggregatorBandwidth,
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestLivePlacementReportAndCosts(t *testing.T) {
 	defer cluster.Close()
 
 	want := canon(rdd.CollectLocal(buildSkewedShuffle(topo.Workers())))
-	out, stats, err := cluster.Run(buildSkewedShuffle(topo.Workers()))
+	out, stats, err := cluster.Run(pushed(buildSkewedShuffle(topo.Workers())))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,50 +17,49 @@ import (
 // BytesOverTCP, raw never below wire) must hold unchanged.
 func TestParityWithForcedSpill(t *testing.T) {
 	topo := topology.SixRegionEC2()
-	for _, mode := range []Mode{ModeFetch, ModePush} {
+	for _, scheme := range schemes {
 		var reloads int64
 		// Seeds whose lineages move enough shuffle data to overflow the
-		// budget in both modes (small lineages legitimately fit in 1 KiB).
+		// budget both fetched and pushed (small lineages legitimately fit in 1 KiB).
 		for _, seed := range []int64{2, 16, 22} {
 			want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
 
 			dir := t.TempDir()
 			cluster, err := New(Config{
-				Workers: 4, Mode: mode,
-				MemoryBudget: 1 << 10, SpillDir: dir,
+				Workers: 4, MemoryBudget: 1 << 10, SpillDir: dir,
 			})
 			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, mode, err)
+				t.Fatalf("seed %d %v: %v", seed, scheme, err)
 			}
-			out, stats, err := cluster.Run(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers()))
+			out, stats, err := cluster.Run(shuffledAs(scheme, rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
 			storage := cluster.StorageStats()
 			cluster.Close()
 			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, mode, err)
+				t.Fatalf("seed %d %v: %v", seed, scheme, err)
 			}
 			if canon(out) != want {
-				t.Fatalf("seed %d %v: spilled run diverges from in-memory reference", seed, mode)
+				t.Fatalf("seed %d %v: spilled run diverges from in-memory reference", seed, scheme)
 			}
 
 			// The budget is small enough that spills must have occurred, or
 			// this test is not exercising the reload path at all.
 			if storage.SpillEvents == 0 {
-				t.Fatalf("seed %d %v: no spill events under a 1 KiB budget", seed, mode)
+				t.Fatalf("seed %d %v: no spill events under a 1 KiB budget", seed, scheme)
 			}
 			if storage.SpilledBytesTotal <= 0 {
-				t.Fatalf("seed %d %v: spill accounting empty: %+v", seed, mode, storage)
+				t.Fatalf("seed %d %v: spill accounting empty: %+v", seed, scheme, storage)
 			}
 			// A spilled block only reloads if something reads it afterwards;
 			// require that across the seeds, not per run.
 			reloads += storage.ReloadBytesTotal
 			if got := stats.Storage(); got.SpillEvents != storage.SpillEvents {
 				t.Fatalf("seed %d %v: Stats.Storage() (%d spills) disagrees with cluster (%d)",
-					seed, mode, got.SpillEvents, storage.SpillEvents)
+					seed, scheme, got.SpillEvents, storage.SpillEvents)
 			}
 			// The run report's storage section is the accountants' record.
 			if rep := stats.RunReport("", nil); rep.Storage == nil || rep.Storage.SpillEvents != storage.SpillEvents {
 				t.Fatalf("seed %d %v: report storage section %+v, accountant says %d spills",
-					seed, mode, rep.Storage, storage.SpillEvents)
+					seed, scheme, rep.Storage, storage.SpillEvents)
 			}
 
 			// Byte conservation survives the storage change: every wire byte
@@ -74,24 +73,24 @@ func TestParityWithForcedSpill(t *testing.T) {
 			}
 			if matrixTotal != stats.BytesOverTCP {
 				t.Fatalf("seed %d %v: matrix total %d != BytesOverTCP %d",
-					seed, mode, matrixTotal, stats.BytesOverTCP)
+					seed, scheme, matrixTotal, stats.BytesOverTCP)
 			}
 			if stats.BytesRaw < stats.BytesOverTCP {
 				t.Fatalf("seed %d %v: BytesRaw %d < BytesOverTCP %d",
-					seed, mode, stats.BytesRaw, stats.BytesOverTCP)
+					seed, scheme, stats.BytesRaw, stats.BytesOverTCP)
 			}
 
 			// Close removed every worker's spill directory.
 			entries, err := os.ReadDir(dir)
 			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, mode, err)
+				t.Fatalf("seed %d %v: %v", seed, scheme, err)
 			}
 			if len(entries) != 0 {
-				t.Fatalf("seed %d %v: spill dirs left behind after Close: %v", seed, mode, entries)
+				t.Fatalf("seed %d %v: spill dirs left behind after Close: %v", seed, scheme, entries)
 			}
 		}
 		if reloads == 0 {
-			t.Fatalf("%v: no spilled block was ever reloaded across the seeds", mode)
+			t.Fatalf("%v: no spilled block was ever reloaded across the seeds", scheme)
 		}
 	}
 }
@@ -111,12 +110,12 @@ func TestRunReportCarriesStorageSection(t *testing.T) {
 		{"unlimited", 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cluster, err := New(Config{Workers: 4, Mode: ModePush, MemoryBudget: tc.budget, SpillDir: t.TempDir()})
+			cluster, err := New(Config{Workers: 4, MemoryBudget: tc.budget, SpillDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cluster.Close()
-			_, stats, err := cluster.Run(rdd.RandomLineage(5, rdd.NewGraph(), topo.Workers()))
+			_, stats, err := cluster.Run(pushed(rdd.RandomLineage(5, rdd.NewGraph(), topo.Workers())))
 			if err != nil {
 				t.Fatal(err)
 			}

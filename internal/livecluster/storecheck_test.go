@@ -106,26 +106,26 @@ func (s *checksumStore) verify(t *testing.T, w *worker) int {
 }
 
 // TestNothingWritesAStoredShard runs the sim≡live property lineages on
-// checksumming stores in both modes, resident and under a forced spill, and
+// checksumming stores, fetched and pushed, resident and under a forced spill, and
 // requires every shard every worker stored to read back at job end as it
 // was put.
 func TestNothingWritesAStoredShard(t *testing.T) {
 	hosts := topology.SixRegionEC2().Workers()
-	for _, mode := range []Mode{ModePush, ModeFetch} {
+	for _, scheme := range []string{"push", "fetch"} {
 		for _, budget := range []int64{0, 1 << 10} {
-			t.Run(fmt.Sprintf("%v/budget %d", mode, budget), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/budget %d", scheme, budget), func(t *testing.T) {
 				for _, seed := range []int64{0, 2, 16, 22} {
-					storedShardsHold(t, seed, hosts, mode, budget)
+					storedShardsHold(t, seed, hosts, scheme, budget)
 				}
 			})
 		}
 	}
 }
 
-func storedShardsHold(t *testing.T, seed int64, hosts []topology.HostID, mode Mode, budget int64) {
+func storedShardsHold(t *testing.T, seed int64, hosts []topology.HostID, scheme string, budget int64) {
 	t.Helper()
 	want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts)))
-	cluster, err := New(Config{Workers: 4, Mode: mode, MemoryBudget: budget, SpillDir: t.TempDir()})
+	cluster, err := New(Config{Workers: 4, MemoryBudget: budget, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func storedShardsHold(t *testing.T, seed int64, hosts []topology.HostID, mode Mo
 		stores[i] = newChecksumStore(w.store)
 		w.store = stores[i]
 	}
-	out, _, err := cluster.Run(rdd.RandomLineage(seed, rdd.NewGraph(), hosts))
+	out, _, err := cluster.Run(shuffledAs(scheme, rdd.RandomLineage(seed, rdd.NewGraph(), hosts)))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

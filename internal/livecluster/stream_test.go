@@ -667,13 +667,12 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	// One task per worker: a worker never needs a second connection to a
 	// peer, so every dial is a connection lost.
 	// The job aggregates at worker 1, so worker 0's link to it is warm.
-	c, err := New(Config{Workers: 2, Mode: ModePush,
-		TasksPerWorker: 1, ChunkRecords: 4})
+	c, err := New(Config{Workers: 2, TasksPerWorker: 1, ChunkRecords: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Run(buildSkewedWordCount(4, 2, 1)); err != nil {
+	if _, _, err := c.Run(pushed(buildSkewedWordCount(4, 2, 1))); err != nil {
 		t.Fatal(err)
 	}
 	flushed(c) // the exchanges below run outside a job
@@ -717,7 +716,7 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 	if stats.Dials != 0 {
 		t.Fatalf("the failed pushes dialed %d connections: the pool lost the warm one", stats.Dials)
 	}
-	_, next, err := c.Run(buildSkewedWordCount(4, 2, 1))
+	_, next, err := c.Run(pushed(buildSkewedWordCount(4, 2, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -894,7 +893,7 @@ func (s gatedStore) Put(key blockstore.Key, out blockstore.Output) (stored, dup 
 func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 	want := canon(rdd.CollectLocal(buildSkewedWordCount(4, 2, 2)))
 	cluster, err := New(Config{
-		Workers: 3, Mode: ModePush,
+		Workers:   3,
 		IOTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
@@ -910,7 +909,7 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, _, err := cluster.Run(buildSkewedWordCount(4, 2, 2))
+		out, _, err := cluster.Run(pushed(buildSkewedWordCount(4, 2, 2)))
 		done <- result{out, err}
 	}()
 
@@ -946,33 +945,33 @@ func TestHungPeerDeadlineFiresAndRetries(t *testing.T) {
 }
 
 // TestCompressedModeMatchesReference runs seeded random lineages through
-// the streamed data plane with compression on, in both shuffle modes, and
+// the streamed data plane with compression on, fetched and pushed, and
 // requires outputs identical to the in-memory reference plus an exact
 // byte-conservation invariant with BytesRaw >= wire bytes.
 func TestCompressedModeMatchesReference(t *testing.T) {
 	topo := topology.SixRegionEC2()
 	for _, seed := range []int64{1, 7, 23} {
 		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
-		for _, mode := range []Mode{ModeFetch, ModePush} {
+		for _, scheme := range schemes {
 			cluster, err := New(Config{
-				Workers: 4, Mode: mode, Compression: CodecGzip, ChunkRecords: 16,
+				Workers: 4, Compression: CodecGzip, ChunkRecords: 16,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, stats, err := cluster.Run(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers()))
+			out, stats, err := cluster.Run(shuffledAs(scheme, rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
 			cluster.Close()
 			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, mode, err)
+				t.Fatalf("seed %d %v: %v", seed, scheme, err)
 			}
 			if canon(out) != want {
-				t.Fatalf("seed %d %v compressed run diverges from reference", seed, mode)
+				t.Fatalf("seed %d %v compressed run diverges from reference", seed, scheme)
 			}
 			if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
-				t.Fatalf("seed %d %v: matrix total %d != BytesOverTCP %d", seed, mode, got, stats.BytesOverTCP)
+				t.Fatalf("seed %d %v: matrix total %d != BytesOverTCP %d", seed, scheme, got, stats.BytesOverTCP)
 			}
 			if stats.BytesRaw < stats.BytesOverTCP {
-				t.Fatalf("seed %d %v: BytesRaw %d < wire %d", seed, mode, stats.BytesRaw, stats.BytesOverTCP)
+				t.Fatalf("seed %d %v: BytesRaw %d < wire %d", seed, scheme, stats.BytesRaw, stats.BytesOverTCP)
 			}
 		}
 	}

@@ -129,7 +129,7 @@ type worker struct {
 	srv *server
 
 	// store holds the worker's shuffle blocks: received push outputs and
-	// fetch-mode local map outputs, flat until their partitioner is ready
+	// the local map outputs of fetched shuffles, flat until their partitioner is ready
 	// and per-reduce shards afterwards. With Config.MemoryBudget set it is
 	// a blockstore.SpillStore, so an aggregator's resident heap stays
 	// bounded while cold outputs ride on disk. The store locks internally.
@@ -371,8 +371,8 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	})
 }
 
-// storeMapOutput stores a locally produced map output (fetch mode, and a
-// push-mode map task that ran on its aggregator), run through the same
+// storeMapOutput stores a locally produced map output (a fetched shuffle's,
+// and a pushed one's whose map task ran on its aggregator), run through the same
 // bucketing and idempotency path as pushed outputs.
 func (w *worker) storeMapOutput(shuffleID, mapPart, attempt int, records []rdd.Pair) error {
 	out := blockstore.Output{Attempt: attempt}

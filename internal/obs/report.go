@@ -12,7 +12,7 @@ import (
 
 // SchemaVersion identifies the canonical run-report schema. Both backends
 // emit exactly this shape, so sim-vs-live behavioural cross-checks can be
-// automated (e.g. live push-mode bytes on non-aggregator links ≈ 0).
+// automated (e.g. live pushed bytes on non-aggregator links ≈ 0).
 const SchemaVersion = "wanshuffle/run-report/v1"
 
 // histogramBuckets is the fixed bucket count of the per-stage task

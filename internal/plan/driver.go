@@ -99,11 +99,9 @@ type SiteHealth interface {
 
 // DriverConfig tunes one driven job.
 type DriverConfig struct {
-	// Aggregate enables Push/Aggregate: each map stage's output is pushed
-	// to an aggregator site as tasks finish, instead of staying scattered
-	// for fetch-based reads. The aggregator is chosen per shuffle under
-	// Policy over the stage's input sizes — measured map-output sizes for
-	// every shuffle past the first (the analogue of TransferToAuto).
+	// Aggregate applies dag.AutoAggregate to the job's lineage and plans it
+	// again: a push is a transferTo in the lineage, and this field stays
+	// only because perf/ sets it (ROADMAP 1(b)).
 	Aggregate bool
 	// Policy selects the aggregation rule. Zero value is AggregatorBest
 	// (Eq. 2). AggregatorRandom is the simulator's ablation only — the
@@ -164,9 +162,20 @@ func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 		ctx = context.Background()
 	}
 	d.ctx = ctx
+	if d.cfg.Aggregate {
+		dag.AutoAggregate(d.job.Target)
+		job, err := BuildJob(d.job.Target)
+		if err != nil {
+			return nil, err
+		}
+		d.job = job
+	}
+	// Any transferTo but the one Pushes names — TransferTo(dc),
+	// TransferToTopK(k > 1), operators above the transfer, a transfer in the
+	// result stage — fails the job before a task runs.
 	for _, st := range d.job.Stages() {
-		if len(st.Phases) != 1 {
-			return nil, fmt.Errorf("plan: stage %s carries transferTo phases; push/aggregate is driven by the backend's aggregation mode, not the lineage", st.Name())
+		if len(st.Phases) > 1 && !Pushes(st) {
+			return nil, fmt.Errorf("plan: stage %s carries a transferTo the driver cannot run: it pushes only a single-aggregator TransferToAuto directly before a shuffle", st.Name())
 		}
 	}
 	n := d.be.NumSites()
@@ -206,8 +215,9 @@ func (d *Driver) canceled() error {
 	return nil
 }
 
-// runStage fans the stage's tasks out over the backend's sites, honors the
-// aggregation mode, and finalizes the stage's shuffle at the barrier.
+// runStage fans the stage's tasks out over the backend's sites, pushes their
+// outputs to the stage's aggregator when the stage pushes, and finalizes the
+// stage's shuffle at the barrier.
 func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
 	name := st.Name() // formatted once: every task event carries it
@@ -281,13 +291,13 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, si
 	d.be.OnTask(ev)
 }
 
-// resolveAggregator picks the stage's aggregator site, -1 when its output
-// stays scattered: ChooseAggregator over inputSizes — actual map-output
-// sizes for every shuffle input (Sec. III-B / IV-D). The choice goes to the
-// backend's sink, without site labels: the backend knows its own site
-// names.
+// resolveAggregator picks the aggregator site of a stage that pushes, -1
+// when its output stays scattered: ChooseAggregator over inputSizes —
+// actual map-output sizes for every shuffle input (Sec. III-B / IV-D). The
+// choice goes to the backend's sink, without site labels: the backend knows
+// its own site names.
 func (d *Driver) resolveAggregator(st *dag.Stage) int {
-	if st.OutSpec == nil || !d.cfg.Aggregate {
+	if !Pushes(st) {
 		return -1
 	}
 	rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.inputSizes(st),
@@ -300,6 +310,14 @@ func (d *Driver) resolveAggregator(st *dag.Stage) int {
 	d.aggSites[st.OutSpec.ID] = rank[0]
 	d.mu.Unlock()
 	return rank[0]
+}
+
+// Pushes reports whether the Driver pushes map stage st's output to an
+// aggregator: the stage's output is a single-aggregator TransferToAuto,
+// which dag plans as two phases, [work, transfer node].
+func Pushes(st *dag.Stage) bool {
+	tr := st.Phases[0].Transfer
+	return len(st.Phases) == 2 && st.OutSpec != nil && st.Output == st.Phases[0].TransferNode && tr.Auto && tr.K <= 1
 }
 
 // inputSizes is stage st's input bytes per site, what ChooseAggregator

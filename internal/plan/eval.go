@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"slices"
 
 	"wanshuffle/internal/dag"
@@ -18,20 +17,16 @@ import (
 // cluster, a shard lookup for MemBackend.
 type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([][]rdd.Pair, error)
 
-// EvalStagePart computes output partition part of a single-phase stage,
+// EvalStagePart computes output partition part of a stage the Driver runs,
 // reading shuffle boundaries through read. The record semantics — narrow
 // chains, dependency mappings, reduce-side aggregation, post-shuffle
 // transforms — are exactly those of rdd.EvalLocal, so every backend built
 // on this evaluator agrees with the in-memory reference by construction.
 func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
-	top, err := stageTop(st)
-	if err != nil {
-		return nil, err
-	}
-	return evalPart(top, part, read)
+	return evalPart(st.Phases[0].Top, part, read)
 }
 
-// TaskOutput computes what task part of a single-phase stage produces: a
+// TaskOutput computes what task part of a stage the Driver runs produces: a
 // result stage's output partition, or a map stage's output prepared for the
 // stage's shuffle — rdd.MapSidePrepare(st.OutSpec, EvalStagePart(...)),
 // record for record. How it gets there is decided here and nowhere else: when
@@ -40,12 +35,11 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 // with the map, before any push), so the uncombined map output — 150,000
 // words about to fold to 5,000 — is never built; any other stage's prepared
 // output is its evaluated partition as it stands.
+// Both start from the first phase: a pushing stage's second is only its
+// TransferToAuto node, which has no Each, so evaluating it would build the
+// whole partition as a slice. Its work is the push the backend makes.
 func TaskOutput(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
-	top, err := stageTop(st)
-	if err != nil {
-		return nil, err
-	}
-	spec := st.OutSpec
+	top, spec := st.Phases[0].Top, st.OutSpec
 	if spec == nil || !spec.CombinesMapSide() {
 		return evalPart(top, part, read)
 	}
@@ -54,13 +48,6 @@ func TaskOutput(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error)
 		return nil, err
 	}
 	return c.Sorted(), nil
-}
-
-func stageTop(st *dag.Stage) (*rdd.RDD, error) {
-	if len(st.Phases) != 1 {
-		return nil, fmt.Errorf("plan: stage %s has %d phases; the evaluator handles single-phase stages", st.Name(), len(st.Phases))
-	}
-	return st.Phases[0].Top, nil
 }
 
 // evalPart and eachPart are one evaluator in two forms: evalPart returns
@@ -76,7 +63,7 @@ func stageTop(st *dag.Stage) (*rdd.RDD, error) {
 // copies nothing), a shuffle boundary (reduce-side aggregation sorts its
 // whole shard), and MapPartitions (the user's function takes the partition);
 // eachPart of those is evalPart and a loop. Transfer nodes never get here:
-// dag cuts a phase at each one and Driver rejects multi-phase stages.
+// dag cuts a phase at each one, and the evaluator starts below it.
 //
 // expect, when not nil, hears from each materialised source how many records
 // it is about to emit, before it emits them: evalPart makes room for that

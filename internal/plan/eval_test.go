@@ -71,12 +71,16 @@ func chainShape(node *rdd.RDD) string {
 func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 	shapes := map[string]int{}
 	for seed := int64(0); seed < 120; seed++ {
-		job, err := BuildJob(rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6)))
+		target := rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))
+		if seed%2 == 0 {
+			pushed(target)
+		}
+		job, err := BuildJob(target)
 		if err != nil {
 			t.Fatal(err)
 		}
 		be := &checkedBackend{MemBackend: NewMemBackend(3), t: t, shapes: shapes}
-		if _, err := NewDriver(job, be, DriverConfig{Aggregate: seed%2 == 0}).Run(); err != nil {
+		if _, err := NewDriver(job, be, DriverConfig{}).Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

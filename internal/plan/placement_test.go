@@ -247,7 +247,7 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 	)
 
 	run := func(cfg DriverConfig) []obs.PlacementDecision {
-		job, err := BuildJob(build())
+		job, err := BuildJob(pushed(build()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +259,8 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 		return be.Events.Placements()
 	}
 
-	bestDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBest, LinkCosts: links})
-	bwDecs := run(DriverConfig{Aggregate: true, Policy: AggregatorBandwidth, LinkCosts: links})
+	bestDecs := run(DriverConfig{Policy: AggregatorBest, LinkCosts: links})
+	bwDecs := run(DriverConfig{Policy: AggregatorBandwidth, LinkCosts: links})
 
 	job, _ := BuildJob(build())
 	shuffleID := job.Plan.Shuffles()[0].ID
@@ -343,12 +343,12 @@ func TestInputSizesFollowTaskPlacement(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			target, leafOf := tc.build()
-			job, err := BuildJob(target)
+			job, err := BuildJob(pushed(target))
 			if err != nil {
 				t.Fatal(err)
 			}
 			be := NewMemBackend(4)
-			drv := NewDriver(job, be, DriverConfig{Aggregate: true})
+			drv := NewDriver(job, be, DriverConfig{})
 			if _, err := drv.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -2,13 +2,16 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"wanshuffle/internal/dag"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -50,15 +53,50 @@ func hosts(n int) []topology.HostID {
 	return out
 }
 
+// pushed is target with a transferTo before every shuffle
+// (dag.AutoAggregate), the way a job says push.
+func pushed(target *rdd.RDD) *rdd.RDD {
+	dag.AutoAggregate(target)
+	return target
+}
+
+// pushFirstShuffle feeds only the first shuffle of target's lineage (the
+// lowest shuffle ID) through TransferToAuto, and returns its ID, -1 when the
+// lineage has no shuffle.
+func pushFirstShuffle(target *rdd.RDD) int {
+	var first *rdd.Dependency
+	seen := map[int]bool{}
+	var walk func(n *rdd.RDD)
+	walk = func(n *rdd.RDD) {
+		if seen[n.ID] {
+			return
+		}
+		seen[n.ID] = true
+		for di := range n.Deps {
+			d := &n.Deps[di]
+			if d.Kind == rdd.DepShuffle && (first == nil || d.Shuffle.ID < first.Shuffle.ID) {
+				first = d
+			}
+			walk(d.Parent)
+		}
+	}
+	walk(target)
+	if first == nil {
+		return -1
+	}
+	first.Parent = first.Parent.TransferToAuto()
+	return first.Shuffle.ID
+}
+
 // runMem drives a job over a MemBackend and flattens the result.
-func runMem(t *testing.T, target *rdd.RDD, cfg DriverConfig, sites int) ([]rdd.Pair, *Driver) {
+func runMem(t *testing.T, target *rdd.RDD, cfg DriverConfig, sites int) ([]rdd.Pair, *MemBackend) {
 	t.Helper()
 	job, err := BuildJob(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := NewDriver(job, NewMemBackend(sites), cfg)
-	parts, err := drv.Run()
+	be := NewMemBackend(sites)
+	parts, err := NewDriver(job, be, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,23 +104,38 @@ func runMem(t *testing.T, target *rdd.RDD, cfg DriverConfig, sites int) ([]rdd.P
 	for _, p := range parts {
 		out = append(out, p...)
 	}
-	return out, drv
+	return out, be
 }
 
 func TestDriverMemBackendMatchesEvalLocal(t *testing.T) {
-	for _, cfg := range []DriverConfig{
-		{},
-		{Aggregate: true},
+	for _, tc := range []struct {
+		name string
+		// push rewrites the lineage and returns the ID of the one shuffle
+		// it pushes, or -1 when it pushes every shuffle or none.
+		push func(*rdd.RDD) int
+		cfg  DriverConfig
+	}{
+		{"fetch", func(*rdd.RDD) int { return -1 }, DriverConfig{}},
+		{"push", func(r *rdd.RDD) int { pushed(r); return -1 }, DriverConfig{}},
 		// Aggregation at the smallest input share: map outputs cross to a
 		// site other than Eq. 2's.
-		{Aggregate: true, Policy: AggregatorWorst},
+		{"push/worst", func(r *rdd.RDD) int { pushed(r); return -1 }, DriverConfig{Policy: AggregatorWorst}},
+		// One shuffle pushed and the rest fetched, in one job: what no
+		// cluster-wide switch could say.
+		{"push first shuffle", pushFirstShuffle, DriverConfig{}},
 	} {
 		f := func(seedRaw uint16) bool {
 			seed := int64(seedRaw)
 			want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))))
-			got, _ := runMem(t, rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6)), cfg, 3)
+			target := rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))
+			only := tc.push(target)
+			got, be := runMem(t, target, tc.cfg, 3)
 			if canon(got) != want {
-				t.Logf("seed %d cfg %+v: output diverges from reference", seed, cfg)
+				t.Logf("seed %d %s: output diverges from reference", seed, tc.name)
+				return false
+			}
+			if decs := be.Events.Placements(); only >= 0 && (len(decs) != 1 || decs[0].Shuffle != only) {
+				t.Logf("seed %d %s: placement decisions %+v, want one, for shuffle %d", seed, tc.name, decs, only)
 				return false
 			}
 			return true
@@ -114,12 +167,12 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 		MapValues("keep", func(v rdd.Value) rdd.Value { return v }).
 		GroupByKey("g2", 2)
 
-	pj, err := BuildJob(job)
+	pj, err := BuildJob(pushed(job))
 	if err != nil {
 		t.Fatal(err)
 	}
 	be := NewMemBackend(6)
-	drv := NewDriver(pj, be, DriverConfig{Aggregate: true})
+	drv := NewDriver(pj, be, DriverConfig{})
 	if _, err := drv.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,16 +202,75 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	}
 }
 
+// countingBackend is a MemBackend that counts the tasks it is handed.
+type countingBackend struct {
+	*MemBackend
+	tasks atomic.Int64
+}
+
+func (b *countingBackend) RunTask(t Task) (TaskResult, error) {
+	b.tasks.Add(1)
+	return b.MemBackend.RunTask(t)
+}
+
+// TestDriverRejectsTransferPhases holds the Driver to the one transfer it
+// runs, a single-aggregator TransferToAuto directly before a shuffle: it
+// pushes that shuffle, and rejects any other transfer before a task runs,
+// with an error naming the stage that carries it.
 func TestDriverRejectsTransferPhases(t *testing.T) {
-	g := rdd.NewGraph()
-	in := g.Input("in", []rdd.InputPartition{{Host: 0, ModeledBytes: 1, Records: []rdd.Pair{rdd.KV("a", 1)}}})
-	target := in.TransferTo(1).ReduceByKey("r", 2, func(a, b rdd.Value) rdd.Value { return a })
-	job, err := BuildJob(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDriver(job, NewMemBackend(2), DriverConfig{}).Run(); err == nil {
-		t.Fatal("transferTo phases accepted; aggregation is a backend mode")
+	sum := func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }
+	for _, tc := range []struct {
+		name   string
+		build  func(in *rdd.RDD) *rdd.RDD
+		pushes bool
+	}{
+		{"TransferTo(dc)", func(in *rdd.RDD) *rdd.RDD { return in.TransferTo(1).ReduceByKey("r", 2, sum) }, false},
+		{"TransferToTopK(2)", func(in *rdd.RDD) *rdd.RDD { return in.TransferToTopK(2).ReduceByKey("r", 2, sum) }, false},
+		{"TransferToAuto().Map", func(in *rdd.RDD) *rdd.RDD {
+			return in.TransferToAuto().Map("m", func(p rdd.Pair) rdd.Pair { return p }).ReduceByKey("r", 2, sum)
+		}, false},
+		{"TransferToAuto() in the result stage", func(in *rdd.RDD) *rdd.RDD { return in.ReduceByKey("r", 2, sum).TransferToAuto() }, false},
+		{"TransferToAuto()", func(in *rdd.RDD) *rdd.RDD { return in.TransferToAuto().ReduceByKey("r", 2, sum) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lineage := func() *rdd.RDD {
+				in := rdd.NewGraph().Input("in", []rdd.InputPartition{
+					{Host: 0, ModeledBytes: 1, Records: []rdd.Pair{rdd.KV("a", 1), rdd.KV("b", 2)}},
+					{Host: 1, ModeledBytes: 1, Records: []rdd.Pair{rdd.KV("a", 3)}},
+				})
+				return tc.build(in)
+			}
+			job, err := BuildJob(lineage())
+			if err != nil {
+				t.Fatal(err)
+			}
+			be := &countingBackend{MemBackend: NewMemBackend(2)}
+			out, err := NewDriver(job, be, DriverConfig{}).Run()
+			if !tc.pushes {
+				var carrier string
+				for _, st := range job.Stages() {
+					if len(st.Phases) > 1 {
+						carrier = st.Name()
+					}
+				}
+				if err == nil || !strings.Contains(err.Error(), carrier) {
+					t.Fatalf("err = %v, want a rejection naming stage %s", err, carrier)
+				}
+				if n := be.tasks.Load(); n != 0 {
+					t.Fatalf("%d tasks ran before the rejection", n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canon(slices.Concat(out...)), canon(rdd.CollectLocal(lineage())); got != want {
+				t.Fatalf("output %s, want %s", got, want)
+			}
+			if decs := be.Events.Placements(); len(decs) != 1 || decs[0].Shuffle != job.Plan.Shuffles()[0].ID {
+				t.Fatalf("placement decisions %+v, want one, for the shuffle", decs)
+			}
+		})
 	}
 }
 
