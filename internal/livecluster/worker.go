@@ -142,6 +142,10 @@ type worker struct {
 	// bucketBuilds counts deferred whole-output bucketing passes; pushes
 	// bucketed incrementally on arrival never increment it.
 	bucketBuilds atomic.Int64
+	// buckets holds the job's BucketFunc per shuffle ID (bucketFn), so a
+	// shard read builds no closure; resetRun empties it.
+	bucketsMu sync.Mutex
+	buckets   map[int]blockstore.BucketFunc
 
 	closed atomic.Bool
 }
@@ -155,6 +159,7 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 		id:      id,
 		cluster: c,
 		store:   store,
+		buckets: map[int]blockstore.BucketFunc{},
 	}
 	if w.srv, err = serve(w.handleConn); err != nil {
 		_ = store.Close()
@@ -386,16 +391,30 @@ func (w *worker) storeMapOutput(shuffleID, mapPart, attempt int, records []rdd.P
 
 // resetRun clears the previous job's stored outputs (shuffle IDs are
 // graph-scoped, so leftovers could collide with the next job's).
-func (w *worker) resetRun() { _ = w.store.Reset() }
+func (w *worker) resetRun() {
+	_ = w.store.Reset()
+	w.bucketsMu.Lock()
+	clear(w.buckets)
+	w.bucketsMu.Unlock()
+}
 
 func (w *worker) storedOutputs() int { return w.store.Len() }
 
-// bucketFn builds the store's BucketFunc for one shuffle: resolve the
+// bucketFn returns the store's BucketFunc for one shuffle: resolve the
 // spec, require a ready partitioner, and count the deferred whole-output
 // bucketing pass. The store invokes it at most once per output (the
-// exactly-once half of bucketing, for outputs installed flat).
+// exactly-once half of bucketing, for outputs installed flat). Every shard
+// read passes one, though most outputs were bucketed at install and never
+// call it, so it is built on the shuffle's first read in a job and kept:
+// a read allocates nothing for it. It resolves the spec when it runs, so
+// one built before the barrier still buckets by the ready partitioner.
 func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
-	return func(records []rdd.Pair) ([][]rdd.Pair, error) {
+	w.bucketsMu.Lock()
+	defer w.bucketsMu.Unlock()
+	if fn, ok := w.buckets[shuffleID]; ok {
+		return fn
+	}
+	fn := func(records []rdd.Pair) ([][]rdd.Pair, error) {
 		spec := w.spec(shuffleID)
 		if spec == nil {
 			return nil, fmt.Errorf("worker %d: unknown shuffle %d", w.id, shuffleID)
@@ -406,6 +425,8 @@ func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
 		w.bucketBuilds.Add(1)
 		return rdd.BucketRecords(spec, records), nil
 	}
+	w.buckets[shuffleID] = fn
+	return fn
 }
 
 // shardOf returns one reduce shard of a stored output. Flat outputs

@@ -304,10 +304,22 @@ func (s *slab[T]) next(d *decoder, x T) Value {
 // the Value exists: a slab hands each slot out once. T must not be
 // pointer-shaped (a pointer, map, chan or func), since the interface of
 // such a type holds the value in its data word, not a pointer to it.
+//
+// The type word comes from boxing a zero T, which is allocation-free only
+// for a scalar T (the runtime boxes a zero scalar without allocating): a
+// composite T such as [2][]Value would allocate a box for the zero value
+// and save nothing. Those take their type word from a package-level zero
+// value through boxAs instead.
 func boxAt[T any](p *T) Value {
-	v := Value(*new(T)) // a zero scalar boxes without allocating
-	(*eface)(unsafe.Pointer(&v)).data = unsafe.Pointer(p)
-	return v
+	return boxAs(Value(*new(T)), p)
+}
+
+// boxAs is boxAt with the type word taken from typ, a Value whose dynamic
+// type is T (a package-level zero value, boxed once): *p as a Value with
+// no allocation whatever T is.
+func boxAs[T any](typ Value, p *T) Value {
+	(*eface)(unsafe.Pointer(&typ)).data = unsafe.Pointer(p)
+	return typ
 }
 
 // eface is the runtime's layout of an interface with no methods.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -132,9 +133,10 @@ func groupsEqual(got, want [][]Pair) bool {
 	return true
 }
 
-// A key's values are a window of one slice shared by the partition: an
-// append to one key's values, or to either side of a cogroup, must copy
-// rather than write over the next key's.
+// A key's values are a window of one slice shared by the partition, and a
+// joined pair's two values sit beside its neighbours' in one array per key:
+// an append to one key's values, to either side of a cogroup or to one
+// joined pair must copy rather than write over the next one's.
 func TestGroupedValuesDoNotAlias(t *testing.T) {
 	g := NewGraph()
 	left := inputFrom(g, pairs("a", "1", "b", "2", "a", "3", "b", "4"))
@@ -156,14 +158,86 @@ func TestGroupedValuesDoNotAlias(t *testing.T) {
 	if !slices.Equal(b[0], []Value{"2", "4"}) {
 		t.Errorf("appending to a's right side changed b's left side to %v", b[0])
 	}
+
+	joined := CollectLocal(left.Join("join", right, 1))
+	first := joined[0].Value.([]Value)
+	if cap(first) != 2 {
+		t.Errorf("a joined pair's capacity is %d, want 2", cap(first))
+	}
+	_ = append(first, "clobber")
+	if got := joined[1].Value.([]Value); !slices.Equal(got, []Value{"3", "x"}) {
+		t.Errorf("appending to a's first pair changed its second to %v", got)
+	}
+}
+
+// Grouped values and joined pairs are interfaces over slots of arrays
+// their partition allocated once (boxAs), not boxes of their own. A few of
+// them, kept while everything else of their partitions is dropped, must
+// read back as built after collections that reuse whatever was freed.
+func TestGroupedValuesOutliveTheirPartition(t *testing.T) {
+	g := NewGraph()
+	var l, r []Pair
+	for i := 0; i < 400; i++ {
+		l = append(l, KV(fmt.Sprintf("k%03d", i%100), fmt.Sprintf("l%d", i)))
+		r = append(r, KV(fmt.Sprintf("k%03d", i%100), fmt.Sprintf("r%d", i)))
+	}
+	left, right := inputFrom(g, l), inputFrom(g, r)
+	var kept, want []Value
+	for _, node := range []*RDD{
+		left.GroupByKey("group", 2),
+		left.CoGroup("cogroup", right, 2),
+		left.Join("join", right, 2),
+	} {
+		recs := CollectLocal(node)
+		for i := 0; i < len(recs); i += 37 {
+			kept = append(kept, recs[i].Value)
+			want = append(want, deepCopy(recs[i].Value))
+		}
+	}
+	for gc := 0; gc < 2; gc++ {
+		runtime.GC()
+		for i := 0; i < 1000; i++ {
+			pairsSink = make([]Pair, 16)
+		}
+	}
+	for i, v := range kept {
+		if !reflect.DeepEqual(v, want[i]) {
+			t.Errorf("kept value %d reads %v, want %v", i, v, want[i])
+		}
+	}
+}
+
+// deepCopy copies a grouped or joined value into memory of its own.
+func deepCopy(v Value) Value {
+	switch v := v.(type) {
+	case []Value:
+		out := make([]Value, len(v))
+		for i, e := range v {
+			out[i] = deepCopy(e)
+		}
+		return out
+	case [2][]Value:
+		var out [2][]Value
+		for side, vs := range v {
+			if vs != nil {
+				out[side] = deepCopy(vs).([]Value)
+			}
+		}
+		return out
+	}
+	return v
 }
 
 // groupingShard builds one reduce partition's shard of n PageRank edges
-// over k pages, in arrival order, for node's shuffle: each run of k records
-// holds every page once, in a scrambled order. GroupByKey's records carry
-// the destination page; CoGroup's are tagged, the runs alternating between
-// the left side (a link list) and the right (a rank).
+// over k pages, in arrival order, for node's shuffle (a Join's is its
+// cogroup's): each run of k records holds every page once, in a scrambled
+// order. GroupByKey's records carry the destination page; CoGroup's are
+// tagged, the runs alternating between the left side (a link list) and the
+// right (a rank).
 func groupingShard(node *RDD, n, k int) []Pair {
+	for node.Deps[0].Kind == DepNarrow {
+		node = node.Deps[0].Parent
+	}
 	cogroup := len(node.Deps) == 2
 	recs := make([]Pair, n)
 	for i := range recs {
@@ -179,40 +253,61 @@ func groupingShard(node *RDD, n, k int) []Pair {
 	return recs
 }
 
-// The grouping sorts a partition once and cuts every key's values from one
-// slice: ReduceAggregate plus PostShuffle allocate the sorted copy, the
-// output, the values' backing and one boxed value per key, however many
-// values a key has.
-func TestGroupingAllocatesPerKeyNotPerValue(t *testing.T) {
+// reducePartition runs one reduce partition of node over its shuffle's
+// shard in: the shuffle's aggregation and post-shuffle step, then the
+// narrow operators between them and node (a Join's pairs), materialised.
+func reducePartition(node *RDD, in []Pair) []Pair {
+	if node.Deps[0].Kind == DepNarrow {
+		return node.Narrow(0, reducePartition(node.Deps[0].Parent, in))
+	}
+	return node.PostShuffle(0, ReduceAggregate(node.Deps[0].Shuffle, in))
+}
+
+// The grouping sorts a partition once, cuts every key's values from one
+// slice and boxes every key's value over a slot of one array: ReduceAggregate
+// plus PostShuffle allocate the sorted copy, the output, the values' backing
+// and the slots, however many keys and values the partition holds. A Join
+// then costs one allocation per key, which holds all of that key's pairs.
+func TestGroupingAllocatesPerPartitionNotPerKey(t *testing.T) {
 	g := NewGraph()
 	src := inputFrom(g, nil)
-	const k = 500
+	const k, perPartition = 500, 4
 	for name, node := range map[string]*RDD{
 		"groupByKey": src.GroupByKey("group", 1),
 		"cogroup":    src.CoGroup("cogroup", src, 1),
 	} {
 		for _, n := range []int{2 * k, 8 * k} {
 			in := groupingShard(node, n, k)
-			reduce := func() {
-				out := ReduceAggregate(node.Deps[0].Shuffle, in)
-				if node.PostShuffle != nil {
-					out = node.PostShuffle(0, out)
-				}
-				pairsSink = out
-			}
+			reduce := func() { pairsSink = reducePartition(node, in) }
 			reduce() // warm the sort's entry pool
 			allocs := testing.AllocsPerRun(10, reduce)
 			// Under the race detector sync.Pool.Put drops entries on
 			// purpose; ask for one run that found the pool warm instead.
-			for try := 0; raceBuild() && allocs > k+4 && try < 20; try++ {
+			for try := 0; raceBuild() && allocs > perPartition && try < 20; try++ {
 				allocs = testing.AllocsPerRun(1, reduce)
 			}
-			if allocs > k+4 {
-				t.Errorf("%s n=%d over %d keys: %v allocations, want at most %d", name, n, k, allocs, k+4)
+			if allocs > perPartition {
+				t.Errorf("%s n=%d over %d keys: %v allocations, want at most %d", name, n, k, allocs, perPartition)
 			}
 		}
 	}
+
+	join := src.Join("join", src, 1)
+	for _, n := range []int{2 * k, 8 * k} {
+		grouped := reducePartition(join.Deps[0].Parent, groupingShard(join, n, k))
+		emit := func(p Pair) { pairSink = p }
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, p := range grouped {
+				join.Each(p, emit)
+			}
+		})
+		if allocs > k {
+			t.Errorf("join n=%d over %d keys: %v allocations, want at most %d", n, k, allocs, k)
+		}
+	}
 }
+
+var pairSink Pair
 
 // BenchmarkGroupByKey reduces one PageRank-shaped partition of the link
 // table: 4,000 edges over 1,000 pages, grouped into link lists.
@@ -228,12 +323,19 @@ func BenchmarkCoGroup(b *testing.B) {
 	benchGrouping(b, in.CoGroup("join", in, 1), 2000, 1000)
 }
 
+// BenchmarkJoin is BenchmarkCoGroup carried on to the joined pairs: one
+// (link list, rank) pair for each of 1,000 pages.
+func BenchmarkJoin(b *testing.B) {
+	in := NewGraph().Input("links", make([]InputPartition, 1))
+	benchGrouping(b, in.Join("join", in, 1), 2000, 1000)
+}
+
 func benchGrouping(b *testing.B, node *RDD, n, k int) {
 	in := groupingShard(node, n, k)
 	b.ReportAllocs()
 	b.SetBytes(int64(SizeOfAll(in)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairsSink = node.PostShuffle(0, ReduceAggregate(node.Deps[0].Shuffle, in))
+		pairsSink = reducePartition(node, in)
 	}
 }

@@ -356,11 +356,11 @@ func (r *RDD) GroupByKey(name string, numParts int) *RDD {
 
 // groupValues is GroupByKey's post-shuffle step.
 func groupValues(_ int, sorted []Pair) []Pair {
-	return groupRuns(sorted, func(run []Pair, vals []Value) Value {
+	return groupRuns(sorted, valuesType, func(run []Pair, vals []Value, slot *[]Value) {
 		for i, p := range run {
 			vals[i] = p.Value
 		}
-		return vals
+		*slot = vals
 	})
 }
 
@@ -424,14 +424,14 @@ func (r *RDD) CoGroup(name string, other *RDD, numParts int) *RDD {
 // cogroupValues is CoGroup's post-shuffle step: each run's window holds the
 // left values, then the right ones.
 func cogroupValues(_ int, sorted []Pair) []Pair {
-	return groupRuns(sorted, func(run []Pair, vals []Value) Value {
+	return groupRuns(sorted, groupsType, func(run []Pair, vals []Value, groups *[2][]Value) {
 		left := 0
 		for _, p := range run {
 			if p.Value.(Tagged).Side == 0 {
 				left++
 			}
 		}
-		var groups [2][]Value // a side with no values stays nil
+		// A side with no values stays nil.
 		if left > 0 {
 			groups[0] = vals[:0:left]
 		}
@@ -442,31 +442,35 @@ func cogroupValues(_ int, sorted []Pair) []Pair {
 			tv := p.Value.(Tagged)
 			groups[tv.Side] = append(groups[tv.Side], tv.V) // within the window: never reallocates
 		}
-		return groups
 	})
 }
 
 // Join inner-joins this RDD with other by key; each matching value pair
-// becomes a record with Value []Value{left, right}.
+// becomes a record with Value []Value{left, right}, emitted as it is built.
+// A key's pairs cost one allocation, a joinedPair each.
 func (r *RDD) Join(name string, other *RDD, numParts int) *RDD {
 	cg := r.CoGroup(name+".cogroup", other, numParts)
-	return cg.FlatMap(name, func(p Pair) []Pair {
+	return cg.eachChild(name, func(p Pair, emit func(Pair)) {
 		groups := p.Value.([2][]Value)
-		n := len(groups[0]) * len(groups[1])
-		if n == 0 {
-			return nil
-		}
-		// One output slice, and one backing array for every pair's values.
-		out := make([]Pair, 0, n)
-		vals := make([]Value, 0, 2*n)
+		pairs := make([]joinedPair, len(groups[0])*len(groups[1]))
+		i := 0
 		for _, l := range groups[0] {
 			for _, rv := range groups[1] {
-				vals = append(vals, l, rv)
-				out = append(out, Pair{Key: p.Key, Value: vals[len(vals)-2 : len(vals) : len(vals)]})
+				jp := &pairs[i]
+				jp.vals = [2]Value{l, rv}
+				jp.pair = jp.vals[:]
+				emit(Pair{Key: p.Key, Value: boxAs(valuesType, &jp.pair)})
+				i++
 			}
 		}
-		return out
 	})
+}
+
+// joinedPair is one joined record's value: pair is vals[:], boxed over its
+// slot, and its capacity of 2 makes an append to it copy.
+type joinedPair struct {
+	pair []Value
+	vals [2]Value
 }
 
 // Validate checks structural invariants of the lineage reachable from r and

@@ -183,12 +183,15 @@ func combineAll(fn CombineFn, runs ...[]Pair) []Pair {
 	return c.Sorted()
 }
 
-// groupRuns makes one record per run of equal keys in sorted, in key order,
-// whose value is value(run, vals): vals is the run's window of one []Value
-// allocated for the whole partition, len(run) long, for value to fill and
-// keep. Each window's capacity ends where it does, so a consumer appending to
-// one key's values copies them instead of overwriting the next key's.
-func groupRuns(sorted []Pair, value func(run []Pair, vals []Value) Value) []Pair {
+// groupRuns makes one record per run of equal keys in sorted, in key order.
+// A record's value is a T in one []T allocated for the whole partition,
+// filled by fill(run, vals, slot) and boxed over its slot (boxAs, typ being
+// a zero T), so a grouping costs the same few allocations however many keys
+// its partition holds. vals is the run's window of one []Value allocated for
+// the whole partition, len(run) long, for fill to fill and keep. Each
+// window's capacity ends where it does, so a consumer appending to one key's
+// values copies them instead of overwriting the next key's.
+func groupRuns[T any](sorted []Pair, typ Value, fill func(run []Pair, vals []Value, slot *T)) []Pair {
 	keys := 0
 	for i := range sorted {
 		if i == 0 || sorted[i].Key != sorted[i-1].Key {
@@ -197,13 +200,23 @@ func groupRuns(sorted []Pair, value func(run []Pair, vals []Value) Value) []Pair
 	}
 	out := make([]Pair, 0, keys)
 	vals := make([]Value, len(sorted))
+	slots := make([]T, keys)
 	for lo := 0; lo < len(sorted); {
 		hi := lo + 1
 		for hi < len(sorted) && sorted[hi].Key == sorted[lo].Key {
 			hi++
 		}
-		out = append(out, Pair{Key: sorted[lo].Key, Value: value(sorted[lo:hi], vals[lo:hi:hi])})
+		slot := &slots[len(out)]
+		fill(sorted[lo:hi], vals[lo:hi:hi], slot)
+		out = append(out, Pair{Key: sorted[lo].Key, Value: boxAs(typ, slot)})
 		lo = hi
 	}
 	return out
 }
+
+// The type words of grouped and joined values (boxAs). Boxing these zero
+// values once, here, is what keeps boxing each key's value allocation-free.
+var (
+	valuesType Value = []Value(nil)
+	groupsType Value = [2][]Value{}
+)

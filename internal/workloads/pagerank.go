@@ -62,7 +62,7 @@ func pageRankFlow(ins []*rdd.RDD) *rdd.RDD {
 			dests := pair[0].([]rdd.Value)
 			rank := pair[1].(float64)
 			out := make([]rdd.Pair, len(dests))
-			share := rank / float64(len(dests))
+			share := rdd.Value(rank / float64(len(dests))) // one box for every destination
 			for i, d := range dests {
 				out[i] = rdd.KV(d.(string), share)
 			}
