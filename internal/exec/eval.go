@@ -253,22 +253,24 @@ func (e *Engine) materialise(node *rdd.RDD, part int, host topology.HostID, boun
 
 // aggregateShuffle materializes a ShuffledRDD partition from its fetched
 // shards and charges the reduce-side aggregation cost. The registry's shards
-// go to ReduceAggregate as its runs, in map order, copied nowhere else.
+// go to rdd.ReducePartition as each dep's runs, in map order, copied nowhere
+// else.
 func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID, cost *float64) partData {
-	var runs [][]rdd.Pair
+	var buf [2][][]rdd.Pair // a cogroup's two deps hold without a heap slice
+	runs := buf[:0]
 	var inReal, modeled float64
 	for di := range node.Deps {
 		d := &node.Deps[di]
-		for _, sh := range e.reg.Shards(d.Shuffle.ID, part) {
-			runs = append(runs, sh.Records)
-			inReal += rdd.SizeOfAll(sh.Records) // integral, so the sum is exact
+		shards := e.reg.Shards(d.Shuffle.ID, part)
+		dep := make([][]rdd.Pair, len(shards))
+		for i, sh := range shards {
+			dep[i] = sh.Records
+			inReal += rdd.ShuffledSize(d.Shuffle, sh.Records) // integral, so the sum is exact
 			modeled += sh.ModeledBytes
 		}
+		runs = append(runs, dep)
 	}
-	agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, runs...)
-	if node.PostShuffle != nil {
-		agg = node.PostShuffle(part, agg)
-	}
+	agg := rdd.ReducePartition(node, part, runs)
 	outReal := rdd.SizeOfAll(agg)
 	out := partData{
 		records: agg,
@@ -278,4 +280,14 @@ func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID,
 	*cost += modeled
 	e.storeCache(node, part, host, out)
 	return out
+}
+
+// chargeSide prices out, the map output of one side of a cogroup, as the
+// cost model prices a side: one pass over its modeled bytes, as for a
+// per-record operator, and each record one byte larger (rdd.ShuffledSize),
+// its modeled size scaled up to match.
+func chargeSide(out partData, cost *float64) partData {
+	*cost += out.modeled
+	real := out.real + float64(len(out.records))
+	return partData{records: out.records, real: real, modeled: scaleTo(real, out.real, out.modeled)}
 }

@@ -519,12 +519,16 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 	}
 	// Map-side combine runs before the push when it can (Sec. IV-C3): at the
 	// end of the last phase that computes anything, whether it runs on the
-	// mapper, inline or as a receiver.
+	// mapper, inline or as a receiver. A cogroup side is charged there too.
+	last := st.OutSpec != nil && t.phase == max(t.ss.startPhase, combinePhase(st))
 	var combine *rdd.ShuffleSpec
-	if spec := st.OutSpec; spec != nil && spec.CombinesMapSide() && t.phase == max(t.ss.startPhase, combinePhase(st)) {
-		combine = spec
+	if last && st.OutSpec.CombinesMapSide() {
+		combine = st.OutSpec
 	}
 	out := e.phaseOutput(phase.Top, t.part, host, bound, combine, &cost)
+	if last && st.OutSpec.CoGroupSide {
+		out = chargeSide(out, &cost)
+	}
 
 	dur := cost / e.cfg.ComputeBps * e.noise()
 	computeStart := e.Clock.Now()

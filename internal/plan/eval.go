@@ -11,7 +11,7 @@ import (
 // partition of one shuffle — every map output's shard for that partition, in
 // map order, as the backend stored or fetched it (a fetched shard may be
 // several chunks) and never copied into one slice. The runs are shared with
-// the store, so a consumer only reads them: rdd.ReduceAggregate takes them
+// the store, so a consumer only reads them: rdd.ReducePartition takes them
 // as they are. Backends build it on Task.Gather, which owns the map-order
 // loop, and supply only the per-output read — a TCP fetch for the live
 // cluster, a shard lookup for MemBackend.
@@ -74,27 +74,19 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 		return node.Input[part].Records, nil
 	}
 	if node.Deps[0].Kind == rdd.DepShuffle {
-		// A shuffle boundary: read every dep's runs for this partition (a
-		// cogroup's second dep after its first), then apply the reduce-side
-		// semantics once over all of them (cogroup deps agree on
-		// aggregation, as in rdd.EvalLocal). ReduceAggregate only reads its
-		// runs, so they go in as the reader returned them.
-		runs, err := read(node.Deps[0].Shuffle, part)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range node.Deps[1:] {
-			more, err := read(d.Shuffle, part)
+		// A shuffle boundary: read each dep's runs for this partition (a
+		// cogroup has two), then rdd.ReducePartition, which only reads
+		// them, so they go in as the reader returned them.
+		var buf [2][][]rdd.Pair // a cogroup's two deps hold without a heap slice
+		runs := buf[:0]
+		for di := range node.Deps {
+			r, err := read(node.Deps[di].Shuffle, part)
 			if err != nil {
 				return nil, err
 			}
-			runs = append(runs, more...) // each read's slice of runs is the caller's own
+			runs = append(runs, r)
 		}
-		agg := rdd.ReduceAggregate(node.Deps[0].Shuffle, runs...)
-		if node.PostShuffle != nil {
-			agg = node.PostShuffle(part, agg)
-		}
-		return agg, nil
+		return rdd.ReducePartition(node, part, runs), nil
 	}
 	var recs []rdd.Pair
 	collect := func(p rdd.Pair) { recs = append(recs, p) }

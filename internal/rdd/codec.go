@@ -33,12 +33,12 @@ const (
 	tagValues              // []Value: uvarint(n) value*n
 	tagStrings             // []string: uvarint(n) (uvarint(len) bytes)*n
 	tagFloats              // []float64: uvarint(n) (8 bytes)*n
-	tagTagged              // Tagged: varint(Side) value
+	_                      // unused: a cogroup record's side is the dependency it arrives through
 	tagGroups              // [2][]Value: (uvarint(n) value*n)*2
 )
 
-// maxValueDepth bounds how deep values nest ([]Value in []Value, Tagged in
-// Tagged …), so decoding hostile bytes cannot exhaust the stack. The
+// maxValueDepth bounds how deep values nest ([]Value in []Value, in a
+// [2][]Value …), so decoding hostile bytes cannot exhaust the stack. The
 // encoder enforces the same bound: what it accepts, the decoder accepts.
 const maxValueDepth = 32
 
@@ -100,9 +100,6 @@ func valueLen(v Value, depth int) (int, string) {
 		return n, ""
 	case []float64:
 		return 1 + uvarintLen(uint64(len(x))) + 8*len(x), ""
-	case Tagged:
-		n, bad := valueLen(x.V, depth+1)
-		return 1 + varintLen(int64(x.Side)) + n, bad
 	case [2][]Value:
 		a, bad := valuesLen(x[0], depth)
 		if bad != "" {
@@ -206,9 +203,6 @@ func appendValue(dst []byte, v Value) []byte {
 			dst = appendFloat64(dst, f)
 		}
 		return dst
-	case Tagged:
-		dst = binary.AppendVarint(append(dst, tagTagged), int64(x.Side))
-		return appendValue(dst, x.V)
 	case [2][]Value:
 		return appendValues(appendValues(append(dst, tagGroups), x[0]), x[1])
 	}
@@ -466,9 +460,6 @@ func (d *decoder) value(depth int) Value {
 			fs[i] = d.f64()
 		}
 		return fs
-	case tagTagged:
-		side := d.varint()
-		return Tagged{Side: side, V: d.value(depth + 1)}
 	case tagGroups:
 		return [2][]Value{d.values(depth), d.values(depth)}
 	default:

@@ -15,10 +15,10 @@ import (
 
 // randValue draws from the codec's whole value set: the scalars, the
 // RandomLineage universe (small ints, []Value groups of them), nested
-// []Value / Tagged / [2][]Value, empty and nil slices, and now and then a
+// []Value / [2][]Value, empty and nil slices, and now and then a
 // string of 64 KiB or more.
 func randValue(rng *rand.Rand, depth int) Value {
-	kinds := 11
+	kinds := 10
 	if depth >= 3 {
 		kinds = 8 // scalars and flat slices only
 	}
@@ -44,8 +44,6 @@ func randValue(rng *rand.Rand, depth int) Value {
 		return [][]float64{nil, {}, {1.5}, {0, -1, math.Pi}}[rng.Intn(4)]
 	case 8:
 		return randValues(rng, depth)
-	case 9:
-		return Tagged{Side: rng.Intn(3) - 1, V: randValue(rng, depth+1)}
 	default:
 		return [2][]Value{randValues(rng, depth), randValues(rng, depth)}
 	}
@@ -101,8 +99,6 @@ func emptied(v Value) Value {
 		return append([]float64{}, x...)
 	case []Value:
 		return each(x)
-	case Tagged:
-		return Tagged{Side: x.Side, V: emptied(x.V)}
 	case [2][]Value:
 		return [2][]Value{each(x[0]), each(x[1])}
 	}
@@ -178,8 +174,8 @@ func everyTag() []Pair {
 		KV("nil", nil), KV("string", "s"), KV("int", -300), KV("float64", 2.5),
 		KV("false", false), KV("true", true), KV("bytes", []byte{1, 2}),
 		KV("values", []Value{1, "x", nil}), KV("strings", []string{"a", "bc"}),
-		KV("floats", []float64{1, 2}), KV("tagged", Tagged{Side: 1, V: "t"}),
-		KV("groups", [2][]Value{{1}, {"r", 2.5}}), KV("", ""),
+		KV("floats", []float64{1, 2}), KV("groups", [2][]Value{{1}, {"r", 2.5}}),
+		KV("", ""),
 	}
 }
 
@@ -262,7 +258,7 @@ func TestAppendPairsRejectsUnsupportedValues(t *testing.T) {
 		"struct":        {unshippable{}, "rdd.unshippable"},
 		"int64":         {int64(1), "int64"},
 		"pair":          {KV("k", 1), "rdd.Pair"},
-		"nested":        {[]Value{1, Tagged{V: unshippable{}}}, "rdd.unshippable"},
+		"nested":        {[]Value{1, []Value{unshippable{}}}, "rdd.unshippable"},
 		"in groups":     {[2][]Value{nil, {float32(1)}}, "float32"},
 		"too deep":      {deep, "nested deeper"},
 		"pointer":       {&unshippable{}, "*rdd.unshippable"},

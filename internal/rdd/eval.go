@@ -57,10 +57,13 @@ func (e *localEval) evalNarrow(r *RDD) [][]Pair {
 }
 
 func (e *localEval) evalShuffle(r *RDD) [][]Pair {
-	// Each reduce partition is the list of its map outputs' shards, in map
-	// order (a cogroup's second dep after its first), handed to
-	// ReduceAggregate as runs: no shard is copied before the aggregation.
-	runs := make([][][]Pair, r.NumParts())
+	// Each reduce partition is, per dep, the list of its map outputs'
+	// shards in map order, handed to ReducePartition as runs: no shard is
+	// copied before the aggregation.
+	runs := make([][][][]Pair, r.NumParts())
+	for i := range runs {
+		runs[i] = make([][][]Pair, len(r.Deps))
+	}
 	for di := range r.Deps {
 		d := &r.Deps[di]
 		if d.Kind != DepShuffle {
@@ -79,19 +82,13 @@ func (e *localEval) evalShuffle(r *RDD) [][]Pair {
 		for _, part := range parent {
 			prepared := MapSidePrepare(spec, part)
 			for i, shard := range BucketRecords(spec, prepared) {
-				runs[i] = append(runs[i], shard)
+				runs[i][di] = append(runs[i][di], shard)
 			}
 		}
 	}
 	out := make([][]Pair, r.NumParts())
 	for i := range runs {
-		// With multiple shuffle deps (cogroup) the specs agree on
-		// aggregation, so apply the first.
-		agg := ReduceAggregate(r.Deps[0].Shuffle, runs[i]...)
-		if r.PostShuffle != nil {
-			agg = r.PostShuffle(i, agg)
-		}
-		out[i] = agg
+		out[i] = ReducePartition(r, i, runs[i])
 	}
 	return out
 }

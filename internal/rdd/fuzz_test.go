@@ -159,9 +159,6 @@ func floatBits(v Value) (_ Value, ok bool) {
 		return bits, true
 	case []Value:
 		return valuesBits(x)
-	case Tagged:
-		inner, ok := floatBits(x.V)
-		return Tagged{Side: x.Side, V: inner}, ok
 	case [2][]Value:
 		a, okA := valuesBits(x[0])
 		b, okB := valuesBits(x[1])

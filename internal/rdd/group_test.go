@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -119,6 +120,92 @@ func TestGroupingMatchesReference(t *testing.T) {
 	}
 }
 
+// taggedSide is a record's value in taggedCoGroup: the value and the side
+// it came from.
+type taggedSide struct {
+	side int
+	v    Value
+}
+
+// taggedCoGroup is the cogroup computed by tagging, kept as the reference
+// for the merge: every record wrapped with its side, both sides sorted
+// together in one stable sort, and each key's values split back by side.
+func taggedCoGroup(left, right []Pair) []Pair {
+	var all []Pair
+	for side, recs := range [2][]Pair{left, right} {
+		for _, p := range recs {
+			all = append(all, KV(p.Key, taggedSide{side, p.Value}))
+		}
+	}
+	slices.SortStableFunc(all, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
+	var out []Pair
+	for lo := 0; lo < len(all); {
+		hi := lo + 1
+		for hi < len(all) && all[hi].Key == all[lo].Key {
+			hi++
+		}
+		var groups [2][]Value
+		for _, p := range all[lo:hi] {
+			tv := p.Value.(taggedSide)
+			groups[tv.side] = append(groups[tv.side], tv.v)
+		}
+		out = append(out, KV(all[lo].Key, groups))
+		lo = hi
+	}
+	return out
+}
+
+// A CoGroup's boundary, which sorts each side's runs on its own and merges
+// the two sorted sides, equals the tagging reference: the same keys in
+// order, each side's values in arrival order, nil for a side without the
+// key. The draws cover empty sides, keys on one side only and keys repeated
+// within and across runs, on both sides of the radix-sort cutoff, and every
+// group's windows end at their own length.
+func TestCoGroupMergeMatchesTagging(t *testing.T) {
+	cg := inputFrom(NewGraph(), nil)
+	cg = cg.CoGroup("cogroup", cg, 1)
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool := make([]string, 1+rng.Intn(80))
+		for i := range pool {
+			pool[i] = fmt.Sprintf("k%03d", rng.Intn(150))
+		}
+		var runs [2][][]Pair
+		var whole [2][]Pair
+		for side := range runs {
+			// Each side draws from its own two thirds of the pool.
+			keys := pool[:2*len(pool)/3+1]
+			if side == 1 {
+				keys = pool[len(pool)/3:]
+			}
+			for r := rng.Intn(4); r > 0; r-- {
+				n := 0
+				if rng.Intn(4) > 0 {
+					n = rng.Intn(3 * radixSortCutoff)
+				}
+				run := make([]Pair, n)
+				for i := range run {
+					run[i] = KV(keys[rng.Intn(len(keys))], fmt.Sprintf("%d:%d", side, len(whole[side])+i))
+				}
+				runs[side] = append(runs[side], run)
+				whole[side] = append(whole[side], run...)
+			}
+		}
+		got := ReducePartition(cg, 0, [][][]Pair{runs[0], runs[1]})
+		want := taggedCoGroup(whole[0], whole[1])
+		if !groupsEqual([][]Pair{got}, [][]Pair{want}) {
+			t.Fatalf("seed %d (%d left, %d right records):\n got %v\nwant %v", seed, len(whole[0]), len(whole[1]), got, want)
+		}
+		for _, p := range got {
+			for side, vs := range p.Value.([2][]Value) {
+				if cap(vs) != len(vs) {
+					t.Fatalf("seed %d: key %s side %d has capacity %d for %d values", seed, p.Key, side, cap(vs), len(vs))
+				}
+			}
+		}
+	}
+}
+
 // groupsEqual compares evaluated partitions with a reference, an empty
 // partition matching a nil one (the reference builds none for it).
 func groupsEqual(got, want [][]Pair) bool {
@@ -228,46 +315,53 @@ func deepCopy(v Value) Value {
 	return v
 }
 
-// groupingShard builds one reduce partition's shard of n PageRank edges
-// over k pages, in arrival order, for node's shuffle (a Join's is its
-// cogroup's): each run of k records holds every page once, in a scrambled
-// order. GroupByKey's records carry the destination page; CoGroup's are
-// tagged, the runs alternating between the left side (a link list) and the
-// right (a rank).
-func groupingShard(node *RDD, n, k int) []Pair {
+// groupingShard builds one reduce partition's runs of n PageRank edges over
+// k pages for node's shuffle (a Join's is its cogroup's), one run per
+// dependency, in arrival order: each stretch of k records holds every page
+// once, in a scrambled order. GroupByKey's records carry the destination
+// page. A CoGroup's stretches alternate between the left side (a link list)
+// and the right (a rank).
+func groupingShard(node *RDD, n, k int) [][][]Pair {
 	for node.Deps[0].Kind == DepNarrow {
 		node = node.Deps[0].Parent
 	}
 	cogroup := len(node.Deps) == 2
-	recs := make([]Pair, n)
-	for i := range recs {
+	sides := make([][]Pair, len(node.Deps))
+	for i := 0; i < n; i++ {
 		dest := fmt.Sprintf("page%06d", i%k)
-		recs[i] = KV(fmt.Sprintf("page%06d", i*7919%k), dest)
+		p := KV(fmt.Sprintf("page%06d", i*7919%k), dest)
+		side := 0
 		switch {
 		case cogroup && i/k%2 == 0:
-			recs[i].Value = Tagged{Side: 0, V: []Value{dest}}
+			p.Value = []Value{dest}
 		case cogroup:
-			recs[i].Value = Tagged{Side: 1, V: float64(i)}
+			p.Value, side = float64(i), 1
 		}
+		sides[side] = append(sides[side], p)
 	}
-	return recs
+	runs := make([][][]Pair, len(sides))
+	for d, recs := range sides {
+		runs[d] = [][]Pair{recs}
+	}
+	return runs
 }
 
 // reducePartition runs one reduce partition of node over its shuffle's
-// shard in: the shuffle's aggregation and post-shuffle step, then the
-// narrow operators between them and node (a Join's pairs), materialised.
-func reducePartition(node *RDD, in []Pair) []Pair {
+// runs: the shuffle boundary, then the narrow operators between it and
+// node (a Join's pairs), materialised.
+func reducePartition(node *RDD, runs [][][]Pair) []Pair {
 	if node.Deps[0].Kind == DepNarrow {
-		return node.Narrow(0, reducePartition(node.Deps[0].Parent, in))
+		return node.Narrow(0, reducePartition(node.Deps[0].Parent, runs))
 	}
-	return node.PostShuffle(0, ReduceAggregate(node.Deps[0].Shuffle, in))
+	return ReducePartition(node, 0, runs)
 }
 
 // The grouping sorts a partition once, cuts every key's values from one
-// slice and boxes every key's value over a slot of one array: ReduceAggregate
-// plus PostShuffle allocate the sorted copy, the output, the values' backing
-// and the slots, however many keys and values the partition holds. A Join
-// then costs one allocation per key, which holds all of that key's pairs.
+// slice and boxes every key's value over a slot of one array: the shuffle
+// boundary allocates the sorted copy (one array for both of a CoGroup's
+// sides), the output, the values' backing and the slots, however many keys
+// and values the partition holds. A Join then costs one allocation per key,
+// which holds all of that key's pairs.
 func TestGroupingAllocatesPerPartitionNotPerKey(t *testing.T) {
 	g := NewGraph()
 	src := inputFrom(g, nil)
@@ -316,8 +410,7 @@ func BenchmarkGroupByKey(b *testing.B) {
 }
 
 // BenchmarkCoGroup reduces one PageRank-shaped partition of a join's
-// cogroup: 2,000 tagged records, a link list and a rank for each of 1,000
-// pages.
+// cogroup: 2,000 records, a link list and a rank for each of 1,000 pages.
 func BenchmarkCoGroup(b *testing.B) {
 	in := NewGraph().Input("links", make([]InputPartition, 1))
 	benchGrouping(b, in.CoGroup("join", in, 1), 2000, 1000)
@@ -333,7 +426,11 @@ func BenchmarkJoin(b *testing.B) {
 func benchGrouping(b *testing.B, node *RDD, n, k int) {
 	in := groupingShard(node, n, k)
 	b.ReportAllocs()
-	b.SetBytes(int64(SizeOfAll(in)))
+	size := 0.0
+	for _, runs := range in {
+		size += SizeOfAll(runs[0])
+	}
+	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pairsSink = reducePartition(node, in)

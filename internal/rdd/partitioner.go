@@ -98,11 +98,10 @@ func (p *RangePartitioner) PartitionFor(key string) int {
 	if !p.ready {
 		panic("rdd: RangePartitioner used before Prepare")
 	}
-	// First boundary strictly greater than key.
+	// The first boundary >= key: shard i holds the keys in
+	// (boundaries[i-1], boundaries[i]], so a key equal to a boundary goes to
+	// the shard that boundary ends.
 	return sort.SearchStrings(p.boundaries, key)
-	// SearchStrings returns the first index with boundaries[i] >= key;
-	// keys equal to a boundary land in the lower shard's successor, which
-	// preserves the global order either way.
 }
 
 var (

@@ -13,7 +13,8 @@ import (
 // include the per-record ones, MapPartitions (which needs its whole input)
 // and Union with a second small input, so chains a fusing evaluator runs
 // record by record, must materialise, and runs record by record again are
-// all generated. The same seed
+// all generated; the shuffles include a CoGroup or Join with a second small
+// input, so the two-dependency boundary is generated too. The same seed
 // rebuilds the identical lineage, so a backend's output can be compared
 // against a fresh in-memory evaluation of the same seed — and different
 // backends can be compared against each other. Input partitions are placed
@@ -22,7 +23,7 @@ func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 	const mb = 1e6
 	rng := rand.New(rand.NewSource(seed))
 
-	input := func(name string, numParts int) *RDD {
+	input := func(rng *rand.Rand, name string, numParts int) *RDD {
 		parts := make([]InputPartition, numParts)
 		for p := range parts {
 			n := rng.Intn(30) + 1
@@ -38,10 +39,16 @@ func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 		}
 		return g.Input(name, parts)
 	}
-	node := input(fmt.Sprintf("in%d", seed), rng.Intn(10)+2)
+	node := input(rng, fmt.Sprintf("in%d", seed), rng.Intn(10)+2)
+	// The cogroup steps draw from a stream of their own, so the other
+	// steps' draws, which tests choose seeds by, do not depend on them.
+	extra := rand.New(rand.NewSource(seed ^ 0xc06))
 
 	depth := rng.Intn(4) + 1
 	for d := 0; d < depth; d++ {
+		if extra.Intn(4) == 0 {
+			node = cogroupStep(node, d, input(extra, fmt.Sprintf("in%d.cg%d", seed, d), extra.Intn(2)+1), extra)
+		}
 		switch rng.Intn(7) {
 		case 0:
 			node = node.Map(fmt.Sprintf("map%d", d), func(p Pair) Pair {
@@ -74,13 +81,39 @@ func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 				return out
 			})
 		case 6:
-			extra := input(fmt.Sprintf("in%d.%d", seed, d), rng.Intn(2)+1)
-			node = node.Union(fmt.Sprintf("union%d", d), extra.Map(fmt.Sprintf("neg%d", d), func(p Pair) Pair {
+			other := input(rng, fmt.Sprintf("in%d.%d", seed, d), rng.Intn(2)+1)
+			node = node.Union(fmt.Sprintf("union%d", d), other.Map(fmt.Sprintf("neg%d", d), func(p Pair) Pair {
 				return KV(p.Key, -p.Value.(int))
 			}))
 		}
 	}
 	return node.ReduceByKey("final", 4, func(a, b Value) Value {
 		return a.(int) + b.(int)
+	})
+}
+
+// cogroupStep is RandomLineage's two-dependency shuffle: it cogroups or
+// joins node with other, whose keys it moves to k06…k17 so they overlap
+// node's (k00…k11 and their "x" copies) only in part — a cogroup has keys
+// on one side only and a join drops them — and maps each record back to an
+// int.
+func cogroupStep(node *RDD, d int, other *RDD, rng *rand.Rand) *RDD {
+	other = other.Map(fmt.Sprintf("shift%d", d), func(p Pair) Pair {
+		return KV(fmt.Sprintf("k%02d", 6+p.Value.(int)%12), p.Value)
+	})
+	numParts := rng.Intn(6) + 2
+	if rng.Intn(2) == 0 {
+		return node.CoGroup(fmt.Sprintf("cogroup%d", d), other, numParts).Map(fmt.Sprintf("fold%d", d), func(p Pair) Pair {
+			sides := p.Value.([2][]Value)
+			n := 100 * len(sides[1])
+			for _, v := range sides[0] {
+				n += v.(int)
+			}
+			return KV(p.Key, n)
+		})
+	}
+	return node.Join(fmt.Sprintf("join%d", d), other, numParts).Map(fmt.Sprintf("pick%d", d), func(p Pair) Pair {
+		pair := p.Value.([]Value)
+		return KV(p.Key, pair[0].(int)-pair[1].(int))
 	})
 }

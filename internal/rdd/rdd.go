@@ -69,8 +69,8 @@ type CombineFn func(a, b Value) Value
 
 // ShuffleSpec is the contract of one shuffle: how map output is sharded and
 // how each reducer aggregates its shard. A grouping (GroupByKey, CoGroup) is
-// no aggregation of its own: it is a SortKeys shuffle whose RDD's
-// PostShuffle step groups the key-sorted records.
+// no aggregation of its own: it is a SortKeys shuffle (one per side for a
+// CoGroup) whose RDD's PostShuffle step groups the key-sorted records.
 type ShuffleSpec struct {
 	// ID is unique per graph, assigned on creation.
 	ID int
@@ -87,6 +87,11 @@ type ShuffleSpec struct {
 	// SampleForRange marks a range-partitioned shuffle whose boundaries
 	// the engine must sample at the map-stage barrier.
 	SampleForRange bool
+	// CoGroupSide marks one side of a CoGroup. Only the simulator reads it:
+	// its cost model, which the modeled workloads are calibrated with,
+	// prices each side's records one byte larger (ShuffledSize) and charges
+	// a pass over the side's map output.
+	CoGroupSide bool
 }
 
 // CombinesMapSide reports whether a map task folds its output per key before
@@ -112,6 +117,12 @@ type TransferSpec struct {
 // NarrowFn computes one output partition from its parent partitions'
 // records, concatenated in dependency order.
 type NarrowFn func(part int, input []Pair) []Pair
+
+// PostShuffleFn computes one reduce partition of a shuffled RDD from its
+// dependencies' aggregated records: sorted[d] is dependency d's reduce-side
+// aggregate (ReduceAggregate), key-sorted when its spec sorts. It only
+// reads them.
+type PostShuffleFn func(part int, sorted [][]Pair) []Pair
 
 // EachFn is the push-style form of a per-record operator: it calls emit,
 // in order, with every record p turns into (none, for a filtered record).
@@ -142,10 +153,10 @@ type RDD struct {
 	Each EachFn
 
 	// PostShuffle optionally transforms a reduce partition after shuffle
-	// aggregation. A grouping is one: over the key-sorted records a SortKeys
-	// shuffle leaves, it turns each run of equal keys into one record.
-	// Nil means identity.
-	PostShuffle NarrowFn
+	// aggregation (ReducePartition). A grouping is one: over the key-sorted
+	// records each SortKeys dependency leaves, it turns each key's records
+	// into one record. Nil means the dependencies' aggregates, concatenated.
+	PostShuffle PostShuffleFn
 
 	// Transfer marks a TransferredRDD.
 	Transfer *TransferSpec
@@ -317,7 +328,7 @@ func (r *RDD) transfer(spec *TransferSpec) *RDD {
 }
 
 // shuffleChild builds the post-shuffle RDD for a spec.
-func (r *RDD) shuffleChild(name string, spec *ShuffleSpec, post NarrowFn) *RDD {
+func (r *RDD) shuffleChild(name string, spec *ShuffleSpec, post PostShuffleFn) *RDD {
 	spec.ID = r.graph.nextShuffleID()
 	return r.graph.register(&RDD{
 		Name:        name,
@@ -355,8 +366,8 @@ func (r *RDD) GroupByKey(name string, numParts int) *RDD {
 }
 
 // groupValues is GroupByKey's post-shuffle step.
-func groupValues(_ int, sorted []Pair) []Pair {
-	return groupRuns(sorted, valuesType, func(run []Pair, vals []Value, slot *[]Value) {
+func groupValues(_ int, sorted [][]Pair) []Pair {
+	return groupRuns(sorted[0], valuesType, func(run []Pair, vals []Value, slot *[]Value) {
 		for i, p := range run {
 			vals[i] = p.Value
 		}
@@ -384,65 +395,82 @@ func (r *RDD) AggregateByKey(name string, numParts int, fn CombineFn) *RDD {
 	}, nil)
 }
 
-// Tagged wraps cogroup inputs with their side. It is one of the value
-// types the record codec (codec.go) carries, so cogroup map output crosses
-// the live cluster's wire like any other record.
-type Tagged struct {
-	Side int
-	V    Value
-}
-
-// SizeBytes implements Sized.
-func (t Tagged) SizeBytes() float64 { return valueSize(t.V) + 1 }
-
 // CoGroup groups this RDD (side 0) with other (side 1) by key. Each output
 // record's value is a [2][]Value of the two sides' values, each in arrival
-// order; a side with no values for the key is nil.
+// order; a side with no values for the key is nil. Each side is a shuffle
+// of its own, read straight from its parent: a record's side is the
+// dependency it arrives through.
 func (r *RDD) CoGroup(name string, other *RDD, numParts int) *RDD {
 	part := NewHashPartitioner(numParts)
-	tag := func(side int) func(Pair) Pair {
-		return func(p Pair) Pair { return Pair{Key: p.Key, Value: Tagged{Side: side, V: p.Value}} }
+	deps := make([]Dependency, 2)
+	for side, parent := range []*RDD{r, other} {
+		spec := &ShuffleSpec{Partitioner: part, SortKeys: true, CoGroupSide: true}
+		spec.ID = r.graph.nextShuffleID()
+		deps[side] = Dependency{Kind: DepShuffle, Parent: parent, Shuffle: spec}
 	}
-	left := r.Map(name+".tagL", tag(0))
-	right := other.Map(name+".tagR", tag(1))
-	spec := &ShuffleSpec{Partitioner: part, SortKeys: true}
-	spec.ID = r.graph.nextShuffleID()
-	spec2 := &ShuffleSpec{Partitioner: part, SortKeys: true}
-	spec2.ID = r.graph.nextShuffleID()
 	return r.graph.register(&RDD{
-		Name:     name,
-		numParts: numParts,
-		Deps: []Dependency{
-			{Kind: DepShuffle, Parent: left, Shuffle: spec},
-			{Kind: DepShuffle, Parent: right, Shuffle: spec2},
-		},
+		Name:        name,
+		numParts:    numParts,
+		Deps:        deps,
 		PostShuffle: cogroupValues,
 		graph:       r.graph,
 	})
 }
 
-// cogroupValues is CoGroup's post-shuffle step: each run's window holds the
-// left values, then the right ones.
-func cogroupValues(_ int, sorted []Pair) []Pair {
-	return groupRuns(sorted, groupsType, func(run []Pair, vals []Value, groups *[2][]Value) {
-		left := 0
-		for _, p := range run {
-			if p.Value.(Tagged).Side == 0 {
-				left++
+// cogroupValues is CoGroup's post-shuffle step: it walks the two key-sorted
+// sides together, and each key's window of one values slice holds its left
+// values, then its right ones.
+func cogroupValues(_ int, sorted [][]Pair) []Pair {
+	left, right := sorted[0], sorted[1]
+	keys := 0
+	mergeKeys(left, right, func(_, _ []Pair) { keys++ })
+	out := make([]Pair, 0, keys)
+	vals := make([]Value, len(left)+len(right))
+	slots := make([][2][]Value, keys)
+	at := 0
+	mergeKeys(left, right, func(l, r []Pair) {
+		groups := &slots[len(out)]
+		for side, run := range [2][]Pair{l, r} {
+			if len(run) == 0 {
+				continue // a side with no values stays nil
 			}
+			w := vals[at : at+len(run) : at+len(run)]
+			for i, p := range run {
+				w[i] = p.Value
+			}
+			groups[side] = w
+			at += len(run)
 		}
-		// A side with no values stays nil.
-		if left > 0 {
-			groups[0] = vals[:0:left]
+		key := r
+		if len(l) > 0 {
+			key = l
 		}
-		if left < len(run) {
-			groups[1] = vals[left:left]
-		}
-		for _, p := range run {
-			tv := p.Value.(Tagged)
-			groups[tv.Side] = append(groups[tv.Side], tv.V) // within the window: never reallocates
-		}
+		out = append(out, Pair{Key: key[0].Key, Value: boxAs(groupsType, groups)})
 	})
+	return out
+}
+
+// mergeKeys calls each once per distinct key of the key-sorted left and
+// right, in key order, with the key's stretch of each (empty on a side
+// without it).
+func mergeKeys(left, right []Pair, each func(l, r []Pair)) {
+	for i, j := 0, 0; i < len(left) || j < len(right); {
+		var key string
+		if j == len(right) || i < len(left) && left[i].Key <= right[j].Key {
+			key = left[i].Key
+		} else {
+			key = right[j].Key
+		}
+		li, rj := i, j
+		for li < len(left) && left[li].Key == key {
+			li++
+		}
+		for rj < len(right) && right[rj].Key == key {
+			rj++
+		}
+		each(left[i:li], right[j:rj])
+		i, j = li, rj
+	}
 }
 
 // Join inner-joins this RDD with other by key; each matching value pair

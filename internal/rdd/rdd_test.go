@@ -318,6 +318,22 @@ func TestSizeOfCoversTypes(t *testing.T) {
 	}
 }
 
+// Both of a CoGroup's shuffles are sides, priced one byte per record above
+// SizeOfAll; any other shuffle is priced at SizeOfAll.
+func TestShuffledSizeChargesCoGroupSides(t *testing.T) {
+	g := NewGraph()
+	left, right := inputFrom(g, nil), inputFrom(g, nil)
+	recs := pairs("a", "x", "b", "yy", "a", "z")
+	for _, d := range left.CoGroup("cogroup", right, 2).Deps {
+		if got, want := ShuffledSize(d.Shuffle, recs), SizeOfAll(recs)+3; got != want {
+			t.Errorf("side %s: ShuffledSize = %v, want SizeOfAll + 3 = %v", d.Parent.Name, got, want)
+		}
+	}
+	if got, want := ShuffledSize(left.GroupByKey("group", 2).Deps[0].Shuffle, recs), SizeOfAll(recs); got != want {
+		t.Errorf("GroupByKey: ShuffledSize = %v, want SizeOfAll = %v", got, want)
+	}
+}
+
 // A join or cogroup record's value is a [2][]Value: sizing its halves boxes
 // neither into a Value, so sizing the record allocates nothing.
 func TestSizeOfJoinRecordAllocatesNothing(t *testing.T) {

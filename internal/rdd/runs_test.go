@@ -90,8 +90,8 @@ func sameRecords(a, b []Pair) bool {
 
 // checkRunsMatchConcatenation holds ReduceAggregate and BucketRecords over
 // runs to the same call over their concatenation recs, for the sort, combine
-// and plain specs and for GroupByKey's and CoGroup's PostShuffle over the
-// result, and checks that no run was written to.
+// and plain specs and for GroupByKey's and CoGroup's shuffle boundary
+// (ReducePartition), and checks that no run was written to.
 func checkRunsMatchConcatenation(t *testing.T, recs []Pair, runs [][]Pair) {
 	t.Helper()
 	orig := slices.Clone(recs)
@@ -125,28 +125,28 @@ func checkRunsMatchConcatenation(t *testing.T, recs []Pair, runs [][]Pair) {
 	}
 
 	// The groupings read their values' arrival order, so a run boundary that
-	// moved a record would show. CoGroup's records carry their side.
-	tagged := make([]Pair, len(recs))
-	for i, p := range recs {
-		tagged[i] = Pair{Key: p.Key, Value: Tagged{Side: i % 2, V: p.Value}}
+	// moved a record would show. CoGroup's sides take every other record, so
+	// each run of recs is one run of each side.
+	var sides [2][][]Pair
+	at := 0
+	for _, run := range runs {
+		var halves [2][]Pair
+		for _, p := range run {
+			halves[at%2] = append(halves[at%2], p)
+			at++
+		}
+		sides[0], sides[1] = append(sides[0], halves[0]), append(sides[1], halves[1])
 	}
-	lens := make([]int, len(runs))
-	for i, run := range runs {
-		lens[i] = len(run)
-	}
-	taggedRuns := asRuns(tagged, lens)
 	g := NewGraph()
 	src := inputFrom(g, nil)
-	group := func(name string, node *RDD, whole []Pair, split [][]Pair) {
-		spec := node.Deps[0].Shuffle
-		got := node.PostShuffle(0, ReduceAggregate(spec, split...))
-		want := node.PostShuffle(0, ReduceAggregate(spec, whole))
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: PostShuffle over the runs' aggregate differs from the one-run call", name)
+	group := func(name string, node *RDD, whole, split [][][]Pair) {
+		if got, want := ReducePartition(node, 0, split), ReducePartition(node, 0, whole); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the shuffle boundary over the runs differs from the one-run call", name)
 		}
 	}
-	group("groupByKey", src.GroupByKey("group", 3), recs, runs)
-	group("cogroup", src.CoGroup("cogroup", src, 3), tagged, taggedRuns)
+	group("groupByKey", src.GroupByKey("group", 3), [][][]Pair{{recs}}, [][][]Pair{runs})
+	group("cogroup", src.CoGroup("cogroup", src, 3),
+		[][][]Pair{{slices.Concat(sides[0]...)}, {slices.Concat(sides[1]...)}}, sides[:])
 
 	for i, run := range runs {
 		if !slices.Equal(run, origRuns[i]) {

@@ -1,5 +1,10 @@
 package rdd
 
+import (
+	"slices"
+	"sync"
+)
+
 // The helpers below implement the record-level semantics of a shuffle.
 // They are shared between the simulated engine (internal/exec) and the
 // in-memory reference evaluator (EvalLocal), so both sides agree exactly on
@@ -66,20 +71,89 @@ func ReduceAggregate(spec *ShuffleSpec, runs ...[]Pair) []Pair {
 	if spec.Combine != nil {
 		return combineAll(spec.Combine, runs...)
 	}
+	return gather(spec, make([]Pair, runsLen(runs)), runs)
+}
+
+// gather is ReduceAggregate for a spec that does not combine, into dst,
+// which has the runs' total length and shares no memory with them.
+func gather(spec *ShuffleSpec, dst []Pair, runs [][]Pair) []Pair {
+	if spec.SortKeys {
+		sortByKey(dst, runs...) // the permutation is the one copy
+		return dst
+	}
+	at := 0
+	for _, run := range runs {
+		at += copy(dst[at:], run)
+	}
+	return dst
+}
+
+func runsLen(runs [][]Pair) int {
 	n := 0
 	for _, run := range runs {
 		n += len(run)
 	}
-	out := make([]Pair, n)
-	if spec.SortKeys {
-		sortByKey(out, runs...) // the permutation is the one copy
-		return out
+	return n
+}
+
+// ReducePartition is the shuffle boundary, the one every evaluator runs:
+// partition part of the shuffled RDD node from its runs, runs[d] being
+// dependency d's (its map outputs' shards, stored or fetched, in map order).
+// Each dependency's runs are aggregated on their own, as ReduceAggregate
+// does, and PostShuffle gets one aggregate per dependency; without it, the
+// aggregates are the partition, concatenated in dependency order. The
+// aggregates of dependencies that do not combine are windows of one array,
+// so a CoGroup's two sorted sides cost one allocation, as one side does. It
+// only reads its runs.
+func ReducePartition(node *RDD, part int, runs [][][]Pair) []Pair {
+	if len(node.Deps) == 1 && node.PostShuffle == nil {
+		return ReduceAggregate(node.Deps[0].Shuffle, runs[0]...)
 	}
-	at := 0
-	for _, run := range runs {
-		at += copy(out[at:], run)
+	n := 0
+	for d := range node.Deps {
+		if node.Deps[d].Shuffle.Combine == nil {
+			n += runsLen(runs[d])
+		}
 	}
+	back := make([]Pair, n)
+	held := aggScratch.Get().(*[][]Pair)
+	aggs := (*held)[:0]
+	for d := range node.Deps {
+		spec := node.Deps[d].Shuffle
+		if spec.Combine != nil {
+			aggs = append(aggs, combineAll(spec.Combine, runs[d]...))
+			continue
+		}
+		m := runsLen(runs[d])
+		aggs = append(aggs, gather(spec, back[:m:m], runs[d]))
+		back = back[m:]
+	}
+	var out []Pair
+	if node.PostShuffle != nil {
+		out = node.PostShuffle(part, aggs)
+	} else {
+		out = slices.Concat(aggs...)
+	}
+	clear(aggs)
+	*held = aggs
+	aggScratch.Put(held)
 	return out
+}
+
+// aggScratch recycles the slice of aggregates ReducePartition hands
+// PostShuffle, which a call through a function value would otherwise move
+// to the heap on every reduce partition.
+var aggScratch = sync.Pool{New: func() any { return new([][]Pair) }}
+
+// ShuffledSize is the real size the simulator prices recs at as the map
+// output of spec's shuffle: SizeOfAll, plus one byte per record on a
+// CoGroupSide.
+func ShuffledSize(spec *ShuffleSpec, recs []Pair) float64 {
+	s := SizeOfAll(recs)
+	if spec.CoGroupSide {
+		s += float64(len(recs))
+	}
+	return s
 }
 
 // SampleKeys draws up to max keys from records deterministically (evenly

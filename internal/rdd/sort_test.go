@@ -146,11 +146,8 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 	deepCopy := func(recs []Pair) []Pair {
 		out := slices.Clone(recs)
 		for i, p := range out {
-			switch v := p.Value.(type) {
-			case []Value:
+			if v, ok := p.Value.([]Value); ok {
 				out[i].Value = slices.Clone(v)
-			case Tagged:
-				out[i].Value = Tagged{Side: v.Side, V: slices.Clone(v.V.([]Value))}
 			}
 		}
 		return out
@@ -205,26 +202,35 @@ func TestShuffleOpsLeaveInputUnchanged(t *testing.T) {
 	for name, node := range groupings {
 		for _, n := range []int{radixSortCutoff - 1, 5000} {
 			shard := sortInput("duplicates", n, 3)
+			sides := make([][]Pair, len(node.Deps))
 			for i := range shard {
 				shard[i].Value = append(make([]Value, 0, 4), i, "v")
-				if name == "cogroup" {
-					shard[i].Value = Tagged{Side: i % 2, V: shard[i].Value}
-				}
+				sides[i%len(sides)] = append(sides[i%len(sides)], shard[i])
 			}
-			origShard := deepCopy(shard)
-			runs := splitRuns(shard)
-			sorted := ReduceAggregate(node.Deps[0].Shuffle, runs...)
-			origSorted := deepCopy(sorted)
+			runs := make([][][]Pair, len(sides))
+			sorted := make([][]Pair, len(sides))
+			var origRuns, origSorted [][]Pair
+			for d, side := range sides {
+				runs[d] = splitRuns(side)
+				sorted[d] = ReduceAggregate(node.Deps[d].Shuffle, runs[d]...)
+				origRuns = append(origRuns, deepCopy(side))
+				origSorted = append(origSorted, deepCopy(sorted[d]))
+			}
 			first := node.PostShuffle(0, sorted)
 			second := node.PostShuffle(0, sorted)
-			if !reflect.DeepEqual(slices.Concat(runs...), origShard) {
-				t.Errorf("%s n=%d: ReduceAggregate wrote to its runs", name, n)
-			}
 			if !reflect.DeepEqual(sorted, origSorted) {
 				t.Errorf("%s n=%d: PostShuffle wrote to its input", name, n)
 			}
 			if !reflect.DeepEqual(first, second) {
 				t.Errorf("%s n=%d: PostShuffle gave two answers for one input", name, n)
+			}
+			if got := ReducePartition(node, 0, runs); !reflect.DeepEqual(got, first) {
+				t.Errorf("%s n=%d: the shuffle boundary differs from PostShuffle over the aggregates", name, n)
+			}
+			for d := range runs {
+				if !reflect.DeepEqual(slices.Concat(runs[d]...), origRuns[d]) {
+					t.Errorf("%s n=%d: the shuffle boundary wrote to dependency %d's runs", name, n, d)
+				}
 			}
 		}
 	}

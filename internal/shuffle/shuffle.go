@@ -141,10 +141,10 @@ func (r *Registry) Refresh(shuffleID, mapPart int) {
 	}
 	out.shards = rdd.BucketRecords(st.spec, out.Records)
 	out.shardModeled = make([]float64, len(out.shards))
-	realTotal := rdd.SizeOfAll(out.Records)
+	realTotal := rdd.ShuffledSize(st.spec, out.Records)
 	for i, shard := range out.shards {
 		if realTotal > 0 {
-			out.shardModeled[i] = rdd.SizeOfAll(shard) / realTotal * out.ModeledBytes
+			out.shardModeled[i] = rdd.ShuffledSize(st.spec, shard) / realTotal * out.ModeledBytes
 		}
 	}
 }

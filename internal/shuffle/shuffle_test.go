@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,35 @@ func TestShardModeledBytesProportional(t *testing.T) {
 	}
 	if math.Abs(sum-1000) > 1e-9 {
 		t.Fatalf("shard modeled bytes sum to %v, want 1000", sum)
+	}
+}
+
+// A cogroup side's shards split the output's modeled bytes by
+// rdd.ShuffledSize, one byte more per record than SizeOfAll: two 21-byte
+// records against one 42-byte record split 44:43, not evenly, and the
+// shards still sum to the output.
+func TestCoGroupSideShardsCountTheSideByte(t *testing.T) {
+	reg := NewRegistry()
+	part := rdd.NewRangePartitioner(2)
+	part.Prepare([]string{"m"})
+	spec := &rdd.ShuffleSpec{ID: 1, Partitioner: part, SortKeys: true, CoGroupSide: true}
+	reg.Register(spec, 1)
+	recs := []rdd.Pair{rdd.KV("a", "xxxx"), rdd.KV("z", strings.Repeat("y", 25)), rdd.KV("b", "xxxx")}
+	if got := rdd.ShuffledSize(spec, recs); got != 87 {
+		t.Fatalf("ShuffledSize = %v, want 84 record bytes + 3 side bytes", got)
+	}
+	reg.AddMapOutput(1, 0, 0, recs, 870)
+	reg.Finalize(1)
+	var sum float64
+	for r, want := range []float64{440, 430} {
+		got := reg.Shards(1, r)[0].ModeledBytes
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("shard %d modeled %v B, want %v", r, got, want)
+		}
+		sum += got
+	}
+	if math.Abs(sum-870) > 1e-9 {
+		t.Errorf("shard modeled bytes sum to %v, want 870", sum)
 	}
 }
 
