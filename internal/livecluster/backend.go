@@ -62,7 +62,8 @@ var errWorkerDown = errors.New("worker is down")
 func (r *liveRun) NumSites() int { return len(r.c.workers) }
 
 // RunTask implements plan.Backend: evaluate the partition at its worker,
-// gathering its shuffle input through reader. A map task's output comes back
+// gathering its shuffle input through reader and reading and filling the
+// worker's cache of Cached partitions. A map task's output comes back
 // from plan.TaskOutput prepared for its shuffle (combined map-side, where the
 // spec asks, as the records are produced); the task either pushes it to the
 // aggregator the moment it finishes (t.AggTo names another worker, the
@@ -84,7 +85,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	// their own, so the timeline separates M and P the way the simulator's
 	// does.
 	lastFetch := r.since()
-	out, err := plan.TaskOutput(st, t.Part, r.reader(t, taskID, &lastFetch))
+	out, err := plan.TaskOutput(st, t.Part, r.reader(t, taskID, &lastFetch), &w.cache)
 	if err != nil {
 		return plan.TaskResult{}, err
 	}

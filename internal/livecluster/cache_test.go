@@ -1,0 +1,262 @@
+package livecluster
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"wanshuffle/internal/dag"
+	"wanshuffle/internal/plan"
+	"wanshuffle/internal/rdd"
+)
+
+// counted is the Cached node of the jobs below: its input as it is, with
+// every computation of one of its partitions counted in calls.
+func counted(in *rdd.RDD, calls *atomic.Int64) *rdd.RDD {
+	return in.MapPartitions("count", func(_ int, recs []rdd.Pair) []rdd.Pair {
+		calls.Add(1)
+		return recs
+	}).Cache()
+}
+
+func addInts(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }
+
+// cachedFanOut builds a job whose Cached node — a reduce, then counted — is
+// read by three later stages: the map sides of shuffles "a" and "b" and the
+// left side of join "c". Its inputs are drawn from seed; its shape is the
+// same for every seed, so two builds number their nodes alike.
+func cachedFanOut(parts int, seed int64, calls *atomic.Int64) *rdd.RDD {
+	rng := rand.New(rand.NewSource(seed))
+	inputs := make([]rdd.InputPartition, parts)
+	for p := range inputs {
+		recs := make([]rdd.Pair, 40)
+		for i := range recs {
+			recs[i] = rdd.KV(fmt.Sprintf("k%02d", rng.Intn(17)), rng.Intn(100))
+		}
+		inputs[p] = rdd.InputPartition{ModeledBytes: 1, Records: recs}
+	}
+	cached := counted(rdd.NewGraph().Input("in", inputs).ReduceByKey("sums", parts, addInts), calls)
+	a := cached.Map("a.double", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 2*p.Value.(int)) }).
+		ReduceByKey("a", parts, addInts)
+	b := cached.Map("b.tens", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key[:2], p.Value) }).
+		ReduceByKey("b", parts, addInts)
+	c := cached.Join("c", a, parts).Map("c.sum", func(p rdd.Pair) rdd.Pair {
+		v := p.Value.([]rdd.Value)
+		return rdd.KV(p.Key, v[0].(int)+v[1].(int))
+	})
+	return c.Union("out", b)
+}
+
+// stagesReading returns the stages of job whose tasks evaluate the node
+// named name: it is on the narrow chain below the stage's top.
+func stagesReading(job *plan.Job, name string) []*dag.Stage {
+	var reaches func(node *rdd.RDD) bool
+	reaches = func(node *rdd.RDD) bool {
+		if node.Name == name {
+			return true
+		}
+		for _, d := range node.Deps {
+			if d.Kind == rdd.DepNarrow && reaches(d.Parent) {
+				return true
+			}
+		}
+		return false
+	}
+	var out []*dag.Stage
+	for _, st := range job.Stages() {
+		if reaches(st.Phases[0].Top) {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// checkCachesDropped fails the test if any worker still holds a cached
+// partition: the workers drop a job's when it ends.
+func checkCachesDropped(t *testing.T, c *Cluster) {
+	t.Helper()
+	for i, w := range c.workers {
+		if n := w.cache.Len(); n != 0 {
+			t.Errorf("worker %d holds %d cached partitions after the job", i, n)
+		}
+	}
+}
+
+// TestCachedPartitionComputedOncePerJob runs cachedFanOut on the live
+// cluster and on MemBackend under both schemes: each partition of the Cached
+// node is computed once, by the first stage that reads it, and the two later
+// stages read it where it was made — every stage that reads it places its
+// task for partition p on one site, round-robin under fetch, the aggregator
+// of the node's input shuffle under push. Two jobs run in a row on one
+// cluster, with different inputs and the same node IDs: the second must not
+// read the first's partitions, so the cluster drops its caches with the job.
+func TestCachedPartitionComputedOncePerJob(t *testing.T) {
+	const parts, sites = 6, 3
+	for _, scheme := range schemes {
+		t.Run(scheme, func(t *testing.T) {
+			cluster, err := New(Config{Workers: sites})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			for seed := int64(1); seed <= 2; seed++ {
+				var calls atomic.Int64
+				want := canon(rdd.CollectLocal(cachedFanOut(parts, seed, &calls)))
+				job, err := plan.BuildJob(shuffledAs(scheme, cachedFanOut(parts, seed, &calls)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := len(stagesReading(job, "count")); n < 3 {
+					t.Fatalf("%d stages read the cached node, want at least 3", n)
+				}
+
+				calls.Store(0)
+				out, _, err := cluster.Run(shuffledAs(scheme, cachedFanOut(parts, seed, &calls)))
+				if err != nil {
+					t.Fatalf("job %d: %v", seed, err)
+				}
+				if canon(out) != want {
+					t.Errorf("job %d on the live cluster diverges from the reference", seed)
+				}
+				if n := calls.Load(); n != parts {
+					t.Errorf("job %d on the live cluster computed the cached node's partitions %d times, want %d", seed, n, parts)
+				}
+				checkCachesDropped(t, cluster)
+
+				calls.Store(0)
+				got, err := plan.NewDriver(job, plan.NewMemBackend(sites), plan.DriverConfig{}).Run()
+				if err != nil {
+					t.Fatalf("job %d on MemBackend: %v", seed, err)
+				}
+				if canon(slices.Concat(got...)) != want {
+					t.Errorf("job %d on MemBackend diverges from the reference", seed)
+				}
+				if n := calls.Load(); n != parts {
+					t.Errorf("job %d on MemBackend computed the cached node's partitions %d times, want %d", seed, n, parts)
+				}
+			}
+		})
+	}
+}
+
+// cachedLeafFanOut builds a pushed job whose Cached node is counted straight
+// over six leaf partitions, so any site can recompute a partition of it from
+// the lineage, and is read by three stages in order, r1, r2 and r3. Partition
+// 2 is three times the others: leaf tasks round-robin, so on three workers
+// Eq. 2 aggregates every shuffle on worker 2. The first record of partition 0
+// that r2 reads closes reached and waits for release; a nil reached builds
+// the same job without the gate.
+func cachedLeafFanOut(calls *atomic.Int64, reached, release chan struct{}) *rdd.RDD {
+	inputs := make([]rdd.InputPartition, 6)
+	for p := range inputs {
+		n := 30
+		if p == 2 {
+			n = 90
+		}
+		recs := make([]rdd.Pair, n)
+		for i := range recs {
+			recs[i] = rdd.KV(fmt.Sprintf("p%d-%02d", p, i%13), i)
+		}
+		inputs[p] = rdd.InputPartition{ModeledBytes: 1, Records: recs}
+	}
+	var once atomic.Bool
+	cached := counted(rdd.NewGraph().Input("in", inputs), calls)
+	r1 := cached.ReduceByKey("r1", 3, addInts)
+	r2 := cached.Map("r2.gate", func(p rdd.Pair) rdd.Pair {
+		if reached != nil && strings.HasPrefix(p.Key, "p0-") && once.CompareAndSwap(false, true) {
+			close(reached)
+			<-release
+		}
+		return rdd.KV(p.Key[:2], p.Value)
+	}).ReduceByKey("r2", 3, addInts)
+	r3 := cached.Map("r3.key", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key[3:], 1) }).ReduceByKey("r3", 3, addInts)
+	return pushed(r1.Union("out", r2, r3))
+}
+
+// TestCachedPartitionsFailOver kills the worker holding cached partitions
+// between the stages that read them. One task slot per worker makes the
+// schedule exact: r1 computes partition p on worker p%3 (six computations);
+// r2's task 0 waits on the gate at worker 0, its task 3 waits for worker 0's
+// slot, and worker 1 is killed once r2's task 1 has read its partition
+// there. Task 4 of r2 and tasks 1 and 4 of r3 are placed on the dead worker
+// and re-placed on worker 2: r2's task 4 and r3's task 1 miss and recompute,
+// r3's task 4 reads what r2's left there — eight computations. The output
+// equals the reference, the killed worker's cache went with it, the cluster
+// runs the job again on the two that are left, and once closed it leaves no
+// goroutine and no descriptor behind.
+func TestCachedPartitionsFailOver(t *testing.T) {
+	const parts = 6
+	var calls atomic.Int64
+	want := canon(rdd.CollectLocal(cachedLeafFanOut(&calls, nil, nil)))
+	job, err := plan.BuildJob(cachedLeafFanOut(&calls, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(stagesReading(job, "count")); n != 3 {
+		t.Fatalf("%d stages read the cached node, want 3", n)
+	}
+	r2 := stagesReading(job, "r2.gate")[0].ID
+
+	goroutines, fds := settled()
+	cluster, err := New(Config{Workers: 3, TasksPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close() // on a failure's way out; Close is idempotent
+
+	type result struct {
+		out   []rdd.Pair
+		stats *Stats
+		err   error
+	}
+	done := make(chan result, 1)
+	reached, release := make(chan struct{}), make(chan struct{})
+	calls.Store(0)
+	go func() {
+		out, stats, err := cluster.Run(cachedLeafFanOut(&calls, reached, release))
+		done <- result{out, stats, err}
+	}()
+	<-reached
+	finishedOn(t, cluster.CurrentStats().Events, r2, 1)
+	if cluster.workers[1].cache.Len() == 0 {
+		t.Error("worker 1 holds no cached partition before it is killed: the test would prove nothing")
+	}
+	cluster.workers[1].close()
+	if n := cluster.workers[1].cache.Len(); n != 0 {
+		t.Errorf("killed worker 1 still holds %d cached partitions", n)
+	}
+	close(release)
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("job did not survive the killed worker: %v", res.err)
+	}
+	if canon(res.out) != want {
+		t.Error("output after failover diverges from the reference")
+	}
+	if n := calls.Load(); n != parts+2 {
+		t.Errorf("cached node's partitions computed %d times, want %d: each once, and again by r2's task 4 and r3's task 1 on the worker they moved to", n, parts+2)
+	}
+	if res.stats.Retries < 3 {
+		t.Errorf("%d retries, want at least 3: the tasks placed on the dead worker", res.stats.Retries)
+	}
+	checkCachesDropped(t, cluster)
+
+	calls.Store(0)
+	out, _, err := cluster.Run(cachedLeafFanOut(&calls, nil, nil))
+	if err != nil {
+		t.Fatalf("job after the failover: %v", err)
+	}
+	if canon(out) != want {
+		t.Error("job after the failover diverges from the reference")
+	}
+	if n := calls.Load(); n != parts {
+		t.Errorf("job after the failover computed the cached node's partitions %d times, want %d", n, parts)
+	}
+	checkCachesDropped(t, cluster)
+
+	cluster.Close()
+	leftNothing(t, goroutines, fds)
+}

@@ -40,6 +40,16 @@ func settled() (goroutines, fds int) {
 	return goroutines, fds
 }
 
+// leftNothing waits for the process to come back to goroutines and fds, the
+// counts settled returned before a cluster was made and closed again.
+func leftNothing(t *testing.T, goroutines, fds int) {
+	t.Helper()
+	waitFor(t, "goroutines and descriptors to return to where they were before New", func() bool {
+		now, ok := openDescriptors()
+		return runtime.NumGoroutine() <= goroutines && (!ok || now <= fds)
+	})
+}
+
 // TestClusterLeavesNothingBehind runs a cluster through what a cluster goes
 // through — a job, a job canceled in the middle of its map stage, another
 // job, a worker killed, Close — and holds the process to where it started: no
@@ -109,10 +119,7 @@ func clusterLeavesNothingBehind(t *testing.T, scheme string) {
 	c.workers[1].close()
 	c.Close()
 
-	waitFor(t, "goroutines and descriptors to return to where they were before New", func() bool {
-		now, ok := openDescriptors()
-		return runtime.NumGoroutine() <= goroutines && (!ok || now <= fds)
-	})
+	leftNothing(t, goroutines, fds)
 	if entries, err := os.ReadDir(spill); err != nil || len(entries) != 0 {
 		t.Fatalf("spill directory after Close: %v (%v)", entries, err)
 	}

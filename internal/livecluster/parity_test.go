@@ -2,6 +2,7 @@ package livecluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -12,66 +13,82 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// TestSimulatorAndLiveClusterAgree drives seeded random lineages through
-// the discrete-event simulator and the live TCP cluster — both consuming
-// the same shared plan, both traced, under the same two schemes — and
-// requires identical sorted outputs, which must also equal the in-memory
-// reference. Each backend gets a freshly built lineage because evaluation
-// mutates range-partitioner state. The raw trace of every run, the one its
-// report reads, must be causal and carry one trace ID (rawTraceHolds).
+// TestSimulatorAndLiveClusterAgree drives seeded lineages — random ones,
+// and PageRank's cached, iterative shape — through the discrete-event
+// simulator and the live TCP cluster — both consuming the same shared plan,
+// both traced, under the same two schemes — and requires identical sorted
+// outputs, which must also equal the in-memory reference. Each backend gets a
+// freshly built lineage because evaluation mutates range-partitioner state.
+// The raw trace of every run, the one its report reads, must be causal and
+// carry one trace ID (rawTraceHolds). A live fetched PageRank reads its
+// cached link table's input shuffle once per reduce partition, not once per
+// stage that reads the table (fetchedOnce).
 func TestSimulatorAndLiveClusterAgree(t *testing.T) {
 	topo := topology.SixRegionEC2()
+	lineages := []struct {
+		name  string
+		build func(seed int64, g *rdd.Graph, hosts []topology.HostID) *rdd.RDD
+	}{{"random", rdd.RandomLineage}, {"pagerank", cachedPageRank}}
 	f := func(seedRaw uint16) bool {
 		seed := int64(seedRaw)
-		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
-
-		for _, scheme := range []struct {
-			name string
-			agg  bool
-		}{{"spark", false}, {"aggshuffle", true}} {
-			// Each backend runs a fresh lineage through the one rewrite
-			// that says push on both.
-			lineage := func() *rdd.RDD {
-				job := rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())
-				if scheme.agg {
-					dag.AutoAggregate(job)
+		for _, lin := range lineages {
+			want := canon(rdd.CollectLocal(lin.build(seed, rdd.NewGraph(), topo.Workers())))
+			for _, scheme := range []struct {
+				name string
+				agg  bool
+			}{{"spark", false}, {"aggshuffle", true}} {
+				// Each backend runs a fresh lineage through the one rewrite
+				// that says push on both.
+				lineage := func() *rdd.RDD {
+					job := lin.build(seed, rdd.NewGraph(), topo.Workers())
+					if scheme.agg {
+						dag.AutoAggregate(job)
+					}
+					return job
 				}
-				return job
-			}
-			eng := exec.New(topo, seed+1, exec.Config{Trace: true})
-			res, err := eng.Run(lineage(), exec.ActionSave, exec.RunOptions{})
-			if err != nil {
-				t.Logf("seed %d sim/%s: %v", seed, scheme.name, err)
-				return false
-			}
-			if canon(res.Records) != want {
-				t.Logf("seed %d sim/%s diverges from reference", seed, scheme.name)
-				return false
-			}
-			if err := rawTraceHolds(eng.Tracer.Spans()); err != nil {
-				t.Logf("seed %d sim/%s: %v", seed, scheme.name, err)
-				return false
-			}
+				run := fmt.Sprintf("seed %d %s/%s", seed, lin.name, scheme.name)
+				eng := exec.New(topo, seed+1, exec.Config{Trace: true})
+				res, err := eng.Run(lineage(), exec.ActionSave, exec.RunOptions{})
+				if err != nil {
+					t.Logf("%s sim: %v", run, err)
+					return false
+				}
+				if canon(res.Records) != want {
+					t.Logf("%s sim diverges from reference", run)
+					return false
+				}
+				if err := rawTraceHolds(eng.Tracer.Spans()); err != nil {
+					t.Logf("%s sim: %v", run, err)
+					return false
+				}
 
-			rec := &trace.Recorder{}
-			cluster, err := New(Config{Workers: 4, Trace: rec})
-			if err != nil {
-				t.Logf("seed %d live/%s: %v", seed, scheme.name, err)
-				return false
-			}
-			out, _, err := cluster.Run(lineage())
-			cluster.Close()
-			if err != nil {
-				t.Logf("seed %d live/%s: %v", seed, scheme.name, err)
-				return false
-			}
-			if canon(out) != want {
-				t.Logf("seed %d live/%s diverges from simulator/reference", seed, scheme.name)
-				return false
-			}
-			if err := rawTraceHolds(rec.Spans()); err != nil {
-				t.Logf("seed %d live/%s: %v", seed, scheme.name, err)
-				return false
+				rec := &trace.Recorder{}
+				cluster, err := New(Config{Workers: 4, Trace: rec})
+				if err != nil {
+					t.Logf("%s live: %v", run, err)
+					return false
+				}
+				target := lineage()
+				out, _, err := cluster.Run(target)
+				cluster.Close()
+				if err != nil {
+					t.Logf("%s live: %v", run, err)
+					return false
+				}
+				if canon(out) != want {
+					t.Logf("%s live diverges from simulator/reference", run)
+					return false
+				}
+				if err := rawTraceHolds(rec.Spans()); err != nil {
+					t.Logf("%s live: %v", run, err)
+					return false
+				}
+				if cached := cachedNode(target); cached != nil && !scheme.agg {
+					if err := fetchedOnce(rec.Spans(), cached); err != nil {
+						t.Logf("%s live: %v", run, err)
+						return false
+					}
+				}
 			}
 		}
 		return true
@@ -79,6 +96,96 @@ func TestSimulatorAndLiveClusterAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// cachedPageRank is PageRank's lineage (workloads.PageRank) in integers, so
+// every backend's sums agree to the bit in whatever order they add: a link
+// table grouped and cached, then three rounds of joining it with the ranks
+// and reducing the contributions.
+func cachedPageRank(seed int64, g *rdd.Graph, hosts []topology.HostID) *rdd.RDD {
+	const pages, parts = 40, 4
+	rng := rand.New(rand.NewSource(seed))
+	inputs := make([]rdd.InputPartition, len(hosts))
+	for p := 0; p < pages; p++ {
+		in := &inputs[p%len(inputs)]
+		in.Host, in.ModeledBytes = hosts[p%len(hosts)], 1<<20
+		for l := 1 + rng.Intn(4); l > 0; l-- {
+			in.Records = append(in.Records, rdd.KV(fmt.Sprintf("page%02d", p), fmt.Sprintf("page%02d", rng.Intn(pages))))
+		}
+	}
+	links := g.Input("pr.edges", inputs).GroupByKey("pr.links", parts).Cache()
+	ranks := links.Map("pr.ranks0", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 1000) })
+	for it := 1; it <= 3; it++ {
+		contribs := links.Join(fmt.Sprintf("pr.join%d", it), ranks, parts).
+			FlatMap(fmt.Sprintf("pr.contribs%d", it), func(p rdd.Pair) []rdd.Pair {
+				pair := p.Value.([]rdd.Value)
+				dests := pair[0].([]rdd.Value)
+				out := make([]rdd.Pair, len(dests))
+				for i, d := range dests {
+					out[i] = rdd.KV(d.(string), pair[1].(int)/len(dests))
+				}
+				return out
+			})
+		ranks = contribs.ReduceByKey(fmt.Sprintf("pr.sum%d", it), parts, addInts).
+			Map(fmt.Sprintf("pr.damp%d", it), func(p rdd.Pair) rdd.Pair {
+				return rdd.KV(p.Key, 150+85*p.Value.(int)/100)
+			})
+	}
+	return ranks
+}
+
+// cachedNode returns the first Cached node of target's lineage, nil when it
+// has none.
+func cachedNode(target *rdd.RDD) *rdd.RDD {
+	if target.Cached {
+		return target
+	}
+	for _, d := range target.Deps {
+		if c := cachedNode(d.Parent); c != nil {
+			return c
+		}
+	}
+	return nil
+}
+
+// fetchedOnce checks a fetched job's trace for the shuffle that feeds
+// cached: one read (a fetch span, whether it touched a socket or not) per
+// reduce partition, and each (reduce partition, map output) served once at
+// most — a map output on the reader's own worker is read without a serve.
+// Every stage that reads cached places its task for partition p on one
+// worker, which computed the partition there first and keeps it.
+func fetchedOnce(spans []trace.Span, cached *rdd.RDD) error {
+	id := cached.Deps[0].Shuffle.ID
+	reads := map[trace.SpanID]int{} // fetch span → reduce partition
+	perReduce := map[int]int{}
+	for _, s := range spans {
+		if s.Kind == trace.KindFetch && s.Shuffle == id {
+			reads[s.ID] = s.Part
+			perReduce[s.Part]++
+		}
+	}
+	for reduce := 0; reduce < cached.NumParts(); reduce++ {
+		if n := perReduce[reduce]; n != 1 {
+			return fmt.Errorf("%s's input shuffle %d: reduce partition %d read %d times, want once", cached.Name, id, reduce, n)
+		}
+	}
+	type served struct{ reduce, mapPart int }
+	seen := map[served]bool{}
+	for _, s := range spans {
+		reduce, ok := reads[s.Parent]
+		if s.Kind != trace.KindServe || !ok {
+			continue
+		}
+		k := served{reduce, s.Part}
+		if seen[k] {
+			return fmt.Errorf("%s's input shuffle %d: map output %d served to reduce partition %d twice", cached.Name, id, s.Part, reduce)
+		}
+		seen[k] = true
+	}
+	if len(seen) == 0 {
+		return fmt.Errorf("%s's input shuffle %d: nothing served over a socket", cached.Name, id)
+	}
+	return nil
 }
 
 // rawTraceHolds checks what a report relies on when it reads a run's trace

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wanshuffle/internal/blockstore"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
@@ -139,6 +140,12 @@ type worker struct {
 	// oneself.
 	links []*link
 
+	// cache holds the partitions of Cached RDDs this worker's tasks
+	// computed in the running job, for the job's later stages to read here.
+	// It is held outside Config.MemoryBudget, and dropped when the job ends
+	// and when the worker is closed, with its block store.
+	cache plan.SiteCache
+
 	// bucketBuilds counts deferred whole-output bucketing passes; pushes
 	// bucketed incrementally on arrival never increment it.
 	bucketBuilds atomic.Int64
@@ -178,6 +185,7 @@ func (w *worker) close() {
 	}
 	w.srv.close()
 	_ = w.store.Close()
+	w.cache.Drop()
 }
 
 // server is one accept loop on a loopback port: the listener, the

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"slices"
+	"sync"
 
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/rdd"
@@ -22,8 +23,9 @@ type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([][]rdd.Pair, er
 // chains, dependency mappings, reduce-side aggregation, post-shuffle
 // transforms — are exactly those of rdd.EvalLocal, so every backend built
 // on this evaluator agrees with the in-memory reference by construction.
+// It caches nothing: a Cached node is computed where it is read.
 func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
-	return evalPart(st.Phases[0].Top, part, read)
+	return evalPart(st.Phases[0].Top, part, read, nil)
 }
 
 // TaskOutput computes what task part of a stage the Driver runs produces: a
@@ -38,21 +40,80 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 // Both start from the first phase: a pushing stage's second is only its
 // TransferToAuto node, which has no Each, so evaluating it would build the
 // whole partition as a slice. Its work is the push the backend makes.
-func TaskOutput(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
+//
+// cache is the task's site's: a Cached node's partition comes from it when
+// an earlier task of the job computed it there, and goes into it otherwise.
+// A nil cache caches nothing.
+func TaskOutput(st *dag.Stage, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
 	top, spec := st.Phases[0].Top, st.OutSpec
 	if spec == nil || !spec.CombinesMapSide() {
-		return evalPart(top, part, read)
+		return evalPart(top, part, read, cache)
 	}
 	c := rdd.NewCombiner(spec.Combine)
-	if err := eachPart(top, part, read, c.Add, nil); err != nil {
+	if err := eachPart(top, part, read, cache, c.Add, nil); err != nil {
 		return nil, err
 	}
 	return c.Sorted(), nil
 }
 
+// SiteCache holds the partitions of Cached RDDs (rdd.RDD.Cached) that one
+// task site computed in one job, by node ID and partition: Spark's block
+// manager's rdd_<id>_<part> blocks, without the eviction. The backend that
+// owns the site owns its cache and keeps it no longer than the job: node IDs
+// restart with every rdd.Graph, so a partition kept into the next job could
+// answer for a node it was not computed from. A task placed on another
+// site, or a retry that moved, misses and recomputes from the lineage, as
+// Spark does. A cached partition is shared by every task that reads it, and
+// they only read it, as they read a leaf's input. The zero value is empty
+// and ready; it locks internally.
+type SiteCache struct {
+	mu    sync.Mutex
+	parts map[cacheKey][]rdd.Pair
+}
+
+type cacheKey struct{ node, part int }
+
+// Len returns how many partitions the cache holds.
+func (c *SiteCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.parts)
+}
+
+// Drop empties the cache.
+func (c *SiteCache) Drop() {
+	c.mu.Lock()
+	c.parts = nil
+	c.mu.Unlock()
+}
+
+func (c *SiteCache) get(k cacheKey) ([]rdd.Pair, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	recs, ok := c.parts[k]
+	return recs, ok
+}
+
+// put stores recs under k unless a task that computed the same partition
+// alongside stored it first, and returns the stored partition: every reader
+// shares one copy.
+func (c *SiteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if had, ok := c.parts[k]; ok {
+		return had
+	}
+	if c.parts == nil {
+		c.parts = map[cacheKey][]rdd.Pair{}
+	}
+	c.parts[k] = recs
+	return recs
+}
+
 // evalPart and eachPart are one evaluator in two forms: evalPart returns
 // partition part of node as a slice, eachPart hands its records to emit in
-// the same order without building one.
+// the same order without building one. Both read shuffle input through read
+// and Cached partitions through cache (nil: nothing is cached).
 //
 // A node with a per-record form (rdd.RDD.Each: Map, FlatMap, Filter, Union)
 // fuses: eachPart runs its parents' eachPart with the node's operator
@@ -61,15 +122,34 @@ func TaskOutput(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error)
 // materialises, because it is a slice already or needs one: a leaf (its
 // input partition is returned as it is, so a stage that is only a leaf
 // copies nothing), a shuffle boundary (reduce-side aggregation sorts its
-// whole shard), and MapPartitions (the user's function takes the partition);
-// eachPart of those is evalPart and a loop. Transfer nodes never get here:
-// dag cuts a phase at each one, and the evaluator starts below it.
+// whole shard), MapPartitions (the user's function takes the partition) and,
+// when the task has a cache, a Cached node (its partition is kept whole for
+// the job's later stages); eachPart of those is evalPart and a loop.
+// Transfer nodes never get here: dag cuts a phase at each one, and the
+// evaluator starts below it.
 //
 // expect, when not nil, hears from each materialised source how many records
 // it is about to emit, before it emits them: evalPart makes room for that
 // many at once, so a Map over a leaf fills a slice of the right size the way
 // its Narrow would have, and does not double its way up to it.
-func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
+func evalPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
+	if !node.Cached || cache == nil {
+		return compute(node, part, read, cache)
+	}
+	k := cacheKey{node.ID, part}
+	if recs, ok := cache.get(k); ok {
+		return recs, nil
+	}
+	recs, err := compute(node, part, read, cache)
+	if err != nil {
+		return nil, err
+	}
+	return cache.put(k, recs), nil
+}
+
+// compute evaluates partition part of node from its inputs, whether or not
+// node is cached.
+func compute(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
 	if len(node.Deps) == 0 {
 		return node.Input[part].Records, nil
 	}
@@ -92,20 +172,20 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader) ([]rdd.Pair, error) {
 	collect := func(p rdd.Pair) { recs = append(recs, p) }
 	expect := func(n int) { recs = slices.Grow(recs, n) }
 	if node.Each != nil {
-		if err := eachPart(node, part, read, collect, expect); err != nil {
+		if err := eachParent(node, part, read, cache, func(p rdd.Pair) { node.Each(p, collect) }, expect); err != nil {
 			return nil, err
 		}
 		return recs, nil
 	}
-	if err := eachParent(node, part, read, collect, expect); err != nil {
+	if err := eachParent(node, part, read, cache, collect, expect); err != nil {
 		return nil, err
 	}
 	return node.Narrow(part, recs), nil
 }
 
-func eachPart(node *rdd.RDD, part int, read ShuffleReader, emit func(rdd.Pair), expect func(int)) error {
-	if node.Each == nil {
-		recs, err := evalPart(node, part, read)
+func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
+	if node.Each == nil || node.Cached && cache != nil {
+		recs, err := evalPart(node, part, read, cache)
 		if err != nil {
 			return err
 		}
@@ -117,16 +197,16 @@ func eachPart(node *rdd.RDD, part int, read ShuffleReader, emit func(rdd.Pair), 
 		}
 		return nil
 	}
-	return eachParent(node, part, read, func(p rdd.Pair) { node.Each(p, emit) }, expect)
+	return eachParent(node, part, read, cache, func(p rdd.Pair) { node.Each(p, emit) }, expect)
 }
 
 // eachParent hands emit the records of every parent partition that narrow
 // node's partition part reads, in dependency order.
-func eachParent(node *rdd.RDD, part int, read ShuffleReader, emit func(rdd.Pair), expect func(int)) error {
+func eachParent(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
 	for di := range node.Deps {
 		d := &node.Deps[di]
 		for _, pi := range d.ParentParts(part) {
-			if err := eachPart(d.Parent, pi, read, emit, expect); err != nil {
+			if err := eachPart(d.Parent, pi, read, cache, emit, expect); err != nil {
 				return err
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,13 +16,15 @@ import (
 
 // checkedBackend is a MemBackend whose every map task also computes its
 // prepared output the long way — the whole stage materialised, then
-// MapSidePrepare — and holds TaskOutput to it record for record.
+// MapSidePrepare, caching nothing — and holds TaskOutput, which reads and
+// fills the site's cache, to it record for record.
 type checkedBackend struct {
 	*MemBackend
 	t *testing.T
 
-	mu     sync.Mutex
-	shapes map[string]int // combining map stages seen, by chain shape
+	mu         sync.Mutex
+	shapes     map[string]int // combining map stages seen, by chain shape
+	cachedEach int            // map stages seen whose chain has a Cached per-record node
 }
 
 func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
@@ -31,16 +34,21 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 			return TaskResult{}, err
 		}
 		want := rdd.MapSidePrepare(spec, recs)
-		got, err := TaskOutput(t.Stage, t.Part, b.reader(t))
+		got, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
 		if err != nil {
 			return TaskResult{}, err
 		}
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			b.t.Errorf("stage %s part %d: TaskOutput = %v, MapSidePrepare(EvalStagePart) = %v", t.Stage.Name(), t.Part, got, want)
 		}
-		if spec.CombinesMapSide() && t.Part == 0 {
+		if t.Part == 0 {
 			b.mu.Lock()
-			b.shapes[chainShape(t.Stage.Phases[0].Top)]++
+			if spec.CombinesMapSide() {
+				b.shapes[chainShape(t.Stage.Phases[0].Top)]++
+			}
+			if hasCachedEach(t.Stage.Phases[0].Top) {
+				b.cachedEach++
+			}
 			b.mu.Unlock()
 		}
 	}
@@ -64,25 +72,71 @@ func chainShape(node *rdd.RDD) string {
 	return "P" + chainShape(node.Deps[0].Parent)
 }
 
-// TestTaskOutputMatchesPrepareOfEvalStagePart runs random lineages with every
-// map task checked, and asks the generator for the chains the fused evaluator
-// has to get right: straight into the combiner from a leaf, through a Union,
-// and fused → materialised (MapPartitions) → fused.
+// hasCachedEach reports whether the narrow chain below node has a Cached
+// per-record node, one the evaluator materialises only because it is cached.
+func hasCachedEach(node *rdd.RDD) bool {
+	if node.Cached && node.Each != nil {
+		return true
+	}
+	for _, d := range node.Deps {
+		if d.Kind == rdd.DepNarrow && hasCachedEach(d.Parent) {
+			return true
+		}
+	}
+	return false
+}
+
+// markCached cache-marks about a quarter of the non-leaf nodes below target.
+func markCached(target *rdd.RDD, rng *rand.Rand) {
+	seen := map[int]bool{}
+	var walk func(n *rdd.RDD)
+	walk = func(n *rdd.RDD) {
+		if seen[n.ID] {
+			return
+		}
+		seen[n.ID] = true
+		if len(n.Deps) > 0 && n != target && rng.Intn(4) == 0 {
+			n.Cache()
+		}
+		for _, d := range n.Deps {
+			walk(d.Parent)
+		}
+	}
+	walk(target)
+}
+
+// TestTaskOutputMatchesPrepareOfEvalStagePart runs random lineages, a quarter
+// of their nodes cache-marked, with every map task checked and the job's
+// output held to the reference. It asks the generator for the chains the
+// fused evaluator has to get right: straight into the combiner from a leaf,
+// through a Union, fused → materialised (MapPartitions) → fused, and a
+// per-record node materialised because it is Cached.
 func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 	shapes := map[string]int{}
+	cachedEach := 0
 	for seed := int64(0); seed < 120; seed++ {
+		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))))
 		target := rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))
 		if seed%2 == 0 {
 			pushed(target)
 		}
+		markCached(target, rand.New(rand.NewSource(seed)))
 		job, err := BuildJob(target)
 		if err != nil {
 			t.Fatal(err)
 		}
 		be := &checkedBackend{MemBackend: NewMemBackend(3), t: t, shapes: shapes}
-		if _, err := NewDriver(job, be, DriverConfig{}).Run(); err != nil {
+		out, err := NewDriver(job, be, DriverConfig{}).Run()
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if canon(slices.Concat(out...)) != want {
+			t.Errorf("seed %d: output diverges from the reference", seed)
+		}
+		cachedEach += be.cachedEach
+	}
+	if cachedEach == 0 {
+		t.Error("no map stage read a Cached per-record node")
 	}
 	var fused, union, sandwich int
 	for shape, n := range shapes {
@@ -185,7 +239,7 @@ func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 			st := mapStage(t, build(wordLines(1, n, lexemes)))
 			var out []rdd.Pair
 			var err error
-			a := testing.AllocsPerRun(3, func() { out, err = TaskOutput(st, 0, nil) })
+			a := testing.AllocsPerRun(3, func() { out, err = TaskOutput(st, 0, nil, nil) })
 			if err != nil || len(out) == 0 || len(out) > lexemes {
 				t.Fatalf("%s: %d lines gave %d records, %v", name, n, len(out), err)
 			}
@@ -211,7 +265,7 @@ func TestMaterialisedChainIsSizedFromItsSource(t *testing.T) {
 	var out []rdd.Pair
 	allocs := testing.AllocsPerRun(5, func() {
 		var err error
-		if out, err = TaskOutput(st, 0, nil); err != nil {
+		if out, err = TaskOutput(st, 0, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -244,7 +298,7 @@ func BenchmarkMapTaskWordCount(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := TaskOutput(st, 0, nil)
+		out, err := TaskOutput(st, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -161,9 +161,15 @@ type RDD struct {
 	// Transfer marks a TransferredRDD.
 	Transfer *TransferSpec
 
-	// Cached requests materialization after first computation; later jobs
-	// and stages read the cached copy instead of recomputing (Spark's
-	// cache()).
+	// Cached requests materialization after first computation: later reads
+	// take the cached copy instead of recomputing (Spark's cache()). Where
+	// and how long a copy lives is the backend's. The simulator
+	// (exec.Engine) keeps it on its host for the engine's life, so later
+	// jobs over the same lineage read it too; a task on another host reads
+	// it over the network. The live cluster keeps it on the worker that
+	// computed it until the job ends, and a plan.MemBackend on its site for
+	// the backend's one job; a task on another site recomputes it from the
+	// lineage. EvalLocal computes every node once per call.
 	Cached bool
 
 	graph *Graph
@@ -256,6 +262,8 @@ func (r *RDD) MapPartitions(name string, fn func(part int, in []Pair) []Pair) *R
 }
 
 // Cache marks the RDD for materialization (Spark's cache()) and returns it.
+// A cached partition is read by the later stages of the same job on every
+// backend, and by later jobs only on the simulator's (see Cached).
 func (r *RDD) Cache() *RDD {
 	r.Cached = true
 	return r
