@@ -12,8 +12,9 @@
 // read happens here), compute, then either register shuffle output, push to
 // the next phase's receiver task (transferTo), or ship results to the
 // driver. Fault tolerance is Spark's retry path and nothing more: a failed
-// attempt is re-submitted until plan.MaxAttempts, and a reducer that finds
-// map output lost with its host recomputes it (FetchFailed). Scripted
+// attempt is re-submitted until plan.MaxAttempts, and a reader that finds
+// map output lost with its host gives its slot back while the lost map
+// tasks run again, then is resubmitted (FetchFailed). Scripted
 // reducer failures (FailureSpec) and host failures (HostFailure) are the
 // two fault inputs, reproducing the paper's Fig. 2 recovery behaviour.
 package exec
@@ -158,8 +159,10 @@ type Engine struct {
 	deadHosts []bool
 	// producers maps shuffle ID → the stage that computes its map output,
 	// for failure recovery.
-	producers  map[int]*stageState
-	recovering map[recoveryKey]bool
+	producers map[int]*stageState
+	// parked holds, per shuffle ID, the tasks waiting for its lost map
+	// output to be recomputed (made on the first loss).
+	parked map[int][]*taskRun
 
 	activeJobs int
 }
@@ -174,20 +177,19 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	clock := sim.NewClock()
 	e := &Engine{
-		Clock:      clock,
-		Net:        simnet.New(clock, topo, seed, cfg.Net),
-		Topo:       topo,
-		Sched:      sched.New(clock, topo, seed),
-		Events:     obs.NewCollector(),
-		cfg:        cfg,
-		reg:        shuffle.NewRegistry(),
-		noiseRNG:   sim.Stream(seed, "exec.noise"),
-		aggRNG:     sim.Stream(seed, "exec.aggpolicy"),
-		cache:      make(map[int][]*cachedPart),
-		deadHosts:  make([]bool, topo.NumHosts()),
-		producers:  make(map[int]*stageState),
-		recovering: make(map[recoveryKey]bool),
-		traceID:    trace.TraceID(fmt.Sprintf("sim-%d", seed)),
+		Clock:     clock,
+		Net:       simnet.New(clock, topo, seed, cfg.Net),
+		Topo:      topo,
+		Sched:     sched.New(clock, topo, seed),
+		Events:    obs.NewCollector(),
+		cfg:       cfg,
+		reg:       shuffle.NewRegistry(),
+		noiseRNG:  sim.Stream(seed, "exec.noise"),
+		aggRNG:    sim.Stream(seed, "exec.aggpolicy"),
+		cache:     make(map[int][]*cachedPart),
+		deadHosts: make([]bool, topo.NumHosts()),
+		producers: make(map[int]*stageState),
+		traceID:   trace.TraceID(fmt.Sprintf("sim-%d", seed)),
 	}
 	e.links = netobs.NewEstimator(netobs.Config{})
 	e.scheduleHostFailures()
@@ -248,12 +250,13 @@ type Result struct {
 	// the "inter-datacenter transfers visible to the developer" point of
 	// Sec. IV-E (the paper surfaces them in the Spark WebUI).
 	PairBytes [][]float64
-	// TaskAttempts counts every task attempt launched, including failed
-	// ones.
+	// TaskAttempts counts every task attempt scheduled, including failed
+	// ones and the resubmission of a reader parked on lost shuffle output.
 	TaskAttempts int
 	// Retries counts re-submissions after a failed attempt (scripted
 	// failures and lost hosts). Recomputing a lost map output is a fresh
-	// attempt 1, not a retry.
+	// attempt 1, and a parked reader's resubmission keeps its attempt
+	// number: neither is a retry.
 	Retries int
 }
 

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
+	"wanshuffle/internal/obs"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
 )
@@ -82,44 +84,69 @@ func (e *Engine) liveReplica(h topology.HostID) topology.HostID {
 	return h // no replicas left; the read will hang on a dead host
 }
 
-// recoverShuffle triggers recomputation of a shuffle's missing map outputs
-// (after invalidation). Idempotent per partition: a recompute already in
-// flight is not duplicated. Returns true if recovery is pending.
+// recoverShuffle starts recomputing a shuffle's lost map outputs and
+// reports whether any are missing. A missing part whose producer's partDone
+// is false is already being recomputed, so it is not submitted twice.
 func (e *Engine) recoverShuffle(shuffleID int) bool {
-	// First invalidate outputs still registered on dead hosts.
-	numMaps := e.reg.NumMaps(shuffleID)
-	for m := 0; m < numMaps; m++ {
-		if out := e.reg.Output(shuffleID, m); out != nil && e.deadHosts[out.Host] {
-			e.reg.Invalidate(shuffleID, m)
-		}
-	}
 	missing := e.reg.Missing(shuffleID)
-	if len(missing) == 0 {
-		return false
-	}
 	producer, ok := e.producers[shuffleID]
 	if !ok {
 		panic("exec: missing producer stage for shuffle recovery")
 	}
 	for _, m := range missing {
-		key := recoveryKey{shuffleID, m}
-		if e.recovering[key] {
+		if !producer.partDone[m] {
 			continue
 		}
-		e.recovering[key] = true
 		// Reopen the map task: the stage's completion bookkeeping rolls
 		// back for this partition and a fresh attempt is submitted.
 		producer.partDone[m] = false
 		producer.tasksDone--
 		e.submitTask(&taskRun{ss: producer, part: m, phase: producer.startPhase, attempt: 1})
 	}
+	return len(missing) > 0
+}
+
+// parkOnLostShuffle is where a task about to read shuffle output decides to
+// wait for it (Spark's FetchFailed). If a shuffle that needs reads has lost
+// output, it starts recomputing every lost map output there, gives its
+// slot back and parks on the first such shuffle, and reports true. The
+// parked attempt is neither a retry nor counted against plan.MaxAttempts:
+// unpark submits it again, same attempt number, once the shuffle is whole.
+func (e *Engine) parkOnLostShuffle(t *taskRun, host topology.HostID, release func(), needs []need) bool {
+	lost := -1
+	for _, n := range needs {
+		if n.kind != needShuffleRead {
+			continue
+		}
+		for di := range n.node.Deps {
+			if id := n.node.Deps[di].Shuffle.ID; e.recoverShuffle(id) && lost < 0 {
+				lost = id
+			}
+		}
+	}
+	if lost < 0 {
+		return false
+	}
+	release()
+	e.taskEvent(obs.PhaseFailed, t, int(e.Topo.DCOf(host)), fmt.Errorf("shuffle %d output lost", lost))
+	if e.parked == nil {
+		e.parked = make(map[int][]*taskRun)
+	}
+	e.parked[lost] = append(e.parked[lost], t)
 	return true
 }
 
-type recoveryKey struct{ shuffleID, mapPart int }
-
-// recoveryDone clears the in-flight marker once a recomputed map output is
-// registered again.
-func (e *Engine) recoveryDone(shuffleID, mapPart int) {
-	delete(e.recovering, recoveryKey{shuffleID, mapPart})
+// unpark resubmits the tasks parked on a shuffle once every map output of
+// it is registered again. Output lost since they parked (a later host
+// failure) is reopened here, since no other registration may come to wake
+// them.
+func (e *Engine) unpark(shuffleID int) {
+	parked := e.parked[shuffleID]
+	if len(parked) == 0 || e.recoverShuffle(shuffleID) {
+		return
+	}
+	delete(e.parked, shuffleID)
+	for _, t := range parked {
+		e.submitTask(t)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
@@ -47,29 +48,25 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 	dcB, _ := topo.DCByName("dc-b")
 	mapperHost := topo.HostsIn(dcA)[0]
 
-	run := func(push bool, failAt float64) *Result {
-		cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6}
-		if failAt > 0 {
-			cfg.HostFailures = []HostFailure{{Host: mapperHost, At: failAt}}
-		}
+	run := func(push bool, failures ...HostFailure) (*Result, *Engine) {
+		cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures}
 		eng := New(topo, 3, cfg)
 		res, err := eng.Run(hostFailJob(topo, dcA, dcB, push, even), ActionSave, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, eng
 	}
 
 	// Pick a failure instant after the map stage finished in both modes
 	// (under push, once every push has landed) but before either job ends.
-	clean := run(false, 0)
-	pushClean := run(true, 0)
+	clean, _ := run(false)
+	pushClean, _ := run(true)
 	failAt := max(clean.Stages[0].End, pushClean.Stages[0].End) + 1
 	if failAt >= min(clean.End, pushClean.End) {
 		t.Fatalf("no window to inject failure: stages %v / %v", clean.Stages, pushClean.Stages)
 	}
-
-	fetchFail := run(false, failAt)
+	fetchFail, eng := run(false, HostFailure{Host: mapperHost, At: failAt})
 	if canonSet(fetchFail.Records) != canonSet(clean.Records) {
 		t.Fatal("fetch-mode recovery produced wrong results")
 	}
@@ -80,8 +77,39 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 	if fetchFail.JCT <= clean.JCT {
 		t.Fatalf("fetch-mode failure was free: %.2f vs %.2f", fetchFail.JCT, clean.JCT)
 	}
+	// A reducer that finds the shuffle output lost ends its attempt with
+	// one failed event naming the shuffle, and is scheduled again under
+	// the same attempt number once the lost maps have re-run: no retry.
+	if fetchFail.Retries != 0 {
+		t.Fatalf("%d retries, want 0", fetchFail.Retries)
+	}
+	reduce := fetchFail.Stages[1].ID
+	parked, scheduled := 0, 0
+	for _, ev := range eng.Events.TaskEvents() {
+		if ev.Stage != reduce {
+			continue
+		}
+		if ev.Attempt != 1 {
+			t.Fatalf("reducer event %+v, want attempt 1", ev)
+		}
+		switch ev.Phase {
+		case obs.PhaseFailed:
+			if ev.Err != "shuffle 1 output lost" {
+				t.Fatalf("parked reducer failed with %q", ev.Err)
+			}
+			parked++
+		case obs.PhaseScheduled:
+			scheduled++
+		}
+	}
+	if parked == 0 || scheduled != 2+parked {
+		t.Fatalf("%d reducers parked and %d scheduled, want some parked and each resubmitted once", parked, scheduled)
+	}
 
-	pushFail := run(true, failAt)
+	// The other mapper host dies while the first lost map is being
+	// recomputed: its outputs are lost after the reducers parked, and
+	// recovery must pick them up too.
+	pushFail, _ := run(true, HostFailure{Host: mapperHost, At: failAt})
 	if canonSet(pushFail.Records) != canonSet(pushClean.Records) {
 		t.Fatal("push-mode results wrong under host failure")
 	}
@@ -95,6 +123,54 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 	pushPenalty := pushFail.JCT - pushClean.JCT
 	if pushPenalty >= fetchPenalty {
 		t.Fatalf("push host-failure penalty %.2f not below fetch %.2f", pushPenalty, fetchPenalty)
+	}
+}
+
+// TestSecondHostFailureWhileRecomputing kills a second mapper host while
+// the first one's lost maps are being recomputed: its registered output is
+// lost after the reducers parked, and they must wait for it to be
+// recomputed too. dc-a keeps a live host, so the recomputed maps stay there.
+func TestSecondHostFailureWhileRecomputing(t *testing.T) {
+	b := topology.NewBuilder()
+	dcA := b.AddDC("dc-a", 3, 2, topology.Gbps)
+	dcB := b.AddDC("dc-b", 2, 2, topology.Gbps)
+	b.Link(dcA, dcB, topology.Gbps/4, 40*topology.Millisecond)
+	b.Driver(dcB)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappers := topo.HostsIn(dcA)
+
+	run := func(failures ...HostFailure) (*Result, *Engine) {
+		cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures}
+		eng := New(topo, 3, cfg)
+		res, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, eng
+	}
+	clean, _ := run()
+	first := HostFailure{Host: mappers[0], At: clean.Stages[0].End + 1}
+	once, eng := run(first)
+	recomputeAt := -1.0
+	for _, ev := range eng.Events.TaskEvents() {
+		if ev.Stage == once.Stages[0].ID && ev.Phase == obs.PhaseStarted && ev.Time > first.At {
+			recomputeAt = ev.Time
+			break
+		}
+	}
+	if recomputeAt < 0 {
+		t.Fatal("no lost map was recomputed")
+	}
+
+	twice, _ := run(first, HostFailure{Host: mappers[1], At: recomputeAt + 1})
+	if canonSet(twice.Records) != canonSet(clean.Records) {
+		t.Fatal("recovery from a second failure produced wrong results")
+	}
+	if twice.TaskAttempts <= once.TaskAttempts {
+		t.Fatalf("second failure recomputed nothing: %d vs %d attempts", twice.TaskAttempts, once.TaskAttempts)
 	}
 }
 

@@ -151,3 +151,42 @@ func TestQuickRandomLineagesWithChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestLostShuffleReadersGiveSlotsBack replays seven draws of a seeded chaos
+// search (seeds 0–299, six trials each, a random worker killed on top of
+// faultSchedule). Under Centralize every task is pinned to one datacenter,
+// so a reader waiting for lost map output must not keep a slot there:
+// waiting readers could fill all of its live slots, and the map tasks that
+// would restore the output would never run.
+func TestLostShuffleReadersGiveSlotsBack(t *testing.T) {
+	topo := topology.SixRegionEC2()
+	workers := topo.Workers()
+	for _, c := range []struct {
+		seed  int64
+		trial int
+	}{{55, 3}, {78, 4}, {103, 5}, {143, 0}, {159, 3}, {169, 1}, {231, 1}} {
+		build := func() *rdd.RDD { return buildRandomLineage(c.seed, rdd.NewGraph(), topo) }
+		run := func(cfg Config) *Result {
+			t.Helper()
+			cfg.ComputeNoise = 0.5
+			res, err := New(topo, c.seed+1, cfg).Run(build(), ActionSave, RunOptions{Centralize: true})
+			if err != nil {
+				t.Fatalf("seed %d trial %d: %v", c.seed, c.trial, err)
+			}
+			return res
+		}
+		clean := run(Config{})
+		rng := rand.New(rand.NewSource(c.seed))
+		var cfg Config
+		for trial := 0; trial <= c.trial; trial++ {
+			cfg.ScriptedFailures = faultSchedule(t, rng, build())
+			cfg.HostFailures = []HostFailure{{
+				Host: workers[rng.Intn(len(workers))],
+				At:   clean.JCT * (0.1 + 0.8*rng.Float64()),
+			}}
+		}
+		if got, want := canon(run(cfg).Records), canon(rdd.CollectLocal(build())); got != want {
+			t.Fatalf("seed %d trial %d: output diverges from reference", c.seed, c.trial)
+		}
+	}
+}

@@ -365,31 +365,10 @@ func (e *Engine) pushLost(t *taskRun, host topology.HostID, release func()) bool
 // acquireThenCompute fetches a phase-0 task's inputs: local disk reads plus
 // concurrent network flows for remote sources, caches, and shuffle shards
 // (the fetch-based all-to-all burst).
-// recoveryPoll is how often a blocked shuffle read re-checks for recovered
-// map output.
-const recoveryPoll = 1.0
-
 func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release func(), start float64) {
 	var needs []need
 	e.walkNeeds(t.ss.st.Phases[t.phase].Top, t.part, t.bound, &needs)
-
-	// Lost shuffle output (host failure) must be recomputed before this
-	// read can proceed: trigger recovery and hold the slot until the map
-	// side refills (Spark fails the stage and waits; holding the reducer
-	// is the event-level equivalent).
-	recoveryPending := false
-	for _, n := range needs {
-		if n.kind != needShuffleRead {
-			continue
-		}
-		for di := range n.node.Deps {
-			if e.recoverShuffle(n.node.Deps[di].Shuffle.ID) {
-				recoveryPending = true
-			}
-		}
-	}
-	if recoveryPending {
-		e.Clock.After(recoveryPoll, func() { e.acquireThenCompute(t, host, release, start) })
+	if e.parkOnLostShuffle(t, host, release, needs) {
 		return
 	}
 
@@ -496,22 +475,17 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 	}
 
 	var cost float64
-	// Aggregate shuffle boundaries reachable by this phase first.
+	// Aggregate shuffle boundaries reachable by this phase first. The fetch
+	// may have raced a host failure that lost some of their output.
 	var needs []need
 	e.walkNeeds(phase.Top, t.part, bound, &needs)
+	if e.parkOnLostShuffle(t, host, release, needs) {
+		return
+	}
 	isReduce := false
 	for _, n := range needs {
 		if n.kind == needShuffleRead {
 			isReduce = true
-			// The fetch may have raced a host failure (Spark's
-			// FetchFailed): if output went missing, trigger recovery and
-			// re-fetch once it is restored.
-			for di := range n.node.Deps {
-				if e.recoverShuffle(n.node.Deps[di].Shuffle.ID) {
-					e.Clock.After(recoveryPoll, func() { e.acquireThenCompute(t, host, release, start) })
-					return
-				}
-			}
 			if _, ok := bound[n.node.ID]; !ok {
 				bound[n.node.ID] = e.aggregateShuffle(n.node, t.part, host, &cost)
 			}
@@ -691,7 +665,7 @@ func (e *Engine) postPhase(t *taskRun, host topology.HostID, out partData, bound
 	}
 	if st.OutSpec != nil {
 		e.reg.AddMapOutput(st.OutSpec.ID, t.part, host, out.records, out.modeled)
-		e.recoveryDone(st.OutSpec.ID, t.part)
+		e.unpark(st.OutSpec.ID)
 		e.Clock.After(out.modeled/diskBps, func() {
 			e.taskEvent(obs.PhaseFinished, t, int(e.Topo.DCOf(host)), nil)
 			release()
@@ -772,7 +746,8 @@ func (e *Engine) taskDone(ss *stageState) {
 	}
 	if ss.completed {
 		// A post-failure recomputation refilled the stage; children are
-		// already running (or waiting on the recovered shuffle reads).
+		// already running, and its registration resubmitted the readers
+		// parked on the lost output.
 		return
 	}
 	if ss.st.OutSpec != nil && e.recoverShuffle(ss.st.OutSpec.ID) {

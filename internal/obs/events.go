@@ -7,7 +7,9 @@ type TaskPhase string
 
 // Task lifecycle phases, in the order a healthy task passes through them.
 // A failing attempt emits PhaseFailed; if the retry budget allows another
-// attempt, PhaseRetried follows with the new attempt number.
+// attempt, PhaseRetried follows with the new attempt number. A simulated
+// reader that finds shuffle output lost emits PhaseFailed and is scheduled
+// again, same attempt number, once the output is recomputed.
 const (
 	PhaseScheduled TaskPhase = "scheduled"
 	PhaseStarted   TaskPhase = "started"

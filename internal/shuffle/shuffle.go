@@ -191,14 +191,6 @@ func (r *Registry) Finalize(shuffleID int) {
 	}
 }
 
-// NumMaps returns the shuffle's map-side partition count.
-func (r *Registry) NumMaps(shuffleID int) int { return r.mustState(shuffleID).numMaps }
-
-// Output returns one registered map output (nil if not yet registered).
-func (r *Registry) Output(shuffleID, mapPart int) *MapOutput {
-	return r.mustState(shuffleID).outputs[mapPart]
-}
-
 // Shard is a reducer's view of one map output: where it is stored and how
 // big its slice is.
 type Shard struct {

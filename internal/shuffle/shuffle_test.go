@@ -26,7 +26,11 @@ func TestRegisterIdempotent(t *testing.T) {
 	reg, spec := newHashShuffle(t, 2, 2)
 	reg.AddMapOutput(1, 0, 0, []rdd.Pair{rdd.KV("a", 1)}, 100)
 	reg.Register(spec, 2) // must not wipe outputs
-	if reg.Output(1, 0) == nil {
+	if missing := reg.Missing(1); len(missing) != 1 || missing[0] != 1 {
+		t.Fatalf("re-Register left missing %v, want [1]", missing)
+	}
+	reg.AddMapOutput(1, 1, 0, []rdd.Pair{rdd.KV("b", 2)}, 100)
+	if !reg.Complete(1) {
 		t.Fatal("re-Register cleared outputs")
 	}
 }
