@@ -282,7 +282,7 @@ func Example_geoPageRank() {
 	}
 	// Output:
 	// Scheme          JCT (s)    cross-DC (MB)
-	// Spark              93.9             3120
+	// Spark              91.2             3120
 	// AggShuffle         44.8              400
 	// Top pages:
 	//   page0000     25.1138

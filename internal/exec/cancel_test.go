@@ -18,9 +18,9 @@ func TestErrBusyIsTyped(t *testing.T) {
 	g := rdd.NewGraph()
 	probe := multiJobInput(g, topo, 0)
 	var nestedErr error
-	nested := probe.MapPartitions("hook", func(_ int, in []rdd.Pair) []rdd.Pair {
+	nested := probe.Map("hook", func(p rdd.Pair) rdd.Pair {
 		_, nestedErr = eng.RunMany([]JobSpec{{Target: probe, Action: ActionCount}})
-		return in
+		return p
 	})
 	if _, err := eng.Run(nested, ActionCount, RunOptions{}); err != nil {
 		t.Fatal(err)
@@ -57,9 +57,9 @@ func TestRunManyContextCancelMidRun(t *testing.T) {
 	g := rdd.NewGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	target := multiJobInput(g, topo, 0).MapPartitions("trip", func(_ int, in []rdd.Pair) []rdd.Pair {
+	target := multiJobInput(g, topo, 0).Map("trip", func(p rdd.Pair) rdd.Pair {
 		cancel()
-		return in
+		return p
 	}).ReduceByKey("r", 4, sum)
 	_, err := eng.RunManyContext(ctx, []JobSpec{{Target: target, Action: ActionSave}})
 	if !errors.Is(err, context.Canceled) {

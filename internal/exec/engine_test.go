@@ -361,9 +361,9 @@ func TestCacheAvoidsRecomputationAcrossJobs(t *testing.T) {
 	g := rdd.NewGraph()
 	in := spreadInput(g, topo, 5*mb)
 	computes := 0
-	heavy := in.MapPartitions("heavy", func(_ int, recs []rdd.Pair) []rdd.Pair {
+	heavy := in.Map("heavy", func(p rdd.Pair) rdd.Pair {
 		computes++
-		return recs
+		return p
 	}).Cache()
 	eng := New(topo, 1, Config{})
 	if _, err := eng.Run(heavy, ActionCount, RunOptions{}); err != nil {

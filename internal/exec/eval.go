@@ -63,12 +63,8 @@ func (e *Engine) walkNeeds(node *rdd.RDD, part int, bound map[int]partData, out 
 		*out = append(*out, need{kind: needShuffleRead, node: node})
 		return
 	}
-	for di := range node.Deps {
-		d := &node.Deps[di]
-		for _, pi := range d.ParentParts(part) {
-			e.walkNeeds(d.Parent, pi, bound, out)
-		}
-	}
+	parent, pp := node.ParentPart(part)
+	e.walkNeeds(parent, pp, bound, out)
 }
 
 func (e *Engine) cachedPart(node *rdd.RDD, part int) *cachedPart {
@@ -107,6 +103,29 @@ func (e *Engine) storeCache(node *rdd.RDD, part int, host topology.HostID, data 
 // they pass.
 func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) partData {
 	ops, base := e.chain(node, part, host, bound, cost)
+	return stream(ops, base, cost)
+}
+
+// chain walks down from node through the narrow operators that run record
+// by record on their one parent partition (rdd.RDD.Each: neither bound nor
+// Cached) and materialises the first node that is not one. It returns the
+// walked operators bottom-up, and the materialised base they read.
+func (e *Engine) chain(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) ([]*rdd.RDD, partData) {
+	var ops []*rdd.RDD
+	for node.Each != nil && !node.Cached {
+		if _, ok := bound[node.ID]; ok {
+			break
+		}
+		ops = append(ops, node)
+		node, part = node.ParentPart(part)
+	}
+	slices.Reverse(ops)
+	return ops, e.materialise(node, part, host, bound, cost)
+}
+
+// stream runs base's records through ops, bottom-up, into one output slice
+// sized from the base (meter prices each operator).
+func stream(ops []*rdd.RDD, base partData, cost *float64) partData {
 	if len(ops) == 0 {
 		return base
 	}
@@ -114,55 +133,6 @@ func (e *Engine) evaluate(node *rdd.RDD, part int, host topology.HostID, bound m
 	out := meter(ops, base, cost, func(p rdd.Pair) { recs = append(recs, p) })
 	out.records = recs
 	return out
-}
-
-// chain walks down from node through the operators that run record by
-// record — a per-record operator (rdd.RDD.Each) or a transfer node (an
-// identity) that reads exactly one parent partition and is neither bound nor
-// Cached — and materialises the first node that is not one. It returns the
-// walked operators bottom-up, and the materialised base they read.
-func (e *Engine) chain(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) ([]*rdd.RDD, partData) {
-	var ops []*rdd.RDD
-	for {
-		parent, parentPart, ok := streamParent(node, part, bound)
-		if !ok {
-			break
-		}
-		ops = append(ops, node)
-		node, part = parent, parentPart
-	}
-	slices.Reverse(ops)
-	return ops, e.materialise(node, part, host, bound, cost)
-}
-
-// streamParent returns the one parent partition that partition part of node
-// reads, if node can run record by record on it.
-func streamParent(node *rdd.RDD, part int, bound map[int]partData) (*rdd.RDD, int, bool) {
-	if node.Each == nil && node.Transfer == nil || node.Cached {
-		return nil, 0, false
-	}
-	if _, ok := bound[node.ID]; ok {
-		return nil, 0, false
-	}
-	var parent *rdd.RDD
-	parentPart := 0
-	for di := range node.Deps {
-		d := &node.Deps[di]
-		if d.Mapping == nil {
-			if parent != nil {
-				return nil, 0, false
-			}
-			parent, parentPart = d.Parent, part
-			continue
-		}
-		for _, pi := range d.Mapping(part) {
-			if parent != nil {
-				return nil, 0, false
-			}
-			parent, parentPart = d.Parent, pi
-		}
-	}
-	return parent, parentPart, parent != nil
 }
 
 // meter streams base's records through ops, bottom-up, into emit, and sizes
@@ -176,11 +146,10 @@ func streamParent(node *rdd.RDD, part int, bound map[int]partData) (*rdd.RDD, in
 func meter(ops []*rdd.RDD, base partData, cost *float64, emit func(rdd.Pair)) partData {
 	sums := make([]float64, len(ops)) // each operator's real output bytes so far
 	for k := len(ops) - 1; k >= 0; k-- {
-		each := ops[k].Each
-		if each == nil {
+		if ops[k].Transfer != nil {
 			continue
 		}
-		next := emit
+		each, next := ops[k].Each, emit
 		metered := func(p rdd.Pair) {
 			sums[k] += rdd.SizeOf(p)
 			next(p)
@@ -193,10 +162,8 @@ func meter(ops []*rdd.RDD, base partData, cost *float64, emit func(rdd.Pair)) pa
 	out := partData{real: base.real, modeled: base.modeled}
 	for k, op := range ops {
 		outReal := out.real
-		if op.Each != nil {
-			outReal = sums[k]
-		}
 		if op.Transfer == nil {
+			outReal = sums[k]
 			*cost += out.modeled
 		}
 		out = partData{real: outReal, modeled: scaleTo(outReal, out.real, out.modeled)}
@@ -205,8 +172,8 @@ func meter(ops []*rdd.RDD, base partData, cost *float64, emit func(rdd.Pair)) pa
 }
 
 // materialise computes a node that does not run record by record: boundary
-// data, a cached partition, a leaf, or a narrow node over its whole input
-// (MapPartitions, several parent partitions, a Cached node).
+// data, a cached partition, a leaf, or a Cached narrow node computed whole
+// from its one parent partition, so that it can be kept.
 func (e *Engine) materialise(node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) partData {
 	if d, ok := bound[node.ID]; ok {
 		// Boundary data (e.g. a pushed partition at a receiver) can still
@@ -225,28 +192,8 @@ func (e *Engine) materialise(node *rdd.RDD, part int, host topology.HostID, boun
 	if node.Deps[0].Kind == rdd.DepShuffle {
 		panic(fmt.Sprintf("exec: shuffle boundary %q not acquired before evaluation", node.Name))
 	}
-	var in []rdd.Pair
-	var inModeled float64
-	for di := range node.Deps {
-		d := &node.Deps[di]
-		for _, pi := range d.ParentParts(part) {
-			pd := e.evaluate(d.Parent, pi, host, bound, cost)
-			in = append(in, pd.records...)
-			inModeled += pd.modeled
-		}
-	}
-	outRecs := node.Narrow(part, in)
-	outReal := rdd.SizeOfAll(outRecs)
-	out := partData{
-		records: outRecs,
-		real:    outReal,
-		modeled: scaleTo(outReal, rdd.SizeOfAll(in), inModeled),
-	}
-	if node.Transfer == nil {
-		// Transfer nodes are identity pass-throughs; they cost network
-		// time, not CPU.
-		*cost += inModeled
-	}
+	parent, pp := node.ParentPart(part)
+	out := stream([]*rdd.RDD{node}, e.evaluate(parent, pp, host, bound, cost), cost)
 	e.storeCache(node, part, host, out)
 	return out
 }

@@ -182,33 +182,39 @@ func canonSet(records []rdd.Pair) string {
 	return canon(records)
 }
 
-// TestHostFailureDuringMapStage covers death before the stage barrier: the
-// running map attempt fails over to a live host and the job completes.
+// TestHostFailureDuringMapStage covers death before the stage barrier, of
+// one of dc-a's hosts and of both: the running map attempts fail over to
+// live hosts and the job completes. With both dead, every map task prefers
+// a dead host, so each waits out delay scheduling and runs wherever a slot
+// is free: the recheck that relaxes its locality must fire at the instant
+// the level changes, however the clock rounds, or the task stays queued
+// with free slots and the run stalls.
 func TestHostFailureDuringMapStage(t *testing.T) {
 	topo := topology.TwoDCMicro()
 	dcA, _ := topo.DCByName("dc-a")
 	dcB, _ := topo.DCByName("dc-b")
-	mapperHost := topo.HostsIn(dcA)[1]
-	cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6,
-		HostFailures: []HostFailure{{Host: mapperHost, At: 1.0}}}
-	eng := New(topo, 3, cfg)
-	res, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := func() *Result {
-		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6})
-		r, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
+	run := func(failures []HostFailure) *Result {
+		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures})
+		res, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%d hosts killed: %v", len(failures), err)
 		}
-		return r
-	}()
-	if canonSet(res.Records) != canonSet(clean.Records) {
-		t.Fatal("results wrong after mid-map host failure")
+		return res
 	}
-	if res.TaskAttempts <= clean.TaskAttempts {
-		t.Fatalf("no failover attempts recorded: %d vs %d", res.TaskAttempts, clean.TaskAttempts)
+	clean := run(nil)
+	hosts := topo.HostsIn(dcA)
+	for _, victims := range [][]topology.HostID{hosts[1:2], hosts} {
+		var failures []HostFailure
+		for _, h := range victims {
+			failures = append(failures, HostFailure{Host: h, At: 1.0})
+		}
+		res := run(failures)
+		if canonSet(res.Records) != canonSet(clean.Records) {
+			t.Fatalf("results wrong after %d hosts died mid-map", len(victims))
+		}
+		if res.TaskAttempts <= clean.TaskAttempts {
+			t.Fatalf("%d hosts killed: no failover attempts recorded: %d vs %d", len(victims), res.TaskAttempts, clean.TaskAttempts)
+		}
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 )
 
 // materialisedEvaluate is the evaluator the metered chain replaced, kept as
-// the oracle: every operator's output is built as a slice by its Narrow, and
-// every size is rdd.SizeOfAll of a slice.
+// the oracle: every operator's output is built as a slice, its Each applied
+// to its parent partition's slice, and every size is rdd.SizeOfAll of a
+// slice.
 func materialisedEvaluate(e *Engine, node *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) partData {
 	if d, ok := bound[node.ID]; ok {
 		e.storeCache(node, part, host, d)
@@ -30,24 +31,19 @@ func materialisedEvaluate(e *Engine, node *rdd.RDD, part int, host topology.Host
 		in := node.Input[part]
 		return partData{records: in.Records, real: rdd.SizeOfAll(in.Records), modeled: in.ModeledBytes}
 	}
-	var in []rdd.Pair
-	var inModeled float64
-	for di := range node.Deps {
-		d := &node.Deps[di]
-		for _, pi := range d.ParentParts(part) {
-			pd := materialisedEvaluate(e, d.Parent, pi, host, bound, cost)
-			in = append(in, pd.records...)
-			inModeled += pd.modeled
-		}
+	parent, pp := node.ParentPart(part)
+	in := materialisedEvaluate(e, parent, pp, host, bound, cost)
+	var outRecs []rdd.Pair
+	for _, p := range in.records {
+		node.Each(p, func(q rdd.Pair) { outRecs = append(outRecs, q) })
 	}
-	outRecs := node.Narrow(part, in)
 	out := partData{
 		records: outRecs,
 		real:    rdd.SizeOfAll(outRecs),
-		modeled: scaleTo(rdd.SizeOfAll(outRecs), rdd.SizeOfAll(in), inModeled),
+		modeled: scaleTo(rdd.SizeOfAll(outRecs), rdd.SizeOfAll(in.records), in.modeled),
 	}
 	if node.Transfer == nil {
-		*cost += inModeled
+		*cost += in.modeled
 	}
 	e.storeCache(node, part, host, out)
 	return out

@@ -98,12 +98,12 @@ func TestRunManyRejectsNestedRuns(t *testing.T) {
 	eng := New(topo, 1, Config{})
 	g := rdd.NewGraph()
 	probe := multiJobInput(g, topo, 0)
-	nested := probe.MapPartitions("hook", func(_ int, in []rdd.Pair) []rdd.Pair {
+	nested := probe.Map("hook", func(p rdd.Pair) rdd.Pair {
 		// Re-entrant RunMany from inside a running job must fail.
 		if _, err := eng.RunMany([]JobSpec{{Target: probe, Action: ActionCount}}); err == nil {
 			t.Error("nested RunMany succeeded")
 		}
-		return in
+		return p
 	})
 	if _, err := eng.Run(nested, ActionCount, RunOptions{}); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,11 @@ package livecluster
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,12 +15,34 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
+// computed counts, per key, the records the Cached node of the jobs below
+// computes. rdd.EvalLocal computes each partition once, so a backend that
+// does the same counts what the reference counts.
+type computed struct {
+	mu    sync.Mutex
+	byKey map[string]int
+}
+
+// take returns the counts so far and starts over.
+func (c *computed) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	byKey := c.byKey
+	c.byKey = nil
+	return byKey
+}
+
 // counted is the Cached node of the jobs below: its input as it is, with
-// every computation of one of its partitions counted in calls.
-func counted(in *rdd.RDD, calls *atomic.Int64) *rdd.RDD {
-	return in.MapPartitions("count", func(_ int, recs []rdd.Pair) []rdd.Pair {
-		calls.Add(1)
-		return recs
+// every record it computes counted in calls.
+func counted(in *rdd.RDD, calls *computed) *rdd.RDD {
+	return in.Map("count", func(p rdd.Pair) rdd.Pair {
+		calls.mu.Lock()
+		if calls.byKey == nil {
+			calls.byKey = map[string]int{}
+		}
+		calls.byKey[p.Key]++
+		calls.mu.Unlock()
+		return p
 	}).Cache()
 }
 
@@ -28,7 +52,7 @@ func addInts(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }
 // read by three later stages: the map sides of shuffles "a" and "b" and the
 // left side of join "c". Its inputs are drawn from seed; its shape is the
 // same for every seed, so two builds number their nodes alike.
-func cachedFanOut(parts int, seed int64, calls *atomic.Int64) *rdd.RDD {
+func cachedFanOut(parts int, seed int64, calls *computed) *rdd.RDD {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := make([]rdd.InputPartition, parts)
 	for p := range inputs {
@@ -103,8 +127,9 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 			}
 			defer cluster.Close()
 			for seed := int64(1); seed <= 2; seed++ {
-				var calls atomic.Int64
+				var calls computed
 				want := canon(rdd.CollectLocal(cachedFanOut(parts, seed, &calls)))
+				once := calls.take()
 				job, err := plan.BuildJob(shuffledAs(scheme, cachedFanOut(parts, seed, &calls)))
 				if err != nil {
 					t.Fatal(err)
@@ -113,7 +138,6 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 					t.Fatalf("%d stages read the cached node, want at least 3", n)
 				}
 
-				calls.Store(0)
 				out, _, err := cluster.Run(shuffledAs(scheme, cachedFanOut(parts, seed, &calls)))
 				if err != nil {
 					t.Fatalf("job %d: %v", seed, err)
@@ -121,12 +145,11 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 				if canon(out) != want {
 					t.Errorf("job %d on the live cluster diverges from the reference", seed)
 				}
-				if n := calls.Load(); n != parts {
-					t.Errorf("job %d on the live cluster computed the cached node's partitions %d times, want %d", seed, n, parts)
+				if got := calls.take(); !maps.Equal(got, once) {
+					t.Errorf("job %d on the live cluster computed the cached node's keys %v times, want the reference's %v", seed, got, once)
 				}
 				checkCachesDropped(t, cluster)
 
-				calls.Store(0)
 				got, err := plan.NewDriver(job, plan.NewMemBackend(sites), plan.DriverConfig{}).Run()
 				if err != nil {
 					t.Fatalf("job %d on MemBackend: %v", seed, err)
@@ -134,8 +157,8 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 				if canon(slices.Concat(got...)) != want {
 					t.Errorf("job %d on MemBackend diverges from the reference", seed)
 				}
-				if n := calls.Load(); n != parts {
-					t.Errorf("job %d on MemBackend computed the cached node's partitions %d times, want %d", seed, n, parts)
+				if got := calls.take(); !maps.Equal(got, once) {
+					t.Errorf("job %d on MemBackend computed the cached node's keys %v times, want the reference's %v", seed, got, once)
 				}
 			}
 		})
@@ -149,7 +172,7 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 // Eq. 2 aggregates every shuffle on worker 2. The first record of partition 0
 // that r2 reads closes reached and waits for release; a nil reached builds
 // the same job without the gate.
-func cachedLeafFanOut(calls *atomic.Int64, reached, release chan struct{}) *rdd.RDD {
+func cachedLeafFanOut(calls *computed, reached, release chan struct{}) *rdd.RDD {
 	inputs := make([]rdd.InputPartition, 6)
 	for p := range inputs {
 		n := 30
@@ -188,9 +211,17 @@ func cachedLeafFanOut(calls *atomic.Int64, reached, release chan struct{}) *rdd.
 // runs the job again on the two that are left, and once closed it leaves no
 // goroutine and no descriptor behind.
 func TestCachedPartitionsFailOver(t *testing.T) {
-	const parts = 6
-	var calls atomic.Int64
+	var calls computed
 	want := canon(rdd.CollectLocal(cachedLeafFanOut(&calls, nil, nil)))
+	once := calls.take()
+	// r2's task 4 and r3's task 1 compute partitions 4 and 1 again, and a
+	// key names its partition.
+	moved := maps.Clone(once)
+	for key := range moved {
+		if strings.HasPrefix(key, "p1-") || strings.HasPrefix(key, "p4-") {
+			moved[key] *= 2
+		}
+	}
 	job, err := plan.BuildJob(cachedLeafFanOut(&calls, nil, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +245,6 @@ func TestCachedPartitionsFailOver(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	reached, release := make(chan struct{}), make(chan struct{})
-	calls.Store(0)
 	go func() {
 		out, stats, err := cluster.Run(cachedLeafFanOut(&calls, reached, release))
 		done <- result{out, stats, err}
@@ -236,15 +266,14 @@ func TestCachedPartitionsFailOver(t *testing.T) {
 	if canon(res.out) != want {
 		t.Error("output after failover diverges from the reference")
 	}
-	if n := calls.Load(); n != parts+2 {
-		t.Errorf("cached node's partitions computed %d times, want %d: each once, and again by r2's task 4 and r3's task 1 on the worker they moved to", n, parts+2)
+	if got := calls.take(); !maps.Equal(got, moved) {
+		t.Errorf("cached node's keys computed %v times, want %v: the reference's, and partitions 4 and 1 again by r2's task 4 and r3's task 1 on the worker they moved to", got, moved)
 	}
 	if res.stats.Retries < 3 {
 		t.Errorf("%d retries, want at least 3: the tasks placed on the dead worker", res.stats.Retries)
 	}
 	checkCachesDropped(t, cluster)
 
-	calls.Store(0)
 	out, _, err := cluster.Run(cachedLeafFanOut(&calls, nil, nil))
 	if err != nil {
 		t.Fatalf("job after the failover: %v", err)
@@ -252,8 +281,8 @@ func TestCachedPartitionsFailOver(t *testing.T) {
 	if canon(out) != want {
 		t.Error("job after the failover diverges from the reference")
 	}
-	if n := calls.Load(); n != parts {
-		t.Errorf("job after the failover computed the cached node's partitions %d times, want %d", n, parts)
+	if got := calls.take(); !maps.Equal(got, once) {
+		t.Errorf("job after the failover computed the cached node's keys %v times, want the reference's %v", got, once)
 	}
 	checkCachesDropped(t, cluster)
 

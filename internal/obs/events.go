@@ -79,18 +79,20 @@ type PhaseCounts struct {
 }
 
 // Collector is the standard Sink: it records every event once, in one
-// unified log, and tallies it (Counts). Subscribers receive the live event
-// stream for tailing. Beside the log it keeps the run's one record of its
-// placement decisions, and it carries a metrics registry, which only
-// perf/'s probes write (ROADMAP 1(b)). A nil *Collector discards
-// everything, so callers need no enabled checks.
+// unified log numbered from 1 in arrival order, and tallies it (Counts).
+// Subscribers receive the live event stream for tailing. Beside the log it
+// keeps the run's one record of its placement decisions, and it carries a
+// metrics registry, which only perf/'s probes write (ROADMAP 1(b)). A nil
+// *Collector discards everything, so callers need no enabled checks.
 type Collector struct {
 	reg *Registry
-	log Log[Event]
-	// mu guards counts and placements, and is held across the append, so
-	// the tally and the log move together.
+	// mu guards everything below, so the tally, the log and its tails move
+	// together.
 	mu         sync.Mutex
 	counts     PhaseCounts
+	events     []Event
+	subs       map[int]chan Event
+	nextSub    int
 	placements []PlacementDecision
 }
 
@@ -117,7 +119,7 @@ func (c *Collector) OnTask(ev TaskEvent) {
 	case PhaseRetried:
 		c.counts.Retried++
 	}
-	c.log.Append(func(seq int) Event { return Event{Seq: seq, Type: "task", Task: &ev} })
+	c.appendLocked(Event{Type: "task", Task: &ev})
 	c.mu.Unlock()
 }
 
@@ -128,8 +130,22 @@ func (c *Collector) OnStage(ev StageEvent) {
 	}
 	c.mu.Lock()
 	c.counts.StagesDone++
-	c.log.Append(func(seq int) Event { return Event{Seq: seq, Type: "stage", Stage: &ev} })
+	c.appendLocked(Event{Type: "stage", Stage: &ev})
 	c.mu.Unlock()
+}
+
+// appendLocked numbers ev, logs it and fans it out to the subscribers. A
+// subscriber whose buffer is full loses the event rather than stalling the
+// publisher; the log still holds everything.
+func (c *Collector) appendLocked(ev Event) {
+	ev.Seq = len(c.events) + 1
+	c.events = append(c.events, ev)
+	for _, ch := range c.subs {
+		select {
+		case ch <- ev:
+		default:
+		}
+	}
 }
 
 // OnPlacement implements Sink.
@@ -168,16 +184,38 @@ func (c *Collector) Events() []Event {
 	if c == nil {
 		return nil
 	}
-	return c.log.Snapshot()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Event(nil), c.events...)
 }
 
-// Subscribe registers a live tail of the event stream (Log.Subscribe). A
-// nil collector returns an empty history and a nil channel.
+// Subscribe registers a live tail of the event stream: history is a copy of
+// everything logged so far, and ch carries the events logged after that
+// copy, none missed and none repeated, buffered with buf slots (at least
+// one). cancel unregisters and closes ch; it is safe to call more than once.
+// A nil collector returns an empty history and a nil channel.
 func (c *Collector) Subscribe(buf int) (history []Event, ch <-chan Event, cancel func()) {
 	if c == nil {
 		return nil, nil, func() {}
 	}
-	return c.log.Subscribe(buf)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.subs == nil {
+		c.subs = map[int]chan Event{}
+	}
+	id := c.nextSub
+	c.nextSub++
+	sub := make(chan Event, max(buf, 1))
+	c.subs[id] = sub
+	cancel = func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if _, ok := c.subs[id]; ok {
+			delete(c.subs, id)
+			close(sub)
+		}
+	}
+	return append([]Event(nil), c.events...), sub, cancel
 }
 
 // TaskEvents returns a copy of the recorded task events in arrival order.

@@ -52,10 +52,10 @@ func TestRunContextCancelMidStage(t *testing.T) {
 	defer cancel()
 	var ran atomic.Int32
 	g := rdd.NewGraph()
-	target := cancelInput(g, tasks).MapPartitions("trip", func(_ int, in []rdd.Pair) []rdd.Pair {
+	target := cancelInput(g, tasks).Map("trip", func(p rdd.Pair) rdd.Pair {
 		ran.Add(1)
 		cancel()
-		return in
+		return p
 	})
 	job, err := BuildJob(target)
 	if err != nil {

@@ -20,10 +20,10 @@ type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([][]rdd.Pair, er
 
 // EvalStagePart computes output partition part of a stage the Driver runs,
 // reading shuffle boundaries through read. The record semantics — narrow
-// chains, dependency mappings, reduce-side aggregation, post-shuffle
-// transforms — are exactly those of rdd.EvalLocal, so every backend built
-// on this evaluator agrees with the in-memory reference by construction.
-// It caches nothing: a Cached node is computed where it is read.
+// chains, reduce-side aggregation, post-shuffle transforms — are exactly
+// those of rdd.EvalLocal, so every backend built on this evaluator agrees
+// with the in-memory reference by construction. It caches nothing: a Cached
+// node is computed where it is read.
 func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
 	return evalPart(st.Phases[0].Top, part, read, nil)
 }
@@ -38,8 +38,7 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 // words about to fold to 5,000 — is never built; any other stage's prepared
 // output is its evaluated partition as it stands.
 // Both start from the first phase: a pushing stage's second is only its
-// TransferToAuto node, which has no Each, so evaluating it would build the
-// whole partition as a slice. Its work is the push the backend makes.
+// TransferToAuto node, whose work is the push the backend makes.
 //
 // cache is the task's site's: a Cached node's partition comes from it when
 // an earlier task of the job computed it there, and goes into it otherwise.
@@ -115,23 +114,22 @@ func (c *SiteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
 // the same order without building one. Both read shuffle input through read
 // and Cached partitions through cache (nil: nothing is cached).
 //
-// A node with a per-record form (rdd.RDD.Each: Map, FlatMap, Filter, Union)
-// fuses: eachPart runs its parents' eachPart with the node's operator
+// A narrow node (Map, FlatMap, Filter, Union) fuses: eachPart runs its one
+// parent partition's eachPart with the node's operator (rdd.RDD.Each)
 // composed in front of emit — no input slice, no output slice per operator —
 // and evalPart of such a node is eachPart into an append. Everything else
 // materialises, because it is a slice already or needs one: a leaf (its
 // input partition is returned as it is, so a stage that is only a leaf
 // copies nothing), a shuffle boundary (reduce-side aggregation sorts its
-// whole shard), MapPartitions (the user's function takes the partition) and,
-// when the task has a cache, a Cached node (its partition is kept whole for
-// the job's later stages); eachPart of those is evalPart and a loop.
-// Transfer nodes never get here: dag cuts a phase at each one, and the
-// evaluator starts below it.
+// whole shard) and, when the task has a cache, a Cached node (its partition
+// is kept whole for the job's later stages); eachPart of those is evalPart
+// and a loop. Transfer nodes never get here: dag cuts a phase at each one,
+// and the evaluator starts below it.
 //
 // expect, when not nil, hears from each materialised source how many records
 // it is about to emit, before it emits them: evalPart makes room for that
-// many at once, so a Map over a leaf fills a slice of the right size the way
-// its Narrow would have, and does not double its way up to it.
+// many at once, so a Map over a leaf fills a slice of the right size, and
+// does not double its way up to it.
 func evalPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
 	if !node.Cached || cache == nil {
 		return compute(node, part, read, cache)
@@ -171,16 +169,10 @@ func compute(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]r
 	var recs []rdd.Pair
 	collect := func(p rdd.Pair) { recs = append(recs, p) }
 	expect := func(n int) { recs = slices.Grow(recs, n) }
-	if node.Each != nil {
-		if err := eachParent(node, part, read, cache, func(p rdd.Pair) { node.Each(p, collect) }, expect); err != nil {
-			return nil, err
-		}
-		return recs, nil
-	}
-	if err := eachParent(node, part, read, cache, collect, expect); err != nil {
+	if err := eachNarrow(node, part, read, cache, collect, expect); err != nil {
 		return nil, err
 	}
-	return node.Narrow(part, recs), nil
+	return recs, nil
 }
 
 func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
@@ -197,35 +189,25 @@ func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emi
 		}
 		return nil
 	}
-	return eachParent(node, part, read, cache, func(p rdd.Pair) { node.Each(p, emit) }, expect)
+	return eachNarrow(node, part, read, cache, emit, expect)
 }
 
-// eachParent hands emit the records of every parent partition that narrow
-// node's partition part reads, in dependency order.
-func eachParent(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
-	for di := range node.Deps {
-		d := &node.Deps[di]
-		for _, pi := range d.ParentParts(part) {
-			if err := eachPart(d.Parent, pi, read, cache, emit, expect); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// eachNarrow hands emit the records of partition part of narrow node: its
+// one parent partition's, through node's operator.
+func eachNarrow(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
+	parent, pp := node.ParentPart(part)
+	return eachPart(parent, pp, read, cache, func(p rdd.Pair) { node.Each(p, emit) }, expect)
 }
 
-// leafBytes sizes the leaf input partitions evalPart reads for partition
-// part of node: down the same narrow chain, stopping at shuffle boundaries.
-func leafBytes(node *rdd.RDD, part int) (total float64) {
-	if len(node.Deps) == 0 {
+// leafBytes sizes the leaf input partition evalPart reads for partition
+// part of node: down the same narrow chain, stopping at a shuffle boundary.
+func leafBytes(node *rdd.RDD, part int) float64 {
+	switch {
+	case len(node.Deps) == 0:
 		return rdd.EncodedSize(node.Input[part].Records)
+	case node.Deps[0].Kind == rdd.DepShuffle:
+		return 0
 	}
-	for di := range node.Deps {
-		if dep := &node.Deps[di]; dep.Kind == rdd.DepNarrow {
-			for _, pi := range dep.ParentParts(part) {
-				total += leafBytes(dep.Parent, pi)
-			}
-		}
-	}
-	return total
+	parent, pp := node.ParentPart(part)
+	return leafBytes(parent, pp)
 }

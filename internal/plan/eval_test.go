@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -22,9 +23,8 @@ type checkedBackend struct {
 	*MemBackend
 	t *testing.T
 
-	mu         sync.Mutex
-	shapes     map[string]int // combining map stages seen, by chain shape
-	cachedEach int            // map stages seen whose chain has a Cached per-record node
+	mu     sync.Mutex
+	shapes map[string]int // combining map stages seen, by chain shape
 }
 
 func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
@@ -46,9 +46,6 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 			if spec.CombinesMapSide() {
 				b.shapes[chainShape(t.Stage.Phases[0].Top)]++
 			}
-			if hasCachedEach(t.Stage.Phases[0].Top) {
-				b.cachedEach++
-			}
 			b.mu.Unlock()
 		}
 	}
@@ -56,34 +53,21 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 }
 
 // chainShape spells a stage's narrow chain from its top down its first
-// parents: E for a per-record operator, U for a Union, P for MapPartitions,
-// ending at the leaf (L) or shuffle boundary (S) that feeds it.
+// parents: C for a Cached node (materialised because it is cached), U for a
+// Union, E for any other per-record operator, ending at the leaf (L) or
+// shuffle boundary (S) that feeds it.
 func chainShape(node *rdd.RDD) string {
 	switch {
 	case len(node.Deps) == 0:
 		return "L"
 	case node.Deps[0].Kind == rdd.DepShuffle:
 		return "S"
+	case node.Cached:
+		return "C" + chainShape(node.Deps[0].Parent)
 	case len(node.Deps) > 1:
 		return "U" + chainShape(node.Deps[0].Parent)
-	case node.Each != nil:
-		return "E" + chainShape(node.Deps[0].Parent)
 	}
-	return "P" + chainShape(node.Deps[0].Parent)
-}
-
-// hasCachedEach reports whether the narrow chain below node has a Cached
-// per-record node, one the evaluator materialises only because it is cached.
-func hasCachedEach(node *rdd.RDD) bool {
-	if node.Cached && node.Each != nil {
-		return true
-	}
-	for _, d := range node.Deps {
-		if d.Kind == rdd.DepNarrow && hasCachedEach(d.Parent) {
-			return true
-		}
-	}
-	return false
+	return "E" + chainShape(node.Deps[0].Parent)
 }
 
 // markCached cache-marks about a quarter of the non-leaf nodes below target.
@@ -109,11 +93,9 @@ func markCached(target *rdd.RDD, rng *rand.Rand) {
 // of their nodes cache-marked, with every map task checked and the job's
 // output held to the reference. It asks the generator for the chains the
 // fused evaluator has to get right: straight into the combiner from a leaf,
-// through a Union, fused → materialised (MapPartitions) → fused, and a
-// per-record node materialised because it is Cached.
+// through a Union, and fused → materialised (a Cached node) → fused.
 func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 	shapes := map[string]int{}
-	cachedEach := 0
 	for seed := int64(0); seed < 120; seed++ {
 		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))))
 		target := rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))
@@ -133,10 +115,6 @@ func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 		if canon(slices.Concat(out...)) != want {
 			t.Errorf("seed %d: output diverges from the reference", seed)
 		}
-		cachedEach += be.cachedEach
-	}
-	if cachedEach == 0 {
-		t.Error("no map stage read a Cached per-record node")
 	}
 	var fused, union, sandwich int
 	for shape, n := range shapes {
@@ -146,7 +124,7 @@ func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 		if strings.Contains(shape, "U") {
 			union += n
 		}
-		if strings.Contains(shape, "EPE") || strings.Contains(shape, "UPE") || strings.Contains(shape, "EPU") {
+		if sandwiched.MatchString(shape) {
 			sandwich += n
 		}
 	}
@@ -155,6 +133,10 @@ func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 			shapes, fused, union, sandwich)
 	}
 }
+
+// sandwiched matches a chain shape with a Cached node between two fused
+// operators.
+var sandwiched = regexp.MustCompile(`[EU]C[EU]`)
 
 // mapStage returns the stage of target's lineage that feeds its last shuffle.
 func mapStage(t testing.TB, target *rdd.RDD) *dag.Stage {
@@ -256,8 +238,8 @@ func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 
 // A chain that is not combined has to be materialised, and is sized from its
 // source: terasort's Map over a leaf into a sort fills one slice of the
-// partition's size (plus the evaluator's closures), as the operator's own
-// Narrow would, instead of doubling its way up to it.
+// partition's size (plus the evaluator's closures) instead of doubling its
+// way up to it.
 func TestMaterialisedChainIsSizedFromItsSource(t *testing.T) {
 	tag := func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, p.Value) }
 	lines := wordLines(1, 10000, 50)

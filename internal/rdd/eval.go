@@ -42,16 +42,19 @@ func (e *localEval) eval(r *RDD) [][]Pair {
 
 func (e *localEval) evalNarrow(r *RDD) [][]Pair {
 	out := make([][]Pair, r.NumParts())
-	for i := 0; i < r.NumParts(); i++ {
-		var in []Pair
-		for di := range r.Deps {
-			d := &r.Deps[di]
-			parent := e.eval(d.Parent)
-			for _, pi := range d.ParentParts(i) {
-				in = append(in, parent[pi]...)
-			}
-		}
-		out[i] = r.Narrow(i, in)
+	for i := range out {
+		parent, pi := r.ParentPart(i)
+		out[i] = eachAll(r.Each, e.eval(parent)[pi])
+	}
+	return out
+}
+
+// eachAll applies each to every record of in and returns what it emits.
+func eachAll(each EachFn, in []Pair) []Pair {
+	out := make([]Pair, 0, len(in))
+	emit := func(p Pair) { out = append(out, p) }
+	for _, p := range in {
+		each(p, emit)
 	}
 	return out
 }

@@ -351,7 +351,7 @@ func groupingShard(node *RDD, n, k int) [][][]Pair {
 // node (a Join's pairs), materialised.
 func reducePartition(node *RDD, runs [][][]Pair) []Pair {
 	if node.Deps[0].Kind == DepNarrow {
-		return node.Narrow(0, reducePartition(node.Deps[0].Parent, runs))
+		return eachAll(node.Each, reducePartition(node.Deps[0].Parent, runs))
 	}
 	return ReducePartition(node, 0, runs)
 }

@@ -10,10 +10,9 @@ import (
 // RandomLineage constructs a random but valid job from a seeded grammar:
 // input → (narrow | shuffle)* with bounded depth, ending in a combining
 // shuffle that keeps outputs small and deterministic. The narrow operators
-// include the per-record ones, MapPartitions (which needs its whole input)
-// and Union with a second small input, so chains a fusing evaluator runs
-// record by record, must materialise, and runs record by record again are
-// all generated; the shuffles include a CoGroup or Join with a second small
+// are the per-record ones and Union with a second small input, so chains a
+// fusing evaluator runs record by record across a Union's parents are
+// generated; the shuffles include a CoGroup or Join with a second small
 // input, so the two-dependency boundary is generated too. The same seed
 // rebuilds the identical lineage, so a backend's output can be compared
 // against a fresh in-memory evaluation of the same seed — and different
@@ -72,13 +71,8 @@ func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 				return KV(p.Key, len(p.Value.([]Value)))
 			})
 		case 5:
-			// Needs the whole partition, in no particular order.
-			node = node.MapPartitions(fmt.Sprintf("parts%d", d), func(_ int, in []Pair) []Pair {
-				out := make([]Pair, len(in))
-				for i, p := range in {
-					out[i] = KV(p.Key, p.Value.(int)+len(in)%5)
-				}
-				return out
+			node = node.Map(fmt.Sprintf("mod%d", d), func(p Pair) Pair {
+				return KV(p.Key, p.Value.(int)%5)
 			})
 		case 6:
 			other := input(rng, fmt.Sprintf("in%d.%d", seed, d), rng.Intn(2)+1)

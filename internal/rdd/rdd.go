@@ -46,21 +46,24 @@ type Dependency struct {
 	Kind   DepKind
 	Parent *RDD
 
-	// Mapping gives, for an output partition, the parent partitions it
-	// reads (narrow deps only). Nil means identity 1:1.
-	Mapping func(outPart int) []int
+	// Start is the first output partition that reads the parent's
+	// partitions, in order (narrow deps only): 0, except for a Union's
+	// later parents.
+	Start int
 
 	// Shuffle holds the shuffle contract (shuffle deps only).
 	Shuffle *ShuffleSpec
 }
 
-// ParentParts resolves the parent partitions feeding output partition i of
-// a narrow dependency.
-func (d *Dependency) ParentParts(i int) []int {
-	if d.Mapping == nil {
-		return []int{i}
+// ParentPart resolves the one parent partition that partition part of a
+// narrow RDD reads: the partition of the last dependency starting at or
+// before part.
+func (r *RDD) ParentPart(part int) (*RDD, int) {
+	for i := len(r.Deps) - 1; ; i-- {
+		if d := &r.Deps[i]; part >= d.Start {
+			return d.Parent, part - d.Start
+		}
 	}
-	return d.Mapping(i)
 }
 
 // CombineFn merges two values of the same key (must be commutative and
@@ -114,20 +117,16 @@ type TransferSpec struct {
 	K int
 }
 
-// NarrowFn computes one output partition from its parent partitions'
-// records, concatenated in dependency order.
-type NarrowFn func(part int, input []Pair) []Pair
-
 // PostShuffleFn computes one reduce partition of a shuffled RDD from its
 // dependencies' aggregated records: sorted[d] is dependency d's reduce-side
 // aggregate (ReduceAggregate), key-sorted when its spec sorts. It only
 // reads them.
 type PostShuffleFn func(part int, sorted [][]Pair) []Pair
 
-// EachFn is the push-style form of a per-record operator: it calls emit,
-// in order, with every record p turns into (none, for a filtered record).
-// An evaluator composes a chain of them into one loop with no slice between
-// the operators.
+// EachFn is a narrow RDD's operator, applied record by record: it calls
+// emit, in order, with every record p turns into (none, for a filtered
+// record). An evaluator composes a chain of them into one loop with no slice
+// between the operators.
 type EachFn func(p Pair, emit func(Pair))
 
 // RDD is one dataset node in the lineage graph.
@@ -142,14 +141,9 @@ type RDD struct {
 	// Input holds source partitions (leaf RDDs only).
 	Input []InputPartition
 
-	// Narrow computes an output partition from parent records (narrow
-	// RDDs only).
-	Narrow NarrowFn
-
-	// Each is set on the narrow RDDs that work record by record (Map,
-	// FlatMap, Filter, Union); their Narrow is then the same operator
-	// materialised. Nil means the RDD needs its whole input partition at
-	// once (MapPartitions) and Narrow is the only form it has.
+	// Each computes a narrow RDD's partition from its one parent
+	// partition (ParentPart), record by record (narrow RDDs only: Map,
+	// FlatMap, Filter, and the identity for Union and transfer nodes).
 	Each EachFn
 
 	// PostShuffle optionally transforms a reduce partition after shuffle
@@ -205,32 +199,20 @@ func (g *Graph) Input(name string, parts []InputPartition) *RDD {
 	})
 }
 
-func (r *RDD) narrowChild(name string, fn NarrowFn) *RDD {
+// eachChild builds the narrow RDD of a per-record operator.
+func (r *RDD) eachChild(name string, each EachFn) *RDD {
 	return r.graph.register(&RDD{
 		Name:     name,
 		numParts: r.numParts,
 		Deps:     []Dependency{{Kind: DepNarrow, Parent: r}},
-		Narrow:   fn,
+		Each:     each,
 		graph:    r.graph,
 	})
 }
 
-// eachChild builds the narrow RDD of a per-record operator. Its Narrow is
-// derived from each, so the two forms cannot disagree: an evaluator that
-// wants every operator's output as a slice (EvalLocal) calls Narrow, one that
-// streams a chain (plan's, exec's metered one) composes Each.
-func (r *RDD) eachChild(name string, each EachFn) *RDD {
-	child := r.narrowChild(name, func(_ int, in []Pair) []Pair {
-		out := make([]Pair, 0, len(in))
-		emit := func(p Pair) { out = append(out, p) }
-		for _, p := range in {
-			each(p, emit)
-		}
-		return out
-	})
-	child.Each = each
-	return child
-}
+// identity is the operator of a Union and of a transfer node: each record
+// passes through as it is.
+func identity(p Pair, emit func(Pair)) { emit(p) }
 
 // Map applies fn to every record.
 func (r *RDD) Map(name string, fn func(Pair) Pair) *RDD {
@@ -255,12 +237,6 @@ func (r *RDD) Filter(name string, fn func(Pair) bool) *RDD {
 	})
 }
 
-// MapPartitions applies fn to each whole partition. It has no per-record
-// form: an evaluator materialises its input, whatever surrounds it.
-func (r *RDD) MapPartitions(name string, fn func(part int, in []Pair) []Pair) *RDD {
-	return r.narrowChild(name, fn)
-}
-
 // Cache marks the RDD for materialization (Spark's cache()) and returns it.
 // A cached partition is read by the later stages of the same job on every
 // backend, and by later jobs only on the simulator's (see Cached).
@@ -275,30 +251,15 @@ func (r *RDD) Union(name string, others ...*RDD) *RDD {
 	total := 0
 	deps := make([]Dependency, len(parents))
 	for i, p := range parents {
-		base := total
-		n := p.numParts
-		deps[i] = Dependency{
-			Kind:   DepNarrow,
-			Parent: p,
-			Mapping: func(out int) []int {
-				if out >= base && out < base+n {
-					return []int{out - base}
-				}
-				return nil
-			},
-		}
-		total += n
+		deps[i] = Dependency{Kind: DepNarrow, Parent: p, Start: total}
+		total += p.numParts
 	}
 	return r.graph.register(&RDD{
 		Name:     name,
 		numParts: total,
 		Deps:     deps,
-		// The identity in both forms: materialised, the concatenated parent
-		// partitions are the output; record by record, a Union passes its
-		// parents' records straight through to whatever reads it.
-		Narrow: func(_ int, in []Pair) []Pair { return in },
-		Each:   func(p Pair, emit func(Pair)) { emit(p) },
-		graph:  r.graph,
+		Each:     identity,
+		graph:    r.graph,
 	})
 }
 
@@ -330,7 +291,7 @@ func (r *RDD) TransferToTopK(k int) *RDD {
 }
 
 func (r *RDD) transfer(spec *TransferSpec) *RDD {
-	child := r.narrowChild(r.Name+".transferTo", func(_ int, in []Pair) []Pair { return in })
+	child := r.eachChild(r.Name+".transferTo", identity)
 	child.Transfer = spec
 	return child
 }
@@ -544,8 +505,8 @@ func (r *RDD) Validate() error {
 					}
 				}
 			}
-			if !hasShuffle && n.Narrow == nil {
-				return fmt.Errorf("rdd %q: narrow RDD without compute fn", n.Name)
+			if !hasShuffle && n.Each == nil {
+				return fmt.Errorf("rdd %q: narrow RDD without an operator", n.Name)
 			}
 			if n.Transfer != nil && (len(n.Deps) != 1 || n.Deps[0].Kind != DepNarrow) {
 				return fmt.Errorf("rdd %q: transfer RDD must have exactly one narrow parent", n.Name)

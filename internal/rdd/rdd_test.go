@@ -66,18 +66,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsSeesWholePartition(t *testing.T) {
-	g := NewGraph()
-	in := inputFrom(g, pairs("a", "x", "b", "y"), pairs("c", "z"))
-	counts := in.MapPartitions("count", func(part int, in []Pair) []Pair {
-		return []Pair{KV(fmt.Sprintf("p%d", part), len(in))}
-	})
-	got := sortedCollect(counts)
-	if len(got) != 2 || got[0].Value.(int) != 2 || got[1].Value.(int) != 1 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestReduceByKey(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g,
@@ -195,6 +183,18 @@ func TestUnion(t *testing.T) {
 	if len(got) != 3 || got[2].Key != "c" {
 		t.Fatalf("union = %v", got)
 	}
+	// Each output partition reads one partition of one parent, the parents'
+	// partitions in order, however many each has.
+	c := inputFrom(g, pairs("d", "4"), pairs("e", "5"), pairs("f", "6"))
+	u = b.Union("union3", a, c)
+	for part, want := range []struct {
+		parent *RDD
+		part   int
+	}{{b, 0}, {a, 0}, {a, 1}, {c, 0}, {c, 1}, {c, 2}} {
+		if parent, pp := u.ParentPart(part); parent != want.parent || pp != want.part {
+			t.Errorf("ParentPart(%d) = %s[%d], want %s[%d]", part, parent.Name, pp, want.parent.Name, want.part)
+		}
+	}
 }
 
 func TestTransferToMarksLineage(t *testing.T) {
@@ -241,7 +241,7 @@ func TestValidateCatchesBadGraphs(t *testing.T) {
 		graph: g,
 	})
 	if err := broken.Validate(); err == nil {
-		t.Fatal("narrow RDD without compute fn passed validation")
+		t.Fatal("narrow RDD without an operator passed validation")
 	}
 }
 
@@ -550,9 +550,9 @@ func TestEvalLocalMemoizesSharedLineage(t *testing.T) {
 	g := NewGraph()
 	calls := 0
 	in := inputFrom(g, pairs("a", "1"))
-	shared := in.MapPartitions("counted", func(_ int, in []Pair) []Pair {
+	shared := in.Map("counted", func(p Pair) Pair {
 		calls++
-		return in
+		return p
 	})
 	left := shared.Map("l", func(p Pair) Pair { return p })
 	right := shared.Map("r", func(p Pair) Pair { return p })

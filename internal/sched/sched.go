@@ -132,19 +132,24 @@ func (s *Scheduler) levelOf(t *Task) localityLevel {
 	if t.Strict {
 		return levelHost
 	}
-	since := t.submitAt
-	if s.lastLaunch > since {
-		since = s.lastLaunch
-	}
-	waited := s.clock.Now() - since
+	now, relax := s.clock.Now(), s.relaxAt(t)
 	switch {
-	case waited < localityWaitHost:
+	case now < relax[0]:
 		return levelHost
-	case waited < localityWaitHost+localityWaitDC:
+	case now < relax[1]:
 		return levelDC
 	default:
 		return levelAny
 	}
+}
+
+// relaxAt returns the instants at which t's locality relaxes to its
+// preferred datacenters and to any host: the waits run from its submission
+// or the last launch, whichever is later. levelOf and the recheck both read
+// them, so a recheck fires exactly when a level changes.
+func (s *Scheduler) relaxAt(t *Task) [2]float64 {
+	since := max(t.submitAt, s.lastLaunch)
+	return [2]float64{since + localityWaitHost, since + localityWaitHost + localityWaitDC}
 }
 
 // hostFor finds a free host for a task at its current locality level, or
@@ -269,13 +274,8 @@ func (s *Scheduler) scheduleRecheck() {
 		if len(t.PrefHosts) == 0 || t.Strict {
 			continue
 		}
-		since := t.submitAt
-		if s.lastLaunch > since {
-			since = s.lastLaunch
-		}
-		for _, edge := range []float64{localityWaitHost, localityWaitHost + localityWaitDC} {
-			at := since + edge
-			if at > now+1e-12 && (next < 0 || at < next) {
+		for _, at := range s.relaxAt(t) {
+			if at > now && (next < 0 || at < next) {
 				next = at
 			}
 		}

@@ -112,7 +112,7 @@ func Handler(cfg Config) http.Handler {
 			http.Error(w, "no event collector yet", http.StatusServiceUnavailable)
 			return
 		}
-		tail(w, r, c.Subscribe)
+		tail(w, r, c)
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -146,18 +146,17 @@ func ndjson[T any](items []T) func(io.Writer) error {
 	}
 }
 
-// tail streams an event log as NDJSON, one event per line: the history the
+// tail streams c's event log as NDJSON, one event per line: the history the
 // subscription starts with, then live events until the client disconnects
-// or the subscription is canceled. subscribe is a log's Subscribe method
-// (obs.Log.Subscribe); /events tails an obs.Collector's.
-func tail[E any](w http.ResponseWriter, r *http.Request, subscribe func(buf int) ([]E, <-chan E, func())) {
+// or the subscription is canceled.
+func tail(w http.ResponseWriter, r *http.Request, c *obs.Collector) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
 	// A subscriber that falls this many events behind starts losing them.
-	history, ch, cancel := subscribe(1024)
+	history, ch, cancel := c.Subscribe(1024)
 	defer cancel()
 	for _, ev := range history {
 		if err := enc.Encode(ev); err != nil {
