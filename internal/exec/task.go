@@ -39,26 +39,22 @@ func (e *Engine) resumePhase(ss *stageState) int {
 	start := 0
 	for k := 0; k < len(ss.st.Phases)-1; k++ {
 		node := ss.st.Phases[k].TransferNode
-		if node == nil || !node.Cached {
+		if node == nil {
 			break
 		}
-		parts, ok := e.cache[node.ID]
-		if !ok {
-			break
-		}
-		all := true
-		for _, cp := range parts {
-			if cp == nil {
-				all = false
-				break
-			}
-		}
-		if !all {
+		if _, ok := e.cachedEverywhere(node); !ok {
 			break
 		}
 		start = k + 1
 	}
 	return start
+}
+
+// cachedEverywhere returns a Cached node's cached copies, reporting whether
+// every one of its partitions has one.
+func (e *Engine) cachedEverywhere(node *rdd.RDD) ([]*cachedPart, bool) {
+	parts, ok := e.cache[node.ID]
+	return parts, ok && node.Cached && !slices.Contains(parts, nil)
 }
 
 // claimPartDone marks a partition's logical task complete; a second
@@ -92,20 +88,11 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 		}
 	}
 	for _, b := range ss.st.Boundaries {
-		if parts, ok := e.cache[b.ID]; ok && b.Cached {
-			allCached := true
+		if parts, ok := e.cachedEverywhere(b); ok {
 			for _, cp := range parts {
-				if cp == nil {
-					allCached = false
-					break
-				}
+				byDC[e.Topo.DCOf(cp.host)] += cp.modeled
 			}
-			if allCached {
-				for _, cp := range parts {
-					byDC[e.Topo.DCOf(cp.host)] += cp.modeled
-				}
-				continue
-			}
+			continue
 		}
 		for di := range b.Deps {
 			hostBytes := e.reg.HostBytes(b.Deps[di].Shuffle.ID)
@@ -244,14 +231,7 @@ func (e *Engine) prefsFor(ss *stageState, part int) []topology.HostID {
 			}
 		}
 		for _, h := range e.Topo.HostsIn(pinned) {
-			seen := false
-			for _, got := range inDC {
-				if got == h {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(inDC, h) {
 				rest = append(rest, h)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"wanshuffle/internal/blockstore"
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/plan"
@@ -25,33 +26,43 @@ type liveRun struct {
 	// and worker side — carries it, and none crosses a socket: a server
 	// stamps it from the run its handler loaded.
 	traceID trace.TraceID
-	// shuffleStage maps shuffle ID → producing stage ID, so server-side
-	// receive spans carry the same stage attribution as the simulator's.
-	shuffleStage map[int]int
+	// shuffles holds the facts of the job's shuffles by ID, written once by
+	// newLiveRun and only read afterwards: its workers look a shuffle up
+	// through the run they serve, so while no job runs none is known.
+	shuffles map[int]*runShuffle
+}
+
+// runShuffle is what a job's workers know of one of its shuffles.
+type runShuffle struct {
+	spec *rdd.ShuffleSpec
+	// stage is the ID of the stage that produces the shuffle, so server-side
+	// spans carry the same stage attribution as the simulator's.
+	stage int
+	// bucket is the store's BucketFunc for the shuffle's outputs installed
+	// flat (before a range partitioner was ready): built once per job, so a
+	// shard read builds no closure.
+	bucket blockstore.BucketFunc
 }
 
 func newLiveRun(c *Cluster, stats *Stats, p *dag.Plan) *liveRun {
-	shuffleStage := map[int]int{}
+	shuffles := map[int]*runShuffle{}
 	for _, st := range p.Stages {
-		if st.OutSpec != nil {
-			shuffleStage[st.OutSpec.ID] = st.ID
+		if spec := st.OutSpec; spec != nil {
+			bucket := func(records []rdd.Pair) ([][]rdd.Pair, error) {
+				if !spec.Partitioner.Ready() {
+					return nil, fmt.Errorf("shuffle %d partitioner not ready", spec.ID)
+				}
+				return rdd.BucketRecords(spec, records), nil
+			}
+			shuffles[spec.ID] = &runShuffle{spec: spec, stage: st.ID, bucket: bucket}
 		}
 	}
 	start := time.Now()
 	return &liveRun{
 		c: c, stats: stats, start: start,
-		traceID:      trace.TraceID(fmt.Sprintf("live-%d", start.UnixNano())),
-		shuffleStage: shuffleStage,
+		traceID:  trace.TraceID(fmt.Sprintf("live-%d", start.UnixNano())),
+		shuffles: shuffles,
 	}
-}
-
-// stageOfShuffle resolves a shuffle ID to the stage that produced it (-1
-// if unknown).
-func (r *liveRun) stageOfShuffle(id int) int {
-	if st, ok := r.shuffleStage[id]; ok {
-		return st
-	}
-	return -1
 }
 
 // errWorkerDown fails a task whose worker was closed under it: what the
@@ -119,7 +130,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// block store pushes assemble into (spilling under the same budget,
 		// last write wins by attempt). No push and no receive span:
 		// the map span above is the producer edge, as for a fetch.
-		return res, w.storeMapOutput(spec.ID, t.Part, t.Attempt, out)
+		return res, w.storeMapOutput(spec, t.Part, t.Attempt, out)
 	}
 	tPush := r.since()
 	pushID := r.c.cfg.Trace.NewSpanID()
@@ -192,7 +203,7 @@ func (r *liveRun) reader(t plan.Task, parent trace.SpanID, lastFetch *float64) p
 		var own [1][]rdd.Pair      // Gather copies the headers out before the next call
 		runs, err := t.Gather(spec.ID, func(m, holder int) ([][]rdd.Pair, error) {
 			if holder == site {
-				shard, err := w.shardOf(spec.ID, m, reduce)
+				shard, err := w.shardOf(r.shuffles[spec.ID], m, reduce)
 				own[0] = shard
 				return own[:], err
 			}

@@ -77,7 +77,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 	// Fetch side: a locally stored output with such a value fails its
 	// fetch as a remote error naming the type, on a connection that
 	// stays pooled.
-	if err := w1.storeMapOutput(7, 2, 1, bad); err != nil {
+	if err := w1.storeMapOutput(shuffleOf(c, 7).spec, 2, 1, bad); err != nil {
 		t.Fatal(err)
 	}
 	failed := 0

@@ -78,11 +78,11 @@ func wordCountJob() *rdd.RDD {
 		return a.(int) + b.(int)
 	})
 	return counts.
-		KeyBy("bucket", func(p rdd.Pair) string {
-			return fmt.Sprintf("~10^%d", len(fmt.Sprint(p.Value.(int)))-1)
+		Map("bucket", func(p rdd.Pair) rdd.Pair {
+			return rdd.KV(fmt.Sprintf("~10^%d", len(fmt.Sprint(p.Value.(int)))-1), p.Value)
 		}).
 		GroupByKey("byMagnitude", 3).
-		MapValues("size", func(v rdd.Value) rdd.Value { return len(v.([]rdd.Value)) })
+		Map("size", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, len(p.Value.([]rdd.Value))) })
 }
 
 // Example_pageRank runs three rounds of PageRank over the live cluster:

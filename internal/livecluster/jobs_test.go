@@ -23,7 +23,7 @@ func estimatorSamples(links *netobs.Estimator) int64 {
 
 // TestBackToBackJobsOnSharedCluster runs three push jobs on one
 // Cluster: every run must produce correct output from a clean per-job
-// slate (resetJobState), stay byte-conserving (matrix total ==
+// slate (its own run's shuffles, block stores reset), stay byte-conserving (matrix total ==
 // BytesOverTCP), and re-choose its aggregator — while the netobs link
 // estimator keeps accumulating across jobs, since link capacity outlives
 // any one run.

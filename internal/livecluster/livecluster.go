@@ -156,12 +156,9 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	cfg     Config
 	workers []*worker
-	// specs is the control-plane shuffle metadata of the current job
-	// (shuffleID → *rdd.ShuffleSpec), the registry workers bucket by.
-	specs sync.Map
 	// curRun is the job currently executing: links account their exchanges
 	// into its stats, and server-side handlers (push receives, fetch serves)
-	// stamp their spans on its clock.
+	// look its shuffles up and stamp their spans on its clock.
 	curRun atomic.Pointer[liveRun]
 	// lastStats keeps the most recently completed job's stats reachable
 	// for telemetry endpoints after Run returns.
@@ -601,8 +598,9 @@ func (c *Cluster) Run(target *rdd.RDD) ([]rdd.Pair, *Stats, error) {
 // RunContext is Run under cooperative cancellation: when ctx fires, the
 // driver stops launching tasks, in-flight task RPCs finish, and the call
 // returns an error wrapping ctx.Err(). Workers, the shuffle planes, and
-// the netobs estimator survive a canceled job — resetJobState clears the
-// per-job residue on the next Run, so the same Cluster keeps serving.
+// the netobs estimator survive a canceled job — the job's shuffle facts die
+// with its run, and the next Run resets the block stores — so the same
+// Cluster keeps serving.
 func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, *Stats, error) {
 	if c.cfg.Mode == ModePush {
 		dag.AutoAggregate(target)
@@ -611,9 +609,10 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("livecluster: %w", err)
 	}
-	c.resetJobState()
-	for _, spec := range job.Plan.Shuffles() {
-		c.specs.Store(spec.ID, spec)
+	// Shuffle IDs are graph-scoped, so the previous job's stored outputs
+	// could collide with this one's.
+	for _, w := range c.workers {
+		_ = w.store.Reset()
 	}
 	stats := c.newStats()
 	if slices.ContainsFunc(job.Stages(), plan.Pushes) {
@@ -662,17 +661,5 @@ func (c *Cluster) newStats() *Stats {
 		configured:      c.configuredLinks(),
 		placementPolicy: c.cfg.AggregatorPolicy.String(),
 		scheme:          "fetch",
-	}
-}
-
-// resetJobState clears the previous job's shuffle metadata and stored map
-// outputs (shuffle IDs are graph-scoped, so leftovers could collide).
-func (c *Cluster) resetJobState() {
-	c.specs.Range(func(k, _ any) bool {
-		c.specs.Delete(k)
-		return true
-	})
-	for _, w := range c.workers {
-		w.resetRun()
 	}
 }

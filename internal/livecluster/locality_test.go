@@ -264,9 +264,6 @@ func TestReduceDoesNotWriteTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			// What RunContext does, with the backend wrapped to keep its tasks.
-			for _, spec := range job.Plan.Shuffles() {
-				c.specs.Store(spec.ID, spec)
-			}
 			run := &capturingRun{liveRun: newLiveRun(c, c.newStats(), job.Plan)}
 			c.curRun.Store(run.liveRun)
 			defer c.curRun.Store(nil)
@@ -294,8 +291,9 @@ func TestReduceDoesNotWriteTheStore(t *testing.T) {
 				t.Fatalf("first read: %d runs, %v", len(first), err)
 			}
 			if budget == 0 {
+				sh := run.shuffles[spec.ID]
 				for m, run := range first {
-					shard, err := c.workers[reducer.Site].shardOf(spec.ID, m, reducer.Part)
+					shard, err := c.workers[reducer.Site].shardOf(sh, m, reducer.Part)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -31,12 +31,12 @@ func buildChained() *rdd.RDD {
 		}).
 		ReduceByKey("count", 4, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
 	return counts.
-		KeyBy("bucket", func(p rdd.Pair) string {
-			return fmt.Sprintf("b%d", p.Value.(int)/50)
+		Map("bucket", func(p rdd.Pair) rdd.Pair {
+			return rdd.KV(fmt.Sprintf("b%d", p.Value.(int)/50), p.Value)
 		}).
 		GroupByKey("byBucket", 3).
-		MapValues("sizes", func(v rdd.Value) rdd.Value {
-			return len(v.([]rdd.Value))
+		Map("sizes", func(p rdd.Pair) rdd.Pair {
+			return rdd.KV(p.Key, len(p.Value.([]rdd.Value)))
 		})
 }
 

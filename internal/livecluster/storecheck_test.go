@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/blockstore"
+	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
@@ -64,11 +65,11 @@ func (s *checksumStore) Reset() error {
 	return s.Store.Reset()
 }
 
-// verify re-reads every shard of every output w's store holds and requires
-// its encoding to be the one recorded at Put; a flat output's shards are
-// its recorded records bucketed afresh. It returns how many outputs it
-// checked.
-func (s *checksumStore) verify(t *testing.T, w *worker) int {
+// verify re-reads every shard of every output w's store holds, through the
+// shuffles run knows, and requires its encoding to be the one recorded at
+// Put; a flat output's shards are its recorded records bucketed afresh. It
+// returns how many outputs it checked.
+func (s *checksumStore) verify(t *testing.T, w *worker, run *liveRun) int {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -76,6 +77,7 @@ func (s *checksumStore) verify(t *testing.T, w *worker) int {
 		t.Fatalf("worker %d stores %d outputs, %d went through Put", w.id, n, len(s.puts))
 	}
 	for key, enc := range s.puts {
+		sh := run.shuffles[key.Shuffle]
 		want := enc.payloads
 		if enc.flat {
 			recs, err := rdd.DecodePairs(bytes.Clone(enc.payloads[0]))
@@ -83,7 +85,7 @@ func (s *checksumStore) verify(t *testing.T, w *worker) int {
 				t.Fatal(err)
 			}
 			want = nil
-			for _, shard := range rdd.BucketRecords(w.spec(key.Shuffle), recs) {
+			for _, shard := range rdd.BucketRecords(sh.spec, recs) {
 				payload, err := rdd.AppendPairs(nil, shard)
 				if err != nil {
 					t.Fatal(err)
@@ -92,7 +94,7 @@ func (s *checksumStore) verify(t *testing.T, w *worker) int {
 			}
 		}
 		for reduce, payload := range want {
-			shard, err := w.shardOf(key.Shuffle, key.MapPart, reduce)
+			shard, err := w.shardOf(sh, key.MapPart, reduce)
 			if err != nil {
 				t.Fatalf("worker %d: %v", w.id, err)
 			}
@@ -135,16 +137,24 @@ func storedShardsHold(t *testing.T, seed int64, hosts []topology.HostID, scheme 
 		stores[i] = newChecksumStore(w.store)
 		w.store = stores[i]
 	}
-	out, _, err := cluster.Run(shuffledAs(scheme, rdd.RandomLineage(seed, rdd.NewGraph(), hosts)))
+	target := shuffledAs(scheme, rdd.RandomLineage(seed, rdd.NewGraph(), hosts))
+	out, _, err := cluster.Run(target)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	if canon(out) != want {
 		t.Fatalf("seed %d: output diverges from the reference", seed)
 	}
+	// The job's run is gone with it: read the stores through a run over the
+	// same plan, whose shuffles are the job's own specs.
+	job, err := plan.BuildJob(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := newLiveRun(cluster, cluster.newStats(), job.Plan)
 	checked := 0
 	for i, s := range stores {
-		checked += s.verify(t, cluster.workers[i])
+		checked += s.verify(t, cluster.workers[i], run)
 	}
 	if checked == 0 {
 		t.Fatalf("seed %d: no worker stored an output", seed)

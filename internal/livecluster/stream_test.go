@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -442,31 +443,68 @@ func TestValidCodec(t *testing.T) {
 	}
 }
 
-// streamCluster builds a cluster with a registered hash-partitioned shuffle
-// spec, for tests that drive exchanges outside a job, and gives those
-// exchanges a running record to account into (flushed).
-func streamCluster(t *testing.T, cfg Config, reduces int) *Cluster {
+// streamCluster builds a cluster for tests that drive exchanges outside a
+// job, and stands in a run for them that knows a hash-partitioned shuffle 7
+// and any extra shuffles: the shuffles its workers resolve and the record
+// its exchanges account into (flushed).
+func streamCluster(t *testing.T, cfg Config, reduces int, extra ...*rdd.ShuffleSpec) *Cluster {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	c.specs.Store(7, &rdd.ShuffleSpec{ID: 7, Partitioner: rdd.NewHashPartitioner(reduces)})
-	flushed(c)
+	p := &dag.Plan{}
+	for i, spec := range append([]*rdd.ShuffleSpec{{ID: 7, Partitioner: rdd.NewHashPartitioner(reduces)}}, extra...) {
+		p.Stages = append(p.Stages, &dag.Stage{ID: i, OutSpec: spec})
+	}
+	c.curRun.Store(newLiveRun(c, c.newStats(), p))
 	return c
 }
 
+// shuffleOf returns what the run standing in knows of a shuffle.
+func shuffleOf(c *Cluster, id int) *runShuffle { return c.curRun.Load().shuffles[id] }
+
 // flushed returns what the cluster's exchanges have accounted since it was
 // last called — into the stats of the run it stood in, as a job's exchanges
-// account into the job's — and stands in a fresh run for the exchanges that
-// follow. With no run standing in (none yet, or a job has ended since), the
-// exchanges in between accounted nothing, and it returns empty stats.
+// account into the job's — and stands in a fresh record, on the same
+// shuffles, for the exchanges that follow. With no run standing in (none
+// yet, or a job has ended since), the exchanges in between accounted
+// nothing, it returns empty stats and the run it stands in knows no shuffle.
 func flushed(c *Cluster) *Stats {
-	if prev := c.curRun.Swap(newLiveRun(c, c.newStats(), &dag.Plan{})); prev != nil {
-		return prev.stats
+	prev := c.curRun.Load()
+	if prev == nil {
+		c.curRun.Store(newLiveRun(c, c.newStats(), &dag.Plan{}))
+		return c.newStats()
 	}
-	return c.newStats()
+	next := *prev
+	next.stats = c.newStats()
+	c.curRun.Store(&next)
+	return prev.stats
+}
+
+// countingStore counts the deferred bucketing passes its store runs: the
+// calls into the BucketFunc a shard read hands it that bucket an output.
+type countingStore struct {
+	blockstore.Store
+	passes *atomic.Int64
+}
+
+func (s countingStore) Shard(key blockstore.Key, reduce int, bucket blockstore.BucketFunc) ([]rdd.Pair, error) {
+	return s.Store.Shard(key, reduce, func(records []rdd.Pair) ([][]rdd.Pair, error) {
+		shards, err := bucket(records)
+		if err == nil {
+			s.passes.Add(1)
+		}
+		return shards, err
+	})
+}
+
+// countPasses wraps w's store in a countingStore and returns its count.
+func countPasses(w *worker) *atomic.Int64 {
+	passes := new(atomic.Int64)
+	w.store = countingStore{w.store, passes}
+	return passes
 }
 
 // TestChunkedPushFetchRoundTrip drives the full wire path — chunked push
@@ -534,7 +572,8 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 	const reduces = 4
 	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
-	w0, w1 := c.workers[0], c.workers[1]
+	w0 := c.workers[0]
+	passes := countPasses(c.workers[1])
 	if _, err := w0.push(1, 7, 0, 1, pairs(100), spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +584,7 @@ func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 			}
 		}
 	}
-	if n := w1.bucketBuilds.Load(); n != 0 {
+	if n := passes.Load(); n != 0 {
 		t.Fatalf("receiver ran %d deferred bucket builds; bucketing at install should need none", n)
 	}
 }
@@ -553,18 +592,19 @@ func TestIncrementalBucketingAvoidsRebuilds(t *testing.T) {
 // TestPushedOutputBucketedOnce pushes a hash-partitioned output in many
 // chunks: the receiver buckets them once, at the terminal frame, so every
 // installed shard is what bucketing the whole output gives, allocated at its
-// exact size.
+// exact size, and reading it runs no deferred bucketing pass.
 func TestPushedOutputBucketedOnce(t *testing.T) {
 	const reduces = 3
 	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 4}, reduces)
+	passes := countPasses(c.workers[1])
 	in := pairs(37)
 	if _, err := c.workers[0].push(1, 7, 0, 1, in, spanCtx{}); err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := c.specs.Load(7)
-	want := rdd.BucketRecords(spec.(*rdd.ShuffleSpec), in)
+	sh := shuffleOf(c, 7)
+	want := rdd.BucketRecords(sh.spec, in)
 	for r := 0; r < reduces; r++ {
-		shard, err := c.workers[1].shardOf(7, 0, r)
+		shard, err := c.workers[1].shardOf(sh, 0, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,6 +615,9 @@ func TestPushedOutputBucketedOnce(t *testing.T) {
 			t.Errorf("installed shard %d: cap %d for %d records", r, cap(shard), len(shard))
 		}
 	}
+	if n := passes.Load(); n != 0 {
+		t.Fatalf("reading the pushed output ran %d deferred bucketing passes, want 0", n)
+	}
 }
 
 // TestDeferredBucketingBucketsExactlyOnce covers the range-partitioned
@@ -583,10 +626,10 @@ func TestPushedOutputBucketedOnce(t *testing.T) {
 // fetch, the bug this PR removes.
 func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	const reduces = 3
-	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces)
 	rp := rdd.NewRangePartitioner(reduces)
-	c.specs.Store(9, &rdd.ShuffleSpec{ID: 9, Partitioner: rp, SampleForRange: true})
-	w0, w1 := c.workers[0], c.workers[1]
+	c := streamCluster(t, Config{Workers: 2, ChunkRecords: 8}, reduces, &rdd.ShuffleSpec{ID: 9, Partitioner: rp})
+	w0 := c.workers[0]
+	passes := countPasses(c.workers[1])
 	in := pairs(60)
 	if _, err := w0.push(1, 9, 0, 1, in, spanCtx{}); err != nil {
 		t.Fatal(err)
@@ -611,7 +654,7 @@ func TestDeferredBucketingBucketsExactlyOnce(t *testing.T) {
 	if canon(out) != canon(in) {
 		t.Fatal("range-partitioned round-trip diverges")
 	}
-	if n := w1.bucketBuilds.Load(); n != 1 {
+	if n := passes.Load(); n != 1 {
 		t.Fatalf("flat output bucketed %d times, want exactly once", n)
 	}
 }
@@ -662,7 +705,8 @@ func (p *handPush) finish() string {
 // TestPushFailureIsATerminalFrame pins the push acknowledgement: when the
 // receiver drops a push, the sender reads the reason out of a terminal
 // chunk frame — the same reply a fetch ends with — the exchange leaves the
-// connection pooled, and the job that follows dials nothing.
+// connection pooled, and the job that follows dials nothing. Between jobs
+// every shuffle is unknown, the finished job's too.
 func TestPushFailureIsATerminalFrame(t *testing.T) {
 	// One task per worker: a worker never needs a second connection to a
 	// peer, so every dial is a connection lost.
@@ -672,15 +716,28 @@ func TestPushFailureIsATerminalFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Run(pushed(buildSkewedWordCount(4, 2, 1))); err != nil {
+	_, job, err := c.Run(pushed(buildSkewedWordCount(4, 2, 1)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	flushed(c) // the exchanges below run outside a job
 	w0 := c.workers[0]
+
+	// While no job runs no shuffle is known, the finished job's included:
+	// its shuffle's facts died with its run, so a push of it to worker 0,
+	// which holds none of it, is refused and leaves that store empty.
+	shuffle := job.Placements()[0].Shuffle
+	_, err = c.workers[1].push(0, shuffle, 0, 9, pairs(9), spanCtx{})
+	var remote remoteError
+	if want := fmt.Sprintf("worker 0: unknown shuffle %d", shuffle); !errors.As(err, &remote) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("push between jobs: err = %v, want the receiver's %q", err, want)
+	}
+	if n := w0.storedOutputs(); n != 0 {
+		t.Fatalf("worker 0 holds %d outputs after a push that arrived while no job ran", n)
+	}
+	flushed(c) // the exchanges below run outside a job, on a run that knows no shuffle
 
 	// Shuffle 99 is not registered: the receiver refuses its chunks.
 	_, err = w0.push(1, 99, 0, 1, pairs(9), spanCtx{})
-	var remote remoteError
 	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "worker 1: unknown shuffle 99") {
 		t.Fatalf("push err = %v, want the receiver's refusal as a remoteError", err)
 	}

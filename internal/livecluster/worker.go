@@ -146,14 +146,6 @@ type worker struct {
 	// and when the worker is closed, with its block store.
 	cache plan.SiteCache
 
-	// bucketBuilds counts deferred whole-output bucketing passes; pushes
-	// bucketed incrementally on arrival never increment it.
-	bucketBuilds atomic.Int64
-	// buckets holds the job's BucketFunc per shuffle ID (bucketFn), so a
-	// shard read builds no closure; resetRun empties it.
-	bucketsMu sync.Mutex
-	buckets   map[int]blockstore.BucketFunc
-
 	closed atomic.Bool
 }
 
@@ -166,7 +158,6 @@ func newWorker(id int, c *Cluster) (*worker, error) {
 		id:      id,
 		cluster: c,
 		store:   store,
-		buckets: map[int]blockstore.BucketFunc{},
 	}
 	if w.srv, err = serve(w.handleConn); err != nil {
 		_ = store.Close()
@@ -271,12 +262,15 @@ func (w *worker) handleConn(conn net.Conn) {
 	}
 }
 
-// spec resolves a shuffle ID through the cluster's control plane.
-func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
-	if s, ok := w.cluster.specs.Load(shuffleID); ok {
-		return s.(*rdd.ShuffleSpec)
+// shuffle resolves a shuffle ID through the run the worker serves: run is
+// nil while no job runs, and then no shuffle is known.
+func (w *worker) shuffle(run *liveRun, shuffleID int) (*runShuffle, error) {
+	if run != nil {
+		if sh := run.shuffles[shuffleID]; sh != nil {
+			return sh, nil
+		}
 	}
-	return nil
+	return nil, fmt.Errorf("worker %d: unknown shuffle %d", w.id, shuffleID)
 }
 
 // receivePush consumes one push stream: its decoded chunks are kept as runs
@@ -291,11 +285,7 @@ func (w *worker) spec(shuffleID int) *rdd.ShuffleSpec {
 func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := time.Now() // after the request arrived: a receive cannot start before its send
-	spec := w.spec(req.ShuffleID)
-	var refused error
-	if spec == nil {
-		refused = fmt.Errorf("worker %d: unknown shuffle %d", w.id, req.ShuffleID)
-	}
+	sh, refused := w.shuffle(run, req.ShuffleID)
 	var runs [][]rdd.Pair
 	var nrecs int
 	got, err := readStream(br, func(records []rdd.Pair) error {
@@ -311,8 +301,8 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	}
 	if err == nil {
 		out := blockstore.Output{Attempt: req.Attempt}
-		if spec.Partitioner.Ready() {
-			out.Shards = rdd.BucketRecords(spec, runs...)
+		if sh.spec.Partitioner.Ready() {
+			out.Shards = rdd.BucketRecords(sh.spec, runs...)
 		} else {
 			out.Records = slices.Concat(runs...)
 		}
@@ -324,11 +314,11 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	// Like every server-side span it carries the run's trace ID, is stamped
 	// on the run's clock, the one the driver-side spans are on, and goes
 	// straight to the cluster's recorder.
-	if err == nil && run != nil {
+	if err == nil {
 		run.span(trace.Span{
 			ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent, Link: req.Span,
 			Kind: trace.KindReceive, Host: topology.HostID(w.id),
-			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
+			Stage: sh.stage, Part: req.MapPart,
 			Shuffle: req.ShuffleID,
 			SrcSite: siteLabel(req.From), DstSite: siteLabel(w.id),
 			Bytes: float64(got.raw), Records: nrecs,
@@ -364,18 +354,19 @@ func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
 func (w *worker) streamFetch(conn io.Writer, req *request) error {
 	run := w.cluster.curRun.Load()
 	t0 := time.Now()
-	records, err := w.shardOf(req.ShuffleID, req.MapPart, req.Reduce)
+	sh, err := w.shuffle(run, req.ShuffleID)
+	if err != nil {
+		return writeLastFrame(conn, err)
+	}
+	records, err := w.shardOf(sh, req.MapPart, req.Reduce)
 	if err != nil {
 		return writeLastFrame(conn, err)
 	}
 	return writeStream(conn, records, w.cluster.cfg.ChunkRecords, w.cluster.cfg.Compression, func(sent streamTotals) {
-		if run == nil {
-			return
-		}
 		run.span(trace.Span{
 			ID: w.cluster.cfg.Trace.NewSpanID(), Parent: req.Parent,
 			Kind: trace.KindServe, Host: topology.HostID(w.id),
-			Stage: run.stageOfShuffle(req.ShuffleID), Part: req.MapPart,
+			Stage: sh.stage, Part: req.MapPart,
 			Shuffle: req.ShuffleID,
 			SrcSite: siteLabel(w.id), DstSite: siteLabel(req.From),
 			Bytes: float64(sent.raw), Records: len(records),
@@ -387,67 +378,30 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 // storeMapOutput stores a locally produced map output (a fetched shuffle's,
 // and a pushed one's whose map task ran on its aggregator), run through the same
 // bucketing and idempotency path as pushed outputs.
-func (w *worker) storeMapOutput(shuffleID, mapPart, attempt int, records []rdd.Pair) error {
+func (w *worker) storeMapOutput(spec *rdd.ShuffleSpec, mapPart, attempt int, records []rdd.Pair) error {
 	out := blockstore.Output{Attempt: attempt}
-	if spec := w.spec(shuffleID); spec != nil && spec.Partitioner.Ready() {
+	if spec.Partitioner.Ready() {
 		out.Shards = rdd.BucketRecords(spec, records)
 	} else {
 		out.Records = records
 	}
-	return w.install(shuffleID, mapPart, out)
-}
-
-// resetRun clears the previous job's stored outputs (shuffle IDs are
-// graph-scoped, so leftovers could collide with the next job's).
-func (w *worker) resetRun() {
-	_ = w.store.Reset()
-	w.bucketsMu.Lock()
-	clear(w.buckets)
-	w.bucketsMu.Unlock()
+	return w.install(spec.ID, mapPart, out)
 }
 
 func (w *worker) storedOutputs() int { return w.store.Len() }
 
-// bucketFn returns the store's BucketFunc for one shuffle: resolve the
-// spec, require a ready partitioner, and count the deferred whole-output
-// bucketing pass. The store invokes it at most once per output (the
-// exactly-once half of bucketing, for outputs installed flat). Every shard
-// read passes one, though most outputs were bucketed at install and never
-// call it, so it is built on the shuffle's first read in a job and kept:
-// a read allocates nothing for it. It resolves the spec when it runs, so
-// one built before the barrier still buckets by the ready partitioner.
-func (w *worker) bucketFn(shuffleID int) blockstore.BucketFunc {
-	w.bucketsMu.Lock()
-	defer w.bucketsMu.Unlock()
-	if fn, ok := w.buckets[shuffleID]; ok {
-		return fn
-	}
-	fn := func(records []rdd.Pair) ([][]rdd.Pair, error) {
-		spec := w.spec(shuffleID)
-		if spec == nil {
-			return nil, fmt.Errorf("worker %d: unknown shuffle %d", w.id, shuffleID)
-		}
-		if !spec.Partitioner.Ready() {
-			return nil, fmt.Errorf("worker %d: shuffle %d partitioner not ready", w.id, shuffleID)
-		}
-		w.bucketBuilds.Add(1)
-		return rdd.BucketRecords(spec, records), nil
-	}
-	w.buckets[shuffleID] = fn
-	return fn
-}
-
 // shardOf returns one reduce shard of a stored output. Flat outputs
 // (range-partitioned shuffles stored before the barrier) are bucketed
-// exactly once, on the first read — never re-bucketed per read. A spilled
+// exactly once, on the first read, through the run's BucketFunc for the
+// shuffle — never re-bucketed per read. A spilled
 // output stays on disk and the store decodes just this shard. The shard is
 // the store's own slice (or a fresh one off disk): streamFetch encodes it,
 // a local reader hands it to the reduce side as one of its runs
 // (liveRun.reader), and neither writes to it.
-func (w *worker) shardOf(shuffleID, mapPart, reduce int) ([]rdd.Pair, error) {
-	shard, err := w.store.Shard(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, reduce, w.bucketFn(shuffleID))
+func (w *worker) shardOf(sh *runShuffle, mapPart, reduce int) ([]rdd.Pair, error) {
+	shard, err := w.store.Shard(blockstore.Key{Shuffle: sh.spec.ID, MapPart: mapPart}, reduce, sh.bucket)
 	if errors.Is(err, blockstore.ErrNotFound) {
-		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d: %w", w.id, shuffleID, mapPart, err)
+		return nil, fmt.Errorf("worker %d: no output for shuffle %d map %d: %w", w.id, sh.spec.ID, mapPart, err)
 	}
 	return shard, err
 }

@@ -164,7 +164,7 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	}
 	job := g.Input("in", parts).
 		GroupByKey("g1", 6).
-		MapValues("keep", func(v rdd.Value) rdd.Value { return v }).
+		Map("keep", func(p rdd.Pair) rdd.Pair { return p }).
 		GroupByKey("g2", 2)
 
 	pj, err := BuildJob(pushed(job))

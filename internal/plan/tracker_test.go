@@ -81,13 +81,13 @@ func TestBarrierPreparesRangeFromTrackedSamples(t *testing.T) {
 	}
 	ready := rdd.NewRangePartitioner(2)
 	ready.Prepare([]string{"a", "m", "z"})
-	if err := tr.PrepareRange(&rdd.ShuffleSpec{ID: 1, Partitioner: ready, SampleForRange: true}, 3); err != nil {
+	if err := tr.PrepareRange(&rdd.ShuffleSpec{ID: 1, Partitioner: ready}, 3); err != nil {
 		t.Fatalf("ready partitioner: %v", err)
 	}
 	if got := ready.PartitionFor("b"); got != 0 {
 		t.Fatalf("ready partitioner re-prepared: b lands in shard %d", got)
 	}
-	pending := &rdd.ShuffleSpec{ID: 1, Partitioner: rdd.NewRangePartitioner(2), SampleForRange: true}
+	pending := &rdd.ShuffleSpec{ID: 1, Partitioner: rdd.NewRangePartitioner(2)}
 	if err := tr.PrepareRange(pending, 3); !errors.Is(err, ErrNoMapOutput) {
 		t.Fatalf("barrier over unrecorded outputs: err = %v, want ErrNoMapOutput", err)
 	}
@@ -111,7 +111,7 @@ func TestBarrierPreparesRangeFromTrackedSamples(t *testing.T) {
 	// The old barrier, run where it used to run: after the map stage, before
 	// the first shard read buckets the stored outputs.
 	be.afterMapStage = func() {
-		err = rdd.PrepareRange(&rdd.ShuffleSpec{ID: spec.ID, Partitioner: want, SampleForRange: true}, maps,
+		err = rdd.PrepareRange(&rdd.ShuffleSpec{ID: spec.ID, Partitioner: want}, maps,
 			func(m, max int) ([]string, error) {
 				recs, err := be.Store().Get(blockstore.Key{Shuffle: spec.ID, MapPart: m})
 				return rdd.SampleKeys(recs, max), err

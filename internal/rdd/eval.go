@@ -74,7 +74,7 @@ func (e *localEval) evalShuffle(r *RDD) [][]Pair {
 		}
 		spec := d.Shuffle
 		parent := e.eval(d.Parent)
-		if spec.SampleForRange && !spec.Partitioner.Ready() {
+		if !spec.Partitioner.Ready() {
 			var sample []string
 			for _, part := range parent {
 				prepared := MapSidePrepare(spec, part)

@@ -87,9 +87,6 @@ type ShuffleSpec struct {
 	Combine CombineFn
 	// SortKeys sorts each reduce partition by key after aggregation.
 	SortKeys bool
-	// SampleForRange marks a range-partitioned shuffle whose boundaries
-	// the engine must sample at the map-stage barrier.
-	SampleForRange bool
 	// CoGroupSide marks one side of a CoGroup. Only the simulator reads it:
 	// its cost model, which the modeled workloads are calibrated with,
 	// prices each side's records one byte larger (ShuffledSize) and charges
@@ -349,9 +346,8 @@ func groupValues(_ int, sorted [][]Pair) []Pair {
 // step).
 func (r *RDD) SortByKey(name string, numParts int) *RDD {
 	return r.shuffleChild(name, &ShuffleSpec{
-		Partitioner:    NewRangePartitioner(numParts),
-		SortKeys:       true,
-		SampleForRange: true,
+		Partitioner: NewRangePartitioner(numParts),
+		SortKeys:    true,
 	}, nil)
 }
 

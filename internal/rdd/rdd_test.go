@@ -501,14 +501,14 @@ func TestPrepareRange(t *testing.T) {
 		t.Fatal("sampler called for a partitioner that needs no preparing")
 		return nil, nil
 	}
-	// A spec that does not ask for sampling is left alone.
+	// A hash partitioner is always ready: it is left alone.
 	if err := PrepareRange(&ShuffleSpec{Partitioner: NewHashPartitioner(2)}, 3, never); err != nil {
 		t.Fatal(err)
 	}
 	// An already-Ready partitioner keeps its boundaries.
 	ready := NewRangePartitioner(2)
 	ready.Prepare([]string{"a", "m", "z"})
-	if err := PrepareRange(&ShuffleSpec{Partitioner: ready, SampleForRange: true}, 3, never); err != nil {
+	if err := PrepareRange(&ShuffleSpec{Partitioner: ready}, 3, never); err != nil {
 		t.Fatal(err)
 	}
 	if got := ready.PartitionFor("b"); got != 0 {
@@ -518,7 +518,7 @@ func TestPrepareRange(t *testing.T) {
 	// A sampler error propagates and leaves the partitioner unprepared.
 	boom := errors.New("holder unreachable")
 	fresh := NewRangePartitioner(2)
-	spec := &ShuffleSpec{Partitioner: fresh, SampleForRange: true}
+	spec := &ShuffleSpec{Partitioner: fresh}
 	err := PrepareRange(spec, 3, func(m, _ int) ([]string, error) {
 		if m == 1 {
 			return nil, boom

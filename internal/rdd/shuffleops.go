@@ -180,22 +180,22 @@ const rangeSampleKeys = 1000
 // still holds the records, so nothing reads the stored output back at the
 // barrier.
 func RangeSample(spec *ShuffleSpec, prepared []Pair) []string {
-	if !spec.SampleForRange || spec.Partitioner.Ready() {
+	if spec.Partitioner.Ready() {
 		return nil
 	}
 	return SampleKeys(prepared, rangeSampleKeys)
 }
 
 // PrepareRange is the map-stage barrier's sampling step (Spark's
-// sortByKey sampling job): when spec asks for a sampled range partitioner
-// that is not prepared yet, gather up to rangeSampleKeys keys from each of
-// the numMaps map outputs through sample, in map order, and install the
+// sortByKey sampling job): when spec's partitioner is not ready — a range
+// partitioner not prepared yet — gather up to rangeSampleKeys keys from each
+// of the numMaps map outputs through sample, in map order, and install the
 // boundaries. Every barrier calls it — the sampler is the only part that
 // differs (the samples a planner tracked with its map outputs, a
-// registry's resident records). A ready partitioner, or a spec that needs
-// none, is left alone and sample is never called.
+// registry's resident records). A ready partitioner (every hash one) is
+// left alone and sample is never called.
 func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) ([]string, error)) error {
-	if !spec.SampleForRange || spec.Partitioner.Ready() {
+	if spec.Partitioner.Ready() {
 		return nil
 	}
 	var keys []string

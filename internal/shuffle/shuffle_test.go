@@ -144,7 +144,7 @@ func TestReducerHostBytes(t *testing.T) {
 func TestRangeShuffleSamplesAtFinalize(t *testing.T) {
 	reg := NewRegistry()
 	part := rdd.NewRangePartitioner(3)
-	spec := &rdd.ShuffleSpec{ID: 2, Partitioner: part, SortKeys: true, SampleForRange: true}
+	spec := &rdd.ShuffleSpec{ID: 2, Partitioner: part, SortKeys: true}
 	reg.Register(spec, 2)
 	var a, b []rdd.Pair
 	for i := 0; i < 100; i++ {

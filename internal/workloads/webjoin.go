@@ -82,5 +82,7 @@ func webJoinFlow(ins []*rdd.RDD) *rdd.RDD {
 		prefix := parts[0] + "." + parts[1]
 		return []rdd.Pair{rdd.KV(prefix, revenue)}
 	})
-	return contribs.SumByKey("wj.byPrefix", parallelism)
+	return contribs.ReduceByKey("wj.byPrefix", parallelism, func(a, b rdd.Value) rdd.Value {
+		return a.(float64) + b.(float64)
+	})
 }
