@@ -13,6 +13,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 
 	"wanshuffle/internal/rdd"
 )
@@ -46,12 +47,13 @@ type Stage struct {
 	// Output is the RDD materialized by the stage's last phase.
 	Output *rdd.RDD
 	Phases []Phase
-	// Boundaries are the ShuffledRDD nodes inside this stage whose shuffle
-	// deps are the stage's inputs.
-	Boundaries []*rdd.RDD
-	// Sources are the leaf input RDDs read by this stage.
-	Sources []*rdd.RDD
-	// Parents are the stages producing this stage's input shuffles.
+	// Base is the node the stage's chain of narrow operators reads: a leaf,
+	// whose partition p task p reads, or a ShuffledRDD, whose shuffle deps
+	// are the stage's inputs and whose reduce-side aggregation runs in the
+	// stage's tasks.
+	Base *rdd.RDD
+	// Parents are the stages producing this stage's input shuffles, one
+	// per dependency of Base.
 	Parents []*Stage
 
 	NumTasks int
@@ -92,10 +94,7 @@ func BuildPlan(target *rdd.RDD) (*Plan, error) {
 		return nil, err
 	}
 	b := &builder{byShuffle: map[int]*Stage{}}
-	final, err := b.stageFor(target, nil)
-	if err != nil {
-		return nil, err
-	}
+	final := b.stageFor(target, nil)
 	final.Kind = StageResult
 	return &Plan{Stages: b.stages, Final: final}, nil
 }
@@ -107,11 +106,14 @@ type builder struct {
 }
 
 // stageFor builds (or reuses) the stage materializing output; outSpec is
-// the shuffle the stage feeds, nil for the result stage.
-func (b *builder) stageFor(output *rdd.RDD, outSpec *rdd.ShuffleSpec) (*Stage, error) {
+// the shuffle the stage feeds, nil for the result stage. A narrow RDD has
+// one parent, so the stage is the chain from output down to its base, and
+// each transfer node met on the way cuts a phase: the lowest ends the
+// first phase, and the phase above it reads the transfer node as input.
+func (b *builder) stageFor(output *rdd.RDD, outSpec *rdd.ShuffleSpec) *Stage {
 	if outSpec != nil {
 		if st, ok := b.byShuffle[outSpec.ID]; ok {
-			return st, nil
+			return st
 		}
 	}
 	st := &Stage{
@@ -123,105 +125,23 @@ func (b *builder) stageFor(output *rdd.RDD, outSpec *rdd.ShuffleSpec) (*Stage, e
 	if outSpec != nil {
 		b.byShuffle[outSpec.ID] = st
 	}
-
-	// Walk the narrow sub-DAG from output, collecting boundaries, sources
-	// and transfer nodes. Boundaries (ShuffledRDDs) stop the walk.
-	var transfers []*rdd.RDD
-	seen := map[int]bool{}
-	var walk func(n *rdd.RDD) error
-	walk = func(n *rdd.RDD) error {
-		if seen[n.ID] {
-			return nil
-		}
-		seen[n.ID] = true
+	n := output
+	for ; len(n.Deps) > 0 && n.Deps[0].Kind == rdd.DepNarrow; n = n.Deps[0].Parent {
 		if n.Transfer != nil {
-			transfers = append(transfers, n)
+			st.Phases = append(st.Phases, Phase{Top: n.Deps[0].Parent, Transfer: n.Transfer, TransferNode: n})
 		}
-		if len(n.Deps) == 0 {
-			st.Sources = append(st.Sources, n)
-			return nil
-		}
-		if n.Deps[0].Kind == rdd.DepShuffle {
-			// A ShuffledRDD is an input boundary: its aggregation runs in
-			// this stage's tasks, its deps come from parent stages.
-			st.Boundaries = append(st.Boundaries, n)
-			for di := range n.Deps {
-				d := &n.Deps[di]
-				parent, err := b.stageFor(d.Parent, d.Shuffle)
-				if err != nil {
-					return err
-				}
-				st.addParent(parent)
-			}
-			return nil
-		}
-		for di := range n.Deps {
-			if err := walk(n.Deps[di].Parent); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-
-	if err := walk(output); err != nil {
-		return nil, err
+	slices.Reverse(st.Phases)
+	st.Phases = append(st.Phases, Phase{Top: output})
+	st.Base = n
+	for di := range n.Deps {
+		d := &n.Deps[di]
+		st.Parents = append(st.Parents, b.stageFor(d.Parent, d.Shuffle))
 	}
-
-	phases, err := buildPhases(output, transfers)
-	if err != nil {
-		return nil, err
-	}
-	st.Phases = phases
-
 	st.ID = b.nextID
 	b.nextID++
 	b.stages = append(b.stages, st)
-	return st, nil
-}
-
-func (s *Stage) addParent(p *Stage) {
-	for _, got := range s.Parents {
-		if got == p {
-			return
-		}
-	}
-	s.Parents = append(s.Parents, p)
-}
-
-// buildPhases splits the stage at its transfer nodes. Transfers must lie on
-// the trunk: the chain from output through first narrow parents down to the
-// first boundary/leaf/branch point.
-func buildPhases(output *rdd.RDD, transfers []*rdd.RDD) ([]Phase, error) {
-	if len(transfers) == 0 {
-		return []Phase{{Top: output}}, nil
-	}
-	onTrunk := map[int]bool{}
-	var trunkTransfers []*rdd.RDD // top-down order
-	n := output
-	for {
-		onTrunk[n.ID] = true
-		if n.Transfer != nil {
-			trunkTransfers = append(trunkTransfers, n)
-		}
-		if len(n.Deps) != 1 || n.Deps[0].Kind != rdd.DepNarrow {
-			break
-		}
-		n = n.Deps[0].Parent
-	}
-	for _, tr := range transfers {
-		if !onTrunk[tr.ID] {
-			return nil, fmt.Errorf("dag: transferTo on %q is off the stage trunk (inside a branch); move it onto the main chain", tr.Name)
-		}
-	}
-	// Convert top-down transfer list into bottom-up phases: the lowest
-	// transfer ends the first phase.
-	phases := make([]Phase, 0, len(trunkTransfers)+1)
-	for i := len(trunkTransfers) - 1; i >= 0; i-- {
-		tr := trunkTransfers[i]
-		phases = append(phases, Phase{Top: tr.Deps[0].Parent, Transfer: tr.Transfer, TransferNode: tr})
-	}
-	phases = append(phases, Phase{Top: output})
-	return phases, nil
+	return st
 }
 
 // AutoAggregate rewrites the lineage reachable from target so that every

@@ -59,35 +59,23 @@ func TestCombineAfterExplicitTransfer(t *testing.T) {
 }
 
 // trunkEdges lists the dependency edges a transferTo may be spliced into:
-// every shuffle edge (the transfer becomes the map stage's output) and every
-// edge of a single-parent narrow node on a stage's trunk, the chain from a
-// stage's output down to its first leaf, shuffle boundary or union.
+// every edge, since every stage is a chain — a shuffle edge (the transfer
+// becomes the map stage's output) or a narrow one on a stage's chain.
 func trunkEdges(target *rdd.RDD) []*rdd.Dependency {
 	var edges []*rdd.Dependency
 	seen := map[int]bool{}
-	var walk func(n *rdd.RDD, onTrunk bool)
-	walk = func(n *rdd.RDD, onTrunk bool) {
+	var walk func(n *rdd.RDD)
+	walk = func(n *rdd.RDD) {
 		if seen[n.ID] {
 			return
 		}
 		seen[n.ID] = true
 		for i := range n.Deps {
-			d := &n.Deps[i]
-			switch {
-			case d.Kind == rdd.DepShuffle:
-				edges = append(edges, d)
-				walk(d.Parent, true)
-			case len(n.Deps) == 1:
-				if onTrunk {
-					edges = append(edges, d)
-				}
-				walk(d.Parent, onTrunk)
-			default: // a union's parents are off its stage's trunk
-				walk(d.Parent, false)
-			}
+			edges = append(edges, &n.Deps[i])
+			walk(n.Deps[i].Parent)
 		}
 	}
-	walk(target, true)
+	walk(target)
 	return edges
 }
 

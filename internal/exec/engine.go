@@ -541,25 +541,16 @@ func (e *Engine) stallDiagnostic(jobs []*jobState) string {
 // centralizeInputs ships every input partition of the job's plan to the
 // datacenter holding the largest input share, then calls done.
 func (e *Engine) centralizeInputs(job *jobState, done func()) {
-	plan := job.plan
-	srcSeen := map[int]*rdd.RDD{}
-	for _, st := range plan.Stages {
-		for _, src := range st.Sources {
-			srcSeen[src.ID] = src
-		}
-	}
 	byDC := make([]float64, e.Topo.NumDCs())
 	var srcs []*rdd.RDD
-	for _, st := range plan.Stages {
-		for _, src := range st.Sources {
-			if srcSeen[src.ID] == nil {
-				continue
-			}
-			srcSeen[src.ID] = nil
-			srcs = append(srcs, src)
-			for i := range src.Input {
-				byDC[e.Topo.DCOf(src.Input[i].Host)] += src.Input[i].ModeledBytes
-			}
+	for _, st := range job.plan.Stages {
+		src := st.Base
+		if len(src.Deps) > 0 || slices.Contains(srcs, src) {
+			continue
+		}
+		srcs = append(srcs, src)
+		for i := range src.Input {
+			byDC[e.Topo.DCOf(src.Input[i].Host)] += src.Input[i].ModeledBytes
 		}
 	}
 	target, _ := shuffle.BestAggregator(byDC)

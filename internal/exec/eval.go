@@ -26,45 +26,44 @@ func scaleTo(outReal, inReal, inModeled float64) float64 {
 	return outReal * (inModeled / inReal)
 }
 
-// need is one input acquisition a task must perform before computing.
+// need is the one input acquisition a task must perform before computing.
 type need struct {
 	kind    needKind
 	host    topology.HostID // where the data lives (source/cached)
 	modeled float64
 	// shuffle needs
-	node *rdd.RDD // the ShuffledRDD boundary
+	node *rdd.RDD // the ShuffledRDD base
 }
 
 type needKind int
 
 const (
-	needSource needKind = iota + 1
+	needNothing needKind = iota // the chain reaches bound data first
+	needSource
 	needCached
 	needShuffleRead
 )
 
-// walkNeeds collects the acquisitions required to compute partition part of
-// node, stopping at bound entries, materialized caches, sources, and
-// shuffle boundaries.
-func (e *Engine) walkNeeds(node *rdd.RDD, part int, bound map[int]partData, out *[]need) {
-	if _, ok := bound[node.ID]; ok {
-		return
+// walkNeed returns what computing partition part of node must acquire: down
+// its chain, the first materialized cache, source or shuffle boundary, or
+// nothing when a bound entry comes first.
+func (e *Engine) walkNeed(node *rdd.RDD, part int, bound map[int]partData) need {
+	for {
+		if _, ok := bound[node.ID]; ok {
+			return need{}
+		}
+		if cp := e.cachedPart(node, part); cp != nil {
+			return need{kind: needCached, host: cp.host, modeled: cp.modeled}
+		}
+		if len(node.Deps) == 0 {
+			in := node.Input[part]
+			return need{kind: needSource, host: in.Host, modeled: in.ModeledBytes}
+		}
+		if node.Deps[0].Kind == rdd.DepShuffle {
+			return need{kind: needShuffleRead, node: node}
+		}
+		node = node.Deps[0].Parent
 	}
-	if cp := e.cachedPart(node, part); cp != nil {
-		*out = append(*out, need{kind: needCached, host: cp.host, modeled: cp.modeled})
-		return
-	}
-	if len(node.Deps) == 0 {
-		in := node.Input[part]
-		*out = append(*out, need{kind: needSource, host: in.Host, modeled: in.ModeledBytes})
-		return
-	}
-	if node.Deps[0].Kind == rdd.DepShuffle {
-		*out = append(*out, need{kind: needShuffleRead, node: node})
-		return
-	}
-	parent, pp := node.ParentPart(part)
-	e.walkNeeds(parent, pp, bound, out)
 }
 
 func (e *Engine) cachedPart(node *rdd.RDD, part int) *cachedPart {
@@ -117,7 +116,7 @@ func (e *Engine) chain(node *rdd.RDD, part int, host topology.HostID, bound map[
 			break
 		}
 		ops = append(ops, node)
-		node, part = node.ParentPart(part)
+		node = node.Deps[0].Parent
 	}
 	slices.Reverse(ops)
 	return ops, e.materialise(node, part, host, bound, cost)
@@ -192,8 +191,7 @@ func (e *Engine) materialise(node *rdd.RDD, part int, host topology.HostID, boun
 	if node.Deps[0].Kind == rdd.DepShuffle {
 		panic(fmt.Sprintf("exec: shuffle boundary %q not acquired before evaluation", node.Name))
 	}
-	parent, pp := node.ParentPart(part)
-	out := stream([]*rdd.RDD{node}, e.evaluate(parent, pp, host, bound, cost), cost)
+	out := stream([]*rdd.RDD{node}, e.evaluate(node.Deps[0].Parent, part, host, bound, cost), cost)
 	e.storeCache(node, part, host, out)
 	return out
 }

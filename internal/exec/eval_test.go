@@ -36,10 +36,8 @@ func TestWalkNeedsSource(t *testing.T) {
 		{Host: 2, ModeledBytes: 77, Records: []rdd.Pair{rdd.KV("a", 1)}},
 	})
 	mapped := in.Map("m", func(p rdd.Pair) rdd.Pair { return p })
-	var needs []need
-	eng.walkNeeds(mapped, 0, nil, &needs)
-	if len(needs) != 1 || needs[0].kind != needSource || needs[0].host != 2 || needs[0].modeled != 77 {
-		t.Fatalf("needs = %+v", needs)
+	if n := eng.walkNeed(mapped, 0, nil); n.kind != needSource || n.host != 2 || n.modeled != 77 {
+		t.Fatalf("need = %+v", n)
 	}
 }
 
@@ -51,10 +49,8 @@ func TestWalkNeedsStopsAtBound(t *testing.T) {
 	moved := in.TransferTo(1)
 	top := moved.Map("m", func(p rdd.Pair) rdd.Pair { return p })
 	bound := map[int]partData{moved.ID: {records: nil, modeled: 10}}
-	var needs []need
-	eng.walkNeeds(top, 0, bound, &needs)
-	if len(needs) != 0 {
-		t.Fatalf("bound boundary leaked needs: %+v", needs)
+	if n := eng.walkNeed(top, 0, bound); n.kind != needNothing {
+		t.Fatalf("bound boundary leaked a need: %+v", n)
 	}
 }
 
@@ -65,10 +61,8 @@ func TestWalkNeedsShuffleBoundary(t *testing.T) {
 	})
 	red := in.ReduceByKey("r", 2, sum)
 	post := red.Map("post", func(p rdd.Pair) rdd.Pair { return p })
-	var needs []need
-	eng.walkNeeds(post, 0, nil, &needs)
-	if len(needs) != 1 || needs[0].kind != needShuffleRead || needs[0].node != red {
-		t.Fatalf("needs = %+v", needs)
+	if n := eng.walkNeed(post, 0, nil); n.kind != needShuffleRead || n.node != red {
+		t.Fatalf("need = %+v", n)
 	}
 }
 
@@ -81,17 +75,13 @@ func TestWalkNeedsCachedShortCircuit(t *testing.T) {
 	top := cached.Map("top", func(p rdd.Pair) rdd.Pair { return p })
 
 	// Before materialization the walk recurses to the source.
-	var needs []need
-	eng.walkNeeds(top, 0, nil, &needs)
-	if len(needs) != 1 || needs[0].kind != needSource {
-		t.Fatalf("pre-cache needs = %+v", needs)
+	if n := eng.walkNeed(top, 0, nil); n.kind != needSource {
+		t.Fatalf("pre-cache need = %+v", n)
 	}
 	// After materialization it stops at the cached copy.
 	eng.storeCache(cached, 0, 3, partData{records: []rdd.Pair{rdd.KV("a", 1)}, modeled: 42})
-	needs = nil
-	eng.walkNeeds(top, 0, nil, &needs)
-	if len(needs) != 1 || needs[0].kind != needCached || needs[0].host != 3 || needs[0].modeled != 42 {
-		t.Fatalf("post-cache needs = %+v", needs)
+	if n := eng.walkNeed(top, 0, nil); n.kind != needCached || n.host != 3 || n.modeled != 42 {
+		t.Fatalf("post-cache need = %+v", n)
 	}
 }
 

@@ -107,21 +107,19 @@ func (e *Engine) recoverShuffle(shuffleID int) bool {
 }
 
 // parkOnLostShuffle is where a task about to read shuffle output decides to
-// wait for it (Spark's FetchFailed). If a shuffle that needs reads has lost
+// wait for it (Spark's FetchFailed). If a shuffle that n reads has lost
 // output, it starts recomputing every lost map output there, gives its
 // slot back and parks on the first such shuffle, and reports true. The
 // parked attempt is neither a retry nor counted against plan.MaxAttempts:
 // unpark submits it again, same attempt number, once the shuffle is whole.
-func (e *Engine) parkOnLostShuffle(t *taskRun, host topology.HostID, release func(), needs []need) bool {
+func (e *Engine) parkOnLostShuffle(t *taskRun, host topology.HostID, release func(), n need) bool {
+	if n.kind != needShuffleRead {
+		return false
+	}
 	lost := -1
-	for _, n := range needs {
-		if n.kind != needShuffleRead {
-			continue
-		}
-		for di := range n.node.Deps {
-			if id := n.node.Deps[di].Shuffle.ID; e.recoverShuffle(id) && lost < 0 {
-				lost = id
-			}
+	for di := range n.node.Deps {
+		if id := n.node.Deps[di].Shuffle.ID; e.recoverShuffle(id) && lost < 0 {
+			lost = id
 		}
 	}
 	if lost < 0 {

@@ -31,8 +31,7 @@ func materialisedEvaluate(e *Engine, node *rdd.RDD, part int, host topology.Host
 		in := node.Input[part]
 		return partData{records: in.Records, real: rdd.SizeOfAll(in.Records), modeled: in.ModeledBytes}
 	}
-	parent, pp := node.ParentPart(part)
-	in := materialisedEvaluate(e, parent, pp, host, bound, cost)
+	in := materialisedEvaluate(e, node.Deps[0].Parent, part, host, bound, cost)
 	var outRecs []rdd.Pair
 	for _, p := range in.records {
 		node.Each(p, func(q rdd.Pair) { outRecs = append(outRecs, q) })
@@ -65,21 +64,14 @@ func materialisedPhase(e *Engine, top *rdd.RDD, part int, host topology.HostID, 
 	}
 }
 
-// acquireShuffles aggregates the shuffle boundaries a phase reads into its
+// acquireShuffles aggregates the shuffle boundary a phase reads into its
 // bound, as computePhase does before it evaluates.
 func acquireShuffles(e *Engine, top *rdd.RDD, part int, host topology.HostID, bound map[int]partData, cost *float64) map[int]partData {
 	if bound == nil {
 		bound = map[int]partData{}
 	}
-	var needs []need
-	e.walkNeeds(top, part, bound, &needs)
-	for _, n := range needs {
-		if n.kind != needShuffleRead {
-			continue
-		}
-		if _, ok := bound[n.node.ID]; !ok {
-			bound[n.node.ID] = e.aggregateShuffle(n.node, part, host, cost)
-		}
+	if n := e.walkNeed(top, part, bound); n.kind == needShuffleRead {
+		bound[n.node.ID] = e.aggregateShuffle(n.node, part, host, cost)
 	}
 	return bound
 }

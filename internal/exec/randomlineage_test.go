@@ -68,7 +68,7 @@ func faultSchedule(t *testing.T, rng *rand.Rand, target *rdd.RDD) []FailureSpec 
 	}
 	var failures []FailureSpec
 	for _, st := range job.Stages() {
-		if len(st.Boundaries) == 0 {
+		if len(st.Base.Deps) == 0 {
 			continue
 		}
 		for part := 0; part < st.NumTasks; part++ {

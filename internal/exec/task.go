@@ -82,20 +82,20 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 		return
 	}
 	byDC := make([]float64, e.Topo.NumDCs())
-	for _, src := range ss.st.Sources {
-		for i := range src.Input {
-			byDC[e.Topo.DCOf(src.Input[i].Host)] += src.Input[i].ModeledBytes
+	base := ss.st.Base
+	parts, cached := e.cachedEverywhere(base)
+	switch {
+	case len(base.Deps) == 0:
+		for i := range base.Input {
+			byDC[e.Topo.DCOf(base.Input[i].Host)] += base.Input[i].ModeledBytes
 		}
-	}
-	for _, b := range ss.st.Boundaries {
-		if parts, ok := e.cachedEverywhere(b); ok {
-			for _, cp := range parts {
-				byDC[e.Topo.DCOf(cp.host)] += cp.modeled
-			}
-			continue
+	case cached:
+		for _, cp := range parts {
+			byDC[e.Topo.DCOf(cp.host)] += cp.modeled
 		}
-		for di := range b.Deps {
-			hostBytes := e.reg.HostBytes(b.Deps[di].Shuffle.ID)
+	default:
+		for di := range base.Deps {
+			hostBytes := e.reg.HostBytes(base.Deps[di].Shuffle.ID)
 			for _, host := range sortedHosts(hostBytes) {
 				byDC[e.Topo.DCOf(host)] += hostBytes[host]
 			}
@@ -220,7 +220,7 @@ func (e *Engine) submitTask(t *taskRun) {
 // reducerLocalityFraction of its shuffle input (Spark's reducer locality
 // rule). Hosts are ordered by bytes held.
 func (e *Engine) prefsFor(ss *stageState, part int) []topology.HostID {
-	if e.cfg.PinReducersDC != nil && len(ss.st.Boundaries) > 0 {
+	if e.cfg.PinReducersDC != nil && len(ss.st.Base.Deps) > 0 {
 		// Keep byte-ordered locality among the pinned DC's hosts so
 		// reducers still land next to their shuffle input.
 		pinned := *e.cfg.PinReducersDC
@@ -242,26 +242,23 @@ func (e *Engine) prefsFor(ss *stageState, part int) []topology.HostID {
 
 // locality derives byte-ordered preferred hosts for a stage-entry task.
 func (e *Engine) locality(ss *stageState, part int) []topology.HostID {
-	var needs []need
-	e.walkNeeds(ss.st.Phases[ss.startPhase].Top, part, nil, &needs)
+	n := e.walkNeed(ss.st.Phases[ss.startPhase].Top, part, nil)
 	byHost := map[topology.HostID]float64{}
-	for _, n := range needs {
-		switch n.kind {
-		case needSource, needCached:
-			byHost[n.host] += n.modeled
-		case needShuffleRead:
-			for di := range n.node.Deps {
-				spec := n.node.Deps[di].Shuffle
-				hostBytes := e.reg.ReducerHostBytes(spec.ID, part)
-				hosts := sortedHosts(hostBytes)
-				var total float64
-				for _, h := range hosts {
-					total += hostBytes[h]
-				}
-				for _, h := range hosts {
-					if b := hostBytes[h]; total > 0 && b >= reducerLocalityFraction*total {
-						byHost[h] += b
-					}
+	switch n.kind {
+	case needSource, needCached:
+		byHost[n.host] += n.modeled
+	case needShuffleRead:
+		for di := range n.node.Deps {
+			spec := n.node.Deps[di].Shuffle
+			hostBytes := e.reg.ReducerHostBytes(spec.ID, part)
+			hosts := sortedHosts(hostBytes)
+			var total float64
+			for _, h := range hosts {
+				total += hostBytes[h]
+			}
+			for _, h := range hosts {
+				if b := hostBytes[h]; total > 0 && b >= reducerLocalityFraction*total {
+					byHost[h] += b
 				}
 			}
 		}
@@ -346,9 +343,8 @@ func (e *Engine) pushLost(t *taskRun, host topology.HostID, release func()) bool
 // concurrent network flows for remote sources, caches, and shuffle shards
 // (the fetch-based all-to-all burst).
 func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release func(), start float64) {
-	var needs []need
-	e.walkNeeds(t.ss.st.Phases[t.phase].Top, t.part, t.bound, &needs)
-	if e.parkOnLostShuffle(t, host, release, needs) {
+	n := e.walkNeed(t.ss.st.Phases[t.phase].Top, t.part, t.bound)
+	if e.parkOnLostShuffle(t, host, release, n) {
 		return
 	}
 
@@ -361,35 +357,30 @@ func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release fu
 	var remotes []remote
 	isReduce := false
 	fetchShuffle := 0
-	for _, n := range needs {
-		switch n.kind {
-		case needSource:
-			src := e.liveReplica(n.host) // HDFS replica if the holder died
-			if src == host {
-				diskBytes += n.modeled
-			} else {
-				remotes = append(remotes, remote{src, n.modeled, TagInput})
-			}
-		case needCached:
-			if n.host != host {
-				remotes = append(remotes, remote{n.host, n.modeled, TagCache})
-			}
-		case needShuffleRead:
-			isReduce = true
-			for di := range n.node.Deps {
-				spec := n.node.Deps[di].Shuffle
-				if fetchShuffle == 0 {
-					fetchShuffle = spec.ID
+	switch n.kind {
+	case needSource:
+		src := e.liveReplica(n.host) // HDFS replica if the holder died
+		if src == host {
+			diskBytes += n.modeled
+		} else {
+			remotes = append(remotes, remote{src, n.modeled, TagInput})
+		}
+	case needCached:
+		if n.host != host {
+			remotes = append(remotes, remote{n.host, n.modeled, TagCache})
+		}
+	case needShuffleRead:
+		isReduce = true
+		fetchShuffle = n.node.Deps[0].Shuffle.ID
+		for di := range n.node.Deps {
+			for _, sh := range e.reg.Shards(n.node.Deps[di].Shuffle.ID, t.part) {
+				if sh.ModeledBytes <= 0 {
+					continue
 				}
-				for _, sh := range e.reg.Shards(spec.ID, t.part) {
-					if sh.ModeledBytes <= 0 {
-						continue
-					}
-					if sh.Host == host {
-						diskBytes += sh.ModeledBytes
-					} else {
-						remotes = append(remotes, remote{sh.Host, sh.ModeledBytes, TagShuffle})
-					}
+				if sh.Host == host {
+					diskBytes += sh.ModeledBytes
+				} else {
+					remotes = append(remotes, remote{sh.Host, sh.ModeledBytes, TagShuffle})
 				}
 			}
 		}
@@ -455,21 +446,15 @@ func (e *Engine) computePhase(t *taskRun, host topology.HostID, release func(), 
 	}
 
 	var cost float64
-	// Aggregate shuffle boundaries reachable by this phase first. The fetch
-	// may have raced a host failure that lost some of their output.
-	var needs []need
-	e.walkNeeds(phase.Top, t.part, bound, &needs)
-	if e.parkOnLostShuffle(t, host, release, needs) {
+	// Aggregate the shuffle boundary this phase reads first. The fetch may
+	// have raced a host failure that lost some of its output.
+	n := e.walkNeed(phase.Top, t.part, bound)
+	if e.parkOnLostShuffle(t, host, release, n) {
 		return
 	}
-	isReduce := false
-	for _, n := range needs {
-		if n.kind == needShuffleRead {
-			isReduce = true
-			if _, ok := bound[n.node.ID]; !ok {
-				bound[n.node.ID] = e.aggregateShuffle(n.node, t.part, host, &cost)
-			}
-		}
+	isReduce := n.kind == needShuffleRead
+	if isReduce {
+		bound[n.node.ID] = e.aggregateShuffle(n.node, t.part, host, &cost)
 	}
 	// Map-side combine runs before the push when it can (Sec. IV-C3): at the
 	// end of the last phase that computes anything, whether it runs on the

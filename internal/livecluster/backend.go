@@ -115,7 +115,14 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// re-places it on a healthy worker.
 		return plan.TaskResult{}, fmt.Errorf("livecluster: map task %s/t%d on worker %d: %w", st.Name(), t.Part, site, errWorkerDown)
 	}
-	res := plan.TaskResult{Bytes: rdd.EncodedSize(out), Sample: rdd.RangeSample(spec, out)}
+	// The record codec sizes the output before anything stores or pushes it,
+	// so a value it cannot carry fails the task with the typed error, not
+	// the process inside the block store's sizing.
+	size, err := rdd.EncodedSize(out)
+	if err != nil {
+		return plan.TaskResult{}, fmt.Errorf("livecluster: map task %s/t%d: %w", st.Name(), t.Part, err)
+	}
+	res := plan.TaskResult{Bytes: size, Sample: rdd.RangeSample(spec, out)}
 	// The map span carries the shuffle it produced, making it a producer
 	// edge for downstream fetch/serve spans in critical-path analysis.
 	r.span(trace.Span{

@@ -50,8 +50,9 @@ func addInts(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }
 
 // cachedFanOut builds a job whose Cached node — a reduce, then counted — is
 // read by three later stages: the map sides of shuffles "a" and "b" and the
-// left side of join "c". Its inputs are drawn from seed; its shape is the
-// same for every seed, so two builds number their nodes alike.
+// left side of join "c"; the result cogroups c with b. Its inputs are drawn
+// from seed; its shape is the same for every seed, so two builds number
+// their nodes alike.
 func cachedFanOut(parts int, seed int64, calls *computed) *rdd.RDD {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := make([]rdd.InputPartition, parts)
@@ -71,7 +72,7 @@ func cachedFanOut(parts int, seed int64, calls *computed) *rdd.RDD {
 		v := p.Value.([]rdd.Value)
 		return rdd.KV(p.Key, v[0].(int)+v[1].(int))
 	})
-	return c.Union("out", b)
+	return c.CoGroup("out", b, parts)
 }
 
 // stagesReading returns the stages of job whose tasks evaluate the node
@@ -167,7 +168,8 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 
 // cachedLeafFanOut builds a pushed job whose Cached node is counted straight
 // over six leaf partitions, so any site can recompute a partition of it from
-// the lineage, and is read by three stages in order, r1, r2 and r3. Partition
+// the lineage, and is read by three stages in order, r1, r2 and r3, whose
+// outputs the result cogroups, r1 with r2 and that with r3. Partition
 // 2 is three times the others: leaf tasks round-robin, so on three workers
 // Eq. 2 aggregates every shuffle on worker 2. The first record of partition 0
 // that r2 reads closes reached and waits for release; a nil reached builds
@@ -196,7 +198,7 @@ func cachedLeafFanOut(calls *computed, reached, release chan struct{}) *rdd.RDD 
 		return rdd.KV(p.Key[:2], p.Value)
 	}).ReduceByKey("r2", 3, addInts)
 	r3 := cached.Map("r3.key", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key[3:], 1) }).ReduceByKey("r3", 3, addInts)
-	return pushed(r1.Union("out", r2, r3))
+	return pushed(r1.CoGroup("r12", r2, 3).CoGroup("out", r3, 3))
 }
 
 // TestCachedPartitionsFailOver kills the worker holding cached partitions

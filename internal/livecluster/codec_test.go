@@ -10,11 +10,16 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// opaque is a record value the planner can size (rdd.Sized) but the record
-// codec cannot carry: it may live in a process, not cross a socket.
+// opaque is a record value the record codec cannot carry, and that does
+// not size itself (rdd.Sized) either: it may live in a process, not cross a
+// socket or land in a block store.
 type opaque struct{}
 
-func (opaque) SizeBytes() float64 { return 8 }
+// sizedOpaque is a value the block store can size (rdd.Sized) but the record
+// codec cannot carry: what a serve meets if an output was stored unchecked.
+type sizedOpaque struct{}
+
+func (sizedOpaque) SizeBytes() float64 { return 8 }
 
 // TestUnsupportedValueFailsPushCleanly drives the wire path directly: a
 // push holding a value the codec cannot carry fails with the typed error
@@ -77,14 +82,15 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 	// Fetch side: a locally stored output with such a value fails its
 	// fetch as a remote error naming the type, on a connection that
 	// stays pooled.
-	if err := w1.storeMapOutput(shuffleOf(c, 7).spec, 2, 1, bad); err != nil {
+	stored := append(pairs(17), rdd.KV("bad-key", sizedOpaque{}))
+	if err := w1.storeMapOutput(shuffleOf(c, 7).spec, 2, 1, stored); err != nil {
 		t.Fatal(err)
 	}
 	failed := 0
 	for r := 0; r < 3; r++ {
 		if _, err := fetchFlat(w0, 1, 7, 2, r); err != nil {
 			failed++
-			if !strings.Contains(err.Error(), "livecluster.opaque") {
+			if !strings.Contains(err.Error(), "livecluster.sizedOpaque") {
 				t.Fatalf("fetch error %q does not name the Go type", err)
 			}
 		}
@@ -99,8 +105,9 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 
 // TestUnsupportedValueFailsJobNotCluster runs whole jobs on a two-worker
 // cluster: one whose shuffle carries an unsupported value fails with the
-// typed error (push) or an error naming the type (fetch), and the next job
-// on the same cluster succeeds without dialing a single new connection.
+// typed error, pushed or fetched — its map task checks its output before it
+// stores or pushes it — and the next job on the same cluster succeeds
+// without dialing a single new connection.
 func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 	job := func(v func(i int) rdd.Value) *rdd.RDD {
 		g := rdd.NewGraph()
@@ -134,12 +141,9 @@ func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 		}
 
 		_, _, err = c.Run(shuffledAs(scheme, job(bad)))
-		if err == nil || !strings.Contains(err.Error(), "livecluster.opaque") {
-			t.Fatalf("%v: job with an unsupported value: err = %v, want one naming the Go type", scheme, err)
-		}
 		var unsupported *rdd.UnsupportedValueError
-		if scheme == "push" && !errors.As(err, &unsupported) {
-			t.Fatalf("push: err = %v, want *rdd.UnsupportedValueError", err)
+		if !errors.As(err, &unsupported) || !strings.Contains(err.Error(), "livecluster.opaque") {
+			t.Fatalf("%v: job with an unsupported value: err = %v, want *rdd.UnsupportedValueError naming the Go type", scheme, err)
 		}
 
 		out, stats, err := c.Run(shuffledAs(scheme, job(good)))

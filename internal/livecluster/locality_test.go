@@ -24,7 +24,8 @@ import (
 func streamedBytes(records []rdd.Pair, chunkRecords int) float64 {
 	var n float64
 	for _, chunk := range splitRecords(records, chunkRecords) {
-		n += rdd.EncodedSize(chunk)
+		size, _ := rdd.EncodedSize(chunk)
+		n += size
 	}
 	return n
 }
@@ -124,7 +125,7 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, sche
 			if err != nil {
 				t.Fatalf("seed %d: shuffle %d map %d is not where the placement says: %v", seed, shuffle, m, err)
 			}
-			if size := rdd.EncodedSize(stored); size != span.Bytes {
+			if size, _ := rdd.EncodedSize(stored); size != span.Bytes {
 				t.Fatalf("seed %d: shuffle %d map %d stores %v codec bytes, its map task reported %v", seed, shuffle, m, size, span.Bytes)
 			}
 			if scheme == "push" && int(span.Host) != agg {
@@ -276,7 +277,7 @@ func TestReduceDoesNotWriteTheStore(t *testing.T) {
 			}
 			var reducer *plan.Task
 			for i := range run.tasks {
-				if len(run.tasks[i].Stage.Boundaries) > 0 {
+				if len(run.tasks[i].Stage.Base.Deps) > 0 {
 					reducer = &run.tasks[i]
 					break
 				}
@@ -284,7 +285,7 @@ func TestReduceDoesNotWriteTheStore(t *testing.T) {
 			if reducer == nil || reducer.Site != 1 {
 				t.Fatalf("no reduce task on the aggregator among %d tasks", len(run.tasks))
 			}
-			spec := reducer.Stage.Boundaries[0].Deps[0].Shuffle
+			spec := reducer.Stage.Base.Deps[0].Shuffle
 			read := run.reader(*reducer, 0, new(float64))
 			first, err := read(spec, reducer.Part)
 			if err != nil || len(first) == 0 {

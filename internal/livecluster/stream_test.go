@@ -78,7 +78,8 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 			if fr.seq != 3 || fr.last || fr.err != "" {
 				t.Fatalf("data frame read back as %+v", fr)
 			}
-			codecBytes := int64(rdd.EncodedSize(in))
+			size, _ := rdd.EncodedSize(in)
+			codecBytes := int64(size)
 			if fr.codecBytes() != codecBytes || raw != codecBytes || fr.savings() != saved || saved != codecBytes-int64(len(fr.payload)) {
 				t.Fatalf("codec bytes %d (want %d), savings %d, sender's %d, payload %d",
 					fr.codecBytes(), codecBytes, fr.savings(), saved, len(fr.payload))
@@ -1046,7 +1047,8 @@ func BenchmarkChunkFrameRoundTrip(b *testing.B) {
 			var wire bytes.Buffer
 			br := bufio.NewReader(&wire)
 			b.ReportAllocs()
-			b.SetBytes(int64(rdd.EncodedSize(recs)))
+			size, _ := rdd.EncodedSize(recs)
+			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
 				wire.Reset()
 				if _, _, err := sendChunk(&wire, i, recs, codec); err != nil {

@@ -321,15 +321,17 @@ func Pushes(st *dag.Stage) bool {
 }
 
 // inputSizes is stage st's input bytes per site, what ChooseAggregator
-// ranks: the leaf input partitions each task reads at the site placeTask
-// runs that task on, plus the measured map outputs feeding the stage's
-// shuffle boundaries at their holders. Leaf records are sized as
-// rdd.EncodedSize, the unit a backend measures its map outputs in, so a
-// predicted transfer cost is a prediction about bytes a data plane moves.
+// ranks: over a leaf, the input partition each task reads at the site
+// placeTask runs that task on; over a shuffle, the measured map outputs
+// feeding it at their holders. Leaf records are sized as rdd.EncodedSize,
+// the unit a backend measures its map outputs in, so a predicted transfer
+// cost is a prediction about bytes a data plane moves; they never leave the
+// process, so a value the record codec cannot carry is sized, not refused.
 func (d *Driver) inputSizes(st *dag.Stage) []float64 {
 	bySite := make([]float64, d.be.NumSites())
-	for part := 0; part < st.NumTasks; part++ {
-		bySite[d.placeTask(st, part)] += leafBytes(st.Phases[0].Top, part)
+	for part, in := range st.Base.Input { // none over a shuffle
+		n, _ := rdd.EncodedSize(in.Records)
+		bySite[d.placeTask(st, part)] += n
 	}
 	d.outputs.AddBoundaryBytes(st, bySite)
 	return bySite
@@ -348,20 +350,18 @@ func (d *Driver) placeTask(st *dag.Stage, part int) int {
 
 // boundarySite returns the aggregator site of the stage's first shuffle
 // input when every one of its shuffle inputs was aggregated; -1 otherwise
-// (and for a stage that reads no shuffle).
+// (and for a stage over a leaf).
 func (d *Driver) boundarySite(st *dag.Stage) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	site := -1
-	for _, b := range st.Boundaries {
-		for di := range b.Deps {
-			s, ok := d.aggSites[b.Deps[di].Shuffle.ID]
-			if !ok {
-				return -1
-			}
-			if site < 0 {
-				site = s
-			}
+	for di := range st.Base.Deps {
+		s, ok := d.aggSites[st.Base.Deps[di].Shuffle.ID]
+		if !ok {
+			return -1
+		}
+		if site < 0 {
+			site = s
 		}
 	}
 	return site

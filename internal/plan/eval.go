@@ -114,7 +114,7 @@ func (c *SiteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
 // the same order without building one. Both read shuffle input through read
 // and Cached partitions through cache (nil: nothing is cached).
 //
-// A narrow node (Map, FlatMap, Filter, Union) fuses: eachPart runs its one
+// A narrow node (Map, FlatMap, Filter) fuses: eachPart runs its one
 // parent partition's eachPart with the node's operator (rdd.RDD.Each)
 // composed in front of emit — no input slice, no output slice per operator —
 // and evalPart of such a node is eachPart into an append. Everything else
@@ -193,21 +193,7 @@ func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emi
 }
 
 // eachNarrow hands emit the records of partition part of narrow node: its
-// one parent partition's, through node's operator.
+// one parent's partition part, through node's operator.
 func eachNarrow(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
-	parent, pp := node.ParentPart(part)
-	return eachPart(parent, pp, read, cache, func(p rdd.Pair) { node.Each(p, emit) }, expect)
-}
-
-// leafBytes sizes the leaf input partition evalPart reads for partition
-// part of node: down the same narrow chain, stopping at a shuffle boundary.
-func leafBytes(node *rdd.RDD, part int) float64 {
-	switch {
-	case len(node.Deps) == 0:
-		return rdd.EncodedSize(node.Input[part].Records)
-	case node.Deps[0].Kind == rdd.DepShuffle:
-		return 0
-	}
-	parent, pp := node.ParentPart(part)
-	return leafBytes(parent, pp)
+	return eachPart(node.Deps[0].Parent, part, read, cache, func(p rdd.Pair) { node.Each(p, emit) }, expect)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -52,10 +51,10 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 	return b.MemBackend.RunTask(t)
 }
 
-// chainShape spells a stage's narrow chain from its top down its first
-// parents: C for a Cached node (materialised because it is cached), U for a
-// Union, E for any other per-record operator, ending at the leaf (L) or
-// shuffle boundary (S) that feeds it.
+// chainShape spells a stage's narrow chain from its top down to its base:
+// C for a Cached node (materialised because it is cached), E for any other
+// per-record operator, ending at the leaf (L) or shuffle boundary (S) that
+// feeds it.
 func chainShape(node *rdd.RDD) string {
 	switch {
 	case len(node.Deps) == 0:
@@ -64,8 +63,6 @@ func chainShape(node *rdd.RDD) string {
 		return "S"
 	case node.Cached:
 		return "C" + chainShape(node.Deps[0].Parent)
-	case len(node.Deps) > 1:
-		return "U" + chainShape(node.Deps[0].Parent)
 	}
 	return "E" + chainShape(node.Deps[0].Parent)
 }
@@ -93,7 +90,7 @@ func markCached(target *rdd.RDD, rng *rand.Rand) {
 // of their nodes cache-marked, with every map task checked and the job's
 // output held to the reference. It asks the generator for the chains the
 // fused evaluator has to get right: straight into the combiner from a leaf,
-// through a Union, and fused → materialised (a Cached node) → fused.
+// and fused → materialised (a Cached node) → fused.
 func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 	shapes := map[string]int{}
 	for seed := int64(0); seed < 120; seed++ {
@@ -116,27 +113,20 @@ func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 			t.Errorf("seed %d: output diverges from the reference", seed)
 		}
 	}
-	var fused, union, sandwich int
+	var fused, sandwich int
 	for shape, n := range shapes {
 		if strings.HasPrefix(shape, "E") {
 			fused += n
 		}
-		if strings.Contains(shape, "U") {
-			union += n
-		}
-		if sandwiched.MatchString(shape) {
+		if strings.Contains(shape, "ECE") {
 			sandwich += n
 		}
 	}
-	if fused == 0 || union == 0 || sandwich == 0 {
-		t.Errorf("combining map stages by chain shape %v: want some fused (%d), some through a Union (%d), some fused-materialised-fused (%d)",
-			shapes, fused, union, sandwich)
+	if fused == 0 || sandwich == 0 {
+		t.Errorf("combining map stages by chain shape %v: want some fused (%d), some fused-materialised-fused (%d)",
+			shapes, fused, sandwich)
 	}
 }
-
-// sandwiched matches a chain shape with a Cached node between two fused
-// operators.
-var sandwiched = regexp.MustCompile(`[EU]C[EU]`)
 
 // mapStage returns the stage of target's lineage that feeds its last shuffle.
 func mapStage(t testing.TB, target *rdd.RDD) *dag.Stage {
@@ -188,7 +178,7 @@ func leafOf(g *rdd.Graph, name string, recs []rdd.Pair) *rdd.RDD {
 // counted is the evaluator and the combiner. testing.AllocsPerRun counts
 // with GOMAXPROCS pinned to 1, so no other goroutine's allocations land in
 // the task's count. Held on FlatMap → ReduceByKey (wordcount's map stage)
-// and on Map → Union → ReduceByKey.
+// and on Map → ReduceByKey.
 func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 	const lexemes = 200
 	count := func(a, b rdd.Value) rdd.Value { return min(a.(int)+b.(int), 255) }
@@ -210,10 +200,8 @@ func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 		"FlatMap-ReduceByKey": func(lines []rdd.Pair) *rdd.RDD {
 			return leafOf(rdd.NewGraph(), "text", lines).FlatMap("split", split).ReduceByKey("count", 4, count)
 		},
-		"Map-Union-ReduceByKey": func(lines []rdd.Pair) *rdd.RDD {
-			g := rdd.NewGraph()
-			other := leafOf(g, "other", lines[:1]).Map("first", firstWord)
-			return leafOf(g, "text", lines).Map("first", firstWord).Union("both", other).ReduceByKey("count", 4, count)
+		"Map-ReduceByKey": func(lines []rdd.Pair) *rdd.RDD {
+			return leafOf(rdd.NewGraph(), "text", lines).Map("first", firstWord).ReduceByKey("count", 4, count)
 		},
 	}
 	for name, build := range lineages {

@@ -298,84 +298,62 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 // TestInputSizesFollowTaskPlacement checks what ChooseAggregator is told a
 // site holds against where the stage's tasks actually ran: a candidate's
 // input bytes are the leaf partitions read by the tasks the event log shows
-// at that site (plus the map outputs held there). Under a union of uneven
-// inputs task 3+j reads the second input's partition j, and a stage that
-// also reads an aggregated shuffle runs every task at the aggregator.
+// at that site, plus the map outputs held there. The leaf is the union of
+// two uneven inputs, a with three partitions and bb with four, laid end to
+// end on four sites, so task 3+j reads bb's partition j; the stage over the
+// first shuffle reads only map outputs, all at their aggregator.
 func TestInputSizesFollowTaskPlacement(t *testing.T) {
-	input := func(g *rdd.Graph, name string, n int) (*rdd.RDD, []rdd.InputPartition) {
-		parts := make([]rdd.InputPartition, n)
-		for p := range parts {
-			parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: []rdd.Pair{
-				rdd.KV(fmt.Sprintf("%s%d", name, p), strings.Repeat("x", 100*(p+1)+7*len(name))),
-			}}
+	t.Run("union of uneven inputs", func(t *testing.T) {
+		var parts []rdd.InputPartition
+		for _, in := range []struct {
+			name string
+			n    int
+		}{{"a", 3}, {"bb", 4}} {
+			for p := 0; p < in.n; p++ {
+				parts = append(parts, rdd.InputPartition{ModeledBytes: 1, Records: []rdd.Pair{
+					rdd.KV(fmt.Sprintf("%s%d", in.name, p), strings.Repeat("x", 100*(p+1)+7*len(in.name))),
+				}})
+			}
 		}
-		return g.Input(name, parts), parts
-	}
-	for _, tc := range []struct {
-		name     string
-		decision int // index into the backend's Events.Placements()
-		// build returns the job and, per task of the decision's stage, the
-		// leaf records that task reads (nil for none).
-		build func() (*rdd.RDD, func(part int) []rdd.Pair)
-	}{
-		{"union of uneven inputs", 0, func() (*rdd.RDD, func(int) []rdd.Pair) {
-			g := rdd.NewGraph()
-			a, aParts := input(g, "a", 3)
-			b, bParts := input(g, "bb", 4)
-			return a.Union("u", b).GroupByKey("g", 2), func(part int) []rdd.Pair {
-				if part < 3 {
-					return aParts[part].Records
-				}
-				return bParts[part-3].Records
-			}
-		}},
-		{"leaf beside an aggregated shuffle", 1, func() (*rdd.RDD, func(int) []rdd.Pair) {
-			g := rdd.NewGraph()
-			a, _ := input(g, "a", 3)
-			b, bParts := input(g, "bb", 3)
-			return a.GroupByKey("g1", 2).Union("u", b).GroupByKey("g2", 2), func(part int) []rdd.Pair {
-				if part < 2 {
-					return nil // reads shuffle g1
-				}
-				return bParts[part-2].Records
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			target, leafOf := tc.build()
-			job, err := BuildJob(pushed(target))
-			if err != nil {
-				t.Fatal(err)
-			}
-			be := NewMemBackend(4)
-			drv := NewDriver(job, be, DriverConfig{})
-			if _, err := drv.Run(); err != nil {
-				t.Fatal(err)
-			}
-			dec := be.Events.Placements()[tc.decision]
+		leaf := rdd.NewGraph().Input("u", parts)
+		job, err := BuildJob(pushed(leaf.GroupByKey("g1", 2).GroupByKey("g2", 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := NewMemBackend(4)
+		drv := NewDriver(job, be, DriverConfig{})
+		if _, err := drv.Run(); err != nil {
+			t.Fatal(err)
+		}
+		decs := be.Events.Placements()
+		if len(decs) != 2 {
+			t.Fatalf("%d placement decisions, want one per shuffle", len(decs))
+		}
+		for _, dec := range decs {
+			st := job.Stages()[dec.Stage]
 			want := make([]float64, be.Sites)
 			tasks := 0
 			for _, ev := range be.Events.TaskEvents() {
 				if ev.Stage == dec.Stage && ev.Phase == obs.PhaseFinished {
-					if leaf := leafOf(ev.Part); leaf != nil {
-						want[ev.Site] += rdd.EncodedSize(leaf)
+					if st.Base == leaf {
+						n, err := rdd.EncodedSize(parts[ev.Part].Records)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[ev.Site] += n
 					}
 					tasks++
 				}
 			}
-			for _, st := range job.Stages() {
-				if st.ID == dec.Stage {
-					if tasks != st.NumTasks {
-						t.Fatalf("event log shows %d finished tasks of stage %d, want %d", tasks, st.ID, st.NumTasks)
-					}
-					drv.outputs.AddBoundaryBytes(st, want)
-				}
+			if tasks != st.NumTasks {
+				t.Fatalf("event log shows %d finished tasks of stage %d, want %d", tasks, st.ID, st.NumTasks)
 			}
+			drv.outputs.AddBoundaryBytes(st, want)
 			for _, c := range dec.Candidates {
 				if c.InputBytes != want[c.Site] {
-					t.Errorf("site %d: decision booked %.0f input bytes, its tasks read %.0f", c.Site, c.InputBytes, want[c.Site])
+					t.Errorf("stage %d site %d: decision booked %.0f input bytes, its tasks read %.0f", st.ID, c.Site, c.InputBytes, want[c.Site])
 				}
 			}
-		})
-	}
+		}
+	})
 }

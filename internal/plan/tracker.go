@@ -87,17 +87,15 @@ func (t *MapOutputTracker) NumMaps(shuffleID int) int {
 }
 
 // AddBoundaryBytes is the shuffle half of a stage's input sizes: it adds
-// the measured bytes of every map output feeding stage st's shuffle
-// boundaries to its holder site's share.
+// the measured bytes of every map output feeding stage st's base (none, for
+// a leaf) to its holder site's share.
 func (t *MapOutputTracker) AddBoundaryBytes(st *dag.Stage, bySite []float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, bd := range st.Boundaries {
-		for di := range bd.Deps {
-			for _, o := range t.outs[bd.Deps[di].Shuffle.ID] {
-				if o.ok {
-					bySite[o.site] += o.bytes
-				}
+	for di := range st.Base.Deps {
+		for _, o := range t.outs[st.Base.Deps[di].Shuffle.ID] {
+			if o.ok {
+				bySite[o.site] += o.bytes
 			}
 		}
 	}

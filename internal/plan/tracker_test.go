@@ -59,10 +59,10 @@ func TestMapOutputTracker(t *testing.T) {
 
 	// The boundary half of a stage's input sizes: measured bytes land on holder
 	// sites, on top of whatever the caller already counted there.
-	st := &dag.Stage{Boundaries: []*rdd.RDD{{Deps: []rdd.Dependency{
+	st := &dag.Stage{Base: &rdd.RDD{Deps: []rdd.Dependency{
 		{Shuffle: &rdd.ShuffleSpec{ID: shuffle}},
 		{Shuffle: &rdd.ShuffleSpec{ID: shuffle + 1}}, // nothing recorded
-	}}}}
+	}}}
 	bySite := []float64{5, 0, 0}
 	tr.AddBoundaryBytes(st, bySite)
 	if want := []float64{5, 0, 160}; !reflect.DeepEqual(bySite, want) {

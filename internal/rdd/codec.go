@@ -124,20 +124,25 @@ func valuesLen(vs []Value, depth int) (int, string) {
 	return n, ""
 }
 
-// EncodedSize is the exact number of bytes AppendPairs adds for recs. It
-// does not allocate. A value AppendPairs would reject counts as its tag
-// byte alone, so sizing records that never leave the process (leaf inputs
-// of any type) cannot fail.
-func EncodedSize(recs []Pair) float64 {
+// EncodedSize is the exact number of bytes AppendPairs adds for recs, and
+// the *UnsupportedValueError AppendPairs would return for them. It does not
+// allocate unless it returns an error. A value AppendPairs would reject
+// counts as its tag byte alone, so records that never leave the process
+// (leaf inputs of any type) are sized by ignoring the error.
+func EncodedSize(recs []Pair) (float64, error) {
+	var err error
 	n := uvarintLen(uint64(len(recs)))
 	for i := range recs {
 		m, bad := valueLen(recs[i].Value, 0)
 		if bad != "" {
+			if err == nil {
+				err = &UnsupportedValueError{Key: recs[i].Key, Type: bad}
+			}
 			m = 1
 		}
 		n += stringLen(recs[i].Key) + m
 	}
-	return float64(n)
+	return float64(n), err
 }
 
 // AppendPairs appends the encoding of recs to dst and returns the extended

@@ -126,8 +126,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: AppendPairs clobbered dst", seed)
 		}
 		payload := buf[len(prefix):]
-		if got := EncodedSize(in); got != float64(len(payload)) {
-			t.Fatalf("seed %d: EncodedSize %v, encoded %d bytes", seed, got, len(payload))
+		if got, err := EncodedSize(in); err != nil || got != float64(len(payload)) {
+			t.Fatalf("seed %d: EncodedSize %v (%v), encoded %d bytes", seed, got, err, len(payload))
 		}
 		out, err := DecodePairs(payload)
 		if err != nil {
@@ -289,15 +289,21 @@ func TestAppendPairsRejectsUnsupportedValues(t *testing.T) {
 	if _, err := DecodePairs(buf); err != nil {
 		t.Fatal(err)
 	}
-	// Sizing never fails: a rejected value counts as its tag byte.
-	if got, want := EncodedSize([]Pair{KV("k", unshippable{})}), float64(1+2+1); got != want {
+	// Sizing reports what AppendPairs would reject, and still sizes it: a
+	// rejected value counts as its tag byte.
+	got, err := EncodedSize([]Pair{KV("k", unshippable{})})
+	if want := float64(1 + 2 + 1); got != want {
 		t.Fatalf("EncodedSize of an unsupported value = %v, want %v", got, want)
+	}
+	var unsupported *UnsupportedValueError
+	if !errors.As(err, &unsupported) || unsupported.Key != "k" {
+		t.Fatalf("EncodedSize of an unsupported value: err = %v, want *UnsupportedValueError for key %q", err, "k")
 	}
 }
 
 func TestEncodedSizeDoesNotAllocate(t *testing.T) {
 	recs := append(everyTag(), sortShaped(64)...)
-	if allocs := testing.AllocsPerRun(10, func() { sizeSink = EncodedSize(recs) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { sizeSink, _ = EncodedSize(recs) }); allocs != 0 {
 		t.Fatalf("EncodedSize allocates %v times", allocs)
 	}
 }

@@ -59,7 +59,6 @@ func TestEachMatchesByHand(t *testing.T) {
 			}
 			return out
 		}},
-		{leaf.Union("union", inputFrom(g, nil)), func(in []Pair) []Pair { return in }},
 		{leaf.TransferTo(1), func(in []Pair) []Pair { return in }},
 	}
 	for _, op := range ops {

@@ -42,9 +42,9 @@ func (e *localEval) eval(r *RDD) [][]Pair {
 
 func (e *localEval) evalNarrow(r *RDD) [][]Pair {
 	out := make([][]Pair, r.NumParts())
+	parent := e.eval(r.Deps[0].Parent)
 	for i := range out {
-		parent, pi := r.ParentPart(i)
-		out[i] = eachAll(r.Each, e.eval(parent)[pi])
+		out[i] = eachAll(r.Each, parent[i])
 	}
 	return out
 }

@@ -117,8 +117,8 @@ func FuzzDecodePairs(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded records do not encode: %v", err)
 		}
-		if got := EncodedSize(recs); got != float64(len(again)) {
-			t.Fatalf("EncodedSize %v, encoded %d bytes", got, len(again))
+		if got, err := EncodedSize(recs); err != nil || got != float64(len(again)) {
+			t.Fatalf("EncodedSize %v (%v), encoded %d bytes", got, err, len(again))
 		}
 		// again is canonical (minimal varints, no trailing bytes), so a
 		// faithful round trip reproduces it byte for byte.

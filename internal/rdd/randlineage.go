@@ -10,13 +10,12 @@ import (
 // RandomLineage constructs a random but valid job from a seeded grammar:
 // input → (narrow | shuffle)* with bounded depth, ending in a combining
 // shuffle that keeps outputs small and deterministic. The narrow operators
-// are the per-record ones and Union with a second small input, so chains a
-// fusing evaluator runs record by record across a Union's parents are
-// generated; the shuffles include a CoGroup or Join with a second small
-// input, so the two-dependency boundary is generated too. The same seed
-// rebuilds the identical lineage, so a backend's output can be compared
-// against a fresh in-memory evaluation of the same seed — and different
-// backends can be compared against each other. Input partitions are placed
+// are the per-record ones, so every stage is a chain over one base; the
+// shuffles include Joins and CoGroups with a second small input, so the
+// two-dependency boundary is generated too. The same seed rebuilds the
+// identical lineage, so a backend's output can be compared against a fresh
+// in-memory evaluation of the same seed — and different backends can be
+// compared against each other. Input partitions are placed
 // round-robin-randomly over hosts; modeled sizes are in megabytes.
 func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 	const mb = 1e6
@@ -76,9 +75,10 @@ func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 			})
 		case 6:
 			other := input(rng, fmt.Sprintf("in%d.%d", seed, d), rng.Intn(2)+1)
-			node = node.Union(fmt.Sprintf("union%d", d), other.Map(fmt.Sprintf("neg%d", d), func(p Pair) Pair {
-				return KV(p.Key, -p.Value.(int))
-			}))
+			node = node.Join(fmt.Sprintf("join%d.in", d), other, rng.Intn(6)+2).Map(fmt.Sprintf("diff%d", d), func(p Pair) Pair {
+				pair := p.Value.([]Value)
+				return KV(p.Key, pair[0].(int)-pair[1].(int))
+			})
 		}
 	}
 	return node.ReduceByKey("final", 4, func(a, b Value) Value {

@@ -41,29 +41,15 @@ const (
 	DepShuffle
 )
 
-// Dependency links an RDD to one parent.
+// Dependency links an RDD to one parent. A narrow RDD has exactly one
+// dependency, and its partition p reads the parent's partition p; a
+// shuffled RDD's dependencies are all shuffles (a CoGroup has two).
 type Dependency struct {
 	Kind   DepKind
 	Parent *RDD
 
-	// Start is the first output partition that reads the parent's
-	// partitions, in order (narrow deps only): 0, except for a Union's
-	// later parents.
-	Start int
-
 	// Shuffle holds the shuffle contract (shuffle deps only).
 	Shuffle *ShuffleSpec
-}
-
-// ParentPart resolves the one parent partition that partition part of a
-// narrow RDD reads: the partition of the last dependency starting at or
-// before part.
-func (r *RDD) ParentPart(part int) (*RDD, int) {
-	for i := len(r.Deps) - 1; ; i-- {
-		if d := &r.Deps[i]; part >= d.Start {
-			return d.Parent, part - d.Start
-		}
-	}
 }
 
 // CombineFn merges two values of the same key (must be commutative and
@@ -138,9 +124,9 @@ type RDD struct {
 	// Input holds source partitions (leaf RDDs only).
 	Input []InputPartition
 
-	// Each computes a narrow RDD's partition from its one parent
-	// partition (ParentPart), record by record (narrow RDDs only: Map,
-	// FlatMap, Filter, and the identity for Union and transfer nodes).
+	// Each computes a narrow RDD's partition p from partition p of its one
+	// parent, record by record (narrow RDDs only: Map, FlatMap, Filter, and
+	// the identity for transfer nodes).
 	Each EachFn
 
 	// PostShuffle optionally transforms a reduce partition after shuffle
@@ -207,8 +193,8 @@ func (r *RDD) eachChild(name string, each EachFn) *RDD {
 	})
 }
 
-// identity is the operator of a Union and of a transfer node: each record
-// passes through as it is.
+// identity is the operator of a transfer node: each record passes through
+// as it is.
 func identity(p Pair, emit func(Pair)) { emit(p) }
 
 // Map applies fn to every record.
@@ -240,24 +226,6 @@ func (r *RDD) Filter(name string, fn func(Pair) bool) *RDD {
 func (r *RDD) Cache() *RDD {
 	r.Cached = true
 	return r
-}
-
-// Union concatenates this RDD's partitions with others'.
-func (r *RDD) Union(name string, others ...*RDD) *RDD {
-	parents := append([]*RDD{r}, others...)
-	total := 0
-	deps := make([]Dependency, len(parents))
-	for i, p := range parents {
-		deps[i] = Dependency{Kind: DepNarrow, Parent: p, Start: total}
-		total += p.numParts
-	}
-	return r.graph.register(&RDD{
-		Name:     name,
-		numParts: total,
-		Deps:     deps,
-		Each:     identity,
-		graph:    r.graph,
-	})
 }
 
 // TransferTo pushes each partition to a receiver task in the given
@@ -467,7 +435,10 @@ type joinedPair struct {
 }
 
 // Validate checks structural invariants of the lineage reachable from r and
-// returns a descriptive error for malformed graphs.
+// returns a descriptive error, naming the node, for malformed graphs: a
+// leaf has input partitions, a narrow RDD has exactly one dependency and its
+// parent's partition count, and a shuffled RDD's dependencies are all
+// shuffles into its partition count.
 func (r *RDD) Validate() error {
 	seen := map[int]bool{}
 	var walk func(n *RDD) error
@@ -484,28 +455,38 @@ func (r *RDD) Validate() error {
 			if n.numParts != len(n.Input) {
 				return fmt.Errorf("rdd %q: numParts %d != input partitions %d", n.Name, n.numParts, len(n.Input))
 			}
+		case n.Deps[0].Kind == DepNarrow:
+			if len(n.Deps) != 1 {
+				return fmt.Errorf("rdd %q: narrow RDD with %d dependencies, want one", n.Name, len(n.Deps))
+			}
+			parent := n.Deps[0].Parent
+			if parent == nil {
+				return fmt.Errorf("rdd %q: nil parent", n.Name)
+			}
+			if parent.numParts != n.numParts {
+				return fmt.Errorf("rdd %q: numParts %d != parent %q's %d", n.Name, n.numParts, parent.Name, parent.numParts)
+			}
+			if n.Each == nil {
+				return fmt.Errorf("rdd %q: narrow RDD without an operator", n.Name)
+			}
 		default:
-			hasShuffle := false
+			if n.Transfer != nil {
+				return fmt.Errorf("rdd %q: transfer RDD must have exactly one narrow parent", n.Name)
+			}
 			for _, d := range n.Deps {
 				if d.Parent == nil {
 					return fmt.Errorf("rdd %q: nil parent", n.Name)
 				}
-				if d.Kind == DepShuffle {
-					hasShuffle = true
-					if d.Shuffle == nil || d.Shuffle.Partitioner == nil {
-						return fmt.Errorf("rdd %q: shuffle dep without spec", n.Name)
-					}
-					if d.Shuffle.Partitioner.NumPartitions() != n.numParts {
-						return fmt.Errorf("rdd %q: partitioner shards %d != numParts %d",
-							n.Name, d.Shuffle.Partitioner.NumPartitions(), n.numParts)
-					}
+				if d.Kind != DepShuffle {
+					return fmt.Errorf("rdd %q: shuffled RDD with a narrow dependency on %q", n.Name, d.Parent.Name)
 				}
-			}
-			if !hasShuffle && n.Each == nil {
-				return fmt.Errorf("rdd %q: narrow RDD without an operator", n.Name)
-			}
-			if n.Transfer != nil && (len(n.Deps) != 1 || n.Deps[0].Kind != DepNarrow) {
-				return fmt.Errorf("rdd %q: transfer RDD must have exactly one narrow parent", n.Name)
+				if d.Shuffle == nil || d.Shuffle.Partitioner == nil {
+					return fmt.Errorf("rdd %q: shuffle dep without spec", n.Name)
+				}
+				if d.Shuffle.Partitioner.NumPartitions() != n.numParts {
+					return fmt.Errorf("rdd %q: partitioner shards %d != numParts %d",
+						n.Name, d.Shuffle.Partitioner.NumPartitions(), n.numParts)
+				}
 			}
 		}
 		for _, d := range n.Deps {

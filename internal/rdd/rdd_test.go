@@ -171,32 +171,6 @@ func TestCoGroup(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	g := NewGraph()
-	a := inputFrom(g, pairs("a", "1"), pairs("b", "2"))
-	b := inputFrom(g, pairs("c", "3"))
-	u := a.Union("union", b)
-	if u.NumParts() != 3 {
-		t.Fatalf("union parts = %d, want 3", u.NumParts())
-	}
-	got := sortedCollect(u)
-	if len(got) != 3 || got[2].Key != "c" {
-		t.Fatalf("union = %v", got)
-	}
-	// Each output partition reads one partition of one parent, the parents'
-	// partitions in order, however many each has.
-	c := inputFrom(g, pairs("d", "4"), pairs("e", "5"), pairs("f", "6"))
-	u = b.Union("union3", a, c)
-	for part, want := range []struct {
-		parent *RDD
-		part   int
-	}{{b, 0}, {a, 0}, {a, 1}, {c, 0}, {c, 1}, {c, 2}} {
-		if parent, pp := u.ParentPart(part); parent != want.parent || pp != want.part {
-			t.Errorf("ParentPart(%d) = %s[%d], want %s[%d]", part, parent.Name, pp, want.parent.Name, want.part)
-		}
-	}
-}
-
 func TestTransferToMarksLineage(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g, pairs("a", "1"))
@@ -224,24 +198,58 @@ func TestCacheChain(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadGraphs hand-builds graphs the operators cannot: a
+// leaf without input, a narrow RDD without an operator and, since a narrow
+// RDD reads partition p of its one parent, one with two parents, one with
+// another partition count than its parent's, and a narrow and a shuffle
+// dependency side by side. Each is rejected with an error naming it.
 func TestValidateCatchesBadGraphs(t *testing.T) {
 	g := NewGraph()
-	leaf := g.register(&RDD{Name: "bad-leaf", numParts: 1, graph: g})
-	if err := leaf.Validate(); err == nil {
-		t.Fatal("leaf without input passed validation")
-	}
 	in := inputFrom(g, pairs("a", "1"))
 	ok := in.Map("m", func(p Pair) Pair { return p })
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
-	broken := g.register(&RDD{
-		Name: "no-narrow", numParts: 1,
-		Deps:  []Dependency{{Kind: DepNarrow, Parent: in}},
-		graph: g,
-	})
-	if err := broken.Validate(); err == nil {
-		t.Fatal("narrow RDD without an operator passed validation")
+	id := func(p Pair) Pair { return p }
+	for _, tc := range []struct {
+		name  string
+		build func(g *Graph) *RDD
+	}{
+		{"leaf without input", func(g *Graph) *RDD {
+			return g.register(&RDD{Name: "bad", numParts: 1, graph: g})
+		}},
+		{"narrow without an operator", func(g *Graph) *RDD {
+			return g.register(&RDD{
+				Name: "bad", numParts: 1,
+				Deps:  []Dependency{{Kind: DepNarrow, Parent: inputFrom(g, pairs("a", "1"))}},
+				graph: g,
+			})
+		}},
+		{"two parents", func(g *Graph) *RDD {
+			m := inputFrom(g, pairs("a", "1")).Map("bad", id)
+			m.Deps = append(m.Deps, Dependency{Kind: DepNarrow, Parent: inputFrom(g, pairs("b", "2"))})
+			return m
+		}},
+		{"other partition count", func(g *Graph) *RDD {
+			m := inputFrom(g, pairs("a", "1")).Map("bad", id)
+			m.Deps[0].Parent = inputFrom(g, pairs("a", "1"), pairs("b", "2"))
+			return m
+		}},
+		{"narrow beside a shuffle", func(g *Graph) *RDD {
+			m := inputFrom(g, pairs("a", "1")).Map("bad", id)
+			m.Deps = append(m.Deps, inputFrom(g, pairs("b", "2")).ReduceByKey("r", 1, nil).Deps[0])
+			return m
+		}},
+		{"shuffle beside a narrow", func(g *Graph) *RDD {
+			cg := inputFrom(g, pairs("a", "1")).CoGroup("bad", inputFrom(g, pairs("b", "2")), 1)
+			cg.Deps[1] = Dependency{Kind: DepNarrow, Parent: inputFrom(g, pairs("c", "3"))}
+			return cg
+		}},
+	} {
+		err := tc.build(NewGraph()).Map("top", id).Validate()
+		if err == nil || !strings.Contains(err.Error(), `"bad"`) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, "bad")
+		}
 	}
 }
 
@@ -556,8 +564,7 @@ func TestEvalLocalMemoizesSharedLineage(t *testing.T) {
 	})
 	left := shared.Map("l", func(p Pair) Pair { return p })
 	right := shared.Map("r", func(p Pair) Pair { return p })
-	u := left.Union("u", right)
-	_ = EvalLocal(u)
+	_ = EvalLocal(left.Join("j", right, 2))
 	if calls != 1 {
 		t.Fatalf("shared parent computed %d times, want 1 (memoized)", calls)
 	}
