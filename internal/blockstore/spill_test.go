@@ -340,9 +340,15 @@ func stillServes(t *testing.T, name string, s *SpillStore, victim, other Key) {
 	}
 }
 
-type opaque struct{}
-
-func (opaque) SizeBytes() float64 { return 8 }
+// tooDeep is a value SizeOf sizes but the record codec refuses: a []rdd.Value
+// nested past the codec's 32-level bound.
+func tooDeep() rdd.Value {
+	v := rdd.Value("leaf")
+	for i := 0; i <= 32; i++ {
+		v = []rdd.Value{v}
+	}
+	return v
+}
 
 // TestSpillRejectsUnencodableOutputBeforeWriting: an output holding a value
 // the record codec cannot carry fails its spill with the typed error and
@@ -353,7 +359,7 @@ func TestSpillRejectsUnencodableOutputBeforeWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	bad := []rdd.Pair{rdd.KV("fine", 1), rdd.KV("bad", opaque{})}
+	bad := []rdd.Pair{rdd.KV("fine", 1), rdd.KV("bad", tooDeep())}
 	if _, _, err := s.Put(Key{MapPart: 0}, Output{Records: bad}); err != nil {
 		t.Fatal(err) // alone in the store: nothing to evict
 	}

@@ -539,7 +539,8 @@ func (e *Engine) stallDiagnostic(jobs []*jobState) string {
 }
 
 // centralizeInputs ships every input partition of the job's plan to the
-// datacenter holding the largest input share, then calls done.
+// datacenter holding the largest input share (Eq. 2's choice, the head of
+// plan.ChooseAggregator's AggregatorBest rank), then calls done.
 func (e *Engine) centralizeInputs(job *jobState, done func()) {
 	byDC := make([]float64, e.Topo.NumDCs())
 	var srcs []*rdd.RDD
@@ -553,10 +554,10 @@ func (e *Engine) centralizeInputs(job *jobState, done func()) {
 			byDC[e.Topo.DCOf(src.Input[i].Host)] += src.Input[i].ModeledBytes
 		}
 	}
-	target, _ := shuffle.BestAggregator(byDC)
-	pinned := topology.DCID(target)
-	job.pinDC = &pinned
-	workers := e.Topo.HostsIn(topology.DCID(target))
+	rank, _ := plan.ChooseAggregator[topology.DCID](0, 0, byDC, plan.AggregatorBest, nil, nil, nil)
+	target := rank[0]
+	job.pinDC = &target
+	workers := e.Topo.HostsIn(target)
 	pending := 0
 	next := 0
 	finished := false
@@ -568,7 +569,7 @@ func (e *Engine) centralizeInputs(job *jobState, done func()) {
 	for _, src := range srcs {
 		for i := range src.Input {
 			part := &src.Input[i]
-			if e.Topo.DCOf(part.Host) == topology.DCID(target) {
+			if e.Topo.DCOf(part.Host) == target {
 				continue
 			}
 			dst := workers[next%len(workers)]

@@ -96,18 +96,18 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	// their own, so the timeline separates M and P the way the simulator's
 	// does.
 	lastFetch := r.since()
-	out, err := plan.TaskOutput(st, t.Part, r.reader(t, taskID, &lastFetch), &w.cache)
+	res, err := plan.TaskOutput(st, t.Part, r.reader(t, taskID, &lastFetch), &w.cache)
 	if err != nil {
 		return plan.TaskResult{}, err
 	}
-	spec := st.OutSpec
+	out, spec := res.Records, st.OutSpec
 	if spec == nil {
 		r.span(trace.Span{
 			Kind: trace.KindReduce, ID: taskID, Host: topology.HostID(site),
 			Stage: st.ID, Part: t.Part, Records: len(out),
 			Start: lastFetch, End: r.since(),
 		})
-		return plan.TaskResult{Records: out}, nil
+		return res, nil
 	}
 	if w.closed.Load() {
 		// The worker died under the task; its output cannot be stored or
@@ -115,14 +115,6 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// re-places it on a healthy worker.
 		return plan.TaskResult{}, fmt.Errorf("livecluster: map task %s/t%d on worker %d: %w", st.Name(), t.Part, site, errWorkerDown)
 	}
-	// The record codec sizes the output before anything stores or pushes it,
-	// so a value it cannot carry fails the task with the typed error, not
-	// the process inside the block store's sizing.
-	size, err := rdd.EncodedSize(out)
-	if err != nil {
-		return plan.TaskResult{}, fmt.Errorf("livecluster: map task %s/t%d: %w", st.Name(), t.Part, err)
-	}
-	res := plan.TaskResult{Bytes: size, Sample: rdd.RangeSample(spec, out)}
 	// The map span carries the shuffle it produced, making it a producer
 	// edge for downstream fetch/serve spans in critical-path analysis.
 	r.span(trace.Span{
@@ -137,7 +129,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 		// block store pushes assemble into (spilling under the same budget,
 		// last write wins by attempt). No push and no receive span:
 		// the map span above is the producer edge, as for a fetch.
-		return res, w.storeMapOutput(spec, t.Part, t.Attempt, out)
+		return res, w.install(spec, t.Part, t.Attempt, out)
 	}
 	tPush := r.since()
 	pushID := r.c.cfg.Trace.NewSpanID()

@@ -10,16 +10,21 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// opaque is a record value the record codec cannot carry, and that does
-// not size itself (rdd.Sized) either: it may live in a process, not cross a
+// opaque is a record value outside the record codec's types, which
+// rdd.SizeOf does not size either: it may live in a process, not cross a
 // socket or land in a block store.
 type opaque struct{}
 
-// sizedOpaque is a value the block store can size (rdd.Sized) but the record
-// codec cannot carry: what a serve meets if an output was stored unchecked.
-type sizedOpaque struct{}
-
-func (sizedOpaque) SizeBytes() float64 { return 8 }
+// tooDeep is a value the block store can size (rdd.SizeOf) but the record
+// codec refuses, a []rdd.Value nested past the codec's 32-level bound: what a
+// serve meets if an output was stored unchecked.
+func tooDeep() rdd.Value {
+	v := rdd.Value("leaf")
+	for i := 0; i <= 32; i++ {
+		v = []rdd.Value{v}
+	}
+	return v
+}
 
 // TestUnsupportedValueFailsPushCleanly drives the wire path directly: a
 // push holding a value the codec cannot carry fails with the typed error
@@ -82,16 +87,16 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 	// Fetch side: a locally stored output with such a value fails its
 	// fetch as a remote error naming the type, on a connection that
 	// stays pooled.
-	stored := append(pairs(17), rdd.KV("bad-key", sizedOpaque{}))
-	if err := w1.storeMapOutput(shuffleOf(c, 7).spec, 2, 1, stored); err != nil {
+	stored := append(pairs(17), rdd.KV("bad-key", tooDeep()))
+	if err := w1.install(shuffleOf(c, 7).spec, 2, 1, stored); err != nil {
 		t.Fatal(err)
 	}
 	failed := 0
 	for r := 0; r < 3; r++ {
 		if _, err := fetchFlat(w0, 1, 7, 2, r); err != nil {
 			failed++
-			if !strings.Contains(err.Error(), "livecluster.sizedOpaque") {
-				t.Fatalf("fetch error %q does not name the Go type", err)
+			if !strings.Contains(err.Error(), "nested deeper than 32") {
+				t.Fatalf("fetch error %q does not say what the codec refused", err)
 			}
 		}
 	}
@@ -106,8 +111,8 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 // TestUnsupportedValueFailsJobNotCluster runs whole jobs on a two-worker
 // cluster: one whose shuffle carries an unsupported value fails with the
 // typed error, pushed or fetched — its map task checks its output before it
-// stores or pushes it — and the next job on the same cluster succeeds
-// without dialing a single new connection.
+// stores or pushes it — without retrying a task, and the next job on the
+// same cluster succeeds without dialing a single new connection.
 func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 	job := func(v func(i int) rdd.Value) *rdd.RDD {
 		g := rdd.NewGraph()
@@ -144,6 +149,11 @@ func TestUnsupportedValueFailsJobNotCluster(t *testing.T) {
 		var unsupported *rdd.UnsupportedValueError
 		if !errors.As(err, &unsupported) || !strings.Contains(err.Error(), "livecluster.opaque") {
 			t.Fatalf("%v: job with an unsupported value: err = %v, want *rdd.UnsupportedValueError naming the Go type", scheme, err)
+		}
+		// The codec refuses the value on every attempt, so the task fails
+		// once and is never retried.
+		if retried := c.CurrentStats().Events.Counts().Retried; retried != 0 {
+			t.Fatalf("%v: the failed job retried %d task attempts, want 0", scheme, retried)
 		}
 
 		out, stats, err := c.Run(shuffledAs(scheme, job(good)))

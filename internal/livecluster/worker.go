@@ -274,8 +274,7 @@ func (w *worker) shuffle(run *liveRun, shuffleID int) (*runShuffle, error) {
 }
 
 // receivePush consumes one push stream: its decoded chunks are kept as runs
-// and, at the terminal frame, installed as one output — bucketed once over
-// all of them when the partitioner is ready, kept flat otherwise — and the
+// and, at the terminal frame, installed as one output (install) and the
 // sender acknowledged with a terminal frame on conn. Everything until the
 // install is local to this call. A framing error is fatal for the
 // connection and the only error returned; whatever else fails — an unknown
@@ -300,13 +299,7 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 		err = refused
 	}
 	if err == nil {
-		out := blockstore.Output{Attempt: req.Attempt}
-		if sh.spec.Partitioner.Ready() {
-			out.Shards = rdd.BucketRecords(sh.spec, runs...)
-		} else {
-			out.Records = slices.Concat(runs...)
-		}
-		err = w.install(req.ShuffleID, req.MapPart, out)
+		err = w.install(sh.spec, req.MapPart, req.Attempt, runs...)
 	}
 	// Receiver occupancy (the paper's V rows): the aggregator side of a
 	// push, parented to the originating map task and linked to its send
@@ -328,12 +321,22 @@ func (w *worker) receivePush(conn io.Writer, br *bufio.Reader, req *request) err
 	return writeLastFrame(conn, err)
 }
 
-// install stores out under (shuffle, mapPart) in the worker's block
-// store, which keeps duplicate pushes idempotent (last-write-wins by
-// attempt) and may spill cold outputs under a memory budget.
-func (w *worker) install(shuffleID, mapPart int, out blockstore.Output) error {
-	if _, _, err := w.store.Put(blockstore.Key{Shuffle: shuffleID, MapPart: mapPart}, out); err != nil {
-		return fmt.Errorf("worker %d: storing shuffle %d map %d: %w", w.id, shuffleID, mapPart, err)
+// install stores one map output, pushed chunks or a local task's one run, in
+// the worker's block store: bucketed once when the partitioner is ready, kept
+// flat otherwise (several runs concatenated). The store keeps installs
+// idempotent (last-write-wins by attempt) and may spill under a budget.
+func (w *worker) install(spec *rdd.ShuffleSpec, mapPart, attempt int, runs ...[]rdd.Pair) error {
+	out := blockstore.Output{Attempt: attempt}
+	switch {
+	case spec.Partitioner.Ready():
+		out.Shards = rdd.BucketRecords(spec, runs...)
+	case len(runs) == 1:
+		out.Records = runs[0]
+	default:
+		out.Records = slices.Concat(runs...)
+	}
+	if _, _, err := w.store.Put(blockstore.Key{Shuffle: spec.ID, MapPart: mapPart}, out); err != nil {
+		return fmt.Errorf("worker %d: storing shuffle %d map %d: %w", w.id, spec.ID, mapPart, err)
 	}
 	return nil
 }
@@ -373,19 +376,6 @@ func (w *worker) streamFetch(conn io.Writer, req *request) error {
 			Start: run.at(t0), End: run.since(),
 		})
 	})
-}
-
-// storeMapOutput stores a locally produced map output (a fetched shuffle's,
-// and a pushed one's whose map task ran on its aggregator), run through the same
-// bucketing and idempotency path as pushed outputs.
-func (w *worker) storeMapOutput(spec *rdd.ShuffleSpec, mapPart, attempt int, records []rdd.Pair) error {
-	out := blockstore.Output{Attempt: attempt}
-	if spec.Partitioner.Ready() {
-		out.Shards = rdd.BucketRecords(spec, records)
-	} else {
-		out.Records = records
-	}
-	return w.install(spec.ID, mapPart, out)
 }
 
 func (w *worker) storedOutputs() int { return w.store.Len() }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -32,8 +33,8 @@ type Backend interface {
 	// the moment the task finishes when t.AggTo >= 0 (the paper's
 	// transferTo), kept at t.Site otherwise — keeping duplicate outputs
 	// from retried attempts idempotent (last-write-wins by t.Attempt), and
-	// returns what the Driver tracks about it: its measured bytes and its
-	// rdd.RangeSample.
+	// returns TaskOutput's result, which carries what the Driver tracks
+	// about it: its record-codec bytes and its rdd.RangeSample.
 	RunTask(t Task) (TaskResult, error)
 
 	// Sink receives the driver's run events: every task lifecycle
@@ -56,12 +57,12 @@ type Task struct {
 	outputs *MapOutputTracker // the Driver's; tasks only read it
 }
 
-// TaskResult is what only the data plane can know about a finished task.
+// TaskResult is a task's output as TaskOutput computes it.
 type TaskResult struct {
-	// Records are a result-stage task's output.
+	// Records are the task's output; the Driver keeps a result stage's.
 	Records []rdd.Pair
-	// Bytes is a map task's prepared output as the data plane measures it;
-	// Sample is rdd.RangeSample of that output.
+	// Bytes is a map task's prepared output in record-codec bytes, what a
+	// data plane moves; Sample is rdd.RangeSample of that output.
 	Bytes  float64
 	Sample []string
 }
@@ -405,7 +406,9 @@ func (d *Driver) attempt(stage int, name string, part, site int, run func(site, 
 		if cerr := d.canceled(); cerr != nil {
 			return cerr
 		}
-		if att >= MaxAttempts {
+		// The record codec refuses a value again on every attempt.
+		var unsupported *rdd.UnsupportedValueError
+		if att >= MaxAttempts || errors.As(err, &unsupported) {
 			return fmt.Errorf("plan: task %s/t%d failed after %d attempt(s): %w", name, part, att, err)
 		}
 		if moved := d.replaceSite(site); moved != site {

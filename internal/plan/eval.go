@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -40,19 +41,34 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 // Both start from the first phase: a pushing stage's second is only its
 // TransferToAuto node, whose work is the push the backend makes.
 //
+// A map output comes back with its record-codec bytes (rdd.EncodedSize) and
+// its rdd.RangeSample. This is the one place it meets the codec's check: a
+// value the codec cannot carry fails the task (*rdd.UnsupportedValueError)
+// before any backend stores or pushes it.
+//
 // cache is the task's site's: a Cached node's partition comes from it when
 // an earlier task of the job computed it there, and goes into it otherwise.
 // A nil cache caches nothing.
-func TaskOutput(st *dag.Stage, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
+func TaskOutput(st *dag.Stage, part int, read ShuffleReader, cache *SiteCache) (TaskResult, error) {
 	top, spec := st.Phases[0].Top, st.OutSpec
+	var out []rdd.Pair
+	var err error
 	if spec == nil || !spec.CombinesMapSide() {
-		return evalPart(top, part, read, cache)
+		out, err = evalPart(top, part, read, cache)
+	} else {
+		c := rdd.NewCombiner(spec.Combine)
+		if err = eachPart(top, part, read, cache, c.Add, nil); err == nil {
+			out = c.Sorted()
+		}
 	}
-	c := rdd.NewCombiner(spec.Combine)
-	if err := eachPart(top, part, read, cache, c.Add, nil); err != nil {
-		return nil, err
+	if err != nil || spec == nil {
+		return TaskResult{Records: out}, err
 	}
-	return c.Sorted(), nil
+	size, err := rdd.EncodedSize(out)
+	if err != nil {
+		return TaskResult{}, fmt.Errorf("plan: map output of shuffle %d: %w", spec.ID, err)
+	}
+	return TaskResult{Records: out, Bytes: size, Sample: rdd.RangeSample(spec, out)}, nil
 }
 
 // SiteCache holds the partitions of Cached RDDs (rdd.RDD.Cached) that one

@@ -33,12 +33,12 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 			return TaskResult{}, err
 		}
 		want := rdd.MapSidePrepare(spec, recs)
-		got, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
+		res, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
 		if err != nil {
 			return TaskResult{}, err
 		}
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			b.t.Errorf("stage %s part %d: TaskOutput = %v, MapSidePrepare(EvalStagePart) = %v", t.Stage.Name(), t.Part, got, want)
+		if got := res.Records; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			b.t.Errorf("stage %s part %d: TaskOutput = %v, MapSidePrepare(EvalStagePart) = %v", t.Stage.Name(), t.Part, res.Records, want)
 		}
 		if t.Part == 0 {
 			b.mu.Lock()
@@ -207,9 +207,10 @@ func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 	for name, build := range lineages {
 		allocs := func(n int) float64 {
 			st := mapStage(t, build(wordLines(1, n, lexemes)))
-			var out []rdd.Pair
+			var res TaskResult
 			var err error
-			a := testing.AllocsPerRun(3, func() { out, err = TaskOutput(st, 0, nil, nil) })
+			a := testing.AllocsPerRun(3, func() { res, err = TaskOutput(st, 0, nil, nil) })
+			out := res.Records
 			if err != nil || len(out) == 0 || len(out) > lexemes {
 				t.Fatalf("%s: %d lines gave %d records, %v", name, n, len(out), err)
 			}
@@ -234,10 +235,11 @@ func TestMaterialisedChainIsSizedFromItsSource(t *testing.T) {
 	st := mapStage(t, leafOf(rdd.NewGraph(), "text", lines).Map("tag", tag).Map("again", tag).SortByKey("sort", 4))
 	var out []rdd.Pair
 	allocs := testing.AllocsPerRun(5, func() {
-		var err error
-		if out, err = TaskOutput(st, 0, nil, nil); err != nil {
+		res, err := TaskOutput(st, 0, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		out = res.Records
 	})
 	if len(out) != len(lines) || cap(out) > len(lines)*9/8 { // Grow rounds up to a size class
 		t.Errorf("%d records in a slice of capacity %d, want %d in about as many", len(out), cap(out), len(lines))
@@ -268,11 +270,11 @@ func BenchmarkMapTaskWordCount(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := TaskOutput(st, 0, nil, nil)
+		res, err := TaskOutput(st, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		mapTaskSink = out
+		mapTaskSink = res.Records
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)

@@ -44,25 +44,18 @@ func (b *MemBackend) NumSites() int { return b.Sites }
 
 // RunTask implements Backend: evaluate the task's output with its site's
 // cache and, for a map stage — whose output TaskOutput has prepared for the
-// stage's shuffle — store it, once the record codec has sized every value:
-// a map output is what leaves a process on the live cluster, so a value it
-// cannot carry fails the task here too, with the same
-// *rdd.UnsupportedValueError.
+// stage's shuffle and checked against the record codec — store it.
 func (b *MemBackend) RunTask(t Task) (TaskResult, error) {
-	out, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
+	res, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
 	spec := t.Stage.OutSpec
 	if err != nil || spec == nil {
-		return TaskResult{Records: out}, err
-	}
-	size, err := rdd.EncodedSize(out)
-	if err != nil {
-		return TaskResult{}, err
+		return res, err
 	}
 	// A stale attempt's Put is a no-op, and the tracker drops its record.
 	_, _, err = b.store.Put(
 		blockstore.Key{Shuffle: spec.ID, MapPart: t.Part},
-		blockstore.Output{Attempt: t.Attempt, Records: out})
-	return TaskResult{Bytes: size, Sample: rdd.RangeSample(spec, out)}, err
+		blockstore.Output{Attempt: t.Attempt, Records: res.Records})
+	return res, err
 }
 
 // OnTask implements Backend (obs.Sink).

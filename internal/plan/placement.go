@@ -229,7 +229,8 @@ func SpreadTopK[S ~int](rank []S, k, part int) S {
 // as 0 bytes), so no degenerate input can break the order:
 //
 //   - AggregatorBest: descending share, ties toward the lowest site index —
-//     the head is exactly shuffle.BestAggregator's Eq. (2) optimum;
+//     the head is Eq. (2)'s optimum (the simulator's centralized scheme
+//     takes it too);
 //   - AggregatorWorst: that order reversed;
 //   - AggregatorRandom: that order permuted by shuffleFn, the backend's
 //     seeded RNG (required for this policy only);

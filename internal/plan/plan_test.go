@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -148,7 +149,7 @@ func TestDriverMemBackendMatchesEvalLocal(t *testing.T) {
 
 // TestDriverAggregatorFollowsMeasuredSizes plants nearly all map output on
 // one site and checks the second shuffle aggregates there: the driver must
-// feed shuffle.BestAggregator measured sizes, not static guesses.
+// feed Eq. 2 (ChooseAggregator) measured sizes, not static guesses.
 func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	g := rdd.NewGraph()
 	var parts []rdd.InputPartition
@@ -289,6 +290,31 @@ func TestDriverRetriesUntilBudget(t *testing.T) {
 	be = &flakyBackend{MemBackend: NewMemBackend(2), failFirst: MaxAttempts}
 	if _, err := NewDriver(job, be, DriverConfig{}).Run(); err == nil {
 		t.Fatalf("%d failures should exhaust %d attempts", MaxAttempts, MaxAttempts)
+	}
+}
+
+// A value the record codec refuses is refused on every attempt, so its task
+// fails once: a 2-partition GroupByKey over a struct value logs one failure
+// per task and no retry (not MaxAttempts of each), and the job fails with the
+// typed error.
+func TestUnsupportedValueFailsTaskOnce(t *testing.T) {
+	type point struct{ x, y int }
+	parts := make([]rdd.InputPartition, 2)
+	for p := range parts {
+		parts[p] = rdd.InputPartition{ModeledBytes: 1, Records: []rdd.Pair{rdd.KV("a", point{p, p})}}
+	}
+	job, err := BuildJob(rdd.NewGraph().Input("in", parts).GroupByKey("group", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := NewMemBackend(2)
+	_, err = NewDriver(job, be, DriverConfig{}).Run()
+	var unsupported *rdd.UnsupportedValueError
+	if !errors.As(err, &unsupported) {
+		t.Fatalf("err = %v, want *rdd.UnsupportedValueError", err)
+	}
+	if c := be.Events.Counts(); c.Failed != 2 || c.Retried != 0 {
+		t.Fatalf("%d failed and %d retried attempts, want 2 and 0", c.Failed, c.Retried)
 	}
 }
 

@@ -167,15 +167,89 @@ func TestCodecCarriesRandomLineageRecords(t *testing.T) {
 	}
 }
 
-// everyTag is one record per value tag, the smallest payload covering the
-// whole format.
+// codecKinds is the record value set as one list: a record of every kind
+// the codec carries, one per value tag (TestCodecRoundTripsEveryKind holds
+// that), with what SizeOf gives it (TestSizeOfCoversTypes). A value of any
+// other type is refused by both (TestValuesOutsideTheCodecAreRefused).
+var codecKinds = []struct {
+	rec  Pair
+	size float64
+}{
+	{KV("nil", nil), 3 + 16},
+	{KV("string", "s"), 6 + 1 + 16},
+	{KV("int", -300), 3 + 8 + 16},
+	{KV("float64", 2.5), 7 + 8 + 16},
+	{KV("false", false), 5 + 1 + 16},
+	{KV("true", true), 4 + 1 + 16},
+	{KV("bytes", []byte{1, 2}), 5 + 2 + 16},
+	{KV("values", []Value{1, "x", nil}), 6 + (24 + 8 + 1) + 16},
+	{KV("strings", []string{"a", "bc"}), 7 + (24 + 9 + 10) + 16},
+	{KV("floats", []float64{1, 2}), 6 + (24 + 16) + 16},
+	{KV("groups", [2][]Value{{1}, {"r", 2.5}}), 6 + (24 + 8) + (24 + 1 + 8) + 16},
+	{KV("", ""), 16},
+}
+
+// everyTag is codecKinds' records, the smallest payload covering the whole
+// format.
 func everyTag() []Pair {
-	return []Pair{
-		KV("nil", nil), KV("string", "s"), KV("int", -300), KV("float64", 2.5),
-		KV("false", false), KV("true", true), KV("bytes", []byte{1, 2}),
-		KV("values", []Value{1, "x", nil}), KV("strings", []string{"a", "bc"}),
-		KV("floats", []float64{1, 2}), KV("groups", [2][]Value{{1}, {"r", 2.5}}),
-		KV("", ""),
+	recs := make([]Pair, len(codecKinds))
+	for i, k := range codecKinds {
+		recs[i] = k.rec
+	}
+	return recs
+}
+
+// TestCodecRoundTripsEveryKind: every codecKinds record survives the codec
+// exactly, and the list holds a record of every value tag the format has.
+func TestCodecRoundTripsEveryKind(t *testing.T) {
+	tags := map[byte]bool{}
+	for _, k := range codecKinds {
+		buf, err := AppendPairs(nil, []Pair{k.rec})
+		if err != nil {
+			t.Fatalf("%q: %v", k.rec.Key, err)
+		}
+		tags[buf[2+len(k.rec.Key)]] = true // count, key length, key, tag
+		out, err := DecodePairs(buf)
+		if err != nil || !reflect.DeepEqual(emptiedPairs(out), emptiedPairs([]Pair{k.rec})) {
+			t.Fatalf("%q: round trip gives %v (%v)", k.rec.Key, out, err)
+		}
+	}
+	for tag := tagNil; tag <= tagGroups; tag++ {
+		if !tags[tag] && tag != tagGroups-1 { // the one unused tag
+			t.Errorf("no codecKinds record encodes with tag %d", tag)
+		}
+	}
+}
+
+// TestValuesOutsideTheCodecAreRefused: a value outside codecKinds' types
+// makes SizeOf panic naming its type and EncodedSize return the typed
+// error. A []Value nested past the codec's depth bound is the one value
+// SizeOf sizes and the codec refuses.
+func TestValuesOutsideTheCodecAreRefused(t *testing.T) {
+	for _, v := range []Value{int64(1), float32(1), unshippable{}} {
+		name := fmt.Sprintf("%T", v)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
+					t.Errorf("SizeOf of a %s: recovered %v, want a panic naming the type", name, r)
+				}
+			}()
+			SizeOf(KV("k", v))
+		}()
+		var unsupported *UnsupportedValueError
+		if _, err := EncodedSize([]Pair{KV("k", v)}); !errors.As(err, &unsupported) || unsupported.Type != name {
+			t.Errorf("EncodedSize of a %s: err = %v, want *UnsupportedValueError naming it", name, err)
+		}
+	}
+	deep := Value("leaf")
+	for i := 0; i <= maxValueDepth; i++ {
+		deep = []Value{deep}
+	}
+	if got, want := SizeOf(KV("k", deep)), float64(1+24*(maxValueDepth+1)+4+16); got != want {
+		t.Errorf("SizeOf of a too-deep []Value = %v, want %v", got, want)
+	}
+	if _, err := EncodedSize([]Pair{KV("k", deep)}); err == nil {
+		t.Error("EncodedSize accepted a []Value nested past the codec's bound")
 	}
 }
 

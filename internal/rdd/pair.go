@@ -11,8 +11,9 @@ package rdd
 
 import "fmt"
 
-// Value is the payload of a record. Workloads use strings, numbers, slices
-// of Values, or small structs; SizeOf must understand every type stored.
+// Value is the payload of a record, one of the record codec's types: nil,
+// string, int, float64, bool, []byte, []Value, []string, []float64 or
+// [2][]Value. SizeOf and EncodedSize read that one set.
 type Value = any
 
 // Pair is a key-value record, the unit of data flowing between
@@ -32,7 +33,8 @@ const (
 
 // SizeOf estimates the serialized size of a record in bytes. The engine
 // multiplies real sizes by each partition's modeled scale factor, so only
-// relative sizes matter; the estimator errs on the side of simplicity.
+// relative sizes matter; the estimator errs on the side of simplicity. It
+// panics naming a type outside the codec's (nesting is the codec's check).
 func SizeOf(p Pair) float64 {
 	return float64(len(p.Key)) + valueSize(p.Value) + recordOverhead
 }
@@ -47,7 +49,7 @@ func valueSize(v Value) float64 {
 		return float64(len(x))
 	case bool:
 		return 1
-	case int, int32, int64, uint64, float64, float32:
+	case int, float64:
 		return 8
 	case []Value:
 		return valuesSize(x)
@@ -61,10 +63,8 @@ func valueSize(v Value) float64 {
 		return float64(sliceOverhead + 8*len(x))
 	case [2][]Value:
 		return valuesSize(x[0]) + valuesSize(x[1])
-	case Sized:
-		return x.SizeBytes()
 	default:
-		panic(fmt.Sprintf("rdd: SizeOf does not understand %T; implement rdd.Sized", v))
+		panic(fmt.Sprintf("rdd: SizeOf does not understand %T: a record value is one of the record codec's types", v))
 	}
 }
 
@@ -76,11 +76,6 @@ func valuesSize(vs []Value) float64 {
 		s += valueSize(e)
 	}
 	return s
-}
-
-// Sized lets workload-specific value types report their serialized size.
-type Sized interface {
-	SizeBytes() float64
 }
 
 // SizeOfAll sums SizeOf over a record slice.

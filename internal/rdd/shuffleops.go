@@ -162,8 +162,11 @@ func SampleKeys(records []Pair, max int) []string {
 	if max <= 0 {
 		max = 1
 	}
+	if len(records) == 0 {
+		return nil
+	}
 	stride := len(records)/max + 1
-	var keys []string
+	keys := make([]string, 0, (len(records)+stride-1)/stride)
 	for i := 0; i < len(records); i += stride {
 		keys = append(keys, records[i].Key)
 	}

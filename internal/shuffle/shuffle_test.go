@@ -199,6 +199,42 @@ func TestBadMapPartPanics(t *testing.T) {
 	reg.AddMapOutput(1, 5, 0, nil, 0)
 }
 
+// The paper's Sec. III-B placement analysis (Eqs. 1–2), kept as the
+// reference the property below checks: with shuffle input of total size S
+// spread over datacenters as s_1 ≥ s_2 ≥ … ≥ s_M and N equal shards per
+// partition, a reducer placed in datacenter i fetches (S − s_i)/N across
+// datacenters, so total cross-DC shuffle traffic is minimized — at
+// S − max_i s_i — by aggregating all reducers into the datacenter holding
+// the largest input share. Both backends choose through
+// plan.ChooseAggregator, whose AggregatorBest head is this choice.
+
+// TrafficIfAggregatedTo returns the cross-datacenter bytes a shuffle moves
+// if every reducer runs in datacenter dc, given the shuffle input bytes
+// stored per datacenter (Eq. 1 summed over reducers).
+func TrafficIfAggregatedTo(sizesByDC []float64, dc int) float64 {
+	var total float64
+	for _, s := range sizesByDC {
+		total += s
+	}
+	return total - sizesByDC[dc]
+}
+
+// BestAggregator returns the datacenter minimizing cross-DC shuffle traffic
+// (Eq. 2: the one storing the largest input share; lowest index wins ties)
+// along with the resulting traffic S − s₁.
+func BestAggregator(sizesByDC []float64) (dc int, traffic float64) {
+	if len(sizesByDC) == 0 {
+		return 0, 0
+	}
+	best := 0
+	for i, s := range sizesByDC {
+		if s > sizesByDC[best] {
+			best = i
+		}
+	}
+	return best, TrafficIfAggregatedTo(sizesByDC, best)
+}
+
 func TestBestAggregatorMatchesEq2(t *testing.T) {
 	sizes := []float64{100, 400, 250}
 	dc, traffic := BestAggregator(sizes)
