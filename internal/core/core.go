@@ -150,9 +150,14 @@ func (c *Context) DistributeRecords(name string, records []rdd.Pair, numParts in
 			ModeledBytes: totalModeledBytes / float64(numParts),
 		}
 	}
-	for i, r := range records {
-		p := i % numParts
-		parts[p].Records = append(parts[p].Records, r)
+	// Record i goes to partition i mod numParts, so partition p holds
+	// every numParts-th record from p on.
+	for p := range parts {
+		recs := make([]rdd.Pair, 0, (len(records)-p+numParts-1)/numParts)
+		for i := p; i < len(records); i += numParts {
+			recs = append(recs, records[i])
+		}
+		parts[p].Records = recs
 	}
 	return c.g.Input(name, parts)
 }

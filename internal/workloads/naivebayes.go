@@ -31,19 +31,23 @@ func NaiveBayes() *Workload {
 // combining shrinks the shuffle input to roughly a third of the raw corpus
 // — the ratio a 100k-page corpus with bounded vocabulary exhibits.
 func naiveBayesDocs(seed int64) []rdd.Pair {
-	rng := rand.New(rand.NewSource(seed ^ 0xba7e5))
-	zipf := rand.NewZipf(rng, 1.2, 1, 199)
 	const docs = 600
 	const wordsPerDoc = 120
 	const classes = 10
+	const vocab = 200
+	rng := rand.New(rand.NewSource(seed ^ 0xba7e5))
+	zipf := rand.NewZipf(rng, 1.2, 1, vocab-1)
+	classNames := names("class", classes, 2)
+	terms := names("term", vocab, 3)
 	recs := make([]rdd.Pair, docs)
-	for d := 0; d < docs; d++ {
-		class := fmt.Sprintf("class%02d", rng.Intn(classes))
-		words := make([]string, wordsPerDoc)
-		for w := range words {
-			words[w] = fmt.Sprintf("term%03d", zipf.Uint64())
+	var doc []byte
+	for d := range recs {
+		doc = append(doc[:0], classNames[rng.Intn(classes)]...)
+		for w := 0; w < wordsPerDoc; w++ {
+			doc = append(doc, ' ')
+			doc = append(doc, terms[zipf.Uint64()]...)
 		}
-		recs[d] = rdd.KV(fmt.Sprintf("doc%05d", d), class+" "+strings.Join(words, " "))
+		recs[d] = rdd.KV(numbered("doc", d, 5), string(doc))
 	}
 	return recs
 }

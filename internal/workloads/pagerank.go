@@ -31,9 +31,10 @@ func PageRank() *Workload {
 // pageRankEdges generates a link table with skewed in-degrees (popular
 // pages attract most links), one record per edge.
 func pageRankEdges(seed int64) []rdd.Pair {
-	rng := rand.New(rand.NewSource(seed ^ 0x9a6e))
-	zipf := rand.NewZipf(rng, 1.4, 1, 1199)
 	const pages = 1200
+	rng := rand.New(rand.NewSource(seed ^ 0x9a6e))
+	zipf := rand.NewZipf(rng, 1.4, 1, pages-1)
+	pageNames := names("page", pages, 6)
 	var recs []rdd.Pair
 	for p := 0; p < pages; p++ {
 		out := 2 + rng.Intn(8)
@@ -42,13 +43,11 @@ func pageRankEdges(seed int64) []rdd.Pair {
 			if dst == p {
 				dst = (dst + 1) % pages
 			}
-			recs = append(recs, rdd.KV(pageName(p), pageName(dst)))
+			recs = append(recs, rdd.KV(pageNames[p], pageNames[dst]))
 		}
 	}
 	return recs
 }
-
-func pageName(i int) string { return fmt.Sprintf("page%06d", i) }
 
 func pageRankFlow(ins []*rdd.RDD) *rdd.RDD {
 	links := ins[0].GroupByKey("pr.links", parallelism).Cache()

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
 
 	"wanshuffle/internal/rdd"
@@ -23,18 +22,18 @@ func Sort() *Workload {
 	}
 }
 
+// sortPayload is every sort record's opaque 52-byte value: the alphabet
+// twice. Records share it; nothing writes to a string.
+const sortPayload = "abcdefghijklmnopqrstuvwxyzabcdefghijklmnopqrstuvwxyz"
+
 // sortRecords generates HiBench-style random records: a short random key
 // and an opaque payload.
 func sortRecords(salt int64) func(seed int64) []rdd.Pair {
 	return func(seed int64) []rdd.Pair {
 		rng := rand.New(rand.NewSource(seed ^ salt))
-		payload := make([]byte, 52)
-		for i := range payload {
-			payload[i] = 'a' + byte(i%26)
-		}
 		recs := make([]rdd.Pair, 4000)
 		for i := range recs {
-			recs[i] = rdd.KV(fmt.Sprintf("%010d", rng.Intn(1<<30)), string(payload))
+			recs[i] = rdd.KV(numbered("", rng.Intn(1<<30), 10), sortPayload)
 		}
 		return recs
 	}

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -37,28 +36,34 @@ func Extensions() []*Workload {
 const webJoinPages = 400
 
 func webJoinRankings(int64) []rdd.Pair {
+	urls := names("url", webJoinPages, 5)
 	rankings := make([]rdd.Pair, webJoinPages)
 	for p := range rankings {
-		rankings[p] = rdd.KV(urlName(p), p+1)
+		rankings[p] = rdd.KV(urls[p], p+1)
 	}
 	return rankings
 }
 
-// webJoinVisits draws visits with skewed page popularity.
+// webJoinVisits draws visits with skewed page popularity. A visit's value
+// is its source IP and its ad revenue to two decimals: "ip revenue".
 func webJoinVisits(seed int64) []rdd.Pair {
 	rng := rand.New(rand.NewSource(seed ^ 0x3e8f1))
 	zipf := rand.NewZipf(rng, 1.25, 1, webJoinPages-1)
+	urls := names("url", webJoinPages, 5)
 	visits := make([]rdd.Pair, 2500)
+	var row []byte
 	for v := range visits {
 		page := int(zipf.Uint64())
-		ip := fmt.Sprintf("%d.%d.%d.%d", rng.Intn(16)+1, rng.Intn(256), rng.Intn(256), rng.Intn(256))
-		revenue := float64(rng.Intn(1000)) / 100
-		visits[v] = rdd.KV(urlName(page), fmt.Sprintf("%s %.2f", ip, revenue))
+		row = appendNumbered(row[:0], "", rng.Intn(16)+1, 0)
+		for octet := 0; octet < 3; octet++ {
+			row = appendNumbered(row, ".", rng.Intn(256), 0)
+		}
+		row = append(row, ' ')
+		row = strconv.AppendFloat(row, float64(rng.Intn(1000))/100, 'f', 2, 64)
+		visits[v] = rdd.KV(urls[page], string(row))
 	}
 	return visits
 }
-
-func urlName(p int) string { return fmt.Sprintf("url%05d", p) }
 
 // webJoinFlow: join on URL (visits gain the page rank), then sum ad revenue
 // per /16 source prefix, weighting by whether the page is well-ranked.

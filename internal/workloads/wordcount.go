@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 
@@ -24,17 +23,23 @@ func WordCount() *Workload {
 // map-side combining shrinks the shuffle input to a few percent of the raw
 // text, as it does at paper scale.
 func wordCountLines(seed int64) []rdd.Pair {
-	rng := rand.New(rand.NewSource(seed ^ 0x77c0))
-	zipf := rand.NewZipf(rng, 1.3, 1, 199)
 	const lines = 4800
 	const wordsPerLine = 8
-	recs := make([]rdd.Pair, 0, lines)
-	for i := 0; i < lines; i++ {
-		words := make([]string, wordsPerLine)
-		for w := range words {
-			words[w] = fmt.Sprintf("lexeme%03d", zipf.Uint64())
+	const vocab = 200
+	rng := rand.New(rand.NewSource(seed ^ 0x77c0))
+	zipf := rand.NewZipf(rng, 1.3, 1, vocab-1)
+	lexemes := names("lexeme", vocab, 3)
+	recs := make([]rdd.Pair, lines)
+	var line []byte
+	for i := range recs {
+		line = line[:0]
+		for w := 0; w < wordsPerLine; w++ {
+			if w > 0 {
+				line = append(line, ' ')
+			}
+			line = append(line, lexemes[zipf.Uint64()]...)
 		}
-		recs = append(recs, rdd.KV(fmt.Sprintf("line%05d", i), strings.Join(words, " ")))
+		recs[i] = rdd.KV(numbered("line", i, 5), string(line))
 	}
 	return recs
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wanshuffle/internal/core"
@@ -154,6 +155,39 @@ func ByName(name string) (*Workload, error) {
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)
 }
 
+// --- what the generators build records from ---
+
+// appendNumbered appends prefix and n (n >= 0) zero-padded to width
+// digits, as fmt's "%s%0*d" would, without fmt.
+func appendNumbered(dst []byte, prefix string, n, width int) []byte {
+	dst = append(dst, prefix...)
+	digits := 1
+	for v := n; v >= 10; v /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
+}
+
+// numbered is appendNumbered's string form.
+func numbered(prefix string, n, width int) string {
+	var buf [24]byte
+	return string(appendNumbered(buf[:0], prefix, n, width))
+}
+
+// names is a generator's vocabulary: names[i] is numbered(prefix, i,
+// width) for i in [0, n), built once per Generate call and indexed by the
+// draw that picks a name.
+func names(prefix string, n, width int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = numbered(prefix, i, width)
+	}
+	return out
+}
+
 // --- the checks a workload declares ---
 
 // canonExact renders records as a canonical multiset string for exact
@@ -192,11 +226,16 @@ func expectFloatMatch(got, want []rdd.Pair) error {
 	if len(got) != len(w) {
 		return fmt.Errorf("got %d records, want %d", len(got), len(w))
 	}
+	seen := make(map[string]bool, len(got))
 	for _, p := range got {
 		ref, ok := w[p.Key]
 		if !ok {
 			return fmt.Errorf("unexpected key %q", p.Key)
 		}
+		if seen[p.Key] {
+			return fmt.Errorf("key %q appears twice", p.Key)
+		}
+		seen[p.Key] = true
 		v := p.Value.(float64)
 		if math.Abs(v-ref) > tol*(1+math.Abs(ref)) {
 			return fmt.Errorf("key %q = %v, want %v", p.Key, v, ref)

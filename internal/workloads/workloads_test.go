@@ -1,7 +1,10 @@
 package workloads
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wanshuffle/internal/core"
@@ -119,6 +122,91 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 		if same {
 			t.Fatalf("%s ignores the seed", w.Name)
+		}
+	}
+}
+
+// generatedHashes pins every input of All() and Extensions() at seeds 0–3:
+// an FNV-64a hash over each record's key and Go-syntax value. A generator
+// may change how it builds a record, never what it builds: every figure
+// depends on the records.
+var generatedHashes = map[string][4]uint64{
+	"wc.text":        {0xed1aea7922a7088c, 0xed7112ea0b0c6295, 0x3ba50ee17cd69a69, 0x8404527a28026c85},
+	"sort.input":     {0x7a6000fdb4f9db4e, 0xdb7cb7db5aacab05, 0xa9c812d323c80b17, 0x1e173337f830b085},
+	"terasort.input": {0x17afb7f05ff58afc, 0xdb4f0fa063850207, 0x794e883dbe5ef805, 0x03276fdb8f9e1c8e},
+	"pr.edges":       {0xba65ae2130fdea82, 0x2ae16ec3c2223cf1, 0x26a70e4ee7807aab, 0xe4f08f0259444816},
+	"nb.docs":        {0x93346d4704b06144, 0xba7fb4b840fd680b, 0xe16fe686fae61074, 0xd4fbd43c87bae8c1},
+	"wj.rankings":    {0xd194b2c2f2fc01ef, 0xd194b2c2f2fc01ef, 0xd194b2c2f2fc01ef, 0xd194b2c2f2fc01ef},
+	"wj.visits":      {0x08e9fb4e68823a3c, 0x733667dbeea080b6, 0x08ce2528cce5039f, 0xe2f143f6b538446d},
+}
+
+func TestGeneratorsArePinned(t *testing.T) {
+	for _, w := range append(All(), Extensions()...) {
+		for _, in := range w.Inputs {
+			want, ok := generatedHashes[in.Name]
+			if !ok {
+				t.Errorf("%s: input %s has no pinned hashes", w.Name, in.Name)
+			}
+			for seed := range want {
+				h := fnv.New64a()
+				for _, p := range in.Generate(int64(seed)) {
+					fmt.Fprintf(h, "%s\x00%#v\n", p.Key, p.Value)
+				}
+				if got := h.Sum64(); got != want[seed] {
+					t.Errorf("%s seed %d: hash %#x, want %#x", in.Name, seed, got, want[seed])
+				}
+			}
+		}
+	}
+}
+
+// TestNumberedMatchesSprintf holds the generators' name builder to fmt's
+// zero-padded form at every width the generators could use, across every
+// digit boundary, and where the number is wider than the width.
+func TestNumberedMatchesSprintf(t *testing.T) {
+	ns := []int{0, 1, 7, 1<<30 - 1}
+	for p := 10; p < 1<<30; p *= 10 {
+		ns = append(ns, p-1, p, p+1)
+	}
+	for width := 0; width <= 10; width++ {
+		for _, n := range ns {
+			for _, prefix := range []string{"", "page", "."} {
+				want := fmt.Sprintf("%s%0*d", prefix, width, n)
+				if got := numbered(prefix, n, width); got != want {
+					t.Errorf("numbered(%q, %d, %d) = %q, want %q", prefix, n, width, got, want)
+				}
+				if got := string(appendNumbered([]byte("x"), prefix, n, width)); got != "x"+want {
+					t.Errorf("appendNumbered(x, %q, %d, %d) = %q, want %q", prefix, n, width, got, "x"+want)
+				}
+			}
+		}
+	}
+}
+
+// TestExpectFloatMatch holds the float check to a key-by-key match: the
+// same count of records is not enough when one key repeats in place of
+// another.
+func TestExpectFloatMatch(t *testing.T) {
+	want := []rdd.Pair{rdd.KV("a", 1.0), rdd.KV("b", 2.0)}
+	for _, tc := range []struct {
+		name    string
+		got     []rdd.Pair
+		wantErr string // "" when the check must pass
+	}{
+		{"match", []rdd.Pair{rdd.KV("b", 2.0), rdd.KV("a", 1.0+1e-12)}, ""},
+		{"duplicated key", []rdd.Pair{rdd.KV("a", 1.0), rdd.KV("a", 1.0)}, `"a"`},
+		{"missing key", []rdd.Pair{rdd.KV("a", 1.0)}, "got 1 records, want 2"},
+		{"extra key", []rdd.Pair{rdd.KV("a", 1.0), rdd.KV("b", 2.0), rdd.KV("c", 3.0)}, "got 3 records, want 2"},
+		{"wrong value", []rdd.Pair{rdd.KV("a", 1.0), rdd.KV("b", 2.5)}, `"b"`},
+	} {
+		err := expectFloatMatch(tc.got, want)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted %v", tc.name, tc.got)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.wantErr)
 		}
 	}
 }
