@@ -26,13 +26,10 @@ func Example() {
 	run := func(scheme wanshuffle.Scheme) *wanshuffle.Report {
 		ctx := wanshuffle.NewContext(wanshuffle.Config{Seed: 1, Scheme: scheme})
 		counts := ctx.DistributeRecords("text", lines, 24, 1e9).
-			FlatMap("split", func(p wanshuffle.Pair) []wanshuffle.Pair {
-				fields := strings.Fields(p.Value.(string))
-				out := make([]wanshuffle.Pair, len(fields))
-				for i, w := range fields {
-					out[i] = wanshuffle.KV(w, 1)
+			MapMulti("split", func(p wanshuffle.Pair, emit func(wanshuffle.Pair)) {
+				for _, w := range strings.Fields(p.Value.(string)) {
+					emit(wanshuffle.KV(w, 1))
 				}
-				return out
 			}).
 			ReduceByKey("count", 8, func(a, b wanshuffle.Value) wanshuffle.Value {
 				return a.(int) + b.(int)
@@ -251,15 +248,13 @@ func Example_geoPageRank() {
 		ranks := links.Map("init", func(p wanshuffle.Pair) wanshuffle.Pair { return wanshuffle.KV(p.Key, 1.0) })
 		for it := 1; it <= iterations; it++ {
 			ranks = links.Join(fmt.Sprintf("join%d", it), ranks, 8).
-				FlatMap(fmt.Sprintf("contrib%d", it), func(p wanshuffle.Pair) []wanshuffle.Pair {
+				MapMulti(fmt.Sprintf("contrib%d", it), func(p wanshuffle.Pair, emit func(wanshuffle.Pair)) {
 					pair := p.Value.([]wanshuffle.Value)
 					dests := pair[0].([]wanshuffle.Value)
 					share := pair[1].(float64) / float64(len(dests))
-					out := make([]wanshuffle.Pair, len(dests))
-					for i, d := range dests {
-						out[i] = wanshuffle.KV(d.(string), share)
+					for _, d := range dests {
+						emit(wanshuffle.KV(d.(string), share))
 					}
-					return out
 				}).
 				ReduceByKey(fmt.Sprintf("sum%d", it), 8, func(a, b wanshuffle.Value) wanshuffle.Value {
 					return a.(float64) + b.(float64)

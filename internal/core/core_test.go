@@ -21,12 +21,10 @@ func buildWordCount(c *Context) *rdd.RDD {
 		recs = append(recs, rdd.KV(fmt.Sprintf("l%d", i), fmt.Sprintf("w%d w%d w3", i%7, i%13)))
 	}
 	in := c.DistributeRecords("text", recs, 8, 200*mb)
-	words := in.FlatMap("words", func(p rdd.Pair) []rdd.Pair {
-		var out []rdd.Pair
+	words := in.MapMulti("words", func(p rdd.Pair, emit func(rdd.Pair)) {
 		for _, w := range strings.Fields(p.Value.(string)) {
-			out = append(out, rdd.KV(w, 1))
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	return words.ReduceByKey("counts", 8, sum)
 }

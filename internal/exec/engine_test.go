@@ -41,12 +41,10 @@ func spreadInput(g *rdd.Graph, topo *topology.Topology, modeledPerPart float64) 
 
 // wordCount builds the canonical job on the given graph.
 func wordCount(in *rdd.RDD, parts int) *rdd.RDD {
-	words := in.FlatMap("words", func(p rdd.Pair) []rdd.Pair {
-		var out []rdd.Pair
+	words := in.MapMulti("words", func(p rdd.Pair, emit func(rdd.Pair)) {
 		for _, w := range strings.Fields(p.Value.(string)) {
-			out = append(out, rdd.KV(w, 1))
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	return words.ReduceByKey("counts", parts, sum)
 }

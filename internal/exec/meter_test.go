@@ -252,12 +252,12 @@ func FuzzMeteredChainMatchesMaterialised(f *testing.F) {
 // wordCountMapTask builds a wordcount map stage over lines (split, then a
 // combining count) and returns a function that runs its one task through
 // phaseOutput on the simulator's evaluator.
-func wordCountMapTask(tb testing.TB, lines []rdd.Pair, split func(rdd.Pair) []rdd.Pair, count rdd.CombineFn) func() partData {
+func wordCountMapTask(tb testing.TB, lines []rdd.Pair, split rdd.EachFn, count rdd.CombineFn) func() partData {
 	tb.Helper()
 	topo := topology.SixRegionEC2()
 	host := topo.Workers()[0]
 	text := rdd.NewGraph().Input("wc.text", []rdd.InputPartition{{Host: host, ModeledBytes: 1e8, Records: lines}})
-	pj, err := plan.BuildJob(text.FlatMap("wc.split", split).ReduceByKey("wc.count", 8, count))
+	pj, err := plan.BuildJob(text.MapMulti("wc.split", split).ReduceByKey("wc.count", 8, count))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -315,21 +315,19 @@ func minBytes(runs int, f func()) uint64 {
 // A combining simulator map task allocates for its distinct keys, not its
 // records: the chain streams into the combiner and each operator's size is
 // a running sum, so with the vocabulary fixed 4,000 more lines allocate no
-// more bytes. The user functions allocate nothing themselves — split reuses
-// one slice, and the count saturates inside the runtime's table of small
-// boxed integers — so what is counted is the evaluator and the combiner.
+// more bytes. The user functions allocate nothing themselves — split emits
+// substrings of its line, and the count saturates inside the runtime's
+// table of small boxed integers — so what is counted is the evaluator and
+// the combiner.
 func TestCombiningSimMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 	const lexemes = 200
 	count := func(a, b rdd.Value) rdd.Value { return min(a.(int)+b.(int), 255) }
-	buf := make([]rdd.Pair, 8)
-	split := func(p rdd.Pair) []rdd.Pair {
-		out := buf[:0]
-		line := p.Value.(string)
-		for len(line) > 0 {
-			word, rest, _ := strings.Cut(line, " ")
-			out, line = append(out, rdd.KV(word, 1)), rest
+	split := func(p rdd.Pair, emit func(rdd.Pair)) {
+		for line := p.Value.(string); len(line) > 0; {
+			var word string
+			word, line, _ = strings.Cut(line, " ")
+			emit(rdd.KV(word, 1))
 		}
-		return out
 	}
 	taskBytes := func(n int) uint64 {
 		task := wordCountMapTask(t, wordLines(1, n, lexemes), split, count)
@@ -353,13 +351,10 @@ var simMapTaskSink partData
 // counted into the output the task registers or pushes.
 func BenchmarkSimMapTaskWordCount(b *testing.B) {
 	const lines = 18750
-	task := wordCountMapTask(b, wordLines(1, lines, 5000), func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
+	task := wordCountMapTask(b, wordLines(1, lines, 5000), func(p rdd.Pair, emit func(rdd.Pair)) {
+		for _, w := range strings.Fields(p.Value.(string)) {
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	}, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
 
 	var before, after runtime.MemStats

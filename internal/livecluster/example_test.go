@@ -66,13 +66,10 @@ func wordCountJob() *rdd.RDD {
 		}
 		inputs[p] = rdd.InputPartition{ModeledBytes: 1, Records: recs}
 	}
-	words := g.Input("text", inputs).FlatMap("split", func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
+	words := g.Input("text", inputs).MapMulti("split", func(p rdd.Pair, emit func(rdd.Pair)) {
+		for _, w := range strings.Fields(p.Value.(string)) {
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	counts := words.ReduceByKey("count", 4, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)
@@ -155,15 +152,13 @@ func pageRankJob(rounds int) *rdd.RDD {
 	links := g.Input("edges", inputs).GroupByKey("links", 3)
 	ranks := links.Map("ranks0", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 1.0) })
 	for it := 1; it <= rounds; it++ {
-		contribs := links.Join(fmt.Sprintf("join%d", it), ranks, 3).FlatMap(fmt.Sprintf("contribs%d", it), func(p rdd.Pair) []rdd.Pair {
+		contribs := links.Join(fmt.Sprintf("join%d", it), ranks, 3).MapMulti(fmt.Sprintf("contribs%d", it), func(p rdd.Pair, emit func(rdd.Pair)) {
 			pair := p.Value.([]rdd.Value)
 			dests := pair[0].([]rdd.Value)
 			share := pair[1].(float64) / float64(len(dests))
-			out := make([]rdd.Pair, len(dests))
-			for i, d := range dests {
-				out[i] = rdd.KV(d.(string), share)
+			for _, d := range dests {
+				emit(rdd.KV(d.(string), share))
 			}
-			return out
 		})
 		ranks = contribs.ReduceByKey(fmt.Sprintf("sum%d", it), 3, func(a, b rdd.Value) rdd.Value {
 			return a.(float64) + b.(float64)

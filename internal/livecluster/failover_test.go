@@ -174,13 +174,10 @@ func TestMidRunReportConvergence(t *testing.T) {
 	var once atomic.Bool
 	build := func(gate bool) *rdd.RDD {
 		return rdd.NewGraph().Input("text", inputs).
-			FlatMap("split", func(p rdd.Pair) []rdd.Pair {
-				fields := strings.Fields(p.Value.(string))
-				out := make([]rdd.Pair, len(fields))
-				for i, w := range fields {
-					out[i] = rdd.KV(w, 1)
+			MapMulti("split", func(p rdd.Pair, emit func(rdd.Pair)) {
+				for _, w := range strings.Fields(p.Value.(string)) {
+					emit(rdd.KV(w, 1))
 				}
-				return out
 			}).
 			ReduceByKey("count", 3, func(a, b rdd.Value) rdd.Value {
 				return a.(int) + b.(int)

@@ -45,16 +45,13 @@ func wordCount(parts, reduces, heavy int, split func(rdd.Pair)) *rdd.RDD {
 		inputs[p] = rdd.InputPartition{Host: 0, ModeledBytes: 1, Records: recs}
 	}
 	in := g.Input("text", inputs)
-	words := in.FlatMap("split", func(p rdd.Pair) []rdd.Pair {
+	words := in.MapMulti("split", func(p rdd.Pair, emit func(rdd.Pair)) {
 		if split != nil {
 			split(p)
 		}
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
+		for _, w := range strings.Fields(p.Value.(string)) {
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	counts := words.ReduceByKey("count", reduces, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)

@@ -26,8 +26,8 @@ func buildChained() *rdd.RDD {
 		inputs[p] = rdd.InputPartition{Host: topology.HostID(p), ModeledBytes: 1, Records: recs}
 	}
 	counts := g.Input("text", inputs).
-		FlatMap("split", func(p rdd.Pair) []rdd.Pair {
-			return []rdd.Pair{rdd.KV(p.Value.(string)[:2], 1)}
+		MapMulti("split", func(p rdd.Pair, emit func(rdd.Pair)) {
+			emit(rdd.KV(p.Value.(string)[:2], 1))
 		}).
 		ReduceByKey("count", 4, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
 	return counts.
@@ -59,16 +59,14 @@ func buildPageRankRound() *rdd.RDD {
 	links := edges.GroupByKey("links", 3)
 	ranks := links.Map("ranks0", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 1.0) })
 	joined := links.Join("join1", ranks, 3)
-	contribs := joined.FlatMap("contribs1", func(p rdd.Pair) []rdd.Pair {
+	contribs := joined.MapMulti("contribs1", func(p rdd.Pair, emit func(rdd.Pair)) {
 		pair := p.Value.([]rdd.Value)
 		dests := pair[0].([]rdd.Value)
 		rank := pair[1].(float64)
-		out := make([]rdd.Pair, len(dests))
 		share := rank / float64(len(dests))
-		for i, d := range dests {
-			out[i] = rdd.KV(d.(string), share)
+		for _, d := range dests {
+			emit(rdd.KV(d.(string), share))
 		}
-		return out
 	})
 	sums := contribs.ReduceByKey("sum1", 3, func(a, b rdd.Value) rdd.Value {
 		return a.(float64) + b.(float64)

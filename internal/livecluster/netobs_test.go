@@ -53,13 +53,10 @@ func buildBulkyWordCount(parts, reduces int, hosts []topology.HostID) *rdd.RDD {
 		inputs[p] = rdd.InputPartition{Host: hosts[p%len(hosts)], ModeledBytes: 64 << 10, Records: recs}
 	}
 	in := g.Input("text", inputs)
-	words := in.FlatMap("split", func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
+	words := in.MapMulti("split", func(p rdd.Pair, emit func(rdd.Pair)) {
+		for _, w := range strings.Fields(p.Value.(string)) {
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	return words.ReduceByKey("count", reduces, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)

@@ -117,14 +117,12 @@ func cachedPageRank(seed int64, g *rdd.Graph, hosts []topology.HostID) *rdd.RDD 
 	ranks := links.Map("pr.ranks0", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 1000) })
 	for it := 1; it <= 3; it++ {
 		contribs := links.Join(fmt.Sprintf("pr.join%d", it), ranks, parts).
-			FlatMap(fmt.Sprintf("pr.contribs%d", it), func(p rdd.Pair) []rdd.Pair {
+			MapMulti(fmt.Sprintf("pr.contribs%d", it), func(p rdd.Pair, emit func(rdd.Pair)) {
 				pair := p.Value.([]rdd.Value)
 				dests := pair[0].([]rdd.Value)
-				out := make([]rdd.Pair, len(dests))
-				for i, d := range dests {
-					out[i] = rdd.KV(d.(string), pair[1].(int)/len(dests))
+				for _, d := range dests {
+					emit(rdd.KV(d.(string), pair[1].(int)/len(dests)))
 				}
-				return out
 			})
 		ranks = contribs.ReduceByKey(fmt.Sprintf("pr.sum%d", it), parts, addInts).
 			Map(fmt.Sprintf("pr.damp%d", it), func(p rdd.Pair) rdd.Pair {

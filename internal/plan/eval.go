@@ -130,7 +130,7 @@ func (c *SiteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
 // the same order without building one. Both read shuffle input through read
 // and Cached partitions through cache (nil: nothing is cached).
 //
-// A narrow node (Map, FlatMap, Filter) fuses: eachPart runs its one
+// A narrow node (Map, MapMulti, Filter) fuses: eachPart runs its one
 // parent partition's eachPart with the node's operator (rdd.RDD.Each)
 // composed in front of emit — no input slice, no output slice per operator —
 // and evalPart of such a node is eachPart into an append. Everything else

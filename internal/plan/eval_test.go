@@ -173,32 +173,29 @@ func leafOf(g *rdd.Graph, name string, recs []rdd.Pair) *rdd.RDD {
 // per hundred of them, where a per-record allocation would cost at least one
 // each. The slack covers the few extra words the longer input reaches and
 // sync.Pool, which drops items at random under -race. The user functions
-// here allocate nothing themselves — split reuses one slice, the count
-// saturates inside the runtime's table of small boxed integers — so what is
-// counted is the evaluator and the combiner. testing.AllocsPerRun counts
-// with GOMAXPROCS pinned to 1, so no other goroutine's allocations land in
-// the task's count. Held on FlatMap → ReduceByKey (wordcount's map stage)
+// here allocate nothing themselves — split emits substrings of its line,
+// the count saturates inside the runtime's table of small boxed integers —
+// so what is counted is the evaluator and the combiner.
+// testing.AllocsPerRun counts with GOMAXPROCS pinned to 1, so no other
+// goroutine's allocations land in the task's count. Held on MapMulti → ReduceByKey (wordcount's map stage)
 // and on Map → ReduceByKey.
 func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 	const lexemes = 200
 	count := func(a, b rdd.Value) rdd.Value { return min(a.(int)+b.(int), 255) }
-	buf := make([]rdd.Pair, 8)
-	split := func(p rdd.Pair) []rdd.Pair {
-		out := buf[:0]
-		line := p.Value.(string)
-		for len(line) > 0 {
-			word, rest, _ := strings.Cut(line, " ")
-			out, line = append(out, rdd.KV(word, 1)), rest
+	split := func(p rdd.Pair, emit func(rdd.Pair)) {
+		for line := p.Value.(string); len(line) > 0; {
+			var word string
+			word, line, _ = strings.Cut(line, " ")
+			emit(rdd.KV(word, 1))
 		}
-		return out
 	}
 	firstWord := func(p rdd.Pair) rdd.Pair {
 		word, _, _ := strings.Cut(p.Value.(string), " ")
 		return rdd.KV(word, 1)
 	}
 	lineages := map[string]func(lines []rdd.Pair) *rdd.RDD{
-		"FlatMap-ReduceByKey": func(lines []rdd.Pair) *rdd.RDD {
-			return leafOf(rdd.NewGraph(), "text", lines).FlatMap("split", split).ReduceByKey("count", 4, count)
+		"MapMulti-ReduceByKey": func(lines []rdd.Pair) *rdd.RDD {
+			return leafOf(rdd.NewGraph(), "text", lines).MapMulti("split", split).ReduceByKey("count", 4, count)
 		},
 		"Map-ReduceByKey": func(lines []rdd.Pair) *rdd.RDD {
 			return leafOf(rdd.NewGraph(), "text", lines).Map("first", firstWord).ReduceByKey("count", 4, count)
@@ -256,13 +253,10 @@ var mapTaskSink []rdd.Pair
 // output the task would store or push.
 func BenchmarkMapTaskWordCount(b *testing.B) {
 	const lines = 18750
-	words := leafOf(rdd.NewGraph(), "wc.text", wordLines(1, lines, 5000)).FlatMap("wc.split", func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
+	words := leafOf(rdd.NewGraph(), "wc.text", wordLines(1, lines, 5000)).MapMulti("wc.split", func(p rdd.Pair, emit func(rdd.Pair)) {
+		for _, w := range strings.Fields(p.Value.(string)) {
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	st := mapStage(b, words.ReduceByKey("wc.count", 8, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }))
 

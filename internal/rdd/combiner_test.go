@@ -22,14 +22,24 @@ func TestEachMatchesByHand(t *testing.T) {
 		"thirds": {KV("x", 3), KV("y", 6), KV("z", 9)}, // the filter drops every one
 	}
 	inc := func(p Pair) Pair { return KV(p.Key+"'", p.Value.(int)+1) }
-	fan := func(p Pair) []Pair { // value mod 3 copies: none for multiples of three
-		out := make([]Pair, p.Value.(int)%3)
-		for i := range out {
-			out[i] = KV(fmt.Sprint(p.Key, i), p.Value)
+	fan := func(p Pair, emit func(Pair)) { // value mod 3 copies: none for multiples of three
+		for i := 0; i < p.Value.(int)%3; i++ {
+			emit(KV(fmt.Sprint(p.Key, i), p.Value))
+		}
+	}
+	fanned := func(in []Pair) (out []Pair) {
+		for _, p := range in {
+			for i := 0; i < p.Value.(int)%3; i++ {
+				out = append(out, KV(fmt.Sprint(p.Key, i), p.Value))
+			}
 		}
 		return out
 	}
-	none := func(Pair) []Pair { return nil }
+	fanSlice := func(p Pair) (out []Pair) { // fan through FlatMap's slice form
+		fan(p, func(q Pair) { out = append(out, q) })
+		return out
+	}
+	none := func(Pair, func(Pair)) {}
 	keep := func(p Pair) bool { return p.Value.(int)%3 != 0 }
 
 	g := NewGraph()
@@ -44,13 +54,9 @@ func TestEachMatchesByHand(t *testing.T) {
 			}
 			return out
 		}},
-		{leaf.FlatMap("flatMap", fan), func(in []Pair) (out []Pair) {
-			for _, p := range in {
-				out = append(out, fan(p)...)
-			}
-			return out
-		}},
-		{leaf.FlatMap("flatMap-nothing", none), func([]Pair) []Pair { return nil }},
+		{leaf.MapMulti("mapMulti", fan), fanned},
+		{leaf.MapMulti("mapMulti-nothing", none), func([]Pair) []Pair { return nil }},
+		{leaf.FlatMap("flatMap", fanSlice), fanned},
 		{leaf.Filter("filter", keep), func(in []Pair) (out []Pair) {
 			for _, p := range in {
 				if keep(p) {

@@ -18,13 +18,10 @@ func ExampleRDD_ReduceByKey() {
 		}},
 	})
 	counts := in.
-		FlatMap("words", func(p rdd.Pair) []rdd.Pair {
-			fields := strings.Fields(p.Value.(string))
-			out := make([]rdd.Pair, len(fields))
-			for i, w := range fields {
-				out[i] = rdd.KV(w, 1)
+		MapMulti("words", func(p rdd.Pair, emit func(rdd.Pair)) {
+			for _, w := range strings.Fields(p.Value.(string)) {
+				emit(rdd.KV(w, 1))
 			}
-			return out
 		}).
 		ReduceByKey("count", 2, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
 

@@ -57,8 +57,9 @@ func RandomLineage(seed int64, g *Graph, hosts []topology.HostID) *RDD {
 				return p.Value.(int)%3 != 0
 			})
 		case 2:
-			node = node.FlatMap(fmt.Sprintf("flat%d", d), func(p Pair) []Pair {
-				return []Pair{p, KV(p.Key+"x", p.Value)}
+			node = node.MapMulti(fmt.Sprintf("flat%d", d), func(p Pair, emit func(Pair)) {
+				emit(p)
+				emit(KV(p.Key+"x", p.Value))
 			})
 		case 3:
 			node = node.ReduceByKey(fmt.Sprintf("sum%d", d), rng.Intn(6)+2, func(a, b Value) Value {

@@ -125,7 +125,7 @@ type RDD struct {
 	Input []InputPartition
 
 	// Each computes a narrow RDD's partition p from partition p of its one
-	// parent, record by record (narrow RDDs only: Map, FlatMap, Filter, and
+	// parent, record by record (narrow RDDs only: Map, MapMulti, Filter, and
 	// the identity for transfer nodes).
 	Each EachFn
 
@@ -202,7 +202,13 @@ func (r *RDD) Map(name string, fn func(Pair) Pair) *RDD {
 	return r.eachChild(name, func(p Pair, emit func(Pair)) { emit(fn(p)) })
 }
 
-// FlatMap applies fn to every record and concatenates the results.
+// MapMulti turns every record into the records fn emits, in order: none,
+// one or many (a flat-map that builds no slice per record; the name is
+// Java's Stream.mapMulti).
+func (r *RDD) MapMulti(name string, fn EachFn) *RDD { return r.eachChild(name, fn) }
+
+// FlatMap is MapMulti for a function that returns its records as a slice.
+// It stays only for perf/'s wordcount closure (ROADMAP 1(b)).
 func (r *RDD) FlatMap(name string, fn func(Pair) []Pair) *RDD {
 	return r.eachChild(name, func(p Pair, emit func(Pair)) {
 		for _, q := range fn(p) {

@@ -42,15 +42,13 @@ func sortedCollect(r *RDD) []Pair {
 	return out
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMapFilterMapMulti(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g, pairs("a", "1 2", "b", "3"), pairs("c", "4 5 6"))
-	words := in.FlatMap("split", func(p Pair) []Pair {
-		var out []Pair
+	words := in.MapMulti("split", func(p Pair, emit func(Pair)) {
 		for _, w := range strings.Fields(p.Value.(string)) {
-			out = append(out, KV(w, 1))
+			emit(KV(w, 1))
 		}
-		return out
 	})
 	big := words.Filter("big", func(p Pair) bool { return p.Key >= "3" })
 	tagged := big.Map("tag", func(p Pair) Pair { return KV("n"+p.Key, p.Value) })

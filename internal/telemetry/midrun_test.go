@@ -45,16 +45,14 @@ func TestScrapeMidRunStrictlyIncreasing(t *testing.T) {
 	// Gate 1 pauses the event loop inside the first map-task evaluation;
 	// gate 2 pauses it inside the first reduce-task evaluation, which the
 	// engine only reaches after every map task reported finished.
-	words := in.FlatMap("words", func(p rdd.Pair) []rdd.Pair {
+	words := in.MapMulti("words", func(p rdd.Pair, emit func(rdd.Pair)) {
 		if mapCalls.Add(1) == 1 {
 			close(reached1)
 			<-hold1
 		}
-		var out []rdd.Pair
 		for _, w := range strings.Fields(p.Value.(string)) {
-			out = append(out, rdd.KV(w, 1))
+			emit(rdd.KV(w, 1))
 		}
-		return out
 	})
 	counts := words.ReduceByKey("counts", 8, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
 	job := counts.Map("tagged", func(p rdd.Pair) rdd.Pair {

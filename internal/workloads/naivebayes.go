@@ -1,9 +1,9 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wanshuffle/internal/rdd"
@@ -54,21 +54,22 @@ func naiveBayesDocs(seed int64) []rdd.Pair {
 
 func naiveBayesFlow(ins []*rdd.RDD) *rdd.RDD {
 	// Shuffle 1: count each (class, term) occurrence, combining map-side.
-	termCounts := ins[0].FlatMap("nb.tokenize", func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		class := fields[0]
-		out := make([]rdd.Pair, 0, len(fields)-1)
-		for _, w := range fields[1:] {
-			out = append(out, rdd.KV(class+"\x00"+w, 1))
-		}
-		return out
+	termCounts := ins[0].MapMulti("nb.tokenize", func(p rdd.Pair, emit func(rdd.Pair)) {
+		class := "" // the document's first field; no field is empty
+		eachField(p.Value.(string), func(w string) {
+			if class == "" {
+				class = w
+				return
+			}
+			emit(rdd.KV(class+"\x00"+w, 1))
+		})
 	}).ReduceByKey("nb.termCounts", parallelism, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)
 	})
 	// Shuffle 2: gather each class's term table into its model row.
 	model := termCounts.Map("nb.byClass", func(p rdd.Pair) rdd.Pair {
 		i := strings.IndexByte(p.Key, 0)
-		return rdd.KV(p.Key[:i], fmt.Sprintf("%s=%d", p.Key[i+1:], p.Value.(int)))
+		return rdd.KV(p.Key[:i], p.Key[i+1:]+"="+strconv.Itoa(p.Value.(int)))
 	}).GroupByKey("nb.model", parallelism)
 	// Canonical per-class row: sorted term=count entries.
 	return model.Map("nb.finalize", func(p rdd.Pair) rdd.Pair {

@@ -56,16 +56,14 @@ func pageRankFlow(ins []*rdd.RDD) *rdd.RDD {
 	})
 	for it := 1; it <= pageRankIterations; it++ {
 		joined := links.Join(fmt.Sprintf("pr.join%d", it), ranks, parallelism)
-		contribs := joined.FlatMap(fmt.Sprintf("pr.contribs%d", it), func(p rdd.Pair) []rdd.Pair {
+		contribs := joined.MapMulti(fmt.Sprintf("pr.contribs%d", it), func(p rdd.Pair, emit func(rdd.Pair)) {
 			pair := p.Value.([]rdd.Value)
 			dests := pair[0].([]rdd.Value)
 			rank := pair[1].(float64)
-			out := make([]rdd.Pair, len(dests))
 			share := rdd.Value(rank / float64(len(dests))) // one box for every destination
-			for i, d := range dests {
-				out[i] = rdd.KV(d.(string), share)
+			for _, d := range dests {
+				emit(rdd.KV(d.(string), share))
 			}
-			return out
 		})
 		sums := contribs.ReduceByKey(fmt.Sprintf("pr.sum%d", it), parallelism, func(a, b rdd.Value) rdd.Value {
 			return a.(float64) + b.(float64)

@@ -70,22 +70,32 @@ func webJoinVisits(seed int64) []rdd.Pair {
 func webJoinFlow(ins []*rdd.RDD) *rdd.RDD {
 	rankings, visits := ins[0], ins[1]
 	joined := rankings.Join("wj.join", visits, parallelism)
-	contribs := joined.FlatMap("wj.revenue", func(p rdd.Pair) []rdd.Pair {
+	contribs := joined.MapMulti("wj.revenue", func(p rdd.Pair, emit func(rdd.Pair)) {
 		pair := p.Value.([]rdd.Value)
 		rank := pair[0].(int)
-		fields := strings.Fields(pair[1].(string))
-		ip, revStr := fields[0], fields[1]
+		var ip, revStr string // a visit's first two fields
+		n := 0
+		eachField(pair[1].(string), func(f string) {
+			switch n {
+			case 0:
+				ip = f
+			case 1:
+				revStr = f
+			}
+			n++
+		})
 		revenue, err := strconv.ParseFloat(revStr, 64)
 		if err != nil {
-			return nil
+			return
 		}
 		if rank > 200 {
 			// Poorly ranked pages don't count (the query's filter).
-			return nil
+			return
 		}
-		parts := strings.SplitN(ip, ".", 3)
-		prefix := parts[0] + "." + parts[1]
-		return []rdd.Pair{rdd.KV(prefix, revenue)}
+		// The /16 prefix: the IP up to its second dot.
+		first := strings.IndexByte(ip, '.') + 1
+		second := strings.IndexByte(ip[first:], '.')
+		emit(rdd.KV(ip[:first+second], revenue))
 	})
 	return contribs.ReduceByKey("wj.byPrefix", parallelism, func(a, b rdd.Value) rdd.Value {
 		return a.(float64) + b.(float64)

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"math/rand"
-	"strings"
 
 	"wanshuffle/internal/rdd"
 )
@@ -45,13 +44,8 @@ func wordCountLines(seed int64) []rdd.Pair {
 }
 
 func wordCountFlow(ins []*rdd.RDD) *rdd.RDD {
-	words := ins[0].FlatMap("wc.split", func(p rdd.Pair) []rdd.Pair {
-		fields := strings.Fields(p.Value.(string))
-		out := make([]rdd.Pair, len(fields))
-		for i, w := range fields {
-			out[i] = rdd.KV(w, 1)
-		}
-		return out
+	words := ins[0].MapMulti("wc.split", func(p rdd.Pair, emit func(rdd.Pair)) {
+		eachField(p.Value.(string), func(w string) { emit(rdd.KV(w, 1)) })
 	})
 	return words.ReduceByKey("wc.count", parallelism, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"wanshuffle/internal/core"
 	"wanshuffle/internal/rdd"
@@ -186,6 +187,40 @@ func names(prefix string, n, width int) []string {
 		out[i] = numbered(prefix, i, width)
 	}
 	return out
+}
+
+// --- what the flows read records with ---
+
+// eachField calls fn with each field of s, in order: exactly the fields
+// strings.Fields returns, without building their slice. ASCII is scanned
+// in place; from the first non-ASCII byte on, strings.Fields splits the
+// rest (the field that byte is in included), so Unicode spaces and invalid
+// UTF-8 split as it splits them.
+func eachField(s string, fn func(string)) {
+	start := -1 // where the current field began; -1 between fields
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			if start < 0 {
+				start = i
+			}
+			for _, f := range strings.Fields(s[start:]) {
+				fn(f)
+			}
+			return
+		case c == ' ' || '\t' <= c && c <= '\r':
+			if start >= 0 {
+				fn(s[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		fn(s[start:])
+	}
 }
 
 // --- the checks a workload declares ---

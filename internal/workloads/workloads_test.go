@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,6 +182,48 @@ func TestNumberedMatchesSprintf(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fieldInputs are the strings eachField is held to strings.Fields on: the
+// table test's cases and the fuzzer's seed corpus.
+var fieldInputs = []string{
+	"", " ", "   \t\n", // empty and all space
+	"a", "to be or not", " lead", "trail ", "  many   spaces  ",
+	"a\tb\nc\vd\fe\rf", "\t\n\v\f\r",
+	"a\u0085b", "a\u00a0b", "a\u2003b", "\u2003", " \u00a0 x \u0085", // Unicode spaces
+	"café au lait", "naïve  words", "x café", "é", // non-ASCII words
+	"a\xffb c", "\xff", "ok \xff\xfe ok", // invalid UTF-8
+	"class3 term001 term002", // a NaiveBayes document
+	"12.34.56.78 9.99",       // a WebJoin visit
+}
+
+// fieldsOf collects what eachField calls its function with.
+func fieldsOf(s string) []string {
+	var got []string
+	eachField(s, func(f string) { got = append(got, f) })
+	return got
+}
+
+// TestEachFieldMatchesFields holds the flows' field scanner to
+// strings.Fields: the same fields in the same order, ASCII and Unicode
+// separators, non-ASCII words and invalid bytes included.
+func TestEachFieldMatchesFields(t *testing.T) {
+	for _, s := range fieldInputs {
+		if got, want := fieldsOf(s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Errorf("eachField(%q) = %q, strings.Fields = %q", s, got, want)
+		}
+	}
+}
+
+func FuzzEachField(f *testing.F) {
+	for _, s := range fieldInputs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := fieldsOf(s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Errorf("eachField(%q) = %q, strings.Fields = %q", s, got, want)
+		}
+	})
 }
 
 // TestExpectFloatMatch holds the float check to a key-by-key match: the

@@ -12,8 +12,13 @@
 //		Scheme: wanshuffle.SchemeAggShuffle,
 //	})
 //	input := ctx.DistributeRecords("text", records, 8, 3.2e9)
+//	splitWords := func(p wanshuffle.Pair, emit func(wanshuffle.Pair)) {
+//		for _, w := range strings.Fields(p.Value.(string)) {
+//			emit(wanshuffle.KV(w, 1))
+//		}
+//	}
 //	counts := input.
-//		FlatMap("words", splitWords).
+//		MapMulti("split", splitWords).
 //		ReduceByKey("counts", 8, sumInts)
 //	report, err := ctx.Collect(counts)
 //
@@ -48,6 +53,9 @@ type (
 	InputPartition = rdd.InputPartition
 	// CombineFn merges two values of one key.
 	CombineFn = rdd.CombineFn
+	// EachFn is a per-record operator: it emits every record one input
+	// record turns into (MapMulti's argument).
+	EachFn = rdd.EachFn
 )
 
 // Engine types.
