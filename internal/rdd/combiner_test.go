@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -156,6 +157,128 @@ func TestCombinerFoldsInArrivalOrder(t *testing.T) {
 	}
 	if wantCalls := []string{"1+2", "(12)+3", "a+b"}; !slices.Equal(calls, wantCalls) {
 		t.Errorf("fn was called with %v, want %v", calls, wantCalls)
+	}
+}
+
+// sumInts is the combine the recycling tests fold with.
+func sumInts(a, b Value) Value { return a.(int) + b.(int) }
+
+// keyedOnes makes n records valued 1 over the keys prefix0 … prefix(keys-1),
+// in a shuffled order.
+func keyedOnes(prefix string, keys, n int, seed int64) []Pair {
+	recs := make([]Pair, n)
+	for i := range recs {
+		recs[i] = KV(fmt.Sprintf("%s%d", prefix, (i*7919+int(seed))%keys), 1)
+	}
+	return recs
+}
+
+// referenceCombine is a combine by a fresh map and a stable sort, for the
+// recycled Combiner to be held to.
+func referenceCombine(fn CombineFn, recs []Pair) []Pair {
+	pos := map[string]int{}
+	var out []Pair
+	for _, p := range recs {
+		if i, ok := pos[p.Key]; ok {
+			out[i].Value = fn(out[i].Value, p.Value)
+			continue
+		}
+		pos[p.Key] = len(out)
+		out = append(out, p)
+	}
+	return referenceSort(out)
+}
+
+// A Combiner's table is recycled, so one combine must leave nothing in it for
+// the next: combined in turn over disjoint keys, the second output holds none
+// of the first's keys, and the first output is not touched by the second
+// combine. Both sizes run: under radixSortCutoff keys and over it.
+func TestCombinerRecyclesNothingVisible(t *testing.T) {
+	for _, keys := range []int{radixSortCutoff / 2, 300} {
+		a, b := keyedOnes("a", keys, 10*keys, 1), keyedOnes("b", keys, 7*keys, 2)
+		first := combineAll(sumInts, a)
+		kept := slices.Clone(first)
+		second := combineAll(sumInts, b)
+		if want := referenceCombine(sumInts, a); !slices.Equal(first, want) {
+			t.Errorf("%d keys: first combine %v, want %v", keys, first, want)
+		}
+		if !slices.Equal(first, kept) {
+			t.Errorf("%d keys: the second combine changed the first's output", keys)
+		}
+		if want := referenceCombine(sumInts, b); !slices.Equal(second, want) {
+			t.Errorf("%d keys: second combine %v, want %v", keys, second, want)
+		}
+		if len(first) != keys || len(second) != keys || cap(second) != keys {
+			t.Errorf("%d keys: outputs of %d and %d records (capacity %d), want %d each at exact length",
+				keys, len(first), len(second), cap(second), keys)
+		}
+		for _, p := range second {
+			if !strings.HasPrefix(p.Key, "b") {
+				t.Errorf("%d keys: second combine holds %q, a key of the first", keys, p.Key)
+			}
+		}
+	}
+}
+
+// Sorted spends a Combiner: its table has gone back to the pool, so an Add
+// afterwards panics instead of folding into a table another combine owns.
+func TestCombinerAddAfterSortedPanics(t *testing.T) {
+	c := NewCombiner(sumInts)
+	c.Add(KV("k", 1))
+	c.Sorted()
+	defer func() {
+		if recover() == nil {
+			t.Error("Add on a spent Combiner did not panic")
+		}
+	}()
+	c.Add(KV("k", 2))
+}
+
+// Live workers combine concurrently: combiners in different goroutines share
+// the pool but never a table, so each output equals its serial result.
+func TestCombinerConcurrentCombines(t *testing.T) {
+	const workers = 8
+	ins := make([][]Pair, workers)
+	want := make([][]Pair, workers)
+	for w := range ins {
+		ins[w] = keyedOnes(fmt.Sprintf("w%d-", w), 50+20*w, 2000, int64(w))
+		want[w] = combineAll(sumInts, ins[w])
+	}
+	got := make([][][]Pair, workers)
+	var wg sync.WaitGroup
+	for w := range ins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				got[w] = append(got[w], combineAll(sumInts, ins[w]))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i, out := range got[w] {
+			if !slices.Equal(out, want[w]) {
+				t.Fatalf("goroutine %d, combine %d: %d records differ from the serial %d", w, i, len(out), len(want[w]))
+			}
+		}
+	}
+}
+
+// A warm combine allocates its output and nothing else: the index and the
+// scratch come from the pool already grown. The values stay under 256, which
+// box without an allocation, so what is counted is the combiner.
+func TestWarmCombineAllocatesOnlyItsOutput(t *testing.T) {
+	in := keyedOnes("k", 100, 10000, 3)
+	combineAll(sumInts, in) // warm the pool
+	allocs := testing.AllocsPerRun(20, func() { combineAll(sumInts, in) })
+	// Under the race detector sync.Pool.Put drops one entry in four on
+	// purpose; a race build asks for one run that found the pool warm.
+	for try := 0; raceBuild() && allocs > 1 && try < 20; try++ {
+		allocs = testing.AllocsPerRun(1, func() { combineAll(sumInts, in) })
+	}
+	if allocs > 1 {
+		t.Errorf("%v allocations per warm combine of %d records over 100 keys, want 1", allocs, len(in))
 	}
 }
 

@@ -218,36 +218,66 @@ func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) 
 // one. A key's first record is kept as it came and every later one is folded
 // into it as fn(current, next), so values meet in arrival order. The table is
 // an index from key to a position in one []Pair — one hash lookup per record,
-// values updated in place in the slice that becomes the output — and grows
-// with the distinct keys seen: a map task folding 150,000 words to 5,000
-// never holds more than the 5,000.
+// values updated in place — and holds the distinct keys seen: a map task
+// folding 150,000 words to 5,000 never holds more than the 5,000.
+//
+// The table is recycled: a combiner takes one from a pool, Sorted copies its
+// records into a fresh slice of exact length (the sort's permutation is that
+// copy) and gives the emptied table back, so a warm combine allocates only
+// its output. Combiners in different goroutines take different tables.
 type Combiner struct {
-	fn    CombineFn
+	fn CombineFn
+	t  *combineTable // nil once Sorted has returned
+}
+
+type combineTable struct {
 	index map[string]int32 // position in recs; a partition holds far fewer than 2³¹ keys
 	recs  []Pair
 }
 
+// maxPooledKeys bounds the tables the pool keeps: clearing a map costs its
+// capacity, so a table grown by one huge combine is left to the collector
+// rather than charged to every small combine after it.
+const maxPooledKeys = 1 << 16
+
+var combineTables = sync.Pool{New: func() any { return &combineTable{index: map[string]int32{}} }}
+
 // NewCombiner returns an empty combiner folding with fn.
 func NewCombiner(fn CombineFn) *Combiner {
-	return &Combiner{fn: fn, index: map[string]int32{}}
+	return &Combiner{fn: fn, t: combineTables.Get().(*combineTable)}
 }
 
-// Add folds one record in.
+// Add folds one record in. It panics on a combiner Sorted has spent.
 func (c *Combiner) Add(p Pair) {
-	if i, ok := c.index[p.Key]; ok {
-		c.recs[i].Value = c.fn(c.recs[i].Value, p.Value)
+	t := c.t
+	if t == nil {
+		panic("rdd: Add on a spent Combiner")
+	}
+	if i, ok := t.index[p.Key]; ok {
+		t.recs[i].Value = c.fn(t.recs[i].Value, p.Value)
 		return
 	}
-	c.index[p.Key] = int32(len(c.recs))
-	c.recs = append(c.recs, p)
+	t.index[p.Key] = int32(len(t.recs))
+	t.recs = append(t.recs, p)
 }
 
-// Sorted returns the combined records in key order. It hands over the
-// combiner's own slice, sorted in place: the combiner is spent afterwards.
+// Sorted returns the combined records in key order, in a slice of their own.
+// The combiner is spent afterwards: its table goes back to the pool.
 func (c *Combiner) Sorted() []Pair {
-	sortByKey(c.recs, c.recs)
-	c.index = nil // its positions are stale now: a later Add panics instead of folding into the wrong key
-	return c.recs
+	t := c.t
+	c.t = nil
+	var out []Pair // nil when nothing was added, as a partition with no records is
+	if len(t.recs) > 0 {
+		out = make([]Pair, len(t.recs))
+		sortByKey(out, t.recs)
+	}
+	if len(t.recs) <= maxPooledKeys {
+		clear(t.index)
+		clear(t.recs) // drop the keys and values, which belong to the output now
+		t.recs = t.recs[:0]
+		combineTables.Put(t)
+	}
+	return out
 }
 
 func combineAll(fn CombineFn, runs ...[]Pair) []Pair {

@@ -37,9 +37,8 @@ func keyPrefix(k string) uint64 {
 
 // sortByKey writes the records of runs, read in order as one input, to dst
 // in byte-wise key order, records with equal keys keeping their input order.
-// dst has the runs' total length and is either the one run itself (sorted in
-// place) or shares no memory with any run (the runs are only read, and the
-// permutation out of them is the sort's one copy).
+// dst has the runs' total length and shares no memory with any run: the runs
+// are only read, and the permutation out of them is the sort's one copy.
 //
 // Small inputs are sorted as Pairs. Larger ones are sorted as keyEntries:
 // an LSD byte-radix sort on the prefix (radixPasses), then each stretch of
@@ -47,13 +46,10 @@ func keyPrefix(k string) uint64 {
 // then one permutation of the Pairs.
 func sortByKey(dst []Pair, runs ...[]Pair) {
 	n := len(dst)
-	inPlace := len(runs) == 1 && n > 0 && &dst[0] == &runs[0][0]
 	if n < radixSortCutoff {
-		if !inPlace {
-			at := 0
-			for _, run := range runs {
-				at += copy(dst[at:], run)
-			}
+		at := 0
+		for _, run := range runs {
+			at += copy(dst[at:], run)
 		}
 		slices.SortStableFunc(dst, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
 		return
@@ -75,31 +71,8 @@ func sortByKey(dst []Pair, runs ...[]Pair) {
 	ents, spare = radixPasses(ents, spare, or^and)
 	sortStretches(runs, ents, spare, 0)
 
-	if !inPlace {
-		for i, e := range ents {
-			dst[i] = runs[e.run][e.off]
-		}
-		return
-	}
-	// In place (one run, so an entry's offset is its position): follow each
-	// cycle of the permutation, marking an entry done by pointing it at
-	// itself.
-	for i := range ents {
-		if int(ents[i].off) == i {
-			continue
-		}
-		first := dst[i]
-		j := i
-		for {
-			k := int(ents[j].off)
-			ents[j].off = int32(j)
-			if k == i {
-				dst[j] = first
-				break
-			}
-			dst[j] = dst[k]
-			j = k
-		}
+	for i, e := range ents {
+		dst[i] = runs[e.run][e.off]
 	}
 }
 

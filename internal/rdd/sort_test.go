@@ -94,9 +94,8 @@ func FuzzSortByKey(f *testing.F) {
 	})
 }
 
-// checkSortByKey holds sortByKey to referenceSort on in, sorted into a copy,
-// out of runs and in place, and checks that the first two leave their input
-// alone. It sorts in itself last.
+// checkSortByKey holds sortByKey to referenceSort on in, sorted into a copy
+// and out of runs, and checks that neither writes to its input.
 func checkSortByKey(t *testing.T, name string, in []Pair) {
 	t.Helper()
 	n := len(in)
@@ -120,11 +119,6 @@ func checkSortByKey(t *testing.T, name string, in []Pair) {
 	}
 	if !slices.Equal(slices.Concat(runs...), orig) {
 		t.Errorf("%s: sorting out of runs wrote to them", name)
-	}
-
-	sortByKey(in, in)
-	if !slices.Equal(in, want) {
-		t.Errorf("%s: in-place sort differs from the stable sort", name)
 	}
 }
 

@@ -141,10 +141,14 @@ func (r *Registry) Refresh(shuffleID, mapPart int) {
 	}
 	out.shards = rdd.BucketRecords(st.spec, out.Records)
 	out.shardModeled = make([]float64, len(out.shards))
-	realTotal := rdd.ShuffledSize(st.spec, out.Records)
+	realTotal := 0.0 // the shards' sum: sizes are integral, so it is exact
 	for i, shard := range out.shards {
-		if realTotal > 0 {
-			out.shardModeled[i] = rdd.ShuffledSize(st.spec, shard) / realTotal * out.ModeledBytes
+		out.shardModeled[i] = rdd.ShuffledSize(st.spec, shard)
+		realTotal += out.shardModeled[i]
+	}
+	if realTotal > 0 { // otherwise every shard is empty and priced 0
+		for i, size := range out.shardModeled {
+			out.shardModeled[i] = size / realTotal * out.ModeledBytes
 		}
 	}
 }

@@ -52,17 +52,42 @@ func naiveBayesDocs(seed int64) []rdd.Pair {
 	return recs
 }
 
+// nbTermKeys emits one (class\x00term, 1) record per term of doc, whose
+// first field is its class. Every key is a window of one string written for
+// the whole document: the first pass sizes it, the second writes the keys
+// and emits each as it is written. A strings.Builder grown to the exact size
+// never moves or rewrites the bytes it holds, so each window stays valid and
+// immutable, and a document costs one allocation, not one per term.
+func nbTermKeys(doc string, emit func(rdd.Pair)) {
+	class, size := "", 0 // no field is empty
+	eachField(doc, func(w string) {
+		if class == "" {
+			class = w
+			return
+		}
+		size += len(class) + 1 + len(w)
+	})
+	var b strings.Builder
+	b.Grow(size)
+	first := true
+	eachField(doc, func(w string) {
+		if first {
+			first = false
+			return
+		}
+		n := len(class) + 1 + len(w)
+		b.WriteString(class)
+		b.WriteByte(0)
+		b.WriteString(w)
+		s := b.String()
+		emit(rdd.KV(s[len(s)-n:], 1))
+	})
+}
+
 func naiveBayesFlow(ins []*rdd.RDD) *rdd.RDD {
 	// Shuffle 1: count each (class, term) occurrence, combining map-side.
 	termCounts := ins[0].MapMulti("nb.tokenize", func(p rdd.Pair, emit func(rdd.Pair)) {
-		class := "" // the document's first field; no field is empty
-		eachField(p.Value.(string), func(w string) {
-			if class == "" {
-				class = w
-				return
-			}
-			emit(rdd.KV(class+"\x00"+w, 1))
-		})
+		nbTermKeys(p.Value.(string), emit)
 	}).ReduceByKey("nb.termCounts", parallelism, func(a, b rdd.Value) rdd.Value {
 		return a.(int) + b.(int)
 	})

@@ -226,6 +226,53 @@ func FuzzEachField(f *testing.F) {
 	})
 }
 
+// TestNBTermKeysMatchConcatenation holds nbTermKeys, which cuts a
+// document's keys from one string, to the concatenation it replaced: one
+// (class+"\x00"+term, 1) record per term after the first field, in order.
+// The keys are compared only after the whole document is emitted, so a key
+// overwritten by a later one would show.
+func TestNBTermKeysMatchConcatenation(t *testing.T) {
+	docs := []string{
+		"class3",                       // a class and no term
+		"",                             // nothing at all
+		"class1\tterm001\tterm002",     // tab separators
+		"class2 café term003  term003", // a non-ASCII term: eachField's strings.Fields fallback
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		for _, p := range naiveBayesDocs(seed) {
+			docs = append(docs, p.Value.(string))
+		}
+	}
+	for _, doc := range docs {
+		var got []rdd.Pair
+		nbTermKeys(doc, func(p rdd.Pair) { got = append(got, p) })
+		var want []rdd.Pair
+		if f := strings.Fields(doc); len(f) > 0 {
+			for _, w := range f[1:] {
+				want = append(want, rdd.KV(f[0]+"\x00"+w, 1))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("nbTermKeys(%q) = %q, want %q", doc, got, want)
+		}
+	}
+}
+
+// A document's keys cost one allocation, the string they are cut from,
+// however many terms it has (a concatenation per term cost 120).
+func TestNBTermKeysAllocateOncePerDocument(t *testing.T) {
+	docs := naiveBayesDocs(1)
+	emit := func(rdd.Pair) {}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, p := range docs {
+			nbTermKeys(p.Value.(string), emit)
+		}
+	})
+	if perDoc := allocs / float64(len(docs)); perDoc > 1 {
+		t.Errorf("%.2f allocations per document, want at most 1", perDoc)
+	}
+}
+
 // TestExpectFloatMatch holds the float check to a key-by-key match: the
 // same count of records is not enough when one key repeats in place of
 // another.
