@@ -42,10 +42,7 @@ func (e *Engine) failHost(h topology.HostID) {
 
 	// Shuffle output stored on the host is gone (the "shuffle files" of
 	// Sec. II-A live on local disk).
-	lost := e.reg.OutputsOn(h)
-	for _, ref := range lost {
-		e.reg.Invalidate(ref[0], ref[1])
-	}
+	e.reg.DropSite(int(h))
 	// Cached partitions on the host are gone too.
 	ids := make([]int, 0, len(e.cache))
 	for id := range e.cache {

@@ -94,10 +94,14 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 			byDC[e.Topo.DCOf(cp.host)] += cp.modeled
 		}
 	default:
+		// Per dependency, each host's bytes summed in map order, then hosts
+		// in ascending order: the summing order the figures were made with.
+		hostBytes := make([]float64, e.Topo.NumHosts())
 		for di := range base.Deps {
-			hostBytes := e.reg.HostBytes(base.Deps[di].Shuffle.ID)
-			for _, host := range sortedHosts(hostBytes) {
-				byDC[e.Topo.DCOf(host)] += hostBytes[host]
+			clear(hostBytes)
+			e.reg.AddSiteBytes(base.Deps[di].Shuffle.ID, hostBytes)
+			for host, b := range hostBytes {
+				byDC[e.Topo.DCOf(topology.HostID(host))] += b
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"wanshuffle/internal/dag"
 	"wanshuffle/internal/obs"
 	"wanshuffle/internal/rdd"
+	"wanshuffle/internal/shuffle"
 )
 
 // Backend is the data plane the Driver runs a planned job on. A backend
@@ -18,7 +19,7 @@ import (
 // stores shuffle bytes between them, and observes the run's events.
 //
 // Everything that is planning stays with the Driver: where each map output
-// lives and how big it measured (the MapOutputTracker), a stage's input
+// lives and how big it measured (a shuffle.Tracker), a stage's input
 // sizes, the range-partitioner barrier, placement and retries. Data-plane
 // details (TCP, memory) stay entirely inside the backend; record semantics
 // come from TaskOutput so every backend agrees with rdd.EvalLocal.
@@ -54,7 +55,7 @@ type Task struct {
 	// AggTo is the site a map task pushes its output to, -1 for none.
 	AggTo int
 
-	outputs *MapOutputTracker // the Driver's; tasks only read it
+	outputs *shuffle.Tracker // the Driver's; tasks only read it
 }
 
 // TaskResult is a task's output as TaskOutput computes it.
@@ -71,14 +72,16 @@ type TaskResult struct {
 // per map output, in map order, with the site the tracker says holds it, and
 // the chunks it returns are the partition's runs, in that order and copied
 // nowhere — rdd.ReduceAggregate reads them as they lie, and its output is
-// the one copy between a backend's reads and the reduce-side sort.
+// the one copy between a backend's reads and the reduce-side sort. When a
+// map output is missing, Gather fetches nothing and its error wraps
+// shuffle.ErrNoMapOutput, naming (shuffle, map part).
 func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pair, error)) ([][]rdd.Pair, error) {
+	holders, err := t.outputs.Holders(shuffleID)
+	if err != nil {
+		return nil, err
+	}
 	var runs [][]rdd.Pair
-	for m, n := 0, t.outputs.NumMaps(shuffleID); m < n; m++ {
-		holder, err := t.outputs.Holder(shuffleID, m)
-		if err != nil {
-			return nil, err
-		}
+	for m, holder := range holders {
 		got, err := fetch(m, holder)
 		if err != nil {
 			return nil, err
@@ -131,7 +134,7 @@ type Driver struct {
 	start time.Time
 	// outputs tracks every map output of the job: holder, measured bytes,
 	// range sample.
-	outputs MapOutputTracker
+	outputs shuffle.Tracker
 
 	mu sync.Mutex
 	// aggSites records, per shuffle ID, the site its map output was
@@ -178,6 +181,9 @@ func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 		if len(st.Phases) > 1 && !Pushes(st) {
 			return nil, fmt.Errorf("plan: stage %s carries a transferTo the driver cannot run: it pushes only a single-aggregator TransferToAuto directly before a shuffle", st.Name())
 		}
+		if st.OutSpec != nil {
+			d.outputs.Declare(st.OutSpec.ID, st.NumTasks)
+		}
 	}
 	n := d.be.NumSites()
 	if n <= 0 {
@@ -216,9 +222,11 @@ func (d *Driver) canceled() error {
 	return nil
 }
 
-// runStage fans the stage's tasks out over the backend's sites, pushes their
-// outputs to the stage's aggregator when the stage pushes, and finalizes the
-// stage's shuffle at the barrier.
+// runStage fans the stage's missing tasks out over the backend's sites —
+// a map stage's are the parts the tracker lists as missing, which on a
+// first run is every part; a result stage's are all of its parts — pushes
+// their outputs to the stage's aggregator when the stage pushes, and
+// finalizes the stage's shuffle at the barrier.
 func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
 	name := st.Name() // formatted once: every task event carries it
@@ -226,12 +234,18 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 
 	errs := make([]error, st.NumTasks)
 	var results [][]rdd.Pair
-	if st.OutSpec == nil {
+	var parts []int
+	if st.OutSpec != nil {
+		parts = d.outputs.Missing(st.OutSpec.ID)
+	} else {
 		results = make([][]rdd.Pair, st.NumTasks)
+		parts = make([]int, st.NumTasks)
+		for part := range parts {
+			parts[part] = part
+		}
 	}
 	var wg sync.WaitGroup
-	for part := 0; part < st.NumTasks; part++ {
-		part := part
+	for _, part := range parts {
 		// Cancellation stops the launch loop cold: unlaunched tasks are
 		// marked canceled without ever reaching the backend, and the
 		// wg.Wait below still drains the attempts already in flight.
@@ -260,7 +274,7 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 				if aggTo >= 0 {
 					holder = aggTo
 				}
-				d.outputs.RecordMapOutput(st.OutSpec.ID, st.NumTasks, part, holder, attempt, res.Bytes, res.Sample)
+				d.outputs.Record(st.OutSpec.ID, part, holder, res.Bytes, res.Sample)
 				return nil
 			})
 		}()
@@ -272,7 +286,7 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 		}
 	}
 	if st.OutSpec != nil {
-		if err := d.outputs.PrepareRange(st.OutSpec, st.NumTasks); err != nil {
+		if err := d.outputs.PrepareRange(st.OutSpec); err != nil {
 			return nil, err
 		}
 	}
@@ -334,7 +348,9 @@ func (d *Driver) inputSizes(st *dag.Stage) []float64 {
 		n, _ := rdd.EncodedSize(in.Records)
 		bySite[d.placeTask(st, part)] += n
 	}
-	d.outputs.AddBoundaryBytes(st, bySite)
+	for di := range st.Base.Deps {
+		d.outputs.AddSiteBytes(st.Base.Deps[di].Shuffle.ID, bySite)
+	}
 	return bySite
 }
 

@@ -51,7 +51,7 @@ func (b *MemBackend) RunTask(t Task) (TaskResult, error) {
 	if err != nil || spec == nil {
 		return res, err
 	}
-	// A stale attempt's Put is a no-op, and the tracker drops its record.
+	// A stale attempt's Put is a no-op: the store keeps the newest attempt.
 	_, _, err = b.store.Put(
 		blockstore.Key{Shuffle: spec.ID, MapPart: t.Part},
 		blockstore.Output{Attempt: t.Attempt, Records: res.Records})

@@ -363,7 +363,9 @@ func TestInputSizesFollowTaskPlacement(t *testing.T) {
 			if tasks != st.NumTasks {
 				t.Fatalf("event log shows %d finished tasks of stage %d, want %d", tasks, st.ID, st.NumTasks)
 			}
-			drv.outputs.AddBoundaryBytes(st, want)
+			for di := range st.Base.Deps {
+				drv.outputs.AddSiteBytes(st.Base.Deps[di].Shuffle.ID, want)
+			}
 			for _, c := range dec.Candidates {
 				if c.InputBytes != want[c.Site] {
 					t.Errorf("stage %d site %d: decision booked %.0f input bytes, its tasks read %.0f", st.ID, c.Site, c.InputBytes, want[c.Site])

@@ -196,9 +196,13 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	if second != first {
 		t.Fatalf("second shuffle aggregated at %d, want measured-heavy site %d", second, first)
 	}
-	for m := 0; m < drv.outputs.NumMaps(specs[1].ID); m++ {
-		if site, err := drv.outputs.Holder(specs[1].ID, m); err != nil || site != second {
-			t.Fatalf("map output %d held at site %d (%v), want the aggregator %d", m, site, err, second)
+	holders, err := drv.outputs.Holders(specs[1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, site := range holders {
+		if site != second {
+			t.Fatalf("map output %d held at site %d, want the aggregator %d", m, site, second)
 		}
 	}
 }

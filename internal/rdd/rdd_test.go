@@ -1,7 +1,6 @@
 package rdd
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -491,52 +490,32 @@ func TestSampleKeysStride(t *testing.T) {
 }
 
 func TestPrepareRange(t *testing.T) {
-	never := func(int, int) ([]string, error) {
-		t.Fatal("sampler called for a partitioner that needs no preparing")
-		return nil, nil
-	}
 	// A hash partitioner is always ready: it is left alone.
-	if err := PrepareRange(&ShuffleSpec{Partitioner: NewHashPartitioner(2)}, 3, never); err != nil {
-		t.Fatal(err)
+	hash := NewHashPartitioner(2)
+	PrepareRange(&ShuffleSpec{Partitioner: hash}, [][]string{{"k"}})
+	if !hash.Ready() {
+		t.Fatal("hash partitioner not ready")
 	}
 	// An already-Ready partitioner keeps its boundaries.
 	ready := NewRangePartitioner(2)
 	ready.Prepare([]string{"a", "m", "z"})
-	if err := PrepareRange(&ShuffleSpec{Partitioner: ready}, 3, never); err != nil {
-		t.Fatal(err)
-	}
+	PrepareRange(&ShuffleSpec{Partitioner: ready}, [][]string{{"a"}, {"b"}, {"c"}})
 	if got := ready.PartitionFor("b"); got != 0 {
 		t.Fatalf("ready partitioner re-prepared: b -> shard %d", got)
 	}
 
-	// A sampler error propagates and leaves the partitioner unprepared.
-	boom := errors.New("holder unreachable")
+	// The boundaries come from every map output's sample, in map order.
 	fresh := NewRangePartitioner(2)
-	spec := &ShuffleSpec{Partitioner: fresh}
-	err := PrepareRange(spec, 3, func(m, _ int) ([]string, error) {
-		if m == 1 {
-			return nil, boom
-		}
-		return []string{"k"}, nil
-	})
-	if !errors.Is(err, boom) || fresh.Ready() {
-		t.Fatalf("err = %v, ready = %v; want the sampler's error and no boundaries", err, fresh.Ready())
+	PrepareRange(&ShuffleSpec{Partitioner: fresh}, [][]string{{"k0"}, nil, {"k1", "k2"}})
+	want := NewRangePartitioner(2)
+	want.Prepare([]string{"k0", "k1", "k2"})
+	if !fresh.Ready() {
+		t.Fatal("range partitioner not prepared")
 	}
-
-	// Every map output is sampled once, in map order, with one cap.
-	var asked []int
-	err = PrepareRange(spec, 3, func(m, max int) ([]string, error) {
-		if max != rangeSampleKeys {
-			t.Fatalf("sample cap = %d, want %d", max, rangeSampleKeys)
+	for _, k := range []string{"a", "k0", "k1", "k2", "z"} {
+		if got, w := fresh.PartitionFor(k), want.PartitionFor(k); got != w {
+			t.Fatalf("%q -> shard %d, the concatenated sample puts it in %d", k, got, w)
 		}
-		asked = append(asked, m)
-		return []string{fmt.Sprintf("k%d", m)}, nil
-	})
-	if err != nil || !fresh.Ready() || fmt.Sprint(asked) != "[0 1 2]" {
-		t.Fatalf("err = %v, ready = %v, sampled maps %v", err, fresh.Ready(), asked)
-	}
-	if lo, hi := fresh.PartitionFor("k0"), fresh.PartitionFor("k2"); lo != 0 || hi != 1 {
-		t.Fatalf("boundaries not from the sample: k0 -> %d, k2 -> %d", lo, hi)
 	}
 }
 

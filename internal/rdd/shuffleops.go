@@ -191,26 +191,19 @@ func RangeSample(spec *ShuffleSpec, prepared []Pair) []string {
 
 // PrepareRange is the map-stage barrier's sampling step (Spark's
 // sortByKey sampling job): when spec's partitioner is not ready — a range
-// partitioner not prepared yet — gather up to rangeSampleKeys keys from each
-// of the numMaps map outputs through sample, in map order, and install the
-// boundaries. Every barrier calls it — the sampler is the only part that
-// differs (the samples a planner tracked with its map outputs, a
-// registry's resident records). A ready partitioner (every hash one) is
-// left alone and sample is never called.
-func PrepareRange(spec *ShuffleSpec, numMaps int, sample func(mapPart, max int) ([]string, error)) error {
+// partitioner not prepared yet — install the boundaries drawn from samples,
+// each map output's RangeSample in map order. Both backends' barriers call
+// it through shuffle.Tracker.PrepareRange, over the samples their map tasks
+// recorded. A ready partitioner (every hash one) is left alone.
+func PrepareRange(spec *ShuffleSpec, samples [][]string) {
 	if spec.Partitioner.Ready() {
-		return nil
+		return
 	}
 	var keys []string
-	for m := 0; m < numMaps; m++ {
-		ks, err := sample(m, rangeSampleKeys)
-		if err != nil {
-			return err
-		}
+	for _, ks := range samples {
 		keys = append(keys, ks...)
 	}
 	spec.Partitioner.(*RangePartitioner).Prepare(keys)
-	return nil
 }
 
 // Combiner folds records into one per key as they arrive: the map-side

@@ -4,53 +4,7 @@ import (
 	"testing"
 
 	"wanshuffle/internal/rdd"
-	"wanshuffle/internal/topology"
 )
-
-func TestInvalidateAndMissing(t *testing.T) {
-	reg, _ := newHashShuffle(t, 3, 2)
-	for m := 0; m < 3; m++ {
-		reg.AddMapOutput(1, m, topology.HostID(m), []rdd.Pair{rdd.KV("a", 1)}, 10)
-	}
-	if !reg.Complete(1) {
-		t.Fatal("not complete")
-	}
-	reg.Invalidate(1, 1)
-	if reg.Complete(1) {
-		t.Fatal("complete despite invalidation")
-	}
-	missing := reg.Missing(1)
-	if len(missing) != 1 || missing[0] != 1 {
-		t.Fatalf("Missing = %v", missing)
-	}
-	// Idempotent.
-	reg.Invalidate(1, 1)
-	if got := len(reg.Missing(1)); got != 1 {
-		t.Fatalf("double invalidate broke count: %d", got)
-	}
-	// Re-register restores completeness.
-	reg.AddMapOutput(1, 1, 5, []rdd.Pair{rdd.KV("b", 2)}, 12)
-	if !reg.Complete(1) || len(reg.Missing(1)) != 0 {
-		t.Fatal("re-registration did not restore")
-	}
-}
-
-func TestOutputsOnSortedAndScoped(t *testing.T) {
-	reg := NewRegistry()
-	for _, id := range []int{7, 3} {
-		spec := &rdd.ShuffleSpec{ID: id, Partitioner: rdd.NewHashPartitioner(1)}
-		reg.Register(spec, 2)
-		reg.AddMapOutput(id, 0, 4, []rdd.Pair{rdd.KV("a", 1)}, 1)
-		reg.AddMapOutput(id, 1, 9, []rdd.Pair{rdd.KV("b", 1)}, 1)
-	}
-	got := reg.OutputsOn(4)
-	if len(got) != 2 || got[0] != [2]int{3, 0} || got[1] != [2]int{7, 0} {
-		t.Fatalf("OutputsOn(4) = %v", got)
-	}
-	if len(reg.OutputsOn(99)) != 0 {
-		t.Fatal("outputs found on empty host")
-	}
-}
 
 func TestAddAfterFinalizeRefreshesShards(t *testing.T) {
 	reg, _ := newHashShuffle(t, 2, 2)
@@ -65,7 +19,7 @@ func TestAddAfterFinalizeRefreshesShards(t *testing.T) {
 	}
 	// Simulate failure recovery: lose and recompute map output 0 with
 	// different records on a new host.
-	reg.Invalidate(1, 0)
+	reg.DropSite(0)
 	reg.AddMapOutput(1, 0, 7, []rdd.Pair{rdd.KV("a", 1), rdd.KV("c", 3)}, 14)
 	after := 0
 	for r := 0; r < 2; r++ {
@@ -85,7 +39,7 @@ func TestShardsPanicOnMissingOutput(t *testing.T) {
 	reg, _ := newHashShuffle(t, 1, 1)
 	reg.AddMapOutput(1, 0, 0, []rdd.Pair{rdd.KV("a", 1)}, 10)
 	reg.Finalize(1)
-	reg.Invalidate(1, 0)
+	reg.DropSite(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on missing output")
@@ -99,7 +53,7 @@ func TestReducerHostBytesSkipsMissing(t *testing.T) {
 	reg.AddMapOutput(1, 0, 0, []rdd.Pair{rdd.KV("a", 1)}, 10)
 	reg.AddMapOutput(1, 1, 1, []rdd.Pair{rdd.KV("b", 1)}, 10)
 	reg.Finalize(1)
-	reg.Invalidate(1, 1)
+	reg.DropSite(1)
 	hb := reg.ReducerHostBytes(1, 0)
 	if _, ok := hb[1]; ok {
 		t.Fatalf("missing output still counted: %v", hb)

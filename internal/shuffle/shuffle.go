@@ -1,50 +1,46 @@
-// Package shuffle tracks map output between stages — the equivalent of
-// Spark's MapOutputTracker plus the shuffle write/read record semantics.
+// Package shuffle tracks map output between stages: Tracker is the one
+// record of where each map output lives (Spark's map-output tracker), which
+// both backends use, and Registry is the simulator's shuffle write/read
+// record semantics on top of it.
 //
-// Each shuffle holds one output per map partition: the records that left
-// the mapper (after map-side combining), the host storing them, and their
-// modeled size. Output is sharded lazily at the map-stage barrier, once a
-// range partitioner's boundaries can be sampled; until then pushes
-// (transferTo) move whole partitions, exactly as the paper's receiver tasks
-// do.
+// The Registry holds each map output's records (after map-side combining)
+// beside the Tracker's entry for it: holder host, modeled size, range
+// sample. Output is sharded lazily at the map-stage barrier, once a range
+// partitioner's boundaries can be prepared; until then pushes (transferTo)
+// move whole partitions, exactly as the paper's receiver tasks do.
 //
-// The tracker also answers the two placement questions of Sec. III-B: how
-// a reducer's input is distributed over hosts (for preferredLocations) and
-// over datacenters (for aggregator selection).
+// It also answers the placement question of Sec. III-B: how a reducer's
+// input is distributed over hosts (for preferredLocations).
 package shuffle
 
 import (
 	"fmt"
-	"sort"
 
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 )
 
-// MapOutput is one map partition's registered shuffle output.
-type MapOutput struct {
-	MapPart int
-	Host    topology.HostID
-	// Records left the mapper after map-side combining.
-	Records []rdd.Pair
-	// ModeledBytes is the partition's size at workload scale.
-	ModeledBytes float64
-
-	shards       [][]rdd.Pair
-	shardModeled []float64
-}
-
-// Registry tracks every shuffle of a job.
+// Registry is the simulator's shuffle state for every shuffle of an
+// engine: the Tracker, with hosts as its sites, and per map output the
+// records and their modeled shards.
 type Registry struct {
+	Tracker
 	shuffles map[int]*state
 }
 
 type state struct {
 	spec      *rdd.ShuffleSpec
-	numMaps   int
-	outputs   []*MapOutput
-	regCount  int
+	outputs   []written
 	finalized bool
+}
+
+// written is the records of one map output and, once the shuffle is
+// finalized, their shards. Whether the output is present, and where, is
+// the Tracker's.
+type written struct {
+	records      []rdd.Pair
+	shards       [][]rdd.Pair
+	shardModeled []float64
 }
 
 // NewRegistry returns an empty registry.
@@ -59,11 +55,8 @@ func (r *Registry) Register(spec *rdd.ShuffleSpec, numMaps int) {
 	if _, ok := r.shuffles[spec.ID]; ok {
 		return
 	}
-	r.shuffles[spec.ID] = &state{
-		spec:    spec,
-		numMaps: numMaps,
-		outputs: make([]*MapOutput, numMaps),
-	}
+	r.Declare(spec.ID, numMaps)
+	r.shuffles[spec.ID] = &state{spec: spec, outputs: make([]written, numMaps)}
 }
 
 func (r *Registry) mustState(shuffleID int) *state {
@@ -74,56 +67,18 @@ func (r *Registry) mustState(shuffleID int) *state {
 	return st
 }
 
-// AddMapOutput registers (or re-registers, after a push moved it) the
-// output of one map partition.
+// AddMapOutput registers (or re-registers, after a push moved it or its
+// host was lost) the output of one map partition, recording its
+// rdd.RangeSample with it.
 func (r *Registry) AddMapOutput(shuffleID, mapPart int, host topology.HostID, records []rdd.Pair, modeledBytes float64) {
 	st := r.mustState(shuffleID)
-	if mapPart < 0 || mapPart >= st.numMaps {
-		panic(fmt.Sprintf("shuffle %d: map partition %d out of range [0,%d)", shuffleID, mapPart, st.numMaps))
-	}
-	if st.outputs[mapPart] == nil {
-		st.regCount++
-	}
-	st.outputs[mapPart] = &MapOutput{
-		MapPart: mapPart, Host: host, Records: records, ModeledBytes: modeledBytes,
-	}
+	r.Record(shuffleID, mapPart, int(host), modeledBytes, rdd.RangeSample(st.spec, records))
+	st.outputs[mapPart] = written{records: records}
 	if st.finalized {
 		// Post-failure recomputation: rebuild this output's shards with
 		// the already-prepared partitioner.
 		r.Refresh(shuffleID, mapPart)
 	}
-}
-
-// OutputsOn lists the (shuffleID, mapPart) outputs stored on a host, in
-// deterministic order — the state lost when that host fails.
-func (r *Registry) OutputsOn(host topology.HostID) [][2]int {
-	var out [][2]int
-	for id, st := range r.shuffles {
-		for _, mo := range st.outputs {
-			if mo != nil && mo.Host == host {
-				out = append(out, [2]int{id, mo.MapPart})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// Invalidate drops a map output whose storage host was lost (Spark's
-// FetchFailed → missing map output). The partition must be recomputed and
-// re-registered before the shuffle can be read again.
-func (r *Registry) Invalidate(shuffleID, mapPart int) {
-	st := r.mustState(shuffleID)
-	if st.outputs[mapPart] == nil {
-		return
-	}
-	st.outputs[mapPart] = nil
-	st.regCount--
 }
 
 // Refresh shards one map output with the prepared partitioner: Finalize
@@ -135,11 +90,14 @@ func (r *Registry) Refresh(shuffleID, mapPart int) {
 	if !st.finalized {
 		return
 	}
-	out := st.outputs[mapPart]
-	if out == nil {
+	r.mu.Lock()
+	o := r.outs[shuffleID][mapPart]
+	r.mu.Unlock()
+	if !o.ok {
 		panic(fmt.Sprintf("shuffle %d: refresh of unregistered map output %d", shuffleID, mapPart))
 	}
-	out.shards = rdd.BucketRecords(st.spec, out.Records)
+	out := &st.outputs[mapPart]
+	out.shards = rdd.BucketRecords(st.spec, out.records)
 	out.shardModeled = make([]float64, len(out.shards))
 	realTotal := 0.0 // the shards' sum: sizes are integral, so it is exact
 	for i, shard := range out.shards {
@@ -148,47 +106,24 @@ func (r *Registry) Refresh(shuffleID, mapPart int) {
 	}
 	if realTotal > 0 { // otherwise every shard is empty and priced 0
 		for i, size := range out.shardModeled {
-			out.shardModeled[i] = size / realTotal * out.ModeledBytes
+			out.shardModeled[i] = size / realTotal * o.bytes
 		}
 	}
-}
-
-// Missing lists map partitions without registered output (after
-// invalidation).
-func (r *Registry) Missing(shuffleID int) []int {
-	st := r.mustState(shuffleID)
-	var out []int
-	for i, mo := range st.outputs {
-		if mo == nil {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Complete reports whether every map partition has registered output.
-func (r *Registry) Complete(shuffleID int) bool {
-	st := r.mustState(shuffleID)
-	return st.regCount == st.numMaps
 }
 
 // Finalize shards all map output. For range-partitioned shuffles it first
-// samples keys across the outputs and prepares the partitioner (Spark's
-// sortByKey sampling step, which the paper's Fig. 3 shows happening before
-// reducers fetch their shards). Must be called at the map-stage barrier;
-// idempotent.
+// prepares the partitioner from the samples recorded with the outputs
+// (Spark's sortByKey sampling step, which the paper's Fig. 3 shows
+// happening before reducers fetch their shards). Must be called at the
+// map-stage barrier; idempotent.
 func (r *Registry) Finalize(shuffleID int) {
 	st := r.mustState(shuffleID)
 	if st.finalized {
 		return
 	}
-	if !r.Complete(shuffleID) {
-		panic(fmt.Sprintf("shuffle %d: finalize before all %d map outputs registered", shuffleID, st.numMaps))
+	if err := r.PrepareRange(st.spec); err != nil {
+		panic(fmt.Sprintf("shuffle %d: finalize before every map output is registered: %v", shuffleID, err))
 	}
-	// The sampler reads resident records and cannot fail.
-	_ = rdd.PrepareRange(st.spec, st.numMaps, func(mapPart, max int) ([]string, error) {
-		return rdd.SampleKeys(st.outputs[mapPart].Records, max), nil
-	})
 	st.finalized = true
 	for mapPart := range st.outputs {
 		r.Refresh(shuffleID, mapPart)
@@ -211,16 +146,18 @@ func (r *Registry) Shards(shuffleID, reducePart int) []Shard {
 	if !st.finalized {
 		panic(fmt.Sprintf("shuffle %d: Shards before Finalize", shuffleID))
 	}
-	out := make([]Shard, 0, st.numMaps)
-	for i, mo := range st.outputs {
-		if mo == nil {
-			panic(fmt.Sprintf("shuffle %d: map output %d missing (invalidated); recover before reading", shuffleID, i))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Shard, 0, len(st.outputs))
+	for m, o := range r.outs[shuffleID] {
+		if !o.ok {
+			panic(fmt.Sprintf("shuffle %d: map output %d missing (host lost); recover before reading", shuffleID, m))
 		}
 		out = append(out, Shard{
-			MapPart:      mo.MapPart,
-			Host:         mo.Host,
-			ModeledBytes: mo.shardModeled[reducePart],
-			Records:      mo.shards[reducePart],
+			MapPart:      m,
+			Host:         topology.HostID(o.site),
+			ModeledBytes: st.outputs[m].shardModeled[reducePart],
+			Records:      st.outputs[m].shards[reducePart],
 		})
 	}
 	return out
@@ -234,28 +171,16 @@ func (r *Registry) ReducerHostBytes(shuffleID, reducePart int) map[topology.Host
 	if !st.finalized {
 		panic(fmt.Sprintf("shuffle %d: ReducerHostBytes before Finalize", shuffleID))
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make(map[topology.HostID]float64)
-	for _, mo := range st.outputs {
-		if mo == nil {
-			// Invalidated after a host failure; pending recomputation.
+	for m, o := range r.outs[shuffleID] {
+		if !o.ok {
+			// Lost with its host; pending recomputation.
 			continue
 		}
-		if b := mo.shardModeled[reducePart]; b > 0 {
-			out[mo.Host] += b
-		}
-	}
-	return out
-}
-
-// HostBytes returns, per host, the modeled bytes of all registered map
-// output of the shuffle (available before Finalize). Feeds aggregator
-// selection and Eq. (1)/(2) style analyses.
-func (r *Registry) HostBytes(shuffleID int) map[topology.HostID]float64 {
-	st := r.mustState(shuffleID)
-	out := make(map[topology.HostID]float64)
-	for _, mo := range st.outputs {
-		if mo != nil {
-			out[mo.Host] += mo.ModeledBytes
+		if b := st.outputs[m].shardModeled[reducePart]; b > 0 {
+			out[topology.HostID(o.site)] += b
 		}
 	}
 	return out

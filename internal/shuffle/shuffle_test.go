@@ -30,7 +30,7 @@ func TestRegisterIdempotent(t *testing.T) {
 		t.Fatalf("re-Register left missing %v, want [1]", missing)
 	}
 	reg.AddMapOutput(1, 1, 0, []rdd.Pair{rdd.KV("b", 2)}, 100)
-	if !reg.Complete(1) {
+	if len(reg.Missing(1)) != 0 {
 		t.Fatal("re-Register cleared outputs")
 	}
 }
@@ -38,12 +38,12 @@ func TestRegisterIdempotent(t *testing.T) {
 func TestCompleteAndFinalize(t *testing.T) {
 	reg, _ := newHashShuffle(t, 2, 2)
 	reg.AddMapOutput(1, 0, 0, []rdd.Pair{rdd.KV("a", 1), rdd.KV("b", 2)}, 100)
-	if reg.Complete(1) {
-		t.Fatal("Complete with 1/2 outputs")
+	if missing := reg.Missing(1); len(missing) != 1 {
+		t.Fatalf("Missing = %v with 1/2 outputs", missing)
 	}
 	reg.AddMapOutput(1, 1, 3, []rdd.Pair{rdd.KV("a", 5)}, 60)
-	if !reg.Complete(1) {
-		t.Fatal("not Complete with 2/2 outputs")
+	if missing := reg.Missing(1); len(missing) != 0 {
+		t.Fatalf("Missing = %v with 2/2 outputs", missing)
 	}
 	reg.Finalize(1)
 	reg.Finalize(1) // idempotent
@@ -186,7 +186,7 @@ func TestUnknownShufflePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	reg.Complete(99)
+	reg.Missing(99)
 }
 
 func TestBadMapPartPanics(t *testing.T) {
