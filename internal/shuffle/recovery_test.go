@@ -1,10 +1,65 @@
 package shuffle
 
 import (
+	"slices"
 	"testing"
 
 	"wanshuffle/internal/rdd"
+	"wanshuffle/internal/topology"
 )
+
+// TestInvalidateAndMissing: a lost host's output is dropped from the
+// registry's table (DropSite, the old Invalidate) and listed as missing
+// until its map task registers it again.
+func TestInvalidateAndMissing(t *testing.T) {
+	reg, _ := newHashShuffle(t, 3, 2)
+	for m := 0; m < 3; m++ {
+		reg.AddMapOutput(1, m, topology.HostID(m), []rdd.Pair{rdd.KV("a", 1)}, 10)
+	}
+	if missing := reg.Missing(1); len(missing) != 0 {
+		t.Fatalf("Missing after every output = %v", missing)
+	}
+	reg.DropSite(1)
+	if missing := reg.Missing(1); !slices.Equal(missing, []int{1}) {
+		t.Fatalf("Missing = %v, want [1]", missing)
+	}
+	// Idempotent.
+	reg.DropSite(1)
+	if missing := reg.Missing(1); !slices.Equal(missing, []int{1}) {
+		t.Fatalf("double drop: Missing = %v, want [1]", missing)
+	}
+	// Re-registering restores completeness.
+	reg.AddMapOutput(1, 1, 5, []rdd.Pair{rdd.KV("b", 2)}, 12)
+	if missing := reg.Missing(1); len(missing) != 0 {
+		t.Fatalf("re-registration left %v missing", missing)
+	}
+}
+
+// TestOutputsOnSortedAndScoped: dropping a host drops its outputs of every
+// shuffle and nothing else, Missing lists them in map order, and a host
+// holding nothing drops nothing.
+func TestOutputsOnSortedAndScoped(t *testing.T) {
+	reg := NewRegistry()
+	for _, id := range []int{7, 3} {
+		spec := &rdd.ShuffleSpec{ID: id, Partitioner: rdd.NewHashPartitioner(1)}
+		reg.Register(spec, 4)
+		for m, host := range []topology.HostID{4, 9, 4, 9} {
+			reg.AddMapOutput(id, m, host, []rdd.Pair{rdd.KV("a", 1)}, 1)
+		}
+	}
+	reg.DropSite(99)
+	for _, id := range []int{7, 3} {
+		if missing := reg.Missing(id); len(missing) != 0 {
+			t.Fatalf("dropping an empty host: Missing(%d) = %v", id, missing)
+		}
+	}
+	reg.DropSite(4)
+	for _, id := range []int{7, 3} {
+		if missing := reg.Missing(id); !slices.Equal(missing, []int{0, 2}) {
+			t.Fatalf("Missing(%d) = %v, want [0 2]", id, missing)
+		}
+	}
+}
 
 func TestAddAfterFinalizeRefreshesShards(t *testing.T) {
 	reg, _ := newHashShuffle(t, 2, 2)
