@@ -75,18 +75,6 @@ type Plan struct {
 	Final  *Stage
 }
 
-// Shuffles returns every shuffle in the plan, in the producing stages'
-// topological order — the set an executor must register before running.
-func (p *Plan) Shuffles() []*rdd.ShuffleSpec {
-	var specs []*rdd.ShuffleSpec
-	for _, st := range p.Stages {
-		if st.OutSpec != nil {
-			specs = append(specs, st.OutSpec)
-		}
-	}
-	return specs
-}
-
 // BuildPlan plans the job that materializes target. It validates the
 // lineage first.
 func BuildPlan(target *rdd.RDD) (*Plan, error) {

@@ -210,7 +210,7 @@ func (e *Engine) aggregateShuffle(node *rdd.RDD, part int, host topology.HostID,
 		dep := make([][]rdd.Pair, len(shards))
 		for i, sh := range shards {
 			dep[i] = sh.Records
-			inReal += rdd.ShuffledSize(d.Shuffle, sh.Records) // integral, so the sum is exact
+			inReal += sh.RealBytes // integral, so the sum is exact
 			modeled += sh.ModeledBytes
 		}
 		runs = append(runs, dep)

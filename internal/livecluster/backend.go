@@ -73,8 +73,7 @@ var errWorkerDown = errors.New("worker is down")
 func (r *liveRun) NumSites() int { return len(r.c.workers) }
 
 // RunTask implements plan.Backend: evaluate the partition at its worker,
-// gathering its shuffle input through reader and reading and filling the
-// worker's cache of Cached partitions. A map task's output comes back
+// gathering its shuffle input through reader. A map task's output comes back
 // from plan.TaskOutput prepared for its shuffle (combined map-side, where the
 // spec asks, as the records are produced); the task either pushes it to the
 // aggregator the moment it finishes (t.AggTo names another worker, the
@@ -96,7 +95,7 @@ func (r *liveRun) RunTask(t plan.Task) (plan.TaskResult, error) {
 	// their own, so the timeline separates M and P the way the simulator's
 	// does.
 	lastFetch := r.since()
-	res, err := plan.TaskOutput(st, t.Part, r.reader(t, taskID, &lastFetch), &w.cache)
+	res, err := plan.TaskOutput(t, r.reader(t, taskID, &lastFetch))
 	if err != nil {
 		return plan.TaskResult{}, err
 	}
@@ -158,9 +157,8 @@ func (r *liveRun) OnStage(span plan.StageSpan) {
 	r.stats.addStageSpan(span)
 }
 
-// SiteHealthy implements plan.SiteHealth: a worker is healthy until it is
-// closed. The driver re-places retried task attempts away from unhealthy
-// sites.
+// SiteHealthy implements plan.Backend: a worker is healthy until it is
+// closed.
 func (r *liveRun) SiteHealthy(site int) bool { return r.c.workerHealthy(site) }
 
 // OnPlacement implements plan.Backend (obs.Sink): label the decision's

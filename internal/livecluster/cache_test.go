@@ -99,17 +99,6 @@ func stagesReading(job *plan.Job, name string) []*dag.Stage {
 	return out
 }
 
-// checkCachesDropped fails the test if any worker still holds a cached
-// partition: the workers drop a job's when it ends.
-func checkCachesDropped(t *testing.T, c *Cluster) {
-	t.Helper()
-	for i, w := range c.workers {
-		if n := w.cache.Len(); n != 0 {
-			t.Errorf("worker %d holds %d cached partitions after the job", i, n)
-		}
-	}
-}
-
 // TestCachedPartitionComputedOncePerJob runs cachedFanOut on the live
 // cluster and on MemBackend under both schemes: each partition of the Cached
 // node is computed once, by the first stage that reads it, and the two later
@@ -117,7 +106,8 @@ func checkCachesDropped(t *testing.T, c *Cluster) {
 // task for partition p on one site, round-robin under fetch, the aggregator
 // of the node's input shuffle under push. Two jobs run in a row on one
 // cluster, with different inputs and the same node IDs: the second must not
-// read the first's partitions, so the cluster drops its caches with the job.
+// read the first's partitions, so its per-key counts equal the reference's
+// only when the caches end with the first job.
 func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 	const parts, sites = 6, 3
 	for _, scheme := range schemes {
@@ -149,7 +139,6 @@ func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 				if got := calls.take(); !maps.Equal(got, once) {
 					t.Errorf("job %d on the live cluster computed the cached node's keys %v times, want the reference's %v", seed, got, once)
 				}
-				checkCachesDropped(t, cluster)
 
 				got, err := plan.NewDriver(job, plan.NewMemBackend(sites), plan.DriverConfig{}).Run()
 				if err != nil {
@@ -209,9 +198,8 @@ func cachedLeafFanOut(calls *computed, reached, release chan struct{}) *rdd.RDD 
 // there. Task 4 of r2 and tasks 1 and 4 of r3 are placed on the dead worker
 // and re-placed on worker 2: r2's task 4 and r3's task 1 miss and recompute,
 // r3's task 4 reads what r2's left there — eight computations. The output
-// equals the reference, the killed worker's cache went with it, the cluster
-// runs the job again on the two that are left, and once closed it leaves no
-// goroutine and no descriptor behind.
+// equals the reference, the cluster runs the job again on the two that are
+// left, and once closed it leaves no goroutine and no descriptor behind.
 func TestCachedPartitionsFailOver(t *testing.T) {
 	var calls computed
 	want := canon(rdd.CollectLocal(cachedLeafFanOut(&calls, nil, nil)))
@@ -253,13 +241,7 @@ func TestCachedPartitionsFailOver(t *testing.T) {
 	}()
 	<-reached
 	finishedOn(t, cluster.CurrentStats().Events, r2, 1)
-	if cluster.workers[1].cache.Len() == 0 {
-		t.Error("worker 1 holds no cached partition before it is killed: the test would prove nothing")
-	}
 	cluster.workers[1].close()
-	if n := cluster.workers[1].cache.Len(); n != 0 {
-		t.Errorf("killed worker 1 still holds %d cached partitions", n)
-	}
 	close(release)
 	res := <-done
 	if res.err != nil {
@@ -274,7 +256,6 @@ func TestCachedPartitionsFailOver(t *testing.T) {
 	if res.stats.Retries < 3 {
 		t.Errorf("%d retries, want at least 3: the tasks placed on the dead worker", res.stats.Retries)
 	}
-	checkCachesDropped(t, cluster)
 
 	out, _, err := cluster.Run(cachedLeafFanOut(&calls, nil, nil))
 	if err != nil {
@@ -286,7 +267,6 @@ func TestCachedPartitionsFailOver(t *testing.T) {
 	if got := calls.take(); !maps.Equal(got, once) {
 		t.Errorf("job after the failover computed the cached node's keys %v times, want the reference's %v", got, once)
 	}
-	checkCachesDropped(t, cluster)
 
 	cluster.Close()
 	leftNothing(t, goroutines, fds)

@@ -627,11 +627,7 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	})
 	parts, err := drv.RunContext(ctx)
 	// Every exchange ran inside a task attempt, and the driver has waited for
-	// all of them: no link writes to stats any more, and no task reads a
-	// cached partition, so the workers drop the job's.
-	for _, w := range c.workers {
-		w.cache.Drop()
-	}
+	// all of them: no link writes to stats any more.
 	stats.setCompletion(time.Since(run.start).Seconds(), stats.Events.Counts().Retried)
 	c.lastStats.Store(stats)
 	c.curRun.Store(nil)

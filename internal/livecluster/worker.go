@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"wanshuffle/internal/blockstore"
-	"wanshuffle/internal/plan"
 	"wanshuffle/internal/rdd"
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
@@ -140,12 +139,6 @@ type worker struct {
 	// oneself.
 	links []*link
 
-	// cache holds the partitions of Cached RDDs this worker's tasks
-	// computed in the running job, for the job's later stages to read here.
-	// It is held outside Config.MemoryBudget, and dropped when the job ends
-	// and when the worker is closed, with its block store.
-	cache plan.SiteCache
-
 	closed atomic.Bool
 }
 
@@ -176,7 +169,6 @@ func (w *worker) close() {
 	}
 	w.srv.close()
 	_ = w.store.Close()
-	w.cache.Drop()
 }
 
 // server is one accept loop on a loopback port: the listener, the

@@ -20,12 +20,18 @@ import (
 //
 // Everything that is planning stays with the Driver: where each map output
 // lives and how big it measured (a shuffle.Tracker), a stage's input
-// sizes, the range-partitioner barrier, placement and retries. Data-plane
-// details (TCP, memory) stay entirely inside the backend; record semantics
-// come from TaskOutput so every backend agrees with rdd.EvalLocal.
+// sizes, the range-partitioner barrier, placement, retries and each site's
+// cache of Cached partitions. Data-plane details (TCP, memory) stay
+// entirely inside the backend; record semantics come from TaskOutput so
+// every backend agrees with rdd.EvalLocal.
 type Backend interface {
 	// NumSites returns the number of task sites.
 	NumSites() int
+
+	// SiteHealthy reports whether the site is fit to run tasks. The Driver
+	// re-places a failed task's next attempt away from an unhealthy site
+	// instead of retrying into it.
+	SiteHealthy(site int) bool
 
 	// RunTask computes partition t.Part of t.Stage at t.Site, reading its
 	// shuffle input through t.Gather. A result-stage task returns its
@@ -56,6 +62,7 @@ type Task struct {
 	AggTo int
 
 	outputs *shuffle.Tracker // the Driver's; tasks only read it
+	cache   *SiteCache       // the Driver's, of the task's site; nil caches nothing
 }
 
 // TaskResult is a task's output as TaskOutput computes it.
@@ -91,16 +98,6 @@ func (t Task) Gather(shuffleID int, fetch func(mapPart, holder int) ([][]rdd.Pai
 	return runs, nil
 }
 
-// SiteHealth is an optional Backend extension: backends that can tell a
-// live site from a dead one (the live cluster: a worker is down once it is
-// closed) implement it, and the Driver then re-places retried task
-// attempts away from unhealthy sites instead of hammering the site that
-// just failed them.
-type SiteHealth interface {
-	// SiteHealthy reports whether the site is fit to run tasks.
-	SiteHealthy(site int) bool
-}
-
 // DriverConfig tunes one driven job.
 type DriverConfig struct {
 	// Aggregate applies dag.AutoAggregate to the job's lineage and plans it
@@ -122,8 +119,9 @@ type DriverConfig struct {
 // Driver executes a planned job stage-by-stage over a Backend: topological
 // stage order, map-output tracking, per-shuffle aggregator selection,
 // receiver/reducer placement, the range-partitioner barrier, bounded task
-// concurrency, and retry bookkeeping all live here — backends only run
-// tasks and move bytes.
+// concurrency, retry bookkeeping and each site's cache of Cached partitions
+// all live here — backends only run tasks and move bytes. Everything the
+// Driver keeps per site lives as long as its job.
 type Driver struct {
 	job *Job
 	be  Backend
@@ -135,11 +133,10 @@ type Driver struct {
 	// outputs tracks every map output of the job: holder, measured bytes,
 	// range sample.
 	outputs shuffle.Tracker
-
-	mu sync.Mutex
-	// aggSites records, per shuffle ID, the site its map output was
-	// aggregated into (no entry = scattered, fetch-based).
-	aggSites map[int]int
+	// caches[site] holds the Cached partitions the job's tasks computed at
+	// the site (SiteCache): node IDs are graph-scoped, so none outlives the
+	// job.
+	caches []SiteCache
 }
 
 // NewDriver prepares a driver; Run may be called once.
@@ -147,7 +144,7 @@ func NewDriver(job *Job, be Backend, cfg DriverConfig) *Driver {
 	if cfg.SiteSlots <= 0 {
 		cfg.SiteSlots = 2
 	}
-	return &Driver{job: job, be: be, cfg: cfg, aggSites: map[int]int{}}
+	return &Driver{job: job, be: be, cfg: cfg}
 }
 
 // Run executes every stage and returns the result stage's partitions.
@@ -189,6 +186,7 @@ func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("plan: backend has no task sites")
 	}
+	d.caches = make([]SiteCache, n)
 	d.sems = make([]chan struct{}, n)
 	for i := range d.sems {
 		d.sems[i] = make(chan struct{}, d.cfg.SiteSlots)
@@ -230,7 +228,8 @@ func (d *Driver) canceled() error {
 func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
 	name := st.Name() // formatted once: every task event carries it
-	aggTo := d.resolveAggregator(st)
+	at := d.stageSite(st)
+	aggTo := d.resolveAggregator(st, at)
 
 	errs := make([]error, st.NumTasks)
 	var results [][]rdd.Pair
@@ -253,7 +252,7 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 			errs[part] = err
 			continue
 		}
-		site := d.placeTask(st, part)
+		site := d.placeTask(at, part)
 		d.taskEvent(obs.PhaseScheduled, st.ID, name, part, site, 1, nil)
 		if errs[part] = d.acquire(site); errs[part] != nil {
 			continue // canceled while waiting for a task slot: never launched
@@ -262,7 +261,8 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 		go func() {
 			defer wg.Done()
 			errs[part] = d.attempt(st.ID, name, part, site, func(site, attempt int) error {
-				res, err := d.be.RunTask(Task{Stage: st, Part: part, Site: site, Attempt: attempt, AggTo: aggTo, outputs: &d.outputs})
+				res, err := d.be.RunTask(Task{Stage: st, Part: part, Site: site, Attempt: attempt, AggTo: aggTo,
+					outputs: &d.outputs, cache: &d.caches[site]})
 				if err != nil {
 					return err
 				}
@@ -310,20 +310,17 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, si
 // when its output stays scattered: ChooseAggregator over inputSizes —
 // actual map-output sizes for every shuffle input (Sec. III-B / IV-D). The
 // choice goes to the backend's sink, without site labels: the backend knows
-// its own site names.
-func (d *Driver) resolveAggregator(st *dag.Stage) int {
+// its own site names. at is the stage's stageSite.
+func (d *Driver) resolveAggregator(st *dag.Stage, at int) int {
 	if !Pushes(st) {
 		return -1
 	}
-	rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.inputSizes(st),
+	rank, dec := ChooseAggregator[int](st.OutSpec.ID, st.ID, d.inputSizes(st, at),
 		d.cfg.Policy, d.cfg.LinkCosts, nil, nil)
 	if len(rank) == 0 {
 		return -1
 	}
 	d.be.OnPlacement(dec)
-	d.mu.Lock()
-	d.aggSites[st.OutSpec.ID] = rank[0]
-	d.mu.Unlock()
 	return rank[0]
 }
 
@@ -337,16 +334,17 @@ func Pushes(st *dag.Stage) bool {
 
 // inputSizes is stage st's input bytes per site, what ChooseAggregator
 // ranks: over a leaf, the input partition each task reads at the site
-// placeTask runs that task on; over a shuffle, the measured map outputs
-// feeding it at their holders. Leaf records are sized as rdd.EncodedSize,
-// the unit a backend measures its map outputs in, so a predicted transfer
-// cost is a prediction about bytes a data plane moves; they never leave the
-// process, so a value the record codec cannot carry is sized, not refused.
-func (d *Driver) inputSizes(st *dag.Stage) []float64 {
+// placeTask runs that task on (at is the stage's stageSite); over a
+// shuffle, the measured map outputs feeding it at their holders. Leaf
+// records are sized as rdd.EncodedSize, the unit a backend measures its map
+// outputs in, so a predicted transfer cost is a prediction about bytes a
+// data plane moves; they never leave the process, so a value the record
+// codec cannot carry is sized, not refused.
+func (d *Driver) inputSizes(st *dag.Stage, at int) []float64 {
 	bySite := make([]float64, d.be.NumSites())
 	for part, in := range st.Base.Input { // none over a shuffle
 		n, _ := rdd.EncodedSize(in.Records)
-		bySite[d.placeTask(st, part)] += n
+		bySite[d.placeTask(at, part)] += n
 	}
 	for di := range st.Base.Deps {
 		d.outputs.AddSiteBytes(st.Base.Deps[di].Shuffle.ID, bySite)
@@ -354,34 +352,35 @@ func (d *Driver) inputSizes(st *dag.Stage) []float64 {
 	return bySite
 }
 
-// placeTask places one task: shuffle-reading tasks follow aggregated input
-// (the paper's preferredLocations restricted to the aggregator); everything
-// else round-robins, since leaf input ships from the driver rather than
-// residing on sites.
-func (d *Driver) placeTask(st *dag.Stage, part int) int {
-	if site := d.boundarySite(st); site >= 0 {
-		return site
+// stageSite returns the site every task of stage st runs on, -1 when its
+// tasks round-robin. Shuffle-reading tasks follow aggregated input (the
+// paper's preferredLocations restricted to the aggregator): when every
+// parent stage pushes, the stage runs where the tracker holds its first
+// input shuffle. Everything else round-robins, since leaf input ships from
+// the driver rather than residing on sites, and a fetched shuffle's outputs
+// lie on every mapper's.
+func (d *Driver) stageSite(st *dag.Stage) int {
+	if len(st.Parents) == 0 {
+		return -1
 	}
-	return part % d.be.NumSites()
-}
-
-// boundarySite returns the aggregator site of the stage's first shuffle
-// input when every one of its shuffle inputs was aggregated; -1 otherwise
-// (and for a stage over a leaf).
-func (d *Driver) boundarySite(st *dag.Stage) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	site := -1
-	for di := range st.Base.Deps {
-		s, ok := d.aggSites[st.Base.Deps[di].Shuffle.ID]
-		if !ok {
+	for _, p := range st.Parents {
+		if !Pushes(p) {
 			return -1
 		}
-		if site < 0 {
-			site = s
-		}
 	}
-	return site
+	holders, err := d.outputs.Holders(st.Base.Deps[0].Shuffle.ID)
+	if err != nil {
+		return -1 // the stage's read names the missing output
+	}
+	return holders[0]
+}
+
+// placeTask places task part of a stage whose stageSite is at.
+func (d *Driver) placeTask(at, part int) int {
+	if at >= 0 {
+		return at
+	}
+	return part % d.be.NumSites()
 }
 
 // acquire takes one of site's task slots, waiting for it until the job is
@@ -397,7 +396,7 @@ func (d *Driver) acquire(site int) error {
 
 // attempt runs one task up to MaxAttempts times, reporting every
 // transition to the backend's event sink. Retried attempts are re-placed
-// away from sites the backend reports unhealthy (SiteHealth), so a task
+// away from sites the backend reports unhealthy (SiteHealthy), so a task
 // whose worker died mid-run fails over instead of retrying into the hole.
 // The caller took a slot at site; the slot follows the task when it moves,
 // so SiteSlots bounds every site whatever the retries did, and attempt
@@ -441,15 +440,14 @@ func (d *Driver) attempt(stage int, name string, part, site int, run func(site, 
 
 // replaceSite returns the next healthy site after an attempt failed at
 // site, or site itself when the backend reports it healthy (transient
-// task error), cannot judge health, or has no healthy site to offer.
+// task error) or has no healthy site to offer.
 func (d *Driver) replaceSite(site int) int {
-	sh, ok := d.be.(SiteHealth)
-	if !ok || sh.SiteHealthy(site) {
+	if d.be.SiteHealthy(site) {
 		return site
 	}
 	n := d.be.NumSites()
 	for i := 1; i < n; i++ {
-		if cand := (site + i) % n; sh.SiteHealthy(cand) {
+		if cand := (site + i) % n; d.be.SiteHealthy(cand) {
 			return cand
 		}
 	}

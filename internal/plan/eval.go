@@ -29,9 +29,9 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 	return evalPart(st.Phases[0].Top, part, read, nil)
 }
 
-// TaskOutput computes what task part of a stage the Driver runs produces: a
-// result stage's output partition, or a map stage's output prepared for the
-// stage's shuffle — rdd.MapSidePrepare(st.OutSpec, EvalStagePart(...)),
+// TaskOutput computes what task t produces: a result stage's output
+// partition, or a map stage's output prepared for the stage's shuffle —
+// rdd.MapSidePrepare(t.Stage.OutSpec, EvalStagePart(...)),
 // record for record. How it gets there is decided here and nowhere else: when
 // the shuffle combines map-side, the stage's chain runs record by record
 // straight into the combiner's table (Sec. IV-C3: the combine is pipelined
@@ -46,11 +46,11 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 // value the codec cannot carry fails the task (*rdd.UnsupportedValueError)
 // before any backend stores or pushes it.
 //
-// cache is the task's site's: a Cached node's partition comes from it when
-// an earlier task of the job computed it there, and goes into it otherwise.
-// A nil cache caches nothing.
-func TaskOutput(st *dag.Stage, part int, read ShuffleReader, cache *SiteCache) (TaskResult, error) {
-	top, spec := st.Phases[0].Top, st.OutSpec
+// A Cached node's partition comes from the cache of the task's site, which
+// the Driver hands it, when an earlier task of the job computed it there,
+// and goes into it otherwise. A Task the Driver did not make caches nothing.
+func TaskOutput(t Task, read ShuffleReader) (TaskResult, error) {
+	top, spec, part, cache := t.Stage.Phases[0].Top, t.Stage.OutSpec, t.Part, t.cache
 	var out []rdd.Pair
 	var err error
 	if spec == nil || !spec.CombinesMapSide() {
@@ -73,34 +73,20 @@ func TaskOutput(st *dag.Stage, part int, read ShuffleReader, cache *SiteCache) (
 
 // SiteCache holds the partitions of Cached RDDs (rdd.RDD.Cached) that one
 // task site computed in one job, by node ID and partition: Spark's block
-// manager's rdd_<id>_<part> blocks, without the eviction. The backend that
-// owns the site owns its cache and keeps it no longer than the job: node IDs
-// restart with every rdd.Graph, so a partition kept into the next job could
-// answer for a node it was not computed from. A task placed on another
-// site, or a retry that moved, misses and recomputes from the lineage, as
-// Spark does. A cached partition is shared by every task that reads it, and
-// they only read it, as they read a leaf's input. The zero value is empty
-// and ready; it locks internally.
+// manager's rdd_<id>_<part> blocks, without the eviction. The Driver makes
+// one per site when its job starts and hands each task its site's, so none
+// outlives the job: node IDs restart with every rdd.Graph, so a partition
+// kept into the next job could answer for a node it was not computed from.
+// A task placed on another site, or a retry that moved, misses and
+// recomputes from the lineage, as Spark does. A cached partition is shared
+// by every task that reads it, and they only read it, as they read a leaf's
+// input. The zero value is empty and ready; it locks internally.
 type SiteCache struct {
 	mu    sync.Mutex
 	parts map[cacheKey][]rdd.Pair
 }
 
 type cacheKey struct{ node, part int }
-
-// Len returns how many partitions the cache holds.
-func (c *SiteCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.parts)
-}
-
-// Drop empties the cache.
-func (c *SiteCache) Drop() {
-	c.mu.Lock()
-	c.parts = nil
-	c.mu.Unlock()
-}
 
 func (c *SiteCache) get(k cacheKey) ([]rdd.Pair, bool) {
 	c.mu.Lock()

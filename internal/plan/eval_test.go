@@ -33,7 +33,7 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 			return TaskResult{}, err
 		}
 		want := rdd.MapSidePrepare(spec, recs)
-		res, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
+		res, err := TaskOutput(t, b.reader(t))
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -206,7 +206,7 @@ func TestCombiningMapTaskAllocatesForKeysNotRecords(t *testing.T) {
 			st := mapStage(t, build(wordLines(1, n, lexemes)))
 			var res TaskResult
 			var err error
-			a := testing.AllocsPerRun(3, func() { res, err = TaskOutput(st, 0, nil, nil) })
+			a := testing.AllocsPerRun(3, func() { res, err = TaskOutput(Task{Stage: st}, nil) })
 			out := res.Records
 			if err != nil || len(out) == 0 || len(out) > lexemes {
 				t.Fatalf("%s: %d lines gave %d records, %v", name, n, len(out), err)
@@ -232,7 +232,7 @@ func TestMaterialisedChainIsSizedFromItsSource(t *testing.T) {
 	st := mapStage(t, leafOf(rdd.NewGraph(), "text", lines).Map("tag", tag).Map("again", tag).SortByKey("sort", 4))
 	var out []rdd.Pair
 	allocs := testing.AllocsPerRun(5, func() {
-		res, err := TaskOutput(st, 0, nil, nil)
+		res, err := TaskOutput(Task{Stage: st}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func BenchmarkMapTaskWordCount(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := TaskOutput(st, 0, nil, nil)
+		res, err := TaskOutput(Task{Stage: st}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestBarrierPreparesRangeFromTrackedSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := job.Plan.Shuffles()[0]
+	spec := job.Stages()[0].OutSpec
 	want := &rdd.ShuffleSpec{ID: spec.ID, Partitioner: rdd.NewRangePartitioner(reduces)}
 	be := &barrierProbe{MemBackend: NewMemBackend(3)}
 	// Sample the stored outputs after the map stage, before the first shard

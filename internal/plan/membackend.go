@@ -10,11 +10,10 @@ import (
 
 // MemBackend is the in-memory reference Backend: tasks run inline and every
 // site shares one block store, so shuffle bytes "move" only in the Driver's
-// tracker, while each site keeps its own SiteCache of Cached partitions, so
-// a task reads one only where the live cluster's would. It exists to test
-// the Driver's planning, placement, and aggregation decisions without a
-// network, and as the template for real backends. Like its store, its
-// caches hold one job: run each job on a backend of its own.
+// tracker, and every site is always healthy. It exists to test the Driver's
+// planning, placement, and aggregation decisions without a network, and as
+// the template for real backends. Its store holds one job's outputs
+// (shuffle IDs are graph-scoped): run each job on a backend of its own.
 type MemBackend struct {
 	Sites int
 
@@ -26,14 +25,12 @@ type MemBackend struct {
 	// live cluster's workers use, so bucketing caches and attempt
 	// idempotency are not reimplemented here. It locks internally.
 	store blockstore.Store
-	// caches[site] holds the Cached partitions the site's tasks computed.
-	caches []SiteCache
 }
 
 // NewMemBackend creates a backend with the given number of sites, storing
 // shuffle blocks fully resident.
 func NewMemBackend(sites int) *MemBackend {
-	return &MemBackend{Sites: sites, Events: obs.NewCollector(), store: blockstore.NewMemStore(nil), caches: make([]SiteCache, sites)}
+	return &MemBackend{Sites: sites, Events: obs.NewCollector(), store: blockstore.NewMemStore(nil)}
 }
 
 // Store returns the backend's block store.
@@ -42,11 +39,14 @@ func (b *MemBackend) Store() blockstore.Store { return b.store }
 // NumSites implements Backend.
 func (b *MemBackend) NumSites() int { return b.Sites }
 
-// RunTask implements Backend: evaluate the task's output with its site's
-// cache and, for a map stage — whose output TaskOutput has prepared for the
-// stage's shuffle and checked against the record codec — store it.
+// SiteHealthy implements Backend: no site of a MemBackend fails.
+func (b *MemBackend) SiteHealthy(int) bool { return true }
+
+// RunTask implements Backend: evaluate the task's output and, for a map
+// stage — whose output TaskOutput has prepared for the stage's shuffle and
+// checked against the record codec — store it.
 func (b *MemBackend) RunTask(t Task) (TaskResult, error) {
-	res, err := TaskOutput(t.Stage, t.Part, b.reader(t), &b.caches[t.Site])
+	res, err := TaskOutput(t, b.reader(t))
 	spec := t.Stage.OutSpec
 	if err != nil || spec == nil {
 		return res, err

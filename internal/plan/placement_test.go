@@ -278,7 +278,7 @@ func TestDriverBandwidthPolicy(t *testing.T) {
 	bwDecs := run(DriverConfig{Policy: AggregatorBandwidth, LinkCosts: links})
 
 	job, _ := BuildJob(build())
-	shuffleID := job.Plan.Shuffles()[0].ID
+	shuffleID := job.Stages()[0].OutSpec.ID
 	if len(bestDecs) == 0 || bestDecs[0].Chosen != 0 {
 		t.Fatalf("best decided %+v, want site 0", bestDecs)
 	}
@@ -373,4 +373,87 @@ func TestInputSizesFollowTaskPlacement(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReduceTasksFollowTheTable checks where the Driver runs the tasks of a
+// stage over shuffles: on the site the tracker holds its first input
+// shuffle at when every parent stage pushes, round-robin otherwise. The
+// cogroup's left input is heavy on site 2 and its right on site 1, so its
+// two pushed sides aggregate on different sites and only the first names
+// where the reducers run.
+func TestReduceTasksFollowTheTable(t *testing.T) {
+	const sites, reduces = 3, 4
+	side := func(g *rdd.Graph, name string, heavy int) *rdd.RDD {
+		parts := make([]rdd.InputPartition, sites)
+		for p := range parts {
+			pad := 10
+			if p == heavy { // leaf task p runs on site p
+				pad = 2000
+			}
+			for k := 0; k < 5; k++ {
+				parts[p].Records = append(parts[p].Records, rdd.KV(fmt.Sprintf("k%d", k), strings.Repeat("x", pad)))
+			}
+			parts[p].ModeledBytes = 1
+		}
+		return g.Input(name, parts)
+	}
+	sum := func(a, b rdd.Value) rdd.Value { return a.(string) + b.(string) }
+	for _, tc := range []struct {
+		name  string
+		build func(left, right *rdd.RDD) *rdd.RDD
+		table bool // every parent stage pushes
+	}{
+		{"cogroup, both sides pushed", func(l, r *rdd.RDD) *rdd.RDD { return l.TransferToAuto().CoGroup("out", r.TransferToAuto(), reduces) }, true},
+		{"cogroup, left pushed, right fetched", func(l, r *rdd.RDD) *rdd.RDD { return l.TransferToAuto().CoGroup("out", r, reduces) }, false},
+		{"fetched shuffle", func(l, _ *rdd.RDD) *rdd.RDD { return l.ReduceByKey("out", reduces, sum) }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lineage := func() *rdd.RDD {
+				g := rdd.NewGraph()
+				return tc.build(side(g, "left", 2), side(g, "right", 1))
+			}
+			job, err := BuildJob(lineage())
+			if err != nil {
+				t.Fatal(err)
+			}
+			be := NewMemBackend(sites)
+			drv := NewDriver(job, be, DriverConfig{})
+			out, err := drv.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canon(slices.Concat(out...)), canon(rdd.CollectLocal(lineage())); got != want {
+				t.Fatalf("output %s, want %s", got, want)
+			}
+			final := job.Final()
+			want := func(part int) int { return part % sites }
+			if tc.table {
+				holders, err := drv.outputs.Holders(final.Base.Deps[0].Shuffle.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other, err := drv.outputs.Holders(final.Base.Deps[1].Shuffle.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if holders[0] != 2 || other[0] != 1 {
+					t.Fatalf("sides aggregated at %d and %d, want 2 and 1", holders[0], other[0])
+				}
+				want = func(int) int { return holders[0] }
+			}
+			placed := 0
+			for _, ev := range be.Events.TaskEvents() {
+				if ev.Stage != final.ID || ev.Phase != obs.PhaseScheduled {
+					continue
+				}
+				placed++
+				if ev.Site != want(ev.Part) {
+					t.Errorf("reduce task %d placed on site %d, want %d", ev.Part, ev.Site, want(ev.Part))
+				}
+			}
+			if placed != reduces {
+				t.Fatalf("%d reduce tasks placed, want %d", placed, reduces)
+			}
+		})
+	}
 }

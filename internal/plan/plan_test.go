@@ -177,10 +177,11 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	if _, err := drv.Run(); err != nil {
 		t.Fatal(err)
 	}
-	specs := pj.Plan.Shuffles()
-	if len(specs) != 2 {
-		t.Fatalf("want 2 shuffles, got %d", len(specs))
+	stages := pj.Stages() // g1's map stage, g2's, the result stage
+	if len(stages) != 3 {
+		t.Fatalf("want 3 stages, got %d", len(stages))
 	}
+	specs := []*rdd.ShuffleSpec{stages[0].OutSpec, stages[1].OutSpec}
 	// Partition 4's record dwarfs the rest, so the first shuffle must
 	// aggregate at site 4 (its input's home); the second shuffle's map
 	// output then all sits at site 4, so it must pick site 4 too — both
@@ -272,7 +273,7 @@ func TestDriverRejectsTransferPhases(t *testing.T) {
 			if got, want := canon(slices.Concat(out...)), canon(rdd.CollectLocal(lineage())); got != want {
 				t.Fatalf("output %s, want %s", got, want)
 			}
-			if decs := be.Events.Placements(); len(decs) != 1 || decs[0].Shuffle != job.Plan.Shuffles()[0].ID {
+			if decs := be.Events.Placements(); len(decs) != 1 || decs[0].Shuffle != job.Stages()[0].OutSpec.ID {
 				t.Fatalf("placement decisions %+v, want one, for the shuffle", decs)
 			}
 		})
@@ -337,7 +338,7 @@ func (b *flakyBackend) RunTask(t Task) (TaskResult, error) {
 }
 
 // deadSiteBackend wraps MemBackend with a permanently dead site: every
-// task attempt there fails, and SiteHealth reports it unhealthy. The
+// task attempt there fails, and SiteHealthy reports it unhealthy. The
 // driver must steer retried attempts to a healthy site, so jobs complete
 // despite the hole. Every attempt takes nap, long enough for attempts that
 // may overlap to be seen overlapping.
@@ -370,10 +371,10 @@ func (b *deadSiteBackend) RunTask(t Task) (TaskResult, error) {
 	return b.MemBackend.RunTask(t)
 }
 
-// SiteHealthy implements SiteHealth.
+// SiteHealthy implements Backend.
 func (b *deadSiteBackend) SiteHealthy(site int) bool { return site != b.dead }
 
-// TestDriverReplacesTasksOffDeadSite checks the SiteHealth fail-over: with
+// TestDriverReplacesTasksOffDeadSite checks the SiteHealthy fail-over: with
 // site 0 permanently dead, every task the placer sends there must fail
 // once, be re-placed on a healthy site by the retry path, and succeed —
 // within the default attempt budget, and with the reference output. A moved

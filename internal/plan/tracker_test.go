@@ -49,7 +49,7 @@ func TestMapOutputTracker(t *testing.T) {
 		{Shuffle: &rdd.ShuffleSpec{ID: id}},
 		{Shuffle: &rdd.ShuffleSpec{ID: id + 1}},
 	}}}
-	if got, want := d.inputSizes(st), []float64{7, 0, 160}; !reflect.DeepEqual(got, want) {
+	if got, want := d.inputSizes(st, -1), []float64{7, 0, 160}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("inputSizes = %v, want %v", got, want)
 	}
 }

@@ -35,12 +35,21 @@ type state struct {
 }
 
 // written is the records of one map output and, once the shuffle is
-// finalized, their shards. Whether the output is present, and where, is
-// the Tracker's.
+// finalized, their shards with each one's real size (rdd.ShuffledSize) and
+// the sizes' sum. Whether the output is present, and where, is the
+// Tracker's, and so is its modeled size, which modeled shares out.
 type written struct {
-	records      []rdd.Pair
-	shards       [][]rdd.Pair
-	shardModeled []float64
+	records   []rdd.Pair
+	shards    [][]rdd.Pair
+	shardReal []float64
+	realTotal float64 // sizes are integral, so the sum is exact
+}
+
+// modeled is shard reduce's share of the output's modeled bytes, in
+// proportion to its real size: 0 when every shard sizes 0 (the sum is then
+// 0, and every other sum at least 1).
+func (w *written) modeled(reduce int, bytes float64) float64 {
+	return w.shardReal[reduce] / max(w.realTotal, 1) * bytes
 }
 
 // NewRegistry returns an empty registry.
@@ -98,16 +107,10 @@ func (r *Registry) Refresh(shuffleID, mapPart int) {
 	}
 	out := &st.outputs[mapPart]
 	out.shards = rdd.BucketRecords(st.spec, out.records)
-	out.shardModeled = make([]float64, len(out.shards))
-	realTotal := 0.0 // the shards' sum: sizes are integral, so it is exact
+	out.shardReal, out.realTotal = make([]float64, len(out.shards)), 0
 	for i, shard := range out.shards {
-		out.shardModeled[i] = rdd.ShuffledSize(st.spec, shard)
-		realTotal += out.shardModeled[i]
-	}
-	if realTotal > 0 { // otherwise every shard is empty and priced 0
-		for i, size := range out.shardModeled {
-			out.shardModeled[i] = size / realTotal * o.bytes
-		}
+		out.shardReal[i] = rdd.ShuffledSize(st.spec, shard)
+		out.realTotal += out.shardReal[i]
 	}
 }
 
@@ -131,11 +134,13 @@ func (r *Registry) Finalize(shuffleID int) {
 }
 
 // Shard is a reducer's view of one map output: where it is stored and how
-// big its slice is.
+// big its slice is, modeled and real (rdd.ShuffledSize, sized once, when
+// the output was sharded).
 type Shard struct {
 	MapPart      int
 	Host         topology.HostID
 	ModeledBytes float64
+	RealBytes    float64
 	Records      []rdd.Pair
 }
 
@@ -153,11 +158,13 @@ func (r *Registry) Shards(shuffleID, reducePart int) []Shard {
 		if !o.ok {
 			panic(fmt.Sprintf("shuffle %d: map output %d missing (host lost); recover before reading", shuffleID, m))
 		}
+		w := &st.outputs[m]
 		out = append(out, Shard{
 			MapPart:      m,
 			Host:         topology.HostID(o.site),
-			ModeledBytes: st.outputs[m].shardModeled[reducePart],
-			Records:      st.outputs[m].shards[reducePart],
+			ModeledBytes: w.modeled(reducePart, o.bytes),
+			RealBytes:    w.shardReal[reducePart],
+			Records:      w.shards[reducePart],
 		})
 	}
 	return out
@@ -179,7 +186,7 @@ func (r *Registry) ReducerHostBytes(shuffleID, reducePart int) map[topology.Host
 			// Lost with its host; pending recomputation.
 			continue
 		}
-		if b := st.outputs[m].shardModeled[reducePart]; b > 0 {
+		if b := st.outputs[m].modeled(reducePart, o.bytes); b > 0 {
 			out[topology.HostID(o.site)] += b
 		}
 	}
