@@ -533,7 +533,7 @@ func (e *Engine) phaseOutput(top *rdd.RDD, part int, host topology.HostID, bound
 	ops, base := e.chain(top, part, host, bound, cost)
 	in := meter(ops, base, cost, c.Add)
 	*cost += in.modeled * 0.2 // combine pass over the map output
-	combined := c.Sorted()
+	combined := c.Unsorted()
 	outReal := rdd.SizeOfAll(combined)
 	return partData{records: combined, real: outReal, modeled: scaleTo(outReal, in.real, in.modeled)}
 }

@@ -62,7 +62,7 @@ type Task struct {
 	AggTo int
 
 	outputs *shuffle.Tracker // the Driver's; tasks only read it
-	cache   *SiteCache       // the Driver's, of the task's site; nil caches nothing
+	cache   *siteCache       // the Driver's, of the task's site; nil caches nothing
 }
 
 // TaskResult is a task's output as TaskOutput computes it.
@@ -134,9 +134,9 @@ type Driver struct {
 	// range sample.
 	outputs shuffle.Tracker
 	// caches[site] holds the Cached partitions the job's tasks computed at
-	// the site (SiteCache): node IDs are graph-scoped, so none outlives the
+	// the site (siteCache): node IDs are graph-scoped, so none outlives the
 	// job.
-	caches []SiteCache
+	caches []siteCache
 }
 
 // NewDriver prepares a driver; Run may be called once.
@@ -186,7 +186,7 @@ func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("plan: backend has no task sites")
 	}
-	d.caches = make([]SiteCache, n)
+	d.caches = make([]siteCache, n)
 	d.sems = make([]chan struct{}, n)
 	for i := range d.sems {
 		d.sems[i] = make(chan struct{}, d.cfg.SiteSlots)

@@ -58,7 +58,7 @@ func TaskOutput(t Task, read ShuffleReader) (TaskResult, error) {
 	} else {
 		c := rdd.NewCombiner(spec.Combine)
 		if err = eachPart(top, part, read, cache, c.Add, nil); err == nil {
-			out = c.Sorted()
+			out = c.Unsorted()
 		}
 	}
 	if err != nil || spec == nil {
@@ -71,7 +71,7 @@ func TaskOutput(t Task, read ShuffleReader) (TaskResult, error) {
 	return TaskResult{Records: out, Bytes: size, Sample: rdd.RangeSample(spec, out)}, nil
 }
 
-// SiteCache holds the partitions of Cached RDDs (rdd.RDD.Cached) that one
+// siteCache holds the partitions of Cached RDDs (rdd.RDD.Cached) that one
 // task site computed in one job, by node ID and partition: Spark's block
 // manager's rdd_<id>_<part> blocks, without the eviction. The Driver makes
 // one per site when its job starts and hands each task its site's, so none
@@ -81,14 +81,14 @@ func TaskOutput(t Task, read ShuffleReader) (TaskResult, error) {
 // recomputes from the lineage, as Spark does. A cached partition is shared
 // by every task that reads it, and they only read it, as they read a leaf's
 // input. The zero value is empty and ready; it locks internally.
-type SiteCache struct {
+type siteCache struct {
 	mu    sync.Mutex
 	parts map[cacheKey][]rdd.Pair
 }
 
 type cacheKey struct{ node, part int }
 
-func (c *SiteCache) get(k cacheKey) ([]rdd.Pair, bool) {
+func (c *siteCache) get(k cacheKey) ([]rdd.Pair, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	recs, ok := c.parts[k]
@@ -98,7 +98,7 @@ func (c *SiteCache) get(k cacheKey) ([]rdd.Pair, bool) {
 // put stores recs under k unless a task that computed the same partition
 // alongside stored it first, and returns the stored partition: every reader
 // shares one copy.
-func (c *SiteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
+func (c *siteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if had, ok := c.parts[k]; ok {
@@ -132,7 +132,7 @@ func (c *SiteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
 // it is about to emit, before it emits them: evalPart makes room for that
 // many at once, so a Map over a leaf fills a slice of the right size, and
 // does not double its way up to it.
-func evalPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
+func evalPart(node *rdd.RDD, part int, read ShuffleReader, cache *siteCache) ([]rdd.Pair, error) {
 	if !node.Cached || cache == nil {
 		return compute(node, part, read, cache)
 	}
@@ -149,7 +149,7 @@ func evalPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]
 
 // compute evaluates partition part of node from its inputs, whether or not
 // node is cached.
-func compute(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]rdd.Pair, error) {
+func compute(node *rdd.RDD, part int, read ShuffleReader, cache *siteCache) ([]rdd.Pair, error) {
 	if len(node.Deps) == 0 {
 		return node.Input[part].Records, nil
 	}
@@ -177,7 +177,7 @@ func compute(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache) ([]r
 	return recs, nil
 }
 
-func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
+func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *siteCache, emit func(rdd.Pair), expect func(int)) error {
 	if node.Each == nil || node.Cached && cache != nil {
 		recs, err := evalPart(node, part, read, cache)
 		if err != nil {
@@ -196,6 +196,6 @@ func eachPart(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emi
 
 // eachNarrow hands emit the records of partition part of narrow node: its
 // one parent's partition part, through node's operator.
-func eachNarrow(node *rdd.RDD, part int, read ShuffleReader, cache *SiteCache, emit func(rdd.Pair), expect func(int)) error {
+func eachNarrow(node *rdd.RDD, part int, read ShuffleReader, cache *siteCache, emit func(rdd.Pair), expect func(int)) error {
 	return eachPart(node.Deps[0].Parent, part, read, cache, func(p rdd.Pair) { node.Each(p, emit) }, expect)
 }

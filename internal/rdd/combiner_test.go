@@ -5,9 +5,12 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"wanshuffle/internal/topology"
 )
 
 // Every narrow operator's Each must emit exactly the records the operator
@@ -106,8 +109,9 @@ func combinerGoldenInput() []Pair {
 // existed (combineByKey over a map[string]Value, then the sort), under a
 // combine function that is not commutative — it joins its arguments with a
 // comma — so the file pins both the records and the order values were folded
-// in. A Combiner fed record by record, and MapSidePrepare and ReduceAggregate
-// built on it, must reproduce it exactly.
+// in. A Combiner fed record by record and sorted, and ReduceAggregate built
+// on it, must reproduce it exactly. MapSidePrepare no longer sorts: it must
+// hand on the same records in their keys' first-arrival order.
 func TestCombinerMatchesParentMapSidePrepare(t *testing.T) {
 	golden, err := os.ReadFile("testdata/map_side_prepare.golden")
 	if err != nil {
@@ -130,11 +134,88 @@ func TestCombinerMatchesParentMapSidePrepare(t *testing.T) {
 	if got := render(c.Sorted()); got != string(golden) {
 		t.Errorf("Combiner fed record by record differs from the parent's MapSidePrepare:\n%s", got)
 	}
-	if got := render(MapSidePrepare(&ShuffleSpec{MapSideCombine: true, Combine: join}, in)); got != string(golden) {
-		t.Errorf("MapSidePrepare differs from the parent's:\n%s", got)
-	}
 	if got := render(ReduceAggregate(&ShuffleSpec{Combine: join}, in)); got != string(golden) {
 		t.Errorf("ReduceAggregate differs from the parent's MapSidePrepare on the same records:\n%s", got)
+	}
+
+	// The golden lines, reordered by where each key first arrives in in.
+	line := map[string]string{}
+	for _, l := range strings.SplitAfter(string(golden), "\n") {
+		if quoted, _, ok := strings.Cut(l, "\t"); ok {
+			key, err := strconv.Unquote(quoted)
+			if err != nil {
+				t.Fatalf("golden line %q: %v", l, err)
+			}
+			line[key] = l
+		}
+	}
+	var want strings.Builder
+	for _, p := range in {
+		if l, ok := line[p.Key]; ok {
+			want.WriteString(l)
+			delete(line, p.Key)
+		}
+	}
+	if len(line) != 0 {
+		t.Fatalf("%d golden keys never arrive in the input", len(line))
+	}
+	if got := render(MapSidePrepare(&ShuffleSpec{MapSideCombine: true, Combine: join}, in)); got != want.String() {
+		t.Errorf("MapSidePrepare differs from the parent's records in first-arrival order:\n%s", got)
+	}
+}
+
+// A map output holds one record per key, so the order it hands its records
+// on in never reaches a reducer: over random lineages' map outputs, folded
+// by the comma-joining combine (which is not commutative), the shuffle
+// boundary gives the same records from arrival-ordered map outputs as from
+// key-sorted ones. The map outputs are the partitions feeding each lineage's
+// final ReduceByKey, their values turned into strings.
+func TestMapSideOrderNeverReachesTheReducer(t *testing.T) {
+	join := func(a, b Value) Value { return a.(string) + "," + b.(string) }
+	reordered := 0 // map outputs whose arrival order is not their key order
+	for seed := int64(1); seed <= 40; seed++ {
+		final := RandomLineage(seed, NewGraph(), []topology.HostID{0, 1, 2})
+		var parts []InputPartition
+		for _, recs := range EvalLocal(final.Deps[0].Parent) {
+			strs := make([]Pair, len(recs))
+			for i, p := range recs {
+				strs[i] = KV(p.Key, fmt.Sprint(p.Value))
+			}
+			parts = append(parts, InputPartition{Records: strs})
+		}
+		node := NewGraph().Input("maps", parts).ReduceByKey("joined", 3, join)
+		spec := node.Deps[0].Shuffle
+		arrived := make([][][][]Pair, node.NumParts()) // per reduce partition, its one dependency's runs
+		sorted := make([][][][]Pair, node.NumParts())
+		for i := range arrived {
+			arrived[i], sorted[i] = make([][][]Pair, 1), make([][][]Pair, 1)
+		}
+		for _, part := range parts {
+			c := NewCombiner(join)
+			for _, p := range part.Records {
+				c.Add(p)
+			}
+			bySort := c.Sorted()
+			byArrival := MapSidePrepare(spec, part.Records)
+			if !slices.Equal(bySort, byArrival) {
+				reordered++
+			}
+			for i, shard := range BucketRecords(spec, byArrival) {
+				arrived[i][0] = append(arrived[i][0], shard)
+			}
+			for i, shard := range BucketRecords(spec, bySort) {
+				sorted[i][0] = append(sorted[i][0], shard)
+			}
+		}
+		for i := range arrived {
+			got, want := ReducePartition(node, i, arrived[i]), ReducePartition(node, i, sorted[i])
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d, reduce partition %d: from arrival-ordered map outputs %v, from key-sorted ones %v", seed, i, got, want)
+			}
+		}
+	}
+	if reordered == 0 {
+		t.Error("every map output arrived in key order, so nothing was compared")
 	}
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -57,6 +60,62 @@ func FuzzRangePartitionerOrder(f *testing.F) {
 				}
 				if a > b && sa < sb {
 					t.Fatalf("keys %q>%q but shards %d<%d", a, b, sa, sb)
+				}
+			}
+		}
+	})
+}
+
+// FuzzRangePrepare holds the boundaries Prepare selects to the ones a full
+// sort of the sample cuts: key i·m/n of the m sorted keys, for each of the
+// n-1 cuts. The sample is raw's lines, each repeated copies times so that
+// duplicates run long (none when raw is empty), then drawn seeded decimal
+// keys over drawn/4+1 values, so an empty raw and no draws is an empty
+// sample. Prepare must also leave the sample as it was.
+func FuzzRangePrepare(f *testing.F) {
+	f.Add("", uint8(4), uint8(1), int64(1), uint16(0))                             // an empty sample
+	f.Add("b\na\nc", uint8(8), uint8(1), int64(1), uint16(0))                      // fewer keys than partitions
+	f.Add("k\nk\nk\nj\nk", uint8(3), uint8(9), int64(1), uint16(0))                // duplicates
+	f.Add("\n\x00\na\x00\n\na\n\x00\x00", uint8(5), uint8(4), int64(1), uint16(0)) // empty and NUL keys
+	f.Add("", uint8(8), uint8(0), int64(2), uint16(3000))
+	f.Add("\x00\n", uint8(24), uint8(2), int64(3), uint16(999))
+	f.Add("", uint8(63), uint8(0), int64(4), uint16(40))
+	f.Fuzz(func(t *testing.T, raw string, nRaw, copies uint8, seed int64, drawn uint16) {
+		n := int(nRaw)%64 + 1
+		var sample []string
+		if raw != "" {
+			lines := strings.Split(raw, "\n")
+			for c := 0; c <= int(copies)%8; c++ {
+				sample = append(sample, lines...)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for range int(drawn) % 4000 {
+			sample = append(sample, strconv.Itoa(rng.Intn(int(drawn)/4+1)))
+		}
+		orig := slices.Clone(sample)
+		sorted := slices.Clone(sample)
+		slices.Sort(sorted)
+		var want []string
+		for i := 1; i < n && len(sorted) > 0; i++ {
+			want = append(want, sorted[i*len(sorted)/n])
+		}
+		p := NewRangePartitioner(n)
+		p.Prepare(sample)
+		if !slices.Equal(p.boundaries, want) {
+			t.Fatalf("n=%d over %d keys: boundaries %q, a full sort cuts %q", n, len(sample), p.boundaries, want)
+		}
+		if !slices.Equal(sample, orig) {
+			t.Fatal("Prepare reordered its sample")
+		}
+		// A small partition budget sends the selection to its sorting
+		// fallback part of the way down.
+		if len(sample) > 0 {
+			keys, budget := slices.Clone(sample), int(copies)%3
+			selectCuts(keys, 0, len(keys), 1, n, n, budget)
+			for i, w := range want {
+				if got := keys[(i+1)*len(keys)/n]; got != w {
+					t.Fatalf("n=%d over %d keys, budget %d: cut %d holds %q, a full sort %q", n, len(keys), budget, i+1, got, w)
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package rdd
 
 import (
 	"hash/fnv"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -71,26 +73,79 @@ func (p *RangePartitioner) NumPartitions() int { return p.n }
 func (p *RangePartitioner) Ready() bool { return p.ready }
 
 // Prepare installs shard boundaries from a sample of keys. It is
-// deterministic: the sample is sorted and split into equal-frequency
-// buckets.
+// deterministic: boundary i is the key at position i·len(sample)/n of the
+// sample in byte-wise order, which cuts it into n equal-frequency buckets.
+// Those n-1 keys are selected on a copy of the sample (selectCuts); the rest
+// of it is never put in order.
 func (p *RangePartitioner) Prepare(sample []string) {
-	keys := make([]string, len(sample))
-	copy(keys, sample)
-	sort.Strings(keys)
-	p.boundaries = p.boundaries[:0]
-	for i := 1; i < p.n; i++ {
-		idx := i * len(keys) / p.n
-		if idx >= len(keys) {
-			idx = len(keys) - 1
+	keys := slices.Clone(sample)
+	p.boundaries = slices.Grow(p.boundaries[:0], p.n-1)
+	if len(keys) > 0 {
+		selectCuts(keys, 0, len(keys), 1, p.n, p.n, 2*bits.Len(uint(len(keys))))
+		for i := 1; i < p.n; i++ {
+			// Cloned: a sampled key may be a substring of a decoded chunk
+			// (DecodePairs), and boundaries outlive every chunk of the job.
+			p.boundaries = append(p.boundaries, strings.Clone(keys[i*len(keys)/p.n]))
 		}
-		if len(keys) == 0 {
-			break
-		}
-		// Cloned: a sampled key may be a substring of a decoded chunk
-		// (DecodePairs), and boundaries outlive every chunk of the job.
-		p.boundaries = append(p.boundaries, strings.Clone(keys[idx]))
 	}
 	p.ready = true
+}
+
+// selectCuts is a multi-quickselect. keys[lo:hi] holds the keys a sort of
+// keys would put at positions lo…hi-1, and cuts c0…c1-1 (cut c being
+// position c·len(keys)/n) all fall in that range. It reorders keys[lo:hi] so
+// that each cut's position holds the key a sort would put there,
+// partitioning around a median of three and following only the sides that
+// hold a cut. On a short range, or past budget partitions (which only inputs
+// built against the pivot rule reach), it sorts the range instead. It
+// allocates nothing.
+func selectCuts(keys []string, lo, hi, c0, c1, n, budget int) {
+	cut := func(c int) int { return c * len(keys) / n }
+	for c0 < c1 {
+		if hi-lo <= 12 || budget == 0 {
+			slices.Sort(keys[lo:hi])
+			return
+		}
+		budget--
+		lt, gt := partition3(keys, lo, hi)
+		// Cuts c0…left-1 lie below the pivot's run, left…right-1 on it.
+		left := c0
+		for left < c1 && cut(left) < lt {
+			left++
+		}
+		right := left
+		for right < c1 && cut(right) < gt {
+			right++
+		}
+		selectCuts(keys, lo, lt, c0, left, n, budget)
+		lo, c0 = gt, right
+	}
+}
+
+// partition3 reorders keys[lo:hi] around the median of its first, middle
+// and last key into the keys below it, at lo…lt-1, the keys equal to it, at
+// lt…gt-1, and the keys above it, at gt…hi-1.
+func partition3(keys []string, lo, hi int) (lt, gt int) {
+	a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi-1]
+	if a > b {
+		a, b = b, a
+	}
+	pivot := max(a, min(b, c))
+	lt, gt = lo, hi
+	for i := lo; i < gt; {
+		switch k := keys[i]; strings.Compare(k, pivot) {
+		case -1:
+			keys[lt], keys[i] = k, keys[lt]
+			lt++
+			i++
+		case 1:
+			gt--
+			keys[gt], keys[i] = k, keys[gt]
+		default:
+			i++
+		}
+	}
+	return lt, gt
 }
 
 // PartitionFor implements Partitioner.

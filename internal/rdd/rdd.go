@@ -444,7 +444,9 @@ type joinedPair struct {
 // returns a descriptive error, naming the node, for malformed graphs: a
 // leaf has input partitions, a narrow RDD has exactly one dependency and its
 // parent's partition count, and a shuffled RDD's dependencies are all
-// shuffles into its partition count.
+// shuffles into its partition count. A shuffle that combines map-side (only
+// ReduceByKey's does) hash-partitions: its map outputs are in arrival order
+// (MapSidePrepare), so RangeSample must draw nothing from them.
 func (r *RDD) Validate() error {
 	seen := map[int]bool{}
 	var walk func(n *RDD) error
@@ -492,6 +494,9 @@ func (r *RDD) Validate() error {
 				if d.Shuffle.Partitioner.NumPartitions() != n.numParts {
 					return fmt.Errorf("rdd %q: partitioner shards %d != numParts %d",
 						n.Name, d.Shuffle.Partitioner.NumPartitions(), n.numParts)
+				}
+				if d.Shuffle.CombinesMapSide() && !d.Shuffle.Partitioner.Ready() {
+					return fmt.Errorf("rdd %q: a shuffle that combines map-side needs a ready partitioner, not one sampled from its unsorted map outputs", n.Name)
 				}
 			}
 		}

@@ -198,8 +198,9 @@ func TestCacheChain(t *testing.T) {
 // TestValidateCatchesBadGraphs hand-builds graphs the operators cannot: a
 // leaf without input, a narrow RDD without an operator and, since a narrow
 // RDD reads partition p of its one parent, one with two parents, one with
-// another partition count than its parent's, and a narrow and a shuffle
-// dependency side by side. Each is rejected with an error naming it.
+// another partition count than its parent's, a map-side combine into a range
+// partitioner, and a narrow and a shuffle dependency side by side. Each is
+// rejected with an error naming it.
 func TestValidateCatchesBadGraphs(t *testing.T) {
 	g := NewGraph()
 	in := inputFrom(g, pairs("a", "1"))
@@ -236,6 +237,12 @@ func TestValidateCatchesBadGraphs(t *testing.T) {
 			m := inputFrom(g, pairs("a", "1")).Map("bad", id)
 			m.Deps = append(m.Deps, inputFrom(g, pairs("b", "2")).ReduceByKey("r", 1, nil).Deps[0])
 			return m
+		}},
+		{"map-side combine into a range partitioner", func(g *Graph) *RDD {
+			r := inputFrom(g, pairs("a", "1")).ReduceByKey("bad", 2, nil)
+			r.Deps[0].Shuffle.Combine = func(a, _ Value) Value { return a }
+			r.Deps[0].Shuffle.Partitioner = NewRangePartitioner(2)
+			return r
 		}},
 		{"shuffle beside a narrow", func(g *Graph) *RDD {
 			cg := inputFrom(g, pairs("a", "1")).CoGroup("bad", inputFrom(g, pairs("b", "2")), 1)

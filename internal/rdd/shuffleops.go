@@ -8,17 +8,25 @@ import (
 // The helpers below implement the record-level semantics of a shuffle.
 // They are shared between the simulated engine (internal/exec) and the
 // in-memory reference evaluator (EvalLocal), so both sides agree exactly on
-// data sizes and results. All outputs are key-sorted, making every
-// evaluation deterministic regardless of map iteration order.
+// data sizes and results. Every output is in an order fixed by its input's
+// record order, never by map iteration order: a map-side combine keeps its
+// keys' first-arrival order, and a reduce-side one and a sorting shuffle
+// are key-sorted.
 
 // MapSidePrepare applies map-side combining to one map output partition if
 // the spec requests it (Sec. IV-C3: combine runs on the mapper, pipelined
-// before any push), returning the records that will leave the mapper.
+// before any push), returning the records that will leave the mapper. A
+// combined output is in its keys' first-arrival order (Combiner.Unsorted):
+// its one reader, the reduce-side combine, hashes it again.
 func MapSidePrepare(spec *ShuffleSpec, records []Pair) []Pair {
 	if !spec.CombinesMapSide() {
 		return records
 	}
-	return combineAll(spec.Combine, records)
+	c := NewCombiner(spec.Combine)
+	for _, p := range records {
+		c.Add(p)
+	}
+	return c.Unsorted()
 }
 
 // BucketRecords shards one output into the spec's reduce partitions. The
@@ -199,7 +207,11 @@ func PrepareRange(spec *ShuffleSpec, samples [][]string) {
 	if spec.Partitioner.Ready() {
 		return
 	}
-	var keys []string
+	n := 0
+	for _, ks := range samples {
+		n += len(ks)
+	}
+	keys := make([]string, 0, n)
 	for _, ks := range samples {
 		keys = append(keys, ks...)
 	}
@@ -214,18 +226,18 @@ func PrepareRange(spec *ShuffleSpec, samples [][]string) {
 // values updated in place — and holds the distinct keys seen: a map task
 // folding 150,000 words to 5,000 never holds more than the 5,000.
 //
-// The table is recycled: a combiner takes one from a pool, Sorted copies its
-// records into a fresh slice of exact length (the sort's permutation is that
-// copy) and gives the emptied table back, so a warm combine allocates only
-// its output. Combiners in different goroutines take different tables.
+// The table is recycled: a combiner takes one from a pool, Sorted or
+// Unsorted copies its records into a fresh slice of exact length and gives
+// the emptied table back, so a warm combine allocates only its output.
+// Combiners in different goroutines take different tables.
 type Combiner struct {
 	fn CombineFn
-	t  *combineTable // nil once Sorted has returned
+	t  *combineTable // nil once Sorted or Unsorted has returned
 }
 
 type combineTable struct {
 	index map[string]int32 // position in recs; a partition holds far fewer than 2³¹ keys
-	recs  []Pair
+	recs  []Pair           // in their keys' first-arrival order
 }
 
 // maxPooledKeys bounds the tables the pool keeps: clearing a map costs its
@@ -240,7 +252,7 @@ func NewCombiner(fn CombineFn) *Combiner {
 	return &Combiner{fn: fn, t: combineTables.Get().(*combineTable)}
 }
 
-// Add folds one record in. It panics on a combiner Sorted has spent.
+// Add folds one record in. It panics on a spent combiner.
 func (c *Combiner) Add(p Pair) {
 	t := c.t
 	if t == nil {
@@ -254,8 +266,9 @@ func (c *Combiner) Add(p Pair) {
 	t.recs = append(t.recs, p)
 }
 
-// Sorted returns the combined records in key order, in a slice of their own.
-// The combiner is spent afterwards: its table goes back to the pool.
+// Sorted returns the combined records in key order, in a slice of their own
+// (the sort's permutation is the copy): a reduce partition's order. The
+// combiner is spent afterwards: its table goes back to the pool.
 func (c *Combiner) Sorted() []Pair {
 	t := c.t
 	c.t = nil
@@ -264,15 +277,40 @@ func (c *Combiner) Sorted() []Pair {
 		out = make([]Pair, len(t.recs))
 		sortByKey(out, t.recs)
 	}
-	if len(t.recs) <= maxPooledKeys {
-		clear(t.index)
-		clear(t.recs) // drop the keys and values, which belong to the output now
-		t.recs = t.recs[:0]
-		combineTables.Put(t)
-	}
+	t.recycle()
 	return out
 }
 
+// Unsorted returns the combined records in their keys' first-arrival order,
+// in a slice of their own: a map output's order, which no reader depends
+// on. It holds at most one record per key, so however a reducer interleaves
+// map outputs, each key's values still meet in map order. The combiner is
+// spent afterwards, as after Sorted.
+func (c *Combiner) Unsorted() []Pair {
+	t := c.t
+	c.t = nil
+	var out []Pair
+	if len(t.recs) > 0 {
+		out = make([]Pair, len(t.recs))
+		copy(out, t.recs)
+	}
+	t.recycle()
+	return out
+}
+
+// recycle empties t and gives it back to the pool, unless it grew past
+// maxPooledKeys.
+func (t *combineTable) recycle() {
+	if len(t.recs) > maxPooledKeys {
+		return
+	}
+	clear(t.index)
+	clear(t.recs) // drop the keys and values, which belong to the output now
+	t.recs = t.recs[:0]
+	combineTables.Put(t)
+}
+
+// combineAll is the reduce-side combine: runs folded in order, key-sorted.
 func combineAll(fn CombineFn, runs ...[]Pair) []Pair {
 	c := NewCombiner(fn)
 	for _, run := range runs {

@@ -2,14 +2,16 @@ package rdd
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
 )
 
-// keyEntry stands in for one record while its partition is sorted: the
-// first eight key bytes as a big-endian integer (shorter keys zero-padded)
-// and the record's position in the input — its run and its offset in that
+// keyEntry stands in for one record while its partition is sorted: eight
+// key bytes as a big-endian integer (keyPrefix; shorter keys zero-padded),
+// the first eight or the eight after bytes that every key it is sorted
+// against shares, and the record's position in the input — its run and its offset in that
 // run, which in that order are its input order. It holds no pointers, so
 // moving entries costs no write barriers and the collector never scans them;
 // the 32-byte Pairs move exactly once, in the final permutation.
@@ -28,8 +30,12 @@ const radixSortCutoff = 48
 var entryScratch = sync.Pool{New: func() any { return new([]keyEntry) }}
 
 func keyPrefix(k string) uint64 {
+	if len(k) >= 8 { // one 8-byte load
+		return uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
+			uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+	}
 	var p uint64
-	for i := 0; i < len(k) && i < 8; i++ {
+	for i := 0; i < len(k); i++ {
 		p |= uint64(k[i]) << (56 - 8*i)
 	}
 	return p
@@ -44,6 +50,15 @@ func keyPrefix(k string) uint64 {
 // an LSD byte-radix sort on the prefix (radixPasses), then each stretch of
 // equal prefixes ordered on the bytes where its keys differ (sortStretches),
 // then one permutation of the Pairs.
+//
+// The prefix is first taken from each key's start. When every key shares
+// its leading bytes there (lexeme%04d, page%06d, classNN\x00termNNN) and
+// some key goes on past the eighth byte, the prefixes tie in stretches of
+// about n over 2^(the bits that vary among them) records. Where that leaves
+// them shorter than radixSortCutoff, each of which the comparison sort would
+// order, the prefix is taken again after the shared bytes (rekeyAfter): one
+// more pass. Longer stretches are re-keyed on their own deeper shared bytes
+// anyway, and keys whose first byte varies (digits) make no extra pass.
 func sortByKey(dst []Pair, runs ...[]Pair) {
 	n := len(dst)
 	if n < radixSortCutoff {
@@ -59,21 +74,49 @@ func sortByKey(dst []Pair, runs ...[]Pair) {
 	defer entryScratch.Put(scratch)
 	*scratch = slices.Grow((*scratch)[:0], 2*n)
 	ents, spare := (*scratch)[:0], (*scratch)[n:2*n]
-	or, and := uint64(0), ^uint64(0)
+	or, and, longest := uint64(0), ^uint64(0), 0
 	for r, run := range runs {
 		for o := range run {
-			p := keyPrefix(run[o].Key)
+			k := run[o].Key
+			p := keyPrefix(k)
 			ents = append(ents, keyEntry{p, int32(r), int32(o)})
 			or |= p
 			and &= p
+			longest = max(longest, len(k))
 		}
 	}
-	ents, spare = radixPasses(ents, spare, or^and)
-	sortStretches(runs, ents, spare, 0)
+	varies, depth := or^and, 0
+	// tied is about how long a stretch of equal prefixes gets: n over the
+	// number of prefixes the varying bits can spell.
+	shared, tied := bits.LeadingZeros64(varies)/8, n>>bits.OnesCount64(varies)
+	if shared > 0 && shared < 8 && longest > 8 && tied > 0 && tied < radixSortCutoff {
+		depth, varies = shared, rekeyAfter(runs, ents, shared)
+	}
+	ents, spare = radixPasses(ents, spare, varies)
+	sortStretches(runs, ents, spare, depth)
 
 	for i, e := range ents {
 		dst[i] = runs[e.run][e.off]
 	}
+}
+
+// rekeyAfter sets each entry's prefix, ents being in input order, to the
+// eight key bytes after the first depth (zero-padded, and zero for a key no
+// longer than depth), and returns the byte positions on which they vary.
+func rekeyAfter(runs [][]Pair, ents []keyEntry, depth int) uint64 {
+	or, and := uint64(0), ^uint64(0)
+	i := 0
+	for _, run := range runs {
+		for o := range run {
+			k := run[o].Key
+			p := keyPrefix(k[min(depth, len(k)):])
+			ents[i].prefix = p
+			or |= p
+			and &= p
+			i++
+		}
+	}
+	return or ^ and
 }
 
 // radixPasses sorts ents by prefix: one stable counting pass per byte
@@ -104,8 +147,9 @@ func radixPasses(ents, spare []keyEntry, varies uint64) ([]keyEntry, []keyEntry)
 }
 
 // sortStretches orders each stretch of equal prefixes in ents, which is
-// sorted by prefix and whose keys all share their first depth bytes, the
-// prefixes being taken from there on. spare is scratch of ents' length.
+// sorted by prefix and whose keys, zero-padded, all share their first depth
+// bytes, the prefixes being taken from there on. spare is scratch of ents'
+// length.
 //
 // Equal prefixes say nothing ("a" and "a\x00" pad alike), but the radix
 // passes are stable, so each stretch is still in input order. A stretch of
@@ -114,7 +158,8 @@ func radixPasses(ents, spare []keyEntry, varies uint64) ([]keyEntry, []keyEntry)
 // faster unstable sort produce it. A long mixed one is re-keyed on the
 // bytes after the ones all its keys share, radix-sorted again and recursed
 // into; when the stretch shares no more bytes than depth (a key ends there
-// and the others continue with NULs), it too goes to the comparison sort.
+// or before it, and the others continue with NULs), it too goes to the
+// comparison sort.
 func sortStretches(runs [][]Pair, ents, spare []keyEntry, depth int) {
 	for lo := 0; lo < len(ents); {
 		hi := lo + 1
@@ -148,7 +193,7 @@ func sortStretch(runs [][]Pair, ents, spare []keyEntry, depth int) {
 	if oneKey {
 		return
 	}
-	if len(ents) < radixSortCutoff || lcp == depth {
+	if len(ents) < radixSortCutoff || lcp <= depth {
 		slices.SortFunc(ents, func(a, b keyEntry) int {
 			if c := strings.Compare(runs[a.run][a.off].Key, runs[b.run][b.off].Key); c != 0 {
 				return c

@@ -49,6 +49,24 @@ var sortKeySets = map[string]func(rng *rand.Rand, i, n int) string{
 	"nul-past-16": func(rng *rand.Rand, _, _ int) string {
 		return "sixteen-byte-pfx" + []string{"", "\x00", "a", "a\x00"}[rng.Intn(4)]
 	},
+	// NaiveBayes' keys: eight bytes that vary in two, the term past them.
+	"class-terms": func(rng *rand.Rand, _, _ int) string {
+		return fmt.Sprintf("class%02d\x00term%03d", rng.Intn(10), rng.Intn(200))
+	},
+	// Keys shorter than the six leading bytes all keys share zero-padded,
+	// which the sort re-keys after.
+	"shorter-than-shared": func(rng *rand.Rand, _, _ int) string {
+		return []string{"pp", "pp\x00", "pp\x00\x00\x00\x00" + fmt.Sprintf("%03d", rng.Intn(100))}[rng.Intn(3)]
+	},
+	// Re-keyed after "kkwind" by the first pass, yet half the keys still
+	// tie on the eight bytes after it and differ on the byte past them.
+	"tied-past-rekey": func(rng *rand.Rand, _, _ int) string {
+		dd := 0
+		if rng.Intn(2) == 0 {
+			dd = rng.Intn(100)
+		}
+		return fmt.Sprintf("kkwind%02dzzzzzz%d", dd, rng.Intn(1000))
+	},
 	"sorted":   func(_ *rand.Rand, i, _ int) string { return fmt.Sprintf("k%08d", i/2) },
 	"reversed": func(_ *rand.Rand, i, n int) string { return fmt.Sprintf("k%08d", (n-i)/2) },
 }
@@ -304,7 +322,8 @@ var sortSink []Pair
 // benchSortInputs are the partitions the benchmarks sort: one sort-push
 // reduce partition, one wordcount-sized combine output, keys the prefix
 // cannot tell apart, heavy duplication, a pagerank-push reduce partition
-// (page keys with twelve 8-byte prefixes) and a small partition.
+// (page keys with twelve 8-byte prefixes), a NaiveBayes reduce partition
+// (300 of its 2,000 class and term keys) and a small partition.
 var benchSortInputs = []struct {
 	name string
 	recs func() []Pair
@@ -320,6 +339,13 @@ var benchSortInputs = []struct {
 	{"shared-prefix-12k", func() []Pair { return sortInput("shared-prefix", 12500, 1) }},
 	{"dup-keys-12k", func() []Pair { return sortInput("duplicates", 12500, 1) }},
 	{"pagerank-1500", func() []Pair { return sortInput("pages", 1500, 1) }},
+	{"class-terms-300", func() []Pair {
+		recs := make([]Pair, 300)
+		for i, j := range rand.New(rand.NewSource(1)).Perm(2000)[:len(recs)] {
+			recs[i] = KV(fmt.Sprintf("class%02d\x00term%03d", j/200, j%200), 1)
+		}
+		return recs
+	}},
 	{"n=32", func() []Pair { return sortInput("digits", 32, 1) }},
 }
 
@@ -364,5 +390,23 @@ func BenchmarkReduceAggregate(b *testing.B) {
 				sortSink = ReduceAggregate(spec, in.runs...)
 			}
 		})
+	}
+}
+
+var boundarySink *RangePartitioner
+
+// BenchmarkRangePrepare installs a sort's boundaries at the map-stage
+// barrier: 24 map outputs' samples of 1,000 digit keys each, cut into eight
+// shards (the workloads' parallelism).
+func BenchmarkRangePrepare(b *testing.B) {
+	var sample []string
+	for _, p := range sortInput("digits", 24*rangeSampleKeys, 1) {
+		sample = append(sample, p.Key)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		boundarySink = NewRangePartitioner(8)
+		boundarySink.Prepare(sample)
 	}
 }
