@@ -53,12 +53,9 @@ func keyPrefix(k string) uint64 {
 //
 // The prefix is first taken from each key's start. When every key shares
 // its leading bytes there (lexeme%04d, page%06d, classNN\x00termNNN) and
-// some key goes on past the eighth byte, the prefixes tie in stretches of
-// about n over 2^(the bits that vary among them) records. Where that leaves
-// them shorter than radixSortCutoff, each of which the comparison sort would
-// order, the prefix is taken again after the shared bytes (rekeyAfter): one
-// more pass. Longer stretches are re-keyed on their own deeper shared bytes
-// anyway, and keys whose first byte varies (digits) make no extra pass.
+// some key goes on past the eighth byte, the shared bytes tell nothing
+// apart, so the prefix is taken again after them (rekeyAfter): one more
+// pass over the keys. Keys whose first byte varies (digits) make none.
 func sortByKey(dst []Pair, runs ...[]Pair) {
 	n := len(dst)
 	if n < radixSortCutoff {
@@ -86,10 +83,7 @@ func sortByKey(dst []Pair, runs ...[]Pair) {
 		}
 	}
 	varies, depth := or^and, 0
-	// tied is about how long a stretch of equal prefixes gets: n over the
-	// number of prefixes the varying bits can spell.
-	shared, tied := bits.LeadingZeros64(varies)/8, n>>bits.OnesCount64(varies)
-	if shared > 0 && shared < 8 && longest > 8 && tied > 0 && tied < radixSortCutoff {
+	if shared := bits.LeadingZeros64(varies) / 8; shared > 0 && shared < 8 && longest > 8 {
 		depth, varies = shared, rekeyAfter(runs, ents, shared)
 	}
 	ents, spare = radixPasses(ents, spare, varies)

@@ -322,8 +322,9 @@ var sortSink []Pair
 // benchSortInputs are the partitions the benchmarks sort: one sort-push
 // reduce partition, one wordcount-sized combine output, keys the prefix
 // cannot tell apart, heavy duplication, a pagerank-push reduce partition
-// (page keys with twelve 8-byte prefixes), a NaiveBayes reduce partition
-// (300 of its 2,000 class and term keys) and a small partition.
+// (page keys with twelve 8-byte prefixes) and one eight times its size, a
+// NaiveBayes reduce partition (300 of its 2,000 class and term keys) and a
+// small partition.
 var benchSortInputs = []struct {
 	name string
 	recs func() []Pair
@@ -339,6 +340,7 @@ var benchSortInputs = []struct {
 	{"shared-prefix-12k", func() []Pair { return sortInput("shared-prefix", 12500, 1) }},
 	{"dup-keys-12k", func() []Pair { return sortInput("duplicates", 12500, 1) }},
 	{"pagerank-1500", func() []Pair { return sortInput("pages", 1500, 1) }},
+	{"pages-12k", func() []Pair { return sortInput("pages", 12500, 1) }},
 	{"class-terms-300", func() []Pair {
 		recs := make([]Pair, 300)
 		for i, j := range rand.New(rand.NewSource(1)).Perm(2000)[:len(recs)] {
