@@ -14,10 +14,10 @@ import (
 
 // AblationRow is one variant's aggregate outcome.
 type AblationRow struct {
-	Study   string
-	Variant string
-	JCT     stats.Summary
-	CrossMB stats.Summary
+	study   string
+	variant string
+	jct     stats.Summary
+	crossMB stats.Summary
 }
 
 // Ablate runs the design-choice ablations DESIGN.md calls out; ablations
@@ -33,7 +33,7 @@ func ablate(variants []variant, opts Options) ([]AblationRow, error) {
 	}
 	rows := make([]AblationRow, len(variants))
 	for i, v := range variants {
-		rows[i] = AblationRow{Study: v.study, Variant: v.label, JCT: series[i].JCT, CrossMB: series[i].CrossDCMB}
+		rows[i] = AblationRow{study: v.study, variant: v.label, jct: series[i].JCT, crossMB: series[i].CrossDCMB}
 	}
 	return rows, nil
 }
@@ -151,7 +151,7 @@ func microPush(v variant, seed int64) (outcome, error) {
 // at frac × the clean JCT costs the micro-scenario.
 func mapperDeathPenalty(push bool, frac float64) func(variant, int64) (outcome, error) {
 	return func(_ variant, seed int64) (outcome, error) {
-		res, err := microFailure(push, seed, func(clean *MicroResult, c *exec.Config) {
+		res, err := microFailure(push, seed, func(clean *microResult, c *exec.Config) {
 			c.HostFailures = []exec.HostFailure{{Host: 0, At: clean.JCT * frac}}
 		})
 		if err != nil {
@@ -167,12 +167,12 @@ func FormatAblation(rows []AblationRow) string {
 	b.WriteString("Ablations — design choices isolated (trimmed mean over runs)\n")
 	last := ""
 	for _, r := range rows {
-		if r.Study != last {
-			fmt.Fprintf(&b, "\n%s\n", r.Study)
-			last = r.Study
+		if r.study != last {
+			fmt.Fprintf(&b, "\n%s\n", r.study)
+			last = r.study
 		}
 		fmt.Fprintf(&b, "  %-36s JCT %7.1f s [%6.1f–%6.1f]   cross-DC %7.0f MB\n",
-			r.Variant, r.JCT.TrimmedMean, r.JCT.Q1, r.JCT.Q3, r.CrossMB.TrimmedMean)
+			r.variant, r.jct.TrimmedMean, r.jct.Q1, r.jct.Q3, r.crossMB.TrimmedMean)
 	}
 	return b.String()
 }

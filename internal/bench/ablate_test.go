@@ -22,7 +22,7 @@ func TestAblateSmoke(t *testing.T) {
 	}
 	byStudy := map[string][]AblationRow{}
 	for _, r := range rows {
-		byStudy[r.Study] = append(byStudy[r.Study], r)
+		byStudy[r.study] = append(byStudy[r.study], r)
 	}
 
 	// Pipelining in the micro-scenario: pushing at map completion wins.
@@ -30,8 +30,8 @@ func TestAblateSmoke(t *testing.T) {
 	if len(micro) != 2 {
 		t.Fatalf("micro pipelining rows = %d", len(micro))
 	}
-	if micro[0].JCT.TrimmedMean >= micro[1].JCT.TrimmedMean {
-		t.Errorf("pipelined %.2f not below barrier %.2f", micro[0].JCT.TrimmedMean, micro[1].JCT.TrimmedMean)
+	if micro[0].jct.TrimmedMean >= micro[1].jct.TrimmedMean {
+		t.Errorf("pipelined %.2f not below barrier %.2f", micro[0].jct.TrimmedMean, micro[1].jct.TrimmedMean)
 	}
 
 	// Aggregator rule: Eq. 2's choice moves the least traffic.
@@ -40,9 +40,9 @@ func TestAblateSmoke(t *testing.T) {
 		t.Fatalf("aggregator rows = %d", len(rule))
 	}
 	for _, r := range rule[1:] {
-		if rule[0].CrossMB.TrimmedMean >= r.CrossMB.TrimmedMean {
+		if rule[0].crossMB.TrimmedMean >= r.crossMB.TrimmedMean {
 			t.Errorf("Eq.2 rule traffic %.0f not below %q's %.0f",
-				rule[0].CrossMB.TrimmedMean, r.Variant, r.CrossMB.TrimmedMean)
+				rule[0].crossMB.TrimmedMean, r.variant, r.crossMB.TrimmedMean)
 		}
 	}
 
@@ -52,18 +52,18 @@ func TestAblateSmoke(t *testing.T) {
 		t.Fatalf("top-K rows = %d", len(topk))
 	}
 	for _, r := range topk[1:] {
-		if topk[0].CrossMB.TrimmedMean >= r.CrossMB.TrimmedMean {
+		if topk[0].crossMB.TrimmedMean >= r.crossMB.TrimmedMean {
 			t.Errorf("K=1 traffic %.0f not below %s's %.0f",
-				topk[0].CrossMB.TrimmedMean, r.Variant, r.CrossMB.TrimmedMean)
+				topk[0].crossMB.TrimmedMean, r.variant, r.crossMB.TrimmedMean)
 		}
 	}
 
 	// Burst penalty: baseline JCT grows monotonically with β.
 	burst := byStudy["burst-penalty[TeraSort/Spark]"]
 	for i := 1; i < len(burst); i++ {
-		if burst[i].JCT.TrimmedMean <= burst[i-1].JCT.TrimmedMean {
+		if burst[i].jct.TrimmedMean <= burst[i-1].jct.TrimmedMean {
 			t.Errorf("β sweep not monotone: %q %.1f <= %q %.1f",
-				burst[i].Variant, burst[i].JCT.TrimmedMean, burst[i-1].Variant, burst[i-1].JCT.TrimmedMean)
+				burst[i].variant, burst[i].jct.TrimmedMean, burst[i-1].variant, burst[i-1].jct.TrimmedMean)
 		}
 	}
 

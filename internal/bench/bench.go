@@ -289,9 +289,9 @@ func Find(series []Series, workload string, scheme core.Scheme) (Series, error) 
 	return Series{}, fmt.Errorf("bench: no series for %s/%v", workload, scheme)
 }
 
-// Reduction returns the relative JCT reduction of AggShuffle vs the Spark
+// reduction returns the relative JCT reduction of AggShuffle vs the Spark
 // baseline for a workload, e.g. 0.73 for the paper's headline 73%.
-func Reduction(series []Series, workload string) (float64, error) {
+func reduction(series []Series, workload string) (float64, error) {
 	spark, err := Find(series, workload, core.SchemeSpark)
 	if err != nil {
 		return 0, err

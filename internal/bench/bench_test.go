@@ -43,7 +43,7 @@ func TestFig7Shapes(t *testing.T) {
 		if agg.JCT.TrimmedMean > limit {
 			t.Errorf("%s: AggShuffle %.1fs above Centralized %.1fs", w.Name, agg.JCT.TrimmedMean, cent.JCT.TrimmedMean)
 		}
-		red, err := Reduction(series, w.Name)
+		red, err := reduction(series, w.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestFindMissing(t *testing.T) {
 	if _, err := Find(nil, "nope", core.SchemeSpark); err == nil {
 		t.Fatal("Find on empty series succeeded")
 	}
-	if _, err := Reduction(nil, "nope"); err == nil {
-		t.Fatal("Reduction on empty series succeeded")
+	if _, err := reduction(nil, "nope"); err == nil {
+		t.Fatal("reduction on empty series succeeded")
 	}
 }

@@ -35,7 +35,7 @@ func FormatFig7(series []Series) string {
 		for _, s := range []Series{spark, cent, agg} {
 			fmt.Fprintf(&b, " %9.1f [%6.1f, %6.1f–%6.1f]", s.JCT.TrimmedMean, s.JCT.Median, s.JCT.Q1, s.JCT.Q3)
 		}
-		if red, err := Reduction(series, w.Name); err == nil {
+		if red, err := reduction(series, w.Name); err == nil {
 			fmt.Fprintf(&b, "      -%4.0f%%", red*100)
 		}
 		b.WriteString("\n")
@@ -129,10 +129,10 @@ func FormatTopology(topo *topology.Topology) string {
 }
 
 // FormatFig1 renders the Fig. 1 comparison.
-func FormatFig1(fetch, push *MicroResult) string {
+func FormatFig1(fetch, push *microResult) string {
 	var b strings.Builder
 	b.WriteString("Fig. 1 — Fetch-based vs proactive push (2-DC micro-scenario)\n\n")
-	for _, r := range []*MicroResult{fetch, push} {
+	for _, r := range []*microResult{fetch, push} {
 		fmt.Fprintf(&b, "[%s] reducers start: %.1fs   JCT: %.1fs   cross-DC: %.0f MB   WAN utilization before reduce: %.0f%%\n%s\n",
 			r.Mode, r.ReduceStart, r.JCT, r.CrossDCMB, r.WANUtilBeforeReduce*100, r.Gantt)
 	}
@@ -143,7 +143,7 @@ func FormatFig1(fetch, push *MicroResult) string {
 }
 
 // FormatFig2 renders the Fig. 2 comparison.
-func FormatFig2(fetch, push *Fig2Result) string {
+func FormatFig2(fetch, push *fig2Result) string {
 	var b strings.Builder
 	b.WriteString("Fig. 2 — Reducer-failure recovery (2-DC micro-scenario)\n\n")
 	fmt.Fprintf(&b, "[fetch] clean JCT %.1fs → failed JCT %.1fs (penalty %.1fs; re-fetch crosses DCs)\n%s\n",

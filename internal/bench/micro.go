@@ -11,8 +11,8 @@ import (
 	"wanshuffle/internal/trace"
 )
 
-// MicroResult reports one run of the Fig. 1 / Fig. 2 micro-scenario.
-type MicroResult struct {
+// microResult reports one run of the Fig. 1 / Fig. 2 micro-scenario.
+type microResult struct {
 	// Mode is "fetch" or "push".
 	Mode string
 	// JCT is the job completion time.
@@ -91,7 +91,7 @@ func microContext(push bool, seed int64, mutate func(*exec.Config)) (*core.Conte
 }
 
 // microScenario runs the micro-scenario once.
-func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResult, error) {
+func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*microResult, error) {
 	ctx, job := microContext(push, seed, mutate)
 	rep, err := ctx.Collect(job)
 	if err != nil {
@@ -101,7 +101,7 @@ func microScenario(push bool, seed int64, mutate func(*exec.Config)) (*MicroResu
 	if push {
 		mode = "push"
 	}
-	res := &MicroResult{
+	res := &microResult{
 		Mode:      mode,
 		JCT:       rep.JCT,
 		CrossDCMB: rep.CrossDCBytes / 1e6,
@@ -150,8 +150,8 @@ func fetchAndPush[T any](run func(push bool) (T, error)) (fetch, push T, err err
 // Fig1 reproduces the paper's Fig. 1: the same two-stage job under
 // fetch-based shuffle vs proactive push, reporting reducer start times and
 // timelines.
-func Fig1(seed int64) (fetch, push *MicroResult, err error) {
-	return fetchAndPush(func(push bool) (*MicroResult, error) {
+func Fig1(seed int64) (fetch, push *microResult, err error) {
+	return fetchAndPush(func(push bool) (*microResult, error) {
 		res, err := microScenario(push, seed, nil)
 		if err != nil || res.ReduceStart <= 0 {
 			return res, err
@@ -171,10 +171,10 @@ func Fig1(seed int64) (fetch, push *MicroResult, err error) {
 	})
 }
 
-// Fig2Result extends MicroResult with the failure-recovery comparison.
-type Fig2Result struct {
-	Clean  *MicroResult
-	Failed *MicroResult
+// fig2Result extends microResult with the failure-recovery comparison.
+type fig2Result struct {
+	Clean  *microResult
+	Failed *microResult
 	// Penalty is the JCT increase the failure caused.
 	Penalty float64
 }
@@ -182,7 +182,7 @@ type Fig2Result struct {
 // microFailure runs the micro-scenario clean, then again with the failure
 // inject configures — it sees the clean run, so a failure can be timed
 // against it — and reports what the failure cost.
-func microFailure(push bool, seed int64, inject func(clean *MicroResult, c *exec.Config)) (*Fig2Result, error) {
+func microFailure(push bool, seed int64, inject func(clean *microResult, c *exec.Config)) (*fig2Result, error) {
 	clean, err := microScenario(push, seed, nil)
 	if err != nil {
 		return nil, err
@@ -191,15 +191,15 @@ func microFailure(push bool, seed int64, inject func(clean *MicroResult, c *exec
 	if err != nil {
 		return nil, err
 	}
-	return &Fig2Result{Clean: clean, Failed: failed, Penalty: failed.JCT - clean.JCT}, nil
+	return &fig2Result{Clean: clean, Failed: failed, Penalty: failed.JCT - clean.JCT}, nil
 }
 
 // Fig2 reproduces the paper's Fig. 2: a reducer fails mid-stage; with
 // fetch-based shuffle its retry re-fetches across datacenters, with push
 // the shuffle input is already local to the reducer's datacenter.
-func Fig2(seed int64) (fetch, push *Fig2Result, err error) {
-	return fetchAndPush(func(push bool) (*Fig2Result, error) {
-		return microFailure(push, seed, func(_ *MicroResult, c *exec.Config) {
+func Fig2(seed int64) (fetch, push *fig2Result, err error) {
+	return fetchAndPush(func(push bool) (*fig2Result, error) {
+		return microFailure(push, seed, func(_ *microResult, c *exec.Config) {
 			c.ScriptedFailures = []exec.FailureSpec{{Stage: "micro.agg", Part: 0, Attempt: 1, AtFrac: 0.5}}
 		})
 	})

@@ -8,7 +8,7 @@
 // agreement — last-write-wins by task attempt, exactly-once bucketing of
 // flat outputs on first shard read — are implemented once.
 //
-// One implementation exists, SpillStore. Without a memory budget
+// One implementation exists, spillStore. Without a memory budget
 // (NewMemStore) it holds everything resident. With one (NewSpillStore),
 // when a Put takes resident bytes over it the coldest outputs are written
 // to per-store temp files, each shard as its own checksummed segment in
@@ -16,7 +16,7 @@
 // reader decodes only the shard it asks for, and no read evicts another
 // output. So an aggregator that concentrates a whole job's shuffle input
 // (the paper's Push/Aggregate design) is bounded by disk, not by resident
-// heap. Either way the store feeds a byte Accountant, which the live run
+// heap. Either way the store feeds a byte accountant, which the live run
 // report's storage section reads.
 package blockstore
 
@@ -110,7 +110,7 @@ type Store interface {
 	Close() error
 
 	// Accountant returns the store's byte accounting.
-	Accountant() *Accountant
+	Accountant() *accountant
 }
 
 // Stats is a point-in-time snapshot of a store's byte accounting.
@@ -143,15 +143,15 @@ func (s *Stats) Add(other Stats) {
 	s.ReloadEvents += other.ReloadEvents
 }
 
-// Accountant tracks one store's byte occupancy and spill activity; the
-// run report's storage section reads its Stats. A nil *Accountant no-ops.
-type Accountant struct {
+// accountant tracks one store's byte occupancy and spill activity; the
+// run report's storage section reads its Stats. A nil *accountant no-ops.
+type accountant struct {
 	mu sync.Mutex
 	st Stats
 }
 
 // Stats returns the current snapshot.
-func (a *Accountant) Stats() Stats {
+func (a *accountant) Stats() Stats {
 	if a == nil {
 		return Stats{}
 	}
@@ -162,7 +162,7 @@ func (a *Accountant) Stats() Stats {
 
 // resident applies a resident-set delta: n bytes and outputs outputs
 // (either may be negative).
-func (a *Accountant) resident(n int64, outputs int) {
+func (a *accountant) resident(n int64, outputs int) {
 	if a == nil {
 		return
 	}
@@ -175,7 +175,7 @@ func (a *Accountant) resident(n int64, outputs int) {
 // spill records one spill file of an n-byte output written. fromMemory
 // moves the output from memory to disk; a spilled output rewritten in
 // place stays where it was.
-func (a *Accountant) spill(n int64, fromMemory bool) {
+func (a *accountant) spill(n int64, fromMemory bool) {
 	if a == nil {
 		return
 	}
@@ -193,7 +193,7 @@ func (a *Accountant) spill(n int64, fromMemory bool) {
 
 // reload records one read of n bytes' worth of a spilled output. The
 // output stays on disk.
-func (a *Accountant) reload(n int64) {
+func (a *accountant) reload(n int64) {
 	if a == nil {
 		return
 	}
@@ -205,7 +205,7 @@ func (a *Accountant) reload(n int64) {
 
 // dropSpilled records one spilled output of n bytes discarded from disk
 // without reloading (drops and resets).
-func (a *Accountant) dropSpilled(n int64) {
+func (a *accountant) dropSpilled(n int64) {
 	if a == nil {
 		return
 	}

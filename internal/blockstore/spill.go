@@ -11,7 +11,7 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// SpillConfig configures a budgeted SpillStore.
+// SpillConfig configures a budgeted spillStore.
 type SpillConfig struct {
 	// MemoryBudget is the resident-byte budget. Whenever a Put takes
 	// resident bytes over it, the coldest outputs (least recently stored or
@@ -53,21 +53,21 @@ var (
 	spillBufs = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// ErrCorrupt is wrapped by the error a read returns when the segment it
+// errCorrupt is wrapped by the error a read returns when the segment it
 // reads does not hold what was written: short, failing its checksum, or not
 // decoding. Only that shard's reads fail (every time); the output's other
 // shards and every other output stay readable.
-var ErrCorrupt = errors.New("blockstore: corrupt spill file")
+var errCorrupt = errors.New("blockstore: corrupt spill file")
 
-// SpillStore is the Store implementation. Outputs are resident until the
+// spillStore is the Store implementation. Outputs are resident until the
 // memory budget is exceeded, then the coldest ones spill to per-store temp
 // files, one segment per shard, and are read from there one shard at a
 // time. Without a budget (NewMemStore) nothing ever spills and no spill
 // directory exists: the fully resident store is this store with the budget
 // check switched off.
-type SpillStore struct {
+type spillStore struct {
 	mu      sync.Mutex
-	acct    *Accountant
+	acct    *accountant
 	cfg     SpillConfig
 	dir     string
 	outputs map[Key]*spillEntry
@@ -77,16 +77,16 @@ type SpillStore struct {
 
 // NewMemStore returns an empty, fully resident store accounting into acct
 // (nil for a private accountant).
-func NewMemStore(acct *Accountant) *SpillStore {
+func NewMemStore(acct *accountant) *spillStore {
 	if acct == nil {
-		acct = &Accountant{}
+		acct = &accountant{}
 	}
-	return &SpillStore{acct: acct, outputs: map[Key]*spillEntry{}}
+	return &spillStore{acct: acct, outputs: map[Key]*spillEntry{}}
 }
 
 // NewSpillStore creates a budgeted store spilling into its own
 // subdirectory of cfg.Dir. acct may be nil for a private accountant.
-func NewSpillStore(cfg SpillConfig, acct *Accountant) (*SpillStore, error) {
+func NewSpillStore(cfg SpillConfig, acct *accountant) (*spillStore, error) {
 	if cfg.MemoryBudget <= 0 {
 		return nil, fmt.Errorf("blockstore: memory budget must be positive, got %d", cfg.MemoryBudget)
 	}
@@ -101,16 +101,16 @@ func NewSpillStore(cfg SpillConfig, acct *Accountant) (*SpillStore, error) {
 
 // Dir returns the store's spill directory (removed on Close); empty for a
 // store without a budget.
-func (s *SpillStore) Dir() string { return s.dir }
+func (s *spillStore) Dir() string { return s.dir }
 
 // touchLocked marks e as most recently used.
-func (s *SpillStore) touchLocked(e *spillEntry) {
+func (s *spillStore) touchLocked(e *spillEntry) {
 	s.tick++
 	e.lastUse = s.tick
 }
 
 // Put implements Store.
-func (s *SpillStore) Put(key Key, out Output) (stored, dup bool, err error) {
+func (s *spillStore) Put(key Key, out Output) (stored, dup bool, err error) {
 	e := &spillEntry{attempt: out.Attempt, flat: out.Records, shards: out.Shards, bytes: out.bytes()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,7 +129,7 @@ func (s *SpillStore) Put(key Key, out Output) (stored, dup bool, err error) {
 }
 
 // Shard implements Store.
-func (s *SpillStore) Shard(key Key, reduce int, bucket BucketFunc) ([]rdd.Pair, error) {
+func (s *spillStore) Shard(key Key, reduce int, bucket BucketFunc) ([]rdd.Pair, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, shards, err := s.bucketedLocked(key, bucket)
@@ -145,7 +145,7 @@ func (s *SpillStore) Shard(key Key, reduce int, bucket BucketFunc) ([]rdd.Pair, 
 }
 
 // Shards implements Store.
-func (s *SpillStore) Shards(key Key, bucket BucketFunc) ([][]rdd.Pair, error) {
+func (s *spillStore) Shards(key Key, bucket BucketFunc) ([][]rdd.Pair, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, shards, err := s.bucketedLocked(key, bucket)
@@ -156,7 +156,7 @@ func (s *SpillStore) Shards(key Key, bucket BucketFunc) ([][]rdd.Pair, error) {
 }
 
 // Get implements Store.
-func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
+func (s *spillStore) Get(key Key) ([]rdd.Pair, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.outputs[key]
@@ -172,14 +172,14 @@ func (s *SpillStore) Get(key Key) ([]rdd.Pair, error) {
 }
 
 // Len implements Store.
-func (s *SpillStore) Len() int {
+func (s *spillStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.outputs)
 }
 
 // Reset implements Store.
-func (s *SpillStore) Reset() error {
+func (s *spillStore) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for key, e := range s.outputs {
@@ -191,7 +191,7 @@ func (s *SpillStore) Reset() error {
 
 // Close implements Store: drops every output and removes the spill
 // directory, if the store has one.
-func (s *SpillStore) Close() error {
+func (s *spillStore) Close() error {
 	if err := s.Reset(); err != nil {
 		return err
 	}
@@ -202,11 +202,11 @@ func (s *SpillStore) Close() error {
 }
 
 // Accountant implements Store.
-func (s *SpillStore) Accountant() *Accountant { return s.acct }
+func (s *spillStore) Accountant() *accountant { return s.acct }
 
 // discardLocked forgets one entry's storage (file included) without
 // removing it from the map; callers delete or replace the map slot.
-func (s *SpillStore) discardLocked(e *spillEntry) {
+func (s *spillStore) discardLocked(e *spillEntry) {
 	if e.spilled {
 		_ = os.Remove(e.path)
 		s.acct.dropSpilled(e.bytes)
@@ -219,7 +219,7 @@ func (s *SpillStore) discardLocked(e *spillEntry) {
 // memory while resident, and while spilled by reading its one segment and
 // rewriting the file as per-shard segments — never making it resident, so
 // no read evicts. The shards it returns are nil when they are on disk.
-func (s *SpillStore) bucketedLocked(key Key, bucket BucketFunc) (*spillEntry, [][]rdd.Pair, error) {
+func (s *spillStore) bucketedLocked(key Key, bucket BucketFunc) (*spillEntry, [][]rdd.Pair, error) {
 	e, ok := s.outputs[key]
 	if !ok {
 		return nil, nil, ErrNotFound
@@ -252,7 +252,7 @@ func (s *SpillStore) bucketedLocked(key Key, bucket BucketFunc) (*spillEntry, []
 
 // shardsLocked returns every shard of e: its own while resident, each read
 // from disk while spilled.
-func (s *SpillStore) shardsLocked(e *spillEntry) ([][]rdd.Pair, error) {
+func (s *spillStore) shardsLocked(e *spillEntry) ([][]rdd.Pair, error) {
 	if !e.spilled {
 		return e.shards, nil
 	}
@@ -268,7 +268,7 @@ func (s *SpillStore) shardsLocked(e *spillEntry) ([][]rdd.Pair, error) {
 
 // readLocked reads, checks and decodes segment i of spilled entry e, and
 // accounts its share of e's bytes as reloaded. The entry stays spilled.
-func (s *SpillStore) readLocked(e *spillEntry, i int) ([]rdd.Pair, error) {
+func (s *spillStore) readLocked(e *spillEntry, i int) ([]rdd.Pair, error) {
 	seg := e.segs[i]
 	f, err := os.Open(e.path)
 	if err != nil {
@@ -278,14 +278,14 @@ func (s *SpillStore) readLocked(e *spillEntry, i int) ([]rdd.Pair, error) {
 	_, err = f.ReadAt(buf, seg.off)
 	_ = f.Close()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s shard %d: %v", ErrCorrupt, e.path, i, err)
+		return nil, fmt.Errorf("%w: %s shard %d: %v", errCorrupt, e.path, i, err)
 	}
 	if crc32.Checksum(buf, crcTable) != seg.crc {
-		return nil, fmt.Errorf("%w: %s shard %d: checksum mismatch", ErrCorrupt, e.path, i)
+		return nil, fmt.Errorf("%w: %s shard %d: checksum mismatch", errCorrupt, e.path, i)
 	}
 	recs, err := rdd.DecodePairs(buf)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s shard %d: %v", ErrCorrupt, e.path, i, err)
+		return nil, fmt.Errorf("%w: %s shard %d: %v", errCorrupt, e.path, i, err)
 	}
 	last := e.segs[len(e.segs)-1]
 	s.acct.reload(e.bytes * seg.n / (last.off + last.n))
@@ -296,7 +296,7 @@ func (s *SpillStore) readLocked(e *spillEntry, i int) ([]rdd.Pair, error) {
 // the one the caller is actively using) until resident bytes fit the
 // budget or no candidate remains. A store without a budget never spills.
 // Only Put calls it: reads leave spilled entries on disk.
-func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
+func (s *spillStore) enforceBudgetLocked(exclude *spillEntry) error {
 	if s.cfg.MemoryBudget <= 0 {
 		return nil
 	}
@@ -322,7 +322,7 @@ func (s *SpillStore) enforceBudgetLocked(exclude *spillEntry) error {
 
 // spillLocked writes one resident entry to disk, a flat output as a single
 // segment, and frees its records.
-func (s *SpillStore) spillLocked(e *spillEntry) error {
+func (s *spillStore) spillLocked(e *spillEntry) error {
 	shards, flat := e.shards, e.shards == nil
 	if flat {
 		shards = [][]rdd.Pair{e.flat}
@@ -339,7 +339,7 @@ func (s *SpillStore) spillLocked(e *spillEntry) error {
 // spill directory, points e's path and segment index at it and removes the
 // file it replaces, if any. Everything is encoded first, so an output that
 // cannot be encoded leaves no file behind and e as it was.
-func (s *SpillStore) writeLocked(e *spillEntry, shards [][]rdd.Pair, flat bool) error {
+func (s *spillStore) writeLocked(e *spillEntry, shards [][]rdd.Pair, flat bool) error {
 	buf := spillBufs.Get().(*[]byte)
 	defer spillBufs.Put(buf)
 	data, segs := (*buf)[:0], make([]segment, len(shards))

@@ -21,7 +21,7 @@ func sameRecords(t *testing.T, what string, got, want []rdd.Pair) {
 
 // spilledPair returns a store with a budget of one byte holding victim
 // spilled and another output resident.
-func spilledPair(t *testing.T, out Output) (s *SpillStore, victim, other Key) {
+func spilledPair(t *testing.T, out Output) (s *spillStore, victim, other Key) {
 	t.Helper()
 	s, err := NewSpillStore(SpillConfig{MemoryBudget: 1, Dir: t.TempDir()}, nil)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestSpillFileEncodingRoundTrip(t *testing.T) {
 }
 
 // balanced checks the accountant against what the store holds.
-func balanced(t *testing.T, s *SpillStore) {
+func balanced(t *testing.T, s *spillStore) {
 	t.Helper()
 	st := s.Accountant().Stats()
 	if st.ResidentOutputs+st.SpilledOutputs != s.Len() {
@@ -192,7 +192,7 @@ func TestShardReadDoesNotEvict(t *testing.T) {
 
 // TestDamagedSpillFileFailsItsReadsOnly damages a bucketed output's spill
 // file — a bit flipped inside one shard, truncated, emptied, grown — and
-// checks that exactly the damaged shards' reads fail with ErrCorrupt, every
+// checks that exactly the damaged shards' reads fail with errCorrupt, every
 // time, while the other shards, the other outputs and the accounting are
 // untouched. Then it does the same to flat outputs' files.
 func TestDamagedSpillFileFailsItsReadsOnly(t *testing.T) {
@@ -234,8 +234,8 @@ func TestDamagedSpillFileFailsItsReadsOnly(t *testing.T) {
 				got, err := s.Shard(victim, k, modBucket(parts))
 				if tc.fails(k) {
 					anyFails = true
-					if !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("%s: shard %d err = %v, want ErrCorrupt", name, k, err)
+					if !errors.Is(err, errCorrupt) {
+						t.Fatalf("%s: shard %d err = %v, want errCorrupt", name, k, err)
 					}
 					continue
 				}
@@ -246,10 +246,10 @@ func TestDamagedSpillFileFailsItsReadsOnly(t *testing.T) {
 				reads++
 			}
 		}
-		if _, err := s.Get(victim); errors.Is(err, ErrCorrupt) != anyFails {
+		if _, err := s.Get(victim); errors.Is(err, errCorrupt) != anyFails {
 			t.Fatalf("%s: Get err = %v", name, err)
 		}
-		if _, err := s.Shards(victim, modBucket(parts)); errors.Is(err, ErrCorrupt) != anyFails {
+		if _, err := s.Shards(victim, modBucket(parts)); errors.Is(err, errCorrupt) != anyFails {
 			t.Fatalf("%s: Shards err = %v", name, err)
 		}
 		balanced(t, s)
@@ -286,15 +286,15 @@ func TestDamagedSpillFileFailsItsReadsOnly(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ {
 			for k := 0; k < 4; k++ {
-				if _, err := s.Shard(victim, k, modBucket(4)); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%s: shard %d err = %v, want ErrCorrupt", name, k, err)
+				if _, err := s.Shard(victim, k, modBucket(4)); !errors.Is(err, errCorrupt) {
+					t.Fatalf("%s: shard %d err = %v, want errCorrupt", name, k, err)
 				}
 			}
-			if _, err := s.Get(victim); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s: Get err = %v, want ErrCorrupt", name, err)
+			if _, err := s.Get(victim); !errors.Is(err, errCorrupt) {
+				t.Fatalf("%s: Get err = %v, want errCorrupt", name, err)
 			}
-			if _, err := s.Shards(victim, modBucket(4)); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s: Shards err = %v, want ErrCorrupt", name, err)
+			if _, err := s.Shards(victim, modBucket(4)); !errors.Is(err, errCorrupt) {
+				t.Fatalf("%s: Shards err = %v, want errCorrupt", name, err)
 			}
 		}
 		if !e.spilled || !e.flatFile {
@@ -311,7 +311,7 @@ func TestDamagedSpillFileFailsItsReadsOnly(t *testing.T) {
 // stillServes checks a store whose victim output is damaged still stores,
 // spills and serves, that a fresh Put of victim heals it, and that Reset
 // leaves nothing behind.
-func stillServes(t *testing.T, name string, s *SpillStore, victim, other Key) {
+func stillServes(t *testing.T, name string, s *spillStore, victim, other Key) {
 	t.Helper()
 	if got, err := s.Get(other); err != nil || !reflect.DeepEqual(got, records(40, "o")) {
 		t.Fatalf("%s: undamaged output unreadable: %v", name, err)

@@ -18,20 +18,11 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// StageKind distinguishes shuffle-map stages from the final result stage.
-type StageKind int
-
-// Stage kinds.
-const (
-	StageMap StageKind = iota + 1
-	StageResult
-)
-
-// Phase is one pipelined segment of a stage. Top is the last RDD the phase
+// phase is one pipelined segment of a stage. Top is the last RDD the phase
 // computes; Transfer, when non-nil, pushes each computed partition to a
 // receiver task that continues with the next phase. TransferNode is the
 // TransferredRDD marking the boundary (the next phase reads it as input).
-type Phase struct {
+type phase struct {
 	Top          *rdd.RDD
 	Transfer     *rdd.TransferSpec
 	TransferNode *rdd.RDD
@@ -40,13 +31,13 @@ type Phase struct {
 // Stage is a set of tasks computing the partitions of Output, pipelined
 // through Phases.
 type Stage struct {
-	ID   int
-	Kind StageKind
-	// OutSpec is the shuffle this stage's output feeds (map stages only).
+	ID int
+	// OutSpec is the shuffle this stage's output feeds; nil only for the
+	// plan's final (result) stage.
 	OutSpec *rdd.ShuffleSpec
 	// Output is the RDD materialized by the stage's last phase.
 	Output *rdd.RDD
-	Phases []Phase
+	Phases []phase
 	// Base is the node the stage's chain of narrow operators reads: a leaf,
 	// whose partition p task p reads, or a ShuffledRDD, whose shuffle deps
 	// are the stage's inputs and whose reduce-side aggregation runs in the
@@ -62,7 +53,7 @@ type Stage struct {
 // Name returns a human-readable stage name.
 func (s *Stage) Name() string {
 	kind := "map"
-	if s.Kind == StageResult {
+	if s.OutSpec == nil {
 		kind = "result"
 	}
 	return fmt.Sprintf("stage%d(%s:%s)", s.ID, kind, s.Output.Name)
@@ -83,7 +74,6 @@ func BuildPlan(target *rdd.RDD) (*Plan, error) {
 	}
 	b := &builder{byShuffle: map[int]*Stage{}}
 	final := b.stageFor(target, nil)
-	final.Kind = StageResult
 	return &Plan{Stages: b.stages, Final: final}, nil
 }
 
@@ -105,7 +95,6 @@ func (b *builder) stageFor(output *rdd.RDD, outSpec *rdd.ShuffleSpec) *Stage {
 		}
 	}
 	st := &Stage{
-		Kind:     StageMap,
 		OutSpec:  outSpec,
 		Output:   output,
 		NumTasks: output.NumParts(),
@@ -116,11 +105,11 @@ func (b *builder) stageFor(output *rdd.RDD, outSpec *rdd.ShuffleSpec) *Stage {
 	n := output
 	for ; len(n.Deps) > 0 && n.Deps[0].Kind == rdd.DepNarrow; n = n.Deps[0].Parent {
 		if n.Transfer != nil {
-			st.Phases = append(st.Phases, Phase{Top: n.Deps[0].Parent, Transfer: n.Transfer, TransferNode: n})
+			st.Phases = append(st.Phases, phase{Top: n.Deps[0].Parent, Transfer: n.Transfer, TransferNode: n})
 		}
 	}
 	slices.Reverse(st.Phases)
-	st.Phases = append(st.Phases, Phase{Top: output})
+	st.Phases = append(st.Phases, phase{Top: output})
 	st.Base = n
 	for di := range n.Deps {
 		d := &n.Deps[di]

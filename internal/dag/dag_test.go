@@ -31,8 +31,8 @@ func TestSimpleTwoStagePlan(t *testing.T) {
 		t.Fatalf("plan has %d stages, want 2", len(plan.Stages))
 	}
 	mapStage, resStage := plan.Stages[0], plan.Stages[1]
-	if mapStage.Kind != StageMap || resStage.Kind != StageResult {
-		t.Fatalf("stage kinds = %v/%v", mapStage.Kind, resStage.Kind)
+	if mapStage.OutSpec == nil || resStage.OutSpec != nil {
+		t.Fatalf("out specs = %v/%v, want the map stage's only", mapStage.OutSpec, resStage.OutSpec)
 	}
 	if plan.Final != resStage {
 		t.Fatal("Final is not the result stage")
@@ -208,7 +208,7 @@ func TestSingleStagePlanNoShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Stages) != 1 || plan.Final.Kind != StageResult {
+	if len(plan.Stages) != 1 || plan.Final != plan.Stages[0] || plan.Final.OutSpec != nil {
 		t.Fatalf("plan = %+v", plan)
 	}
 	if len(plan.Final.Parents) != 0 {
@@ -222,7 +222,8 @@ func TestStageNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Stages[0].Name() == plan.Stages[1].Name() {
-		t.Fatal("stage names collide")
+	// Reports and events name stages this way.
+	if got := []string{plan.Stages[0].Name(), plan.Stages[1].Name()}; got[0] != "stage0(map:in)" || got[1] != "stage1(result:r)" {
+		t.Fatalf("stage names = %q, want [stage0(map:in) stage1(result:r)]", got)
 	}
 }

@@ -25,7 +25,7 @@ func TestErrBusyIsTyped(t *testing.T) {
 	if _, err := eng.Run(nested, ActionCount, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(nestedErr, ErrBusy) {
+	if !errors.Is(nestedErr, errBusy) {
 		t.Fatalf("nested RunMany err = %v, want errors.Is(_, ErrBusy)", nestedErr)
 	}
 	// The engine is idle again after the outer run: a fresh job succeeds.

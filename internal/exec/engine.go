@@ -41,7 +41,7 @@ import (
 // Traffic tags used for cross-DC byte attribution.
 const (
 	TagInput      = "input"      // reading job input remotely
-	TagCache      = "cache"      // reading a cached partition remotely
+	tagCache      = "cache"      // reading a cached partition remotely
 	TagShuffle    = "shuffle"    // fetch-based shuffle reads
 	TagPush       = "push"       // transferTo pushes
 	TagResult     = "result"     // result collection to the driver
@@ -134,7 +134,7 @@ type Engine struct {
 	Clock  *sim.Clock
 	Net    *simnet.Network
 	Topo   *topology.Topology
-	Sched  *sched.Scheduler
+	sched  *sched.Scheduler
 	Tracer *trace.Recorder
 	// Events collects the task/stage lifecycle stream and placements of
 	// every job run on this engine, with counters in its registry.
@@ -180,7 +180,7 @@ func New(topo *topology.Topology, seed int64, cfg Config) *Engine {
 		Clock:     clock,
 		Net:       simnet.New(clock, topo, seed, cfg.Net),
 		Topo:      topo,
-		Sched:     sched.New(clock, topo, seed),
+		sched:     sched.New(clock, topo, seed),
 		Events:    obs.NewCollector(),
 		cfg:       cfg,
 		reg:       shuffle.NewRegistry(),
@@ -225,10 +225,6 @@ const (
 	ActionSave
 )
 
-// StageSpan reports one stage's execution window (Fig. 9's unit). It is
-// the shared plan.StageSpan so simulated and live timelines interoperate.
-type StageSpan = plan.StageSpan
-
 // Result reports one job run.
 type Result struct {
 	// Action is the action that produced this result.
@@ -240,7 +236,9 @@ type Result struct {
 	Counts []int
 	// Start/End/JCT are virtual times in seconds.
 	Start, End, JCT float64
-	Stages          []StageSpan
+	// Stages holds each stage's execution window (Fig. 9's unit), in the
+	// type the live backend reports too.
+	Stages []plan.StageSpan
 	// CrossDCBytes is the cross-datacenter traffic incurred by this job.
 	CrossDCBytes float64
 	// CrossDCByTag splits it by traffic class (input / shuffle / push /
@@ -304,7 +302,7 @@ type stageState struct {
 	pendingParents int
 	launched       bool
 	tasksDone      int
-	span           StageSpan
+	span           plan.StageSpan
 	// aggRank ranks datacenters for automatic transfers (best first,
 	// per the configured AggregatorPolicy).
 	aggRank     []topology.DCID
@@ -334,10 +332,10 @@ type JobSpec struct {
 	Opts   RunOptions
 }
 
-// ErrBusy reports a Run/RunMany call made while the engine is already
+// errBusy reports a Run/RunMany call made while the engine is already
 // driving jobs. A caller that serializes its own jobs can treat it as
 // retry-later; anything else on this path is fatal.
-var ErrBusy = errors.New("exec: engine busy")
+var errBusy = errors.New("exec: engine busy")
 
 // Run executes an action on the target RDD and returns the job report.
 func (e *Engine) Run(target *rdd.RDD, action Action, opts RunOptions) (*Result, error) {
@@ -371,7 +369,7 @@ func (e *Engine) RunManyContext(ctx context.Context, specs []JobSpec) ([]*Result
 		return nil, nil
 	}
 	if e.activeJobs != 0 {
-		return nil, fmt.Errorf("%w: already running %d job(s)", ErrBusy, e.activeJobs)
+		return nil, fmt.Errorf("%w: already running %d job(s)", errBusy, e.activeJobs)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: job canceled: %w", err)
@@ -535,7 +533,7 @@ func (e *Engine) stallDiagnostic(jobs []*jobState) string {
 			msg += fmt.Sprintf("j%d/%s[launched=%v done=%d/%d] ", ji, ss.name, ss.launched, ss.tasksDone, ss.st.NumTasks)
 		}
 	}
-	return msg + fmt.Sprintf("queue=%d", e.Sched.QueueLen())
+	return msg + fmt.Sprintf("queue=%d", e.sched.QueueLen())
 }
 
 // centralizeInputs ships every input partition of the job's plan to the

@@ -37,7 +37,7 @@ func (e *Engine) failHost(h topology.HostID) {
 		return
 	}
 	e.deadHosts[h] = true
-	e.Sched.MarkDead(h)
+	e.sched.MarkDead(h)
 	e.trace(trace.Span{Kind: trace.KindFail, Host: h, Start: e.Clock.Now(), End: e.Clock.Now(), Label: "host failed"})
 
 	// Shuffle output stored on the host is gone (the "shuffle files" of

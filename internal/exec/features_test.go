@@ -222,7 +222,7 @@ func TestCachedTransferSkipsRepush(t *testing.T) {
 	if got := res2.CrossDCByTag[TagPush]; got > 0 {
 		t.Fatalf("second job re-pushed %v bytes through the cached transfer", got)
 	}
-	if got := res2.CrossDCByTag[TagCache]; got > 0 {
+	if got := res2.CrossDCByTag[tagCache]; got > 0 {
 		t.Fatalf("second job read cache across DCs: %v", got)
 	}
 	if len(res2.Records) != 24 {

@@ -20,7 +20,7 @@ func (e *Engine) launchStage(ss *stageState) {
 		return
 	}
 	ss.launched = true
-	ss.span = StageSpan{ID: ss.st.ID, Name: ss.name, Start: e.Clock.Now()}
+	ss.span = plan.StageSpan{ID: ss.st.ID, Name: ss.name, Start: e.Clock.Now()}
 	ss.phaseDone = make([]int, len(ss.st.Phases))
 	ss.heldHandoffs = make([][]func(), len(ss.st.Phases))
 	ss.partDone = make([]bool, ss.st.NumTasks)
@@ -209,7 +209,7 @@ func (e *Engine) submitTask(t *taskRun) {
 	default:
 		prefs = e.prefsFor(t.ss, t.part)
 	}
-	e.Sched.Submit(&sched.Task{
+	e.sched.Submit(&sched.Task{
 		Name:      t.name(),
 		PrefHosts: prefs,
 		Strict:    strict,
@@ -371,7 +371,7 @@ func (e *Engine) acquireThenCompute(t *taskRun, host topology.HostID, release fu
 		}
 	case needCached:
 		if n.host != host {
-			remotes = append(remotes, remote{n.host, n.modeled, TagCache})
+			remotes = append(remotes, remote{n.host, n.modeled, tagCache})
 		}
 	case needShuffleRead:
 		isReduce = true

@@ -20,19 +20,19 @@ import (
 // or the service is closed.
 var errRejected = errors.New("jobs: rejected")
 
-// RunFunc executes one dispatched job. It must honor ctx: Close cancels
+// runFunc executes one dispatched job. It must honor ctx: Close cancels
 // the running job's context.
-type RunFunc func(ctx context.Context) (*obs.Report, error)
+type runFunc func(ctx context.Context) (*obs.Report, error)
 
 // Submission describes one job offered to the service.
 type Submission struct {
 	// Tenant and Name are read by nothing; perf/'s probe sets them.
 	Tenant, Name string
 	// Run is the work itself.
-	Run RunFunc
+	Run runFunc
 }
 
-// Config tunes a Service.
+// Config tunes a service.
 type Config struct {
 	// MaxQueue bounds how many jobs may wait in the queue (the running job
 	// does not count). Defaults to 16.
@@ -41,7 +41,7 @@ type Config struct {
 
 // Job is a caller's handle on one submitted job.
 type Job struct {
-	run  RunFunc
+	run  runFunc
 	done chan struct{}
 }
 
@@ -49,9 +49,9 @@ type Job struct {
 // the queue by Close.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Service is a running queue and its dispatcher. Create one with New and
+// service is a running queue and its dispatcher. Create one with New and
 // Close it when done.
-type Service struct {
+type service struct {
 	limit int // Config.MaxQueue
 
 	mu    sync.Mutex
@@ -65,11 +65,11 @@ type Service struct {
 }
 
 // New starts a service and its dispatcher goroutine.
-func New(cfg Config) *Service {
+func New(cfg Config) *service {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 16
 	}
-	s := &Service{limit: cfg.MaxQueue, dispatcherDone: make(chan struct{})}
+	s := &service{limit: cfg.MaxQueue, dispatcherDone: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	go s.dispatch()
 	return s
@@ -77,7 +77,7 @@ func New(cfg Config) *Service {
 
 // Submit queues one job, or returns an error when the queue is at its
 // bound or the service is closed.
-func (s *Service) Submit(sub Submission) (*Job, error) {
+func (s *service) Submit(sub Submission) (*Job, error) {
 	if sub.Run == nil {
 		return nil, fmt.Errorf("jobs: submission has no Run function")
 	}
@@ -97,7 +97,7 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 
 // dispatch runs the queue's head to completion, one job at a time, until
 // Close drains the service.
-func (s *Service) dispatch() {
+func (s *service) dispatch() {
 	defer close(s.dispatcherDone)
 	for {
 		j, ctx := s.next()
@@ -117,7 +117,7 @@ func (s *Service) dispatch() {
 // context's cancel func set in the same critical section, so Close always
 // finds a dispatched job's cancel func. It returns nil once the service is
 // closed.
-func (s *Service) next() (*Job, context.Context) {
+func (s *service) next() (*Job, context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.queue) == 0 {
@@ -137,7 +137,7 @@ func (s *Service) next() (*Job, context.Context) {
 // are dropped without running (their Done channels close), the running
 // job's context is canceled, and Close returns once the dispatcher has
 // exited. Safe to call more than once.
-func (s *Service) Close() {
+func (s *service) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true

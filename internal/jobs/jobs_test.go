@@ -17,7 +17,7 @@ func idle(context.Context) (*obs.Report, error) { return nil, nil }
 // context is canceled, and waits for it to start so later submissions
 // pile up behind it. canceled reports, once the job is done, whether it
 // returned because its context was canceled.
-func gateJob(t *testing.T, svc *Service) (release chan struct{}, job *Job, canceled func() bool) {
+func gateJob(t *testing.T, svc *service) (release chan struct{}, job *Job, canceled func() bool) {
 	t.Helper()
 	release = make(chan struct{})
 	started := make(chan struct{})

@@ -100,14 +100,14 @@ func stagesReading(job *plan.Job, name string) []*dag.Stage {
 }
 
 // TestCachedPartitionComputedOncePerJob runs cachedFanOut on the live
-// cluster and on MemBackend under both schemes: each partition of the Cached
-// node is computed once, by the first stage that reads it, and the two later
-// stages read it where it was made — every stage that reads it places its
-// task for partition p on one site, round-robin under fetch, the aggregator
-// of the node's input shuffle under push. Two jobs run in a row on one
-// cluster, with different inputs and the same node IDs: the second must not
-// read the first's partitions, so its per-key counts equal the reference's
-// only when the caches end with the first job.
+// cluster and on plan's in-memory backend under both schemes: each partition
+// of the Cached node is computed once, by the first stage that reads it, and
+// the two later stages read it where it was made — every stage that reads it
+// places its task for partition p on one site, round-robin under fetch, the
+// aggregator of the node's input shuffle under push. Two jobs run in a row
+// on one cluster, with different inputs and the same node IDs: the second
+// must not read the first's partitions, so its per-key counts equal the
+// reference's only when the caches end with the first job.
 func TestCachedPartitionComputedOncePerJob(t *testing.T) {
 	const parts, sites = 6, 3
 	for _, scheme := range schemes {

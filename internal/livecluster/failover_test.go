@@ -256,11 +256,11 @@ func checkConservation(t *testing.T, stats *Stats) {
 		t.Errorf("matrix sums to %d, BytesOverTCP is %d", sum, stats.BytesOverTCP)
 	}
 	var byClass int64
-	for _, v := range stats.BytesByClass {
+	for _, v := range stats.bytesByClass {
 		byClass += v
 	}
 	if byClass != stats.BytesOverTCP {
-		t.Errorf("class split %v sums to %d, BytesOverTCP is %d", stats.BytesByClass, byClass, stats.BytesOverTCP)
+		t.Errorf("class split %v sums to %d, BytesOverTCP is %d", stats.bytesByClass, byClass, stats.BytesOverTCP)
 	}
 	if stats.BytesRaw < stats.BytesOverTCP {
 		t.Errorf("BytesRaw %d < BytesOverTCP %d", stats.BytesRaw, stats.BytesOverTCP)
@@ -276,7 +276,7 @@ func TestConservationAcrossCanceledJob(t *testing.T) {
 	// One task per worker: a worker never needs a second connection to a
 	// peer.
 	cluster, err := New(Config{
-		Workers: 2, TasksPerWorker: 1, Compression: CodecFlate,
+		Workers: 2, TasksPerWorker: 1, Compression: codecFlate,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 			t.Fatalf("run %d: matrix total %d, BytesOverTCP %d, BytesRaw %d", run, total, stats.BytesOverTCP, stats.BytesRaw)
 		}
 		var byClass int64
-		for _, b := range stats.BytesByClass {
+		for _, b := range stats.bytesByClass {
 			byClass += b
 		}
 		if byClass != stats.BytesOverTCP {

@@ -69,7 +69,7 @@ func (s *poolServer) addr() string { return s.ln.Addr().String() }
 func (s *poolServer) link() *link {
 	stats := &Stats{
 		TrafficMatrix: [][]int64{{0, 0}, {0, 0}},
-		BytesByClass:  map[string]int64{},
+		bytesByClass:  map[string]int64{},
 		links:         netobs.NewEstimator(netobs.Config{}),
 	}
 	return &link{src: 0, dst: 1, addr: s.addr(), stats: func() *Stats { return stats }}
@@ -307,9 +307,9 @@ func TestRetriedExchangeAccountsBothAttempts(t *testing.T) {
 	if samples := estimatorSamples(st.links); st.Dials != 2 || samples != 2 || st.PushConnections != 2 {
 		t.Fatalf("%d dials, %d transfer samples, %d pushes; want 2, 2 (the broken attempt has no rate) and 2", st.Dials, samples, st.PushConnections)
 	}
-	if st.TrafficMatrix[0][1] != 20 || st.BytesByClass["push"] != 20 || st.BytesOverTCP != 20 || st.BytesRaw != 20 {
+	if st.TrafficMatrix[0][1] != 20 || st.bytesByClass["push"] != 20 || st.BytesOverTCP != 20 || st.BytesRaw != 20 {
 		t.Fatalf("matrix %v, classes %v, %d wire and %d raw bytes; want one 0→1 push cell of 20 bytes (8 + the broken attempt's 4 + 8)",
-			st.TrafficMatrix, st.BytesByClass, st.BytesOverTCP, st.BytesRaw)
+			st.TrafficMatrix, st.bytesByClass, st.BytesOverTCP, st.BytesRaw)
 	}
 	if got := srv.carried.Load(); got != st.BytesOverTCP {
 		t.Fatalf("sockets carried %d bytes, flows account %d", got, st.BytesOverTCP)

@@ -9,7 +9,7 @@
 // model.
 //
 // Jobs are planned by plan.BuildJob into shuffle-separated stages and
-// driven stage-by-stage by plan.Driver; the cluster implements the
+// driven stage-by-stage by plan's driver; the cluster implements the
 // plan.Backend interface. Any multi-stage DAG the simulator accepts runs
 // here too — chained shuffles, iterative rounds, cogroups — and its lineage
 // says how each shuffle moves, as on the simulator:
@@ -205,9 +205,9 @@ type Stats struct {
 	// itself. Summed over all entries it equals BytesOverTCP — the live
 	// analogue of the simulator's per-region matrix.
 	TrafficMatrix [][]int64
-	// BytesByClass splits BytesOverTCP by request purpose: "push",
+	// bytesByClass splits BytesOverTCP by request purpose: "push",
 	// "shuffle" (fetch).
-	BytesByClass map[string]int64
+	bytesByClass map[string]int64
 	// Events collects the driver's task lifecycle and stage events and its
 	// placement decisions.
 	Events *obs.Collector
@@ -231,7 +231,7 @@ type Stats struct {
 	placementPolicy string
 	scheme          string
 
-	// mu guards BytesOverTCP, BytesRaw, TrafficMatrix, BytesByClass,
+	// mu guards BytesOverTCP, BytesRaw, TrafficMatrix, bytesByClass,
 	// StageSpans, CompletionSec and Retries against concurrent scrapes; the
 	// request counters (Push/Fetch/Dials) are atomics.
 	mu sync.Mutex
@@ -259,7 +259,7 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	if src >= 0 && src < len(s.TrafficMatrix) && dst >= 0 && dst < len(s.TrafficMatrix) {
 		s.TrafficMatrix[src][dst] += wire
 	}
-	s.BytesByClass[class] += wire
+	s.bytesByClass[class] += wire
 	s.mu.Unlock()
 }
 
@@ -340,8 +340,8 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 			matrix[i][j] = float64(v)
 		}
 	}
-	byClass := make(map[string]float64, len(s.BytesByClass))
-	for class, v := range s.BytesByClass {
+	byClass := make(map[string]float64, len(s.bytesByClass))
+	for class, v := range s.bytesByClass {
 		byClass[class] = float64(v)
 	}
 	stages := append([]plan.StageSpan(nil), s.StageSpans...)
@@ -649,7 +649,7 @@ func (c *Cluster) newStats() *Stats {
 	return &Stats{
 		ShardsByWorker:  make([]int, len(c.workers)),
 		TrafficMatrix:   matrix,
-		BytesByClass:    map[string]int64{},
+		bytesByClass:    map[string]int64{},
 		Events:          obs.NewCollector(),
 		storage:         c.StorageStats,
 		topo:            c.Topology(),

@@ -236,7 +236,7 @@ func TestRangePartitionBarrierOverWire(t *testing.T) {
 				t.Fatalf("%v output not globally sorted at %d", scheme, i)
 			}
 		}
-		if n := stats.BytesByClass["sample"]; n != 0 {
+		if n := stats.bytesByClass["sample"]; n != 0 {
 			t.Fatalf("%v: %d sample bytes crossed the wire", scheme, n)
 		}
 		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP || got == 0 {

@@ -166,8 +166,8 @@ func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
 	if got, want := matrixTotal(stats.TrafficMatrix), stats.BytesOverTCP; got != want {
 		t.Fatalf("traffic matrix total = %d, BytesOverTCP = %d", got, want)
 	}
-	if got := stats.BytesByClass["shuffle"]; got == 0 {
-		t.Fatalf("fetch run recorded no shuffle-class bytes: %v", stats.BytesByClass)
+	if got := stats.bytesByClass["shuffle"]; got == 0 {
+		t.Fatalf("fetch run recorded no shuffle-class bytes: %v", stats.bytesByClass)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		scheme string
 		codec  string
 	}{
-		{"push", CodecNone}, {"push", CodecFlate}, {"fetch", CodecNone}, {"fetch", CodecFlate},
+		{"push", codecNone}, {"push", codecFlate}, {"fetch", codecNone}, {"fetch", codecFlate},
 	} {
 		tr := &trace.Recorder{}
 		cluster, err := New(Config{
@@ -218,7 +218,7 @@ func TestReceiveSpansCarryCodecBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.codec != CodecNone && stats.BytesRaw <= stats.BytesOverTCP {
+		if v.codec != codecNone && stats.BytesRaw <= stats.BytesOverTCP {
 			t.Fatalf("%v, codec %q: nothing was compressed, the test would prove nothing", v.scheme, v.codec)
 		}
 		mapSite := map[int]int{}

@@ -39,13 +39,13 @@ import (
 
 // Compression codec names accepted by Config.Compression.
 const (
-	CodecNone  = ""
-	CodecGzip  = "gzip"
-	CodecFlate = "flate"
+	codecNone  = ""
+	codecGzip  = "gzip"
+	codecFlate = "flate"
 )
 
 // frameCodecs maps the codec bits of a frame's flags to the codec name.
-var frameCodecs = [...]string{CodecNone, CodecGzip, CodecFlate}
+var frameCodecs = [...]string{codecNone, codecGzip, codecFlate}
 
 const (
 	frameLast       = 1 << 0
@@ -69,9 +69,9 @@ const (
 // normalizing the "none" spelling to the empty codec.
 func validCodec(name string) (string, bool) {
 	switch name {
-	case CodecNone, "none":
-		return CodecNone, true
-	case CodecGzip, CodecFlate:
+	case codecNone, "none":
+		return codecNone, true
+	case codecGzip, codecFlate:
 		return name, true
 	default:
 		return "", false
@@ -94,7 +94,7 @@ type chunkFrame struct {
 // codecBytes is the size of the frame's records in the record codec,
 // whatever crossed the wire: what Stats.BytesRaw and spans account.
 func (fr *chunkFrame) codecBytes() int64 {
-	if fr.codec != CodecNone {
+	if fr.codec != codecNone {
 		return int64(fr.rawLen)
 	}
 	return int64(len(fr.payload))
@@ -207,7 +207,7 @@ func sendChunk(w io.Writer, seq int, records []rdd.Pair, codec string) (raw, sav
 	if rawLen > maxFramePayload {
 		return 0, 0, localError{fmt.Errorf("livecluster: chunk %d encodes to %d bytes, above the %d-byte frame cap", seq, rawLen, maxFramePayload)}
 	}
-	if codec != CodecNone {
+	if codec != codecNone {
 		comp, err := compress(codec, slices.Grow(buf.comp[:0], frameHeaderMax)[:frameHeaderMax], room[frameHeaderMax:])
 		if err != nil {
 			return 0, 0, localError{err}
@@ -227,7 +227,7 @@ func sendChunk(w io.Writer, seq int, records []rdd.Pair, codec string) (raw, sav
 // cut out of the payload, which the frame gives up (rdd.DecodePairs).
 func (fr *chunkFrame) records() ([]rdd.Pair, error) {
 	raw := fr.payload
-	if fr.codec != CodecNone {
+	if fr.codec != codecNone {
 		var err error
 		if raw, err = decompress(fr.codec, fr.payload, fr.rawLen); err != nil {
 			return nil, err
@@ -327,8 +327,8 @@ func readStream(br *bufio.Reader, fn func([]rdd.Pair) error) (streamTotals, erro
 // frames are byte-identical.
 var (
 	compressors = map[string]*sync.Pool{
-		CodecGzip: {New: func() any { return gzip.NewWriter(nil) }},
-		CodecFlate: {New: func() any {
+		codecGzip: {New: func() any { return gzip.NewWriter(nil) }},
+		codecFlate: {New: func() any {
 			w, _ := flate.NewWriter(nil, flate.DefaultCompression) // errors only on a bad level
 			return w
 		}},
@@ -363,13 +363,13 @@ func compress(codec string, dst, raw []byte) ([]byte, error) {
 func decompress(codec string, payload []byte, rawLen int) ([]byte, error) {
 	var r io.ReadCloser
 	switch codec {
-	case CodecGzip:
+	case codecGzip:
 		gr, err := gzip.NewReader(bytes.NewReader(payload))
 		if err != nil {
 			return nil, fmt.Errorf("livecluster: gzip chunk: %w", err)
 		}
 		r = gr
-	case CodecFlate:
+	case codecFlate:
 		r = flateReaders.Get().(io.ReadCloser)
 		defer flateReaders.Put(r)
 		_ = r.(flate.Resetter).Reset(bytes.NewReader(payload), nil) // never fails

@@ -46,13 +46,13 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 		codec string
 		n     int
 	}{
-		{"none-empty", CodecNone, 0},
-		{"none-some", CodecNone, 10},
-		{"gzip-empty", CodecGzip, 0},
-		{"gzip-one", CodecGzip, 1},
-		{"gzip-many", CodecGzip, 500},
-		{"flate-one", CodecFlate, 1},
-		{"flate-many", CodecFlate, 500},
+		{"none-empty", codecNone, 0},
+		{"none-some", codecNone, 10},
+		{"gzip-empty", codecGzip, 0},
+		{"gzip-one", codecGzip, 1},
+		{"gzip-many", codecGzip, 500},
+		{"flate-one", codecFlate, 1},
+		{"flate-many", codecFlate, 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := pairs(tc.n)
@@ -84,10 +84,10 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 				t.Fatalf("codec bytes %d (want %d), savings %d, sender's %d, payload %d",
 					fr.codecBytes(), codecBytes, fr.savings(), saved, len(fr.payload))
 			}
-			if tc.codec != CodecNone && tc.n >= 500 && (saved <= 0 || fr.codec != tc.codec) {
+			if tc.codec != codecNone && tc.n >= 500 && (saved <= 0 || fr.codec != tc.codec) {
 				t.Fatal("large repetitive chunk did not compress")
 			}
-			if int64(len(fr.payload)) > codecBytes || (tc.codec == CodecGzip && tc.n <= 1 && fr.codec != CodecNone) {
+			if int64(len(fr.payload)) > codecBytes || (tc.codec == codecGzip && tc.n <= 1 && fr.codec != codecNone) {
 				t.Fatal("chunk shipped compressed despite inflating")
 			}
 			// Headers: at most 7 bytes on a data frame, 4 on a terminal one.
@@ -118,8 +118,8 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 // compressed before, and the pooled decompressor reads each of them back.
 func TestPooledCompressorsMatchNewOnes(t *testing.T) {
 	fresh := map[string]func(io.Writer) io.WriteCloser{
-		CodecGzip: func(w io.Writer) io.WriteCloser { return gzip.NewWriter(w) },
-		CodecFlate: func(w io.Writer) io.WriteCloser {
+		codecGzip: func(w io.Writer) io.WriteCloser { return gzip.NewWriter(w) },
+		codecFlate: func(w io.Writer) io.WriteCloser {
 			fw, _ := flate.NewWriter(w, flate.DefaultCompression)
 			return fw
 		},
@@ -146,7 +146,7 @@ func TestPooledCompressorsMatchNewOnes(t *testing.T) {
 
 // Every proper prefix of a valid frame is an error, never a short frame.
 func TestChunkFrameTruncated(t *testing.T) {
-	for _, codec := range []string{CodecNone, CodecFlate} {
+	for _, codec := range []string{codecNone, codecFlate} {
 		var wire bytes.Buffer
 		if _, _, err := sendChunk(&wire, 300, pairs(200), codec); err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestChunkFrameRejectsBadHeaderBeforeAllocating(t *testing.T) {
 func TestSendChunkRefusesOversizedChunk(t *testing.T) {
 	big := []rdd.Pair{rdd.KV("k", make([]byte, maxFramePayload+1))}
 	var wire bytes.Buffer
-	_, _, err := sendChunk(&wire, 0, big, CodecNone)
+	_, _, err := sendChunk(&wire, 0, big, codecNone)
 	var local localError
 	if !errors.As(err, &local) || wire.Len() != 0 {
 		t.Fatalf("oversized chunk: err = %v, %d bytes written", err, wire.Len())
@@ -212,11 +212,11 @@ func TestSendChunkRefusesOversizedChunk(t *testing.T) {
 // A compressed frame must inflate to exactly the rawLen its header states.
 func TestChunkFrameRawLenMustMatch(t *testing.T) {
 	var wire bytes.Buffer
-	if _, _, err := sendChunk(&wire, 0, pairs(300), CodecFlate); err != nil {
+	if _, _, err := sendChunk(&wire, 0, pairs(300), codecFlate); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := readChunkFrame(frameReader(wire.Bytes()), maxFramePayload)
-	if err != nil || fr.codec != CodecFlate {
+	if err != nil || fr.codec != codecFlate {
 		t.Fatalf("setup: %+v, %v", fr.codec, err)
 	}
 	for _, delta := range []int{-1, +1} {
@@ -302,7 +302,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 	// A request frame belongs at the head of an exchange: inside a stream it
 	// is a framing error, not a frame to skip.
 	var stream bytes.Buffer
-	if _, _, err := sendChunk(&stream, 0, pairs(3), CodecNone); err != nil {
+	if _, _, err := sendChunk(&stream, 0, pairs(3), codecNone); err != nil {
 		t.Fatal(err)
 	}
 	stream.Write(requestFrame(t, fetch))
@@ -344,7 +344,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 // request reader gets the same bytes, under the same terms.
 func FuzzReadChunkFrame(f *testing.F) {
 	const limit = 1 << 16
-	for _, codec := range []string{CodecNone, CodecGzip, CodecFlate} {
+	for _, codec := range []string{codecNone, codecGzip, codecFlate} {
 		var wire bytes.Buffer
 		if _, _, err := sendChunk(&wire, 5, pairs(40), codec); err != nil {
 			f.Fatal(err)
@@ -365,7 +365,7 @@ func FuzzReadChunkFrame(f *testing.F) {
 	req := requestFrame(f, request{Kind: reqPushChunk, ShuffleID: 7, MapPart: 3, Attempt: 2, From: 1,
 		Parent: 9, Span: math.MaxInt64})
 	var chunk bytes.Buffer
-	_, _, _ = sendChunk(&chunk, 0, pairs(4), CodecNone)
+	_, _, _ = sendChunk(&chunk, 0, pairs(4), codecNone)
 	f.Add(append(slices.Clone(req), chunk.Bytes()...))
 	f.Add(requestFrame(f, request{Kind: reqFetchStream, ShuffleID: 7, MapPart: 3, Reduce: 2, Parent: 12}))
 	f.Add(req[:len(req)-5])
@@ -519,13 +519,13 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 		chunkRec int
 		codec    string
 	}{
-		{"empty-partition", 0, 4, CodecNone},
-		{"one-record", 1, 4, CodecNone},
-		{"exact-chunk-boundary", 8, 4, CodecNone},
-		{"many-chunks", 17, 4, CodecNone},
-		{"many-chunks-gzip", 17, 4, CodecGzip},
-		{"large-gzip", 400, 32, CodecGzip},
-		{"large-flate", 400, 32, CodecFlate},
+		{"empty-partition", 0, 4, codecNone},
+		{"one-record", 1, 4, codecNone},
+		{"exact-chunk-boundary", 8, 4, codecNone},
+		{"many-chunks", 17, 4, codecNone},
+		{"many-chunks-gzip", 17, 4, codecGzip},
+		{"large-gzip", 400, 32, codecGzip},
+		{"large-flate", 400, 32, codecFlate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := streamCluster(t, Config{
@@ -557,10 +557,10 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 			if stats.BytesRaw < stats.BytesOverTCP {
 				t.Fatalf("BytesRaw %d < BytesOverTCP %d", stats.BytesRaw, stats.BytesOverTCP)
 			}
-			if tc.codec != CodecNone && tc.records >= 400 && stats.BytesRaw <= stats.BytesOverTCP {
+			if tc.codec != codecNone && tc.records >= 400 && stats.BytesRaw <= stats.BytesOverTCP {
 				t.Fatal("compressed transfer saved nothing")
 			}
-			if tc.codec == CodecNone && stats.BytesRaw != stats.BytesOverTCP {
+			if tc.codec == codecNone && stats.BytesRaw != stats.BytesOverTCP {
 				t.Fatalf("uncompressed: BytesRaw %d != wire %d", stats.BytesRaw, stats.BytesOverTCP)
 			}
 		})
@@ -683,7 +683,7 @@ func startPush(t *testing.T, l *link, req request) *handPush {
 
 func (p *handPush) chunk(seq int, records []rdd.Pair) {
 	p.t.Helper()
-	if _, _, err := sendChunk(p.pc.conn, seq, records, CodecNone); err != nil {
+	if _, _, err := sendChunk(p.pc.conn, seq, records, codecNone); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -873,7 +873,7 @@ func TestCutPushStreamInstallsNothing(t *testing.T) {
 	p.chunk(0, in[:4])
 	p.chunk(1, in[4:8])
 	var frame bytes.Buffer
-	if _, _, err := sendChunk(&frame, 2, in[8:], CodecNone); err != nil {
+	if _, _, err := sendChunk(&frame, 2, in[8:], codecNone); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.pc.conn.Write(frame.Bytes()[:frame.Len()/2]); err != nil {
@@ -1012,7 +1012,7 @@ func TestCompressedModeMatchesReference(t *testing.T) {
 		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())))
 		for _, scheme := range schemes {
 			cluster, err := New(Config{
-				Workers: 4, Compression: CodecGzip, ChunkRecords: 16,
+				Workers: 4, Compression: codecGzip, ChunkRecords: 16,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -1042,7 +1042,7 @@ func BenchmarkChunkFrameRoundTrip(b *testing.B) {
 	for i := range recs {
 		recs[i] = rdd.KV(fmt.Sprintf("%010d", i*7919), fmt.Sprintf("%050d", i))
 	}
-	for _, codec := range []string{CodecNone, CodecFlate} {
+	for _, codec := range []string{codecNone, codecFlate} {
 		b.Run("codec="+codec, func(b *testing.B) {
 			var wire bytes.Buffer
 			br := bufio.NewReader(&wire)

@@ -131,7 +131,7 @@ type worker struct {
 	// store holds the worker's shuffle blocks: received push outputs and
 	// the local map outputs of fetched shuffles, flat until their partitioner is ready
 	// and per-reduce shards afterwards. With Config.MemoryBudget set it is
-	// a blockstore.SpillStore, so an aggregator's resident heap stays
+	// a budgeted blockstore store, so an aggregator's resident heap stays
 	// bounded while cold outputs ride on disk. The store locks internally.
 	store blockstore.Store
 	// links[dst] is this worker's link to worker dst, wired by the cluster

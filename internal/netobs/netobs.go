@@ -35,8 +35,8 @@ type link struct {
 	bytes   float64
 }
 
-// Estimate is one site pair's current link estimate.
-type Estimate struct {
+// estimate is one site pair's current link estimate.
+type estimate struct {
 	Src           string
 	Dst           string
 	ThroughputBps float64
@@ -89,12 +89,12 @@ func (e *Estimator) ObserveTransfer(src, dst string, bytes, seconds float64) {
 
 // Estimates snapshots every observed link, sorted by source then
 // destination for deterministic output.
-func (e *Estimator) Estimates() []Estimate {
+func (e *Estimator) Estimates() []estimate {
 	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
-	out := make([]Estimate, 0, len(e.links))
+	out := make([]estimate, 0, len(e.links))
 	for key, l := range e.links {
 		out = append(out, l.estimateLocked(key[0], key[1]))
 	}
@@ -111,22 +111,22 @@ func (e *Estimator) Estimates() []Estimate {
 // Estimate returns the current estimate for one directed site pair;
 // ok=false when the pair has never recorded a transfer sample. Nil
 // estimators know nothing.
-func (e *Estimator) Estimate(src, dst string) (Estimate, bool) {
+func (e *Estimator) Estimate(src, dst string) (estimate, bool) {
 	if e == nil {
-		return Estimate{}, false
+		return estimate{}, false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	l := e.links[[2]string{src, dst}]
 	if l == nil {
-		return Estimate{}, false
+		return estimate{}, false
 	}
 	return l.estimateLocked(src, dst), true
 }
 
 // estimateLocked builds the link's estimate; the estimator's lock is held.
-func (l *link) estimateLocked(src, dst string) Estimate {
-	return Estimate{Src: src, Dst: dst, ThroughputBps: l.ewmaBps, Samples: l.samples, Bytes: l.bytes}
+func (l *link) estimateLocked(src, dst string) estimate {
+	return estimate{Src: src, Dst: dst, ThroughputBps: l.ewmaBps, Samples: l.samples, Bytes: l.bytes}
 }
 
 // ConfiguredLink names one link the deployment's topology promises,

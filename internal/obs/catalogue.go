@@ -1,16 +1,16 @@
 package obs
 
-// MetricDoc is one row of the metrics catalogue: a series /metrics serves,
+// metricDoc is one row of the metrics catalogue: a series /metrics serves,
 // each a run-report field (ReportPoints), with the type and label names it
 // is served under, the backends that serve it and what it counts.
-type MetricDoc struct{ Name, Type, Labels, Backends, Meaning string }
+type metricDoc struct{ Name, Type, Labels, Backends, Meaning string }
 
 // Catalogue documents every metric the repo emits. README's metrics
 // catalogue is generated from it and cmd/wansim's TestSmoke holds it
 // against the names its sim and live runs emit, in both
 // directions (`go test ./cmd/wansim -run 'TestSmoke/metrics_catalogue'
 // -update` rewrites the README rows): a new metric gets its row here.
-var Catalogue = []MetricDoc{
+var Catalogue = []metricDoc{
 	{"report_task_attempts", "gauge", "—", "both", "the run report's `task_attempts`: task attempts started"},
 	{"report_retries", "gauge", "—", "both", "the run report's `retries`: attempts beyond each task's first"},
 	{"report_stages_done", "gauge", "—", "both", "stages in the run report's `stages` section: stages completed"},

@@ -19,7 +19,7 @@ const (
 )
 
 // TaskEvent is one task lifecycle transition, reported by whoever drives
-// tasks (plan.Driver for backend-driven jobs, internal/exec for the
+// tasks (plan's driver for backend-driven jobs, internal/exec for the
 // simulator's event loop).
 type TaskEvent struct {
 	Phase     TaskPhase `json:"phase"`
@@ -70,9 +70,9 @@ type Event struct {
 	Stage *StageEvent `json:"stage,omitempty"`
 }
 
-// PhaseCounts summarizes a collector's stream for reports, maintained
+// phaseCounts summarizes a collector's stream for reports, maintained
 // incrementally so reading it is O(1).
-type PhaseCounts struct {
+type phaseCounts struct {
 	Scheduled, Started, Finished, Failed, Retried int
 	// StagesDone counts completed stages.
 	StagesDone int
@@ -89,7 +89,7 @@ type Collector struct {
 	// mu guards everything below, so the tally, the log and its tails move
 	// together.
 	mu         sync.Mutex
-	counts     PhaseCounts
+	counts     phaseCounts
 	events     []Event
 	subs       map[int]chan Event
 	nextSub    int
@@ -170,9 +170,9 @@ func (c *Collector) Placements() []PlacementDecision {
 }
 
 // Counts returns the stream summary.
-func (c *Collector) Counts() PhaseCounts {
+func (c *Collector) Counts() phaseCounts {
 	if c == nil {
-		return PhaseCounts{}
+		return phaseCounts{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,8 +229,8 @@ func (c *Collector) TaskEvents() []TaskEvent {
 	return out
 }
 
-// StageEvents returns a copy of the recorded stage events in arrival order.
-func (c *Collector) StageEvents() []StageEvent {
+// stageEvents returns a copy of the recorded stage events in arrival order.
+func (c *Collector) stageEvents() []StageEvent {
 	var out []StageEvent
 	for _, ev := range c.Events() {
 		if ev.Stage != nil {

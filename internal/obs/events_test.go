@@ -61,7 +61,7 @@ func TestCollectorCounts(t *testing.T) {
 	c.OnTask(TaskEvent{Phase: PhaseFinished})
 	c.OnStage(StageEvent{Name: "s"})
 	got := c.Counts()
-	want := PhaseCounts{Scheduled: 1, Started: 2, Finished: 1, Failed: 1, Retried: 1, StagesDone: 1}
+	want := phaseCounts{Scheduled: 1, Started: 2, Finished: 1, Failed: 1, Retried: 1, StagesDone: 1}
 	if got != want {
 		t.Fatalf("counts = %+v, want %+v", got, want)
 	}
@@ -109,7 +109,7 @@ func TestNilCollectorSubscribe(t *testing.T) {
 		t.Fatal("nil collector returned a live subscription")
 	}
 	cancel()
-	if c.Counts() != (PhaseCounts{}) {
+	if c.Counts() != (phaseCounts{}) {
 		t.Fatal("nil collector has counts")
 	}
 }

@@ -70,38 +70,35 @@ func appendMetricKey(dst []byte, name string, l Labels) []byte {
 	return dst
 }
 
-// Counter is a monotonically increasing metric.
-type Counter struct {
+// counter is a monotonically increasing metric.
+type counter struct {
 	v atomic.Int64
 }
 
 // Add increments the counter by n (negative n is ignored).
-func (c *Counter) Add(n int64) {
+func (c *counter) Add(n int64) {
 	if c == nil || n < 0 {
 		return
 	}
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count.
-func (c *Counter) Value() int64 {
+func (c *counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
 }
 
-// Gauge is a metric that can move in both directions.
-type Gauge struct {
+// gauge is a metric that can move in both directions.
+type gauge struct {
 	mu sync.Mutex
 	v  float64
 }
 
 // Set stores the gauge value.
-func (g *Gauge) Set(v float64) {
+func (g *gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
@@ -111,7 +108,7 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
+func (g *gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -120,16 +117,16 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram is a fixed-bucket distribution metric wrapping stats.Histogram
+// histogram is a fixed-bucket distribution metric wrapping stats.Histogram
 // behind a lock.
-type Histogram struct {
+type histogram struct {
 	mu  sync.Mutex
 	h   *stats.Histogram
 	sum float64
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(x float64) {
+func (h *histogram) Observe(x float64) {
 	if h == nil {
 		return
 	}
@@ -140,7 +137,7 @@ func (h *Histogram) Observe(x float64) {
 }
 
 // snapshot returns the bucket counts, total count, and sum.
-func (h *Histogram) snapshot() ([]stats.Bucket, int, float64) {
+func (h *histogram) snapshot() ([]stats.Bucket, int, float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.h.Buckets(), h.h.N(), h.sum
@@ -173,9 +170,9 @@ type metricEntry struct {
 	name   string
 	labels Labels
 	kind   metricKind
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	c      *counter
+	g      *gauge
+	h      *histogram
 }
 
 // Registry holds named metrics. The zero value is not usable; create one
@@ -212,18 +209,18 @@ func (r *Registry) entry(name string, labels Labels, kind metricKind, edges []fl
 	e := &metricEntry{key: string(key), name: name, labels: cp, kind: kind}
 	switch kind {
 	case kindCounter:
-		e.c = &Counter{}
+		e.c = &counter{}
 	case kindGauge:
-		e.g = &Gauge{}
+		e.g = &gauge{}
 	case kindHistogram:
-		e.h = &Histogram{h: stats.NewHistogram(edges)}
+		e.h = &histogram{h: stats.NewHistogram(edges)}
 	}
 	r.metrics[e.key] = e
 	return e
 }
 
 // Counter returns (registering on first use) the counter name{labels}.
-func (r *Registry) Counter(name string, labels Labels) *Counter {
+func (r *Registry) Counter(name string, labels Labels) *counter {
 	if r == nil {
 		return nil
 	}
@@ -231,7 +228,7 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 }
 
 // Gauge returns (registering on first use) the gauge name{labels}.
-func (r *Registry) Gauge(name string, labels Labels) *Gauge {
+func (r *Registry) Gauge(name string, labels Labels) *gauge {
 	if r == nil {
 		return nil
 	}
@@ -240,17 +237,17 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 
 // Histogram returns (registering on first use) the fixed-bucket histogram
 // name{labels}. The edges only apply on first registration.
-func (r *Registry) Histogram(name string, edges []float64, labels Labels) *Histogram {
+func (r *Registry) Histogram(name string, edges []float64, labels Labels) *histogram {
 	if r == nil {
 		return nil
 	}
 	return r.entry(name, labels, kindHistogram, edges).h
 }
 
-// HistBucket is one exported histogram bucket: the count of samples with
+// histBucket is one exported histogram bucket: the count of samples with
 // value <= Le. The overflow bucket's edge renders as "+Inf" (Prometheus
 // style) because JSON has no infinity literal.
-type HistBucket struct {
+type histBucket struct {
 	Le    string `json:"le"`
 	Count int    `json:"count"`
 }
@@ -262,21 +259,21 @@ func formatEdge(le float64) string {
 	return strconv.FormatFloat(le, 'g', -1, 64)
 }
 
-// MetricPoint is one metric's exported state.
-type MetricPoint struct {
+// metricPoint is one metric's exported state.
+type metricPoint struct {
 	Name    string            `json:"name"`
 	Type    string            `json:"type"`
 	Labels  map[string]string `json:"labels,omitempty"`
 	Value   float64           `json:"value"`
 	Count   int               `json:"count,omitempty"`
 	Sum     float64           `json:"sum,omitempty"`
-	Buckets []HistBucket      `json:"buckets,omitempty"`
+	Buckets []histBucket      `json:"buckets,omitempty"`
 }
 
 // Snapshot exports every metric, sorted by name then canonical labels
 // (then metric key, for label sets whose canonical forms collide), so
 // output is deterministic.
-func (r *Registry) Snapshot() []MetricPoint {
+func (r *Registry) Snapshot() []metricPoint {
 	if r == nil {
 		return nil
 	}
@@ -295,9 +292,9 @@ func (r *Registry) Snapshot() []MetricPoint {
 		}
 		return entries[i].key < entries[j].key
 	})
-	out := make([]MetricPoint, 0, len(entries))
+	out := make([]metricPoint, 0, len(entries))
 	for _, e := range entries {
-		p := MetricPoint{Name: e.name, Type: e.kind.String()}
+		p := metricPoint{Name: e.name, Type: e.kind.String()}
 		if len(e.labels) > 0 {
 			p.Labels = e.labels
 		}
@@ -311,7 +308,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 			p.Count = n
 			p.Sum = sum
 			for _, b := range buckets {
-				p.Buckets = append(p.Buckets, HistBucket{Le: formatEdge(b.Le), Count: b.Count})
+				p.Buckets = append(p.Buckets, histBucket{Le: formatEdge(b.Le), Count: b.Count})
 			}
 		}
 		out = append(out, p)

@@ -23,7 +23,7 @@ func TestCounterIdentityAndValue(t *testing.T) {
 	if a == c {
 		t.Fatal("distinct labels returned the same counter")
 	}
-	a.Inc()
+	a.Add(1)
 	b.Add(4)
 	a.Add(-7) // negative deltas are ignored: counters are monotonic
 	if got := a.Value(); got != 5 {
@@ -33,7 +33,7 @@ func TestCounterIdentityAndValue(t *testing.T) {
 	// Label sets whose unescaped k=v, renderings coincide are still two
 	// counters, and both appear in the snapshot.
 	r = NewRegistry()
-	r.Counter("c", Labels{"a": "1,b=2"}).Inc()
+	r.Counter("c", Labels{"a": "1,b=2"}).Add(1)
 	r.Counter("c", Labels{"a": "1", "b": "2"}).Add(5)
 	snap := r.Snapshot()
 	got := map[string]float64{}
@@ -92,7 +92,7 @@ func TestRegistryKindConflictPanics(t *testing.T) {
 
 func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zzz", nil).Inc()
+	r.Counter("zzz", nil).Add(1)
 	r.Counter("aaa", Labels{"b": "2"}).Add(2)
 	r.Counter("aaa", Labels{"b": "1"}).Add(1)
 	r.Gauge("mid", nil).Set(7)
@@ -128,7 +128,7 @@ func TestHistogramJSONInfEdge(t *testing.T) {
 	if !strings.Contains(string(buf), `"+Inf"`) {
 		t.Fatalf("histogram JSON missing +Inf edge:\n%s", buf)
 	}
-	var pts []MetricPoint
+	var pts []metricPoint
 	if err := json.Unmarshal(buf, &pts); err != nil {
 		t.Fatalf("registry JSON does not round-trip: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestHistogramJSONInfEdge(t *testing.T) {
 func TestNilMetricsNoOp(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", nil)
-	c.Inc()
+	c.Add(1)
 	if c.Value() != 0 {
 		t.Fatal("nil-registry counter retained a value")
 	}
@@ -170,7 +170,7 @@ func TestCollectorRecordsAndMirrors(t *testing.T) {
 	if got := c.Counts().Finished; got != 1 {
 		t.Fatalf("Counts().Finished = %d, want 1", got)
 	}
-	if got := len(c.StageEvents()); got != 1 {
+	if got := len(c.stageEvents()); got != 1 {
 		t.Fatalf("stage events = %d, want 1", got)
 	}
 	// The log and its tally are the record: nothing restates them in the
@@ -185,7 +185,7 @@ func TestNilCollectorNoOp(t *testing.T) {
 	c.OnTask(TaskEvent{Phase: PhaseStarted})
 	c.OnStage(StageEvent{})
 	c.OnPlacement(PlacementDecision{})
-	if c.TaskEvents() != nil || c.StageEvents() != nil || c.Placements() != nil || c.Counts().Started != 0 || c.Registry() != nil {
+	if c.TaskEvents() != nil || c.stageEvents() != nil || c.Placements() != nil || c.Counts().Started != 0 || c.Registry() != nil {
 		t.Fatal("nil collector is not a no-op")
 	}
 }

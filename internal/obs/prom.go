@@ -68,7 +68,7 @@ func promValue(v float64) string {
 // Registry.Snapshot return them in); a
 // `# TYPE` line is emitted once per metric name. Histograms render
 // cumulative `_bucket` series (ending at le="+Inf"), `_sum`, and `_count`.
-func WriteProm(w io.Writer, points []MetricPoint) error {
+func WriteProm(w io.Writer, points []metricPoint) error {
 	prev := ""
 	for _, p := range points {
 		if p.Name != prev {
@@ -105,13 +105,13 @@ func WriteProm(w io.Writer, points []MetricPoint) error {
 // ReportPoints renders a run report as gauges named report_<field>, in a
 // fixed order grouped by name, so /metrics serves the same facts /report
 // does and the two cannot disagree. A nil report renders nothing.
-func ReportPoints(r *Report) []MetricPoint {
+func ReportPoints(r *Report) []metricPoint {
 	if r == nil {
 		return nil
 	}
-	var out []MetricPoint
+	var out []metricPoint
 	gauge := func(name string, v float64, labels map[string]string) {
-		out = append(out, MetricPoint{Name: name, Type: "gauge", Labels: labels, Value: v})
+		out = append(out, metricPoint{Name: name, Type: "gauge", Labels: labels, Value: v})
 	}
 	gauge("report_task_attempts", float64(r.TaskAttempts), nil)
 	gauge("report_retries", float64(r.Retries), nil)

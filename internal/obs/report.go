@@ -23,9 +23,9 @@ const histogramBuckets = 8
 // this multiple of the stage median (Spark's speculation default).
 const stragglerMultiplier = 1.5
 
-// TaskSummary is the per-stage task-duration summary: percentiles,
+// taskSummary is the per-stage task-duration summary: percentiles,
 // dispersion, a fixed-bucket histogram, and the straggler count.
-type TaskSummary struct {
+type taskSummary struct {
 	Stage int    `json:"stage"`
 	Name  string `json:"name"`
 	// Kind is the span kind summarized (map / reduce / receive).
@@ -36,7 +36,7 @@ type TaskSummary struct {
 	P50Sec    float64      `json:"p50_sec"`
 	P95Sec    float64      `json:"p95_sec"`
 	MaxSec    float64      `json:"max_sec"`
-	Hist      []HistBucket `json:"hist,omitempty"`
+	Hist      []histBucket `json:"hist,omitempty"`
 	// Stragglers counts tasks slower than 1.5× the stage median.
 	Stragglers int `json:"stragglers"`
 }
@@ -64,7 +64,7 @@ type Report struct {
 	// comparable artifact behind the paper's S − s₁ claim.
 	MatrixLabels  []string      `json:"matrix_labels"`
 	TrafficMatrix [][]float64   `json:"traffic_matrix"`
-	Tasks         []TaskSummary `json:"tasks,omitempty"`
+	Tasks         []taskSummary `json:"tasks,omitempty"`
 	TaskAttempts  int           `json:"task_attempts"`
 	Retries       int           `json:"retries"`
 	Dials         int64         `json:"dials,omitempty"`
@@ -212,7 +212,7 @@ func InProgressReport(backend, workload, scheme string, c *Collector) *Report {
 		Backend:      backend,
 		Workload:     workload,
 		Scheme:       scheme,
-		Stages:       c.StageEvents(),
+		Stages:       c.stageEvents(),
 		TaskAttempts: counts.Started,
 		Retries:      counts.Retried,
 	}
@@ -226,7 +226,7 @@ var summaryKinds = []trace.Kind{trace.KindMap, trace.KindReduce, trace.KindRecei
 // group's duration summary via internal/stats. stageNames labels the
 // groups; unknown stages keep an empty name. Output order is stage ID then
 // kind, deterministic for golden tests.
-func TaskSummaries(spans []trace.Span, stageNames map[int]string) []TaskSummary {
+func TaskSummaries(spans []trace.Span, stageNames map[int]string) []taskSummary {
 	type key struct {
 		stage int
 		kind  trace.Kind
@@ -253,7 +253,7 @@ func TaskSummaries(spans []trace.Span, stageNames map[int]string) []TaskSummary 
 		}
 		return keys[i].kind < keys[j].kind
 	})
-	out := make([]TaskSummary, 0, len(keys))
+	out := make([]taskSummary, 0, len(keys))
 	for _, k := range keys {
 		ds := durs[k]
 		median := stats.Median(ds)
@@ -266,7 +266,7 @@ func TaskSummaries(spans []trace.Span, stageNames map[int]string) []TaskSummary 
 				stragglers++
 			}
 		}
-		ts := TaskSummary{
+		ts := taskSummary{
 			Stage:      k.stage,
 			Name:       stageNames[k.stage],
 			Kind:       string(k.kind),
@@ -279,7 +279,7 @@ func TaskSummaries(spans []trace.Span, stageNames map[int]string) []TaskSummary 
 			Stragglers: stragglers,
 		}
 		for _, b := range h.Buckets() {
-			ts.Hist = append(ts.Hist, HistBucket{Le: formatEdge(b.Le), Count: b.Count})
+			ts.Hist = append(ts.Hist, histBucket{Le: formatEdge(b.Le), Count: b.Count})
 		}
 		out = append(out, ts)
 	}

@@ -82,7 +82,7 @@ func TestRunContextCancelMidStage(t *testing.T) {
 // on the first failure — the shape of a worker dying while its job is
 // being torn down.
 type cancelingBackend struct {
-	*MemBackend
+	*memBackend
 	cancel   context.CancelFunc
 	attempts atomic.Int32
 }
@@ -102,7 +102,7 @@ func TestRunContextCancelSkipsRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := &cancelingBackend{MemBackend: NewMemBackend(1), cancel: cancel}
+	be := &cancelingBackend{memBackend: NewMemBackend(1), cancel: cancel}
 	_, err = NewDriver(job, be, DriverConfig{}).RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -13,12 +13,12 @@ import (
 	"wanshuffle/internal/shuffle"
 )
 
-// Backend is the data plane the Driver runs a planned job on. A backend
+// Backend is the data plane the driver runs a planned job on. A backend
 // owns a set of integer-indexed task sites (workers for the live cluster,
 // whatever a future substrate provides), runs tasks at sites, moves and
 // stores shuffle bytes between them, and observes the run's events.
 //
-// Everything that is planning stays with the Driver: where each map output
+// Everything that is planning stays with the driver: where each map output
 // lives and how big it measured (a shuffle.Tracker), a stage's input
 // sizes, the range-partitioner barrier, placement, retries and each site's
 // cache of Cached partitions. Data-plane details (TCP, memory) stay
@@ -28,7 +28,7 @@ type Backend interface {
 	// NumSites returns the number of task sites.
 	NumSites() int
 
-	// SiteHealthy reports whether the site is fit to run tasks. The Driver
+	// SiteHealthy reports whether the site is fit to run tasks. The driver
 	// re-places a failed task's next attempt away from an unhealthy site
 	// instead of retrying into it.
 	SiteHealthy(site int) bool
@@ -40,7 +40,7 @@ type Backend interface {
 	// the moment the task finishes when t.AggTo >= 0 (the paper's
 	// transferTo), kept at t.Site otherwise — keeping duplicate outputs
 	// from retried attempts idempotent (last-write-wins by t.Attempt), and
-	// returns TaskOutput's result, which carries what the Driver tracks
+	// returns TaskOutput's result, which carries what the driver tracks
 	// about it: its record-codec bytes and its rdd.RangeSample.
 	RunTask(t Task) (TaskResult, error)
 
@@ -51,7 +51,7 @@ type Backend interface {
 	obs.Sink
 }
 
-// Task is one task attempt as the Driver hands it to a Backend.
+// Task is one task attempt as the driver hands it to a Backend.
 type Task struct {
 	Stage *dag.Stage
 	Part  int
@@ -61,18 +61,18 @@ type Task struct {
 	// AggTo is the site a map task pushes its output to, -1 for none.
 	AggTo int
 
-	outputs *shuffle.Tracker // the Driver's; tasks only read it
-	cache   *siteCache       // the Driver's, of the task's site; nil caches nothing
+	outputs *shuffle.Tracker // the driver's; tasks only read it
+	cache   *siteCache       // the driver's, of the task's site; nil caches nothing
 }
 
 // TaskResult is a task's output as TaskOutput computes it.
 type TaskResult struct {
-	// Records are the task's output; the Driver keeps a result stage's.
+	// Records are the task's output; the driver keeps a result stage's.
 	Records []rdd.Pair
 	// Bytes is a map task's prepared output in record-codec bytes, what a
-	// data plane moves; Sample is rdd.RangeSample of that output.
+	// data plane moves; sample is rdd.RangeSample of that output.
 	Bytes  float64
-	Sample []string
+	sample []string
 }
 
 // Gather reads reduce partition reduce of a shuffle: fetch is called once
@@ -116,13 +116,13 @@ type DriverConfig struct {
 	SiteSlots int
 }
 
-// Driver executes a planned job stage-by-stage over a Backend: topological
+// driver executes a planned job stage-by-stage over a Backend: topological
 // stage order, map-output tracking, per-shuffle aggregator selection,
 // receiver/reducer placement, the range-partitioner barrier, bounded task
 // concurrency, retry bookkeeping and each site's cache of Cached partitions
 // all live here — backends only run tasks and move bytes. Everything the
-// Driver keeps per site lives as long as its job.
-type Driver struct {
+// driver keeps per site lives as long as its job.
+type driver struct {
 	job *Job
 	be  Backend
 	cfg DriverConfig
@@ -140,15 +140,15 @@ type Driver struct {
 }
 
 // NewDriver prepares a driver; Run may be called once.
-func NewDriver(job *Job, be Backend, cfg DriverConfig) *Driver {
+func NewDriver(job *Job, be Backend, cfg DriverConfig) *driver {
 	if cfg.SiteSlots <= 0 {
 		cfg.SiteSlots = 2
 	}
-	return &Driver{job: job, be: be, cfg: cfg}
+	return &driver{job: job, be: be, cfg: cfg}
 }
 
 // Run executes every stage and returns the result stage's partitions.
-func (d *Driver) Run() ([][]rdd.Pair, error) {
+func (d *driver) Run() ([][]rdd.Pair, error) {
 	return d.RunContext(context.Background())
 }
 
@@ -158,7 +158,7 @@ func (d *Driver) Run() ([][]rdd.Pair, error) {
 // (so errors.Is distinguishes cancellation and deadline expiry from task
 // failure). The backend is left quiescent — no driver goroutine outlives
 // the call — so a live cluster stays reusable for the next job.
-func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
+func (d *driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -209,11 +209,11 @@ func (d *Driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 	return final, nil
 }
 
-func (d *Driver) now() float64 { return time.Since(d.start).Seconds() }
+func (d *driver) now() float64 { return time.Since(d.start).Seconds() }
 
 // canceled returns the job-level cancellation error (wrapping ctx.Err())
 // when the run's context is done, nil otherwise.
-func (d *Driver) canceled() error {
+func (d *driver) canceled() error {
 	if err := d.ctx.Err(); err != nil {
 		return fmt.Errorf("plan: job canceled: %w", err)
 	}
@@ -225,7 +225,7 @@ func (d *Driver) canceled() error {
 // first run is every part; a result stage's are all of its parts — pushes
 // their outputs to the stage's aggregator when the stage pushes, and
 // finalizes the stage's shuffle at the barrier.
-func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
+func (d *driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 	spanStart := d.now()
 	name := st.Name() // formatted once: every task event carries it
 	at := d.stageSite(st)
@@ -274,7 +274,7 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 				if aggTo >= 0 {
 					holder = aggTo
 				}
-				d.outputs.Record(st.OutSpec.ID, part, holder, res.Bytes, res.Sample)
+				d.outputs.Record(st.OutSpec.ID, part, holder, res.Bytes, res.sample)
 				return nil
 			})
 		}()
@@ -295,7 +295,7 @@ func (d *Driver) runStage(st *dag.Stage) ([][]rdd.Pair, error) {
 }
 
 // taskEvent reports one task lifecycle transition to the backend's sink.
-func (d *Driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, site, attempt int, err error) {
+func (d *driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, site, attempt int, err error) {
 	ev := obs.TaskEvent{
 		Phase: phase, Stage: stage, StageName: name,
 		Part: part, Site: site, Attempt: attempt, Time: d.now(),
@@ -311,7 +311,7 @@ func (d *Driver) taskEvent(phase obs.TaskPhase, stage int, name string, part, si
 // actual map-output sizes for every shuffle input (Sec. III-B / IV-D). The
 // choice goes to the backend's sink, without site labels: the backend knows
 // its own site names. at is the stage's stageSite.
-func (d *Driver) resolveAggregator(st *dag.Stage, at int) int {
+func (d *driver) resolveAggregator(st *dag.Stage, at int) int {
 	if !Pushes(st) {
 		return -1
 	}
@@ -324,7 +324,7 @@ func (d *Driver) resolveAggregator(st *dag.Stage, at int) int {
 	return rank[0]
 }
 
-// Pushes reports whether the Driver pushes map stage st's output to an
+// Pushes reports whether the driver pushes map stage st's output to an
 // aggregator: the stage's output is a single-aggregator TransferToAuto,
 // which dag plans as two phases, [work, transfer node].
 func Pushes(st *dag.Stage) bool {
@@ -340,7 +340,7 @@ func Pushes(st *dag.Stage) bool {
 // outputs in, so a predicted transfer cost is a prediction about bytes a
 // data plane moves; they never leave the process, so a value the record
 // codec cannot carry is sized, not refused.
-func (d *Driver) inputSizes(st *dag.Stage, at int) []float64 {
+func (d *driver) inputSizes(st *dag.Stage, at int) []float64 {
 	bySite := make([]float64, d.be.NumSites())
 	for part, in := range st.Base.Input { // none over a shuffle
 		n, _ := rdd.EncodedSize(in.Records)
@@ -359,7 +359,7 @@ func (d *Driver) inputSizes(st *dag.Stage, at int) []float64 {
 // input shuffle. Everything else round-robins, since leaf input ships from
 // the driver rather than residing on sites, and a fetched shuffle's outputs
 // lie on every mapper's.
-func (d *Driver) stageSite(st *dag.Stage) int {
+func (d *driver) stageSite(st *dag.Stage) int {
 	if len(st.Parents) == 0 {
 		return -1
 	}
@@ -376,7 +376,7 @@ func (d *Driver) stageSite(st *dag.Stage) int {
 }
 
 // placeTask places task part of a stage whose stageSite is at.
-func (d *Driver) placeTask(at, part int) int {
+func (d *driver) placeTask(at, part int) int {
 	if at >= 0 {
 		return at
 	}
@@ -385,7 +385,7 @@ func (d *Driver) placeTask(at, part int) int {
 
 // acquire takes one of site's task slots, waiting for it until the job is
 // canceled.
-func (d *Driver) acquire(site int) error {
+func (d *driver) acquire(site int) error {
 	select {
 	case d.sems[site] <- struct{}{}:
 		return nil
@@ -401,7 +401,7 @@ func (d *Driver) acquire(site int) error {
 // The caller took a slot at site; the slot follows the task when it moves,
 // so SiteSlots bounds every site whatever the retries did, and attempt
 // releases the one it holds when it returns.
-func (d *Driver) attempt(stage int, name string, part, site int, run func(site, attempt int) error) error {
+func (d *driver) attempt(stage int, name string, part, site int, run func(site, attempt int) error) error {
 	held := true
 	defer func() {
 		if held {
@@ -441,7 +441,7 @@ func (d *Driver) attempt(stage int, name string, part, site int, run func(site, 
 // replaceSite returns the next healthy site after an attempt failed at
 // site, or site itself when the backend reports it healthy (transient
 // task error) or has no healthy site to offer.
-func (d *Driver) replaceSite(site int) int {
+func (d *driver) replaceSite(site int) int {
 	if d.be.SiteHealthy(site) {
 		return site
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"wanshuffle/internal/dag"
 	"wanshuffle/internal/rdd"
 )
 
@@ -16,22 +15,12 @@ import (
 // the store, so a consumer only reads them: rdd.ReducePartition takes them
 // as they are. Backends build it on Task.Gather, which owns the map-order
 // loop, and supply only the per-output read — a TCP fetch for the live
-// cluster, a shard lookup for MemBackend.
+// cluster, a shard lookup for memBackend.
 type ShuffleReader func(spec *rdd.ShuffleSpec, reducePart int) ([][]rdd.Pair, error)
-
-// EvalStagePart computes output partition part of a stage the Driver runs,
-// reading shuffle boundaries through read. The record semantics — narrow
-// chains, reduce-side aggregation, post-shuffle transforms — are exactly
-// those of rdd.EvalLocal, so every backend built on this evaluator agrees
-// with the in-memory reference by construction. It caches nothing: a Cached
-// node is computed where it is read.
-func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, error) {
-	return evalPart(st.Phases[0].Top, part, read, nil)
-}
 
 // TaskOutput computes what task t produces: a result stage's output
 // partition, or a map stage's output prepared for the stage's shuffle —
-// rdd.MapSidePrepare(t.Stage.OutSpec, EvalStagePart(...)),
+// rdd.MapSidePrepare(t.Stage.OutSpec, evalPart(...)) of its first phase,
 // record for record. How it gets there is decided here and nowhere else: when
 // the shuffle combines map-side, the stage's chain runs record by record
 // straight into the combiner's table (Sec. IV-C3: the combine is pipelined
@@ -47,8 +36,8 @@ func EvalStagePart(st *dag.Stage, part int, read ShuffleReader) ([]rdd.Pair, err
 // before any backend stores or pushes it.
 //
 // A Cached node's partition comes from the cache of the task's site, which
-// the Driver hands it, when an earlier task of the job computed it there,
-// and goes into it otherwise. A Task the Driver did not make caches nothing.
+// the driver hands it, when an earlier task of the job computed it there,
+// and goes into it otherwise. A Task the driver did not make caches nothing.
 func TaskOutput(t Task, read ShuffleReader) (TaskResult, error) {
 	top, spec, part, cache := t.Stage.Phases[0].Top, t.Stage.OutSpec, t.Part, t.cache
 	var out []rdd.Pair
@@ -68,12 +57,12 @@ func TaskOutput(t Task, read ShuffleReader) (TaskResult, error) {
 	if err != nil {
 		return TaskResult{}, fmt.Errorf("plan: map output of shuffle %d: %w", spec.ID, err)
 	}
-	return TaskResult{Records: out, Bytes: size, Sample: rdd.RangeSample(spec, out)}, nil
+	return TaskResult{Records: out, Bytes: size, sample: rdd.RangeSample(spec, out)}, nil
 }
 
 // siteCache holds the partitions of Cached RDDs (rdd.RDD.Cached) that one
 // task site computed in one job, by node ID and partition: Spark's block
-// manager's rdd_<id>_<part> blocks, without the eviction. The Driver makes
+// manager's rdd_<id>_<part> blocks, without the eviction. The driver makes
 // one per site when its job starts and hands each task its site's, so none
 // outlives the job: node IDs restart with every rdd.Graph, so a partition
 // kept into the next job could answer for a node it was not computed from.
@@ -114,7 +103,9 @@ func (c *siteCache) put(k cacheKey, recs []rdd.Pair) []rdd.Pair {
 // evalPart and eachPart are one evaluator in two forms: evalPart returns
 // partition part of node as a slice, eachPart hands its records to emit in
 // the same order without building one. Both read shuffle input through read
-// and Cached partitions through cache (nil: nothing is cached).
+// and Cached partitions through cache (nil: nothing is cached). Their record
+// semantics are exactly rdd.EvalLocal's, so every backend agrees with the
+// in-memory reference by construction.
 //
 // A narrow node (Map, MapMulti, Filter) fuses: eachPart runs its one
 // parent partition's eachPart with the node's operator (rdd.RDD.Each)

@@ -14,12 +14,12 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// checkedBackend is a MemBackend whose every map task also computes its
+// checkedBackend is a memBackend whose every map task also computes its
 // prepared output the long way — the whole stage materialised, then
 // MapSidePrepare, caching nothing — and holds TaskOutput, which reads and
 // fills the site's cache, to it record for record.
 type checkedBackend struct {
-	*MemBackend
+	*memBackend
 	t *testing.T
 
 	mu     sync.Mutex
@@ -28,7 +28,7 @@ type checkedBackend struct {
 
 func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 	if spec := t.Stage.OutSpec; spec != nil {
-		recs, err := EvalStagePart(t.Stage, t.Part, b.reader(t))
+		recs, err := evalPart(t.Stage.Phases[0].Top, t.Part, b.reader(t), nil)
 		if err != nil {
 			return TaskResult{}, err
 		}
@@ -38,7 +38,7 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 			return TaskResult{}, err
 		}
 		if got := res.Records; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			b.t.Errorf("stage %s part %d: TaskOutput = %v, MapSidePrepare(EvalStagePart) = %v", t.Stage.Name(), t.Part, res.Records, want)
+			b.t.Errorf("stage %s part %d: TaskOutput = %v, MapSidePrepare(evalPart) = %v", t.Stage.Name(), t.Part, res.Records, want)
 		}
 		if t.Part == 0 {
 			b.mu.Lock()
@@ -48,7 +48,7 @@ func (b *checkedBackend) RunTask(t Task) (TaskResult, error) {
 			b.mu.Unlock()
 		}
 	}
-	return b.MemBackend.RunTask(t)
+	return b.memBackend.RunTask(t)
 }
 
 // chainShape spells a stage's narrow chain from its top down to its base:
@@ -86,12 +86,12 @@ func markCached(target *rdd.RDD, rng *rand.Rand) {
 	walk(target)
 }
 
-// TestTaskOutputMatchesPrepareOfEvalStagePart runs random lineages, a quarter
+// TestTaskOutputMatchesPrepareOfEvalPart runs random lineages, a quarter
 // of their nodes cache-marked, with every map task checked and the job's
 // output held to the reference. It asks the generator for the chains the
 // fused evaluator has to get right: straight into the combiner from a leaf,
 // and fused → materialised (a Cached node) → fused.
-func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
+func TestTaskOutputMatchesPrepareOfEvalPart(t *testing.T) {
 	shapes := map[string]int{}
 	for seed := int64(0); seed < 120; seed++ {
 		want := canon(rdd.CollectLocal(rdd.RandomLineage(seed, rdd.NewGraph(), hosts(6))))
@@ -104,7 +104,7 @@ func TestTaskOutputMatchesPrepareOfEvalStagePart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		be := &checkedBackend{MemBackend: NewMemBackend(3), t: t, shapes: shapes}
+		be := &checkedBackend{memBackend: NewMemBackend(3), t: t, shapes: shapes}
 		out, err := NewDriver(job, be, DriverConfig{}).Run()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

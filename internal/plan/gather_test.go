@@ -14,7 +14,7 @@ import (
 )
 
 // TestGatherNamesTheMissingOutput: a shuffle read resolves every holder
-// through the Driver's tracker, and one over a shuffle with an output
+// through the driver's tracker, and one over a shuffle with an output
 // dropped fetches nothing and fails with shuffle.ErrNoMapOutput naming
 // (shuffle, map part).
 func TestGatherNamesTheMissingOutput(t *testing.T) {
@@ -53,7 +53,7 @@ func TestGatherNamesTheMissingOutput(t *testing.T) {
 
 // TestBarrierPreparesRangeFromTrackedSamples pins the map-stage barrier: a
 // sampled range spec gets the boundaries rdd.PrepareRange draws from every
-// stored output read back from the store, though the Driver samples none:
+// stored output read back from the store, though the driver samples none:
 // it prepares from the samples its map tasks returned.
 func TestBarrierPreparesRangeFromTrackedSamples(t *testing.T) {
 	const maps, reduces = 5, 4
@@ -71,7 +71,7 @@ func TestBarrierPreparesRangeFromTrackedSamples(t *testing.T) {
 	}
 	spec := job.Stages()[0].OutSpec
 	want := &rdd.ShuffleSpec{ID: spec.ID, Partitioner: rdd.NewRangePartitioner(reduces)}
-	be := &barrierProbe{MemBackend: NewMemBackend(3)}
+	be := &barrierProbe{memBackend: NewMemBackend(3)}
 	// Sample the stored outputs after the map stage, before the first shard
 	// read buckets them.
 	be.afterMapStage = func() {
@@ -100,7 +100,7 @@ func TestBarrierPreparesRangeFromTrackedSamples(t *testing.T) {
 
 // barrierProbe calls afterMapStage once, before the first result task runs.
 type barrierProbe struct {
-	*MemBackend
+	*memBackend
 	once          sync.Once
 	afterMapStage func()
 }
@@ -109,5 +109,5 @@ func (b *barrierProbe) RunTask(t Task) (TaskResult, error) {
 	if t.Stage.OutSpec == nil {
 		b.once.Do(b.afterMapStage)
 	}
-	return b.MemBackend.RunTask(t)
+	return b.memBackend.RunTask(t)
 }

@@ -72,23 +72,23 @@ func ParseAggregatorPolicy(s string) (AggregatorPolicy, error) {
 // the link observatory, the configured topology's promised rate, or the
 // uniform fallback when neither knows the pair.
 const (
-	BandwidthMeasured   = "measured"
+	bandwidthMeasured   = "measured"
 	BandwidthConfigured = "configured"
-	BandwidthUniform    = "uniform"
+	bandwidthUniform    = "uniform"
 )
 
-// DefaultUniformBps is the bandwidth assumed for site pairs with neither
+// defaultUniformBps is the bandwidth assumed for site pairs with neither
 // a measured nor a configured estimate — the middle of the paper's
 // observed 80–300 Mbps inter-DC band. Within one decision only relative
 // costs matter, so the exact value only matters when uniform pairs mix
 // with known ones.
-const DefaultUniformBps = 100e6
+const defaultUniformBps = 100e6
 
 // LinkCostProvider supplies per-directed-site-pair bandwidth estimates
 // for the bandwidth-aware cost model. Implementations return the
-// estimate's source (BandwidthMeasured or BandwidthConfigured); ok=false
+// estimate's source (bandwidthMeasured or BandwidthConfigured); ok=false
 // means the pair is unknown and the caller falls back to
-// DefaultUniformBps.
+// defaultUniformBps.
 type LinkCostProvider interface {
 	LinkBps(src, dst int) (bps float64, source string, ok bool)
 }
@@ -118,7 +118,7 @@ func (l measuredLinks) LinkBps(src, dst int) (float64, string, bool) {
 		return 0, "", false
 	}
 	if est, ok := l.est.Estimate(l.name(src), l.name(dst)); ok && est.ThroughputBps > 0 {
-		return est.ThroughputBps, BandwidthMeasured, true
+		return est.ThroughputBps, bandwidthMeasured, true
 	}
 	if bps := l.configured(src, dst); bps > 0 {
 		return bps, BandwidthConfigured, true
@@ -147,7 +147,7 @@ type candidateCost struct {
 // link" attribution on a candidate's cost.
 func sourceRank(s string) int {
 	switch s {
-	case BandwidthMeasured:
+	case bandwidthMeasured:
 		return 0
 	case BandwidthConfigured:
 		return 1
@@ -173,7 +173,7 @@ func sanitizeSizes(bySite []float64) []float64 {
 // estimateTransferCosts computes every candidate site's estimated shuffle
 // transfer time from the input shares and the provider's link bandwidth:
 // cost(d) = max over sources s≠d with bytes of bySite[s]·8 / bps(s→d).
-// Pairs the provider does not know fall back to DefaultUniformBps. A nil
+// Pairs the provider does not know fall back to defaultUniformBps. A nil
 // provider prices every pair uniformly, which reduces the ranking to the
 // paper's byte rule.
 func estimateTransferCosts(bySite []float64, links LinkCostProvider) []candidateCost {
@@ -190,7 +190,7 @@ func estimateTransferCosts(bySite []float64, links LinkCostProvider) []candidate
 				bps, source, ok = links.LinkBps(s, d)
 			}
 			if !ok || bps <= 0 || math.IsNaN(bps) || math.IsInf(bps, 0) {
-				bps, source = DefaultUniformBps, BandwidthUniform
+				bps, source = defaultUniformBps, bandwidthUniform
 			}
 			if cost := sizes[s] * 8 / bps; cost > cc.CostSec {
 				cc.CostSec = cost

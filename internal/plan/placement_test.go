@@ -221,8 +221,8 @@ func TestEstimateTransferCosts(t *testing.T) {
 	// and the candidate's source degrades to the weakest link used.
 	partial := fakeLinks{bps: map[[2]int]float64{{0, 1}: 100e6}}
 	costs = estimateTransferCosts([]float64{10e3, 0, 40e3}, partial)
-	wantUniform := 40e3 * 8 / DefaultUniformBps
-	if math.Abs(costs[1].CostSec-wantUniform) > 1e-12 || costs[1].Source != BandwidthUniform {
+	wantUniform := 40e3 * 8 / defaultUniformBps
+	if math.Abs(costs[1].CostSec-wantUniform) > 1e-12 || costs[1].Source != bandwidthUniform {
 		t.Fatalf("mixed-source candidate = %+v, want uniform-dominated cost %.6f", costs[1], wantUniform)
 	}
 
@@ -232,7 +232,7 @@ func TestEstimateTransferCosts(t *testing.T) {
 	if costs[1].CostSec != 0 || costs[1].Source != "" {
 		t.Fatalf("sole-holder candidate = %+v, want zero cost and empty source", costs[1])
 	}
-	if costs[0].Source != BandwidthUniform || costs[0].CostSec <= 0 {
+	if costs[0].Source != bandwidthUniform || costs[0].CostSec <= 0 {
 		t.Fatalf("nil-provider candidate = %+v, want uniform source", costs[0])
 	}
 }
@@ -375,7 +375,7 @@ func TestInputSizesFollowTaskPlacement(t *testing.T) {
 	})
 }
 
-// TestReduceTasksFollowTheTable checks where the Driver runs the tasks of a
+// TestReduceTasksFollowTheTable checks where the driver runs the tasks of a
 // stage over shuffles: on the site the tracker holds its first input
 // shuffle at when every parent stage pushes, round-robin otherwise. The
 // cogroup's left input is heavy on site 2 and its right on site 1, so its

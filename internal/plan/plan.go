@@ -10,7 +10,7 @@
 //     planning and placement primitives (BuildJob, ChooseAggregator,
 //     SpreadTopK, MaxAttempts) inside its event-driven task runtime;
 //   - internal/livecluster implements the Backend interface and is driven
-//     stage-by-stage by the Driver, moving every shuffle byte over real
+//     stage-by-stage by the driver, moving every shuffle byte over real
 //     TCP connections.
 //
 // Keeping the planner in one package guarantees both backends cut stages,

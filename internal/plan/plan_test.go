@@ -89,8 +89,8 @@ func pushFirstShuffle(target *rdd.RDD) int {
 	return first.Shuffle.ID
 }
 
-// runMem drives a job over a MemBackend and flattens the result.
-func runMem(t *testing.T, target *rdd.RDD, cfg DriverConfig, sites int) ([]rdd.Pair, *MemBackend) {
+// runMem drives a job over a memBackend and flattens the result.
+func runMem(t *testing.T, target *rdd.RDD, cfg DriverConfig, sites int) ([]rdd.Pair, *memBackend) {
 	t.Helper()
 	job, err := BuildJob(target)
 	if err != nil {
@@ -208,18 +208,18 @@ func TestDriverAggregatorFollowsMeasuredSizes(t *testing.T) {
 	}
 }
 
-// countingBackend is a MemBackend that counts the tasks it is handed.
+// countingBackend is a memBackend that counts the tasks it is handed.
 type countingBackend struct {
-	*MemBackend
+	*memBackend
 	tasks atomic.Int64
 }
 
 func (b *countingBackend) RunTask(t Task) (TaskResult, error) {
 	b.tasks.Add(1)
-	return b.MemBackend.RunTask(t)
+	return b.memBackend.RunTask(t)
 }
 
-// TestDriverRejectsTransferPhases holds the Driver to the one transfer it
+// TestDriverRejectsTransferPhases holds the driver to the one transfer it
 // runs, a single-aggregator TransferToAuto directly before a shuffle: it
 // pushes that shuffle, and rejects any other transfer before a task runs,
 // with an error naming the stage that carries it.
@@ -250,7 +250,7 @@ func TestDriverRejectsTransferPhases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			be := &countingBackend{MemBackend: NewMemBackend(2)}
+			be := &countingBackend{memBackend: NewMemBackend(2)}
 			out, err := NewDriver(job, be, DriverConfig{}).Run()
 			if !tc.pushes {
 				var carrier string
@@ -288,11 +288,11 @@ func TestDriverRetriesUntilBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := &flakyBackend{MemBackend: NewMemBackend(2), failFirst: MaxAttempts - 1}
+	be := &flakyBackend{memBackend: NewMemBackend(2), failFirst: MaxAttempts - 1}
 	if _, err := NewDriver(job, be, DriverConfig{}).Run(); err != nil {
 		t.Fatalf("%d failures within %d attempts should succeed: %v", MaxAttempts-1, MaxAttempts, err)
 	}
-	be = &flakyBackend{MemBackend: NewMemBackend(2), failFirst: MaxAttempts}
+	be = &flakyBackend{memBackend: NewMemBackend(2), failFirst: MaxAttempts}
 	if _, err := NewDriver(job, be, DriverConfig{}).Run(); err == nil {
 		t.Fatalf("%d failures should exhaust %d attempts", MaxAttempts, MaxAttempts)
 	}
@@ -325,7 +325,7 @@ func TestUnsupportedValueFailsTaskOnce(t *testing.T) {
 
 // flakyBackend fails the first N map-task attempts.
 type flakyBackend struct {
-	*MemBackend
+	*memBackend
 	failFirst int
 }
 
@@ -334,16 +334,16 @@ func (b *flakyBackend) RunTask(t Task) (TaskResult, error) {
 		b.failFirst--
 		return TaskResult{}, fmt.Errorf("flaky: injected failure")
 	}
-	return b.MemBackend.RunTask(t)
+	return b.memBackend.RunTask(t)
 }
 
-// deadSiteBackend wraps MemBackend with a permanently dead site: every
+// deadSiteBackend wraps memBackend with a permanently dead site: every
 // task attempt there fails, and SiteHealthy reports it unhealthy. The
 // driver must steer retried attempts to a healthy site, so jobs complete
 // despite the hole. Every attempt takes nap, long enough for attempts that
 // may overlap to be seen overlapping.
 type deadSiteBackend struct {
-	*MemBackend
+	*memBackend
 	dead int
 	nap  time.Duration
 
@@ -368,7 +368,7 @@ func (b *deadSiteBackend) RunTask(t Task) (TaskResult, error) {
 	if t.Site == b.dead {
 		return TaskResult{}, fmt.Errorf("dead: site %d is down", t.Site)
 	}
-	return b.MemBackend.RunTask(t)
+	return b.memBackend.RunTask(t)
 }
 
 // SiteHealthy implements Backend.
@@ -406,7 +406,7 @@ func TestDriverReplacesTasksOffDeadSite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			be := &deadSiteBackend{MemBackend: NewMemBackend(3), dead: 0, nap: tc.nap,
+			be := &deadSiteBackend{memBackend: NewMemBackend(3), dead: 0, nap: tc.nap,
 				running: map[int]int{}, peak: map[int]int{}}
 			drv := NewDriver(job, be, DriverConfig{SiteSlots: tc.slots})
 			parts, err := drv.Run()
@@ -462,7 +462,7 @@ func TestDriverRetriesInPlaceWithoutHealthView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := &allUnhealthyBackend{flakyBackend: &flakyBackend{MemBackend: NewMemBackend(2), failFirst: 1}}
+	be := &allUnhealthyBackend{flakyBackend: &flakyBackend{memBackend: NewMemBackend(2), failFirst: 1}}
 	if _, err := NewDriver(job, be, DriverConfig{}).Run(); err != nil {
 		t.Fatalf("transient failure with no healthy site should retry in place: %v", err)
 	}

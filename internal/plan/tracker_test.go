@@ -10,7 +10,7 @@ import (
 	"wanshuffle/internal/shuffle"
 )
 
-// TestMapOutputTracker pins the Driver's map-output table as its tasks and
+// TestMapOutputTracker pins the driver's map-output table as its tasks and
 // placement read it: a shuffle read resolves each output's holder, a newer
 // record moves an output, and a stage's input sizes add the measured bytes
 // at their holders.

@@ -56,8 +56,8 @@ func (e *UnsupportedValueError) Error() string {
 	return fmt.Sprintf("rdd: record %q: the record codec cannot carry a value of type %s", e.Key, e.Type)
 }
 
-// ErrCorrupt is wrapped by every DecodePairs error.
-var ErrCorrupt = errors.New("rdd: corrupt record payload")
+// errCorrupt is wrapped by every DecodePairs error.
+var errCorrupt = errors.New("rdd: corrupt record payload")
 
 func uvarintLen(x uint64) int {
 	n := 1
@@ -229,7 +229,7 @@ func appendValues(dst []byte, vs []Value) []byte {
 // alive (holders that outlive their chunk strings.Clone what they keep).
 // A string, float64 or int value sits in a slab of its kind (see slab), so
 // a kept value also keeps that slab alive.
-// Arbitrary bytes yield an error wrapping ErrCorrupt, never a panic, and
+// Arbitrary bytes yield an error wrapping errCorrupt, never a panic, and
 // every count is checked against the bytes left (and all counts together
 // against len(buf)) before anything is allocated for it.
 func DecodePairs(buf []byte) ([]Pair, error) {
@@ -326,7 +326,7 @@ type eface struct{ typ, data unsafe.Pointer }
 
 func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: at byte %d: %s", ErrCorrupt, d.off, fmt.Sprintf(format, args...))
+		d.err = fmt.Errorf("%w: at byte %d: %s", errCorrupt, d.off, fmt.Sprintf(format, args...))
 	}
 }
 

@@ -261,11 +261,11 @@ func TestDecodePairsRejectsEveryProperPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < len(buf); n++ {
-			if _, err := DecodePairs(append([]byte(nil), buf[:n]...)); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodePairs(append([]byte(nil), buf[:n]...)); !errors.Is(err, errCorrupt) {
 				t.Fatalf("prefix of %d of %d bytes: err = %v, want ErrCorrupt", n, len(buf), err)
 			}
 		}
-		if _, err := DecodePairs(append(buf, 0)); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodePairs(append(buf, 0)); !errors.Is(err, errCorrupt) {
 			t.Fatalf("trailing byte: err = %v, want ErrCorrupt", err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestDecodePairsRejectsOversizedCounts(t *testing.T) {
 		"tag":        {1, 0, 0xee},
 	} {
 		allocated := allocatedBytes(func() {
-			if _, err := DecodePairs(buf); !errors.Is(err, ErrCorrupt) {
+			if _, err := DecodePairs(buf); !errors.Is(err, errCorrupt) {
 				t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 			}
 		})

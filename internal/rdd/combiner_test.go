@@ -105,11 +105,11 @@ func combinerGoldenInput() []Pair {
 	return in
 }
 
-// The golden file is MapSidePrepare's output at the commit before Combiner
+// The golden file is MapSidePrepare's output at the commit before combiner
 // existed (combineByKey over a map[string]Value, then the sort), under a
 // combine function that is not commutative — it joins its arguments with a
 // comma — so the file pins both the records and the order values were folded
-// in. A Combiner fed record by record and sorted, and ReduceAggregate built
+// in. A combiner fed record by record and sorted, and ReduceAggregate built
 // on it, must reproduce it exactly. MapSidePrepare no longer sorts: it must
 // hand on the same records in their keys' first-arrival order.
 func TestCombinerMatchesParentMapSidePrepare(t *testing.T) {
@@ -255,7 +255,7 @@ func keyedOnes(prefix string, keys, n int, seed int64) []Pair {
 }
 
 // referenceCombine is a combine by a fresh map and a stable sort, for the
-// recycled Combiner to be held to.
+// recycled combiner to be held to.
 func referenceCombine(fn CombineFn, recs []Pair) []Pair {
 	pos := map[string]int{}
 	var out []Pair
@@ -270,7 +270,7 @@ func referenceCombine(fn CombineFn, recs []Pair) []Pair {
 	return referenceSort(out)
 }
 
-// A Combiner's table is recycled, so one combine must leave nothing in it for
+// A combiner's table is recycled, so one combine must leave nothing in it for
 // the next: combined in turn over disjoint keys, the second output holds none
 // of the first's keys, and the first output is not touched by the second
 // combine. Both sizes run: under radixSortCutoff keys and over it.
@@ -301,7 +301,7 @@ func TestCombinerRecyclesNothingVisible(t *testing.T) {
 	}
 }
 
-// Sorted spends a Combiner: its table has gone back to the pool, so an Add
+// Sorted spends a combiner: its table has gone back to the pool, so an Add
 // afterwards panics instead of folding into a table another combine owns.
 func TestCombinerAddAfterSortedPanics(t *testing.T) {
 	c := NewCombiner(sumInts)

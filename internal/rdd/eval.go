@@ -80,7 +80,7 @@ func (e *localEval) evalShuffle(r *RDD) [][]Pair {
 				prepared := MapSidePrepare(spec, part)
 				sample = append(sample, SampleKeys(prepared, 1000)...)
 			}
-			spec.Partitioner.(*RangePartitioner).Prepare(sample)
+			spec.Partitioner.(*rangePartitioner).Prepare(sample)
 		}
 		for _, part := range parent {
 			prepared := MapSidePrepare(spec, part)

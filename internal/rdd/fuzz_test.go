@@ -137,7 +137,7 @@ func FuzzSizeOfNonNegative(f *testing.F) {
 }
 
 // FuzzDecodePairs feeds the record decoder arbitrary bytes: it must return
-// records or an ErrCorrupt error, never panic, and never allocate more than
+// records or an errCorrupt error, never panic, and never allocate more than
 // a small multiple of its input — a huge length prefix is checked against
 // the bytes left, not handed to make. What decodes must encode back to a
 // payload that decodes to the same records. The committed corpus
@@ -167,7 +167,7 @@ func FuzzDecodePairs(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), allocated, limit)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("error %v does not wrap ErrCorrupt", err)
 			}
 			return

@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// Partitioner maps record keys to reduce partitions, determining how a
+// partitioner maps record keys to reduce partitions, determining how a
 // shuffle's map output is sharded (Fig. 3: each map output partition is
 // saved as N shards, one per reducer).
-type Partitioner interface {
+type partitioner interface {
 	NumPartitions() int
 	// PartitionFor returns the shard index for a key, in [0, NumPartitions).
 	PartitionFor(key string) int
@@ -22,36 +22,36 @@ type Partitioner interface {
 	Ready() bool
 }
 
-// HashPartitioner shards by key hash, Spark's default.
-type HashPartitioner struct {
+// hashPartitioner shards by key hash, Spark's default.
+type hashPartitioner struct {
 	n int
 }
 
 // NewHashPartitioner returns a hash partitioner over n shards.
-func NewHashPartitioner(n int) *HashPartitioner {
+func NewHashPartitioner(n int) *hashPartitioner {
 	if n <= 0 {
 		panic("rdd: partitioner needs n > 0")
 	}
-	return &HashPartitioner{n: n}
+	return &hashPartitioner{n: n}
 }
 
-// NumPartitions implements Partitioner.
-func (p *HashPartitioner) NumPartitions() int { return p.n }
+// NumPartitions implements partitioner.
+func (p *hashPartitioner) NumPartitions() int { return p.n }
 
-// PartitionFor implements Partitioner.
-func (p *HashPartitioner) PartitionFor(key string) int {
+// PartitionFor implements partitioner.
+func (p *hashPartitioner) PartitionFor(key string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return int(h.Sum32() % uint32(p.n))
 }
 
-// Ready implements Partitioner.
-func (p *HashPartitioner) Ready() bool { return true }
+// Ready implements partitioner.
+func (p *hashPartitioner) Ready() bool { return true }
 
-// RangePartitioner shards by key order so that shard i holds keys smaller
+// rangePartitioner shards by key order so that shard i holds keys smaller
 // than every key in shard i+1; used by SortByKey. Boundaries are installed
 // by the engine from a sample of the shuffle input.
-type RangePartitioner struct {
+type rangePartitioner struct {
 	n          int
 	boundaries []string // len n-1, sorted; shard i covers (b[i-1], b[i]]
 	ready      bool
@@ -59,25 +59,25 @@ type RangePartitioner struct {
 
 // NewRangePartitioner returns an unprepared range partitioner over n
 // shards.
-func NewRangePartitioner(n int) *RangePartitioner {
+func NewRangePartitioner(n int) *rangePartitioner {
 	if n <= 0 {
 		panic("rdd: partitioner needs n > 0")
 	}
-	return &RangePartitioner{n: n}
+	return &rangePartitioner{n: n}
 }
 
-// NumPartitions implements Partitioner.
-func (p *RangePartitioner) NumPartitions() int { return p.n }
+// NumPartitions implements partitioner.
+func (p *rangePartitioner) NumPartitions() int { return p.n }
 
-// Ready implements Partitioner.
-func (p *RangePartitioner) Ready() bool { return p.ready }
+// Ready implements partitioner.
+func (p *rangePartitioner) Ready() bool { return p.ready }
 
 // Prepare installs shard boundaries from a sample of keys. It is
 // deterministic: boundary i is the key at position i·len(sample)/n of the
 // sample in byte-wise order, which cuts it into n equal-frequency buckets.
 // Those n-1 keys are selected on a copy of the sample (selectCuts); the rest
 // of it is never put in order.
-func (p *RangePartitioner) Prepare(sample []string) {
+func (p *rangePartitioner) Prepare(sample []string) {
 	keys := slices.Clone(sample)
 	p.boundaries = slices.Grow(p.boundaries[:0], p.n-1)
 	if len(keys) > 0 {
@@ -148,8 +148,8 @@ func partition3(keys []string, lo, hi int) (lt, gt int) {
 	return lt, gt
 }
 
-// PartitionFor implements Partitioner.
-func (p *RangePartitioner) PartitionFor(key string) int {
+// PartitionFor implements partitioner.
+func (p *rangePartitioner) PartitionFor(key string) int {
 	if !p.ready {
 		panic("rdd: RangePartitioner used before Prepare")
 	}
@@ -160,6 +160,6 @@ func (p *RangePartitioner) PartitionFor(key string) int {
 }
 
 var (
-	_ Partitioner = (*HashPartitioner)(nil)
-	_ Partitioner = (*RangePartitioner)(nil)
+	_ partitioner = (*hashPartitioner)(nil)
+	_ partitioner = (*rangePartitioner)(nil)
 )

@@ -31,13 +31,13 @@ func (g *Graph) register(r *RDD) *RDD {
 	return r
 }
 
-// DepKind distinguishes dependency types. Narrow dependencies pipeline
+// depKind distinguishes dependency types. Narrow dependencies pipeline
 // within a stage; shuffle dependencies cut stage boundaries.
-type DepKind int
+type depKind int
 
 // Dependency kinds.
 const (
-	DepNarrow DepKind = iota + 1
+	DepNarrow depKind = iota + 1
 	DepShuffle
 )
 
@@ -45,7 +45,7 @@ const (
 // dependency, and its partition p reads the parent's partition p; a
 // shuffled RDD's dependencies are all shuffles (a CoGroup has two).
 type Dependency struct {
-	Kind   DepKind
+	Kind   depKind
 	Parent *RDD
 
 	// Shuffle holds the shuffle contract (shuffle deps only).
@@ -64,7 +64,7 @@ type ShuffleSpec struct {
 	// ID is unique per graph, assigned on creation.
 	ID int
 	// Partitioner shards keys into reduce partitions.
-	Partitioner Partitioner
+	Partitioner partitioner
 	// MapSideCombine runs Combine on the mapper before data leaves it
 	// (Sec. IV-C3: pipelined before the push when possible).
 	MapSideCombine bool
@@ -100,11 +100,11 @@ type TransferSpec struct {
 	K int
 }
 
-// PostShuffleFn computes one reduce partition of a shuffled RDD from its
+// postShuffleFn computes one reduce partition of a shuffled RDD from its
 // dependencies' aggregated records: sorted[d] is dependency d's reduce-side
 // aggregate (ReduceAggregate), key-sorted when its spec sorts. It only
 // reads them.
-type PostShuffleFn func(part int, sorted [][]Pair) []Pair
+type postShuffleFn func(part int, sorted [][]Pair) []Pair
 
 // EachFn is a narrow RDD's operator, applied record by record: it calls
 // emit, in order, with every record p turns into (none, for a filtered
@@ -133,7 +133,7 @@ type RDD struct {
 	// aggregation (ReducePartition). A grouping is one: over the key-sorted
 	// records each SortKeys dependency leaves, it turns each key's records
 	// into one record. Nil means the dependencies' aggregates, concatenated.
-	PostShuffle PostShuffleFn
+	PostShuffle postShuffleFn
 
 	// Transfer marks a TransferredRDD.
 	Transfer *TransferSpec
@@ -143,10 +143,10 @@ type RDD struct {
 	// and how long a copy lives is the backend's. The simulator
 	// (exec.Engine) keeps it on its host for the engine's life, so later
 	// jobs over the same lineage read it too; a task on another host reads
-	// it over the network. The live cluster keeps it on the worker that
-	// computed it until the job ends, and a plan.MemBackend on its site for
-	// the backend's one job; a task on another site recomputes it from the
-	// lineage. EvalLocal computes every node once per call.
+	// it over the network. Under plan's driver (the live cluster and the
+	// in-memory backend) the driver keeps it in the cache of the site that
+	// computed it until the job ends; a task on another site recomputes it
+	// from the lineage. EvalLocal computes every node once per call.
 	Cached bool
 
 	graph *Graph
@@ -268,7 +268,7 @@ func (r *RDD) transfer(spec *TransferSpec) *RDD {
 }
 
 // shuffleChild builds the post-shuffle RDD for a spec.
-func (r *RDD) shuffleChild(name string, spec *ShuffleSpec, post PostShuffleFn) *RDD {
+func (r *RDD) shuffleChild(name string, spec *ShuffleSpec, post postShuffleFn) *RDD {
 	spec.ID = r.graph.nextShuffleID()
 	return r.graph.register(&RDD{
 		Name:        name,

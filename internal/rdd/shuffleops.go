@@ -16,7 +16,7 @@ import (
 // MapSidePrepare applies map-side combining to one map output partition if
 // the spec requests it (Sec. IV-C3: combine runs on the mapper, pipelined
 // before any push), returning the records that will leave the mapper. A
-// combined output is in its keys' first-arrival order (Combiner.Unsorted):
+// combined output is in its keys' first-arrival order (combiner.Unsorted):
 // its one reader, the reduce-side combine, hashes it again.
 func MapSidePrepare(spec *ShuffleSpec, records []Pair) []Pair {
 	if !spec.CombinesMapSide() {
@@ -71,7 +71,7 @@ func BucketRecords(spec *ShuffleSpec, runs ...[]Pair) [][]Pair {
 // they were stored or fetched, in map order, read as if concatenated:
 // combining or sorting as requested (a grouping is the PostShuffle step over
 // the sorted records). A combining spec folds every run straight into the
-// Combiner; a sorting one permutes the runs' records straight into its
+// combiner; a sorting one permutes the runs' records straight into its
 // output; any other copies the runs into it in order. Like MapSidePrepare it
 // only reads records — callers pass stored shards — and returns a slice of
 // its own.
@@ -215,10 +215,10 @@ func PrepareRange(spec *ShuffleSpec, samples [][]string) {
 	for _, ks := range samples {
 		keys = append(keys, ks...)
 	}
-	spec.Partitioner.(*RangePartitioner).Prepare(keys)
+	spec.Partitioner.(*rangePartitioner).Prepare(keys)
 }
 
-// Combiner folds records into one per key as they arrive: the map-side
+// combiner folds records into one per key as they arrive: the map-side
 // combine a fused map task emits into (plan.TaskOutput), and the reduce-side
 // one. A key's first record is kept as it came and every later one is folded
 // into it as fn(current, next), so values meet in arrival order. The table is
@@ -230,7 +230,7 @@ func PrepareRange(spec *ShuffleSpec, samples [][]string) {
 // Unsorted copies its records into a fresh slice of exact length and gives
 // the emptied table back, so a warm combine allocates only its output.
 // Combiners in different goroutines take different tables.
-type Combiner struct {
+type combiner struct {
 	fn CombineFn
 	t  *combineTable // nil once Sorted or Unsorted has returned
 }
@@ -248,12 +248,12 @@ const maxPooledKeys = 1 << 16
 var combineTables = sync.Pool{New: func() any { return &combineTable{index: map[string]int32{}} }}
 
 // NewCombiner returns an empty combiner folding with fn.
-func NewCombiner(fn CombineFn) *Combiner {
-	return &Combiner{fn: fn, t: combineTables.Get().(*combineTable)}
+func NewCombiner(fn CombineFn) *combiner {
+	return &combiner{fn: fn, t: combineTables.Get().(*combineTable)}
 }
 
 // Add folds one record in. It panics on a spent combiner.
-func (c *Combiner) Add(p Pair) {
+func (c *combiner) Add(p Pair) {
 	t := c.t
 	if t == nil {
 		panic("rdd: Add on a spent Combiner")
@@ -269,7 +269,7 @@ func (c *Combiner) Add(p Pair) {
 // Sorted returns the combined records in key order, in a slice of their own
 // (the sort's permutation is the copy): a reduce partition's order. The
 // combiner is spent afterwards: its table goes back to the pool.
-func (c *Combiner) Sorted() []Pair {
+func (c *combiner) Sorted() []Pair {
 	t := c.t
 	c.t = nil
 	var out []Pair // nil when nothing was added, as a partition with no records is
@@ -286,7 +286,7 @@ func (c *Combiner) Sorted() []Pair {
 // on. It holds at most one record per key, so however a reducer interleaves
 // map outputs, each key's values still meet in map order. The combiner is
 // spent afterwards, as after Sorted.
-func (c *Combiner) Unsorted() []Pair {
+func (c *combiner) Unsorted() []Pair {
 	t := c.t
 	c.t = nil
 	var out []Pair

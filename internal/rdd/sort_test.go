@@ -395,7 +395,7 @@ func BenchmarkReduceAggregate(b *testing.B) {
 	}
 }
 
-var boundarySink *RangePartitioner
+var boundarySink *rangePartitioner
 
 // BenchmarkRangePrepare installs a sort's boundaries at the map-stage
 // barrier: 24 map outputs' samples of 1,000 digit keys each, cut into eight

@@ -86,15 +86,15 @@ func (r *Registry) AddMapOutput(shuffleID, mapPart int, host topology.HostID, re
 	if st.finalized {
 		// Post-failure recomputation: rebuild this output's shards with
 		// the already-prepared partitioner.
-		r.Refresh(shuffleID, mapPart)
+		r.refresh(shuffleID, mapPart)
 	}
 }
 
-// Refresh shards one map output with the prepared partitioner: Finalize
+// refresh shards one map output with the prepared partitioner: Finalize
 // runs it over every output, and AddMapOutput re-runs it for an output
 // re-registered after the shuffle was finalized (post-failure recovery),
 // rebuilding only that output's buckets. A no-op before Finalize.
-func (r *Registry) Refresh(shuffleID, mapPart int) {
+func (r *Registry) refresh(shuffleID, mapPart int) {
 	st := r.mustState(shuffleID)
 	if !st.finalized {
 		return
@@ -129,14 +129,14 @@ func (r *Registry) Finalize(shuffleID int) {
 	}
 	st.finalized = true
 	for mapPart := range st.outputs {
-		r.Refresh(shuffleID, mapPart)
+		r.refresh(shuffleID, mapPart)
 	}
 }
 
-// Shard is a reducer's view of one map output: where it is stored and how
+// shard is a reducer's view of one map output: where it is stored and how
 // big its slice is, modeled and real (rdd.ShuffledSize, sized once, when
 // the output was sharded).
-type Shard struct {
+type shard struct {
 	MapPart      int
 	Host         topology.HostID
 	ModeledBytes float64
@@ -146,20 +146,20 @@ type Shard struct {
 
 // Shards returns the reducer's input: one shard per map partition, in map
 // order. Finalize must have run.
-func (r *Registry) Shards(shuffleID, reducePart int) []Shard {
+func (r *Registry) Shards(shuffleID, reducePart int) []shard {
 	st := r.mustState(shuffleID)
 	if !st.finalized {
 		panic(fmt.Sprintf("shuffle %d: Shards before Finalize", shuffleID))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Shard, 0, len(st.outputs))
+	out := make([]shard, 0, len(st.outputs))
 	for m, o := range r.outs[shuffleID] {
 		if !o.ok {
 			panic(fmt.Sprintf("shuffle %d: map output %d missing (host lost); recover before reading", shuffleID, m))
 		}
 		w := &st.outputs[m]
-		out = append(out, Shard{
+		out = append(out, shard{
 			MapPart:      m,
 			Host:         topology.HostID(o.site),
 			ModeledBytes: w.modeled(reducePart, o.bytes),

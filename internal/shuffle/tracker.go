@@ -16,7 +16,7 @@ var ErrNoMapOutput = errors.New("no site holds the map output")
 // map-output tracker), and both backends keep theirs in it: per (shuffle,
 // map part) the holder site, the output's bytes, its rdd.RangeSample, and
 // whether the output is present. The simulator's Registry embeds one, with
-// hosts as sites; plan.Driver owns one per job, with workers as sites.
+// hosts as sites; plan's driver owns one per job, with workers as sites.
 // Shuffle reads resolve holders through it, an aggregator choice reads its
 // bytes, the map-stage barrier prepares range partitioners from its
 // samples, and a lost site's outputs are dropped from it and listed as

@@ -263,7 +263,7 @@ func TestStreamIndependence(t *testing.T) {
 }
 
 func TestJitterBounds(t *testing.T) {
-	r := NewRNG(7)
+	r := newRNG(7)
 	for i := 0; i < 1000; i++ {
 		j := r.Jitter(0.3)
 		if j < 0.7 || j > 1.3 {

@@ -13,8 +13,8 @@ type RNG struct {
 	*rand.Rand
 }
 
-// NewRNG returns a stream derived from seed alone.
-func NewRNG(seed int64) RNG {
+// newRNG returns a stream derived from seed alone.
+func newRNG(seed int64) RNG {
 	return RNG{Rand: rand.New(rand.NewSource(seed))}
 }
 
@@ -22,7 +22,7 @@ func NewRNG(seed int64) RNG {
 func Stream(seed int64, name string) RNG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	return NewRNG(seed ^ int64(h.Sum64()))
+	return newRNG(seed ^ int64(h.Sum64()))
 }
 
 // Jitter returns a multiplicative factor in [1-amp, 1+amp], uniformly.

@@ -196,7 +196,7 @@ type Network struct {
 	totalBytes     float64             // all delivered bytes, any scope
 	crossDCBytes   float64
 	completedFlows int
-	flowObserver   FlowObserver
+	flowObserver   flowObserverFn
 }
 
 // New builds a network over the given topology. All randomness (jitter)
@@ -375,17 +375,17 @@ func (n *Network) account(f *flow, bytes float64) {
 	}
 }
 
-// FlowObserver receives every completed flow: endpoints, tag, size, and
+// flowObserverFn receives every completed flow: endpoints, tag, size, and
 // the virtual-time window from StartFlow to last-byte delivery. The
 // executor derives modeled per-link throughput estimates from it — the
 // simulator's counterpart of the live cluster's measured transfer
 // samples.
-type FlowObserver func(src, dst topology.HostID, tag string, bytes, start, end float64)
+type flowObserverFn func(src, dst topology.HostID, tag string, bytes, start, end float64)
 
 // SetFlowObserver installs the flow-completion observer (nil disables).
 // It runs inside the simulation loop; observers must not call back into
 // the network.
-func (n *Network) SetFlowObserver(o FlowObserver) { n.flowObserver = o }
+func (n *Network) SetFlowObserver(o flowObserverFn) { n.flowObserver = o }
 
 // reallocate marks the rates stale after the flow set or a capacity
 // changed: it cancels the completion event, which the stale rates timed,
@@ -600,8 +600,8 @@ func (n *Network) PairBytes(a, b topology.DCID) float64 {
 	return n.bytesByPair[a][b]
 }
 
-// TotalBytes returns all delivered bytes, including intra-DC and loopback.
-func (n *Network) TotalBytes() float64 {
+// deliveredBytes returns all delivered bytes, including intra-DC and loopback.
+func (n *Network) deliveredBytes() float64 {
 	n.settle()
 	return n.totalBytes
 }

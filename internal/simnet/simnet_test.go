@@ -212,8 +212,8 @@ func TestCrossDCAccounting(t *testing.T) {
 	if got := net.PairBytes(1, 0); got != 0 {
 		t.Fatalf("PairBytes(1,0) = %v, want 0", got)
 	}
-	if got := net.TotalBytes(); math.Abs(got-65*mb) > 1 {
-		t.Fatalf("TotalBytes = %v, want 65 MB", got)
+	if got := net.deliveredBytes(); math.Abs(got-65*mb) > 1 {
+		t.Fatalf("deliveredBytes = %v, want 65 MB", got)
 	}
 	if got := net.CompletedFlows(); got != 4 {
 		t.Fatalf("CompletedFlows = %d, want 4", got)
@@ -387,7 +387,7 @@ func TestQuickByteConservation(t *testing.T) {
 		tol := 1.0 // bytes
 		return math.Abs(net.CrossDCBytes()-wantCross) < tol &&
 			math.Abs(sumTags-wantCross) < tol &&
-			math.Abs(net.TotalBytes()-wantTotal) < tol
+			math.Abs(net.deliveredBytes()-wantTotal) < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

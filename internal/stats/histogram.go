@@ -17,7 +17,7 @@ type Bucket struct {
 // Histogram counts samples into fixed buckets defined by ascending upper
 // edges. It backs the run report's straggler summaries and the obs
 // registry's histogram metric. Not safe for concurrent use; wrap it (as
-// obs.Histogram does) when sharing across goroutines.
+// obs's histogram does) when sharing across goroutines.
 type Histogram struct {
 	edges  []float64 // ascending upper bounds; implicit +Inf overflow last
 	counts []int     // len(edges)+1: counts[len(edges)] is the overflow

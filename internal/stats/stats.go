@@ -20,11 +20,11 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// TrimmedMean drops the ⌈frac·n⌉ smallest and largest samples each, then
+// trimmedMean drops the ⌈frac·n⌉ smallest and largest samples each, then
 // averages the rest — the paper's "10% trimmed mean" over 10 runs drops
 // exactly the minimum and the maximum. If trimming would consume
 // everything, it falls back to the plain mean.
-func TrimmedMean(xs []float64, frac float64) float64 {
+func trimmedMean(xs []float64, frac float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -65,13 +65,13 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// IQR returns the 25th and 75th percentiles — the paper's error bars.
-func IQR(xs []float64) (q1, q3 float64) {
+// iqr returns the 25th and 75th percentiles — the paper's error bars.
+func iqr(xs []float64) (q1, q3 float64) {
 	return Percentile(xs, 25), Percentile(xs, 75)
 }
 
-// Min returns the smallest sample (NaN for empty input).
-func Min(xs []float64) float64 {
+// minOf returns the smallest sample (NaN for empty input).
+func minOf(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -117,20 +117,21 @@ type Summary struct {
 	TrimmedMean float64 // 10% trimmed
 	Median      float64
 	Q1, Q3      float64
-	Min, Max    float64
+	max         float64
+	min         float64
 }
 
 // Summarize computes the full Fig. 7-style summary.
 func Summarize(xs []float64) Summary {
-	q1, q3 := IQR(xs)
+	q1, q3 := iqr(xs)
 	return Summary{
 		N:           len(xs),
-		TrimmedMean: TrimmedMean(xs, 0.10),
+		TrimmedMean: trimmedMean(xs, 0.10),
 		Median:      Median(xs),
 		Q1:          q1,
 		Q3:          q3,
-		Min:         Min(xs),
-		Max:         Max(xs),
+		min:         minOf(xs),
+		max:         Max(xs),
 	}
 }
 

@@ -24,22 +24,22 @@ func TestTrimmedMeanDropsExtremes(t *testing.T) {
 	// max, the paper's methodology.
 	xs := []float64{100, 5, 6, 7, 8, 9, 10, 11, 12, 0.1}
 	want := Mean([]float64{5, 6, 7, 8, 9, 10, 11, 12})
-	if got := TrimmedMean(xs, 0.10); !almost(got, want) {
+	if got := trimmedMean(xs, 0.10); !almost(got, want) {
 		t.Fatalf("TrimmedMean = %v, want %v", got, want)
 	}
 }
 
 func TestTrimmedMeanEdgeCases(t *testing.T) {
-	if !almost(TrimmedMean([]float64{3}, 0.10), 3) {
+	if !almost(trimmedMean([]float64{3}, 0.10), 3) {
 		t.Fatal("single sample trim fell back wrong")
 	}
-	if !almost(TrimmedMean([]float64{1, 2}, 0.4), 1.5) {
+	if !almost(trimmedMean([]float64{1, 2}, 0.4), 1.5) {
 		t.Fatal("over-trim did not fall back to mean")
 	}
-	if !math.IsNaN(TrimmedMean(nil, 0.1)) {
+	if !math.IsNaN(trimmedMean(nil, 0.1)) {
 		t.Fatal("empty trim not NaN")
 	}
-	if !almost(TrimmedMean([]float64{1, 2, 3}, 0), 2) {
+	if !almost(trimmedMean([]float64{1, 2, 3}, 0), 2) {
 		t.Fatal("zero frac should be plain mean")
 	}
 }
@@ -52,7 +52,7 @@ func TestPercentileAndMedian(t *testing.T) {
 	if !almost(Percentile(xs, 0), 1) || !almost(Percentile(xs, 100), 4) {
 		t.Fatal("percentile extremes wrong")
 	}
-	q1, q3 := IQR(xs)
+	q1, q3 := iqr(xs)
 	if !almost(q1, 1.75) || !almost(q3, 3.25) {
 		t.Fatalf("IQR = %v, %v", q1, q3)
 	}
@@ -63,10 +63,10 @@ func TestPercentileAndMedian(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{5, 1, 9}
-	if Min(xs) != 1 || Max(xs) != 9 {
+	if minOf(xs) != 1 || Max(xs) != 9 {
 		t.Fatal("min/max wrong")
 	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
+	if !math.IsNaN(minOf(nil)) || !math.IsNaN(Max(nil)) {
 		t.Fatal("empty min/max not NaN")
 	}
 }
@@ -96,7 +96,7 @@ func TestStdDev(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
 	s := Summarize(xs)
-	if s.N != 10 || s.Min != 1 || s.Max != 100 {
+	if s.N != 10 || s.min != 1 || s.max != 100 {
 		t.Fatalf("summary = %+v", s)
 	}
 	if !almost(s.TrimmedMean, Mean([]float64{2, 3, 4, 5, 6, 7, 8, 9})) {
@@ -117,8 +117,8 @@ func TestQuickStatisticsInvariants(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 100
 		}
-		tm := TrimmedMean(xs, 0.1)
-		if tm < Min(xs)-1e-9 || tm > Max(xs)+1e-9 {
+		tm := trimmedMean(xs, 0.1)
+		if tm < minOf(xs)-1e-9 || tm > Max(xs)+1e-9 {
 			return false
 		}
 		prev := math.Inf(-1)
@@ -129,7 +129,7 @@ func TestQuickStatisticsInvariants(t *testing.T) {
 			}
 			prev = v
 		}
-		q1, q3 := IQR(xs)
+		q1, q3 := iqr(xs)
 		return q1 <= q3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -2,7 +2,6 @@ package topology
 
 // Bandwidth and time units used throughout wanshuffle.
 const (
-	Kbps = 1e3
 	Mbps = 1e6
 	Gbps = 1e9
 
@@ -13,11 +12,11 @@ const (
 // (Fig. 6). They are also the DC names in SixRegionEC2.
 const (
 	Virginia   = "us-east-1"      // N. Virginia — 4 workers + master + namenode
-	California = "us-west-1"      // N. California
-	SaoPaulo   = "sa-east-1"      // São Paulo
-	Frankfurt  = "eu-central-1"   // Frankfurt
-	Singapore  = "ap-southeast-1" // Singapore
-	Sydney     = "ap-southeast-2" // Sydney
+	california = "us-west-1"      // N. California
+	saoPaulo   = "sa-east-1"      // São Paulo
+	frankfurt  = "eu-central-1"   // Frankfurt
+	singapore  = "ap-southeast-1" // Singapore
+	sydney     = "ap-southeast-2" // Sydney
 )
 
 // SixRegionEC2 reproduces the paper's evaluation cluster: six EC2 regions
@@ -33,11 +32,11 @@ const (
 func SixRegionEC2() *Topology {
 	b := NewBuilder()
 	va := b.AddDC(Virginia, 4, 2, 1*Gbps)
-	ca := b.AddDC(California, 4, 2, 1*Gbps)
-	sp := b.AddDC(SaoPaulo, 4, 2, 1*Gbps)
-	fr := b.AddDC(Frankfurt, 4, 2, 1*Gbps)
-	sg := b.AddDC(Singapore, 4, 2, 1*Gbps)
-	sy := b.AddDC(Sydney, 4, 2, 1*Gbps)
+	ca := b.AddDC(california, 4, 2, 1*Gbps)
+	sp := b.AddDC(saoPaulo, 4, 2, 1*Gbps)
+	fr := b.AddDC(frankfurt, 4, 2, 1*Gbps)
+	sg := b.AddDC(singapore, 4, 2, 1*Gbps)
+	sy := b.AddDC(sydney, 4, 2, 1*Gbps)
 
 	type link struct {
 		a, b DCID

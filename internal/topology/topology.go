@@ -16,9 +16,9 @@ type HostID int
 // Topology.DCs.
 type DCID int
 
-// Host is a single machine. Aux hosts (cluster master, namenode) carry
+// host is a single machine. Aux hosts (cluster master, namenode) carry
 // control traffic and collect results but never run tasks.
-type Host struct {
+type host struct {
 	ID    HostID
 	Name  string
 	DC    DCID
@@ -30,8 +30,8 @@ type Host struct {
 	Aux bool
 }
 
-// DC is a datacenter (cloud region) holding a set of hosts.
-type DC struct {
+// dc is a datacenter (cloud region) holding a set of hosts.
+type dc struct {
 	ID    DCID
 	Name  string
 	Hosts []HostID
@@ -39,8 +39,8 @@ type DC struct {
 
 // Topology is an immutable cluster description.
 type Topology struct {
-	DCs   []DC
-	Hosts []Host
+	DCs   []dc
+	Hosts []host
 
 	// interBps[i][j] is the base bottleneck capacity, in bits per second, of
 	// the wide-area path from DC i to DC j. The diagonal is 0 (intra-DC
@@ -59,27 +59,27 @@ type Topology struct {
 	hasMaster  bool
 }
 
-// Builder accumulates a topology definition.
-type Builder struct {
+// builder accumulates a topology definition.
+type builder struct {
 	t    Topology
 	errs []error
 }
 
 // NewBuilder returns an empty topology builder.
-func NewBuilder() *Builder {
-	return &Builder{}
+func NewBuilder() *builder {
+	return &builder{}
 }
 
 // AddDC adds a datacenter with n identical hosts and returns its ID.
-func (b *Builder) AddDC(name string, hosts, coresPerHost int, nicBps float64) DCID {
+func (b *builder) AddDC(name string, hosts, coresPerHost int, nicBps float64) DCID {
 	if hosts <= 0 || coresPerHost <= 0 || nicBps <= 0 {
 		b.errs = append(b.errs, fmt.Errorf("topology: invalid DC %q (hosts=%d cores=%d nic=%v)", name, hosts, coresPerHost, nicBps))
 	}
 	id := DCID(len(b.t.DCs))
-	dc := DC{ID: id, Name: name}
+	dc := dc{ID: id, Name: name}
 	for i := 0; i < hosts; i++ {
 		hid := HostID(len(b.t.Hosts))
-		b.t.Hosts = append(b.t.Hosts, Host{
+		b.t.Hosts = append(b.t.Hosts, host{
 			ID:     hid,
 			Name:   fmt.Sprintf("%s-w%d", name, i),
 			DC:     id,
@@ -94,13 +94,13 @@ func (b *Builder) AddDC(name string, hosts, coresPerHost int, nicBps float64) DC
 
 // AddAux adds a non-worker host (e.g. master or namenode) to a datacenter
 // and returns its ID. The first aux host added becomes the master endpoint.
-func (b *Builder) AddAux(name string, dc DCID, nicBps float64) HostID {
+func (b *builder) AddAux(name string, dc DCID, nicBps float64) HostID {
 	if int(dc) >= len(b.t.DCs) || nicBps <= 0 {
 		b.errs = append(b.errs, fmt.Errorf("topology: invalid aux host %q", name))
 		return 0
 	}
 	hid := HostID(len(b.t.Hosts))
-	b.t.Hosts = append(b.t.Hosts, Host{
+	b.t.Hosts = append(b.t.Hosts, host{
 		ID: hid, Name: name, DC: dc, Cores: 0, NICbps: nicBps, Aux: true,
 	})
 	b.t.DCs[dc].Hosts = append(b.t.DCs[dc].Hosts, hid)
@@ -113,7 +113,7 @@ func (b *Builder) AddAux(name string, dc DCID, nicBps float64) HostID {
 
 // Link sets the symmetric inter-DC base bandwidth (bits/s) and one-way
 // latency (seconds) between two datacenters.
-func (b *Builder) Link(a, c DCID, bps, latencySec float64) {
+func (b *builder) Link(a, c DCID, bps, latencySec float64) {
 	b.ensureMatrices()
 	if int(a) >= len(b.t.DCs) || int(c) >= len(b.t.DCs) || a == c {
 		b.errs = append(b.errs, fmt.Errorf("topology: bad link %d-%d", a, c))
@@ -130,7 +130,7 @@ func (b *Builder) Link(a, c DCID, bps, latencySec float64) {
 }
 
 // IntraLatency sets the intra-DC one-way delay for every datacenter.
-func (b *Builder) IntraLatency(sec float64) {
+func (b *builder) IntraLatency(sec float64) {
 	b.ensureMatrices()
 	for i := range b.t.DCs {
 		b.t.latency[i][i] = sec
@@ -138,9 +138,9 @@ func (b *Builder) IntraLatency(sec float64) {
 }
 
 // Driver designates the datacenter hosting the cluster master.
-func (b *Builder) Driver(dc DCID) { b.t.DriverDC = dc }
+func (b *builder) Driver(dc DCID) { b.t.DriverDC = dc }
 
-func (b *Builder) ensureMatrices() {
+func (b *builder) ensureMatrices() {
 	n := len(b.t.DCs)
 	if len(b.t.interBps) == n {
 		return
@@ -163,7 +163,7 @@ func (b *Builder) ensureMatrices() {
 
 // Build validates and returns the topology. Every distinct DC pair must have
 // a link defined.
-func (b *Builder) Build() (*Topology, error) {
+func (b *builder) Build() (*Topology, error) {
 	b.ensureMatrices()
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -199,7 +199,7 @@ func (t *Topology) NumDCs() int { return len(t.DCs) }
 func (t *Topology) NumHosts() int { return len(t.Hosts) }
 
 // Host returns the host record for id.
-func (t *Topology) Host(id HostID) Host { return t.Hosts[id] }
+func (t *Topology) Host(id HostID) host { return t.Hosts[id] }
 
 // DCOf returns the datacenter of a host.
 func (t *Topology) DCOf(id HostID) DCID { return t.Hosts[id].DC }

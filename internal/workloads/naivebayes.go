@@ -9,19 +9,19 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// NaiveBayes trains a multinomial classifier: count (class, term)
+// naiveBayes trains a multinomial classifier: count (class, term)
 // frequencies through a combining shuffle, then assemble the per-class
 // model through a grouping shuffle — two consecutive shuffles over
 // shrinking data.
-func NaiveBayes() *Workload {
+func naiveBayes() *Workload {
 	return &Workload{
 		Name:   "NaiveBayes",
 		TableI: "The input has 100,000 pages, with 100 classes.",
 		InFig8: true,
 		// The paper does not list the byte size; ~1.1 GB is what such a
 		// corpus occupies in HiBench's generator.
-		Inputs: []Input{{"nb.docs", naiveBayesDocs, 1.1 * GB}},
-		Flow:   naiveBayesFlow,
+		inputs: []input{{"nb.docs", naiveBayesDocs, 1.1 * gb}},
+		flow:   naiveBayesFlow,
 		Check:  expectExactMatch,
 	}
 }

@@ -22,8 +22,8 @@ func PageRank() *Workload {
 		InFig8: true,
 		// The paper does not list the byte size; ~600 MB is what a
 		// 500k-page link table occupies in HiBench's generator.
-		Inputs: []Input{{"pr.edges", pageRankEdges, 600 * MB}},
-		Flow:   pageRankFlow,
+		inputs: []input{{"pr.edges", pageRankEdges, 600 * mb}},
+		flow:   pageRankFlow,
 		Check:  expectFloatMatch,
 	}
 }

@@ -14,8 +14,8 @@ func Sort() *Workload {
 		Name:   "Sort",
 		TableI: "The total size of generated input data is 320 MB.",
 		InFig8: true,
-		Inputs: []Input{{"sort.input", sortRecords(0x50f7), 320 * MB}},
-		Flow: func(ins []*rdd.RDD) *rdd.RDD {
+		inputs: []input{{"sort.input", sortRecords(0x50f7), 320 * mb}},
+		flow: func(ins []*rdd.RDD) *rdd.RDD {
 			return ins[0].SortByKey("sort.sorted", parallelism)
 		},
 		Check: expectSortedMatch,

@@ -44,8 +44,8 @@ func teraSort(name string, transfer func(*rdd.RDD) *rdd.RDD) *Workload {
 		TableI: "The input has 32 million records. Each record is 100 bytes in size.",
 		InFig8: true,
 		// 32 million records of 100 bytes.
-		Inputs: []Input{{"terasort.input", sortRecords(0x7e4a), 3.2 * GB}},
-		Flow: func(ins []*rdd.RDD) *rdd.RDD {
+		inputs: []input{{"terasort.input", sortRecords(0x7e4a), 3.2 * gb}},
+		flow: func(ins []*rdd.RDD) *rdd.RDD {
 			tagged := transfer(ins[0]).Map("terasort.tag", func(p rdd.Pair) rdd.Pair {
 				return rdd.KV(p.Key, p.Value.(string)+teraSortBloat)
 			})

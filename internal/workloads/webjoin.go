@@ -8,28 +8,28 @@ import (
 	"wanshuffle/internal/rdd"
 )
 
-// WebJoin is an extension workload beyond the paper's five: the classic
+// webJoin is an extension workload beyond the paper's five: the classic
 // web-analytics query (join page rankings with user visits on URL, then
 // aggregate ad revenue by source-IP prefix). Joins cannot combine
 // map-side, so the full visits table crosses the shuffle — the regime
 // where aggregation helps most after PageRank.
-func WebJoin() *Workload {
+func webJoin() *Workload {
 	return &Workload{
 		Name:   "WebJoin",
 		TableI: "(extension) rankings 120 MB ⋈ uservisits 1.5 GB, revenue by /16 prefix.",
 		// HiBench's web-analytics join inputs: the visits table dominates.
-		Inputs: []Input{
-			{"wj.rankings", webJoinRankings, 120 * MB},
-			{"wj.visits", webJoinVisits, 1.5 * GB},
+		inputs: []input{
+			{"wj.rankings", webJoinRankings, 120 * mb},
+			{"wj.visits", webJoinVisits, 1.5 * gb},
 		},
-		Flow:  webJoinFlow,
+		flow:  webJoinFlow,
 		Check: expectFloatMatch,
 	}
 }
 
 // Extensions lists workloads beyond the paper's evaluation set.
 func Extensions() []*Workload {
-	return []*Workload{WebJoin()}
+	return []*Workload{webJoin()}
 }
 
 // webJoinPages is the size of the rankings table: one row per URL.

@@ -12,8 +12,8 @@ func WordCount() *Workload {
 	return &Workload{
 		Name:   "WordCount",
 		TableI: "The total size of generated input files is 3.2 GB.",
-		Inputs: []Input{{"wc.text", wordCountLines, 3.2 * GB}},
-		Flow:   wordCountFlow,
+		inputs: []input{{"wc.text", wordCountLines, 3.2 * gb}},
+		flow:   wordCountFlow,
 		Check:  expectExactMatch,
 	}
 }

@@ -31,8 +31,8 @@ import (
 
 // Byte-size units for Table I specifications.
 const (
-	MB = 1e6
-	GB = 1e9
+	mb = 1e6
+	gb = 1e9
 )
 
 // parallelism is the reduce-side partition count of every shuffle: the
@@ -73,8 +73,8 @@ type Instance struct {
 	Validate func(got []rdd.Pair) error
 }
 
-// Input is one dataset a workload reads.
-type Input struct {
+// input is one dataset a workload reads.
+type input struct {
 	// Name of the leaf RDD.
 	Name string
 	// Generate draws the records for a seed, deterministically.
@@ -93,10 +93,10 @@ type Workload struct {
 	TableI string
 	// InFig8 reports whether the paper's Fig. 8 includes this workload.
 	InFig8 bool
-	// Inputs are read in order; Flow receives one leaf RDD per entry.
-	Inputs []Input
-	// Flow builds the job on its inputs' graph and returns the target.
-	Flow func(ins []*rdd.RDD) *rdd.RDD
+	// inputs are read in order; flow receives one leaf RDD per entry.
+	inputs []input
+	// flow builds the job on its inputs' graph and returns the target.
+	flow func(ins []*rdd.RDD) *rdd.RDD
 	// Check compares the engine's output with the reference evaluation.
 	Check func(got, want []rdd.Pair) error
 }
@@ -105,7 +105,7 @@ type Workload struct {
 func (w *Workload) Make(ctx *core.Context, opts Options) *Instance {
 	ins := w.place(ctx, opts)
 	return &Instance{
-		Target:   w.Flow(ins),
+		Target:   w.flow(ins),
 		Validate: func(got []rdd.Pair) error { return w.Check(got, w.reference(ins)) },
 	}
 }
@@ -121,8 +121,8 @@ func (w *Workload) MakeReference(opts Options) []rdd.Pair {
 // the only place a record meets a partition.
 func (w *Workload) place(ctx *core.Context, opts Options) []*rdd.RDD {
 	opts = opts.withDefaults()
-	ins := make([]*rdd.RDD, len(w.Inputs))
-	for i, in := range w.Inputs {
+	ins := make([]*rdd.RDD, len(w.inputs))
+	for i, in := range w.inputs {
 		ins[i] = ctx.DistributeRecords(in.Name, in.Generate(opts.Seed), opts.MapParts, in.ModeledBytes*opts.Scale)
 	}
 	return ins
@@ -138,12 +138,12 @@ func (w *Workload) reference(ins []*rdd.RDD) []rdd.Pair {
 	for i, in := range ins {
 		local[i] = g.Input(in.Name, in.Input)
 	}
-	return rdd.CollectLocal(w.Flow(local))
+	return rdd.CollectLocal(w.flow(local))
 }
 
 // All lists the paper's five workloads in Table I order.
 func All() []*Workload {
-	return []*Workload{WordCount(), Sort(), TeraSort(), PageRank(), NaiveBayes()}
+	return []*Workload{WordCount(), Sort(), TeraSort(), PageRank(), naiveBayes()}
 }
 
 // ByName returns the workload with the given name.

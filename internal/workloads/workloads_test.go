@@ -143,7 +143,7 @@ var generatedHashes = map[string][4]uint64{
 
 func TestGeneratorsArePinned(t *testing.T) {
 	for _, w := range append(All(), Extensions()...) {
-		for _, in := range w.Inputs {
+		for _, in := range w.inputs {
 			want, ok := generatedHashes[in.Name]
 			if !ok {
 				t.Errorf("%s: input %s has no pinned hashes", w.Name, in.Name)
@@ -318,7 +318,7 @@ func placedBytes(ins []*rdd.RDD) float64 {
 func TestWordCountCombineShrinksShuffle(t *testing.T) {
 	w := WordCount()
 	ins := w.place(core.NewContext(core.Config{}), Options{Seed: 1, MapParts: 8})
-	count := w.Flow(ins).Deps[0] // wc.count's shuffle over wc.split
+	count := w.flow(ins).Deps[0] // wc.count's shuffle over wc.split
 	var combinedBytes float64
 	for _, part := range rdd.EvalLocal(count.Parent) {
 		combinedBytes += rdd.SizeOfAll(rdd.MapSidePrepare(count.Shuffle, part))
@@ -333,7 +333,7 @@ func TestWordCountCombineShrinksShuffle(t *testing.T) {
 func TestTeraSortMapBloatsData(t *testing.T) {
 	w := TeraSort()
 	ins := w.place(core.NewContext(core.Config{}), Options{Seed: 1, MapParts: 8})
-	sorted := w.Flow(ins).Deps[0].Parent // terasort.strip ← terasort.sorted
+	sorted := w.flow(ins).Deps[0].Parent // terasort.strip ← terasort.sorted
 	var bloated float64
 	for _, part := range rdd.EvalLocal(sorted.Deps[0].Parent) { // terasort.tag
 		bloated += rdd.SizeOfAll(part)
@@ -380,7 +380,7 @@ func TestTeraSortCentralizedShipsLess(t *testing.T) {
 // and checks its join-dominated shape: a large AggShuffle traffic cut
 // because joins cannot combine map-side.
 func TestWebJoinExtension(t *testing.T) {
-	w := WebJoin()
+	w := webJoin()
 	spark := runWorkload(t, w, core.SchemeSpark, 7)
 	agg := runWorkload(t, w, core.SchemeAggShuffle, 7)
 	_ = runWorkload(t, w, core.SchemeCentralized, 7)
