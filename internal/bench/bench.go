@@ -42,9 +42,9 @@ type Options struct {
 	// Validate re-checks every run's output against the in-memory
 	// reference (slower; on by default at small scale in tests).
 	Validate bool
-	// Trace records per-task spans in every run, so reports carry
+	// trace records per-task spans in every run, so reports carry
 	// per-stage task-duration summaries.
-	Trace bool
+	trace bool
 }
 
 func (o Options) withDefaults() Options {
@@ -120,7 +120,7 @@ func (v variant) runWorkload(seed int64, opts Options) (outcome, error) {
 		Scheme: v.scheme,
 		Exec: exec.Config{
 			Net:   simnet.Config{JitterAmplitude: opts.Jitter},
-			Trace: opts.Trace,
+			Trace: opts.trace,
 		},
 	}
 	if v.engine != nil {
@@ -216,9 +216,9 @@ type Series struct {
 	JCT stats.Summary
 	// CrossDCMB aggregates cross-datacenter traffic in MB (Fig. 8).
 	CrossDCMB stats.Summary
-	// Stages aggregates per-stage spans in seconds (Fig. 9), by stage
+	// stages aggregates per-stage spans in seconds (Fig. 9), by stage
 	// index.
-	Stages []stats.Summary
+	stages []stats.Summary
 }
 
 // summarize runs the variants and reduces each one's outcomes to a Series,
@@ -248,7 +248,7 @@ func summarize(variants []variant, opts Options) ([]Series, error) {
 		}
 		s.JCT, s.CrossDCMB = stats.Summarize(jct), stats.Summarize(cross)
 		for _, spans := range stages {
-			s.Stages = append(s.Stages, stats.Summarize(spans))
+			s.stages = append(s.stages, stats.Summarize(spans))
 		}
 		series[vi] = s
 	}

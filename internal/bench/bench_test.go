@@ -130,17 +130,17 @@ func TestFig9StageSpans(t *testing.T) {
 	spark, _ := Find(series, "WordCount", core.SchemeSpark)
 	agg, _ := Find(series, "WordCount", core.SchemeAggShuffle)
 	for _, s := range series {
-		if len(s.Stages) == 0 {
+		if len(s.stages) == 0 {
 			t.Fatalf("%s/%v has no stage spans", s.Workload, s.Scheme)
 		}
-		for i, st := range s.Stages {
+		for i, st := range s.stages {
 			if st.TrimmedMean <= 0 {
 				t.Fatalf("%s/%v stage %d span %v", s.Workload, s.Scheme, i, st.TrimmedMean)
 			}
 		}
 	}
-	sparkLast := spark.Stages[len(spark.Stages)-1].TrimmedMean
-	aggLast := agg.Stages[len(agg.Stages)-1].TrimmedMean
+	sparkLast := spark.stages[len(spark.stages)-1].TrimmedMean
+	aggLast := agg.stages[len(agg.stages)-1].TrimmedMean
 	if aggLast > sparkLast {
 		t.Errorf("AggShuffle late stage %.1fs slower than Spark %.1fs (paper: AggShuffle fast in late stages)", aggLast, sparkLast)
 	}

@@ -73,7 +73,7 @@ func FormatFig9(series []Series) string {
 		for _, s := range []Series{spark, cent, agg} {
 			fmt.Fprintf(&b, "  %-12s", s.Scheme)
 			var total float64
-			for i, st := range s.Stages {
+			for i, st := range s.stages {
 				fmt.Fprintf(&b, " | s%d %6.1f [%5.1f–%5.1f]", i, st.TrimmedMean, st.Q1, st.Q3)
 				total += st.TrimmedMean
 			}

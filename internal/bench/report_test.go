@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // smallOpts keeps report-test runs fast: one seeded run at 5% of Table I
 // modeled sizes, validated against the reference.
 func smallOpts() Options {
-	return Options{Runs: 1, BaseSeed: 1, Scale: 0.05, Validate: true, Trace: true}
+	return Options{Runs: 1, BaseSeed: 1, Scale: 0.05, Validate: true, trace: true}
 }
 
 // TestRunReportGolden pins the exact run-report JSON of a seeded

@@ -224,7 +224,7 @@ func (c *Context) RunConcurrently(targets []*rdd.RDD) ([]*Report, error) {
 		}
 		specs[i] = spec
 	}
-	results, err := c.eng.RunMany(specs)
+	results, err := c.eng.RunManyContext(context.Background(), specs)
 	if err != nil {
 		return nil, fmt.Errorf("core: %v concurrent jobs failed: %w", c.cfg.Scheme, err)
 	}

@@ -19,17 +19,17 @@ func TestErrBusyIsTyped(t *testing.T) {
 	probe := multiJobInput(g, topo, 0)
 	var nestedErr error
 	nested := probe.Map("hook", func(p rdd.Pair) rdd.Pair {
-		_, nestedErr = eng.RunMany([]JobSpec{{Target: probe, Action: ActionCount}})
+		_, nestedErr = eng.RunManyContext(context.Background(), []JobSpec{{Target: probe, Action: ActionCount}})
 		return p
 	})
-	if _, err := eng.Run(nested, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(nested, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(nestedErr, errBusy) {
-		t.Fatalf("nested RunMany err = %v, want errors.Is(_, ErrBusy)", nestedErr)
+		t.Fatalf("nested RunManyContext err = %v, want errors.Is(_, ErrBusy)", nestedErr)
 	}
 	// The engine is idle again after the outer run: a fresh job succeeds.
-	if _, err := eng.Run(multiJobInput(g, topo, 1), ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(multiJobInput(g, topo, 1), ActionCount, runOptions{}); err != nil {
 		t.Fatalf("engine stuck busy after run: %v", err)
 	}
 }

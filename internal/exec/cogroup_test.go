@@ -32,7 +32,7 @@ func TestCoGroupSidesKeepTheirCharge(t *testing.T) {
 		if tc.push {
 			dag.AutoAggregate(job)
 		}
-		res, err := New(topo, 1, Config{}).Run(job, ActionCollect, RunOptions{})
+		res, err := New(topo, 1, Config{}).run(job, ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func runExplicit(topo *topology.Topology, seed int64, job *rdd.RDD, agg bool) (s
 	if agg {
 		dag.AutoAggregate(job)
 	}
-	res, err := New(topo, seed, Config{}).Run(job, ActionSave, RunOptions{})
+	res, err := New(topo, seed, Config{}).run(job, ActionSave, runOptions{})
 	if err != nil {
 		return "", err
 	}

@@ -124,7 +124,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine executes jobs over one simulated cluster. Caches and shuffle
-// output persist across jobs run on the same engine; RunMany executes
+// output persist across jobs run on the same engine; RunManyContext executes
 // several jobs concurrently on the shared cluster. The engine itself is
 // single-threaded (the simulation is deterministic) — drive separate
 // Engines from separate goroutines for parallel experiments. Tracer is nil
@@ -258,8 +258,8 @@ type Result struct {
 	Retries int
 }
 
-// RunOptions tune one job run.
-type RunOptions struct {
+// runOptions tune one job run.
+type runOptions struct {
 	// Centralize ships all job input to the datacenter holding the most
 	// input bytes before any stage starts — the paper's "Centralized"
 	// baseline.
@@ -325,42 +325,27 @@ type stageState struct {
 	partDone []bool
 }
 
-// JobSpec describes one job for RunMany.
+// JobSpec describes one job for RunManyContext.
 type JobSpec struct {
 	Target *rdd.RDD
 	Action Action
-	Opts   RunOptions
+	Opts   runOptions
 }
 
-// errBusy reports a Run/RunMany call made while the engine is already
+// errBusy reports a RunManyContext call made while the engine is already
 // driving jobs. A caller that serializes its own jobs can treat it as
 // retry-later; anything else on this path is fatal.
 var errBusy = errors.New("exec: engine busy")
 
-// Run executes an action on the target RDD and returns the job report.
-func (e *Engine) Run(target *rdd.RDD, action Action, opts RunOptions) (*Result, error) {
-	results, err := e.RunMany([]JobSpec{{Target: target, Action: action, Opts: opts}})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// RunMany launches every job at the current instant and runs them
+// RunManyContext launches every job at the current instant and runs them
 // concurrently on the shared cluster — the multi-tenant setting of the
 // paper's Sec. IV-E discussion ("it is common that a Spark cluster is
 // shared by multiple jobs"). Jobs contend for the same task slots and
-// network links; results are returned in spec order.
-func (e *Engine) RunMany(specs []JobSpec) ([]*Result, error) {
-	return e.RunManyContext(context.Background(), specs)
-}
-
-// RunManyContext is RunMany under cooperative cancellation: the event
-// loop checks ctx between simulation steps and aborts with an error
-// wrapping ctx.Err() when it fires. A canceled engine is left
-// mid-simulation (pending clock events, partial flows) and should be
-// discarded — build a fresh Engine for the next job; only the live
-// backend promises post-cancel reuse.
+// network links; results are returned in spec order. The event loop checks
+// ctx between simulation steps and aborts with an error wrapping ctx.Err()
+// when it fires. A canceled engine is left mid-simulation (pending clock
+// events, partial flows) and should be discarded — build a fresh Engine
+// for the next job; only the live backend promises post-cancel reuse.
 func (e *Engine) RunManyContext(ctx context.Context, specs []JobSpec) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -464,7 +449,7 @@ func (e *Engine) prepareJob(target *rdd.RDD, action Action) (*jobState, error) {
 	return job, nil
 }
 
-func (e *Engine) startJob(job *jobState, opts RunOptions) {
+func (e *Engine) startJob(job *jobState, opts runOptions) {
 	begin := func() {
 		for _, ss := range job.stages {
 			if ss.pendingParents == 0 {
@@ -608,10 +593,10 @@ func (e *Engine) siteName(h topology.HostID) string {
 	return e.Topo.DCs[e.Topo.DCOf(h)].Name
 }
 
-// LinkCosts returns the planner's link-cost view over DC indices: the
+// linkCosts returns the planner's link-cost view over DC indices: the
 // flow-fed EWMA when the pair has been measured, else the topology's
 // configured inter-DC rate.
-func (e *Engine) LinkCosts() plan.LinkCostProvider {
+func (e *Engine) linkCosts() plan.LinkCostProvider {
 	return plan.MeasuredLinkCosts(e.links, e.Topo.NumDCs(),
 		func(dc int) string { return e.Topo.DCs[dc].Name },
 		func(src, dst int) float64 { return e.Topo.InterBps(topology.DCID(src), topology.DCID(dst)) })

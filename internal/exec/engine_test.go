@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -19,6 +20,15 @@ import (
 const mb = 1e6
 
 func sum(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) }
+
+// run executes one job on the engine and returns its result.
+func (e *Engine) run(target *rdd.RDD, action Action, opts runOptions) (*Result, error) {
+	results, err := e.RunManyContext(context.Background(), []JobSpec{{Target: target, Action: action, Opts: opts}})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
 
 // spreadInput builds an input RDD with one partition per worker host of
 // each DC (or the subset given), carrying words with per-partition
@@ -73,7 +83,7 @@ func TestWordCountMatchesReference(t *testing.T) {
 		return wordCount(spreadInput(g, topo, 10*mb), 8)
 	}
 	eng := New(topo, 1, Config{})
-	res, err := eng.Run(build(), ActionCollect, RunOptions{})
+	res, err := eng.run(build(), ActionCollect, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestDeterministicRuns(t *testing.T) {
 		g := rdd.NewGraph()
 		job := wordCount(spreadInput(g, topo, 10*mb), 8)
 		eng := New(topo, 42, Config{Net: netJitter()})
-		res, err := eng.Run(job, ActionCollect, RunOptions{})
+		res, err := eng.run(job, ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +136,7 @@ func TestSeedChangesOutcomeUnderJitter(t *testing.T) {
 		g := rdd.NewGraph()
 		job := wordCount(spreadInput(g, topo, 20*mb), 8)
 		eng := New(topo, seed, Config{Net: netJitter()})
-		res, err := eng.Run(job, ActionCollect, RunOptions{})
+		res, err := eng.run(job, ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +153,7 @@ func TestCountAction(t *testing.T) {
 	g := rdd.NewGraph()
 	in := spreadInput(g, topo, mb)
 	eng := New(topo, 1, Config{})
-	res, err := eng.Run(in, ActionCount, RunOptions{})
+	res, err := eng.run(in, ActionCount, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestPushBeatsFetch(t *testing.T) {
 
 	run := func(push bool) *Result {
 		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, Trace: true})
-		res, err := eng.Run(build(push), ActionCollect, RunOptions{})
+		res, err := eng.run(build(push), ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +258,7 @@ func TestFailureRecovery(t *testing.T) {
 			cfg.ScriptedFailures = []FailureSpec{{Stage: "agg", Part: 0, Attempt: 1, AtFrac: 0.5}}
 		}
 		eng := New(topo, 3, cfg)
-		res, err := eng.Run(build(push), ActionCollect, RunOptions{})
+		res, err := eng.run(build(push), ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +319,7 @@ func TestAutoAggregatePicksLargestInputDC(t *testing.T) {
 		t.Fatalf("AutoAggregate inserted %d, want 1", n)
 	}
 	eng := New(topo, 1, Config{Trace: true})
-	res, err := eng.Run(job, ActionCollect, RunOptions{})
+	res, err := eng.run(job, ActionCollect, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +344,7 @@ func TestCentralizedMovesInputs(t *testing.T) {
 	g := rdd.NewGraph()
 	job := wordCount(spreadInput(g, topo, 10*mb), 8)
 	eng := New(topo, 1, Config{})
-	res, err := eng.Run(job, ActionCollect, RunOptions{Centralize: true})
+	res, err := eng.run(job, ActionCollect, runOptions{Centralize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +374,14 @@ func TestCacheAvoidsRecomputationAcrossJobs(t *testing.T) {
 		return p
 	}).Cache()
 	eng := New(topo, 1, Config{})
-	if _, err := eng.Run(heavy, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(heavy, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after := computes
 	if after == 0 {
 		t.Fatal("heavy never computed")
 	}
-	if _, err := eng.Run(heavy, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(heavy, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if computes != after {
@@ -390,7 +400,7 @@ func TestMaxAttemptsExceededFailsJob(t *testing.T) {
 		cfg.ScriptedFailures = append(cfg.ScriptedFailures, FailureSpec{Stage: "counts", Part: 0, Attempt: a, AtFrac: 0.5})
 	}
 	eng := New(topo, 1, cfg)
-	if _, err := eng.Run(job, ActionCollect, RunOptions{}); err == nil {
+	if _, err := eng.run(job, ActionCollect, runOptions{}); err == nil {
 		t.Fatal("job succeeded despite exhausted attempts")
 	}
 }
@@ -402,7 +412,7 @@ func TestFailureEvents(t *testing.T) {
 	topo := topology.TwoDCMicro()
 	run := func(failures []FailureSpec) (*Engine, *Result) {
 		eng := New(topo, 1, Config{ScriptedFailures: failures})
-		res, err := eng.Run(wordCount(spreadInput(rdd.NewGraph(), topo, mb), 2), ActionCollect, RunOptions{})
+		res, err := eng.run(wordCount(spreadInput(rdd.NewGraph(), topo, mb), 2), ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +466,7 @@ func TestRandomReduceFailuresStillCorrect(t *testing.T) {
 		cfg.ScriptedFailures = append(cfg.ScriptedFailures, FailureSpec{Stage: "counts", Part: part, AtFrac: 0.5})
 	}
 	eng := New(topo, 7, cfg)
-	res, err := eng.Run(build(), ActionCollect, RunOptions{})
+	res, err := eng.run(build(), ActionCollect, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +485,7 @@ func TestCleanRunOneAttemptPerTask(t *testing.T) {
 	g := rdd.NewGraph()
 	in := spreadInput(g, topo, mb)
 	eng := New(topo, 1, Config{ComputeNoise: 0.9})
-	res, err := eng.Run(in, ActionCount, RunOptions{})
+	res, err := eng.run(in, ActionCount, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +507,7 @@ func TestSortByKeyThroughEngine(t *testing.T) {
 	}
 	in := g.Input("in", parts)
 	eng := New(topo, 1, Config{})
-	res, err := eng.Run(in.SortByKey("sorted", 3), ActionCollect, RunOptions{})
+	res, err := eng.run(in.SortByKey("sorted", 3), ActionCollect, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,11 +526,11 @@ func TestEngineRejectsConcurrentJobs(t *testing.T) {
 	eng := New(topo, 1, Config{})
 	g := rdd.NewGraph()
 	job := spreadInput(g, topo, mb)
-	if _, err := eng.Run(job, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(job, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// After a completed job a new one is fine.
-	if _, err := eng.Run(job, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(job, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,12 +17,12 @@ func TestActionSaveSkipsResultTraffic(t *testing.T) {
 		return wordCount(spreadInput(g, topo, 10*mb), 8)
 	}
 	eng := New(topo, 1, Config{})
-	collected, err := eng.Run(build(), ActionCollect, RunOptions{})
+	collected, err := eng.run(build(), ActionCollect, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng2 := New(topo, 1, Config{})
-	saved, err := eng2.Run(build(), ActionSave, RunOptions{})
+	saved, err := eng2.run(build(), ActionSave, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAggregatorPolicies(t *testing.T) {
 	heavy := topology.DCID(3)
 	run := func(policy plan.AggregatorPolicy, seed int64) float64 {
 		eng := New(topo, seed, Config{AggregatorPolicy: policy, ComputeNoise: -1})
-		res, err := eng.Run(buildSkewedReduce(topo, heavy), ActionSave, RunOptions{})
+		res, err := eng.run(buildSkewedReduce(topo, heavy), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestUnknownAggregatorPolicyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	_, _ = eng.Run(buildSkewedReduce(topo, 0), ActionSave, RunOptions{})
+	_, _ = eng.run(buildSkewedReduce(topo, 0), ActionSave, runOptions{})
 }
 
 func TestTransferToTopKSpreadsReceivers(t *testing.T) {
@@ -125,7 +125,7 @@ func TestTransferToTopKSpreadsReceivers(t *testing.T) {
 	in := g.Input("in", parts)
 	job := in.TransferToTopK(2).ReduceByKey("r", 4, sum)
 	eng := New(topo, 1, Config{ComputeNoise: -1})
-	res, err := eng.Run(job, ActionSave, RunOptions{})
+	res, err := eng.run(job, ActionSave, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTransferToTopKSpreadsReceivers(t *testing.T) {
 	in2 := g2.Input("in", parts2)
 	job2 := in2.TransferToTopK(1).ReduceByKey("r", 4, sum)
 	eng2 := New(topo, 1, Config{ComputeNoise: -1})
-	res2, err := eng2.Run(job2, ActionSave, RunOptions{})
+	res2, err := eng2.run(job2, ActionSave, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNoPipeliningDelaysPushes(t *testing.T) {
 	}
 	run := func(noPipe bool) float64 {
 		eng := New(topo, 1, Config{NoPipelining: noPipe, ComputeNoise: -1, ComputeBps: 20e6})
-		res, err := eng.Run(build(), ActionSave, RunOptions{})
+		res, err := eng.run(build(), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestCachedTransferSkipsRepush(t *testing.T) {
 	eng := New(topo, 1, Config{})
 
 	// Job 1 materializes the cache behind the transfer.
-	res1, err := eng.Run(moved, ActionSave, RunOptions{})
+	res1, err := eng.run(moved, ActionSave, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestCachedTransferSkipsRepush(t *testing.T) {
 	// computation should read locally in DC 0.
 	ones := moved.Map("counts.ones", func(p rdd.Pair) rdd.Pair { return rdd.KV(p.Key, 1) })
 	job2 := ones.ReduceByKey("counts", 4, func(a, b rdd.Value) rdd.Value { return a.(int) + b.(int) })
-	res2, err := eng.Run(job2, ActionSave, RunOptions{})
+	res2, err := eng.run(job2, ActionSave, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRunawayGuardSurfacesError(t *testing.T) {
 	g := rdd.NewGraph()
 	job := spreadInput(g, topo, mb)
 	eng := New(topo, 1, Config{})
-	if _, err := eng.Run(job, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(job, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,7 +51,7 @@ func TestMapperHostFailureRecovery(t *testing.T) {
 	run := func(push bool, failures ...HostFailure) (*Result, *Engine) {
 		cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures}
 		eng := New(topo, 3, cfg)
-		res, err := eng.Run(hostFailJob(topo, dcA, dcB, push, even), ActionSave, RunOptions{})
+		res, err := eng.run(hostFailJob(topo, dcA, dcB, push, even), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestSecondHostFailureWhileRecomputing(t *testing.T) {
 	run := func(failures ...HostFailure) (*Result, *Engine) {
 		cfg := Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures}
 		eng := New(topo, 3, cfg)
-		res, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
+		res, err := eng.run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestHostFailureDuringMapStage(t *testing.T) {
 	dcB, _ := topo.DCByName("dc-b")
 	run := func(failures []HostFailure) *Result {
 		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures})
-		res, err := eng.Run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, RunOptions{})
+		res, err := eng.run(hostFailJob(topo, dcA, dcB, false, even), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatalf("%d hosts killed: %v", len(failures), err)
 		}
@@ -232,7 +232,7 @@ func TestHostDiesDuringMapStage(t *testing.T) {
 	sizes := [4]float64{200 * mb, 10 * mb, 10 * mb, 10 * mb}
 	run := func(push bool, failures []HostFailure) *Result {
 		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, HostFailures: failures})
-		res, err := eng.Run(hostFailJob(topo, dcA, dcB, push, sizes), ActionSave, RunOptions{})
+		res, err := eng.run(hostFailJob(topo, dcA, dcB, push, sizes), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatalf("push=%v: %v", push, err)
 		}
@@ -267,7 +267,7 @@ func TestHostDiesDuringPush(t *testing.T) {
 	victim := topo.HostsIn(dcA)[0]
 	run := func(failures []HostFailure) (*Engine, *Result) {
 		eng := New(topo, 3, Config{PinReducersDC: &dcB, ComputeNoise: -1, ComputeBps: 20e6, Trace: true, HostFailures: failures})
-		res, err := eng.Run(hostFailJob(topo, dcA, dcB, true, even), ActionSave, RunOptions{})
+		res, err := eng.run(hostFailJob(topo, dcA, dcB, true, even), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestInputReplicaRedirect(t *testing.T) {
 	}
 	in := g.Input("in", parts)
 	eng := New(topo, 1, Config{HostFailures: []HostFailure{{Host: holder, At: 0.01}}, ComputeNoise: -1})
-	res, err := eng.Run(in.ReduceByKey("r", 4, sum), ActionSave, RunOptions{})
+	res, err := eng.run(in.ReduceByKey("r", 4, sum), ActionSave, runOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,11 +121,11 @@ func checkMeteredChain(t testing.TB, seed int64, cov *chainCoverage) {
 	for _, scheme := range []struct {
 		name string
 		agg  bool
-		opts RunOptions
+		opts runOptions
 	}{
-		{"spark", false, RunOptions{}},
-		{"centralized", false, RunOptions{Centralize: true}},
-		{"aggshuffle", true, RunOptions{}},
+		{"spark", false, runOptions{}},
+		{"centralized", false, runOptions{Centralize: true}},
+		{"aggshuffle", true, runOptions{}},
 	} {
 		rng := rand.New(rand.NewSource(seed))
 		job := rdd.RandomLineage(seed, rdd.NewGraph(), topo.Workers())
@@ -139,7 +139,7 @@ func checkMeteredChain(t testing.TB, seed int64, cov *chainCoverage) {
 		}
 		markCached(job, rng)
 		e := New(topo, seed+1, Config{})
-		if _, err := e.Run(job, ActionSave, scheme.opts); err != nil {
+		if _, err := e.run(job, ActionSave, scheme.opts); err != nil {
 			t.Fatalf("seed %d %s: %v", seed, scheme.name, err)
 		}
 		pj, err := plan.BuildJob(job)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestRunManyJobsConcurrently(t *testing.T) {
 		job := multiJobInput(g, topo, j).ReduceByKey(fmt.Sprintf("r%d", j), 4, sum)
 		specs = append(specs, JobSpec{Target: job, Action: ActionSave})
 	}
-	results, err := eng.RunMany(specs)
+	results, err := eng.RunManyContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestConcurrentJobsContend(t *testing.T) {
 	lone := func() float64 {
 		eng := New(topo, 1, Config{ComputeNoise: -1})
 		g := rdd.NewGraph()
-		res, err := eng.Run(multiJobInput(g, topo, 0).ReduceByKey("r", 4, sum), ActionSave, RunOptions{})
+		res, err := eng.run(multiJobInput(g, topo, 0).ReduceByKey("r", 4, sum), ActionSave, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestConcurrentJobsContend(t *testing.T) {
 			Action: ActionSave,
 		})
 	}
-	results, err := eng.RunMany(specs)
+	results, err := eng.RunManyContext(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +100,13 @@ func TestRunManyRejectsNestedRuns(t *testing.T) {
 	g := rdd.NewGraph()
 	probe := multiJobInput(g, topo, 0)
 	nested := probe.Map("hook", func(p rdd.Pair) rdd.Pair {
-		// Re-entrant RunMany from inside a running job must fail.
-		if _, err := eng.RunMany([]JobSpec{{Target: probe, Action: ActionCount}}); err == nil {
-			t.Error("nested RunMany succeeded")
+		// Re-entrant RunManyContext from inside a running job must fail.
+		if _, err := eng.RunManyContext(context.Background(), []JobSpec{{Target: probe, Action: ActionCount}}); err == nil {
+			t.Error("nested RunManyContext succeeded")
 		}
 		return p
 	})
-	if _, err := eng.Run(nested, ActionCount, RunOptions{}); err != nil {
+	if _, err := eng.run(nested, ActionCount, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,8 +114,8 @@ func TestRunManyRejectsNestedRuns(t *testing.T) {
 func TestRunManyEmpty(t *testing.T) {
 	topo := topology.TwoDCMicro()
 	eng := New(topo, 1, Config{})
-	results, err := eng.RunMany(nil)
+	results, err := eng.RunManyContext(context.Background(), nil)
 	if err != nil || results != nil {
-		t.Fatalf("empty RunMany = %v, %v", results, err)
+		t.Fatalf("empty RunManyContext = %v, %v", results, err)
 	}
 }

@@ -58,7 +58,7 @@ func TestBandwidthPolicyBeatsByteRuleOnSkewedLinks(t *testing.T) {
 	run := func(policy plan.AggregatorPolicy) (*Result, []obs.PlacementDecision) {
 		topo := hubTriad(t)
 		eng := New(topo, 1, Config{AggregatorPolicy: policy})
-		res, err := eng.Run(hubTriadJob(topo), ActionCollect, RunOptions{})
+		res, err := eng.run(hubTriadJob(topo), ActionCollect, runOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,24 +102,24 @@ func TestBandwidthPolicyBeatsByteRuleOnSkewedLinks(t *testing.T) {
 func TestEngineLinkBps(t *testing.T) {
 	topo := hubTriad(t)
 	eng := New(topo, 1, Config{})
-	if bps, src, ok := eng.LinkCosts().LinkBps(0, 2); !ok || src != "configured" || bps != 16e6 {
+	if bps, src, ok := eng.linkCosts().LinkBps(0, 2); !ok || src != "configured" || bps != 16e6 {
 		t.Fatalf("LinkBps(0,2) = (%v, %q, %v), want configured 16e6", bps, src, ok)
 	}
-	if _, _, ok := eng.LinkCosts().LinkBps(1, 1); ok {
+	if _, _, ok := eng.linkCosts().LinkBps(1, 1); ok {
 		t.Fatal("intra-DC pair reported a WAN rate")
 	}
-	if _, _, ok := eng.LinkCosts().LinkBps(-1, 2); ok {
+	if _, _, ok := eng.linkCosts().LinkBps(-1, 2); ok {
 		t.Fatal("out-of-range src reported a rate")
 	}
-	if _, _, ok := eng.LinkCosts().LinkBps(0, 3); ok {
+	if _, _, ok := eng.linkCosts().LinkBps(0, 3); ok {
 		t.Fatal("out-of-range dst reported a rate")
 	}
 	// A run feeds the link observatory; measured estimates then preempt
 	// the configured matrix.
-	if _, err := eng.Run(hubTriadJob(topo), ActionCollect, RunOptions{}); err != nil {
+	if _, err := eng.run(hubTriadJob(topo), ActionCollect, runOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if bps, src, ok := eng.LinkCosts().LinkBps(2, 0); ok && src != "measured" {
+	if bps, src, ok := eng.linkCosts().LinkBps(2, 0); ok && src != "measured" {
 		t.Fatalf("post-run LinkBps(2,0) = (%v, %q, %v), want measured once samples exist", bps, src, ok)
 	}
 }

@@ -29,18 +29,18 @@ func TestQuickRandomLineagesAllSchemes(t *testing.T) {
 		for _, mode := range []struct {
 			name string
 			agg  bool
-			opts RunOptions
+			opts runOptions
 		}{
-			{"spark", false, RunOptions{}},
-			{"centralized", false, RunOptions{Centralize: true}},
-			{"aggshuffle", true, RunOptions{}},
+			{"spark", false, runOptions{}},
+			{"centralized", false, runOptions{Centralize: true}},
+			{"aggshuffle", true, runOptions{}},
 		} {
 			job := buildRandomLineage(seed, rdd.NewGraph(), topo)
 			if mode.agg {
 				dag.AutoAggregate(job)
 			}
 			eng := New(topo, seed+1, Config{})
-			res, err := eng.Run(job, ActionSave, mode.opts)
+			res, err := eng.run(job, ActionSave, mode.opts)
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, mode.name, err)
 				return false
@@ -94,11 +94,11 @@ func TestQuickRandomLineagesWithChaos(t *testing.T) {
 		for _, mode := range []struct {
 			name string
 			agg  bool
-			opts RunOptions
+			opts runOptions
 		}{
-			{"spark", false, RunOptions{}},
-			{"centralized", false, RunOptions{Centralize: true}},
-			{"aggshuffle", true, RunOptions{}},
+			{"spark", false, runOptions{}},
+			{"centralized", false, runOptions{Centralize: true}},
+			{"aggshuffle", true, runOptions{}},
 		} {
 			build := func() *rdd.RDD {
 				job := buildRandomLineage(seed, rdd.NewGraph(), topo)
@@ -112,7 +112,7 @@ func TestQuickRandomLineagesWithChaos(t *testing.T) {
 				cfg.ComputeNoise = 0.5
 				cfg.Trace = true
 				eng := New(topo, seed+1, cfg)
-				res, err := eng.Run(build(), ActionSave, mode.opts)
+				res, err := eng.run(build(), ActionSave, mode.opts)
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, mode.name, err)
 				}
@@ -169,7 +169,7 @@ func TestLostShuffleReadersGiveSlotsBack(t *testing.T) {
 		run := func(cfg Config) *Result {
 			t.Helper()
 			cfg.ComputeNoise = 0.5
-			res, err := New(topo, c.seed+1, cfg).Run(build(), ActionSave, RunOptions{Centralize: true})
+			res, err := New(topo, c.seed+1, cfg).run(build(), ActionSave, runOptions{Centralize: true})
 			if err != nil {
 				t.Fatalf("seed %d trial %d: %v", c.seed, c.trial, err)
 			}

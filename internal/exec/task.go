@@ -111,7 +111,7 @@ func (e *Engine) resolveAggregator(ss *stageState) {
 	}
 	var dec obs.PlacementDecision
 	ss.aggRank, dec = plan.ChooseAggregator[topology.DCID](shuffleID, ss.st.ID, byDC,
-		e.cfg.AggregatorPolicy, e.LinkCosts(), e.aggRNG.Shuffle,
+		e.cfg.AggregatorPolicy, e.linkCosts(), e.aggRNG.Shuffle,
 		func(dc int) string { return e.Topo.DCs[dc].Name })
 	ss.aggResolved = true
 	if len(ss.aggRank) > 0 {

@@ -57,8 +57,8 @@ func TestWorkerSpansOrderCausally(t *testing.T) {
 		if s.Start < send.Start {
 			t.Errorf("receive %d starts %.9fs before its send %d", s.ID, send.Start-s.Start, s.Link)
 		}
-		if s.Start < 0 || s.End > stats.CompletionSec {
-			t.Errorf("receive span [%f,%f] outside run window [0,%f]", s.Start, s.End, stats.CompletionSec)
+		if s.Start < 0 || s.End > stats.completionSec {
+			t.Errorf("receive span [%f,%f] outside run window [0,%f]", s.Start, s.End, stats.completionSec)
 		}
 	}
 	if recvs == 0 {

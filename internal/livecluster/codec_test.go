@@ -80,7 +80,7 @@ func TestUnsupportedValueFailsPushCleanly(t *testing.T) {
 	if stats.Dials != 0 {
 		t.Fatalf("%d dials after the failed push: it cost a pooled connection", stats.Dials)
 	}
-	if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
+	if got := matrixTotal(stats.trafficMatrix); got != stats.BytesOverTCP {
 		t.Fatalf("matrix total %d != BytesOverTCP %d", got, stats.BytesOverTCP)
 	}
 

@@ -252,7 +252,7 @@ func TestMidRunReportConvergence(t *testing.T) {
 // the uncompressed-equivalent total is no smaller.
 func checkConservation(t *testing.T, stats *Stats) {
 	t.Helper()
-	if sum := matrixTotal(stats.TrafficMatrix); sum != stats.BytesOverTCP {
+	if sum := matrixTotal(stats.trafficMatrix); sum != stats.BytesOverTCP {
 		t.Errorf("matrix sums to %d, BytesOverTCP is %d", sum, stats.BytesOverTCP)
 	}
 	var byClass int64

@@ -44,7 +44,7 @@ func TestBackToBackJobsOnSharedCluster(t *testing.T) {
 		if canon(out) != want {
 			t.Fatalf("run %d output diverges from reference", run)
 		}
-		if total := matrixTotal(stats.TrafficMatrix); total != stats.BytesOverTCP {
+		if total := matrixTotal(stats.trafficMatrix); total != stats.BytesOverTCP {
 			t.Fatalf("run %d: matrix total %d != BytesOverTCP %d", run, total, stats.BytesOverTCP)
 		}
 		if stats.BytesOverTCP <= 0 {
@@ -94,7 +94,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 		if width := int64(cluster.cfg.TasksPerWorker); requests == 0 || stats.Dials%width != 0 || dials > 4*3*width {
 			t.Fatalf("run %d: %d dials for %d requests, %d dials so far over 12 links %d wide", run, stats.Dials, requests, dials, width)
 		}
-		if total := matrixTotal(stats.TrafficMatrix); total != stats.BytesOverTCP || stats.BytesRaw < total {
+		if total := matrixTotal(stats.trafficMatrix); total != stats.BytesOverTCP || stats.BytesRaw < total {
 			t.Fatalf("run %d: matrix total %d, BytesOverTCP %d, BytesRaw %d", run, total, stats.BytesOverTCP, stats.BytesRaw)
 		}
 		var byClass int64
@@ -104,7 +104,7 @@ func TestStatsQuiescentAfterRun(t *testing.T) {
 		if byClass != stats.BytesOverTCP {
 			t.Fatalf("run %d: class split sums to %d, BytesOverTCP %d", run, byClass, stats.BytesOverTCP)
 		}
-		if stats.scheme != "push" || stats.CompletionSec <= 0 || stats.Retries != 0 ||
+		if stats.scheme != "push" || stats.completionSec <= 0 || stats.Retries != 0 ||
 			len(stats.StageSpans) != 2 || len(stats.ShardsByWorker) != 4 || len(stats.Events.Placements()) != 1 ||
 			stats.Events.Counts().Finished == 0 {
 			t.Fatalf("run %d: implausible stats %+v", run, stats.StageSpans)
@@ -170,7 +170,7 @@ func TestRunContextDeadlineStopsMidStage(t *testing.T) {
 	if canon(out) != want {
 		t.Fatal("post-cancel output diverges from reference")
 	}
-	if total := matrixTotal(stats2.TrafficMatrix); total != stats2.BytesOverTCP {
+	if total := matrixTotal(stats2.trafficMatrix); total != stats2.BytesOverTCP {
 		t.Fatalf("post-cancel run: matrix total %d != BytesOverTCP %d", total, stats2.BytesOverTCP)
 	}
 }

@@ -68,7 +68,7 @@ func (s *poolServer) addr() string { return s.ln.Addr().String() }
 // worker 0's link to worker 1 — and nothing else needed.
 func (s *poolServer) link() *link {
 	stats := &Stats{
-		TrafficMatrix: [][]int64{{0, 0}, {0, 0}},
+		trafficMatrix: [][]int64{{0, 0}, {0, 0}},
 		bytesByClass:  map[string]int64{},
 		links:         netobs.NewEstimator(netobs.Config{}),
 	}
@@ -307,9 +307,9 @@ func TestRetriedExchangeAccountsBothAttempts(t *testing.T) {
 	if samples := estimatorSamples(st.links); st.Dials != 2 || samples != 2 || st.PushConnections != 2 {
 		t.Fatalf("%d dials, %d transfer samples, %d pushes; want 2, 2 (the broken attempt has no rate) and 2", st.Dials, samples, st.PushConnections)
 	}
-	if st.TrafficMatrix[0][1] != 20 || st.bytesByClass["push"] != 20 || st.BytesOverTCP != 20 || st.BytesRaw != 20 {
+	if st.trafficMatrix[0][1] != 20 || st.bytesByClass["push"] != 20 || st.BytesOverTCP != 20 || st.BytesRaw != 20 {
 		t.Fatalf("matrix %v, classes %v, %d wire and %d raw bytes; want one 0→1 push cell of 20 bytes (8 + the broken attempt's 4 + 8)",
-			st.TrafficMatrix, st.bytesByClass, st.BytesOverTCP, st.BytesRaw)
+			st.trafficMatrix, st.bytesByClass, st.BytesOverTCP, st.BytesRaw)
 	}
 	if got := srv.carried.Load(); got != st.BytesOverTCP {
 		t.Fatalf("sockets carried %d bytes, flows account %d", got, st.BytesOverTCP)
@@ -342,8 +342,8 @@ func TestTimedOutExchangeIsNotRetried(t *testing.T) {
 		t.Fatalf("exchange body ran %d times, want 2 (no retry after a timeout)", calls)
 	}
 	st := l.stats()
-	if samples := estimatorSamples(st.links); st.Dials != 1 || samples != 1 || st.FetchConnections != 1 || st.TrafficMatrix[0][1] != 12 {
-		t.Fatalf("dials %d, samples %d, fetches %d, matrix %v; want 1, 1, 1 and 12 bytes 0→1", st.Dials, samples, st.FetchConnections, st.TrafficMatrix)
+	if samples := estimatorSamples(st.links); st.Dials != 1 || samples != 1 || st.FetchConnections != 1 || st.trafficMatrix[0][1] != 12 {
+		t.Fatalf("dials %d, samples %d, fetches %d, matrix %v; want 1, 1, 1 and 12 bytes 0→1", st.Dials, samples, st.FetchConnections, st.trafficMatrix)
 	}
 }
 
@@ -425,7 +425,7 @@ func TestShapedRateIsPerLink(t *testing.T) {
 			}
 			elapsed := time.Since(start).Seconds()
 			stats := flushed(c)
-			sent := stats.TrafficMatrix[0][1]
+			sent := stats.trafficMatrix[0][1]
 			if sent < int64(tc.tasks)*90_000 || sent != stats.BytesOverTCP {
 				t.Fatalf("w0→w1 carried %d of %d bytes, want about %d KB, all of them on that link", sent, stats.BytesOverTCP, tc.tasks*100)
 			}

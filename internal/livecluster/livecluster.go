@@ -196,15 +196,15 @@ type Stats struct {
 	// StageSpans are the per-stage execution windows, wall-clock seconds
 	// since the job started.
 	StageSpans []plan.StageSpan
-	// CompletionSec is the job's wall-clock duration.
-	CompletionSec float64
+	// completionSec is the job's wall-clock duration.
+	completionSec float64
 	// Retries counts task attempts beyond the first.
 	Retries int
-	// TrafficMatrix[i][j] is the TCP payload moved by requests from
+	// trafficMatrix[i][j] is the TCP payload moved by requests from
 	// worker i to worker j; its diagonal is zero, no worker has a link to
 	// itself. Summed over all entries it equals BytesOverTCP — the live
 	// analogue of the simulator's per-region matrix.
-	TrafficMatrix [][]int64
+	trafficMatrix [][]int64
 	// bytesByClass splits BytesOverTCP by request purpose: "push",
 	// "shuffle" (fetch).
 	bytesByClass map[string]int64
@@ -231,14 +231,11 @@ type Stats struct {
 	placementPolicy string
 	scheme          string
 
-	// mu guards BytesOverTCP, BytesRaw, TrafficMatrix, bytesByClass,
-	// StageSpans, CompletionSec and Retries against concurrent scrapes; the
+	// mu guards BytesOverTCP, BytesRaw, trafficMatrix, bytesByClass,
+	// StageSpans, completionSec and Retries against concurrent scrapes; the
 	// request counters (Push/Fetch/Dials) are atomics.
 	mu sync.Mutex
 }
-
-// Storage returns the block-store accounting summed across workers.
-func (s *Stats) Storage() blockstore.Stats { return s.storage() }
 
 // The four accounting methods below are how a link writes its exchanges into
 // the running job's record, where they happen. Each is a no-op on nil stats:
@@ -256,8 +253,8 @@ func (s *Stats) flow(src, dst int, class string, wire, raw int64) {
 	s.mu.Lock()
 	s.BytesOverTCP += wire
 	s.BytesRaw += raw
-	if src >= 0 && src < len(s.TrafficMatrix) && dst >= 0 && dst < len(s.TrafficMatrix) {
-		s.TrafficMatrix[src][dst] += wire
+	if src >= 0 && src < len(s.trafficMatrix) && dst >= 0 && dst < len(s.trafficMatrix) {
+		s.trafficMatrix[src][dst] += wire
 	}
 	s.bytesByClass[class] += wire
 	s.mu.Unlock()
@@ -309,13 +306,13 @@ func (s *Stats) addStageSpan(span plan.StageSpan) {
 func (s *Stats) setCompletion(sec float64, retries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.CompletionSec = sec
+	s.completionSec = sec
 	s.Retries = retries
 }
 
-// MatrixLabels names the traffic matrix's rows and columns, one per
+// matrixLabels names the traffic matrix's rows and columns, one per
 // worker.
-func (s *Stats) MatrixLabels() []string {
+func (s *Stats) matrixLabels() []string {
 	out := make([]string, len(s.ShardsByWorker))
 	for i := range out {
 		out[i] = siteLabel(i)
@@ -331,10 +328,10 @@ func (s *Stats) MatrixLabels() []string {
 // report, so a mid-run traffic matrix always sums to the bytes moved so
 // far and completion-only fields stay zero until the run finishes.
 func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
-	labels := s.MatrixLabels()
+	labels := s.matrixLabels()
 	s.mu.Lock()
-	matrix := make([][]float64, len(s.TrafficMatrix))
-	for i, row := range s.TrafficMatrix {
+	matrix := make([][]float64, len(s.trafficMatrix))
+	for i, row := range s.trafficMatrix {
 		matrix[i] = make([]float64, len(row))
 		for j, v := range row {
 			matrix[i][j] = float64(v)
@@ -345,7 +342,7 @@ func (s *Stats) RunReport(workload string, tr *trace.Recorder) *obs.Report {
 		byClass[class] = float64(v)
 	}
 	stages := append([]plan.StageSpan(nil), s.StageSpans...)
-	completion := s.CompletionSec
+	completion := s.completionSec
 	retries := s.Retries
 	bytesTotal := float64(s.BytesOverTCP)
 	bytesRaw := float64(s.BytesRaw)
@@ -529,12 +526,12 @@ func (c *Cluster) NetworkStats() *obs.NetworkStats {
 	return netobs.ReportSection(c.links, c.configuredLinks())
 }
 
-// LinkCosts returns the planner's link-cost view over worker indices: the
+// linkCosts returns the planner's link-cost view over worker indices: the
 // persistent estimator's measured EWMA when the pair has transfer samples
 // (link capacity outlives any one job, so estimates learned on earlier
 // runs inform later placements), else the shaped topology's configured
 // rate; same-DC pairs fall to the planner's uniform fallback.
-func (c *Cluster) LinkCosts() plan.LinkCostProvider {
+func (c *Cluster) linkCosts() plan.LinkCostProvider {
 	return plan.MeasuredLinkCosts(c.links, len(c.workers), siteLabel, c.linkRateBps)
 }
 
@@ -622,7 +619,7 @@ func (c *Cluster) RunContext(ctx context.Context, target *rdd.RDD) ([]rdd.Pair, 
 	c.curRun.Store(run)
 	drv := plan.NewDriver(job, run, plan.DriverConfig{
 		Policy:    c.cfg.AggregatorPolicy,
-		LinkCosts: c.LinkCosts(),
+		LinkCosts: c.linkCosts(),
 		SiteSlots: c.cfg.TasksPerWorker,
 	})
 	parts, err := drv.RunContext(ctx)
@@ -648,7 +645,7 @@ func (c *Cluster) newStats() *Stats {
 	}
 	return &Stats{
 		ShardsByWorker:  make([]int, len(c.workers)),
-		TrafficMatrix:   matrix,
+		trafficMatrix:   matrix,
 		bytesByClass:    map[string]int64{},
 		Events:          obs.NewCollector(),
 		storage:         c.StorageStats,

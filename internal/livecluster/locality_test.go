@@ -77,7 +77,7 @@ func noWorkerDialsItself(t *testing.T, seed int64, hosts []topology.HostID, sche
 	if stats.Retries != 0 {
 		t.Fatalf("seed %d: %d retries in a run nothing disturbed", seed, stats.Retries)
 	}
-	for i, row := range stats.TrafficMatrix {
+	for i, row := range stats.trafficMatrix {
 		if row[i] != 0 {
 			t.Fatalf("seed %d: worker %d moved %d bytes to itself over a socket", seed, i, row[i])
 		}
@@ -216,8 +216,8 @@ func TestPushModeReadsAnotherAggregatorOverTCP(t *testing.T) {
 	if int64(serves) != stats.FetchConnections {
 		t.Fatalf("%d serve spans for %d fetch requests", serves, stats.FetchConnections)
 	}
-	if stats.TrafficMatrix[1][2] == 0 || stats.TrafficMatrix[2][1] == 0 || stats.TrafficMatrix[1][1] != 0 || stats.TrafficMatrix[2][2] != 0 {
-		t.Fatalf("traffic matrix %v: the aggregators read each other and not themselves", stats.TrafficMatrix)
+	if stats.trafficMatrix[1][2] == 0 || stats.trafficMatrix[2][1] == 0 || stats.trafficMatrix[1][1] != 0 || stats.trafficMatrix[2][2] != 0 {
+		t.Fatalf("traffic matrix %v: the aggregators read each other and not themselves", stats.trafficMatrix)
 	}
 	checkConservation(t, stats)
 }

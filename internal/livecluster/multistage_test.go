@@ -239,7 +239,7 @@ func TestRangePartitionBarrierOverWire(t *testing.T) {
 		if n := stats.bytesByClass["sample"]; n != 0 {
 			t.Fatalf("%v: %d sample bytes crossed the wire", scheme, n)
 		}
-		if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP || got == 0 {
+		if got := matrixTotal(stats.trafficMatrix); got != stats.BytesOverTCP || got == 0 {
 			t.Fatalf("%v: matrix total %d, BytesOverTCP %d", scheme, got, stats.BytesOverTCP)
 		}
 	}

@@ -157,7 +157,7 @@ func TestNetworkSectionParityAcrossBackends(t *testing.T) {
 	topo := asymmetricTriad()
 
 	eng := exec.New(topo, 1, exec.Config{})
-	if _, err := eng.Run(buildBulkyWordCount(6, 3, topo.Workers()), exec.ActionSave, exec.RunOptions{}); err != nil {
+	if _, err := simulate(eng, buildBulkyWordCount(6, 3, topo.Workers())); err != nil {
 		t.Fatal(err)
 	}
 	simNS := eng.NetworkStats()

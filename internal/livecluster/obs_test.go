@@ -48,7 +48,7 @@ func TestLiveRunReportInvariants(t *testing.T) {
 	}
 
 	// Every byte over TCP is in exactly one matrix cell.
-	if got, want := matrixTotal(stats.TrafficMatrix), stats.BytesOverTCP; got != want {
+	if got, want := matrixTotal(stats.trafficMatrix), stats.BytesOverTCP; got != want {
 		t.Fatalf("traffic matrix total = %d, BytesOverTCP = %d", got, want)
 	}
 	var repTotal float64
@@ -129,16 +129,16 @@ func TestPushModeMatrixConcentratesOnAggregator(t *testing.T) {
 	if decs := stats.Events.Placements(); len(decs) != 1 || decs[0].Chosen != agg {
 		t.Fatalf("placement decisions %+v, want worker %d, which holds the heavy partition", decs, agg)
 	}
-	for src, row := range stats.TrafficMatrix {
+	for src, row := range stats.trafficMatrix {
 		for dst, v := range row {
 			if (dst != agg || src == agg) && v != 0 {
 				t.Fatalf("push job moved %d bytes from %d to %d, not from another worker to the aggregator\nmatrix: %v",
-					v, src, dst, stats.TrafficMatrix)
+					v, src, dst, stats.trafficMatrix)
 			}
 		}
 	}
 	var intoAgg int64
-	for src, row := range stats.TrafficMatrix {
+	for src, row := range stats.trafficMatrix {
 		if src != agg {
 			intoAgg += row[agg]
 		}
@@ -163,7 +163,7 @@ func TestFetchModeMatrixAccountsAllBytes(t *testing.T) {
 	if stats.BytesOverTCP == 0 {
 		t.Fatal("fetch run moved no bytes")
 	}
-	if got, want := matrixTotal(stats.TrafficMatrix), stats.BytesOverTCP; got != want {
+	if got, want := matrixTotal(stats.trafficMatrix), stats.BytesOverTCP; got != want {
 		t.Fatalf("traffic matrix total = %d, BytesOverTCP = %d", got, want)
 	}
 	if got := stats.bytesByClass["shuffle"]; got == 0 {

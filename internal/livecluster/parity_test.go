@@ -1,6 +1,7 @@
 package livecluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,6 +13,15 @@ import (
 	"wanshuffle/internal/topology"
 	"wanshuffle/internal/trace"
 )
+
+// simulate saves target on the simulator engine and returns its result.
+func simulate(eng *exec.Engine, target *rdd.RDD) (*exec.Result, error) {
+	results, err := eng.RunManyContext(context.Background(), []exec.JobSpec{{Target: target, Action: exec.ActionSave}})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
 
 // TestSimulatorAndLiveClusterAgree drives seeded lineages — random ones,
 // and PageRank's cached, iterative shape — through the discrete-event
@@ -48,7 +58,7 @@ func TestSimulatorAndLiveClusterAgree(t *testing.T) {
 				}
 				run := fmt.Sprintf("seed %d %s/%s", seed, lin.name, scheme.name)
 				eng := exec.New(topo, seed+1, exec.Config{Trace: true})
-				res, err := eng.Run(lineage(), exec.ActionSave, exec.RunOptions{})
+				res, err := simulate(eng, lineage())
 				if err != nil {
 					t.Logf("%s sim: %v", run, err)
 					return false

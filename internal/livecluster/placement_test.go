@@ -64,7 +64,7 @@ func TestPlacementParityAcrossBackends(t *testing.T) {
 		job := buildSkewedShuffle(topo.Workers())
 		dag.AutoAggregate(job)
 		eng := exec.New(topo, 1, exec.Config{AggregatorPolicy: policy})
-		if _, err := eng.Run(job, exec.ActionSave, exec.RunOptions{}); err != nil {
+		if _, err := simulate(eng, job); err != nil {
 			t.Fatal(err)
 		}
 		decs := eng.Events.Placements()

@@ -52,8 +52,8 @@ func TestParityWithForcedSpill(t *testing.T) {
 			// A spilled block only reloads if something reads it afterwards;
 			// require that across the seeds, not per run.
 			reloads += storage.ReloadBytesTotal
-			if got := stats.Storage(); got.SpillEvents != storage.SpillEvents {
-				t.Fatalf("seed %d %v: Stats.Storage() (%d spills) disagrees with cluster (%d)",
+			if got := stats.storage(); got.SpillEvents != storage.SpillEvents {
+				t.Fatalf("seed %d %v: Stats.storage() (%d spills) disagrees with cluster (%d)",
 					seed, scheme, got.SpillEvents, storage.SpillEvents)
 			}
 			// The run report's storage section is the accountants' record.
@@ -66,7 +66,7 @@ func TestParityWithForcedSpill(t *testing.T) {
 			// lands in exactly one matrix cell, and compression can only
 			// shrink the wire relative to raw.
 			var matrixTotal int64
-			for _, row := range stats.TrafficMatrix {
+			for _, row := range stats.trafficMatrix {
 				for _, v := range row {
 					matrixTotal += v
 				}

@@ -551,7 +551,7 @@ func TestChunkedPushFetchRoundTrip(t *testing.T) {
 			if stats.PushConnections != 1 || stats.FetchConnections != int64(reduces) {
 				t.Fatalf("ops = %d pushes / %d fetches", stats.PushConnections, stats.FetchConnections)
 			}
-			if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
+			if got := matrixTotal(stats.trafficMatrix); got != stats.BytesOverTCP {
 				t.Fatalf("matrix total %d != BytesOverTCP %d", got, stats.BytesOverTCP)
 			}
 			if stats.BytesRaw < stats.BytesOverTCP {
@@ -1025,7 +1025,7 @@ func TestCompressedModeMatchesReference(t *testing.T) {
 			if canon(out) != want {
 				t.Fatalf("seed %d %v compressed run diverges from reference", seed, scheme)
 			}
-			if got := matrixTotal(stats.TrafficMatrix); got != stats.BytesOverTCP {
+			if got := matrixTotal(stats.trafficMatrix); got != stats.BytesOverTCP {
 				t.Fatalf("seed %d %v: matrix total %d != BytesOverTCP %d", seed, scheme, got, stats.BytesOverTCP)
 			}
 			if stats.BytesRaw < stats.BytesOverTCP {

@@ -179,8 +179,8 @@ func (c *Collector) Counts() phaseCounts {
 	return c.counts
 }
 
-// Events returns a copy of the unified event log in arrival order.
-func (c *Collector) Events() []Event {
+// eventLog returns a copy of the unified event log in arrival order.
+func (c *Collector) eventLog() []Event {
 	if c == nil {
 		return nil
 	}
@@ -221,7 +221,7 @@ func (c *Collector) Subscribe(buf int) (history []Event, ch <-chan Event, cancel
 // TaskEvents returns a copy of the recorded task events in arrival order.
 func (c *Collector) TaskEvents() []TaskEvent {
 	var out []TaskEvent
-	for _, ev := range c.Events() {
+	for _, ev := range c.eventLog() {
 		if ev.Task != nil {
 			out = append(out, *ev.Task)
 		}
@@ -232,7 +232,7 @@ func (c *Collector) TaskEvents() []TaskEvent {
 // stageEvents returns a copy of the recorded stage events in arrival order.
 func (c *Collector) stageEvents() []StageEvent {
 	var out []StageEvent
-	for _, ev := range c.Events() {
+	for _, ev := range c.eventLog() {
 		if ev.Stage != nil {
 			out = append(out, *ev.Stage)
 		}

@@ -46,7 +46,7 @@ func TestCollectorSlowSubscriberDropsNotBlocks(t *testing.T) {
 	if ev := <-ch; ev.Task.Part != 0 {
 		t.Fatalf("first buffered event = %+v", ev)
 	}
-	if got := len(c.Events()); got != 10 {
+	if got := len(c.eventLog()); got != 10 {
 		t.Fatalf("log length = %d, want 10", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestCollectorSubscribeConcurrent(t *testing.T) {
 				}
 			}
 			_ = c.Counts()
-			_ = c.Events()
+			_ = c.eventLog()
 		}()
 	}
 	wg.Wait()

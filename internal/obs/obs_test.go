@@ -161,8 +161,8 @@ func TestCollectorRecordsAndMirrors(t *testing.T) {
 	c.OnPlacement(PlacementDecision{Shuffle: 2})
 	c.OnPlacement(PlacementDecision{Shuffle: 0})
 	c.Placements()[1].Shuffle = 9 // a copy: the collector keeps its own
-	if p := c.Placements(); len(p) != 2 || p[0].Shuffle != 2 || p[1].Shuffle != 0 || len(c.Events()) != 4 {
-		t.Fatalf("placements = %+v beside %d logged events, want shuffles 2 then 0 beside 4", p, len(c.Events()))
+	if p := c.Placements(); len(p) != 2 || p[0].Shuffle != 2 || p[1].Shuffle != 0 || len(c.eventLog()) != 4 {
+		t.Fatalf("placements = %+v beside %d logged events, want shuffles 2 then 0 beside 4", p, len(c.eventLog()))
 	}
 	if got := len(c.TaskEvents()); got != 3 {
 		t.Fatalf("task events = %d, want 3", got)

@@ -164,8 +164,8 @@ func (d *driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 	}
 	d.ctx = ctx
 	if d.cfg.Aggregate {
-		dag.AutoAggregate(d.job.Target)
-		job, err := BuildJob(d.job.Target)
+		dag.AutoAggregate(d.job.target)
+		job, err := BuildJob(d.job.target)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +202,7 @@ func (d *driver) RunContext(ctx context.Context) ([][]rdd.Pair, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st == d.job.Final() {
+		if st == d.job.final() {
 			final = out
 		}
 	}

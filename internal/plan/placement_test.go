@@ -425,7 +425,7 @@ func TestReduceTasksFollowTheTable(t *testing.T) {
 			if got, want := canon(slices.Concat(out...)), canon(rdd.CollectLocal(lineage())); got != want {
 				t.Fatalf("output %s, want %s", got, want)
 			}
-			final := job.Final()
+			final := job.final()
 			want := func(part int) int { return part % sites }
 			if tc.table {
 				holders, err := drv.outputs.Holders(final.Base.Deps[0].Shuffle.ID)

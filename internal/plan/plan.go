@@ -32,7 +32,7 @@ const MaxAttempts = 4
 
 // Job is one planned job: the validated target lineage plus its stage DAG.
 type Job struct {
-	Target *rdd.RDD
+	target *rdd.RDD
 	Plan   *dag.Plan
 }
 
@@ -42,14 +42,14 @@ func BuildJob(target *rdd.RDD) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	return &Job{Target: target, Plan: p}, nil
+	return &Job{target: target, Plan: p}, nil
 }
 
 // Stages returns the job's stages in topological order (parents first).
 func (j *Job) Stages() []*dag.Stage { return j.Plan.Stages }
 
-// Final returns the result stage.
-func (j *Job) Final() *dag.Stage { return j.Plan.Final }
+// final returns the result stage.
+func (j *Job) final() *dag.Stage { return j.Plan.Final }
 
 // StageSpan reports one stage's execution window. The simulator fills it
 // with virtual seconds, the live cluster with wall-clock seconds since the

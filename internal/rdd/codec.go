@@ -48,12 +48,12 @@ const maxValueDepth = 32
 type UnsupportedValueError struct {
 	// Key is the key of the offending record.
 	Key string
-	// Type is the Go type of the (possibly nested) value.
-	Type string
+	// valueType is the Go type of the (possibly nested) value.
+	valueType string
 }
 
 func (e *UnsupportedValueError) Error() string {
-	return fmt.Sprintf("rdd: record %q: the record codec cannot carry a value of type %s", e.Key, e.Type)
+	return fmt.Sprintf("rdd: record %q: the record codec cannot carry a value of type %s", e.Key, e.valueType)
 }
 
 // errCorrupt is wrapped by every DecodePairs error.
@@ -136,7 +136,7 @@ func EncodedSize(recs []Pair) (float64, error) {
 		m, bad := valueLen(recs[i].Value, 0)
 		if bad != "" {
 			if err == nil {
-				err = &UnsupportedValueError{Key: recs[i].Key, Type: bad}
+				err = &UnsupportedValueError{Key: recs[i].Key, valueType: bad}
 			}
 			m = 1
 		}
@@ -153,7 +153,7 @@ func AppendPairs(dst []byte, recs []Pair) ([]byte, error) {
 	for i := range recs {
 		m, bad := valueLen(recs[i].Value, 0)
 		if bad != "" {
-			return dst, &UnsupportedValueError{Key: recs[i].Key, Type: bad}
+			return dst, &UnsupportedValueError{Key: recs[i].Key, valueType: bad}
 		}
 		n += stringLen(recs[i].Key) + m
 	}

@@ -237,7 +237,7 @@ func TestValuesOutsideTheCodecAreRefused(t *testing.T) {
 			SizeOf(KV("k", v))
 		}()
 		var unsupported *UnsupportedValueError
-		if _, err := EncodedSize([]Pair{KV("k", v)}); !errors.As(err, &unsupported) || unsupported.Type != name {
+		if _, err := EncodedSize([]Pair{KV("k", v)}); !errors.As(err, &unsupported) || unsupported.valueType != name {
 			t.Errorf("EncodedSize of a %s: err = %v, want *UnsupportedValueError naming it", name, err)
 		}
 	}
@@ -344,7 +344,7 @@ func TestAppendPairsRejectsUnsupportedValues(t *testing.T) {
 		if !errors.As(err, &unsupported) {
 			t.Fatalf("%s: err = %v, want *UnsupportedValueError", name, err)
 		}
-		if unsupported.Key != "bad-key" || !strings.Contains(unsupported.Type, tc.wantType) || !strings.Contains(err.Error(), tc.wantType) {
+		if unsupported.Key != "bad-key" || !strings.Contains(unsupported.valueType, tc.wantType) || !strings.Contains(err.Error(), tc.wantType) {
 			t.Fatalf("%s: error %q does not name key and type %q", name, err, tc.wantType)
 		}
 		if string(got) != "kept" {

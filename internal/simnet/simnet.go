@@ -193,7 +193,6 @@ type Network struct {
 
 	bytesByTag     map[string]*float64 // cross-DC bytes only
 	bytesByPair    [][]float64         // cross-DC bytes per (srcDC,dstDC)
-	totalBytes     float64             // all delivered bytes, any scope
 	crossDCBytes   float64
 	completedFlows int
 	flowObserver   flowObserverFn
@@ -360,7 +359,6 @@ func (n *Network) account(f *flow, bytes float64) {
 	if bytes <= 0 {
 		return
 	}
-	n.totalBytes += bytes
 	if f.crossDC {
 		n.crossDCBytes += bytes
 		if f.tagBytes == nil {
@@ -598,12 +596,6 @@ func (n *Network) CrossDCBytesByTag() map[string]float64 {
 func (n *Network) PairBytes(a, b topology.DCID) float64 {
 	n.settle()
 	return n.bytesByPair[a][b]
-}
-
-// deliveredBytes returns all delivered bytes, including intra-DC and loopback.
-func (n *Network) deliveredBytes() float64 {
-	n.settle()
-	return n.totalBytes
 }
 
 // ActiveFlows returns the number of flows currently consuming bandwidth.

@@ -212,9 +212,6 @@ func TestCrossDCAccounting(t *testing.T) {
 	if got := net.PairBytes(1, 0); got != 0 {
 		t.Fatalf("PairBytes(1,0) = %v, want 0", got)
 	}
-	if got := net.deliveredBytes(); math.Abs(got-65*mb) > 1 {
-		t.Fatalf("deliveredBytes = %v, want 65 MB", got)
-	}
 	if got := net.CompletedFlows(); got != 4 {
 		t.Fatalf("CompletedFlows = %d, want 4", got)
 	}
@@ -358,8 +355,8 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 }
 
 // Property test: byte conservation — the sum of per-tag cross-DC counters
-// equals the total cross-DC counter, and completed flows deliver exactly
-// their size.
+// equals the total cross-DC counter, and completed cross-DC flows deliver
+// exactly their size.
 func TestQuickByteConservation(t *testing.T) {
 	top := topology.SixRegionEC2()
 	f := func(seed int64, nRaw uint8) bool {
@@ -367,14 +364,13 @@ func TestQuickByteConservation(t *testing.T) {
 		clock := sim.NewClock()
 		net := New(clock, top, seed, Config{JitterAmplitude: 0.2})
 		rng := rand.New(rand.NewSource(seed))
-		var wantCross, wantTotal float64
+		var wantCross float64
 		for i := 0; i < nFlows; i++ {
 			src := topology.HostID(rng.Intn(top.NumHosts()))
 			dst := topology.HostID(rng.Intn(top.NumHosts()))
 			size := float64(rng.Intn(50)+1) * mb
 			tag := []string{"a", "b", "c"}[rng.Intn(3)]
 			net.StartFlow(src, dst, size, tag, nil)
-			wantTotal += size
 			if top.DCOf(src) != top.DCOf(dst) {
 				wantCross += size
 			}
@@ -386,8 +382,7 @@ func TestQuickByteConservation(t *testing.T) {
 		}
 		tol := 1.0 // bytes
 		return math.Abs(net.CrossDCBytes()-wantCross) < tol &&
-			math.Abs(sumTags-wantCross) < tol &&
-			math.Abs(net.deliveredBytes()-wantTotal) < tol
+			math.Abs(sumTags-wantCross) < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -70,20 +70,6 @@ func iqr(xs []float64) (q1, q3 float64) {
 	return Percentile(xs, 25), Percentile(xs, 75)
 }
 
-// minOf returns the smallest sample (NaN for empty input).
-func minOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest sample (NaN for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -113,25 +99,19 @@ func StdDev(xs []float64) float64 {
 
 // Summary bundles the paper's reporting statistics for one sample set.
 type Summary struct {
-	N           int
 	TrimmedMean float64 // 10% trimmed
 	Median      float64
 	Q1, Q3      float64
-	max         float64
-	min         float64
 }
 
 // Summarize computes the full Fig. 7-style summary.
 func Summarize(xs []float64) Summary {
 	q1, q3 := iqr(xs)
 	return Summary{
-		N:           len(xs),
 		TrimmedMean: trimmedMean(xs, 0.10),
 		Median:      Median(xs),
 		Q1:          q1,
 		Q3:          q3,
-		min:         minOf(xs),
-		max:         Max(xs),
 	}
 }
 

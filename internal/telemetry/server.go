@@ -208,11 +208,8 @@ func Start(addr string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
 // URL returns the server's base URL.
-func (s *Server) URL() string { return "http://" + s.Addr() }
+func (s *Server) URL() string { return "http://" + s.ln.Addr().String() }
 
 // Close stops the listener and severs open connections (including /events
 // streams).

@@ -1,23 +1,27 @@
 package wanshuffle_test
 
 // An exported name under internal/ is one another package uses. The gate
-// below scans the source with go/parser: every exported top-level func,
+// below type-checks the source with go/types (the standard library from
+// source, so it needs no build or network): every exported top-level func,
 // type, var and const, and every exported method and field of an exported
-// type, needs a use in a non-test file of another package of this module
-// (perf/ is a module of its own) or an entry in the committed allowlist
-// that gives one of four reasons it stays exported anyway.
+// type, needs an identifier in a non-test file of another package of this
+// module (perf/ is a module of its own) that resolves to it, or an entry in
+// the committed allowlist that gives one of four reasons it stays exported
+// anyway.
 
 import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -30,9 +34,10 @@ const surfaceAllowlist = "testdata/exported-allowlist.txt"
 var surfaceReasons = map[string]bool{"json": true, "interface": true, "test-helper": true, "perf": true}
 
 // surfaceDecl is one exported declaration under internal/: Name is a
-// top-level name or Type.Member.
+// top-level name or Type.Member, pos where it is declared.
 type surfaceDecl struct {
 	pkg, name string
+	pos       token.Pos
 	field     bool // a struct field
 	method    bool // a method, or an interface's method
 	iface     bool // an interface type
@@ -40,20 +45,9 @@ type surfaceDecl struct {
 
 func (d surfaceDecl) key() string { return d.pkg + " " + d.name }
 
-func (d surfaceDecl) member() string {
-	if i := strings.IndexByte(d.name, '.'); i >= 0 {
-		return d.name[i+1:]
-	}
-	return ""
-}
-
-// surfaceUses is what one group of files names: top-level names of other
-// packages, by import path, and member names seen as a selector or a
-// composite-literal key.
-type surfaceUses struct {
-	qualified map[string]bool // "import/path Name"
-	members   map[string]bool
-}
+// surfaceUses are the declarations one package's files resolve
+// identifiers to, by declaring position (one file set holds every file).
+type surfaceUses map[token.Pos]bool
 
 // surfaceScan is what the gate knows about a tree: the declarations, and
 // the uses of each kind of file keyed by the package (directory) they
@@ -61,23 +55,43 @@ type surfaceUses struct {
 type surfaceScan struct {
 	module  string
 	decls   []surfaceDecl
-	outside map[string]*surfaceUses // non-test files of the root module
-	tests   map[string]*surfaceUses // test files of the root module
-	perf    map[string]*surfaceUses // perf/'s files
-	aliased map[string]bool         // "pkg Type" that the root package aliases
+	outside map[string]surfaceUses // non-test files of the root module
+	tests   map[string]surfaceUses // test files of the root module
+	perf    map[string]surfaceUses // perf/'s files
+	public  surfaceUses            // members of types the root package aliases, or promoted into one
 }
 
-// scanSurface parses every .go file under fsys, whose root is the module
-// named module.
+// surfaceDir is one directory's parsed files: the package, its in-package
+// test files and its external (x_test) test files.
+type surfaceDir struct {
+	files, tests, xtests []*ast.File
+}
+
+// surfaceChecker type-checks the scanned tree; it is the importer of the
+// module's own packages and hands every other path to the standard
+// library's source importer.
+type surfaceChecker struct {
+	s    *surfaceScan
+	fset *token.FileSet
+	std  types.Importer
+	dirs map[string]*surfaceDir
+	pkgs map[string]*types.Package // import path -> checked package
+}
+
+// scanSurface type-checks every package under fsys, whose root is the
+// module named module (perf/'s module path is module/perf).
 func scanSurface(fsys fs.FS, module string) (*surfaceScan, error) {
+	// The standard library is checked without cgo, so no C toolchain runs.
+	build.Default.CgoEnabled = false
 	s := &surfaceScan{
 		module:  module,
-		outside: map[string]*surfaceUses{},
-		tests:   map[string]*surfaceUses{},
-		perf:    map[string]*surfaceUses{},
-		aliased: map[string]bool{},
+		outside: map[string]surfaceUses{},
+		tests:   map[string]surfaceUses{},
+		perf:    map[string]surfaceUses{},
+		public:  surfaceUses{},
 	}
 	fset := token.NewFileSet()
+	c := &surfaceChecker{s: s, fset: fset, std: importer.ForCompiler(fset, "source", nil), dirs: map[string]*surfaceDir{}, pkgs: map[string]*types.Package{}}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -100,177 +114,196 @@ func scanSurface(fsys fs.FS, module string) (*surfaceScan, error) {
 		if err != nil {
 			return err
 		}
-		s.add(p, f)
+		dir := c.dirs[path.Dir(p)]
+		if dir == nil {
+			dir = &surfaceDir{}
+			c.dirs[path.Dir(p)] = dir
+		}
+		switch {
+		case !strings.HasSuffix(p, "_test.go"):
+			dir.files = append(dir.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			dir.xtests = append(dir.xtests, f)
+		default:
+			dir.tests = append(dir.tests, f)
+		}
 		return nil
 	})
-	return s, err
-}
-
-func (s *surfaceScan) add(p string, f *ast.File) {
-	dir := path.Dir(p)
-	test := strings.HasSuffix(p, "_test.go")
-	group := dir
-	if test && strings.HasSuffix(f.Name.Name, "_test") {
-		group += " [external test]"
+	if err != nil {
+		return nil, err
 	}
-	var uses map[string]*surfaceUses
-	switch {
-	case dir == "perf" || strings.HasPrefix(dir, "perf/"):
-		uses = s.perf
-	case test:
-		uses = s.tests
-	default:
-		uses = s.outside
+	dirs := make([]string, 0, len(c.dirs))
+	for dir := range c.dirs {
+		dirs = append(dirs, dir)
 	}
-	u := uses[group]
-	if u == nil {
-		u = &surfaceUses{qualified: map[string]bool{}, members: map[string]bool{}}
-		uses[group] = u
-	}
-	imports := map[string]string{} // import name -> import path
-	for _, spec := range f.Imports {
-		ip, _ := strconv.Unquote(spec.Path.Value)
-		name := path.Base(ip)
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		imports[name] = ip
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			u.members[n.Sel.Name] = true
-			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-				u.qualified[imports[x.Name]+" "+n.Sel.Name] = true
-			}
-		case *ast.CompositeLit:
-			for _, e := range n.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if k, ok := kv.Key.(*ast.Ident); ok {
-						u.members[k.Name] = true
-					}
-				}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		d := c.dirs[dir]
+		if len(d.files) > 0 {
+			if _, err := c.Import(c.importPath(dir)); err != nil {
+				return nil, err
 			}
 		}
-		return true
-	})
-	if dir == "." && !test {
-		s.addAliases(f, imports)
+		if len(d.tests) > 0 {
+			if _, err := c.check(dir, dir, append(append([]*ast.File(nil), d.files...), d.tests...)); err != nil {
+				return nil, err
+			}
+		}
+		if len(d.xtests) > 0 {
+			if _, err := c.check(dir+" [external test]", dir, d.xtests); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if !test && (dir == "internal" || strings.HasPrefix(dir, "internal/")) {
-		s.addDecls(strings.TrimPrefix(strings.TrimPrefix(dir, "internal"), "/"), f)
+	for _, dir := range dirs {
+		if pkg := c.pkgs[c.importPath(dir)]; pkg != nil && (dir == "internal" || strings.HasPrefix(dir, "internal/")) {
+			s.addDecls(strings.TrimPrefix(strings.TrimPrefix(dir, "internal"), "/"), pkg)
+		}
 	}
+	if root := c.pkgs[module]; root != nil {
+		for _, name := range root.Scope().Names() {
+			if tn, ok := root.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+				s.publish(tn.Type(), map[*types.Named]bool{})
+			}
+		}
+	}
+	sort.Slice(s.decls, func(i, j int) bool { return s.decls[i].pos < s.decls[j].pos })
+	return s, nil
 }
 
-// addAliases records the internal types a root-package file aliases: they
-// are public API, so their methods and fields count as used.
-func (s *surfaceScan) addAliases(f *ast.File, imports map[string]string) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.TYPE {
+func (c *surfaceChecker) importPath(dir string) string {
+	if dir == "." {
+		return c.s.module
+	}
+	return c.s.module + "/" + dir
+}
+
+// Import returns the checked package of a directory of the tree, checking
+// it first, or the standard library's package.
+func (c *surfaceChecker) Import(p string) (*types.Package, error) {
+	if pkg := c.pkgs[p]; pkg != nil {
+		return pkg, nil
+	}
+	dir := "."
+	if p != c.s.module {
+		dir, _ = strings.CutPrefix(p, c.s.module+"/")
+	}
+	if d := c.dirs[dir]; d == nil || len(d.files) == 0 {
+		return c.std.Import(p)
+	}
+	pkg, err := c.check(dir, dir, c.dirs[dir].files)
+	c.pkgs[p] = pkg
+	return pkg, err
+}
+
+// check type-checks files as the package in dir and records, under group,
+// the module's internal declarations their identifiers resolve to.
+func (c *surfaceChecker) check(group, dir string, files []*ast.File) (*types.Package, error) {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: c}
+	pkg, err := conf.Check(c.importPath(dir), c.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
+	}
+	internal := c.s.module + "/internal/"
+	for id, obj := range info.Uses {
+		if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), internal) {
 			continue
 		}
-		for _, spec := range gd.Specs {
-			ts := spec.(*ast.TypeSpec)
-			sel, ok := ts.Type.(*ast.SelectorExpr)
-			if !ts.Assign.IsValid() || !ok {
-				continue
-			}
-			if x, ok := sel.X.(*ast.Ident); ok {
-				if ip, ok := strings.CutPrefix(imports[x.Name], s.module+"/internal/"); ok {
-					s.aliased[ip+" "+sel.Sel.Name] = true
-				}
-			}
+		var uses map[string]surfaceUses
+		switch {
+		case dir == "perf" || strings.HasPrefix(dir, "perf/"):
+			uses = c.s.perf
+		case strings.HasSuffix(c.fset.Position(id.Pos()).Filename, "_test.go"):
+			uses = c.s.tests
+		default:
+			uses = c.s.outside
 		}
+		if uses[group] == nil {
+			uses[group] = surfaceUses{}
+		}
+		uses[group][obj.Pos()] = true
 	}
+	return pkg, nil
 }
 
-func (s *surfaceScan) addDecls(pkg string, f *ast.File) {
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if !d.Name.IsExported() {
-				continue
-			}
-			if d.Recv == nil {
-				s.decls = append(s.decls, surfaceDecl{pkg: pkg, name: d.Name.Name})
-				continue
-			}
-			if recv := receiverName(d.Recv.List[0].Type); ast.IsExported(recv) {
-				s.decls = append(s.decls, surfaceDecl{pkg: pkg, name: recv + "." + d.Name.Name, method: true})
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch sp := spec.(type) {
-				case *ast.ValueSpec:
-					for _, n := range sp.Names {
-						if n.IsExported() {
-							s.decls = append(s.decls, surfaceDecl{pkg: pkg, name: n.Name})
-						}
-					}
-				case *ast.TypeSpec:
-					if sp.Name.IsExported() {
-						_, iface := sp.Type.(*ast.InterfaceType)
-						s.decls = append(s.decls, surfaceDecl{pkg: pkg, name: sp.Name.Name, iface: iface})
-						s.addMembers(pkg, sp)
-					}
-				}
-			}
-		}
-	}
-}
-
-// addMembers declares a type's named exported fields, or its interface's
+// addDecls declares a package's exported top-level names, and each
+// exported type's exported methods and named fields, or its interface's
 // exported methods. An embedded field is its type, declared on its own.
-func (s *surfaceScan) addMembers(pkg string, ts *ast.TypeSpec) {
-	var fields *ast.FieldList
-	method := false
-	switch t := ts.Type.(type) {
-	case *ast.StructType:
-		fields = t.Fields
-	case *ast.InterfaceType:
-		fields, method = t.Methods, true
-	default:
+func (s *surfaceScan) addDecls(pkg string, p *types.Package) {
+	add := func(obj types.Object, name string, d surfaceDecl) {
+		if obj.Exported() {
+			d.pkg, d.name, d.pos = pkg, name, obj.Pos()
+			s.decls = append(s.decls, d)
+		}
+	}
+	for _, name := range p.Scope().Names() {
+		obj := p.Scope().Lookup(name)
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			add(obj, name, surfaceDecl{})
+			continue
+		}
+		named := tn.Type().(*types.Named)
+		iface, _ := named.Underlying().(*types.Interface)
+		add(obj, name, surfaceDecl{iface: iface != nil})
+		if !obj.Exported() {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			add(named.Method(i), name+"."+named.Method(i).Name(), surfaceDecl{method: true})
+		}
+		switch u := named.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); !f.Embedded() {
+					add(f, name+"."+f.Name(), surfaceDecl{field: true})
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < u.NumExplicitMethods(); i++ {
+				add(u.ExplicitMethod(i), name+"."+u.ExplicitMethod(i).Name(), surfaceDecl{method: true})
+			}
+		}
+	}
+}
+
+// publish marks the methods and fields of a type the root package aliases
+// as public API, and those of every type embedded in it, since they are
+// promoted into it.
+func (s *surfaceScan) publish(t types.Type, seen map[*types.Named]bool) {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || seen[named] {
 		return
 	}
-	for _, fld := range fields.List {
-		for _, n := range fld.Names {
-			if n.IsExported() {
-				s.decls = append(s.decls, surfaceDecl{pkg: pkg, name: ts.Name.Name + "." + n.Name, field: !method, method: method})
+	seen[named] = true
+	for i := 0; i < named.NumMethods(); i++ {
+		s.public[named.Method(i).Pos()] = true
+	}
+	switch u := named.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			s.public[u.Field(i).Pos()] = true
+			if u.Field(i).Embedded() {
+				s.publish(u.Field(i).Type(), seen)
 			}
 		}
-	}
-}
-
-func receiverName(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return ""
+	case *types.Interface:
+		for i := 0; i < u.NumMethods(); i++ {
+			s.public[u.Method(i).Pos()] = true
 		}
 	}
 }
 
-// usedIn reports whether a group of uses outside d's own package names d.
-func (s *surfaceScan) usedIn(uses map[string]*surfaceUses, d surfaceDecl) bool {
+// usedIn reports whether a group of uses outside d's own package resolves
+// an identifier to d.
+func (s *surfaceScan) usedIn(uses map[string]surfaceUses, d surfaceDecl) bool {
 	own := "internal/" + d.pkg
-	qualified := s.module + "/internal/" + d.pkg + " " + d.name
-	member := d.member()
 	for group, u := range uses {
-		if group == own {
-			continue
-		}
-		if member == "" && u.qualified[qualified] || member != "" && u.members[member] {
+		if group != own && u[d.pos] {
 			return true
 		}
 	}
@@ -280,10 +313,7 @@ func (s *surfaceScan) usedIn(uses map[string]*surfaceUses, d surfaceDecl) bool {
 // usedOutside reports whether a non-test file of another package of the
 // module uses d, or d is a member of a type the root package aliases.
 func (s *surfaceScan) usedOutside(d surfaceDecl) bool {
-	if m := d.member(); m != "" && s.aliased[d.pkg+" "+strings.TrimSuffix(d.name, "."+m)] {
-		return true
-	}
-	return s.usedIn(s.outside, d)
+	return s.public[d.pos] || s.usedIn(s.outside, d)
 }
 
 // surfaceEntry is one allowlist line: pkg Name reason.
@@ -424,6 +454,7 @@ func TestSurfaceGateOnFixture(t *testing.T) {
 		"allowlist line 2: a Used: another package uses it now; delete the entry",
 		`allowlist line 3: a Pending: unknown reason "to-review"`,
 		"internal/a: Unused is exported, but no other package uses it: unexport or delete it, or allowlist it with a reason",
+		"internal/a: A.N is exported, but no other package uses it: unexport or delete it, or allowlist it with a reason",
 	}
 	if strings.Join(r.problems, "\n") != strings.Join(want, "\n") {
 		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(r.problems, "\n"), strings.Join(want, "\n"))
